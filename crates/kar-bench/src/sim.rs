@@ -57,6 +57,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("kill-mid-passivation", kill_mid_passivation),
     ("kill-during-backoff", kill_during_backoff),
     ("dlq-reinjection", dlq_reinjection),
+    ("kill-after-trim", kill_after_trim),
 ];
 
 /// Runs one scenario by name. Returns `None` for an unknown name.
@@ -104,9 +105,22 @@ impl Driver {
         self.drained = log.len();
     }
 
+    /// One observed blocking invocation through a fresh client component.
+    fn call(&mut self, target: &ActorRef, method: &str, req: u64, policy: Option<RetryPolicy>) {
+        let client = self.mesh.client();
+        self.call_via(&client, target, method, req, policy);
+    }
+
     /// One observed blocking invocation: records the issue, runs the call
     /// (driving the simulation), drains commits, records the completion.
-    fn call(&mut self, target: &ActorRef, method: &str, req: u64, policy: Option<RetryPolicy>) {
+    fn call_via(
+        &mut self,
+        client: &kar::Client,
+        target: &ActorRef,
+        method: &str,
+        req: u64,
+        policy: Option<RetryPolicy>,
+    ) {
         let actor = target.qualified_name();
         let seq = self.seqs.entry(actor.clone()).or_insert(0);
         *seq += 1;
@@ -117,7 +131,6 @@ impl Driver {
             seq: *seq,
         });
         self.targets.insert(req, actor);
-        let client = self.mesh.client();
         let args = vec![Value::Int(req as i64)];
         let result = match policy {
             Some(policy) => client.call_with_policy(target, method, args, policy),
@@ -260,6 +273,19 @@ impl Actor for Back {
                 commit_once(ctx, &self.log, req)?;
                 Ok(Outcome::value(args[0].clone()))
             }
+            // Pins this actor's home partition against trimming: the nested
+            // call is answered by a tail-call *successor*, so its response
+            // names no origin, and a consumed response without an origin
+            // stays in the log — with everything behind it — until time
+            // retention (see `kar::settle`, invariant 2).
+            "pin" => Ok(ctx.call_then(
+                &ActorRef::new("Back", "pinner"),
+                "relay",
+                Vec::new(),
+                |_ctx, result| Ok(Outcome::value(result?)),
+            )),
+            "relay" => Ok(ctx.tail_call_self("noop", Vec::new())),
+            "noop" => Ok(Outcome::value(Value::Null)),
             other => Err(KarError::application(format!("no method {other}"))),
         }
     }
@@ -358,12 +384,9 @@ fn kill_after_recovery(mesh: &Mesh, victim: ActorRef, after: usize, gap: u64) {
             kill_after_recovery(&mesh, victim, after, gap);
             return;
         }
-        let key = format!("placement/{}", victim.qualified_name());
-        let Some(raw) = mesh.store().admin_get(&key).and_then(|v| v.as_i64()) else {
-            return;
-        };
-        let component = kar_types::ComponentId::from_raw(raw as u64);
-        mesh.sim_schedule_kill(mesh.sim_step_count() + gap, component);
+        if let Some(component) = placement_of(&mesh, &victim) {
+            mesh.sim_schedule_kill(mesh.sim_step_count() + gap, component);
+        }
     });
 }
 
@@ -379,6 +402,15 @@ fn kill_after_recovery(mesh: &Mesh, victim: ActorRef, after: usize, gap: u64) {
 /// anywhere) and defer the re-homed caller on a response no survivor will
 /// ever send — the caller times out over a committed effect:
 /// `lost_response`.
+///
+/// The window only exists while the callee's *request record* is still in
+/// its log at the second recovery: a settled request is normally trimmed
+/// within a tick of its response being acknowledged, after which no recovery
+/// can mistake the nested call for pending. The scenario therefore pins the
+/// callees' partitions first ([`Back`]'s `pin`), the way production logs get
+/// pinned — by an unfinished request or a response without an origin ahead
+/// of the settled records — so what it checks is that step 6½ is still
+/// load-bearing wherever a log cannot be trimmed.
 ///
 /// `kill_step` packs both timing axes: `kill_step % 16` is the first kill's
 /// offset (sweeping the parked-continuation window), `kill_step / 16` the
@@ -406,6 +438,11 @@ fn kill_while_parked(seed: u64, kill_step: u64, rebreak: bool) -> SimOutcome {
     mesh.add_component(node, "beta", host(&log));
     mesh.add_component(node, "gamma", host(&log));
     let mut driver = Driver::new(mesh, log);
+    for back in 0..3 {
+        let target = ActorRef::new("Back", format!("b{back}"));
+        let pinned = driver.mesh.client().call(&target, "pin", Vec::new());
+        debug_assert!(pinned.is_ok(), "pinning cannot fail on a quiet mesh");
+    }
     for req in 1..=3u64 {
         let target = ActorRef::new("Front", format!("f{}", req % 3));
         driver.call(&target, "apply", req, None);
@@ -564,6 +601,165 @@ fn dlq_reinjection(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
         result.violations.push(HistoryViolation {
             rule: "duplicate_claim",
             detail: format!("DLQ entry claimed {claims} times — dlq_retry is not exactly-once"),
+            at: usize::MAX,
+        });
+    }
+    result
+}
+
+/// The front of the `kill-after-trim` pipeline: parks on a nested call to a
+/// `Back` actor (the commit point), then hands the request to a tail-call
+/// chain — so one logical request crosses a `call_then`, a cross-actor tail
+/// call (a re-append to another component's partition, the same path a
+/// forward takes) and a tail call to self (a re-append to the actor's own
+/// partition) before it is answered.
+struct Relay;
+
+impl Actor for Relay {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        let req = args[0].as_i64().unwrap_or(0);
+        match method {
+            "apply" => {
+                let back = ActorRef::new("Back", format!("b{}", (req + 1) % 3));
+                Ok(
+                    ctx.call_then(&back, "echo", vec![args[0].clone()], move |ctx, result| {
+                        let hop = ActorRef::new("Relay", format!("h{}", req % 3));
+                        Ok(ctx.tail_call(&hop, "hop", vec![result?, Value::Int(3)]))
+                    }),
+                )
+            }
+            "hop" => match args[1].as_i64().unwrap_or(0) {
+                0 => Ok(Outcome::value(args[0].clone())),
+                left if left % 2 == 0 => {
+                    Ok(ctx.tail_call_self("hop", vec![args[0].clone(), Value::Int(left - 1)]))
+                }
+                left => {
+                    let next = ActorRef::new("Relay", format!("h{}", (req + left + 1) % 3));
+                    Ok(ctx.tail_call(&next, "hop", vec![args[0].clone(), Value::Int(left - 1)]))
+                }
+            },
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// The component `actor` is currently placed on, if any.
+fn placement_of(mesh: &Mesh, actor: &ActorRef) -> Option<kar_types::ComponentId> {
+    let key = format!("placement/{}", actor.qualified_name());
+    let raw = mesh.store().admin_get(&key).and_then(|v| v.as_i64())?;
+    Some(kar_types::ComponentId::from_raw(raw as u64))
+}
+
+/// Records dropped so far from the home partitions of `component` — in this
+/// scenario (retention far beyond the run) that is: records it trimmed.
+fn trimmed_by(mesh: &Mesh, component: kar_types::ComponentId) -> u64 {
+    let broker = mesh.broker();
+    mesh.partition_set(component).map_or(0, |set| {
+        set.home()
+            .iter()
+            .map(|partition| broker.log_start("kar", *partition))
+            .sum()
+    })
+}
+
+/// Kills over *trimmed* logs. The settle tracker drops a request record once
+/// its completion is durable, and a consumed response once the request's
+/// only record is gone — from sweeps that run every few dozen settle events,
+/// so the scenario first runs enough traffic for the server partitions to
+/// be trimmed mid-traffic. It then kills the
+/// callee's host right after it trimmed — with a parked `call_then`, a
+/// tail-call chain and a request toward the victim in flight — and, after
+/// that recovery, the caller's host once it trimmed the responses it
+/// consumed. Reconciliation then works from logs that no longer hold the
+/// settled history, and must still neither re-execute a completed request
+/// nor wait on a response nobody holds.
+///
+/// `kill_step % 16` is the first kill's offset into the request after the
+/// warm-up, `(kill_step / 4) % 16` the second kill's offset into the first
+/// request of the third phase.
+fn kill_after_trim(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
+    let first_kill = kill_step % 16;
+    let second_kill = (kill_step / 4) % 16;
+    let mut config = MeshConfig::deterministic(seed);
+    // Nothing expires by age within the run: whatever left a log was trimmed.
+    config.retention = Duration::from_secs(400_000);
+    let log: CommitLog = CommitLog::default();
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let host = |log: &CommitLog| {
+        let log = Arc::clone(log);
+        move |b: kar::ComponentBuilder| {
+            b.host("Relay", || Box::new(Relay)).host("Back", move || {
+                Box::new(Back {
+                    log: Arc::clone(&log),
+                })
+            })
+        }
+    };
+    mesh.add_component(node, "alpha", host(&log));
+    mesh.add_component(node, "beta", host(&log));
+    mesh.add_component(node, "gamma", host(&log));
+    let mut driver = Driver::new(mesh, log);
+    let front = |req: u64| ActorRef::new("Relay", format!("f{}", req % 3));
+    let mut vacuous = false;
+
+    // Warm-up through one client: enough settled records on the server
+    // partitions in use for the pump-driven sweeps to trim mid-traffic.
+    const WARMUP: u64 = 240;
+    let bulk = driver.mesh.client();
+    for req in 1..=WARMUP {
+        driver.call_via(&bulk, &front(req), "apply", req, None);
+    }
+    // The next request parks on Back/b{(req + 1) % 3}: kill that host.
+    let mut req = WARMUP;
+    let callee = placement_of(
+        &driver.mesh,
+        &ActorRef::new("Back", format!("b{}", (req + 2) % 3)),
+    );
+    match callee {
+        Some(callee) if trimmed_by(&driver.mesh, callee) > 0 => {
+            driver.arm_kill(first_kill, callee, "callee");
+        }
+        _ => vacuous = true,
+    }
+    for _ in 0..3 {
+        req += 1;
+        driver.call(&front(req), "apply", req, None);
+    }
+    driver.await_recoveries(1, "callee");
+    // Rebuild trimmed logs on the survivors, then kill the caller's host.
+    for _ in 0..WARMUP / 2 {
+        req += 1;
+        driver.call_via(&bulk, &front(req), "apply", req, None);
+    }
+    let caller = placement_of(&driver.mesh, &front(req + 1));
+    match caller {
+        Some(caller) if trimmed_by(&driver.mesh, caller) > 0 => {
+            driver.arm_kill(second_kill, caller, "caller");
+        }
+        _ => vacuous = true,
+    }
+    for _ in 0..3 {
+        req += 1;
+        driver.call(&front(req), "apply", req, None);
+    }
+    driver.await_recoveries(2, "caller");
+    for _ in 0..3 {
+        req += 1;
+        driver.call(&front(req), "apply", req, None);
+    }
+    let mut result = outcome("kill-after-trim", seed, kill_step, driver);
+    if vacuous {
+        result.violations.push(HistoryViolation {
+            rule: "nothing_trimmed",
+            detail: "a victim had trimmed nothing when its kill was due — the scenario \
+                     exercised no trimmed log"
+                .to_string(),
             at: usize::MAX,
         });
     }

@@ -101,6 +101,10 @@ struct Partition<M> {
     /// read?" with one atomic load — no log lock, no delivery latency — so a
     /// reactor can cheaply sweep hundreds of partitions per wakeup.
     end: AtomicU64,
+    /// Mirror of the log's start offset (the low watermark), updated under
+    /// the log lock whenever expiry, a trim or a truncation drops records.
+    /// Lets [`Broker::log_start`] answer with one atomic load.
+    start: AtomicU64,
     /// Ownership fencing epoch of this partition. Bumped by
     /// [`Broker::fence_partition`] when the partition is reassigned to a new
     /// consumer (recovery re-homing a failed component's partition range), so
@@ -122,6 +126,7 @@ impl<M> Default for Partition<M> {
             log: Mutex::new(PartitionLog::default()),
             signal: WaitSignal::new(),
             end: AtomicU64::new(0),
+            start: AtomicU64::new(0),
             owner_epoch: AtomicU64::new(0),
             watchers: RwLock::new(Vec::new()),
         }
@@ -129,6 +134,18 @@ impl<M> Default for Partition<M> {
 }
 
 impl<M> Partition<M> {
+    /// Runs `mutate` under the log lock and publishes the log's watermarks
+    /// to their lock-free mirrors before releasing it. Whatever `mutate`
+    /// returns — in particular records it dropped from the log — leaves the
+    /// lock with the caller, so dropped records are freed outside it.
+    fn with_log<R>(&self, mutate: impl FnOnce(&mut PartitionLog<M>) -> R) -> R {
+        let mut log = self.log.lock();
+        let result = mutate(&mut log);
+        self.end.store(log.end_offset(), Ordering::Release);
+        self.start.store(log.start_offset(), Ordering::Release);
+        result
+    }
+
     /// Signals an event on this partition: wakes consumers parked on the
     /// partition's own append signal and notifies every attached wait group.
     fn notify(&self) {
@@ -528,21 +545,16 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         let part = self.lookup_partition(topic, partition)?;
         let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
         let now = self.now();
-        let offset = {
-            let mut log = part.log.lock();
+        // Expired records are freed after the partition lock is released.
+        let (offset, expired) = part.with_log(|log| {
             // The durable-ack latency is paid while holding the partition
             // log lock: a partition acknowledges its appends in sequence,
             // while appends to other partitions overlap freely.
             kar_types::pace_sleep(self.inner.config.append_latency);
             let offset = log.append(now, payload);
-            log.expire(
-                now,
-                self.inner.config.retention,
-                self.inner.config.max_partition_records,
-            );
-            part.end.store(log.end_offset(), Ordering::Release);
-            offset
-        };
+            (offset, self.expire(log, now))
+        });
+        drop(expired);
         part.notify();
         if ack_lost {
             return Err(Self::ack_lost_error(FaultSite::BrokerAppend));
@@ -567,8 +579,7 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         let ack_lost = self.fault_gate(FaultSite::BrokerAppend, partition)?;
         let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
         let now = self.now();
-        let range = {
-            let mut log = part.log.lock();
+        let (range, expired) = part.with_log(|log| {
             // One durable-ack latency for the whole batch: batching exists
             // precisely to amortize the ack and the lock acquisition.
             kar_types::pace_sleep(self.inner.config.append_latency);
@@ -576,15 +587,9 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             for payload in payloads {
                 log.append(now, payload);
             }
-            let end = log.end_offset();
-            log.expire(
-                now,
-                self.inner.config.retention,
-                self.inner.config.max_partition_records,
-            );
-            part.end.store(log.end_offset(), Ordering::Release);
-            first..end
-        };
+            (first..log.end_offset(), self.expire(log, now))
+        });
+        drop(expired);
         part.notify();
         if ack_lost {
             return Err(Self::ack_lost_error(FaultSite::BrokerAppend));
@@ -626,11 +631,15 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             .map_or(0, |part| part.log.lock().len())
     }
 
-    /// Number of records dropped from a partition by retention or truncation
-    /// since the broker was created.
-    pub fn expired_count(&self, topic: &str, partition: usize) -> u64 {
+    /// The partition's low watermark: the offset of its oldest live record
+    /// (its end offset when empty; zero if the partition does not exist) —
+    /// Kafka's `beginningOffsets`. Every record below it has been dropped by
+    /// retention, [`Producer::trim_before`] or truncation, and since offsets
+    /// start at zero and are never reused it is also the number of records
+    /// dropped so far. One atomic load; never touches the log lock.
+    pub fn log_start(&self, topic: &str, partition: usize) -> u64 {
         self.lookup_partition(topic, partition)
-            .map_or(0, |part| part.log.lock().expired_count())
+            .map_or(0, |part| part.start.load(Ordering::Acquire))
     }
 
     /// Offset that will be assigned to the next record appended to the
@@ -646,12 +655,7 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         let ack_lost = self.fault_gate(FaultSite::BrokerAdminAppend, partition)?;
         let part = self.lookup_partition(topic, partition)?;
         let now = self.now();
-        let offset = {
-            let mut log = part.log.lock();
-            let offset = log.append(now, payload);
-            part.end.store(log.end_offset(), Ordering::Release);
-            offset
-        };
+        let offset = part.with_log(|log| log.append(now, payload));
         part.notify();
         if ack_lost {
             return Err(Self::ack_lost_error(FaultSite::BrokerAdminAppend));
@@ -676,16 +680,13 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         }
         let ack_lost = self.fault_gate(FaultSite::BrokerAdminAppend, partition)?;
         let now = self.now();
-        let range = {
-            let mut log = part.log.lock();
+        let range = part.with_log(|log| {
             let first = log.end_offset();
             for payload in payloads {
                 log.append(now, payload);
             }
-            let end = log.end_offset();
-            part.end.store(end, Ordering::Release);
-            first..end
-        };
+            first..log.end_offset()
+        });
         part.notify();
         if ack_lost {
             return Err(Self::ack_lost_error(FaultSite::BrokerAdminAppend));
@@ -698,7 +699,35 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
     /// number of dropped records.
     pub fn truncate_partition(&self, topic: &str, partition: usize) -> usize {
         self.lookup_partition(topic, partition)
-            .map_or(0, |part| part.log.lock().truncate())
+            .map_or(0, |part| part.with_log(PartitionLog::truncate).len())
+    }
+
+    /// Drops every record of `topic[partition]` below `offset` on behalf of
+    /// `component` (the body of [`Producer::trim_before`]).
+    fn trim(
+        &self,
+        component: ComponentId,
+        epoch: Epoch,
+        topic: &str,
+        partition: usize,
+        offset: u64,
+    ) -> KarResult<usize> {
+        self.check_epoch(component, epoch)?;
+        let part = self.lookup_partition(topic, partition)?;
+        // The trimmed records are freed after the partition lock is
+        // released: a deep trim must not stall the partition's appenders.
+        let dropped = part.with_log(|log| log.trim_before(offset));
+        Ok(dropped.len())
+    }
+
+    /// Runs this broker's retention over `log`, returning the expired
+    /// records.
+    fn expire(&self, log: &mut PartitionLog<M>, now: Duration) -> Vec<Record<Arc<M>>> {
+        log.expire(
+            now,
+            self.inner.config.retention,
+            self.inner.config.max_partition_records,
+        )
     }
 
     /// Runs retention on every partition of every topic, returning the total
@@ -712,11 +741,7 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
                 let partitions: Vec<Arc<Partition<M>>> =
                     topic.partitions.read().iter().cloned().collect();
                 for part in partitions {
-                    dropped += part.log.lock().expire(
-                        now,
-                        self.inner.config.retention,
-                        self.inner.config.max_partition_records,
-                    );
+                    dropped += part.with_log(|log| self.expire(log, now)).len();
                 }
             }
         }
@@ -994,6 +1019,24 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
             ranges.push((partition, range));
         }
         Ok(ranges)
+    }
+
+    /// Drops every record of `topic[partition]` below `offset` — the
+    /// in-memory equivalent of Kafka's `deleteRecords`: still "expire the
+    /// oldest in bulk", with the cut chosen by the partition's owner (who
+    /// knows which records nothing can need again) instead of by age.
+    /// Offsets past the end clamp to the end; at or below the log start it
+    /// is a no-op. Returns the number of records dropped.
+    ///
+    /// # Errors
+    ///
+    /// Fenced like an append: fails with `KarError::Fenced` if the owning
+    /// component has been forcefully disconnected — a component declared
+    /// failed must not delete records reconciliation is about to catalogue —
+    /// or `KarError::Queue` if the partition does not exist.
+    pub fn trim_before(&self, topic: &str, partition: usize, offset: u64) -> KarResult<usize> {
+        self.broker
+            .trim(self.component, self.epoch, topic, partition, offset)
     }
 
     /// The component this producer belongs to.
@@ -1512,8 +1555,72 @@ mod tests {
             .map(Record::into_payload)
             .collect();
         assert_eq!(payloads, vec![7, 8, 9]);
-        assert_eq!(broker.expired_count("t", 0), 7);
+        assert_eq!(broker.log_start("t", 0), 7);
         assert_eq!(broker.expire_now(), 0);
+    }
+
+    #[test]
+    fn trim_before_is_fenced_like_an_append() {
+        let broker: Broker<u32> = Broker::new(BrokerConfig::default());
+        broker.create_topic("t", 1).unwrap();
+        let producer = broker.producer(c(1));
+        producer.send_batch("t", 0, (0..10).collect()).unwrap();
+        assert_eq!(producer.trim_before("t", 0, 4).unwrap(), 4);
+        assert_eq!(broker.log_start("t", 0), 4);
+        assert_eq!(broker.partition_len("t", 0), 6);
+        // A consumer positioned inside the trimmed prefix resumes at the
+        // first live record.
+        let consumer = broker.consumer(c(2), "t", 0).unwrap();
+        let polled: Vec<u64> = consumer.poll(2).unwrap().iter().map(|r| r.offset).collect();
+        assert_eq!(polled, vec![4, 5]);
+        // Once the component is declared failed, its stale producer can no
+        // longer delete records reconciliation is about to catalogue.
+        broker.fence(c(1));
+        assert!(producer.trim_before("t", 0, 8).unwrap_err().is_fenced());
+        assert_eq!(broker.log_start("t", 0), 4);
+        assert_eq!(broker.partition_len("t", 0), 6);
+        // A producer opened at the new epoch trims again.
+        assert_eq!(broker.producer(c(1)).trim_before("t", 0, 8).unwrap(), 4);
+        assert!(producer.trim_before("missing", 0, 1).is_err());
+    }
+
+    #[test]
+    fn log_start_tracks_expiry_trim_and_truncation() {
+        let config = BrokerConfig {
+            retention: Duration::from_millis(10),
+            ..BrokerConfig::default()
+        };
+        let broker: Broker<u32> = Broker::new(config);
+        broker.create_topic("t", 2).unwrap();
+        let producer = broker.producer(c(1));
+        assert_eq!(broker.log_start("t", 0), 0);
+        assert_eq!(broker.log_start("missing", 0), 0);
+        producer.send_batch("t", 0, (0..6).collect()).unwrap();
+        assert_eq!(broker.log_start("t", 0), 0);
+        // Trim: the watermark is the cut; below the start is a no-op and
+        // past the end clamps to the end.
+        producer.trim_before("t", 0, 2).unwrap();
+        assert_eq!(broker.log_start("t", 0), 2);
+        assert_eq!(producer.trim_before("t", 0, 1).unwrap(), 0);
+        assert_eq!(broker.log_start("t", 0), 2);
+        // Time-based expiry (here: run by the coordinator tick on an idle
+        // partition) drops the rest: an empty log starts at its end.
+        std::thread::sleep(Duration::from_millis(20));
+        broker.tick();
+        assert_eq!(broker.log_start("t", 0), 6);
+        assert_eq!(broker.partition_len("t", 0), 0);
+        // Expiry riding an append publishes the watermark too.
+        producer.send("t", 0, 6).unwrap();
+        assert_eq!(broker.log_start("t", 0), 6);
+        // Truncation jumps the watermark to the end; offsets keep growing.
+        producer.send("t", 0, 7).unwrap();
+        assert_eq!(broker.truncate_partition("t", 0), 2);
+        assert_eq!(broker.log_start("t", 0), 8);
+        assert_eq!(producer.trim_before("t", 0, 100).unwrap(), 0);
+        assert_eq!(producer.send("t", 0, 8).unwrap(), 8);
+        assert_eq!(broker.log_start("t", 0), 8);
+        // Partitions are independent.
+        assert_eq!(broker.log_start("t", 1), 0);
     }
 
     #[test]
@@ -1538,7 +1645,7 @@ mod tests {
             0,
             "idle partition kept records past retention"
         );
-        assert_eq!(broker.expired_count("t", 0), 3);
+        assert_eq!(broker.log_start("t", 0), 3);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! as an in-process substrate:
 //!
 //! * [`Broker`] — topics split into append-only partitions with offsets,
-//!   bulk expiry (time- and size-based retention), a per-topic
-//!   partition-assignment table ([`PartitionSet`]s hashed by actor key), and
-//!   administrative reads used by reconciliation,
+//!   bulk expiry of the oldest records (time- and size-based retention, plus
+//!   an owner-chosen low watermark: [`Producer::trim_before`] /
+//!   [`Broker::log_start`], Kafka's `deleteRecords` / `beginningOffsets`), a
+//!   per-topic partition-assignment table ([`PartitionSet`]s hashed by actor
+//!   key), and administrative reads used by reconciliation,
 //! * [`Producer`] / [`Consumer`] — fenced clients bound to a component and an
 //!   epoch; fenced clients fail with `KarError::Fenced`. Consumers are also
 //!   fenced per *partition* ownership epoch, so a slow consumer cannot

@@ -1,5 +1,6 @@
 //! Append-only partition logs with bulk expiry and zero-copy reads.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,9 +10,18 @@ use crate::record::Record;
 /// offsets.
 ///
 /// Matching the constraints of production message queues described in §4.1 of
-/// the paper, the log only supports (1) appending at the end and (2) expiring
-/// the oldest records in bulk; records are never altered or removed from the
-/// middle.
+/// the paper, the log only supports (1) appending at the end and (2) dropping
+/// the oldest records in bulk — by age or size ([`PartitionLog::expire`]), up
+/// to a low watermark chosen by the owner ([`PartitionLog::trim_before`],
+/// Kafka's `deleteRecords`), or wholesale ([`PartitionLog::truncate`]);
+/// records are never altered or removed from the middle.
+///
+/// Because the live records are therefore always the contiguous offset range
+/// `start_offset()..end_offset()`, a record is addressed by
+/// `offset - start_offset()`: reads are a slice of the deque and every drop
+/// pops the front, so neither end's cost grows with the retained history.
+/// The dropping operations hand the dropped records back so the broker can
+/// free them after releasing the partition lock.
 ///
 /// Payloads are stored behind an [`Arc`], so reading a record out of the log
 /// (a consumer poll, a re-delivery after a seek, or reconciliation
@@ -20,17 +30,15 @@ use crate::record::Record;
 /// argument lists on the hot path.
 #[derive(Debug)]
 pub(crate) struct PartitionLog<M> {
-    records: Vec<Record<Arc<M>>>,
+    records: VecDeque<Record<Arc<M>>>,
     next_offset: u64,
-    expired: u64,
 }
 
 impl<M> Default for PartitionLog<M> {
     fn default() -> Self {
         PartitionLog {
-            records: Vec::new(),
+            records: VecDeque::new(),
             next_offset: 0,
-            expired: 0,
         }
     }
 }
@@ -40,7 +48,7 @@ impl<M> PartitionLog<M> {
     pub(crate) fn append(&mut self, appended_at: Duration, payload: M) -> u64 {
         let offset = self.next_offset;
         self.next_offset += 1;
-        self.records.push(Record {
+        self.records.push_back(Record {
             offset,
             appended_at,
             payload: Arc::new(payload),
@@ -48,20 +56,20 @@ impl<M> PartitionLog<M> {
         offset
     }
 
-    /// All live (unexpired) records at or after `from_offset`, up to `max`.
+    /// All live records at or after `from_offset`, up to `max`. A
+    /// `from_offset` below the log start reads from the first live record.
     /// Payloads are shared, not copied.
     pub(crate) fn read_from(&self, from_offset: u64, max: usize) -> Vec<Record<Arc<M>>> {
-        self.records
-            .iter()
-            .filter(|r| r.offset >= from_offset)
-            .take(max)
-            .cloned()
-            .collect()
+        let len = self.records.len();
+        let first = usize::try_from(from_offset.saturating_sub(self.start_offset()))
+            .map_or(len, |index| index.min(len));
+        let last = first.saturating_add(max).min(len);
+        self.records.range(first..last).cloned().collect()
     }
 
     /// All live records (shared payloads).
     pub(crate) fn read_all(&self) -> Vec<Record<Arc<M>>> {
-        self.records.to_vec()
+        self.records.iter().cloned().collect()
     }
 
     /// Offset that will be assigned to the next appended record.
@@ -69,56 +77,65 @@ impl<M> PartitionLog<M> {
         self.next_offset
     }
 
+    /// Offset of the oldest live record (the end offset when the log is
+    /// empty): the low watermark. Offsets start at zero and are never
+    /// reused, so this is also the number of records dropped since creation.
+    pub(crate) fn start_offset(&self) -> u64 {
+        self.next_offset - self.records.len() as u64
+    }
+
     /// Number of live records.
     pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Number of records dropped by expiry or truncation since creation.
-    pub(crate) fn expired_count(&self) -> u64 {
-        self.expired
-    }
-
     /// Expires the oldest records that are older than `retention` relative to
-    /// `now`, or that exceed the `max_records` bound. Returns the number of
-    /// expired records.
+    /// `now`, or that exceed the `max_records` bound. Returns the expired
+    /// records.
     pub(crate) fn expire(
         &mut self,
         now: Duration,
         retention: Duration,
         max_records: usize,
-    ) -> usize {
+    ) -> Vec<Record<Arc<M>>> {
         let cutoff = now.checked_sub(retention);
-        let mut dropped = 0;
+        let mut count = 0;
         for record in &self.records {
-            let too_old = cutoff.map(|c| record.appended_at < c).unwrap_or(false);
-            let too_many = self.records.len() - dropped > max_records;
-            if too_old || too_many {
-                dropped += 1;
-            } else {
+            let too_old = cutoff.is_some_and(|cutoff| record.appended_at < cutoff);
+            let too_many = self.records.len() - count > max_records;
+            if !(too_old || too_many) {
                 break;
             }
+            count += 1;
         }
-        if dropped > 0 {
-            self.records.drain(..dropped);
-        }
-        self.expired += dropped as u64;
-        dropped
+        self.pop_front(count)
+    }
+
+    /// Drops every live record below `offset` (clamped to the live range).
+    /// Returns the dropped records.
+    pub(crate) fn trim_before(&mut self, offset: u64) -> Vec<Record<Arc<M>>> {
+        let count = offset
+            .min(self.next_offset)
+            .saturating_sub(self.start_offset());
+        self.pop_front(count as usize)
     }
 
     /// Drops every live record (used when a failed component's queue is
     /// flushed after reconciliation). Offsets keep increasing afterwards.
-    pub(crate) fn truncate(&mut self) -> usize {
-        let dropped = self.records.len();
-        self.expired += dropped as u64;
-        self.records.clear();
-        dropped
+    /// Returns the dropped records.
+    pub(crate) fn truncate(&mut self) -> Vec<Record<Arc<M>>> {
+        self.pop_front(self.records.len())
+    }
+
+    fn pop_front(&mut self, count: usize) -> Vec<Record<Arc<M>>> {
+        self.records.drain(..count).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn log_with(n: u64) -> PartitionLog<u64> {
         let mut log = PartitionLog::default();
@@ -128,10 +145,15 @@ mod tests {
         log
     }
 
+    fn offsets(records: &[Record<Arc<u64>>]) -> Vec<u64> {
+        records.iter().map(|r| r.offset).collect()
+    }
+
     #[test]
     fn append_assigns_monotonic_offsets() {
         let log = log_with(5);
         assert_eq!(log.end_offset(), 5);
+        assert_eq!(log.start_offset(), 0);
         let all = log.read_all();
         assert_eq!(all.len(), 5);
         for (i, r) in all.iter().enumerate() {
@@ -153,12 +175,10 @@ mod tests {
     #[test]
     fn read_from_respects_offset_and_max() {
         let log = log_with(10);
-        let r = log.read_from(4, 3);
-        assert_eq!(
-            r.iter().map(|r| r.offset).collect::<Vec<_>>(),
-            vec![4, 5, 6]
-        );
+        assert_eq!(offsets(&log.read_from(4, 3)), vec![4, 5, 6]);
         assert!(log.read_from(10, 5).is_empty());
+        assert!(log.read_from(u64::MAX, 5).is_empty());
+        assert_eq!(offsets(&log.read_from(8, usize::MAX)), vec![8, 9]);
     }
 
     #[test]
@@ -167,10 +187,10 @@ mod tests {
         // Records appended at 0..9 ms; retain only those within the last 5 ms
         // as of t=12 ms (cutoff 7 ms).
         let dropped = log.expire(Duration::from_millis(12), Duration::from_millis(5), 1000);
-        assert_eq!(dropped, 7);
+        assert_eq!(dropped.len(), 7);
         assert_eq!(log.len(), 3);
         assert_eq!(log.read_all()[0].offset, 7);
-        assert_eq!(log.expired_count(), 7);
+        assert_eq!(log.start_offset(), 7);
         // Offsets are never reused after expiry.
         assert_eq!(log.append(Duration::from_millis(13), 99), 10);
     }
@@ -179,7 +199,7 @@ mod tests {
     fn size_based_expiry_keeps_at_most_max_records() {
         let mut log = log_with(10);
         let dropped = log.expire(Duration::from_millis(10), Duration::from_secs(100), 4);
-        assert_eq!(dropped, 6);
+        assert_eq!(dropped.len(), 6);
         assert_eq!(log.len(), 4);
         assert_eq!(log.read_all()[0].offset, 6);
     }
@@ -187,20 +207,130 @@ mod tests {
     #[test]
     fn truncate_clears_but_preserves_offsets() {
         let mut log = log_with(3);
-        assert_eq!(log.truncate(), 3);
+        assert_eq!(log.truncate().len(), 3);
         assert_eq!(log.len(), 0);
+        assert_eq!(log.start_offset(), 3);
         assert_eq!(log.append(Duration::ZERO, 7), 3);
-        assert_eq!(log.expired_count(), 3);
+        assert_eq!(log.start_offset(), 3);
+    }
+
+    #[test]
+    fn trim_before_drops_a_prefix_and_reads_skip_it() {
+        let mut log = log_with(10);
+        assert_eq!(offsets(&log.trim_before(4)), vec![0, 1, 2, 3]);
+        assert_eq!(log.start_offset(), 4);
+        // A position below the log start reads from the first live record.
+        assert_eq!(offsets(&log.read_from(1, 2)), vec![4, 5]);
+        // Trimming below the start is a no-op; past the end clamps.
+        assert!(log.trim_before(2).is_empty());
+        assert_eq!(log.trim_before(99).len(), 6);
+        assert_eq!(log.start_offset(), 10);
+        assert_eq!(log.append(Duration::ZERO, 7), 10);
     }
 
     #[test]
     fn expire_with_zero_elapsed_time_is_noop_for_time() {
         let mut log = log_with(3);
         // now < retention: checked_sub yields None, nothing is too old.
-        assert_eq!(
-            log.expire(Duration::from_millis(1), Duration::from_secs(10), 100),
-            0
-        );
+        assert!(log
+            .expire(Duration::from_millis(1), Duration::from_secs(10), 100)
+            .is_empty());
         assert_eq!(log.len(), 3);
+    }
+
+    /// The obviously-correct log the real one is checked against: a `Vec` of
+    /// `(offset, appended_at)` filtered from the front on every read.
+    #[derive(Default)]
+    struct ModelLog {
+        live: Vec<(u64, u64)>,
+        next: u64,
+    }
+
+    impl ModelLog {
+        fn drop_while(&mut self, gone: impl Fn(usize, &(u64, u64)) -> bool) -> Vec<u64> {
+            let mut dropped = Vec::new();
+            while let Some(first) = self.live.first() {
+                if !gone(self.live.len(), first) {
+                    break;
+                }
+                dropped.push(self.live.remove(0).0);
+            }
+            dropped
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of every log operation agree with the naive
+        /// model: same reads (including positions below the log start and
+        /// at/after the end), same dropped records, same watermarks, and
+        /// offsets are never reused.
+        #[test]
+        fn log_matches_the_naive_model(
+            ops in prop::collection::vec((0u8..6, 0u64..40, 0usize..12), 1..120),
+        ) {
+            let mut log: PartitionLog<u64> = PartitionLog::default();
+            let mut model = ModelLog::default();
+            let mut clock = 0u64;
+            for (op, a, b) in ops {
+                match op {
+                    0 | 1 => {
+                        clock += a % 4;
+                        let offset = log.append(Duration::from_millis(clock), clock);
+                        prop_assert_eq!(offset, model.next, "offset reused or skipped");
+                        model.live.push((offset, clock));
+                        model.next += 1;
+                    }
+                    2 => {
+                        clock += a % 4;
+                        let retention = a % 16;
+                        let max_records = b;
+                        let dropped = log.expire(
+                            Duration::from_millis(clock),
+                            Duration::from_millis(retention),
+                            max_records,
+                        );
+                        let cutoff = clock.checked_sub(retention);
+                        let expected = model.drop_while(|len, &(_, at)| {
+                            len > max_records || cutoff.is_some_and(|cutoff| at < cutoff)
+                        });
+                        prop_assert_eq!(offsets(&dropped), expected);
+                    }
+                    3 => {
+                        let dropped = log.trim_before(a);
+                        let expected = model.drop_while(|_, &(offset, _)| offset < a);
+                        prop_assert_eq!(offsets(&dropped), expected);
+                    }
+                    4 => {
+                        // Rare: otherwise the log never grows.
+                        if b == 0 {
+                            let dropped = log.truncate();
+                            let expected = model.drop_while(|_, _| true);
+                            prop_assert_eq!(offsets(&dropped), expected);
+                        }
+                    }
+                    _ => {
+                        let read = log.read_from(a, b);
+                        let expected: Vec<u64> = model
+                            .live
+                            .iter()
+                            .map(|&(offset, _)| offset)
+                            .filter(|&offset| offset >= a)
+                            .take(b)
+                            .collect();
+                        prop_assert_eq!(offsets(&read), expected);
+                    }
+                }
+                prop_assert_eq!(log.end_offset(), model.next);
+                prop_assert_eq!(log.len(), model.live.len());
+                prop_assert_eq!(
+                    log.start_offset(),
+                    model.live.first().map_or(model.next, |&(offset, _)| offset)
+                );
+                let all: Vec<u64> = model.live.iter().map(|&(offset, _)| offset).collect();
+                prop_assert_eq!(offsets(&log.read_all()), all);
+            }
+        }
     }
 }

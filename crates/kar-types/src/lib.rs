@@ -52,7 +52,7 @@ pub use fault::{
     FaultPlane, FaultSite, FaultSpec, SiteCounters,
 };
 pub use ids::{ActorId, ActorRef, ActorType, ComponentId, Epoch, NodeId, RequestId};
-pub use message::{CallKind, Envelope, Payload, RequestMessage, ResponseMessage};
+pub use message::{CallKind, Envelope, Payload, RecordOrigin, RequestMessage, ResponseMessage};
 pub use retry::{epoch_ms, Backoff, RetryOn, RetryPolicy, RetryState, RetryVerdict};
 pub use sim::SimScheduler;
 pub use sync::{WaitSignal, WaitSignalGroup};

@@ -83,6 +83,25 @@ pub struct RequestMessage {
     /// Boxed: most requests carry no schedule, and the state would
     /// otherwise dominate the envelope size on every queue record.
     pub retry: Option<Box<crate::retry::RetryState>>,
+    /// True while this record is provably the *only* record of its request
+    /// id in any queue. Set solely by the runtime's issuing entry points at
+    /// the moment of the first append; every re-append of the request — a
+    /// forward, a tail-call successor, a retry copy, a reconciliation
+    /// re-home — clears it. A response to a request executed from its only
+    /// record may name that record as its [`ResponseMessage::origin`]; the
+    /// default (`false`) merely forgoes that, so a site that forgets to set
+    /// the mark is untrimmed, never unsound.
+    pub single_copy: bool,
+}
+
+/// The queue coordinates of one record: which partition of the mesh topic
+/// holds it, at which offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct RecordOrigin {
+    /// Partition of the mesh topic.
+    pub partition: usize,
+    /// Offset within the partition.
+    pub offset: u64,
 }
 
 impl RequestMessage {
@@ -105,6 +124,7 @@ impl RequestMessage {
             caller_actor: None,
             reply_to: None,
             retry: None,
+            single_copy: false,
         }
     }
 
@@ -150,6 +170,14 @@ pub struct ResponseMessage {
     /// (the request's `caller_actor`). Adopters use it to resolve where the
     /// caller lives now.
     pub caller_actor: Option<ActorRef>,
+    /// The one queue record the answered request was executed from, when
+    /// that record was provably its only one
+    /// ([`RequestMessage::single_copy`]). Once that partition's low
+    /// watermark has passed the offset, no record of the request remains in
+    /// any queue, so nothing — no retry, no reconciliation — can ever need
+    /// this response again and its consumer may trim it. `None` means the
+    /// response is only ever dropped by time retention.
+    pub origin: Option<RecordOrigin>,
 }
 
 impl ResponseMessage {
@@ -161,6 +189,7 @@ impl ResponseMessage {
             result: Arc::new(result),
             reply_to: None,
             caller_actor: None,
+            origin: None,
         }
     }
 
@@ -285,6 +314,7 @@ mod tests {
         assert_eq!(r.caller_actor, None);
         assert_eq!(r.reply_to, None);
         assert_eq!(r.retry, None);
+        assert!(!r.single_copy, "only the issuing entry points set the mark");
     }
 
     #[test]
@@ -324,6 +354,7 @@ mod tests {
     fn response_constructors() {
         let ok = ResponseMessage::ok(RequestId::from_raw(1), None, Value::Null);
         assert_eq!(*ok.result, Ok(Value::Null));
+        assert_eq!(ok.origin, None, "no origin means never trimmed early");
         let err = ResponseMessage::err(RequestId::from_raw(1), None, KarError::application("bad"));
         assert!(err.result.is_err());
     }

@@ -50,8 +50,8 @@ use kar_types::ids::RequestIdGenerator;
 use kar_types::RequestId;
 use kar_types::{
     epoch_ms, ActorRef, Backoff, CallKind, ComponentId, Envelope, KarError, KarResult, NodeId,
-    Payload, RequestMessage, ResponseMessage, RetryPolicy, RetryState, RetryVerdict, Value,
-    WaitSignalGroup,
+    Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState, RetryVerdict,
+    Value, WaitSignalGroup,
 };
 
 use crate::actor::{ActorFactory, Outcome};
@@ -64,6 +64,7 @@ use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{LiveSet, PlacementService};
 use crate::retry::{BreakerRegistry, RetryBudget};
+use crate::settle::SettleTracker;
 use crate::state_cache::StateCache;
 
 /// The mesh-wide dead-letter queue topic: one partition per component, keyed
@@ -192,9 +193,13 @@ const RESPONSE_RUN_CAP: usize = 16;
 /// response to roughly one invocation, however long the drain runs.
 const RESPONSE_RUN_HOLD: Duration = Duration::from_millis(1);
 
+/// One buffered completion: its destination partition, the envelope, and the
+/// request record it settles once the append is acknowledged (if any).
+type Completion = (usize, Envelope, Option<RecordOrigin>);
+
 /// One pre-grouped run of completions taken out of a drain-local buffer,
 /// paired with the core that must flush it.
-type PendingRun = (Arc<ComponentCore>, Vec<(usize, Envelope)>);
+type PendingRun = (Arc<ComponentCore>, Vec<Completion>);
 
 /// One drain-local completion buffer on this thread's stack, owned by an
 /// `invocation_loop` frame. Completions the frame produces are grouped here
@@ -210,8 +215,8 @@ struct ResponseRun {
     /// The owning core, so `flush_thread_completions` can flush buffers
     /// whose frames are suspended under a nested pump.
     core: Arc<ComponentCore>,
-    /// `(destination partition, completion)` in send order.
-    buffered: Vec<(usize, Envelope)>,
+    /// Completions in send order.
+    buffered: Vec<Completion>,
     /// When the oldest buffered completion was produced.
     opened: Duration,
 }
@@ -411,6 +416,10 @@ pub struct ComponentCore {
     /// The mesh's gray-failure injector, consulted by the retry scheduler
     /// for clock-skew injection on its `epoch_ms` reads (`None` = no plan).
     faults: Option<Arc<kar_types::FaultInjector>>,
+    /// Which records of the home partitions have settled, so their logs can
+    /// be trimmed instead of retained for the whole retention window (see
+    /// [`crate::settle`]).
+    settle: SettleTracker,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -469,6 +478,7 @@ impl ComponentCore {
         let config_state_cache = config
             .actor_state_cache
             .then(|| StateCache::new(state_cache_interval));
+        let settle = SettleTracker::new(partitions.home());
         let response_batcher = config.response_batching.then(ResponseBatcher::new);
         let request_batcher = config.request_batching.then(RequestBatcher::new);
         ComponentCore {
@@ -524,6 +534,7 @@ impl ComponentCore {
             mailboxed: AtomicUsize::new(0),
             poll_faults: AtomicU64::new(0),
             faults,
+            settle,
         }
     }
 
@@ -656,6 +667,7 @@ impl ComponentCore {
             delayed.ids.clear();
         }
         self.delayed_earliest.store(0, Ordering::SeqCst);
+        self.settle.clear();
         // Reactors parked on the group re-check `is_alive` on wake.
         self.wakeup.notify();
     }
@@ -908,6 +920,24 @@ impl ComponentCore {
     // Sending
     // ------------------------------------------------------------------
 
+    /// The send choke point of the issuing entry points (`external_call`,
+    /// `external_tell`, `nested_call`/`park_nested`, `nested_tell`): the one
+    /// place a request is marked single-copy, because a fresh id's first
+    /// append is its only record. With a fault plan armed even that is not
+    /// provable — an append whose ack is lost is replayed, leaving two
+    /// records of one id — so no request is marked then.
+    fn issue_request(self: &Arc<Self>, mut message: RequestMessage) -> KarResult<()> {
+        message.single_copy = !self.producer.faults_armed();
+        self.route_request(message)
+    }
+
+    /// Re-appends a request that already has a record somewhere (a forward
+    /// or a tail-call successor): the copy is never single-copy.
+    pub(crate) fn send_request(self: &Arc<Self>, mut message: RequestMessage) -> KarResult<()> {
+        message.single_copy = false;
+        self.route_request(message)
+    }
+
     /// Resolves the target actor's placement and appends the request to the
     /// hosting component's queue.
     ///
@@ -917,7 +947,7 @@ impl ComponentCore {
     /// mesh instead of parking (work-while-waiting), so one stale placement
     /// never idles a thread of the fixed pool; other threads park on the
     /// placement repair signal.
-    pub(crate) fn send_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
+    fn route_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
         // A durable append may block (batched ack, stale-placement wait):
         // flush buffered completions first so nothing this thread produced
         // is held back while it waits.
@@ -1003,12 +1033,22 @@ impl ComponentCore {
     /// Appends `envelope` to `partition` of this component's topic, through
     /// the response batcher (one lock + one durable ack per burst towards
     /// the partition) when `MeshConfig::response_batching` is on, or as a
-    /// plain keyed append otherwise.
-    fn send_completion(&self, partition: usize, envelope: Envelope) {
+    /// plain keyed append otherwise. `settles` is the request record this
+    /// completion settles: it is closed once the append is acknowledged.
+    fn send_completion(&self, partition: usize, envelope: Envelope, settles: Option<RecordOrigin>) {
         match &self.responses {
-            Some(batcher) => batcher.enqueue(&self.producer, &self.topic, partition, envelope),
+            Some(batcher) => batcher.enqueue(
+                &self.producer,
+                &self.topic,
+                partition,
+                envelope,
+                settles,
+                &self.settle,
+            ),
             None => {
-                let _ = self.producer.send(&self.topic, partition, envelope);
+                if self.producer.send(&self.topic, partition, envelope).is_ok() {
+                    self.settle.close_all(settles.as_slice());
+                }
             }
         }
     }
@@ -1018,9 +1058,14 @@ impl ComponentCore {
     /// frame's pre-grouped run instead of taking the batcher's pending lock
     /// by itself. Falls back to the direct path when no matching buffer is
     /// open (client threads, sweeps outside a drain, batching disabled).
-    fn send_completion_buffered(self: &Arc<Self>, partition: usize, envelope: Envelope) {
+    fn send_completion_buffered(
+        self: &Arc<Self>,
+        partition: usize,
+        envelope: Envelope,
+        settles: Option<RecordOrigin>,
+    ) {
         if self.responses.is_none() {
-            self.send_completion(partition, envelope);
+            self.send_completion(partition, envelope, settles);
             return;
         }
         let owner = Arc::as_ptr(self) as usize;
@@ -1031,7 +1076,7 @@ impl ComponentCore {
                     if run.buffered.is_empty() {
                         run.opened = mono_now();
                     }
-                    run.buffered.push((partition, envelope));
+                    run.buffered.push((partition, envelope, settles));
                     let flush = run.buffered.len() >= RESPONSE_RUN_CAP
                         || mono_now().saturating_sub(run.opened) >= RESPONSE_RUN_HOLD;
                     let drained = if flush {
@@ -1045,7 +1090,7 @@ impl ComponentCore {
             }
         });
         if let Some(envelope) = direct {
-            self.send_completion(partition, envelope);
+            self.send_completion(partition, envelope, settles);
         } else if !full.is_empty() {
             self.flush_completion_run(full);
         }
@@ -1055,24 +1100,36 @@ impl ComponentCore {
     /// pending-queue push per destination partition for the whole run,
     /// instead of one lock round per completion, preserving send order
     /// within each partition.
-    fn flush_completion_run(&self, buffered: Vec<(usize, Envelope)>) {
+    fn flush_completion_run(&self, buffered: Vec<Completion>) {
         let Some(batcher) = &self.responses else {
-            for (partition, envelope) in buffered {
-                let _ = self.producer.send(&self.topic, partition, envelope);
+            for (partition, envelope, settles) in buffered {
+                self.send_completion(partition, envelope, settles);
             }
             return;
         };
         // A drain's fan-out spans few distinct partitions, so a linear scan
         // beats hashing here.
-        let mut runs: Vec<(usize, Vec<Envelope>)> = Vec::new();
-        for (partition, envelope) in buffered {
-            match runs.iter_mut().find(|(p, _)| *p == partition) {
-                Some((_, run)) => run.push(envelope),
-                None => runs.push((partition, vec![envelope])),
-            }
+        let mut runs: Vec<(usize, Vec<Envelope>, Vec<RecordOrigin>)> = Vec::new();
+        for (partition, envelope, settles) in buffered {
+            let index = match runs.iter().position(|(p, _, _)| *p == partition) {
+                Some(index) => index,
+                None => {
+                    runs.push((partition, Vec::new(), Vec::new()));
+                    runs.len() - 1
+                }
+            };
+            runs[index].1.push(envelope);
+            runs[index].2.extend(settles);
         }
-        for (partition, run) in runs {
-            batcher.enqueue_run(&self.producer, &self.topic, partition, run);
+        for (partition, run, settles) in runs {
+            batcher.enqueue_run(
+                &self.producer,
+                &self.topic,
+                partition,
+                run,
+                settles,
+                &self.settle,
+            );
         }
     }
 
@@ -1088,7 +1145,7 @@ impl ComponentCore {
         // One materialization for the whole delivery path: the queue copy,
         // the delivered envelope, and the pending-call hand-off all share
         // this `Arc`ed payload.
-        let response = ResponseMessage::new(request.id, request.caller, result)
+        let mut response = ResponseMessage::new(request.id, request.caller, result)
             .with_routing(request.reply_to, request.caller_actor.clone());
         // Fast path: the caller's component is alive, deliver to the
         // partition of its set the response key hashes to (the routing the
@@ -1097,7 +1154,16 @@ impl ComponentCore {
             if self.live.read().contains(&reply_to) {
                 if let Some(partition) = self.partition_for(reply_to, &Self::response_key(request))
                 {
-                    self.send_completion_buffered(partition, Envelope::Response(response));
+                    // The response is the request's completion record: its
+                    // ack settles the record the request was polled from.
+                    // Executed from its *only* record, the response names
+                    // that record as its origin, so its consumer can trim
+                    // the response once the record itself is gone.
+                    let settles = self.settle.take(request.id);
+                    if request.single_copy {
+                        response.origin = settles;
+                    }
+                    self.send_completion_buffered(partition, Envelope::Response(response), settles);
                     return;
                 }
             }
@@ -1202,10 +1268,11 @@ impl ComponentCore {
             caller_actor: None,
             reply_to: Some(self.id),
             retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
+            single_copy: false,
         };
         self.sidecar_hop();
         let receiver = self.register_pending(id);
-        self.send_request(message)?;
+        self.issue_request(message)?;
         self.wait_for_response(id, receiver)
     }
 
@@ -1232,9 +1299,10 @@ impl ComponentCore {
             caller_actor: None,
             reply_to: None,
             retry: None,
+            single_copy: false,
         };
         self.sidecar_hop();
-        self.send_request(message)
+        self.issue_request(message)
     }
 
     /// A nested blocking call issued from inside an actor invocation.
@@ -1263,10 +1331,11 @@ impl ComponentCore {
             caller_actor: Some(caller_actor.clone()),
             reply_to: Some(self.id),
             retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
+            single_copy: false,
         };
         self.sidecar_hop();
         let receiver = self.register_pending(id);
-        self.send_request(message)?;
+        self.issue_request(message)?;
         self.wait_for_response(id, receiver)
     }
 
@@ -1295,9 +1364,10 @@ impl ComponentCore {
             caller_actor: None,
             reply_to: None,
             retry: None,
+            single_copy: false,
         };
         self.sidecar_hop();
-        self.send_request(message)
+        self.issue_request(message)
     }
 
     fn register_pending(&self, id: RequestId) -> crossbeam::channel::Receiver<Arc<Payload>> {
@@ -1729,6 +1799,7 @@ impl ComponentCore {
             caller_actor: Some(request.target.clone()),
             reply_to: Some(self.id),
             retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
+            single_copy: false,
         };
         // Park BEFORE sending: once the request is durable, its response can
         // arrive on another reactor immediately — and must find the
@@ -1744,7 +1815,7 @@ impl ComponentCore {
             },
         );
         self.sidecar_hop();
-        match self.send_request(nested) {
+        match self.issue_request(nested) {
             Ok(()) => None,
             Err(error) => {
                 // Nothing was appended, so no response will ever arrive:
@@ -1909,6 +1980,8 @@ impl ComponentCore {
                             retry: request.retry.as_ref().map(|state| {
                                 Box::new(RetryState::fresh(state.policy.clone(), epoch_ms()))
                             }),
+                            // The successor is a second record of this id.
+                            single_copy: false,
                         };
                         self.inflight.lock().remove(&request.id);
                         if same_actor && holds_lock {
@@ -1927,11 +2000,13 @@ impl ComponentCore {
                                 }
                             }
                             if let Some(partition) = self.own_partition_for(&request.target) {
-                                self.send_completion(partition, Envelope::Request(tail));
+                                // The successor is this record's completion.
+                                let settles = self.settle.take(request.id);
+                                self.send_completion(partition, Envelope::Request(tail), settles);
                             }
                             return;
                         }
-                        let _ = self.send_request(tail);
+                        self.resend_settling(tail);
                         // A tail call to a different actor releases the lock:
                         // fall through to mailbox processing.
                     }
@@ -2067,6 +2142,21 @@ impl ComponentCore {
     fn finish(&self, request: &RequestMessage) {
         self.completed.lock().insert(request.id);
         self.inflight.lock().remove(&request.id);
+        if !request.kind.expects_response() {
+            // A finished tell leaves no completion record to wait for.
+            self.settle.settle_now(request.id);
+        }
+    }
+
+    /// Re-appends `request` elsewhere — a forward to the actor's current
+    /// host, or a tail-call successor to another actor — and, once that
+    /// append is durable, settles the record the request was polled from:
+    /// the copy is now the record recovery works from.
+    fn resend_settling(self: &Arc<Self>, request: RequestMessage) {
+        let settles = self.settle.take(request.id);
+        if self.send_request(request).is_ok() {
+            self.settle.close_all(settles.as_slice());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2098,12 +2188,17 @@ impl ComponentCore {
                 let mut copy = request.clone();
                 copy.retry = Some(Box::new(next));
                 copy.pending_callee = None;
+                copy.single_copy = false;
                 // Release the in-flight claim BEFORE the durable re-append:
                 // admission dedupes against in-flight ids, so the opposite
                 // order would swallow the copy. A crash inside this window
                 // is safe — the original queue copy still drives recovery,
                 // schedule state included.
                 self.inflight.lock().remove(&request.id);
+                // The copy supersedes the record this attempt was polled
+                // from, which settles once the copy is durable (taken first:
+                // the copy may be routed before the append even returns).
+                let settles = self.settle.take(request.id);
                 // The re-append is replayed through transient gray failures:
                 // an ack-lost replay appends a second copy, which the
                 // delayed-heap/in-flight id dedup collapses at admission.
@@ -2117,6 +2212,7 @@ impl ComponentCore {
                         .is_ok()
                     });
                 if appended {
+                    self.settle.close_all(settles.as_slice());
                     self.stats.retries_scheduled.fetch_add(1, Ordering::Relaxed);
                     None
                 } else {
@@ -2396,7 +2492,26 @@ impl ComponentCore {
         did |= self.pump_retries();
         did |= self.pump_dispatch();
         did |= self.pump_timeouts();
+        if self.settle.sweep_due() {
+            self.trim_settled();
+        }
         did
+    }
+
+    /// Trims every home partition up to its settled prefix (see
+    /// [`crate::settle`]). Not counted as reactor progress: a trim makes no
+    /// record deliverable.
+    fn trim_settled(&self) {
+        let trims = self
+            .settle
+            .sweep(|partition| self.broker.log_start(&self.topic, partition));
+        for (partition, watermark) in trims {
+            // A fenced trim means this component was declared failed: the
+            // records now belong to reconciliation.
+            if let Ok(count) = self.producer.trim_before(&self.topic, partition, watermark) {
+                self.settle.trimmed(partition, count);
+            }
+        }
     }
 
     /// Polls every claimable consumer lane once. `Consumer::ready()` is a
@@ -2544,7 +2659,7 @@ impl ComponentCore {
                 Admission::Forward(request) => {
                     // Forwarding may wait out a stale placement
                     // (work-while-waiting on a reactor).
-                    let _ = self.send_request(request);
+                    self.resend_settling(request);
                 }
                 Admission::Done => {}
             }
@@ -2588,7 +2703,8 @@ impl ComponentCore {
     }
 
     /// One mesh-timer tick: heartbeat, bookkeeping aging, continuation
-    /// deadlines, orphaned-response routing, partition retirement. Called at
+    /// deadlines, orphaned-response routing, partition retirement, trimming
+    /// of settled log prefixes. Called at
     /// the scaled heartbeat interval by the mesh's single timer thread.
     pub(crate) fn tick(self: &Arc<Self>, now: Duration) {
         if !self.is_alive() {
@@ -2618,6 +2734,10 @@ impl ComponentCore {
         self.sweep_orphan_responses(now);
         self.sweep_retirement();
         self.sweep_passivation(now);
+        // Survivors stop trimming while the leader catalogues the logs.
+        if !self.is_paused() {
+            self.trim_settled();
+        }
     }
 
     /// Mesh-timer retirement sweep: retires adopted partitions past their
@@ -2748,6 +2868,7 @@ impl ComponentCore {
         let Some(last) = records.last().map(|record| record.offset) else {
             return;
         };
+        self.settle.routed(partition, &records);
         let mut requests: Vec<RequestMessage> = Vec::new();
         for record in records {
             // The poll shared these payloads with the partition log
@@ -2811,6 +2932,12 @@ impl ComponentCore {
     /// Number of resident (activated, in-memory) actors.
     pub fn resident_actors(&self) -> usize {
         self.resident_count.load(Ordering::Relaxed)
+    }
+
+    /// Per home partition: records still open and records trimmed so far
+    /// (for `Mesh::debug_report`).
+    pub(crate) fn settle_snapshot(&self) -> Vec<crate::settle::SettleSnapshot> {
+        self.settle.snapshot()
     }
 
     /// Transient consumer-poll failures this component has survived.

@@ -28,6 +28,11 @@
 //! component was fenced or killed mid-completion) drops the buffered
 //! responses — exactly like a kill between `send_response` and the append —
 //! and the callers' queue copies drive the retry.
+//!
+//! Settlement: a completion may name the request record it settles (see
+//! [`crate::settle`]). Those records ride the partition queue beside the
+//! envelopes and are closed only in the flush's acknowledged arm, so a
+//! request record is never trimmed ahead of its durable completion.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,12 +42,16 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use kar_queue::{PartitionSet, Producer};
-use kar_types::{ComponentId, Envelope, KarError, KarResult, WaitSignal};
+use kar_types::{ComponentId, Envelope, KarError, KarResult, RecordOrigin, WaitSignal};
+
+use crate::settle::SettleTracker;
 
 /// The pending queue of one destination partition.
 #[derive(Default)]
 struct PartitionQueue {
     pending: Vec<Envelope>,
+    /// Request records settled by the pending envelopes' acknowledgement.
+    settles: Vec<RecordOrigin>,
     /// True while some thread is flushing this partition: later enqueuers
     /// leave their envelope for the flusher's next round instead of paying
     /// their own ack.
@@ -80,12 +89,15 @@ impl ResponseBatcher {
         topic: &str,
         partition: usize,
         envelope: Envelope,
+        settles: Option<RecordOrigin>,
+        tracker: &SettleTracker,
     ) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         let queue = self.queue(partition);
         {
             let mut state = queue.lock();
             state.pending.push(envelope);
+            state.settles.extend(settles);
             if state.flushing {
                 // The in-flight flusher picks this envelope up on its next
                 // drain: the enqueuer's ack is amortized away entirely.
@@ -93,7 +105,7 @@ impl ResponseBatcher {
             }
             state.flushing = true;
         }
-        self.flush_loop(producer, topic, partition, &queue);
+        self.flush_loop(producer, topic, partition, &queue, tracker);
     }
 
     /// [`ResponseBatcher::enqueue`] for a pre-grouped *run* of completions
@@ -107,6 +119,8 @@ impl ResponseBatcher {
         topic: &str,
         partition: usize,
         run: Vec<Envelope>,
+        settles: Vec<RecordOrigin>,
+        tracker: &SettleTracker,
     ) {
         if run.is_empty() {
             return;
@@ -116,12 +130,13 @@ impl ResponseBatcher {
         {
             let mut state = queue.lock();
             state.pending.extend(run);
+            state.settles.extend(settles);
             if state.flushing {
                 return;
             }
             state.flushing = true;
         }
-        self.flush_loop(producer, topic, partition, &queue);
+        self.flush_loop(producer, topic, partition, &queue, tracker);
     }
 
     /// Drains `queue` in rounds — each round one batch append — until it is
@@ -132,6 +147,7 @@ impl ResponseBatcher {
         topic: &str,
         partition: usize,
         queue: &Arc<Mutex<PartitionQueue>>,
+        tracker: &SettleTracker,
     ) {
         // Consecutive transiently-failed rounds replayed so far: a gray
         // failure on one response flush must not cost every buffered caller
@@ -139,13 +155,16 @@ impl ResponseBatcher {
         // append are dropped by request-id matching at the receiver.
         let mut transient_rounds = 0u32;
         loop {
-            let batch = {
+            let (batch, settles) = {
                 let mut state = queue.lock();
                 if state.pending.is_empty() {
                     state.flushing = false;
                     return;
                 }
-                std::mem::take(&mut state.pending)
+                (
+                    std::mem::take(&mut state.pending),
+                    std::mem::take(&mut state.settles),
+                )
             };
             // A replay copy is only kept while the fault plane is armed: the
             // ordinary hot path moves the batch without copying.
@@ -154,6 +173,9 @@ impl ResponseBatcher {
                 Ok(_) => {
                     self.flushes.fetch_add(1, Ordering::Relaxed);
                     transient_rounds = 0;
+                    // The completions are durable: the request records they
+                    // answer have settled.
+                    tracker.close_all(&settles);
                 }
                 Err(error)
                     if error.is_transient()
@@ -165,6 +187,7 @@ impl ResponseBatcher {
                     state
                         .pending
                         .splice(0..0, replay.expect("guarded by is_some"));
+                    state.settles.extend(settles);
                 }
                 Err(_) => {
                     // Fenced or killed mid-completion (or transient replays
@@ -173,6 +196,7 @@ impl ResponseBatcher {
                     // queued meanwhile too — the component is dead.
                     let mut state = queue.lock();
                     state.pending.clear();
+                    state.settles.clear();
                     state.flushing = false;
                     return;
                 }
@@ -184,7 +208,9 @@ impl ResponseBatcher {
     /// completions die with it, like any in-memory state).
     pub(crate) fn clear(&self) {
         for queue in self.partitions.lock().values() {
-            queue.lock().pending.clear();
+            let mut state = queue.lock();
+            state.pending.clear();
+            state.settles.clear();
         }
     }
 
@@ -459,8 +485,10 @@ mod tests {
         broker.create_topic("t", 2).unwrap();
         let producer = broker.producer(ComponentId::from_raw(1));
         let batcher = ResponseBatcher::new();
+        let tracker = SettleTracker::new(&[]);
         for id in 0..6 {
-            batcher.enqueue(&producer, "t", (id % 2) as usize, response(id));
+            let partition = (id % 2) as usize;
+            batcher.enqueue(&producer, "t", partition, response(id), None, &tracker);
         }
         for partition in 0..2 {
             let ids: Vec<u64> = broker
@@ -489,12 +517,16 @@ mod tests {
         broker.create_topic("t", 1).unwrap();
         let producer = Arc::new(broker.producer(ComponentId::from_raw(1)));
         let batcher = Arc::new(ResponseBatcher::new());
+        let tracker = Arc::new(SettleTracker::new(&[]));
         let started = std::time::Instant::now();
         let threads: Vec<_> = (0..8)
             .map(|id| {
                 let producer = Arc::clone(&producer);
                 let batcher = Arc::clone(&batcher);
-                std::thread::spawn(move || batcher.enqueue(&producer, "t", 0, response(id)))
+                let tracker = Arc::clone(&tracker);
+                std::thread::spawn(move || {
+                    batcher.enqueue(&producer, "t", 0, response(id), None, &tracker)
+                })
             })
             .collect();
         for thread in threads {
@@ -526,14 +558,48 @@ mod tests {
         let producer = broker.producer(ComponentId::from_raw(1));
         broker.fence(ComponentId::from_raw(1));
         let batcher = ResponseBatcher::new();
-        batcher.enqueue(&producer, "t", 0, response(1));
+        let tracker = SettleTracker::new(&[]);
+        batcher.enqueue(&producer, "t", 0, response(1), None, &tracker);
         assert_eq!(broker.partition_len("t", 0), 0);
         // The partition queue is not left in a "flushing" state that would
         // park later envelopes forever.
-        batcher.enqueue(&producer, "t", 0, response(2));
+        batcher.enqueue(&producer, "t", 0, response(2), None, &tracker);
         assert_eq!(broker.partition_len("t", 0), 0);
         batcher.clear();
         assert_eq!(batcher.stats().0, 2);
+    }
+
+    #[test]
+    fn only_an_acknowledged_flush_settles_the_records_it_completes() {
+        let broker: Broker<Envelope> = Broker::new(BrokerConfig::default());
+        broker.create_topic("t", 2).unwrap();
+        let producer = broker.producer(ComponentId::from_raw(1));
+        let batcher = ResponseBatcher::new();
+        // Two requests polled from home partition 0, both still open.
+        let tracker = SettleTracker::new(&[0]);
+        let polled: Vec<_> = (0..2)
+            .map(|offset| kar_queue::Record {
+                offset,
+                appended_at: Duration::ZERO,
+                payload: Arc::new(request(offset, "a").1),
+            })
+            .collect();
+        tracker.routed(0, &polled);
+        assert_eq!(tracker.snapshot()[0].open, 2);
+        // The first one's response is acknowledged: its record settles.
+        let first = tracker.take(RequestId::from_raw(0));
+        assert!(first.is_some());
+        batcher.enqueue(&producer, "t", 1, response(0), first, &tracker);
+        assert_eq!(broker.partition_len("t", 1), 1);
+        assert_eq!(tracker.snapshot()[0].open, 1);
+        // The second one's flush fails (fenced mid-completion): the response
+        // is dropped, and the request record must stay open — it is what
+        // drives the retry.
+        broker.fence(ComponentId::from_raw(1));
+        let second = tracker.take(RequestId::from_raw(1));
+        batcher.enqueue(&producer, "t", 1, response(1), second, &tracker);
+        assert_eq!(broker.partition_len("t", 1), 1);
+        assert_eq!(tracker.snapshot()[0].open, 1);
     }
 
     use kar_types::{ActorRef, RequestMessage};

@@ -651,6 +651,7 @@ mod tests {
             caller_actor: None,
             reply_to: None,
             retry: None,
+            single_copy: false,
         }
     }
 

@@ -80,6 +80,7 @@ pub mod mesh;
 pub mod placement;
 pub mod recovery;
 pub mod retry;
+mod settle;
 mod state_cache;
 
 pub use actor::{Actor, ActorFactory, Outcome};

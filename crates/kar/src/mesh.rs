@@ -1110,14 +1110,22 @@ impl Mesh {
                 core.delayed_retries(),
             );
             let _ = writeln!(out, "  poll faults survived: {}", core.poll_fault_count());
+            // Why is this log (not) shrinking: a home partition trims up to
+            // its lowest open record; adopted partitions are never trimmed.
             if let Some(set) = self.inner.topology.read().get(&id) {
+                let settled = core.settle_snapshot();
                 for partition in set.all() {
-                    let _ = writeln!(
+                    let _ = write!(
                         out,
-                        "  queue partition {partition}: len={} end_offset={}",
-                        self.inner.broker.partition_len(TOPIC, partition),
+                        "  queue partition {partition}: log_start={} end={} len={}",
+                        self.inner.broker.log_start(TOPIC, partition),
                         self.inner.broker.end_offset(TOPIC, partition),
+                        self.inner.broker.partition_len(TOPIC, partition),
                     );
+                    let _ = match settled.iter().find(|s| s.partition == partition) {
+                        Some(s) => writeln!(out, " open={} trimmed={}", s.open, s.trimmed),
+                        None => writeln!(out, " adopted (time retention only)"),
+                    };
                 }
             }
         }

@@ -848,10 +848,13 @@ fn rehome_partition_ranges(
 /// live component hosts the actor type.
 fn rehome_decision(
     ctx: &RecoveryContext,
-    request: RequestMessage,
+    mut request: RequestMessage,
     live: &[ComponentId],
     rewrites: &mut PlacementRewriter,
 ) -> Option<(usize, RequestMessage)> {
+    // Every re-homed (or orphan-parked) request is a copy of a record that
+    // exists elsewhere, at least until the failed queue is flushed.
+    request.single_copy = false;
     let key = placement_key(&request.target);
     // If the actor is already placed on a live component (for example because
     // a previous interrupted reconciliation — or an earlier decision of this
@@ -1057,6 +1060,7 @@ mod tests {
             caller_actor: None,
             reply_to: None,
             retry: None,
+            single_copy: false,
         }
     }
 
