@@ -138,12 +138,9 @@ pub fn measure_call_path(batching: bool, config: &DeliveryConfig) -> DeliveryRep
         ..MeshConfig::for_tests()
     }
     .with_dispatch_workers(4)
-    // Hold the pool and the request leg constant across both arms: the
-    // response funnel is the measured variable, and request-leg batching
-    // (its own lever, with its own counters) would amortize enough of the
-    // fixed cost to drown the funnel signal in scheduler noise.
+    // Hold the pool constant across both arms: the response funnel is the
+    // measured variable.
     .with_reactor_threads(8)
-    .with_request_batching(false)
     .with_partitions_per_component(config.server_partitions)
     .with_client_partitions(1)
     .with_response_batching(batching);

@@ -116,12 +116,6 @@ pub fn measure_partitions(partitions: usize, config: &PartitionSweepConfig) -> P
     // Constant pool across the sweep: the variable is the partition layout
     // (append-lock width and consumer lanes), never the thread count.
     .with_reactor_threads(8)
-    // Request batching amortizes the very ack the sweep measures (a burst
-    // towards one partition shares one append), which would turn the sweep
-    // into a batching benchmark: one home partition then *wins* by merging
-    // every caller's request into a single sub-batch. Keep the per-append
-    // ack observable so the partition-width effect is isolated.
-    .with_request_batching(false)
     .with_partitions_per_component(partitions);
     let mesh = Mesh::new(mesh_config);
     let node = mesh.add_node();

@@ -15,8 +15,8 @@
 //! triple IS the minimized reproducer.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
@@ -58,6 +58,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("kill-during-backoff", kill_during_backoff),
     ("dlq-reinjection", dlq_reinjection),
     ("kill-after-trim", kill_after_trim),
+    ("kill-mid-outbox", kill_mid_outbox),
 ];
 
 /// Runs one scenario by name. Returns `None` for an unknown name.
@@ -762,6 +763,330 @@ fn kill_after_trim(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
                 .to_string(),
             at: usize::MAX,
         });
+    }
+    result
+}
+
+/// Where `kill-mid-outbox` lands its kill relative to the victim handler's
+/// outbox round, state write and completion.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum OutboxKill {
+    /// A scheduler-step kill of the victim's host, wherever it falls.
+    AtStep,
+    /// Inside the handler, after its tells and before it returns: the
+    /// attempt dies with a full outbox — nothing of it may be published.
+    BeforeRound,
+    /// Between the round and the state flush: the handler fences its own
+    /// component off the *store* only, so its round is acknowledged, its
+    /// state flush is refused and nothing completes; the component is
+    /// killed outright one step later.
+    BeforeStateFlush,
+    /// Between the (write-through) state write and the completion: with the
+    /// actor-state cache off the guarded write is durable the moment it
+    /// returns — behind the outbox round it forces — and the handler kills
+    /// its component right after it.
+    BeforeCompletion,
+}
+
+/// What the `kill-mid-outbox` actors share with the scenario body.
+#[derive(Default)]
+struct OutboxPlan {
+    mesh: OnceLock<Mesh>,
+    /// The request whose first execution dies (0 = none).
+    victim: AtomicU64,
+    fired: AtomicBool,
+    /// Executions — not commits — of each sub-request at the sinks: how
+    /// often a tell carrying it was delivered.
+    deliveries: Mutex<HashMap<u64, u32>>,
+}
+
+/// The two sub-requests request `req` tells its sinks.
+fn sub_requests(req: u64) -> [u64; 2] {
+    [1000 + 2 * req, 1001 + 2 * req]
+}
+
+/// The handler of the outbox's first invariant: two tells to actors on
+/// other components and a guarded state write —
+/// `if !state.get(done) { tell; tell; state.set(done) }` — so a re-execution
+/// re-tells exactly when the previous attempt's write did not become durable.
+struct Splitter {
+    plan: Arc<OutboxPlan>,
+    point: OutboxKill,
+}
+
+impl Actor for Splitter {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "noop" => Ok(Outcome::value(Value::Null)),
+            "split" => {
+                let req = args[0].as_i64().unwrap_or(0) as u64;
+                let done = format!("done{req}");
+                if ctx.state().get(&done)?.is_none() {
+                    for (sink, sub) in args[1..3].iter().zip(sub_requests(req)) {
+                        let sink = ActorRef::new("Sink", sink.as_str().unwrap_or("?"));
+                        ctx.tell(&sink, "apply", vec![Value::Int(sub as i64)])?;
+                    }
+                    ctx.state().set(&done, Value::Int(1))?;
+                }
+                if self.plan.victim.load(Ordering::SeqCst) == req
+                    && !self.plan.fired.swap(true, Ordering::SeqCst)
+                {
+                    let mesh = self.plan.mesh.get().expect("mesh registered");
+                    let own = ctx.component_id();
+                    match self.point {
+                        OutboxKill::AtStep => {}
+                        OutboxKill::BeforeRound | OutboxKill::BeforeCompletion => {
+                            mesh.kill_component(own);
+                        }
+                        OutboxKill::BeforeStateFlush => {
+                            mesh.store().fence(own);
+                            mesh.sim_schedule_kill(mesh.sim_step_count() + 1, own);
+                        }
+                    }
+                }
+                Ok(Outcome::value(args[0].clone()))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// The target of the splitter's tells: counts the delivery, then commits the
+/// sub-request once.
+struct OutboxSink {
+    plan: Arc<OutboxPlan>,
+    log: CommitLog,
+}
+
+impl Actor for OutboxSink {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "noop" => Ok(Outcome::value(Value::Null)),
+            "apply" => {
+                let sub = args[0].as_i64().unwrap_or(0) as u64;
+                *self
+                    .plan
+                    .deliveries
+                    .lock()
+                    .expect("deliveries")
+                    .entry(sub)
+                    .or_default() += 1;
+                commit_once(ctx, &self.log, sub)?;
+                Ok(Outcome::value(Value::Null))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// Kills around the invocation outbox. Every request runs [`Splitter`]'s
+/// guarded handler; the kill lands (`kill_step % 4`, see [`OutboxKill`]) at
+/// a scheduler step, before the victim's round, between its round and its
+/// state flush, or between its state write and its completion. Whatever the
+/// point, the order outbox → state → completion must leave every
+/// sub-request committed exactly once: a lost tell shows up as a sub-request
+/// that never commits (`lost_invocation`), a re-applied one as a
+/// `duplicate_commit`. The delivery counts pin the rest of the contract —
+/// an attempt killed before its round publishes nothing, and the two
+/// mid-flush points really had their round acknowledged first.
+///
+/// `kill_step / 4` is the step offset of the scheduler-step kill, and picks
+/// the victim among the second batch of requests otherwise.
+fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
+    let point = [
+        OutboxKill::AtStep,
+        OutboxKill::BeforeRound,
+        OutboxKill::BeforeStateFlush,
+        OutboxKill::BeforeCompletion,
+    ][(kill_step % 4) as usize];
+    let offset = kill_step / 4;
+    let mut config = MeshConfig::deterministic(seed);
+    config.actor_state_cache = point != OutboxKill::BeforeCompletion;
+    let log: CommitLog = CommitLog::default();
+    let plan = Arc::new(OutboxPlan::default());
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let host = |plan: &Arc<OutboxPlan>, log: &CommitLog| {
+        let (plan, log) = (Arc::clone(plan), Arc::clone(log));
+        move |b: kar::ComponentBuilder| {
+            let splitter_plan = Arc::clone(&plan);
+            b.host("Splitter", move || {
+                Box::new(Splitter {
+                    plan: Arc::clone(&splitter_plan),
+                    point,
+                })
+            })
+            .host("Sink", move || {
+                Box::new(OutboxSink {
+                    plan: Arc::clone(&plan),
+                    log: Arc::clone(&log),
+                })
+            })
+        }
+    };
+    let names = ["alpha", "beta", "gamma"];
+    let components: Vec<_> = names
+        .iter()
+        .map(|name| mesh.add_component(node, name, host(&plan, &log)))
+        .collect();
+    assert!(plan.mesh.set(mesh.clone()).is_ok(), "one mesh per plan");
+    let mut driver = Driver::new(mesh, log);
+
+    // Place everything on a quiet mesh, then give each splitter two sinks
+    // hosted elsewhere (on two different components where placement allows).
+    let splitter = |req: u64| ActorRef::new("Splitter", format!("f{}", req % 3));
+    let sinks: Vec<ActorRef> = (0..6)
+        .map(|i| ActorRef::new("Sink", format!("s{i}")))
+        .collect();
+    let bulk = driver.mesh.client();
+    for actor in (0..3).map(splitter).chain(sinks.iter().cloned()) {
+        let placed = bulk.call(&actor, "noop", Vec::new());
+        debug_assert!(placed.is_ok(), "placing cannot fail on a quiet mesh");
+    }
+    let sinks_of = |mesh: &Mesh, req: u64| -> Vec<Value> {
+        let home = placement_of(mesh, &splitter(req));
+        let mut away: Vec<&ActorRef> = sinks
+            .iter()
+            .filter(|sink| placement_of(mesh, sink) != home)
+            .collect();
+        if away.len() < 2 {
+            away = sinks.iter().collect();
+        }
+        let first = away[0];
+        let second = away[1..]
+            .iter()
+            .find(|sink| placement_of(mesh, sink) != placement_of(mesh, first))
+            .unwrap_or(&away[1]);
+        vec![
+            Value::from(first.actor_id()),
+            Value::from(second.actor_id()),
+        ]
+    };
+    // The sinks are fixed per splitter up front: a splitter re-homed by the
+    // kill keeps telling the same actors.
+    let routes: Vec<Vec<Value>> = (0..3).map(|req| sinks_of(&driver.mesh, req)).collect();
+
+    let split = |driver: &mut Driver, req: u64| {
+        let target = splitter(req);
+        // The tells are requests of their own: issued by this request,
+        // complete once their sink committed them.
+        let route = &routes[(req % 3) as usize];
+        let actor = target.qualified_name();
+        driver.checker.record(HistoryEvent::Issue {
+            req,
+            caller: "client".to_string(),
+            actor: actor.clone(),
+            seq: req,
+        });
+        for (sink, sub) in route.iter().zip(sub_requests(req)) {
+            let sink = format!("Sink/{}", sink.as_str().unwrap_or("?"));
+            driver.checker.record(HistoryEvent::Issue {
+                req: sub,
+                caller: format!("split-{req}"),
+                actor: sink.clone(),
+                seq: 1,
+            });
+            driver.targets.insert(sub, sink);
+        }
+        let mut args = vec![Value::Int(req as i64)];
+        args.extend(route.iter().cloned());
+        let result = bulk.call(&target, "split", args);
+        driver.drain_commits();
+        driver.checker.record(HistoryEvent::Complete {
+            req,
+            ok: result.is_ok(),
+        });
+    };
+
+    for req in 1..=3u64 {
+        split(&mut driver, req);
+    }
+    // Arm the kill on the second batch.
+    let victim = 4 + offset % 3;
+    let victim_host = placement_of(&driver.mesh, &splitter(victim));
+    let victim_name = victim_host
+        .and_then(|id| components.iter().position(|c| *c == id))
+        .map_or("victim", |index| names[index]);
+    match (point, victim_host) {
+        (OutboxKill::AtStep, Some(host)) => driver.arm_kill(offset, host, victim_name),
+        _ => {
+            plan.victim.store(victim, Ordering::SeqCst);
+            driver.checker.record(HistoryEvent::Kill {
+                component: victim_name.to_string(),
+            });
+        }
+    }
+    for req in 4..=6u64 {
+        split(&mut driver, req);
+    }
+    driver.await_recoveries(1, victim_name);
+    for req in 7..=9u64 {
+        split(&mut driver, req);
+    }
+    // Tells are asynchronous: drive until every sub-request committed (or
+    // the bound says one never will), then close the ones that did.
+    let committed = |log: &CommitLog| log.lock().expect("commit log").len();
+    let log = Arc::clone(&driver.log);
+    driver.mesh.sim_run_until(|| committed(&log) >= 18, 200_000);
+    driver.drain_commits();
+    let commits: Vec<u64> = log.lock().expect("commit log").clone();
+    for req in 1..=9u64 {
+        for sub in sub_requests(req) {
+            if commits.contains(&sub) {
+                driver
+                    .checker
+                    .record(HistoryEvent::Complete { req: sub, ok: true });
+            }
+        }
+    }
+    let delivered: Vec<u32> = {
+        let deliveries = plan.deliveries.lock().expect("deliveries");
+        sub_requests(victim)
+            .iter()
+            .map(|sub| deliveries.get(sub).copied().unwrap_or(0))
+            .collect()
+    };
+    let mut result = outcome("kill-mid-outbox", seed, kill_step, driver);
+    // How often each of the victim's tells must have been delivered.
+    let expected = match point {
+        OutboxKill::AtStep => None,
+        OutboxKill::BeforeRound => Some((
+            "killed_attempt_published",
+            1,
+            "the retry's tell only: the killed attempt publishes nothing",
+        )),
+        OutboxKill::BeforeStateFlush => Some((
+            "round_not_before_state",
+            2,
+            "the killed attempt's acknowledged round, then the retry's re-tell",
+        )),
+        OutboxKill::BeforeCompletion => Some((
+            "round_not_before_state",
+            1,
+            "durable before the state write, so the retry skips it",
+        )),
+    };
+    if let Some((rule, times, why)) = expected {
+        if !plan.fired.load(Ordering::SeqCst) || delivered.iter().any(|count| *count != times) {
+            result.violations.push(HistoryViolation {
+                rule,
+                detail: format!(
+                    "{point:?}: request {victim}'s tells were delivered {delivered:?} times, \
+                     expected {times} each ({why})"
+                ),
+                at: usize::MAX,
+            });
+        }
     }
     result
 }

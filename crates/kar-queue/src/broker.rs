@@ -19,7 +19,13 @@
 //! * [`Producer::send_batch`] and [`Broker::admin_append_batch`] append N
 //!   records under a single lock acquisition and pay a single durable-ack
 //!   latency, which is how reconciliation re-homing and high-rate producers
-//!   amortize lock traffic.
+//!   amortize lock traffic;
+//! * [`Producer::send_round`] is the one batch append path: a produce round
+//!   carrying one batch per partition touched pays a single durable ack for
+//!   all of them (`send_batch` is the one-partition round). A round holds
+//!   the log locks of every partition it touches, always acquired in
+//!   ascending partition index — the only place two partition locks are
+//!   ever held together, so rounds cannot deadlock each other.
 //!
 //! The durable-append latency (`BrokerConfig::append_latency`) is modelled
 //! *while holding the partition log lock*: a partition acknowledges appends
@@ -141,9 +147,15 @@ impl<M> Partition<M> {
     fn with_log<R>(&self, mutate: impl FnOnce(&mut PartitionLog<M>) -> R) -> R {
         let mut log = self.log.lock();
         let result = mutate(&mut log);
+        self.publish(&log);
+        result
+    }
+
+    /// Publishes `log`'s watermarks to their lock-free mirrors. Called with
+    /// the log lock held, after every mutation.
+    fn publish(&self, log: &PartitionLog<M>) {
         self.end.store(log.end_offset(), Ordering::Release);
         self.start.store(log.start_offset(), Ordering::Release);
-        result
     }
 
     /// Signals an event on this partition: wakes consumers parked on the
@@ -562,39 +574,76 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         Ok(offset)
     }
 
-    fn append_batch(
+    /// Appends one produce round (the body of [`Producer::send_round`]).
+    fn append_round(
         &self,
         component: ComponentId,
         epoch: Epoch,
         topic: &str,
-        partition: usize,
-        payloads: Vec<M>,
-    ) -> KarResult<Range<u64>> {
+        mut groups: Vec<(usize, Vec<M>)>,
+    ) -> KarResult<Vec<(usize, Range<u64>)>> {
         self.check_epoch(component, epoch)?;
-        let part = self.lookup_partition(topic, partition)?;
-        if payloads.is_empty() {
-            let end = part.log.lock().end_offset();
-            return Ok(end..end);
+        let parts = groups
+            .iter()
+            .map(|(partition, _)| self.lookup_partition(topic, *partition))
+            .collect::<KarResult<Vec<_>>>()?;
+        // Lock order: ascending partition index, whatever order the groups
+        // came in. A partition named twice would be locked twice.
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_unstable_by_key(|&group| groups[group].0);
+        if let Some(pair) = order
+            .windows(2)
+            .find(|pair| groups[pair[0]].0 == groups[pair[1]].0)
+        {
+            return Err(KarError::Queue(format!(
+                "partition {} appears twice in one produce round",
+                groups[pair[0]].0
+            )));
         }
-        let ack_lost = self.fault_gate(FaultSite::BrokerAppend, partition)?;
+        // Every gate is consulted before anything is appended: a transient
+        // fault on one partition fails the round with no record anywhere.
+        let mut ack_lost = false;
+        for &group in &order {
+            if !groups[group].1.is_empty() {
+                ack_lost |= self.fault_gate(FaultSite::BrokerAppend, groups[group].0)?;
+            }
+        }
         let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
         let now = self.now();
-        let (range, expired) = part.with_log(|log| {
-            // One durable-ack latency for the whole batch: batching exists
-            // precisely to amortize the ack and the lock acquisition.
+        let mut logs: Vec<_> = order.iter().map(|&group| parts[group].log.lock()).collect();
+        if groups.iter().any(|(_, payloads)| !payloads.is_empty()) {
+            // One durable-ack latency for the whole round, paid while
+            // holding every touched partition's log lock: each of them
+            // acknowledges its appends in sequence, and the round is one
+            // acknowledgement.
             kar_types::pace_sleep(self.inner.config.append_latency);
+        }
+        let mut ranges = vec![(0, 0..0); groups.len()];
+        // Expired records are freed after the partition locks are released.
+        let mut expired = Vec::new();
+        for (log, &group) in logs.iter_mut().zip(&order) {
+            let (partition, payloads) = (groups[group].0, std::mem::take(&mut groups[group].1));
             let first = log.end_offset();
-            for payload in payloads {
-                log.append(now, payload);
+            if !payloads.is_empty() {
+                for payload in payloads {
+                    log.append(now, payload);
+                }
+                expired.push(self.expire(log, now));
+                parts[group].publish(log);
             }
-            (first..log.end_offset(), self.expire(log, now))
-        });
+            ranges[group] = (partition, first..log.end_offset());
+        }
+        drop(logs);
         drop(expired);
-        part.notify();
+        for (part, (_, range)) in parts.iter().zip(&ranges) {
+            if !range.is_empty() {
+                part.notify();
+            }
+        }
         if ack_lost {
             return Err(Self::ack_lost_error(FaultSite::BrokerAppend));
         }
-        Ok(range)
+        Ok(ranges)
     }
 
     fn fetch(
@@ -944,10 +993,11 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
             .append(self.component, self.epoch, topic, partition, payload)
     }
 
-    /// Appends `payloads` to `topic[partition]` as one batch: a single epoch
-    /// check, a single partition-lock acquisition and a single durable-ack
-    /// latency for the whole batch. Records receive contiguous, strictly
-    /// increasing offsets in payload order; the assigned range is returned.
+    /// Appends `payloads` to `topic[partition]` as one batch — the
+    /// one-partition [`Producer::send_round`]: a single epoch check, a
+    /// single partition-lock acquisition and a single durable-ack latency
+    /// for the whole batch. Records receive contiguous, strictly increasing
+    /// offsets in payload order; the assigned range is returned.
     ///
     /// # Errors
     ///
@@ -959,8 +1009,38 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         partition: usize,
         payloads: Vec<M>,
     ) -> KarResult<Range<u64>> {
+        let mut ranges = self.send_round(topic, vec![(partition, payloads)])?;
+        Ok(ranges.pop().expect("one group in, one range out").1)
+    }
+
+    /// Appends one **produce round**: one batch per partition touched,
+    /// acknowledged together — the in-memory shape of a single Kafka
+    /// `ProduceRequest` carrying several partition batches. The epoch is
+    /// checked once; the fault gate of every partition touched is evaluated
+    /// *before* anything is appended; the partitions' log locks are taken in
+    /// ascending partition index (so two rounds over overlapping partitions
+    /// never deadlock, whatever order their groups are listed in); the
+    /// durable-ack latency is paid **once** for the whole round; every group
+    /// is appended with contiguous offsets in payload order; and each
+    /// touched partition's consumers are notified. Returns the
+    /// `(partition, offset range)` of every group, in the order given. An
+    /// empty group appends nothing and reports the empty range at its
+    /// partition's end offset; a round of only empty groups pays no ack.
+    ///
+    /// # Errors
+    ///
+    /// All-or-nothing: a fenced producer (`KarError::Fenced`), an unknown
+    /// partition, a partition listed twice, or an injected transient fault
+    /// on *any* touched partition (`KarError::Queue`) appends nothing to
+    /// *any* of them. The one exception is the injected ack loss, which by
+    /// definition appends the whole round and then reports failure.
+    pub fn send_round(
+        &self,
+        topic: &str,
+        groups: Vec<(usize, Vec<M>)>,
+    ) -> KarResult<Vec<(usize, Range<u64>)>> {
         self.broker
-            .append_batch(self.component, self.epoch, topic, partition, payloads)
+            .append_round(self.component, self.epoch, topic, groups)
     }
 
     /// Appends `payload` to the home partition `key` hashes to within `set`
@@ -985,18 +1065,17 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         Ok((partition, offset))
     }
 
-    /// Appends a batch of keyed records, splitting it by target partition:
+    /// Appends a batch of keyed records as one [`Producer::send_round`]:
     /// entries are grouped by the home partition their key hashes to
-    /// (relative order preserved within each partition), and each group is
-    /// appended as one [`Producer::send_batch`] — so a batch spanning
-    /// multiple partitions pays one lock acquisition and one durable ack per
-    /// partition touched, and each group's offsets are contiguous. Returns
-    /// the `(partition, offset range)` of every group, in first-touch order.
+    /// (relative order preserved within each partition), so a batch spanning
+    /// several partitions still pays one durable ack, and each group's
+    /// offsets are contiguous. Returns the `(partition, offset range)` of
+    /// every group, in first-touch order.
     ///
     /// # Errors
     ///
-    /// Same as [`Producer::send_keyed`]. If a group's append fails, the
-    /// error is returned and later groups are not appended.
+    /// Same as [`Producer::send_keyed`]; all-or-nothing like
+    /// [`Producer::send_round`].
     pub fn send_keyed_batch(
         &self,
         topic: &str,
@@ -1013,12 +1092,7 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
                 None => groups.push((partition, vec![payload])),
             }
         }
-        let mut ranges = Vec::with_capacity(groups.len());
-        for (partition, payloads) in groups {
-            let range = self.send_batch(topic, partition, payloads)?;
-            ranges.push((partition, range));
-        }
-        Ok(ranges)
+        self.send_round(topic, groups)
     }
 
     /// Drops every record of `topic[partition]` below `offset` — the
@@ -2160,6 +2234,348 @@ mod tests {
             .send_keyed_batch("t", &set, vec![])
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn send_round_appends_every_group_contiguously_for_one_ack() {
+        // Under a virtual clock a modelled ack *advances* the clock, so the
+        // number of acks a call paid is read off exactly.
+        let clock = Arc::new(kar_types::VirtualClock::new());
+        kar_types::install_virtual_clock(Arc::clone(&clock));
+        let ack = Duration::from_millis(2);
+        let config = BrokerConfig {
+            append_latency: ack,
+            ..BrokerConfig::default()
+        };
+        let broker: Broker<u32> = Broker::new(config);
+        broker.create_topic("t", 4).unwrap();
+        let producer = broker.producer(c(1));
+        let consumers: Vec<Consumer<u32>> = (0..4)
+            .map(|p| broker.consumer(c(2), "t", p).unwrap())
+            .collect();
+        // Groups listed out of partition order, on logs of different lengths.
+        producer.send("t", 2, 100).unwrap();
+        let before = clock.now();
+        let ranges = producer
+            .send_round(
+                "t",
+                vec![
+                    (3, vec![30, 31]),
+                    (0, vec![1]),
+                    (2, vec![20, 21, 22]),
+                    (1, vec![]),
+                ],
+            )
+            .unwrap();
+        assert_eq!(clock.now() - before, ack, "three partitions, one ack");
+        assert_eq!(ranges, vec![(3, 0..2), (0, 0..1), (2, 1..4), (1, 0..0)]);
+        let payloads = |p: usize| -> Vec<u32> {
+            broker
+                .read_partition("t", p)
+                .into_iter()
+                .map(Record::into_payload)
+                .collect()
+        };
+        assert_eq!(payloads(0), vec![1]);
+        assert!(payloads(1).is_empty());
+        assert_eq!(payloads(2), vec![100, 20, 21, 22]);
+        assert_eq!(payloads(3), vec![30, 31]);
+        // Every touched partition's consumers are notified; the empty
+        // group's partition does not read as ready.
+        for p in [0, 2, 3] {
+            assert!(consumers[p].ready(), "partition {p} was not notified");
+        }
+        assert!(!consumers[1].ready());
+        // send_batch is the one-partition round; the keyed batch is one
+        // round however many partitions its keys hash to.
+        let before = clock.now();
+        assert_eq!(producer.send_batch("t", 1, vec![7, 8]).unwrap(), 0..2);
+        assert_eq!(clock.now() - before, ack);
+        let before = clock.now();
+        let set = PartitionSet::contiguous(0, 4);
+        let entries: Vec<(String, u32)> = (0..16).map(|i| (format!("k{i}"), i)).collect();
+        let keyed = producer.send_keyed_batch("t", &set, entries).unwrap();
+        assert!(keyed.len() > 1, "16 keys over 4 partitions must split");
+        assert_eq!(clock.now() - before, ack);
+        // A round of only empty groups appends nothing and pays no ack.
+        let (before, end) = (clock.now(), broker.end_offset("t", 2));
+        assert_eq!(
+            producer.send_round("t", vec![(2, vec![])]).unwrap(),
+            vec![(2, end..end)]
+        );
+        assert!(producer.send_round("t", vec![]).unwrap().is_empty());
+        assert_eq!(clock.now(), before);
+        kar_types::clear_virtual_clock();
+    }
+
+    #[test]
+    fn send_round_is_all_or_nothing() {
+        use kar_types::{FaultInjector, FaultPlan, FaultSpec};
+
+        let broker: Broker<u32> = Broker::new(BrokerConfig::default());
+        broker.create_topic("t", 3).unwrap();
+        let producer = broker.producer(c(1));
+        let total =
+            |broker: &Broker<u32>| -> usize { (0..3).map(|p| broker.partition_len("t", p)).sum() };
+        // An unknown partition or a partition listed twice: nothing lands.
+        assert!(producer
+            .send_round("t", vec![(0, vec![1]), (7, vec![2])])
+            .is_err());
+        assert!(producer
+            .send_round("t", vec![(1, vec![1]), (0, vec![2]), (1, vec![3])])
+            .is_err());
+        assert_eq!(total(&broker), 0);
+        // A fenced producer appends nothing anywhere.
+        broker.fence(c(1));
+        let err = producer
+            .send_round("t", vec![(0, vec![1]), (2, vec![2])])
+            .unwrap_err();
+        assert!(err.is_fenced(), "got {err:?}");
+        assert_eq!(total(&broker), 0);
+
+        // A transient gate on the round's *last* partition: the earlier
+        // partitions' gates passed, and still nothing is appended anywhere.
+        let plan = FaultPlan::new(7).with_site(
+            FaultSite::BrokerAppend,
+            FaultSpec::transient(1.0).with_budget(1),
+        );
+        let injector = Arc::new(FaultInjector::new(plan));
+        let config = BrokerConfig {
+            faults: Some(injector.clone()),
+            ..BrokerConfig::default()
+        };
+        let broker: Broker<u32> = Broker::new(config);
+        broker.create_topic("t", 3).unwrap();
+        let producer = broker.producer(c(1));
+        // Spend nothing yet: budget 1 fires on the first draw, so make the
+        // first two partitions' draws happen on a round that fails there,
+        // then check a later round goes through whole.
+        let err = producer
+            .send_round("t", vec![(2, vec![1]), (0, vec![2]), (1, vec![3])])
+            .unwrap_err();
+        assert!(matches!(err, KarError::Queue(_)), "got {err:?}");
+        assert_eq!(total(&broker), 0, "a failed round left records behind");
+        assert_eq!(
+            injector.counters().site(FaultSite::BrokerAppend).transient,
+            1
+        );
+        producer
+            .send_round("t", vec![(2, vec![1]), (0, vec![2]), (1, vec![3])])
+            .unwrap();
+        assert_eq!(total(&broker), 3);
+
+        // An ack-lost round is appended whole — every group — and reported
+        // failed: the replay duplicates all of it, never a part.
+        let plan = FaultPlan::new(7).with_site(
+            FaultSite::BrokerAppend,
+            FaultSpec::NONE.with_ack_lost(1.0).with_budget(1),
+        );
+        let config = BrokerConfig {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..BrokerConfig::default()
+        };
+        let broker: Broker<u32> = Broker::new(config);
+        broker.create_topic("t", 3).unwrap();
+        let producer = broker.producer(c(1));
+        assert!(producer
+            .send_round("t", vec![(0, vec![1, 2]), (2, vec![3])])
+            .is_err());
+        assert_eq!(broker.partition_len("t", 0), 2);
+        assert_eq!(broker.partition_len("t", 2), 1);
+    }
+
+    #[test]
+    fn rounds_over_overlapping_partitions_in_opposite_order_never_deadlock() {
+        // Two producers, each listing the same two partitions in the
+        // opposite order, hammering rounds at each other with an ack that
+        // keeps both locks held long enough to interleave. Acquisition is by
+        // ascending index whatever the listing order, so this finishes; a
+        // listing-order implementation deadlocks within a few rounds.
+        let config = BrokerConfig {
+            append_latency: Duration::from_micros(200),
+            ..BrokerConfig::default()
+        };
+        let broker: Broker<u32> = Broker::new(config);
+        broker.create_topic("t", 2).unwrap();
+        const ROUNDS: u32 = 200;
+        const TAG: u32 = 10_000;
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for (id, order) in [(1u64, [0usize, 1]), (2, [1, 0])] {
+            let broker = broker.clone();
+            let barrier = Arc::clone(&barrier);
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                let producer = broker.producer(c(id));
+                barrier.wait();
+                for round in 0..ROUNDS {
+                    let value = id as u32 * TAG + round;
+                    producer
+                        .send_round(
+                            "t",
+                            vec![(order[0], vec![value]), (order[1], vec![value, value])],
+                        )
+                        .unwrap();
+                }
+                let _ = done.send(id);
+            });
+        }
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("two producers sending opposite-order rounds deadlocked");
+        }
+        // Producer 1's pairs land on partition 1, producer 2's on partition
+        // 0 (tagged with the producer id): every pair group stayed adjacent.
+        for (partition, pairs_of) in [(0usize, 2u32), (1, 1)] {
+            let payloads: Vec<u32> = broker
+                .read_partition("t", partition)
+                .into_iter()
+                .map(Record::into_payload)
+                .collect();
+            assert_eq!(payloads.len(), (ROUNDS * 3) as usize);
+            let mut index = 0;
+            while index < payloads.len() {
+                if payloads[index] / TAG == pairs_of {
+                    assert_eq!(
+                        payloads.get(index + 1),
+                        Some(&payloads[index]),
+                        "partition {partition}: a group was split at {index}"
+                    );
+                    index += 2;
+                } else {
+                    index += 1;
+                }
+            }
+        }
+    }
+
+    /// The obviously-correct broker the real one is checked against: per
+    /// partition, the live payloads and the offset of the first of them.
+    struct ModelBroker {
+        live: Vec<Vec<u32>>,
+        start: Vec<u64>,
+    }
+
+    impl ModelBroker {
+        fn end(&self, partition: usize) -> u64 {
+            self.start[partition] + self.live[partition].len() as u64
+        }
+
+        fn append(&mut self, partition: usize, payloads: &[u32]) -> Range<u64> {
+            let first = self.end(partition);
+            self.live[partition].extend_from_slice(payloads);
+            first..self.end(partition)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random interleavings of single sends, batches, multi-partition
+        /// rounds (groups listed in either order, some empty, some naming a
+        /// partition twice), trims and fences agree with the naive model:
+        /// same ranges, same logs, same watermarks — and a failed operation
+        /// changes nothing anywhere.
+        #[test]
+        fn broker_matches_the_naive_model_under_rounds(
+            ops in proptest::collection::vec((0u8..8, 0u64..64, 0usize..6), 1..80),
+        ) {
+            use proptest::prelude::*;
+            const PARTITIONS: usize = 3;
+            let broker: Broker<u32> = Broker::new(BrokerConfig::default());
+            broker.create_topic("t", PARTITIONS).unwrap();
+            let mut producer = broker.producer(c(1));
+            let mut fenced = false;
+            let mut model = ModelBroker {
+                live: vec![Vec::new(); PARTITIONS],
+                start: vec![0; PARTITIONS],
+            };
+            let mut next_payload = 0u32;
+            let mut fresh = |count: usize| -> Vec<u32> {
+                let payloads: Vec<u32> = (next_payload..next_payload + count as u32).collect();
+                next_payload += count as u32;
+                payloads
+            };
+            for (op, a, b) in ops {
+                let partition = a as usize % PARTITIONS;
+                match op {
+                    0 => {
+                        let payloads = fresh(1);
+                        let sent = producer.send("t", partition, payloads[0]);
+                        prop_assert_eq!(sent.is_err(), fenced);
+                        if let Ok(offset) = sent {
+                            prop_assert_eq!(offset..offset + 1, model.append(partition, &payloads));
+                        }
+                    }
+                    1 => {
+                        let payloads = fresh(b);
+                        let sent = producer.send_batch("t", partition, payloads.clone());
+                        prop_assert_eq!(sent.is_err(), fenced);
+                        if let Ok(range) = sent {
+                            prop_assert_eq!(range, model.append(partition, &payloads));
+                        }
+                    }
+                    2..=4 => {
+                        // The low three bits of `a` choose the partitions,
+                        // the next bit the listing order, `b` the group sizes.
+                        let mut groups: Vec<(usize, Vec<u32>)> = (0..PARTITIONS)
+                            .filter(|p| a & (1 << p) != 0)
+                            .map(|p| (p, fresh((b + p) % 3)))
+                            .collect();
+                        if a & 8 != 0 {
+                            groups.reverse();
+                        }
+                        // Rarely: name the first partition a second time.
+                        let duplicate = op == 4 && a & 16 != 0 && !groups.is_empty();
+                        if duplicate {
+                            groups.push((groups[0].0, fresh(1)));
+                        }
+                        let sent = producer.send_round("t", groups.clone());
+                        prop_assert_eq!(sent.is_err(), fenced || duplicate);
+                        if let Ok(ranges) = sent {
+                            prop_assert_eq!(ranges.len(), groups.len());
+                            for ((partition, payloads), (reported, range)) in groups.iter().zip(ranges) {
+                                prop_assert_eq!(*partition, reported);
+                                prop_assert_eq!(range, model.append(*partition, payloads));
+                            }
+                        }
+                    }
+                    5 => {
+                        let trimmed = producer.trim_before("t", partition, a);
+                        prop_assert_eq!(trimmed.is_err(), fenced);
+                        if let Ok(count) = trimmed {
+                            let cut = a.clamp(model.start[partition], model.end(partition));
+                            let expected = (cut - model.start[partition]) as usize;
+                            prop_assert_eq!(count, expected);
+                            model.live[partition].drain(..expected);
+                            model.start[partition] = cut;
+                        }
+                    }
+                    6 => {
+                        // Rare: otherwise nothing is ever appended.
+                        if b == 0 {
+                            broker.fence(c(1));
+                            fenced = true;
+                        }
+                    }
+                    _ => {
+                        producer = broker.producer(c(1));
+                        fenced = false;
+                    }
+                }
+                for partition in 0..PARTITIONS {
+                    let live: Vec<u32> = broker
+                        .read_partition("t", partition)
+                        .into_iter()
+                        .map(Record::into_payload)
+                        .collect();
+                    prop_assert_eq!(&live, &model.live[partition]);
+                    prop_assert_eq!(broker.log_start("t", partition), model.start[partition]);
+                    prop_assert_eq!(broker.end_offset("t", partition), model.end(partition));
+                }
+            }
+        }
     }
 
     #[test]

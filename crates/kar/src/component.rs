@@ -33,6 +33,7 @@
 //! instead of double-executing, and stale consumers of a re-homed partition
 //! are cut off by the broker's per-partition ownership epochs.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,9 +58,9 @@ use kar_types::{
 use crate::actor::{ActorFactory, Outcome};
 use crate::aging::{AgingMap, AgingSet};
 use crate::config::{CancellationPolicy, MeshConfig};
-use crate::context::{state_key, ActorContext};
+use crate::context::{state_key, ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
-use crate::delivery::{RequestBatcher, ResponseBatcher};
+use crate::delivery::{partitions_of, send_request_round, ResponseBatcher, Run};
 use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{LiveSet, PlacementService};
@@ -152,6 +153,38 @@ enum Admission {
     Forward(RequestMessage),
     /// Absorbed: duplicate, deferred, mailboxed, or dropped.
     Done,
+}
+
+/// What one run of a handler (or of a resumed continuation) left behind:
+/// its outcome, and the tells still in its outbox.
+struct Attempt {
+    result: KarResult<Outcome>,
+    outbox: Outbox,
+}
+
+impl Attempt {
+    /// The handler running under `ctx` is done with it and produced `result`.
+    fn finished(ctx: ActorContext<'_>, result: KarResult<Outcome>) -> Self {
+        Attempt {
+            result,
+            outbox: ctx.into_outbox(),
+        }
+    }
+}
+
+/// Acknowledged produce rounds of one component's request leg.
+#[derive(Default)]
+struct RoundStats {
+    /// Requests sent, and the rounds that carried them
+    /// (`request_batch_stats`).
+    requests: AtomicU64,
+    rounds: AtomicU64,
+    /// Of those: rounds that carried at least one tell (outbox rounds), the
+    /// tells they carried, and the most destination partitions one of them
+    /// touched (for `Mesh::debug_report`).
+    outbox_rounds: AtomicU64,
+    outbox_records: AtomicU64,
+    outbox_partitions_max: AtomicUsize,
 }
 
 /// One consumer lane: the unit of consumer concurrency (what used to be a
@@ -353,10 +386,7 @@ pub struct ComponentCore {
     /// completions towards one caller partition share a lock acquisition and
     /// a durable ack. `None` when `MeshConfig::response_batching` is off.
     responses: Option<ResponseBatcher>,
-    /// Per-destination-component request batching (the request-leg mirror of
-    /// the response batcher): concurrent sends towards one component share a
-    /// keyed batch append. `None` when `MeshConfig::request_batching` is off.
-    requests: Option<RequestBatcher>,
+    round_stats: RoundStats,
     /// Broker-clock instants at which each currently-adopted partition was
     /// adopted; drives the retirement horizon (see `maybe_retire_partitions`).
     adopted_at: Mutex<HashMap<usize, Duration>>,
@@ -480,7 +510,6 @@ impl ComponentCore {
             .then(|| StateCache::new(state_cache_interval));
         let settle = SettleTracker::new(partitions.home());
         let response_batcher = config.response_batching.then(ResponseBatcher::new);
-        let request_batcher = config.request_batching.then(RequestBatcher::new);
         ComponentCore {
             id,
             node,
@@ -510,7 +539,7 @@ impl ComponentCore {
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
             responses: response_batcher,
-            requests: request_batcher,
+            round_stats: RoundStats::default(),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
             actors: Mutex::new(HashMap::new()),
@@ -644,15 +673,10 @@ impl ComponentCore {
         self.pending_calls.lock().clear();
         self.deferred.lock().clear();
         self.inflight.lock().clear();
-        // Buffered (not yet appended) completions and requests die with the
-        // process; the affected requests' queue copies drive the retry.
-        // Clearing the request batcher also poisons it, waking enqueuers
-        // parked on an in-flight flush.
+        // Buffered (not yet appended) completions die with the process; the
+        // affected requests' queue copies drive the retry.
         if let Some(responses) = &self.responses {
             responses.clear();
-        }
-        if let Some(requests) = &self.requests {
-            requests.clear();
         }
         // Records already routed to shard queues are in-memory state: lost
         // with the process. Their queue copies survive and drive the retry.
@@ -758,10 +782,20 @@ impl ComponentCore {
                 out,
                 "  delivery: consumers={} retire_in=[{}] retired={:?} \
                  response_batches={flushes}/{enqueued} \
-                 request_batches={req_flushes}/{req_enqueued}",
+                 request_batches={req_flushes}/{req_enqueued} orphan_responses={}",
                 self.consumer_thread_count(),
                 horizons.join(", "),
                 self.retired.lock(),
+                self.orphan_responses.lock().len(),
+            );
+            let _ = writeln!(
+                out,
+                "  outbox: rounds={} records={} partitions_per_round_max={}",
+                self.round_stats.outbox_rounds.load(Ordering::Relaxed),
+                self.round_stats.outbox_records.load(Ordering::Relaxed),
+                self.round_stats
+                    .outbox_partitions_max
+                    .load(Ordering::Relaxed),
             );
         }
         let _ = writeln!(
@@ -921,25 +955,91 @@ impl ComponentCore {
     // ------------------------------------------------------------------
 
     /// The send choke point of the issuing entry points (`external_call`,
-    /// `external_tell`, `nested_call`/`park_nested`, `nested_tell`): the one
-    /// place a request is marked single-copy, because a fresh id's first
-    /// append is its only record. With a fault plan armed even that is not
-    /// provable — an append whose ack is lost is replayed, leaving two
-    /// records of one id — so no request is marked then.
-    fn issue_request(self: &Arc<Self>, mut message: RequestMessage) -> KarResult<()> {
-        message.single_copy = !self.producer.faults_armed();
-        self.route_request(message)
+    /// `external_tell`, `nested_call`/`park_nested`, the invocation outbox).
+    fn issue_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
+        let run = self.place_round([message])?;
+        self.append_requests(run)
+    }
+
+    /// Routes freshly issued requests to their destination partitions, in
+    /// order. The one place a request is marked single-copy, because a fresh
+    /// id's first append is its only record. With a fault plan armed even
+    /// that is not provable — an append whose ack is lost is replayed,
+    /// leaving two records of one id — so no request is marked then.
+    ///
+    /// The partition is fixed here, ahead of an append that takes a durable
+    /// ack, so a record can land where a topology update in between no
+    /// longer routes. That window cannot be closed from the sender's side,
+    /// and recovery does not rely on it being closed: a record
+    /// in a failed component's partition is catalogued and re-homed by
+    /// reconciliation, one appended after the placement rewrite is drained
+    /// by the partition's adopter (adopted partitions stay drain-only for
+    /// two retention windows for exactly this stale sender), and a record
+    /// for an actor the consumer does not own is forwarded to its owner.
+    fn place_round(
+        self: &Arc<Self>,
+        messages: impl IntoIterator<Item = RequestMessage>,
+    ) -> KarResult<Run> {
+        // A durable append may block (batched ack, stale-placement wait):
+        // flush buffered completions first so nothing this thread produced
+        // is held back while it waits.
+        flush_thread_completions();
+        let single_copy = !self.producer.faults_armed();
+        messages
+            .into_iter()
+            .map(|mut message| {
+                message.single_copy = single_copy;
+                Ok((self.place(&message)?, Envelope::Request(message)))
+            })
+            .collect()
+    }
+
+    /// Flushes one invocation's outbox as **one produce round**: the tells
+    /// in program order, then — when the flush is forced by a nested call —
+    /// that call's request behind them. Placement is resolved per target;
+    /// the append is all-or-nothing and pays one durable ack for every
+    /// partition and destination component it touches (see
+    /// [`crate::context`] for the invariants). The caller has paid the
+    /// round's sidecar hop.
+    fn issue_outbox(
+        self: &Arc<Self>,
+        tells: Vec<RequestMessage>,
+        nested: Option<RequestMessage>,
+    ) -> KarResult<()> {
+        let records = tells.len();
+        let run = self.place_round(tells.into_iter().chain(nested))?;
+        self.append_outbox(run, records)
+    }
+
+    /// The append half of [`Self::issue_outbox`]: `run` is placed already
+    /// and its first `records` entries are tells.
+    fn append_outbox(&self, run: Run, records: usize) -> KarResult<()> {
+        let touched = (records > 0).then(|| partitions_of(&run).len());
+        self.append_requests(run)?;
+        if let Some(touched) = touched {
+            let stats = &self.round_stats;
+            stats.outbox_rounds.fetch_add(1, Ordering::Relaxed);
+            stats
+                .outbox_records
+                .fetch_add(records as u64, Ordering::Relaxed);
+            stats
+                .outbox_partitions_max
+                .fetch_max(touched, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Re-appends a request that already has a record somewhere (a forward
     /// or a tail-call successor): the copy is never single-copy.
     pub(crate) fn send_request(self: &Arc<Self>, mut message: RequestMessage) -> KarResult<()> {
         message.single_copy = false;
-        self.route_request(message)
+        flush_thread_completions();
+        let partition = self.place(&message)?;
+        self.append_requests(vec![(partition, Envelope::Request(message))])
     }
 
-    /// Resolves the target actor's placement and appends the request to the
-    /// hosting component's queue.
+    /// Resolves the target actor's placement and returns the partition of
+    /// the hosting component's queue its records hash to.
     ///
     /// Resolution can wait (bounded by the call timeout) when a recorded
     /// placement points at a failed component and reconciliation has not
@@ -947,11 +1047,7 @@ impl ComponentCore {
     /// mesh instead of parking (work-while-waiting), so one stale placement
     /// never idles a thread of the fixed pool; other threads park on the
     /// placement repair signal.
-    fn route_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
-        // A durable append may block (batched ack, stale-placement wait):
-        // flush buffered completions first so nothing this thread produced
-        // is held back while it waits.
-        flush_thread_completions();
+    fn place(self: &Arc<Self>, message: &RequestMessage) -> KarResult<usize> {
         let deadline = mono_now() + self.config.call_timeout;
         let component = loop {
             if !self.is_alive() {
@@ -989,44 +1085,18 @@ impl ComponentCore {
                 }
             }
         };
-        self.send_request_to(component, message)
+        self.partition_for(component, &message.target.qualified_name())
+            .ok_or_else(|| KarError::internal(format!("no partition set recorded for {component}")))
     }
 
-    /// Appends `message` to `component`'s queue, hashed by actor key over
-    /// its home set — through the request batcher (one keyed batch append
-    /// per burst towards the component) when `MeshConfig::request_batching`
-    /// is on, or as a plain keyed append otherwise. Either way the append is
-    /// durable when this returns. Routing goes through the broker's keyed
-    /// producer API, so the runtime and the broker share one routing
-    /// implementation.
-    fn send_request_to(&self, component: ComponentId, message: RequestMessage) -> KarResult<()> {
-        let key = message.target.qualified_name();
-        if let Some(batcher) = &self.requests {
-            return batcher.send(
-                &self.producer,
-                &self.topic,
-                |c| self.topology.read().get(&c).cloned(),
-                component,
-                key,
-                Envelope::Request(message),
-            );
-        }
-        let set = self
-            .topology
-            .read()
-            .get(&component)
-            .cloned()
-            .ok_or_else(|| {
-                KarError::internal(format!("no partition set recorded for {component}"))
-            })?;
-        // A transient append failure is replayed bounded: the append is
-        // keyed by request id downstream, so a duplicate from an ack-lost
-        // attempt is absorbed by the invocation-layer dedup.
-        let envelope = Envelope::Request(message);
-        retry_transient(TRANSIENT_ATTEMPTS, || {
-            self.producer
-                .send_keyed(&self.topic, &set, &key, envelope.clone())
-        })?;
+    /// Appends one run of routed requests as one produce round, one durable
+    /// ack: durable when this returns.
+    fn append_requests(&self, run: Run) -> KarResult<()> {
+        let requests = run.len() as u64;
+        send_request_round(&self.producer, &self.topic, run)?;
+        let stats = &self.round_stats;
+        stats.requests.fetch_add(requests, Ordering::Relaxed);
+        stats.rounds.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1138,7 +1208,7 @@ impl ComponentCore {
     /// the component currently hosting the caller actor otherwise (which is
     /// how responses survive the re-placement of their caller).
     pub(crate) fn send_response(self: &Arc<Self>, request: &RequestMessage, result: Payload) {
-        if !request.kind.expects_response() {
+        if !Self::awaits_response(request) {
             return;
         }
         self.sidecar_hop();
@@ -1175,6 +1245,15 @@ impl ComponentCore {
         // spawned and no thread blocks.
         let deadline = mono_now() + self.config.call_timeout;
         self.orphan_responses.lock().push((response, deadline));
+    }
+
+    /// True if somebody can be waiting for `request`'s completion. A `tell`
+    /// never is; neither is the terminal hop of a tail-call chain rooted at
+    /// a `tell`, which inherits the tell's absent return address (no
+    /// `reply_to`, no caller actor): its response could be routed nowhere.
+    fn awaits_response(request: &RequestMessage) -> bool {
+        request.kind.expects_response()
+            && (request.reply_to.is_some() || request.caller_actor.is_some())
     }
 
     /// One non-blocking routing attempt for an orphaned response: the
@@ -1276,19 +1355,36 @@ impl ComponentCore {
         self.wait_for_response(id, receiver)
     }
 
-    /// An asynchronous root invocation issued by an external client.
+    /// An asynchronous root invocation issued by an external client: durably
+    /// enqueued when this returns.
     pub(crate) fn external_tell(
         self: &Arc<Self>,
         target: &ActorRef,
         method: &str,
         args: Vec<Value>,
     ) -> KarResult<()> {
+        let message = self.tell_message(target, method, args)?;
+        self.sidecar_hop();
+        self.issue_request(message)
+    }
+
+    /// Builds the request of an asynchronous invocation under a fresh id
+    /// (no caller, no return address).
+    ///
+    /// # Errors
+    ///
+    /// Fails with `KarError::Killed` if this component has been killed.
+    pub(crate) fn tell_message(
+        &self,
+        target: &ActorRef,
+        method: &str,
+        args: Vec<Value>,
+    ) -> KarResult<RequestMessage> {
         if !self.is_alive() {
             return Err(KarError::Killed { component: self.id });
         }
-        let id = self.ids.fresh();
-        let message = RequestMessage {
-            id,
+        Ok(RequestMessage {
+            id: self.ids.fresh(),
             caller: None,
             target: target.clone(),
             method: method.to_owned(),
@@ -1300,12 +1396,12 @@ impl ComponentCore {
             reply_to: None,
             retry: None,
             single_copy: false,
-        };
-        self.sidecar_hop();
-        self.issue_request(message)
+        })
     }
 
-    /// A nested blocking call issued from inside an actor invocation.
+    /// A nested blocking call issued from inside an actor invocation. The
+    /// tells pending in the caller's `outbox` leave in the same produce
+    /// round, ahead of the call's request.
     pub(crate) fn nested_call(
         self: &Arc<Self>,
         caller: &RequestMessage,
@@ -1314,6 +1410,7 @@ impl ComponentCore {
         method: &str,
         args: Vec<Value>,
         policy: Option<RetryPolicy>,
+        outbox: &mut Outbox,
     ) -> KarResult<Value> {
         if !self.is_alive() {
             return Err(KarError::Killed { component: self.id });
@@ -1335,39 +1432,95 @@ impl ComponentCore {
         };
         self.sidecar_hop();
         let receiver = self.register_pending(id);
-        self.issue_request(message)?;
+        let tells = std::mem::take(&mut outbox.tells);
+        let carried_tells = !tells.is_empty();
+        if let Err(error) = self.issue_outbox(tells, Some(message)) {
+            self.pending_calls.lock().remove(&id);
+            if carried_tells {
+                // The handler may swallow this error; its invocation must
+                // still not complete over the tells the round lost.
+                outbox.failed = Some(error.clone());
+            }
+            return Err(error);
+        }
+        // The tells are durable: the writes buffered behind them may be too.
+        outbox.guarded = None;
         self.wait_for_response(id, receiver)
     }
 
-    /// A nested asynchronous invocation issued from inside an actor
-    /// invocation.
-    pub(crate) fn nested_tell(
+    /// Settles what a finished handler left in its outbox, strictly before
+    /// its state is flushed and before any completion: the pending tells
+    /// leave as one round. Skipped for an attempt that was killed or fenced
+    /// (it publishes nothing). If the round — or an earlier one, flushed
+    /// mid-handler — failed, the error replaces an `Ok` result and the state
+    /// writes the handler buffered behind the lost tells are rolled back,
+    /// so the state flush that follows cannot persist a guard for a tell
+    /// that never left; a killed or fenced round replaces any result,
+    /// steering the invocation into the no-completion arm.
+    fn flush_outbox(
         self: &Arc<Self>,
-        _caller: &RequestMessage,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-    ) -> KarResult<()> {
-        if !self.is_alive() {
-            return Err(KarError::Killed { component: self.id });
+        actor: &ActorRef,
+        outbox: Outbox,
+        result: KarResult<Outcome>,
+    ) -> KarResult<Outcome> {
+        if outbox.tells.is_empty() && outbox.failed.is_none() {
+            return result;
         }
-        let id = self.ids.fresh();
-        let message = RequestMessage {
-            id,
-            caller: None,
-            target: target.clone(),
-            method: method.to_owned(),
-            args,
-            kind: CallKind::Tell,
-            lineage: Vec::new(),
-            pending_callee: None,
-            caller_actor: None,
-            reply_to: None,
-            retry: None,
-            single_copy: false,
-        };
+        if matches!(
+            result,
+            Err(KarError::Killed { .. } | KarError::Fenced { .. })
+        ) {
+            return result;
+        }
+        let mut flushed = Ok(());
+        if !outbox.tells.is_empty() {
+            self.sidecar_hop();
+            flushed = self.issue_outbox(outbox.tells, None);
+        }
+        match outbox.failed.map_or(flushed, Err) {
+            Ok(()) => result,
+            Err(error @ (KarError::Killed { .. } | KarError::Fenced { .. })) => Err(error),
+            Err(error) => {
+                if let (Some(cache), Some(savepoint)) = (&self.state_cache, outbox.guarded) {
+                    cache.rollback(&state_key(actor), savepoint);
+                }
+                result.and(Err(error))
+            }
+        }
+    }
+
+    /// Keeps a state write from becoming durable ahead of the tells issued
+    /// before it (outbox → state, never state first); free while the outbox
+    /// is empty. With the actor-state cache on, the write is buffered and
+    /// flushed after the outbox at the end of the handler, so the first
+    /// such write only takes a savepoint of the actor's buffered writes for
+    /// [`Self::flush_outbox`] to roll back to should the round fail. With
+    /// the cache off the write is durable at once, so the pending tells are
+    /// made durable first, and the write fails if they — or an earlier
+    /// round of this invocation — could not be.
+    pub(crate) fn order_write_after_outbox(
+        self: &Arc<Self>,
+        outbox: &RefCell<Outbox>,
+        key: &str,
+    ) -> KarResult<()> {
+        let mut outbox = outbox.borrow_mut();
+        if outbox.tells.is_empty() && outbox.failed.is_none() {
+            return Ok(());
+        }
+        if let Some(cache) = &self.state_cache {
+            if outbox.guarded.is_none() {
+                outbox.guarded = Some(cache.savepoint(key));
+            }
+            return Ok(());
+        }
+        if let Some(error) = &outbox.failed {
+            return Err(error.clone());
+        }
+        let tells = std::mem::take(&mut outbox.tells);
         self.sidecar_hop();
-        self.issue_request(message)
+        self.issue_outbox(tells, None).inspect_err(|error| {
+            outbox.failed = Some(error.clone());
+        })
     }
 
     fn register_pending(&self, id: RequestId) -> crossbeam::channel::Receiver<Arc<Payload>> {
@@ -1762,18 +1915,20 @@ impl ComponentCore {
             ..
         } = parked;
         self.sidecar_hop();
-        let result = {
+        let attempt = {
             let mut ctx = ActorContext::new(self, &request, request.target.clone());
-            then.resume(&mut ctx, input)
+            let result = then.resume(&mut ctx, input);
+            Attempt::finished(ctx, result)
         };
-        Arc::clone(self).invocation_loop(request, holds_lock, reentrant, Some(result));
+        Arc::clone(self).invocation_loop(request, holds_lock, reentrant, Some(attempt));
     }
 
-    /// Sends the nested request of an [`Outcome::CallThen`] and parks its
-    /// continuation, releasing the calling reactor. Returns `None` once
-    /// parked — the invocation resumes when the response record arrives (or
-    /// the deadline passes). If the send fails synchronously, the
-    /// continuation is resumed inline with the error and its next outcome is
+    /// Sends the nested request of an [`Outcome::CallThen`] — in one round
+    /// with the tells pending in the handler's `outbox`, behind them — and
+    /// parks its continuation, releasing the calling reactor. Returns `None`
+    /// once parked — the invocation resumes when the response record arrives
+    /// (or the deadline passes). If the send fails synchronously, the
+    /// continuation is resumed inline with the error and what it produced is
     /// returned.
     fn park_nested(
         self: &Arc<Self>,
@@ -1785,7 +1940,8 @@ impl ComponentCore {
         args: Vec<Value>,
         policy: Option<RetryPolicy>,
         then: Continuation,
-    ) -> Option<KarResult<Outcome>> {
+        outbox: Outbox,
+    ) -> Option<Attempt> {
         let nested_id = self.ids.fresh();
         let nested = RequestMessage {
             id: nested_id,
@@ -1801,32 +1957,54 @@ impl ComponentCore {
             retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
             single_copy: false,
         };
-        // Park BEFORE sending: once the request is durable, its response can
-        // arrive on another reactor immediately — and must find the
-        // continuation in the table.
-        self.continuations.park(
-            nested_id,
-            ParkedContinuation {
-                request: request.clone(),
-                holds_lock,
-                reentrant,
-                deadline: mono_now() + self.config.call_timeout,
-                then,
-            },
-        );
         self.sidecar_hop();
-        match self.issue_request(nested) {
-            Ok(()) => None,
-            Err(error) => {
+        let Outbox {
+            tells,
+            failed,
+            guarded,
+        } = outbox;
+        // A round that failed earlier in the handler fails this one too: the
+        // invocation cannot complete over the tells it lost.
+        let lost_tells = failed.is_some() || !tells.is_empty();
+        let records = tells.len();
+        // Place first: resolution can wait out a stale placement for a whole
+        // call timeout, and a continuation parked meanwhile would be timed
+        // out — and resumed under a context that knows nothing of the
+        // pending tells — while this thread still holds them.
+        let placed = match failed {
+            Some(error) => Err(error),
+            None => self.place_round(tells.into_iter().chain([nested])),
+        };
+        let (then, error) = match placed {
+            Err(error) => (then, error),
+            Ok(run) => {
+                // Park BEFORE appending: once the request is durable, its
+                // response can arrive on another reactor immediately — and
+                // must find the continuation in the table.
+                self.continuations.park(
+                    nested_id,
+                    ParkedContinuation {
+                        request: request.clone(),
+                        holds_lock,
+                        reentrant,
+                        deadline: mono_now() + self.config.call_timeout,
+                        then,
+                    },
+                );
+                let error = self.append_outbox(run, records).err()?;
                 // Nothing was appended, so no response will ever arrive:
-                // take the park back and resume inline with the send error.
-                // A racing timer may have claimed it as timed out first; the
-                // timeout path owns the resume then.
-                let parked = self.continuations.take(nested_id)?;
-                let mut ctx = ActorContext::new(self, request, request.target.clone());
-                Some(parked.then.resume(&mut ctx, Err(error)))
+                // take the park back. A racing timer may have claimed it as
+                // timed out first; the timeout path owns the resume then.
+                (self.continuations.take(nested_id)?.then, error)
             }
+        };
+        // Resume inline with the send error.
+        let mut ctx = ActorContext::new(self, request, request.target.clone());
+        if lost_tells {
+            ctx.fail_outbox(error.clone(), guarded);
         }
+        let result = then.resume(&mut ctx, Err(error));
+        Some(Attempt::finished(ctx, result))
     }
 
     /// The invocation state machine: executes `request` (or continues it
@@ -1838,7 +2016,7 @@ impl ComponentCore {
         mut request: RequestMessage,
         holds_lock: bool,
         mut reentrant: bool,
-        mut resumed: Option<KarResult<Outcome>>,
+        mut resumed: Option<Attempt>,
     ) {
         // Drain-local response buffering: completions this frame produces
         // are grouped per destination partition and handed to the batcher
@@ -1849,10 +2027,10 @@ impl ComponentCore {
             if !self.is_alive() {
                 return;
             }
-            let outcome = match resumed.take() {
+            let attempt = match resumed.take() {
                 // Continuation resume: the handler already ran up to its
                 // parked nested call; pick up from its next outcome.
-                Some(outcome) => Some(outcome),
+                Some(attempt) => Some(attempt),
                 None => {
                     self.sidecar_hop();
                     if self.config.cancellation == CancellationPolicy::Cancel
@@ -1878,27 +2056,33 @@ impl ComponentCore {
                         // recorded — an open breaker must not feed itself.
                         match self.breakers.admit(request.target.actor_type()) {
                             Ok(()) => {
-                                let result = self.execute(&request, reentrant);
+                                let attempt = self.execute(&request, reentrant);
                                 if !matches!(
-                                    result,
+                                    attempt.result,
                                     Err(KarError::Killed { .. } | KarError::Fenced { .. })
                                 ) {
-                                    self.breakers
-                                        .record(request.target.actor_type(), result.is_ok());
+                                    self.breakers.record(
+                                        request.target.actor_type(),
+                                        attempt.result.is_ok(),
+                                    );
                                 }
-                                Some(result)
+                                Some(attempt)
                             }
-                            Err(error) => Some(Err(error)),
+                            Err(error) => Some(Attempt {
+                                result: Err(error),
+                                outbox: Outbox::default(),
+                            }),
                         }
                     }
                 }
             };
-            if let Some(result) = outcome {
+            if let Some(Attempt { result, outbox }) = attempt {
                 // A parked nested call suspends the handler mid-invocation:
-                // nothing is flushed and nothing completes — the original
+                // no state is flushed and nothing completes — the original
                 // request stays in-flight (and in its queue copy), the actor
                 // stays locked, and recovery treats the parked invocation
-                // exactly like one executing on a killed thread.
+                // exactly like one executing on a killed thread. Its pending
+                // tells leave with the nested request.
                 let result = match result {
                     Ok(Outcome::CallThen {
                         target,
@@ -1907,7 +2091,7 @@ impl ComponentCore {
                         policy,
                         then,
                     }) => match self.park_nested(
-                        &request, holds_lock, reentrant, target, method, args, policy, then,
+                        &request, holds_lock, reentrant, target, method, args, policy, then, outbox,
                     ) {
                         None => return,
                         Some(next) => {
@@ -1915,7 +2099,8 @@ impl ComponentCore {
                             continue;
                         }
                     },
-                    other => other,
+                    // Outbox → state flush → completion, never state first.
+                    other => self.flush_outbox(&request.target, outbox, other),
                 };
                 // Flush-before-respond: the invocation's buffered state
                 // writes become durable (one pipelined round trip) before
@@ -2086,7 +2271,8 @@ impl ComponentCore {
     }
 
     fn make_instance(
-        self: &Arc<Self>,
+        &self,
+        ctx: &mut ActorContext<'_>,
         request: &RequestMessage,
     ) -> KarResult<Box<dyn crate::actor::Actor>> {
         let factory = self
@@ -2100,12 +2286,25 @@ impl ComponentCore {
                 ))
             })?;
         let mut instance = factory();
-        let mut ctx = ActorContext::new(self, request, request.target.clone());
-        instance.activate(&mut ctx)?;
+        instance.activate(ctx)?;
         Ok(instance)
     }
 
-    fn execute(self: &Arc<Self>, request: &RequestMessage, reentrant: bool) -> KarResult<Outcome> {
+    /// Runs `request`'s handler — activating the actor first if it has no
+    /// instance — under one context, so whatever `activate` and `invoke`
+    /// told leaves in one outbox.
+    fn execute(self: &Arc<Self>, request: &RequestMessage, reentrant: bool) -> Attempt {
+        let mut ctx = ActorContext::new(self, request, request.target.clone());
+        let result = self.run_handler(&mut ctx, request, reentrant);
+        Attempt::finished(ctx, result)
+    }
+
+    fn run_handler(
+        &self,
+        ctx: &mut ActorContext<'_>,
+        request: &RequestMessage,
+        reentrant: bool,
+    ) -> KarResult<Outcome> {
         if !self.is_alive() {
             return Err(KarError::Killed { component: self.id });
         }
@@ -2113,7 +2312,7 @@ impl ComponentCore {
         // cached instance is checked out by the suspended ancestor frame);
         // durable state is shared through the persistence API.
         let mut instance = if reentrant {
-            self.make_instance(request)?
+            self.make_instance(ctx, request)?
         } else {
             let taken = {
                 let mut actors = self.actors.lock();
@@ -2123,13 +2322,10 @@ impl ComponentCore {
             };
             match taken {
                 Some(instance) => instance,
-                None => self.make_instance(request)?,
+                None => self.make_instance(ctx, request)?,
             }
         };
-        let result = {
-            let mut ctx = ActorContext::new(self, request, request.target.clone());
-            instance.invoke(&mut ctx, &request.method, &request.args)
-        };
+        let result = instance.invoke(ctx, &request.method, &request.args);
         if !reentrant && self.is_alive() {
             let mut actors = self.actors.lock();
             if let Some(slot) = actors.get_mut(&request.target) {
@@ -2142,8 +2338,11 @@ impl ComponentCore {
     fn finish(&self, request: &RequestMessage) {
         self.completed.lock().insert(request.id);
         self.inflight.lock().remove(&request.id);
-        if !request.kind.expects_response() {
-            // A finished tell leaves no completion record to wait for.
+        if !Self::awaits_response(request) {
+            // A finished tell (or tell-rooted tail-call chain) leaves no
+            // completion record to wait for. Its outbox round has been
+            // acknowledged by now — the flush precedes every completion —
+            // so the record is never trimmed ahead of the tells it produced.
             self.settle.settle_now(request.id);
         }
     }
@@ -2732,6 +2931,10 @@ impl ComponentCore {
             self.wakeup.notify();
         }
         self.sweep_orphan_responses(now);
+        // Response runs whose flush ran out of transient replays.
+        if let Some(responses) = &self.responses {
+            responses.retry_stalled(&self.producer, &self.topic, &self.settle);
+        }
         self.sweep_retirement();
         self.sweep_passivation(now);
         // Survivors stop trimming while the leader catalogues the logs.
@@ -3189,11 +3392,15 @@ impl ComponentCore {
         self.continuations.parked_total()
     }
 
-    /// `(requests enqueued, batch appends performed)` by the request
-    /// batcher; `(0, 0)` when `MeshConfig::request_batching` is off. The
-    /// ratio is the per-destination amortization of the request leg.
+    /// `(requests sent, rounds acknowledged)` on this component's request
+    /// leg. The ratio is its amortization: an invocation's outbox sends all
+    /// its tells in one round.
     pub fn request_batch_stats(&self) -> (u64, u64) {
-        self.requests.as_ref().map_or((0, 0), RequestBatcher::stats)
+        let stats = &self.round_stats;
+        (
+            stats.requests.load(Ordering::Relaxed),
+            stats.rounds.load(Ordering::Relaxed),
+        )
     }
 
     /// The adopted partitions this component has retired so far, in

@@ -101,12 +101,6 @@ pub struct MeshConfig {
     /// reactors. `0` (the default) sizes the pool from the machine's
     /// available parallelism. Clamped to at least 1.
     pub reactor_threads: usize,
-    /// Enable per-destination request batching (the request-leg mirror of
-    /// `response_batching`): concurrent requests towards one destination
-    /// component are flushed as a single keyed batch append, sharing one
-    /// durable-ack latency while each record still hashes to its actor's
-    /// home partition. Disable to restore one append per request.
-    pub request_batching: bool,
     /// Enable per-destination response batching (group commit on the
     /// delivery plane): invocation completions — and tail-call continuations
     /// to the sending actor's own partition — are buffered per destination
@@ -260,7 +254,6 @@ impl Default for MeshConfig {
             consumers_per_component: 0,
             client_partitions: 0,
             reactor_threads: 0,
-            request_batching: true,
             response_batching: true,
             partition_retirement: true,
             coarse_broker_lock: false,
@@ -304,14 +297,12 @@ impl MeshConfig {
     /// `sim_seed` armed. The mesh spawns zero threads; the calling thread
     /// owns a seeded [`kar_types::SimScheduler`] and drives every lane
     /// (reactor pumps, timer sweeps, the broker coordinator, the recovery
-    /// manager) from one SplitMix64 stream over a virtual clock. Request
-    /// and response batching are disabled: their flush heuristics park on
-    /// real condvars, and in simulation nothing else runs while the driver
-    /// blocks.
+    /// manager) from one SplitMix64 stream over a virtual clock. Response
+    /// batching is disabled: its flush heuristics park on real condvars,
+    /// and in simulation nothing else runs while the driver blocks.
     pub fn deterministic(seed: u64) -> Self {
         MeshConfig {
             sim_seed: Some(seed),
-            request_batching: false,
             response_batching: false,
             reactor_threads: 1,
             ..MeshConfig::for_tests()
@@ -470,14 +461,6 @@ impl MeshConfig {
         } else {
             self.reactor_threads
         }
-    }
-
-    /// Enables or disables per-destination request batching (the request-leg
-    /// mirror of `with_response_batching`).
-    #[must_use]
-    pub fn with_request_batching(mut self, enabled: bool) -> Self {
-        self.request_batching = enabled;
-        self
     }
 
     /// Enables or disables per-destination response batching (the
@@ -829,18 +812,14 @@ mod tests {
     }
 
     #[test]
-    fn reactor_and_request_batching_knobs() {
+    fn reactor_thread_knob() {
         let c = MeshConfig::default();
         assert_eq!(c.reactor_threads, 0);
-        assert!(c.request_batching);
         // Auto sizing is machine-dependent but always in [2, 8].
         let auto = c.effective_reactor_threads();
         assert!((2..=8).contains(&auto));
-        let fixed = MeshConfig::for_tests()
-            .with_reactor_threads(3)
-            .with_request_batching(false);
+        let fixed = MeshConfig::for_tests().with_reactor_threads(3);
         assert_eq!(fixed.effective_reactor_threads(), 3);
-        assert!(!fixed.request_batching);
         // An explicit knob wins even above the auto cap.
         assert_eq!(
             MeshConfig::for_tests()

@@ -1,12 +1,67 @@
-//! The invocation context handed to actor methods.
+//! The invocation context handed to actor methods, and the invocation
+//! **outbox** it owns.
+//!
+//! # The outbox
+//!
+//! [`ActorContext::tell`] does not touch the queue: it builds the request
+//! and pushes it onto a buffer owned by the context of the invocation that
+//! issued it (not a thread-local — a blocked handler's thread pumps *other*
+//! invocations, each with its own context). The runtime flushes the buffer
+//! as **one produce round** — one sidecar hop, placement resolved per
+//! target, records grouped per destination partition in program order, one
+//! durable ack for every partition touched — at the handler's next blocking
+//! runtime call and when it returns. Invariants:
+//!
+//! 1. **Order is outbox → state flush → completion, never state first.**
+//!    `if !state.get("done") { ctx.tell(..); state.set("done") }` stays
+//!    at-least-once: a failure after the round and before the state flush
+//!    re-executes and re-tells; flushing state first would lose the tell.
+//!    (With the actor-state cache off a state write is durable at once, so
+//!    the write itself flushes the outbox first.)
+//! 2. **Program order is preserved per destination partition** (per-caller
+//!    FIFO), and a tell issued before a nested call is durable no later than
+//!    that call's request, which rides the same round *behind* the tells.
+//! 3. **A failed round completes nothing.** A round is all-or-nothing; if it
+//!    fails because the component was killed or fenced the invocation takes
+//!    the no-completion arm (the queue copy of its request drives the
+//!    retry), and any other failure replaces an `Ok` result and goes through
+//!    retry orchestration like an error the handler returned — and the
+//!    state writes the handler buffered *behind* the lost tells are rolled
+//!    back first (a write made while tells are pending takes a savepoint of
+//!    the actor's buffered writes; with the cache off such a write flushes
+//!    the outbox itself and fails with it), so the retry finds the guard of
+//!    invariant 1 unset and tells again. An attempt
+//!    that is killed mid-run publishes none of its tells. A `tell`-kind
+//!    request's own record settles only after its outbox round is
+//!    acknowledged, so it is never trimmed ahead of the tells it produced.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kar_types::{ActorRef, ComponentId, KarResult, RequestId, RequestMessage, RetryPolicy, Value};
+use kar_types::{
+    ActorRef, ComponentId, KarError, KarResult, RequestId, RequestMessage, RetryPolicy, Value,
+};
 
 use crate::actor::Outcome;
 use crate::component::ComponentCore;
+use crate::state_cache::Savepoint;
+
+/// The outbox of one invocation (see the module docs).
+#[derive(Default)]
+pub(crate) struct Outbox {
+    /// Tells issued so far and not yet handed to the queue, in program order.
+    pub(crate) tells: Vec<RequestMessage>,
+    /// Set when a round flushed mid-handler failed: the tells it carried
+    /// are gone, so whatever the handler goes on to return, the invocation
+    /// must not complete as `Ok`.
+    pub(crate) failed: Option<KarError>,
+    /// The actor's buffered state writes as they stood at the first write
+    /// made while `tells` was non-empty (or `failed` set): what a failed
+    /// round rolls them back to. Dropped when a round carrying the tells is
+    /// acknowledged. Always `None` with the actor-state cache off.
+    pub(crate) guarded: Option<Savepoint>,
+}
 
 /// The context of one actor method invocation.
 ///
@@ -17,6 +72,7 @@ pub struct ActorContext<'a> {
     core: &'a Arc<ComponentCore>,
     request: &'a RequestMessage,
     self_ref: ActorRef,
+    outbox: RefCell<Outbox>,
 }
 
 impl<'a> ActorContext<'a> {
@@ -29,7 +85,24 @@ impl<'a> ActorContext<'a> {
             core,
             request,
             self_ref,
+            // An empty outbox owns no allocation: a handler that tells
+            // nobody pays nothing for it.
+            outbox: RefCell::default(),
         }
+    }
+
+    /// Ends the handler's use of this context, handing what is left in its
+    /// outbox to the runtime.
+    pub(crate) fn into_outbox(self) -> Outbox {
+        self.outbox.into_inner()
+    }
+
+    /// Marks this invocation's outbox as failed (see [`Outbox::failed`]),
+    /// carrying over the savepoint of the context the failed round left.
+    pub(crate) fn fail_outbox(&self, error: KarError, guarded: Option<Savepoint>) {
+        let mut outbox = self.outbox.borrow_mut();
+        outbox.failed = Some(error);
+        outbox.guarded = guarded;
     }
 
     /// A reference to the actor instance executing the current method.
@@ -74,8 +147,7 @@ impl<'a> ActorContext<'a> {
     /// errors (`Killed`, `Fenced`, `Timeout`) indicate the invocation was
     /// interrupted; retry orchestration takes over.
     pub fn call(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<Value> {
-        self.core
-            .nested_call(self.request, &self.self_ref, target, method, args, None)
+        self.blocking_call(target, method, args, None)
     }
 
     /// [`ActorContext::call`] with an explicit [`RetryPolicy`]: failed
@@ -90,26 +162,62 @@ impl<'a> ActorContext<'a> {
         args: Vec<Value>,
         policy: RetryPolicy,
     ) -> KarResult<Value> {
+        self.blocking_call(target, method, args, Some(policy))
+    }
+
+    fn blocking_call(
+        &self,
+        target: &ActorRef,
+        method: &str,
+        args: Vec<Value>,
+        policy: Option<RetryPolicy>,
+    ) -> KarResult<Value> {
+        // The handler is suspended inside this call, so nothing else uses
+        // its outbox meanwhile: invocations pumped on this thread while it
+        // waits run under contexts of their own.
+        let mut outbox = self.outbox.borrow_mut();
         self.core.nested_call(
             self.request,
             &self.self_ref,
             target,
             method,
             args,
-            Some(policy),
+            policy,
+            &mut outbox,
         )
     }
 
-    /// Issues an asynchronous invocation of `target.method(args)`. The call
-    /// returns once the request has been durably enqueued; errors raised by
-    /// the callee are logged and discarded (§2).
+    /// Issues an asynchronous invocation of `target.method(args)`; errors
+    /// raised by the callee are logged and discarded (§2).
+    ///
+    /// The request goes onto this invocation's **outbox** and `tell` returns
+    /// at once. It is **durably enqueued no later than this handler's next
+    /// blocking runtime call or its return** — [`ActorContext::call`] (the
+    /// tells ride the same produce round, ahead of the nested request), a
+    /// parked [`ActorContext::call_then`], a state write when the
+    /// actor-state cache is off, or the end of the handler (for `Ok` and
+    /// application `Err` alike) — and always *before* the handler's buffered
+    /// state writes are flushed and before its completion is sent, so a
+    /// caller that observes this invocation's result, and the invocation's
+    /// own persisted state, never run ahead of its tells (§2, guarantee 3).
+    /// All tells pending at such a point leave in one round: one sidecar
+    /// hop and one durable ack however many actors, partitions or
+    /// components they target, in program order per destination partition.
+    ///
+    /// If the round cannot be made durable the invocation does not complete
+    /// as `Ok`: the state writes made after the lost tells are discarded,
+    /// and it is retried like any failed invocation, re-issuing its tells
+    /// under fresh request ids. An attempt killed mid-handler
+    /// publishes none of its tells. (`Client::tell`, issued outside any
+    /// invocation, is still durable when it returns.)
     ///
     /// # Errors
     ///
-    /// Fails if the request could not be enqueued (for example because this
-    /// component has been fenced).
+    /// Fails only if this component has already been killed.
     pub fn tell(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<()> {
-        self.core.nested_tell(self.request, target, method, args)
+        let message = self.core.tell_message(target, method, args)?;
+        self.outbox.borrow_mut().tells.push(message);
+        Ok(())
     }
 
     /// Builds a parked nested call: `target.method(args)` is issued when the
@@ -172,6 +280,7 @@ impl<'a> ActorContext<'a> {
         ActorState {
             core: self.core,
             key: state_key(&self.self_ref),
+            outbox: &self.outbox,
         }
     }
 }
@@ -199,10 +308,15 @@ pub(crate) fn state_key(actor: &ActorRef) -> String {
 /// by the time a caller observes a completion, the state it acknowledged is
 /// durable — a component killed between the flush and the response simply
 /// triggers the retry orchestration, exactly as before. With the cache
-/// disabled, every call below is one store command.
+/// disabled, every call below is one store command — durable at once, so a
+/// write first makes the tells this invocation issued before it durable
+/// (outbox → state, never state first).
 pub struct ActorState<'a> {
     core: &'a Arc<ComponentCore>,
     key: String,
+    /// The invocation's outbox: a write must not become durable ahead of
+    /// the tells issued before it.
+    outbox: &'a RefCell<Outbox>,
 }
 
 impl ActorState<'_> {
@@ -224,6 +338,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn set(&self, field: &str, value: Value) -> KarResult<Option<Value>> {
+        self.core.order_write_after_outbox(self.outbox, &self.key)?;
         self.core.state_set(&self.key, field, value)
     }
 
@@ -234,6 +349,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn set_multi(&self, entries: impl IntoIterator<Item = (String, Value)>) -> KarResult<()> {
+        self.core.order_write_after_outbox(self.outbox, &self.key)?;
         self.core.state_set_multi(&self.key, entries)
     }
 
@@ -244,6 +360,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn remove(&self, field: &str) -> KarResult<Option<Value>> {
+        self.core.order_write_after_outbox(self.outbox, &self.key)?;
         self.core.state_remove(&self.key, field)
     }
 
@@ -266,6 +383,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn clear(&self) -> KarResult<bool> {
+        self.core.order_write_after_outbox(self.outbox, &self.key)?;
         self.core.state_clear(&self.key)
     }
 }

@@ -810,8 +810,8 @@ impl Mesh {
             .map(|core| core.continuation_parks())
     }
 
-    /// `(requests enqueued, batch appends performed)` by one component's
-    /// request batcher (`(0, 0)` with `request_batching` off).
+    /// `(requests sent, produce rounds acknowledged)` on one component's
+    /// request leg.
     pub fn request_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
         self.inner
             .components

@@ -127,6 +127,14 @@ impl CachedState {
     }
 }
 
+/// One actor's buffered writes at the instant [`StateCache::savepoint`] was
+/// called.
+#[derive(Debug)]
+pub(crate) struct Savepoint {
+    dirty: BTreeMap<String, Option<Value>>,
+    cleared: bool,
+}
+
 /// The per-component map of cached actor states, keyed by state-hash key.
 #[derive(Debug)]
 pub(crate) struct StateCache {
@@ -380,6 +388,31 @@ impl StateCache {
             }
         }
         Ok(())
+    }
+
+    /// Captures the buffered (not yet durable) writes of `key` as they stand
+    /// now, for [`StateCache::rollback`]. Cheap when nothing is buffered.
+    pub(crate) fn savepoint(&self, key: &str) -> Savepoint {
+        let entry = self.entry(key);
+        let state = entry.lock();
+        Savepoint {
+            dirty: state.dirty.clone(),
+            cleared: state.cleared,
+        }
+    }
+
+    /// Puts the buffered writes of `key` back to `savepoint`, un-writing
+    /// whatever was buffered since. Nothing was flushed in between (the
+    /// caller is the invocation holding the actor), so the durable image is
+    /// untouched. A no-op if the entry is gone (the component was killed or
+    /// fenced: its buffered writes died with it).
+    pub(crate) fn rollback(&self, key: &str, savepoint: Savepoint) {
+        let Some(entry) = self.entries.lock().get(key).cloned() else {
+            return;
+        };
+        let mut state = entry.lock();
+        state.dirty = savepoint.dirty;
+        state.cleared = savepoint.cleared;
     }
 
     /// Drops one actor's entry for passivation, but only if it is safe:
@@ -644,6 +677,29 @@ mod tests {
         assert_eq!(cache.len(), 0, "flushed entries are clean again");
         cache.set(&conn, "dirty", "x", Value::from(1)).unwrap();
         cache.invalidate_all();
+        assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn rollback_unwrites_what_was_buffered_since_the_savepoint() {
+        let (store, conn, cache) = setup();
+        cache.set(&conn, "a", "kept", Value::from(1)).unwrap();
+        let savepoint = cache.savepoint("a");
+        cache.set(&conn, "a", "kept", Value::from(2)).unwrap();
+        cache.set(&conn, "a", "done", Value::from(true)).unwrap();
+        cache.clear_hash(&conn, "a").unwrap();
+        cache.rollback("a", savepoint);
+        assert_eq!(cache.get(&conn, "a", "kept").unwrap(), Some(Value::from(1)));
+        assert_eq!(cache.get(&conn, "a", "done").unwrap(), None);
+        cache.flush(&conn, "a").unwrap();
+        let durable = store.admin_hgetall("a");
+        assert_eq!(durable.len(), 1, "only the write before the savepoint");
+        assert_eq!(durable["kept"], Value::from(1));
+
+        // An entry dropped meanwhile (kill, fence) stays dropped.
+        let savepoint = cache.savepoint("a");
+        cache.invalidate_all();
+        cache.rollback("a", savepoint);
         assert_eq!(cache.len(), 0);
     }
 
