@@ -125,7 +125,7 @@ pub fn measure_kafka_only(profile: DeploymentProfile, config: &LatencyConfig) ->
             .consumer(server_id, "ping", 0)
             .expect("partition 0");
         loop {
-            match consumer.poll(16) {
+            match consumer.poll_wait(16, Duration::from_secs(1)) {
                 Ok(records) => {
                     for record in records {
                         if record.payload.as_str() == Some("__stop__") {
@@ -144,12 +144,11 @@ pub fn measure_kafka_only(profile: DeploymentProfile, config: &LatencyConfig) ->
     for _ in 0..config.iterations {
         let started = Instant::now();
         producer.send("ping", 0, payload(config)).expect("send");
-        loop {
-            let records = consumer.poll(16).expect("poll");
-            if !records.is_empty() {
-                break;
-            }
-        }
+        while consumer
+            .poll_wait(16, Duration::from_secs(1))
+            .expect("poll")
+            .is_empty()
+        {}
         samples.push(started.elapsed());
     }
     producer

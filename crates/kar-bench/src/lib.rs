@@ -16,20 +16,10 @@
 //!   sharded parallel dispatcher: throughput and p50/p99 latency as a
 //!   function of `dispatch_workers` (the `bench_messaging` binary emits
 //!   `BENCH_messaging.json` from it).
-//! * [`lock_granularity`] — the message-plane lock-granularity harness:
-//!   contended producers against coarse vs per-partition broker locks
-//!   (single and batched appends) and a skewed-actor workload with dispatch
-//!   work stealing off/on (the `bench_lock_granularity` binary emits
-//!   `BENCH_lock_granularity.json`, and its `--smoke` mode runs in CI).
 //! * [`partitions`] — the partition-scaling harness: call throughput of one
 //!   component as its home-partition count grows from 1 to 8 under a
 //!   durable-ack-bound workload (the `bench_partitions` binary emits
 //!   `BENCH_partitions.json`, and its `--smoke` mode runs in CI).
-//! * [`store`] — the state-plane harness: contended mixed get/set/cas
-//!   against coarse vs sharded store locks (per-command and pipelined) and
-//!   an actor state-flush workload measuring store round trips per
-//!   invocation with the actor-state cache off/on (the `bench_store` binary
-//!   emits `BENCH_store.json`, and its `--smoke` mode runs in CI).
 //! * [`topology`] — the topology-scaling harness for the event-driven
 //!   invocation core: call throughput and resident reactor-thread count as
 //!   the mesh grows from a 1× to a 100× topology under a fixed reactor pool
@@ -69,13 +59,11 @@ pub mod delivery;
 pub mod fault;
 pub mod grayfault;
 pub mod latency;
-pub mod lock_granularity;
 pub mod partitions;
 pub mod passivation;
 pub mod report;
 pub mod retry;
 pub mod sim;
-pub mod store;
 pub mod throughput;
 pub mod topology;
 
@@ -83,12 +71,10 @@ pub use delivery::{DeliveryConfig, DeliveryReport, WakeupConfig, WakeupReport};
 pub use fault::{FailureSample, FaultConfig, FaultReport};
 pub use grayfault::{GrayFaultConfig, GrayFaultReport};
 pub use latency::{LatencyConfig, LatencyRow};
-pub use lock_granularity::{ContendedConfig, ContendedReport, SkewedConfig, SkewedReport};
 pub use partitions::{PartitionReport, PartitionSweepConfig};
 pub use passivation::{PassivationBenchConfig, PassivationBenchReport};
 pub use report::Summary;
 pub use retry::{RetryBenchConfig, RetryBenchReport};
 pub use sim::{run_scenario, SimOutcome, SCENARIOS};
-pub use store::{ContendedStoreConfig, ContendedStoreReport, StateFlushConfig, StateFlushReport};
 pub use throughput::{ThroughputConfig, ThroughputReport};
 pub use topology::{TopologyReport, TopologyScale, TopologyScaleConfig};

@@ -27,14 +27,27 @@
 //!   ascending partition index — the only place two partition locks are
 //!   ever held together, so rounds cannot deadlock each other.
 //!
-//! The durable-append latency (`BrokerConfig::append_latency`) is modelled
-//! *while holding the partition log lock*: a partition acknowledges appends
-//! in sequence (as a real replicated log does), so two producers hitting the
-//! same partition serialize their acks, while producers on different
-//! partitions overlap them. `BrokerConfig::coarse_global_lock` restores the
-//! pre-overhaul behavior of one global lock around every append/fetch — it
-//! exists solely so benchmarks can quantify the win of per-partition locking
-//! on the same code base.
+//! # Modelled latency is a completion
+//!
+//! The broker never sleeps and owns no timer: it is passive. An append is
+//! **applied when it is submitted** and returns a [`Completion`] naming the
+//! instant its durable acknowledgement fires — `max(now, partition
+//! busy-until) + BrokerConfig::append_latency`, so a partition acknowledges
+//! strictly in append order (as a real replicated log does), back-to-back
+//! appends one latency apart, while distinct partitions overlap. A
+//! multi-partition round is one acknowledgement: it fires one latency after
+//! the *latest* busy-until among the partitions it touches and keeps all of
+//! them busy until then. A record becomes **readable** at its
+//! acknowledgement plus `BrokerConfig::deliver_latency`; visibility is
+//! evaluated lazily whenever a consumer reads, and [`Consumer::ready`] /
+//! [`Consumer::next_visible_at`] let a sweeper learn when to come back
+//! without polling. Fault gates and fencing are consulted at submit, before
+//! anything is appended; an injected latency spike delays the submit, an
+//! injected ack loss is learnt at the acknowledgement instant like any other
+//! outcome. The blocking calls ([`Producer::send`], [`Producer::send_batch`],
+//! [`Producer::send_round`], [`Consumer::poll_wait`]) are the same code
+//! followed by a wait for that instant — what an edge thread wants; a
+//! reactor parks on the instant instead and overlaps unrelated work.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -47,8 +60,8 @@ use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::{Mutex, RwLock};
 
 use kar_types::{
-    ComponentId, Epoch, FaultDecision, FaultPlane, FaultSite, KarError, KarResult, WaitSignal,
-    WaitSignalGroup,
+    Completion, ComponentId, Epoch, FaultDecision, FaultGate, FaultPlane, FaultSite, KarError,
+    KarResult, WaitSignal, WaitSignalGroup,
 };
 
 use crate::config::BrokerConfig;
@@ -63,6 +76,13 @@ const TOPIC_INDEX_SHARDS: usize = 16;
 
 /// Number of shards of the fencing-epoch table.
 const EPOCH_SHARDS: usize = 16;
+
+/// What a produce round's acknowledgement carries: the `(partition, offset
+/// range)` of every group, in the order given.
+pub type RoundRanges = Vec<(usize, Range<u64>)>;
+
+/// [`Partition::next_visible`] when no record is waiting to become visible.
+const NOTHING_PENDING: u64 = u64::MAX;
 
 fn shard_of<T: Hash + ?Sized>(key: &T, shards: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -102,11 +122,16 @@ impl<M> Clone for Broker<M> {
 struct Partition<M> {
     log: Mutex<PartitionLog<M>>,
     signal: WaitSignal,
-    /// Mirror of the log's end offset, updated under the log lock after
-    /// every append. Lets [`Consumer::ready`] answer "is there anything to
-    /// read?" with one atomic load — no log lock, no delivery latency — so a
-    /// reactor can cheaply sweep hundreds of partitions per wakeup.
+    /// Mirror of the log's *visible* end offset, updated under the log lock
+    /// whenever it moves. Lets [`Consumer::ready`] answer "is there anything
+    /// to read?" with one atomic load — no log lock — so a reactor can
+    /// cheaply sweep hundreds of partitions per wakeup.
     end: AtomicU64,
+    /// Mirror of the instant (broker clock, nanoseconds) the oldest
+    /// not-yet-visible record becomes readable; [`NOTHING_PENDING`] when
+    /// every record is. With no modelled latency it never holds anything
+    /// else, and no reader ever looks at the clock.
+    next_visible: AtomicU64,
     /// Mirror of the log's start offset (the low watermark), updated under
     /// the log lock whenever expiry, a trim or a truncation drops records.
     /// Lets [`Broker::log_start`] answer with one atomic load.
@@ -132,6 +157,7 @@ impl<M> Default for Partition<M> {
             log: Mutex::new(PartitionLog::default()),
             signal: WaitSignal::new(),
             end: AtomicU64::new(0),
+            next_visible: AtomicU64::new(NOTHING_PENDING),
             start: AtomicU64::new(0),
             owner_epoch: AtomicU64::new(0),
             watchers: RwLock::new(Vec::new()),
@@ -154,7 +180,12 @@ impl<M> Partition<M> {
     /// Publishes `log`'s watermarks to their lock-free mirrors. Called with
     /// the log lock held, after every mutation.
     fn publish(&self, log: &PartitionLog<M>) {
-        self.end.store(log.end_offset(), Ordering::Release);
+        self.end.store(log.visible_end(), Ordering::Release);
+        self.next_visible.store(
+            log.next_visible_at()
+                .map_or(NOTHING_PENDING, |at| at.as_nanos() as u64),
+            Ordering::Release,
+        );
         self.start.store(log.start_offset(), Ordering::Release);
     }
 
@@ -208,10 +239,10 @@ struct BrokerInner<M> {
     assignments: RwLock<HashMap<String, HashMap<ComponentId, PartitionSet>>>,
     groups: Mutex<HashMap<String, Group>>,
     shutdown: AtomicBool,
-    /// Ablation: when `BrokerConfig::coarse_global_lock` is set, this mutex
-    /// is taken around every append and fetch, restoring the pre-overhaul
-    /// global serialization for before/after benchmarks.
-    coarse: Option<Mutex<()>>,
+    /// Broker time of the previous [`Broker::tick`]: a tick that finds it
+    /// more than two coordinator intervals old knows the process was not
+    /// running in between, and must not read silence as failure.
+    last_tick: Mutex<Option<Duration>>,
 }
 
 impl<M: Clone + Send + Sync + 'static> Default for Broker<M> {
@@ -223,7 +254,6 @@ impl<M: Clone + Send + Sync + 'static> Default for Broker<M> {
 impl<M: Clone + Send + Sync + 'static> Broker<M> {
     /// Creates a broker with the given configuration.
     pub fn new(config: BrokerConfig) -> Self {
-        let coarse = config.coarse_global_lock.then(|| Mutex::new(()));
         Broker {
             inner: Arc::new(BrokerInner {
                 config,
@@ -237,7 +267,7 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
                 assignments: RwLock::new(HashMap::new()),
                 groups: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
-                coarse,
+                last_tick: Mutex::new(None),
             }),
         }
     }
@@ -458,25 +488,37 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
     }
 
     /// Consults the fault injector (if any) for one append at `site` on
-    /// partition `lane`. `Ok(true)` means: append the record(s) fully — wake
-    /// consumers and all — then report failure anyway (ack-lost). Latency
-    /// decisions sleep here, outside the log lock. With no injector this is
-    /// one `Option` check.
-    fn fault_gate(&self, site: FaultSite, lane: usize) -> KarResult<bool> {
+    /// partition `lane`, before anything is appended. An ack-lost decision
+    /// means: append the record(s) fully — wake consumers and all — then
+    /// report failure anyway; a latency decision holds the submit back by
+    /// that long (it reaches the partition later, so it is acknowledged
+    /// later). With no injector this is one `Option` check.
+    fn fault_gate(&self, site: FaultSite, lane: usize) -> KarResult<FaultGate> {
         let Some(injector) = &self.inner.config.faults else {
-            return Ok(false);
+            return Ok(FaultGate::default());
         };
-        match injector.decide(site, FaultPlane::Broker, lane as u64) {
-            None => Ok(false),
-            Some(FaultDecision::Transient) => Err(KarError::Queue(format!(
-                "injected transient fault at {}",
-                site.name()
-            ))),
-            Some(FaultDecision::AckLost) => Ok(true),
-            Some(FaultDecision::Latency(extra)) => {
-                kar_types::pace_sleep(extra);
-                Ok(false)
-            }
+        FaultGate::of(injector.decide(site, FaultPlane::Broker, lane as u64))
+            .ok_or_else(|| KarError::Queue(format!("injected transient fault at {}", site.name())))
+    }
+
+    /// The completion of an append submitted at `now` and acknowledged at
+    /// `acked` (both broker clock): due then — or with the submit, when no
+    /// latency applied — and carrying `value`, unless the gate lost the ack.
+    fn completion<T>(
+        &self,
+        now: Duration,
+        acked: Duration,
+        gate: FaultGate,
+        site: FaultSite,
+        value: T,
+    ) -> Completion<T> {
+        Completion {
+            due: (acked > now).then(|| self.inner.origin + acked),
+            result: if gate.ack_lost {
+                Err(Self::ack_lost_error(site))
+            } else {
+                Ok(value)
+            },
         }
     }
 
@@ -541,6 +583,7 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             partition_epoch,
             position: Mutex::new(offset),
             position_hint: AtomicU64::new(offset),
+            stalled_until: AtomicU64::new(0),
         })
     }
 
@@ -551,37 +594,32 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         topic: &str,
         partition: usize,
         payload: M,
-    ) -> KarResult<u64> {
+    ) -> KarResult<Completion<u64>> {
         self.check_epoch(component, epoch)?;
-        let ack_lost = self.fault_gate(FaultSite::BrokerAppend, partition)?;
+        let gate = self.fault_gate(FaultSite::BrokerAppend, partition)?;
         let part = self.lookup_partition(topic, partition)?;
-        let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
+        let config = &self.inner.config;
         let now = self.now();
         // Expired records are freed after the partition lock is released.
-        let (offset, expired) = part.with_log(|log| {
-            // The durable-ack latency is paid while holding the partition
-            // log lock: a partition acknowledges its appends in sequence,
-            // while appends to other partitions overlap freely.
-            kar_types::pace_sleep(self.inner.config.append_latency);
-            let offset = log.append(now, payload);
-            (offset, self.expire(log, now))
+        let (offset, acked, expired) = part.with_log(|log| {
+            // Applied at once; acknowledged in the partition's turn.
+            let acked = log.acknowledge(now + gate.delay, config.append_latency);
+            let offset = log.append(now, acked + config.deliver_latency, payload);
+            (offset, acked, self.expire(log, now))
         });
         drop(expired);
         part.notify();
-        if ack_lost {
-            return Err(Self::ack_lost_error(FaultSite::BrokerAppend));
-        }
-        Ok(offset)
+        Ok(self.completion(now, acked, gate, FaultSite::BrokerAppend, offset))
     }
 
-    /// Appends one produce round (the body of [`Producer::send_round`]).
+    /// Appends one produce round (the body of [`Producer::submit_round`]).
     fn append_round(
         &self,
         component: ComponentId,
         epoch: Epoch,
         topic: &str,
         mut groups: Vec<(usize, Vec<M>)>,
-    ) -> KarResult<Vec<(usize, Range<u64>)>> {
+    ) -> KarResult<Completion<RoundRanges>> {
         self.check_epoch(component, epoch)?;
         let parts = groups
             .iter()
@@ -602,21 +640,30 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         }
         // Every gate is consulted before anything is appended: a transient
         // fault on one partition fails the round with no record anywhere.
-        let mut ack_lost = false;
+        let mut gate = FaultGate::default();
         for &group in &order {
             if !groups[group].1.is_empty() {
-                ack_lost |= self.fault_gate(FaultSite::BrokerAppend, groups[group].0)?;
+                let decided = self.fault_gate(FaultSite::BrokerAppend, groups[group].0)?;
+                gate.ack_lost |= decided.ack_lost;
+                gate.delay += decided.delay;
             }
         }
-        let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
+        let config = &self.inner.config;
         let now = self.now();
         let mut logs: Vec<_> = order.iter().map(|&group| parts[group].log.lock()).collect();
+        // One durable acknowledgement for the whole round: it queues behind
+        // the busiest partition it touches, and every touched partition
+        // stays busy until it fires — each of them still acknowledges its
+        // appends in sequence.
+        let mut acked = now;
         if groups.iter().any(|(_, payloads)| !payloads.is_empty()) {
-            // One durable-ack latency for the whole round, paid while
-            // holding every touched partition's log lock: each of them
-            // acknowledges its appends in sequence, and the round is one
-            // acknowledgement.
-            kar_types::pace_sleep(self.inner.config.append_latency);
+            let submitted = logs
+                .iter()
+                .zip(&order)
+                .filter(|(_, &group)| !groups[group].1.is_empty())
+                .map(|(log, _)| log.busy_until())
+                .fold(now + gate.delay, Duration::max);
+            acked = submitted + config.append_latency;
         }
         let mut ranges = vec![(0, 0..0); groups.len()];
         // Expired records are freed after the partition locks are released.
@@ -625,8 +672,9 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             let (partition, payloads) = (groups[group].0, std::mem::take(&mut groups[group].1));
             let first = log.end_offset();
             if !payloads.is_empty() {
+                log.acknowledge(acked, Duration::ZERO);
                 for payload in payloads {
-                    log.append(now, payload);
+                    log.append(now, acked + config.deliver_latency, payload);
                 }
                 expired.push(self.expire(log, now));
                 parts[group].publish(log);
@@ -640,12 +688,13 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
                 part.notify();
             }
         }
-        if ack_lost {
-            return Err(Self::ack_lost_error(FaultSite::BrokerAppend));
-        }
-        Ok(ranges)
+        Ok(self.completion(now, acked, gate, FaultSite::BrokerAppend, ranges))
     }
 
+    /// Reads up to `max` *visible* records of `partition` from `from_offset`
+    /// on. Visibility is brought up to date here, lazily, and only when some
+    /// record is still waiting for its instant — with no latency modelled a
+    /// fetch never looks at the clock.
     fn fetch(
         &self,
         component: ComponentId,
@@ -654,10 +703,13 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         from_offset: u64,
         max: usize,
     ) -> KarResult<Vec<Record<Arc<M>>>> {
-        kar_types::pace_sleep(self.inner.config.deliver_latency);
         self.check_epoch(component, epoch)?;
-        let _coarse = self.inner.coarse.as_ref().map(Mutex::lock);
-        Ok(partition.log.lock().read_from(from_offset, max))
+        let mut log = partition.log.lock();
+        if log.next_visible_at().is_some() {
+            log.advance_visible(self.now());
+            partition.publish(&log);
+        }
+        Ok(log.read_from(from_offset, max))
     }
 
     // ------------------------------------------------------------------
@@ -698,18 +750,34 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             .map_or(0, |part| part.log.lock().end_offset())
     }
 
+    /// One past the last record of the partition a consumer can read right
+    /// now (zero if the partition does not exist): records appended but not
+    /// yet past their delivery latency lie between this and
+    /// [`Broker::end_offset`].
+    pub fn visible_end(&self, topic: &str, partition: usize) -> u64 {
+        self.lookup_partition(topic, partition).map_or(0, |part| {
+            part.with_log(|log| {
+                log.advance_visible(self.now());
+                log.visible_end()
+            })
+        })
+    }
+
+    /// Broker time at which the partition's last durable acknowledgement
+    /// fires (zero if it never acknowledged anything): an append submitted
+    /// before then is acknowledged one append latency after it.
+    pub fn busy_until(&self, topic: &str, partition: usize) -> Duration {
+        self.lookup_partition(topic, partition)
+            .map_or(Duration::ZERO, |part| part.log.lock().busy_until())
+    }
+
     /// Appends a record on behalf of the runtime itself (reconciliation),
-    /// bypassing component fencing.
+    /// bypassing component fencing. Administrative appends model no durable
+    /// ack and no delivery latency: the record is readable at once (behind
+    /// any record still waiting for its instant).
     pub fn admin_append(&self, topic: &str, partition: usize, payload: M) -> KarResult<u64> {
-        let ack_lost = self.fault_gate(FaultSite::BrokerAdminAppend, partition)?;
-        let part = self.lookup_partition(topic, partition)?;
-        let now = self.now();
-        let offset = part.with_log(|log| log.append(now, payload));
-        part.notify();
-        if ack_lost {
-            return Err(Self::ack_lost_error(FaultSite::BrokerAdminAppend));
-        }
-        Ok(offset)
+        self.admin_append_batch(topic, partition, vec![payload])
+            .map(|range| range.start)
     }
 
     /// Appends a batch of records on behalf of the runtime itself
@@ -727,20 +795,19 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             let end = part.log.lock().end_offset();
             return Ok(end..end);
         }
-        let ack_lost = self.fault_gate(FaultSite::BrokerAdminAppend, partition)?;
+        let gate = self.fault_gate(FaultSite::BrokerAdminAppend, partition)?;
         let now = self.now();
+        let arrived = now + gate.delay;
         let range = part.with_log(|log| {
             let first = log.end_offset();
             for payload in payloads {
-                log.append(now, payload);
+                log.append(now, arrived, payload);
             }
             first..log.end_offset()
         });
         part.notify();
-        if ack_lost {
-            return Err(Self::ack_lost_error(FaultSite::BrokerAdminAppend));
-        }
-        Ok(range)
+        self.completion(now, arrived, gate, FaultSite::BrokerAdminAppend, range)
+            .wait()
     }
 
     /// Discards every live record of a partition (flushing the queue of a
@@ -911,18 +978,34 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
     /// drops records past retention — otherwise reconciliation could
     /// re-home a record older than every memory of its completion.
     ///
-    /// Members whose heartbeat is older than the session timeout are declared
+    /// Members whose heartbeat is older than the session timeout on **two
+    /// consecutive ticks, with no heartbeat in between**, are declared
     /// failed, **fenced** (forcefully disconnected, §4.2), and a rebalance is
-    /// scheduled after the stabilization window. Once the window elapses with
-    /// no further change the generation is bumped and a
+    /// scheduled after the stabilization window: the first stale observation
+    /// only makes a member a *suspect*, so one late heartbeat — a timer
+    /// thread the host did not schedule for a while — costs nobody its
+    /// membership, and a dead member is detected at most one coordinator
+    /// interval later than before. A tick that finds its own predecessor
+    /// more than two coordinator intervals old was itself not running (the
+    /// whole process was descheduled, heartbeat threads included): it may
+    /// name suspects but confirms nothing. Once the stabilization window
+    /// elapses with no further change the generation is bumped and a
     /// [`GroupEvent::RebalanceCompleted`] is emitted.
     pub fn tick(&self) {
         let now = self.now();
+        let stalled = self
+            .inner
+            .last_tick
+            .lock()
+            .replace(now)
+            .is_some_and(|last| {
+                now.saturating_sub(last) > 2 * self.inner.config.coordinator_interval
+            });
         let mut to_fence: Vec<ComponentId> = Vec::new();
         {
             let mut groups = self.inner.groups.lock();
             for g in groups.values_mut() {
-                let failed = g.detect_failures(now, self.inner.config.session_timeout);
+                let failed = g.detect_failures(now, self.inner.config.session_timeout, !stalled);
                 if !failed.is_empty() {
                     g.rebalance_deadline = Some(now + self.inner.config.rebalance_stabilization);
                     for component in failed {
@@ -990,7 +1073,8 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
     /// not exist.
     pub fn send(&self, topic: &str, partition: usize, payload: M) -> KarResult<u64> {
         self.broker
-            .append(self.component, self.epoch, topic, partition, payload)
+            .append(self.component, self.epoch, topic, partition, payload)?
+            .wait()
     }
 
     /// Appends `payloads` to `topic[partition]` as one batch — the
@@ -1009,8 +1093,26 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         partition: usize,
         payloads: Vec<M>,
     ) -> KarResult<Range<u64>> {
-        let mut ranges = self.send_round(topic, vec![(partition, payloads)])?;
-        Ok(ranges.pop().expect("one group in, one range out").1)
+        self.submit_batch(topic, partition, payloads)?.wait()
+    }
+
+    /// [`Producer::send_batch`] without the wait: the batch is appended when
+    /// this returns, and the returned [`Completion`] says when its durable
+    /// acknowledgement fires and what it carries.
+    ///
+    /// # Errors
+    ///
+    /// Fails at once — nothing appended — exactly where
+    /// [`Producer::submit_round`] does.
+    pub fn submit_batch(
+        &self,
+        topic: &str,
+        partition: usize,
+        payloads: Vec<M>,
+    ) -> KarResult<Completion<Range<u64>>> {
+        let Completion { due, result } = self.submit_round(topic, vec![(partition, payloads)])?;
+        let result = result.map(|mut ranges| ranges.pop().expect("one group in, one range out").1);
+        Ok(Completion { due, result })
     }
 
     /// Appends one **produce round**: one batch per partition touched,
@@ -1022,10 +1124,11 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
     /// never deadlock, whatever order their groups are listed in); the
     /// durable-ack latency is paid **once** for the whole round; every group
     /// is appended with contiguous offsets in payload order; and each
-    /// touched partition's consumers are notified. Returns the
-    /// `(partition, offset range)` of every group, in the order given. An
-    /// empty group appends nothing and reports the empty range at its
-    /// partition's end offset; a round of only empty groups pays no ack.
+    /// touched partition's consumers are notified. Returns — once the
+    /// acknowledgement has fired — the `(partition, offset range)` of every
+    /// group, in the order given. An empty group appends nothing and reports
+    /// the empty range at its partition's end offset; a round of only empty
+    /// groups pays no ack.
     ///
     /// # Errors
     ///
@@ -1039,6 +1142,30 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         topic: &str,
         groups: Vec<(usize, Vec<M>)>,
     ) -> KarResult<Vec<(usize, Range<u64>)>> {
+        self.submit_round(topic, groups)?.wait()
+    }
+
+    /// [`Producer::send_round`] without the wait — the one append path every
+    /// batch send goes through. The round is **applied when this returns**
+    /// (its records have their offsets and their consumers are notified; they
+    /// become readable one delivery latency after the acknowledgement), and
+    /// the returned [`Completion`] says when the round's single durable
+    /// acknowledgement fires: one append latency after the latest busy-until
+    /// among the partitions touched, all of which stay busy until then.
+    /// Nothing that depends on the round being durable may run before that
+    /// instant.
+    ///
+    /// # Errors
+    ///
+    /// A fenced producer, an unknown or repeated partition, or an injected
+    /// transient fault fails the submit at once with nothing appended. An
+    /// injected ack loss is not an error here: the round is appended, and
+    /// the completion's acknowledgement carries the failure.
+    pub fn submit_round(
+        &self,
+        topic: &str,
+        groups: Vec<(usize, Vec<M>)>,
+    ) -> KarResult<Completion<RoundRanges>> {
         self.broker
             .append_round(self.component, self.epoch, topic, groups)
     }
@@ -1148,6 +1275,11 @@ pub struct Consumer<M> {
     /// under its lock. Only read by [`Consumer::ready`]; a slightly stale
     /// value costs at most one spurious (or missed-until-next-notify) sweep.
     position_hint: AtomicU64,
+    /// Broker time (nanoseconds, zero = none) until which an injected
+    /// latency spike holds this consumer's next poll back: the poll that
+    /// drew the spike returns nothing, and the records are read by the
+    /// first poll at or after this instant.
+    stalled_until: AtomicU64,
 }
 
 impl<M: Clone + Send + Sync + 'static> Consumer<M> {
@@ -1168,8 +1300,10 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
         Ok(())
     }
 
-    /// Fetches up to `max` records past the consumer's current position and
-    /// advances the position past the returned records.
+    /// Fetches up to `max` *readable* records past the consumer's current
+    /// position and advances the position past the returned records. Never
+    /// waits: a record whose delivery latency has not elapsed is simply not
+    /// returned yet (see [`Consumer::next_visible_at`]).
     ///
     /// # Errors
     ///
@@ -1178,29 +1312,45 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
     pub fn poll(&self, max: usize) -> KarResult<Vec<Record<Arc<M>>>> {
         self.check_partition_epoch()?;
         // Consumer-side gray failures: a poll is a read, so `Transient`
-        // fails before fetching (nothing moves), and `AckLost` becomes
+        // fails before fetching (nothing moves), `AckLost` becomes
         // *redelivery* — records are returned but the position stays put,
         // so the next poll reads them again (Kafka's at-least-once regime;
-        // the runtime's dedup layer must absorb the duplicates).
+        // the runtime's dedup layer must absorb the duplicates) — and a
+        // latency spike holds the read back: this poll returns nothing, the
+        // first poll once the spike has passed reads (without drawing again:
+        // it is the same, delayed, read).
         let mut redeliver = false;
         if let Some(injector) = &self.broker.inner.config.faults {
-            match injector.decide(
-                FaultSite::ConsumerPoll,
-                FaultPlane::Broker,
-                self.partition as u64,
-            ) {
-                None => {}
-                Some(FaultDecision::Transient) => {
-                    return Err(KarError::Queue(
-                        "injected transient fault at consumer_poll".to_owned(),
-                    ));
+            let stalled = self.stalled_until.load(Ordering::Acquire);
+            if stalled != 0 {
+                if (self.broker.now().as_nanos() as u64) < stalled {
+                    return Ok(Vec::new());
                 }
-                Some(FaultDecision::AckLost) => redeliver = true,
-                Some(FaultDecision::Latency(extra)) => kar_types::pace_sleep(extra),
+                self.stalled_until.store(0, Ordering::Release);
+            } else {
+                match injector.decide(
+                    FaultSite::ConsumerPoll,
+                    FaultPlane::Broker,
+                    self.partition as u64,
+                ) {
+                    None => {}
+                    Some(FaultDecision::Transient) => {
+                        return Err(KarError::Queue(
+                            "injected transient fault at consumer_poll".to_owned(),
+                        ));
+                    }
+                    Some(FaultDecision::AckLost) => redeliver = true,
+                    Some(FaultDecision::Latency(extra)) => {
+                        let until = self.broker.now() + extra;
+                        self.stalled_until
+                            .store(until.as_nanos() as u64, Ordering::Release);
+                        return Ok(Vec::new());
+                    }
+                }
             }
         }
         let mut position = self.position.lock();
-        // Snapshot the end offset *before* fetching: an append racing the
+        // Snapshot the visible end *before* fetching: an append racing the
         // fetch is never skipped, while an empty fetch proves every offset
         // below the snapshot is gone (expired or truncated) and the position
         // can jump past the gap — otherwise `ready()` would report a
@@ -1226,23 +1376,57 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
         Ok(records)
     }
 
-    /// True if a poll could return something right now: the partition's end
-    /// offset has moved past this consumer's position, or the partition was
-    /// fenced (so the next poll reports [`KarError::Fenced`] and the owner
-    /// can drop the consumer). A pure atomic check — no locks, no modelled
-    /// delivery latency — so sweeping a large set of consumers is cheap.
+    /// True if a poll could return something right now: the partition's
+    /// visible end has moved past this consumer's position — or is due to,
+    /// the delivery latency of its oldest waiting record having elapsed — or
+    /// the partition was fenced (so the next poll reports
+    /// [`KarError::Fenced`] and the owner can drop the consumer). Atomic
+    /// loads only, plus one clock read while a record is waiting to become
+    /// visible — no locks — so sweeping a large set of consumers is cheap.
     pub fn ready(&self) -> bool {
-        let fenced = Epoch::from_raw(self.partition_ref.owner_epoch.load(Ordering::Acquire))
-            > self.partition_epoch;
-        fenced
-            || self.partition_ref.end.load(Ordering::Acquire)
-                > self.position_hint.load(Ordering::Acquire)
+        let part = &self.partition_ref;
+        if Epoch::from_raw(part.owner_epoch.load(Ordering::Acquire)) > self.partition_epoch {
+            return true;
+        }
+        let stalled = self.stalled_until.load(Ordering::Acquire);
+        let pending = part.next_visible.load(Ordering::Acquire);
+        let now = if stalled != 0 || pending != NOTHING_PENDING {
+            self.broker.now().as_nanos() as u64
+        } else {
+            0
+        };
+        now >= stalled
+            && (part.end.load(Ordering::Acquire) > self.position_hint.load(Ordering::Acquire)
+                || now >= pending)
+    }
+
+    /// When a consumer that is not [`ready`](Consumer::ready) will next have
+    /// something to read without a further append — on the shared
+    /// [`kar_types::mono_now`] timeline, so a sweeper can sleep until then:
+    /// the instant the oldest not-yet-visible record of the partition
+    /// becomes readable (or an injected poll latency spike ends). `None`
+    /// when nothing is waiting: only a new append — which notifies the
+    /// partition's signal and wait groups — can make the consumer ready.
+    pub fn next_visible_at(&self) -> Option<Duration> {
+        let part = &self.partition_ref;
+        let behind = part.end.load(Ordering::Acquire) > self.position_hint.load(Ordering::Acquire);
+        let pending = part.next_visible.load(Ordering::Acquire);
+        // What a later poll would return: records already visible (held back
+        // only by a stall), or the oldest waiting one once it is.
+        let readable_at = match (behind, pending) {
+            (true, _) => 0,
+            (false, NOTHING_PENDING) => return None,
+            (false, pending) => pending,
+        };
+        let at = readable_at.max(self.stalled_until.load(Ordering::Acquire));
+        (at != 0).then(|| self.broker.inner.origin + Duration::from_nanos(at))
     }
 
     /// Like [`Consumer::poll`], but parks on the partition's append signal
-    /// for up to `timeout` when no record is immediately available, instead
-    /// of returning an empty batch at once. Returns an empty batch only after
-    /// the timeout elapses with nothing to read.
+    /// for up to `timeout` when no record is immediately readable — waking
+    /// for an append, or when a waiting record's delivery latency elapses —
+    /// instead of returning an empty batch at once. Returns an empty batch
+    /// only after the timeout elapses with nothing to read.
     ///
     /// # Errors
     ///
@@ -1275,7 +1459,17 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
             if now >= deadline {
                 return Ok(records);
             }
-            self.partition_ref.signal.wait(seen, deadline - now);
+            let mut park = deadline - now;
+            if let Some(visible_at) = self.next_visible_at() {
+                if kar_types::virtual_time_active() {
+                    // A bare virtual clock with no scheduler behind it: the
+                    // wait for the record's instant *is* the passage of time.
+                    kar_types::pace_until(visible_at);
+                    continue;
+                }
+                park = park.min(visible_at.saturating_sub(kar_types::mono_now()));
+            }
+            self.partition_ref.signal.wait(seen, park);
         }
     }
 
@@ -1543,37 +1737,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_global_lock_mode_still_produces_and_consumes() {
-        let config = BrokerConfig {
-            coarse_global_lock: true,
-            ..BrokerConfig::default()
-        };
-        let broker: Broker<u32> = Broker::new(config);
-        broker.create_topic("t", 2).unwrap();
-        let producer = broker.producer(c(1));
-        producer.send("t", 0, 1).unwrap();
-        producer.send_batch("t", 1, vec![2, 3]).unwrap();
-        assert_eq!(
-            broker
-                .consumer(c(2), "t", 0)
-                .unwrap()
-                .poll(10)
-                .unwrap()
-                .len(),
-            1
-        );
-        assert_eq!(
-            broker
-                .consumer(c(2), "t", 1)
-                .unwrap()
-                .poll(10)
-                .unwrap()
-                .len(),
-            2
-        );
-    }
-
-    #[test]
     fn concurrent_appends_to_distinct_partitions_do_not_serialize() {
         // With per-partition acks, 4 threads x 25 appends at 1ms ack latency
         // overlap across partitions: well under the 100ms a serial broker
@@ -1776,7 +1939,12 @@ mod tests {
 
     #[test]
     fn group_membership_failure_detection_and_rebalance() {
-        let broker: Broker<u32> = Broker::new(BrokerConfig::fast());
+        // Ticked by hand every 10 ms below: a coordinator interval to match,
+        // or every tick would look like a stalled process's.
+        let broker: Broker<u32> = Broker::new(BrokerConfig {
+            coordinator_interval: Duration::from_millis(20),
+            ..BrokerConfig::fast()
+        });
         let events = broker.subscribe("g");
         broker.join_group("g", c(1), PartitionSet::contiguous(0, 1));
         broker.join_group("g", c(2), PartitionSet::contiguous(1, 1));
@@ -2062,8 +2230,134 @@ mod tests {
         let consumer = broker.consumer(c(1), "t", 0).unwrap();
         let t0 = Instant::now();
         producer.send("t", 0, 1).unwrap();
-        consumer.poll(1).unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(4),
+            "the ack was not waited for"
+        );
+        // Acknowledged is not yet readable: a poll never waits, and never
+        // returns a record before its delivery latency has elapsed.
+        assert!(consumer.poll(1).unwrap().is_empty());
+        assert!(!consumer.ready());
+        let records = consumer.poll_wait(1, Duration::from_secs(5)).unwrap();
+        assert_eq!(records.len(), 1);
         assert!(t0.elapsed() >= Duration::from_millis(9));
+    }
+
+    #[test]
+    fn injected_latency_spikes_delay_the_due_time_instead_of_sleeping() {
+        use kar_types::{FaultInjector, FaultPlan, FaultSpec};
+
+        let clock = Arc::new(kar_types::VirtualClock::new());
+        kar_types::install_virtual_clock(Arc::clone(&clock));
+        let (ack, spike) = (Duration::from_millis(2), Duration::from_millis(7));
+        let spec = FaultSpec::NONE.with_spike(1.0, spike).with_budget(1);
+        let plan = FaultPlan::new(7)
+            .with_site(FaultSite::BrokerAppend, spec)
+            .with_site(FaultSite::ConsumerPoll, spec);
+        let broker: Broker<u32> = Broker::new(BrokerConfig {
+            append_latency: ack,
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..BrokerConfig::default()
+        });
+        broker.create_topic("t", 1).unwrap();
+        let producer = broker.producer(c(1));
+        let consumer = broker.consumer(c(2), "t", 0).unwrap();
+        // The spiked submit reaches the partition one spike late, so its ack
+        // is due one spike late — and nobody slept for it.
+        let t = clock.now();
+        let spiked = producer.submit_batch("t", 0, vec![1]).unwrap();
+        assert_eq!(spiked.due, Some(t + spike + ack));
+        assert_eq!(clock.now(), t);
+        // Budget spent: the next append queues behind it, unspiked.
+        let next = producer.submit_batch("t", 0, vec![2]).unwrap();
+        assert_eq!(next.due, Some(t + spike + ack * 2));
+        // A spiked poll returns nothing and holds the consumer back for the
+        // spike; the poll after it is the same read, arriving late.
+        clock.advance(Duration::from_millis(20));
+        let t = clock.now();
+        assert!(consumer.ready());
+        assert!(consumer.poll(10).unwrap().is_empty());
+        assert!(!consumer.ready());
+        assert_eq!(consumer.next_visible_at(), Some(t + spike));
+        clock.advance(spike - Duration::from_nanos(1));
+        assert!(consumer.poll(10).unwrap().is_empty());
+        clock.advance(Duration::from_nanos(1));
+        assert!(consumer.ready());
+        assert_eq!(consumer.poll(10).unwrap().len(), 2);
+        assert_eq!(consumer.next_visible_at(), None);
+        kar_types::clear_virtual_clock();
+    }
+
+    /// A broker on this thread's virtual clock with one member that joined
+    /// at time zero, ticked once to start the coordinator's own cadence.
+    fn detector_rig() -> (Arc<kar_types::VirtualClock>, Broker<u32>) {
+        let clock = Arc::new(kar_types::VirtualClock::new());
+        kar_types::install_virtual_clock(Arc::clone(&clock));
+        let broker: Broker<u32> = Broker::new(BrokerConfig {
+            session_timeout: Duration::from_millis(50),
+            coordinator_interval: Duration::from_millis(2),
+            ..BrokerConfig::default()
+        });
+        broker.join_group("g", c(1), PartitionSet::contiguous(0, 1));
+        broker.tick();
+        (clock, broker)
+    }
+
+    #[test]
+    fn a_stalled_coordinator_suspects_but_never_fences_a_member_that_heartbeats_next() {
+        let (clock, broker) = detector_rig();
+        // The whole process is descheduled for 100 ms — twice the session
+        // timeout: coordinator and heartbeats alike. The tick that runs
+        // first afterwards sees a stale member *and* its own 100 ms gap.
+        clock.advance(Duration::from_millis(100));
+        broker.tick();
+        assert_eq!(broker.current_epoch(c(1)), Epoch::ZERO, "fenced on a stall");
+        assert!(broker.group_view("g").is_live(c(1)));
+        // The member's timer gets to run too; the next tick finds it fresh.
+        broker.heartbeat("g", c(1)).unwrap();
+        clock.advance(Duration::from_millis(2));
+        broker.tick();
+        assert!(broker.group_view("g").is_live(c(1)));
+        // Even without that heartbeat, a second stall in a row confirms
+        // nothing: only a tick on cadence may.
+        clock.advance(Duration::from_millis(100));
+        broker.tick();
+        clock.advance(Duration::from_millis(100));
+        broker.tick();
+        assert_eq!(broker.current_epoch(c(1)), Epoch::ZERO);
+        kar_types::clear_virtual_clock();
+    }
+
+    #[test]
+    fn a_dead_member_is_fenced_one_tick_after_it_goes_stale() {
+        let (clock, broker) = detector_rig();
+        let events = broker.subscribe("g");
+        // The coordinator ticks on cadence; the member never heartbeats.
+        let mut fenced_at = None;
+        let mut first_stale_tick = None;
+        for _ in 0..40 {
+            clock.advance(Duration::from_millis(2));
+            broker.tick();
+            let now = broker.now();
+            if now > Duration::from_millis(50) && first_stale_tick.is_none() {
+                first_stale_tick = Some(now);
+            }
+            if broker.current_epoch(c(1)) != Epoch::ZERO {
+                fenced_at = Some(now);
+                break;
+            }
+        }
+        let (stale, fenced) = (first_stale_tick.unwrap(), fenced_at.expect("never fenced"));
+        assert_eq!(
+            fenced - stale,
+            Duration::from_millis(2),
+            "suspected at {stale:?}, so confirmed exactly one interval later"
+        );
+        assert!(events.try_iter().any(
+            |e| matches!(e, GroupEvent::FailureDetected { component, at } if component == c(1) && at == fenced)
+        ));
+        assert!(broker.heartbeat("g", c(1)).unwrap_err().is_fenced());
+        kar_types::clear_virtual_clock();
     }
 
     #[test]

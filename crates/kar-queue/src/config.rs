@@ -29,19 +29,15 @@ pub struct BrokerConfig {
     /// Maximum number of live records per partition; the oldest records
     /// beyond this bound are expired in bulk.
     pub max_partition_records: usize,
-    /// Latency of a durable (acknowledged) append.
+    /// Latency of a durable (acknowledged) append: an append submitted at
+    /// `t` is acknowledged at `max(t, partition busy-until) + append_latency`.
     pub append_latency: Duration,
-    /// Latency between an append and its visibility to a consumer poll.
+    /// Latency between the acknowledgement of an append and the record's
+    /// visibility to a consumer poll.
     pub deliver_latency: Duration,
     /// How often the background coordinator thread (if started) checks
     /// heartbeats and pending rebalances.
     pub coordinator_interval: Duration,
-    /// **Ablation knob for benchmarks only.** When set, one global mutex is
-    /// taken around every append and fetch, restoring the pre-overhaul
-    /// broker whose single `Mutex<HashMap>` serialized the whole message
-    /// plane. The lock-granularity benchmark measures the same code with the
-    /// flag on (before) and off (after) to quantify per-partition locking.
-    pub coarse_global_lock: bool,
     /// Optional gray-failure injector consulted by fenced and admin appends
     /// (see [`kar_types::FaultPlan`]). `None` — the default — keeps the
     /// broker infallible at zero hot-path cost beyond one `Option` check.
@@ -58,7 +54,6 @@ impl Default for BrokerConfig {
             append_latency: Duration::ZERO,
             deliver_latency: Duration::ZERO,
             coordinator_interval: Duration::from_millis(5),
-            coarse_global_lock: false,
             faults: None,
         }
     }
@@ -91,7 +86,6 @@ impl BrokerConfig {
                 .coordinator_interval
                 .mul_f64(factor)
                 .max(Duration::from_millis(1)),
-            coarse_global_lock: self.coarse_global_lock,
             faults: self.faults.clone(),
         }
     }

@@ -7,7 +7,7 @@
 //! announced (the *consensus* phase), and removed members are fenced so they
 //! can neither receive nor send further messages.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use crossbeam::channel::Sender;
@@ -139,6 +139,10 @@ pub(crate) struct Group {
     /// further membership changes, mirroring Kafka's stabilization window.
     pub(crate) rebalance_deadline: Option<Duration>,
     pub(crate) subscribers: Vec<Sender<GroupEvent>>,
+    /// Live members found stale by the previous detection pass and not heard
+    /// from since: the next pass that still finds them stale may declare
+    /// them failed.
+    suspects: HashSet<ComponentId>,
 }
 
 impl Group {
@@ -156,22 +160,35 @@ impl Group {
         self.subscribers.retain(|s| s.send(event.clone()).is_ok());
     }
 
-    /// Declares failed every live member whose heartbeat is older than
-    /// `session_timeout`, returning the failed components.
+    /// One detection pass, suspect-then-confirm: a live member whose
+    /// heartbeat is older than `session_timeout` becomes a *suspect*; a
+    /// suspect still stale on the next pass — it did not heartbeat in
+    /// between — is declared failed, if this pass may `confirm`. A pass that
+    /// may not (the coordinator itself was not running, so silence proves
+    /// nothing) only names suspects. Returns the failed components.
     pub(crate) fn detect_failures(
         &mut self,
         now: Duration,
         session_timeout: Duration,
+        confirm: bool,
     ) -> Vec<ComponentId> {
         let mut failed = Vec::new();
+        let mut stale = HashSet::new();
         for member in self.members.values_mut() {
-            if member.state == MemberState::Live
-                && now.saturating_sub(member.last_heartbeat) > session_timeout
+            if member.state != MemberState::Live
+                || now.saturating_sub(member.last_heartbeat) <= session_timeout
             {
+                continue;
+            }
+            if confirm && self.suspects.contains(&member.component) {
                 member.state = MemberState::Failed;
                 failed.push(member.component);
+            } else {
+                stale.insert(member.component);
             }
         }
+        // Whoever is not stale now has been heard from: suspicion lapses.
+        self.suspects = stale;
         failed.sort();
         failed
     }
@@ -252,7 +269,17 @@ mod tests {
             ComponentId::from_raw(3),
             member(3, 2, 0, MemberState::Failed),
         );
-        let failed = group.detect_failures(Duration::from_millis(100), Duration::from_millis(50));
+        // The first stale observation only makes member 1 a suspect.
+        let timeout = Duration::from_millis(50);
+        assert!(group
+            .detect_failures(Duration::from_millis(100), timeout, true)
+            .is_empty());
+        assert_eq!(
+            group.members[&ComponentId::from_raw(1)].state,
+            MemberState::Live
+        );
+        // Still stale on the next pass: failed.
+        let failed = group.detect_failures(Duration::from_millis(101), timeout, true);
         assert_eq!(failed, vec![ComponentId::from_raw(1)]);
         assert_eq!(
             group.members[&ComponentId::from_raw(1)].state,
@@ -263,9 +290,53 @@ mod tests {
             MemberState::Live
         );
         // A second detection pass does not re-report the same member.
-        let failed_again =
-            group.detect_failures(Duration::from_millis(101), Duration::from_millis(50));
+        let failed_again = group.detect_failures(Duration::from_millis(102), timeout, true);
         assert!(failed_again.is_empty());
+    }
+
+    #[test]
+    fn a_heartbeat_between_two_passes_clears_the_suspicion() {
+        let c = ComponentId::from_raw(1);
+        let timeout = Duration::from_millis(50);
+        let mut group = Group::default();
+        group.members.insert(c, member(1, 0, 0, MemberState::Live));
+        // Stale at 100 ms: suspected. A heartbeat lands before the next
+        // pass, which therefore finds the member fresh.
+        assert!(group
+            .detect_failures(Duration::from_millis(100), timeout, true)
+            .is_empty());
+        group.members.get_mut(&c).unwrap().last_heartbeat = Duration::from_millis(101);
+        assert!(group
+            .detect_failures(Duration::from_millis(102), timeout, true)
+            .is_empty());
+        // Going silent again starts over: suspect first, failed one pass on.
+        assert!(group
+            .detect_failures(Duration::from_millis(200), timeout, true)
+            .is_empty());
+        assert_eq!(
+            group.detect_failures(Duration::from_millis(201), timeout, true),
+            vec![c]
+        );
+    }
+
+    #[test]
+    fn a_pass_that_may_not_confirm_only_names_suspects() {
+        let c = ComponentId::from_raw(1);
+        let timeout = Duration::from_millis(50);
+        let mut group = Group::default();
+        group.members.insert(c, member(1, 0, 0, MemberState::Live));
+        // However often a non-confirming pass finds the member stale, it
+        // stays live; the first confirming pass after one fails it.
+        for at in [100, 200, 300] {
+            assert!(group
+                .detect_failures(Duration::from_millis(at), timeout, false)
+                .is_empty());
+        }
+        assert_eq!(group.members[&c].state, MemberState::Live);
+        assert_eq!(
+            group.detect_failures(Duration::from_millis(301), timeout, true),
+            vec![c]
+        );
     }
 
     #[test]

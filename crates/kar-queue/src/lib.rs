@@ -57,7 +57,7 @@ mod log;
 mod partition_set;
 mod record;
 
-pub use broker::{Broker, Consumer, Producer};
+pub use broker::{Broker, Consumer, Producer, RoundRanges};
 pub use config::BrokerConfig;
 pub use group::{GroupEvent, GroupView, MemberInfo, MemberState};
 pub use partition_set::PartitionSet;

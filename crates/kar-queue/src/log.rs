@@ -28,10 +28,31 @@ use crate::record::Record;
 /// cataloguing every unexpired record) clones a pointer, never the payload —
 /// the zero-copy property the runtime relies on to stop deep-cloning request
 /// argument lists on the hot path.
+///
+/// # Modelled time
+///
+/// The log also keeps the partition's two clocks (on the broker clock, like
+/// `appended_at`). Nothing here sleeps or wakes anybody:
+///
+/// * `busy_until` — when the partition's last durable acknowledgement fires.
+///   [`PartitionLog::acknowledge`] queues the next one behind it, so a
+///   partition acknowledges strictly in append order, back-to-back appends
+///   one append latency apart.
+/// * the **visible end** — consumers read `start_offset()..visible_end()`.
+///   An append names the instant its record becomes readable (its
+///   acknowledgement plus the delivery latency); records whose instant has
+///   not come wait in `pending` and become visible when a reader
+///   [advances](PartitionLog::advance_visible) the log past it. Visibility
+///   instants never decrease along the log, so visibility is a prefix.
 #[derive(Debug)]
 pub(crate) struct PartitionLog<M> {
     records: VecDeque<Record<Arc<M>>>,
     next_offset: u64,
+    busy_until: Duration,
+    visible_end: u64,
+    /// Runs of not-yet-visible records, oldest first: `(end offset of the
+    /// run, when it becomes visible)`. Empty whenever no latency is modelled.
+    pending: VecDeque<(u64, Duration)>,
 }
 
 impl<M> Default for PartitionLog<M> {
@@ -39,13 +60,23 @@ impl<M> Default for PartitionLog<M> {
         PartitionLog {
             records: VecDeque::new(),
             next_offset: 0,
+            busy_until: Duration::ZERO,
+            visible_end: 0,
+            pending: VecDeque::new(),
         }
     }
 }
 
 impl<M> PartitionLog<M> {
-    /// Appends a record, returning its offset.
-    pub(crate) fn append(&mut self, appended_at: Duration, payload: M) -> u64 {
+    /// Appends a record that becomes readable at `visible_at` — at once when
+    /// that is not after `appended_at` and nothing older is still waiting.
+    /// Returns its offset.
+    pub(crate) fn append(
+        &mut self,
+        appended_at: Duration,
+        visible_at: Duration,
+        payload: M,
+    ) -> u64 {
         let offset = self.next_offset;
         self.next_offset += 1;
         self.records.push_back(Record {
@@ -53,21 +84,68 @@ impl<M> PartitionLog<M> {
             appended_at,
             payload: Arc::new(payload),
         });
+        match self.pending.back_mut() {
+            None if visible_at <= appended_at => self.visible_end = self.next_offset,
+            // One batch shares one instant: extend its run.
+            Some((end, at)) if *at >= visible_at => *end = self.next_offset,
+            _ => self.pending.push_back((self.next_offset, visible_at)),
+        }
         offset
     }
 
-    /// All live records at or after `from_offset`, up to `max`. A
+    /// Queues one durable acknowledgement of `latency` behind the
+    /// partition's previous one, for an append submitted at `submitted`:
+    /// returns when it fires and keeps the partition busy until then.
+    pub(crate) fn acknowledge(&mut self, submitted: Duration, latency: Duration) -> Duration {
+        self.busy_until = submitted.max(self.busy_until) + latency;
+        self.busy_until
+    }
+
+    /// When the partition's last acknowledgement fires (zero if it never
+    /// acknowledged anything).
+    pub(crate) fn busy_until(&self) -> Duration {
+        self.busy_until
+    }
+
+    /// Makes every record whose instant is not after `now` readable.
+    pub(crate) fn advance_visible(&mut self, now: Duration) {
+        while let Some(&(end, at)) = self.pending.front() {
+            if at > now {
+                break;
+            }
+            self.visible_end = self.visible_end.max(end);
+            self.pending.pop_front();
+        }
+    }
+
+    /// One past the last readable record.
+    pub(crate) fn visible_end(&self) -> u64 {
+        self.visible_end
+    }
+
+    /// When the oldest not-yet-readable record becomes readable (`None` if
+    /// every record is).
+    pub(crate) fn next_visible_at(&self) -> Option<Duration> {
+        self.pending.front().map(|&(_, at)| at)
+    }
+
+    /// The readable records at or after `from_offset`, up to `max`. A
     /// `from_offset` below the log start reads from the first live record.
     /// Payloads are shared, not copied.
     pub(crate) fn read_from(&self, from_offset: u64, max: usize) -> Vec<Record<Arc<M>>> {
-        let len = self.records.len();
-        let first = usize::try_from(from_offset.saturating_sub(self.start_offset()))
-            .map_or(len, |index| index.min(len));
+        let start = self.start_offset();
+        let len = usize::try_from(self.visible_end.saturating_sub(start))
+            .map_or(self.records.len(), |visible| {
+                visible.min(self.records.len())
+            });
+        let first =
+            usize::try_from(from_offset.saturating_sub(start)).map_or(len, |index| index.min(len));
         let last = first.saturating_add(max).min(len);
         self.records.range(first..last).cloned().collect()
     }
 
-    /// All live records (shared payloads).
+    /// All live records, readable or not (shared payloads): the broker's own
+    /// view, which reconciliation catalogues.
     pub(crate) fn read_all(&self) -> Vec<Record<Arc<M>>> {
         self.records.iter().cloned().collect()
     }
@@ -128,7 +206,11 @@ impl<M> PartitionLog<M> {
     }
 
     fn pop_front(&mut self, count: usize) -> Vec<Record<Arc<M>>> {
-        self.records.drain(..count).collect()
+        let dropped = self.records.drain(..count).collect();
+        // A dropped record can no longer become visible: the readable range
+        // never starts below the log.
+        self.visible_end = self.visible_end.max(self.start_offset());
+        dropped
     }
 }
 
@@ -140,7 +222,7 @@ mod tests {
     fn log_with(n: u64) -> PartitionLog<u64> {
         let mut log = PartitionLog::default();
         for i in 0..n {
-            log.append(Duration::from_millis(i), i);
+            log.append(Duration::from_millis(i), Duration::ZERO, i);
         }
         log
     }
@@ -192,7 +274,10 @@ mod tests {
         assert_eq!(log.read_all()[0].offset, 7);
         assert_eq!(log.start_offset(), 7);
         // Offsets are never reused after expiry.
-        assert_eq!(log.append(Duration::from_millis(13), 99), 10);
+        assert_eq!(
+            log.append(Duration::from_millis(13), Duration::ZERO, 99),
+            10
+        );
     }
 
     #[test]
@@ -210,7 +295,7 @@ mod tests {
         assert_eq!(log.truncate().len(), 3);
         assert_eq!(log.len(), 0);
         assert_eq!(log.start_offset(), 3);
-        assert_eq!(log.append(Duration::ZERO, 7), 3);
+        assert_eq!(log.append(Duration::ZERO, Duration::ZERO, 7), 3);
         assert_eq!(log.start_offset(), 3);
     }
 
@@ -225,7 +310,7 @@ mod tests {
         assert!(log.trim_before(2).is_empty());
         assert_eq!(log.trim_before(99).len(), 6);
         assert_eq!(log.start_offset(), 10);
-        assert_eq!(log.append(Duration::ZERO, 7), 10);
+        assert_eq!(log.append(Duration::ZERO, Duration::ZERO, 7), 10);
     }
 
     #[test]
@@ -236,6 +321,54 @@ mod tests {
             .expire(Duration::from_millis(1), Duration::from_secs(10), 100)
             .is_empty());
         assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn acknowledgements_queue_behind_each_other() {
+        let ms = Duration::from_millis;
+        let mut log: PartitionLog<u64> = PartitionLog::default();
+        assert_eq!(log.busy_until(), Duration::ZERO);
+        // Three appends submitted together: one latency apart.
+        assert_eq!(log.acknowledge(ms(10), ms(2)), ms(12));
+        assert_eq!(log.acknowledge(ms(10), ms(2)), ms(14));
+        assert_eq!(log.acknowledge(ms(10), ms(2)), ms(16));
+        // An idle partition acknowledges one latency after the submit.
+        assert_eq!(log.acknowledge(ms(30), ms(2)), ms(32));
+        assert_eq!(log.busy_until(), ms(32));
+        // No latency, no queueing: the partition is never busy.
+        assert_eq!(log.acknowledge(ms(40), Duration::ZERO), ms(40));
+    }
+
+    #[test]
+    fn records_become_readable_at_their_instant_and_never_out_of_order() {
+        let ms = Duration::from_millis;
+        let mut log: PartitionLog<u64> = PartitionLog::default();
+        log.append(ms(1), ms(1), 0);
+        assert_eq!(log.visible_end(), 1, "no latency: readable at once");
+        // A batch sharing one instant, then a later one.
+        log.append(ms(1), ms(5), 1);
+        log.append(ms(1), ms(5), 2);
+        log.append(ms(2), ms(8), 3);
+        // An instant-less append behind waiting records waits with them.
+        log.append(ms(3), ms(3), 4);
+        assert_eq!(log.end_offset(), 5);
+        assert_eq!(log.visible_end(), 1);
+        assert_eq!(log.next_visible_at(), Some(ms(5)));
+        assert_eq!(offsets(&log.read_from(0, 10)), vec![0]);
+        assert_eq!(log.read_all().len(), 5, "the broker's own view sees all");
+        log.advance_visible(ms(4));
+        assert_eq!(log.visible_end(), 1);
+        log.advance_visible(ms(5));
+        assert_eq!(offsets(&log.read_from(0, 10)), vec![0, 1, 2]);
+        assert_eq!(log.next_visible_at(), Some(ms(8)));
+        log.advance_visible(ms(100));
+        assert_eq!(offsets(&log.read_from(3, 10)), vec![3, 4]);
+        assert_eq!(log.next_visible_at(), None);
+        // Dropping waiting records moves the readable range with the log.
+        log.append(ms(100), ms(200), 5);
+        log.truncate();
+        assert_eq!(log.visible_end(), 6);
+        assert!(log.read_from(0, 10).is_empty());
     }
 
     /// The obviously-correct log the real one is checked against: a `Vec` of
@@ -277,7 +410,7 @@ mod tests {
                 match op {
                     0 | 1 => {
                         clock += a % 4;
-                        let offset = log.append(Duration::from_millis(clock), clock);
+                        let offset = log.append(Duration::from_millis(clock), Duration::ZERO, clock);
                         prop_assert_eq!(offset, model.next, "offset reused or skipped");
                         model.live.push((offset, clock));
                         model.next += 1;

@@ -2,18 +2,22 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use kar_types::{ComponentId, Epoch, FaultSite, KarResult, Value};
+use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
 use crate::pipeline::Pipeline;
 use crate::store::{materialize_hash, unshare, StoreInner};
 
 /// A client session bound to a component and a fencing [`Epoch`].
 ///
-/// Every command charges one store round trip (the configured operation
-/// latency, slept outside any data lock) and then checks that the owning
-/// component has not been fenced; a fenced connection fails every operation
-/// with `KarError::Fenced`. The fence check's epoch-table read guard is held
+/// Every command is one store round trip: it checks that the owning
+/// component has not been fenced (a fenced connection fails every operation
+/// with `KarError::Fenced`), is **applied at once**, and returns when its
+/// acknowledgement is due — the configured operation latency later. The
+/// command a reactor must not wait for, the state flush's
+/// [`Connection::submit_hset_multi`], hands that instant back as a
+/// [`Completion`] instead; the blocking form is the same code plus the wait. The fence check's epoch-table read guard is held
 /// across the command's data section, so a fence never interleaves with a
 /// half-applied command. Use [`Connection::pipeline`] to batch several
 /// commands into a single round trip and fence check.
@@ -54,24 +58,22 @@ impl Connection {
         Pipeline::new_fenced(self.inner.clone(), self.component, self.epoch)
     }
 
-    /// Consults the fault injector for this command, keyed to `key`'s shard.
-    /// `Ok(true)` means: apply the command, then report an ack loss. The
-    /// `is_none` short-circuit keeps the disabled path at one branch.
-    fn fault_gate(&self, key: &str) -> KarResult<bool> {
+    /// Consults the fault injector for this command, keyed to `key`'s shard,
+    /// before anything is applied. The `is_none` short-circuit keeps the
+    /// disabled path at one branch.
+    fn fault_gate(&self, key: &str) -> KarResult<FaultGate> {
         if self.inner.config.faults.is_none() {
-            return Ok(false);
+            return Ok(FaultGate::default());
         }
         self.inner
             .fault_gate(FaultSite::StoreCommand, self.inner.shard_of(key))
     }
 
-    /// Completes a command: the computed result, unless this command's ack
+    /// Completes a blocking command: waits out the round trip begun at
+    /// `trip` and returns the computed result — unless this command's ack
     /// was chosen to be dropped.
-    fn finish<T>(&self, ack_lost: bool, value: T) -> KarResult<T> {
-        if ack_lost {
-            return Err(StoreInner::ack_lost_error(FaultSite::StoreCommand));
-        }
-        Ok(value)
+    fn finish<T>(&self, trip: Option<Duration>, gate: FaultGate, value: T) -> KarResult<T> {
+        StoreInner::complete(trip, gate, FaultSite::StoreCommand, value).wait()
     }
 
     /// Reads a string key.
@@ -81,11 +83,10 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn get(&self, key: &str) -> KarResult<Option<Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let arc = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -93,7 +94,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.strings.get(key).cloned()
         };
-        self.finish(ack_lost, arc.map(unshare))
+        self.finish(trip, gate, arc.map(unshare))
     }
 
     /// Writes a string key, returning the previous value.
@@ -103,12 +104,11 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn set(&self, key: &str, value: Value) -> KarResult<Option<Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let value = Arc::new(value);
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -116,7 +116,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.strings.insert(key.to_owned(), value)
         };
-        self.finish(ack_lost, previous.map(unshare))
+        self.finish(trip, gate, previous.map(unshare))
     }
 
     /// Writes a string key only if it does not exist yet. Returns `true` if
@@ -127,12 +127,11 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn set_nx(&self, key: &str, value: Value) -> KarResult<bool> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let value = Arc::new(value);
         let written = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -145,7 +144,7 @@ impl Connection {
                 true
             }
         };
-        self.finish(ack_lost, written)
+        self.finish(trip, gate, written)
     }
 
     /// Atomically replaces the value of `key` with `new` if its current value
@@ -165,12 +164,11 @@ impl Connection {
         expected: Option<&Value>,
         new: Value,
     ) -> KarResult<Result<(), Option<Value>>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let new = Arc::new(new);
         let outcome = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -184,7 +182,7 @@ impl Connection {
                 Err(current)
             }
         };
-        self.finish(ack_lost, outcome.map_err(|actual| actual.map(unshare)))
+        self.finish(trip, gate, outcome.map_err(|actual| actual.map(unshare)))
     }
 
     /// Deletes a string key, returning the previous value.
@@ -194,11 +192,10 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn del(&self, key: &str) -> KarResult<Option<Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -206,7 +203,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.strings.remove(key)
         };
-        self.finish(ack_lost, previous.map(unshare))
+        self.finish(trip, gate, previous.map(unshare))
     }
 
     /// True if the string key exists.
@@ -216,16 +213,18 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn exists(&self, key: &str) -> KarResult<bool> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
-        let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-        let _coarse = self.inner.coarse_guard();
-        let data = self.inner.lock_shard_of(key);
-        self.inner
-            .stats
-            .reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.finish(ack_lost, data.strings.contains_key(key))
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
+        let exists = {
+            let _fence = self.inner.fence_guard(self.component, self.epoch)?;
+            let data = self.inner.lock_shard_of(key);
+            self.inner
+                .stats
+                .reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            data.strings.contains_key(key)
+        };
+        self.finish(trip, gate, exists)
     }
 
     /// Lists string keys starting with `prefix`, sorted (walks every shard;
@@ -236,27 +235,28 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn keys_with_prefix(&self, prefix: &str) -> KarResult<Vec<String>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(prefix)?;
-        let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-        let _coarse = self.inner.coarse_guard();
-        self.inner
-            .stats
-            .reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(prefix)?;
         let mut keys = Vec::new();
-        for index in 0..self.inner.shards.len() {
-            keys.extend(
-                self.inner
-                    .lock_shard(index)
-                    .strings
-                    .keys()
-                    .filter(|k| k.starts_with(prefix))
-                    .cloned(),
-            );
+        {
+            let _fence = self.inner.fence_guard(self.component, self.epoch)?;
+            self.inner
+                .stats
+                .reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for index in 0..self.inner.shards.len() {
+                keys.extend(
+                    self.inner
+                        .lock_shard(index)
+                        .strings
+                        .keys()
+                        .filter(|k| k.starts_with(prefix))
+                        .cloned(),
+                );
+            }
         }
         keys.sort();
-        self.finish(ack_lost, keys)
+        self.finish(trip, gate, keys)
     }
 
     /// Reads one field of a hash.
@@ -266,11 +266,10 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn hget(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let arc = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -278,7 +277,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.get(key).and_then(|h| h.get(field)).cloned()
         };
-        self.finish(ack_lost, arc.map(unshare))
+        self.finish(trip, gate, arc.map(unshare))
     }
 
     /// Writes one field of a hash, returning the previous value of the field.
@@ -288,12 +287,11 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn hset(&self, key: &str, field: &str, value: Value) -> KarResult<Option<Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let value = Arc::new(value);
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -304,7 +302,7 @@ impl Connection {
                 .or_default()
                 .insert(field.to_owned(), value)
         };
-        self.finish(ack_lost, previous.map(unshare))
+        self.finish(trip, gate, previous.map(unshare))
     }
 
     /// Writes several fields of a hash at once (a single command: one round
@@ -319,14 +317,31 @@ impl Connection {
         key: &str,
         entries: impl IntoIterator<Item = (String, Value)>,
     ) -> KarResult<()> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        self.submit_hset_multi(key, entries)?.wait()
+    }
+
+    /// [`Connection::hset_multi`] without the wait: the fields are written
+    /// when this returns, and the returned [`Completion`] says when the round
+    /// trip's acknowledgement is due and what it carries.
+    ///
+    /// # Errors
+    ///
+    /// Fails at once — nothing written — with `KarError::Fenced` if the
+    /// component has been forcefully disconnected, or with an injected
+    /// transient fault. An injected ack loss applies the write; the
+    /// completion carries the failure.
+    pub fn submit_hset_multi(
+        &self,
+        key: &str,
+        entries: impl IntoIterator<Item = (String, Value)>,
+    ) -> KarResult<Completion<()>> {
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let entries: Vec<(String, Arc<Value>)> = entries
             .into_iter()
             .map(|(field, value)| (field, Arc::new(value)))
             .collect();
         let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-        let _coarse = self.inner.coarse_guard();
         let mut data = self.inner.lock_shard_of(key);
         self.inner
             .stats
@@ -336,7 +351,12 @@ impl Connection {
         for (field, value) in entries {
             hash.insert(field, value);
         }
-        self.finish(ack_lost, ())
+        Ok(StoreInner::complete(
+            trip,
+            gate,
+            FaultSite::StoreCommand,
+            (),
+        ))
     }
 
     /// Deletes one field of a hash, returning its previous value.
@@ -346,11 +366,10 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn hdel(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -358,7 +377,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.get_mut(key).and_then(|h| h.remove(field))
         };
-        self.finish(ack_lost, previous.map(unshare))
+        self.finish(trip, gate, previous.map(unshare))
     }
 
     /// Reads a whole hash (empty map if the key does not exist). Only `Arc`
@@ -370,11 +389,10 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn hgetall(&self, key: &str) -> KarResult<BTreeMap<String, Value>> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let snapshot = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -382,7 +400,11 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.get(key).cloned()
         };
-        self.finish(ack_lost, snapshot.map(materialize_hash).unwrap_or_default())
+        self.finish(
+            trip,
+            gate,
+            snapshot.map(materialize_hash).unwrap_or_default(),
+        )
     }
 
     /// Deletes a whole hash, returning `true` if it existed.
@@ -392,11 +414,10 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn hclear(&self, key: &str) -> KarResult<bool> {
-        self.inner.charge_round_trip();
-        let ack_lost = self.fault_gate(key)?;
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
         let removed = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            let _coarse = self.inner.coarse_guard();
             let mut data = self.inner.lock_shard_of(key);
             self.inner
                 .stats
@@ -404,7 +425,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.remove(key)
         };
-        self.finish(ack_lost, removed.is_some())
+        self.finish(trip, gate, removed.is_some())
     }
 }
 

@@ -4,8 +4,8 @@
 //! A [`Pipeline`] mirrors Redis pipelining: commands are buffered client-side
 //! and applied by a single [`Pipeline::flush`] that
 //!
-//! 1. charges **one** operation latency (outside any lock) and one round
-//!    trip, however many commands are queued,
+//! 1. is **one** round trip — acknowledged one operation latency after it is
+//!    submitted — however many commands are queued,
 //! 2. performs **one** fence check, whose epoch-table read guard is held
 //!    across the whole application — a concurrent [`fence`](crate::Store::fence)
 //!    therefore observes either none or all of the batch, never a prefix,
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use kar_types::{ComponentId, Epoch, FaultSite, KarResult, Value};
+use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
 use crate::store::{materialize_hash, unshare, ShardData, StoreInner};
 
@@ -287,6 +287,21 @@ impl Pipeline {
     /// `KarError::Store` (none of the batch applied) or an injected ack loss
     /// (**all** of the batch applied, failure reported anyway).
     pub fn flush(self) -> KarResult<Vec<PipelineResult>> {
+        self.submit()?.wait()
+    }
+
+    /// [`Pipeline::flush`] without the wait: every buffered command is
+    /// applied when this returns, and the returned
+    /// [`Completion`](kar_types::Completion) says when the flush's one round
+    /// trip is acknowledged and what the acknowledgement carries.
+    ///
+    /// # Errors
+    ///
+    /// Fails at once — **none** of the batch applied — with
+    /// `KarError::Fenced` or an injected transient `KarError::Store`. An
+    /// injected ack loss applies **all** of the batch; the completion
+    /// carries the failure.
+    pub fn submit(self) -> KarResult<Completion<Vec<PipelineResult>>> {
         let Pipeline {
             inner,
             auth,
@@ -294,17 +309,15 @@ impl Pipeline {
             fences,
         } = self;
         if ops.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Completion::immediate(Ok(Vec::new())));
         }
         // Administrative pipelines model the runtime's co-located leader:
         // they batch lock traffic but pay no emulated network round trip,
         // matching the single-command admin accessors. The round trip is
-        // charged before the fence check — a fenced flush still crossed the
+        // counted before the fence check — a fenced flush still crossed the
         // network to be rejected — but the pipeline counters below only
         // count batches that actually applied.
-        if auth.is_some() {
-            inner.charge_round_trip();
-        }
+        let trip = auth.and_then(|_| inner.begin_round_trip());
 
         let shards: Vec<usize> = ops.iter().map(|op| inner.shard_of(op.key())).collect();
 
@@ -314,15 +327,15 @@ impl Pipeline {
         // ack-lost decision applies *all* of it and reports failure — the
         // indeterminate outcome the flush-then-respond hardening must
         // absorb. The brownout/spike lane is the first op's shard.
-        let ack_lost = if inner.config.faults.is_some() {
-            let site = if auth.is_some() {
-                FaultSite::StoreFlush
-            } else {
-                FaultSite::StoreAdmin
-            };
+        let site = if auth.is_some() {
+            FaultSite::StoreFlush
+        } else {
+            FaultSite::StoreAdmin
+        };
+        let gate = if inner.config.faults.is_some() {
             inner.fault_gate(site, shards[0])?
         } else {
-            false
+            FaultGate::default()
         };
 
         let plan = plan_application(&shards, &fences, ops.len());
@@ -342,7 +355,6 @@ impl Pipeline {
                 .stats
                 .pipeline_ops
                 .fetch_add(ops.len() as u64, Ordering::Relaxed);
-            let _coarse = inner.coarse_guard();
             for (shard, indices) in plan {
                 let mut data = inner.lock_shard(shard);
                 for index in indices {
@@ -351,20 +363,14 @@ impl Pipeline {
                 }
             }
         }
-        if ack_lost {
-            // The batch is fully applied; only the acknowledgement is lost.
-            let site = if auth.is_some() {
-                FaultSite::StoreFlush
-            } else {
-                FaultSite::StoreAdmin
-            };
-            return Err(StoreInner::ack_lost_error(site));
-        }
-        // Materialize value trees strictly outside every lock.
-        Ok(raw
+        // Materialize value trees strictly outside every lock. (Under an
+        // ack-lost gate the batch is fully applied all the same; only the
+        // acknowledgement is lost.)
+        let results = raw
             .into_iter()
             .map(|result| finish(result.expect("pipeline op not applied")))
-            .collect())
+            .collect();
+        Ok(StoreInner::complete(trip, gate, site, results))
     }
 }
 

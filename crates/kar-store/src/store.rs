@@ -11,8 +11,14 @@
 //!   clones — [`Value`] trees are materialized strictly *outside* the shard
 //!   lock, so a large actor state never stalls its shard.
 //! * The configured [`StoreConfig::op_latency`] (emulating the network and
-//!   server-side cost of a Redis command) is slept strictly outside any data
-//!   lock, so concurrent clients overlap their round trips.
+//!   server-side cost of a Redis command) is never slept inside the store:
+//!   a round trip is **applied when it is submitted** and its
+//!   acknowledgement is *due* one latency later ([`kar_types::Completion`]).
+//!   Blocking commands wait for that instant, strictly outside any data
+//!   lock, so concurrent clients overlap their round trips; the runtime's
+//!   state flush parks on it instead
+//!   ([`Connection::submit_hset_multi`](crate::Connection),
+//!   [`Pipeline::submit`](crate::Pipeline)).
 //! * Fencing epochs live in their own shard-free table behind a `RwLock`
 //!   whose *read* guard is held across each command's data section: checking
 //!   in never crosses data shards, commands from distinct components never
@@ -20,9 +26,6 @@
 //!   respect to every in-flight command and [`Pipeline`](crate::Pipeline)
 //!   flush — a fenced component's half-applied batch cannot interleave with
 //!   its replacement.
-//! * `StoreConfig::coarse_global_lock` restores the pre-overhaul behavior of
-//!   one global data lock around every command — it exists solely so
-//!   benchmarks can quantify the win of sharding on the same code base.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -33,8 +36,8 @@ use std::time::Duration;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use kar_types::{
-    ComponentId, Epoch, FaultDecision, FaultInjector, FaultPlane, FaultSite, KarError, KarResult,
-    Value,
+    Completion, ComponentId, Epoch, FaultGate, FaultInjector, FaultPlane, FaultSite, KarError,
+    KarResult, Value,
 };
 
 use crate::connection::Connection;
@@ -47,17 +50,14 @@ pub const DEFAULT_STORE_SHARDS: usize = 16;
 /// Configuration of a [`Store`].
 #[derive(Debug, Clone, Default)]
 pub struct StoreConfig {
-    /// Latency added to every store round trip (emulating the network and
-    /// server-side cost of a Redis command). A [`Pipeline`] flush pays this
-    /// once for the whole batch.
+    /// Latency of every store round trip (emulating the network and
+    /// server-side cost of a Redis command): the operation is applied at
+    /// submit and acknowledged `op_latency` later. A [`Pipeline`] flush pays
+    /// this once for the whole batch.
     pub op_latency: Duration,
     /// Number of data shards keys hash onto. `0` selects
     /// [`DEFAULT_STORE_SHARDS`].
     pub shards: usize,
-    /// **Ablation knob for benchmarks only.** Takes one global mutex around
-    /// every command's data section, restoring the pre-overhaul store whose
-    /// single `Mutex<StoreData>` serialized every operation mesh-wide.
-    pub coarse_global_lock: bool,
     /// Optional gray-failure injector consulted by fenced commands, pipeline
     /// flushes, and *checked* admin operations (see
     /// [`kar_types::FaultPlan`]). `None` — the default — keeps the store
@@ -154,14 +154,6 @@ pub(crate) struct StoreInner {
     /// commands and pipeline flushes.
     pub(crate) epochs: RwLock<HashMap<ComponentId, Epoch>>,
     pub(crate) stats: StatCounters,
-    /// Ablation: when `StoreConfig::coarse_global_lock` is set, this mutex is
-    /// taken around every command's data section, restoring the pre-overhaul
-    /// global serialization for before/after benchmarks.
-    pub(crate) coarse: Option<Mutex<()>>,
-    /// Contended acquisitions of the coarse ablation lock, so the before/
-    /// after contention picture includes the lock that actually serializes
-    /// the coarse rows.
-    pub(crate) coarse_contention: AtomicU64,
 }
 
 impl Default for Store {
@@ -179,7 +171,6 @@ impl Store {
     /// Creates an empty store with the given configuration.
     pub fn with_config(config: StoreConfig) -> Self {
         let shards = config.effective_shards();
-        let coarse = config.coarse_global_lock.then(|| Mutex::new(()));
         Store {
             inner: Arc::new(StoreInner {
                 config,
@@ -189,8 +180,6 @@ impl Store {
                 contention: (0..shards).map(|_| AtomicU64::new(0)).collect(),
                 epochs: RwLock::new(HashMap::new()),
                 stats: StatCounters::default(),
-                coarse,
-                coarse_contention: AtomicU64::new(0),
             }),
         }
     }
@@ -265,14 +254,6 @@ impl Store {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Contended acquisitions of the coarse ablation lock (0 unless
-    /// `StoreConfig::coarse_global_lock` is set — this is where coarse-mode
-    /// commands actually serialize, so the before/after contention
-    /// comparison must include it).
-    pub fn coarse_contention(&self) -> u64 {
-        self.inner.coarse_contention.load(Ordering::Relaxed)
     }
 
     /// Number of string keys plus hash keys currently stored.
@@ -392,14 +373,11 @@ impl Store {
     ///
     /// Fails with an injected transient [`KarError::Store`] error.
     pub fn admin_get_checked(&self, key: &str) -> KarResult<Option<Value>> {
-        let ack_lost = self
+        let gate = self
             .inner
             .fault_gate(FaultSite::StoreAdmin, self.inner.shard_of(key))?;
         let value = self.admin_get(key);
-        if ack_lost {
-            return Err(StoreInner::ack_lost_error(FaultSite::StoreAdmin));
-        }
-        Ok(value)
+        StoreInner::complete(None, gate, FaultSite::StoreAdmin, value).wait()
     }
 
     /// [`Store::admin_set`] through the fault injector's `StoreAdmin` site.
@@ -411,14 +389,11 @@ impl Store {
     /// Fails with an injected transient [`KarError::Store`] error (nothing
     /// applied) or an injected ack loss (applied).
     pub fn admin_set_checked(&self, key: &str, value: Value) -> KarResult<Option<Value>> {
-        let ack_lost = self
+        let gate = self
             .inner
             .fault_gate(FaultSite::StoreAdmin, self.inner.shard_of(key))?;
         let previous = self.admin_set(key, value);
-        if ack_lost {
-            return Err(StoreInner::ack_lost_error(FaultSite::StoreAdmin));
-        }
-        Ok(previous)
+        StoreInner::complete(None, gate, FaultSite::StoreAdmin, previous).wait()
     }
 
     /// [`Store::admin_del`] through the fault injector's `StoreAdmin` site.
@@ -431,14 +406,11 @@ impl Store {
     /// Fails with an injected transient [`KarError::Store`] error (nothing
     /// applied) or an injected ack loss (applied).
     pub fn admin_del_checked(&self, key: &str) -> KarResult<Option<Value>> {
-        let ack_lost = self
+        let gate = self
             .inner
             .fault_gate(FaultSite::StoreAdmin, self.inner.shard_of(key))?;
         let previous = self.admin_del(key);
-        if ack_lost {
-            return Err(StoreInner::ack_lost_error(FaultSite::StoreAdmin));
-        }
-        Ok(previous)
+        StoreInner::complete(None, gate, FaultSite::StoreAdmin, previous).wait()
     }
 
     /// [`Store::admin_set_nx`] through the fault injector's `StoreAdmin`
@@ -451,14 +423,11 @@ impl Store {
     /// Fails with an injected transient [`KarError::Store`] error (nothing
     /// applied) or an injected ack loss (applied).
     pub fn admin_set_nx_checked(&self, key: &str, value: Value) -> KarResult<bool> {
-        let ack_lost = self
+        let gate = self
             .inner
             .fault_gate(FaultSite::StoreAdmin, self.inner.shard_of(key))?;
         let inserted = self.admin_set_nx(key, value);
-        if ack_lost {
-            return Err(StoreInner::ack_lost_error(FaultSite::StoreAdmin));
-        }
-        Ok(inserted)
+        StoreInner::complete(None, gate, FaultSite::StoreAdmin, inserted).wait()
     }
 
     /// [`Store::admin_del_if_eq`] through the fault injector's `StoreAdmin`
@@ -473,14 +442,11 @@ impl Store {
     /// Fails with an injected transient [`KarError::Store`] error (nothing
     /// applied) or an injected ack loss (applied).
     pub fn admin_del_if_eq_checked(&self, key: &str, expected: &Value) -> KarResult<bool> {
-        let ack_lost = self
+        let gate = self
             .inner
             .fault_gate(FaultSite::StoreAdmin, self.inner.shard_of(key))?;
         let deleted = self.admin_del_if_eq(key, expected);
-        if ack_lost {
-            return Err(StoreInner::ack_lost_error(FaultSite::StoreAdmin));
-        }
-        Ok(deleted)
+        StoreInner::complete(None, gate, FaultSite::StoreAdmin, deleted).wait()
     }
 
     /// An administrative (unfenced, latency-free) [`Pipeline`]: commands are
@@ -530,12 +496,38 @@ impl StoreInner {
         self.lock_shard(self.shard_of(key))
     }
 
-    /// Charges one store round trip: the configured operation latency (slept
-    /// strictly outside any data lock) plus the round-trip counter. Called
-    /// once per single command and once per pipeline flush.
-    pub(crate) fn charge_round_trip(&self) {
-        kar_types::pace_sleep(self.config.op_latency);
+    /// Begins one store round trip — a single command or a whole pipeline
+    /// flush: counts it and returns when its acknowledgement is due, one
+    /// operation latency from now (`None` when no latency is modelled: the
+    /// zero-latency path never reads the clock). The operation itself is
+    /// applied by the caller right away; only the acknowledgement takes time.
+    pub(crate) fn begin_round_trip(&self) -> Option<Duration> {
         self.stats.round_trips.fetch_add(1, Ordering::Relaxed);
+        (!self.config.op_latency.is_zero()).then(|| kar_types::mono_now() + self.config.op_latency)
+    }
+
+    /// The completion of an applied operation whose round trip (if it models
+    /// one) was begun at `trip`: due then — an injected latency spike later
+    /// — carrying `value`, unless the gate chose to lose the ack.
+    pub(crate) fn complete<T>(
+        trip: Option<Duration>,
+        gate: FaultGate,
+        site: FaultSite,
+        value: T,
+    ) -> Completion<T> {
+        let due = if gate.delay.is_zero() {
+            trip
+        } else {
+            Some(trip.unwrap_or_else(kar_types::mono_now) + gate.delay)
+        };
+        Completion {
+            due,
+            result: if gate.ack_lost {
+                Err(Self::ack_lost_error(site))
+            } else {
+                Ok(value)
+            },
+        }
     }
 
     /// Verifies that `component` has not been fenced past `epoch`, returning
@@ -559,28 +551,17 @@ impl StoreInner {
     }
 
     /// Consults the fault injector (if any) for one operation at `site` on
-    /// shard `lane`. Returns `Ok(false)` to proceed normally, `Ok(true)` to
-    /// apply the operation fully **and then report failure** (ack-lost), or
-    /// the injected transient error — in which case the caller must not
-    /// apply anything. Latency decisions sleep here, strictly outside any
-    /// data lock (callers gate before locking). With no injector this is one
-    /// `Option` check.
-    pub(crate) fn fault_gate(&self, site: FaultSite, lane: usize) -> KarResult<bool> {
+    /// shard `lane`, before anything is applied. The default gate proceeds
+    /// normally; an ack-lost gate means apply the operation fully **and then
+    /// report failure**; a latency gate adds its delay to the operation's
+    /// due time; the injected transient error means the caller must not
+    /// apply anything. With no injector this is one `Option` check.
+    pub(crate) fn fault_gate(&self, site: FaultSite, lane: usize) -> KarResult<FaultGate> {
         let Some(injector) = &self.config.faults else {
-            return Ok(false);
+            return Ok(FaultGate::default());
         };
-        match injector.decide(site, FaultPlane::Store, lane as u64) {
-            None => Ok(false),
-            Some(FaultDecision::Transient) => Err(KarError::Store(format!(
-                "injected transient fault at {}",
-                site.name()
-            ))),
-            Some(FaultDecision::AckLost) => Ok(true),
-            Some(FaultDecision::Latency(extra)) => {
-                kar_types::pace_sleep(extra);
-                Ok(false)
-            }
-        }
+        FaultGate::of(injector.decide(site, FaultPlane::Store, lane as u64))
+            .ok_or_else(|| KarError::Store(format!("injected transient fault at {}", site.name())))
     }
 
     /// The error reported for an ack-lost operation at `site`: the operation
@@ -590,20 +571,6 @@ impl StoreInner {
             "injected ack loss at {} (operation applied)",
             site.name()
         ))
-    }
-
-    /// The coarse-lock ablation guard (held around data sections when the
-    /// `coarse_global_lock` flag is set, `None` otherwise), counting
-    /// contended acquisitions like the shard locks do.
-    pub(crate) fn coarse_guard(&self) -> Option<MutexGuard<'_, ()>> {
-        let coarse = self.coarse.as_ref()?;
-        Some(match coarse.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.coarse_contention.fetch_add(1, Ordering::Relaxed);
-                coarse.lock()
-            }
-        })
     }
 }
 
@@ -739,21 +706,6 @@ mod tests {
             .count();
         assert!(populated > 1, "64 keys all landed on one shard");
         assert_eq!(store.len(), 64);
-    }
-
-    #[test]
-    fn coarse_global_lock_mode_still_works() {
-        let store = Store::with_config(StoreConfig {
-            coarse_global_lock: true,
-            ..StoreConfig::default()
-        });
-        let conn = store.connect(ComponentId::from_raw(1));
-        conn.set("a", Value::from(1)).unwrap();
-        conn.hset("h", "f", Value::from(2)).unwrap();
-        assert_eq!(conn.get("a").unwrap(), Some(Value::from(1)));
-        assert_eq!(conn.hgetall("h").unwrap().len(), 1);
-        store.fence(ComponentId::from_raw(1));
-        assert!(conn.get("a").is_err());
     }
 
     #[test]

@@ -109,9 +109,42 @@ pub enum FaultDecision {
     /// Apply the operation **fully** (including waking watchers), then
     /// report failure anyway — the indeterminate-ack gray failure.
     AckLost,
-    /// Apply normally after sleeping the given extra latency (an injected
-    /// spike or a brownout window surcharge).
+    /// Apply normally, the given extra latency late (an injected spike or a
+    /// brownout window surcharge): the operation's acknowledgement is due
+    /// that much later.
     Latency(Duration),
+}
+
+/// How a substrate goes on with one operation the fault plane let through
+/// (see [`FaultGate::of`]): whether its acknowledgement is lost — the
+/// operation applies in full, the submitter is told it failed — and how long
+/// an injected latency spike delays it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultGate {
+    /// Apply fully, then report failure.
+    pub ack_lost: bool,
+    /// Extra latency before the operation's acknowledgement is due.
+    pub delay: Duration,
+}
+
+impl FaultGate {
+    /// The gate for `decision` (`None` = no fault: proceed normally). Returns
+    /// `None` for a transient fault: the operation must fail *before*
+    /// applying anything.
+    pub fn of(decision: Option<FaultDecision>) -> Option<FaultGate> {
+        match decision {
+            None => Some(FaultGate::default()),
+            Some(FaultDecision::Transient) => None,
+            Some(FaultDecision::AckLost) => Some(FaultGate {
+                ack_lost: true,
+                delay: Duration::ZERO,
+            }),
+            Some(FaultDecision::Latency(delay)) => Some(FaultGate {
+                ack_lost: false,
+                delay,
+            }),
+        }
+    }
 }
 
 /// Per-site fault rates. All rates are probabilities in `[0, 1]` evaluated

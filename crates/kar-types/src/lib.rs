@@ -48,7 +48,7 @@ pub mod value;
 
 pub use error::{KarError, KarResult};
 pub use fault::{
-    BrownoutSpec, ClockSkewSpec, FaultCounters, FaultDecision, FaultInjector, FaultPlan,
+    BrownoutSpec, ClockSkewSpec, FaultCounters, FaultDecision, FaultGate, FaultInjector, FaultPlan,
     FaultPlane, FaultSite, FaultSpec, SiteCounters,
 };
 pub use ids::{ActorId, ActorRef, ActorType, ComponentId, Epoch, NodeId, RequestId};
@@ -57,8 +57,8 @@ pub use retry::{epoch_ms, Backoff, RetryOn, RetryPolicy, RetryState, RetryVerdic
 pub use sim::SimScheduler;
 pub use sync::{WaitSignal, WaitSignalGroup};
 pub use time::{
-    clear_virtual_clock, install_virtual_clock, mono_now, pace_sleep, virtual_clock,
-    virtual_time_active, Clock, DeploymentProfile, LatencyProfile, ScaledClock, SystemClock,
-    TimeScale, VirtualClock,
+    clear_virtual_clock, install_virtual_clock, mono_now, pace_sleep, pace_until, virtual_clock,
+    virtual_time_active, Clock, Completion, DeploymentProfile, LatencyProfile, ScaledClock,
+    SystemClock, TimeScale, VirtualClock,
 };
 pub use value::Value;

@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::KarResult;
+
 /// A multiplicative compression factor applied to all configured delays.
 ///
 /// A scale of `0.01` makes the emulated Kafka session timeout of 9 s take
@@ -258,7 +260,58 @@ pub fn pace_sleep(d: Duration) {
     }
 }
 
+/// Sleeps until the shared [`mono_now`] timeline reaches `due` (a no-op once
+/// it has); under a [`VirtualClock`] advances the clock to `due` instead.
+/// The blocking half of every modelled I/O: edge threads *submit* an
+/// operation, get its [`Completion`], and pace themselves to its due time.
+pub fn pace_until(due: Duration) {
+    pace_sleep(due.saturating_sub(mono_now()));
+}
+
+/// The outcome of one modelled I/O — a durable append, a store round trip.
+///
+/// The substrate applies the operation when it is *submitted* and fixes its
+/// outcome there and then; what takes time is the acknowledgement, which
+/// reaches the submitter at `due` on the shared [`mono_now`] timeline.
+/// Nothing that depends on the acknowledgement may run before `due`: a
+/// blocking caller [`waits`](Completion::wait) for it, a reactor parks the
+/// rest of its work until then and goes on with something else.
+#[derive(Debug)]
+#[must_use = "an unacknowledged I/O: wait for it or park on its due time"]
+pub struct Completion<T> {
+    /// When the acknowledgement arrives; `None` when no modelled latency
+    /// applies and it arrived with the submit itself.
+    pub due: Option<Duration>,
+    /// What the acknowledgement says — an ack lost to an injected fault is
+    /// an `Err` here, learnt at `due` like any other acknowledgement.
+    pub result: KarResult<T>,
+}
+
+impl<T> Completion<T> {
+    /// An operation acknowledged as it was submitted.
+    pub fn immediate(result: KarResult<T>) -> Self {
+        Completion { due: None, result }
+    }
+
+    /// Blocks until the acknowledgement arrives and returns it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the acknowledgement carries.
+    pub fn wait(self) -> KarResult<T> {
+        if let Some(due) = self.due {
+            pace_until(due);
+        }
+        self.result
+    }
+}
+
 /// Latency parameters of one deployment configuration.
+///
+/// Every field is the delay of one *completion*, never time a runtime thread
+/// spends asleep: the substrates apply an operation when it is submitted and
+/// report when its acknowledgement is due, so latencies on the critical path
+/// of one invocation add up while those of independent invocations overlap.
 ///
 /// The fields model the dominant latency contributors observed in Table 2 of
 /// the paper: the raw network round trip, the cost of an acknowledged queue
@@ -269,14 +322,21 @@ pub struct LatencyProfile {
     /// One-way network latency between two nodes (used by the Direct HTTP
     /// baseline).
     pub network_one_way: Duration,
-    /// Latency of a durable (acknowledged) append to the message queue.
+    /// Latency of a durable (acknowledged) append to the message queue: a
+    /// produce round submitted at `t` is acknowledged at
+    /// `max(t, partition busy-until) + queue_append` — a partition
+    /// acknowledges strictly in sequence, distinct partitions overlap.
     pub queue_append: Duration,
-    /// Latency between an append and the delivery of the message to the
-    /// consumer of the target partition.
+    /// Latency between the acknowledgement of an append and the record
+    /// becoming readable by the consumer of its partition (`ack +
+    /// queue_deliver`); a poll never returns a record earlier.
     pub queue_deliver: Duration,
-    /// Latency of a key/value store operation (get/set/CAS).
+    /// Latency of one store round trip (a single command or a whole pipeline
+    /// flush): applied at submit, acknowledged `store_op` later.
     pub store_op: Duration,
-    /// Latency of one application-process ⟷ sidecar crossing.
+    /// Latency of one application-process ⟷ sidecar crossing: whatever
+    /// follows the crossing (the handler, a produce round, a response) starts
+    /// `sidecar_hop` after what precedes it.
     pub sidecar_hop: Duration,
 }
 

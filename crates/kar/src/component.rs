@@ -22,9 +22,13 @@
 //! aging, continuation timeouts, orphaned-response routing, partition
 //! retirement) run on the mesh's single timer thread through
 //! [`ComponentCore::tick`]. Handlers that issue nested calls park a
-//! continuation instead of blocking a thread (see [`crate::continuation`]);
-//! invocations for distinct actors still execute in parallel, up to the
-//! reactor-pool width at a time.
+//! continuation instead of blocking a thread (see [`crate::continuation`]),
+//! and an invocation that meets a modelled latency — a sidecar hop, the ack
+//! of its outbox round, its state flush — parks the rest of itself as a
+//! [`Stage`] on the mesh's due-time heap instead of sleeping on its reactor
+//! (see [`crate::io`]); invocations for distinct actors still *compute* in
+//! parallel up to the reactor-pool width at a time, while any number of them
+//! wait for their I/O.
 //!
 //! Rebalance safety: admission verifies the *placement* of every request it
 //! is about to execute (one cache hit in steady state) and forwards requests
@@ -50,9 +54,9 @@ use kar_store::{Connection, Store};
 use kar_types::ids::RequestIdGenerator;
 use kar_types::RequestId;
 use kar_types::{
-    epoch_ms, ActorRef, Backoff, CallKind, ComponentId, Envelope, KarError, KarResult, NodeId,
-    Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState, RetryVerdict,
-    Value, WaitSignalGroup,
+    epoch_ms, ActorRef, Backoff, CallKind, Completion, ComponentId, Envelope, KarError, KarResult,
+    NodeId, Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState,
+    RetryVerdict, Value, WaitSignalGroup,
 };
 
 use crate::actor::{ActorFactory, Outcome};
@@ -60,13 +64,16 @@ use crate::aging::{AgingMap, AgingSet};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{state_key, ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
-use crate::delivery::{partitions_of, send_request_round, ResponseBatcher, Run};
+use crate::delivery::{
+    partitions_of, AckWait, FlushCtx, RequestRound, ResponseBatcher, Run, Settled,
+};
 use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
+use crate::io::DueHeap;
 use crate::placement::{LiveSet, PlacementService};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
-use crate::state_cache::StateCache;
+use crate::state_cache::{PendingFlush, StateCache};
 
 /// The mesh-wide dead-letter queue topic: one partition per component, keyed
 /// by the dead-lettering component's raw id. Entries are full request
@@ -172,6 +179,95 @@ impl Attempt {
     }
 }
 
+/// What the invocation loop keeps across the steps of one invocation.
+pub(crate) struct Frame {
+    request: RequestMessage,
+    /// Whether this invocation holds the actor lock (and so drains the
+    /// actor's mailbox when it completes).
+    holds_lock: bool,
+    /// Whether it was admitted reentrantly (runs on a fresh activation).
+    reentrant: bool,
+}
+
+/// One produce round of the request leg on its way to its ack, with what
+/// [`ComponentCore::count_round`] counts once it is acknowledged.
+pub(crate) struct RoundInFlight {
+    round: RequestRound,
+    requests: u64,
+    /// `(tells carried, partitions touched)` when the round carries tells.
+    outbox: Option<(usize, usize)>,
+}
+
+impl RoundInFlight {
+    /// Groups `run` — its first `tells` entries an invocation's outbox —
+    /// into one round, not yet submitted.
+    fn new(run: Run, tells: usize) -> Self {
+        RoundInFlight {
+            requests: run.len() as u64,
+            outbox: (tells > 0).then(|| (tells, partitions_of(&run).len())),
+            round: RequestRound::new(run),
+        }
+    }
+}
+
+/// One step of an invocation's pipeline, owned by whoever will run it next:
+/// the invocation loop when the due time of the I/O ahead of it has come, the
+/// mesh's due-time heap ([`crate::io`]) until then. Each variant names what
+/// it is waiting *for*; what runs once that has happened is
+/// [`ComponentCore::step`].
+pub(crate) enum Stage {
+    /// The invocation-start sidecar hop: the handler runs next.
+    Start(Frame),
+    /// The sidecar hop of a nested call's response: the continuation runs
+    /// next, with `input`.
+    Resume {
+        parked: ParkedContinuation,
+        input: KarResult<Value>,
+    },
+    /// The sidecar hop of the handler's outbox round: the round is placed
+    /// and submitted next.
+    OutboxHop {
+        frame: Frame,
+        result: KarResult<Outcome>,
+        outbox: Outbox,
+    },
+    /// The outbox round's durable ack: the state flush is submitted next, in
+    /// the same frame that observes the ack.
+    OutboxAck {
+        frame: Frame,
+        result: KarResult<Outcome>,
+        round: RoundInFlight,
+        /// [`Outbox::failed`] and [`Outbox::guarded`] of the flushed outbox.
+        failed: Option<KarError>,
+        guarded: Option<crate::state_cache::Savepoint>,
+    },
+    /// The state flush's store round trip: the completion is sent next.
+    StateFlush {
+        frame: Frame,
+        result: KarResult<Outcome>,
+        pending: PendingFlush,
+        acked: KarResult<()>,
+        submits_left: u32,
+    },
+    /// The sidecar hop of the response: it is routed and enqueued next, and
+    /// the request finished.
+    Respond { frame: Frame, result: Payload },
+    /// The durable ack of one response-batcher flush: its records settle
+    /// next, and the partition's next run leaves.
+    ResponseAck(AckWait),
+}
+
+/// What one step of the invocation loop leads to. The stage travels by
+/// value: boxing it would put an allocation on the inline (zero-latency)
+/// path, which only ever moves it from one stack slot to the next.
+#[allow(clippy::large_enum_variant)]
+enum Step {
+    /// Run `Stage` once the due time (if any) has come.
+    Next(Option<Duration>, Stage),
+    /// The invocation is over, or parked elsewhere (a continuation).
+    Done,
+}
+
 /// Acknowledged produce rounds of one component's request leg.
 #[derive(Default)]
 struct RoundStats {
@@ -228,11 +324,11 @@ const RESPONSE_RUN_HOLD: Duration = Duration::from_millis(1);
 
 /// One buffered completion: its destination partition, the envelope, and the
 /// request record it settles once the append is acknowledged (if any).
-type Completion = (usize, Envelope, Option<RecordOrigin>);
+type BufferedCompletion = (usize, Envelope, Option<RecordOrigin>);
 
 /// One pre-grouped run of completions taken out of a drain-local buffer,
 /// paired with the core that must flush it.
-type PendingRun = (Arc<ComponentCore>, Vec<Completion>);
+type PendingRun = (Arc<ComponentCore>, Vec<BufferedCompletion>);
 
 /// One drain-local completion buffer on this thread's stack, owned by an
 /// `invocation_loop` frame. Completions the frame produces are grouped here
@@ -249,7 +345,7 @@ struct ResponseRun {
     /// whose frames are suspended under a nested pump.
     core: Arc<ComponentCore>,
     /// Completions in send order.
-    buffered: Vec<Completion>,
+    buffered: Vec<BufferedCompletion>,
     /// When the oldest buffered completion was produced.
     opened: Duration,
 }
@@ -357,6 +453,9 @@ pub struct ComponentCore {
     /// gains work (an append to one of its partitions, a shard push, a
     /// timed-out continuation), so an idle reactor resumes sweeping.
     wakeup: Arc<WaitSignalGroup>,
+    /// The mesh-wide due-time heap this component's invocations park on
+    /// while a modelled I/O is in flight (see [`crate::io`]).
+    io: Arc<DueHeap>,
     /// This component's consumer lanes. Starts at the pre-failure steady
     /// state (`MeshConfig::consumers_per_component` lanes over the home
     /// partitions), grows by one lane per adopted partition range, and
@@ -468,13 +567,14 @@ impl ComponentCore {
         live: LiveSet,
         ids: Arc<RequestIdGenerator>,
         hosted: HashMap<String, ActorFactory>,
-        wakeup: Arc<WaitSignalGroup>,
+        io: Arc<DueHeap>,
         budget: Arc<RetryBudget>,
         breakers: Arc<BreakerRegistry>,
         faults: Option<Arc<kar_types::FaultInjector>>,
     ) -> Self {
         let producer = broker.producer(id);
         let conn = store.connect(id);
+        let wakeup = Arc::clone(io.wakeup());
         let placement = PlacementService::new(
             store.connect(id),
             live.clone(),
@@ -532,6 +632,7 @@ impl ComponentCore {
             alive: AtomicBool::new(true),
             paused: AtomicBool::new(false),
             wakeup,
+            io,
             lanes: Mutex::new(Vec::new()),
             continuations: ContinuationTable::default(),
             timed_out: Mutex::new(Vec::new()),
@@ -678,6 +779,9 @@ impl ComponentCore {
         if let Some(responses) = &self.responses {
             responses.clear();
         }
+        // So does everything parked on a modelled I/O: a thread killed
+        // asleep inside an ack or a hop completed nothing either.
+        self.io.forget(self);
         // Records already routed to shard queues are in-memory state: lost
         // with the process. Their queue copies survive and drive the retry.
         self.pool.clear_pending();
@@ -943,11 +1047,22 @@ impl ComponentCore {
             .any(|slot| slot.awaiting_tail == Some(id) || slot.mailbox.iter().any(|r| r.id == id))
     }
 
+    /// Blocks for one sidecar hop. Only for threads that may block: client
+    /// threads, and a handler inside the blocking `ctx.call` or a
+    /// write-through state write. The invocation pipeline never calls this —
+    /// it parks on [`Self::hop_due`] instead.
     fn sidecar_hop(&self) {
         let hop = self.config.latency.sidecar_hop;
         if !hop.is_zero() {
             kar_types::pace_sleep(hop);
         }
+    }
+
+    /// When a sidecar hop starting now is over (`None`: no hop latency is
+    /// modelled, and no clock is read).
+    fn hop_due(&self) -> Option<Duration> {
+        let hop = self.config.latency.sidecar_hop;
+        (!hop.is_zero()).then(|| mono_now() + hop)
     }
 
     // ------------------------------------------------------------------
@@ -958,7 +1073,7 @@ impl ComponentCore {
     /// `external_tell`, `nested_call`/`park_nested`, the invocation outbox).
     fn issue_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
         let run = self.place_round([message])?;
-        self.append_requests(run)
+        self.append_requests(run, 0)
     }
 
     /// Routes freshly issued requests to their destination partitions, in
@@ -994,13 +1109,15 @@ impl ComponentCore {
             .collect()
     }
 
-    /// Flushes one invocation's outbox as **one produce round**: the tells
-    /// in program order, then — when the flush is forced by a nested call —
-    /// that call's request behind them. Placement is resolved per target;
-    /// the append is all-or-nothing and pays one durable ack for every
-    /// partition and destination component it touches (see
-    /// [`crate::context`] for the invariants). The caller has paid the
-    /// round's sidecar hop.
+    /// Flushes one invocation's outbox as **one produce round**, waiting for
+    /// its ack: the tells in program order, then — when the flush is forced
+    /// by a nested call — that call's request behind them. Placement is
+    /// resolved per target; the append is all-or-nothing and pays one
+    /// durable ack for every partition and destination component it touches
+    /// (see [`crate::context`] for the invariants). The caller has paid the
+    /// round's sidecar hop. The blocking form, for a handler suspended in a
+    /// blocking runtime call; a finished handler's outbox leaves through
+    /// [`Stage::OutboxHop`] without blocking anybody.
     fn issue_outbox(
         self: &Arc<Self>,
         tells: Vec<RequestMessage>,
@@ -1008,25 +1125,7 @@ impl ComponentCore {
     ) -> KarResult<()> {
         let records = tells.len();
         let run = self.place_round(tells.into_iter().chain(nested))?;
-        self.append_outbox(run, records)
-    }
-
-    /// The append half of [`Self::issue_outbox`]: `run` is placed already
-    /// and its first `records` entries are tells.
-    fn append_outbox(&self, run: Run, records: usize) -> KarResult<()> {
-        let touched = (records > 0).then(|| partitions_of(&run).len());
-        self.append_requests(run)?;
-        if let Some(touched) = touched {
-            let stats = &self.round_stats;
-            stats.outbox_rounds.fetch_add(1, Ordering::Relaxed);
-            stats
-                .outbox_records
-                .fetch_add(records as u64, Ordering::Relaxed);
-            stats
-                .outbox_partitions_max
-                .fetch_max(touched, Ordering::Relaxed);
-        }
-        Ok(())
+        self.append_requests(run, records)
     }
 
     /// Re-appends a request that already has a record somewhere (a forward
@@ -1035,7 +1134,7 @@ impl ComponentCore {
         message.single_copy = false;
         flush_thread_completions();
         let partition = self.place(&message)?;
-        self.append_requests(vec![(partition, Envelope::Request(message))])
+        self.append_requests(vec![(partition, Envelope::Request(message))], 0)
     }
 
     /// Resolves the target actor's placement and returns the partition of
@@ -1089,37 +1188,105 @@ impl ComponentCore {
             .ok_or_else(|| KarError::internal(format!("no partition set recorded for {component}")))
     }
 
-    /// Appends one run of routed requests as one produce round, one durable
-    /// ack: durable when this returns.
-    fn append_requests(&self, run: Run) -> KarResult<()> {
-        let requests = run.len() as u64;
-        send_request_round(&self.producer, &self.topic, run)?;
+    /// Appends one run of routed requests — its first `tells` entries an
+    /// invocation's outbox — as one produce round, one durable ack, and waits
+    /// for it: durable when this returns `Ok`. For threads that may block;
+    /// the invocation pipeline runs the same submit and settle with a park,
+    /// not a wait, in between ([`Stage::OutboxAck`]).
+    fn append_requests(&self, run: Run, tells: usize) -> KarResult<()> {
+        let mut round = RoundInFlight::new(run, tells);
+        loop {
+            if let Some(due) = round.round.submit(&self.producer, &self.topic) {
+                kar_types::pace_until(due);
+            }
+            match self.settle_round(round) {
+                Settled::Done(outcome) => return outcome,
+                Settled::Replay(replay) => round = replay,
+            }
+        }
+    }
+
+    /// The ack of `round`'s latest submit is in: the round is over — and
+    /// counted, if durable — or to be submitted again.
+    fn settle_round(&self, round: RoundInFlight) -> Settled<RoundInFlight> {
+        let RoundInFlight {
+            round,
+            requests,
+            outbox,
+        } = round;
+        match round.settle() {
+            Settled::Done(outcome) => {
+                if outcome.is_ok() {
+                    self.count_round(requests, outbox);
+                }
+                Settled::Done(outcome)
+            }
+            Settled::Replay(round) => Settled::Replay(RoundInFlight {
+                round,
+                requests,
+                outbox,
+            }),
+        }
+    }
+
+    /// Counts one acknowledged round of the request leg.
+    fn count_round(&self, requests: u64, outbox: Option<(usize, usize)>) {
         let stats = &self.round_stats;
         stats.requests.fetch_add(requests, Ordering::Relaxed);
         stats.rounds.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        if let Some((records, touched)) = outbox {
+            stats.outbox_rounds.fetch_add(1, Ordering::Relaxed);
+            stats
+                .outbox_records
+                .fetch_add(records as u64, Ordering::Relaxed);
+            stats
+                .outbox_partitions_max
+                .fetch_max(touched, Ordering::Relaxed);
+        }
+    }
+
+    /// Runs `flush` against this component's response batcher (`None` when
+    /// `MeshConfig::response_batching` is off). A flush whose ack is still
+    /// to come parks as a [`Stage::ResponseAck`] on the mesh's due-time heap.
+    fn with_batcher<R>(
+        self: &Arc<Self>,
+        flush: impl FnOnce(&ResponseBatcher, &FlushCtx<'_>) -> R,
+    ) -> Option<R> {
+        let batcher = self.responses.as_ref()?;
+        let park = |due, wait| match self
+            .io
+            .park_unless_due(due, self, Stage::ResponseAck(wait))?
+        {
+            Stage::ResponseAck(wait) => Some(wait),
+            _ => unreachable!("the heap hands back the stage it was given"),
+        };
+        Some(flush(
+            batcher,
+            &FlushCtx {
+                producer: &self.producer,
+                topic: &self.topic,
+                tracker: &self.settle,
+                park: &park,
+            },
+        ))
     }
 
     /// Appends `envelope` to `partition` of this component's topic, through
     /// the response batcher (one lock + one durable ack per burst towards
-    /// the partition) when `MeshConfig::response_batching` is on, or as a
-    /// plain keyed append otherwise. `settles` is the request record this
+    /// the partition; nobody waits for the ack) when
+    /// `MeshConfig::response_batching` is on, or as a plain keyed append the
+    /// caller waits for otherwise. `settles` is the request record this
     /// completion settles: it is closed once the append is acknowledged.
-    fn send_completion(&self, partition: usize, envelope: Envelope, settles: Option<RecordOrigin>) {
-        match &self.responses {
-            Some(batcher) => batcher.enqueue(
-                &self.producer,
-                &self.topic,
-                partition,
-                envelope,
-                settles,
-                &self.settle,
-            ),
-            None => {
-                if self.producer.send(&self.topic, partition, envelope).is_ok() {
-                    self.settle.close_all(settles.as_slice());
-                }
-            }
+    fn send_completion(
+        self: &Arc<Self>,
+        partition: usize,
+        envelope: Envelope,
+        settles: Option<RecordOrigin>,
+    ) {
+        if self.responses.is_some() {
+            self.with_batcher(|batcher, ctx| batcher.enqueue(ctx, partition, envelope, settles));
+        } else if self.producer.send(&self.topic, partition, envelope).is_ok() {
+            self.settle.close_all(settles.as_slice());
         }
     }
 
@@ -1170,13 +1337,13 @@ impl ComponentCore {
     /// pending-queue push per destination partition for the whole run,
     /// instead of one lock round per completion, preserving send order
     /// within each partition.
-    fn flush_completion_run(&self, buffered: Vec<Completion>) {
-        let Some(batcher) = &self.responses else {
+    fn flush_completion_run(self: &Arc<Self>, buffered: Vec<BufferedCompletion>) {
+        if self.responses.is_none() {
             for (partition, envelope, settles) in buffered {
                 self.send_completion(partition, envelope, settles);
             }
             return;
-        };
+        }
         // A drain's fan-out spans few distinct partitions, so a linear scan
         // beats hashing here.
         let mut runs: Vec<(usize, Vec<Envelope>, Vec<RecordOrigin>)> = Vec::new();
@@ -1191,27 +1358,19 @@ impl ComponentCore {
             runs[index].1.push(envelope);
             runs[index].2.extend(settles);
         }
-        for (partition, run, settles) in runs {
-            batcher.enqueue_run(
-                &self.producer,
-                &self.topic,
-                partition,
-                run,
-                settles,
-                &self.settle,
-            );
-        }
+        self.with_batcher(|batcher, ctx| {
+            for (partition, run, settles) in runs {
+                batcher.enqueue_run(ctx, partition, run, settles);
+            }
+        });
     }
 
-    /// Sends the response for `request` to the queue of whoever is waiting
-    /// for it: the component recorded in `reply_to` if it is still live, or
-    /// the component currently hosting the caller actor otherwise (which is
-    /// how responses survive the re-placement of their caller).
-    pub(crate) fn send_response(self: &Arc<Self>, request: &RequestMessage, result: Payload) {
-        if !Self::awaits_response(request) {
-            return;
-        }
-        self.sidecar_hop();
+    /// Routes the response for `request` — its sidecar hop is behind it — to
+    /// the queue of whoever is waiting for it: the component recorded in
+    /// `reply_to` if it is still live, or the component currently hosting
+    /// the caller actor otherwise (which is how responses survive the
+    /// re-placement of their caller).
+    fn route_response(self: &Arc<Self>, request: &RequestMessage, result: Payload) {
         // One materialization for the whole delivery path: the queue copy,
         // the delivered envelope, and the pending-call hand-off all share
         // this `Arc`ed payload.
@@ -1446,47 +1605,6 @@ impl ComponentCore {
         // The tells are durable: the writes buffered behind them may be too.
         outbox.guarded = None;
         self.wait_for_response(id, receiver)
-    }
-
-    /// Settles what a finished handler left in its outbox, strictly before
-    /// its state is flushed and before any completion: the pending tells
-    /// leave as one round. Skipped for an attempt that was killed or fenced
-    /// (it publishes nothing). If the round — or an earlier one, flushed
-    /// mid-handler — failed, the error replaces an `Ok` result and the state
-    /// writes the handler buffered behind the lost tells are rolled back,
-    /// so the state flush that follows cannot persist a guard for a tell
-    /// that never left; a killed or fenced round replaces any result,
-    /// steering the invocation into the no-completion arm.
-    fn flush_outbox(
-        self: &Arc<Self>,
-        actor: &ActorRef,
-        outbox: Outbox,
-        result: KarResult<Outcome>,
-    ) -> KarResult<Outcome> {
-        if outbox.tells.is_empty() && outbox.failed.is_none() {
-            return result;
-        }
-        if matches!(
-            result,
-            Err(KarError::Killed { .. } | KarError::Fenced { .. })
-        ) {
-            return result;
-        }
-        let mut flushed = Ok(());
-        if !outbox.tells.is_empty() {
-            self.sidecar_hop();
-            flushed = self.issue_outbox(outbox.tells, None);
-        }
-        match outbox.failed.map_or(flushed, Err) {
-            Ok(()) => result,
-            Err(error @ (KarError::Killed { .. } | KarError::Fenced { .. })) => Err(error),
-            Err(error) => {
-                if let (Some(cache), Some(savepoint)) = (&self.state_cache, outbox.guarded) {
-                    cache.rollback(&state_key(actor), savepoint);
-                }
-                result.and(Err(error))
-            }
-        }
     }
 
     /// Keeps a state write from becoming durable ahead of the tells issued
@@ -1897,30 +2015,33 @@ impl ComponentCore {
     }
 
     fn run_invocation(self: Arc<Self>, request: RequestMessage, holds_lock: bool, reentrant: bool) {
-        self.invocation_loop(request, holds_lock, reentrant, None);
-    }
-
-    /// Resumes a parked continuation with the nested call's result, then
-    /// re-enters the invocation loop exactly where the handler left off
-    /// (flush, outcome handling, mailbox drain).
-    fn resume_continuation(self: &Arc<Self>, parked: ParkedContinuation, input: KarResult<Value>) {
-        if !self.is_alive() {
-            return;
-        }
-        let ParkedContinuation {
+        let frame = Frame {
             request,
             holds_lock,
             reentrant,
-            then,
-            ..
-        } = parked;
-        self.sidecar_hop();
-        let attempt = {
-            let mut ctx = ActorContext::new(self, &request, request.target.clone());
-            let result = then.resume(&mut ctx, input);
-            Attempt::finished(ctx, result)
         };
-        Arc::clone(self).invocation_loop(request, holds_lock, reentrant, Some(attempt));
+        let hop = self.hop_due();
+        self.invocation_loop(hop, Stage::Start(frame));
+    }
+
+    /// Resumes a parked continuation with the nested call's result — one
+    /// sidecar hop later — then re-enters the invocation loop exactly where
+    /// the handler left off (flush, outcome handling, mailbox drain).
+    fn resume_continuation(self: &Arc<Self>, parked: ParkedContinuation, input: KarResult<Value>) {
+        let hop = self.hop_due();
+        Arc::clone(self).invocation_loop(hop, Stage::Resume { parked, input });
+    }
+
+    /// Runs a stage the due-time heap held until its time came.
+    pub(crate) fn resume_stage(self: &Arc<Self>, stage: Stage) {
+        match stage {
+            Stage::ResponseAck(wait) => {
+                if self.is_alive() {
+                    self.with_batcher(|batcher, ctx| batcher.acked(ctx, wait));
+                }
+            }
+            stage => Arc::clone(self).invocation_loop(None, stage),
+        }
     }
 
     /// Sends the nested request of an [`Outcome::CallThen`] — in one round
@@ -1991,7 +2112,7 @@ impl ComponentCore {
                         then,
                     },
                 );
-                let error = self.append_outbox(run, records).err()?;
+                let error = self.append_requests(run, records).err()?;
                 // Nothing was appended, so no response will ever arrive:
                 // take the park back. A racing timer may have claimed it as
                 // timed out first; the timeout path owns the resume then.
@@ -2007,251 +2128,471 @@ impl ComponentCore {
         Some(Attempt::finished(ctx, result))
     }
 
-    /// The invocation state machine: executes `request` (or continues it
-    /// from a resumed continuation's `resumed` outcome), completes it, and
-    /// drains the actor's mailbox while it holds the lock. Parks instead of
-    /// returning when the handler issues a [`Outcome::CallThen`].
-    fn invocation_loop(
-        self: Arc<Self>,
-        mut request: RequestMessage,
-        holds_lock: bool,
-        mut reentrant: bool,
-        mut resumed: Option<Attempt>,
-    ) {
+    /// The invocation state machine: runs `stage` once `due` has come, then
+    /// whatever each step leads to — the handler, its outbox round, its
+    /// state flush, its completion, the next invocation in the actor's
+    /// mailbox — for as long as no step has to wait. A step that meets a due
+    /// time still in the future parks the rest of the invocation on the
+    /// mesh's due-time heap and returns: the reactor, the dispatch-shard
+    /// claim and the shard's busy-actor guard go back to the pool, while the
+    /// actor stays busy and the request in flight. Also returns, for good,
+    /// when the handler parks a continuation ([`Outcome::CallThen`]).
+    fn invocation_loop(self: Arc<Self>, mut due: Option<Duration>, mut stage: Stage) {
         // Drain-local response buffering: completions this frame produces
         // are grouped per destination partition and handed to the batcher
         // as single runs — flushed when the frame exits (this guard), when
-        // the buffer fills or goes stale, and before any blocking wait.
+        // the buffer fills or goes stale, and before any blocking wait. A
+        // stage resumed from the heap opens its own: it runs outside the
+        // frame that parked it.
         let _run_guard = ResponseRunGuard::open(&self);
         loop {
             if !self.is_alive() {
                 return;
             }
-            let attempt = match resumed.take() {
-                // Continuation resume: the handler already ran up to its
-                // parked nested call; pick up from its next outcome.
-                Some(attempt) => Some(attempt),
-                None => {
-                    self.sidecar_hop();
-                    if self.config.cancellation == CancellationPolicy::Cancel
-                        && self.should_cancel(&request)
-                    {
-                        self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                        self.send_response(
-                            &request,
-                            Err(KarError::Cancelled {
-                                request: request.id,
-                            }),
-                        );
-                        self.finish(&request);
-                        None
-                    } else {
-                        // The circuit breaker sits at the execute boundary:
-                        // an open breaker fails the attempt fast (the
-                        // retryable `CircuitOpen` flows into the ordinary
-                        // failure orchestration below); a closed one feeds
-                        // its health window from the outcome. Self-failures
-                        // (killed / fenced mid-run) say nothing about the
-                        // actor type's health, and fast-fails are not
-                        // recorded — an open breaker must not feed itself.
-                        match self.breakers.admit(request.target.actor_type()) {
-                            Ok(()) => {
-                                let attempt = self.execute(&request, reentrant);
-                                if !matches!(
-                                    attempt.result,
-                                    Err(KarError::Killed { .. } | KarError::Fenced { .. })
-                                ) {
-                                    self.breakers.record(
-                                        request.target.actor_type(),
-                                        attempt.result.is_ok(),
-                                    );
-                                }
-                                Some(attempt)
-                            }
-                            Err(error) => Some(Attempt {
-                                result: Err(error),
-                                outbox: Outbox::default(),
-                            }),
-                        }
-                    }
-                }
+            let Some(ready) = self.io.park_unless_due(due, &self, stage) else {
+                return;
             };
-            if let Some(Attempt { result, outbox }) = attempt {
+            match self.step(ready) {
+                Step::Next(next_due, next) => {
+                    due = next_due;
+                    stage = next;
+                }
+                Step::Done => return,
+            }
+        }
+    }
+
+    /// Runs what `stage` was waiting to run: the I/O it names has completed.
+    fn step(self: &Arc<Self>, stage: Stage) -> Step {
+        match stage {
+            Stage::Start(frame) => {
+                if self.config.cancellation == CancellationPolicy::Cancel
+                    && self.should_cancel(&frame.request)
+                {
+                    self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                    let cancelled = KarError::Cancelled {
+                        request: frame.request.id,
+                    };
+                    return self.respond(frame, Err(cancelled));
+                }
+                // The circuit breaker sits at the execute boundary: an open
+                // breaker fails the attempt fast (the retryable
+                // `CircuitOpen` flows into the ordinary failure
+                // orchestration); a closed one feeds its health window from
+                // the outcome. Self-failures (killed / fenced mid-run) say
+                // nothing about the actor type's health, and fast-fails are
+                // not recorded — an open breaker must not feed itself.
+                let actor_type = frame.request.target.actor_type();
+                let attempt = match self.breakers.admit(actor_type) {
+                    Ok(()) => {
+                        let attempt = self.execute(&frame.request, frame.reentrant);
+                        if !matches!(
+                            attempt.result,
+                            Err(KarError::Killed { .. } | KarError::Fenced { .. })
+                        ) {
+                            self.breakers.record(actor_type, attempt.result.is_ok());
+                        }
+                        attempt
+                    }
+                    Err(error) => Attempt {
+                        result: Err(error),
+                        outbox: Outbox::default(),
+                    },
+                };
+                self.handler_returned(frame, attempt)
+            }
+            Stage::Resume { parked, input } => {
+                let ParkedContinuation {
+                    request,
+                    holds_lock,
+                    reentrant,
+                    then,
+                    ..
+                } = parked;
+                let attempt = {
+                    let mut ctx = ActorContext::new(self, &request, request.target.clone());
+                    let result = then.resume(&mut ctx, input);
+                    Attempt::finished(ctx, result)
+                };
+                let frame = Frame {
+                    request,
+                    holds_lock,
+                    reentrant,
+                };
+                self.handler_returned(frame, attempt)
+            }
+            Stage::OutboxHop {
+                frame,
+                result,
+                outbox,
+            } => {
+                let Outbox {
+                    tells,
+                    failed,
+                    guarded,
+                } = outbox;
+                let tells_count = tells.len();
+                match self.place_round(tells) {
+                    Ok(run) => {
+                        let round = RoundInFlight::new(run, tells_count);
+                        self.submit_outbox(frame, result, round, failed, guarded)
+                    }
+                    Err(error) => self.outbox_settled(frame, result, Err(error), failed, guarded),
+                }
+            }
+            Stage::OutboxAck {
+                frame,
+                result,
+                round,
+                failed,
+                guarded,
+            } => match self.settle_round(round) {
+                Settled::Done(flushed) => {
+                    self.outbox_settled(frame, result, flushed, failed, guarded)
+                }
+                // The ack was lost: the whole round again.
+                Settled::Replay(round) => self.submit_outbox(frame, result, round, failed, guarded),
+            },
+            Stage::StateFlush {
+                frame,
+                result,
+                pending,
+                acked,
+                submits_left,
+            } => {
+                let Some(cache) = &self.state_cache else {
+                    return Step::Done;
+                };
+                let key = state_key(&frame.request.target);
+                match cache.finish_flush(&key, pending, acked) {
+                    Ok(()) => self.complete(frame, result),
+                    // The ack was lost; the batch is idempotent: again.
+                    Err(error) if error.is_transient() && submits_left > 0 => {
+                        self.submit_state_flush(frame, result, submits_left)
+                    }
+                    Err(error) if error.is_transient() => self.complete(frame, Err(error)),
+                    Err(_) => Step::Done,
+                }
+            }
+            Stage::Respond { frame, result } => {
+                self.route_response(&frame.request, result);
+                self.finish(&frame.request);
+                self.next_in_mailbox(frame)
+            }
+            Stage::ResponseAck(_) => unreachable!("resumed by the batcher, not the loop"),
+        }
+    }
+
+    /// A handler — or a resumed continuation — returned `attempt`.
+    fn handler_returned(self: &Arc<Self>, frame: Frame, mut attempt: Attempt) -> Step {
+        loop {
+            let Attempt { result, outbox } = attempt;
+            match result {
                 // A parked nested call suspends the handler mid-invocation:
                 // no state is flushed and nothing completes — the original
                 // request stays in-flight (and in its queue copy), the actor
                 // stays locked, and recovery treats the parked invocation
                 // exactly like one executing on a killed thread. Its pending
                 // tells leave with the nested request.
-                let result = match result {
-                    Ok(Outcome::CallThen {
-                        target,
-                        method,
-                        args,
-                        policy,
-                        then,
-                    }) => match self.park_nested(
-                        &request, holds_lock, reentrant, target, method, args, policy, then, outbox,
-                    ) {
-                        None => return,
-                        Some(next) => {
-                            resumed = Some(next);
-                            continue;
-                        }
-                    },
-                    // Outbox → state flush → completion, never state first.
-                    other => self.flush_outbox(&request.target, outbox, other),
-                };
-                // Flush-before-respond: the invocation's buffered state
-                // writes become durable (one pipelined round trip) before
-                // ANY completion — response, error response, or tail-call
-                // continuation — is sent. The flush batch is idempotent
-                // (pure sets/deletes), so a *transient* store failure —
-                // including a gray failure whose ack was lost after the
-                // batch applied — is replayed locally a bounded number of
-                // times; past that, the transient error is escalated into
-                // the ordinary failure arm below, where retry orchestration
-                // (queue copy + dedup) takes over. A fenced or killed flush
-                // means this component died mid-completion: nothing is sent,
-                // and the queue copy drives the retry from the last durable
-                // state.
-                let result = if matches!(
-                    result,
-                    Err(KarError::Killed { .. } | KarError::Fenced { .. })
+                Ok(Outcome::CallThen {
+                    target,
+                    method,
+                    args,
+                    policy,
+                    then,
+                }) => match self.park_nested(
+                    &frame.request,
+                    frame.holds_lock,
+                    frame.reentrant,
+                    target,
+                    method,
+                    args,
+                    policy,
+                    then,
+                    outbox,
                 ) {
-                    result
-                } else {
-                    match retry_transient(TRANSIENT_ATTEMPTS, || {
-                        self.flush_actor_state(&request.target)
-                    }) {
-                        Ok(()) => result,
-                        Err(error) if error.is_transient() => Err(error),
-                        Err(_) => return,
-                    }
+                    None => return Step::Done,
+                    // The send failed synchronously and the continuation
+                    // was resumed inline with the error.
+                    Some(next) => attempt = next,
+                },
+                // Outbox → state flush → completion, never state first.
+                other => return self.flush_outbox(frame, outbox, other),
+            }
+        }
+    }
+
+    /// Settles what a finished handler left in its outbox, strictly before
+    /// its state is flushed and before any completion: the pending tells
+    /// leave as one round, one sidecar hop from now. Skipped for an attempt
+    /// that was killed or fenced (it publishes nothing).
+    fn flush_outbox(
+        self: &Arc<Self>,
+        frame: Frame,
+        outbox: Outbox,
+        result: KarResult<Outcome>,
+    ) -> Step {
+        if (outbox.tells.is_empty() && outbox.failed.is_none())
+            || matches!(
+                result,
+                Err(KarError::Killed { .. } | KarError::Fenced { .. })
+            )
+        {
+            return self.flush_state(frame, result);
+        }
+        if outbox.tells.is_empty() {
+            // Nothing left to send, but a round flushed mid-handler failed.
+            return self.outbox_settled(frame, result, Ok(()), outbox.failed, outbox.guarded);
+        }
+        Step::Next(
+            self.hop_due(),
+            Stage::OutboxHop {
+                frame,
+                result,
+                outbox,
+            },
+        )
+    }
+
+    /// Submits (or, its ack lost, re-submits) an invocation's outbox round.
+    fn submit_outbox(
+        self: &Arc<Self>,
+        frame: Frame,
+        result: KarResult<Outcome>,
+        mut round: RoundInFlight,
+        failed: Option<KarError>,
+        guarded: Option<crate::state_cache::Savepoint>,
+    ) -> Step {
+        let due = round.round.submit(&self.producer, &self.topic);
+        Step::Next(
+            due,
+            Stage::OutboxAck {
+                frame,
+                result,
+                round,
+                failed,
+                guarded,
+            },
+        )
+    }
+
+    /// The outbox round is over — `flushed` says how. If it — or an earlier
+    /// round of this invocation, flushed mid-handler (`failed`) — failed,
+    /// the error replaces an `Ok` result and the state writes the handler
+    /// buffered behind the lost tells are rolled back (`guarded`), so the
+    /// state flush that follows cannot persist a guard for a tell that never
+    /// left; a killed or fenced round replaces any result, steering the
+    /// invocation into the no-completion arm. The state flush is submitted
+    /// right here, in the frame that observed the round's ack.
+    fn outbox_settled(
+        self: &Arc<Self>,
+        frame: Frame,
+        result: KarResult<Outcome>,
+        flushed: KarResult<()>,
+        failed: Option<KarError>,
+        guarded: Option<crate::state_cache::Savepoint>,
+    ) -> Step {
+        let result = match failed.map_or(flushed, Err) {
+            Ok(()) => result,
+            Err(error @ (KarError::Killed { .. } | KarError::Fenced { .. })) => Err(error),
+            Err(error) => {
+                if let (Some(cache), Some(savepoint)) = (&self.state_cache, guarded) {
+                    cache.rollback(&state_key(&frame.request.target), savepoint);
+                }
+                result.and(Err(error))
+            }
+        };
+        self.flush_state(frame, result)
+    }
+
+    /// Flush-before-respond: the invocation's buffered state writes become
+    /// durable (one pipelined round trip) before ANY completion — response,
+    /// error response, or tail-call continuation — is sent. The flush batch
+    /// is idempotent (pure sets/deletes), so a *transient* store failure —
+    /// including a gray failure whose ack was lost after the batch applied —
+    /// is replayed locally a bounded number of times; past that, the
+    /// transient error is escalated into the ordinary failure arm of
+    /// [`Self::complete`], where retry orchestration (queue copy + dedup)
+    /// takes over. A fenced or killed flush means this component died
+    /// mid-completion: nothing is sent, and the queue copy drives the retry
+    /// from the last durable state.
+    fn flush_state(self: &Arc<Self>, frame: Frame, result: KarResult<Outcome>) -> Step {
+        if matches!(
+            result,
+            Err(KarError::Killed { .. } | KarError::Fenced { .. })
+        ) {
+            return self.complete(frame, result);
+        }
+        self.submit_state_flush(frame, result, TRANSIENT_ATTEMPTS)
+    }
+
+    /// Submits the state flush, replaying at once a submit refused with a
+    /// transient fault (nothing was applied) while `submits_left` allows.
+    fn submit_state_flush(
+        self: &Arc<Self>,
+        frame: Frame,
+        result: KarResult<Outcome>,
+        mut submits_left: u32,
+    ) -> Step {
+        let Some(cache) = &self.state_cache else {
+            return self.complete(frame, result);
+        };
+        let key = state_key(&frame.request.target);
+        loop {
+            submits_left -= 1;
+            match cache.submit_flush(&self.conn, &key) {
+                Ok(None) => return self.complete(frame, result),
+                Ok(Some((pending, Completion { due, result: acked }))) => {
+                    return Step::Next(
+                        due,
+                        Stage::StateFlush {
+                            frame,
+                            result,
+                            pending,
+                            acked,
+                            submits_left,
+                        },
+                    );
+                }
+                Err(error) if error.is_transient() && submits_left > 0 => {}
+                Err(error) if error.is_transient() => return self.complete(frame, Err(error)),
+                Err(_) => return Step::Done,
+            }
+        }
+    }
+
+    /// The invocation's outbox and state are durable: completes it as
+    /// `result` says.
+    fn complete(self: &Arc<Self>, frame: Frame, result: KarResult<Outcome>) -> Step {
+        let request = &frame.request;
+        match result {
+            Ok(Outcome::Value(value)) => {
+                self.stats.executed.fetch_add(1, Ordering::Relaxed);
+                self.respond(frame, Ok(value))
+            }
+            Ok(Outcome::CallThen { .. }) => unreachable!("parked when the handler returned"),
+            Ok(Outcome::TailCall {
+                target,
+                method,
+                args,
+            }) => {
+                self.stats.executed.fetch_add(1, Ordering::Relaxed);
+                self.stats.tail_calls.fetch_add(1, Ordering::Relaxed);
+                let same_actor = target == request.target;
+                let tail = RequestMessage {
+                    id: request.id,
+                    caller: request.caller,
+                    target,
+                    method,
+                    args,
+                    kind: CallKind::TailCall,
+                    lineage: request.lineage.clone(),
+                    pending_callee: None,
+                    caller_actor: request.caller_actor.clone(),
+                    reply_to: request.reply_to,
+                    // A tail call continues the same logical request,
+                    // so it inherits the caller's retry *policy* — as
+                    // a fresh schedule for the new stage (a stage is
+                    // never admitted as a scheduled-retry copy). A
+                    // policy-covered call stays covered across its
+                    // §2.3 read/commit decomposition; the callee's
+                    // defaults still apply when the caller set none.
+                    retry: request
+                        .retry
+                        .as_ref()
+                        .map(|state| Box::new(RetryState::fresh(state.policy.clone(), epoch_ms()))),
+                    // The successor is a second record of this id.
+                    single_copy: false,
                 };
-                match result {
-                    Ok(Outcome::Value(value)) => {
-                        self.stats.executed.fetch_add(1, Ordering::Relaxed);
-                        self.send_response(&request, Ok(value));
-                        self.finish(&request);
-                    }
-                    Ok(Outcome::CallThen { .. }) => unreachable!("parked above"),
-                    Ok(Outcome::TailCall {
-                        target,
-                        method,
-                        args,
-                    }) => {
-                        self.stats.executed.fetch_add(1, Ordering::Relaxed);
-                        self.stats.tail_calls.fetch_add(1, Ordering::Relaxed);
-                        let same_actor = target == request.target;
-                        let tail = RequestMessage {
-                            id: request.id,
-                            caller: request.caller,
-                            target,
-                            method,
-                            args,
-                            kind: CallKind::TailCall,
-                            lineage: request.lineage.clone(),
-                            pending_callee: None,
-                            caller_actor: request.caller_actor.clone(),
-                            reply_to: request.reply_to,
-                            // A tail call continues the same logical request,
-                            // so it inherits the caller's retry *policy* — as
-                            // a fresh schedule for the new stage (a stage is
-                            // never admitted as a scheduled-retry copy). A
-                            // policy-covered call stays covered across its
-                            // §2.3 read/commit decomposition; the callee's
-                            // defaults still apply when the caller set none.
-                            retry: request.retry.as_ref().map(|state| {
-                                Box::new(RetryState::fresh(state.policy.clone(), epoch_ms()))
-                            }),
-                            // The successor is a second record of this id.
-                            single_copy: false,
-                        };
-                        self.inflight.lock().remove(&request.id);
-                        if same_actor && holds_lock {
-                            // Retain the actor lock across the tail call: the
-                            // continuation bypasses the mailbox when its queue
-                            // copy arrives (§4.1). It is sent straight to the
-                            // actor's own home partition here — the hash the
-                            // continuation's copy would take anyway — through
-                            // the same per-destination batching as responses,
-                            // so a continuation produced while another
-                            // completion's ack is in flight rides its flush.
-                            {
-                                let mut actors = self.actors.lock();
-                                if let Some(slot) = actors.get_mut(&request.target) {
-                                    slot.awaiting_tail = Some(request.id);
-                                }
-                            }
-                            if let Some(partition) = self.own_partition_for(&request.target) {
-                                // The successor is this record's completion.
-                                let settles = self.settle.take(request.id);
-                                self.send_completion(partition, Envelope::Request(tail), settles);
-                            }
-                            return;
-                        }
-                        self.resend_settling(tail);
-                        // A tail call to a different actor releases the lock:
-                        // fall through to mailbox processing.
-                    }
-                    Err(KarError::Killed { .. } | KarError::Fenced { .. }) => {
-                        // The invocation was interrupted by a failure: no
-                        // response, no completion; retry orchestration takes
-                        // over during reconciliation.
-                        return;
-                    }
-                    Err(error) => {
-                        self.stats.executed.fetch_add(1, Ordering::Relaxed);
-                        // Policy-orchestrated failure: schedule a retry copy
-                        // (in which case nothing completes here — the copy
-                        // carries the schedule), or settle the failure as
-                        // final (respond + finish), possibly via the DLQ.
-                        if let Some(error) = self.orchestrate_failure(&request, error) {
-                            if request.kind.expects_response() {
-                                self.send_response(&request, Err(error));
-                            }
-                            self.finish(&request);
+                self.inflight.lock().remove(&request.id);
+                if same_actor && frame.holds_lock {
+                    // Retain the actor lock across the tail call: the
+                    // continuation bypasses the mailbox when its queue
+                    // copy arrives (§4.1). It is sent straight to the
+                    // actor's own home partition here — the hash the
+                    // continuation's copy would take anyway — through
+                    // the same per-destination batching as responses,
+                    // so a continuation produced while another
+                    // completion's ack is in flight rides its flush.
+                    {
+                        let mut actors = self.actors.lock();
+                        if let Some(slot) = actors.get_mut(&request.target) {
+                            slot.awaiting_tail = Some(request.id);
                         }
                     }
+                    if let Some(partition) = self.own_partition_for(&request.target) {
+                        // The successor is this record's completion.
+                        let settles = self.settle.take(request.id);
+                        self.send_completion(partition, Envelope::Request(tail), settles);
+                    }
+                    return Step::Done;
+                }
+                self.resend_settling(tail);
+                // A tail call to a different actor releases the lock:
+                // on to the mailbox.
+                self.next_in_mailbox(frame)
+            }
+            Err(KarError::Killed { .. } | KarError::Fenced { .. }) => {
+                // The invocation was interrupted by a failure: no
+                // response, no completion; retry orchestration takes
+                // over during reconciliation.
+                Step::Done
+            }
+            Err(error) => {
+                self.stats.executed.fetch_add(1, Ordering::Relaxed);
+                // Policy-orchestrated failure: schedule a retry copy
+                // (in which case nothing completes here — the copy
+                // carries the schedule), or settle the failure as
+                // final (respond + finish), possibly via the DLQ.
+                match self.orchestrate_failure(request, error) {
+                    Some(error) => self.respond(frame, Err(error)),
+                    None => self.next_in_mailbox(frame),
                 }
             }
-            if !holds_lock {
-                return;
+        }
+    }
+
+    /// Completes `frame`'s request with `result`: the response leaves one
+    /// sidecar hop from now ([`Stage::Respond`]) — if anybody can be waiting
+    /// for one — and the request is finished.
+    fn respond(self: &Arc<Self>, frame: Frame, result: Payload) -> Step {
+        if Self::awaits_response(&frame.request) {
+            return Step::Next(self.hop_due(), Stage::Respond { frame, result });
+        }
+        self.finish(&frame.request);
+        self.next_in_mailbox(frame)
+    }
+
+    /// `frame`'s invocation is over: processes the next queued invocation
+    /// for its actor, or releases the actor lock.
+    fn next_in_mailbox(self: &Arc<Self>, mut frame: Frame) -> Step {
+        if !frame.holds_lock {
+            return Step::Done;
+        }
+        let mut actors = self.actors.lock();
+        let Some(slot) = actors.get_mut(&frame.request.target) else {
+            return Step::Done;
+        };
+        if slot.awaiting_tail.is_some() {
+            return Step::Done;
+        }
+        match slot.mailbox.pop_front() {
+            Some(next) => {
+                self.mailboxed.fetch_sub(1, Ordering::Relaxed);
+                slot.busy_chain = next.chain();
+                drop(actors);
+                frame.request = next;
+                frame.reentrant = false;
+                Step::Next(self.hop_due(), Stage::Start(frame))
             }
-            // Process the next queued invocation for this actor, or release
-            // the actor lock.
-            let next = {
-                let mut actors = self.actors.lock();
-                let Some(slot) = actors.get_mut(&request.target) else {
-                    return;
-                };
-                if slot.awaiting_tail.is_some() {
-                    return;
-                }
-                match slot.mailbox.pop_front() {
-                    Some(next) => {
-                        self.mailboxed.fetch_sub(1, Ordering::Relaxed);
-                        slot.busy_chain = next.chain();
-                        Some(next)
-                    }
-                    None => {
-                        slot.busy = false;
-                        slot.busy_chain.clear();
-                        // The mailbox ran dry: restart the actor's idle
-                        // clock from the end of its activity, not from its
-                        // last admission.
-                        self.touch_idle(&request.target);
-                        None
-                    }
-                }
-            };
-            match next {
-                Some(next) => {
-                    request = next;
-                    reentrant = false;
-                }
-                None => return,
+            None => {
+                slot.busy = false;
+                slot.busy_chain.clear();
+                // The mailbox ran dry: restart the actor's idle clock
+                // from the end of its activity, not from its last
+                // admission.
+                self.touch_idle(&frame.request.target);
+                Step::Done
             }
         }
     }
@@ -2466,10 +2807,15 @@ impl ComponentCore {
                     RetryVerdict::Retry(next) => request.retry = Some(Box::new(next)),
                     RetryVerdict::Exhausted(final_state) => {
                         self.dead_letter(&request, &final_state, &error);
-                        if request.kind.expects_response() {
-                            self.send_response(&request, Err(error));
+                        // Never admitted to its actor: it holds no lock.
+                        let frame = Frame {
+                            request,
+                            holds_lock: false,
+                            reentrant: false,
+                        };
+                        if let Step::Next(due, stage) = self.respond(frame, Err(error)) {
+                            Arc::clone(self).invocation_loop(due, stage);
                         }
-                        self.finish(&request);
                         return None;
                     }
                 }
@@ -2683,11 +3029,14 @@ impl ComponentCore {
     /// drain claimable dispatch shards, resume timed-out continuations.
     /// Returns true if any work was done. Safe to call from any number of
     /// reactors concurrently — lanes and shards are claimed individually.
-    pub(crate) fn pump(self: &Arc<Self>) -> bool {
+    /// `wake_at` is lowered to the earliest instant a record already in one
+    /// of this component's partitions becomes readable: the sweeping reactor
+    /// must not sleep past it (no append will announce it).
+    pub(crate) fn pump(self: &Arc<Self>, wake_at: &mut Option<Duration>) -> bool {
         if !self.is_alive() || self.is_paused() {
             return false;
         }
-        let mut did = self.pump_consumers();
+        let mut did = self.pump_consumers(wake_at);
         did |= self.pump_retries();
         did |= self.pump_dispatch();
         did |= self.pump_timeouts();
@@ -2717,7 +3066,7 @@ impl ComponentCore {
     /// lock-free check, so sweeping a large idle topology costs two atomic
     /// loads per partition — this is what lets one fixed reactor pool drive
     /// 100× the partitions.
-    fn pump_consumers(self: &Arc<Self>) -> bool {
+    fn pump_consumers(self: &Arc<Self>, wake_at: &mut Option<Duration>) -> bool {
         let lanes: Vec<Arc<ConsumerLane>> = self.lanes.lock().clone();
         let mut did = false;
         for lane in lanes {
@@ -2732,6 +3081,9 @@ impl ComponentCore {
                     return did;
                 }
                 if !consumers[index].ready() {
+                    if let Some(visible_at) = consumers[index].next_visible_at() {
+                        *wake_at = Some(wake_at.map_or(visible_at, |at| at.min(visible_at)));
+                    }
                     index += 1;
                     continue;
                 }
@@ -2932,9 +3284,7 @@ impl ComponentCore {
         }
         self.sweep_orphan_responses(now);
         // Response runs whose flush ran out of transient replays.
-        if let Some(responses) = &self.responses {
-            responses.retry_stalled(&self.producer, &self.topic, &self.settle);
-        }
+        self.with_batcher(|batcher, ctx| batcher.retry_stalled(ctx));
         self.sweep_retirement();
         self.sweep_passivation(now);
         // Survivors stop trimming while the leader catalogues the logs.

@@ -23,8 +23,11 @@ pub enum CancellationPolicy {
 #[derive(Debug, Clone)]
 pub struct MeshConfig {
     /// Latency profile injected into the substrates (queue append/deliver,
-    /// store operations, sidecar hops). [`LatencyProfile::ZERO`] for
-    /// functional tests.
+    /// store operations, sidecar hops). Every latency is a *due time* — the
+    /// substrates apply an operation at submit and say when it is
+    /// acknowledged; a reactor parks the invocation until then and runs
+    /// others (README "Modelled I/O is a completion").
+    /// [`LatencyProfile::ZERO`] for functional tests.
     pub latency: LatencyProfile,
     /// Compression applied to failure-detection/recovery time constants
     /// (session timeout, stabilization, heartbeats). Measurements can be
@@ -120,10 +123,6 @@ pub struct MeshConfig {
     /// pre-failure steady state. Disable to keep the pre-overhaul behavior
     /// of draining adopted partitions forever.
     pub partition_retirement: bool,
-    /// **Ablation knob for benchmarks only.** Restores the pre-overhaul
-    /// broker whose single global lock serialized every append and fetch
-    /// (see `BrokerConfig::coarse_global_lock`).
-    pub coarse_broker_lock: bool,
     /// Enable the per-activation actor-state cache: `ctx.state()` reads
     /// through one `hgetall` on an actor's first touch, buffers writes in
     /// memory, and flushes them as one pipelined store round trip strictly
@@ -136,10 +135,6 @@ pub struct MeshConfig {
     /// Keys hash onto shards, so concurrent state/placement commands only
     /// contend when they race on the same shard.
     pub store_shards: usize,
-    /// **Ablation knob for benchmarks only.** Restores the pre-overhaul
-    /// store whose single global data lock serialized every command
-    /// mesh-wide (see `StoreConfig::coarse_global_lock`).
-    pub coarse_store_lock: bool,
     /// Per-actor-type default retry policies (`(actor type, policy)`
     /// pairs). An invocation of a listed type whose request carries no
     /// explicit policy is orchestrated under the type's default: failed
@@ -256,10 +251,8 @@ impl Default for MeshConfig {
             reactor_threads: 0,
             response_batching: true,
             partition_retirement: true,
-            coarse_broker_lock: false,
             actor_state_cache: true,
             store_shards: 0,
-            coarse_store_lock: false,
             retry_policies: Vec::new(),
             circuit_breaker: None,
             // Generous default: orchestrated retries are effectively
@@ -487,14 +480,6 @@ impl MeshConfig {
         self.time_scale.compress(self.retention * 2)
     }
 
-    /// **Benchmark ablation**: restores the pre-overhaul single global
-    /// broker lock.
-    #[must_use]
-    pub fn with_coarse_broker_lock(mut self, coarse: bool) -> Self {
-        self.coarse_broker_lock = coarse;
-        self
-    }
-
     /// Enables or disables the per-activation actor-state cache (the
     /// benchmarks compare round trips per invocation under both settings).
     #[must_use]
@@ -507,14 +492,6 @@ impl MeshConfig {
     #[must_use]
     pub fn with_store_shards(mut self, shards: usize) -> Self {
         self.store_shards = shards;
-        self
-    }
-
-    /// **Benchmark ablation**: restores the pre-overhaul single global
-    /// store lock.
-    #[must_use]
-    pub fn with_coarse_store_lock(mut self, coarse: bool) -> Self {
-        self.coarse_store_lock = coarse;
         self
     }
 
@@ -665,7 +642,6 @@ impl MeshConfig {
                 .time_scale
                 .compress(Duration::from_millis(200))
                 .max(Duration::from_millis(1)),
-            coarse_global_lock: self.coarse_broker_lock,
             faults: None,
         }
     }
@@ -677,7 +653,6 @@ impl MeshConfig {
         StoreConfig {
             op_latency: self.latency.store_op,
             shards: self.store_shards,
-            coarse_global_lock: self.coarse_store_lock,
             faults: None,
         }
     }
@@ -741,13 +716,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_and_coarse_lock_toggles() {
+    fn work_stealing_toggle() {
         let c = MeshConfig::for_tests();
         assert!(c.work_stealing);
-        assert!(!c.coarse_broker_lock);
-        let c = c.with_work_stealing(false).with_coarse_broker_lock(true);
-        assert!(!c.work_stealing);
-        assert!(c.broker_config().coarse_global_lock);
+        assert!(!c.with_work_stealing(false).work_stealing);
     }
 
     #[test]
@@ -782,15 +754,11 @@ mod tests {
         let c = MeshConfig::default();
         assert!(c.actor_state_cache);
         assert_eq!(c.store_shards, 0);
-        assert!(!c.coarse_store_lock);
-        assert!(!c.store_config().coarse_global_lock);
         let c = MeshConfig::for_tests()
             .with_actor_state_cache(false)
-            .with_store_shards(4)
-            .with_coarse_store_lock(true);
+            .with_store_shards(4);
         assert!(!c.actor_state_cache);
         assert_eq!(c.store_config().shards, 4);
-        assert!(c.store_config().coarse_global_lock);
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! The delivery plane's append paths: group-committed responses per
 //! destination partition ([`ResponseBatcher`]) and the request leg's one
-//! produce round per send ([`send_request_round`]).
+//! produce round per send ([`RequestRound`]).
 //!
 //! Every response — and every tail-call continuation to the sending actor's
-//! own partition — is a durable queue append, and the durable-ack latency is
-//! paid *under the destination partition's log lock* (a replicated log
-//! acknowledges in sequence). On the call path that makes the response leg
-//! the dominant serial resource: N invocations completing towards the same
-//! caller partition used to pay N serialized acks.
+//! own partition — is a durable queue append, and a partition acknowledges
+//! its appends strictly in sequence (a replicated log does). On the call
+//! path that makes the response leg the dominant serial resource: N
+//! invocations completing towards the same caller partition used to pay N
+//! serialized acks.
 //!
 //! The [`ResponseBatcher`] applies the classic group-commit idiom to that
 //! leg. Completions are enqueued per destination partition; the first
-//! enqueuer of an idle partition becomes its *flusher* and appends through
-//! [`kar_queue::Producer::send_batch`] — one partition-lock acquisition and
-//! one durable ack per flush. Completions that arrive while a flush's ack is
-//! in flight simply join the queue and ride the next flush, so a burst of K
+//! enqueuer of an idle partition becomes its *flusher* and submits the
+//! pending run through [`kar_queue::Producer::submit_batch`] — one
+//! partition-lock acquisition and one durable ack per flush. Nobody waits
+//! for that ack: the flush parks until it is due ([`AckWait`], see
+//! [`crate::io`]) and the enqueuer returns at once. Completions that arrive
+//! while a flush's ack is in flight simply join the queue, and the
+//! partition's next run leaves when that ack fires — so a burst of K
 //! responses to one partition pays ~⌈K/batch⌉ acks instead of K.
 //!
 //! Ordering: enqueue order is preserved per destination partition (the
@@ -26,7 +29,7 @@
 //!
 //! Failure semantics match the unbatched path: a flush that fails because
 //! the component was fenced or killed mid-completion drops the buffered
-//! responses — exactly like a kill between `send_response` and the append —
+//! responses — exactly like a kill between the response hop and the append —
 //! and the callers' queue copies drive the retry. A flush that only ran out
 //! of *transient* replays drops nothing: the requests it answers are already
 //! recorded as completed (their retries would be deduplicated away), so the
@@ -35,31 +38,59 @@
 //!
 //! Settlement: a completion may name the request record it settles (see
 //! [`crate::settle`]). Those records ride the partition queue beside the
-//! envelopes and are closed only in the flush's acknowledged arm, so a
-//! request record is never trimmed ahead of its durable completion.
+//! envelopes and are closed only when the flush's acknowledgement has
+//! arrived and says yes, so a request record is never trimmed ahead of its
+//! durable completion.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use kar_queue::Producer;
-use kar_types::{Envelope, KarResult, RecordOrigin};
+use kar_types::{Completion, Envelope, KarResult, RecordOrigin};
 
-use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
+use crate::faults::TRANSIENT_ATTEMPTS;
 use crate::settle::SettleTracker;
 
 /// The pending queue of one destination partition.
 #[derive(Default)]
-struct PartitionQueue {
+pub(crate) struct PartitionQueue {
     pending: Vec<Envelope>,
     /// Request records settled by the pending envelopes' acknowledgement.
     settles: Vec<RecordOrigin>,
-    /// True while some thread is flushing this partition: later enqueuers
-    /// leave their envelope for the flusher's next round instead of paying
-    /// their own ack.
+    /// True while a flush of this partition is under way — being submitted,
+    /// or parked on its ack: later enqueuers leave their envelope for the
+    /// flusher's next round instead of paying their own ack.
     flushing: bool,
+}
+
+/// What a flush works with: where it appends, whose records it settles, and
+/// how it waits for an ack without blocking — `park(due, wait)` keeps `wait`
+/// until `due` and then hands it to [`ResponseBatcher::acked`], or hands it
+/// straight back when `due` has come already.
+pub(crate) struct FlushCtx<'a> {
+    pub(crate) producer: &'a Producer<Envelope>,
+    pub(crate) topic: &'a str,
+    pub(crate) tracker: &'a SettleTracker,
+    pub(crate) park: &'a dyn Fn(Option<Duration>, AckWait) -> Option<AckWait>,
+}
+
+/// One submitted flush waiting for its durable ack.
+pub(crate) struct AckWait {
+    partition: usize,
+    queue: Arc<Mutex<PartitionQueue>>,
+    /// The request records the flushed run settles.
+    settles: Vec<RecordOrigin>,
+    /// The run itself, kept only while a fault plan is armed (the ordinary
+    /// hot path moves the batch into the broker without copying).
+    replay: Option<Vec<Envelope>>,
+    /// What the ack says, learnt when it arrives.
+    acked: KarResult<()>,
+    /// Consecutive transiently-failed rounds replayed so far.
+    transient_rounds: u32,
 }
 
 /// Per-destination-partition response batching for one component.
@@ -68,7 +99,7 @@ pub(crate) struct ResponseBatcher {
     partitions: Mutex<HashMap<usize, Arc<Mutex<PartitionQueue>>>>,
     /// Envelopes enqueued since creation.
     enqueued: AtomicU64,
-    /// Batch appends performed (each one lock acquisition + one durable
+    /// Batch appends acknowledged (each one lock acquisition + one durable
     /// ack); `enqueued / flushes` is the achieved amortization.
     flushes: AtomicU64,
     /// Set when a flush ran out of transient replays and left its run
@@ -85,34 +116,23 @@ impl ResponseBatcher {
         self.partitions.lock().entry(partition).or_default().clone()
     }
 
-    /// Enqueues `envelope` for `topic[partition]` and flushes the partition's
-    /// pending run unless another thread already is. The calling thread may
-    /// perform several batch appends back to back if completions keep
-    /// arriving while its acks are in flight; each append drains everything
-    /// queued so far, so the loop ends as soon as producers pause.
+    /// Enqueues `envelope` for `topic[partition]` and starts flushing the
+    /// partition's pending run unless a flush is under way already. Never
+    /// waits for an ack: a flush whose ack is not due yet parks, and whatever
+    /// is enqueued meanwhile leaves when that ack fires.
     pub(crate) fn enqueue(
         &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
+        ctx: &FlushCtx<'_>,
         partition: usize,
         envelope: Envelope,
         settles: Option<RecordOrigin>,
-        tracker: &SettleTracker,
     ) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let queue = self.queue(partition);
-        {
-            let mut state = queue.lock();
-            state.pending.push(envelope);
-            state.settles.extend(settles);
-            if state.flushing {
-                // The in-flight flusher picks this envelope up on its next
-                // drain: the enqueuer's ack is amortized away entirely.
-                return;
-            }
-            state.flushing = true;
-        }
-        self.flush_loop(producer, topic, partition, &queue, tracker);
+        self.enqueue_run(
+            ctx,
+            partition,
+            vec![envelope],
+            settles.into_iter().collect(),
+        );
     }
 
     /// [`ResponseBatcher::enqueue`] for a pre-grouped *run* of completions
@@ -122,12 +142,10 @@ impl ResponseBatcher {
     /// completions by destination partition and hands each group over here.
     pub(crate) fn enqueue_run(
         &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
+        ctx: &FlushCtx<'_>,
         partition: usize,
         run: Vec<Envelope>,
         settles: Vec<RecordOrigin>,
-        tracker: &SettleTracker,
     ) {
         if run.is_empty() {
             return;
@@ -136,31 +154,33 @@ impl ResponseBatcher {
         let queue = self.queue(partition);
         {
             let mut state = queue.lock();
-            state.pending.extend(run);
+            if state.pending.is_empty() {
+                state.pending = run;
+            } else {
+                state.pending.extend(run);
+            }
             state.settles.extend(settles);
             if state.flushing {
+                // The flush under way picks this run up on its next drain:
+                // the enqueuer's ack is amortized away entirely.
                 return;
             }
             state.flushing = true;
         }
-        self.flush_loop(producer, topic, partition, &queue, tracker);
+        self.flush_loop(ctx, partition, queue, 0);
     }
 
     /// Drains `queue` in rounds — each round one batch append — until it is
-    /// empty, then releases the flusher claim. Entered holding the claim.
+    /// empty (the flusher claim is released) or a round's ack is still to
+    /// come (the flush parks; [`ResponseBatcher::acked`] re-enters here).
+    /// Entered holding the claim.
     fn flush_loop(
         &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
+        ctx: &FlushCtx<'_>,
         partition: usize,
-        queue: &Arc<Mutex<PartitionQueue>>,
-        tracker: &SettleTracker,
+        queue: Arc<Mutex<PartitionQueue>>,
+        mut transient_rounds: u32,
     ) {
-        // Consecutive transiently-failed rounds replayed so far: a gray
-        // failure on one response flush must not cost every buffered caller
-        // a redelivery round trip. Duplicate responses from an ack-lost
-        // append are dropped by request-id matching at the receiver.
-        let mut transient_rounds = 0u32;
         loop {
             let (batch, settles) = {
                 let mut state = queue.lock();
@@ -175,46 +195,89 @@ impl ResponseBatcher {
             };
             // A replay copy is only kept while the fault plane is armed: the
             // ordinary hot path moves the batch without copying.
-            let replay = producer.faults_armed().then(|| batch.clone());
-            match producer.send_batch(topic, partition, batch) {
-                Ok(_) => {
-                    self.flushes.fetch_add(1, Ordering::Relaxed);
-                    transient_rounds = 0;
-                    // The completions are durable: the request records they
-                    // answer have settled.
-                    tracker.close_all(&settles);
-                }
-                Err(error) if error.is_transient() && replay.is_some() => {
-                    // Back to the head of the queue, ahead of whatever was
-                    // enqueued meanwhile. The requests these responses
-                    // answer are already recorded as completed, so nothing
-                    // would regenerate a dropped response: once the bounded
-                    // replays are used up the run stays queued and the claim
-                    // is released — the partition's next completion, or the
-                    // timer (`retry_stalled`), flushes it.
-                    transient_rounds += 1;
-                    let mut state = queue.lock();
-                    state
-                        .pending
-                        .splice(0..0, replay.expect("guarded by is_some"));
-                    state.settles.extend(settles);
-                    if transient_rounds >= TRANSIENT_ATTEMPTS {
-                        state.flushing = false;
-                        self.stalled.store(true, Ordering::Release);
-                        return;
-                    }
-                }
-                Err(_) => {
-                    // Fenced or killed mid-completion: nothing was appended,
-                    // the queue copies of the affected requests drive the
-                    // retry. Drop whatever queued meanwhile too — the
-                    // component is dead.
-                    let mut state = queue.lock();
-                    state.pending.clear();
-                    state.settles.clear();
+            let replay = ctx.producer.faults_armed().then(|| batch.clone());
+            let (due, acked) = match ctx.producer.submit_batch(ctx.topic, partition, batch) {
+                Ok(Completion { due, result }) => (due, result.map(drop)),
+                // Refused at submit: nothing was appended.
+                Err(error) => (None, Err(error)),
+            };
+            let wait = AckWait {
+                partition,
+                queue: Arc::clone(&queue),
+                settles,
+                replay,
+                acked,
+                transient_rounds,
+            };
+            let Some(wait) = (ctx.park)(due, wait) else {
+                return;
+            };
+            match self.settle(ctx, wait) {
+                Some(rounds) => transient_rounds = rounds,
+                None => return,
+            }
+        }
+    }
+
+    /// The ack of a parked flush has arrived: settles it and sends the
+    /// partition's next run, if one queued up meanwhile.
+    pub(crate) fn acked(&self, ctx: &FlushCtx<'_>, wait: AckWait) {
+        let (partition, queue) = (wait.partition, Arc::clone(&wait.queue));
+        if let Some(transient_rounds) = self.settle(ctx, wait) {
+            self.flush_loop(ctx, partition, queue, transient_rounds);
+        }
+    }
+
+    /// Acts on what a flush's ack said. Returns the transient-round count to
+    /// go on flushing with, or `None` when the flusher claim was released.
+    fn settle(&self, ctx: &FlushCtx<'_>, wait: AckWait) -> Option<u32> {
+        let AckWait {
+            queue,
+            settles,
+            replay,
+            acked,
+            transient_rounds,
+            ..
+        } = wait;
+        match (acked, replay) {
+            (Ok(()), _) => {
+                self.flushes.fetch_add(1, Ordering::Relaxed);
+                // The completions are durable: the request records they
+                // answer have settled.
+                ctx.tracker.close_all(&settles);
+                Some(0)
+            }
+            (Err(error), Some(replay)) if error.is_transient() => {
+                // A gray failure on one response flush must not cost every
+                // buffered caller a redelivery round trip (duplicate
+                // responses from an ack-lost append are dropped by
+                // request-id matching at the receiver): back to the head of
+                // the queue, ahead of whatever was enqueued meanwhile. The
+                // requests these responses answer are already recorded as
+                // completed, so nothing would regenerate a dropped response:
+                // once the bounded replays are used up the run stays queued
+                // and the claim is released — the partition's next
+                // completion, or the timer (`retry_stalled`), flushes it.
+                let mut state = queue.lock();
+                state.pending.splice(0..0, replay);
+                state.settles.extend(settles);
+                if transient_rounds + 1 >= TRANSIENT_ATTEMPTS {
                     state.flushing = false;
-                    return;
+                    self.stalled.store(true, Ordering::Release);
+                    return None;
                 }
+                Some(transient_rounds + 1)
+            }
+            (Err(_), _) => {
+                // Fenced or killed mid-completion: nothing was appended,
+                // the queue copies of the affected requests drive the
+                // retry. Drop whatever queued meanwhile too — the
+                // component is dead.
+                let mut state = queue.lock();
+                state.pending.clear();
+                state.settles.clear();
+                state.flushing = false;
+                None
             }
         }
     }
@@ -222,12 +285,7 @@ impl ResponseBatcher {
     /// Flushes every partition whose run is queued with no flusher: the
     /// leftovers of flushes that ran out of transient replays. Called from
     /// the component's timer tick; one atomic swap when nothing stalled.
-    pub(crate) fn retry_stalled(
-        &self,
-        producer: &Producer<Envelope>,
-        topic: &str,
-        tracker: &SettleTracker,
-    ) {
+    pub(crate) fn retry_stalled(&self, ctx: &FlushCtx<'_>) {
         if !self.stalled.swap(false, Ordering::AcqRel) {
             return;
         }
@@ -245,7 +303,7 @@ impl ResponseBatcher {
                 }
                 state.flushing = true;
             }
-            self.flush_loop(producer, topic, partition, &queue, tracker);
+            self.flush_loop(ctx, partition, queue, 0);
         }
     }
 
@@ -259,7 +317,7 @@ impl ResponseBatcher {
         }
     }
 
-    /// `(envelopes enqueued, batch appends performed)` since creation; the
+    /// `(envelopes enqueued, batch appends acknowledged)` since creation; the
     /// ratio is the response-batching amortization factor.
     pub(crate) fn stats(&self) -> (u64, u64) {
         (
@@ -273,41 +331,116 @@ impl ResponseBatcher {
 /// send order.
 pub(crate) type Run = Vec<(usize, Envelope)>;
 
-/// Appends one run of routed requests — `(destination partition, envelope)`
-/// pairs in send order — as **one produce round**
-/// ([`kar_queue::Producer::send_round`]): grouped per partition with the
-/// send order kept inside each group, one durable ack however many
-/// partitions or destination components the run spans, all-or-nothing. A
-/// transiently failed round is replayed whole a bounded number of times; the
-/// duplicates an ack-lost round leaves behind are absorbed by request-id
-/// dedup at the consumers. The one append path of the request leg; rounds
-/// of different senders are not coalesced (a claim table that merged the
-/// rounds contending for a partition won on none of the five benchmark
-/// workloads against sending every round directly — see ROADMAP).
-pub(crate) fn send_request_round(
-    producer: &Producer<Envelope>,
-    topic: &str,
-    run: Run,
-) -> KarResult<()> {
-    // A run spans few distinct partitions, so a linear scan beats hashing.
-    let mut groups: Vec<(usize, Vec<Envelope>)> = Vec::new();
-    for (partition, envelope) in run {
-        match groups.iter_mut().find(|(p, _)| *p == partition) {
-            Some((_, group)) => group.push(envelope),
-            None => groups.push((partition, vec![envelope])),
+/// One **produce round** of the request leg
+/// ([`kar_queue::Producer::submit_round`]): a run of routed requests grouped
+/// per partition with the send order kept inside each group, one durable ack
+/// however many partitions or destination components the run spans,
+/// all-or-nothing. A transiently failed round — refused at submit, or its
+/// ack lost and learnt of when it was due — is replayed whole a bounded
+/// number of times; the duplicates an ack-lost round leaves behind are
+/// absorbed by request-id dedup at the consumers. The one append path of
+/// the request leg; rounds of different senders are not coalesced (a claim
+/// table that merged the rounds contending for a partition won on none of
+/// the five benchmark workloads against sending every round directly — see
+/// ROADMAP).
+///
+/// A reactor drives it as `submit` → park until the returned due time →
+/// `settle` (see [`crate::io`]); an edge thread runs the same sequence with
+/// a blocking wait in the middle.
+pub(crate) struct RequestRound {
+    /// Kept for a replay only while a fault plan is armed: an un-faulted
+    /// in-process broker has no transient append errors, so the ordinary hot
+    /// path moves the round into the broker without copying.
+    groups: Option<Vec<(usize, Vec<Envelope>)>>,
+    /// Submits left, the first included.
+    submits_left: u32,
+    /// What the latest submit's ack says, learnt when it is due.
+    acked: KarResult<()>,
+}
+
+impl RequestRound {
+    pub(crate) fn new(run: Run) -> Self {
+        // A run spans few distinct partitions, so a linear scan beats
+        // hashing.
+        let mut groups: Vec<(usize, Vec<Envelope>)> = Vec::new();
+        for (partition, envelope) in run {
+            match groups.iter_mut().find(|(p, _)| *p == partition) {
+                Some((_, group)) => group.push(envelope),
+                None => groups.push((partition, vec![envelope])),
+            }
+        }
+        RequestRound {
+            groups: Some(groups),
+            submits_left: TRANSIENT_ATTEMPTS,
+            acked: Ok(()),
         }
     }
-    // A replay copy is only kept while the fault plane is armed: an
-    // un-faulted in-process broker has no transient append errors, so the
-    // ordinary hot path moves the round without copying.
-    if producer.faults_armed() {
-        retry_transient(TRANSIENT_ATTEMPTS, || {
-            producer.send_round(topic, groups.clone())
-        })?;
-    } else {
-        producer.send_round(topic, groups)?;
+
+    /// Submits the round — replaying at once a submit refused with a
+    /// transient fault, which appended nothing — and returns when the ack of
+    /// the submit that went through is due (`None`: with the submit, or no
+    /// submit went through and [`RequestRound::settle`] reports why).
+    pub(crate) fn submit(
+        &mut self,
+        producer: &Producer<Envelope>,
+        topic: &str,
+    ) -> Option<Duration> {
+        loop {
+            self.submits_left -= 1;
+            let groups = if producer.faults_armed() {
+                self.groups.clone()
+            } else {
+                self.submits_left = 0;
+                self.groups.take()
+            };
+            let groups = groups.expect("a round is submitted again only from its replay copy");
+            match producer.submit_round(topic, groups) {
+                Ok(Completion { due, result }) => {
+                    self.acked = result.map(drop);
+                    return due;
+                }
+                Err(error) if error.is_transient() && self.submits_left > 0 => {}
+                Err(error) => {
+                    self.acked = Err(error);
+                    self.submits_left = 0;
+                    return None;
+                }
+            }
+        }
     }
-    Ok(())
+
+    /// The ack is in: the round is over — durable, or failed for good — or
+    /// its ack was lost and a replay is left.
+    pub(crate) fn settle(self) -> Settled<Self> {
+        match &self.acked {
+            Err(error) if error.is_transient() && self.submits_left > 0 => Settled::Replay(self),
+            _ => Settled::Done(self.acked),
+        }
+    }
+}
+
+/// What the ack of a round's latest submit led to.
+pub(crate) enum Settled<R> {
+    /// The round is over, with this outcome.
+    Done(KarResult<()>),
+    /// The ack was lost and a replay is left: submit the round again.
+    Replay(R),
+}
+
+/// Appends one run of routed requests as one [`RequestRound`], waiting for
+/// its ack: durable when this returns `Ok`.
+#[cfg(test)]
+fn send_request_round(producer: &Producer<Envelope>, topic: &str, run: Run) -> KarResult<()> {
+    let mut round = RequestRound::new(run);
+    loop {
+        if let Some(due) = round.submit(producer, topic) {
+            kar_types::pace_until(due);
+        }
+        match round.settle() {
+            Settled::Done(outcome) => return outcome,
+            Settled::Replay(replay) => round = replay,
+        }
+    }
 }
 
 /// The distinct partitions `run` touches.
@@ -324,6 +457,24 @@ mod tests {
     use kar_queue::{Broker, BrokerConfig};
     use kar_types::{ComponentId, RequestId, ResponseMessage, Value};
     use std::time::Duration;
+
+    /// Waits for every ack on the spot, as an edge thread would: the batcher
+    /// then behaves like one blocking flusher.
+    fn wait_for_ack(due: Option<Duration>, wait: AckWait) -> Option<AckWait> {
+        if let Some(due) = due {
+            kar_types::pace_until(due);
+        }
+        Some(wait)
+    }
+
+    fn ctx<'a>(producer: &'a Producer<Envelope>, tracker: &'a SettleTracker) -> FlushCtx<'a> {
+        FlushCtx {
+            producer,
+            topic: "t",
+            tracker,
+            park: &wait_for_ack,
+        }
+    }
 
     fn response(id: u64) -> Envelope {
         Envelope::Response(ResponseMessage::ok(
@@ -342,7 +493,7 @@ mod tests {
         let tracker = SettleTracker::new(&[]);
         for id in 0..6 {
             let partition = (id % 2) as usize;
-            batcher.enqueue(&producer, "t", partition, response(id), None, &tracker);
+            batcher.enqueue(&ctx(&producer, &tracker), partition, response(id), None);
         }
         for partition in 0..2 {
             let ids: Vec<u64> = broker
@@ -377,7 +528,7 @@ mod tests {
                 let batcher = Arc::clone(&batcher);
                 let tracker = Arc::clone(&tracker);
                 std::thread::spawn(move || {
-                    batcher.enqueue(&producer, "t", 0, response(id), None, &tracker)
+                    batcher.enqueue(&ctx(&producer, &tracker), 0, response(id), None)
                 })
             })
             .collect();
@@ -406,11 +557,11 @@ mod tests {
         broker.fence(ComponentId::from_raw(1));
         let batcher = ResponseBatcher::new();
         let tracker = SettleTracker::new(&[]);
-        batcher.enqueue(&producer, "t", 0, response(1), None, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 0, response(1), None);
         assert_eq!(broker.partition_len("t", 0), 0);
         // The partition queue is not left in a "flushing" state that would
         // park later envelopes forever.
-        batcher.enqueue(&producer, "t", 0, response(2), None, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 0, response(2), None);
         assert_eq!(broker.partition_len("t", 0), 0);
         batcher.clear();
         assert_eq!(batcher.stats().0, 2);
@@ -436,7 +587,7 @@ mod tests {
         // The first one's response is acknowledged: its record settles.
         let first = tracker.take(RequestId::from_raw(0));
         assert!(first.is_some());
-        batcher.enqueue(&producer, "t", 1, response(0), first, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 1, response(0), first);
         assert_eq!(broker.partition_len("t", 1), 1);
         assert_eq!(tracker.snapshot()[0].open, 1);
         // The second one's flush fails (fenced mid-completion): the response
@@ -444,7 +595,7 @@ mod tests {
         // drives the retry.
         broker.fence(ComponentId::from_raw(1));
         let second = tracker.take(RequestId::from_raw(1));
-        batcher.enqueue(&producer, "t", 1, response(1), second, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 1, response(1), second);
         assert_eq!(broker.partition_len("t", 1), 1);
         assert_eq!(tracker.snapshot()[0].open, 1);
     }
@@ -476,13 +627,13 @@ mod tests {
         // The flush uses up its replays: nothing landed, nothing settled —
         // and nothing was dropped: `finish()` has already recorded the
         // request as completed, so no retry would regenerate the response.
-        batcher.enqueue(&producer, "t", 1, response(0), settles, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 1, response(0), settles);
         assert_eq!(broker.partition_len("t", 1), 0);
         assert_eq!(tracker.snapshot()[0].open, 1);
         assert_eq!(batcher.stats(), (1, 0));
         // The timer re-arms the stalled partition: one more failure, then
         // the run goes out, in order, ahead of nothing else.
-        batcher.retry_stalled(&producer, "t", &tracker);
+        batcher.retry_stalled(&ctx(&producer, &tracker));
         let ids: Vec<u64> = broker
             .read_partition("t", 1)
             .into_iter()
@@ -492,7 +643,7 @@ mod tests {
         assert_eq!(tracker.snapshot()[0].open, 0, "the ack settles the record");
         assert_eq!(batcher.stats(), (1, 1));
         // Nothing stalled: the sweep is a no-op.
-        batcher.retry_stalled(&producer, "t", &tracker);
+        batcher.retry_stalled(&ctx(&producer, &tracker));
         assert_eq!(broker.partition_len("t", 1), 1);
     }
 
@@ -512,11 +663,11 @@ mod tests {
         let producer = broker.producer(ComponentId::from_raw(1));
         let batcher = ResponseBatcher::new();
         let tracker = SettleTracker::new(&[]);
-        batcher.enqueue(&producer, "t", 0, response(1), None, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 0, response(1), None);
         assert_eq!(broker.partition_len("t", 0), 0);
         // The partition's next completion claims the released flush and
         // drains the stalled head first.
-        batcher.enqueue(&producer, "t", 0, response(2), None, &tracker);
+        batcher.enqueue(&ctx(&producer, &tracker), 0, response(2), None);
         let ids: Vec<u64> = broker
             .read_partition("t", 0)
             .into_iter()

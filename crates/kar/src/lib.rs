@@ -76,6 +76,7 @@ pub mod continuation;
 mod delivery;
 mod dispatch;
 pub mod faults;
+mod io;
 pub mod mesh;
 pub mod placement;
 pub mod recovery;

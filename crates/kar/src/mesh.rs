@@ -22,6 +22,7 @@ use crate::client::Client;
 use crate::component::{ComponentCore, DLQ_TOPIC};
 use crate::config::MeshConfig;
 use crate::faults::{format_fault_stats, retry_transient, TRANSIENT_ATTEMPTS};
+use crate::io::DueHeap;
 use crate::placement::host_key;
 use crate::recovery::{run_recovery_manager, OutageRecord, RecoveryContext, RecoveryLog};
 use crate::retry::{
@@ -49,6 +50,10 @@ struct ReactorShared {
     /// broker-side group membership), dispatch pushes, and timeout flags all
     /// notify here; idle reactors park on it.
     group: Arc<WaitSignalGroup>,
+    /// The mesh-wide due-time heap: invocations waiting for a modelled I/O
+    /// (see [`crate::io`]). Drained at the top of every sweep; its earliest
+    /// entry bounds an idle reactor's park.
+    io: Arc<DueHeap>,
     /// Dedicated timer parking signal. The timer must *not* park on `group`
     /// — traffic would wake it far more often than its tick interval — but
     /// it must still be promptly interruptible at shutdown.
@@ -104,7 +109,23 @@ impl ReactorShared {
             .as_millis() as u64;
         now.saturating_sub(last) >= 2 * (self.tick_interval.as_millis() as u64).max(1)
     }
+
+    /// One sweep of the whole pool's work: resume the parked stages whose
+    /// due time has come, then pump every registered component. Returns
+    /// whether anything was done, and lowers `wake_at` to the earliest
+    /// instant a queued record becomes readable without a further append.
+    fn sweep(&self, wake_at: &mut Option<Duration>) -> bool {
+        let mut did = self.io.run_due();
+        let components: Vec<Arc<ComponentCore>> = self.registry.read().clone();
+        for core in &components {
+            did |= core.pump(wake_at);
+        }
+        did
+    }
 }
+
+/// The longest an idle reactor parks before sweeping again unprompted.
+const IDLE_SLICE: Duration = Duration::from_millis(2);
 
 thread_local! {
     /// Set once at reactor-thread startup; lets blocking waits on a reactor
@@ -134,11 +155,7 @@ pub(crate) fn pump_current_reactor() -> bool {
             return false;
         }
         depth.set(depth.get() + 1);
-        let components: Vec<Arc<ComponentCore>> = shared.registry.read().clone();
-        let mut did = false;
-        for core in &components {
-            did |= core.pump();
-        }
+        let mut did = shared.sweep(&mut None);
         // Work-while-waiting threads are exactly where the timer lane
         // starves (every reactor parked inside a blocking call), so the
         // rescue runs here too.
@@ -163,16 +180,24 @@ fn reactor_loop(shared: Arc<ReactorShared>) {
     CURRENT_REACTOR.with(|slot| *slot.borrow_mut() = Some(Arc::downgrade(&shared)));
     while !shared.shutdown.load(Ordering::SeqCst) {
         let seen = shared.group.current();
-        let components: Vec<Arc<ComponentCore>> = shared.registry.read().clone();
-        let mut did = false;
-        for core in &components {
-            did |= core.pump();
-        }
+        let mut wake_at = None;
+        let mut did = shared.sweep(&mut wake_at);
         if shared.tick_overdue() {
             did |= shared.run_tick(false);
         }
         if !did {
-            shared.group.wait(seen, Duration::from_millis(2));
+            // Nothing to do now: park until somebody notifies the group, but
+            // no longer than until the next modelled I/O completes — a
+            // parked stage's due time, or a queued record's visibility,
+            // which nothing will announce.
+            let next_due = match (shared.io.next_due(), wake_at) {
+                (Some(stage), Some(record)) => Some(stage.min(record)),
+                (stage, record) => stage.or(record),
+            };
+            let park = next_due.map_or(IDLE_SLICE, |due| {
+                IDLE_SLICE.min(due.saturating_sub(kar_types::mono_now()))
+            });
+            shared.group.wait(seen, park);
         }
     }
     CURRENT_REACTOR.with(|slot| *slot.borrow_mut() = None);
@@ -305,9 +330,11 @@ impl Mesh {
         let tick = config
             .scaled_heartbeat_interval()
             .max(Duration::from_millis(1));
+        let group = Arc::new(WaitSignalGroup::new());
         let reactors = Arc::new(ReactorShared {
             registry: RwLock::new(Vec::new()),
-            group: Arc::new(WaitSignalGroup::new()),
+            io: Arc::new(DueHeap::new(Arc::clone(&group))),
+            group,
             timer_signal: WaitSignal::new(),
             shutdown: AtomicBool::new(false),
             started: kar_types::mono_now(),
@@ -392,11 +419,7 @@ impl Mesh {
                 // advances the virtual clock by one idle quantum.
                 let shared = Arc::clone(&inner.reactors);
                 sim.add_lane("reactor", move || {
-                    let components: Vec<Arc<ComponentCore>> = shared.registry.read().clone();
-                    let mut did = false;
-                    for core in &components {
-                        did |= core.pump();
-                    }
+                    let did = shared.sweep(&mut None);
                     if did {
                         crate::component::flush_thread_completions();
                     }
@@ -544,7 +567,7 @@ impl Mesh {
             self.inner.live.clone(),
             self.inner.ids.clone(),
             hosted,
-            Arc::clone(&self.inner.reactors.group),
+            Arc::clone(&self.inner.reactors.io),
             Arc::clone(&self.inner.budget),
             Arc::clone(&self.inner.breakers),
             self.inner.faults.clone(),
@@ -1090,6 +1113,15 @@ impl Mesh {
             self.reactor_thread_count(),
             self.inner.reactors.registry.read().len(),
         );
+        // Modelled I/O in flight: invocations parked on a due time instead
+        // of asleep on a reactor. `parked_max` above one means acks
+        // overlapped; all-`inline` means no latency is modelled.
+        let io = self.inner.reactors.io.stats();
+        let _ = writeln!(
+            out,
+            "io: parked={} parked_max={} resumed={} inline={}",
+            io.parked, io.parked_max, io.resumed, io.inline,
+        );
         let components = self.inner.components.read().clone();
         let mut ids: Vec<ComponentId> = components.keys().copied().collect();
         ids.sort();
@@ -1117,10 +1149,13 @@ impl Mesh {
                 for partition in set.all() {
                     let _ = write!(
                         out,
-                        "  queue partition {partition}: log_start={} end={} len={}",
+                        "  queue partition {partition}: log_start={} end={} len={} \
+                         busy_until={:.3?} visible_end={}",
                         self.inner.broker.log_start(TOPIC, partition),
                         self.inner.broker.end_offset(TOPIC, partition),
                         self.inner.broker.partition_len(TOPIC, partition),
+                        self.inner.broker.busy_until(TOPIC, partition),
+                        self.inner.broker.visible_end(TOPIC, partition),
                     );
                     let _ = match settled.iter().find(|s| s.partition == partition) {
                         Some(s) => writeln!(out, " open={} trimmed={}", s.open, s.trimmed),

@@ -47,7 +47,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use kar_store::Connection;
-use kar_types::{KarResult, Value};
+use kar_types::{Completion, KarResult, Value};
 
 /// The in-memory image of one actor's persistent state hash.
 #[derive(Debug, Default)]
@@ -64,6 +64,9 @@ struct CachedState {
     /// generations stale (idle one to two retention windows) is an eviction
     /// candidate if clean.
     touched: u64,
+    /// Bumped by every buffered write: a flush folds its writes into the
+    /// durable image only if nothing was buffered since it was submitted.
+    writes: u64,
 }
 
 impl CachedState {
@@ -125,6 +128,15 @@ impl CachedState {
         }
         all
     }
+}
+
+/// One state flush between its submit and its acknowledgement (see
+/// [`StateCache::submit_flush`]).
+#[derive(Debug)]
+pub(crate) struct PendingFlush {
+    entry: Arc<Mutex<CachedState>>,
+    /// The entry's write count when the flush was submitted.
+    writes: u64,
 }
 
 /// One actor's buffered writes at the instant [`StateCache::savepoint`] was
@@ -251,6 +263,7 @@ impl StateCache {
         state.ensure_loaded(conn, key)?;
         let previous = state.effective_get(field);
         state.dirty.insert(field.to_owned(), Some(value));
+        state.writes += 1;
         Ok(previous)
     }
 
@@ -267,6 +280,7 @@ impl StateCache {
         for (field, value) in entries {
             state.dirty.insert(field, Some(value));
         }
+        state.writes += 1;
         Ok(())
     }
 
@@ -282,6 +296,7 @@ impl StateCache {
         state.ensure_loaded(conn, key)?;
         let previous = state.effective_get(field);
         state.dirty.insert(field.to_owned(), None);
+        state.writes += 1;
         Ok(previous)
     }
 
@@ -306,14 +321,18 @@ impl StateCache {
         let existed = !state.effective_is_empty();
         state.cleared = true;
         state.dirty.clear();
+        state.writes += 1;
         Ok(existed)
     }
 
     /// Makes the buffered writes of `key` durable as one store round trip
     /// (a pure `set` batch is a single `hset_multi` command; mixes involving
-    /// deletes or a clear go through one pipeline flush). On success the
-    /// buffered writes are folded into the durable image; a clean entry
-    /// flushes for free, with zero round trips.
+    /// deletes or a clear go through one pipeline flush) and waits for its
+    /// acknowledgement. On success the buffered writes are folded into the
+    /// durable image; a clean entry flushes for free, with zero round trips.
+    /// [`StateCache::submit_flush`] followed by [`StateCache::finish_flush`]
+    /// with the wait in between — for the passivation sweep and whoever else
+    /// may block; an invocation on a reactor parks between the two instead.
     ///
     /// # Errors
     ///
@@ -325,12 +344,34 @@ impl StateCache {
     /// idempotent — so the caller replays the flush, and a gray failure
     /// whose ack was lost after the batch applied is absorbed by the replay.
     pub(crate) fn flush(&self, conn: &Connection, key: &str) -> KarResult<()> {
+        match self.submit_flush(conn, key)? {
+            None => Ok(()),
+            Some((pending, completion)) => self.finish_flush(key, pending, completion.wait()),
+        }
+    }
+
+    /// Submits the buffered writes of `key` as one store round trip: they
+    /// are **applied when this returns**, and the returned completion says
+    /// when the round trip is acknowledged. The cached image is not touched
+    /// yet — hand the acknowledgement, once it is due, to
+    /// [`StateCache::finish_flush`]. `None` when nothing is buffered (no
+    /// round trip).
+    ///
+    /// # Errors
+    ///
+    /// A flush refused at submit applied nothing: `KarError::Fenced` drops
+    /// the entry, an injected transient fault keeps it for a replay.
+    pub(crate) fn submit_flush(
+        &self,
+        conn: &Connection,
+        key: &str,
+    ) -> KarResult<Option<(PendingFlush, Completion<()>)>> {
         let Some(entry) = self.entries.lock().get(key).cloned() else {
-            return Ok(());
+            return Ok(None);
         };
-        let mut state = entry.lock();
+        let state = entry.lock();
         if !state.has_pending() {
-            return Ok(());
+            return Ok(None);
         }
         let sets: Vec<(String, Value)> = state
             .dirty
@@ -343,15 +384,15 @@ impl StateCache {
             .filter(|(_, value)| value.is_none())
             .map(|(field, _)| field)
             .collect();
-        let result = if state.cleared {
+        let submitted = if state.cleared {
             let mut pipe = conn.pipeline();
             pipe.hclear(key);
             if !sets.is_empty() {
                 pipe.hset_multi(key, sets);
             }
-            pipe.flush().map(|_| ())
+            pipe.submit().map(discard_results)
         } else if dels.is_empty() {
-            conn.hset_multi(key, sets)
+            conn.submit_hset_multi(key, sets)
         } else {
             let mut pipe = conn.pipeline();
             if !sets.is_empty() {
@@ -360,18 +401,34 @@ impl StateCache {
             for field in dels {
                 pipe.hdel(key, field);
             }
-            pipe.flush().map(|_| ())
+            pipe.submit().map(discard_results)
         };
-        if let Err(error) = result {
-            drop(state);
-            // Only a dead epoch invalidates the image; a transient infra
-            // error leaves the dirty entry for the caller to replay.
-            if !error.is_transient() {
-                self.entries.lock().remove(key);
-            }
-            return Err(error);
+        let writes = state.writes;
+        drop(state);
+        match submitted {
+            Ok(completion) => Ok(Some((PendingFlush { entry, writes }, completion))),
+            Err(error) => Err(self.flush_failed(key, error)),
         }
-        // Fold the now-durable writes into the cached image.
+    }
+
+    /// The acknowledgement of a submitted flush is in. `Ok` folds the
+    /// now-durable writes into the cached image (unless something was
+    /// buffered since the submit — then they stay buffered, and the next
+    /// flush rewrites them along with the newer ones: idempotent); an error
+    /// is handled as [`StateCache::flush`] documents and handed back.
+    pub(crate) fn finish_flush(
+        &self,
+        key: &str,
+        pending: PendingFlush,
+        acked: KarResult<()>,
+    ) -> KarResult<()> {
+        if let Err(error) = acked {
+            return Err(self.flush_failed(key, error));
+        }
+        let mut state = pending.entry.lock();
+        if state.writes != pending.writes {
+            return Ok(());
+        }
         if state.cleared {
             state.fields.clear();
             state.cleared = false;
@@ -388,6 +445,16 @@ impl StateCache {
             }
         }
         Ok(())
+    }
+
+    /// A flush of `key` failed with `error`: only a dead epoch invalidates
+    /// the image; a transient infra error leaves the dirty entry for the
+    /// caller to replay.
+    fn flush_failed(&self, key: &str, error: kar_types::KarError) -> kar_types::KarError {
+        if !error.is_transient() {
+            self.entries.lock().remove(key);
+        }
+        error
     }
 
     /// Captures the buffered (not yet durable) writes of `key` as they stand
@@ -413,6 +480,7 @@ impl StateCache {
         let mut state = entry.lock();
         state.dirty = savepoint.dirty;
         state.cleared = savepoint.cleared;
+        state.writes += 1;
     }
 
     /// Drops one actor's entry for passivation, but only if it is safe:
@@ -456,6 +524,14 @@ impl StateCache {
         self.entries
             .lock()
             .retain(|_, entry| entry.lock().has_pending());
+    }
+}
+
+/// A pipeline flush's completion, its per-command results dropped.
+fn discard_results<T>(completion: Completion<T>) -> Completion<()> {
+    Completion {
+        due: completion.due,
+        result: completion.result.map(drop),
     }
 }
 

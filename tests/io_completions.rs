@@ -1,0 +1,452 @@
+//! Modelled I/O is a completion (see `kar::io` — the module is private; its
+//! invariants are restated in the README's "Modelled I/O is a completion"):
+//! every latency the mesh models is a *due time*, and a reactor parks an
+//! invocation until then instead of sleeping. Every other tier-1 suite runs
+//! at zero latency, where each stage runs inline; this one runs the parked
+//! path. Timing is asserted on a thread-local `VirtualClock` or read off the
+//! runtime's counters, never measured on the wall clock.
+//!
+//! * the substrates: rounds submitted together to one partition are
+//!   acknowledged one append latency apart, to distinct partitions together;
+//!   a multi-partition round is one ack behind its busiest partition; a
+//!   record is unreadable before its ack plus the delivery latency; a store
+//!   round trip is applied at submit and acknowledged one latency later;
+//! * the pipeline: with a single reactor, independent callers have more than
+//!   one I/O outstanding at a time, and all of them complete; at zero
+//!   latency nothing ever parks;
+//! * failure: a component killed with stages parked completes nothing, leaves
+//!   nothing parked, and the `kar-semantics` history oracle is clean after
+//!   the recovery.
+
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use kar::{Actor, ActorContext, ComponentBuilder, Mesh, MeshConfig, Outcome};
+use kar_queue::{Broker, BrokerConfig};
+use kar_semantics::{HistoryChecker, HistoryEvent};
+use kar_store::{Store, StoreConfig};
+use kar_types::{
+    ActorRef, ComponentId, DeploymentProfile, KarError, KarResult, LatencyProfile, Value,
+    VirtualClock,
+};
+
+const ACK: Duration = Duration::from_millis(2);
+const DELIVER: Duration = Duration::from_millis(3);
+
+fn c(id: u64) -> ComponentId {
+    ComponentId::from_raw(id)
+}
+
+/// Installs a fresh virtual clock on this thread and builds a broker with
+/// [`ACK`]/[`DELIVER`] latencies on it.
+fn broker_on_virtual_clock(partitions: usize) -> (Arc<VirtualClock>, Broker<u32>) {
+    let clock = Arc::new(VirtualClock::new());
+    kar_types::install_virtual_clock(Arc::clone(&clock));
+    let broker: Broker<u32> = Broker::new(BrokerConfig {
+        append_latency: ACK,
+        deliver_latency: DELIVER,
+        ..BrokerConfig::default()
+    });
+    broker.create_topic("t", partitions).unwrap();
+    (clock, broker)
+}
+
+#[test]
+fn acks_are_sequenced_per_partition_and_overlap_across_partitions() {
+    const K: u32 = 5;
+    let (clock, broker) = broker_on_virtual_clock(K as usize + 1);
+    let producer = broker.producer(c(1));
+    clock.advance(Duration::from_millis(10));
+    let t = clock.now();
+
+    // K rounds submitted together to ONE partition: nothing waits, nothing
+    // moves the clock, and the acks are due at t+L, t+2L, …, t+KL.
+    let dues: Vec<Duration> = (0..K)
+        .map(|i| {
+            let completion = producer.submit_batch("t", 0, vec![i]).unwrap();
+            assert_eq!(completion.result.unwrap(), u64::from(i)..u64::from(i) + 1);
+            completion.due.expect("a modelled ack is never immediate")
+        })
+        .collect();
+    assert_eq!(clock.now(), t, "a submit must not wait");
+    let expected: Vec<Duration> = (1..=K).map(|i| t + ACK * i).collect();
+    assert_eq!(dues, expected, "one partition acknowledges in sequence");
+    assert_eq!(broker.end_offset("t", 0), u64::from(K), "applied at submit");
+
+    // K rounds submitted together to K DISTINCT partitions: all due at t+L.
+    for partition in 1..=K as usize {
+        let completion = producer.submit_batch("t", partition, vec![7]).unwrap();
+        assert_eq!(completion.due, Some(t + ACK), "partition {partition}");
+    }
+
+    // A multi-partition round is ONE ack: it queues behind its busiest
+    // partition (partition 0, busy until t+KL) and keeps every partition it
+    // touches busy until it fires.
+    let round = producer
+        .submit_round("t", vec![(1, vec![8]), (0, vec![9]), (2, vec![])])
+        .unwrap();
+    assert_eq!(round.due, Some(t + ACK * (K + 1)));
+    let behind = producer.submit_batch("t", 1, vec![10]).unwrap();
+    assert_eq!(behind.due, Some(t + ACK * (K + 2)), "partition 1 was held");
+    // The empty group's partition was not.
+    let free = producer.submit_batch("t", 2, vec![11]).unwrap();
+    assert_eq!(free.due, Some(t + ACK * 2));
+
+    // The blocking form is the same submit plus the wait: one more append to
+    // the idle partition K advances the clock by exactly one latency.
+    clock.advance(Duration::from_secs(1));
+    let before = clock.now();
+    producer.send("t", K as usize, 12).unwrap();
+    assert_eq!(clock.now() - before, ACK);
+    kar_types::clear_virtual_clock();
+}
+
+#[test]
+fn a_record_is_unreadable_before_its_ack_plus_the_delivery_latency() {
+    let (clock, broker) = broker_on_virtual_clock(1);
+    let producer = broker.producer(c(1));
+    let consumer = broker.consumer(c(2), "t", 0).unwrap();
+    let t = clock.now();
+    let first = producer.submit_batch("t", 0, vec![1, 2]).unwrap();
+    let second = producer.submit_batch("t", 0, vec![3]).unwrap();
+    assert_eq!((first.due, second.due), (Some(t + ACK), Some(t + ACK * 2)));
+
+    // Appended, not readable: neither at submit nor at the ack itself.
+    assert_eq!(broker.end_offset("t", 0), 3);
+    assert_eq!(broker.visible_end("t", 0), 0);
+    assert!(!consumer.ready());
+    assert!(consumer.poll(10).unwrap().is_empty());
+    assert_eq!(consumer.next_visible_at(), Some(t + ACK + DELIVER));
+    clock.advance(ACK);
+    assert!(consumer.poll(10).unwrap().is_empty(), "readable at the ack");
+    // One tick short of ack + deliver: still nothing.
+    clock.advance(DELIVER - Duration::from_nanos(1));
+    assert!(!consumer.ready());
+    assert!(consumer.poll(10).unwrap().is_empty());
+    // At ack + deliver the first batch — and only it — is readable.
+    clock.advance(Duration::from_nanos(1));
+    assert!(consumer.ready());
+    let payloads: Vec<u32> = consumer
+        .poll(10)
+        .unwrap()
+        .iter()
+        .map(|record| *record.payload)
+        .collect();
+    assert_eq!(payloads, vec![1, 2]);
+    assert_eq!(broker.visible_end("t", 0), 2);
+    assert!(!consumer.ready());
+    assert_eq!(consumer.next_visible_at(), Some(t + ACK * 2 + DELIVER));
+    // A blocking poll waits out exactly the remaining latency.
+    let records = consumer.poll_wait(10, Duration::from_secs(5)).unwrap();
+    assert_eq!(*records[0].payload, 3);
+    assert_eq!(clock.now(), t + ACK * 2 + DELIVER);
+    assert_eq!(consumer.next_visible_at(), None);
+    kar_types::clear_virtual_clock();
+}
+
+#[test]
+fn a_store_round_trip_is_applied_at_submit_and_acknowledged_one_latency_later() {
+    const OP: Duration = Duration::from_millis(4);
+    let clock = Arc::new(VirtualClock::new());
+    kar_types::install_virtual_clock(Arc::clone(&clock));
+    let store = Store::with_config(StoreConfig::with_op_latency(OP));
+    let conn = store.connect(c(1));
+    clock.advance(Duration::from_millis(10));
+    let t = clock.now();
+    // Two round trips submitted together overlap: both due at t + OP.
+    let first = conn
+        .submit_hset_multi("h", [("a".to_owned(), Value::Int(1))])
+        .unwrap();
+    let mut pipeline = conn.pipeline();
+    pipeline.hset("h", "b", Value::Int(2));
+    pipeline.hdel("h", "a");
+    let second = pipeline.submit().unwrap();
+    assert_eq!((first.due, second.due), (Some(t + OP), Some(t + OP)));
+    assert_eq!(clock.now(), t, "a submit must not wait");
+    // Applied already: the store's ground truth shows both.
+    let stored = store.admin_hgetall("h");
+    assert_eq!(stored.get("b"), Some(&Value::Int(2)));
+    assert_eq!(stored.get("a"), None);
+    assert_eq!(store.stats().round_trips, 2);
+    // The blocking command is the same round trip plus the wait.
+    assert_eq!(conn.hget("h", "b").unwrap(), Some(Value::Int(2)));
+    assert_eq!(clock.now(), t + OP);
+    // A fenced submit is refused on the spot with nothing applied.
+    store.fence(c(1));
+    assert!(conn
+        .submit_hset_multi("h", [("c".to_owned(), Value::Int(3))])
+        .unwrap_err()
+        .is_fenced());
+    assert_eq!(store.admin_hgetall("h").get("c"), None);
+    kar_types::clear_virtual_clock();
+}
+
+// ---------------------------------------------------------------------
+// The pipeline, on a real mesh
+// ---------------------------------------------------------------------
+
+/// `for_tests` with every ClusterDev latency multiplied by `factor`.
+fn config_with_latency(factor: f64) -> MeshConfig {
+    MeshConfig {
+        latency: DeploymentProfile::ClusterDev
+            .latency_profile()
+            .scaled(factor),
+        ..MeshConfig::for_tests()
+    }
+}
+
+/// The `io: parked= parked_max= resumed= inline=` line of the debug report.
+#[derive(Debug, Clone, Copy)]
+struct IoLine {
+    parked: u64,
+    parked_max: u64,
+    resumed: u64,
+    inline: u64,
+}
+
+fn io_line(mesh: &Mesh) -> IoLine {
+    let report = mesh.debug_report();
+    let line = report
+        .lines()
+        .find(|line| line.starts_with("io: "))
+        .unwrap_or_else(|| panic!("no io line in:\n{report}"));
+    let field = |name: &str| -> u64 {
+        line.split_whitespace()
+            .find_map(|word| word.strip_prefix(name)?.strip_prefix('='))
+            .and_then(|value| value.parse().ok())
+            .unwrap_or_else(|| panic!("no {name}= in {line:?}"))
+    };
+    IoLine {
+        parked: field("parked"),
+        parked_max: field("parked_max"),
+        resumed: field("resumed"),
+        inline: field("inline"),
+    }
+}
+
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A durable counter whose increments are idempotent per request id: the
+/// commit — marker and count in one flush — happens at most once however
+/// often the invocation is retried. Announces each first application.
+struct Ledger {
+    commits: Sender<u64>,
+}
+
+impl Actor for Ledger {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "apply" => {
+                let req = args[0].as_i64().unwrap_or(0) as u64;
+                let marker = format!("r{req}");
+                let state = ctx.state();
+                let count = state.get("count")?.and_then(|v| v.as_i64()).unwrap_or(0);
+                if state.get(&marker)?.is_none() {
+                    state.set(&marker, Value::Int(1))?;
+                    state.set("count", Value::Int(count + 1))?;
+                    let _ = self.commits.send(req);
+                    return Ok(Outcome::value(Value::Int(count + 1)));
+                }
+                Ok(Outcome::value(Value::Int(count)))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+fn host_ledger(commits: &Sender<u64>) -> impl FnOnce(ComponentBuilder) -> ComponentBuilder {
+    let commits = Mutex::new(commits.clone());
+    move |builder| {
+        builder.host("Ledger", move || {
+            Box::new(Ledger {
+                commits: commits.lock().unwrap().clone(),
+            })
+        })
+    }
+}
+
+fn ledger(id: impl std::fmt::Display) -> ActorRef {
+    ActorRef::new("Ledger", format!("l{id}"))
+}
+
+fn stored_count(mesh: &Mesh, actor: &ActorRef) -> Option<i64> {
+    mesh.store()
+        .admin_hgetall(&format!("state/{}", actor.qualified_name()))
+        .get("count")
+        .and_then(Value::as_i64)
+}
+
+#[test]
+fn one_reactor_overlaps_the_io_of_independent_callers() {
+    const CALLERS: usize = 6;
+    const CALLS: i64 = 8;
+    let (commits, _committed) = channel();
+    // One reactor: before, it slept through every ack itself, so the mesh
+    // never had more than one I/O outstanding.
+    let mesh = Mesh::new(config_with_latency(1.0).with_reactor_threads(1));
+    let node = mesh.add_node();
+    mesh.add_component(node, "server", host_ledger(&commits));
+    let client = mesh.client();
+    let callers: Vec<_> = (0..CALLERS)
+        .map(|caller| {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                for call in 1..=CALLS {
+                    let req = Value::Int(caller as i64 * 1000 + call);
+                    let count = client.call(&ledger(caller), "apply", vec![req]).unwrap();
+                    assert_eq!(count, Value::Int(call), "caller {caller}");
+                }
+            })
+        })
+        .collect();
+    for caller in callers {
+        caller.join().unwrap();
+    }
+    for caller in 0..CALLERS {
+        assert_eq!(stored_count(&mesh, &ledger(caller)), Some(CALLS));
+    }
+    let io = io_line(&mesh);
+    assert!(
+        io.parked_max > 1,
+        "a single reactor never had two I/Os outstanding: {io:?}"
+    );
+    assert!(io.resumed > 0, "{io:?}");
+    // Every stage that parked ran: only the responses' acks may still be out.
+    eventually("every parked stage has run", || io_line(&mesh).parked == 0);
+    mesh.shutdown();
+}
+
+#[test]
+fn at_zero_latency_every_stage_runs_inline() {
+    let (commits, _committed) = channel();
+    let mesh = Mesh::new(MeshConfig::for_tests());
+    let node = mesh.add_node();
+    mesh.add_component(node, "server", host_ledger(&commits));
+    let client = mesh.client();
+    for call in 1..=20 {
+        let count = client
+            .call(&ledger(0), "apply", vec![Value::Int(call)])
+            .unwrap();
+        assert_eq!(count, Value::Int(call));
+    }
+    let io = io_line(&mesh);
+    assert_eq!((io.parked, io.parked_max, io.resumed), (0, 0, 0), "{io:?}");
+    assert!(io.inline > 0, "{io:?}");
+    assert_eq!(LatencyProfile::ZERO, mesh.config().latency);
+    mesh.shutdown();
+}
+
+#[test]
+fn a_component_killed_with_stages_parked_completes_nothing_and_recovers_exactly_once() {
+    const CALLS: u64 = 12;
+    const KILL_AT: u64 = 6;
+    let (commits, committed) = channel();
+    // Latencies long enough that the victim is observed — and killed — with
+    // its invocation parked between the state flush and the response.
+    let mesh = Mesh::new(config_with_latency(10.0));
+    let node = mesh.add_node();
+    let servers = [
+        mesh.add_component(node, "server-a", host_ledger(&commits)),
+        mesh.add_component(node, "server-b", host_ledger(&commits)),
+    ];
+    let client = mesh.client();
+    let actor = ledger("victim");
+    let state_key = format!("state/{}", actor.qualified_name());
+
+    let mut checker = HistoryChecker::new();
+    let record_commits = |checker: &mut HistoryChecker| {
+        for req in committed.try_iter() {
+            checker.record(HistoryEvent::Commit {
+                req,
+                actor: actor.qualified_name(),
+            });
+        }
+    };
+    let mut victim = None;
+    for req in 1..=CALLS {
+        checker.record(HistoryEvent::Issue {
+            req,
+            caller: "client".into(),
+            actor: actor.qualified_name(),
+            seq: req,
+        });
+        let result = if req == KILL_AT {
+            // The component the actor was placed on by the earlier calls.
+            let placed = mesh
+                .store()
+                .admin_get(&format!("placement/{}", actor.qualified_name()))
+                .and_then(|value| value.as_i64())
+                .map(|raw| ComponentId::from_raw(raw as u64))
+                .expect("the actor is placed");
+            assert!(servers.contains(&placed));
+            let answered_before = mesh.response_batch_stats(placed).unwrap().0;
+            let call = {
+                let (client, actor) = (client.clone(), actor.clone());
+                std::thread::spawn(move || {
+                    client.call(&actor, "apply", vec![Value::Int(req as i64)])
+                })
+            };
+            // The store applies a flush at submit: the marker showing up
+            // means the state flush is in flight — the invocation is parked
+            // on it, with the response hop and the response still ahead.
+            let marker = format!("r{req}");
+            eventually("the invocation's state flush is submitted", || {
+                mesh.store().admin_hgetall(&state_key).contains_key(&marker)
+            });
+            assert!(io_line(&mesh).parked >= 1, "nothing parked at the kill");
+            mesh.kill_component(placed);
+            checker.record(HistoryEvent::Kill {
+                component: format!("{placed}"),
+            });
+            // Its parked stages are gone with it, and it answers nobody: the
+            // call can only complete through recovery.
+            eventually("the victim's parked stages are dropped", || {
+                io_line(&mesh).parked == 0
+            });
+            victim = Some((placed, answered_before));
+            call.join().unwrap()
+        } else {
+            client.call(&actor, "apply", vec![Value::Int(req as i64)])
+        };
+        record_commits(&mut checker);
+        checker.record(HistoryEvent::Complete {
+            req,
+            ok: result.is_ok(),
+        });
+        assert_eq!(result.unwrap(), Value::Int(req as i64), "request {req}");
+    }
+    let (victim, answered_before) = victim.expect("the kill happened");
+    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
+    checker.record(HistoryEvent::Recovered {
+        component: format!("{victim}"),
+    });
+    assert_eq!(
+        mesh.response_batch_stats(victim).unwrap().0,
+        answered_before,
+        "the killed component emitted a completion after its kill"
+    );
+    // Late duplicates (a re-homed copy re-applying) would land here.
+    std::thread::sleep(Duration::from_millis(200));
+    record_commits(&mut checker);
+    let violations = checker.finalize();
+    assert!(
+        violations.is_empty(),
+        "history violations: {violations:?}\n{}",
+        mesh.debug_report()
+    );
+    assert_eq!(stored_count(&mesh, &actor), Some(CALLS as i64));
+    assert_eq!(io_line(&mesh).parked, 0);
+    mesh.shutdown();
+}

@@ -17,7 +17,9 @@ use std::time::{Duration, Instant};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
 use kar_queue::Broker;
 use kar_semantics::{HistoryChecker, HistoryEvent};
-use kar_types::{ActorRef, ComponentId, Envelope, KarError, KarResult, Value};
+use kar_types::{
+    ActorRef, ComponentId, DeploymentProfile, Envelope, KarError, KarResult, LatencyProfile, Value,
+};
 
 /// The mesh topic (`kar::mesh`'s private constant, as `bench/` spells it).
 const TOPIC: &str = "kar";
@@ -274,9 +276,25 @@ impl Actor for Gate {
 
 #[test]
 fn a_partition_holding_an_unfinished_parked_call_is_not_trimmed() {
+    // A record settles when its completion's ack *arrives*: with no modelled
+    // latency that is the append itself, inline; with one, the settle rides
+    // a stage parked until the ack's due time. Same rule on both arms.
+    for latency in [
+        LatencyProfile::ZERO,
+        DeploymentProfile::ClusterDev.latency_profile().scaled(0.2),
+    ] {
+        a_parked_call_pins_its_partition_until_its_completion_is_acked(latency);
+    }
+}
+
+fn a_parked_call_pins_its_partition_until_its_completion_is_acked(latency: LatencyProfile) {
     const CALLS: usize = 100;
     let open = Arc::new(AtomicBool::new(false));
-    let mesh = Mesh::new(long_retention_config().with_reactor_threads(3));
+    let config = MeshConfig {
+        latency,
+        ..long_retention_config()
+    };
+    let mesh = Mesh::new(config.with_reactor_threads(3));
     let node = mesh.add_node();
     let front = mesh.add_component(node, "front", |c| c.host("Front", || Box::new(Front)));
     mesh.add_component(node, "gate", {

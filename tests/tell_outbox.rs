@@ -24,10 +24,29 @@ use kar::{
     Actor, ActorContext, ComponentBuilder, FaultPlan, FaultSite, FaultSpec, Mesh, MeshConfig,
     Outcome, RetryPolicy,
 };
-use kar_types::{ActorRef, ComponentId, KarError, KarResult, Value};
+use kar_types::{
+    ActorRef, ComponentId, DeploymentProfile, KarError, KarResult, LatencyProfile, Value,
+};
 
 /// The mesh topic (`kar::mesh`'s private constant, as `bench/` spells it).
 const TOPIC: &str = "kar";
+
+/// Both arms of "inline vs parked": with no modelled latency every stage of
+/// an invocation runs inline in one frame; with a (small) one the outbox
+/// round, the state flush and the completion each park on their due time and
+/// are resumed from the mesh's due-time heap. The ordering and rollback
+/// rules must hold identically on both.
+fn latency_arms() -> [LatencyProfile; 2] {
+    [
+        LatencyProfile::ZERO,
+        DeploymentProfile::ClusterDev.latency_profile().scaled(0.2),
+    ]
+}
+
+/// `config` under `latency`.
+fn with_latency(config: MeshConfig, latency: LatencyProfile) -> MeshConfig {
+    MeshConfig { latency, ..config }
+}
 
 /// What the sinks saw, in arrival order.
 type Seen = Arc<Mutex<Vec<String>>>;
@@ -298,19 +317,21 @@ fn a_handler_telling_many_actors_on_several_components_makes_one_request_flush()
 
 #[test]
 fn tells_keep_program_order_and_precede_the_nested_call_they_were_issued_before() {
-    let (mesh, shared, _) = mesh_with(MeshConfig::default(), 2);
-    let client = mesh.client();
-    let teller = ActorRef::new("Teller", "t");
-    client.call(&teller, "ordered", vec![]).unwrap();
-    eventually("both tells arrived", || shared.seen().len() == 2);
-    assert_eq!(shared.seen(), vec!["first", "second"]);
+    for latency in latency_arms() {
+        let (mesh, shared, _) = mesh_with(with_latency(MeshConfig::default(), latency), 2);
+        let client = mesh.client();
+        let teller = ActorRef::new("Teller", "t");
+        client.call(&teller, "ordered", vec![]).unwrap();
+        eventually("both tells arrived", || shared.seen().len() == 2);
+        assert_eq!(shared.seen(), vec!["first", "second"], "{latency:?}");
 
-    // `tell; ctx.call` towards one actor: both requests ride one round,
-    // the tell's record ahead of the call's in the actor's partition — so
-    // the call returning proves the tell, issued first, ran before it.
-    client.call(&teller, "tell_then_call", vec![]).unwrap();
-    assert_eq!(shared.seen()[2..], ["told", "called"]);
-    mesh.shutdown();
+        // `tell; ctx.call` towards one actor: both requests ride one round,
+        // the tell's record ahead of the call's in the actor's partition — so
+        // the call returning proves the tell, issued first, ran before it.
+        client.call(&teller, "tell_then_call", vec![]).unwrap();
+        assert_eq!(shared.seen()[2..], ["told", "called"], "{latency:?}");
+        mesh.shutdown();
+    }
 }
 
 #[test]
@@ -379,11 +400,15 @@ fn a_failed_round_rolls_back_the_state_written_behind_its_tells() {
     // itself and fails with it. Modes 1 and 2: the round fails inside a
     // blocking / parked nested call whose error the handler ignores; the
     // invocation still fails.
-    for (cache, mode) in [(true, 0), (false, 0), (true, 1), (false, 1), (true, 2)] {
+    let arms = [(true, 0), (false, 0), (true, 1), (false, 1), (true, 2)];
+    for (latency, (cache, mode)) in latency_arms()
+        .into_iter()
+        .flat_map(|latency| arms.map(|arm| (latency, arm)))
+    {
         let config = MeshConfig::for_tests().with_actor_state_cache(cache);
-        let (mesh, shared, _) = mesh_with(config, 2);
+        let (mesh, shared, _) = mesh_with(with_latency(config, latency), 2);
         let policy = RetryPolicy::fixed(3, Duration::from_millis(5)).retry_all_errors();
-        let which = format!("cache={cache} mode={mode}");
+        let which = format!("cache={cache} mode={mode} hop={:?}", latency.sidecar_hop);
         mesh.client()
             .call_with_policy(
                 &ActorRef::new("Teller", "t"),
@@ -415,31 +440,34 @@ fn rounds_out_of_transient_replays_never_lose_a_guarded_tell() {
     // fails on the way, a teller whose call succeeded has persisted `done`,
     // so its sink must have been told.
     const TELLERS: usize = 48;
-    let plan = FaultPlan::new(15).with_site(FaultSite::BrokerAppend, FaultSpec::transient(0.5));
-    let (mesh, shared, _) = mesh_with(MeshConfig::for_tests().with_fault_plan(plan), 2);
-    let client = mesh.client();
-    let policy = RetryPolicy::exponential(8, Duration::from_millis(2)).retry_all_errors();
-    for i in 0..TELLERS {
-        let teller = ActorRef::new("Teller", format!("g{i}"));
-        // The client's own request append can run out of replays too.
-        let mut tries = 0;
-        while let Err(error) =
-            client.call_with_policy(&teller, "guarded_own_sink", vec![], policy.clone())
-        {
-            tries += 1;
-            assert!(tries < 20, "teller {i} never got through: {error}");
+    for latency in latency_arms() {
+        let plan = FaultPlan::new(15).with_site(FaultSite::BrokerAppend, FaultSpec::transient(0.5));
+        let config = with_latency(MeshConfig::for_tests().with_fault_plan(plan), latency);
+        let (mesh, shared, _) = mesh_with(config, 2);
+        let client = mesh.client();
+        let policy = RetryPolicy::exponential(8, Duration::from_millis(2)).retry_all_errors();
+        for i in 0..TELLERS {
+            let teller = ActorRef::new("Teller", format!("g{i}"));
+            // The client's own request append can run out of replays too.
+            let mut tries = 0;
+            while let Err(error) =
+                client.call_with_policy(&teller, "guarded_own_sink", vec![], policy.clone())
+            {
+                tries += 1;
+                assert!(tries < 20, "teller {i} never got through: {error}");
+            }
         }
+        let faults = mesh.fault_stats().expect("plan armed");
+        assert!(
+            faults.site(FaultSite::BrokerAppend).transient > TELLERS as u64,
+            "the plan must have bitten: {faults:?}"
+        );
+        eventually("every guarded tell arrived", || {
+            let seen = shared.seen();
+            (0..TELLERS).all(|i| seen.contains(&format!("g{i}")))
+        });
+        mesh.shutdown();
     }
-    let faults = mesh.fault_stats().expect("plan armed");
-    assert!(
-        faults.site(FaultSite::BrokerAppend).transient > TELLERS as u64,
-        "the plan must have bitten: {faults:?}"
-    );
-    eventually("every guarded tell arrived", || {
-        let seen = shared.seen();
-        (0..TELLERS).all(|i| seen.contains(&format!("g{i}")))
-    });
-    mesh.shutdown();
 }
 
 #[test]
