@@ -3,8 +3,8 @@
 //! Each component owns a dedicated queue **partition set** (the paper's
 //! Kafka deployment assigns each component a set of partitions, §4.1):
 //! producers hash requests onto the set's stable *home* partitions by actor
-//! key, consumer *lanes* (units of consumer concurrency, see
-//! `MeshConfig::consumers_per_component`) drain them, and recovery can
+//! key, consumer *lanes* (units of consumer concurrency, one per home
+//! partition) drain them, and recovery can
 //! re-home a failed component's partition *ranges* onto survivors as
 //! drain-only *adopted* partitions. The component announces the actor types
 //! it hosts, routes polled requests by actor identity onto a sharded
@@ -381,34 +381,26 @@ pub(crate) fn flush_thread_completions() {
 }
 
 /// RAII scope of one `invocation_loop` frame's drain-local buffer: opens a
-/// buffer for `core` when response batching is on, and flushes + pops it on
-/// every frame exit (returns, parks, and panics alike).
-struct ResponseRunGuard {
-    active: bool,
-}
+/// buffer for `core`, and flushes + pops it on every frame exit (returns,
+/// parks, and panics alike).
+struct ResponseRunGuard;
 
 impl ResponseRunGuard {
     fn open(core: &Arc<ComponentCore>) -> Self {
-        let active = core.responses.is_some();
-        if active {
-            RESPONSE_RUNS.with(|stack| {
-                stack.borrow_mut().push(ResponseRun {
-                    owner: Arc::as_ptr(core) as usize,
-                    core: Arc::clone(core),
-                    buffered: Vec::new(),
-                    opened: mono_now(),
-                });
+        RESPONSE_RUNS.with(|stack| {
+            stack.borrow_mut().push(ResponseRun {
+                owner: Arc::as_ptr(core) as usize,
+                core: Arc::clone(core),
+                buffered: Vec::new(),
+                opened: mono_now(),
             });
-        }
-        ResponseRunGuard { active }
+        });
+        ResponseRunGuard
     }
 }
 
 impl Drop for ResponseRunGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         // Frames are strictly LIFO (function calls), so the top entry is
         // this frame's own buffer.
         if let Some(run) = RESPONSE_RUNS.with(|stack| stack.borrow_mut().pop()) {
@@ -457,8 +449,8 @@ pub struct ComponentCore {
     /// while a modelled I/O is in flight (see [`crate::io`]).
     io: Arc<DueHeap>,
     /// This component's consumer lanes. Starts at the pre-failure steady
-    /// state (`MeshConfig::consumers_per_component` lanes over the home
-    /// partitions), grows by one lane per adopted partition range, and
+    /// state (one lane per home partition), grows by one lane per adopted
+    /// partition range, and
     /// shrinks back as adopted ranges are retired.
     lanes: Mutex<Vec<Arc<ConsumerLane>>>,
     /// Continuations parked on nested calls, keyed by the nested request id
@@ -483,8 +475,8 @@ pub struct ComponentCore {
     consumed_offsets: RwLock<HashMap<usize, Arc<AtomicU64>>>,
     /// Per-destination-partition response batching (group commit): bursts of
     /// completions towards one caller partition share a lock acquisition and
-    /// a durable ack. `None` when `MeshConfig::response_batching` is off.
-    responses: Option<ResponseBatcher>,
+    /// a durable ack.
+    responses: ResponseBatcher,
     round_stats: RoundStats,
     /// Broker-clock instants at which each currently-adopted partition was
     /// adopted; drives the retirement horizon (see `maybe_retire_partitions`).
@@ -579,7 +571,7 @@ impl ComponentCore {
             store.connect(id),
             live.clone(),
             config.placement_cache,
-            config.effective_placement_cache_shards(),
+            config.effective_dispatch_workers(),
             config.call_timeout,
         );
         // The retry bookkeeping — and the dispatcher's steal-route table —
@@ -592,7 +584,6 @@ impl ComponentCore {
         let bookkeeping_interval = config.time_scale.compress(config.retention * 2);
         let pool = DispatchPool::new(
             config.effective_dispatch_workers(),
-            config.work_stealing,
             bookkeeping_interval,
             Some(Arc::clone(&wakeup)),
         );
@@ -609,7 +600,6 @@ impl ComponentCore {
             .actor_state_cache
             .then(|| StateCache::new(state_cache_interval));
         let settle = SettleTracker::new(partitions.home());
-        let response_batcher = config.response_batching.then(ResponseBatcher::new);
         ComponentCore {
             id,
             node,
@@ -639,7 +629,7 @@ impl ComponentCore {
             orphan_responses: Mutex::new(Vec::new()),
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
-            responses: response_batcher,
+            responses: ResponseBatcher::new(),
             round_stats: RoundStats::default(),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
@@ -776,9 +766,7 @@ impl ComponentCore {
         self.inflight.lock().clear();
         // Buffered (not yet appended) completions die with the process; the
         // affected requests' queue copies drive the retry.
-        if let Some(responses) = &self.responses {
-            responses.clear();
-        }
+        self.responses.clear();
         // So does everything parked on a modelled I/O: a thread killed
         // asleep inside an ack or a hop completed nothing either.
         self.io.forget(self);
@@ -1245,14 +1233,14 @@ impl ComponentCore {
         }
     }
 
-    /// Runs `flush` against this component's response batcher (`None` when
-    /// `MeshConfig::response_batching` is off). A flush whose ack is still
-    /// to come parks as a [`Stage::ResponseAck`] on the mesh's due-time heap.
+    /// Runs `flush` against this component's response batcher. A flush whose
+    /// ack is still to come parks as a [`Stage::ResponseAck`] on the mesh's
+    /// due-time heap (and is handed straight back when the ack is due at
+    /// once — every zero-latency preset, the deterministic one included).
     fn with_batcher<R>(
         self: &Arc<Self>,
         flush: impl FnOnce(&ResponseBatcher, &FlushCtx<'_>) -> R,
-    ) -> Option<R> {
-        let batcher = self.responses.as_ref()?;
+    ) -> R {
         let park = |due, wait| match self
             .io
             .park_unless_due(due, self, Stage::ResponseAck(wait))?
@@ -1260,51 +1248,42 @@ impl ComponentCore {
             Stage::ResponseAck(wait) => Some(wait),
             _ => unreachable!("the heap hands back the stage it was given"),
         };
-        Some(flush(
-            batcher,
+        flush(
+            &self.responses,
             &FlushCtx {
                 producer: &self.producer,
                 topic: &self.topic,
                 tracker: &self.settle,
                 park: &park,
             },
-        ))
+        )
     }
 
     /// Appends `envelope` to `partition` of this component's topic, through
     /// the response batcher (one lock + one durable ack per burst towards
-    /// the partition; nobody waits for the ack) when
-    /// `MeshConfig::response_batching` is on, or as a plain keyed append the
-    /// caller waits for otherwise. `settles` is the request record this
-    /// completion settles: it is closed once the append is acknowledged.
+    /// the partition; nobody waits for the ack). `settles` is the request
+    /// record this completion settles: it is closed once the append is
+    /// acknowledged.
     fn send_completion(
         self: &Arc<Self>,
         partition: usize,
         envelope: Envelope,
         settles: Option<RecordOrigin>,
     ) {
-        if self.responses.is_some() {
-            self.with_batcher(|batcher, ctx| batcher.enqueue(ctx, partition, envelope, settles));
-        } else if self.producer.send(&self.topic, partition, envelope).is_ok() {
-            self.settle.close_all(settles.as_slice());
-        }
+        self.with_batcher(|batcher, ctx| batcher.enqueue(ctx, partition, envelope, settles));
     }
 
     /// [`Self::send_completion`] through this thread's innermost drain-local
     /// buffer when one is open for this core: the completion joins the
     /// frame's pre-grouped run instead of taking the batcher's pending lock
     /// by itself. Falls back to the direct path when no matching buffer is
-    /// open (client threads, sweeps outside a drain, batching disabled).
+    /// open (client threads, sweeps outside a drain).
     fn send_completion_buffered(
         self: &Arc<Self>,
         partition: usize,
         envelope: Envelope,
         settles: Option<RecordOrigin>,
     ) {
-        if self.responses.is_none() {
-            self.send_completion(partition, envelope, settles);
-            return;
-        }
         let owner = Arc::as_ptr(self) as usize;
         let (direct, full) = RESPONSE_RUNS.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -1338,12 +1317,6 @@ impl ComponentCore {
     /// instead of one lock round per completion, preserving send order
     /// within each partition.
     fn flush_completion_run(self: &Arc<Self>, buffered: Vec<BufferedCompletion>) {
-        if self.responses.is_none() {
-            for (partition, envelope, settles) in buffered {
-                self.send_completion(partition, envelope, settles);
-            }
-            return;
-        }
         // A drain's fan-out spans few distinct partitions, so a linear scan
         // beats hashing here.
         let mut runs: Vec<(usize, Vec<Envelope>, Vec<RecordOrigin>)> = Vec::new();
@@ -1854,9 +1827,10 @@ impl ComponentCore {
         // owner (the two components' retry dedupe sets are disjoint), so
         // verify ownership and forward otherwise. `resolve_nowait` also
         // (re-)places actors with no recorded placement, which is exactly
-        // right for records salvaged from a flushed queue. A placement error
-        // means this component is being fenced/killed: drop; the queue copy
-        // drives the retry.
+        // right for records salvaged from a flushed queue. A transient
+        // placement error (a gray store fault) is handled like a stale
+        // placement; any other means this component is being fenced/killed:
+        // drop; the queue copy drives the retry.
         //
         // Placement-check locality: a slot stamped "ownership verified in
         // epoch E" skips even the one placement-cache hit while E is still
@@ -1883,6 +1857,7 @@ impl ComponentCore {
                     self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                     return Admission::Forward(request);
                 }
+                Err(error) if error.is_transient() => return Admission::Forward(request),
                 Err(_) => return Admission::Done,
             }
         }
@@ -2984,24 +2959,13 @@ impl ComponentCore {
     // Reactor surface (no threads of its own)
     // ------------------------------------------------------------------
 
-    /// Prepares the component for the reactor pool: builds the consumer
-    /// lanes (home partitions spread round-robin over
-    /// `MeshConfig::consumers_per_component` lanes, one lane per partition
-    /// by default). Spawns nothing; the mesh registers the component with
-    /// its reactors afterwards.
+    /// Prepares the component for the reactor pool: builds one consumer
+    /// lane per home partition. Spawns nothing; the mesh registers the
+    /// component with its reactors afterwards.
     pub(crate) fn start(&self) {
         let home = self.partitions.read().home().to_vec();
-        let threads = self.config.effective_consumers_per_component(home.len());
-        let mut slices: Vec<Vec<usize>> = vec![Vec::new(); threads];
-        for (index, partition) in home.into_iter().enumerate() {
-            slices[index % threads].push(partition);
-        }
-        let mut lanes = self.lanes.lock();
-        for slice in slices {
-            if !slice.is_empty() {
-                lanes.push(self.make_lane(slice));
-            }
-        }
+        let lanes = home.into_iter().map(|p| self.make_lane(vec![p]));
+        self.lanes.lock().extend(lanes);
     }
 
     /// Builds one consumer lane over `partitions`, wiring every consumer
@@ -3128,13 +3092,13 @@ impl ComponentCore {
     }
 
     /// Drains every claimable dispatch shard, then steals for an idle one if
-    /// nothing was found (when `MeshConfig::work_stealing` is on).
+    /// nothing was found.
     fn pump_dispatch(self: &Arc<Self>) -> bool {
         let mut did = false;
         for shard in 0..self.pool.workers() {
             did |= self.drain_shard(shard);
         }
-        if self.pool.stealing() && self.is_alive() && !self.is_paused() {
+        if self.is_alive() && !self.is_paused() {
             // The reactor-era idle worker: an empty shard standing next to
             // a deep one means static actor→shard hashing left imbalance.
             // One steal attempt per sweep — `try_steal` itself bails on a
@@ -3297,9 +3261,6 @@ impl ComponentCore {
     /// horizon and drops lanes whose consumers are all gone, returning the
     /// lane count to its pre-failure steady state.
     fn sweep_retirement(&self) {
-        if !self.config.partition_retirement {
-            return;
-        }
         let lanes: Vec<Arc<ConsumerLane>> = self.lanes.lock().clone();
         for lane in lanes {
             let mut consumers = lane.consumers.lock();
@@ -3359,9 +3320,6 @@ impl ComponentCore {
     /// same clock the aged retry bookkeeping uses), so an empty log at the
     /// horizon is empty forever.
     fn maybe_retire_partitions(&self, consumers: &mut Vec<Consumer<Envelope>>) {
-        if !self.config.partition_retirement {
-            return;
-        }
         let delay = self.config.scaled_retirement_delay();
         let now = mono_now();
         let mut index = 0;
@@ -3577,9 +3535,6 @@ impl ComponentCore {
     /// admission and when an actor's mailbox runs dry, always while the
     /// actors lock is held (lock order actors → idle_actors everywhere).
     fn touch_idle(&self, actor: &ActorRef) {
-        if !self.config.actor_passivation {
-            return;
-        }
         let mut idle = self.idle_actors.lock();
         if idle.get_refresh(actor).is_none() {
             idle.insert(actor.clone(), ());
@@ -3594,7 +3549,7 @@ impl ComponentCore {
     /// re-verifies quiescence under the actors lock before dropping
     /// anything.
     fn sweep_passivation(self: &Arc<Self>, now: Duration) {
-        if !self.config.actor_passivation || !self.is_alive() || self.is_paused() {
+        if !self.is_alive() || self.is_paused() {
             return;
         }
         let rotated = self.idle_actors.lock().advance_due(now);
@@ -3760,12 +3715,10 @@ impl ComponentCore {
     }
 
     /// `(completions enqueued, batch appends performed)` by the response
-    /// batcher; `(0, 0)` when `MeshConfig::response_batching` is off. The
-    /// ratio is the per-destination amortization the batching achieves.
+    /// batcher. The ratio is the per-destination amortization the batching
+    /// achieves.
     pub fn response_batch_stats(&self) -> (u64, u64) {
-        self.responses
-            .as_ref()
-            .map_or((0, 0), ResponseBatcher::stats)
+        self.responses.stats()
     }
 
     pub(crate) fn state_get(&self, key: &str, field: &str) -> KarResult<Option<Value>> {

@@ -63,40 +63,20 @@ pub struct MeshConfig {
     /// ordered (the actor is pinned to one shard). `1` reproduces the fully
     /// serial dispatch of early revisions; values above `1` let throughput
     /// scale with cores and make retry load shaping explicit (RetryGuard's
-    /// motivation). Clamped to at least 1.
+    /// motivation). With more than one worker an idle worker steals whole
+    /// *actors* from the most loaded shard, and the placement cache is
+    /// sharded one shard per worker. Clamped to at least 1.
     pub dispatch_workers: usize,
-    /// Number of shards of the placement cache. Concurrent dispatch workers
-    /// resolving placements hash onto distinct shards instead of funnelling
-    /// through one cache lock. `0` defaults to `dispatch_workers`. Clamped to
-    /// at least 1 when the cache is enabled.
-    pub placement_cache_shards: usize,
-    /// Enable work stealing between dispatch shards: an idle worker steals
-    /// whole *actors* (never splitting one actor's queued requests) from the
-    /// most loaded shard, closing the imbalance left by static actor→shard
-    /// hashing. Per-actor ordering and the actor-lock rules are preserved.
-    pub work_stealing: bool,
     /// Number of home queue partitions allocated to each component (the
     /// paper's Kafka deployment assigns each component a partition *set*,
     /// §4.1). Requests hash onto a component's home partitions by actor key,
     /// so one actor's records stay in one partition (per-actor FIFO) while
-    /// the component's consumer side scales with the set. `1` reproduces the
-    /// one-partition-per-component topology of early revisions. Clamped to
-    /// at least 1.
+    /// the component's consumer side scales with the set (one consumer lane
+    /// per home partition). Components hosting no actor types (external
+    /// clients) get the same count: the width of their response funnel. `1`
+    /// reproduces the one-partition-per-component topology of early
+    /// revisions. Clamped to at least 1.
     pub partitions_per_component: usize,
-    /// Number of consumer threads per component. Each thread drains a
-    /// round-robin slice of the component's home partitions and feeds polled
-    /// records to the sharded dispatch pool in per-shard batches. `0` (the
-    /// default) runs one consumer per home partition. With the group-wait
-    /// consumer parking, fewer threads than partitions is efficient: an
-    /// append to any owned partition wakes its thread immediately.
-    pub consumers_per_component: usize,
-    /// Number of home partitions allocated to components hosting **no**
-    /// actor types (external clients): such components only ever receive
-    /// responses, so their partition range is the width of the response
-    /// funnel, not a request-routing surface. `0` (the default) follows
-    /// `partitions_per_component`; the delivery bench narrows it to model a
-    /// response-funnel-bound caller.
-    pub client_partitions: usize,
     /// Number of reactor threads in the mesh-wide pool that drives **every**
     /// component's consumers, dispatch shards, and continuation timeouts.
     /// The pool is fixed at mesh start: adding components or partitions
@@ -104,25 +84,6 @@ pub struct MeshConfig {
     /// reactors. `0` (the default) sizes the pool from the machine's
     /// available parallelism. Clamped to at least 1.
     pub reactor_threads: usize,
-    /// Enable per-destination response batching (group commit on the
-    /// delivery plane): invocation completions — and tail-call continuations
-    /// to the sending actor's own partition — are buffered per destination
-    /// partition, and a burst of completions towards one partition shares a
-    /// single partition-lock acquisition and a single durable-ack latency
-    /// instead of paying one ack each. Disable to restore the
-    /// one-append-per-response delivery path (the `bench_delivery` harness
-    /// compares both).
-    pub response_batching: bool,
-    /// Enable post-recovery retirement of adopted partitions: an adopted
-    /// (drain-only) partition whose retirement horizon has passed — twice
-    /// the queue-retention window after adoption, by which time retention
-    /// has expired anything a stale sender could still have appended after
-    /// recovery's placement rewrite — and whose log is fully drained is
-    /// fenced, dropped from its consumer's wait group, and removed from the
-    /// component's partition set, returning the consumer-thread count to its
-    /// pre-failure steady state. Disable to keep the pre-overhaul behavior
-    /// of draining adopted partitions forever.
-    pub partition_retirement: bool,
     /// Enable the per-activation actor-state cache: `ctx.state()` reads
     /// through one `hgetall` on an actor's first touch, buffers writes in
     /// memory, and flushes them as one pipelined store round trip strictly
@@ -131,10 +92,6 @@ pub struct MeshConfig {
     /// touching K fields pays one round trip instead of K. Disable to
     /// restore the per-command state plane (the benchmarks compare both).
     pub actor_state_cache: bool,
-    /// Number of data shards of the store (`0` selects the store's default).
-    /// Keys hash onto shards, so concurrent state/placement commands only
-    /// contend when they race on the same shard.
-    pub store_shards: usize,
     /// Per-actor-type default retry policies (`(actor type, policy)`
     /// pairs). An invocation of a listed type whose request carries no
     /// explicit policy is orchestrated under the type's default: failed
@@ -155,15 +112,12 @@ pub struct MeshConfig {
     pub retry_budget_rate: f64,
     /// Burst capacity of the retry-budget token bucket.
     pub retry_budget_burst: f64,
-    /// Idle-actor passivation: a heartbeat-driven sweep flushes and drops
-    /// the in-memory slot (instance, mailbox, slot stamp, cached state) of
-    /// every actor idle for one to two (time-compressed) retention windows
-    /// with no running or parked invocation. The next request rehydrates the
-    /// actor through the ordinary placement/admission path — recovery treats
-    /// a passivated actor exactly like one it has never seen.
-    pub actor_passivation: bool,
-    /// Soft resident-set watermark (`0` = unbounded): while a component's
-    /// resident-actor count exceeds it, the passivation sweep turns *eager*
+    /// Soft resident-set watermark (`0` = unbounded). A heartbeat-driven
+    /// sweep passivates — flushes and drops the in-memory slot of — every
+    /// actor idle for one to two (time-compressed) retention windows with no
+    /// running or parked invocation; the next request rehydrates it through
+    /// the ordinary placement/admission path. While a component's
+    /// resident-actor count exceeds this watermark that sweep turns *eager*
     /// — coldest actors are evicted first, without waiting for them to age
     /// out — until the count is back under the watermark.
     pub resident_soft_watermark: usize,
@@ -243,23 +197,15 @@ impl Default for MeshConfig {
             placement_cache: true,
             cancellation: CancellationPolicy::Await,
             dispatch_workers: 4,
-            placement_cache_shards: 0,
-            work_stealing: true,
             partitions_per_component: 4,
-            consumers_per_component: 0,
-            client_partitions: 0,
             reactor_threads: 0,
-            response_batching: true,
-            partition_retirement: true,
             actor_state_cache: true,
-            store_shards: 0,
             retry_policies: Vec::new(),
             circuit_breaker: None,
             // Generous default: orchestrated retries are effectively
             // unthrottled until an operator dials the budget down.
             retry_budget_rate: 10_000.0,
             retry_budget_burst: 20_000.0,
-            actor_passivation: true,
             // Unbounded by default: the watermarks are capacity-planning
             // knobs, and a wrong guess would shed load on meshes that never
             // needed it. Passivation alone already bounds the *idle* set.
@@ -290,13 +236,11 @@ impl MeshConfig {
     /// `sim_seed` armed. The mesh spawns zero threads; the calling thread
     /// owns a seeded [`kar_types::SimScheduler`] and drives every lane
     /// (reactor pumps, timer sweeps, the broker coordinator, the recovery
-    /// manager) from one SplitMix64 stream over a virtual clock. Response
-    /// batching is disabled: its flush heuristics park on real condvars,
-    /// and in simulation nothing else runs while the driver blocks.
+    /// manager) from one SplitMix64 stream over a virtual clock. Every other
+    /// setting is the product default, so the simulator runs what ships.
     pub fn deterministic(seed: u64) -> Self {
         MeshConfig {
             sim_seed: Some(seed),
-            response_batching: false,
             reactor_threads: 1,
             ..MeshConfig::for_tests()
         }
@@ -349,45 +293,11 @@ impl MeshConfig {
         self.dispatch_workers.max(1)
     }
 
-    /// Sets the number of placement-cache shards (`0` = follow
-    /// `dispatch_workers`).
-    #[must_use]
-    pub fn with_placement_cache_shards(mut self, shards: usize) -> Self {
-        self.placement_cache_shards = shards;
-        self
-    }
-
-    /// The effective placement-cache shard count: the explicit knob, or the
-    /// dispatch worker count when left at `0` (one shard per concurrent
-    /// resolver is the natural default), never below 1.
-    pub fn effective_placement_cache_shards(&self) -> usize {
-        if self.placement_cache_shards == 0 {
-            self.effective_dispatch_workers()
-        } else {
-            self.placement_cache_shards
-        }
-    }
-
-    /// Enables or disables work stealing between dispatch shards.
-    #[must_use]
-    pub fn with_work_stealing(mut self, enabled: bool) -> Self {
-        self.work_stealing = enabled;
-        self
-    }
-
     /// Sets the number of home queue partitions per component (clamped to
     /// ≥ 1).
     #[must_use]
     pub fn with_partitions_per_component(mut self, partitions: usize) -> Self {
         self.partitions_per_component = partitions.max(1);
-        self
-    }
-
-    /// Sets the number of consumer threads per component (`0` = one per home
-    /// partition).
-    #[must_use]
-    pub fn with_consumers_per_component(mut self, consumers: usize) -> Self {
-        self.consumers_per_component = consumers;
         self
     }
 
@@ -401,37 +311,6 @@ impl MeshConfig {
     /// The effective home-partition count per component (never below 1).
     pub fn effective_partitions_per_component(&self) -> usize {
         self.partitions_per_component.max(1)
-    }
-
-    /// Sets the number of home partitions for non-hosting (client)
-    /// components (`0` = follow `partitions_per_component`).
-    #[must_use]
-    pub fn with_client_partitions(mut self, partitions: usize) -> Self {
-        self.client_partitions = partitions;
-        self
-    }
-
-    /// The effective home-partition count for a component hosting no actor
-    /// types: the explicit knob, or the component default when left at `0`,
-    /// never below 1.
-    pub fn effective_client_partitions(&self) -> usize {
-        if self.client_partitions == 0 {
-            self.effective_partitions_per_component()
-        } else {
-            self.client_partitions.max(1)
-        }
-    }
-
-    /// The effective consumer-thread count for a component consuming
-    /// `partitions` partitions: the explicit knob capped at the partition
-    /// count, or one thread per partition when left at `0`.
-    pub fn effective_consumers_per_component(&self, partitions: usize) -> usize {
-        let partitions = partitions.max(1);
-        if self.consumers_per_component == 0 {
-            partitions
-        } else {
-            self.consumers_per_component.min(partitions)
-        }
     }
 
     /// Sets the size of the mesh-wide reactor pool (`0` = derive from the
@@ -456,21 +335,6 @@ impl MeshConfig {
         }
     }
 
-    /// Enables or disables per-destination response batching (the
-    /// `bench_delivery` harness compares call throughput under both).
-    #[must_use]
-    pub fn with_response_batching(mut self, enabled: bool) -> Self {
-        self.response_batching = enabled;
-        self
-    }
-
-    /// Enables or disables post-recovery retirement of adopted partitions.
-    #[must_use]
-    pub fn with_partition_retirement(mut self, enabled: bool) -> Self {
-        self.partition_retirement = enabled;
-        self
-    }
-
     /// The wall-clock retirement horizon of an adopted partition: twice the
     /// (time-compressed) queue-retention window after its adoption. One
     /// window guarantees every record a racing stale sender could have
@@ -485,13 +349,6 @@ impl MeshConfig {
     #[must_use]
     pub fn with_actor_state_cache(mut self, enabled: bool) -> Self {
         self.actor_state_cache = enabled;
-        self
-    }
-
-    /// Sets the number of store data shards (`0` = the store's default).
-    #[must_use]
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        self.store_shards = shards;
         self
     }
 
@@ -541,13 +398,6 @@ impl MeshConfig {
     pub fn with_retry_budget(mut self, rate: f64, burst: f64) -> Self {
         self.retry_budget_rate = rate.max(0.0);
         self.retry_budget_burst = burst.max(1.0);
-        self
-    }
-
-    /// Enables or disables idle-actor passivation.
-    #[must_use]
-    pub fn with_actor_passivation(mut self, enabled: bool) -> Self {
-        self.actor_passivation = enabled;
         self
     }
 
@@ -650,11 +500,7 @@ impl MeshConfig {
     /// [`MeshConfig::broker_config`], the fault injector is attached by
     /// `Mesh::new`.
     pub fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            op_latency: self.latency.store_op,
-            shards: self.store_shards,
-            faults: None,
-        }
+        StoreConfig::with_op_latency(self.latency.store_op)
     }
 }
 
@@ -707,40 +553,14 @@ mod tests {
     }
 
     #[test]
-    fn placement_cache_shards_follow_dispatch_workers_by_default() {
-        let c = MeshConfig::for_tests().with_dispatch_workers(6);
-        assert_eq!(c.placement_cache_shards, 0);
-        assert_eq!(c.effective_placement_cache_shards(), 6);
-        let explicit = c.with_placement_cache_shards(3);
-        assert_eq!(explicit.effective_placement_cache_shards(), 3);
-    }
-
-    #[test]
-    fn work_stealing_toggle() {
-        let c = MeshConfig::for_tests();
-        assert!(c.work_stealing);
-        assert!(!c.with_work_stealing(false).work_stealing);
-    }
-
-    #[test]
     fn partition_and_consumer_knobs_default_and_clamp() {
+        // One knob sizes both: a component runs one consumer lane per home
+        // partition.
         let c = MeshConfig::default();
         assert_eq!(c.partitions_per_component, 4);
-        assert_eq!(c.consumers_per_component, 0);
         assert_eq!(c.effective_partitions_per_component(), 4);
-        // 0 consumers = one per partition; explicit counts cap at the
-        // partition count.
-        assert_eq!(c.effective_consumers_per_component(4), 4);
-        let two = MeshConfig::for_tests().with_consumers_per_component(2);
-        assert_eq!(two.effective_consumers_per_component(4), 2);
-        assert_eq!(two.effective_consumers_per_component(1), 1);
         let serial = MeshConfig::for_tests().with_partitions_per_component(0);
         assert_eq!(serial.effective_partitions_per_component(), 1);
-        // Client partitions follow the component default unless overridden.
-        assert_eq!(serial.effective_client_partitions(), 1);
-        let narrow = MeshConfig::for_tests().with_client_partitions(1);
-        assert_eq!(narrow.effective_partitions_per_component(), 4);
-        assert_eq!(narrow.effective_client_partitions(), 1);
         assert_eq!(
             MeshConfig::for_tests()
                 .with_partitions_per_component(8)
@@ -753,25 +573,19 @@ mod tests {
     fn state_plane_knobs_default_and_toggle() {
         let c = MeshConfig::default();
         assert!(c.actor_state_cache);
-        assert_eq!(c.store_shards, 0);
-        let c = MeshConfig::for_tests()
-            .with_actor_state_cache(false)
-            .with_store_shards(4);
+        assert_eq!(c.store_config().shards, 0, "the store picks its own");
+        let c = MeshConfig::for_tests().with_actor_state_cache(false);
         assert!(!c.actor_state_cache);
-        assert_eq!(c.store_config().shards, 4);
     }
 
     #[test]
     fn delivery_plane_knobs_default_and_toggle() {
         let c = MeshConfig::default();
-        assert!(c.response_batching);
-        assert!(c.partition_retirement);
         assert_eq!(c.scaled_retirement_delay(), Duration::from_secs(1200));
-        let c = MeshConfig::for_tests()
-            .with_response_batching(false)
-            .with_partition_retirement(false);
-        assert!(!c.response_batching);
-        assert!(!c.partition_retirement);
+        let c = MeshConfig {
+            retention: Duration::from_secs(60),
+            ..MeshConfig::for_tests()
+        };
         // The horizon rides the compressed retention clock.
         assert_eq!(
             c.scaled_retirement_delay(),
@@ -842,7 +656,6 @@ mod tests {
     #[test]
     fn passivation_defaults_on_watermarks_unbounded() {
         let c = MeshConfig::default();
-        assert!(c.actor_passivation);
         assert_eq!(c.resident_soft_limit(), None);
         assert_eq!(c.resident_hard_limit(), None);
         assert_eq!(c.mailbox_limit(), None);
@@ -861,11 +674,9 @@ mod tests {
     #[test]
     fn passivation_knobs_set_and_clamp() {
         let c = MeshConfig::for_tests()
-            .with_actor_passivation(false)
             .with_resident_watermarks(100, 40)
             .with_mailbox_watermark(500)
             .with_passivation_backoff(Duration::ZERO);
-        assert!(!c.actor_passivation);
         assert_eq!(c.resident_soft_limit(), Some(100));
         assert_eq!(c.resident_hard_limit(), Some(100), "hard clamps up to soft");
         assert_eq!(c.mailbox_limit(), Some(500));

@@ -22,8 +22,8 @@
 //!   matter which reactor runs it.
 //!
 //! Work stealing: static actor→shard hashing leaves the worst shard with up
-//! to ~2× the mean load (BENCH_messaging.json). A reactor that finds every
-//! claimable shard empty therefore steals work from the deepest shard queue
+//! to ~2× the mean load. A reactor that finds every claimable shard empty
+//! therefore steals work from the deepest shard queue
 //! — and a push that leaves a queue [`STEAL_WAKEUP_DEPTH`] deep notifies the
 //! pool's wait group (counted as a steal wakeup) so a parked reactor comes
 //! back for the steal immediately rather than on its idle tick. Steals
@@ -130,8 +130,6 @@ pub(crate) struct DispatchPool {
     /// windows (see [`DispatchPool::age_routes`]), so long-lived components
     /// hosting transient actors don't grow an unbounded routing table.
     routes: Mutex<AgingMap<ActorRef, usize>>,
-    /// Whether idle reactors steal actors from loaded shards.
-    stealing: bool,
     /// Number of successful steals (whole actors moved).
     steals: AtomicU64,
     /// Number of deep pushes that re-notified the wait group to summon a
@@ -150,16 +148,15 @@ pub(crate) struct DispatchPool {
 impl DispatchPool {
     /// Creates a pool with `workers` shards. Callers pass
     /// `MeshConfig::effective_dispatch_workers()`, the single authoritative
-    /// clamp for the shard count, `MeshConfig::work_stealing`, the retention
-    /// interval steal-route overrides age out on, and the wait group pushes
-    /// notify (the group the mesh's reactors park on).
+    /// clamp for the shard count, the retention interval steal-route
+    /// overrides age out on, and the wait group pushes notify (the group the
+    /// mesh's reactors park on).
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub(crate) fn new(
         workers: usize,
-        stealing: bool,
         route_retention: Duration,
         wakeup: Option<Arc<WaitSignalGroup>>,
     ) -> Self {
@@ -167,7 +164,6 @@ impl DispatchPool {
         DispatchPool {
             shards: (0..workers).map(|_| Shard::new()).collect(),
             routes: Mutex::new(AgingMap::new(route_retention)),
-            stealing: stealing && workers > 1,
             steals: AtomicU64::new(0),
             steal_wakeups: AtomicU64::new(0),
             pending: Mutex::new(HashSet::new()),
@@ -442,7 +438,7 @@ impl DispatchPool {
     /// this queue backs up. Best-effort: if every reactor is mid-invocation
     /// the signal is absorbed, and the idle tick remains the backstop.
     fn maybe_wake_thief(&self, loaded: usize, depth: usize) {
-        if !self.stealing || depth < STEAL_WAKEUP_DEPTH {
+        if depth < STEAL_WAKEUP_DEPTH {
             return;
         }
         for (index, shard) in self.shards.iter().enumerate() {
@@ -509,11 +505,6 @@ impl DispatchPool {
         if let Some(position) = state.busy_actors.iter().position(|a| a == actor) {
             state.busy_actors.swap_remove(position);
         }
-    }
-
-    /// Whether work stealing is enabled for this pool.
-    pub(crate) fn stealing(&self) -> bool {
-        self.stealing
     }
 
     /// Steals one whole actor from the deepest other shard into `thief`'s
@@ -616,7 +607,7 @@ impl DispatchPool {
             if let Some(request) = self.try_pop(shard) {
                 return Some(request);
             }
-            if self.stealing && self.try_steal(shard) {
+            if self.try_steal(shard) {
                 if let Some(request) = self.try_pop(shard) {
                     return Some(request);
                 }
@@ -655,13 +646,13 @@ mod tests {
         }
     }
 
-    fn pool(workers: usize, stealing: bool, retention: Duration) -> DispatchPool {
-        DispatchPool::new(workers, stealing, retention, None)
+    fn pool(workers: usize, retention: Duration) -> DispatchPool {
+        DispatchPool::new(workers, retention, None)
     }
 
     #[test]
     fn actors_are_pinned_to_stable_shards() {
-        let pool = pool(4, false, RETENTION);
+        let pool = pool(4, RETENTION);
         assert_eq!(pool.workers(), 4);
         for i in 0..32 {
             let actor = ActorRef::new("T", format!("a{i}"));
@@ -674,12 +665,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_is_rejected() {
-        pool(0, true, RETENTION);
+        pool(0, RETENTION);
     }
 
     #[test]
     fn submit_tracks_pending_until_admitted() {
-        let pool = pool(2, false, RETENTION);
+        let pool = pool(2, RETENTION);
         let r = request(7, "a");
         let id = r.id;
         assert!(pool.submit(r));
@@ -697,7 +688,7 @@ mod tests {
 
     #[test]
     fn next_request_times_out_on_an_empty_shard() {
-        let pool = pool(1, false, RETENTION);
+        let pool = pool(1, RETENTION);
         assert!(pool.next_request(0, Duration::from_millis(2)).is_none());
     }
 
@@ -708,7 +699,7 @@ mod tests {
         // mirrors must come back to zero.
         use std::sync::Arc;
         const MESSAGES: u64 = 2_000;
-        let pool = Arc::new(DispatchPool::new(2, true, RETENTION, None));
+        let pool = Arc::new(DispatchPool::new(2, RETENTION, None));
         let shard = pool.shard_of(&ActorRef::new("T", "a"));
         let pusher_pool = pool.clone();
         let pusher = std::thread::spawn(move || {
@@ -743,7 +734,7 @@ mod tests {
 
     #[test]
     fn idle_worker_steals_a_whole_actor_from_the_deepest_shard() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let warm = ActorRef::new("T", "warm");
         let victim = pool.shard_of(&hot);
@@ -790,7 +781,7 @@ mod tests {
 
     #[test]
     fn stealing_skips_the_actor_its_drainer_is_busy_with() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let victim = pool.shard_of(&hot);
         let thief = 1 - victim;
@@ -816,7 +807,7 @@ mod tests {
 
     #[test]
     fn shallow_queues_are_not_stolen_from() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let victim = pool.shard_of(&hot);
         let thief = 1 - victim;
@@ -830,22 +821,8 @@ mod tests {
     }
 
     #[test]
-    fn stealing_disabled_leaves_queues_alone() {
-        let pool = pool(2, false, RETENTION);
-        let hot = ActorRef::new("T", "hot");
-        let victim = pool.shard_of(&hot);
-        let thief = 1 - victim;
-        for id in 1..=4 {
-            pool.submit(request(id, "hot"));
-        }
-        assert!(pool.next_request(thief, Duration::from_millis(2)).is_none());
-        assert_eq!(pool.depth(victim), 4);
-        assert_eq!(pool.steal_count(), 0);
-    }
-
-    #[test]
     fn shard_claims_are_exclusive_until_released() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         assert!(pool.try_claim(0));
         assert!(!pool.try_claim(0), "second claim must fail");
         assert!(pool.try_claim(1), "claims are per shard");
@@ -857,7 +834,7 @@ mod tests {
 
     #[test]
     fn submit_batch_groups_by_shard_and_preserves_per_actor_order() {
-        let pool = pool(4, false, RETENTION);
+        let pool = pool(4, RETENTION);
         // Interleave requests for several actors; the batch must land each
         // actor's requests on its shard in submission order.
         let mut batch = Vec::new();
@@ -896,7 +873,7 @@ mod tests {
 
     #[test]
     fn submit_batch_honours_steal_route_overrides() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         let hot = ActorRef::new("T", "hot");
         let home = pool.shard_of(&hot);
         let exile = 1 - home;
@@ -908,7 +885,7 @@ mod tests {
 
     #[test]
     fn idle_steal_routes_age_out_but_active_ones_survive() {
-        let pool = pool(2, true, Duration::from_millis(1));
+        let pool = pool(2, Duration::from_millis(1));
         let idle = ActorRef::new("T", "idle");
         let busy = ActorRef::new("T", "busy");
         pool.routes.lock().insert(idle.clone(), 0);
@@ -945,7 +922,7 @@ mod tests {
 
     #[test]
     fn a_dropped_route_falls_back_to_the_home_shard_with_nothing_queued() {
-        let pool = pool(2, true, Duration::from_millis(1));
+        let pool = pool(2, Duration::from_millis(1));
         let actor = ActorRef::new("T", "wanderer");
         let home = pool.shard_of(&actor);
         pool.routes.lock().insert(actor.clone(), 1 - home);
@@ -965,7 +942,7 @@ mod tests {
     fn deep_pushes_notify_the_wait_group_for_a_parked_thief() {
         use std::sync::Arc;
         let group = Arc::new(WaitSignalGroup::new());
-        let pool = Arc::new(DispatchPool::new(2, true, RETENTION, Some(group.clone())));
+        let pool = Arc::new(DispatchPool::new(2, RETENTION, Some(group.clone())));
         let hot = ActorRef::new("T", "hot");
         let victim = pool.shard_of(&hot);
         let thief = 1 - victim;
@@ -1007,7 +984,7 @@ mod tests {
 
     #[test]
     fn shallow_pushes_do_not_issue_steal_wakeups() {
-        let pool = pool(2, true, RETENTION);
+        let pool = pool(2, RETENTION);
         for id in 1..STEAL_WAKEUP_DEPTH as u64 {
             pool.submit(request(id, "hot"));
         }
@@ -1016,8 +993,8 @@ mod tests {
         // waiter — the signal is best-effort).
         pool.submit(request(99, "hot"));
         assert!(pool.steal_wakeup_count() >= 1);
-        // Stealing disabled: never wake.
-        let no_steal = DispatchPool::new(2, false, RETENTION, None);
+        // A lone shard has no thief to wake.
+        let no_steal = DispatchPool::new(1, RETENTION, None);
         for id in 1..=(STEAL_WAKEUP_DEPTH as u64 * 2) {
             no_steal.submit(request(id, "hot"));
         }

@@ -531,14 +531,8 @@ impl Mesh {
         let raw = self.inner.next_component.fetch_add(1, Ordering::SeqCst);
         let id = ComponentId::from_raw(raw);
         // Allocate the next contiguous home partition range and register it
-        // in the broker's assignment table and the mesh topology. Components
-        // hosting no actor types only ever receive responses, so their range
-        // is sized by the (possibly narrower) client knob.
-        let count = if hosted.is_empty() {
-            self.inner.config.effective_client_partitions()
-        } else {
-            self.inner.config.effective_partitions_per_component()
-        };
+        // in the broker's assignment table and the mesh topology.
+        let count = self.inner.config.effective_partitions_per_component();
         let start = self.inner.next_partition.fetch_add(count, Ordering::SeqCst);
         let partitions = PartitionSet::contiguous(start, count);
         self.inner
@@ -856,7 +850,7 @@ impl Mesh {
     }
 
     /// `(completions enqueued, batch appends performed)` by one component's
-    /// response batcher (`(0, 0)` with `response_batching` off).
+    /// response batcher.
     pub fn response_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
         self.inner
             .components

@@ -49,6 +49,8 @@ use parking_lot::Mutex;
 use kar_store::Connection;
 use kar_types::{Completion, KarResult, Value};
 
+use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
+
 /// The in-memory image of one actor's persistent state hash.
 #[derive(Debug, Default)]
 struct CachedState {
@@ -76,7 +78,9 @@ impl CachedState {
 
     fn ensure_loaded(&mut self, conn: &Connection, key: &str) -> KarResult<()> {
         if !self.loaded {
-            self.fields = conn.hgetall(key)?;
+            // A read is idempotent: a transient store fault is replayed here
+            // instead of failing the whole invocation into the retry lane.
+            self.fields = retry_transient(TRANSIENT_ATTEMPTS, || conn.hgetall(key))?;
             self.loaded = true;
         }
         Ok(())

@@ -155,15 +155,13 @@ fn group_wait_delivers_unparked_partition_appends_without_a_rotation_slice() {
     );
 }
 
-/// End-to-end: with fewer consumer threads than partitions (the layout the
-/// group wait makes efficient), calls that land on arbitrary partitions are
-/// served promptly on both the request and the response leg.
+/// End-to-end: calls that land on arbitrary partitions of a parked
+/// component are served promptly on both the request and the response leg.
 #[test]
-fn single_consumer_components_serve_all_partitions_promptly() {
+fn sparse_calls_on_any_partition_are_served_promptly() {
     let mesh = Mesh::new(
         MeshConfig::for_tests()
             .with_partitions_per_component(4)
-            .with_consumers_per_component(1)
             .with_dispatch_workers(4),
     );
     let node = mesh.add_node();
@@ -184,10 +182,10 @@ fn single_consumer_components_serve_all_partitions_promptly() {
         .filter(|p| broker.end_offset(TOPIC, **p) > 0)
         .count();
     assert!(touched >= 3, "8 actors only touched {touched} partitions");
-    assert_eq!(mesh.consumer_threads(server), Some(1));
+    assert_eq!(mesh.consumer_threads(server), Some(4), "one lane per home");
 
-    // Sparse sequential calls: the single consumer thread parks between
-    // them, so every call exercises the wakeup path on both legs. Under the
+    // Sparse sequential calls: the reactors park between them, so every
+    // call exercises the wakeup path on both legs. Under the
     // old rotation each leg averaged ~1 ms of slice wait; with group wait
     // the whole call stays well under one slice.
     let mut latencies = Vec::new();
@@ -214,75 +212,68 @@ fn single_consumer_components_serve_all_partitions_promptly() {
 
 /// Concurrent completions towards one destination partition must share
 /// durable acks — and change nothing observable: results, tail-call chains
-/// and exactly-once bookkeeping are identical with batching on and off.
+/// and exactly-once bookkeeping are what an ack per completion would give.
 #[test]
 fn response_batching_amortizes_acks_without_changing_results() {
-    for batching in [true, false] {
-        let mesh = Mesh::new(
-            MeshConfig {
-                latency: LatencyProfile {
-                    queue_append: Duration::from_micros(300),
-                    ..LatencyProfile::ZERO
-                },
-                ..MeshConfig::for_tests()
-            }
-            .with_partitions_per_component(1)
-            .with_response_batching(batching),
-        );
-        let node = mesh.add_node();
-        let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
-        let client = mesh.client();
+    let mesh = Mesh::new(
+        MeshConfig {
+            latency: LatencyProfile {
+                queue_append: Duration::from_micros(300),
+                ..LatencyProfile::ZERO
+            },
+            ..MeshConfig::for_tests()
+        }
+        .with_partitions_per_component(1),
+    );
+    let node = mesh.add_node();
+    let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
+    let client = mesh.client();
 
-        // 8 concurrent callers, sequential calls each: every response (and
-        // every incr tail-call continuation) funnels into a single-partition
-        // destination, so bursts overlap acks.
-        let drivers: Vec<_> = (0..8)
-            .map(|caller| {
-                let client = client.clone();
-                std::thread::spawn(move || {
-                    let target = ActorRef::new("Ledger", format!("b{caller}"));
-                    for i in 0..8 {
-                        client.call(&target, "record", vec![Value::Int(i)]).unwrap();
-                        client.call(&target, "incr", vec![]).unwrap();
-                    }
-                })
+    // 8 concurrent callers, sequential calls each: every response (and
+    // every incr tail-call continuation) funnels into a single-partition
+    // destination, so bursts overlap acks.
+    let drivers: Vec<_> = (0..8)
+        .map(|caller| {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let target = ActorRef::new("Ledger", format!("b{caller}"));
+                for i in 0..8 {
+                    client.call(&target, "record", vec![Value::Int(i)]).unwrap();
+                    client.call(&target, "incr", vec![]).unwrap();
+                }
             })
-            .collect();
-        for driver in drivers {
-            driver.join().unwrap();
-        }
-        for caller in 0..8 {
-            let target = ActorRef::new("Ledger", format!("b{caller}"));
-            let log = client.call(&target, "read", vec![]).unwrap();
-            assert_eq!(
-                log.as_list().map(<[Value]>::len),
-                Some(8),
-                "batching={batching}: acknowledged records lost or duplicated"
-            );
-            assert_eq!(
-                client.call(&target, "violation", vec![]).unwrap(),
-                Value::Null,
-                "batching={batching}: out-of-order execution"
-            );
-            assert_eq!(
-                client.call(&target, "get", vec![]).unwrap(),
-                Value::Int(8),
-                "batching={batching}: tail-call increments lost"
-            );
-        }
-        let (enqueued, flushes) = mesh.response_batch_stats(server).unwrap();
-        if batching {
-            assert!(enqueued > 0, "batcher never saw a completion");
-            assert!(
-                flushes < enqueued,
-                "8 concurrent callers at a 300 µs ack never shared a flush \
-                 ({flushes} flushes for {enqueued} completions)"
-            );
-        } else {
-            assert_eq!((enqueued, flushes), (0, 0), "batching off must bypass");
-        }
-        mesh.shutdown();
+        })
+        .collect();
+    for driver in drivers {
+        driver.join().unwrap();
     }
+    for caller in 0..8 {
+        let target = ActorRef::new("Ledger", format!("b{caller}"));
+        let log = client.call(&target, "read", vec![]).unwrap();
+        assert_eq!(
+            log.as_list().map(<[Value]>::len),
+            Some(8),
+            "acknowledged records lost or duplicated"
+        );
+        assert_eq!(
+            client.call(&target, "violation", vec![]).unwrap(),
+            Value::Null,
+            "out-of-order execution"
+        );
+        assert_eq!(
+            client.call(&target, "get", vec![]).unwrap(),
+            Value::Int(8),
+            "tail-call increments lost"
+        );
+    }
+    let (enqueued, flushes) = mesh.response_batch_stats(server).unwrap();
+    assert!(enqueued > 0, "batcher never saw a completion");
+    assert!(
+        flushes < enqueued,
+        "8 concurrent callers at a 300 µs ack never shared a flush \
+         ({flushes} flushes for {enqueued} completions)"
+    );
+    mesh.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -429,37 +420,6 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
             );
         }
     }
-    mesh.shutdown();
-}
-
-/// Retirement can be disabled: adopted partitions are then drained forever
-/// (the pre-overhaul behavior), keeping their consumer thread.
-#[test]
-fn retirement_knob_keeps_adopted_partitions_when_disabled() {
-    let mesh = Mesh::new(
-        MeshConfig {
-            retention: Duration::from_secs(60),
-            ..MeshConfig::for_tests()
-        }
-        .with_partitions_per_component(2)
-        .with_dispatch_workers(2)
-        .with_partition_retirement(false),
-    );
-    let node = mesh.add_node();
-    let a = mesh.add_component(node, "keeper", |c| c.host("Ledger", || Box::new(Ledger)));
-    let b = mesh.add_component(node, "victim", |c| c.host("Ledger", || Box::new(Ledger)));
-    let client = mesh.client();
-    client
-        .call(&ActorRef::new("Ledger", "x"), "record", vec![Value::Int(0)])
-        .unwrap();
-    mesh.kill_component(b);
-    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
-    let adopted = mesh.partition_set(a).unwrap().adopted().to_vec();
-    assert_eq!(adopted.len(), 2);
-    // Well past the (disabled) 600 ms horizon the range is still adopted.
-    std::thread::sleep(Duration::from_millis(1500));
-    assert_eq!(mesh.partition_set(a).unwrap().adopted(), adopted);
-    assert_eq!(mesh.retired_partitions(a), Some(Vec::new()));
     mesh.shutdown();
 }
 

@@ -154,6 +154,87 @@ fn lost_flush_acks_stay_exactly_once_through_dedup() {
     mesh.shutdown();
 }
 
+/// A ~1% plan (transient + lost-ack at every store and broker site) must be
+/// absorbed by the runtime's bounded *local* replays — the flush, the
+/// produce round, the response run are each replayed where they failed —
+/// before any failure reaches the retry-policy lane: the workload finishes
+/// exactly-once with **zero** scheduled retries. If this fires, local replay
+/// regressed and gray faults are leaking into orchestration (and to
+/// callers' backoff clocks).
+#[test]
+fn a_one_percent_plan_is_absorbed_by_local_replay_before_the_policy_lane() {
+    const CALLERS: usize = 4;
+    const CALLS_EACH: i64 = 400;
+
+    let seed = chaos_seed(0x6EA1_FA17);
+    println!("chaos seed: {seed} (re-run with KAR_CHAOS_SEED={seed})");
+
+    let plan =
+        FaultPlan::new(seed).with_all_sites(FaultSpec::transient(0.005).with_ack_lost(0.005));
+    let mesh = Mesh::new(MeshConfig::for_tests().with_fault_plan(plan));
+    let node = mesh.add_node();
+    mesh.add_component(node, "seq-a", |c| c.host("Seq", seq_host()));
+    mesh.add_component(node, "seq-b", |c| c.host("Seq", seq_host()));
+    let client = mesh.client();
+
+    let drivers: Vec<_> = (0..CALLERS)
+        .map(|caller| {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let target = ActorRef::new("Seq", format!("absorb-{caller}"));
+                let policy = RetryPolicy::exponential(6, Duration::from_millis(10));
+                for call in 0..CALLS_EACH {
+                    let value = client
+                        .call_with_policy(&target, "next", vec![], policy.clone())
+                        .unwrap_or_else(|error| {
+                            panic!("caller {caller} call {call} surfaced a fault: {error:?}")
+                        });
+                    assert_eq!(
+                        value.as_i64(),
+                        Some(call + 1),
+                        "caller {caller}: duplicate or lost apply at call {call}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for driver in drivers {
+        driver.join().unwrap();
+    }
+
+    // Ground truth through the never-faulted admin accessor.
+    for caller in 0..CALLERS {
+        let persisted = mesh
+            .store()
+            .admin_hgetall(&format!("state/Seq/absorb-{caller}"))
+            .get("n")
+            .and_then(Value::as_i64);
+        assert_eq!(
+            persisted,
+            Some(CALLS_EACH),
+            "caller {caller}: durable count"
+        );
+    }
+    let stats = mesh.fault_stats().expect("the fault plan is armed");
+    println!(
+        "absorbed {} faults over {} draws",
+        stats.total_faults(),
+        stats.sites.iter().map(|s| s.draws).sum::<u64>()
+    );
+    assert!(
+        stats.total_faults() >= 10,
+        "a ~1% rate over {} calls must fire: {stats:?}",
+        CALLERS as i64 * CALLS_EACH
+    );
+    let metrics = mesh.retry_metrics();
+    assert_eq!(
+        (metrics.scheduled, metrics.dead_lettered),
+        (0, 0),
+        "gray faults reached the policy lane — local replay regressed: {metrics:?}"
+    );
+    mesh.shutdown();
+}
+
 /// `Mesh::dlq_retry` under lost acks on the checked-admin plane: the
 /// claim protocol (unique token + read-back disambiguation) must keep
 /// re-injection exactly-once even when the store keeps reporting failure

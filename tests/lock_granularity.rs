@@ -115,11 +115,7 @@ fn skewed_tells_stay_fifo_and_actually_steal() {
     const ACTORS: usize = 8;
     const MESSAGES: i64 = 40;
 
-    let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_dispatch_workers(WORKERS)
-            .with_work_stealing(true),
-    );
+    let mesh = Mesh::new(MeshConfig::for_tests().with_dispatch_workers(WORKERS));
     let node = mesh.add_node();
     let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
     let client = mesh.client();
@@ -196,11 +192,7 @@ fn exactly_once_and_order_survive_kill_recovery_with_stealing() {
     const NOISE_ACTORS: usize = 12;
     const NOISE_MESSAGES: i64 = 100;
 
-    let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_dispatch_workers(WORKERS)
-            .with_work_stealing(true),
-    );
+    let mesh = Mesh::new(MeshConfig::for_tests().with_dispatch_workers(WORKERS));
     let node = mesh.add_node();
     mesh.add_component(node, "replica-a", |c| c.host("Ledger", || Box::new(Ledger)));
     mesh.add_component(node, "replica-b", |c| c.host("Ledger", || Box::new(Ledger)));

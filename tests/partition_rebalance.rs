@@ -126,8 +126,7 @@ fn run_chaos(matrix_seed: u64) {
     let mesh = Mesh::new(
         MeshConfig::for_tests()
             .with_dispatch_workers(WORKERS)
-            .with_partitions_per_component(PARTITIONS)
-            .with_work_stealing(true),
+            .with_partitions_per_component(PARTITIONS),
     );
     let node = mesh.add_node();
     mesh.add_component(node, "replica-a", |c| c.host("Ledger", || Box::new(Ledger)));
@@ -486,12 +485,16 @@ fn partitions_orphaned_by_a_total_hosting_failure_are_adopted_by_a_later_recover
 fn chained_failures_spread_adopted_ranges_by_current_load() {
     // Recovery's adopter choice weights by *current* adopted-range count, so
     // a survivor already draining one dead range stops being the first pick
-    // for the next. Retirement is disabled so the counts stay observable.
+    // for the next. A long retention keeps the counts observable: the
+    // retirement horizon (2 × 3600 s × 0.005 = 36 s) outlasts both recovery
+    // waits.
     let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_dispatch_workers(2)
-            .with_partitions_per_component(4)
-            .with_partition_retirement(false),
+        MeshConfig {
+            retention: Duration::from_secs(3600),
+            ..MeshConfig::for_tests()
+        }
+        .with_dispatch_workers(2)
+        .with_partitions_per_component(4),
     );
     let node = mesh.add_node();
     let first_victim = mesh.add_component(node, "v1", |c| c.host("Ledger", || Box::new(Ledger)));

@@ -20,7 +20,7 @@
 
 mod common;
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -327,6 +327,20 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
     // 12 concurrent activations against a hard watermark of 4: the excess
     // is shed with shaped backoff and re-queued, never dropped — every
     // blocking call must come back acknowledged as passivation frees slots.
+    // A sampler watches the resident count meanwhile: admission checks the
+    // watermark under the actors lock, so the set never exceeds it.
+    let done = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let (mesh, done) = (mesh.clone(), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !done.load(Ordering::Relaxed) {
+                peak = peak.max(mesh.resident_actors(server).unwrap_or(0));
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            peak
+        })
+    };
     let drivers: Vec<_> = (0..ACTORS)
         .map(|actor| {
             let client = client.clone();
@@ -340,6 +354,12 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
     for driver in drivers {
         driver.join().unwrap();
     }
+    done.store(true, Ordering::Relaxed);
+    let peak = sampler.join().unwrap();
+    assert!(
+        (1..=4).contains(&peak),
+        "resident set peaked at {peak} against a hard watermark of 4"
+    );
 
     let (passivations, _, deferrals) = mesh.passivation_stats(server).unwrap();
     assert!(

@@ -374,6 +374,14 @@ fn budget_sheds_under_failing_callee_without_melting() {
         metrics.dead_lettered, 0,
         "sheds re-queue on backoff, they never exhaust the schedule: {metrics:?}"
     );
+    // No amplification: each failing call costs exactly one scheduled retry
+    // however often the budget sheds it, and the healthy half never enters
+    // the retry lane at all.
+    assert_eq!(
+        metrics.scheduled,
+        (CALLERS / 2 * CALLS_EACH) as u64,
+        "one retry per failed first attempt, none for healthy calls: {metrics:?}"
+    );
     // The mesh is still alive and serving after the retry storm.
     assert_eq!(
         client

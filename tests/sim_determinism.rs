@@ -40,16 +40,18 @@ impl Actor for Accumulator {
 
 /// One simulated run: a two-component mesh, a handful of increments spread
 /// over three actors, final reads. Returns everything observable about the
-/// execution.
-fn run_quiet(seed: u64) -> (Vec<String>, String, Vec<i64>) {
+/// execution, and how many response-batcher flushes the servers performed.
+fn run_quiet(seed: u64) -> (Vec<String>, String, Vec<i64>, u64) {
     let mesh = Mesh::new(MeshConfig::deterministic(seed));
     let node = mesh.add_node();
-    mesh.add_component(node, "alpha", |b| {
-        b.host("Counter", || Box::new(Accumulator))
-    });
-    mesh.add_component(node, "beta", |b| {
-        b.host("Counter", || Box::new(Accumulator))
-    });
+    let servers = [
+        mesh.add_component(node, "alpha", |b| {
+            b.host("Counter", || Box::new(Accumulator))
+        }),
+        mesh.add_component(node, "beta", |b| {
+            b.host("Counter", || Box::new(Accumulator))
+        }),
+    ];
     let client = mesh.client();
     for i in 0..9 {
         let actor = ActorRef::new("Counter", format!("c{}", i % 3));
@@ -65,8 +67,12 @@ fn run_quiet(seed: u64) -> (Vec<String>, String, Vec<i64>) {
     }
     let trace = mesh.sim_take_trace();
     let report = mesh.debug_report();
+    let flushes = servers
+        .iter()
+        .map(|server| mesh.response_batch_stats(*server).unwrap().1)
+        .sum();
     mesh.shutdown();
-    (trace, report, values)
+    (trace, report, values, flushes)
 }
 
 /// One simulated chaos run: kill the first component at a scheduled step
@@ -107,19 +113,24 @@ fn run_chaos(seed: u64, kill_step: u64) -> (Vec<String>, String, Vec<i64>, usize
 
 #[test]
 fn a_quiet_run_is_exact_and_replays_byte_identically() {
-    let (trace_a, report_a, values_a) = run_quiet(42);
+    let (trace_a, report_a, values_a, flushes_a) = run_quiet(42);
     assert_eq!(values_a, vec![3, 3, 3], "9 increments over 3 actors");
     assert!(!trace_a.is_empty(), "the trace records the schedule");
-    let (trace_b, report_b, values_b) = run_quiet(42);
+    assert!(
+        flushes_a > 0,
+        "the simulator must run the response batcher the product ships"
+    );
+    let (trace_b, report_b, values_b, flushes_b) = run_quiet(42);
     assert_eq!(values_a, values_b);
+    assert_eq!(flushes_a, flushes_b);
     assert_eq!(report_a, report_b, "final counters replay exactly");
     assert_eq!(trace_a, trace_b, "the schedule replays byte-identically");
 }
 
 #[test]
 fn different_seeds_explore_different_schedules() {
-    let (trace_a, _, values_a) = run_quiet(7);
-    let (trace_c, _, values_c) = run_quiet(8);
+    let (trace_a, _, values_a, _) = run_quiet(7);
+    let (trace_c, _, values_c, _) = run_quiet(8);
     // Different interleavings, same answers: determinism is about replay,
     // correctness must hold on every schedule.
     assert_eq!(values_a, values_c);
