@@ -29,8 +29,8 @@ pub enum Outcome {
     /// as a continuation instead of blocking the worker: the runtime sends
     /// the nested request, frees the thread, and resumes `then` with the
     /// result when the response record arrives. The actor stays locked for
-    /// the duration (same serialization as a blocking [`ActorContext::call`],
-    /// including reentrant bypass along the lineage), and a failure while
+    /// the duration (its mailbox queues behind the parked invocation, nested
+    /// calls along its lineage bypass it reentrantly), and a failure while
     /// parked is retried from the queue copy of the original request exactly
     /// like a killed in-flight invocation.
     CallThen {

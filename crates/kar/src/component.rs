@@ -73,7 +73,7 @@ use crate::io::DueHeap;
 use crate::placement::{LiveSet, PlacementService};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
-use crate::state_cache::{PendingFlush, StateCache};
+use crate::state_cache::{PendingFlush, Savepoint, StateCache};
 
 /// The mesh-wide dead-letter queue topic: one partition per component, keyed
 /// by the dead-lettering component's raw id. Entries are full request
@@ -155,8 +155,9 @@ enum Admission {
     /// Admitted: run this invocation inline — `(request, holds_lock,
     /// reentrant)`.
     Run(RequestMessage, bool, bool),
-    /// Not ours: forward to the current placement, *outside* the shard
-    /// claim (forwarding may wait out a stale placement).
+    /// Not ours: forward to the current placement. A forward is a round of
+    /// its own ([`Stage::Round`]): one that meets a stale placement parks,
+    /// it never holds the shard.
     Forward(RequestMessage),
     /// Absorbed: duplicate, deferred, mailboxed, or dropped.
     Done,
@@ -189,6 +190,32 @@ pub(crate) struct Frame {
     reentrant: bool,
 }
 
+/// How long a round that met an unresolved placement — the recorded one
+/// points at a failed component and reconciliation has not rewritten it yet —
+/// stays parked before its next attempt.
+const PLACEMENT_RETRY: Duration = Duration::from_millis(5);
+
+/// The requests of one produce round on their way to their partitions: those
+/// routed so far, and those whose target is still to be placed.
+pub(crate) struct Placing {
+    routed: Run,
+    unplaced: std::vec::IntoIter<RequestMessage>,
+    /// How many of the requests — the leading ones — are an invocation's
+    /// tells.
+    tells: usize,
+    /// When an unresolved placement stops being waited for: one call timeout
+    /// after the first attempt that met one (no clock is read before that).
+    deadline: Option<Duration>,
+}
+
+/// What one placement attempt ([`ComponentCore::place_once`]) came to.
+enum Placement {
+    /// Every request has its partition.
+    Routed(Run),
+    /// A target's placement is stale: try again no later than `retry_at`.
+    Unresolved { retry_at: Duration },
+}
+
 /// One produce round of the request leg on its way to its ack, with what
 /// [`ComponentCore::count_round`] counts once it is acknowledged.
 pub(crate) struct RoundInFlight {
@@ -210,6 +237,45 @@ impl RoundInFlight {
     }
 }
 
+/// What a produce round sent from a reactor is *for*: what runs once it is
+/// over, durable or failed ([`ComponentCore::round_over`]). Travels by value
+/// inside its [`Stage`], like everything else a step hands to the next.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum RoundThen {
+    /// A finished handler's outbox: its state flush is submitted next, in
+    /// the same frame that observes the ack.
+    Outbox {
+        frame: Frame,
+        result: KarResult<Outcome>,
+        /// [`Outbox::failed`] and [`Outbox::guarded`] of the flushed outbox.
+        failed: Option<KarError>,
+        guarded: Option<Savepoint>,
+    },
+    /// The round of an [`Outcome::CallThen`]: the handler's pending tells
+    /// and, behind them, the nested request `nested`. Durable, the
+    /// invocation stays parked on the response; failed, its continuation
+    /// resumes with the error.
+    Nested {
+        nested: RequestId,
+        /// The calling invocation and the rest of its handler, until the
+        /// round is placed; in the continuation table from then on.
+        caller: Option<ParkedContinuation>,
+        /// Whether a failed round loses tells (see [`Outbox::failed`]).
+        lost_tells: bool,
+        guarded: Option<Savepoint>,
+    },
+    /// A request that already has a record, re-appended elsewhere: a forward
+    /// to the actor's current host (no frame) or a tail-call successor to
+    /// another actor (the frame of the invocation it completes). Once the
+    /// copy is durable it is the record recovery works from, and `settles` —
+    /// the record the request was polled from — is closed; then, never
+    /// before the ack, the frame's mailbox moves on.
+    Resend {
+        settles: Option<RecordOrigin>,
+        frame: Option<Frame>,
+    },
+}
+
 /// One step of an invocation's pipeline, owned by whoever will run it next:
 /// the invocation loop when the due time of the I/O ahead of it has come, the
 /// mesh's due-time heap ([`crate::io`]) until then. Each variant names what
@@ -218,28 +284,21 @@ impl RoundInFlight {
 pub(crate) enum Stage {
     /// The invocation-start sidecar hop: the handler runs next.
     Start(Frame),
-    /// The sidecar hop of a nested call's response: the continuation runs
-    /// next, with `input`.
+    /// The sidecar hop of a nested call's response — or nothing, when the
+    /// nested call's round failed: the continuation runs next, with `input`,
+    /// under a context that starts from `outbox`.
     Resume {
         parked: ParkedContinuation,
         input: KarResult<Value>,
-    },
-    /// The sidecar hop of the handler's outbox round: the round is placed
-    /// and submitted next.
-    OutboxHop {
-        frame: Frame,
-        result: KarResult<Outcome>,
         outbox: Outbox,
     },
-    /// The outbox round's durable ack: the state flush is submitted next, in
-    /// the same frame that observes the ack.
-    OutboxAck {
-        frame: Frame,
-        result: KarResult<Outcome>,
+    /// The sidecar hop of a produce round, or the repair of a placement one
+    /// of its targets is waiting for: the round is placed and submitted next.
+    Round { placing: Placing, then: RoundThen },
+    /// The round's durable ack: what the round was for runs next.
+    RoundAck {
         round: RoundInFlight,
-        /// [`Outbox::failed`] and [`Outbox::guarded`] of the flushed outbox.
-        failed: Option<KarError>,
-        guarded: Option<crate::state_cache::Savepoint>,
+        then: RoundThen,
     },
     /// The state flush's store round trip: the completion is sent next.
     StateFlush {
@@ -292,28 +351,6 @@ struct ConsumerLane {
     consumers: Mutex<Vec<Consumer<Envelope>>>,
 }
 
-/// One dispatch-shard claim held by a `drain_shard` frame on this thread.
-/// `core` is an identity (never dereferenced); `yielded` records that a
-/// blocking wait inside the frame's invocation handed the shard off.
-struct ShardClaim {
-    core: usize,
-    shard: usize,
-    yielded: bool,
-}
-
-thread_local! {
-    /// Dispatch-shard claims held by `drain_shard` frames on this thread,
-    /// innermost last. Entering a blocking runtime wait *yields* the
-    /// innermost claim — the reactor-era version of the old worker-thread
-    /// hand-off to a replacement drainer: the shard stays drainable by any
-    /// reactor (including this thread's own nested pumps) while the
-    /// invocation is parked, so two actors on one shard calling each other
-    /// cannot deadlock, and one stale placement never stalls every other
-    /// actor pinned to the shard.
-    static SHARD_CLAIMS: std::cell::RefCell<Vec<ShardClaim>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Flush a drain-local completion buffer once it groups this many
 /// completions, even mid-drain.
 const RESPONSE_RUN_CAP: usize = 16;
@@ -334,15 +371,13 @@ type PendingRun = (Arc<ComponentCore>, Vec<BufferedCompletion>);
 /// `invocation_loop` frame. Completions the frame produces are grouped here
 /// and handed to the owning core's `ResponseBatcher` as pre-grouped
 /// per-partition runs — one pending-queue lock per run instead of one per
-/// completion — when the drain ends, the buffer fills or goes stale, or the
-/// thread is about to block.
+/// completion — when the drain ends or the buffer fills or goes stale.
 struct ResponseRun {
     /// Identity of the owning core (an `Arc` pointer, only ever compared):
     /// a frame buffers only into a top-of-stack entry opened by its own
     /// core, so two components interleaved on one thread never mix runs.
     owner: usize,
-    /// The owning core, so `flush_thread_completions` can flush buffers
-    /// whose frames are suspended under a nested pump.
+    /// The owning core, which flushes the buffer.
     core: Arc<ComponentCore>,
     /// Completions in send order.
     buffered: Vec<BufferedCompletion>,
@@ -352,19 +387,21 @@ struct ResponseRun {
 
 thread_local! {
     /// Drain-local completion buffers, one per `invocation_loop` frame on
-    /// this thread, innermost last (mirroring `SHARD_CLAIMS`). Reentrant
-    /// pumping pushes a fresh buffer per nested frame, so a suspended outer
-    /// frame never interleaves its completions with a nested drain's.
+    /// this thread, innermost last. Frames nest in one case only: under the
+    /// simulator, a handler blocked in a write-through state write (see
+    /// [`ComponentCore::order_write_after_outbox`]) drives the scheduler,
+    /// which sweeps the mesh on this very thread; each nested frame pushes a
+    /// buffer of its own.
     static RESPONSE_RUNS: std::cell::RefCell<Vec<ResponseRun>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Flushes every drain-local completion buffered on this thread. Called
-/// before any blocking wait and after every nested pump, so a parked frame
-/// never holds completions hostage: everything this thread produced is on
-/// its way to the broker before the thread stops making progress. The
-/// buffers stay on the stack (empty) for the frames that own them.
-pub(crate) fn flush_thread_completions() {
+/// Flushes every drain-local completion buffered on this thread, so a handler
+/// about to block holds none hostage. Called from the one place a handler
+/// still blocks, the write-through state write of
+/// [`ComponentCore::order_write_after_outbox`], and gone with it. The buffers
+/// stay on the stack (empty) for the frames that own them.
+fn flush_thread_completions() {
     // Collect outside the borrow: flushing appends to the broker, and the
     // borrow must not be live if that ever re-enters this thread-local.
     let runs: Vec<PendingRun> = RESPONSE_RUNS.with(|stack| {
@@ -572,7 +609,6 @@ impl ComponentCore {
             live.clone(),
             config.placement_cache,
             config.effective_dispatch_workers(),
-            config.call_timeout,
         );
         // The retry bookkeeping — and the dispatcher's steal-route table —
         // age on the queue-retention clock: the broker coordinator actively
@@ -760,7 +796,7 @@ impl ComponentCore {
         if let Some(cache) = &self.state_cache {
             cache.invalidate_all();
         }
-        // Dropping the senders wakes every thread blocked on a nested call.
+        // Dropping the senders wakes every client thread blocked on a call.
         self.pending_calls.lock().clear();
         self.deferred.lock().clear();
         self.inflight.lock().clear();
@@ -1036,9 +1072,9 @@ impl ComponentCore {
     }
 
     /// Blocks for one sidecar hop. Only for threads that may block: client
-    /// threads, and a handler inside the blocking `ctx.call` or a
-    /// write-through state write. The invocation pipeline never calls this —
-    /// it parks on [`Self::hop_due`] instead.
+    /// threads, and a handler inside a write-through state write. The
+    /// invocation pipeline never calls this — it parks on [`Self::hop_due`]
+    /// instead.
     fn sidecar_hop(&self) {
         let hop = self.config.latency.sidecar_hop;
         if !hop.is_zero() {
@@ -1057,131 +1093,107 @@ impl ComponentCore {
     // Sending
     // ------------------------------------------------------------------
 
-    /// The send choke point of the issuing entry points (`external_call`,
-    /// `external_tell`, `nested_call`/`park_nested`, the invocation outbox).
-    fn issue_request(self: &Arc<Self>, message: RequestMessage) -> KarResult<()> {
-        let run = self.place_round([message])?;
-        self.append_requests(run, 0)
-    }
-
-    /// Routes freshly issued requests to their destination partitions, in
-    /// order. The one place a request is marked single-copy, because a fresh
-    /// id's first append is its only record. With a fault plan armed even
-    /// that is not provable — an append whose ack is lost is replayed,
-    /// leaving two records of one id — so no request is marked then.
+    /// Starts routing `messages` — the first `tells` of them an invocation's
+    /// outbox — into one produce round. `fresh` requests are marked
+    /// single-copy here, the one place that can: a fresh id's first append is
+    /// its only record. With a fault plan armed even that is not provable —
+    /// an append whose ack is lost is replayed, leaving two records of one
+    /// id — so no request is marked then; neither is a request that already
+    /// has a record somewhere (a forward, a tail-call successor).
     ///
-    /// The partition is fixed here, ahead of an append that takes a durable
-    /// ack, so a record can land where a topology update in between no
-    /// longer routes. That window cannot be closed from the sender's side,
-    /// and recovery does not rely on it being closed: a record
-    /// in a failed component's partition is catalogued and re-homed by
-    /// reconciliation, one appended after the placement rewrite is drained
-    /// by the partition's adopter (adopted partitions stay drain-only for
-    /// two retention windows for exactly this stale sender), and a record
-    /// for an actor the consumer does not own is forwarded to its owner.
-    fn place_round(
-        self: &Arc<Self>,
-        messages: impl IntoIterator<Item = RequestMessage>,
-    ) -> KarResult<Run> {
-        // A durable append may block (batched ack, stale-placement wait):
-        // flush buffered completions first so nothing this thread produced
-        // is held back while it waits.
-        flush_thread_completions();
-        let single_copy = !self.producer.faults_armed();
-        messages
-            .into_iter()
-            .map(|mut message| {
-                message.single_copy = single_copy;
-                Ok((self.place(&message)?, Envelope::Request(message)))
-            })
-            .collect()
+    /// The partitions are fixed ahead of an append that takes a durable ack,
+    /// so a record can land where a topology update in between no longer
+    /// routes. That window cannot be closed from the sender's side, and
+    /// recovery does not rely on it being closed: a record in a failed
+    /// component's partition is catalogued and re-homed by reconciliation,
+    /// one appended after the placement rewrite is drained by the partition's
+    /// adopter (adopted partitions stay drain-only for two retention windows
+    /// for exactly this stale sender), and a record for an actor the consumer
+    /// does not own is forwarded to its owner.
+    fn placing(&self, mut messages: Vec<RequestMessage>, tells: usize, fresh: bool) -> Placing {
+        let single_copy = fresh && !self.producer.faults_armed();
+        for message in &mut messages {
+            message.single_copy = single_copy;
+        }
+        Placing {
+            routed: Vec::with_capacity(messages.len()),
+            unplaced: messages.into_iter(),
+            tells,
+            deadline: None,
+        }
     }
 
-    /// Flushes one invocation's outbox as **one produce round**, waiting for
-    /// its ack: the tells in program order, then — when the flush is forced
-    /// by a nested call — that call's request behind them. Placement is
-    /// resolved per target; the append is all-or-nothing and pays one
-    /// durable ack for every partition and destination component it touches
-    /// (see [`crate::context`] for the invariants). The caller has paid the
-    /// round's sidecar hop. The blocking form, for a handler suspended in a
-    /// blocking runtime call; a finished handler's outbox leaves through
-    /// [`Stage::OutboxHop`] without blocking anybody.
-    fn issue_outbox(
-        self: &Arc<Self>,
-        tells: Vec<RequestMessage>,
-        nested: Option<RequestMessage>,
-    ) -> KarResult<()> {
-        let records = tells.len();
-        let run = self.place_round(tells.into_iter().chain(nested))?;
-        self.append_requests(run, records)
-    }
-
-    /// Re-appends a request that already has a record somewhere (a forward
-    /// or a tail-call successor): the copy is never single-copy.
-    pub(crate) fn send_request(self: &Arc<Self>, mut message: RequestMessage) -> KarResult<()> {
-        message.single_copy = false;
-        flush_thread_completions();
-        let partition = self.place(&message)?;
-        self.append_requests(vec![(partition, Envelope::Request(message))], 0)
-    }
-
-    /// Resolves the target actor's placement and returns the partition of
-    /// the hosting component's queue its records hash to.
-    ///
-    /// Resolution can wait (bounded by the call timeout) when a recorded
+    /// One placement attempt: resolves, in order, the placement of every
+    /// request of `placing` not routed yet and hashes it onto the hosting
+    /// component's partitions — until one is unresolved: its recorded
     /// placement points at a failed component and reconciliation has not
-    /// rewritten it yet. A reactor thread waiting here keeps pumping the
-    /// mesh instead of parking (work-while-waiting), so one stale placement
-    /// never idles a thread of the fixed pool; other threads park on the
-    /// placement repair signal.
-    fn place(self: &Arc<Self>, message: &RequestMessage) -> KarResult<usize> {
-        let deadline = mono_now() + self.config.call_timeout;
-        let component = loop {
+    /// rewritten it yet. Never waits. A transient store failure during
+    /// resolution is a gray failure on the submission path — the request
+    /// record (and with it any retry policy) does not exist yet, so nothing
+    /// downstream can absorb it — and is treated exactly like an unresolved
+    /// placement, under the same call-timeout deadline.
+    fn place_once(&self, placing: &mut Placing) -> KarResult<Placement> {
+        while let Some(message) = placing.unplaced.as_slice().first() {
             if !self.is_alive() {
                 return Err(KarError::Killed { component: self.id });
             }
-            // Snapshot the repair signal before resolving: a repair landing
-            // between the lookup and the wait wakes the waiter at once.
-            let seen = self.placement.repair_epoch();
-            // A transient store failure during resolution is a gray failure
-            // on the submission path — the request record (and with it any
-            // retry policy) does not exist yet, so nothing downstream can
-            // absorb it. Treat it exactly like an unresolved placement:
-            // wait and retry under the same call-timeout deadline.
             match self.placement.resolve_nowait(&message.target) {
-                Ok(Some(component)) => break component,
+                Ok(Some(component)) => {
+                    let partition = self
+                        .partition_for(component, &message.target.qualified_name())
+                        .ok_or_else(|| {
+                            KarError::internal(format!("no partition set recorded for {component}"))
+                        })?;
+                    let message = placing.unplaced.next().expect("peeked above");
+                    placing.routed.push((partition, Envelope::Request(message)));
+                }
                 Err(error) if !error.is_transient() => return Err(error),
                 Ok(None) | Err(_) => {
                     let now = mono_now();
+                    let deadline = *placing
+                        .deadline
+                        .get_or_insert(now + self.config.call_timeout);
                     if now >= deadline {
                         return Err(KarError::Timeout {
                             request: message.id,
                             after_ms: self.config.call_timeout.as_millis() as u64,
                         });
                     }
-                    // Waiting out a stale placement: hand the shard off so
-                    // one unresolved actor never stalls the others pinned
-                    // to it (idempotent across loop iterations).
-                    self.yield_shard_claim();
+                    return Ok(Placement::Unresolved {
+                        retry_at: deadline.min(now + PLACEMENT_RETRY),
+                    });
+                }
+            }
+        }
+        Ok(Placement::Routed(std::mem::take(&mut placing.routed)))
+    }
+
+    /// Sends `messages` — the first `tells` of them an invocation's outbox —
+    /// as one produce round and **waits** for it: for a stale placement to be
+    /// repaired (bounded by the call timeout), then for the round's durable
+    /// ack. Only for threads that may block: the edge threads of
+    /// `external_call` / `external_tell`, and the write-through arm of
+    /// [`Self::order_write_after_outbox`] — the one wait left inside a
+    /// handler, which dies with `MeshConfig::actor_state_cache`. A reactor
+    /// sends its rounds through [`Stage::Round`], which parks instead.
+    fn issue_outbox(&self, messages: Vec<RequestMessage>, tells: usize) -> KarResult<()> {
+        let mut placing = self.placing(messages, tells, true);
+        let run = loop {
+            // Snapshot the repair signal before resolving: a repair landing
+            // between the lookup and the wait wakes the waiter at once.
+            let seen = self.placement.repair_epoch();
+            match self.place_once(&mut placing)? {
+                Placement::Routed(run) => break run,
+                Placement::Unresolved { retry_at } => {
                     if kar_types::sim::active() {
                         kar_types::sim::step();
-                    } else if !crate::mesh::pump_current_reactor() {
+                    } else {
                         self.placement
-                            .wait_for_repair(seen, Duration::from_millis(5).min(deadline - now));
+                            .wait_for_repair(seen, retry_at.saturating_sub(mono_now()));
                     }
                 }
             }
         };
-        self.partition_for(component, &message.target.qualified_name())
-            .ok_or_else(|| KarError::internal(format!("no partition set recorded for {component}")))
-    }
-
-    /// Appends one run of routed requests — its first `tells` entries an
-    /// invocation's outbox — as one produce round, one durable ack, and waits
-    /// for it: durable when this returns `Ok`. For threads that may block;
-    /// the invocation pipeline runs the same submit and settle with a park,
-    /// not a wait, in between ([`Stage::OutboxAck`]).
-    fn append_requests(&self, run: Run, tells: usize) -> KarResult<()> {
         let mut round = RoundInFlight::new(run, tells);
         loop {
             if let Some(due) = round.round.submit(&self.producer, &self.topic) {
@@ -1483,7 +1495,7 @@ impl ComponentCore {
         };
         self.sidecar_hop();
         let receiver = self.register_pending(id);
-        self.issue_request(message)?;
+        self.issue_outbox(vec![message], 0)?;
         self.wait_for_response(id, receiver)
     }
 
@@ -1497,7 +1509,7 @@ impl ComponentCore {
     ) -> KarResult<()> {
         let message = self.tell_message(target, method, args)?;
         self.sidecar_hop();
-        self.issue_request(message)
+        self.issue_outbox(vec![message], 0)
     }
 
     /// Builds the request of an asynchronous invocation under a fresh id
@@ -1531,55 +1543,6 @@ impl ComponentCore {
         })
     }
 
-    /// A nested blocking call issued from inside an actor invocation. The
-    /// tells pending in the caller's `outbox` leave in the same produce
-    /// round, ahead of the call's request.
-    pub(crate) fn nested_call(
-        self: &Arc<Self>,
-        caller: &RequestMessage,
-        caller_actor: &ActorRef,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-        policy: Option<RetryPolicy>,
-        outbox: &mut Outbox,
-    ) -> KarResult<Value> {
-        if !self.is_alive() {
-            return Err(KarError::Killed { component: self.id });
-        }
-        let id = self.ids.fresh();
-        let message = RequestMessage {
-            id,
-            caller: Some(caller.id),
-            target: target.clone(),
-            method: method.to_owned(),
-            args,
-            kind: CallKind::Call,
-            lineage: caller.chain(),
-            pending_callee: None,
-            caller_actor: Some(caller_actor.clone()),
-            reply_to: Some(self.id),
-            retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
-            single_copy: false,
-        };
-        self.sidecar_hop();
-        let receiver = self.register_pending(id);
-        let tells = std::mem::take(&mut outbox.tells);
-        let carried_tells = !tells.is_empty();
-        if let Err(error) = self.issue_outbox(tells, Some(message)) {
-            self.pending_calls.lock().remove(&id);
-            if carried_tells {
-                // The handler may swallow this error; its invocation must
-                // still not complete over the tells the round lost.
-                outbox.failed = Some(error.clone());
-            }
-            return Err(error);
-        }
-        // The tells are durable: the writes buffered behind them may be too.
-        outbox.guarded = None;
-        self.wait_for_response(id, receiver)
-    }
-
     /// Keeps a state write from becoming durable ahead of the tells issued
     /// before it (outbox → state, never state first); free while the outbox
     /// is empty. With the actor-state cache on, the write is buffered and
@@ -1587,8 +1550,9 @@ impl ComponentCore {
     /// such write only takes a savepoint of the actor's buffered writes for
     /// [`Self::flush_outbox`] to roll back to should the round fail. With
     /// the cache off the write is durable at once, so the pending tells are
-    /// made durable first, and the write fails if they — or an earlier
-    /// round of this invocation — could not be.
+    /// made durable first — the handler **blocks** in [`Self::issue_outbox`],
+    /// the one wait left inside an invocation — and the write fails if they,
+    /// or an earlier round of this invocation, could not be.
     pub(crate) fn order_write_after_outbox(
         self: &Arc<Self>,
         outbox: &RefCell<Outbox>,
@@ -1608,8 +1572,12 @@ impl ComponentCore {
             return Err(error.clone());
         }
         let tells = std::mem::take(&mut outbox.tells);
+        let records = tells.len();
+        // About to block: what this thread's frames buffered must not wait
+        // out the round with it.
+        flush_thread_completions();
         self.sidecar_hop();
-        self.issue_outbox(tells, None).inspect_err(|error| {
+        self.issue_outbox(tells, records).inspect_err(|error| {
             outbox.failed = Some(error.clone());
         })
     }
@@ -1621,26 +1589,12 @@ impl ComponentCore {
     }
 
     fn wait_for_response(
-        self: &Arc<Self>,
+        &self,
         id: RequestId,
         receiver: crossbeam::channel::Receiver<Arc<Payload>>,
     ) -> KarResult<Value> {
-        // About to park: hand this frame's dispatch shard back to the pool
-        // first, so the shard keeps making progress — without this, two
-        // actors on one shard calling each other would deadlock until the
-        // call timeout (the callee's reentrant callback hashes to the very
-        // shard this caller's claim is wedging).
-        self.yield_shard_claim();
-        // And hand any buffered completions to the batcher: a response this
-        // frame produced earlier in the drain must not wait out this park —
-        // its caller's progress may be exactly what unblocks us.
-        flush_thread_completions();
-        // A blocking `ctx.call` on a reactor thread must not idle a thread
-        // of the fixed pool: interleave short waits with pumping the mesh
-        // (work-while-waiting), so the nested request — and everything else
-        // — keeps making progress even on a single-reactor mesh. Any reactor
-        // can deliver this response; pumping is about throughput, not
-        // correctness. Off-reactor threads (clients) just block.
+        // Only edge threads wait here (an invocation's nested call parks a
+        // continuation instead), and any reactor can deliver the response.
         let deadline = mono_now() + self.config.call_timeout;
         let outcome = if kar_types::sim::active() {
             // Simulation: the driver thread owns every lane, so parking on
@@ -1662,25 +1616,7 @@ impl ComponentCore {
                 }
             }
         } else {
-            loop {
-                let slice = if crate::mesh::on_reactor_thread() {
-                    Duration::from_millis(1).min(self.config.call_timeout)
-                } else {
-                    deadline.saturating_sub(mono_now())
-                };
-                match receiver.recv_timeout(slice) {
-                    Ok(payload) => break Ok(payload),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        break Err(RecvTimeoutError::Disconnected)
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if mono_now() >= deadline {
-                            break Err(RecvTimeoutError::Timeout);
-                        }
-                        crate::mesh::pump_current_reactor();
-                    }
-                }
-            }
+            receiver.recv_timeout(deadline.saturating_sub(mono_now()))
         };
         self.pending_calls.lock().remove(&id);
         match outcome {
@@ -1787,9 +1723,8 @@ impl ComponentCore {
     /// Admission control for one request, run under its shard's claim:
     /// dedupes retries, defers happen-before-annotated retries, flags
     /// mis-routed requests for forwarding, and applies the actor-lock rules
-    /// of §2.2–§4.1. Never blocks — forwarding (which may wait out a stale
-    /// placement) is returned to the caller to perform *outside* the shard
-    /// claim, so one stale placement never wedges a whole shard.
+    /// of §2.2–§4.1. Never blocks, and sends nothing: a forward is handed
+    /// back to the caller, which sends it as a round of its own.
     fn admit_request(self: &Arc<Self>, mut request: RequestMessage) -> Admission {
         if !self.is_alive() {
             return Admission::Done;
@@ -1852,7 +1787,7 @@ impl ComponentCore {
                 Ok(Some(owner)) if owner == self.id => {}
                 Ok(_) => {
                     // Owned elsewhere, or a stale placement awaiting repair:
-                    // `send_request` re-resolves (outside the shard claim)
+                    // the forward re-resolves (parking on a stale placement)
                     // and appends to the owner's queue.
                     self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                     return Admission::Forward(request);
@@ -2004,7 +1939,15 @@ impl ComponentCore {
     /// the handler left off (flush, outcome handling, mailbox drain).
     fn resume_continuation(self: &Arc<Self>, parked: ParkedContinuation, input: KarResult<Value>) {
         let hop = self.hop_due();
-        Arc::clone(self).invocation_loop(hop, Stage::Resume { parked, input });
+        let outbox = Outbox::default();
+        Arc::clone(self).invocation_loop(
+            hop,
+            Stage::Resume {
+                parked,
+                input,
+                outbox,
+            },
+        );
     }
 
     /// Runs a stage the due-time heap held until its time came.
@@ -2019,88 +1962,98 @@ impl ComponentCore {
         }
     }
 
-    /// Sends the nested request of an [`Outcome::CallThen`] — in one round
-    /// with the tells pending in the handler's `outbox`, behind them — and
-    /// parks its continuation, releasing the calling reactor. Returns `None`
-    /// once parked — the invocation resumes when the response record arrives
-    /// (or the deadline passes). If the send fails synchronously, the
-    /// continuation is resumed inline with the error and what it produced is
-    /// returned.
-    fn park_nested(
+    /// The handler of `frame` returned an [`Outcome::CallThen`]: its nested
+    /// request leaves one sidecar hop from now, in one round with the tells
+    /// pending in the handler's `outbox`, behind them. The order is place,
+    /// park, append: resolution can wait out a stale placement for a whole
+    /// call timeout, and a continuation parked meanwhile would be timed out —
+    /// and resumed under a context that knows nothing of the pending tells —
+    /// while the round still holds them; and once the request is durable its
+    /// response can arrive on another reactor at once, and must find the
+    /// continuation in the table.
+    fn nested_round(
         self: &Arc<Self>,
-        request: &RequestMessage,
-        holds_lock: bool,
-        reentrant: bool,
+        frame: Frame,
+        outbox: Outbox,
         target: ActorRef,
         method: String,
         args: Vec<Value>,
         policy: Option<RetryPolicy>,
         then: Continuation,
-        outbox: Outbox,
-    ) -> Option<Attempt> {
+    ) -> Step {
         let nested_id = self.ids.fresh();
         let nested = RequestMessage {
             id: nested_id,
-            caller: Some(request.id),
+            caller: Some(frame.request.id),
             target,
             method,
             args,
             kind: CallKind::Call,
-            lineage: request.chain(),
+            lineage: frame.request.chain(),
             pending_callee: None,
-            caller_actor: Some(request.target.clone()),
+            caller_actor: Some(frame.request.target.clone()),
             reply_to: Some(self.id),
             retry: policy.map(|p| Box::new(RetryState::fresh(p, epoch_ms()))),
             single_copy: false,
         };
-        self.sidecar_hop();
         let Outbox {
-            tells,
+            mut tells,
             failed,
             guarded,
         } = outbox;
+        let caller = ParkedContinuation {
+            request: frame.request,
+            holds_lock: frame.holds_lock,
+            reentrant: frame.reentrant,
+            // Set when the continuation is parked.
+            deadline: Duration::ZERO,
+            then,
+        };
         // A round that failed earlier in the handler fails this one too: the
         // invocation cannot complete over the tells it lost.
-        let lost_tells = failed.is_some() || !tells.is_empty();
-        let records = tells.len();
-        // Place first: resolution can wait out a stale placement for a whole
-        // call timeout, and a continuation parked meanwhile would be timed
-        // out — and resumed under a context that knows nothing of the
-        // pending tells — while this thread still holds them.
-        let placed = match failed {
-            Some(error) => Err(error),
-            None => self.place_round(tells.into_iter().chain([nested])),
-        };
-        let (then, error) = match placed {
-            Err(error) => (then, error),
-            Ok(run) => {
-                // Park BEFORE appending: once the request is durable, its
-                // response can arrive on another reactor immediately — and
-                // must find the continuation in the table.
-                self.continuations.park(
-                    nested_id,
-                    ParkedContinuation {
-                        request: request.clone(),
-                        holds_lock,
-                        reentrant,
-                        deadline: mono_now() + self.config.call_timeout,
-                        then,
-                    },
-                );
-                let error = self.append_requests(run, records).err()?;
-                // Nothing was appended, so no response will ever arrive:
-                // take the park back. A racing timer may have claimed it as
-                // timed out first; the timeout path owns the resume then.
-                (self.continuations.take(nested_id)?.then, error)
-            }
-        };
-        // Resume inline with the send error.
-        let mut ctx = ActorContext::new(self, request, request.target.clone());
-        if lost_tells {
-            ctx.fail_outbox(error.clone(), guarded);
+        if let Some(error) = failed {
+            return Self::nested_round_failed(caller, error, true, guarded);
         }
-        let result = then.resume(&mut ctx, Err(error));
-        Some(Attempt::finished(ctx, result))
+        let records = tells.len();
+        tells.push(nested);
+        Step::Next(
+            self.hop_due(),
+            Stage::Round {
+                placing: self.placing(tells, records, true),
+                then: RoundThen::Nested {
+                    nested: nested_id,
+                    caller: Some(caller),
+                    lost_tells: records > 0,
+                    guarded,
+                },
+            },
+        )
+    }
+
+    /// The round of `caller`'s nested call failed with `error` and appended
+    /// nothing, so no response will ever arrive: the continuation resumes
+    /// with the error, at once. It may swallow the error; if the round lost
+    /// tells its invocation must still not complete over them, so its
+    /// context starts from a failed outbox.
+    fn nested_round_failed(
+        caller: ParkedContinuation,
+        error: KarError,
+        lost_tells: bool,
+        guarded: Option<Savepoint>,
+    ) -> Step {
+        let outbox = Outbox {
+            tells: Vec::new(),
+            failed: lost_tells.then(|| error.clone()),
+            guarded,
+        };
+        Step::Next(
+            None,
+            Stage::Resume {
+                parked: caller,
+                input: Err(error),
+                outbox,
+            },
+        )
     }
 
     /// The invocation state machine: runs `stage` once `due` has come, then
@@ -2115,10 +2068,9 @@ impl ComponentCore {
     fn invocation_loop(self: Arc<Self>, mut due: Option<Duration>, mut stage: Stage) {
         // Drain-local response buffering: completions this frame produces
         // are grouped per destination partition and handed to the batcher
-        // as single runs — flushed when the frame exits (this guard), when
-        // the buffer fills or goes stale, and before any blocking wait. A
-        // stage resumed from the heap opens its own: it runs outside the
-        // frame that parked it.
+        // as single runs — flushed when the frame exits (this guard) and
+        // when the buffer fills or goes stale. A stage resumed from the heap
+        // opens its own: it runs outside the frame that parked it.
         let _run_guard = ResponseRunGuard::open(&self);
         loop {
             if !self.is_alive() {
@@ -2176,7 +2128,11 @@ impl ComponentCore {
                 };
                 self.handler_returned(frame, attempt)
             }
-            Stage::Resume { parked, input } => {
+            Stage::Resume {
+                parked,
+                input,
+                outbox,
+            } => {
                 let ParkedContinuation {
                     request,
                     holds_lock,
@@ -2185,7 +2141,7 @@ impl ComponentCore {
                     ..
                 } = parked;
                 let attempt = {
-                    let mut ctx = ActorContext::new(self, &request, request.target.clone());
+                    let mut ctx = ActorContext::new(self, &request, request.target.clone(), outbox);
                     let result = then.resume(&mut ctx, input);
                     Attempt::finished(ctx, result)
                 };
@@ -2196,37 +2152,22 @@ impl ComponentCore {
                 };
                 self.handler_returned(frame, attempt)
             }
-            Stage::OutboxHop {
-                frame,
-                result,
-                outbox,
-            } => {
-                let Outbox {
-                    tells,
-                    failed,
-                    guarded,
-                } = outbox;
-                let tells_count = tells.len();
-                match self.place_round(tells) {
-                    Ok(run) => {
-                        let round = RoundInFlight::new(run, tells_count);
-                        self.submit_outbox(frame, result, round, failed, guarded)
-                    }
-                    Err(error) => self.outbox_settled(frame, result, Err(error), failed, guarded),
+            Stage::Round { mut placing, then } => match self.place_once(&mut placing) {
+                Ok(Placement::Routed(run)) => {
+                    let round = RoundInFlight::new(run, placing.tells);
+                    self.submit_round(round, then)
                 }
-            }
-            Stage::OutboxAck {
-                frame,
-                result,
-                round,
-                failed,
-                guarded,
-            } => match self.settle_round(round) {
-                Settled::Done(flushed) => {
-                    self.outbox_settled(frame, result, flushed, failed, guarded)
+                // Parked again: a stale placement never holds a reactor, a
+                // shard or — for a forward — an actor.
+                Ok(Placement::Unresolved { retry_at }) => {
+                    Step::Next(Some(retry_at), Stage::Round { placing, then })
                 }
+                Err(error) => self.round_over(then, Err(error)),
+            },
+            Stage::RoundAck { round, then } => match self.settle_round(round) {
+                Settled::Done(outcome) => self.round_over(then, outcome),
                 // The ack was lost: the whole round again.
-                Settled::Replay(round) => self.submit_outbox(frame, result, round, failed, guarded),
+                Settled::Replay(round) => self.submit_round(round, then),
             },
             Stage::StateFlush {
                 frame,
@@ -2259,41 +2200,24 @@ impl ComponentCore {
     }
 
     /// A handler — or a resumed continuation — returned `attempt`.
-    fn handler_returned(self: &Arc<Self>, frame: Frame, mut attempt: Attempt) -> Step {
-        loop {
-            let Attempt { result, outbox } = attempt;
-            match result {
-                // A parked nested call suspends the handler mid-invocation:
-                // no state is flushed and nothing completes — the original
-                // request stays in-flight (and in its queue copy), the actor
-                // stays locked, and recovery treats the parked invocation
-                // exactly like one executing on a killed thread. Its pending
-                // tells leave with the nested request.
-                Ok(Outcome::CallThen {
-                    target,
-                    method,
-                    args,
-                    policy,
-                    then,
-                }) => match self.park_nested(
-                    &frame.request,
-                    frame.holds_lock,
-                    frame.reentrant,
-                    target,
-                    method,
-                    args,
-                    policy,
-                    then,
-                    outbox,
-                ) {
-                    None => return Step::Done,
-                    // The send failed synchronously and the continuation
-                    // was resumed inline with the error.
-                    Some(next) => attempt = next,
-                },
-                // Outbox → state flush → completion, never state first.
-                other => return self.flush_outbox(frame, outbox, other),
-            }
+    fn handler_returned(self: &Arc<Self>, frame: Frame, attempt: Attempt) -> Step {
+        let Attempt { result, outbox } = attempt;
+        match result {
+            // A parked nested call suspends the handler mid-invocation: no
+            // state is flushed and nothing completes — the original request
+            // stays in-flight (and in its queue copy), the actor stays
+            // locked, and recovery treats the parked invocation exactly like
+            // one executing on a killed thread. Its pending tells leave with
+            // the nested request.
+            Ok(Outcome::CallThen {
+                target,
+                method,
+                args,
+                policy,
+                then,
+            }) => self.nested_round(frame, outbox, target, method, args, policy, then),
+            // Outbox → state flush → completion, never state first.
+            other => self.flush_outbox(frame, outbox, other),
         }
     }
 
@@ -2307,7 +2231,12 @@ impl ComponentCore {
         outbox: Outbox,
         result: KarResult<Outcome>,
     ) -> Step {
-        if (outbox.tells.is_empty() && outbox.failed.is_none())
+        let Outbox {
+            tells,
+            failed,
+            guarded,
+        } = outbox;
+        if (tells.is_empty() && failed.is_none())
             || matches!(
                 result,
                 Err(KarError::Killed { .. } | KarError::Fenced { .. })
@@ -2315,40 +2244,78 @@ impl ComponentCore {
         {
             return self.flush_state(frame, result);
         }
-        if outbox.tells.is_empty() {
+        if tells.is_empty() {
             // Nothing left to send, but a round flushed mid-handler failed.
-            return self.outbox_settled(frame, result, Ok(()), outbox.failed, outbox.guarded);
+            return self.outbox_settled(frame, result, Ok(()), failed, guarded);
         }
+        let records = tells.len();
         Step::Next(
             self.hop_due(),
-            Stage::OutboxHop {
-                frame,
-                result,
-                outbox,
+            Stage::Round {
+                placing: self.placing(tells, records, true),
+                then: RoundThen::Outbox {
+                    frame,
+                    result,
+                    failed,
+                    guarded,
+                },
             },
         )
     }
 
-    /// Submits (or, its ack lost, re-submits) an invocation's outbox round.
-    fn submit_outbox(
-        self: &Arc<Self>,
-        frame: Frame,
-        result: KarResult<Outcome>,
-        mut round: RoundInFlight,
-        failed: Option<KarError>,
-        guarded: Option<crate::state_cache::Savepoint>,
-    ) -> Step {
+    /// Submits (or, its ack lost, re-submits) a placed round. The
+    /// continuation of a nested call is parked first: the response to a
+    /// durable request can arrive before this returns.
+    fn submit_round(self: &Arc<Self>, mut round: RoundInFlight, mut then: RoundThen) -> Step {
+        if let RoundThen::Nested { nested, caller, .. } = &mut then {
+            if let Some(mut caller) = caller.take() {
+                caller.deadline = mono_now() + self.config.call_timeout;
+                self.continuations.park(*nested, caller);
+            }
+        }
         let due = round.round.submit(&self.producer, &self.topic);
-        Step::Next(
-            due,
-            Stage::OutboxAck {
+        Step::Next(due, Stage::RoundAck { round, then })
+    }
+
+    /// A round sent from this reactor is over — durable, or failed with
+    /// nothing appended (placement included): on to what it was for.
+    fn round_over(self: &Arc<Self>, then: RoundThen, outcome: KarResult<()>) -> Step {
+        match then {
+            RoundThen::Outbox {
                 frame,
                 result,
-                round,
                 failed,
                 guarded,
-            },
-        )
+            } => self.outbox_settled(frame, result, outcome, failed, guarded),
+            RoundThen::Nested {
+                nested,
+                caller,
+                lost_tells,
+                guarded,
+            } => {
+                // Durable: the invocation stays parked on the response (the
+                // tells are durable too, so the writes buffered behind them
+                // may be: `guarded` is dropped).
+                let Err(error) = outcome else {
+                    return Step::Done;
+                };
+                // Never placed, or parked and to be taken back — unless a
+                // racing timer claimed it as timed out first: the timeout
+                // path owns the resume then.
+                match caller.or_else(|| self.continuations.take(nested)) {
+                    Some(caller) => Self::nested_round_failed(caller, error, lost_tells, guarded),
+                    None => Step::Done,
+                }
+            }
+            RoundThen::Resend { settles, frame } => {
+                if outcome.is_ok() {
+                    self.settle.close_all(settles.as_slice());
+                }
+                // A tail call to a different actor releases the lock: on to
+                // the mailbox, the successor's ack behind it.
+                frame.map_or(Step::Done, |frame| self.next_in_mailbox(frame))
+            }
+        }
     }
 
     /// The outbox round is over — `flushed` says how. If it — or an earlier
@@ -2365,7 +2332,7 @@ impl ComponentCore {
         result: KarResult<Outcome>,
         flushed: KarResult<()>,
         failed: Option<KarError>,
-        guarded: Option<crate::state_cache::Savepoint>,
+        guarded: Option<Savepoint>,
     ) -> Step {
         let result = match failed.map_or(flushed, Err) {
             Ok(()) => result,
@@ -2502,10 +2469,7 @@ impl ComponentCore {
                     }
                     return Step::Done;
                 }
-                self.resend_settling(tail);
-                // A tail call to a different actor releases the lock:
-                // on to the mailbox.
-                self.next_in_mailbox(frame)
+                self.resend(tail, Some(frame))
             }
             Err(KarError::Killed { .. } | KarError::Fenced { .. }) => {
                 // The invocation was interrupted by a failure: no
@@ -2610,7 +2574,7 @@ impl ComponentCore {
     /// instance — under one context, so whatever `activate` and `invoke`
     /// told leaves in one outbox.
     fn execute(self: &Arc<Self>, request: &RequestMessage, reentrant: bool) -> Attempt {
-        let mut ctx = ActorContext::new(self, request, request.target.clone());
+        let mut ctx = ActorContext::new(self, request, request.target.clone(), Outbox::default());
         let result = self.run_handler(&mut ctx, request, reentrant);
         Attempt::finished(ctx, result)
     }
@@ -2664,14 +2628,19 @@ impl ComponentCore {
     }
 
     /// Re-appends `request` elsewhere — a forward to the actor's current
-    /// host, or a tail-call successor to another actor — and, once that
-    /// append is durable, settles the record the request was polled from:
-    /// the copy is now the record recovery works from.
-    fn resend_settling(self: &Arc<Self>, request: RequestMessage) {
+    /// host, or a tail-call successor to another actor, whose invocation
+    /// `frame` it completes — as a round of its own ([`RoundThen::Resend`]).
+    /// The copy is never single-copy: the request already has a record, the
+    /// one it was polled from, which settles once the copy is durable.
+    fn resend(self: &Arc<Self>, request: RequestMessage, frame: Option<Frame>) -> Step {
         let settles = self.settle.take(request.id);
-        if self.send_request(request).is_ok() {
-            self.settle.close_all(settles.as_slice());
-        }
+        Step::Next(
+            None,
+            Stage::Round {
+                placing: self.placing(vec![request], 0, false),
+                then: RoundThen::Resend { settles, frame },
+            },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -3114,44 +3083,16 @@ impl ComponentCore {
         did
     }
 
-    /// Yields the innermost dispatch-shard claim held by this thread, if it
-    /// belongs to this component and has not been yielded already. Called on
-    /// entry to every blocking runtime wait: the invocation keeps running
-    /// (actor lock held, mailbox queuing behind it), but its shard is handed
-    /// back to the pool so other actors pinned there keep dispatching.
-    fn yield_shard_claim(self: &Arc<Self>) {
-        let identity = Arc::as_ptr(self) as usize;
-        SHARD_CLAIMS.with(|stack| {
-            if let Some(top) = stack.borrow_mut().last_mut() {
-                if !top.yielded && top.core == identity {
-                    top.yielded = true;
-                    self.pool.release_claim(top.shard);
-                }
-            }
-        });
-    }
-
     fn drain_shard(self: &Arc<Self>, shard: usize) -> bool {
         // The claim is held across the invocation, not just the pop: one
         // shard runs one *computing* invocation at a time, so
-        // `dispatch_workers` keeps its pre-reactor meaning as the
-        // component's dispatch concurrency bound (a shard ≈ one former
-        // worker thread). An invocation entering a blocking runtime wait
-        // yields the claim (see `yield_shard_claim`), exactly as the old
-        // blocked worker handed its shard to a replacement drainer.
+        // `dispatch_workers` bounds the component's dispatch concurrency. No
+        // invocation waits under it: one that meets a modelled latency, a
+        // nested call or a stale placement parks and returns.
         if !self.pool.try_claim(shard) {
             return false;
         }
-        let identity = Arc::as_ptr(self) as usize;
-        SHARD_CLAIMS.with(|stack| {
-            stack.borrow_mut().push(ShardClaim {
-                core: identity,
-                shard,
-                yielded: false,
-            });
-        });
         let mut did = false;
-        let mut yielded = false;
         loop {
             if !self.is_alive() || self.is_paused() || self.pool.depth(shard) == 0 {
                 break;
@@ -3172,9 +3113,9 @@ impl ComponentCore {
                     Arc::clone(self).run_invocation(request, holds_lock, reentrant);
                 }
                 Admission::Forward(request) => {
-                    // Forwarding may wait out a stale placement
-                    // (work-while-waiting on a reactor).
-                    self.resend_settling(request);
+                    if let Step::Next(due, stage) = self.resend(request, None) {
+                        Arc::clone(self).invocation_loop(due, stage);
+                    }
                 }
                 Admission::Done => {}
             }
@@ -3182,21 +3123,8 @@ impl ComponentCore {
             // completed or parked: release exactly the guard this pop took
             // (a concurrent drain of the same shard may hold its own).
             self.pool.release_busy_actor(shard, &target);
-            // A blocking wait inside the invocation yielded the claim: this
-            // frame no longer owns the shard. (Nested frames pushed and
-            // popped their own entries in LIFO order, so the top is ours.)
-            yielded = SHARD_CLAIMS
-                .with(|stack| stack.borrow().last().map(|top| top.yielded).unwrap_or(true));
-            if yielded {
-                break;
-            }
         }
-        SHARD_CLAIMS.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        if !yielded {
-            self.pool.release_claim(shard);
-        }
+        self.pool.release_claim(shard);
         did
     }
 

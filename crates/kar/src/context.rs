@@ -5,12 +5,14 @@
 //!
 //! [`ActorContext::tell`] does not touch the queue: it builds the request
 //! and pushes it onto a buffer owned by the context of the invocation that
-//! issued it (not a thread-local — a blocked handler's thread pumps *other*
-//! invocations, each with its own context). The runtime flushes the buffer
-//! as **one produce round** — one sidecar hop, placement resolved per
-//! target, records grouped per destination partition in program order, one
-//! durable ack for every partition touched — at the handler's next blocking
-//! runtime call and when it returns. Invariants:
+//! issued it. The runtime flushes the buffer as **one produce round** — one
+//! sidecar hop, placement resolved per target, records grouped per
+//! destination partition in program order, one durable ack for every
+//! partition touched — when the handler returns: a value, an error, a tail
+//! call, or a nested call to park on ([`ActorContext::call_then`]), whose
+//! request rides the same round. Nothing waits for the round on a reactor:
+//! the invocation parks until the ack is due (see [`crate::io`]).
+//! Invariants:
 //!
 //! 1. **Order is outbox → state flush → completion, never state first.**
 //!    `if !state.get("done") { ctx.tell(..); state.set("done") }` stays
@@ -20,7 +22,9 @@
 //!    the write itself flushes the outbox first.)
 //! 2. **Program order is preserved per destination partition** (per-caller
 //!    FIFO), and a tell issued before a nested call is durable no later than
-//!    that call's request, which rides the same round *behind* the tells.
+//!    that call's request, which rides the same round *behind* the tells. If
+//!    that round fails the continuation resumes with the error; whatever it
+//!    makes of it, invariant 3 holds.
 //! 3. **A failed round completes nothing.** A round is all-or-nothing; if it
 //!    fails because the component was killed or fenced the invocation takes
 //!    the no-completion arm (the queue copy of its request drives the
@@ -66,8 +70,9 @@ pub(crate) struct Outbox {
 /// The context of one actor method invocation.
 ///
 /// It identifies the actor instance and the request being executed, and gives
-/// access to nested invocations ([`ActorContext::call`], [`ActorContext::tell`])
-/// and to the persistence API ([`ActorContext::state`]).
+/// access to nested invocations ([`ActorContext::call_then`],
+/// [`ActorContext::tell`], [`ActorContext::tail_call`]) and to the
+/// persistence API ([`ActorContext::state`]).
 pub struct ActorContext<'a> {
     core: &'a Arc<ComponentCore>,
     request: &'a RequestMessage,
@@ -76,18 +81,22 @@ pub struct ActorContext<'a> {
 }
 
 impl<'a> ActorContext<'a> {
+    /// The context of `request`'s handler, or of a continuation of it,
+    /// starting from `outbox`: empty (it owns no allocation then — a handler
+    /// that tells nobody pays nothing for it), or marked failed when the
+    /// round of the nested call being resumed lost the handler's tells (see
+    /// [`Outbox::failed`]).
     pub(crate) fn new(
         core: &'a Arc<ComponentCore>,
         request: &'a RequestMessage,
         self_ref: ActorRef,
+        outbox: Outbox,
     ) -> Self {
         ActorContext {
             core,
             request,
             self_ref,
-            // An empty outbox owns no allocation: a handler that tells
-            // nobody pays nothing for it.
-            outbox: RefCell::default(),
+            outbox: RefCell::new(outbox),
         }
     }
 
@@ -95,14 +104,6 @@ impl<'a> ActorContext<'a> {
     /// outbox to the runtime.
     pub(crate) fn into_outbox(self) -> Outbox {
         self.outbox.into_inner()
-    }
-
-    /// Marks this invocation's outbox as failed (see [`Outbox::failed`]),
-    /// carrying over the savepoint of the context the failed round left.
-    pub(crate) fn fail_outbox(&self, error: KarError, guarded: Option<Savepoint>) {
-        let mut outbox = self.outbox.borrow_mut();
-        outbox.failed = Some(error);
-        outbox.guarded = guarded;
     }
 
     /// A reference to the actor instance executing the current method.
@@ -134,69 +135,16 @@ impl<'a> ActorContext<'a> {
         self.request.retry.as_ref().map_or(0, |retry| retry.attempt)
     }
 
-    /// Performs a blocking nested call to `target.method(args)` and returns
-    /// its result.
-    ///
-    /// The callee may call back into this actor (reentrancy): nested calls
-    /// that stay within the current call chain bypass the actor mailbox
-    /// (§2.2).
-    ///
-    /// # Errors
-    ///
-    /// Application errors raised by the callee are propagated. Infrastructure
-    /// errors (`Killed`, `Fenced`, `Timeout`) indicate the invocation was
-    /// interrupted; retry orchestration takes over.
-    pub fn call(&self, target: &ActorRef, method: &str, args: Vec<Value>) -> KarResult<Value> {
-        self.blocking_call(target, method, args, None)
-    }
-
-    /// [`ActorContext::call`] with an explicit [`RetryPolicy`]: failed
-    /// attempts of the nested request are retried on the policy's schedule —
-    /// persisted in the request record, so it survives the failure and
-    /// re-homing of the callee's component — before this caller sees an
-    /// error.
-    pub fn call_with_policy(
-        &self,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> KarResult<Value> {
-        self.blocking_call(target, method, args, Some(policy))
-    }
-
-    fn blocking_call(
-        &self,
-        target: &ActorRef,
-        method: &str,
-        args: Vec<Value>,
-        policy: Option<RetryPolicy>,
-    ) -> KarResult<Value> {
-        // The handler is suspended inside this call, so nothing else uses
-        // its outbox meanwhile: invocations pumped on this thread while it
-        // waits run under contexts of their own.
-        let mut outbox = self.outbox.borrow_mut();
-        self.core.nested_call(
-            self.request,
-            &self.self_ref,
-            target,
-            method,
-            args,
-            policy,
-            &mut outbox,
-        )
-    }
-
     /// Issues an asynchronous invocation of `target.method(args)`; errors
     /// raised by the callee are logged and discarded (§2).
     ///
     /// The request goes onto this invocation's **outbox** and `tell` returns
-    /// at once. It is **durably enqueued no later than this handler's next
-    /// blocking runtime call or its return** — [`ActorContext::call`] (the
-    /// tells ride the same produce round, ahead of the nested request), a
-    /// parked [`ActorContext::call_then`], a state write when the
-    /// actor-state cache is off, or the end of the handler (for `Ok` and
-    /// application `Err` alike) — and always *before* the handler's buffered
+    /// at once. It is **durably enqueued when this handler returns** — for
+    /// `Ok` and application `Err` alike, and when it returns a
+    /// [`ActorContext::call_then`] to park on (the tells ride the same
+    /// produce round, ahead of the nested request) — or, with the
+    /// actor-state cache off, at its next state write; always *before* the
+    /// handler's buffered
     /// state writes are flushed and before its completion is sent, so a
     /// caller that observes this invocation's result, and the invocation's
     /// own persisted state, never run ahead of its tells (§2, guarantee 3).
@@ -225,13 +173,16 @@ impl<'a> ActorContext<'a> {
     /// result when the response record arrives — without blocking a runtime
     /// thread in between.
     ///
-    /// Semantically this is [`ActorContext::call`] in continuation-passing
-    /// style: the actor stays locked while parked (its mailbox queues behind
-    /// the invocation, reentrant calls along the lineage still bypass it),
-    /// and a failure while parked retries the whole handler from the queue
-    /// copy of the original request. In-memory state captured by `then` is
-    /// lost on such a retry, like all in-memory actor state; durable state
-    /// belongs in [`ActorContext::state`].
+    /// This is the paper's `await actor.call(...)`, the one way an invocation
+    /// calls another and waits for it: the actor stays locked while parked
+    /// (its mailbox queues behind the invocation, reentrant calls along the
+    /// lineage still bypass it, §2.2), and a failure while parked retries
+    /// the whole handler from the queue copy of the original request.
+    /// In-memory state captured by `then` is lost on such a retry, like all
+    /// in-memory actor state; durable state belongs in
+    /// [`ActorContext::state`]. `then` receives the callee's result —
+    /// application errors included — or the infrastructure error (`Timeout`,
+    /// an unplaceable target) that kept the call from completing.
     pub fn call_then(
         &self,
         target: &ActorRef,

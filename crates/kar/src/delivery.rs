@@ -23,7 +23,7 @@
 //! Ordering: enqueue order is preserved per destination partition (the
 //! flusher drains the queue FIFO and appends the drained run as one batch
 //! with contiguous offsets). One caller actor has at most one outstanding
-//! blocking call, so per-caller response order is trivially preserved; there
+//! nested call, so per-caller response order is trivially preserved; there
 //! is no cross-envelope ordering contract between responses and requests of
 //! unrelated ids.
 //!
@@ -285,16 +285,20 @@ impl ResponseBatcher {
     /// Flushes every partition whose run is queued with no flusher: the
     /// leftovers of flushes that ran out of transient replays. Called from
     /// the component's timer tick; one atomic swap when nothing stalled.
+    /// Partitions are visited in ascending index — not in the map's hash
+    /// order — so a run under a fault plan replays its flushes in the same
+    /// order every time.
     pub(crate) fn retry_stalled(&self, ctx: &FlushCtx<'_>) {
         if !self.stalled.swap(false, Ordering::AcqRel) {
             return;
         }
-        let queues: Vec<(usize, Arc<Mutex<PartitionQueue>>)> = self
+        let mut queues: Vec<(usize, Arc<Mutex<PartitionQueue>>)> = self
             .partitions
             .lock()
             .iter()
             .map(|(partition, queue)| (*partition, Arc::clone(queue)))
             .collect();
+        queues.sort_unstable_by_key(|(partition, _)| *partition);
         for (partition, queue) in queues {
             {
                 let mut state = queue.lock();
@@ -645,6 +649,51 @@ mod tests {
         // Nothing stalled: the sweep is a no-op.
         batcher.retry_stalled(&ctx(&producer, &tracker));
         assert_eq!(broker.partition_len("t", 1), 1);
+    }
+
+    #[test]
+    fn stalled_partitions_are_flushed_in_ascending_index() {
+        use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
+        use std::cell::RefCell;
+
+        // Enqueued in this order, so neither insertion order nor — with this
+        // many — the map's per-process hash order is ascending by chance.
+        const PARTITIONS: [usize; 6] = [5, 2, 7, 0, 6, 3];
+        // Every partition's flush runs out of replays: all of them stall.
+        let plan = FaultPlan::new(7).with_site(
+            FaultSite::BrokerAppend,
+            FaultSpec::transient(1.0)
+                .with_budget(u64::from(TRANSIENT_ATTEMPTS) * PARTITIONS.len() as u64),
+        );
+        let broker: Broker<Envelope> = Broker::new(BrokerConfig {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..BrokerConfig::default()
+        });
+        broker.create_topic("t", 8).unwrap();
+        let producer = broker.producer(ComponentId::from_raw(1));
+        let batcher = ResponseBatcher::new();
+        let tracker = SettleTracker::new(&[]);
+        for (id, partition) in PARTITIONS.into_iter().enumerate() {
+            let completion = response(id as u64);
+            batcher.enqueue(&ctx(&producer, &tracker), partition, completion, None);
+            assert_eq!(broker.partition_len("t", partition), 0, "stalled");
+        }
+        // The timer's sweep, with every flush's submit recorded in order.
+        let flushed = RefCell::new(Vec::new());
+        let record_then_wait = |due, wait: AckWait| {
+            flushed.borrow_mut().push(wait.partition);
+            wait_for_ack(due, wait)
+        };
+        batcher.retry_stalled(&FlushCtx {
+            producer: &producer,
+            topic: "t",
+            tracker: &tracker,
+            park: &record_then_wait,
+        });
+        assert_eq!(*flushed.borrow(), vec![0, 2, 3, 5, 6, 7]);
+        for partition in PARTITIONS {
+            assert_eq!(broker.partition_len("t", partition), 1);
+        }
     }
 
     #[test]

@@ -37,12 +37,13 @@
 //! FIFO admission — and with it mailbox order and the exactly-once retry
 //! bookkeeping — is preserved.
 //!
-//! There is no blocking hand-off anymore: a handler that issues a nested
-//! call parks a continuation (see [`crate::continuation`]) instead of
-//! blocking the thread, and the legacy blocking [`crate::ActorContext::call`]
-//! pumps the reactor registry while it waits — either way the shard claim
-//! was already released after admission, so a shard is never stalled behind
-//! a suspended invocation and no replacement thread is ever spawned.
+//! There is no blocking hand-off: nothing waits under a shard claim. A
+//! handler that issues a nested call parks a continuation (see
+//! [`crate::continuation`]), and an invocation — or a forward — that meets a
+//! modelled latency or a stale placement parks as a stage on the mesh's
+//! due-time heap (see [`crate::io`]); either way the drain gets the claim
+//! back at once, so a shard is never stalled behind a suspended invocation
+//! and no replacement thread is ever spawned.
 //!
 //! Recovery interaction: requests that have been polled off the queue but
 //! not yet admitted to an actor mailbox are tracked in a pending set that

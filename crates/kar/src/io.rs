@@ -23,9 +23,18 @@
 //! stages ([`DueHeap::forget`]): a killed thread asleep inside an I/O never
 //! completed anything either.
 //!
-//! Edge threads — clients, the recovery leader, the benchmark's probes, the
-//! blocking `ctx.call` — keep blocking signatures: the *same* submit,
-//! followed by [`kar_types::Completion::wait`].
+//! A wait with no due time is a stage too: a produce round one of whose
+//! targets has a stale placement — the recorded one points at a failed
+//! component, reconciliation has not rewritten it yet — parks for a few
+//! milliseconds and tries again, until the call timeout. That covers the
+//! round of a nested call, a handler's outbox, a forward and a tail-call
+//! successor alike; inside an invocation nothing waits any other way (the
+//! one exception, a write-through state write with the actor-state cache
+//! off, is named where it lives: `ComponentCore::order_write_after_outbox`).
+//!
+//! Edge threads — clients, the recovery leader, the benchmark's probes —
+//! keep blocking signatures: the *same* submit, followed by
+//! [`kar_types::Completion::wait`].
 //!
 //! # Invariants
 //!

@@ -8,8 +8,10 @@
 //! Applications are made of [`Actor`]s. Actor methods are invoked indirectly
 //! through the runtime so invocation requests can be persisted and retried:
 //!
-//! * [`ActorContext::call`] — blocking nested call (reentrant along the call
-//!   chain),
+//! * [`ActorContext::call_then`] — nested call, the paper's `await
+//!   actor.call(...)`: the rest of the method is a continuation resumed with
+//!   the result (reentrant along the call chain); there is no blocking form
+//!   inside an invocation — only edge code blocks, in [`Client::call`],
 //! * [`ActorContext::tell`] — asynchronous invocation,
 //! * [`Outcome::tail_call`] — tail call: atomically completes the current
 //!   method while issuing the next invocation; a tail call to the same actor

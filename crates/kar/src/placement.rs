@@ -67,26 +67,66 @@ struct CacheEntry {
     epoch: u64,
 }
 
+/// Entries one generation of a cache shard holds before it rotates.
+const GENERATION_ENTRIES: usize = 4096;
+
+/// One shard of the cache, in two generations (the `AgingSet` idiom on a
+/// size trigger instead of a clock, so the simulator sees no time in it): an
+/// insert into a full young generation retires it to `old` and drops the
+/// previous `old`; a hit in `old` moves the entry back to `young`. A shard
+/// therefore never holds more than 2 × [`GENERATION_ENTRIES`] placements,
+/// the ones in use stay, and its tables stop doubling with every actor a
+/// component has ever called.
+#[derive(Debug, Default)]
+struct CacheShard {
+    young: HashMap<ActorRef, CacheEntry>,
+    old: HashMap<ActorRef, CacheEntry>,
+}
+
+impl CacheShard {
+    /// Inserts into the young generation. Returns the generation this
+    /// retired, for the caller to drop once the shard is unlocked.
+    fn insert(
+        &mut self,
+        actor: ActorRef,
+        entry: CacheEntry,
+    ) -> Option<HashMap<ActorRef, CacheEntry>> {
+        let retired = (self.young.len() >= GENERATION_ENTRIES)
+            .then(|| std::mem::replace(&mut self.old, std::mem::take(&mut self.young)));
+        self.young.insert(actor, entry);
+        retired
+    }
+
+    /// Removes from both generations: two resolutions racing each other can
+    /// leave a second copy in `old`.
+    fn remove(&mut self, actor: &ActorRef) -> Option<CacheEntry> {
+        let young = self.young.remove(actor);
+        self.old.remove(actor).or(young)
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &CacheEntry> {
+        self.young.values().chain(self.old.values())
+    }
+}
+
 /// The sharded placement cache: actors hash onto shards, so concurrent
 /// dispatch workers resolving placements contend only when they race on the
 /// same shard — never on one global cache lock.
 #[derive(Debug)]
 struct ShardedCache {
-    shards: Vec<Mutex<HashMap<ActorRef, CacheEntry>>>,
+    shards: Vec<Mutex<CacheShard>>,
     epoch: AtomicU64,
 }
 
 impl ShardedCache {
     fn new(shards: usize) -> Self {
         ShardedCache {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             epoch: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, actor: &ActorRef) -> &Mutex<HashMap<ActorRef, CacheEntry>> {
+    fn shard(&self, actor: &ActorRef) -> &Mutex<CacheShard> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         actor.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
@@ -103,12 +143,11 @@ pub struct PlacementService {
     conn: Connection,
     live: LiveSet,
     cache: Option<ShardedCache>,
-    lookup_timeout: Duration,
     /// Bumped by [`PlacementService::clear_cache`] (recovery completed on
-    /// this component, so stale placements have been repaired). Resolvers
-    /// waiting out a stale placement park here — the `poll_wait` condvar
-    /// idiom of `response_partition`/`wait_for_recoveries` — instead of
-    /// sleep-polling the store every 2 ms.
+    /// this component, so stale placements have been repaired). Edge threads
+    /// waiting out a stale placement park here between attempts — the
+    /// `poll_wait` condvar idiom of `wait_for_recoveries` — instead of
+    /// sleep-polling the store.
     repaired: WaitSignal,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -119,18 +158,11 @@ pub struct PlacementService {
 impl PlacementService {
     /// Creates a placement service using the given (fenced) store connection.
     /// `cache_shards` is ignored when the cache is disabled.
-    pub fn new(
-        conn: Connection,
-        live: LiveSet,
-        cache_enabled: bool,
-        cache_shards: usize,
-        lookup_timeout: Duration,
-    ) -> Self {
+    pub fn new(conn: Connection, live: LiveSet, cache_enabled: bool, cache_shards: usize) -> Self {
         PlacementService {
             conn,
             live,
             cache: cache_enabled.then(|| ShardedCache::new(cache_shards)),
-            lookup_timeout,
             repaired: WaitSignal::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -171,9 +203,9 @@ impl PlacementService {
     }
 
     /// Drops one actor's cached placement (passivation: the actor's whole
-    /// in-memory footprint goes, so the cache stays bounded by the resident
-    /// set — a mesh touching millions of mostly-idle actors would otherwise
-    /// accumulate an entry per actor ever resolved). The *store* record is
+    /// in-memory footprint goes, so a host's cache follows its resident
+    /// set; the placements of actors a component only *calls* are bounded by
+    /// the shards' two generations instead). The *store* record is
     /// untouched: the actor is still placed here, just not resident; the
     /// rehydrating admission re-resolves and re-caches it.
     pub(crate) fn forget(&self, actor: &ActorRef) {
@@ -195,7 +227,7 @@ impl PlacementService {
             .map(|shard| {
                 shard
                     .lock()
-                    .values()
+                    .entries()
                     .filter(|entry| entry.epoch == epoch)
                     .count()
             })
@@ -216,10 +248,13 @@ impl PlacementService {
     }
 
     /// Parks until a reconciliation repair lands (the repair signal moves
-    /// past `seen`) or `timeout` expires. Callers that interleave their own
-    /// work with bounded waits — the reactors' work-while-waiting — use this
-    /// instead of the blocking [`PlacementService::resolve`].
-    pub fn wait_for_repair(&self, seen: u64, timeout: std::time::Duration) {
+    /// past `seen`) or `timeout` expires: what an edge thread does between
+    /// two [`PlacementService::resolve_nowait`] attempts. Each wait is capped
+    /// by its caller, so repairs made without a local cache clear — e.g. the
+    /// leader rewriting a placement while re-homing an orphan when a fresh
+    /// component joins — are still picked up promptly. A reactor never waits
+    /// here: its round parks until the next attempt is due.
+    pub fn wait_for_repair(&self, seen: u64, timeout: Duration) {
         self.repaired.wait(seen, timeout);
     }
 
@@ -245,24 +280,33 @@ impl PlacementService {
         };
         let epoch = cache.current_epoch();
         let mut shard = cache.shard(actor).lock();
-        match shard.get(actor) {
+        let mut retired = None;
+        let entry = shard.young.get(actor).copied().or_else(|| {
+            // In use again: back into the young generation.
+            let entry = shard.old.remove(actor)?;
+            retired = shard.insert(actor.clone(), entry);
+            Some(entry)
+        });
+        let hit = match entry {
             Some(entry) if entry.epoch == epoch && self.is_live(entry.component) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.component)
             }
             Some(_) => {
-                shard.remove(actor);
-                drop(shard);
+                shard.young.remove(actor);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            None => None,
+        };
+        drop(shard);
+        drop(retired);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Caches a resolved placement. `epoch` must have been read (via
@@ -271,10 +315,9 @@ impl PlacementService {
     /// ignored, instead of resurrecting a pre-recovery placement.
     fn cache_insert(&self, actor: &ActorRef, component: ComponentId, epoch: u64) {
         if let Some(cache) = &self.cache {
-            cache
-                .shard(actor)
-                .lock()
-                .insert(actor.clone(), CacheEntry { component, epoch });
+            let entry = CacheEntry { component, epoch };
+            let retired = cache.shard(actor).lock().insert(actor.clone(), entry);
+            drop(retired);
         }
     }
 
@@ -283,70 +326,22 @@ impl PlacementService {
         self.cache.as_ref().map_or(0, ShardedCache::current_epoch)
     }
 
-    /// Resolves the component hosting `actor`, placing the actor on a
-    /// compatible live component if it has no placement yet.
+    /// Resolves the component hosting `actor` — one attempt, never a wait —
+    /// placing the actor on a compatible live component if it has no
+    /// placement yet.
     ///
-    /// If the recorded placement points to a component that is not live the
-    /// lookup waits (bounded by the configured timeout) for reconciliation to
-    /// invalidate or rewrite it rather than double-placing the actor.
+    /// Returns `Ok(None)` when the recorded placement points to a component
+    /// that is not live: resolution has to wait for reconciliation to
+    /// invalidate or rewrite it rather than double-place the actor. How to
+    /// wait is the caller's business (`ComponentCore::place_once`: a reactor
+    /// parks the round, an edge thread parks on the repair signal, both
+    /// bounded by the call timeout).
     ///
     /// # Errors
     ///
     /// Fails with [`KarError::NoHostForActorType`] if no live component hosts
-    /// the actor's type, with [`KarError::Timeout`] if a stale placement is
-    /// not repaired in time, or with a store error if the component has been
+    /// the actor's type, or with a store error if the component has been
     /// fenced.
-    pub fn resolve(&self, actor: &ActorRef) -> KarResult<ComponentId> {
-        if let Some(component) = self.cache_lookup(actor) {
-            return Ok(component);
-        }
-        let deadline = kar_types::mono_now() + self.lookup_timeout;
-        // Waiting for repair parks on the repair signal (bumped when recovery
-        // completes here) rather than sleep-polling. Each wait is capped so
-        // repairs made without a local cache clear — e.g. the leader
-        // rewriting a placement while re-homing an orphan when a fresh
-        // component joins — are still picked up promptly.
-        let wait_slice = Duration::from_millis(20);
-        loop {
-            // Snapshot the signal before the store lookup: a repair landing
-            // between the lookup and the wait wakes us immediately.
-            let seen = self.repaired.current();
-            let epoch = self.cache_epoch();
-            match self.resolve_uncached(actor)? {
-                Some(component) => {
-                    self.cache_insert(actor, component, epoch);
-                    return Ok(component);
-                }
-                None => {
-                    let now = kar_types::mono_now();
-                    if now >= deadline {
-                        return Err(KarError::Timeout {
-                            request: kar_types::RequestId::from_raw(0),
-                            after_ms: self.lookup_timeout.as_millis() as u64,
-                        });
-                    }
-                    if kar_types::sim::active() {
-                        // Simulation: drive the scheduler instead of parking;
-                        // repairs land from the lanes it runs.
-                        kar_types::sim::step();
-                    } else {
-                        self.repaired
-                            .wait(seen, wait_slice.min(deadline.saturating_sub(now)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking variant of [`PlacementService::resolve`]: one placement
-    /// attempt. Returns `Ok(None)` when resolution would have to wait for
-    /// reconciliation to repair a stale placement — the caller can then
-    /// release resources (e.g. a dispatch shard) before retrying with the
-    /// blocking [`PlacementService::resolve`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlacementService::resolve`], minus the timeout.
     pub fn resolve_nowait(&self, actor: &ActorRef) -> KarResult<Option<ComponentId>> {
         if let Some(component) = self.cache_lookup(actor) {
             return Ok(Some(component));
@@ -462,8 +457,14 @@ mod tests {
             live_set.clone(),
             cache,
             4,
-            Duration::from_millis(100),
         )
+    }
+
+    /// One resolution attempt that must not meet a stale placement.
+    fn resolve(placement: &PlacementService, actor: &ActorRef) -> KarResult<ComponentId> {
+        placement
+            .resolve_nowait(actor)
+            .map(|resolved| resolved.expect("no stale placement in this test"))
     }
 
     #[test]
@@ -474,13 +475,13 @@ mod tests {
         let live_set = live(&[1, 2]);
         let placement = service(&store, 1, &live_set, true);
         let actor = ActorRef::new("Order", "o-1");
-        let first = placement.resolve(&actor).unwrap();
+        let first = resolve(&placement, &actor).unwrap();
         assert!(matches!(first.as_u64(), 1 | 2));
         assert_eq!(placement.cache_len(), 1);
         // A second resolve from another component agrees (placement is
         // coordinated through the store, not local state).
         let other = service(&store, 2, &live_set, true);
-        assert_eq!(other.resolve(&actor).unwrap(), first);
+        assert_eq!(resolve(&other, &actor).unwrap(), first);
     }
 
     #[test]
@@ -488,7 +489,7 @@ mod tests {
         let store = Store::new();
         let live_set = live(&[1]);
         let placement = service(&store, 1, &live_set, true);
-        let err = placement.resolve(&ActorRef::new("Ghost", "g")).unwrap_err();
+        let err = resolve(&placement, &ActorRef::new("Ghost", "g")).unwrap_err();
         assert!(matches!(err, KarError::NoHostForActorType { .. }));
     }
 
@@ -500,39 +501,42 @@ mod tests {
         let live_set = live(&[2]); // component 1 is dead
         let placement = service(&store, 2, &live_set, true);
         for i in 0..8 {
-            let c = placement
-                .resolve(&ActorRef::new("Order", format!("o-{i}")))
-                .unwrap();
+            let c = resolve(&placement, &ActorRef::new("Order", format!("o-{i}"))).unwrap();
             assert_eq!(c, ComponentId::from_raw(2));
         }
     }
 
     #[test]
-    fn stale_placement_waits_for_repair_and_times_out() {
+    fn a_stale_placement_is_unresolved_until_it_is_repaired() {
         let store = Store::new();
         announce(&store, "Order", 2);
         let live_set = live(&[2]);
         let placement = service(&store, 2, &live_set, true);
         let actor = ActorRef::new("Order", "o-1");
         // Simulate a placement pointing at dead component 9.
-        store
-            .connect(ComponentId::from_raw(2))
-            .set(
-                &placement_key(&actor),
-                component_to_value(ComponentId::from_raw(9)),
-            )
-            .unwrap();
-        let err = placement.resolve(&actor).unwrap_err();
-        assert!(matches!(err, KarError::Timeout { .. }));
+        let stale = component_to_value(ComponentId::from_raw(9));
+        let admin = store.connect(ComponentId::from_raw(2));
+        admin.set(&placement_key(&actor), stale.clone()).unwrap();
+        // However often it is asked, resolution neither answers with the
+        // dead component nor places the actor a second time: waiting — and
+        // giving up at the call timeout — is the caller's business
+        // (`tests/io_completions.rs` holds a round to that deadline).
+        for _ in 0..3 {
+            assert_eq!(placement.resolve_nowait(&actor).unwrap(), None);
+        }
+        assert_eq!(admin.get(&placement_key(&actor)).unwrap(), Some(stale));
+        assert_eq!(placement.cache_len(), 0);
         // Once reconciliation rewrites the placement, resolve succeeds.
-        store
-            .connect(ComponentId::from_raw(2))
+        admin
             .set(
                 &placement_key(&actor),
                 component_to_value(ComponentId::from_raw(2)),
             )
             .unwrap();
-        assert_eq!(placement.resolve(&actor).unwrap(), ComponentId::from_raw(2));
+        assert_eq!(
+            resolve(&placement, &actor).unwrap(),
+            ComponentId::from_raw(2)
+        );
     }
 
     #[test]
@@ -541,11 +545,11 @@ mod tests {
         announce(&store, "Order", 1);
         let live_set = live(&[1]);
         let without_cache = service(&store, 1, &live_set, false);
-        without_cache.resolve(&ActorRef::new("Order", "o")).unwrap();
+        resolve(&without_cache, &ActorRef::new("Order", "o")).unwrap();
         assert_eq!(without_cache.cache_len(), 0);
 
         let with_cache = service(&store, 1, &live_set, true);
-        with_cache.resolve(&ActorRef::new("Order", "o")).unwrap();
+        resolve(&with_cache, &ActorRef::new("Order", "o")).unwrap();
         assert_eq!(with_cache.cache_len(), 1);
         with_cache.clear_cache();
         assert_eq!(with_cache.cache_len(), 0);
@@ -559,7 +563,7 @@ mod tests {
         let live_set = live(&[1, 2]);
         let placement = service(&store, 1, &live_set, true);
         let actor = ActorRef::new("Order", "o");
-        let first = placement.resolve(&actor).unwrap();
+        let first = resolve(&placement, &actor).unwrap();
         // The placed component dies; reconciliation rewrites the placement.
         live_set.write().remove(&first);
         let survivor = if first == ComponentId::from_raw(1) {
@@ -575,7 +579,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            placement.resolve(&actor).unwrap(),
+            resolve(&placement, &actor).unwrap(),
             ComponentId::from_raw(survivor)
         );
     }
@@ -595,7 +599,7 @@ mod tests {
             let actor = actor.clone();
             handles.push(std::thread::spawn(move || {
                 let placement = service(&store, i, &live_set, true);
-                placement.resolve(&actor).unwrap()
+                resolve(&placement, &actor).unwrap()
             }));
         }
         let results: Vec<ComponentId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -613,9 +617,9 @@ mod tests {
         let placement = service(&store, 1, &live_set, true);
         let actor = ActorRef::new("Order", "o");
         assert_eq!(placement.counters(), PlacementCounters::default());
-        placement.resolve(&actor).unwrap(); // cold: miss
-        placement.resolve(&actor).unwrap(); // cached: hit
-        placement.resolve(&actor).unwrap(); // cached: hit
+        resolve(&placement, &actor).unwrap(); // cold: miss
+        resolve(&placement, &actor).unwrap(); // cached: hit
+        resolve(&placement, &actor).unwrap(); // cached: hit
         let counters = placement.counters();
         assert_eq!(counters.misses, 1);
         assert_eq!(counters.hits, 2);
@@ -624,7 +628,7 @@ mod tests {
         // lazily evicts the stale entry (a second invalidation).
         placement.clear_cache();
         assert_eq!(placement.cache_len(), 0, "stale epoch entries don't count");
-        placement.resolve(&actor).unwrap();
+        resolve(&placement, &actor).unwrap();
         let counters = placement.counters();
         assert_eq!(counters.misses, 2);
         assert_eq!(counters.invalidations, 2);
@@ -639,8 +643,8 @@ mod tests {
         let placement = service(&store, 1, &live_set, false);
         assert_eq!(placement.cache_shards(), 0);
         let actor = ActorRef::new("Order", "o");
-        placement.resolve(&actor).unwrap();
-        placement.resolve(&actor).unwrap();
+        resolve(&placement, &actor).unwrap();
+        resolve(&placement, &actor).unwrap();
         let counters = placement.counters();
         assert_eq!(counters.hits, 0);
         assert_eq!(counters.misses, 2);
@@ -656,32 +660,64 @@ mod tests {
         let placement = service(&store, 1, &live_set, true);
         assert_eq!(placement.cache_shards(), 4);
         for i in 0..64 {
-            placement
-                .resolve(&ActorRef::new("Order", format!("o-{i}")))
-                .unwrap();
+            resolve(&placement, &ActorRef::new("Order", format!("o-{i}"))).unwrap();
         }
         assert_eq!(placement.cache_len(), 64);
         // With 64 actors over 4 shards, every shard should hold some.
         let cache = placement.cache.as_ref().unwrap();
         for shard in &cache.shards {
-            assert!(!shard.lock().is_empty(), "a cache shard stayed empty");
+            assert!(
+                shard.lock().entries().next().is_some(),
+                "a cache shard stayed empty"
+            );
         }
     }
 
     #[test]
-    fn resolve_parks_on_the_repair_signal_instead_of_polling() {
+    fn a_shard_keeps_two_generations_and_the_placements_in_use() {
+        let store = Store::new();
+        announce(&store, "Order", 1);
+        let live_set = live(&[1]);
+        let placement = PlacementService::new(
+            store.connect(ComponentId::from_raw(1)),
+            live_set.clone(),
+            true,
+            1,
+        );
+        let hot = ActorRef::new("Order", "hot");
+        resolve(&placement, &hot).unwrap();
+        // Three generations of actors called once each, the hot one called
+        // again within every generation.
+        for i in 0..3 * GENERATION_ENTRIES {
+            resolve(&placement, &ActorRef::new("Order", format!("o-{i}"))).unwrap();
+            if i % (GENERATION_ENTRIES / 2) == 0 {
+                resolve(&placement, &hot).unwrap();
+            }
+        }
+        assert!(placement.cache_len() <= 2 * GENERATION_ENTRIES);
+        assert!(placement.cache_len() > GENERATION_ENTRIES);
+        let before = placement.counters();
+        resolve(&placement, &hot).unwrap();
+        resolve(&placement, &ActorRef::new("Order", "o-0")).unwrap();
+        let after = placement.counters();
+        assert_eq!(after.hits, before.hits + 1, "the hot placement stayed");
+        assert_eq!(after.misses, before.misses + 1, "a cold one aged out");
+        // Passivation drops a placement whichever generation holds it.
+        let len = placement.cache_len();
+        placement.forget(&hot);
+        placement.forget(&ActorRef::new(
+            "Order",
+            format!("o-{}", 2 * GENERATION_ENTRIES),
+        ));
+        assert_eq!(placement.cache_len(), len - 2);
+    }
+
+    #[test]
+    fn a_waiter_between_two_attempts_is_woken_by_the_repair_signal() {
         let store = Store::new();
         announce(&store, "Order", 2);
         let live_set = live(&[2]);
-        // A generous lookup timeout: if resolve returned only by timing out,
-        // the test would take 5 seconds and fail the elapsed bound.
-        let placement = Arc::new(PlacementService::new(
-            store.connect(ComponentId::from_raw(2)),
-            live_set.clone(),
-            true,
-            4,
-            Duration::from_secs(5),
-        ));
+        let placement = Arc::new(service(&store, 2, &live_set, true));
         let actor = ActorRef::new("Order", "o-1");
         // A stale placement pointing at dead component 9.
         store
@@ -706,14 +742,26 @@ mod tests {
                 .unwrap();
             repair_placement.clear_cache();
         });
+        // The edge-thread wait of `ComponentCore::issue_outbox`: snapshot the
+        // signal, attempt, park. The waits are generous: if they returned
+        // only by timing out, one of them would blow the elapsed bound.
         let t0 = std::time::Instant::now();
-        let resolved = placement.resolve(&actor).unwrap();
+        let mut attempts = 0;
+        let resolved = loop {
+            let seen = placement.repair_epoch();
+            attempts += 1;
+            if let Some(component) = placement.resolve_nowait(&actor).unwrap() {
+                break component;
+            }
+            placement.wait_for_repair(seen, Duration::from_secs(5));
+        };
         let elapsed = t0.elapsed();
         repair.join().unwrap();
         assert_eq!(resolved, ComponentId::from_raw(2));
+        assert_eq!(attempts, 2, "one wait, ended by the repair");
         assert!(
             elapsed < Duration::from_secs(2),
-            "resolve slept past the repair signal: {elapsed:?}"
+            "the waiter slept past the repair signal: {elapsed:?}"
         );
     }
 
@@ -732,7 +780,6 @@ mod tests {
             live_set.clone(),
             true,
             2,
-            Duration::from_millis(500),
         ));
         let actor = ActorRef::new("Order", "contended");
         store
@@ -742,7 +789,10 @@ mod tests {
                 component_to_value(ComponentId::from_raw(1)),
             )
             .unwrap();
-        assert_eq!(placement.resolve(&actor).unwrap(), ComponentId::from_raw(1));
+        assert_eq!(
+            resolve(&placement, &actor).unwrap(),
+            ComponentId::from_raw(1)
+        );
 
         // Readers hammer resolve while the "recovery" flips the placement.
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -759,7 +809,10 @@ mod tests {
                         // was already complete when we started, a stale
                         // answer is a genuine violation.
                         let flip_done = flipped.load(Ordering::SeqCst);
-                        let resolved = placement.resolve(&actor).unwrap();
+                        // Mid-flip the placement is stale: unresolved.
+                        let Some(resolved) = placement.resolve_nowait(&actor).unwrap() else {
+                            continue;
+                        };
                         if flip_done {
                             assert_eq!(
                                 resolved,
@@ -790,7 +843,10 @@ mod tests {
             reader.join().unwrap();
         }
         // And the service itself agrees immediately after the clear.
-        assert_eq!(placement.resolve(&actor).unwrap(), ComponentId::from_raw(2));
+        assert_eq!(
+            resolve(&placement, &actor).unwrap(),
+            ComponentId::from_raw(2)
+        );
     }
 
     #[test]

@@ -12,16 +12,23 @@
 //!   record is unreadable before its ack plus the delivery latency; a store
 //!   round trip is applied at submit and acknowledged one latency later;
 //! * the pipeline: with a single reactor, independent callers have more than
-//!   one I/O outstanding at a time, and all of them complete; at zero
-//!   latency nothing ever parks;
+//!   one I/O outstanding at a time, and all of them complete; independent
+//!   nested calls overlap their rounds' hops and acks too; at zero latency
+//!   nothing ever parks;
+//! * a stale placement: the round of a nested call whose callee's placement
+//!   points at a failed component parks — its reactor goes on serving other
+//!   actors — and completes exactly once when the placement is repaired, or
+//!   resumes its continuation with `Timeout` at the call-timeout deadline;
 //! * failure: a component killed with stages parked completes nothing, leaves
 //!   nothing parked, and the `kar-semantics` history oracle is clean after
 //!   the recovery.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use kar::placement::{component_to_value, placement_key};
 use kar::{Actor, ActorContext, ComponentBuilder, Mesh, MeshConfig, Outcome};
 use kar_queue::{Broker, BrokerConfig};
 use kar_semantics::{HistoryChecker, HistoryEvent};
@@ -325,6 +332,253 @@ fn one_reactor_overlaps_the_io_of_independent_callers() {
     assert!(io.resumed > 0, "{io:?}");
     // Every stage that parked ran: only the responses' acks may still be out.
     eventually("every parked stage has run", || io_line(&mesh).parked == 0);
+    mesh.shutdown();
+}
+
+/// Calls — and parks on — a ledger of its own: `relay(req)` applies `req` to
+/// `Ledger/l<own id>` and completes with what the ledger answered, or with
+/// the text of the error that kept the nested call from completing. Counts
+/// its resumptions; `fan(k)` tells relays `0..k` to relay request 1.
+struct Relay {
+    resumed: Arc<AtomicU64>,
+}
+
+impl Actor for Relay {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "relay" => {
+                let resumed = Arc::clone(&self.resumed);
+                let own = ledger(ctx.self_ref().actor_id());
+                Ok(
+                    ctx.call_then(&own, "apply", args.to_vec(), move |_, answer| {
+                        resumed.fetch_add(1, Ordering::SeqCst);
+                        Ok(Outcome::value(answer.unwrap_or_else(|error| {
+                            Value::from(format!("relay failed: {error}"))
+                        })))
+                    }),
+                )
+            }
+            "fan" => {
+                for i in 0..args[0].as_i64().unwrap_or(0) {
+                    ctx.tell(&relay(i), "relay", vec![Value::Int(1)])?;
+                }
+                Ok(Outcome::value(Value::Null))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+fn relay(id: impl std::fmt::Display) -> ActorRef {
+    ActorRef::new("Relay", id.to_string())
+}
+
+/// Hosts `Relay` next to whatever `rest` hosts.
+fn host_relay(
+    resumed: &Arc<AtomicU64>,
+    rest: impl FnOnce(ComponentBuilder) -> ComponentBuilder,
+) -> impl FnOnce(ComponentBuilder) -> ComponentBuilder {
+    let resumed = Arc::clone(resumed);
+    move |builder| {
+        rest(builder).host("Relay", move || {
+            Box::new(Relay {
+                resumed: Arc::clone(&resumed),
+            })
+        })
+    }
+}
+
+#[test]
+fn independent_nested_calls_overlap_their_rounds_on_one_reactor() {
+    const K: i64 = 6;
+    const HOP: Duration = Duration::from_millis(10);
+    // The simulator: one reactor lane on a virtual clock, where a wait that
+    // blocks the lane *advances the clock* — so time held on the reactor is
+    // read off exactly, and nothing here is measured on the wall clock.
+    let latency = LatencyProfile {
+        sidecar_hop: HOP,
+        queue_append: ACK,
+        ..LatencyProfile::ZERO
+    };
+    let mesh = Mesh::new(MeshConfig {
+        latency,
+        ..MeshConfig::deterministic(11).with_partitions_per_component(16)
+    });
+    let (commits, committed) = channel();
+    let resumed = Arc::new(AtomicU64::new(0));
+    let node = mesh.add_node();
+    mesh.add_component(node, "server", host_relay(&resumed, host_ledger(&commits)));
+    let client = mesh.client();
+    // Warm up: place every actor, so the measured part is nothing but hops
+    // and acks.
+    for i in 0..K {
+        assert_eq!(
+            client
+                .call(&relay(i), "relay", vec![Value::Int(0)])
+                .unwrap(),
+            Value::Int(1)
+        );
+    }
+    client
+        .call(&relay("fan"), "fan", vec![Value::Int(0)])
+        .unwrap();
+    assert_eq!(committed.try_iter().count() as i64, K);
+    let warm = resumed.load(Ordering::SeqCst);
+
+    // One handler tells all K relays in one round: K independent `call_then`
+    // invocations become runnable at the same instant on the one reactor.
+    let asked = kar_types::mono_now();
+    client
+        .call(&relay("fan"), "fan", vec![Value::Int(K)])
+        .unwrap();
+    let all_resumed = || resumed.load(Ordering::SeqCst) == warm + K as u64;
+    assert!(
+        mesh.sim_run_until(all_resumed, 100_000),
+        "relays never finished"
+    );
+    let elapsed = kar_types::mono_now() - asked;
+    assert_eq!(committed.try_iter().count() as i64, K);
+
+    // One relay's path from the client's call: the client's hop and its
+    // request's ack; the fan's start hop, its outbox round's hop and ack;
+    // the relay's start hop, its nested round's hop and ack; the ledger's
+    // start hop, its response's hop and ack; the relay's resume hop. The K
+    // relays walk it side by side — a little behind each other where their
+    // acks share a partition — so all of them are done in about that. A
+    // reactor that waits out each nested round's hop and ack itself adds
+    // (K - 1) × (hop + ack) to it.
+    let one = HOP * 8 + ACK * 4;
+    let held = (HOP + ACK) * (K as u32 - 1);
+    assert!(
+        elapsed < one + held / 2,
+        "{K} independent nested calls took {elapsed:?}: one takes {one:?}, \
+         and a reactor held by every round adds {held:?}\n{}",
+        mesh.debug_report()
+    );
+    mesh.shutdown();
+}
+
+/// A one-reactor mesh in which relay `r` lives on the survivor and its
+/// ledger `lr` lived on the victim, which was killed and recovered from —
+/// and has the ledger's placement pinned back onto it: what a caller sees
+/// between a rebalance and the reconciliation's rewrite, held open for as
+/// long as the test likes, with the survivor unpaused. Returns the mesh, the
+/// survivor and the relays' resumption counter (1: the warm-up).
+fn mesh_with_a_stale_callee(
+    config: MeshConfig,
+    commits: &Sender<u64>,
+) -> (Mesh, ComponentId, Arc<AtomicU64>) {
+    let resumed = Arc::new(AtomicU64::new(0));
+    let mesh = Mesh::new(config.with_reactor_threads(1));
+    let node = mesh.add_node();
+    let survivor = mesh.add_component(node, "survivor", host_relay(&resumed, host_ledger(commits)));
+    let victim = mesh.add_component(node, "victim", host_ledger(commits));
+    let stale = component_to_value(victim);
+    let client = mesh.client();
+    // Place the ledger on the victim by hand, before anybody resolves it.
+    mesh.store()
+        .admin_set(&placement_key(&ledger("r")), stale.clone());
+    let warm = client.call(&relay("r"), "relay", vec![Value::Int(0)]);
+    assert_eq!(warm.unwrap(), Value::Int(1));
+    let warm = client.call(&ledger("bystander"), "apply", vec![Value::Int(0)]);
+    assert_eq!(warm.unwrap(), Value::Int(1));
+    if mesh.store().admin_get(&placement_key(&ledger("bystander"))) == Some(stale.clone()) {
+        // Placed on the victim: let the recovery move it.
+        mesh.store().admin_del(&placement_key(&ledger("bystander")));
+    }
+    mesh.kill_component(victim);
+    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
+    mesh.store().admin_set(&placement_key(&ledger("r")), stale);
+    (mesh, survivor, resumed)
+}
+
+#[test]
+fn a_round_that_meets_a_stale_placement_parks_and_completes_once_repaired() {
+    let (commits, committed) = channel();
+    let (mesh, survivor, resumed) = mesh_with_a_stale_callee(MeshConfig::for_tests(), &commits);
+    let client = mesh.client();
+    let _ = committed.try_iter().count();
+    let parks_before = io_line(&mesh).resumed;
+    let stalled = {
+        let client = client.clone();
+        std::thread::spawn(move || client.call(&relay("r"), "relay", vec![Value::Int(7)]))
+    };
+    // The relay's round is a parked stage, tried again every few ms.
+    eventually("the stalled round is parked", || io_line(&mesh).parked >= 1);
+    eventually("the stalled round was retried", || {
+        io_line(&mesh).resumed >= parks_before + 3
+    });
+    // Meanwhile the one reactor serves an unrelated actor of the relay's
+    // own component — nobody is waiting on it.
+    for call in 1..=20 {
+        let count = client
+            .call(&ledger("bystander"), "apply", vec![Value::Int(call)])
+            .unwrap();
+        assert_eq!(count, Value::Int(call + 1));
+    }
+    // (Polled: an attempt takes the round off the heap for a moment.)
+    eventually("the round is still parked", || io_line(&mesh).parked >= 1);
+    assert_eq!(
+        resumed.load(Ordering::SeqCst),
+        1,
+        "only the warm-up resumed"
+    );
+    // Reconciliation's rewrite: the ledger now lives on the survivor.
+    mesh.store()
+        .admin_set(&placement_key(&ledger("r")), component_to_value(survivor));
+    assert_eq!(stalled.join().unwrap().unwrap(), Value::Int(2));
+    assert_eq!(resumed.load(Ordering::SeqCst), 2, "resumed exactly once");
+    let applied: Vec<u64> = committed.try_iter().collect();
+    assert_eq!(applied, (1..=20).chain([7]).collect::<Vec<u64>>());
+    eventually("nothing is left parked", || io_line(&mesh).parked == 0);
+    mesh.shutdown();
+}
+
+#[test]
+fn a_round_whose_placement_stays_stale_fails_with_timeout_at_the_deadline() {
+    const CALL_TIMEOUT: Duration = Duration::from_millis(300);
+    let (commits, committed) = channel();
+    let config = MeshConfig {
+        call_timeout: CALL_TIMEOUT,
+        ..MeshConfig::for_tests()
+    };
+    let (mesh, _survivor, resumed) = mesh_with_a_stale_callee(config, &commits);
+    let client = mesh.client();
+    let _ = committed.try_iter().count();
+    // A tell: a calling client would give up at the same deadline, a moment
+    // before the relay's round does.
+    let issued = Instant::now();
+    client
+        .tell(&relay("r"), "relay", vec![Value::Int(7)])
+        .unwrap();
+    eventually("the stalled round is parked", || io_line(&mesh).parked >= 1);
+    eventually("the continuation is resumed", || {
+        resumed.load(Ordering::SeqCst) == 2
+    });
+    assert!(
+        issued.elapsed() >= CALL_TIMEOUT,
+        "the round gave up after {:?}, before its deadline",
+        issued.elapsed()
+    );
+    // With the timeout, nothing else: the ledger was never called, and the
+    // relay is free for its next request, which fails the same way — the
+    // caller gives up at its own deadline, unless the relay's answer (its
+    // round's deadline is a moment later) makes it first.
+    match client.call(&relay("r"), "relay", vec![Value::Int(8)]) {
+        Err(KarError::Timeout { .. }) => {}
+        Ok(Value::Str(said)) if said.contains("timed out") => {}
+        other => panic!("neither deadline fired: {other:?}"),
+    }
+    eventually("the second continuation is resumed", || {
+        resumed.load(Ordering::SeqCst) == 3
+    });
+    assert_eq!(committed.try_iter().count(), 0);
+    eventually("nothing is left parked", || io_line(&mesh).parked == 0);
     mesh.shutdown();
 }
 

@@ -30,14 +30,16 @@ impl Journal {
     }
 }
 
-/// Caller actor: `main` performs a blocking nested call to `B/b.task`.
+/// Caller actor: `main` performs a nested call to `B/b.task` and resumes —
+/// `main:end` — with its result: the paper's `await actor.call(...)`.
 struct CallerA {
     journal: Journal,
 }
 
 /// Callee actor: `task` optionally sleeps (so the test can interleave a
 /// failure) and calls back into the caller (`callback`) to exercise
-/// reentrancy.
+/// reentrancy: the callback is admitted along the lineage while `main` is
+/// parked on `task`, holding its actor's lock.
 struct CalleeB {
     journal: Journal,
 }
@@ -52,9 +54,17 @@ impl Actor for CallerA {
         match method {
             "main" => {
                 self.journal.record("main:start");
-                let result = ctx.call(&ActorRef::new("B", "b"), "task", args.to_vec())?;
-                self.journal.record("main:end");
-                Ok(Outcome::value(result))
+                let journal = self.journal.clone();
+                Ok(ctx.call_then(
+                    &ActorRef::new("B", "b"),
+                    "task",
+                    args.to_vec(),
+                    move |_, result| {
+                        let result = result?;
+                        journal.record("main:end");
+                        Ok(Outcome::value(result))
+                    },
+                ))
             }
             "callback" => {
                 self.journal.record("callback");
@@ -79,9 +89,17 @@ impl Actor for CalleeB {
                 if delay > 0 {
                     std::thread::sleep(Duration::from_millis(delay));
                 }
-                let value = ctx.call(&ActorRef::new("A", "a"), "callback", args.to_vec())?;
-                self.journal.record("task:end");
-                Ok(Outcome::value(value))
+                let journal = self.journal.clone();
+                Ok(ctx.call_then(
+                    &ActorRef::new("A", "a"),
+                    "callback",
+                    args.to_vec(),
+                    move |_, value| {
+                        let value = value?;
+                        journal.record("task:end");
+                        Ok(Outcome::value(value))
+                    },
+                ))
             }
             other => Err(KarError::application(format!("no method {other}"))),
         }
@@ -110,7 +128,7 @@ fn placed_on(mesh: &Mesh, actor: &ActorRef) -> kar_types::ComponentId {
 
 /// Builds a mesh where actor A and actor B live on different components (so
 /// they can fail independently), with standby replicas for both types.
-fn nested_call_topology(config: MeshConfig) -> Topology {
+fn caller_callee_topology(config: MeshConfig) -> Topology {
     let journal = Journal::default();
     let mesh = Mesh::new(config);
     let node = mesh.add_node();
@@ -153,7 +171,7 @@ fn nested_call_topology(config: MeshConfig) -> Topology {
 
 #[test]
 fn scenario_1_failure_free_nested_call_with_reentrancy() {
-    let topology = nested_call_topology(MeshConfig::for_tests());
+    let topology = caller_callee_topology(MeshConfig::for_tests());
     let client = topology.mesh.client();
     let result = client
         .call(&ActorRef::new("A", "a"), "main", vec![Value::Int(42)])
@@ -177,7 +195,7 @@ fn scenario_1_failure_free_nested_call_with_reentrancy() {
 fn scenario_3_callee_failure_is_retried_and_the_caller_still_completes() {
     // Fig. 1 (3): the failure hits the callee only; the callee is retried and
     // the caller's call eventually returns.
-    let topology = nested_call_topology(MeshConfig::for_tests());
+    let topology = caller_callee_topology(MeshConfig::for_tests());
     let client = topology.mesh.client();
     topology.journal.slow_task_ms.store(200, Ordering::Relaxed);
 
@@ -216,7 +234,7 @@ fn scenario_4_caller_failure_waits_for_the_callee_before_retrying() {
     // Fig. 1 (4) and Fig. 2 (a): the caller fails while the callee is still
     // running; the retry of the caller must happen after the callee's fate is
     // decided, so "main" can never restart while "task" is in progress.
-    let topology = nested_call_topology(MeshConfig::for_tests());
+    let topology = caller_callee_topology(MeshConfig::for_tests());
     let client = topology.mesh.client();
     topology.journal.slow_task_ms.store(300, Ordering::Relaxed);
 
@@ -255,7 +273,7 @@ fn scenario_4_caller_failure_waits_for_the_callee_before_retrying() {
 fn scenario_6_joint_failure_retries_both_in_order() {
     // Fig. 1 (6): the failure hits caller and callee together; both are
     // retried and the call completes exactly once from the client's view.
-    let topology = nested_call_topology(MeshConfig::for_tests());
+    let topology = caller_callee_topology(MeshConfig::for_tests());
     let client = topology.mesh.client();
     topology.journal.slow_task_ms.store(200, Ordering::Relaxed);
 
@@ -336,8 +354,9 @@ fn completed_invocations_are_never_repeated_after_recovery() {
 fn cancellation_elides_orphaned_callees() {
     // §4.4: with the Cancel policy, a callee whose caller's component failed
     // is elided and a synthetic response is produced instead of running it.
-    let topology =
-        nested_call_topology(MeshConfig::for_tests().with_cancellation(CancellationPolicy::Cancel));
+    let topology = caller_callee_topology(
+        MeshConfig::for_tests().with_cancellation(CancellationPolicy::Cancel),
+    );
     let client = topology.mesh.client();
     topology.journal.slow_task_ms.store(200, Ordering::Relaxed);
     let mesh = topology.mesh.clone();

@@ -1,10 +1,12 @@
 //! Deterministic-simulation replay guarantees: the same `(seed, config,
 //! workload)` triple runs the same execution twice — byte-identical event
 //! traces, identical final debug-report counters — including under injected
-//! component kills driven as scheduler events.
+//! component kills driven as scheduler events, and across a nested call whose
+//! round waits out a stale placement parked on the reactor lane.
 
 use std::time::Duration;
 
+use kar::placement::{component_to_value, placement_key};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
 use kar_types::{ActorRef, KarError, KarResult, Value};
 
@@ -36,6 +38,90 @@ impl Actor for Accumulator {
             other => Err(KarError::application(format!("no method {other}"))),
         }
     }
+}
+
+/// Bumps a counter of its own through a nested call and records how often it
+/// was answered.
+struct Via;
+
+impl Actor for Via {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "bump" => {
+                let far = ActorRef::new("Counter", "far");
+                Ok(ctx.call_then(&far, "incr", vec![], |ctx, answer| {
+                    answer?;
+                    let state = ctx.state();
+                    let bumps = state.get("bumps")?.and_then(|v| v.as_i64()).unwrap_or(0);
+                    state.set("bumps", Value::Int(bumps + 1))?;
+                    Ok(Outcome::value(Value::Int(bumps + 1)))
+                }))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// One simulated run across a stale placement: `Via/v` lives on alpha, the
+/// counter it bumps on beta; beta is killed and recovered from, and the
+/// counter's placement is pinned back onto it — what a caller sees between a
+/// rebalance and the reconciliation's rewrite (in the simulator the recovery
+/// lane runs both in one step, so the window has to be held open by hand).
+/// A told `bump` then meets the stale placement on the reactor lane: its
+/// round parks on the virtual clock and is retried until the test — at a
+/// fixed step — repairs the placement.
+fn run_stale_placement(seed: u64) -> (Vec<String>, String, i64) {
+    let mesh = Mesh::new(MeshConfig::deterministic(seed));
+    let node = mesh.add_node();
+    let alpha = mesh.add_component(node, "alpha", |b| {
+        b.host("Counter", || Box::new(Accumulator))
+            .host("Via", || Box::new(Via))
+    });
+    let beta = mesh.add_component(node, "beta", |b| {
+        b.host("Counter", || Box::new(Accumulator))
+    });
+    let far = ActorRef::new("Counter", "far");
+    let placed_on = |component: kar_types::ComponentId| {
+        mesh.store()
+            .admin_set(&placement_key(&far), component_to_value(component));
+    };
+    let bumps = || {
+        mesh.store()
+            .admin_hgetall("state/Via/v")
+            .get("bumps")
+            .and_then(Value::as_i64)
+            .unwrap_or(0)
+    };
+    let client = mesh.client();
+    let via = ActorRef::new("Via", "v");
+    placed_on(beta);
+    assert_eq!(client.call(&via, "bump", vec![]).unwrap(), Value::Int(1));
+    mesh.sim_schedule_kill(mesh.sim_step_count() + 5, beta);
+    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(120)));
+    placed_on(beta);
+    client.tell(&via, "bump", vec![]).unwrap();
+    // 200 steps: the round is tried, parked and retried many times over.
+    mesh.sim_steps(200);
+    assert_eq!(bumps(), 1, "the bump went through a stale placement");
+    placed_on(alpha);
+    assert!(
+        mesh.sim_run_until(|| bumps() == 2, 100_000),
+        "never repaired"
+    );
+    let value = client.call(&far, "get", vec![]).expect("get");
+    let trace = mesh.sim_take_trace();
+    let report = mesh.debug_report();
+    mesh.shutdown();
+    (
+        trace,
+        report,
+        value.as_i64().expect("counter value is an int"),
+    )
 }
 
 /// One simulated run: a two-component mesh, a handful of increments spread
@@ -166,4 +252,24 @@ fn perturbing_the_kill_step_changes_the_schedule_but_not_the_answers() {
         trace_a, trace_b,
         "moving the kill by one step is a different schedule"
     );
+}
+
+#[test]
+fn a_stale_placement_crossed_on_the_reactor_lane_replays_byte_identically() {
+    let (trace_a, report_a, value_a) = run_stale_placement(77);
+    assert_eq!(value_a, 2, "both bumps landed, each exactly once");
+    // Zero latency: the only thing that ever parks is the round waiting for
+    // its placement — so stages resumed from the heap are its retries.
+    let io = report_a
+        .lines()
+        .find(|line| line.starts_with("io: "))
+        .expect("the report has an io line");
+    assert!(
+        !io.contains(" resumed=0 "),
+        "the round never parked on the stale placement: {io}"
+    );
+    let (trace_b, report_b, value_b) = run_stale_placement(77);
+    assert_eq!(value_a, value_b);
+    assert_eq!(report_a, report_b, "final counters replay exactly");
+    assert_eq!(trace_a, trace_b, "the schedule replays byte-identically");
 }

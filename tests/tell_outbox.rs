@@ -132,8 +132,9 @@ impl Actor for Teller {
             }
             "tell_then_call" => {
                 ctx.tell(&sink(0), "got", told("told"))?;
-                ctx.call(&sink(0), "ask", told("called"))?;
-                Ok(Outcome::value(Value::Null))
+                Ok(ctx.call_then(&sink(0), "ask", told("called"), |_, asked| {
+                    asked.map(Outcome::value)
+                }))
             }
             "tell_then_fail" => {
                 ctx.tell(&sink(0), "got", told("survives"))?;
@@ -158,9 +159,10 @@ impl Actor for Teller {
             // The same handler when the round cannot be made durable on the
             // first attempt: no component hosts `Nowhere`, so its placement
             // fails and — all-or-nothing — the sink's tell stays behind too.
-            // Mode 1 makes the round leave (and fail) inside a blocking
-            // nested call whose error the handler ignores; mode 2 inside a
-            // parked one whose continuation ignores it.
+            // Modes 1 and 2 make the round leave (and fail) with a nested
+            // call whose continuation ignores the error: in mode 1 the
+            // guarded write is made by that continuation, after the failed
+            // round; in mode 2 by the handler, before it.
             "guarded_round_fails_once" => {
                 let attempt = self.shared.attempts.fetch_add(1, Ordering::SeqCst);
                 let mode = args[0].as_i64().unwrap_or(0);
@@ -170,7 +172,10 @@ impl Actor for Teller {
                     if attempt == 0 {
                         ctx.tell(&ActorRef::new("Nowhere", "x"), "got", told("lost"))?;
                         if mode == 1 {
-                            let _ = ctx.call(&sink(1), "ask", told("never"));
+                            return Ok(ctx.call_then(&sink(1), "ask", told("never"), |ctx, _| {
+                                ctx.state().set("done", Value::Int(1))?;
+                                Ok(Outcome::value(Value::Null))
+                            }));
                         }
                     }
                     ctx.state().set("done", Value::Int(1))?;
@@ -325,9 +330,9 @@ fn tells_keep_program_order_and_precede_the_nested_call_they_were_issued_before(
         eventually("both tells arrived", || shared.seen().len() == 2);
         assert_eq!(shared.seen(), vec!["first", "second"], "{latency:?}");
 
-        // `tell; ctx.call` towards one actor: both requests ride one round,
+        // `tell; call_then` towards one actor: both requests ride one round,
         // the tell's record ahead of the call's in the actor's partition — so
-        // the call returning proves the tell, issued first, ran before it.
+        // the call's response proves the tell, issued first, ran before it.
         client.call(&teller, "tell_then_call", vec![]).unwrap();
         assert_eq!(shared.seen()[2..], ["told", "called"], "{latency:?}");
         mesh.shutdown();
@@ -397,9 +402,9 @@ fn a_failed_round_rolls_back_the_state_written_behind_its_tells() {
     // lives: the attempt fails, and `done` must not be flushed with it — the
     // retry has to find it unset and tell again. Cache on: the write is
     // buffered and rolled back. Cache off: the write flushes the outbox
-    // itself and fails with it. Modes 1 and 2: the round fails inside a
-    // blocking / parked nested call whose error the handler ignores; the
-    // invocation still fails.
+    // itself and fails with it. Modes 1 and 2: the round fails with a nested
+    // call whose continuation ignores the error — and, in mode 1, goes on to
+    // make the guarded write itself; the invocation still fails.
     let arms = [(true, 0), (false, 0), (true, 1), (false, 1), (true, 2)];
     for (latency, (cache, mode)) in latency_arms()
         .into_iter()
