@@ -227,38 +227,6 @@ impl Connection {
         self.finish(trip, gate, exists)
     }
 
-    /// Lists string keys starting with `prefix`, sorted (walks every shard;
-    /// not a hot-path operation).
-    ///
-    /// # Errors
-    ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected.
-    pub fn keys_with_prefix(&self, prefix: &str) -> KarResult<Vec<String>> {
-        let trip = self.inner.begin_round_trip();
-        let gate = self.fault_gate(prefix)?;
-        let mut keys = Vec::new();
-        {
-            let _fence = self.inner.fence_guard(self.component, self.epoch)?;
-            self.inner
-                .stats
-                .reads
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            for index in 0..self.inner.shards.len() {
-                keys.extend(
-                    self.inner
-                        .lock_shard(index)
-                        .strings
-                        .keys()
-                        .filter(|k| k.starts_with(prefix))
-                        .cloned(),
-                );
-            }
-        }
-        keys.sort();
-        self.finish(trip, gate, keys)
-    }
-
     /// Reads one field of a hash.
     ///
     /// # Errors
@@ -347,10 +315,10 @@ impl Connection {
             .stats
             .writes
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let hash = data.hashes.entry(key.to_owned()).or_default();
-        for (field, value) in entries {
-            hash.insert(field, value);
-        }
+        data.hashes
+            .entry(key.to_owned())
+            .or_default()
+            .extend(entries);
         Ok(StoreInner::complete(
             trip,
             gate,
@@ -432,6 +400,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PipelineResult;
     use crate::store::Store;
     use proptest::prelude::*;
 
@@ -531,18 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn keys_with_prefix_is_sorted_and_filtered() {
-        let (_s, conn) = store_and_conn();
-        conn.set("p/b", Value::from(1)).unwrap();
-        conn.set("p/a", Value::from(1)).unwrap();
-        conn.set("q/c", Value::from(1)).unwrap();
-        assert_eq!(
-            conn.keys_with_prefix("p/").unwrap(),
-            vec!["p/a".to_string(), "p/b".to_string()]
-        );
-    }
-
-    #[test]
     fn connection_reports_identity() {
         let store = Store::new();
         let conn = store.connect(ComponentId::from_raw(9));
@@ -565,7 +522,6 @@ mod tests {
         assert!(conn.compare_and_swap("k", None, Value::Null).is_err());
         assert!(conn.del("k").is_err());
         assert!(conn.exists("k").is_err());
-        assert!(conn.keys_with_prefix("k").is_err());
         assert!(conn.hget("k", "f").is_err());
         assert!(conn.hset("k", "f", Value::Null).is_err());
         assert!(conn.hset_multi("k", []).is_err());
@@ -607,21 +563,78 @@ mod tests {
             }
         }
 
-        /// A hash behaves like a BTreeMap under hset/hdel.
+        /// A hash behaves like a BTreeMap (`None` = no hash at all) under
+        /// every hash command, direct and pipelined: replacing a field
+        /// returns its previous value, deleting a missing field returns
+        /// nothing, and deleting the last field leaves an empty hash.
         #[test]
-        fn hash_acts_like_a_map(ops in prop::collection::vec(("[a-c]", any::<bool>(), -5i64..5), 1..40)) {
+        fn hash_acts_like_a_map(ops in prop::collection::vec(
+            (0u8..10, "[a-e]", -5i64..5, prop::collection::vec(("[a-e]", -5i64..5), 0..4)),
+            1..60,
+        )) {
             let (_s, conn) = store_and_conn();
-            let mut model: BTreeMap<String, Value> = BTreeMap::new();
-            for (f, del, v) in ops {
-                if del {
-                    conn.hdel("h", &f).unwrap();
-                    model.remove(&f);
-                } else {
-                    conn.hset("h", &f, Value::from(v)).unwrap();
-                    model.insert(f.clone(), Value::from(v));
+            let mut model: Option<BTreeMap<String, Value>> = None;
+            for (kind, f, v, many) in ops {
+                let entries: Vec<(String, Value)> =
+                    many.into_iter().map(|(f, v)| (f, Value::from(v))).collect();
+                match kind {
+                    0 => {
+                        let previous = conn.hset("h", &f, Value::from(v)).unwrap();
+                        prop_assert_eq!(
+                            previous,
+                            model.get_or_insert_with(BTreeMap::new).insert(f, Value::from(v))
+                        );
+                    }
+                    1 => {
+                        let previous = conn.hdel("h", &f).unwrap();
+                        prop_assert_eq!(previous, model.as_mut().and_then(|m| m.remove(&f)));
+                    }
+                    2 => {
+                        conn.hset_multi("h", entries.clone()).unwrap();
+                        model.get_or_insert_with(BTreeMap::new).extend(entries);
+                    }
+                    3 => prop_assert_eq!(conn.hclear("h").unwrap(), model.take().is_some()),
+                    4 => {
+                        let mut pipe = conn.pipeline();
+                        pipe.hset("h", &f, Value::from(v)).hget("h", &f).hdel("h", &f).hget("h", &f);
+                        let results = pipe.flush().unwrap();
+                        let previous = model.get_or_insert_with(BTreeMap::new).remove(&f);
+                        prop_assert_eq!(&results[0], &PipelineResult::Value(previous));
+                        prop_assert_eq!(&results[1], &PipelineResult::Value(Some(Value::from(v))));
+                        prop_assert_eq!(&results[2], &PipelineResult::Value(Some(Value::from(v))));
+                        prop_assert_eq!(&results[3], &PipelineResult::Value(None));
+                    }
+                    5 => {
+                        let mut pipe = conn.pipeline();
+                        pipe.hset_multi("h", entries.clone()).hgetall("h");
+                        let results = pipe.flush().unwrap();
+                        let hash = model.get_or_insert_with(BTreeMap::new);
+                        hash.extend(entries);
+                        prop_assert_eq!(&results[1], &PipelineResult::Hash(hash.clone()));
+                    }
+                    6 => {
+                        let mut pipe = conn.pipeline();
+                        pipe.hclear("h").hgetall("h");
+                        let results = pipe.flush().unwrap();
+                        prop_assert_eq!(&results[0], &PipelineResult::Flag(model.take().is_some()));
+                        prop_assert_eq!(&results[1], &PipelineResult::Hash(BTreeMap::new()));
+                    }
+                    7 => {
+                        let mut pipe = conn.pipeline();
+                        pipe.hdel("h", &f);
+                        let previous = model.as_mut().and_then(|m| m.remove(&f));
+                        prop_assert_eq!(pipe.flush().unwrap(), vec![PipelineResult::Value(previous)]);
+                    }
+                    _ => {
+                        let expected = model.as_ref().and_then(|m| m.get(&f)).cloned();
+                        prop_assert_eq!(conn.hget("h", &f).unwrap(), expected);
+                    }
                 }
+                prop_assert_eq!(conn.hgetall("h").unwrap(), model.clone().unwrap_or_default());
             }
-            prop_assert_eq!(conn.hgetall("h").unwrap(), model);
+            // The hash exists exactly when the model says so — an emptied
+            // hash included.
+            prop_assert_eq!(conn.hclear("h").unwrap(), model.is_some());
         }
     }
 }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
-use crate::store::{materialize_hash, unshare, ShardData, StoreInner};
+use crate::store::{materialize_hash, unshare, Fields, ShardData, StoreInner};
 
 /// One buffered command.
 #[derive(Debug)]
@@ -76,7 +76,7 @@ enum RawResult {
     Value(Option<Arc<Value>>),
     Flag(bool),
     Cas(Result<(), Option<Arc<Value>>>),
-    Hash(Option<BTreeMap<String, Arc<Value>>>),
+    Hash(Option<Fields>),
 }
 
 /// The outcome of one pipelined command, in submission order.
@@ -453,10 +453,7 @@ fn apply(inner: &StoreInner, data: &mut ShardData, op: Op) -> RawResult {
         }
         Op::HSetMulti(key, entries) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            let hash = data.hashes.entry(key).or_default();
-            for (field, value) in entries {
-                hash.insert(field, value);
-            }
+            data.hashes.entry(key).or_default().extend(entries);
             RawResult::Unit
         }
         Op::HDel(key, field) => {

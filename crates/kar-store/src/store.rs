@@ -92,7 +92,59 @@ pub(crate) struct ShardData {
     /// Plain string keys.
     pub(crate) strings: HashMap<String, Arc<Value>>,
     /// Hash keys (one hash per actor instance in the KAR runtime).
-    pub(crate) hashes: HashMap<String, BTreeMap<String, Arc<Value>>>,
+    pub(crate) hashes: HashMap<String, Fields>,
+}
+
+/// The fields of one hash: a vector kept sorted by field name and searched
+/// by binary search. Most hashes are an actor's state — one or two fields —
+/// where a `BTreeMap` would allocate a whole 11-slot leaf (~380 B) per
+/// actor; a one-field vector is a single 32-byte allocation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Fields(Vec<(String, Arc<Value>)>);
+
+impl Fields {
+    fn position(&self, field: &str) -> Result<usize, usize> {
+        self.0
+            .binary_search_by(|(name, _)| name.as_str().cmp(field))
+    }
+
+    /// The value of `field`, if set.
+    pub(crate) fn get(&self, field: &str) -> Option<&Arc<Value>> {
+        self.position(field).ok().map(|index| &self.0[index].1)
+    }
+
+    /// Sets `field`, returning its previous value.
+    pub(crate) fn insert(&mut self, field: String, value: Arc<Value>) -> Option<Arc<Value>> {
+        match self.position(&field) {
+            Ok(index) => Some(std::mem::replace(&mut self.0[index].1, value)),
+            Err(index) => {
+                // A hash's first field allocates exactly one slot instead of
+                // `Vec`'s minimum of four; later growth is amortized as usual.
+                if self.0.capacity() == 0 {
+                    self.0.reserve_exact(1);
+                }
+                self.0.insert(index, (field, value));
+                None
+            }
+        }
+    }
+
+    /// Removes `field`, returning its value.
+    pub(crate) fn remove(&mut self, field: &str) -> Option<Arc<Value>> {
+        self.position(field)
+            .ok()
+            .map(|index| self.0.remove(index).1)
+    }
+
+    /// Sets every entry in order (a later duplicate field wins).
+    pub(crate) fn extend(&mut self, entries: Vec<(String, Arc<Value>)>) {
+        if self.0.capacity() == 0 {
+            self.0.reserve_exact(entries.len());
+        }
+        for (field, value) in entries {
+            self.insert(field, value);
+        }
+    }
 }
 
 /// Operation counters, all atomic so no command path locks to count.
@@ -297,6 +349,21 @@ impl Store {
         snapshot.map(materialize_hash).unwrap_or_default()
     }
 
+    /// Administrative (unfenced, fault-free) write of one hash field.
+    /// Returns the field's previous value if any. Used by the mesh to
+    /// announce a new component's actor types.
+    pub fn admin_hset(&self, key: &str, field: &str, value: Value) -> Option<Value> {
+        let value = Arc::new(value);
+        let arc = self
+            .inner
+            .lock_shard_of(key)
+            .hashes
+            .entry(key.to_owned())
+            .or_default()
+            .insert(field.to_owned(), value);
+        arc.map(unshare)
+    }
+
     /// Administrative list of string keys starting with `prefix` (walks every
     /// shard; not a hot-path operation).
     pub fn admin_keys_with_prefix(&self, prefix: &str) -> Vec<String> {
@@ -467,8 +534,12 @@ pub(crate) fn unshare(arc: Arc<Value>) -> Value {
 
 /// Materializes a hash snapshot of `Arc` values into owned values, outside
 /// any shard lock.
-pub(crate) fn materialize_hash(snapshot: BTreeMap<String, Arc<Value>>) -> BTreeMap<String, Value> {
-    snapshot.into_iter().map(|(k, v)| (k, unshare(v))).collect()
+pub(crate) fn materialize_hash(snapshot: Fields) -> BTreeMap<String, Value> {
+    snapshot
+        .0
+        .into_iter()
+        .map(|(k, v)| (k, unshare(v)))
+        .collect()
 }
 
 impl StoreInner {
@@ -778,6 +849,57 @@ mod tests {
         assert_eq!(
             store.admin_set_checked("claim2", Value::from("y")).unwrap(),
             None
+        );
+    }
+
+    #[test]
+    fn a_large_hash_is_a_sorted_field_vector() {
+        // One field per order or container, as Reefer's managers keep them,
+        // written in a scrambled order.
+        let store = Store::new();
+        let conn = store.connect(ComponentId::from_raw(1));
+        const FIELDS: usize = 2000;
+        let name = |i: usize| format!("f{i}");
+        for i in 0..FIELDS {
+            let field = name(i * 7919 % FIELDS);
+            assert_eq!(conn.hset("big", &field, Value::from(1)).unwrap(), None);
+        }
+        let all = conn.hgetall("big").unwrap();
+        assert_eq!(all.len(), FIELDS);
+        let mut names: Vec<String> = (0..FIELDS).map(name).collect();
+        names.sort();
+        assert!(all.keys().eq(names.iter()));
+        {
+            let shard = store.inner.lock_shard_of("big");
+            let stored: Vec<&String> = shard.hashes["big"].0.iter().map(|(f, _)| f).collect();
+            assert!(stored.into_iter().eq(names.iter()), "fields out of order");
+        }
+        for field in &names {
+            assert_eq!(conn.hget("big", field).unwrap(), Some(Value::from(1)));
+        }
+    }
+
+    #[test]
+    fn one_field_hashes_hold_one_slot_and_survive_emptying() {
+        let store = Store::new();
+        let conn = store.connect(ComponentId::from_raw(1));
+        conn.hset("a", "count", Value::from(1)).unwrap();
+        conn.hset_multi("b", [("count".to_string(), Value::from(2))])
+            .unwrap();
+        store.admin_hset("c", "7", Value::from(1));
+        for key in ["a", "b", "c"] {
+            assert_eq!(store.inner.lock_shard_of(key).hashes[key].0.capacity(), 1);
+        }
+        // The last hdel leaves the hash in place, empty.
+        assert_eq!(conn.hdel("a", "count").unwrap(), Some(Value::from(1)));
+        assert_eq!(conn.hdel("a", "count").unwrap(), None);
+        assert_eq!(store.len(), 3);
+        assert!(store.admin_hgetall("a").is_empty());
+        assert!(conn.hclear("a").unwrap());
+        assert_eq!(store.len(), 2);
+        assert_eq!(
+            store.admin_hset("c", "7", Value::from(2)),
+            Some(Value::from(1))
         );
     }
 

@@ -110,20 +110,23 @@ impl ContinuationTable {
     }
 
     /// Drains every continuation whose deadline has passed, so the caller
-    /// can resume them with a timeout error.
+    /// can resume them with a timeout error — in (deadline, request id)
+    /// order, never the table's hash order, so continuations expiring in
+    /// one tick resume in the same order on every run.
     pub fn take_expired(&self, now: Duration) -> Vec<(RequestId, ParkedContinuation)> {
         let mut parked = self.parked.lock();
         if parked.values().all(|p| now < p.deadline) {
             return Vec::new();
         }
-        let expired: Vec<RequestId> = parked
+        let mut expired: Vec<(Duration, RequestId)> = parked
             .iter()
             .filter(|(_, p)| now >= p.deadline)
-            .map(|(id, _)| *id)
+            .map(|(id, p)| (p.deadline, *id))
             .collect();
+        expired.sort_unstable();
         expired
             .into_iter()
-            .filter_map(|id| parked.remove(&id).map(|p| (id, p)))
+            .filter_map(|(_, id)| parked.remove(&id).map(|p| (id, p)))
             .collect()
     }
 
@@ -205,5 +208,34 @@ mod tests {
         assert_eq!(expired[0].0, RequestId::from_raw(1));
         assert_eq!(table.len(), 1);
         assert!(table.take_expired(now).is_empty());
+    }
+
+    #[test]
+    fn continuations_expiring_in_one_tick_resume_in_deadline_then_id_order() {
+        let table = ContinuationTable::default();
+        let now = mono_now() + Duration::from_secs(1);
+        let early = now - Duration::from_millis(2);
+        let late = now - Duration::from_millis(1);
+        // Parked in a scrambled order, two deadlines, all past by `now`.
+        let parks = [
+            (41, late),
+            (7, early),
+            (93, late),
+            (12, early),
+            (3, late),
+            (88, early),
+            (56, late),
+            (20, early),
+        ];
+        for (id, deadline) in parks {
+            table.park(RequestId::from_raw(id), parked(deadline));
+        }
+        let order: Vec<u64> = table
+            .take_expired(now)
+            .into_iter()
+            .map(|(id, _)| id.as_u64())
+            .collect();
+        assert_eq!(order, vec![7, 12, 20, 88, 3, 41, 56, 93]);
+        assert_eq!(table.len(), 0);
     }
 }

@@ -22,7 +22,7 @@ use crate::component::{ComponentCore, DLQ_TOPIC};
 use crate::config::MeshConfig;
 use crate::faults::{format_fault_stats, retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
-use crate::placement::host_key;
+use crate::placement::{host_field, hosts_key};
 use crate::recovery::{run_recovery_manager, OutageRecord, RecoveryContext, RecoveryLog};
 use crate::retry::{
     BreakerPosition, BreakerRegistry, DlqEntry, DlqStats, RetryBudget, RetryMetrics,
@@ -485,11 +485,14 @@ impl Mesh {
             .expect("growing the topic cannot fail");
         self.inner.topology.write().insert(id, partitions.clone());
         // Announce hosted actor types before joining, so placement can find
-        // this component as soon as it is live.
+        // this component as soon as it is live. Fault-free on purpose: an
+        // announcement is mesh bookkeeping, not a runtime store command.
         for actor_type in hosted.keys() {
-            self.inner
-                .store
-                .admin_set(&host_key(actor_type, id), kar_types::Value::Int(1));
+            self.inner.store.admin_hset(
+                &hosts_key(actor_type),
+                &host_field(id),
+                kar_types::Value::Int(1),
+            );
         }
         let core = Arc::new(ComponentCore::new(
             id,

@@ -1,13 +1,14 @@
 //! Actor placement: compare-and-swap on the store plus a per-component cache.
 //!
-//! Components announce the actor types they host (§4.1). The first invocation
+//! Components announce the actor types they host (§4.1), one field each in
+//! the type's [`hosts_key`] hash. The first invocation
 //! of an actor instance places it on a compatible live component using a
 //! compare-and-swap on the store; subsequent invocations hit the placement
 //! cache. Placement decisions for actors hosted by failed components are
 //! invalidated during reconciliation, and caches are flushed when recovery
 //! completes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,14 +28,31 @@ pub fn placement_key(actor: &ActorRef) -> String {
     format!("placement/{}", actor.qualified_name())
 }
 
-/// Store key announcing that `component` hosts actor type `actor_type`.
-pub fn host_key(actor_type: &str, component: ComponentId) -> String {
-    format!("host/{}/{}", actor_type, component.as_u64())
+/// Store hash announcing the components that host actor type `actor_type`:
+/// one [`host_field`] per component. A placement miss reads it with one
+/// `hgetall` — O(hosts), never a scan of the keyspace.
+pub fn hosts_key(actor_type: &str) -> String {
+    format!("hosts/{actor_type}")
 }
 
-/// Prefix of the host keys of one actor type.
-pub fn host_prefix(actor_type: &str) -> String {
-    format!("host/{}/", actor_type)
+/// The field of a [`hosts_key`] hash announcing `component`.
+pub fn host_field(component: ComponentId) -> String {
+    component.as_u64().to_string()
+}
+
+/// The components of an announcement hash that pass `is_live`, sorted.
+pub(crate) fn live_announced(
+    hosts: &BTreeMap<String, Value>,
+    is_live: impl Fn(ComponentId) -> bool,
+) -> Vec<ComponentId> {
+    let mut live: Vec<ComponentId> = hosts
+        .keys()
+        .filter_map(|field| field.parse::<u64>().ok())
+        .map(ComponentId::from_raw)
+        .filter(|component| is_live(*component))
+        .collect();
+    live.sort();
+    live
 }
 
 /// A read-only snapshot of the placement cache counters.
@@ -393,20 +411,11 @@ impl PlacementService {
         }
     }
 
-    /// The live components announcing support for `actor_type`, sorted.
+    /// The live components announcing support for `actor_type`, sorted: one
+    /// `hgetall` of the type's announcement hash.
     pub fn live_hosts(&self, actor_type: &str) -> KarResult<Vec<ComponentId>> {
-        let prefix = host_prefix(actor_type);
-        let keys = self.conn.keys_with_prefix(&prefix)?;
-        let mut hosts: Vec<ComponentId> = keys
-            .iter()
-            .filter_map(|k| k.strip_prefix(&prefix))
-            .filter_map(|suffix| suffix.parse::<u64>().ok())
-            .map(ComponentId::from_raw)
-            .filter(|c| self.is_live(*c))
-            .collect();
-        hosts.sort();
-        hosts.dedup();
-        Ok(hosts)
+        let hosts = self.conn.hgetall(&hosts_key(actor_type))?;
+        Ok(live_announced(&hosts, |c| self.is_live(c)))
     }
 
     fn is_live(&self, component: ComponentId) -> bool {
@@ -443,12 +452,11 @@ mod tests {
     }
 
     fn announce(store: &Store, actor_type: &str, component: u64) {
-        let conn = store.connect(ComponentId::from_raw(component));
-        conn.set(
-            &host_key(actor_type, ComponentId::from_raw(component)),
+        store.admin_hset(
+            &hosts_key(actor_type),
+            &host_field(ComponentId::from_raw(component)),
             Value::Int(1),
-        )
-        .unwrap();
+        );
     }
 
     fn service(store: &Store, id: u64, live_set: &LiveSet, cache: bool) -> PlacementService {
@@ -882,7 +890,44 @@ mod tests {
             placement_key(&ActorRef::new("Order", "1")),
             "placement/Order/1"
         );
-        assert_eq!(host_key("Order", c), "host/Order/7");
-        assert!(host_key("Order", c).starts_with(&host_prefix("Order")));
+        assert_eq!(hosts_key("Order"), "hosts/Order");
+        assert_eq!(host_field(c), "7");
+        // Announced fields sort as strings; the live hosts sort as ids.
+        let hosts: BTreeMap<String, Value> = [10, 9, 2]
+            .map(|raw| (host_field(ComponentId::from_raw(raw)), Value::Int(1)))
+            .into();
+        assert_eq!(
+            live_announced(&hosts, |c| c.as_u64() != 2),
+            vec![ComponentId::from_raw(9), ComponentId::from_raw(10)]
+        );
+    }
+
+    #[test]
+    fn a_miss_reads_one_hash_however_large_the_keyspace() {
+        // A miss must not scale with the keyspace: every actor ever placed
+        // leaves a `placement/…` key. A scan of 200 000 of them per miss
+        // makes 1 000 misses cost seconds (~20 s in a debug build).
+        let store = Store::new();
+        announce(&store, "Order", 1);
+        announce(&store, "Order", 2);
+        for i in 0..200_000 {
+            store.admin_set(&format!("placement/Other/x{i}"), Value::Int(1));
+        }
+        let live_set = live(&[1, 2]);
+        let placement = service(&store, 1, &live_set, true);
+        let before = store.stats();
+        let t0 = std::time::Instant::now();
+        for i in 0..1_000 {
+            resolve(&placement, &ActorRef::new("Order", format!("o-{i}"))).unwrap();
+        }
+        let elapsed = t0.elapsed();
+        let after = store.stats();
+        // Per miss: the placement `get`, the hosts `hgetall`, the claim CAS.
+        assert_eq!(after.reads - before.reads, 2 * 1_000);
+        assert_eq!(after.cas - before.cas, 1_000);
+        assert!(
+            elapsed < Duration::from_secs(3),
+            "1 000 misses took {elapsed:?}: a miss scales with the keyspace"
+        );
     }
 }

@@ -45,7 +45,9 @@ use kar_types::{ComponentId, Envelope, RequestId, RequestMessage, ResponseMessag
 use crate::component::ComponentCore;
 use crate::config::MeshConfig;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
-use crate::placement::{component_from_value, component_to_value, host_prefix, placement_key};
+use crate::placement::{
+    component_from_value, component_to_value, host_field, hosts_key, live_announced, placement_key,
+};
 
 /// Timings and size of one recovery (one completed rebalance that removed at
 /// least one component), mirroring the phases of Figure 7a / Table 1.
@@ -333,9 +335,12 @@ struct PlacementRewriter {
     decided: HashMap<String, ComponentId>,
     /// Decisions not yet flushed to the store.
     queued: Vec<(String, ComponentId)>,
-    /// Placement and host-announcement keys of failed components, deleted
-    /// ahead of the queued writes (fenced) in the same flush.
+    /// Placement keys of failed components, deleted ahead of the queued
+    /// writes (fenced) in the same flush.
     invalidations: Vec<String>,
+    /// Host announcements of failed components — (`hosts/<type>`, field) —
+    /// withdrawn alongside the invalidations.
+    withdrawn_hosts: Vec<(String, String)>,
     /// Live hosts per actor type, resolved once per round.
     hosts: HashMap<String, Vec<ComponentId>>,
 }
@@ -359,10 +364,17 @@ impl PlacementRewriter {
         self.queued.push((key, component));
     }
 
-    /// Queues a stale key (dead placement or host announcement) for
-    /// deletion in the next flush, ahead of every queued write.
+    /// Queues a dead placement for deletion in the next flush, ahead of
+    /// every queued write.
     fn queue_invalidation(&mut self, key: String) {
         self.invalidations.push(key);
+    }
+
+    /// Queues the withdrawal of `component`'s announcement of `actor_type`
+    /// for the next flush, beside the invalidations.
+    fn withdraw_host(&mut self, actor_type: &str, component: ComponentId) {
+        self.withdrawn_hosts
+            .push((hosts_key(actor_type), host_field(component)));
     }
 
     /// The live components hosting `actor_type`, resolved once per round.
@@ -398,10 +410,14 @@ impl PlacementRewriter {
     /// admission-time placement guard — the rebalance-safe path that already
     /// handles records landing at non-owners.
     fn flush_writes(&mut self, ctx: &RecoveryContext) {
-        if self.queued.is_empty() && self.invalidations.is_empty() {
+        if self.queued.is_empty()
+            && self.invalidations.is_empty()
+            && self.withdrawn_hosts.is_empty()
+        {
             return;
         }
         let invalidations: Vec<String> = self.invalidations.drain(..).collect();
+        let withdrawn_hosts: Vec<(String, String)> = self.withdrawn_hosts.drain(..).collect();
         let queued: Vec<(String, ComponentId)> = self.queued.drain(..).collect();
         // Replayed through injected gray failures on the admin path: the
         // batch is deletes plus `set_nx`, so a replay after an ack-lost
@@ -414,6 +430,9 @@ impl PlacementRewriter {
             let mut pipe = ctx.store.admin_pipeline();
             for key in &invalidations {
                 pipe.del(key);
+            }
+            for (key, field) in &withdrawn_hosts {
+                pipe.hdel(key, field);
             }
             pipe.fence();
             for (key, component) in &queued {
@@ -584,9 +603,9 @@ fn reconcile(
         .collect();
     let pending = reorder_tail_calls_first(pending);
 
-    // 4. Catalogue the placements and host announcements of failed
-    //    components for invalidation: one admin read flush, then queue the
-    //    deletes on the rewriter. The deletes themselves ride the SAME flush
+    // 4. Catalogue the placements of failed components for invalidation (one
+    //    admin read flush) and their host announcements for withdrawal, then
+    //    queue the deletes on the rewriter. The deletes themselves ride the SAME flush
     //    as step 5's placement writes (fenced ahead of them), so the whole
     //    placement repair is one interleaved batch instead of two. Safe to
     //    defer: every placement read below (re-home decisions, response
@@ -615,11 +634,19 @@ fn reconcile(
             }
         }
     }
-    for key in ctx.store.admin_keys_with_prefix("host/") {
-        if let Some(raw) = key.rsplit('/').next().and_then(|s| s.parse::<u64>().ok()) {
-            if dead.contains(&ComponentId::from_raw(raw)) {
-                rewrites.queue_invalidation(key);
-            }
+    // A dead component's announcements: one `hosts/<type>` field per type
+    // it hosted, no scan — the mesh keeps the core of every component it
+    // ever added. Sorted, so a replay queues the same batch.
+    let mut removed_sorted = removed.to_vec();
+    removed_sorted.sort();
+    for component in removed_sorted {
+        let Some(core) = components.get(&component) else {
+            continue;
+        };
+        let mut types: Vec<&String> = core.hosted.keys().collect();
+        types.sort();
+        for actor_type in types {
+            rewrites.withdraw_host(actor_type, component);
         }
     }
 
@@ -916,21 +943,10 @@ fn response_rehome_partition(
         .partition_for_key(&format!("req-{}", response.id.as_u64()))
 }
 
-/// The live components announcing support for `actor_type`.
+/// The live components announcing support for `actor_type`, sorted.
 fn live_hosts(ctx: &RecoveryContext, actor_type: &str, live: &[ComponentId]) -> Vec<ComponentId> {
-    let prefix = host_prefix(actor_type);
-    let mut hosts: Vec<ComponentId> = ctx
-        .store
-        .admin_keys_with_prefix(&prefix)
-        .iter()
-        .filter_map(|k| k.strip_prefix(&prefix))
-        .filter_map(|s| s.parse::<u64>().ok())
-        .map(ComponentId::from_raw)
-        .filter(|c| live.contains(c))
-        .collect();
-    hosts.sort();
-    hosts.dedup();
-    hosts
+    let hosts = ctx.store.admin_hgetall(&hosts_key(actor_type));
+    live_announced(&hosts, |c| live.contains(&c))
 }
 
 /// Moves tail-call continuations ahead of other requests targeting the same

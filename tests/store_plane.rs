@@ -5,6 +5,7 @@
 
 use std::time::{Duration, Instant};
 
+use kar::placement::{component_from_value, hosts_key, placement_key};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
 use kar_store::{Store, StoreConfig};
 use kar_types::{ActorRef, ComponentId, KarError, KarResult, LatencyProfile, Value};
@@ -292,6 +293,57 @@ fn hot_actors_skip_placement_lookups_via_slot_stamps() {
         after.slot_hits > before.slot_hits,
         "the slot stamp must re-arm after re-verification"
     );
+    mesh.shutdown();
+}
+
+#[test]
+fn the_hosts_hash_holds_exactly_the_live_hosts_across_a_failure() {
+    let mesh = Mesh::new(MeshConfig::for_tests());
+    let node_a = mesh.add_node();
+    let a = mesh.add_component(node_a, "a", |c| c.host("Profile", || Box::new(Profile)));
+    let node_b = mesh.add_node();
+    let b = mesh.add_component(node_b, "b", |c| c.host("Profile", || Box::new(Profile)));
+    let client = mesh.client();
+    let store = mesh.store();
+    let announced = || -> Vec<ComponentId> {
+        let mut hosts: Vec<ComponentId> = store
+            .admin_hgetall(&hosts_key("Profile"))
+            .keys()
+            .map(|field| ComponentId::from_raw(field.parse().expect("a component id")))
+            .collect();
+        hosts.sort();
+        hosts
+    };
+    assert_eq!(announced(), vec![a, b]);
+    for i in 0..20 {
+        let actor = ActorRef::new("Profile", format!("warm-{i}"));
+        client.call(&actor, "put", vec![Value::Int(1)]).unwrap();
+    }
+
+    mesh.kill_node(node_a);
+    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
+    assert_eq!(
+        announced(),
+        vec![b],
+        "reconciliation withdraws the dead host"
+    );
+    let node_c = mesh.add_node();
+    let c = mesh.add_component(node_c, "c", |c| c.host("Profile", || Box::new(Profile)));
+    assert_eq!(announced(), vec![b, c]);
+
+    let mut placed_on = std::collections::BTreeMap::new();
+    for i in 0..200 {
+        let actor = ActorRef::new("Profile", format!("fresh-{i}"));
+        client.call(&actor, "put", vec![Value::Int(1)]).unwrap();
+        let placed = store
+            .admin_get(&placement_key(&actor))
+            .as_ref()
+            .and_then(component_from_value)
+            .expect("a fresh actor is placed");
+        assert!(placed == b || placed == c, "{actor} placed on {placed}");
+        *placed_on.entry(placed).or_insert(0) += 1;
+    }
+    assert_eq!(placed_on.len(), 2, "the replacement hosts fresh actors too");
     mesh.shutdown();
 }
 
