@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
 use kar_semantics::{HistoryChecker, HistoryEvent, HistoryViolation};
-use kar_types::{ActorRef, KarError, KarResult, Value};
+use kar_types::{ActorRef, KarError, KarResult, LatencyProfile, Value};
 
 /// Shared commit log: every actor execution that applies effects appends
 /// the request id it was carrying. The simulation is single-threaded, so
@@ -781,10 +781,11 @@ enum OutboxKill {
     /// state flush is refused and nothing completes; the component is
     /// killed outright one step later.
     BeforeStateFlush,
-    /// Between the (write-through) state write and the completion: with the
-    /// actor-state cache off the guarded write is durable the moment it
-    /// returns — behind the outbox round it forces — and the handler kills
-    /// its component right after it.
+    /// Between the state flush and the completion: under a store-only
+    /// latency profile the flush is applied at submit — behind the
+    /// acknowledged round — and then parks on its ack; the handler schedules
+    /// its component's kill for the next scheduler step, which lands while
+    /// the flush is parked, so its completion is never sent.
     BeforeCompletion,
 }
 
@@ -795,6 +796,9 @@ struct OutboxPlan {
     /// The request whose first execution dies (0 = none).
     victim: AtomicU64,
     fired: AtomicBool,
+    /// Executions of the victim request: two when the kill landed before its
+    /// completion was sent (the re-homed copy runs again), one otherwise.
+    victim_runs: AtomicU64,
     /// Executions — not commits — of each sub-request at the sinks: how
     /// often a tell carrying it was delivered.
     deliveries: Mutex<HashMap<u64, u32>>,
@@ -825,6 +829,9 @@ impl Actor for Splitter {
             "noop" => Ok(Outcome::value(Value::Null)),
             "split" => {
                 let req = args[0].as_i64().unwrap_or(0) as u64;
+                if self.plan.victim.load(Ordering::SeqCst) == req {
+                    self.plan.victim_runs.fetch_add(1, Ordering::SeqCst);
+                }
                 let done = format!("done{req}");
                 if ctx.state().get(&done)?.is_none() {
                     for (sink, sub) in args[1..3].iter().zip(sub_requests(req)) {
@@ -840,11 +847,12 @@ impl Actor for Splitter {
                     let own = ctx.component_id();
                     match self.point {
                         OutboxKill::AtStep => {}
-                        OutboxKill::BeforeRound | OutboxKill::BeforeCompletion => {
-                            mesh.kill_component(own);
-                        }
+                        OutboxKill::BeforeRound => mesh.kill_component(own),
                         OutboxKill::BeforeStateFlush => {
                             mesh.store().fence(own);
+                            mesh.sim_schedule_kill(mesh.sim_step_count() + 1, own);
+                        }
+                        OutboxKill::BeforeCompletion => {
                             mesh.sim_schedule_kill(mesh.sim_step_count() + 1, own);
                         }
                     }
@@ -892,7 +900,7 @@ impl Actor for OutboxSink {
 /// Kills around the invocation outbox. Every request runs [`Splitter`]'s
 /// guarded handler; the kill lands (`kill_step % 4`, see [`OutboxKill`]) at
 /// a scheduler step, before the victim's round, between its round and its
-/// state flush, or between its state write and its completion. Whatever the
+/// state flush, or between its state flush and its completion. Whatever the
 /// point, the order outbox → state → completion must leave every
 /// sub-request committed exactly once: a lost tell shows up as a sub-request
 /// that never commits (`lost_invocation`), a re-applied one as a
@@ -911,7 +919,14 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
     ][(kill_step % 4) as usize];
     let offset = kill_step / 4;
     let mut config = MeshConfig::deterministic(seed);
-    config.actor_state_cache = point != OutboxKill::BeforeCompletion;
+    if point == OutboxKill::BeforeCompletion {
+        // Only the state flush's ack takes time: the completion behind it
+        // parks, and the kill scheduled for the next step lands there.
+        config.latency = LatencyProfile {
+            store_op: Duration::from_micros(200),
+            ..LatencyProfile::ZERO
+        };
+    }
     let log: CommitLog = CommitLog::default();
     let plan = Arc::new(OutboxPlan::default());
     let mesh = Mesh::new(config);
@@ -1073,15 +1088,20 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
         OutboxKill::BeforeCompletion => Some((
             "round_not_before_state",
             1,
-            "durable before the state write, so the retry skips it",
+            "durable before the state flush, so the retry skips it",
         )),
     };
     if let Some((rule, times, why)) = expected {
-        if !plan.fired.load(Ordering::SeqCst) || delivered.iter().any(|count| *count != times) {
+        let runs = plan.victim_runs.load(Ordering::SeqCst);
+        if !plan.fired.load(Ordering::SeqCst)
+            || runs != 2
+            || delivered.iter().any(|count| *count != times)
+        {
             result.violations.push(HistoryViolation {
                 rule,
                 detail: format!(
-                    "{point:?}: request {victim}'s tells were delivered {delivered:?} times, \
+                    "{point:?}: request {victim} ran {runs} times (2: the kill beat its \
+                     completion) and its tells were delivered {delivered:?} times, \
                      expected {times} each ({why})"
                 ),
                 at: usize::MAX,

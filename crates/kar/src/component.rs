@@ -37,9 +37,8 @@
 //! instead of double-executing, and stale consumers of a re-homed partition
 //! are cut off by the broker's per-partition ownership epochs.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -189,6 +188,11 @@ pub(crate) struct Frame {
     /// Whether it was admitted reentrantly (runs on a fresh activation).
     reentrant: bool,
 }
+
+/// Base delay of the shaped backoff a new-actor activation deferred at the
+/// hard resident watermark waits out (wall clock, like retry policies — not
+/// compressed by `MeshConfig::time_scale`).
+const ACTIVATION_BACKOFF: Duration = Duration::from_millis(25);
 
 /// How long a round that met an unresolved placement — the recorded one
 /// points at a failed component and reconciliation has not rewritten it yet —
@@ -351,103 +355,6 @@ struct ConsumerLane {
     consumers: Mutex<Vec<Consumer<Envelope>>>,
 }
 
-/// Flush a drain-local completion buffer once it groups this many
-/// completions, even mid-drain.
-const RESPONSE_RUN_CAP: usize = 16;
-/// Flush a drain-local completion buffer once its oldest completion has
-/// waited this long: bounds the extra latency buffering can add to any one
-/// response to roughly one invocation, however long the drain runs.
-const RESPONSE_RUN_HOLD: Duration = Duration::from_millis(1);
-
-/// One buffered completion: its destination partition, the envelope, and the
-/// request record it settles once the append is acknowledged (if any).
-type BufferedCompletion = (usize, Envelope, Option<RecordOrigin>);
-
-/// One pre-grouped run of completions taken out of a drain-local buffer,
-/// paired with the core that must flush it.
-type PendingRun = (Arc<ComponentCore>, Vec<BufferedCompletion>);
-
-/// One drain-local completion buffer on this thread's stack, owned by an
-/// `invocation_loop` frame. Completions the frame produces are grouped here
-/// and handed to the owning core's `ResponseBatcher` as pre-grouped
-/// per-partition runs — one pending-queue lock per run instead of one per
-/// completion — when the drain ends or the buffer fills or goes stale.
-struct ResponseRun {
-    /// Identity of the owning core (an `Arc` pointer, only ever compared):
-    /// a frame buffers only into a top-of-stack entry opened by its own
-    /// core, so two components interleaved on one thread never mix runs.
-    owner: usize,
-    /// The owning core, which flushes the buffer.
-    core: Arc<ComponentCore>,
-    /// Completions in send order.
-    buffered: Vec<BufferedCompletion>,
-    /// When the oldest buffered completion was produced.
-    opened: Duration,
-}
-
-thread_local! {
-    /// Drain-local completion buffers, one per `invocation_loop` frame on
-    /// this thread, innermost last. Frames nest in one case only: under the
-    /// simulator, a handler blocked in a write-through state write (see
-    /// [`ComponentCore::order_write_after_outbox`]) drives the scheduler,
-    /// which sweeps the mesh on this very thread; each nested frame pushes a
-    /// buffer of its own.
-    static RESPONSE_RUNS: std::cell::RefCell<Vec<ResponseRun>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Flushes every drain-local completion buffered on this thread, so a handler
-/// about to block holds none hostage. Called from the one place a handler
-/// still blocks, the write-through state write of
-/// [`ComponentCore::order_write_after_outbox`], and gone with it. The buffers
-/// stay on the stack (empty) for the frames that own them.
-fn flush_thread_completions() {
-    // Collect outside the borrow: flushing appends to the broker, and the
-    // borrow must not be live if that ever re-enters this thread-local.
-    let runs: Vec<PendingRun> = RESPONSE_RUNS.with(|stack| {
-        stack
-            .borrow_mut()
-            .iter_mut()
-            .filter(|run| !run.buffered.is_empty())
-            .map(|run| (Arc::clone(&run.core), std::mem::take(&mut run.buffered)))
-            .collect()
-    });
-    for (core, buffered) in runs {
-        core.flush_completion_run(buffered);
-    }
-}
-
-/// RAII scope of one `invocation_loop` frame's drain-local buffer: opens a
-/// buffer for `core`, and flushes + pops it on every frame exit (returns,
-/// parks, and panics alike).
-struct ResponseRunGuard;
-
-impl ResponseRunGuard {
-    fn open(core: &Arc<ComponentCore>) -> Self {
-        RESPONSE_RUNS.with(|stack| {
-            stack.borrow_mut().push(ResponseRun {
-                owner: Arc::as_ptr(core) as usize,
-                core: Arc::clone(core),
-                buffered: Vec::new(),
-                opened: mono_now(),
-            });
-        });
-        ResponseRunGuard
-    }
-}
-
-impl Drop for ResponseRunGuard {
-    fn drop(&mut self) {
-        // Frames are strictly LIFO (function calls), so the top entry is
-        // this frame's own buffer.
-        if let Some(run) = RESPONSE_RUNS.with(|stack| stack.borrow_mut().pop()) {
-            if !run.buffered.is_empty() {
-                run.core.flush_completion_run(run.buffered);
-            }
-        }
-    }
-}
-
 /// The runtime core of one application component.
 pub struct ComponentCore {
     pub(crate) id: ComponentId,
@@ -532,11 +439,10 @@ pub struct ComponentCore {
     /// Completed request ids (retry dedupe). Aged out alongside queue
     /// retention: a retry can only arrive from an unexpired queue record.
     completed: Mutex<AgingSet<RequestId>>,
-    /// The per-activation actor-state cache (`None` when
-    /// `MeshConfig::actor_state_cache` is off): read-through on first touch,
+    /// The per-activation actor-state cache: read-through on first touch,
     /// buffered writes flushed as one pipelined round trip strictly before
     /// each invocation's completion is sent.
-    state_cache: Option<StateCache>,
+    pub(crate) state_cache: StateCache,
     /// The mesh-wide retry token bucket (shared by every component): each
     /// *scheduled* retry admission spends one token; an empty bucket sheds
     /// the retry back onto its backoff timer (never dropped).
@@ -564,8 +470,8 @@ pub struct ComponentCore {
     /// resident watermarks compare against. Mutated under the actors lock.
     resident_count: AtomicUsize,
     /// Total mailboxed (admitted, waiting behind a busy actor) requests
-    /// across all resident actors: what the mailbox watermark compares
-    /// against. Mutated under the actors lock.
+    /// across all resident actors (`Mesh::mailboxed_requests`). Mutated
+    /// under the actors lock.
     mailboxed: AtomicUsize,
     /// Transient consumer-poll failures survived (injected or real). The
     /// consumer stays subscribed and is retried on the next sweep; only a
@@ -632,9 +538,6 @@ impl ComponentCore {
         // doubled bookkeeping interval): a clean entry whose actor has been
         // idle for one to two windows is dropped and reloaded on next touch.
         let state_cache_interval = config.time_scale.compress(config.retention);
-        let config_state_cache = config
-            .actor_state_cache
-            .then(|| StateCache::new(state_cache_interval));
         let settle = SettleTracker::new(partitions.home());
         ComponentCore {
             id,
@@ -675,7 +578,7 @@ impl ComponentCore {
             seen_responses: Mutex::new(AgingSet::new(bookkeeping_interval)),
             inflight: Mutex::new(HashSet::new()),
             completed: Mutex::new(AgingSet::new(bookkeeping_interval)),
-            state_cache: config_state_cache,
+            state_cache: StateCache::new(state_cache_interval),
             budget,
             breakers,
             delayed: Mutex::new(DelayedRetries::default()),
@@ -737,9 +640,7 @@ impl ComponentCore {
         // invocations still executing here — placement never moves an actor
         // off a live component, so their image stays authoritative and their
         // upcoming flush must not be silently lost.
-        if let Some(cache) = &self.state_cache {
-            cache.invalidate_clean();
-        }
+        self.state_cache.invalidate_clean();
         // Retirement-leak sweep: a later recovery may have fenced an adopted
         // partition *before* its retirement horizon (the range was re-homed
         // again). Its consumer was dropped on the failed poll, but its
@@ -791,11 +692,8 @@ impl ComponentCore {
         self.timed_out.lock().clear();
         self.orphan_responses.lock().clear();
         // The in-memory state images die with the process; unflushed writes
-        // are lost, exactly like the in-flight writes of a killed
-        // per-command component (no response was sent for them).
-        if let Some(cache) = &self.state_cache {
-            cache.invalidate_all();
-        }
+        // are lost (no completion was sent for them).
+        self.state_cache.invalidate_all();
         // Dropping the senders wakes every client thread blocked on a call.
         self.pending_calls.lock().clear();
         self.deferred.lock().clear();
@@ -1071,10 +969,9 @@ impl ComponentCore {
             .any(|slot| slot.awaiting_tail == Some(id) || slot.mailbox.iter().any(|r| r.id == id))
     }
 
-    /// Blocks for one sidecar hop. Only for threads that may block: client
-    /// threads, and a handler inside a write-through state write. The
-    /// invocation pipeline never calls this — it parks on [`Self::hop_due`]
-    /// instead.
+    /// Blocks for one sidecar hop. Only for client threads, which may block.
+    /// The invocation pipeline never calls this — it parks on
+    /// [`Self::hop_due`] instead.
     fn sidecar_hop(&self) {
         let hop = self.config.latency.sidecar_hop;
         if !hop.is_zero() {
@@ -1168,16 +1065,13 @@ impl ComponentCore {
         Ok(Placement::Routed(std::mem::take(&mut placing.routed)))
     }
 
-    /// Sends `messages` — the first `tells` of them an invocation's outbox —
-    /// as one produce round and **waits** for it: for a stale placement to be
-    /// repaired (bounded by the call timeout), then for the round's durable
-    /// ack. Only for threads that may block: the edge threads of
-    /// `external_call` / `external_tell`, and the write-through arm of
-    /// [`Self::order_write_after_outbox`] — the one wait left inside a
-    /// handler, which dies with `MeshConfig::actor_state_cache`. A reactor
-    /// sends its rounds through [`Stage::Round`], which parks instead.
-    fn issue_outbox(&self, messages: Vec<RequestMessage>, tells: usize) -> KarResult<()> {
-        let mut placing = self.placing(messages, tells, true);
+    /// Sends `message` as one produce round and **waits** for it: for a stale
+    /// placement to be repaired (bounded by the call timeout), then for the
+    /// round's durable ack. Only for the edge threads of `external_call` /
+    /// `external_tell`, which may block; a reactor sends its rounds through
+    /// [`Stage::Round`], which parks instead.
+    fn issue_outbox(&self, message: RequestMessage) -> KarResult<()> {
+        let mut placing = self.placing(vec![message], 0, true);
         let run = loop {
             // Snapshot the repair signal before resolving: a repair landing
             // between the lookup and the wait wakes the waiter at once.
@@ -1194,7 +1088,7 @@ impl ComponentCore {
                 }
             }
         };
-        let mut round = RoundInFlight::new(run, tells);
+        let mut round = RoundInFlight::new(run, 0);
         loop {
             if let Some(due) = round.round.submit(&self.producer, &self.topic) {
                 kar_types::pace_until(due);
@@ -1285,71 +1179,6 @@ impl ComponentCore {
         self.with_batcher(|batcher, ctx| batcher.enqueue(ctx, partition, envelope, settles));
     }
 
-    /// [`Self::send_completion`] through this thread's innermost drain-local
-    /// buffer when one is open for this core: the completion joins the
-    /// frame's pre-grouped run instead of taking the batcher's pending lock
-    /// by itself. Falls back to the direct path when no matching buffer is
-    /// open (client threads, sweeps outside a drain).
-    fn send_completion_buffered(
-        self: &Arc<Self>,
-        partition: usize,
-        envelope: Envelope,
-        settles: Option<RecordOrigin>,
-    ) {
-        let owner = Arc::as_ptr(self) as usize;
-        let (direct, full) = RESPONSE_RUNS.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            match stack.last_mut() {
-                Some(run) if run.owner == owner => {
-                    if run.buffered.is_empty() {
-                        run.opened = mono_now();
-                    }
-                    run.buffered.push((partition, envelope, settles));
-                    let flush = run.buffered.len() >= RESPONSE_RUN_CAP
-                        || mono_now().saturating_sub(run.opened) >= RESPONSE_RUN_HOLD;
-                    let drained = if flush {
-                        std::mem::take(&mut run.buffered)
-                    } else {
-                        Vec::new()
-                    };
-                    (None, drained)
-                }
-                _ => (Some(envelope), Vec::new()),
-            }
-        });
-        if let Some(envelope) = direct {
-            self.send_completion(partition, envelope, settles);
-        } else if !full.is_empty() {
-            self.flush_completion_run(full);
-        }
-    }
-
-    /// Hands one drain-local run to the response batcher, pre-grouped: one
-    /// pending-queue push per destination partition for the whole run,
-    /// instead of one lock round per completion, preserving send order
-    /// within each partition.
-    fn flush_completion_run(self: &Arc<Self>, buffered: Vec<BufferedCompletion>) {
-        // A drain's fan-out spans few distinct partitions, so a linear scan
-        // beats hashing here.
-        let mut runs: Vec<(usize, Vec<Envelope>, Vec<RecordOrigin>)> = Vec::new();
-        for (partition, envelope, settles) in buffered {
-            let index = match runs.iter().position(|(p, _, _)| *p == partition) {
-                Some(index) => index,
-                None => {
-                    runs.push((partition, Vec::new(), Vec::new()));
-                    runs.len() - 1
-                }
-            };
-            runs[index].1.push(envelope);
-            runs[index].2.extend(settles);
-        }
-        self.with_batcher(|batcher, ctx| {
-            for (partition, run, settles) in runs {
-                batcher.enqueue_run(ctx, partition, run, settles);
-            }
-        });
-    }
-
     /// Routes the response for `request` — its sidecar hop is behind it — to
     /// the queue of whoever is waiting for it: the component recorded in
     /// `reply_to` if it is still live, or the component currently hosting
@@ -1377,7 +1206,7 @@ impl ComponentCore {
                     if request.single_copy {
                         response.origin = settles;
                     }
-                    self.send_completion_buffered(partition, Envelope::Response(response), settles);
+                    self.send_completion(partition, Envelope::Response(response), settles);
                     return;
                 }
             }
@@ -1495,7 +1324,11 @@ impl ComponentCore {
         };
         self.sidecar_hop();
         let receiver = self.register_pending(id);
-        self.issue_outbox(vec![message], 0)?;
+        if let Err(error) = self.issue_outbox(message) {
+            // The caller gets the error now, not a response later.
+            self.pending_calls.lock().remove(&id);
+            return Err(error);
+        }
         self.wait_for_response(id, receiver)
     }
 
@@ -1509,7 +1342,7 @@ impl ComponentCore {
     ) -> KarResult<()> {
         let message = self.tell_message(target, method, args)?;
         self.sidecar_hop();
-        self.issue_outbox(vec![message], 0)
+        self.issue_outbox(message)
     }
 
     /// Builds the request of an asynchronous invocation under a fresh id
@@ -1540,45 +1373,6 @@ impl ComponentCore {
             reply_to: None,
             retry: None,
             single_copy: false,
-        })
-    }
-
-    /// Keeps a state write from becoming durable ahead of the tells issued
-    /// before it (outbox → state, never state first); free while the outbox
-    /// is empty. With the actor-state cache on, the write is buffered and
-    /// flushed after the outbox at the end of the handler, so the first
-    /// such write only takes a savepoint of the actor's buffered writes for
-    /// [`Self::flush_outbox`] to roll back to should the round fail. With
-    /// the cache off the write is durable at once, so the pending tells are
-    /// made durable first — the handler **blocks** in [`Self::issue_outbox`],
-    /// the one wait left inside an invocation — and the write fails if they,
-    /// or an earlier round of this invocation, could not be.
-    pub(crate) fn order_write_after_outbox(
-        self: &Arc<Self>,
-        outbox: &RefCell<Outbox>,
-        key: &str,
-    ) -> KarResult<()> {
-        let mut outbox = outbox.borrow_mut();
-        if outbox.tells.is_empty() && outbox.failed.is_none() {
-            return Ok(());
-        }
-        if let Some(cache) = &self.state_cache {
-            if outbox.guarded.is_none() {
-                outbox.guarded = Some(cache.savepoint(key));
-            }
-            return Ok(());
-        }
-        if let Some(error) = &outbox.failed {
-            return Err(error.clone());
-        }
-        let tells = std::mem::take(&mut outbox.tells);
-        let records = tells.len();
-        // About to block: what this thread's frames buffered must not wait
-        // out the round with it.
-        flush_thread_completions();
-        self.sidecar_hop();
-        self.issue_outbox(tells, records).inspect_err(|error| {
-            outbox.failed = Some(error.clone());
         })
     }
 
@@ -1815,12 +1609,11 @@ impl ComponentCore {
             request.pending_callee = None;
         }
         let mut actors = self.actors.lock();
-        // Admission watermarks: a request that would *activate a new actor*
-        // while the resident set is at the hard watermark — or while the
-        // residents' mailbox backlog is at the mailbox watermark — is
-        // deferred with shaped backoff on the delayed-retry heap: shed,
-        // never dropped, and counted as locally pending so reconciliation
-        // never re-homes a duplicate. Requests for already-resident actors
+        // Admission watermark: a request that would *activate a new actor*
+        // while the resident set is at the hard watermark is deferred with
+        // shaped backoff on the delayed-retry heap: shed, never dropped, and
+        // counted as locally pending so reconciliation never re-homes a
+        // duplicate. Requests for already-resident actors
         // are never deferred (their memory is already paid for), so the hot
         // head keeps executing at full speed while the cold tail waits.
         if !actors.contains_key(&request.target) {
@@ -2066,12 +1859,6 @@ impl ComponentCore {
     /// actor stays busy and the request in flight. Also returns, for good,
     /// when the handler parks a continuation ([`Outcome::CallThen`]).
     fn invocation_loop(self: Arc<Self>, mut due: Option<Duration>, mut stage: Stage) {
-        // Drain-local response buffering: completions this frame produces
-        // are grouped per destination partition and handed to the batcher
-        // as single runs — flushed when the frame exits (this guard) and
-        // when the buffer fills or goes stale. A stage resumed from the heap
-        // opens its own: it runs outside the frame that parked it.
-        let _run_guard = ResponseRunGuard::open(&self);
         loop {
             if !self.is_alive() {
                 return;
@@ -2176,11 +1963,8 @@ impl ComponentCore {
                 acked,
                 submits_left,
             } => {
-                let Some(cache) = &self.state_cache else {
-                    return Step::Done;
-                };
                 let key = state_key(&frame.request.target);
-                match cache.finish_flush(&key, pending, acked) {
+                match self.state_cache.finish_flush(&key, pending, acked) {
                     Ok(()) => self.complete(frame, result),
                     // The ack was lost; the batch is idempotent: again.
                     Err(error) if error.is_transient() && submits_left > 0 => {
@@ -2191,8 +1975,11 @@ impl ComponentCore {
                 }
             }
             Stage::Respond { frame, result } => {
-                self.route_response(&frame.request, result);
+                // Completed before the response can be seen: a copy of the
+                // request polled once the caller has its answer is a
+                // duplicate.
                 self.finish(&frame.request);
+                self.route_response(&frame.request, result);
                 self.next_in_mailbox(frame)
             }
             Stage::ResponseAck(_) => unreachable!("resumed by the batcher, not the loop"),
@@ -2338,8 +2125,9 @@ impl ComponentCore {
             Ok(()) => result,
             Err(error @ (KarError::Killed { .. } | KarError::Fenced { .. })) => Err(error),
             Err(error) => {
-                if let (Some(cache), Some(savepoint)) = (&self.state_cache, guarded) {
-                    cache.rollback(&state_key(&frame.request.target), savepoint);
+                if let Some(savepoint) = guarded {
+                    self.state_cache
+                        .rollback(&state_key(&frame.request.target), savepoint);
                 }
                 result.and(Err(error))
             }
@@ -2376,13 +2164,10 @@ impl ComponentCore {
         result: KarResult<Outcome>,
         mut submits_left: u32,
     ) -> Step {
-        let Some(cache) = &self.state_cache else {
-            return self.complete(frame, result);
-        };
         let key = state_key(&frame.request.target);
         loop {
             submits_left -= 1;
-            match cache.submit_flush(&self.conn, &key) {
+            match self.state_cache.submit_flush(&self.conn, &key) {
                 Ok(None) => return self.complete(frame, result),
                 Ok(Some((pending, Completion { due, result: acked }))) => {
                     return Step::Next(
@@ -3343,9 +3128,7 @@ impl ComponentCore {
         // ages out instead of leaking.
         self.passivated.lock().maybe_rotate(now);
         self.pool.age_routes(now);
-        if let Some(cache) = &self.state_cache {
-            cache.maybe_age(now);
-        }
+        self.state_cache.maybe_age(now);
     }
 
     /// Number of live steal-route overrides in the dispatch pool (aged out
@@ -3419,38 +3202,25 @@ impl ComponentCore {
     }
 
     /// True while admission must defer new-actor activations: the resident
-    /// set is at the hard watermark, or the residents' combined mailbox
-    /// backlog is at the mailbox watermark.
+    /// set is at the hard watermark.
     fn admission_overloaded(&self) -> bool {
-        if let Some(hard) = self.config.resident_hard_limit() {
-            if self.resident_count.load(Ordering::Relaxed) >= hard {
-                return true;
-            }
-        }
-        if let Some(limit) = self.config.mailbox_limit() {
-            if self.mailboxed.load(Ordering::Relaxed) >= limit {
-                return true;
-            }
-        }
-        false
+        self.config
+            .resident_hard_limit()
+            .is_some_and(|hard| self.resident_count.load(Ordering::Relaxed) >= hard)
     }
 
     /// The shaped-backoff deadline (epoch ms) of a deferred new-actor
     /// activation: the same backoff shape as the retry orchestration —
     /// exponential growth with deterministic jitter derived from the
-    /// request id — on the `passivation_backoff` base, capped at 16× the
+    /// request id — on the [`ACTIVATION_BACKOFF`] base, capped at 16× the
     /// base. `deferrals` counts prior deferrals of the same activation, so
     /// a head that keeps finding the watermark crossed backs off further
     /// each time.
     fn shape_activation_deferral(&self, id: RequestId, deferrals: u32) -> u64 {
-        let base = self
-            .config
-            .passivation_backoff
-            .max(Duration::from_millis(1));
         let backoff = Backoff::Exponential {
-            base,
+            base: ACTIVATION_BACKOFF,
             multiplier: 2.0,
-            max: base * 16,
+            max: ACTIVATION_BACKOFF * 16,
             jitter: 0.2,
         };
         let delay = backoff
@@ -3544,7 +3314,8 @@ impl ComponentCore {
         // Flush outside every lock: the store round trip must not stall
         // admissions. A flush failure means this component is being fenced
         // or killed — leave the slot alone; kill drops it wholesale.
-        if self.flush_actor_state(actor).is_err() {
+        let key = state_key(actor);
+        if self.state_cache.flush(&self.conn, &key).is_err() {
             return false;
         }
         // Decide-and-drop under the actors lock. An admission between the
@@ -3556,10 +3327,8 @@ impl ComponentCore {
         if !actors.get(actor).is_some_and(Self::quiescent) {
             return false;
         }
-        if let Some(cache) = &self.state_cache {
-            if !cache.passivate(&state_key(actor)) {
-                return false;
-            }
+        if !self.state_cache.passivate(&key) {
+            return false;
         }
         actors.remove(actor);
         self.resident_count.fetch_sub(1, Ordering::Relaxed);
@@ -3592,17 +3361,15 @@ impl ComponentCore {
     // Actor-state persistence (the `ctx.state()` backend)
     // ------------------------------------------------------------------
 
-    /// Number of actor states currently cached (0 when the cache is off).
+    /// Number of actor states currently cached.
     pub fn cached_state_count(&self) -> usize {
-        self.state_cache.as_ref().map_or(0, StateCache::len)
+        self.state_cache.len()
     }
 
     /// Number of clean actor-state cache entries evicted after idling for a
-    /// retention window (0 when the cache is off).
+    /// retention window.
     pub fn state_cache_evictions(&self) -> u64 {
-        self.state_cache
-            .as_ref()
-            .map_or(0, StateCache::eviction_count)
+        self.state_cache.eviction_count()
     }
 
     /// Number of live consumer lanes (units of consumer concurrency; no
@@ -3647,68 +3414,6 @@ impl ComponentCore {
     /// achieves.
     pub fn response_batch_stats(&self) -> (u64, u64) {
         self.responses.stats()
-    }
-
-    pub(crate) fn state_get(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.get(&self.conn, key, field),
-            None => self.conn.hget(key, field),
-        }
-    }
-
-    pub(crate) fn state_set(
-        &self,
-        key: &str,
-        field: &str,
-        value: Value,
-    ) -> KarResult<Option<Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.set(&self.conn, key, field, value),
-            None => self.conn.hset(key, field, value),
-        }
-    }
-
-    pub(crate) fn state_set_multi(
-        &self,
-        key: &str,
-        entries: impl IntoIterator<Item = (String, Value)>,
-    ) -> KarResult<()> {
-        match &self.state_cache {
-            Some(cache) => cache.set_multi(&self.conn, key, entries),
-            None => self.conn.hset_multi(key, entries),
-        }
-    }
-
-    pub(crate) fn state_remove(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.remove(&self.conn, key, field),
-            None => self.conn.hdel(key, field),
-        }
-    }
-
-    pub(crate) fn state_get_all(&self, key: &str) -> KarResult<BTreeMap<String, Value>> {
-        match &self.state_cache {
-            Some(cache) => cache.get_all(&self.conn, key),
-            None => self.conn.hgetall(key),
-        }
-    }
-
-    pub(crate) fn state_clear(&self, key: &str) -> KarResult<bool> {
-        match &self.state_cache {
-            Some(cache) => cache.clear_hash(&self.conn, key),
-            None => self.conn.hclear(key),
-        }
-    }
-
-    /// Makes `actor`'s buffered state writes durable (one pipelined round
-    /// trip; free if nothing is buffered). Called strictly *before* an
-    /// invocation's completion — response or tail-call continuation — is
-    /// sent, so acknowledged state is always durable (flush-then-respond).
-    fn flush_actor_state(&self, actor: &ActorRef) -> KarResult<()> {
-        match &self.state_cache {
-            Some(cache) => cache.flush(&self.conn, &state_key(actor)),
-            None => Ok(()),
-        }
     }
 }
 

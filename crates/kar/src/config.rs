@@ -84,14 +84,6 @@ pub struct MeshConfig {
     /// reactors. `0` (the default) sizes the pool from the machine's
     /// available parallelism. Clamped to at least 1.
     pub reactor_threads: usize,
-    /// Enable the per-activation actor-state cache: `ctx.state()` reads
-    /// through one `hgetall` on an actor's first touch, buffers writes in
-    /// memory, and flushes them as one pipelined store round trip strictly
-    /// *before* the invocation's response (or tail-call continuation) is
-    /// sent — so acknowledged state is always durable, while an invocation
-    /// touching K fields pays one round trip instead of K. Disable to
-    /// restore the per-command state plane (the benchmarks compare both).
-    pub actor_state_cache: bool,
     /// Per-actor-type default retry policies (`(actor type, policy)`
     /// pairs). An invocation of a listed type whose request carries no
     /// explicit policy is orchestrated under the type's default: failed
@@ -127,17 +119,6 @@ pub struct MeshConfig {
     /// Requests for already-resident actors are never deferred. Clamped up
     /// to at least the soft watermark.
     pub resident_hard_watermark: usize,
-    /// Mailbox-depth watermark (`0` = unbounded): when the total number of
-    /// mailboxed (admitted but waiting) requests across a component's
-    /// resident actors reaches it, new-actor activations are deferred
-    /// exactly as at the hard resident watermark — the backlog of the
-    /// residents drains before new working set is admitted.
-    pub mailbox_watermark: usize,
-    /// Base delay of the shaped backoff applied to deferred new-actor
-    /// activations (wall-clock, like retry policies — **not** compressed by
-    /// [`MeshConfig::time_scale`]). Grows exponentially with deterministic
-    /// jitter on repeated deferral, capped at 16× the base.
-    pub passivation_backoff: Duration,
     /// Optional gray-failure plan (`None` = no injection, zero hot-path
     /// cost). The mesh builds one [`kar_types::FaultInjector`] from the plan
     /// and threads it through both the store and the broker, so one seed
@@ -199,7 +180,6 @@ impl Default for MeshConfig {
             dispatch_workers: 4,
             partitions_per_component: 4,
             reactor_threads: 0,
-            actor_state_cache: true,
             retry_policies: Vec::new(),
             circuit_breaker: None,
             // Generous default: orchestrated retries are effectively
@@ -211,8 +191,6 @@ impl Default for MeshConfig {
             // needed it. Passivation alone already bounds the *idle* set.
             resident_soft_watermark: 0,
             resident_hard_watermark: 0,
-            mailbox_watermark: 0,
-            passivation_backoff: Duration::from_millis(25),
             fault_plan: None,
             sim_seed: None,
             dlq_claim_lease: Duration::from_secs(30),
@@ -344,14 +322,6 @@ impl MeshConfig {
         self.time_scale.compress(self.retention * 2)
     }
 
-    /// Enables or disables the per-activation actor-state cache (the
-    /// benchmarks compare round trips per invocation under both settings).
-    #[must_use]
-    pub fn with_actor_state_cache(mut self, enabled: bool) -> Self {
-        self.actor_state_cache = enabled;
-        self
-    }
-
     /// Registers `policy` as the default retry policy for every invocation
     /// of `actor_type` that carries no explicit policy of its own (a later
     /// registration for the same type wins).
@@ -412,22 +382,6 @@ impl MeshConfig {
         self
     }
 
-    /// Sets the component-wide mailboxed-request watermark (`0` =
-    /// unbounded) past which new-actor activations are deferred.
-    #[must_use]
-    pub fn with_mailbox_watermark(mut self, watermark: usize) -> Self {
-        self.mailbox_watermark = watermark;
-        self
-    }
-
-    /// Sets the base delay of the deferred-activation backoff (clamped to
-    /// at least 1 ms).
-    #[must_use]
-    pub fn with_passivation_backoff(mut self, base: Duration) -> Self {
-        self.passivation_backoff = base.max(Duration::from_millis(1));
-        self
-    }
-
     /// The soft resident-set watermark as a limit (`None` = unbounded).
     pub fn resident_soft_limit(&self) -> Option<usize> {
         (self.resident_soft_watermark > 0).then_some(self.resident_soft_watermark)
@@ -440,11 +394,6 @@ impl MeshConfig {
             self.resident_hard_watermark
                 .max(self.resident_soft_watermark),
         )
-    }
-
-    /// The mailboxed-request watermark as a limit (`None` = unbounded).
-    pub fn mailbox_limit(&self) -> Option<usize> {
-        (self.mailbox_watermark > 0).then_some(self.mailbox_watermark)
     }
 
     /// The wall-clock passivation clock: one (time-compressed) retention
@@ -572,10 +521,7 @@ mod tests {
     #[test]
     fn state_plane_knobs_default_and_toggle() {
         let c = MeshConfig::default();
-        assert!(c.actor_state_cache);
         assert_eq!(c.store_config().shards, 0, "the store picks its own");
-        let c = MeshConfig::for_tests().with_actor_state_cache(false);
-        assert!(!c.actor_state_cache);
     }
 
     #[test]
@@ -658,8 +604,6 @@ mod tests {
         let c = MeshConfig::default();
         assert_eq!(c.resident_soft_limit(), None);
         assert_eq!(c.resident_hard_limit(), None);
-        assert_eq!(c.mailbox_limit(), None);
-        assert_eq!(c.passivation_backoff, Duration::from_millis(25));
         // The passivation clock is the single retention window — strictly
         // inside the doubled bookkeeping window, so the dedup sets always
         // outlive the actors they guard (a rehydrated actor cannot
@@ -673,14 +617,9 @@ mod tests {
 
     #[test]
     fn passivation_knobs_set_and_clamp() {
-        let c = MeshConfig::for_tests()
-            .with_resident_watermarks(100, 40)
-            .with_mailbox_watermark(500)
-            .with_passivation_backoff(Duration::ZERO);
+        let c = MeshConfig::for_tests().with_resident_watermarks(100, 40);
         assert_eq!(c.resident_soft_limit(), Some(100));
         assert_eq!(c.resident_hard_limit(), Some(100), "hard clamps up to soft");
-        assert_eq!(c.mailbox_limit(), Some(500));
-        assert_eq!(c.passivation_backoff, Duration::from_millis(1), "clamped");
 
         let soft_only = MeshConfig::for_tests().with_resident_watermarks(64, 0);
         assert_eq!(soft_only.resident_soft_limit(), Some(64));

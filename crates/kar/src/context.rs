@@ -18,8 +18,6 @@
 //!    `if !state.get("done") { ctx.tell(..); state.set("done") }` stays
 //!    at-least-once: a failure after the round and before the state flush
 //!    re-executes and re-tells; flushing state first would lose the tell.
-//!    (With the actor-state cache off a state write is durable at once, so
-//!    the write itself flushes the outbox first.)
 //! 2. **Program order is preserved per destination partition** (per-caller
 //!    FIFO), and a tell issued before a nested call is durable no later than
 //!    that call's request, which rides the same round *behind* the tells. If
@@ -32,8 +30,7 @@
 //!    retry orchestration like an error the handler returned — and the
 //!    state writes the handler buffered *behind* the lost tells are rolled
 //!    back first (a write made while tells are pending takes a savepoint of
-//!    the actor's buffered writes; with the cache off such a write flushes
-//!    the outbox itself and fails with it), so the retry finds the guard of
+//!    the actor's buffered writes), so the retry finds the guard of
 //!    invariant 1 unset and tells again. An attempt
 //!    that is killed mid-run publishes none of its tells. A `tell`-kind
 //!    request's own record settles only after its outbox round is
@@ -43,13 +40,14 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use kar_store::Connection;
 use kar_types::{
     ActorRef, ComponentId, KarError, KarResult, RequestId, RequestMessage, RetryPolicy, Value,
 };
 
 use crate::actor::Outcome;
 use crate::component::ComponentCore;
-use crate::state_cache::Savepoint;
+use crate::state_cache::{Savepoint, StateCache};
 
 /// The outbox of one invocation (see the module docs).
 #[derive(Default)]
@@ -63,7 +61,7 @@ pub(crate) struct Outbox {
     /// The actor's buffered state writes as they stood at the first write
     /// made while `tells` was non-empty (or `failed` set): what a failed
     /// round rolls them back to. Dropped when a round carrying the tells is
-    /// acknowledged. Always `None` with the actor-state cache off.
+    /// acknowledged.
     pub(crate) guarded: Option<Savepoint>,
 }
 
@@ -142,12 +140,11 @@ impl<'a> ActorContext<'a> {
     /// at once. It is **durably enqueued when this handler returns** — for
     /// `Ok` and application `Err` alike, and when it returns a
     /// [`ActorContext::call_then`] to park on (the tells ride the same
-    /// produce round, ahead of the nested request) — or, with the
-    /// actor-state cache off, at its next state write; always *before* the
-    /// handler's buffered
-    /// state writes are flushed and before its completion is sent, so a
-    /// caller that observes this invocation's result, and the invocation's
-    /// own persisted state, never run ahead of its tells (§2, guarantee 3).
+    /// produce round, ahead of the nested request) — always *before* the
+    /// handler's buffered state writes are flushed and before its completion
+    /// is sent, so a caller that observes this invocation's result, and the
+    /// invocation's own persisted state, never run ahead of its tells (§2,
+    /// guarantee 3).
     /// All tells pending at such a point leave in one round: one sidecar
     /// hop and one durable ack however many actors, partitions or
     /// components they target, in program order per destination partition.
@@ -229,7 +226,8 @@ impl<'a> ActorContext<'a> {
     /// The `actor.state` persistence API for this actor instance (§2.1).
     pub fn state(&self) -> ActorState<'_> {
         ActorState {
-            core: self.core,
+            cache: &self.core.state_cache,
+            conn: &self.core.conn,
             key: state_key(&self.self_ref),
             outbox: &self.outbox,
         }
@@ -250,20 +248,18 @@ pub(crate) fn state_key(actor: &ActorRef) -> String {
 ///
 /// # Caching and crash consistency
 ///
-/// With `MeshConfig::actor_state_cache` enabled (the default), reads go
-/// through a per-activation in-memory image of the state hash (loaded with
-/// one `hgetall` on the actor's first touch) and writes are buffered. The
-/// runtime flushes buffered writes as **one** pipelined store round trip
-/// strictly *before* the invocation's response or tail-call continuation is
-/// sent, preserving the crash-consistency contract of the per-command plane:
-/// by the time a caller observes a completion, the state it acknowledged is
-/// durable — a component killed between the flush and the response simply
-/// triggers the retry orchestration, exactly as before. With the cache
-/// disabled, every call below is one store command — durable at once, so a
-/// write first makes the tells this invocation issued before it durable
-/// (outbox → state, never state first).
+/// Reads go through a per-activation in-memory image of the state hash
+/// (loaded with one `hgetall` on the actor's first touch) and writes are
+/// buffered. The runtime flushes buffered writes as **one** pipelined store
+/// round trip after the invocation's outbox round and strictly *before* its
+/// response or tail-call continuation is sent: by the time a caller observes
+/// a completion, the state it acknowledged is durable — a component killed
+/// between the flush and the response simply triggers the retry
+/// orchestration. No call below waits for the store once the image is
+/// loaded.
 pub struct ActorState<'a> {
-    core: &'a Arc<ComponentCore>,
+    cache: &'a StateCache,
+    conn: &'a Connection,
     key: String,
     /// The invocation's outbox: a write must not become durable ahead of
     /// the tells issued before it.
@@ -271,6 +267,19 @@ pub struct ActorState<'a> {
 }
 
 impl ActorState<'_> {
+    /// Keeps a write from becoming durable ahead of the tells issued before
+    /// it (outbox → state, never state first). The write is buffered and
+    /// flushed behind the outbox round anyway, so the first write made while
+    /// tells are pending — or a round of this invocation has failed — only
+    /// takes a savepoint of the actor's buffered writes, for a failed round
+    /// to roll back to.
+    fn order_write_after_outbox(&self) {
+        let mut outbox = self.outbox.borrow_mut();
+        if (!outbox.tells.is_empty() || outbox.failed.is_some()) && outbox.guarded.is_none() {
+            outbox.guarded = Some(self.cache.savepoint(&self.key));
+        }
+    }
+
     /// Reads one field of the actor's persistent state.
     ///
     /// # Errors
@@ -278,7 +287,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn get(&self, field: &str) -> KarResult<Option<Value>> {
-        self.core.state_get(&self.key, field)
+        self.cache.get(self.conn, &self.key, field)
     }
 
     /// Writes one field of the actor's persistent state, returning the
@@ -289,8 +298,8 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn set(&self, field: &str, value: Value) -> KarResult<Option<Value>> {
-        self.core.order_write_after_outbox(self.outbox, &self.key)?;
-        self.core.state_set(&self.key, field, value)
+        self.order_write_after_outbox();
+        self.cache.set(self.conn, &self.key, field, value)
     }
 
     /// Writes several fields at once.
@@ -300,8 +309,8 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn set_multi(&self, entries: impl IntoIterator<Item = (String, Value)>) -> KarResult<()> {
-        self.core.order_write_after_outbox(self.outbox, &self.key)?;
-        self.core.state_set_multi(&self.key, entries)
+        self.order_write_after_outbox();
+        self.cache.set_multi(self.conn, &self.key, entries)
     }
 
     /// Deletes one field, returning its previous value.
@@ -311,8 +320,8 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn remove(&self, field: &str) -> KarResult<Option<Value>> {
-        self.core.order_write_after_outbox(self.outbox, &self.key)?;
-        self.core.state_remove(&self.key, field)
+        self.order_write_after_outbox();
+        self.cache.remove(self.conn, &self.key, field)
     }
 
     /// Reads the whole persistent state of the actor.
@@ -322,7 +331,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn get_all(&self) -> KarResult<BTreeMap<String, Value>> {
-        self.core.state_get_all(&self.key)
+        self.cache.get_all(self.conn, &self.key)
     }
 
     /// Deletes the actor's entire persistent state (used when an actor
@@ -334,8 +343,8 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn clear(&self) -> KarResult<bool> {
-        self.core.order_write_after_outbox(self.outbox, &self.key)?;
-        self.core.state_clear(&self.key)
+        self.order_write_after_outbox();
+        self.cache.clear_hash(self.conn, &self.key)
     }
 }
 

@@ -119,7 +119,9 @@ impl ResponseBatcher {
     /// Enqueues `envelope` for `topic[partition]` and starts flushing the
     /// partition's pending run unless a flush is under way already. Never
     /// waits for an ack: a flush whose ack is not due yet parks, and whatever
-    /// is enqueued meanwhile leaves when that ack fires.
+    /// is enqueued meanwhile leaves when that ack fires. Every completion
+    /// comes here the moment its invocation responds; the grouping is the
+    /// flusher claim's alone.
     pub(crate) fn enqueue(
         &self,
         ctx: &FlushCtx<'_>,
@@ -127,42 +129,15 @@ impl ResponseBatcher {
         envelope: Envelope,
         settles: Option<RecordOrigin>,
     ) {
-        self.enqueue_run(
-            ctx,
-            partition,
-            vec![envelope],
-            settles.into_iter().collect(),
-        );
-    }
-
-    /// [`ResponseBatcher::enqueue`] for a pre-grouped *run* of completions
-    /// towards one destination partition: the whole run enters the partition
-    /// queue under a single lock acquisition instead of one per completion.
-    /// The dispatch layer's drain-local buffering groups one mailbox drain's
-    /// completions by destination partition and hands each group over here.
-    pub(crate) fn enqueue_run(
-        &self,
-        ctx: &FlushCtx<'_>,
-        partition: usize,
-        run: Vec<Envelope>,
-        settles: Vec<RecordOrigin>,
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        self.enqueued.fetch_add(run.len() as u64, Ordering::Relaxed);
+        self.enqueued.fetch_add(1, Ordering::Relaxed);
         let queue = self.queue(partition);
         {
             let mut state = queue.lock();
-            if state.pending.is_empty() {
-                state.pending = run;
-            } else {
-                state.pending.extend(run);
-            }
+            state.pending.push(envelope);
             state.settles.extend(settles);
             if state.flushing {
-                // The flush under way picks this run up on its next drain:
-                // the enqueuer's ack is amortized away entirely.
+                // The flush under way picks this envelope up on its next
+                // drain: the enqueuer's ack is amortized away entirely.
                 return;
             }
             state.flushing = true;

@@ -28,9 +28,7 @@
 //! component, reconciliation has not rewritten it yet — parks for a few
 //! milliseconds and tries again, until the call timeout. That covers the
 //! round of a nested call, a handler's outbox, a forward and a tail-call
-//! successor alike; inside an invocation nothing waits any other way (the
-//! one exception, a write-through state write with the actor-state cache
-//! off, is named where it lives: `ComponentCore::order_write_after_outbox`).
+//! successor alike; inside an invocation nothing waits any other way.
 //!
 //! Edge threads — clients, the recovery leader, the benchmark's probes —
 //! keep blocking signatures: the *same* submit, followed by
@@ -55,8 +53,10 @@
 //!    round's ack** — nothing else is scheduled in between — and the store
 //!    applies it at submit: whoever is told by a handler finds the state the
 //!    handler wrote.
-//! 6. **A stage resumed from the heap runs under its own drain-local
-//!    completion buffer**: it is outside any invocation frame's.
+//! 6. **A completion is handed to the response batcher at its own respond
+//!    step** — never held for the rest of the frame that produced it, so a
+//!    mailbox drain running the actor's next invocation in the same frame
+//!    delays no caller.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;

@@ -10,9 +10,8 @@
 //!   `remove`, `clear`) are buffered in memory and made durable by
 //!   [`StateCache::flush`] as **one** pipelined store round trip. The
 //!   component calls `flush` strictly *before* sending the invocation's
-//!   response or tail-call continuation, so the crash-consistency contract
-//!   of the per-command plane is preserved: any completion a caller observes
-//!   implies the state it acknowledged is durable. A kill between the flush
+//!   response or tail-call continuation, so any completion a caller
+//!   observes implies the state it acknowledged is durable. A kill between the flush
 //!   and the send leaves a durable-but-unacknowledged state, exactly the
 //!   case retry orchestration already handles (the retry re-executes and
 //!   overwrites).
@@ -513,8 +512,8 @@ impl StateCache {
     }
 
     /// Drops every entry (the component was killed or fenced: its in-memory
-    /// image dies with it; unflushed writes are lost exactly like the
-    /// in-flight writes of a killed per-command component).
+    /// image dies with it, and its unflushed writes with it — no completion
+    /// was sent for them).
     pub(crate) fn invalidate_all(&self) {
         self.entries.lock().clear();
     }

@@ -6,14 +6,16 @@
 //!   delivered without waiting out the old 2 ms rotation slice.
 //! * **Response batching**: bursts of completions towards one destination
 //!   partition share durable acks (group commit) without changing any
-//!   result, tail-call outcome, or exactly-once guarantee.
+//!   result, tail-call outcome, or exactly-once guarantee; and a response
+//!   leaves when its invocation responds, not when its mailbox drain ends.
 //! * **Retirement**: an adopted (drain-only) partition whose retirement
 //!   horizon passed and whose log drained is fenced and dropped — the
 //!   consumer-thread count returns to the pre-failure steady state, and no
 //!   acknowledged record is lost or duplicated across the whole
 //!   kill → adopt → drain → retire cycle (seeded, reproducible).
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
@@ -276,6 +278,141 @@ fn response_batching_amortizes_acks_without_changing_results() {
     mesh.shutdown();
 }
 
+/// What the mailbox-drain actors share with the test body.
+#[derive(Default)]
+struct DrainProbe {
+    mesh: OnceLock<Mesh>,
+    /// Set once the gate holds the first call parked.
+    gate_entered: AtomicBool,
+    /// Set by the first caller once its call returned.
+    first_answered: AtomicBool,
+}
+
+/// Spins until `done` holds, for at most two seconds; says whether it did.
+fn spin_until(done: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+/// `first` parks on a nested call to the gate, so the actor stays busy and
+/// `second` is mailboxed behind it; `second` then runs in the very frame
+/// that completed `first`, and reports whether `first`'s caller already has
+/// its answer.
+struct Drained {
+    probe: Arc<DrainProbe>,
+}
+
+impl Actor for Drained {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "first" => {
+                let home = Value::Int(ctx.component_id().as_u64() as i64);
+                let gate = ActorRef::new("Gate", "g");
+                Ok(ctx.call_then(&gate, "hold", vec![home], |_, held| {
+                    held.map(|_| Outcome::value("first"))
+                }))
+            }
+            "second" => {
+                let probe = &self.probe;
+                let arrived = spin_until(|| probe.first_answered.load(Ordering::SeqCst));
+                Ok(Outcome::value(Value::Bool(arrived)))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// Holds its caller parked until a request is mailboxed on the component
+/// named in its argument.
+struct Gate {
+    probe: Arc<DrainProbe>,
+}
+
+impl Actor for Gate {
+    fn invoke(
+        &mut self,
+        _ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "hold" => {
+                let home = ComponentId::from_raw(args[0].as_i64().unwrap_or(0) as u64);
+                self.probe.gate_entered.store(true, Ordering::SeqCst);
+                let mesh = self.probe.mesh.get().expect("mesh registered");
+                spin_until(|| mesh.mailboxed_requests(home).unwrap_or(0) >= 1);
+                Ok(Outcome::value(Value::Null))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// A response leaves at its own `Respond` step: the next invocation of a
+/// mailbox drain running in the same frame does not hold it back. The second
+/// handler waits (bounded) for the first caller's answer, which can only
+/// arrive if the first completion was appended before the second handler
+/// started.
+#[test]
+fn a_response_leaves_before_the_next_invocation_of_its_mailbox_drain() {
+    let probe = Arc::new(DrainProbe::default());
+    // Paper-scale failure detection: a handler spinning for its whole bound
+    // must not get its component declared failed.
+    let mesh = Mesh::new(MeshConfig::default().with_reactor_threads(2));
+    let node = mesh.add_node();
+    let for_drained = Arc::clone(&probe);
+    mesh.add_component(node, "server", move |c| {
+        c.host("Drained", move || {
+            Box::new(Drained {
+                probe: Arc::clone(&for_drained),
+            })
+        })
+    });
+    let for_gate = Arc::clone(&probe);
+    mesh.add_component(node, "gate", move |c| {
+        c.host("Gate", move || {
+            Box::new(Gate {
+                probe: Arc::clone(&for_gate),
+            })
+        })
+    });
+    assert!(probe.mesh.set(mesh.clone()).is_ok());
+    let client = mesh.client();
+    let actor = ActorRef::new("Drained", "d");
+
+    let first = {
+        let (client, actor, probe) = (client.clone(), actor.clone(), Arc::clone(&probe));
+        std::thread::spawn(move || {
+            let answer = client.call(&actor, "first", vec![]);
+            probe.first_answered.store(true, Ordering::SeqCst);
+            answer
+        })
+    };
+    assert!(
+        spin_until(|| probe.gate_entered.load(Ordering::SeqCst)),
+        "the first call never reached the gate"
+    );
+    let second = client.call(&actor, "second", vec![]).unwrap();
+    assert_eq!(first.join().unwrap().unwrap(), Value::from("first"));
+    assert_eq!(
+        second,
+        Value::Bool(true),
+        "the first response was held back until the mailbox drain ended"
+    );
+    mesh.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Partition retirement
 // ---------------------------------------------------------------------
@@ -431,7 +568,7 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
 /// (and counted), and the evicted actor transparently re-loads its durable
 /// state on the next touch.
 #[test]
-fn idle_actor_state_cache_entries_are_evicted_on_the_retention_clock() {
+fn idle_state_cache_entries_are_evicted_on_the_retention_clock() {
     // Retention compressed to 150 ms: the heartbeat-driven eviction clock
     // fires well within the test.
     let mesh = Mesh::new(MeshConfig {

@@ -235,6 +235,44 @@ fn a_one_percent_plan_is_absorbed_by_local_replay_before_the_policy_lane() {
     mesh.shutdown();
 }
 
+/// A client call whose request never became durable fails at once — and
+/// must not leave its pending-call entry behind: no response can ever come
+/// for it, and a client making such calls in a loop would otherwise hold one
+/// entry (and its channel) per failure for as long as it lives.
+#[test]
+fn failed_client_calls_leave_no_blocked_call_behind() {
+    const CALLS: usize = 12;
+
+    let seed = chaos_seed(0x1EA4_CA11);
+    println!("chaos seed: {seed} (re-run with KAR_CHAOS_SEED={seed})");
+
+    // Every append fails: each call's request round runs out of replays.
+    let plan = FaultPlan::new(seed).with_site(FaultSite::BrokerAppend, FaultSpec::transient(1.0));
+    let mesh = Mesh::new(MeshConfig::for_tests().with_fault_plan(plan));
+    let node = mesh.add_node();
+    mesh.add_component(node, "seq", |c| c.host("Seq", seq_host()));
+    let client = mesh.client();
+    for call in 0..CALLS {
+        let error = client
+            .call(&ActorRef::new("Seq", "never"), "next", vec![])
+            .expect_err("no append can succeed");
+        assert!(error.is_transient(), "call {call}: {error:?}");
+    }
+    let report = mesh.debug_report();
+    let waiting: Vec<&str> = report
+        .lines()
+        .filter(|line| line.contains("blocked calls waiting:"))
+        .collect();
+    assert!(!waiting.is_empty(), "{report}");
+    assert!(
+        waiting
+            .iter()
+            .all(|line| line.trim() == "blocked calls waiting: []"),
+        "failed calls left pending entries behind:\n{report}"
+    );
+    mesh.shutdown();
+}
+
 /// `Mesh::dlq_retry` under lost acks on the checked-admin plane: the
 /// claim protocol (unique token + read-back disambiguation) must keep
 /// re-injection exactly-once even when the store keeps reporting failure

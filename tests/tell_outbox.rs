@@ -7,9 +7,8 @@
 //! * order: two tells to one target arrive in program order, and a tell
 //!   issued before a nested call is in the target's log ahead of the call;
 //! * failure: a handler that returns `Err` after a tell still delivers it; an
-//!   attempt killed mid-run publishes none of its tells; with the actor-state
-//!   cache off a state write never overtakes the tells issued before it; a
-//!   round that fails while its component lives (a tell that cannot be
+//!   attempt killed mid-run publishes none of its tells; a round that fails
+//!   while its component lives (a tell that cannot be
 //!   placed, appends out of transient replays) fails the attempt *and* rolls
 //!   back the state writes made behind the lost tells, so the retry tells
 //!   again;
@@ -147,18 +146,10 @@ impl Actor for Teller {
                 self.die_on_first_attempt(ctx);
                 Ok(Outcome::value(Value::Null))
             }
-            // The first invariant's handler, verbatim.
-            "guarded" => {
-                if ctx.state().get("done")?.is_none() {
-                    ctx.tell(&sink(0), "got", told("guarded"))?;
-                    ctx.state().set("done", Value::Int(1))?;
-                }
-                self.die_on_first_attempt(ctx);
-                Ok(Outcome::value(Value::Null))
-            }
-            // The same handler when the round cannot be made durable on the
-            // first attempt: no component hosts `Nowhere`, so its placement
-            // fails and — all-or-nothing — the sink's tell stays behind too.
+            // The first invariant's handler, `if !done { tell; set done }`,
+            // when the round cannot be made durable on the first attempt: no
+            // component hosts `Nowhere`, so its placement fails and —
+            // all-or-nothing — the sink's tell stays behind too.
             // Modes 1 and 2 make the round leave (and fail) with a nested
             // call whose continuation ignores the error: in mode 1 the
             // guarded write is made by that continuation, after the failed
@@ -378,42 +369,21 @@ fn an_attempt_killed_mid_run_publishes_none_of_its_tells() {
 }
 
 #[test]
-fn with_the_state_cache_off_a_write_never_overtakes_the_tells_before_it() {
-    // `if !done { tell; set done }` with write-through state: the set is
-    // durable the moment it returns, so the tell must be durable first — the
-    // attempt dies right after the write, the retry sees `done` and tells
-    // nothing, and the sink must still have been told exactly once.
-    let config = MeshConfig::for_tests().with_actor_state_cache(false);
-    let (mesh, shared, _) = mesh_with(config, 2);
-    let client = mesh.client();
-    client
-        .call(&ActorRef::new("Teller", "t"), "guarded", vec![])
-        .unwrap();
-    assert_eq!(shared.attempts.load(Ordering::SeqCst), 2, "one retry");
-    eventually("the guarded tell arrived", || !shared.seen().is_empty());
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(shared.seen(), vec!["guarded"]);
-    mesh.shutdown();
-}
-
-#[test]
 fn a_failed_round_rolls_back_the_state_written_behind_its_tells() {
     // `if !done { tell; set done }` when the round fails and the component
     // lives: the attempt fails, and `done` must not be flushed with it — the
-    // retry has to find it unset and tell again. Cache on: the write is
-    // buffered and rolled back. Cache off: the write flushes the outbox
-    // itself and fails with it. Modes 1 and 2: the round fails with a nested
-    // call whose continuation ignores the error — and, in mode 1, goes on to
-    // make the guarded write itself; the invocation still fails.
-    let arms = [(true, 0), (false, 0), (true, 1), (false, 1), (true, 2)];
-    for (latency, (cache, mode)) in latency_arms()
+    // retry has to find it unset and tell again: the buffered write is
+    // rolled back. Modes 1 and 2: the round fails with a nested call whose
+    // continuation ignores the error — and, in mode 1, goes on to make the
+    // guarded write itself; the invocation still fails.
+    for (latency, mode) in latency_arms()
         .into_iter()
-        .flat_map(|latency| arms.map(|arm| (latency, arm)))
+        .flat_map(|latency| [0, 1, 2].map(|mode| (latency, mode)))
     {
-        let config = MeshConfig::for_tests().with_actor_state_cache(cache);
-        let (mesh, shared, _) = mesh_with(with_latency(config, latency), 2);
+        let config = with_latency(MeshConfig::for_tests(), latency);
+        let (mesh, shared, _) = mesh_with(config, 2);
         let policy = RetryPolicy::fixed(3, Duration::from_millis(5)).retry_all_errors();
-        let which = format!("cache={cache} mode={mode} hop={:?}", latency.sidecar_hop);
+        let which = format!("mode={mode} hop={:?}", latency.sidecar_hop);
         mesh.client()
             .call_with_policy(
                 &ActorRef::new("Teller", "t"),
