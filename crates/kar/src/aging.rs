@@ -1,5 +1,5 @@
 //! Two-generation aging collections for the retry bookkeeping and the
-//! steal-route table.
+//! passivation clock.
 //!
 //! `ComponentCore` remembers completed request ids (to dedupe retries) and
 //! seen response ids (to release deferred happen-before retries). Both only
@@ -11,12 +11,11 @@
 //! bulk. Long-running components stop leaking memory, and a record old
 //! enough to have aged out of the set has also aged out of every queue.
 //!
-//! [`AgingMap`] applies the same idiom to key→value tables whose entries
-//! must not be dropped blindly — the dispatcher's steal-route overrides age
-//! out only once their actor has been idle for one to two windows *and* a
-//! caller-supplied liveness check passes (see `DispatchPool::age_routes`),
-//! so a component hosting millions of transient actors stops accumulating
-//! routing entries without ever re-routing an actor mid-stream.
+//! [`AgingMap`] applies the same clock to key→value tables whose entries
+//! must not be dropped blindly — a component's idle-actor stamps order the
+//! passivation candidates coldest first, and each candidate is passivated
+//! only once the owner has verified under its own lock that the actor is
+//! quiescent (see `ComponentCore::sweep_passivation`).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -102,14 +101,13 @@ impl<T: Eq + Hash> AgingSet<T> {
     }
 }
 
-/// A key→value table on the two-generation clock: every read or write stamps
-/// the entry with the current generation, [`AgingMap::advance_due`] bumps the
-/// generation once per interval, and entries two generations stale become
-/// *candidates* for removal via [`AgingMap::stale_entries`]. Unlike
-/// [`AgingSet`], nothing is dropped automatically: the owner inspects each
-/// candidate (e.g. checking the actor is idle under the right lock) and
-/// confirms with [`AgingMap::remove_if_stale`], which refuses if the entry
-/// was touched in the meantime.
+/// A key→value table on the two-generation clock: every refreshing read or
+/// write stamps the entry with the current generation, and
+/// [`AgingMap::advance_due`] bumps the generation once per interval, so an
+/// entry two generations stale has been idle for one to two intervals.
+/// Unlike [`AgingSet`], nothing is dropped automatically: the owner reads the
+/// stamps ([`AgingMap::stamped_entries`]), checks each candidate under its
+/// own lock and removes it with [`AgingMap::remove`].
 #[derive(Debug)]
 pub(crate) struct AgingMap<K, V> {
     entries: HashMap<K, (V, u64)>,
@@ -144,13 +142,6 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
         })
     }
 
-    /// Looks `key` up *without* refreshing its stamp: for owners that need
-    /// the value on a path that must not count as activity (e.g. deciding
-    /// which shard's queue to inspect before dropping a route).
-    pub(crate) fn peek(&self, key: &K) -> Option<V> {
-        self.entries.get(key).map(|(value, _)| *value)
-    }
-
     /// The current generation number (pairs with the stamps returned by
     /// [`AgingMap::stamped_entries`]).
     pub(crate) fn generation(&self) -> u64 {
@@ -165,26 +156,13 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
         self.entries.remove(key).is_some()
     }
 
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// A snapshot of every entry (debug tooling; not a hot path).
-    pub(crate) fn entries(&self) -> Vec<(K, V)> {
-        self.entries
-            .iter()
-            .map(|(key, (value, _))| (key.clone(), *value))
-            .collect()
-    }
-
     /// Drops every entry (owner killed).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Advances the generation if the interval elapsed. Returns true when it
-    /// did — the owner should then sweep [`AgingMap::stale_entries`].
+    /// did — the owner should then sweep for stale entries.
     pub(crate) fn advance_due(&mut self, now: Duration) -> bool {
         if now.saturating_sub(self.last_rotation) < self.interval {
             return false;
@@ -192,16 +170,6 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
         self.last_rotation = now;
         self.generation += 1;
         true
-    }
-
-    /// Entries untouched for at least two generations (idle for one to two
-    /// full intervals): candidates for removal, pending the owner's check.
-    pub(crate) fn stale_entries(&self) -> Vec<(K, V)> {
-        self.entries
-            .iter()
-            .filter(|(_, (_, stamp))| stamp + 2 <= self.generation)
-            .map(|(key, (value, _))| (key.clone(), *value))
-            .collect()
     }
 
     /// Every entry with its generation stamp (smaller stamp = colder). Lets
@@ -213,43 +181,40 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
             .map(|(key, (value, stamp))| (key.clone(), *value, *stamp))
             .collect()
     }
-
-    /// Removes `key` only if it is still two generations stale (a concurrent
-    /// touch since [`AgingMap::stale_entries`] vetoes the removal). Returns
-    /// true if the entry was removed.
-    pub(crate) fn remove_if_stale(&mut self, key: &K) -> bool {
-        match self.entries.get(key) {
-            Some((_, stamp)) if stamp + 2 <= self.generation => {
-                self.entries.remove(key);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The keys two generations stale: the candidates the passivation sweep
+    /// reads off the stamps.
+    fn stale<V: Copy>(map: &AgingMap<&'static str, V>) -> Vec<&'static str> {
+        let generation = map.generation();
+        let mut keys: Vec<&'static str> = map
+            .stamped_entries()
+            .into_iter()
+            .filter(|&(_, _, stamp)| stamp + 2 <= generation)
+            .map(|(key, _, _)| key)
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn aging_map_candidates_need_two_idle_generations() {
         let mut map = AgingMap::new(Duration::from_millis(1));
         map.insert("route", 3usize);
         assert_eq!(map.get_refresh(&"route"), Some(3));
-        assert_eq!(map.len(), 1);
         let t1 = mono_now() + Duration::from_millis(2);
         assert!(map.advance_due(t1));
         assert!(!map.advance_due(t1), "second advance within interval");
-        assert!(
-            map.stale_entries().is_empty(),
-            "one generation is not stale"
-        );
+        assert!(stale(&map).is_empty(), "one generation is not stale");
         assert!(map.advance_due(t1 + Duration::from_millis(2)));
-        assert_eq!(map.stale_entries(), vec![("route", 3)]);
-        assert!(map.remove_if_stale(&"route"));
-        assert_eq!(map.len(), 0);
-        assert!(!map.remove_if_stale(&"route"));
+        assert_eq!(stale(&map), vec!["route"]);
+        assert!(map.remove(&"route"));
+        assert!(map.stamped_entries().is_empty());
+        assert!(!map.remove(&"route"));
     }
 
     #[test]
@@ -259,13 +224,12 @@ mod tests {
         let t = mono_now();
         map.advance_due(t + Duration::from_millis(2));
         map.advance_due(t + Duration::from_millis(4));
-        assert_eq!(map.stale_entries().len(), 1);
-        // The entry is read between the sweep and the removal: kept.
+        assert_eq!(stale(&map), vec!["route"]);
+        // The entry is used between two sweeps: no longer a candidate.
         assert_eq!(map.get_refresh(&"route"), Some(1));
-        assert!(!map.remove_if_stale(&"route"));
-        assert_eq!(map.len(), 1);
+        assert!(stale(&map).is_empty());
         map.clear();
-        assert_eq!(map.len(), 0);
+        assert!(map.stamped_entries().is_empty());
     }
 
     #[test]
@@ -315,11 +279,11 @@ mod tests {
         let t = mono_now();
         map.advance_due(t + Duration::from_millis(2));
         map.advance_due(t + Duration::from_millis(4));
-        assert_eq!(map.peek(&"route"), Some(9), "peek sees the entry");
-        assert!(
-            map.remove_if_stale(&"route"),
-            "peek must not count as a touch"
-        );
+        // The sweep peeks at the stamps without touching them.
+        assert_eq!(map.stamped_entries(), vec![("route", 9, 0)]);
+        assert_eq!(stale(&map), vec!["route"], "a peek is not a touch");
+        assert_eq!(map.get_refresh(&"route"), Some(9));
+        assert!(stale(&map).is_empty(), "a refreshing read is");
     }
 
     #[test]
@@ -335,10 +299,10 @@ mod tests {
         assert_eq!(stamped[0].0, "cold");
         assert_eq!(stamped[1].0, "warm");
         // "warm" is not stale, but an eager eviction may drop it anyway.
-        assert!(!map.remove_if_stale(&"warm"));
+        assert!(!stale(&map).contains(&"warm"));
         assert!(map.remove(&"warm"));
         assert!(!map.remove(&"warm"));
-        assert_eq!(map.len(), 1);
+        assert_eq!(map.stamped_entries().len(), 1);
     }
 
     #[test]

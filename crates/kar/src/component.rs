@@ -7,16 +7,16 @@
 //! partition) drain them, and recovery can
 //! re-home a failed component's partition *ranges* onto survivors as
 //! drain-only *adopted* partitions. The component announces the actor types
-//! it hosts, routes polled requests by actor identity onto a sharded
-//! dispatch queue (see [`crate::dispatch`]) that admits them to per-actor
-//! mailboxes (honouring the actor lock, reentrancy and tail-call lock
-//! retention of §2.2–2.3 and §4.1), sends responses back to callers'
+//! it hosts, admits each polled request inline, in record order, to its
+//! per-actor mailbox (honouring the actor lock, reentrancy and tail-call
+//! lock retention of §2.2–2.3 and §4.1) — the consumer lane is the only
+//! queue between the log and the mailbox — sends responses back to callers'
 //! queues (hashed onto the caller's partition set), and defers re-homed
 //! requests until their pending callee settles (the happen-before guarantee
 //! of §4.3).
 //!
-//! The component owns **no threads**. All of its partitions and dispatch
-//! shards are pumped by the mesh's fixed reactor pool
+//! The component owns **no threads**. All of its partitions are pumped by
+//! the mesh's fixed reactor pool
 //! ([`crate::mesh`], `MeshConfig::reactor_threads`) through
 //! [`ComponentCore::pump`], and its periodic duties (heartbeat, bookkeeping
 //! aging, continuation timeouts, orphaned-response routing, partition
@@ -26,9 +26,9 @@
 //! and an invocation that meets a modelled latency — a sidecar hop, the ack
 //! of its outbox round, its state flush — parks the rest of itself as a
 //! [`Stage`] on the mesh's due-time heap instead of sleeping on its reactor
-//! (see [`crate::io`]); invocations for distinct actors still *compute* in
-//! parallel up to the reactor-pool width at a time, while any number of them
-//! wait for their I/O.
+//! (see [`crate::io`]); invocations for actors on distinct lanes still
+//! *compute* in parallel up to the reactor-pool width at a time, while any
+//! number of them wait for their I/O.
 //!
 //! Rebalance safety: admission verifies the *placement* of every request it
 //! is about to execute (one cache hit in steady state) and forwards requests
@@ -66,7 +66,6 @@ use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
 use crate::delivery::{
     partitions_of, AckWait, FlushCtx, RequestRound, ResponseBatcher, Run, Settled,
 };
-use crate::dispatch::DispatchPool;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
 use crate::placement::{LiveSet, PlacementService};
@@ -113,7 +112,7 @@ pub struct ComponentStats {
 /// The delayed-retry timer wheel of one component: scheduled retries wait
 /// here — counted as locally pending, so reconciliation never re-homes a
 /// duplicate — until their deadline fires and the mesh retry budget admits
-/// them back into the dispatch pool.
+/// them again.
 #[derive(Default)]
 struct DelayedRetries {
     heap: BinaryHeap<Reverse<u64>>,
@@ -154,11 +153,14 @@ enum Admission {
     /// Admitted: run this invocation inline — `(request, holds_lock,
     /// reentrant)`.
     Run(RequestMessage, bool, bool),
+    /// Admitted behind a busy actor: its mailbox drain runs it.
+    Mailboxed,
     /// Not ours: forward to the current placement. A forward is a round of
     /// its own ([`Stage::Round`]): one that meets a stale placement parks,
-    /// it never holds the shard.
+    /// it never holds the lane.
     Forward(RequestMessage),
-    /// Absorbed: duplicate, deferred, mailboxed, or dropped.
+    /// Absorbed: duplicate, deferred, parked on the delayed heap, or
+    /// dropped.
     Done,
 }
 
@@ -198,6 +200,10 @@ const ACTIVATION_BACKOFF: Duration = Duration::from_millis(25);
 /// points at a failed component and reconciliation has not rewritten it yet —
 /// stays parked before its next attempt.
 const PLACEMENT_RETRY: Duration = Duration::from_millis(5);
+
+/// Shards of a component's placement cache: concurrent lanes resolving
+/// placements contend only when they race on the same shard.
+const PLACEMENT_CACHE_SHARDS: usize = 4;
 
 /// The requests of one produce round on their way to their partitions: those
 /// routed so far, and those whose target is still to be placed.
@@ -346,11 +352,14 @@ struct RoundStats {
     outbox_partitions_max: AtomicUsize,
 }
 
-/// One consumer lane: the unit of consumer concurrency (what used to be a
-/// consumer *thread*). A reactor claims a lane with `try_lock` — a lane
-/// being swept on another reactor is skipped, not waited for — so the old
-/// one-thread-per-lane serialization of its partitions is preserved without
-/// dedicating a thread to it.
+/// One consumer lane: the unit of consumer — and dispatch — concurrency. A
+/// reactor claims a lane with `try_lock` (a lane being swept on another
+/// reactor is skipped, not waited for), admits every record it polls inline
+/// and runs what admission decided while it holds the lane. So one actor's
+/// records, which hash to one partition, are admitted in record order, and
+/// the lane count is the component's dispatch concurrency. A handler may run
+/// under a lane's lock: nothing else ever *waits* for one (`kill` and the
+/// retirement sweep `try_lock`).
 struct ConsumerLane {
     consumers: Mutex<Vec<Consumer<Envelope>>>,
 }
@@ -380,13 +389,13 @@ pub struct ComponentCore {
     pub(crate) ids: Arc<RequestIdGenerator>,
     pub(crate) hosted: HashMap<String, ActorFactory>,
     pub(crate) stats: ComponentStats,
-    /// The sharded dispatch worker pool: requests are routed here by actor
-    /// identity, one drainer per shard at a time.
-    pool: DispatchPool,
+    /// Requests admitted from each home partition, in home order
+    /// (`shard_loads`). Never reset: a dead component keeps answering.
+    home_loads: Vec<(usize, AtomicU64)>,
     alive: AtomicBool,
     paused: AtomicBool,
     /// The mesh-wide reactor wake signal: bumped whenever this component
-    /// gains work (an append to one of its partitions, a shard push, a
+    /// gains work (an append to one of its partitions, a due retry, a
     /// timed-out continuation), so an idle reactor resumes sweeping.
     wakeup: Arc<WaitSignalGroup>,
     /// The mesh-wide due-time heap this component's invocations park on
@@ -458,9 +467,8 @@ pub struct ComponentCore {
     /// The passivation clock: every admission stamps its actor here, and an
     /// actor idle for two generations (one to two compressed retention
     /// windows — the state cache's single-window interval, not the doubled
-    /// bookkeeping one) becomes a passivation candidate. Same
-    /// two-generation [`AgingMap`] idiom as the steal-route table; lock
-    /// order is actors → idle_actors everywhere.
+    /// bookkeeping one) becomes a passivation candidate. Lock order is
+    /// actors → idle_actors everywhere.
     idle_actors: Mutex<AgingMap<ActorRef, ()>>,
     /// Passivation tombstones: consumed — and counted as a rehydration — by
     /// the actor's next admission, and rotated out on the bookkeeping clock
@@ -514,21 +522,20 @@ impl ComponentCore {
             store.connect(id),
             live.clone(),
             config.placement_cache,
-            config.effective_dispatch_workers(),
+            PLACEMENT_CACHE_SHARDS,
         );
-        // The retry bookkeeping — and the dispatcher's steal-route table —
-        // age on the queue-retention clock: the broker coordinator actively
-        // expires records past retention (even on idle partitions), so an id
-        // old enough to rotate out of both generations corresponds to
-        // records no queue can still deliver. Rotating at 2× retention
-        // (membership 2–4 windows) leaves a full retention window of safety
-        // margin over the queue horizon.
+        // The retry bookkeeping ages on the queue-retention clock: the broker
+        // coordinator actively expires records past retention (even on idle
+        // partitions), so an id old enough to rotate out of both generations
+        // corresponds to records no queue can still deliver. Rotating at 2×
+        // retention (membership 2–4 windows) leaves a full retention window
+        // of safety margin over the queue horizon.
         let bookkeeping_interval = config.time_scale.compress(config.retention * 2);
-        let pool = DispatchPool::new(
-            config.effective_dispatch_workers(),
-            bookkeeping_interval,
-            Some(Arc::clone(&wakeup)),
-        );
+        let home_loads = partitions
+            .home()
+            .iter()
+            .map(|partition| (*partition, AtomicU64::new(0)))
+            .collect();
         let consumed_offsets = partitions
             .all()
             .into_iter()
@@ -557,7 +564,7 @@ impl ComponentCore {
             ids,
             hosted,
             stats: ComponentStats::default(),
-            pool,
+            home_loads,
             alive: AtomicBool::new(true),
             paused: AtomicBool::new(false),
             wakeup,
@@ -678,12 +685,8 @@ impl ComponentCore {
         // Detach the consumers from the reactor wake group: partitions must
         // not keep notifying — or keep membership for — a dead component.
         let lanes: Vec<Arc<ConsumerLane>> = std::mem::take(&mut *self.lanes.lock());
-        for lane in lanes {
-            let mut consumers = lane.consumers.lock();
-            for consumer in consumers.iter() {
-                consumer.leave_wait_group(&self.wakeup);
-            }
-            consumers.clear();
+        for lane in &lanes {
+            self.detach_lane(lane);
         }
         // Parked continuations are in-memory state: dropped with the
         // process. The queue copies of their original requests drive the
@@ -704,9 +707,6 @@ impl ComponentCore {
         // So does everything parked on a modelled I/O: a thread killed
         // asleep inside an ack or a hop completed nothing either.
         self.io.forget(self);
-        // Records already routed to shard queues are in-memory state: lost
-        // with the process. Their queue copies survive and drive the retry.
-        self.pool.clear_pending();
         // Delayed retries are in-memory too: their durable queue copies
         // (each carrying the persisted RetryState) drive recovery, and the
         // adopter's admission re-parks them on the same schedule.
@@ -722,28 +722,14 @@ impl ComponentCore {
         self.wakeup.notify();
     }
 
-    /// The number of dispatch workers (shards) of this component.
-    pub fn dispatch_workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Requests each dispatch shard has admitted so far. The spread between
-    /// the hottest and the mean shard is the imbalance work stealing closes.
+    /// Requests admitted from each home partition so far, in home order.
+    /// Each home partition has one lane, so the spread between the busiest
+    /// and the mean entry is the lanes' load imbalance.
     pub fn shard_loads(&self) -> Vec<u64> {
-        self.pool.shard_loads()
-    }
-
-    /// Number of whole-actor steals performed by this component's idle
-    /// dispatch workers.
-    pub fn steal_count(&self) -> u64 {
-        self.pool.steal_count()
-    }
-
-    /// Number of proactive steal wakeups issued by this component's dispatch
-    /// pool (an idle worker poked because a push crossed the depth
-    /// watermark, instead of waiting for its idle tick).
-    pub fn steal_wakeup_count(&self) -> u64 {
-        self.pool.steal_wakeup_count()
+        self.home_loads
+            .iter()
+            .map(|(_, load)| load.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// A snapshot of the placement cache's hit/miss/invalidation counters.
@@ -752,8 +738,8 @@ impl ComponentCore {
     }
 
     /// Human-readable snapshot of this component's dispatch and actor state
-    /// (shard queues, steal routes, actor locks/mailboxes, deferred and
-    /// inflight sets) — for debugging stuck requests.
+    /// (consumed offsets, actor locks/mailboxes, deferred and inflight sets)
+    /// — for debugging stuck requests.
     pub fn debug_snapshot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -838,7 +824,6 @@ impl ComponentCore {
             self.resident_actors(),
             self.mailboxed_requests(),
         );
-        out.push_str(&self.pool.debug_snapshot());
         match self.actors.try_lock() {
             Some(actors) => {
                 for (actor, slot) in actors.iter() {
@@ -936,17 +921,13 @@ impl ComponentCore {
             .map_or(0, |slot| slot.load(Ordering::SeqCst))
     }
 
-    /// True if request `id` is queued, deferred, or executing at this
-    /// component (used by reconciliation to decide whether a copy found in a
-    /// failed queue is superseded or must be re-homed).
+    /// True if request `id` is mailboxed, deferred, parked or executing at
+    /// this component (used by reconciliation to decide whether a copy found
+    /// in a failed queue is superseded or must be re-homed). A record polled
+    /// but not yet admitted needs no entry here: its lane publishes the
+    /// partition's consumed offset past it only once admission has put it in
+    /// one of these places, so until then it still counts as queued.
     pub(crate) fn locally_pending(&self, id: RequestId) -> bool {
-        // Polled off the queue but not yet admitted to an actor slot: without
-        // this check a request sitting in a shard queue would look neither
-        // "still queued" (its offset was consumed) nor pending, and
-        // reconciliation could re-home a copy of it a second time.
-        if self.pool.is_pending(id) {
-            return true;
-        }
         if self.inflight.lock().contains(&id) {
             return true;
         }
@@ -1439,11 +1420,11 @@ impl ComponentCore {
         // so a retry can never park itself against a response that has
         // already been processed (lost wakeup).
         let deferred = {
-            let mut deferred_map = self.deferred.lock();
+            let deferred_map = self.deferred.lock();
             self.seen_responses.lock().insert(response.id);
-            deferred_map.remove(&response.id)
+            deferred_map.contains_key(&response.id)
         };
-        let mut consumed = deferred.is_some();
+        let mut consumed = deferred;
         // A continuation parked on this response resumes inline, on the
         // reactor that polled the response record. The claim is exclusive,
         // so a duplicate response (a retried callee) cannot resume it twice.
@@ -1459,12 +1440,14 @@ impl ComponentCore {
             let _ = sender.send(Arc::clone(&response.result));
         }
         // Unblock any re-homed caller whose retry was waiting for this callee
-        // to settle (happen-before). Re-submitted through the shard queues so
-        // admission for the target actor stays serial.
-        if let Some(requests) = deferred {
-            for mut request in requests {
+        // to settle (happen-before), admitting each inline. They leave the
+        // deferred map one at a time, so those not admitted yet still count
+        // as locally pending while an earlier one runs; none can join it
+        // now that the response is seen.
+        if deferred {
+            while let Some(mut request) = self.take_deferred(response.id) {
                 request.pending_callee = None;
-                self.pool.submit(request);
+                self.dispatch(request);
             }
         }
         if consumed {
@@ -1514,19 +1497,70 @@ impl ComponentCore {
         }
     }
 
-    /// Admission control for one request, run under its shard's claim:
-    /// dedupes retries, defers happen-before-annotated retries, flags
-    /// mis-routed requests for forwarding, and applies the actor-lock rules
-    /// of §2.2–§4.1. Never blocks, and sends nothing: a forward is handed
-    /// back to the caller, which sends it as a round of its own.
-    fn admit_request(self: &Arc<Self>, mut request: RequestMessage) -> Admission {
+    /// Takes the oldest request deferred on `callee`'s response, if any.
+    fn take_deferred(&self, callee: RequestId) -> Option<RequestMessage> {
+        let mut deferred = self.deferred.lock();
+        let waiting = deferred.get_mut(&callee)?;
+        let request = waiting.remove(0);
+        if waiting.is_empty() {
+            deferred.remove(&callee);
+        }
+        Some(request)
+    }
+
+    /// Admits `request` and carries out what admission decided, inline.
+    fn dispatch(self: &Arc<Self>, request: RequestMessage) {
+        let admission = self.admit_request(request);
+        self.carry_out(admission);
+    }
+
+    /// Runs an admitted invocation, or sends a forward as a round of its own.
+    fn carry_out(self: &Arc<Self>, admission: Admission) {
+        match admission {
+            Admission::Run(request, holds_lock, reentrant) => {
+                Arc::clone(self).run_invocation(request, holds_lock, reentrant);
+            }
+            Admission::Forward(request) => {
+                if let Step::Next(due, stage) = self.resend(request, None) {
+                    Arc::clone(self).invocation_loop(due, stage);
+                }
+            }
+            Admission::Mailboxed | Admission::Done => {}
+        }
+    }
+
+    /// Admission control for one request: dedupes retries, defers
+    /// happen-before-annotated retries, flags mis-routed requests for
+    /// forwarding, and applies the actor-lock rules of §2.2–§4.1. Never
+    /// blocks, and sends nothing: a forward is handed back to the caller,
+    /// which sends it as a round of its own.
+    ///
+    /// Deduplication is a *claim*, taken first: two copies of one id can be
+    /// admitted at the same moment (from a home lane and an adopted lane, or
+    /// from a lane and the retry pump), and only the one whose insert into
+    /// `inflight` — checked against `completed` under the same lock — wins
+    /// goes on. A run or mailboxed request keeps the claim until it
+    /// finishes; every other outcome releases it.
+    fn admit_request(self: &Arc<Self>, request: RequestMessage) -> Admission {
         if !self.is_alive() {
             return Admission::Done;
         }
-        if self.completed.lock().contains(&request.id) || self.inflight.lock().contains(&request.id)
+        let id = request.id;
         {
-            return Admission::Done;
+            let mut inflight = self.inflight.lock();
+            if self.completed.lock().contains(&id) || !inflight.insert(id) {
+                return Admission::Done;
+            }
         }
+        let admission = self.admit_claimed(request);
+        if matches!(admission, Admission::Forward(_) | Admission::Done) {
+            self.inflight.lock().remove(&id);
+        }
+        admission
+    }
+
+    /// [`Self::admit_request`] past the claim.
+    fn admit_claimed(self: &Arc<Self>, mut request: RequestMessage) -> Admission {
         // Retry-orchestration gate: a *scheduled* retry copy (attempt ≥ 1)
         // waits out its next-fire deadline in the delayed heap and spends a
         // mesh retry-budget token to start; a shed re-queues it on its own
@@ -1665,28 +1699,21 @@ impl ComponentCore {
                 if self.passivated.lock().remove(&request.target) {
                     self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
                 }
-                drop(actors);
-                self.inflight.lock().insert(request.id);
                 return Admission::Run(request, true, false);
             }
             // A sibling of a deferred activation: mailbox behind the parked
             // head, preserving per-actor FIFO across the deferral (the head
-            // re-enters through the shard queue; the mailbox drains behind
-            // it in arrival order).
-            let id = request.id;
+            // is admitted again from the delayed heap; the mailbox drains
+            // behind it in arrival order).
             slot.mailbox.push_back(request);
             self.mailboxed.fetch_add(1, Ordering::Relaxed);
-            drop(actors);
-            self.inflight.lock().insert(id);
-            return Admission::Done;
+            return Admission::Mailboxed;
         }
         self.touch_idle(&request.target);
         if slot.awaiting_tail == Some(request.id) {
             // Continuation of a tail call to self: it owns the lock already.
             slot.awaiting_tail = None;
             slot.busy_chain = request.chain();
-            drop(actors);
-            self.inflight.lock().insert(request.id);
             Admission::Run(request, true, false)
         } else if slot.busy {
             let reentrant = request
@@ -1695,24 +1722,16 @@ impl ComponentCore {
                 .any(|id| slot.busy_chain.contains(id));
             if reentrant {
                 // Reentrant nested call: bypass the mailbox (§2.2).
-                drop(actors);
-                self.inflight.lock().insert(request.id);
                 Admission::Run(request, false, true)
             } else {
-                // Move the request into the mailbox — no payload clone; the
-                // id is all the bookkeeping needs.
-                let id = request.id;
+                // Move the request into the mailbox — no payload clone.
                 slot.mailbox.push_back(request);
                 self.mailboxed.fetch_add(1, Ordering::Relaxed);
-                drop(actors);
-                self.inflight.lock().insert(id);
-                Admission::Done
+                Admission::Mailboxed
             }
         } else {
             slot.busy = true;
             slot.busy_chain = request.chain();
-            drop(actors);
-            self.inflight.lock().insert(request.id);
             Admission::Run(request, true, false)
         }
     }
@@ -1854,9 +1873,9 @@ impl ComponentCore {
     /// state flush, its completion, the next invocation in the actor's
     /// mailbox — for as long as no step has to wait. A step that meets a due
     /// time still in the future parks the rest of the invocation on the
-    /// mesh's due-time heap and returns: the reactor, the dispatch-shard
-    /// claim and the shard's busy-actor guard go back to the pool, while the
-    /// actor stays busy and the request in flight. Also returns, for good,
+    /// mesh's due-time heap and returns: the reactor and the lane it was
+    /// sweeping go back to the pool, while the actor stays busy and the
+    /// request in flight. Also returns, for good,
     /// when the handler parks a continuation ([`Outcome::CallThen`]).
     fn invocation_loop(self: Arc<Self>, mut due: Option<Duration>, mut stage: Stage) {
         loop {
@@ -1945,7 +1964,7 @@ impl ComponentCore {
                     self.submit_round(round, then)
                 }
                 // Parked again: a stale placement never holds a reactor, a
-                // shard or — for a forward — an actor.
+                // lane or — for a forward — an actor.
                 Ok(Placement::Unresolved { retry_at }) => {
                     Step::Next(Some(retry_at), Stage::Round { placing, then })
                 }
@@ -2584,19 +2603,24 @@ impl ComponentCore {
         }
     }
 
-    /// Releases delayed retries whose deadline has passed back into the
-    /// dispatch pool (their budget spend happens at admission). Runs on
-    /// every reactor sweep *and* every mesh-timer tick; the fast path is two
-    /// atomic loads.
-    fn pump_retries(self: &Arc<Self>) -> bool {
+    /// The retry clock's reading, if the earliest delayed retry is due by
+    /// it. The fast path, nothing delayed, is one atomic load.
+    fn retry_due(&self) -> Option<u64> {
         let earliest = self.delayed_earliest.load(Ordering::Relaxed);
         if earliest == 0 {
-            return false;
+            return None;
         }
         let now = self.retry_epoch_now();
-        if now < earliest {
+        (now >= earliest).then_some(now)
+    }
+
+    /// Admits the delayed retries whose deadline has passed, inline (their
+    /// budget spend happens at admission). Runs on every reactor sweep,
+    /// never on the timer: admission can run a handler.
+    fn pump_retries(self: &Arc<Self>) -> bool {
+        let Some(now) = self.retry_due() else {
             return false;
-        }
+        };
         let mut due: Vec<RequestMessage> = Vec::new();
         {
             let mut delayed = self.delayed.lock();
@@ -2606,20 +2630,20 @@ impl ComponentCore {
                 }
                 delayed.heap.pop();
                 if let Some(batch) = delayed.by_deadline.remove(&deadline) {
-                    for request in batch {
-                        delayed.ids.remove(&request.id);
-                        due.push(request);
-                    }
+                    due.extend(batch);
                 }
             }
             let next = delayed.heap.peek().map_or(0, |Reverse(d)| *d);
             self.delayed_earliest.store(next, Ordering::Relaxed);
         }
-        if due.is_empty() {
-            return false;
+        let did = !due.is_empty();
+        for request in due {
+            // A due retry counts as locally pending until its own admission
+            // claims it, not just until the earlier ones have run.
+            self.delayed.lock().ids.remove(&request.id);
+            self.dispatch(request);
         }
-        self.pool.submit_batch(due);
-        true
+        did
     }
 
     /// Moves a schedule-exhausted request to the mesh dead-letter queue,
@@ -2743,10 +2767,22 @@ impl ComponentCore {
         self.lanes.lock().retain(|l| !Arc::ptr_eq(l, lane));
     }
 
-    /// One reactor sweep over this component: poll ready consumer lanes,
-    /// drain claimable dispatch shards, resume timed-out continuations.
-    /// Returns true if any work was done. Safe to call from any number of
-    /// reactors concurrently — lanes and shards are claimed individually.
+    /// Detaches `lane`'s consumers from the reactor wake group and drops
+    /// them (the component was killed) — unless a reactor holds the lane, in
+    /// which case that reactor does it once it lets go of the lane.
+    fn detach_lane(&self, lane: &ConsumerLane) {
+        if let Some(mut consumers) = lane.consumers.try_lock() {
+            for consumer in consumers.iter() {
+                consumer.leave_wait_group(&self.wakeup);
+            }
+            consumers.clear();
+        }
+    }
+
+    /// One reactor sweep over this component: poll ready consumer lanes
+    /// (admitting what they poll), admit due retries, resume timed-out
+    /// continuations. Returns true if any work was done. Safe to call from
+    /// any number of reactors concurrently — lanes are claimed individually.
     /// `wake_at` is lowered to the earliest instant a record already in one
     /// of this component's partitions becomes readable: the sweeping reactor
     /// must not sleep past it (no append will announce it).
@@ -2756,7 +2792,6 @@ impl ComponentCore {
         }
         let mut did = self.pump_consumers(wake_at);
         did |= self.pump_retries();
-        did |= self.pump_dispatch();
         did |= self.pump_timeouts();
         if self.settle.sweep_due() {
             self.trim_settled();
@@ -2794,10 +2829,7 @@ impl ComponentCore {
                 continue;
             };
             let mut index = 0;
-            while index < consumers.len() {
-                if !self.is_alive() || self.is_paused() {
-                    return did;
-                }
+            while index < consumers.len() && self.is_alive() && !self.is_paused() {
                 if !consumers[index].ready() {
                     if let Some(visible_at) = consumers[index].next_visible_at() {
                         *wake_at = Some(wake_at.map_or(visible_at, |at| at.min(visible_at)));
@@ -2838,78 +2870,21 @@ impl ComponentCore {
             }
             let empty = consumers.is_empty();
             drop(consumers);
+            if !self.is_alive() {
+                // `kill` skips a lane some reactor holds — this one, when a
+                // handler it ran killed its own component. Checked after
+                // letting go: a kill that found the lane held happened
+                // before this check, so one of the two detaches it.
+                self.detach_lane(&lane);
+                return did;
+            }
             if empty {
                 self.remove_lane(&lane);
             }
-        }
-        did
-    }
-
-    /// Drains every claimable dispatch shard, then steals for an idle one if
-    /// nothing was found.
-    fn pump_dispatch(self: &Arc<Self>) -> bool {
-        let mut did = false;
-        for shard in 0..self.pool.workers() {
-            did |= self.drain_shard(shard);
-        }
-        if self.is_alive() && !self.is_paused() {
-            // The reactor-era idle worker: an empty shard standing next to
-            // a deep one means static actor→shard hashing left imbalance.
-            // One steal attempt per sweep — `try_steal` itself bails on a
-            // cheap lock-free depth scan when no shard is deep enough, so
-            // idle topology pays a few atomic loads here, nothing more.
-            if let Some(empty) = (0..self.pool.workers()).find(|&shard| self.pool.depth(shard) == 0)
-            {
-                if self.pool.try_steal(empty) {
-                    did |= self.drain_shard(empty);
-                }
+            if self.is_paused() {
+                return did;
             }
         }
-        did
-    }
-
-    fn drain_shard(self: &Arc<Self>, shard: usize) -> bool {
-        // The claim is held across the invocation, not just the pop: one
-        // shard runs one *computing* invocation at a time, so
-        // `dispatch_workers` bounds the component's dispatch concurrency. No
-        // invocation waits under it: one that meets a modelled latency, a
-        // nested call or a stale placement parks and returns.
-        if !self.pool.try_claim(shard) {
-            return false;
-        }
-        let mut did = false;
-        loop {
-            if !self.is_alive() || self.is_paused() || self.pool.depth(shard) == 0 {
-                break;
-            }
-            let Some(request) = self.pool.try_pop(shard) else {
-                break;
-            };
-            let id = request.id;
-            let target = request.target.clone();
-            let admitted = self.admit_request(request);
-            // The request is now in an actor slot (or dropped as a
-            // duplicate): no longer pending admission.
-            self.pool.admitted(id);
-            self.pool.mark_admitted(shard);
-            did = true;
-            match admitted {
-                Admission::Run(request, holds_lock, reentrant) => {
-                    Arc::clone(self).run_invocation(request, holds_lock, reentrant);
-                }
-                Admission::Forward(request) => {
-                    if let Step::Next(due, stage) = self.resend(request, None) {
-                        Arc::clone(self).invocation_loop(due, stage);
-                    }
-                }
-                Admission::Done => {}
-            }
-            // The invocation (and any mailbox continuations it drained) has
-            // completed or parked: release exactly the guard this pop took
-            // (a concurrent drain of the same shard may hold its own).
-            self.pool.release_busy_actor(shard, &target);
-        }
-        self.pool.release_claim(shard);
         did
     }
 
@@ -2954,9 +2929,9 @@ impl ComponentCore {
             self.wakeup.notify();
         }
         // Retry deadlines are also checked here: on a quiet mesh no reactor
-        // may be sweeping when a backoff expires, and the submit below (not
-        // the execution — that happens on a reactor) is cheap timer work.
-        if self.pump_retries() {
+        // may be sweeping when a backoff expires. Only checked — admitting
+        // the retry can run its handler, which happens on a reactor.
+        if self.retry_due().is_some() {
             self.wakeup.notify();
         }
         self.sweep_orphan_responses(now);
@@ -2972,11 +2947,15 @@ impl ComponentCore {
 
     /// Mesh-timer retirement sweep: retires adopted partitions past their
     /// horizon and drops lanes whose consumers are all gone, returning the
-    /// lane count to its pre-failure steady state.
+    /// lane count to its pre-failure steady state. A lane a reactor holds —
+    /// possibly running a long handler — is retired on a later tick: waiting
+    /// for it would stall every component's heartbeat.
     fn sweep_retirement(&self) {
         let lanes: Vec<Arc<ConsumerLane>> = self.lanes.lock().clone();
         for lane in lanes {
-            let mut consumers = lane.consumers.lock();
+            let Some(mut consumers) = lane.consumers.try_lock() else {
+                continue;
+            };
             self.maybe_retire_partitions(&mut consumers);
             let empty = consumers.is_empty();
             drop(consumers);
@@ -3081,44 +3060,48 @@ impl ComponentCore {
         self.retired.lock().push(partition);
     }
 
-    /// Routes one polled batch: responses are handled inline (they only
-    /// unblock waiters), runs of requests are handed to the dispatch pool in
-    /// per-shard batches ([`DispatchPool::submit_batch`] takes each shard
-    /// lock once per run instead of once per record), and the partition's
-    /// consumed offset is published only after every record is routed — so
-    /// reconciliation always sees a record as still-queued or locally
-    /// pending, never neither.
+    /// Admits one polled batch, in record order, on the lane that polled it:
+    /// a response is handled, a request admitted and then run, forwarded or
+    /// left where admission put it. The partition's consumed offset passes a
+    /// request only once admission has placed it — in flight, in a mailbox,
+    /// deferred or parked — and before it runs, so reconciliation always
+    /// sees a record as still queued or locally pending, never neither, and
+    /// sees what its handler sent only once the record is consumed.
     fn route_records(self: &Arc<Self>, partition: usize, records: Vec<Record<Arc<Envelope>>>) {
-        let Some(last) = records.last().map(|record| record.offset) else {
-            return;
-        };
         self.settle.routed(partition, &records);
-        let mut requests: Vec<RequestMessage> = Vec::new();
+        let consumed = self.consumed_offsets.read().get(&partition).cloned();
+        let publish = |offset: u64| {
+            if let Some(slot) = &consumed {
+                slot.fetch_max(offset + 1, Ordering::SeqCst);
+            }
+        };
+        let mut admitted = 0;
         for record in records {
+            let offset = record.offset;
             // The poll shared these payloads with the partition log
             // (zero-copy); each delivered envelope is materialized exactly
             // once here — the only payload copy on the delivery path.
             match record.into_payload() {
-                Envelope::Request(request) => requests.push(request),
+                Envelope::Request(request) => {
+                    let admission = self.admit_request(request);
+                    publish(offset);
+                    admitted += 1;
+                    self.carry_out(admission);
+                }
                 Envelope::Response(response) => {
-                    // Flush the run so far first: the hand-off must preserve
-                    // the partition's record order between requests and the
-                    // responses interleaved with them.
-                    self.pool.submit_batch(std::mem::take(&mut requests));
+                    publish(offset);
                     self.handle_response(response);
                 }
             }
         }
-        self.pool.submit_batch(requests);
-        if let Some(slot) = self.consumed_offsets.read().get(&partition) {
-            slot.store(last + 1, Ordering::SeqCst);
+        if let Some((_, load)) = self.home_loads.iter().find(|(p, _)| *p == partition) {
+            load.fetch_add(admitted, Ordering::Relaxed);
         }
     }
 
-    /// Rotates the aged retry-bookkeeping sets — and ages out idle
-    /// steal-route overrides and idle clean actor-state cache entries — if
-    /// their retention interval elapsed (piggybacked on the mesh timer's
-    /// heartbeat tick).
+    /// Rotates the aged retry-bookkeeping sets — and ages out idle clean
+    /// actor-state cache entries — if their retention interval elapsed
+    /// (piggybacked on the mesh timer's heartbeat tick).
     fn age_retry_bookkeeping(&self) {
         let now = mono_now();
         self.completed.lock().maybe_rotate(now);
@@ -3127,14 +3110,7 @@ impl ComponentCore {
         // dedup sets: a tombstone that was never consumed by a rehydration
         // ages out instead of leaking.
         self.passivated.lock().maybe_rotate(now);
-        self.pool.age_routes(now);
         self.state_cache.maybe_age(now);
-    }
-
-    /// Number of live steal-route overrides in the dispatch pool (aged out
-    /// once their actor has been idle for a retention window).
-    pub fn steal_route_count(&self) -> usize {
-        self.pool.route_count()
     }
 
     /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
@@ -3290,7 +3266,7 @@ impl ComponentCore {
     /// Passivates one actor if it is truly quiescent: flushes its state,
     /// then — re-verifying under the actors lock — drops its slot
     /// (instance, mailbox, slot stamp), its cached state image, its cached
-    /// placement, its steal route, and its idle stamp, and records a
+    /// placement and its idle stamp, and records a
     /// tombstone. The next request re-activates the actor through the
     /// ordinary placement/admission path, exactly like a first activation.
     /// Returns true if the actor was passivated.
@@ -3335,13 +3311,11 @@ impl ComponentCore {
         self.idle_actors.lock().remove(actor);
         self.passivated.lock().insert(actor.clone());
         drop(actors);
-        // Outside the actors lock — neither table is ordered after it. Both
-        // drops keep the per-actor caches bounded by the *resident* set:
-        // the placement record in the store is untouched (the actor is
-        // still placed here, just not in memory), and the steal route is
-        // subject to its usual active-veto.
+        // Outside the actors lock — the placement cache is not ordered after
+        // it. Keeps the cache bounded by the *resident* set; the placement
+        // record in the store is untouched (the actor is still placed here,
+        // just not in memory).
         self.placement.forget(actor);
-        self.pool.forget_route(actor);
         self.stats.passivations.fetch_add(1, Ordering::Relaxed);
         true
     }

@@ -57,28 +57,20 @@ pub struct MeshConfig {
     pub placement_cache: bool,
     /// Cancellation policy for orphaned callees.
     pub cancellation: CancellationPolicy,
-    /// Number of dispatch workers per component. Polled requests are routed
-    /// by actor identity onto this worker pool, so invocations for distinct
-    /// actors execute in parallel while each actor's mailbox stays strictly
-    /// ordered (the actor is pinned to one shard). `1` reproduces the fully
-    /// serial dispatch of early revisions; values above `1` let throughput
-    /// scale with cores and make retry load shaping explicit (RetryGuard's
-    /// motivation). With more than one worker an idle worker steals whole
-    /// *actors* from the most loaded shard, and the placement cache is
-    /// sharded one shard per worker. Clamped to at least 1.
-    pub dispatch_workers: usize,
     /// Number of home queue partitions allocated to each component (the
     /// paper's Kafka deployment assigns each component a partition *set*,
     /// §4.1). Requests hash onto a component's home partitions by actor key,
     /// so one actor's records stay in one partition (per-actor FIFO) while
-    /// the component's consumer side scales with the set (one consumer lane
-    /// per home partition). Components hosting no actor types (external
-    /// clients) get the same count: the width of their response funnel. `1`
-    /// reproduces the one-partition-per-component topology of early
-    /// revisions. Clamped to at least 1.
+    /// the component's consumer side scales with the set: one consumer lane
+    /// per home partition, which admits and runs what it polls, so this is
+    /// also the component's dispatch concurrency. Components hosting no
+    /// actor types (external clients) get the same count: the width of
+    /// their response funnel. `1` reproduces the one-partition-per-component
+    /// topology — and the serial dispatch — of early revisions. Clamped to
+    /// at least 1.
     pub partitions_per_component: usize,
     /// Number of reactor threads in the mesh-wide pool that drives **every**
-    /// component's consumers, dispatch shards, and continuation timeouts.
+    /// component's consumer lanes, due retries, and continuation timeouts.
     /// The pool is fixed at mesh start: adding components or partitions
     /// never spawns threads, it only adds pump targets for the existing
     /// reactors. `0` (the default) sizes the pool from the machine's
@@ -177,7 +169,6 @@ impl Default for MeshConfig {
             retention: Duration::from_secs(600),
             placement_cache: true,
             cancellation: CancellationPolicy::Await,
-            dispatch_workers: 4,
             partitions_per_component: 4,
             reactor_threads: 0,
             retry_policies: Vec::new(),
@@ -256,19 +247,6 @@ impl MeshConfig {
     pub fn with_cancellation(mut self, policy: CancellationPolicy) -> Self {
         self.cancellation = policy;
         self
-    }
-
-    /// Sets the number of dispatch workers per component (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_dispatch_workers(mut self, workers: usize) -> Self {
-        self.dispatch_workers = workers.max(1);
-        self
-    }
-
-    /// The effective dispatch worker count (never below 1, whatever the raw
-    /// field was set to).
-    pub fn effective_dispatch_workers(&self) -> usize {
-        self.dispatch_workers.max(1)
     }
 
     /// Sets the number of home queue partitions per component (clamped to
@@ -555,16 +533,6 @@ mod tests {
                 .effective_reactor_threads(),
             16
         );
-    }
-
-    #[test]
-    fn dispatch_workers_default_and_clamp() {
-        assert_eq!(MeshConfig::default().dispatch_workers, 4);
-        let serial = MeshConfig::for_tests().with_dispatch_workers(0);
-        assert_eq!(serial.dispatch_workers, 1);
-        assert_eq!(serial.effective_dispatch_workers(), 1);
-        let wide = MeshConfig::for_tests().with_dispatch_workers(8);
-        assert_eq!(wide.effective_dispatch_workers(), 8);
     }
 
     #[test]

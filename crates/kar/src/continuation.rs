@@ -4,7 +4,7 @@
 //! When a handler returns [`Outcome::CallThen`](crate::Outcome::CallThen),
 //! the runtime sends the nested request, captures the rest of the handler as
 //! a [`Continuation`] keyed by the nested request id in the component's
-//! [`ContinuationTable`], and returns the worker to the reactor pool. The
+//! [`ContinuationTable`], and returns the reactor to the pool. The
 //! actor stays locked (per-actor FIFO is untouched: its mailbox keeps
 //! queueing behind the parked invocation) and the *original* request stays
 //! in the in-flight set, so recovery treats a parked invocation exactly like

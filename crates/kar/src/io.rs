@@ -18,10 +18,9 @@
 //!
 //! While a stage is parked its actor stays busy (its mailbox queues behind
 //! it) and its request stays in flight, exactly like an invocation executing
-//! on a thread; the reactor, the dispatch-shard claim and the shard's
-//! busy-actor guard are handed back. Killing a component drops its parked
-//! stages ([`DueHeap::forget`]): a killed thread asleep inside an I/O never
-//! completed anything either.
+//! on a thread; the reactor and the consumer lane it was sweeping are handed
+//! back. Killing a component drops its parked stages ([`DueHeap::forget`]):
+//! a killed thread asleep inside an I/O never completed anything either.
 //!
 //! A wait with no due time is a stage too: a produce round one of whose
 //! targets has a stale placement — the recorded one points at a failed

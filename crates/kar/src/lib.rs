@@ -76,7 +76,6 @@ pub mod config;
 pub mod context;
 pub mod continuation;
 mod delivery;
-mod dispatch;
 pub mod faults;
 mod io;
 pub mod mesh;

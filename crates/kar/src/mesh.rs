@@ -38,7 +38,7 @@ const GROUP: &str = "kar";
 /// State shared by the mesh's fixed reactor pool: the registry of pump
 /// targets (every component ever added, clients included — their partitions
 /// deliver client responses) and the mesh-wide wakeup group that every
-/// consumer partition, dispatch shard, and continuation timeout notifies.
+/// consumer partition, due retry, and continuation timeout notifies.
 ///
 /// The pool is the invocation core's whole thread budget: components own no
 /// threads of their own, so adding components or partitions adds pump
@@ -46,7 +46,7 @@ const GROUP: &str = "kar";
 struct ReactorShared {
     registry: RwLock<Vec<Arc<ComponentCore>>>,
     /// The single wakeup primitive: queue appends (via each consumer's
-    /// broker-side group membership), dispatch pushes, and timeout flags all
+    /// broker-side group membership), due retries, and timeout flags all
     /// notify here; idle reactors park on it.
     group: Arc<WaitSignalGroup>,
     /// The mesh-wide due-time heap: invocations waiting for a modelled I/O
@@ -414,13 +414,6 @@ impl Mesh {
         &self.inner.config
     }
 
-    /// The number of dispatch workers each component runs (the sharded
-    /// parallel dispatcher's concurrency knob, `MeshConfig::dispatch_workers`
-    /// clamped to at least 1).
-    pub fn dispatch_workers(&self) -> usize {
-        self.inner.config.effective_dispatch_workers()
-    }
-
     /// Adds a virtual node to the mesh. Nodes group components that fail
     /// together under [`Mesh::kill_node`].
     pub fn add_node(&self) -> NodeId {
@@ -682,9 +675,10 @@ impl Mesh {
         nodes
     }
 
-    /// Per-shard admitted-request counts of one component's dispatch pool
-    /// (`None` for unknown components). The max/mean spread of this vector
-    /// is the shard imbalance that work stealing closes.
+    /// Requests admitted from each home partition of one component, in home
+    /// order (`None` for unknown components). Each home partition has one
+    /// consumer lane, so the max/mean spread of this vector is the lanes'
+    /// load imbalance.
     pub fn shard_loads(&self, component: ComponentId) -> Option<Vec<u64>> {
         self.inner
             .components
@@ -693,25 +687,10 @@ impl Mesh {
             .map(|core| core.shard_loads())
     }
 
-    /// Number of whole-actor steals one component's idle dispatch workers
-    /// have performed.
-    pub fn steal_count(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.steal_count())
-    }
-
-    /// Number of proactive steal wakeups one component's dispatch pool has
-    /// issued (idle workers poked by a deep push instead of waiting out
-    /// their idle tick).
-    pub fn steal_wakeups(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.steal_wakeup_count())
+    /// Always `Some(0)`: nothing steals work. Kept only because the frozen
+    /// benchmark under `bench/` still reads it.
+    pub fn steal_count(&self, _component: ComponentId) -> Option<u64> {
+        Some(0)
     }
 
     /// Number of actor states one component currently caches in memory
@@ -814,16 +793,6 @@ impl Mesh {
             .read()
             .get(&component)
             .map(|core| core.state_cache_evictions())
-    }
-
-    /// Number of live steal-route overrides in one component's dispatch
-    /// pool (aged out once their actor idles for a retention window).
-    pub fn steal_route_count(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.steal_route_count())
     }
 
     /// Placement-cache hit/miss/invalidation counters of one component.
@@ -1632,43 +1601,40 @@ mod tests {
     }
 
     #[test]
-    fn distinct_actors_execute_in_parallel_across_dispatch_workers() {
+    fn distinct_actors_execute_in_parallel_across_lanes() {
         // Sleeping invocations occupy reactor threads, so this parallelism
-        // probe needs a pool at least as wide as the worker count under
-        // test (the auto-sized pool tracks the host's cores, which may be
-        // fewer).
+        // probe needs a pool at least as wide as the lane count under test
+        // (the auto-sized pool tracks the host's cores, which may be fewer).
         let mesh = Mesh::new(
             MeshConfig::for_tests()
-                .with_dispatch_workers(8)
+                .with_partitions_per_component(8)
                 .with_reactor_threads(8),
         );
-        assert_eq!(mesh.dispatch_workers(), 8);
         assert_eq!(mesh.reactor_thread_count(), 8);
         let node = mesh.add_node();
-        mesh.add_component(node, "server", |c| c.host("Sleeper", || Box::new(Sleeper)));
+        let server =
+            mesh.add_component(node, "server", |c| c.host("Sleeper", || Box::new(Sleeper)));
         let client = mesh.client();
+        // One sleeper per home partition: a lane runs what it polls one
+        // invocation at a time.
+        let partitions = mesh.partition_set(server).unwrap();
+        let mut lanes = HashSet::new();
+        let sleepers: Vec<ActorRef> = (0..)
+            .map(|i| ActorRef::new("Sleeper", format!("s{i}")))
+            .filter(|actor| lanes.insert(partitions.partition_for_key(&actor.qualified_name())))
+            .take(8)
+            .collect();
         // Warm up placements so the measured phase is pure dispatch.
-        for i in 0..8 {
-            client
-                .call(
-                    &ActorRef::new("Sleeper", format!("s{i}")),
-                    "nap",
-                    vec![Value::Int(0)],
-                )
-                .unwrap();
+        for sleeper in &sleepers {
+            client.call(sleeper, "nap", vec![Value::Int(0)]).unwrap();
         }
         let started = Instant::now();
-        let workers: Vec<_> = (0..8)
-            .map(|i| {
+        let workers: Vec<_> = sleepers
+            .into_iter()
+            .map(|sleeper| {
                 let client = client.clone();
                 std::thread::spawn(move || {
-                    client
-                        .call(
-                            &ActorRef::new("Sleeper", format!("s{i}")),
-                            "nap",
-                            vec![Value::Int(100)],
-                        )
-                        .unwrap()
+                    client.call(&sleeper, "nap", vec![Value::Int(100)]).unwrap()
                 })
             })
             .collect();
@@ -1687,8 +1653,7 @@ mod tests {
 
     #[test]
     fn serial_dispatch_still_works_with_one_worker() {
-        let mesh = Mesh::new(MeshConfig::for_tests().with_dispatch_workers(1));
-        assert_eq!(mesh.dispatch_workers(), 1);
+        let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(1));
         let node = mesh.add_node();
         mesh.add_component(node, "server", |c| {
             c.host("Accumulator", || Box::new(Accumulator))

@@ -128,7 +128,7 @@ impl CacheShard {
 }
 
 /// The sharded placement cache: actors hash onto shards, so concurrent
-/// dispatch workers resolving placements contend only when they race on the
+/// consumer lanes resolving placements contend only when they race on the
 /// same shard — never on one global cache lock.
 #[derive(Debug)]
 struct ShardedCache {

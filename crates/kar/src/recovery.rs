@@ -20,14 +20,16 @@
 //! flush are therefore still consumed, and the adopter's admission-time
 //! placement check forwards any it does not own.
 //!
-//! Interaction with the sharded dispatcher: pausing a component stops both
-//! its queue consumer and its dispatch workers, so no *new* request is
-//! admitted to an actor mailbox while the leader catalogs queues; invocations
-//! already executing keep running (the paper does not preempt running tasks).
-//! A request a survivor has polled but not yet admitted is counted as
-//! locally pending via the dispatcher's pending-admission set (see
-//! `ComponentCore::locally_pending`), so cataloguing never re-homes a copy
-//! that a live component is still going to process.
+//! Interaction with dispatch: pausing a component stops its consumer lanes
+//! from polling and its due retries from being admitted, so no *new* batch
+//! reaches an actor mailbox while the leader catalogs queues; invocations
+//! already executing — and the rest of a batch already polled — keep going
+//! (the paper does not preempt running tasks). A lane advances its
+//! partition's consumed offset past a request only once admission has put it
+//! in flight, in a mailbox, deferred or parked (see
+//! `ComponentCore::locally_pending`), so a request a survivor has polled
+//! counts as still queued or locally pending, and cataloguing never re-homes
+//! a copy that a live component is still going to process.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -256,8 +258,8 @@ pub(crate) fn handle_group_event(
             }
             // Pause message processing on the survivors while the leader
             // reconciles ("all components temporarily stop sending and
-            // receiving messages"). This halts their queue consumers and
-            // dispatch workers; in-flight invocations drain on their own.
+            // receiving messages"). This halts their consumer lanes and
+            // retry pumps; in-flight invocations drain on their own.
             let survivors: Vec<Arc<ComponentCore>> = {
                 let components = ctx.components.read();
                 live.iter()

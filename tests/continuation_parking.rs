@@ -26,7 +26,7 @@ use common::{chaos_seed, SplitMix64};
 /// The caller side: `record(i, delay)` parks a continuation on a nested
 /// `Back.echo(i, delay)` call and, on resume, appends `i` to a durable log
 /// with the same dedupe + order tripwire as the Ledger actor in
-/// tests/lock_granularity.rs — duplicates from runtime retries are absorbed,
+/// tests/parallel_dispatch.rs — duplicates from runtime retries are absorbed,
 /// and any out-of-order first execution is recorded as a violation at the
 /// point it happens, whichever replica resumes the continuation.
 struct Front;
@@ -228,5 +228,50 @@ fn kill_while_parked_preserves_exactly_once_and_fifo() {
         entries, expected,
         "log must hold each record exactly once, in order"
     );
+    mesh.shutdown();
+}
+
+/// `nap(ms)`: a nested call whose continuation then occupies its reactor for
+/// `ms` milliseconds, on the lane that polled the nested call's response.
+struct Napper;
+
+impl Actor for Napper {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "nap" => {
+                let ms = args[0].as_i64().unwrap_or(0) as u64;
+                let back = ActorRef::new("Back", "b");
+                Ok(
+                    ctx.call_then(&back, "echo", vec![Value::Int(0)], move |_ctx, result| {
+                        result?;
+                        std::thread::sleep(Duration::from_millis(ms));
+                        Ok(Outcome::value("rested"))
+                    }),
+                )
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+#[test]
+fn a_long_continuation_stalls_no_heartbeat() {
+    // A continuation runs on the lane that polled its response, holding the
+    // lane. 300 ms is six of the compressed 50 ms session timeouts: if the
+    // timer waited for that lane, no component would heartbeat meanwhile,
+    // and the detector would fence them.
+    let mesh = Mesh::new(MeshConfig::for_tests().with_reactor_threads(2));
+    let node = mesh.add_node();
+    mesh.add_component(node, "back", |c| c.host("Back", || Box::new(Back)));
+    mesh.add_component(node, "napper", |c| c.host("Napper", || Box::new(Napper)));
+    let client = mesh.client();
+    let result = client.call(&ActorRef::new("Napper", "n"), "nap", vec![Value::Int(300)]);
+    assert_eq!(result, Ok(Value::from("rested")));
+    assert_eq!(mesh.recoveries(), 0, "a component was declared failed");
     mesh.shutdown();
 }

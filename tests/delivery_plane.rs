@@ -161,11 +161,7 @@ fn group_wait_delivers_unparked_partition_appends_without_a_rotation_slice() {
 /// component are served promptly on both the request and the response leg.
 #[test]
 fn sparse_calls_on_any_partition_are_served_promptly() {
-    let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_partitions_per_component(4)
-            .with_dispatch_workers(4),
-    );
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(4));
     let node = mesh.add_node();
     let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
     let client = mesh.client();
@@ -434,8 +430,7 @@ fn adopted_partitions_retire_after_the_horizon_under_seeded_chaos() {
             retention: Duration::from_secs(120),
             ..MeshConfig::for_tests()
         }
-        .with_partitions_per_component(PARTITIONS)
-        .with_dispatch_workers(2),
+        .with_partitions_per_component(PARTITIONS),
     );
     let node = mesh.add_node();
     let a = mesh.add_component(node, "replica-a", |c| c.host("Ledger", || Box::new(Ledger)));

@@ -1,7 +1,8 @@
-//! Stress tests for the sharded parallel dispatcher: with
-//! `dispatch_workers > 1`, exactly-once and per-actor ordering must hold
-//! exactly as they did under serial dispatch, including across kill/recovery
-//! fault injection.
+//! Stress tests for parallel dispatch: with several consumer lanes per
+//! component (`partitions_per_component > 1`), each admitting and running
+//! what it polls, exactly-once and per-actor ordering must hold exactly as
+//! they did under serial dispatch, including across kill/recovery fault
+//! injection.
 //!
 //! Three phases:
 //!
@@ -13,17 +14,23 @@
 //!    log length proves every acknowledged call was applied exactly once.
 //! 2. **Mailbox FIFO under parallel dispatch** — a single actor receives a
 //!    stream of asynchronous `tell`s; the recorded log must be exactly the
-//!    sent sequence, proving the worker pool never reorders one actor's
-//!    mailbox even with many workers.
+//!    sent sequence, proving the lanes never reorder one actor's mailbox
+//!    even with many of them.
 //! 3. **Tail-call exactly-once under failures** — the §2.3 accumulator
-//!    guarantee re-checked with a multi-worker mesh.
+//!    guarantee re-checked with a multi-lane mesh.
+//!
+//! Plus the admission claim: one request polled from two lanes at once runs
+//! once.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
-use kar_types::{ActorRef, KarError, KarResult, Value};
+use kar_types::{
+    ActorRef, CallKind, Envelope, KarError, KarResult, RequestId, RequestMessage, Value,
+};
 
 /// A durable event log with ordering verification built into the actor, so
 /// ordering violations are detected at the point they would occur, no matter
@@ -122,9 +129,9 @@ fn ordered_calls_survive_failures_with_parallel_dispatch() {
     const ACTORS: usize = 6;
     const CALLS: i64 = 30;
 
-    let mesh = Mesh::new(MeshConfig::for_tests().with_dispatch_workers(4));
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(4));
     assert!(
-        mesh.dispatch_workers() > 1,
+        mesh.config().effective_partitions_per_component() > 1,
         "this test must run with parallel dispatch"
     );
     let node = mesh.add_node();
@@ -208,7 +215,7 @@ fn ordered_calls_survive_failures_with_parallel_dispatch() {
 fn one_actors_mailbox_stays_fifo_under_parallel_dispatch() {
     const MESSAGES: i64 = 200;
 
-    let mesh = Mesh::new(MeshConfig::for_tests().with_dispatch_workers(8));
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(8));
     let node = mesh.add_node();
     mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
     let client = mesh.client();
@@ -248,7 +255,7 @@ fn one_actors_mailbox_stays_fifo_under_parallel_dispatch() {
 
 #[test]
 fn tail_call_increments_stay_exactly_once_under_failures_with_parallel_dispatch() {
-    let mesh = Mesh::new(MeshConfig::for_tests().with_dispatch_workers(4));
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(4));
     let node = mesh.add_node();
     mesh.add_component(node, "replica-a", |c| {
         c.host("Accumulator", || Box::new(Accumulator))
@@ -303,6 +310,87 @@ fn tail_call_increments_stay_exactly_once_under_failures_with_parallel_dispatch(
     assert!(
         value <= attempts,
         "an increment was applied more than once: value {value} > attempts {attempts}"
+    );
+    mesh.shutdown();
+}
+
+/// Counts its executions per argument in memory the test shares: unlike a
+/// durable log with a dedupe in the handler, it sees every execution.
+struct Counter(Arc<Mutex<HashMap<i64, u32>>>);
+
+impl Actor for Counter {
+    fn invoke(
+        &mut self,
+        _ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "count" => {
+                let key = args[0].as_i64().unwrap_or(-1);
+                *self.0.lock().unwrap().entry(key).or_default() += 1;
+                Ok(Outcome::value(Value::Null))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+#[test]
+fn one_request_on_two_lanes_executes_once() {
+    const IDS: i64 = 1000;
+
+    let mesh = Mesh::new(MeshConfig::for_tests().with_reactor_threads(2));
+    let node = mesh.add_node();
+    let executions: Arc<Mutex<HashMap<i64, u32>>> = Arc::default();
+    let counts = Arc::clone(&executions);
+    let server = mesh.add_component(node, "server", move |c| {
+        c.host("Counter", move || Box::new(Counter(Arc::clone(&counts))))
+    });
+    let home = mesh.partition_set(server).unwrap().home().to_vec();
+    let broker = mesh.broker();
+    for i in 0..IDS {
+        let request = RequestMessage {
+            // Far above the ids the mesh hands out itself.
+            id: RequestId::from_raw((1 << 40) + i as u64),
+            caller: None,
+            target: ActorRef::new("Counter", format!("c{}", i % 8)),
+            method: "count".into(),
+            args: vec![Value::Int(i)],
+            kind: CallKind::Tell,
+            lineage: Vec::new(),
+            pending_callee: None,
+            caller_actor: None,
+            reply_to: None,
+            retry: None,
+            single_copy: false,
+        };
+        // One request, two records, two lanes: both copies are admitted at
+        // about the same moment, on different reactors.
+        broker
+            .admin_append("kar", home[0], Envelope::Request(request.clone()))
+            .unwrap();
+        broker
+            .admin_append("kar", home[1], Envelope::Request(request))
+            .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while executions.lock().unwrap().len() < IDS as usize {
+        assert!(Instant::now() < deadline, "not every request ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Give a late second execution the time to show.
+    std::thread::sleep(Duration::from_millis(200));
+    let twice: Vec<(i64, u32)> = executions
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(_, runs)| **runs != 1)
+        .map(|(id, runs)| (*id, *runs))
+        .collect();
+    assert!(
+        twice.is_empty(),
+        "requests executed more than once: {twice:?}"
     );
     mesh.shutdown();
 }

@@ -3,8 +3,8 @@
 //!
 //! The chaos harness drives a mesh whose components each own a 4-partition
 //! home set while a seeded RNG interleaves kill/recovery (which re-homes the
-//! victims' partition *ranges* onto survivors), runtime retries, and
-//! dispatch work stealing. Every decision the harness makes — kill timing,
+//! victims' partition *ranges* onto survivors) and runtime retries, over
+//! four consumer lanes per component. Every decision the harness makes — kill timing,
 //! victim choice, service times, workload sizes — comes from one explicit
 //! `SplitMix64` seed that is printed at the start of the run and embedded in
 //! every assertion message, so a failure reproduces by re-running the same
@@ -46,7 +46,7 @@ const TOPIC: &str = "kar";
 const CI_SEEDS: [u64; 3] = [0x000A_11CE, 0x00B0_B5ED, 0x00C0_FFEE];
 
 /// A durable event log with ordering verification built into the actor (the
-/// same shape as tests/lock_granularity.rs), so violations are detected at
+/// same shape as tests/parallel_dispatch.rs), so violations are detected at
 /// the point they would occur, whichever component or partition serves the
 /// invocation after a rebalance.
 struct Ledger;
@@ -108,7 +108,7 @@ impl Actor for Ledger {
 }
 
 /// One full chaos run from one seed: kill/recovery + partition re-homing +
-/// retries + stealing, then the exactly-once / FIFO / re-homing assertions.
+/// retries, then the exactly-once / FIFO / re-homing assertions.
 fn run_chaos(matrix_seed: u64) {
     let seed = chaos_seed(matrix_seed);
     eprintln!(
@@ -117,23 +117,18 @@ fn run_chaos(matrix_seed: u64) {
     );
     let mut rng = SplitMix64::new(seed);
     const PARTITIONS: usize = 4;
-    const WORKERS: usize = 4;
     let actors = 4 + rng.below(0, 3) as usize; // 4–6 checked actors
     let calls = 15 + rng.below(0, 11) as i64; // 15–25 calls each
     let noise_actors = 6 + rng.below(0, 5) as usize; // 6–10 noise actors
     let noise_messages = 40 + rng.below(0, 41) as i64; // 40–80 tells each
 
-    let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_dispatch_workers(WORKERS)
-            .with_partitions_per_component(PARTITIONS),
-    );
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(PARTITIONS));
     let node = mesh.add_node();
     mesh.add_component(node, "replica-a", |c| c.host("Ledger", || Box::new(Ledger)));
     mesh.add_component(node, "replica-b", |c| c.host("Ledger", || Box::new(Ledger)));
     let client = mesh.client();
 
-    // Noise firehose: deep queues keep retries and steals in flight while
+    // Noise firehose: deep queues keep retries and mailboxes busy while
     // the chaos thread kills components mid-traffic.
     let noise_service = rng.below(150, 400) as i64;
     for i in 0..noise_messages {
@@ -359,12 +354,8 @@ fn run_chaos(matrix_seed: u64) {
         );
     }
     eprintln!(
-        "[seed {seed:#x}] ok: {} recoveries re-homed partitions {rehomed:?}; steals: {}",
+        "[seed {seed:#x}] ok: {} recoveries re-homed partitions {rehomed:?}",
         recoveries.len(),
-        mesh.live_components()
-            .iter()
-            .map(|c| mesh.steal_count(*c).unwrap_or(0))
-            .sum::<u64>(),
     );
     mesh.shutdown();
 }
@@ -386,11 +377,7 @@ fn chaos_rebalance_seed_c0ffee() {
 
 #[test]
 fn a_four_partition_component_receives_traffic_on_every_partition() {
-    let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_dispatch_workers(4)
-            .with_partitions_per_component(4),
-    );
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(4));
     let node = mesh.add_node();
     let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
     let client = mesh.client();
@@ -421,11 +408,7 @@ fn partitions_orphaned_by_a_total_hosting_failure_are_adopted_by_a_later_recover
     // partition range stays parked in the topology. Once new hosting
     // components exist, the *next* recovery must sweep the leftover range
     // up along with its own victim's.
-    let mesh = Mesh::new(
-        MeshConfig::for_tests()
-            .with_dispatch_workers(2)
-            .with_partitions_per_component(2),
-    );
+    let mesh = Mesh::new(MeshConfig::for_tests().with_partitions_per_component(2));
     let node = mesh.add_node();
     let only_host =
         mesh.add_component(node, "only-host", |c| c.host("Ledger", || Box::new(Ledger)));
@@ -493,7 +476,6 @@ fn chained_failures_spread_adopted_ranges_by_current_load() {
             retention: Duration::from_secs(3600),
             ..MeshConfig::for_tests()
         }
-        .with_dispatch_workers(2)
         .with_partitions_per_component(4),
     );
     let node = mesh.add_node();

@@ -5,7 +5,7 @@
 //!    through the ordinary placement/admission path with its durable state
 //!    intact, and `Mesh::debug_report` exposes the resident-set counters.
 //! 2. **Aged-bookkeeping pin** — a passivated-then-rehydrated actor must
-//!    not resurrect a stale dedup entry or steal route: sequence-numbered
+//!    not resurrect a stale dedup entry: sequence-numbered
 //!    records stay exactly-once and in order across passivation,
 //!    rehydration, *and* a kill/recovery of the hosting component
 //!    (recovery treats a passivated actor exactly like one it never saw).
@@ -160,10 +160,10 @@ fn idle_actor_passivates_and_rehydrates_with_state_intact() {
 
 #[test]
 fn rehydration_resurrects_no_stale_bookkeeping_across_recovery() {
-    // The aged-lifetime pin: dedup entries and steal routes age on a clock
-    // twice as long as the passivation window, so a passivated-then-
-    // rehydrated actor can never replay a completed request or follow a
-    // stale route — including when a recovery re-homes it in between.
+    // The aged-lifetime pin: dedup entries age on a clock twice as long as
+    // the passivation window, so a passivated-then-rehydrated actor can
+    // never replay a completed request — including when a recovery re-homes
+    // it in between.
     let mesh = Mesh::new(fast_passivation_config(400));
     let node = mesh.add_node();
     let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
@@ -403,7 +403,7 @@ fn soft_watermark_keeps_resident_set_bounded_under_churn() {
     // clock, but admission is never deferred.
     let config = fast_passivation_config(300)
         .with_resident_watermarks(8, 1024)
-        .with_dispatch_workers(4);
+        .with_partitions_per_component(4);
     let mesh = Mesh::new(config);
     let node = mesh.add_node();
     let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
