@@ -19,16 +19,18 @@
 //! the mesh's fixed reactor pool
 //! ([`crate::mesh`], `MeshConfig::reactor_threads`) through
 //! [`ComponentCore::pump`], and its periodic duties (heartbeat, bookkeeping
-//! aging, continuation timeouts, orphaned-response routing, partition
-//! retirement) run on the mesh's single timer thread through
-//! [`ComponentCore::tick`]. Handlers that issue nested calls park a
-//! continuation instead of blocking a thread (see [`crate::continuation`]),
-//! and an invocation that meets a modelled latency — a sidecar hop, the ack
-//! of its outbox round, its state flush — parks the rest of itself as a
-//! [`Stage`] on the mesh's due-time heap instead of sleeping on its reactor
-//! (see [`crate::io`]); invocations for actors on distinct lanes still
-//! *compute* in parallel up to the reactor-pool width at a time, while any
-//! number of them wait for their I/O.
+//! aging, continuation deadlines, partition retirement, passivation) run on
+//! the mesh's single timer thread through [`ComponentCore::tick`]. Handlers
+//! that issue nested calls park a continuation instead of blocking a thread
+//! (see [`crate::continuation`]), and an invocation that meets a modelled
+//! latency — a sidecar hop, the ack of its outbox round, its state flush —
+//! parks the rest of itself as a [`Stage`] on the mesh's due-time heap
+//! instead of sleeping on its reactor (see [`crate::io`]); invocations for
+//! actors on distinct lanes still *compute* in parallel up to the
+//! reactor-pool width at a time, while any number of them wait for their
+//! I/O. Whatever else a component waits on a clock for — a scheduled retry,
+//! a deferred activation, an orphaned response, a timed-out continuation —
+//! is a stage on the same heap: a component keeps no timer of its own.
 //!
 //! Rebalance safety: admission verifies the *placement* of every request it
 //! is about to execute (one cache hit in steady state) and forwards requests
@@ -37,8 +39,7 @@
 //! instead of double-executing, and stale consumers of a re-homed partition
 //! are cut off by the broker's per-partition ownership epochs.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,22 +105,9 @@ pub struct ComponentStats {
     pub passivations: AtomicU64,
     /// Passivated actors re-activated through the ordinary admission path.
     pub rehydrations: AtomicU64,
-    /// New-actor activations deferred at an admission watermark (shed onto
-    /// the delayed heap with shaped backoff, never dropped).
+    /// New-actor activations deferred at an admission watermark (parked on
+    /// the due-time heap with shaped backoff, never dropped).
     pub admission_deferrals: AtomicU64,
-}
-
-/// The delayed-retry timer wheel of one component: scheduled retries wait
-/// here — counted as locally pending, so reconciliation never re-homes a
-/// duplicate — until their deadline fires and the mesh retry budget admits
-/// them again.
-#[derive(Default)]
-struct DelayedRetries {
-    heap: BinaryHeap<Reverse<u64>>,
-    /// Entries keyed by deadline (the heap holds deadlines only; two
-    /// requests sharing a millisecond ride the same key).
-    by_deadline: HashMap<u64, Vec<RequestMessage>>,
-    ids: HashSet<RequestId>,
 }
 
 /// Per-actor dispatch state: the in-memory instance, the actor lock, and the
@@ -139,7 +127,7 @@ struct ActorSlot {
     verified_epoch: Option<u64>,
     /// Set while admission has deferred this actor's activation at a
     /// watermark: the id of the parked head request, waiting out its shaped
-    /// backoff in the delayed heap. Later requests mailbox behind it (so
+    /// backoff as a [`Stage::Admit`]. Later requests mailbox behind it (so
     /// per-actor FIFO holds across the deferral), and the passivation sweep
     /// never drops a slot with a deferral pending.
     activation_parked: Option<RequestId>,
@@ -148,19 +136,24 @@ struct ActorSlot {
     activation_deferrals: u32,
 }
 
-/// The admission decision for one polled request.
+/// The admission decision for one polled request. Only `Forward` and `Done`
+/// give up the request's admission claim (its `inflight` entry); a request
+/// that stays here keeps it until it finishes, so reconciliation finds
+/// every such request with one lookup.
 enum Admission {
     /// Admitted: run this invocation inline — `(request, holds_lock,
     /// reentrant)`.
     Run(RequestMessage, bool, bool),
-    /// Admitted behind a busy actor: its mailbox drain runs it.
-    Mailboxed,
+    /// Waiting here, claim kept: in a mailbox behind a busy actor, deferred
+    /// on its pending callee, or parked on the due-time heap as a
+    /// [`Stage::Admit`] (a scheduled retry, a deferred activation) — or
+    /// settled on the spot, in which case its completion releases the claim.
+    Parked,
     /// Not ours: forward to the current placement. A forward is a round of
     /// its own ([`Stage::Round`]): one that meets a stale placement parks,
     /// it never holds the lane.
     Forward(RequestMessage),
-    /// Absorbed: duplicate, deferred, parked on the delayed heap, or
-    /// dropped.
+    /// Absorbed: a duplicate, or dropped (the queue copy drives the retry).
     Done,
 }
 
@@ -324,6 +317,18 @@ pub(crate) enum Stage {
     /// The durable ack of one response-batcher flush: its records settle
     /// next, and the partition's next run leaves.
     ResponseAck(AckWait),
+    /// A request holding its admission claim, waiting to be admitted again
+    /// past it: a scheduled retry until its next-fire deadline, or an
+    /// activation deferred at the hard resident watermark until its shaped
+    /// backoff is over.
+    Admit(RequestMessage),
+    /// A response whose caller's component failed: routed next, if
+    /// reconciliation has re-placed the caller by now; dropped at
+    /// `deadline`.
+    Orphan {
+        response: ResponseMessage,
+        deadline: Duration,
+    },
 }
 
 /// What one step of the invocation loop leads to. The stage travels by
@@ -395,8 +400,9 @@ pub struct ComponentCore {
     alive: AtomicBool,
     paused: AtomicBool,
     /// The mesh-wide reactor wake signal: bumped whenever this component
-    /// gains work (an append to one of its partitions, a due retry, a
-    /// timed-out continuation), so an idle reactor resumes sweeping.
+    /// gains work (an append to one of its partitions, a resume after
+    /// recovery, a stage parked sooner than any other), so an idle reactor
+    /// resumes sweeping.
     wakeup: Arc<WaitSignalGroup>,
     /// The mesh-wide due-time heap this component's invocations park on
     /// while a modelled I/O is in flight (see [`crate::io`]).
@@ -409,14 +415,6 @@ pub struct ComponentCore {
     /// Continuations parked on nested calls, keyed by the nested request id
     /// (see [`crate::continuation`]).
     continuations: ContinuationTable,
-    /// Continuations whose deadline passed, moved here by the mesh timer and
-    /// resumed with a timeout error by the next reactor sweep — application
-    /// code never runs on the timer thread.
-    timed_out: Mutex<Vec<(RequestId, ParkedContinuation)>>,
-    /// Responses whose caller's component failed, parked until
-    /// reconciliation re-places the caller actor (swept by the mesh timer;
-    /// dropped at their deadline). Replaces the per-response routing thread.
-    orphan_responses: Mutex<Vec<(ResponseMessage, Duration)>>,
     /// Set after the first failed heartbeat (the component was fenced or its
     /// group is gone): parity with the old dedicated heartbeat thread, which
     /// exited at that point and took the bookkeeping aging with it.
@@ -459,11 +457,6 @@ pub struct ComponentCore {
     /// The mesh-wide per-actor-type circuit breakers (shared by every
     /// component): consulted before each invocation executes, fed after.
     breakers: Arc<BreakerRegistry>,
-    /// Scheduled retries waiting out their next-fire deadline.
-    delayed: Mutex<DelayedRetries>,
-    /// Earliest deadline in `delayed` (epoch ms; `0` = empty): lets every
-    /// reactor sweep and timer tick skip the heap lock while nothing is due.
-    delayed_earliest: AtomicU64,
     /// The passivation clock: every admission stamps its actor here, and an
     /// actor idle for two generations (one to two compressed retention
     /// windows — the state cache's single-window interval, not the doubled
@@ -571,8 +564,6 @@ impl ComponentCore {
             io,
             lanes: Mutex::new(Vec::new()),
             continuations: ContinuationTable::default(),
-            timed_out: Mutex::new(Vec::new()),
-            orphan_responses: Mutex::new(Vec::new()),
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
             responses: ResponseBatcher::new(),
@@ -588,8 +579,6 @@ impl ComponentCore {
             state_cache: StateCache::new(state_cache_interval),
             budget,
             breakers,
-            delayed: Mutex::new(DelayedRetries::default()),
-            delayed_earliest: AtomicU64::new(0),
             // The passivation clock shares the state cache's single-window
             // interval: an actor and its cached state image go cold
             // together, strictly inside the doubled dedup window — so a
@@ -692,8 +681,6 @@ impl ComponentCore {
         // process. The queue copies of their original requests drive the
         // retries on the adopters (§4.3).
         self.continuations.clear();
-        self.timed_out.lock().clear();
-        self.orphan_responses.lock().clear();
         // The in-memory state images die with the process; unflushed writes
         // are lost (no completion was sent for them).
         self.state_cache.invalidate_all();
@@ -704,19 +691,12 @@ impl ComponentCore {
         // Buffered (not yet appended) completions die with the process; the
         // affected requests' queue copies drive the retry.
         self.responses.clear();
-        // So does everything parked on a modelled I/O: a thread killed
-        // asleep inside an ack or a hop completed nothing either.
+        // So does everything parked on the due-time heap: a thread killed
+        // asleep inside an ack or a hop completed nothing either. Scheduled
+        // retries and deferred activations go with it: their durable queue
+        // copies (each carrying the persisted RetryState) drive recovery,
+        // and the adopter's admission re-parks them on the same schedule.
         self.io.forget(self);
-        // Delayed retries are in-memory too: their durable queue copies
-        // (each carrying the persisted RetryState) drive recovery, and the
-        // adopter's admission re-parks them on the same schedule.
-        {
-            let mut delayed = self.delayed.lock();
-            delayed.heap.clear();
-            delayed.by_deadline.clear();
-            delayed.ids.clear();
-        }
-        self.delayed_earliest.store(0, Ordering::SeqCst);
         self.settle.clear();
         // Reactors parked on the group re-check `is_alive` on wake.
         self.wakeup.notify();
@@ -798,7 +778,8 @@ impl ComponentCore {
                 self.consumer_thread_count(),
                 horizons.join(", "),
                 self.retired.lock(),
-                self.orphan_responses.lock().len(),
+                self.io
+                    .count(self, |stage| matches!(stage, Stage::Orphan { .. })),
             );
             let _ = writeln!(
                 out,
@@ -921,33 +902,26 @@ impl ComponentCore {
             .map_or(0, |slot| slot.load(Ordering::SeqCst))
     }
 
-    /// True if request `id` is mailboxed, deferred, parked or executing at
-    /// this component (used by reconciliation to decide whether a copy found
-    /// in a failed queue is superseded or must be re-homed). A record polled
-    /// but not yet admitted needs no entry here: its lane publishes the
-    /// partition's consumed offset past it only once admission has put it in
-    /// one of these places, so until then it still counts as queued.
+    /// True if request `id` is executing, mailboxed, deferred on its pending
+    /// callee or parked on the due-time heap at this component (used by
+    /// reconciliation to decide whether a copy found in a failed queue is
+    /// superseded or must be re-homed). Each of those holds its admission
+    /// claim, so one `inflight` lookup finds them all. A record polled but
+    /// not yet admitted needs no entry here: its lane publishes the
+    /// partition's consumed offset past it only once admission has claimed
+    /// it, so until then it still counts as queued.
     pub(crate) fn locally_pending(&self, id: RequestId) -> bool {
         if self.inflight.lock().contains(&id) {
             return true;
         }
-        // Waiting out a retry backoff: the schedule is live here, a re-homed
-        // second copy would race it.
-        if self.delayed.lock().ids.contains(&id) {
-            return true;
-        }
-        if self
-            .deferred
+        // A tail call to the same actor gives up its claim when it
+        // completes, and its successor can still sit in the response
+        // batcher — neither in the log nor claimed. The lock it retains
+        // names it.
+        self.actors
             .lock()
             .values()
-            .any(|requests| requests.iter().any(|r| r.id == id))
-        {
-            return true;
-        }
-        let actors = self.actors.lock();
-        actors
-            .values()
-            .any(|slot| slot.awaiting_tail == Some(id) || slot.mailbox.iter().any(|r| r.id == id))
+            .any(|slot| slot.awaiting_tail == Some(id))
     }
 
     /// Blocks for one sidecar hop. Only for client threads, which may block.
@@ -1193,12 +1167,40 @@ impl ComponentCore {
             }
         }
         // Slow path: the caller's component failed. Park the response until
-        // reconciliation re-places the caller actor; the mesh timer sweeps
-        // the parked list each tick and delivers to the caller's new home
-        // (or drops the response at the call-timeout deadline). No thread is
-        // spawned and no thread blocks.
-        let deadline = mono_now() + self.config.call_timeout;
-        self.orphan_responses.lock().push((response, deadline));
+        // reconciliation re-places the caller actor.
+        self.park_orphan(response);
+    }
+
+    /// Parks `response` as a [`Stage::Orphan`]: it is routed to its caller's
+    /// new home once reconciliation has re-placed the caller actor, and
+    /// dropped if that takes longer than the call timeout.
+    fn park_orphan(self: &Arc<Self>, response: ResponseMessage) {
+        let now = mono_now();
+        let deadline = now + self.config.call_timeout;
+        self.io
+            .park(now, self, Stage::Orphan { response, deadline });
+    }
+
+    /// One routing attempt for an orphaned response ([`Stage::Orphan`]):
+    /// handed to the response batcher once its caller is routable, parked
+    /// again one heartbeat interval later until `deadline`, dropped past it.
+    fn route_orphan(self: &Arc<Self>, response: ResponseMessage, deadline: Duration) {
+        if let Some(partition) = self.try_response_partition(&response) {
+            self.send_completion(partition, Envelope::Response(response), None);
+        } else if mono_now() < deadline {
+            self.park_for(
+                self.config.scaled_heartbeat_interval(),
+                Stage::Orphan { response, deadline },
+            );
+        }
+    }
+
+    /// Parks `stage` on the due-time heap for `delay` — at least a
+    /// millisecond, so a stage that parks itself again never runs twice in
+    /// one sweep.
+    fn park_for(self: &Arc<Self>, delay: Duration, stage: Stage) {
+        let due = mono_now() + delay.max(Duration::from_millis(1));
+        self.io.park(due, self, stage);
     }
 
     /// True if somebody can be waiting for `request`'s completion. A `tell`
@@ -1229,7 +1231,7 @@ impl ComponentCore {
             // A placement pointing at a dead component is a stale read taken
             // before reconciliation's rewrite: delivering there would strand
             // the response in a queue about to be flushed. Stay parked until
-            // the sweep observes a live owner.
+            // an attempt observes a live owner.
             if let Ok(Some(component)) = self.placement.resolve_nowait(caller_actor) {
                 if self.live.read().contains(&component) {
                     return self.partition_for(component, &key);
@@ -1240,34 +1242,6 @@ impl ComponentCore {
         // reply_to points at a dead external client: deliver to its queue
         // anyway (harmless; the records expire with retention).
         response.reply_to.and_then(|c| self.partition_for(c, &key))
-    }
-
-    /// Mesh-timer sweep of the orphaned-response park list: responses whose
-    /// caller became routable are delivered, unroutable ones stay parked
-    /// until their deadline.
-    fn sweep_orphan_responses(&self, now: Duration) {
-        if self.orphan_responses.lock().is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut *self.orphan_responses.lock());
-        let mut keep = Vec::new();
-        for (response, deadline) in pending {
-            match self.try_response_partition(&response) {
-                Some(partition) => {
-                    let _ =
-                        self.producer
-                            .send(&self.topic, partition, Envelope::Response(response));
-                }
-                None if now < deadline && self.is_alive() => {
-                    keep.push((response, deadline));
-                }
-                // Past the deadline: drop, exactly like the old bounded wait.
-                None => {}
-            }
-        }
-        if !keep.is_empty() {
-            self.orphan_responses.lock().extend(keep);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1415,16 +1389,17 @@ impl ComponentCore {
     // ------------------------------------------------------------------
 
     fn handle_response(self: &Arc<Self>, response: ResponseMessage) {
-        // Record the response and drain its deferred retries under one
+        // Record the response and take its deferred retries under one
         // deferred-map lock: admission's check-and-defer takes the same lock,
         // so a retry can never park itself against a response that has
-        // already been processed (lost wakeup).
+        // already been processed (lost wakeup). A deferred retry holds its
+        // admission claim, so it stays locally pending until it runs.
         let deferred = {
-            let deferred_map = self.deferred.lock();
+            let mut deferred_map = self.deferred.lock();
             self.seen_responses.lock().insert(response.id);
-            deferred_map.contains_key(&response.id)
+            deferred_map.remove(&response.id)
         };
-        let mut consumed = deferred;
+        let mut consumed = deferred.is_some();
         // A continuation parked on this response resumes inline, on the
         // reactor that polled the response record. The claim is exclusive,
         // so a duplicate response (a retried callee) cannot resume it twice.
@@ -1440,15 +1415,12 @@ impl ComponentCore {
             let _ = sender.send(Arc::clone(&response.result));
         }
         // Unblock any re-homed caller whose retry was waiting for this callee
-        // to settle (happen-before), admitting each inline. They leave the
-        // deferred map one at a time, so those not admitted yet still count
-        // as locally pending while an earlier one runs; none can join it
-        // now that the response is seen.
-        if deferred {
-            while let Some(mut request) = self.take_deferred(response.id) {
-                request.pending_callee = None;
-                self.dispatch(request);
-            }
+        // to settle (happen-before), admitting each inline past its claim;
+        // none can join them now that the response is seen.
+        for mut request in deferred.into_iter().flatten() {
+            request.pending_callee = None;
+            let admission = self.admit_held(request);
+            self.carry_out(admission);
         }
         if consumed {
             return;
@@ -1459,59 +1431,31 @@ impl ComponentCore {
         // partition's adopter. The caller's re-homed retry is deferred — or
         // about to be — wherever the caller actor is placed NOW, which need
         // not be the component that adopted this partition. Chase the
-        // placement, exactly like request forwarding: deliver the response
-        // to the current owner's queue (its own `handle_response` wakes the
-        // deferral through its seen-responses set). Unroutable yet — park
-        // alongside the sender-side orphans for the timer sweep to retry.
+        // placement, exactly like request forwarding: park the response as an
+        // orphan, which delivers it to the current owner's queue (its own
+        // `handle_response` wakes the deferral through its seen-responses
+        // set) once that owner is live.
         match response.reply_to {
             None => {}
             Some(reply_to) if reply_to == self.id => {}
             Some(_) => {
                 // A dead external client's response (no caller actor) stays
                 // dropped: nobody can ever wait on it again.
-                let Some(caller_actor) = response.caller_actor.clone() else {
+                let Some(caller_actor) = &response.caller_actor else {
                     return;
                 };
-                match self.placement.resolve_nowait(&caller_actor) {
-                    // Placement followed the partition here: the response is
-                    // recorded in this component's seen set, which is the
-                    // set the owner's deferral checks.
-                    Ok(Some(owner)) if owner == self.id => {}
-                    Ok(Some(owner)) => {
-                        if let Some(partition) =
-                            self.partition_for(owner, &caller_actor.qualified_name())
-                        {
-                            let _ = self.producer.send(
-                                &self.topic,
-                                partition,
-                                Envelope::Response(response),
-                            );
-                        }
-                    }
-                    _ => {
-                        let deadline = mono_now() + self.config.call_timeout;
-                        self.orphan_responses.lock().push((response, deadline));
-                    }
+                // Placement followed the partition here: the response is
+                // recorded in this component's seen set, which is the set the
+                // owner's deferral checks.
+                let owned_here = matches!(
+                    self.placement.resolve_nowait(caller_actor),
+                    Ok(Some(owner)) if owner == self.id
+                );
+                if !owned_here {
+                    self.park_orphan(response);
                 }
             }
         }
-    }
-
-    /// Takes the oldest request deferred on `callee`'s response, if any.
-    fn take_deferred(&self, callee: RequestId) -> Option<RequestMessage> {
-        let mut deferred = self.deferred.lock();
-        let waiting = deferred.get_mut(&callee)?;
-        let request = waiting.remove(0);
-        if waiting.is_empty() {
-            deferred.remove(&callee);
-        }
-        Some(request)
-    }
-
-    /// Admits `request` and carries out what admission decided, inline.
-    fn dispatch(self: &Arc<Self>, request: RequestMessage) {
-        let admission = self.admit_request(request);
-        self.carry_out(admission);
     }
 
     /// Runs an admitted invocation, or sends a forward as a round of its own.
@@ -1525,7 +1469,7 @@ impl ComponentCore {
                     Arc::clone(self).invocation_loop(due, stage);
                 }
             }
-            Admission::Mailboxed | Admission::Done => {}
+            Admission::Parked | Admission::Done => {}
         }
     }
 
@@ -1536,22 +1480,30 @@ impl ComponentCore {
     /// which sends it as a round of its own.
     ///
     /// Deduplication is a *claim*, taken first: two copies of one id can be
-    /// admitted at the same moment (from a home lane and an adopted lane, or
-    /// from a lane and the retry pump), and only the one whose insert into
-    /// `inflight` — checked against `completed` under the same lock — wins
-    /// goes on. A run or mailboxed request keeps the claim until it
-    /// finishes; every other outcome releases it.
+    /// admitted at the same moment (from a home lane and an adopted lane),
+    /// and only the one whose insert into `inflight` — checked against
+    /// `completed` under the same lock — wins goes on. Whatever is run or
+    /// [`Admission::Parked`] keeps the claim until it finishes, so a second
+    /// copy arriving meanwhile is a duplicate; a forward or a drop releases
+    /// it.
     fn admit_request(self: &Arc<Self>, request: RequestMessage) -> Admission {
         if !self.is_alive() {
             return Admission::Done;
         }
-        let id = request.id;
         {
             let mut inflight = self.inflight.lock();
-            if self.completed.lock().contains(&id) || !inflight.insert(id) {
+            if self.completed.lock().contains(&request.id) || !inflight.insert(request.id) {
                 return Admission::Done;
             }
         }
+        self.admit_held(request)
+    }
+
+    /// Admission of a request that holds its claim already — freshly taken,
+    /// or kept while it was deferred or parked: releases the claim unless
+    /// the request stays here.
+    fn admit_held(self: &Arc<Self>, request: RequestMessage) -> Admission {
+        let id = request.id;
         let admission = self.admit_claimed(request);
         if matches!(admission, Admission::Forward(_) | Admission::Done) {
             self.inflight.lock().remove(&id);
@@ -1562,8 +1514,8 @@ impl ComponentCore {
     /// [`Self::admit_request`] past the claim.
     fn admit_claimed(self: &Arc<Self>, mut request: RequestMessage) -> Admission {
         // Retry-orchestration gate: a *scheduled* retry copy (attempt ≥ 1)
-        // waits out its next-fire deadline in the delayed heap and spends a
-        // mesh retry-budget token to start; a shed re-queues it on its own
+        // waits out its next-fire deadline on the due-time heap and spends a
+        // mesh retry-budget token to start; a shed re-parks it on its own
         // backoff (never dropped). Checked before the ownership resolve —
         // the schedule is request-carried, so an adopter that polled a
         // re-homed copy parks it on the very same deadline.
@@ -1574,7 +1526,7 @@ impl ComponentCore {
         {
             match self.gate_scheduled_retry(request) {
                 Some(due_now) => request = due_now,
-                None => return Admission::Done,
+                None => return Admission::Parked,
             }
         }
         // Mis-routed request (placement changed): forward to the current host.
@@ -1637,7 +1589,7 @@ impl ComponentCore {
                 if !self.seen_responses.lock().contains(&callee) {
                     self.stats.deferred.fetch_add(1, Ordering::Relaxed);
                     deferred_map.entry(callee).or_default().push(request);
-                    return Admission::Done;
+                    return Admission::Parked;
                 }
             }
             request.pending_callee = None;
@@ -1645,23 +1597,18 @@ impl ComponentCore {
         let mut actors = self.actors.lock();
         // Admission watermark: a request that would *activate a new actor*
         // while the resident set is at the hard watermark is deferred with
-        // shaped backoff on the delayed-retry heap: shed, never dropped, and
-        // counted as locally pending so reconciliation never re-homes a
-        // duplicate. Requests for already-resident actors
+        // shaped backoff as a `Stage::Admit`: shed, never dropped, and
+        // holding its claim so reconciliation never re-homes a duplicate.
+        // Requests for already-resident actors
         // are never deferred (their memory is already paid for), so the hot
         // head keeps executing at full speed while the cold tail waits.
         if !actors.contains_key(&request.target) {
             if self.admission_overloaded() {
-                let deadline = self.shape_activation_deferral(request.id, 0);
                 let slot = actors.entry(request.target.clone()).or_default();
                 slot.verified_epoch = stamp;
                 slot.activation_parked = Some(request.id);
                 drop(actors);
-                self.stats
-                    .admission_deferrals
-                    .fetch_add(1, Ordering::Relaxed);
-                self.park_delayed_at(request, deadline);
-                return Admission::Done;
+                return self.defer_activation(request, 0);
             }
             // A new resident. A standing tombstone makes this a rehydration
             // — the actor re-enters through this ordinary activation path,
@@ -1676,19 +1623,14 @@ impl ComponentCore {
         if let Some(parked) = slot.activation_parked {
             if parked == request.id {
                 // The head of a deferred activation is back from the
-                // delayed heap. If the pressure has drained, activate;
+                // due-time heap. If the pressure has drained, activate;
                 // otherwise re-shape (the backoff grows with each deferral)
                 // and re-park — never drop.
                 if self.admission_overloaded() {
                     slot.activation_deferrals = slot.activation_deferrals.saturating_add(1);
                     let deferrals = slot.activation_deferrals;
                     drop(actors);
-                    let deadline = self.shape_activation_deferral(request.id, deferrals);
-                    self.stats
-                        .admission_deferrals
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.park_delayed_at(request, deadline);
-                    return Admission::Done;
+                    return self.defer_activation(request, deferrals);
                 }
                 slot.activation_parked = None;
                 slot.activation_deferrals = 0;
@@ -1703,11 +1645,11 @@ impl ComponentCore {
             }
             // A sibling of a deferred activation: mailbox behind the parked
             // head, preserving per-actor FIFO across the deferral (the head
-            // is admitted again from the delayed heap; the mailbox drains
+            // is admitted again from the due-time heap; the mailbox drains
             // behind it in arrival order).
             slot.mailbox.push_back(request);
             self.mailboxed.fetch_add(1, Ordering::Relaxed);
-            return Admission::Mailboxed;
+            return Admission::Parked;
         }
         self.touch_idle(&request.target);
         if slot.awaiting_tail == Some(request.id) {
@@ -1727,7 +1669,7 @@ impl ComponentCore {
                 // Move the request into the mailbox — no payload clone.
                 slot.mailbox.push_back(request);
                 self.mailboxed.fetch_add(1, Ordering::Relaxed);
-                Admission::Mailboxed
+                Admission::Parked
             }
         } else {
             slot.busy = true;
@@ -1764,12 +1706,26 @@ impl ComponentCore {
 
     /// Runs a stage the due-time heap held until its time came.
     pub(crate) fn resume_stage(self: &Arc<Self>, stage: Stage) {
+        if !self.is_alive() {
+            return;
+        }
         match stage {
             Stage::ResponseAck(wait) => {
-                if self.is_alive() {
-                    self.with_batcher(|batcher, ctx| batcher.acked(ctx, wait));
-                }
+                self.with_batcher(|batcher, ctx| batcher.acked(ctx, wait));
             }
+            // Recovery is cataloguing the queues: like the consumer lanes,
+            // admit nothing new until it is over.
+            Stage::Admit(request) if self.is_paused() => {
+                self.park_for(
+                    self.config.scaled_heartbeat_interval(),
+                    Stage::Admit(request),
+                );
+            }
+            Stage::Admit(request) => {
+                let admission = self.admit_held(request);
+                self.carry_out(admission);
+            }
+            Stage::Orphan { response, deadline } => self.route_orphan(response, deadline),
             stage => Arc::clone(self).invocation_loop(None, stage),
         }
     }
@@ -2001,7 +1957,9 @@ impl ComponentCore {
                 self.route_response(&frame.request, result);
                 self.next_in_mailbox(frame)
             }
-            Stage::ResponseAck(_) => unreachable!("resumed by the batcher, not the loop"),
+            Stage::ResponseAck(_) | Stage::Admit(_) | Stage::Orphan { .. } => {
+                unreachable!("resumed by resume_stage, not the loop")
+            }
         }
     }
 
@@ -2489,7 +2447,8 @@ impl ComponentCore {
                 let settles = self.settle.take(request.id);
                 // The re-append is replayed through transient gray failures:
                 // an ack-lost replay appends a second copy, which the
-                // delayed-heap/in-flight id dedup collapses at admission.
+                // admission claim collapses (the first copy keeps it while
+                // parked).
                 let appended = self
                     .own_partition_for(&request.target)
                     .is_some_and(|partition| {
@@ -2516,14 +2475,15 @@ impl ComponentCore {
         }
     }
 
-    /// Admission gate for a scheduled retry copy: park it until its
-    /// next-fire deadline, then spend a mesh retry-budget token to start it.
-    /// A shed re-queues the retry on its own backoff delay — never dropped —
-    /// until the policy's attempt-start grace expires, at which point the
-    /// shed counts as a timed-out attempt (advancing the schedule toward the
-    /// DLQ instead of stalling it forever). Returns the request when it may
-    /// proceed to ordinary admission *now*, `None` when it was parked or
-    /// settled.
+    /// Admission gate for a scheduled retry copy: park it as a
+    /// [`Stage::Admit`] until its next-fire deadline, then spend a mesh
+    /// retry-budget token to start it. A shed re-parks the retry on its own
+    /// backoff delay — never dropped — until the policy's attempt-start grace
+    /// expires, at which point the shed counts as a timed-out attempt
+    /// (advancing the schedule toward the DLQ instead of stalling it
+    /// forever). Returns the request when it may proceed to ordinary
+    /// admission *now*, `None` when it was parked or settled — holding its
+    /// claim either way, which its completion releases once settled.
     fn gate_scheduled_retry(
         self: &Arc<Self>,
         mut request: RequestMessage,
@@ -2569,81 +2529,12 @@ impl ComponentCore {
                 }
             }
         }
-        self.park_delayed(request);
-        None
-    }
-
-    /// Parks one scheduled retry in the delayed heap (deduping by id — two
-    /// copies of one schedule collapse to the earlier park).
-    fn park_delayed(&self, request: RequestMessage) {
+        // The epoch clock is the schedule's (it travels with the request);
+        // the heap runs on the monotonic one, so park for the difference.
         let not_before = request.retry.as_ref().map_or(0, |r| r.not_before_ms);
-        self.park_delayed_at(request, not_before);
-    }
-
-    /// Parks `request` until `not_before` (epoch ms), deduping by id. Also
-    /// the parking spot for watermark-deferred activations: they ride the
-    /// same heap, the same pump, and the same `locally_pending` coverage as
-    /// scheduled retries — without touching the request's own retry state.
-    fn park_delayed_at(&self, request: RequestMessage, not_before: u64) {
-        let mut delayed = self.delayed.lock();
-        if !delayed.ids.insert(request.id) {
-            return;
-        }
-        delayed.heap.push(Reverse(not_before));
-        delayed
-            .by_deadline
-            .entry(not_before)
-            .or_default()
-            .push(request);
-        let earliest = self.delayed_earliest.load(Ordering::Relaxed);
-        if earliest == 0 || not_before < earliest {
-            // Published under the heap lock: pump_retries re-reads it under
-            // the same lock before trusting it.
-            self.delayed_earliest.store(not_before, Ordering::Relaxed);
-        }
-    }
-
-    /// The retry clock's reading, if the earliest delayed retry is due by
-    /// it. The fast path, nothing delayed, is one atomic load.
-    fn retry_due(&self) -> Option<u64> {
-        let earliest = self.delayed_earliest.load(Ordering::Relaxed);
-        if earliest == 0 {
-            return None;
-        }
-        let now = self.retry_epoch_now();
-        (now >= earliest).then_some(now)
-    }
-
-    /// Admits the delayed retries whose deadline has passed, inline (their
-    /// budget spend happens at admission). Runs on every reactor sweep,
-    /// never on the timer: admission can run a handler.
-    fn pump_retries(self: &Arc<Self>) -> bool {
-        let Some(now) = self.retry_due() else {
-            return false;
-        };
-        let mut due: Vec<RequestMessage> = Vec::new();
-        {
-            let mut delayed = self.delayed.lock();
-            while let Some(&Reverse(deadline)) = delayed.heap.peek() {
-                if deadline > now {
-                    break;
-                }
-                delayed.heap.pop();
-                if let Some(batch) = delayed.by_deadline.remove(&deadline) {
-                    due.extend(batch);
-                }
-            }
-            let next = delayed.heap.peek().map_or(0, |Reverse(d)| *d);
-            self.delayed_earliest.store(next, Ordering::Relaxed);
-        }
-        let did = !due.is_empty();
-        for request in due {
-            // A due retry counts as locally pending until its own admission
-            // claims it, not just until the earlier ones have run.
-            self.delayed.lock().ids.remove(&request.id);
-            self.dispatch(request);
-        }
-        did
+        let wait = Duration::from_millis(not_before.saturating_sub(now));
+        self.park_for(wait, Stage::Admit(request));
+        None
     }
 
     /// Moves a schedule-exhausted request to the mesh dead-letter queue,
@@ -2719,9 +2610,12 @@ impl ComponentCore {
         self.stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of scheduled retries currently waiting out their backoff.
+    /// Number of requests parked to be admitted again: scheduled retries
+    /// waiting out their backoff, and activations deferred at the hard
+    /// resident watermark.
     pub fn delayed_retries(&self) -> usize {
-        self.delayed.lock().ids.len()
+        self.io
+            .count(self, |stage| matches!(stage, Stage::Admit(_)))
     }
 
     /// `(retries scheduled, invocations dead-lettered)` by this component's
@@ -2780,19 +2674,17 @@ impl ComponentCore {
     }
 
     /// One reactor sweep over this component: poll ready consumer lanes
-    /// (admitting what they poll), admit due retries, resume timed-out
-    /// continuations. Returns true if any work was done. Safe to call from
-    /// any number of reactors concurrently — lanes are claimed individually.
-    /// `wake_at` is lowered to the earliest instant a record already in one
-    /// of this component's partitions becomes readable: the sweeping reactor
-    /// must not sleep past it (no append will announce it).
+    /// (admitting what they poll) and trim settled log prefixes. Returns
+    /// true if any record was polled. Safe to call from any number of
+    /// reactors concurrently — lanes are claimed individually. `wake_at` is
+    /// lowered to the earliest instant a record already in one of this
+    /// component's partitions becomes readable: the sweeping reactor must
+    /// not sleep past it (no append will announce it).
     pub(crate) fn pump(self: &Arc<Self>, wake_at: &mut Option<Duration>) -> bool {
         if !self.is_alive() || self.is_paused() {
             return false;
         }
-        let mut did = self.pump_consumers(wake_at);
-        did |= self.pump_retries();
-        did |= self.pump_timeouts();
+        let did = self.pump_consumers(wake_at);
         if self.settle.sweep_due() {
             self.trim_settled();
         }
@@ -2888,27 +2780,10 @@ impl ComponentCore {
         did
     }
 
-    /// Resumes continuations the mesh timer flagged as timed out — on a
-    /// reactor, so application code never runs on the timer thread.
-    fn pump_timeouts(self: &Arc<Self>) -> bool {
-        let expired = std::mem::take(&mut *self.timed_out.lock());
-        if expired.is_empty() {
-            return false;
-        }
-        for (nested, parked) in expired {
-            let error = KarError::Timeout {
-                request: nested,
-                after_ms: self.config.call_timeout.as_millis() as u64,
-            };
-            self.resume_continuation(parked, Err(error));
-        }
-        true
-    }
-
     /// One mesh-timer tick: heartbeat, bookkeeping aging, continuation
-    /// deadlines, orphaned-response routing, partition retirement, trimming
-    /// of settled log prefixes. Called at
-    /// the scaled heartbeat interval by the mesh's single timer thread.
+    /// deadlines, partition retirement, passivation, trimming of settled log
+    /// prefixes. Called at the scaled heartbeat interval by the mesh's
+    /// single timer thread.
     pub(crate) fn tick(self: &Arc<Self>, now: Duration) {
         if !self.is_alive() {
             return;
@@ -2920,21 +2795,23 @@ impl ComponentCore {
                 self.age_retry_bookkeeping();
             }
         }
-        // Continuations past their deadline are *flagged* here and resumed
-        // with a timeout error on a reactor: an application continuation
-        // that misbehaves must not stall every component's heartbeat.
-        let expired = self.continuations.take_expired(now);
-        if !expired.is_empty() {
-            self.timed_out.lock().extend(expired);
-            self.wakeup.notify();
+        // Continuations past their deadline are handed to the due-time heap
+        // here and resumed with a timeout error on a reactor, one sidecar
+        // hop later like any resume: an application continuation that
+        // misbehaves must not stall every component's heartbeat.
+        for (nested, parked) in self.continuations.take_expired(now) {
+            let error = KarError::Timeout {
+                request: nested,
+                after_ms: self.config.call_timeout.as_millis() as u64,
+            };
+            let resume = Stage::Resume {
+                parked,
+                input: Err(error),
+                outbox: Outbox::default(),
+            };
+            self.io
+                .park(self.hop_due().unwrap_or_else(mono_now), self, resume);
         }
-        // Retry deadlines are also checked here: on a quiet mesh no reactor
-        // may be sweeping when a backoff expires. Only checked — admitting
-        // the retry can run its handler, which happens on a reactor.
-        if self.retry_due().is_some() {
-            self.wakeup.notify();
-        }
-        self.sweep_orphan_responses(now);
         // Response runs whose flush ran out of transient replays.
         self.with_batcher(|batcher, ctx| batcher.retry_stalled(ctx));
         self.sweep_retirement();
@@ -3063,10 +2940,11 @@ impl ComponentCore {
     /// Admits one polled batch, in record order, on the lane that polled it:
     /// a response is handled, a request admitted and then run, forwarded or
     /// left where admission put it. The partition's consumed offset passes a
-    /// request only once admission has placed it — in flight, in a mailbox,
-    /// deferred or parked — and before it runs, so reconciliation always
-    /// sees a record as still queued or locally pending, never neither, and
-    /// sees what its handler sent only once the record is consumed.
+    /// request only once admission has claimed it — run, mailboxed, deferred
+    /// or parked, it holds the claim — and before it runs, so reconciliation
+    /// always sees a record as still queued or locally pending, never
+    /// neither, and sees what its handler sent only once the record is
+    /// consumed.
     fn route_records(self: &Arc<Self>, partition: usize, records: Vec<Record<Arc<Envelope>>>) {
         self.settle.routed(partition, &records);
         let consumed = self.consumed_offsets.read().get(&partition).cloned();
@@ -3185,24 +3063,32 @@ impl ComponentCore {
             .is_some_and(|hard| self.resident_count.load(Ordering::Relaxed) >= hard)
     }
 
-    /// The shaped-backoff deadline (epoch ms) of a deferred new-actor
-    /// activation: the same backoff shape as the retry orchestration —
-    /// exponential growth with deterministic jitter derived from the
-    /// request id — on the [`ACTIVATION_BACKOFF`] base, capped at 16× the
-    /// base. `deferrals` counts prior deferrals of the same activation, so
-    /// a head that keeps finding the watermark crossed backs off further
-    /// each time.
-    fn shape_activation_deferral(&self, id: RequestId, deferrals: u32) -> u64 {
+    /// Defers the activation `request` would make: it waits out its shaped
+    /// backoff as a [`Stage::Admit`], holding its claim. `deferrals` counts
+    /// prior deferrals of the same activation.
+    fn defer_activation(self: &Arc<Self>, request: RequestMessage, deferrals: u32) -> Admission {
+        self.stats
+            .admission_deferrals
+            .fetch_add(1, Ordering::Relaxed);
+        let delay = Self::shape_activation_deferral(request.id, deferrals);
+        self.park_for(delay, Stage::Admit(request));
+        Admission::Parked
+    }
+
+    /// The shaped backoff of a deferred new-actor activation: the same
+    /// backoff shape as the retry orchestration — exponential growth with
+    /// deterministic jitter derived from the request id — on the
+    /// [`ACTIVATION_BACKOFF`] base, capped at 16× the base. `deferrals`
+    /// counts prior deferrals of the same activation, so a head that keeps
+    /// finding the watermark crossed backs off further each time.
+    fn shape_activation_deferral(id: RequestId, deferrals: u32) -> Duration {
         let backoff = Backoff::Exponential {
             base: ACTIVATION_BACKOFF,
             multiplier: 2.0,
             max: ACTIVATION_BACKOFF * 16,
             jitter: 0.2,
         };
-        let delay = backoff
-            .delay_for(deferrals.saturating_add(1), id.as_u64())
-            .max(Duration::from_millis(1));
-        epoch_ms() + delay.as_millis() as u64
+        backoff.delay_for(deferrals.saturating_add(1), id.as_u64())
     }
 
     /// Stamps `actor` as recently used on the passivation clock. Called at

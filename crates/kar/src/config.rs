@@ -106,8 +106,9 @@ pub struct MeshConfig {
     /// out — until the count is back under the watermark.
     pub resident_soft_watermark: usize,
     /// Hard resident-set watermark (`0` = unbounded): at or above it,
-    /// admission defers requests that would *activate a new actor* with
-    /// shaped backoff on the delayed-retry heap (shed, never dropped).
+    /// admission defers requests that would *activate a new actor*: each
+    /// waits out a shaped backoff on the mesh's due-time heap, holding its
+    /// admission claim (shed, never dropped).
     /// Requests for already-resident actors are never deferred. Clamped up
     /// to at least the soft watermark.
     pub resident_hard_watermark: usize,

@@ -29,6 +29,23 @@
 //! round of a nested call, a handler's outbox, a forward and a tail-call
 //! successor alike; inside an invocation nothing waits any other way.
 //!
+//! So is everything else a component waits on a clock for — the heap is its
+//! only timer:
+//! - a scheduled retry waiting out its backoff, and an activation deferred at
+//!   the hard resident watermark, wait as `Stage::Admit`; the request keeps
+//!   its admission claim meanwhile, so reconciliation sees it as pending
+//!   here, and it is admitted again past the claim;
+//! - a response whose caller's component failed waits as `Stage::Orphan`,
+//!   one routing attempt per heartbeat interval until the call timeout; once
+//!   it routes it goes to the response batcher like any completion;
+//! - a continuation whose nested call timed out is found by the mesh timer
+//!   and parked as a `Stage::Resume` carrying the timeout, due one sidecar
+//!   hop later like any resume (at once at zero latency), so application
+//!   code never runs on the timer thread.
+//!
+//! A stage parked with [`DueHeap::park`] never runs inline, even when due:
+//! the next reactor sweep runs it.
+//!
 //! Edge threads — clients, the recovery leader, the benchmark's probes —
 //! keep blocking signatures: the *same* submit, followed by
 //! [`kar_types::Completion::wait`].
@@ -162,6 +179,14 @@ impl DueHeap {
             self.inline.fetch_add(1, Ordering::Relaxed);
             return Some(stage);
         };
+        self.park(due, core, stage);
+        None
+    }
+
+    /// Parks `stage` of `core` until `due`, even one that has come: it runs
+    /// on the next sweep of some reactor, never in the caller's frame (the
+    /// caller may be the timer thread, or the stage itself parking again).
+    pub(crate) fn park(&self, due: Duration, core: &Arc<ComponentCore>, stage: Stage) {
         let nanos = due.as_nanos() as u64;
         let mut heap = self.heap.lock();
         heap.push(Parked {
@@ -181,7 +206,6 @@ impl DueHeap {
             // An idle reactor sized its sleep by the previous earliest.
             self.wakeup.notify();
         }
-        None
     }
 
     /// Resumes every stage whose due time has come, earliest first. Called at
@@ -235,6 +259,15 @@ impl DueHeap {
             .peek()
             .map_or(NOTHING_PARKED, |top| top.due.as_nanos() as u64);
         self.earliest.store(next, Ordering::Release);
+    }
+
+    /// How many of `core`'s parked stages `which` picks.
+    pub(crate) fn count(&self, core: &ComponentCore, which: impl Fn(&Stage) -> bool) -> usize {
+        self.heap
+            .lock()
+            .iter()
+            .filter(|parked| std::ptr::eq(Arc::as_ptr(&parked.core), core) && which(&parked.stage))
+            .count()
     }
 
     /// The heap's counters.

@@ -98,9 +98,9 @@ impl ReactorShared {
 
     /// True when the last tick sweep is at least two intervals stale. Under
     /// compressed clocks the tick interval is ~1ms while a single sweep
-    /// (heartbeats, retirement, delayed retries) can take far longer or the
-    /// one timer thread can simply be descheduled — either way heartbeats
-    /// and backoff deadlines starve unless a reactor rescues the lane.
+    /// (heartbeats, retirement, passivation) can take far longer or the one
+    /// timer thread can simply be descheduled — either way heartbeats and
+    /// continuation deadlines starve unless a reactor rescues the lane.
     fn tick_overdue(&self) -> bool {
         let last = self.last_tick_ms.load(Ordering::Relaxed);
         let now = kar_types::mono_now()
@@ -154,9 +154,9 @@ fn reactor_loop(shared: Arc<ReactorShared>) {
 }
 
 /// Body of the single timer thread: heartbeats, retry-bookkeeping aging,
-/// continuation timeouts, orphan-response sweeps, and partition retirement
-/// all ride this one clock. App code never runs here — expired
-/// continuations are only *flagged*; a reactor resumes them.
+/// continuation deadlines, partition retirement and passivation all ride
+/// this one clock. App code never runs here — an expired continuation is
+/// parked on the due-time heap, and a reactor resumes it.
 fn timer_loop(shared: Arc<ReactorShared>, interval: Duration) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         shared.run_tick(true);

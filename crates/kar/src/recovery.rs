@@ -25,11 +25,12 @@
 //! reaches an actor mailbox while the leader catalogs queues; invocations
 //! already executing — and the rest of a batch already polled — keep going
 //! (the paper does not preempt running tasks). A lane advances its
-//! partition's consumed offset past a request only once admission has put it
-//! in flight, in a mailbox, deferred or parked (see
-//! `ComponentCore::locally_pending`), so a request a survivor has polled
-//! counts as still queued or locally pending, and cataloguing never re-homes
-//! a copy that a live component is still going to process.
+//! partition's consumed offset past a request only once admission has
+//! claimed it — running, mailboxed, deferred and parked requests all hold
+//! the claim (see `ComponentCore::locally_pending`) — so a request a
+//! survivor has polled counts as still queued or locally pending, and
+//! cataloguing never re-homes a copy that a live component is still going
+//! to process.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};

@@ -14,7 +14,7 @@
 //! continuation replay path rather than landing between invocations.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
@@ -257,6 +257,87 @@ impl Actor for Napper {
             other => Err(KarError::application(format!("no method {other}"))),
         }
     }
+}
+
+/// `ask`: a nested call to `Back.echo(0, 900)` whose continuation logs what
+/// it was resumed with; `mark`: logs `mark`. Both log into memory the test
+/// shares, in the order they run.
+struct Asker(Arc<Mutex<Vec<String>>>);
+
+impl Actor for Asker {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        let log = Arc::clone(&self.0);
+        match method {
+            "ask" => {
+                let back = ActorRef::new("Back", "slow");
+                let args = vec![Value::Int(0), Value::Int(900)];
+                Ok(ctx.call_then(&back, "echo", args, move |_ctx, result| {
+                    let entry = match result {
+                        Err(KarError::Timeout { .. }) => "timeout".to_owned(),
+                        other => format!("resumed with {other:?}"),
+                    };
+                    log.lock().unwrap().push(entry);
+                    Ok(Outcome::value(Value::Null))
+                }))
+            }
+            "mark" => {
+                log.lock().unwrap().push("mark".to_owned());
+                Ok(Outcome::value(Value::Null))
+            }
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+#[test]
+fn a_timed_out_continuation_resumes_once_and_releases_the_actor() {
+    let mut config = MeshConfig::for_tests().with_reactor_threads(3);
+    config.call_timeout = Duration::from_millis(300);
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let log: Arc<Mutex<Vec<String>>> = Arc::default();
+    let shared = Arc::clone(&log);
+    let back = mesh.add_component(node, "back", |c| c.host("Back", || Box::new(Back)));
+    let asker = mesh.add_component(node, "asker", move |c| {
+        c.host("Asker", move || Box::new(Asker(Arc::clone(&shared))))
+    });
+    let client = mesh.client();
+    let actor = ActorRef::new("Asker", "a");
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    client.tell(&actor, "ask", vec![]).unwrap();
+    wait_for("the continuation to park", &|| {
+        mesh.parked_continuations(asker) == Some(1)
+    });
+    // Queued in the actor's mailbox behind the parked invocation.
+    client.tell(&actor, "mark", vec![]).unwrap();
+    wait_for("the mailboxed request", &|| log.lock().unwrap().len() == 2);
+    assert_eq!(*log.lock().unwrap(), ["timeout", "mark"]);
+    assert_eq!(mesh.parked_continuations(asker), Some(0));
+
+    // The callee's late response finds no continuation to resume. It is
+    // routed by the caller actor's key, like the actor's own requests: a
+    // request appended after it is handled after it.
+    wait_for("the callee's response", &|| {
+        mesh.response_batch_stats(back) == Some((1, 1))
+    });
+    client.tell(&actor, "mark", vec![]).unwrap();
+    wait_for("the request behind the response", &|| {
+        log.lock().unwrap().len() == 3
+    });
+    assert_eq!(*log.lock().unwrap(), ["timeout", "mark", "mark"]);
+    mesh.shutdown();
 }
 
 #[test]

@@ -15,7 +15,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
-use kar_types::{ActorRef, KarError, KarResult, Value};
+use kar_types::{
+    epoch_ms, ActorRef, CallKind, Envelope, KarError, KarResult, RequestId, RequestMessage,
+    RetryState, Value,
+};
 
 mod common;
 use common::{chaos_seed, SplitMix64};
@@ -204,6 +207,73 @@ fn brittle_host(
             executions: Arc::clone(&executions),
         })
     }
+}
+
+#[test]
+fn a_parked_retry_keeps_its_claim_and_runs_once() {
+    let mesh = Mesh::new(MeshConfig::for_tests());
+    let node = mesh.add_node();
+    let healthy = Arc::new(AtomicBool::new(true));
+    let executions = Arc::new(AtomicU64::new(0));
+    let server = mesh.add_component(node, "server", |c| {
+        c.host("Brittle", brittle_host(&healthy, &executions))
+    });
+    let target = ActorRef::new("Brittle", "b");
+    let home = mesh
+        .partition_set(server)
+        .unwrap()
+        .partition_for_key(&target.qualified_name())
+        .unwrap();
+    // A scheduled retry copy, due 300 ms from now.
+    let mut retry = RetryState::fresh(
+        RetryPolicy::fixed(3, Duration::from_millis(300)),
+        epoch_ms(),
+    );
+    retry.attempt = 1;
+    retry.not_before_ms = epoch_ms() + 300;
+    let request = RequestMessage {
+        // Far above the ids the mesh hands out itself.
+        id: RequestId::from_raw(1 << 40),
+        caller: None,
+        target,
+        method: "work".into(),
+        args: Vec::new(),
+        kind: CallKind::Tell,
+        lineage: Vec::new(),
+        pending_callee: None,
+        caller_actor: None,
+        reply_to: None,
+        retry: Some(Box::new(retry)),
+        single_copy: false,
+    };
+    // Two records of one scheduled retry (an ack-lost replay of the
+    // re-append leaves exactly this): the first parks, the second finds the
+    // claim taken.
+    let broker = mesh.broker();
+    for _ in 0..2 {
+        broker
+            .admin_append("kar", home, Envelope::Request(request.clone()))
+            .unwrap();
+    }
+    let parked_until = Instant::now() + Duration::from_millis(200);
+    let mut seen_parked = false;
+    while Instant::now() < parked_until {
+        let parked = mesh.delayed_retries(server).unwrap();
+        assert!(parked <= 1, "one retry parked twice: {parked}");
+        seen_parked |= parked == 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(seen_parked, "the retry was never seen parked");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while executions.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the retry never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Give a second execution the time to show.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(executions.load(Ordering::SeqCst), 1);
+    assert_eq!(mesh.delayed_retries(server), Some(0));
+    mesh.shutdown();
 }
 
 #[test]
