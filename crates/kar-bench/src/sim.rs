@@ -469,11 +469,16 @@ fn kill_while_parked(seed: u64, kill_step: u64, rebreak: bool) -> SimOutcome {
     outcome("kill-while-parked", seed, kill_step, driver)
 }
 
-/// Kill a component while its passivation sweep is aging out idle actors:
-/// a crash landing between a passivation flush and the drop must not lose
-/// or duplicate the flushed state when the actors rehydrate elsewhere.
+/// Kill a component while it passivates: a crash landing between an
+/// eviction and the activation it made room for, or between a passivation
+/// flush and the drop, must not lose or duplicate the flushed state when the
+/// actors rehydrate elsewhere. The soft watermark sits below the six-actor
+/// working set, so every activation past it evicts the coldest resident
+/// inline; the kill is armed after an idle spell (the heartbeat sweep
+/// passivates what stayed resident) and lands among the rehydrating calls
+/// that follow it.
 fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
-    let mut config = MeshConfig::deterministic(seed);
+    let mut config = MeshConfig::deterministic(seed).with_resident_watermarks(2, 0);
     // Shrink the retention clock so passivation windows elapse within the
     // simulated workload (the sweep runs off the virtual clock).
     config.retention = Duration::from_millis(800);
@@ -484,7 +489,7 @@ fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome
         let log = Arc::clone(&log);
         move |b| b.host("Ledger", ledger_host(&log))
     });
-    mesh.add_component(node, "beta", {
+    let beta = mesh.add_component(node, "beta", {
         let log = Arc::clone(&log);
         move |b| b.host("Ledger", ledger_host(&log))
     });
@@ -496,11 +501,22 @@ fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome
         driver.call(&target, "apply", req, None);
     }
     driver.mesh.sim_steps(3_000);
-    driver.arm_kill(kill_step, alpha, "alpha");
-    driver.mesh.sim_steps(kill_step + 200);
-    driver.await_recoveries(1, "alpha");
-    // Rehydrate everything through the re-homed placement.
+    // The kill goes to the component most of the working set is placed on.
+    let placed: Vec<_> = (0..6)
+        .filter_map(|i| placement_of(&driver.mesh, &ActorRef::new("Ledger", format!("p{i}"))))
+        .collect();
+    let host = [alpha, beta]
+        .into_iter()
+        .max_by_key(|component| placed.iter().filter(|p| *p == component).count())
+        .unwrap_or(alpha);
+    driver.arm_kill(kill_step, host, "host");
     for req in 13..=24u64 {
+        let target = ActorRef::new("Ledger", format!("p{}", req % 6));
+        driver.call(&target, "apply", req, None);
+    }
+    driver.await_recoveries(1, "host");
+    // Rehydrate everything through the re-homed placement.
+    for req in 25..=36u64 {
         let target = ActorRef::new("Ledger", format!("p{}", req % 6));
         driver.call(&target, "apply", req, None);
     }

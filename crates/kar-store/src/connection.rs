@@ -7,7 +7,7 @@ use std::time::Duration;
 use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
 use crate::pipeline::Pipeline;
-use crate::store::{materialize_hash, unshare, StoreInner};
+use crate::store::{holds, materialize_hash, StoreInner, Stored};
 
 /// A client session bound to a component and a fencing [`Epoch`].
 ///
@@ -23,8 +23,9 @@ use crate::store::{materialize_hash, unshare, StoreInner};
 /// commands into a single round trip and fence check.
 ///
 /// Data sections lock exactly the one shard the key hashes onto, and clone
-/// only `Arc` pointers under the lock — [`Value`] trees are materialized
-/// outside it, so reading a large actor state never stalls the shard.
+/// only inline scalars and `Arc` pointers under the lock — [`Value`] trees
+/// are materialized outside it, so reading a large actor state never stalls
+/// the shard.
 #[derive(Debug, Clone)]
 pub struct Connection {
     inner: Arc<StoreInner>,
@@ -85,7 +86,7 @@ impl Connection {
     pub fn get(&self, key: &str) -> KarResult<Option<Value>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let arc = {
+        let stored = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
             let data = self.inner.lock_shard_of(key);
             self.inner
@@ -94,7 +95,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.strings.get(key).cloned()
         };
-        self.finish(trip, gate, arc.map(unshare))
+        self.finish(trip, gate, stored.map(Stored::into_value))
     }
 
     /// Writes a string key, returning the previous value.
@@ -106,7 +107,7 @@ impl Connection {
     pub fn set(&self, key: &str, value: Value) -> KarResult<Option<Value>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let value = Arc::new(value);
+        let value = Stored::from(value);
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
             let mut data = self.inner.lock_shard_of(key);
@@ -114,9 +115,9 @@ impl Connection {
                 .stats
                 .writes
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            data.strings.insert(key.to_owned(), value)
+            data.strings.insert(key.into(), value)
         };
-        self.finish(trip, gate, previous.map(unshare))
+        self.finish(trip, gate, previous.map(Stored::into_value))
     }
 
     /// Writes a string key only if it does not exist yet. Returns `true` if
@@ -129,7 +130,7 @@ impl Connection {
     pub fn set_nx(&self, key: &str, value: Value) -> KarResult<bool> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let value = Arc::new(value);
+        let value = Stored::from(value);
         let written = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
             let mut data = self.inner.lock_shard_of(key);
@@ -140,7 +141,7 @@ impl Connection {
             if data.strings.contains_key(key) {
                 false
             } else {
-                data.strings.insert(key.to_owned(), value);
+                data.strings.insert(key.into(), value);
                 true
             }
         };
@@ -166,7 +167,7 @@ impl Connection {
     ) -> KarResult<Result<(), Option<Value>>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let new = Arc::new(new);
+        let new = Stored::from(new);
         let outcome = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
             let mut data = self.inner.lock_shard_of(key);
@@ -174,15 +175,19 @@ impl Connection {
                 .stats
                 .cas
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let current = data.strings.get(key).cloned();
-            if current.as_deref() == expected {
-                data.strings.insert(key.to_owned(), new);
+            let current = data.strings.get(key);
+            if holds(current, expected) {
+                data.strings.insert(key.into(), new);
                 Ok(())
             } else {
-                Err(current)
+                Err(current.cloned())
             }
         };
-        self.finish(trip, gate, outcome.map_err(|actual| actual.map(unshare)))
+        self.finish(
+            trip,
+            gate,
+            outcome.map_err(|actual| actual.map(Stored::into_value)),
+        )
     }
 
     /// Deletes a string key, returning the previous value.
@@ -203,7 +208,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.strings.remove(key)
         };
-        self.finish(trip, gate, previous.map(unshare))
+        self.finish(trip, gate, previous.map(Stored::into_value))
     }
 
     /// True if the string key exists.
@@ -236,7 +241,7 @@ impl Connection {
     pub fn hget(&self, key: &str, field: &str) -> KarResult<Option<Value>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let arc = {
+        let stored = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
             let data = self.inner.lock_shard_of(key);
             self.inner
@@ -245,7 +250,7 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.get(key).and_then(|h| h.get(field)).cloned()
         };
-        self.finish(trip, gate, arc.map(unshare))
+        self.finish(trip, gate, stored.map(Stored::into_value))
     }
 
     /// Writes one field of a hash, returning the previous value of the field.
@@ -257,7 +262,7 @@ impl Connection {
     pub fn hset(&self, key: &str, field: &str, value: Value) -> KarResult<Option<Value>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let value = Arc::new(value);
+        let value = Stored::from(value);
         let previous = {
             let _fence = self.inner.fence_guard(self.component, self.epoch)?;
             let mut data = self.inner.lock_shard_of(key);
@@ -266,11 +271,11 @@ impl Connection {
                 .writes
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes
-                .entry(key.to_owned())
+                .entry(key.into())
                 .or_default()
                 .insert(field.to_owned(), value)
         };
-        self.finish(trip, gate, previous.map(unshare))
+        self.finish(trip, gate, previous.map(Stored::into_value))
     }
 
     /// Writes several fields of a hash at once (a single command: one round
@@ -305,9 +310,9 @@ impl Connection {
     ) -> KarResult<Completion<()>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
-        let entries: Vec<(String, Arc<Value>)> = entries
+        let entries: Vec<(String, Stored)> = entries
             .into_iter()
-            .map(|(field, value)| (field, Arc::new(value)))
+            .map(|(field, value)| (field, Stored::from(value)))
             .collect();
         let _fence = self.inner.fence_guard(self.component, self.epoch)?;
         let mut data = self.inner.lock_shard_of(key);
@@ -315,10 +320,7 @@ impl Connection {
             .stats
             .writes
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        data.hashes
-            .entry(key.to_owned())
-            .or_default()
-            .extend(entries);
+        data.hashes.entry(key.into()).or_default().extend(entries);
         Ok(StoreInner::complete(
             trip,
             gate,
@@ -345,12 +347,12 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.get_mut(key).and_then(|h| h.remove(field))
         };
-        self.finish(trip, gate, previous.map(unshare))
+        self.finish(trip, gate, previous.map(Stored::into_value))
     }
 
-    /// Reads a whole hash (empty map if the key does not exist). Only `Arc`
-    /// pointers are cloned under the shard lock; the value trees are
-    /// materialized after it is released.
+    /// Reads a whole hash (empty map if the key does not exist). Only field
+    /// names, inline scalars and `Arc` pointers are cloned under the shard
+    /// lock; the value trees are materialized after it is released.
     ///
     /// # Errors
     ///

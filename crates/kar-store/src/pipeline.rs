@@ -28,23 +28,23 @@ use std::sync::Arc;
 
 use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
-use crate::store::{materialize_hash, unshare, Fields, ShardData, StoreInner};
+use crate::store::{holds, materialize_hash, Fields, ShardData, StoreInner, Stored};
 
 /// One buffered command.
 #[derive(Debug)]
 enum Op {
     Get(String),
-    Set(String, Arc<Value>),
-    SetNx(String, Arc<Value>),
+    Set(String, Stored),
+    SetNx(String, Stored),
     Cas {
         key: String,
         expected: Option<Value>,
-        new: Arc<Value>,
+        new: Stored,
     },
     Del(String),
     HGet(String, String),
-    HSet(String, String, Arc<Value>),
-    HSetMulti(String, Vec<(String, Arc<Value>)>),
+    HSet(String, String, Stored),
+    HSetMulti(String, Vec<(String, Stored)>),
     HDel(String, String),
     HGetAll(String),
     HClear(String),
@@ -68,14 +68,14 @@ impl Op {
     }
 }
 
-/// Raw per-command outcome holding `Arc`s, materialized into a
+/// Raw per-command outcome holding [`Stored`] values, materialized into a
 /// [`PipelineResult`] only after every lock is released.
 #[derive(Debug)]
 enum RawResult {
     Unit,
-    Value(Option<Arc<Value>>),
+    Value(Option<Stored>),
     Flag(bool),
-    Cas(Result<(), Option<Arc<Value>>>),
+    Cas(Result<(), Option<Stored>>),
     Hash(Option<Fields>),
 }
 
@@ -181,13 +181,14 @@ impl Pipeline {
 
     /// Buffers a string write.
     pub fn set(&mut self, key: &str, value: Value) -> &mut Self {
-        self.ops.push(Op::Set(key.to_owned(), Arc::new(value)));
+        self.ops.push(Op::Set(key.to_owned(), Stored::from(value)));
         self
     }
 
     /// Buffers a write-if-absent.
     pub fn set_nx(&mut self, key: &str, value: Value) -> &mut Self {
-        self.ops.push(Op::SetNx(key.to_owned(), Arc::new(value)));
+        self.ops
+            .push(Op::SetNx(key.to_owned(), Stored::from(value)));
         self
     }
 
@@ -201,7 +202,7 @@ impl Pipeline {
         self.ops.push(Op::Cas {
             key: key.to_owned(),
             expected,
-            new: Arc::new(new),
+            new: Stored::from(new),
         });
         self
     }
@@ -220,8 +221,11 @@ impl Pipeline {
 
     /// Buffers a hash-field write.
     pub fn hset(&mut self, key: &str, field: &str, value: Value) -> &mut Self {
-        self.ops
-            .push(Op::HSet(key.to_owned(), field.to_owned(), Arc::new(value)));
+        self.ops.push(Op::HSet(
+            key.to_owned(),
+            field.to_owned(),
+            Stored::from(value),
+        ));
         self
     }
 
@@ -235,7 +239,7 @@ impl Pipeline {
             key.to_owned(),
             entries
                 .into_iter()
-                .map(|(field, value)| (field, Arc::new(value)))
+                .map(|(field, value)| (field, Stored::from(value)))
                 .collect(),
         ));
         self
@@ -413,15 +417,15 @@ fn apply(inner: &StoreInner, data: &mut ShardData, op: Op) -> RawResult {
     match op {
         Op::Get(key) => {
             stats.reads.fetch_add(1, Ordering::Relaxed);
-            RawResult::Value(data.strings.get(&key).cloned())
+            RawResult::Value(data.strings.get(key.as_str()).cloned())
         }
         Op::Set(key, value) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            RawResult::Value(data.strings.insert(key, value))
+            RawResult::Value(data.strings.insert(key.into(), value))
         }
         Op::SetNx(key, value) => {
             stats.cas.fetch_add(1, Ordering::Relaxed);
-            match data.strings.entry(key) {
+            match data.strings.entry(key.into()) {
                 std::collections::hash_map::Entry::Occupied(_) => RawResult::Flag(false),
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     slot.insert(value);
@@ -431,42 +435,56 @@ fn apply(inner: &StoreInner, data: &mut ShardData, op: Op) -> RawResult {
         }
         Op::Cas { key, expected, new } => {
             stats.cas.fetch_add(1, Ordering::Relaxed);
-            let current = data.strings.get(&key).cloned();
-            if current.as_deref() == expected.as_ref() {
-                data.strings.insert(key, new);
+            let current = data.strings.get(key.as_str());
+            if holds(current, expected.as_ref()) {
+                data.strings.insert(key.into(), new);
                 RawResult::Cas(Ok(()))
             } else {
-                RawResult::Cas(Err(current))
+                RawResult::Cas(Err(current.cloned()))
             }
         }
         Op::Del(key) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            RawResult::Value(data.strings.remove(&key))
+            RawResult::Value(data.strings.remove(key.as_str()))
         }
         Op::HGet(key, field) => {
             stats.reads.fetch_add(1, Ordering::Relaxed);
-            RawResult::Value(data.hashes.get(&key).and_then(|h| h.get(&field)).cloned())
+            RawResult::Value(
+                data.hashes
+                    .get(key.as_str())
+                    .and_then(|h| h.get(&field))
+                    .cloned(),
+            )
         }
         Op::HSet(key, field, value) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            RawResult::Value(data.hashes.entry(key).or_default().insert(field, value))
+            RawResult::Value(
+                data.hashes
+                    .entry(key.into())
+                    .or_default()
+                    .insert(field, value),
+            )
         }
         Op::HSetMulti(key, entries) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            data.hashes.entry(key).or_default().extend(entries);
+            data.hashes.entry(key.into()).or_default().extend(entries);
             RawResult::Unit
         }
         Op::HDel(key, field) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            RawResult::Value(data.hashes.get_mut(&key).and_then(|h| h.remove(&field)))
+            RawResult::Value(
+                data.hashes
+                    .get_mut(key.as_str())
+                    .and_then(|h| h.remove(&field)),
+            )
         }
         Op::HGetAll(key) => {
             stats.reads.fetch_add(1, Ordering::Relaxed);
-            RawResult::Hash(data.hashes.get(&key).cloned())
+            RawResult::Hash(data.hashes.get(key.as_str()).cloned())
         }
         Op::HClear(key) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            RawResult::Flag(data.hashes.remove(&key).is_some())
+            RawResult::Flag(data.hashes.remove(key.as_str()).is_some())
         }
     }
 }
@@ -475,10 +493,10 @@ fn apply(inner: &StoreInner, data: &mut ShardData, op: Op) -> RawResult {
 fn finish(raw: RawResult) -> PipelineResult {
     match raw {
         RawResult::Unit => PipelineResult::Unit,
-        RawResult::Value(v) => PipelineResult::Value(v.map(unshare)),
+        RawResult::Value(v) => PipelineResult::Value(v.map(Stored::into_value)),
         RawResult::Flag(f) => PipelineResult::Flag(f),
         RawResult::Cas(outcome) => {
-            PipelineResult::Cas(outcome.map_err(|actual| actual.map(unshare)))
+            PipelineResult::Cas(outcome.map_err(|actual| actual.map(Stored::into_value)))
         }
         RawResult::Hash(h) => PipelineResult::Hash(h.map(materialize_hash).unwrap_or_default()),
     }

@@ -7,9 +7,10 @@
 //!
 //! * Keys (strings *and* hashes) hash onto [`StoreConfig::shards`] shards,
 //!   each behind its own mutex, so commands touching distinct shards never
-//!   serialize; the per-shard critical section is a map operation plus `Arc`
-//!   clones — [`Value`] trees are materialized strictly *outside* the shard
-//!   lock, so a large actor state never stalls its shard.
+//!   serialize; the per-shard critical section is a map operation plus
+//!   clones of inline scalars or of `Arc` pointers — [`Value`] trees are
+//!   materialized strictly *outside* the shard lock, so a large actor state
+//!   never stalls its shard.
 //! * The configured [`StoreConfig::op_latency`] (emulating the network and
 //!   server-side cost of a Redis command) is never slept inside the store:
 //!   a round trip is **applied when it is submitted** and its
@@ -85,62 +86,161 @@ impl StoreConfig {
 }
 
 /// One data shard: the slice of string keys and hash keys that hash here.
-/// Values are `Arc`-shared so reads clone a pointer under the lock and
-/// materialize the tree outside it.
+/// Keys are boxed strings (no spare capacity, 16 B a slot) and values are
+/// [`Stored`]: a read clones a scalar or a tree pointer under the lock and
+/// materializes the tree outside it.
 #[derive(Debug, Default)]
 pub(crate) struct ShardData {
     /// Plain string keys.
-    pub(crate) strings: HashMap<String, Arc<Value>>,
+    pub(crate) strings: HashMap<Box<str>, Stored>,
     /// Hash keys (one hash per actor instance in the KAR runtime).
-    pub(crate) hashes: HashMap<String, Fields>,
+    pub(crate) hashes: HashMap<Box<str>, Fields>,
 }
 
-/// The fields of one hash: a vector kept sorted by field name and searched
-/// by binary search. Most hashes are an actor's state — one or two fields —
-/// where a `BTreeMap` would allocate a whole 11-slot leaf (~380 B) per
-/// actor; a one-field vector is a single 32-byte allocation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Fields(Vec<(String, Arc<Value>)>);
+/// One stored value. A scalar — what placement records and most actor
+/// state hold — sits inline in its map slot, so storing it allocates
+/// nothing beyond a string's bytes; a list or a map stays `Arc`-shared, so
+/// the shard lock only ever clones a pointer to a tree and no tree is
+/// materialized under it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Stored {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(Box<str>),
+    Tree(Arc<Value>),
+}
 
-impl Fields {
-    fn position(&self, field: &str) -> Result<usize, usize> {
-        self.0
-            .binary_search_by(|(name, _)| name.as_str().cmp(field))
+impl From<Value> for Stored {
+    fn from(value: Value) -> Self {
+        match value {
+            Value::Null => Stored::Null,
+            Value::Bool(b) => Stored::Bool(b),
+            Value::Int(i) => Stored::Int(i),
+            Value::Float(f) => Stored::Float(f),
+            Value::Str(s) => Stored::Str(s.into_boxed_str()),
+            tree @ (Value::List(_) | Value::Map(_)) => Stored::Tree(Arc::new(tree)),
+        }
+    }
+}
+
+impl Stored {
+    /// The owned value. A tree is cloned only while the store still shares
+    /// it (it usually does), so call this strictly outside any shard lock.
+    pub(crate) fn into_value(self) -> Value {
+        match self {
+            Stored::Null => Value::Null,
+            Stored::Bool(b) => Value::Bool(b),
+            Stored::Int(i) => Value::Int(i),
+            Stored::Float(f) => Value::Float(f),
+            Stored::Str(s) => Value::Str(s.into_string()),
+            Stored::Tree(tree) => Arc::try_unwrap(tree).unwrap_or_else(|shared| (*shared).clone()),
+        }
     }
 
+    /// True if this holds a value equal to `value` — a compare-and-swap's
+    /// test, made under the shard lock without materializing anything.
+    pub(crate) fn matches(&self, value: &Value) -> bool {
+        match (self, value) {
+            (Stored::Null, Value::Null) => true,
+            (Stored::Bool(a), Value::Bool(b)) => a == b,
+            (Stored::Int(a), Value::Int(b)) => a == b,
+            (Stored::Float(a), Value::Float(b)) => a == b,
+            (Stored::Str(a), Value::Str(b)) => **a == **b,
+            (Stored::Tree(tree), value) => **tree == *value,
+            _ => false,
+        }
+    }
+}
+
+/// True if a key currently holding `current` holds `expected` (`None` on
+/// both sides: absent).
+pub(crate) fn holds(current: Option<&Stored>, expected: Option<&Value>) -> bool {
+    match (current, expected) {
+        (None, None) => true,
+        (Some(current), Some(expected)) => current.matches(expected),
+        _ => false,
+    }
+}
+
+/// The fields of one hash, sorted by field name. Most hashes are an actor's
+/// state with a single field, where a `BTreeMap` would allocate a whole
+/// 11-slot leaf (~380 B) per actor: that field is stored inline, so the
+/// hash allocates nothing beyond its field name. A second field moves them
+/// all to a boxed slice searched by binary search, which carries no spare
+/// capacity: adding or removing a field reallocates it, which costs what the
+/// shift of a sorted vector costs anyway.
+#[derive(Debug, Clone)]
+pub(crate) enum Fields {
+    One(Box<str>, Stored),
+    Many(Box<[(Box<str>, Stored)]>),
+}
+
+impl Default for Fields {
+    /// An empty hash.
+    fn default() -> Self {
+        Fields::Many(Box::default())
+    }
+}
+
+impl Fields {
     /// The value of `field`, if set.
-    pub(crate) fn get(&self, field: &str) -> Option<&Arc<Value>> {
-        self.position(field).ok().map(|index| &self.0[index].1)
+    pub(crate) fn get(&self, field: &str) -> Option<&Stored> {
+        match self {
+            Fields::One(name, value) => (**name == *field).then_some(value),
+            Fields::Many(fields) => fields
+                .binary_search_by(|(name, _)| (**name).cmp(field))
+                .ok()
+                .map(|index| &fields[index].1),
+        }
     }
 
     /// Sets `field`, returning its previous value.
-    pub(crate) fn insert(&mut self, field: String, value: Arc<Value>) -> Option<Arc<Value>> {
-        match self.position(&field) {
-            Ok(index) => Some(std::mem::replace(&mut self.0[index].1, value)),
+    pub(crate) fn insert(&mut self, field: String, value: Stored) -> Option<Stored> {
+        match self {
+            Fields::One(name, current) if **name == *field => {
+                return Some(std::mem::replace(current, value))
+            }
+            Fields::Many(fields) if fields.is_empty() => {
+                *self = Fields::One(field.into(), value);
+                return None;
+            }
+            _ => {}
+        }
+        let mut fields = match std::mem::take(self) {
+            Fields::One(name, current) => vec![(name, current)],
+            Fields::Many(fields) => fields.into_vec(),
+        };
+        let previous = match fields.binary_search_by(|(name, _)| (**name).cmp(&field)) {
+            Ok(index) => Some(std::mem::replace(&mut fields[index].1, value)),
             Err(index) => {
-                // A hash's first field allocates exactly one slot instead of
-                // `Vec`'s minimum of four; later growth is amortized as usual.
-                if self.0.capacity() == 0 {
-                    self.0.reserve_exact(1);
-                }
-                self.0.insert(index, (field, value));
+                fields.reserve_exact(1);
+                fields.insert(index, (field.into(), value));
                 None
             }
-        }
+        };
+        *self = Fields::Many(fields.into_boxed_slice());
+        previous
     }
 
     /// Removes `field`, returning its value.
-    pub(crate) fn remove(&mut self, field: &str) -> Option<Arc<Value>> {
-        self.position(field)
-            .ok()
-            .map(|index| self.0.remove(index).1)
+    pub(crate) fn remove(&mut self, field: &str) -> Option<Stored> {
+        self.get(field)?;
+        let mut fields = match std::mem::take(self) {
+            Fields::One(_, value) => return Some(value),
+            Fields::Many(fields) => fields.into_vec(),
+        };
+        let index = fields
+            .binary_search_by(|(name, _)| (**name).cmp(field))
+            .ok()?;
+        let (_, removed) = fields.remove(index);
+        *self = Fields::Many(fields.into_boxed_slice());
+        Some(removed)
     }
 
     /// Sets every entry in order (a later duplicate field wins).
-    pub(crate) fn extend(&mut self, entries: Vec<(String, Arc<Value>)>) {
-        if self.0.capacity() == 0 {
-            self.0.reserve_exact(entries.len());
-        }
+    pub(crate) fn extend(&mut self, entries: Vec<(String, Stored)>) {
         for (field, value) in entries {
             self.insert(field, value);
         }
@@ -339,8 +439,8 @@ impl Store {
     /// test harnesses and invariant checkers that are not part of the
     /// application.
     pub fn admin_get(&self, key: &str) -> Option<Value> {
-        let arc = self.inner.lock_shard_of(key).strings.get(key).cloned();
-        arc.map(unshare)
+        let stored = self.inner.lock_shard_of(key).strings.get(key).cloned();
+        stored.map(Stored::into_value)
     }
 
     /// Administrative (unfenced) read of a whole hash.
@@ -353,15 +453,15 @@ impl Store {
     /// Returns the field's previous value if any. Used by the mesh to
     /// announce a new component's actor types.
     pub fn admin_hset(&self, key: &str, field: &str, value: Value) -> Option<Value> {
-        let value = Arc::new(value);
-        let arc = self
+        let value = Stored::from(value);
+        let previous = self
             .inner
             .lock_shard_of(key)
             .hashes
-            .entry(key.to_owned())
+            .entry(key.into())
             .or_default()
             .insert(field.to_owned(), value);
-        arc.map(unshare)
+        previous.map(Stored::into_value)
     }
 
     /// Administrative list of string keys starting with `prefix` (walks every
@@ -375,7 +475,7 @@ impl Store {
                     .strings
                     .keys()
                     .filter(|k| k.starts_with(prefix))
-                    .cloned(),
+                    .map(|k| k.to_string()),
             );
         }
         keys.sort();
@@ -387,21 +487,21 @@ impl Store {
     /// which operates on behalf of the surviving application as a whole
     /// rather than a single (fence-able) component.
     pub fn admin_del(&self, key: &str) -> Option<Value> {
-        let arc = self.inner.lock_shard_of(key).strings.remove(key);
-        arc.map(unshare)
+        let previous = self.inner.lock_shard_of(key).strings.remove(key);
+        previous.map(Stored::into_value)
     }
 
     /// Administrative write of a string key, bypassing fencing. Returns the
     /// previous value if any. Used by reconciliation to rewrite placement
     /// decisions for actors hosted by failed components.
     pub fn admin_set(&self, key: &str, value: Value) -> Option<Value> {
-        let value = Arc::new(value);
-        let arc = self
+        let value = Stored::from(value);
+        let previous = self
             .inner
             .lock_shard_of(key)
             .strings
-            .insert(key.to_owned(), value);
-        arc.map(unshare)
+            .insert(key.into(), value);
+        previous.map(Stored::into_value)
     }
 
     /// Administrative compare-and-delete: removes `key` only while it still
@@ -412,7 +512,7 @@ impl Store {
     pub fn admin_del_if_eq(&self, key: &str, expected: &Value) -> bool {
         let mut shard = self.inner.lock_shard_of(key);
         match shard.strings.get(key) {
-            Some(current) if current.as_ref() == expected => {
+            Some(current) if current.matches(expected) => {
                 shard.strings.remove(key);
                 true
             }
@@ -427,7 +527,7 @@ impl Store {
         if shard.strings.contains_key(key) {
             return false;
         }
-        shard.strings.insert(key.to_owned(), Arc::new(value));
+        shard.strings.insert(key.into(), Stored::from(value));
         true
     }
 
@@ -525,21 +625,13 @@ impl Store {
     }
 }
 
-/// Extracts an owned [`Value`] from a shared one, cloning only when the
-/// `Arc` is still referenced by the store (it usually is). Called strictly
-/// outside any shard lock.
-pub(crate) fn unshare(arc: Arc<Value>) -> Value {
-    Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone())
-}
-
-/// Materializes a hash snapshot of `Arc` values into owned values, outside
-/// any shard lock.
+/// Materializes a hash snapshot into owned values, outside any shard lock.
 pub(crate) fn materialize_hash(snapshot: Fields) -> BTreeMap<String, Value> {
-    snapshot
-        .0
-        .into_iter()
-        .map(|(k, v)| (k, unshare(v)))
-        .collect()
+    let owned = |(field, value): (Box<str>, Stored)| (field.into_string(), value.into_value());
+    match snapshot {
+        Fields::One(field, value) => BTreeMap::from([owned((field, value))]),
+        Fields::Many(fields) => fields.into_vec().into_iter().map(owned).collect(),
+    }
 }
 
 impl StoreInner {
@@ -871,8 +963,14 @@ mod tests {
         assert!(all.keys().eq(names.iter()));
         {
             let shard = store.inner.lock_shard_of("big");
-            let stored: Vec<&String> = shard.hashes["big"].0.iter().map(|(f, _)| f).collect();
-            assert!(stored.into_iter().eq(names.iter()), "fields out of order");
+            let Fields::Many(fields) = &shard.hashes["big"] else {
+                panic!("2000 fields stored inline");
+            };
+            let stored: Vec<&str> = fields.iter().map(|(f, _)| &**f).collect();
+            assert!(
+                stored.into_iter().eq(names.iter().map(String::as_str)),
+                "fields out of order"
+            );
         }
         for field in &names {
             assert_eq!(conn.hget("big", field).unwrap(), Some(Value::from(1)));
@@ -888,7 +986,10 @@ mod tests {
             .unwrap();
         store.admin_hset("c", "7", Value::from(1));
         for key in ["a", "b", "c"] {
-            assert_eq!(store.inner.lock_shard_of(key).hashes[key].0.capacity(), 1);
+            assert!(matches!(
+                store.inner.lock_shard_of(key).hashes[key],
+                Fields::One(..)
+            ));
         }
         // The last hdel leaves the hash in place, empty.
         assert_eq!(conn.hdel("a", "count").unwrap(), Some(Value::from(1)));
@@ -901,6 +1002,107 @@ mod tests {
             store.admin_hset("c", "7", Value::from(2)),
             Some(Value::from(1))
         );
+    }
+
+    /// One value of every kind: the scalars stored inline, the trees behind
+    /// an `Arc`.
+    fn every_kind() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::from("component-7"),
+            Value::list([Value::Int(1), Value::from("x")]),
+            Value::map([("count", Value::Int(3))]),
+        ]
+    }
+
+    #[test]
+    fn inline_scalars_and_shared_trees_read_back_identically() {
+        let store = Store::new();
+        let conn = store.connect(ComponentId::from_raw(1));
+        let values = every_kind();
+        for (i, value) in values.iter().enumerate() {
+            let key = format!("k{i}");
+            assert_eq!(conn.set(&key, value.clone()).unwrap(), None);
+            assert_eq!(conn.get(&key).unwrap().as_ref(), Some(value));
+            assert_eq!(store.admin_get(&key).as_ref(), Some(value));
+            assert_eq!(conn.hset("h", &key, value.clone()).unwrap(), None);
+            assert_eq!(conn.hget("h", &key).unwrap().as_ref(), Some(value));
+            // Reads copied the value out: the stored one is still there to
+            // be replaced.
+            assert_eq!(conn.set(&key, Value::Null).unwrap().as_ref(), Some(value));
+        }
+        let all = conn.hgetall("h").unwrap();
+        assert!(all.values().eq(values.iter()));
+        let mut pipe = conn.pipeline();
+        pipe.hgetall("h").hget("h", "k5").get("k6");
+        let results = pipe.flush().unwrap();
+        assert_eq!(results[0], crate::PipelineResult::Hash(all));
+        assert_eq!(
+            results[1],
+            crate::PipelineResult::Value(Some(values[5].clone()))
+        );
+        assert_eq!(results[2], crate::PipelineResult::Value(Some(Value::Null)));
+    }
+
+    #[test]
+    fn compare_and_swap_compares_inline_values() {
+        let store = Store::new();
+        let conn = store.connect(ComponentId::from_raw(1));
+        let values = every_kind();
+        for value in &values {
+            conn.set("k", value.clone()).unwrap();
+            for other in values.iter().filter(|other| *other != value) {
+                assert_eq!(
+                    conn.compare_and_swap("k", Some(other), Value::Int(99))
+                        .unwrap(),
+                    Err(Some(value.clone())),
+                    "{other:?} matched a stored {value:?}"
+                );
+                assert!(!store.admin_del_if_eq("k", other));
+            }
+            assert_eq!(
+                conn.compare_and_swap("k", None, Value::Int(99)).unwrap(),
+                Err(Some(value.clone()))
+            );
+            assert_eq!(
+                conn.compare_and_swap("k", Some(value), value.clone())
+                    .unwrap(),
+                Ok(())
+            );
+            assert!(store.admin_del_if_eq("k", value));
+        }
+        // Equal magnitudes of different kinds are different values.
+        conn.set("n", Value::Int(1)).unwrap();
+        for other in [Value::Float(1.0), Value::from("1"), Value::Bool(true)] {
+            assert!(conn
+                .compare_and_swap("n", Some(&other), Value::Null)
+                .unwrap()
+                .is_err());
+        }
+        assert_eq!(
+            conn.compare_and_swap("n", Some(&Value::Int(1)), Value::Int(2))
+                .unwrap(),
+            Ok(())
+        );
+        assert_eq!(
+            conn.compare_and_swap("absent", Some(&Value::Null), Value::Int(1))
+                .unwrap(),
+            Err(None)
+        );
+    }
+
+    #[test]
+    fn the_stored_layout_stays_compact() {
+        // An inline scalar under a boxed key, and a one-field hash stored
+        // inline: what keeps a churned actor's placement record and state
+        // small.
+        assert!(std::mem::size_of::<Stored>() <= 24);
+        assert!(std::mem::size_of::<(Box<str>, Stored)>() <= 40);
+        assert!(std::mem::size_of::<Fields>() <= 40);
+        assert!(std::mem::size_of::<(Box<str>, Fields)>() <= 56);
     }
 
     #[test]

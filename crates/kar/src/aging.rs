@@ -12,10 +12,12 @@
 //! enough to have aged out of the set has also aged out of every queue.
 //!
 //! [`AgingMap`] applies the same clock to key→value tables whose entries
-//! must not be dropped blindly — a component's idle-actor stamps order the
-//! passivation candidates coldest first, and each candidate is passivated
-//! only once the owner has verified under its own lock that the actor is
-//! quiescent (see `ComponentCore::sweep_passivation`).
+//! must not be dropped blindly — a component's idle-actor stamps name the
+//! actors idle long enough for the heartbeat sweep and order the coldest
+//! ones for admission to evict, and each candidate is passivated only once
+//! the owner has verified under its own lock that the actor is quiescent
+//! (see `ComponentCore::sweep_passivation` and
+//! `ComponentCore::evict_coldest`).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -86,34 +88,58 @@ impl<T: Eq + Hash> AgingSet<T> {
 
     /// Rotates the generations if the interval has elapsed: the old
     /// generation is dropped, the young one becomes old. Returns the number
-    /// of members dropped.
+    /// of members dropped. The dropped generation's table is emptied and
+    /// reused as the young one, so a steady stream of members does not
+    /// allocate a fresh table every interval.
     pub(crate) fn maybe_rotate(&mut self, now: Duration) -> usize {
         if now.saturating_sub(self.last_rotation) < self.interval {
             return 0;
         }
         self.last_rotation = now;
-        let retiring = std::mem::take(&mut self.current);
-        let dropped = std::mem::replace(&mut self.previous, retiring);
-        dropped
+        let dropped = self
+            .previous
             .iter()
-            .filter(|v| !self.previous.contains(v))
-            .count()
+            .filter(|v| !self.current.contains(v))
+            .count();
+        std::mem::swap(&mut self.current, &mut self.previous);
+        self.current.clear();
+        dropped
     }
 }
 
-/// A key→value table on the two-generation clock: every refreshing read or
-/// write stamps the entry with the current generation, and
+/// A key→value table on the two-generation clock, with a coldest-first
+/// eviction queue. Every refreshing read or write stamps its entry with the
+/// current generation and with the next tick of a touch clock.
 /// [`AgingMap::advance_due`] bumps the generation once per interval, so an
-/// entry two generations stale has been idle for one to two intervals.
-/// Unlike [`AgingSet`], nothing is dropped automatically: the owner reads the
-/// stamps ([`AgingMap::stamped_entries`]), checks each candidate under its
-/// own lock and removes it with [`AgingMap::remove`].
+/// entry two generations stale has been idle for one to two intervals
+/// ([`AgingMap::stale`]); the touch clock orders the entries by last use
+/// ([`AgingMap::evict_coldest`]). Unlike [`AgingSet`], nothing is dropped
+/// automatically: the owner checks each candidate under its own lock and
+/// removes it with [`AgingMap::remove`] — or lets `evict_coldest` remove the
+/// one it takes.
 #[derive(Debug)]
 pub(crate) struct AgingMap<K, V> {
-    entries: HashMap<K, (V, u64)>,
+    entries: HashMap<K, Stamp<V>>,
     generation: u64,
+    /// The touch clock: the tick of the latest refreshing read or write.
+    /// Every entry holds a tick of its own, so ordering by it is total and
+    /// repeats exactly under a deterministic schedule.
+    touches: u64,
+    /// Eviction candidates left from the last refill, coldest last.
+    cold: Vec<K>,
+    /// The touch clock at the last refill: a candidate touched since then
+    /// is passed over (its second chance).
+    refilled_at: u64,
     interval: Duration,
     last_rotation: Duration,
+}
+
+/// An [`AgingMap`] entry with its stamps.
+#[derive(Debug)]
+struct Stamp<V> {
+    value: V,
+    generation: u64,
+    touch: u64,
 }
 
 impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
@@ -122,43 +148,46 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
         AgingMap {
             entries: HashMap::new(),
             generation: 0,
+            touches: 0,
+            cold: Vec::new(),
+            refilled_at: 0,
             interval: interval.max(Duration::from_millis(1)),
             last_rotation: mono_now(),
         }
     }
 
-    /// Inserts (or replaces) `key`, stamped with the current generation.
+    /// Inserts (or replaces) `key`, stamped with the current generation and
+    /// a fresh touch.
     pub(crate) fn insert(&mut self, key: K, value: V) {
-        self.entries.insert(key, (value, self.generation));
+        self.touches += 1;
+        let stamp = Stamp {
+            value,
+            generation: self.generation,
+            touch: self.touches,
+        };
+        self.entries.insert(key, stamp);
     }
 
-    /// Looks `key` up, refreshing its generation stamp: an entry in active
-    /// use never becomes a removal candidate.
+    /// Looks `key` up, refreshing its stamps: an entry in active use never
+    /// becomes a removal candidate.
     pub(crate) fn get_refresh(&mut self, key: &K) -> Option<V> {
-        let generation = self.generation;
-        self.entries.get_mut(key).map(|entry| {
-            entry.1 = generation;
-            entry.0
-        })
-    }
-
-    /// The current generation number (pairs with the stamps returned by
-    /// [`AgingMap::stamped_entries`]).
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
+        let entry = self.entries.get_mut(key)?;
+        self.touches += 1;
+        entry.generation = self.generation;
+        entry.touch = self.touches;
+        Some(entry.value)
     }
 
     /// Removes `key` unconditionally. Returns true if it was present. Used
-    /// when the owner has *independently* verified the entry is dead (e.g.
-    /// an eager coldest-first eviction under memory pressure, where the
-    /// entry may not have aged out yet).
+    /// when the owner has *independently* verified the entry is dead.
     pub(crate) fn remove(&mut self, key: &K) -> bool {
         self.entries.remove(key).is_some()
     }
 
-    /// Drops every entry (owner killed).
+    /// Drops every entry and eviction candidate (owner killed).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.cold.clear();
     }
 
     /// Advances the generation if the interval elapsed. Returns true when it
@@ -172,14 +201,60 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
         true
     }
 
-    /// Every entry with its generation stamp (smaller stamp = colder). Lets
-    /// an owner under memory pressure order candidates coldest-first instead
-    /// of waiting for them to become fully stale.
-    pub(crate) fn stamped_entries(&self) -> Vec<(K, V, u64)> {
-        self.entries
+    /// The keys two generations stale — idle one to two intervals — in
+    /// touch order: one pass over the stamps, a sort of the stale ones only.
+    /// A peek: nothing is refreshed.
+    pub(crate) fn stale(&self) -> Vec<K> {
+        let mut stale: Vec<(u64, &K)> = self
+            .entries
             .iter()
-            .map(|(key, (value, stamp))| (key.clone(), *value, *stamp))
-            .collect()
+            .filter(|(_, stamp)| stamp.generation.saturating_add(2) <= self.generation)
+            .map(|(key, stamp)| (stamp.touch, key))
+            .collect();
+        stale.sort_unstable_by_key(|&(touch, _)| touch);
+        stale.into_iter().map(|(_, key)| key.clone()).collect()
+    }
+
+    /// Offers entries to `take`, least recently touched first, until it
+    /// takes one; removes and returns that one. Candidates come from a queue
+    /// refilled from the stamps when it runs dry, at most once per call, so
+    /// a call whose every candidate is refused ends with `None`. A candidate
+    /// touched since the refill is passed over without being offered — its
+    /// second chance: it is back in the next refill if it goes cold — so
+    /// entries kept hot are not taken however often the queue cycles.
+    pub(crate) fn evict_coldest(&mut self, mut take: impl FnMut(&K) -> bool) -> Option<K> {
+        let mut refilled = false;
+        loop {
+            let Some(key) = self.cold.pop() else {
+                if refilled || self.entries.is_empty() {
+                    return None;
+                }
+                self.refill();
+                refilled = true;
+                continue;
+            };
+            let untouched = self
+                .entries
+                .get(&key)
+                .is_some_and(|stamp| stamp.touch <= self.refilled_at);
+            if untouched && take(&key) {
+                self.entries.remove(&key);
+                return Some(key);
+            }
+        }
+    }
+
+    /// Reloads the (empty) eviction queue with every entry, coldest last.
+    fn refill(&mut self) {
+        let mut entries: Vec<(u64, &K)> = self
+            .entries
+            .iter()
+            .map(|(key, stamp)| (stamp.touch, key))
+            .collect();
+        entries.sort_unstable_by_key(|&(touch, _)| std::cmp::Reverse(touch));
+        self.cold
+            .extend(entries.into_iter().map(|(_, key)| key.clone()));
+        self.refilled_at = self.touches;
     }
 }
 
@@ -187,18 +262,15 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
 mod tests {
     use super::*;
 
-    /// The keys two generations stale: the candidates the passivation sweep
-    /// reads off the stamps.
-    fn stale<V: Copy>(map: &AgingMap<&'static str, V>) -> Vec<&'static str> {
-        let generation = map.generation();
-        let mut keys: Vec<&'static str> = map
-            .stamped_entries()
-            .into_iter()
-            .filter(|&(_, _, stamp)| stamp + 2 <= generation)
-            .map(|(key, _, _)| key)
-            .collect();
-        keys.sort_unstable();
-        keys
+    /// Every key the map still holds, least recently touched first: what
+    /// eviction would offer, taking nothing.
+    fn coldest_first<V: Copy>(map: &mut AgingMap<&'static str, V>) -> Vec<&'static str> {
+        let mut offered = Vec::new();
+        map.evict_coldest(|key| {
+            offered.push(*key);
+            false
+        });
+        offered
     }
 
     #[test]
@@ -209,11 +281,11 @@ mod tests {
         let t1 = mono_now() + Duration::from_millis(2);
         assert!(map.advance_due(t1));
         assert!(!map.advance_due(t1), "second advance within interval");
-        assert!(stale(&map).is_empty(), "one generation is not stale");
+        assert!(map.stale().is_empty(), "one generation is not stale");
         assert!(map.advance_due(t1 + Duration::from_millis(2)));
-        assert_eq!(stale(&map), vec!["route"]);
+        assert_eq!(map.stale(), vec!["route"]);
         assert!(map.remove(&"route"));
-        assert!(map.stamped_entries().is_empty());
+        assert!(map.stale().is_empty());
         assert!(!map.remove(&"route"));
     }
 
@@ -224,12 +296,12 @@ mod tests {
         let t = mono_now();
         map.advance_due(t + Duration::from_millis(2));
         map.advance_due(t + Duration::from_millis(4));
-        assert_eq!(stale(&map), vec!["route"]);
+        assert_eq!(map.stale(), vec!["route"]);
         // The entry is used between two sweeps: no longer a candidate.
         assert_eq!(map.get_refresh(&"route"), Some(1));
-        assert!(stale(&map).is_empty());
+        assert!(map.stale().is_empty());
         map.clear();
-        assert!(map.stamped_entries().is_empty());
+        assert!(coldest_first(&mut map).is_empty());
     }
 
     #[test]
@@ -280,10 +352,10 @@ mod tests {
         map.advance_due(t + Duration::from_millis(2));
         map.advance_due(t + Duration::from_millis(4));
         // The sweep peeks at the stamps without touching them.
-        assert_eq!(map.stamped_entries(), vec![("route", 9, 0)]);
-        assert_eq!(stale(&map), vec!["route"], "a peek is not a touch");
+        assert_eq!(map.stale(), vec!["route"]);
+        assert_eq!(map.stale(), vec!["route"], "a peek is not a touch");
         assert_eq!(map.get_refresh(&"route"), Some(9));
-        assert!(stale(&map).is_empty(), "a refreshing read is");
+        assert!(map.stale().is_empty(), "a refreshing read is");
     }
 
     #[test]
@@ -293,16 +365,42 @@ mod tests {
         let t = mono_now();
         map.advance_due(t + Duration::from_millis(2));
         map.insert("warm", 2usize);
-        assert_eq!(map.generation(), 1);
-        let mut stamped = map.stamped_entries();
-        stamped.sort_unstable_by_key(|&(_, _, stamp)| stamp);
-        assert_eq!(stamped[0].0, "cold");
-        assert_eq!(stamped[1].0, "warm");
-        // "warm" is not stale, but an eager eviction may drop it anyway.
-        assert!(!stale(&map).contains(&"warm"));
-        assert!(map.remove(&"warm"));
-        assert!(!map.remove(&"warm"));
-        assert_eq!(map.stamped_entries().len(), 1);
+        map.insert("hot", 3usize);
+        map.get_refresh(&"warm");
+        // Least recently touched first, whatever the generations say.
+        assert_eq!(coldest_first(&mut map), vec!["cold", "hot", "warm"]);
+        // Stale is two generations; a later advance makes all three stale,
+        // and the sweep gets them in the same order.
+        map.advance_due(t + Duration::from_millis(4));
+        map.advance_due(t + Duration::from_millis(6));
+        assert_eq!(map.stale(), vec!["cold", "hot", "warm"]);
+        // "warm" is not the coldest, but eviction may still take it.
+        assert_eq!(map.evict_coldest(|key| *key == "warm"), Some("warm"));
+        assert!(map.remove(&"hot"));
+        assert!(!map.remove(&"hot"));
+        assert_eq!(coldest_first(&mut map), vec!["cold"]);
+    }
+
+    #[test]
+    fn eviction_passes_over_entries_touched_since_the_refill() {
+        let mut map = AgingMap::new(Duration::from_millis(1));
+        for key in ["a", "b", "c", "d"] {
+            map.insert(key, ());
+        }
+        // The first call refills the queue and takes the coldest entry.
+        assert_eq!(map.evict_coldest(|_| true), Some("a"));
+        // "b" is touched after the refill: it gets its second chance, and
+        // the next-coldest untouched entry goes instead.
+        map.get_refresh(&"b");
+        assert_eq!(map.evict_coldest(|_| true), Some("c"));
+        // An entry inserted after the refill is not in the queue either.
+        map.insert("e", ());
+        assert_eq!(map.evict_coldest(|_| true), Some("d"));
+        // The queue ran dry: the refill sees "b" and "e" in touch order.
+        assert_eq!(map.evict_coldest(|_| true), Some("b"));
+        // Refusing every candidate ends the call after one refill.
+        assert_eq!(map.evict_coldest(|_| false), None);
+        assert_eq!(coldest_first(&mut map), vec!["e"]);
     }
 
     #[test]

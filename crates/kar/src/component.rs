@@ -47,7 +47,7 @@ use std::time::Duration;
 use kar_types::mono_now;
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use kar_queue::{Broker, Consumer, PartitionSet, Producer, Record};
 use kar_store::{Connection, Store};
@@ -100,13 +100,15 @@ pub struct ComponentStats {
     /// Invocations moved to the dead-letter queue after exhausting their
     /// retry policy.
     pub dead_lettered: AtomicU64,
-    /// Idle actors passivated (state flushed, slot and cached image
-    /// dropped, tombstone recorded).
+    /// Actors passivated — idle ones by the heartbeat sweep, the coldest by
+    /// an admission past the soft watermark (slot and cached image dropped,
+    /// tombstone recorded).
     pub passivations: AtomicU64,
     /// Passivated actors re-activated through the ordinary admission path.
     pub rehydrations: AtomicU64,
-    /// New-actor activations deferred at an admission watermark (parked on
-    /// the due-time heap with shaped backoff, never dropped).
+    /// New-actor activations deferred at the hard watermark, with nothing
+    /// to evict (parked on the due-time heap with shaped backoff, never
+    /// dropped).
     pub admission_deferrals: AtomicU64,
 }
 
@@ -128,8 +130,8 @@ struct ActorSlot {
     /// Set while admission has deferred this actor's activation at a
     /// watermark: the id of the parked head request, waiting out its shaped
     /// backoff as a [`Stage::Admit`]. Later requests mailbox behind it (so
-    /// per-actor FIFO holds across the deferral), and the passivation sweep
-    /// never drops a slot with a deferral pending.
+    /// per-actor FIFO holds across the deferral), and no passivation drops
+    /// a slot with a deferral pending.
     activation_parked: Option<RequestId>,
     /// Consecutive deferrals of the parked head: each one grows the shaped
     /// backoff further.
@@ -188,6 +190,16 @@ pub(crate) struct Frame {
 /// hard resident watermark waits out (wall clock, like retry policies — not
 /// compressed by `MeshConfig::time_scale`).
 const ACTIVATION_BACKOFF: Duration = Duration::from_millis(25);
+
+/// The tombstone a passivated actor leaves: a 64-bit hash of its reference,
+/// stable across runs. Two actors sharing one would count a rehydration
+/// wrongly; that is all a collision can do.
+fn tombstone(actor: &ActorRef) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    actor.hash(&mut hasher);
+    hasher.finish()
+}
 
 /// How long a round that met an unresolved placement — the recorded one
 /// points at a failed component and reconciliation has not rewritten it yet —
@@ -457,16 +469,23 @@ pub struct ComponentCore {
     /// The mesh-wide per-actor-type circuit breakers (shared by every
     /// component): consulted before each invocation executes, fed after.
     breakers: Arc<BreakerRegistry>,
-    /// The passivation clock: every admission stamps its actor here, and an
-    /// actor idle for two generations (one to two compressed retention
-    /// windows — the state cache's single-window interval, not the doubled
-    /// bookkeeping one) becomes a passivation candidate. Lock order is
-    /// actors → idle_actors everywhere.
+    /// The passivation clock: every admission stamps its actor here, and so
+    /// does the end of its activity. An actor idle for two generations (one
+    /// to two compressed retention windows — the state cache's single-window
+    /// interval, not the doubled bookkeeping one) is the heartbeat sweep's to
+    /// passivate; past the soft watermark the least recently touched is
+    /// admission's to evict, from the eviction queue this map keeps.
+    ///
+    /// Lock order of the resident set, everywhere: actors → idle stamps
+    /// (eviction queue included) → state-cache entries; actors →
+    /// tombstones.
     idle_actors: Mutex<AgingMap<ActorRef, ()>>,
     /// Passivation tombstones: consumed — and counted as a rehydration — by
     /// the actor's next admission, and rotated out on the bookkeeping clock
-    /// so the set itself cannot leak.
-    passivated: Mutex<AgingSet<ActorRef>>,
+    /// so the set itself cannot leak. Each is the actor's [`tombstone`]
+    /// hash: it only feeds a counter, and a churned actor's tombstone then
+    /// costs 8 bytes and no allocation of its own.
+    passivated: Mutex<AgingSet<u64>>,
     /// Number of resident (activated, non-deferred) actor slots: what the
     /// resident watermarks compare against. Mutated under the actors lock.
     resident_count: AtomicUsize,
@@ -1595,13 +1614,33 @@ impl ComponentCore {
             request.pending_callee = None;
         }
         let mut actors = self.actors.lock();
-        // Admission watermark: a request that would *activate a new actor*
-        // while the resident set is at the hard watermark is deferred with
-        // shaped backoff as a `Stage::Admit`: shed, never dropped, and
-        // holding its claim so reconciliation never re-homes a duplicate.
-        // Requests for already-resident actors
-        // are never deferred (their memory is already paid for), so the hot
-        // head keeps executing at full speed while the cold tail waits.
+        let evicted = self.evict_coldest(&mut actors, &request);
+        let admission = self.admit_to_slot(actors, request, stamp);
+        // Outside the actors lock: the placement cache is not ordered after
+        // it.
+        if let Some(actor) = evicted {
+            self.placement.forget(&actor);
+        }
+        admission
+    }
+
+    /// The part of [`Self::admit_claimed`] under the actors lock, which it
+    /// hands over: the hard watermark, a deferred activation's head, and the
+    /// actor lock of §2.2.
+    fn admit_to_slot(
+        self: &Arc<Self>,
+        mut actors: MutexGuard<'_, HashMap<ActorRef, ActorSlot>>,
+        request: RequestMessage,
+        stamp: Option<u64>,
+    ) -> Admission {
+        // Hard watermark: a request that would *activate a new actor* while
+        // the resident set is at the hard watermark — admission found
+        // nothing it could evict — is deferred with shaped backoff as a
+        // `Stage::Admit`: shed, never dropped, and holding its claim so
+        // reconciliation never re-homes a duplicate. Requests for
+        // already-resident actors are never deferred (their memory is already
+        // paid for), so the hot head keeps executing at full speed while the
+        // cold tail waits.
         if !actors.contains_key(&request.target) {
             if self.admission_overloaded() {
                 let slot = actors.entry(request.target.clone()).or_default();
@@ -1610,13 +1649,9 @@ impl ComponentCore {
                 drop(actors);
                 return self.defer_activation(request, 0);
             }
-            // A new resident. A standing tombstone makes this a rehydration
-            // — the actor re-enters through this ordinary activation path,
-            // indistinguishable from a first activation.
-            self.resident_count.fetch_add(1, Ordering::Relaxed);
-            if self.passivated.lock().remove(&request.target) {
-                self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
-            }
+            // A new resident: the actor re-enters through this ordinary
+            // activation path, whether it was passivated or never active.
+            self.count_activation(&request.target);
         }
         let slot = actors.entry(request.target.clone()).or_default();
         slot.verified_epoch = stamp;
@@ -1636,11 +1671,8 @@ impl ComponentCore {
                 slot.activation_deferrals = 0;
                 slot.busy = true;
                 slot.busy_chain = request.chain();
-                self.resident_count.fetch_add(1, Ordering::Relaxed);
+                self.count_activation(&request.target);
                 self.touch_idle(&request.target);
-                if self.passivated.lock().remove(&request.target) {
-                    self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
-                }
                 return Admission::Run(request, true, false);
             }
             // A sibling of a deferred activation: mailbox behind the parked
@@ -3093,7 +3125,7 @@ impl ComponentCore {
 
     /// Stamps `actor` as recently used on the passivation clock. Called at
     /// admission and when an actor's mailbox runs dry, always while the
-    /// actors lock is held (lock order actors → idle_actors everywhere).
+    /// actors lock is held.
     fn touch_idle(&self, actor: &ActorRef) {
         let mut idle = self.idle_actors.lock();
         if idle.get_refresh(actor).is_none() {
@@ -3101,47 +3133,25 @@ impl ComponentCore {
         }
     }
 
-    /// Heartbeat-driven passivation sweep (timer thread). Advances the idle
+    /// Heartbeat-driven passivation sweep (timer thread): advances the idle
     /// clock and passivates every actor idle for one to two retention
-    /// windows; past the soft resident watermark it turns *eager*, evicting
-    /// the coldest actors first until the resident set is back under the
-    /// watermark. Candidates are only suggestions — [`Self::try_passivate`]
-    /// re-verifies quiescence under the actors lock before dropping
-    /// anything.
+    /// windows. Holding the resident set at the soft watermark is
+    /// admission's job ([`Self::evict_coldest`]); the sweep only hands back
+    /// the memory of actors nobody uses. Candidates are only suggestions —
+    /// [`Self::try_passivate`] re-verifies quiescence under the actors lock
+    /// before dropping anything.
     fn sweep_passivation(self: &Arc<Self>, now: Duration) {
         if !self.is_alive() || self.is_paused() {
             return;
         }
-        let rotated = self.idle_actors.lock().advance_due(now);
-        let excess = self.config.resident_soft_limit().map_or(0, |limit| {
-            self.resident_count
-                .load(Ordering::Relaxed)
-                .saturating_sub(limit)
-        });
-        if !rotated && excess == 0 {
-            return;
-        }
-        let candidates: Vec<ActorRef> = {
-            let idle = self.idle_actors.lock();
-            let generation = idle.generation();
-            let mut stamped = idle.stamped_entries();
-            drop(idle);
-            // Coldest first. The fully-stale prefix is always eligible;
-            // under soft-watermark pressure the next-coldest entries extend
-            // it until the excess is covered.
-            stamped.sort_unstable_by_key(|&(_, _, stamp)| stamp);
-            let stale = stamped
-                .iter()
-                .take_while(|&&(_, _, stamp)| stamp.saturating_add(2) <= generation)
-                .count();
-            let take = stale.max(excess.min(stamped.len()));
-            stamped
-                .into_iter()
-                .take(take)
-                .map(|(actor, _, _)| actor)
-                .collect()
+        let stale = {
+            let mut idle = self.idle_actors.lock();
+            if !idle.advance_due(now) {
+                return;
+            }
+            idle.stale()
         };
-        for actor in &candidates {
+        for actor in &stale {
             if !self.is_alive() || self.is_paused() {
                 return;
             }
@@ -3152,11 +3162,10 @@ impl ComponentCore {
     /// Passivates one actor if it is truly quiescent: flushes its state,
     /// then — re-verifying under the actors lock — drops its slot
     /// (instance, mailbox, slot stamp), its cached state image, its cached
-    /// placement and its idle stamp, and records a
-    /// tombstone. The next request re-activates the actor through the
-    /// ordinary placement/admission path, exactly like a first activation.
-    /// Returns true if the actor was passivated.
-    fn try_passivate(self: &Arc<Self>, actor: &ActorRef) -> bool {
+    /// placement and its idle stamp, and records a tombstone. The next
+    /// request re-activates the actor through the ordinary
+    /// placement/admission path, exactly like a first activation.
+    fn try_passivate(self: &Arc<Self>, actor: &ActorRef) {
         // Cheap pre-check under the actors lock: anything non-quiescent is
         // skipped without touching the store.
         {
@@ -3167,9 +3176,9 @@ impl ComponentCore {
                     // stamp so it cannot stay a candidate forever.
                     drop(actors);
                     self.idle_actors.lock().remove(actor);
-                    return false;
+                    return;
                 }
-                Some(slot) if !Self::quiescent(slot) => return false,
+                Some(slot) if !Self::quiescent(slot) => return,
                 Some(_) => {}
             }
         }
@@ -3178,32 +3187,82 @@ impl ComponentCore {
         // or killed — leave the slot alone; kill drops it wholesale.
         let key = state_key(actor);
         if self.state_cache.flush(&self.conn, &key).is_err() {
-            return false;
+            return;
         }
         // Decide-and-drop under the actors lock. An admission between the
         // flush and here flips `busy` (or queues mail) under this same
         // lock, so the re-check cannot miss it; a state write since the
-        // flush leaves the cache entry dirty and `passivate` refuses —
+        // flush leaves the cache entry dirty and the decide step refuses —
         // either way the slot survives untouched.
         let mut actors = self.actors.lock();
-        if !actors.get(actor).is_some_and(Self::quiescent) {
-            return false;
+        if !self.may_passivate(&actors, actor) {
+            return;
         }
-        if !self.state_cache.passivate(&key) {
-            return false;
-        }
-        actors.remove(actor);
-        self.resident_count.fetch_sub(1, Ordering::Relaxed);
         self.idle_actors.lock().remove(actor);
-        self.passivated.lock().insert(actor.clone());
+        self.drop_passivated(&mut actors, actor);
         drop(actors);
         // Outside the actors lock — the placement cache is not ordered after
         // it. Keeps the cache bounded by the *resident* set; the placement
         // record in the store is untouched (the actor is still placed here,
         // just not in memory).
         self.placement.forget(actor);
+    }
+
+    /// Admission is about to make the activation `request` asks for — of a
+    /// new actor, or of a deferred activation's head back from the due-time
+    /// heap — with the resident set at or above the soft watermark: first
+    /// passivates the coldest quiescent, clean resident, inline, under the
+    /// actors lock the caller holds. Candidates come least recently touched
+    /// first, and one touched since the eviction queue's last refill is
+    /// passed over ([`AgingMap::evict_coldest`]), so the hot head stays
+    /// resident. No store I/O: an actor whose state has buffered writes is
+    /// skipped, never flushed. Returns the evicted actor, whose cached
+    /// placement the caller forgets once it has released the actors lock.
+    fn evict_coldest(
+        &self,
+        actors: &mut HashMap<ActorRef, ActorSlot>,
+        request: &RequestMessage,
+    ) -> Option<ActorRef> {
+        let soft = self.config.resident_soft_limit()?;
+        let activates = actors
+            .get(&request.target)
+            .is_none_or(|slot| slot.activation_parked == Some(request.id));
+        if !activates || self.resident_count.load(Ordering::Relaxed) < soft {
+            return None;
+        }
+        let evicted = self
+            .idle_actors
+            .lock()
+            .evict_coldest(|actor| self.may_passivate(actors, actor))?;
+        self.drop_passivated(actors, &evicted);
+        Some(evicted)
+    }
+
+    /// The decide step of a passivation, under the actors lock: `actor`'s
+    /// slot is quiescent and the state cache let go of its image — it
+    /// refuses one with buffered writes or a handle still out.
+    fn may_passivate(&self, actors: &HashMap<ActorRef, ActorSlot>, actor: &ActorRef) -> bool {
+        actors.get(actor).is_some_and(Self::quiescent)
+            && self.state_cache.passivate(&state_key(actor))
+    }
+
+    /// The drop step of a passivation, under the actors lock, once
+    /// [`Self::may_passivate`] said yes and the idle stamp is gone: the slot
+    /// goes and a tombstone stays.
+    fn drop_passivated(&self, actors: &mut HashMap<ActorRef, ActorSlot>, actor: &ActorRef) {
+        actors.remove(actor);
+        self.resident_count.fetch_sub(1, Ordering::Relaxed);
+        self.passivated.lock().insert(tombstone(actor));
         self.stats.passivations.fetch_add(1, Ordering::Relaxed);
-        true
+    }
+
+    /// Counts a new resident, under the actors lock: a standing tombstone
+    /// makes its activation a rehydration.
+    fn count_activation(&self, actor: &ActorRef) {
+        self.resident_count.fetch_add(1, Ordering::Relaxed);
+        if self.passivated.lock().remove(&tombstone(actor)) {
+            self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// True while an actor slot has no running invocation (`busy` also
@@ -3289,5 +3348,101 @@ mod tests {
         assert_eq!(stats.cancelled.load(Ordering::Relaxed), 0);
         assert_eq!(stats.tail_calls.load(Ordering::Relaxed), 0);
         assert_eq!(stats.forwarded.load(Ordering::Relaxed), 0);
+    }
+
+    /// A component no mesh drives, whose actor table a test sets up by hand.
+    fn lone_core(config: MeshConfig) -> Arc<ComponentCore> {
+        let io = Arc::new(DueHeap::new(Arc::new(WaitSignalGroup::new())));
+        Arc::new(ComponentCore::new(
+            ComponentId::from_raw(1),
+            NodeId::from_raw(1),
+            "lone".to_owned(),
+            config,
+            "topic".to_owned(),
+            "group".to_owned(),
+            PartitionSet::contiguous(0, 1),
+            Broker::default(),
+            Store::new(),
+            Arc::default(),
+            LiveSet::default(),
+            Arc::new(RequestIdGenerator::new()),
+            HashMap::new(),
+            io,
+            Arc::new(RetryBudget::new(1.0, 1.0)),
+            Arc::new(BreakerRegistry::new(None)),
+            None,
+        ))
+    }
+
+    #[test]
+    fn an_admission_eviction_never_drops_a_busy_mailboxed_tail_awaiting_parked_or_dirty_actor() {
+        let core = lone_core(MeshConfig::for_tests().with_resident_watermarks(1, 0));
+        let actor = |name: &str| ActorRef::new("Ledger", name);
+        let request = |name: &str, id: u64| {
+            RequestMessage::root(RequestId::from_raw(id), actor(name), "m", Vec::new())
+        };
+        // Coldest first: five residents an eviction must pass over, then the
+        // most recently touched one, which is the only one it may take.
+        let residents = [
+            (
+                "busy",
+                ActorSlot {
+                    busy: true,
+                    ..ActorSlot::default()
+                },
+            ),
+            (
+                "mailboxed",
+                ActorSlot {
+                    mailbox: VecDeque::from([request("mailboxed", 1)]),
+                    ..ActorSlot::default()
+                },
+            ),
+            (
+                "tail",
+                ActorSlot {
+                    awaiting_tail: Some(RequestId::from_raw(2)),
+                    ..ActorSlot::default()
+                },
+            ),
+            (
+                "parked",
+                ActorSlot {
+                    activation_parked: Some(RequestId::from_raw(3)),
+                    ..ActorSlot::default()
+                },
+            ),
+            ("dirty", ActorSlot::default()),
+            ("idle", ActorSlot::default()),
+        ];
+        let mut actors = core.actors.lock();
+        for (name, slot) in residents {
+            actors.insert(actor(name), slot);
+            core.count_activation(&actor(name));
+            core.touch_idle(&actor(name));
+        }
+        core.state_cache
+            .set(&core.conn, &state_key(&actor("dirty")), "v", Value::from(1))
+            .unwrap();
+
+        let newcomer = request("newcomer", 4);
+        assert_eq!(
+            core.evict_coldest(&mut actors, &newcomer),
+            Some(actor("idle"))
+        );
+        assert_eq!(
+            core.evict_coldest(&mut actors, &newcomer),
+            None,
+            "an eviction took a resident that was not quiescent and clean"
+        );
+        for name in ["busy", "mailboxed", "tail", "parked", "dirty"] {
+            assert!(actors.contains_key(&actor(name)), "{name} was evicted");
+        }
+        // A resident's own next request activates nothing: no eviction.
+        actors.get_mut(&actor("busy")).unwrap().busy = false;
+        assert_eq!(core.evict_coldest(&mut actors, &request("busy", 5)), None);
+        drop(actors);
+        assert_eq!(core.resident_actors(), 5);
+        assert_eq!(core.passivation_stats(), (1, 0, 0));
     }
 }

@@ -96,19 +96,20 @@ pub struct MeshConfig {
     pub retry_budget_rate: f64,
     /// Burst capacity of the retry-budget token bucket.
     pub retry_budget_burst: f64,
-    /// Soft resident-set watermark (`0` = unbounded). A heartbeat-driven
-    /// sweep passivates — flushes and drops the in-memory slot of — every
-    /// actor idle for one to two (time-compressed) retention windows with no
-    /// running or parked invocation; the next request rehydrates it through
-    /// the ordinary placement/admission path. While a component's
-    /// resident-actor count exceeds this watermark that sweep turns *eager*
-    /// — coldest actors are evicted first, without waiting for them to age
-    /// out — until the count is back under the watermark.
+    /// Soft resident-set watermark (`0` = unbounded): where admission evicts
+    /// down to. An admission about to activate an actor while a component's
+    /// resident-actor count is at or above it first passivates — drops the
+    /// in-memory slot of — the least recently used resident with no running
+    /// or parked invocation and no unflushed state, inline and without store
+    /// I/O; the next request for it rehydrates it through the ordinary
+    /// placement/admission path. Independently, a heartbeat-driven sweep
+    /// passivates every actor idle for one to two (time-compressed)
+    /// retention windows.
     pub resident_soft_watermark: usize,
-    /// Hard resident-set watermark (`0` = unbounded): at or above it,
-    /// admission defers requests that would *activate a new actor*: each
-    /// waits out a shaped backoff on the mesh's due-time heap, holding its
-    /// admission claim (shed, never dropped).
+    /// Hard resident-set watermark (`0` = unbounded): at or above it, an
+    /// admission that would *activate a new actor* and found nothing to
+    /// evict is deferred: it waits out a shaped backoff on the mesh's
+    /// due-time heap, holding its admission claim (shed, never dropped).
     /// Requests for already-resident actors are never deferred. Clamped up
     /// to at least the soft watermark.
     pub resident_hard_watermark: usize,
@@ -350,10 +351,12 @@ impl MeshConfig {
         self
     }
 
-    /// Sets the resident-set watermarks (`0` = unbounded). `hard` is
-    /// clamped up to `soft` when both are set — a hard bound below the
-    /// point where eviction turns eager would shed load the sweep was
-    /// still allowed to reclaim.
+    /// Sets the resident-set watermarks (`0` = unbounded): admission evicts
+    /// the coldest quiescent, clean resident to activate an actor at or
+    /// above `soft`, and defers the activation at or above `hard` only when
+    /// nothing could be evicted. `hard` is clamped up to `soft` when both are
+    /// set — a hard bound below the soft one would defer activations that
+    /// admission could still make room for.
     #[must_use]
     pub fn with_resident_watermarks(mut self, soft: usize, hard: usize) -> Self {
         self.resident_soft_watermark = soft;

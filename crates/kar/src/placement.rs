@@ -102,17 +102,18 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    /// Inserts into the young generation. Returns the generation this
-    /// retired, for the caller to drop once the shard is unlocked.
-    fn insert(
-        &mut self,
-        actor: ActorRef,
-        entry: CacheEntry,
-    ) -> Option<HashMap<ActorRef, CacheEntry>> {
-        let retired = (self.young.len() >= GENERATION_ENTRIES)
-            .then(|| std::mem::replace(&mut self.old, std::mem::take(&mut self.young)));
+    /// Inserts into the young generation. A full one rotates in place: the
+    /// old generation is emptied — its entries freed under the shard lock —
+    /// and its grown table becomes the young one. Under churn a fresh table
+    /// every few thousand inserts is a stream of large short-lived blocks
+    /// that small long-lived allocations (store keys, actor slots) split
+    /// up, and the heap grows around the holes.
+    fn insert(&mut self, actor: ActorRef, entry: CacheEntry) {
+        if self.young.len() >= GENERATION_ENTRIES {
+            std::mem::swap(&mut self.young, &mut self.old);
+            self.young.clear();
+        }
         self.young.insert(actor, entry);
-        retired
     }
 
     /// Removes from both generations: two resolutions racing each other can
@@ -298,11 +299,10 @@ impl PlacementService {
         };
         let epoch = cache.current_epoch();
         let mut shard = cache.shard(actor).lock();
-        let mut retired = None;
         let entry = shard.young.get(actor).copied().or_else(|| {
             // In use again: back into the young generation.
             let entry = shard.old.remove(actor)?;
-            retired = shard.insert(actor.clone(), entry);
+            shard.insert(actor.clone(), entry);
             Some(entry)
         });
         let hit = match entry {
@@ -317,7 +317,6 @@ impl PlacementService {
             None => None,
         };
         drop(shard);
-        drop(retired);
         let counter = if hit.is_some() {
             &self.hits
         } else {
@@ -334,8 +333,7 @@ impl PlacementService {
     fn cache_insert(&self, actor: &ActorRef, component: ComponentId, epoch: u64) {
         if let Some(cache) = &self.cache {
             let entry = CacheEntry { component, epoch };
-            let retired = cache.shard(actor).lock().insert(actor.clone(), entry);
-            drop(retired);
+            cache.shard(actor).lock().insert(actor.clone(), entry);
         }
     }
 

@@ -487,11 +487,12 @@ impl StateCache {
     }
 
     /// Drops one actor's entry for passivation, but only if it is safe:
-    /// nothing else holds its handle and it has no buffered writes (the
-    /// caller flushed first). Returns true when the actor's slot may be
-    /// dropped — the entry was removed, or there was none — and false when
-    /// the entry must stay (the actor was touched between the caller's
-    /// flush and this call, so it is not actually idle).
+    /// nothing else holds its handle and it has no buffered writes (the idle
+    /// sweep flushes first; an eviction at admission never flushes, so it
+    /// only ever takes a clean actor). Returns true when the actor's slot
+    /// may be dropped — the entry was removed, or there was none — and false
+    /// when the entry must stay (it holds writes no flush has made durable,
+    /// or the actor is in use).
     ///
     /// The `strong_count` check is the same no-orphaned-image rule as
     /// [`StateCache::maybe_age`]: handing a handle out requires the map

@@ -11,18 +11,35 @@ rewritten — to BENCH_trajectory.jsonl at the repo root.
 attempted/failed, and the median and quartiles of each end-to-end metric
 BENCHMARK.json declares. Rows back-filled by hand from CHANGES.md carry
 `"source": "CHANGES"` and null quartiles where CHANGES records none.
-`--check` verifies every line parses and carries every declared metric.
-Standard library only; lives outside bench/ because bench/ is frozen.
+
+Rows from different sessions ran on different hosts, so `append` also
+records a `calibration` of the host it runs on: a fixed CPU loop and a
+thread ping-pong, both run by this script (best of a few rounds). Run it
+on the host that ran the report, right after the report.
+
+`--check` verifies every line parses and carries every declared metric, and
+warns — without failing — about rows whose calibration moved by more than
+CALIBRATION_BOUND from the rows of the previous PR that has one: their
+numbers and that PR's are not comparable. Rows without a calibration (older
+rows) are not compared. Standard library only; lives outside bench/ because
+bench/ is frozen.
 """
 
 import argparse
 import json
 import pathlib
 import sys
+import threading
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_trajectory.jsonl"
 ROW_KEYS = ("pr", "commit", "source", "workload", "nproc", "seed", "seconds", "failed", "metrics")
+# The end-to-end bound BENCHMARK.json gives every metric.
+CALIBRATION_BOUND = 0.25
+CPU_LOOP_ITERATIONS = 2_000_000
+PING_PONG_ROUNDS = 2_000
+CALIBRATION_REPEATS = 5
 
 
 def declared_metrics():
@@ -30,7 +47,47 @@ def declared_metrics():
     return [metric["name"] for metric in contract["end_to_end"]]
 
 
-def rows_of(report, pr, commit):
+def cpu_loop_ms():
+    """Milliseconds for a fixed integer loop: single-core speed."""
+    started = time.perf_counter()
+    state = 1
+    for _ in range(CPU_LOOP_ITERATIONS):
+        state = (state * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+    return (time.perf_counter() - started) * 1e3
+
+
+def ping_pong_us():
+    """Microseconds per round trip of a token between two threads: the
+    wake-up latency the runtime's reactors and callers pay."""
+    ping, pong = threading.Event(), threading.Event()
+
+    def responder():
+        for _ in range(PING_PONG_ROUNDS):
+            ping.wait()
+            ping.clear()
+            pong.set()
+
+    thread = threading.Thread(target=responder)
+    thread.start()
+    started = time.perf_counter()
+    for _ in range(PING_PONG_ROUNDS):
+        ping.set()
+        pong.wait()
+        pong.clear()
+    elapsed = time.perf_counter() - started
+    thread.join()
+    return elapsed * 1e6 / PING_PONG_ROUNDS
+
+
+def calibrate():
+    """The host calibration a row carries: best of a few rounds each."""
+    return {
+        "cpu_loop_ms": round(min(cpu_loop_ms() for _ in range(CALIBRATION_REPEATS)), 3),
+        "ping_pong_us": round(min(ping_pong_us() for _ in range(CALIBRATION_REPEATS)), 3),
+    }
+
+
+def rows_of(report, pr, commit, calibration):
     metrics = declared_metrics()
     for workload in report["workloads"]:
         yield {
@@ -48,6 +105,7 @@ def rows_of(report, pr, commit):
                 name: {key: workload["metrics"][name].get(key) for key in ("median", "q1", "q3")}
                 for name in metrics
             },
+            "calibration": calibration,
         }
 
 
@@ -55,22 +113,58 @@ def append(args):
     report = json.loads(pathlib.Path(args.report).read_text())
     if report.get("kind") != "end_to_end":
         sys.exit(f"{args.report} is a {report.get('kind')} report, not an end_to_end one")
+    calibration = calibrate()
+    print(f"host calibration: {calibration}")
     with TRAJECTORY.open("a") as out:
-        for row in rows_of(report, args.pr, args.commit):
+        for row in rows_of(report, args.pr, args.commit, calibration):
             out.write(json.dumps(row) + "\n")
             print(f"PR {row['pr']} {row['workload']}: appended")
+
+
+def calibration_drift(rows):
+    """Warnings for calibrated rows whose calibration moved by more than
+    CALIBRATION_BOUND from the median of the previous calibrated PR's rows."""
+    by_pr = {}
+    for number, row in rows:
+        if isinstance(row.get("calibration"), dict):
+            by_pr.setdefault(row["pr"], []).append((number, row))
+    warnings = []
+    prs = sorted(by_pr)
+    for previous, current in zip(prs, prs[1:]):
+        for name in by_pr[current][0][1]["calibration"]:
+            before = sorted(
+                row["calibration"][name]
+                for _, row in by_pr[previous]
+                if isinstance(row["calibration"].get(name), (int, float))
+            )
+            if not before:
+                continue
+            baseline = before[len(before) // 2]
+            for number, row in by_pr[current]:
+                value = row["calibration"].get(name)
+                if isinstance(value, (int, float)) and baseline > 0:
+                    moved = value / baseline - 1
+                    if abs(moved) > CALIBRATION_BOUND:
+                        warnings.append(
+                            f"line {number}: PR {current} {row['workload']}: calibration "
+                            f"{name} {value} is {moved:+.0%} from PR {previous}'s {baseline}; "
+                            "the two PRs' numbers are not comparable"
+                        )
+    return warnings
 
 
 def check():
     metrics = declared_metrics()
     problems = []
     lines = TRAJECTORY.read_text().splitlines()
+    rows = []
     for number, line in enumerate(lines, 1):
         try:
             row = json.loads(line)
         except ValueError as error:
             problems.append(f"line {number}: does not parse ({error})")
             continue
+        rows.append((number, row))
         missing = [key for key in ROW_KEYS if key not in row]
         missing += [
             f"metrics.{name}.median"
@@ -81,7 +175,13 @@ def check():
             problems.append(f"line {number}: missing {', '.join(missing)}")
     for problem in problems:
         print(problem, file=sys.stderr)
-    print(f"{TRAJECTORY.name}: {len(lines)} rows, {len(problems)} problems")
+    warnings = calibration_drift(rows)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(
+        f"{TRAJECTORY.name}: {len(lines)} rows, {len(problems)} problems, "
+        f"{len(warnings)} calibration warnings"
+    )
     sys.exit(1 if problems or not lines else 0)
 
 

@@ -13,15 +13,16 @@
 //!    while actors cycle busy → idle → passivated under store latency wide
 //!    enough for kills to land mid-passivation-flush; acknowledged records
 //!    stay exactly-once and FIFO, and the sweep still runs afterwards.
-//! 4. **Watermarks** — past the hard resident watermark, new-actor
-//!    activations are deferred with shaped backoff and re-queued (never
-//!    dropped), drain as passivation frees slots, and the resident set
-//!    settles back under the soft watermark once load subsides.
+//! 4. **Watermarks** — past the soft watermark an admission that activates
+//!    an actor first evicts the coldest quiescent, clean resident, so churn
+//!    never reaches the hard watermark; only when every resident is busy
+//!    are new-actor activations deferred with shaped backoff and re-queued
+//!    (never dropped), draining as residents come free.
 
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{chaos_seed, SplitMix64};
@@ -313,20 +314,91 @@ fn seeded_kills_during_passivation_keep_exactly_once_and_fifo() {
     mesh.shutdown();
 }
 
+/// A gate the test opens: while it is shut, [`Gate`]'s `wait` does not
+/// return, so a [`Holder`] parked on it stays busy.
+type Shut = Arc<(Mutex<bool>, Condvar)>;
+
+fn open(gate: &Shut) {
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+}
+
+/// Answers `wait` once the gate is open (or after 20 s, so a failed test
+/// cannot wedge its reactor).
+struct Gate(Shut);
+
+impl Actor for Gate {
+    fn invoke(
+        &mut self,
+        _ctx: &mut ActorContext<'_>,
+        _method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        let (shut, opened) = &*self.0;
+        let guard = shut.lock().unwrap();
+        let _open = opened
+            .wait_timeout_while(guard, Duration::from_secs(20), |open| !*open)
+            .unwrap();
+        Ok(Outcome::value(Value::Null))
+    }
+}
+
+/// `hold` parks on a nested call to the gate: until the gate opens the
+/// holder stays busy — neither quiescent nor evictable — without holding a
+/// reactor or a consumer lane of its own component.
+struct Holder;
+
+impl Actor for Holder {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        _method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        let gate = ActorRef::new("Gate", "g");
+        Ok(ctx.call_then(&gate, "wait", Vec::new(), |_ctx, result| {
+            Ok(Outcome::value(result?))
+        }))
+    }
+}
+
 #[test]
 fn hard_watermark_defers_activations_and_drains_without_drops() {
-    const ACTORS: usize = 12;
+    const HOLDERS: usize = 4;
+    const ACTORS: usize = 8;
 
-    // 200 ms window; at most 4 resident actors, sweep eager past 2.
-    let config = fast_passivation_config(200).with_resident_watermarks(2, 4);
+    // 200 ms window; admission evicts past 2 residents and defers past 4.
+    let config = fast_passivation_config(200)
+        .with_resident_watermarks(2, HOLDERS)
+        .with_reactor_threads(3);
     let mesh = Mesh::new(config);
     let node = mesh.add_node();
-    let server = mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
+    let server = mesh.add_component(node, "server", |c| {
+        c.host("Ledger", || Box::new(Ledger))
+            .host("Holder", || Box::new(Holder))
+    });
+    let gate: Shut = Arc::default();
+    mesh.add_component(node, "gate", {
+        let gate = Arc::clone(&gate);
+        move |c| c.host("Gate", move || Box::new(Gate(Arc::clone(&gate))))
+    });
     let client = mesh.client();
 
-    // 12 concurrent activations against a hard watermark of 4: the excess
-    // is shed with shaped backoff and re-queued, never dropped — every
-    // blocking call must come back acknowledged as passivation frees slots.
+    // Fill the resident set to the hard watermark with holders parked on
+    // the shut gate, one of them with a second call mailboxed behind it.
+    // None of them can be evicted until the gate opens, so every activation
+    // past this point is provably deferred — not by timing.
+    let holders: Vec<_> = (0..=HOLDERS)
+        .map(|i| {
+            let client = client.clone();
+            let target = ActorRef::new("Holder", format!("h{}", i % HOLDERS));
+            std::thread::spawn(move || client.call(&target, "hold", Vec::new()).unwrap())
+        })
+        .collect();
+    wait_until(Duration::from_secs(10), "the holders to park", || {
+        mesh.resident_actors(server) == Some(HOLDERS)
+    });
+
     // A sampler watches the resident count meanwhile: admission checks the
     // watermark under the actors lock, so the set never exceeds it.
     let done = Arc::new(AtomicBool::new(false));
@@ -351,24 +423,35 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
             })
         })
         .collect();
+    wait_until(Duration::from_secs(10), "a deferred activation", || {
+        mesh.passivation_stats(server).unwrap().2 >= 1
+    });
+    assert_eq!(
+        mesh.passivation_stats(server).unwrap().0,
+        0,
+        "a holder parked on the gate was evicted"
+    );
+
+    // The gate opens: the holders finish, admission evicts them, and the
+    // deferred activations drain — every blocking call comes back.
+    open(&gate);
+    for holder in holders {
+        holder.join().unwrap();
+    }
     for driver in drivers {
         driver.join().unwrap();
     }
     done.store(true, Ordering::Relaxed);
     let peak = sampler.join().unwrap();
     assert!(
-        (1..=4).contains(&peak),
-        "resident set peaked at {peak} against a hard watermark of 4"
+        peak <= HOLDERS,
+        "resident set peaked at {peak} against a hard watermark of {HOLDERS}"
     );
-
-    let (passivations, _, deferrals) = mesh.passivation_stats(server).unwrap();
+    // Twelve activations through four slots: at least eight evictions.
+    let (passivations, _, _) = mesh.passivation_stats(server).unwrap();
     assert!(
-        deferrals >= 1,
-        "12 actors admitted against a hard watermark of 4 without a deferral"
-    );
-    assert!(
-        passivations >= (ACTORS as u64).saturating_sub(4),
-        "deferred activations drained without passivation making room: {passivations}"
+        passivations >= ACTORS as u64,
+        "deferred activations drained without evictions making room: {passivations}"
     );
 
     // Every acknowledged call was applied exactly once, in order, despite
@@ -384,8 +467,8 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
         );
     }
 
-    // Load has subsided: the sweep settles the resident set back under the
-    // soft watermark (all the way to zero, since everything is idle).
+    // Load has subsided: the idle sweep settles the resident set back under
+    // the soft watermark (all the way to zero, since everything is idle).
     wait_until(
         Duration::from_secs(10),
         "the resident set to drain under the soft watermark",
@@ -398,9 +481,9 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
 fn soft_watermark_keeps_resident_set_bounded_under_churn() {
     const ACTORS: usize = 48;
 
-    // 300 ms window, soft watermark 8 with plenty of hard headroom: the
-    // sweep turns eager (coldest first) instead of waiting out the idle
-    // clock, but admission is never deferred.
+    // 300 ms window, soft watermark 8 with plenty of hard headroom: each
+    // activation past 8 residents evicts the coldest one inline, so the set
+    // never grows past the watermark and nothing is ever deferred.
     let config = fast_passivation_config(300)
         .with_resident_watermarks(8, 1024)
         .with_partitions_per_component(4);
@@ -413,20 +496,17 @@ fn soft_watermark_keeps_resident_set_bounded_under_churn() {
         let target = ActorRef::new("Ledger", format!("churn-{actor}"));
         client.call(&target, "push", vec![Value::Int(1)]).unwrap();
     }
-    let (_, _, deferrals) = mesh.passivation_stats(server).unwrap();
-    assert_eq!(deferrals, 0, "soft watermark must not defer admissions");
-
-    // The eager sweep pulls the set under the watermark without waiting for
-    // the full idle window per actor.
-    wait_until(
-        Duration::from_secs(10),
-        "the eager sweep to reach the soft watermark",
-        || mesh.resident_actors(server).unwrap() <= 8,
+    // Right after the loop, no sweep waited for.
+    let resident = mesh.resident_actors(server).unwrap();
+    assert!(
+        resident <= 8,
+        "{resident} residents past a soft watermark of 8"
     );
-    let (passivations, _, _) = mesh.passivation_stats(server).unwrap();
+    let (passivations, _, deferrals) = mesh.passivation_stats(server).unwrap();
+    assert_eq!(deferrals, 0, "soft watermark must not defer admissions");
     assert!(
         passivations >= (ACTORS as u64) - 8,
-        "eager sweep passivated only {passivations}"
+        "admission evicted only {passivations}"
     );
 
     // Rehydration still works for an evicted-cold actor.
