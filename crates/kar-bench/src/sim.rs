@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome, RetryPolicy};
 use kar_semantics::{HistoryChecker, HistoryEvent, HistoryViolation};
-use kar_types::{ActorRef, KarError, KarResult, LatencyProfile, Value};
+use kar_types::{ActorRef, ComponentId, KarError, KarResult, LatencyProfile, Value};
 
 /// Shared commit log: every actor execution that applies effects appends
 /// the request id it was carrying. The simulation is single-threaded, so
@@ -59,6 +59,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("dlq-reinjection", dlq_reinjection),
     ("kill-after-trim", kill_after_trim),
     ("kill-mid-outbox", kill_mid_outbox),
+    ("kill-mid-retry-append", kill_mid_retry_append),
 ];
 
 /// Runs one scenario by name. Returns `None` for an unknown name.
@@ -528,6 +529,81 @@ fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome
 /// exactly once on the survivor.
 fn kill_during_backoff(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
     let config = MeshConfig::deterministic(seed);
+    flaky_under_kill(
+        "kill-during-backoff",
+        config,
+        kill_step,
+        |driver, alpha, _| {
+            driver.arm_kill(kill_step, alpha, "alpha");
+        },
+    )
+}
+
+/// `kill-during-backoff` with every queue append acknowledged 200 µs after
+/// its submit, and the flaky actor placed on `alpha`, the victim: kills land
+/// while a retry copy's round or the response run is parked on its ack.
+/// `kill_step % 8` is the kill's offset in steps; `kill_step / 8` picks what
+/// it counts from — the call (even: the first retry copy is submitted and
+/// acknowledged within a few steps of it) or the attempt that succeeds (odd:
+/// its response run leaves in the same step).
+fn kill_mid_retry_append(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
+    let config = MeshConfig {
+        latency: LatencyProfile {
+            queue_append: Duration::from_micros(200),
+            ..LatencyProfile::ZERO
+        },
+        ..MeshConfig::deterministic(seed)
+    };
+    let gap = kill_step % 8;
+    let arm = move |driver: &mut Driver, alpha, remaining: &Arc<AtomicI64>| {
+        driver.mesh.store().admin_set(
+            &kar::placement::placement_key(&ActorRef::new("Flaky", "f")),
+            kar::placement::component_to_value(alpha),
+        );
+        if (kill_step / 8).is_multiple_of(2) {
+            driver.arm_kill(gap, alpha, "alpha");
+            return;
+        }
+        let remaining = Arc::clone(remaining);
+        kill_when(
+            &driver.mesh,
+            alpha,
+            move || remaining.load(Ordering::SeqCst) < 0,
+            gap,
+        );
+        driver.checker.record(HistoryEvent::Kill {
+            component: "alpha".to_string(),
+        });
+    };
+    flaky_under_kill("kill-mid-retry-append", config, kill_step, arm)
+}
+
+/// Schedules a kill of `victim` `gap` steps after `ready` first holds: a
+/// self-rescheduling scheduler event polls it once per step.
+fn kill_when(mesh: &Mesh, victim: ComponentId, ready: impl Fn() -> bool + 'static, gap: u64) {
+    let Some(scheduler) = kar_types::sim::current() else {
+        return;
+    };
+    let mesh = mesh.clone();
+    scheduler.schedule_at(scheduler.steps() + 1, "kill-when", move || {
+        if ready() {
+            mesh.sim_schedule_kill(mesh.sim_step_count() + gap, victim);
+        } else {
+            kill_when(&mesh, victim, ready, gap);
+        }
+    });
+}
+
+/// The body of the backoff scenarios: a call under a retry policy to an
+/// actor that fails twice (`Flaky/f`; the counter of failures left is
+/// handed to `arm`), with a kill of `alpha` armed by `arm` just before it.
+fn flaky_under_kill(
+    scenario: &'static str,
+    config: MeshConfig,
+    kill_step: u64,
+    arm: impl FnOnce(&mut Driver, ComponentId, &Arc<AtomicI64>),
+) -> SimOutcome {
+    let seed = config.sim_seed.expect("a deterministic configuration");
     let log: CommitLog = CommitLog::default();
     let remaining = Arc::new(AtomicI64::new(2));
     let mesh = Mesh::new(config);
@@ -551,11 +627,11 @@ fn kill_during_backoff(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome 
         move |b| b.host("Flaky", host)
     });
     let mut driver = Driver::new(mesh, log);
-    driver.arm_kill(kill_step, alpha, "alpha");
+    arm(&mut driver, alpha, &remaining);
     let policy = RetryPolicy::fixed(6, Duration::from_millis(400)).retry_all_errors();
     driver.call(&ActorRef::new("Flaky", "f"), "work", 1, Some(policy));
     driver.await_recoveries(1, "alpha");
-    outcome("kill-during-backoff", seed, kill_step, driver)
+    outcome(scenario, seed, kill_step, driver)
 }
 
 /// Exhaust a schedule into the DLQ, heal, kill a component, and re-inject

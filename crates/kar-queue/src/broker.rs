@@ -587,32 +587,8 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         })
     }
 
-    fn append(
-        &self,
-        component: ComponentId,
-        epoch: Epoch,
-        topic: &str,
-        partition: usize,
-        payload: M,
-    ) -> KarResult<Completion<u64>> {
-        self.check_epoch(component, epoch)?;
-        let gate = self.fault_gate(FaultSite::BrokerAppend, partition)?;
-        let part = self.lookup_partition(topic, partition)?;
-        let config = &self.inner.config;
-        let now = self.now();
-        // Expired records are freed after the partition lock is released.
-        let (offset, acked, expired) = part.with_log(|log| {
-            // Applied at once; acknowledged in the partition's turn.
-            let acked = log.acknowledge(now + gate.delay, config.append_latency);
-            let offset = log.append(now, acked + config.deliver_latency, payload);
-            (offset, acked, self.expire(log, now))
-        });
-        drop(expired);
-        part.notify();
-        Ok(self.completion(now, acked, gate, FaultSite::BrokerAppend, offset))
-    }
-
-    /// Appends one produce round (the body of [`Producer::submit_round`]).
+    /// Appends one produce round (the body of [`Producer::submit_round`]):
+    /// the broker's one fenced append.
     fn append_round(
         &self,
         component: ComponentId,
@@ -1063,7 +1039,8 @@ pub struct Producer<M> {
 }
 
 impl<M: Clone + Send + Sync + 'static> Producer<M> {
-    /// Appends `payload` to `topic[partition]` and waits for the append to be
+    /// Appends `payload` to `topic[partition]` — a one-record
+    /// [`Producer::send_round`] — and waits for the append to be
     /// acknowledged (durable). Returns the record offset.
     ///
     /// # Errors
@@ -1072,9 +1049,8 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
     /// forcefully disconnected, or `KarError::Queue` if the partition does
     /// not exist.
     pub fn send(&self, topic: &str, partition: usize, payload: M) -> KarResult<u64> {
-        self.broker
-            .append(self.component, self.epoch, topic, partition, payload)?
-            .wait()
+        self.send_batch(topic, partition, vec![payload])
+            .map(|range| range.start)
     }
 
     /// Appends `payloads` to `topic[partition]` as one batch — the
@@ -1093,26 +1069,8 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         partition: usize,
         payloads: Vec<M>,
     ) -> KarResult<Range<u64>> {
-        self.submit_batch(topic, partition, payloads)?.wait()
-    }
-
-    /// [`Producer::send_batch`] without the wait: the batch is appended when
-    /// this returns, and the returned [`Completion`] says when its durable
-    /// acknowledgement fires and what it carries.
-    ///
-    /// # Errors
-    ///
-    /// Fails at once — nothing appended — exactly where
-    /// [`Producer::submit_round`] does.
-    pub fn submit_batch(
-        &self,
-        topic: &str,
-        partition: usize,
-        payloads: Vec<M>,
-    ) -> KarResult<Completion<Range<u64>>> {
-        let Completion { due, result } = self.submit_round(topic, vec![(partition, payloads)])?;
-        let result = result.map(|mut ranges| ranges.pop().expect("one group in, one range out").1);
-        Ok(Completion { due, result })
+        let mut ranges = self.send_round(topic, vec![(partition, payloads)])?;
+        Ok(ranges.pop().expect("one group in, one range out").1)
     }
 
     /// Appends one **produce round**: one batch per partition touched,
@@ -1146,7 +1104,7 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
     }
 
     /// [`Producer::send_round`] without the wait — the one append path every
-    /// batch send goes through. The round is **applied when this returns**
+    /// send goes through. The round is **applied when this returns**
     /// (its records have their offsets and their consumers are notified; they
     /// become readable one delivery latency after the acknowledgement), and
     /// the returned [`Completion`] says when the round's single durable
@@ -1168,58 +1126,6 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
     ) -> KarResult<Completion<RoundRanges>> {
         self.broker
             .append_round(self.component, self.epoch, topic, groups)
-    }
-
-    /// Appends `payload` to the home partition `key` hashes to within `set`
-    /// (the partition-set routing of §4.1: every record of one actor lands in
-    /// one partition). Returns the chosen partition and the record offset.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Producer::send`], plus `KarError::Queue` if the set has no
-    /// home partitions.
-    pub fn send_keyed(
-        &self,
-        topic: &str,
-        set: &PartitionSet,
-        key: &str,
-        payload: M,
-    ) -> KarResult<(usize, u64)> {
-        let partition = set
-            .partition_for_key(key)
-            .ok_or_else(|| KarError::Queue(format!("empty partition set routing key {key}")))?;
-        let offset = self.send(topic, partition, payload)?;
-        Ok((partition, offset))
-    }
-
-    /// Appends a batch of keyed records as one [`Producer::send_round`]:
-    /// entries are grouped by the home partition their key hashes to
-    /// (relative order preserved within each partition), so a batch spanning
-    /// several partitions still pays one durable ack, and each group's
-    /// offsets are contiguous. Returns the `(partition, offset range)` of
-    /// every group, in first-touch order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Producer::send_keyed`]; all-or-nothing like
-    /// [`Producer::send_round`].
-    pub fn send_keyed_batch(
-        &self,
-        topic: &str,
-        set: &PartitionSet,
-        entries: Vec<(String, M)>,
-    ) -> KarResult<Vec<(usize, Range<u64>)>> {
-        let mut groups: Vec<(usize, Vec<M>)> = Vec::new();
-        for (key, payload) in entries {
-            let partition = set
-                .partition_for_key(&key)
-                .ok_or_else(|| KarError::Queue(format!("empty partition set routing key {key}")))?;
-            match groups.iter_mut().find(|(p, _)| *p == partition) {
-                Some((_, group)) => group.push(payload),
-                None => groups.push((partition, vec![payload])),
-            }
-        }
-        self.send_round(topic, groups)
     }
 
     /// Drops every record of `topic[partition]` below `offset` — the
@@ -2265,11 +2171,11 @@ mod tests {
         // The spiked submit reaches the partition one spike late, so its ack
         // is due one spike late — and nobody slept for it.
         let t = clock.now();
-        let spiked = producer.submit_batch("t", 0, vec![1]).unwrap();
+        let spiked = producer.submit_round("t", vec![(0, vec![1])]).unwrap();
         assert_eq!(spiked.due, Some(t + spike + ack));
         assert_eq!(clock.now(), t);
         // Budget spent: the next append queues behind it, unspiked.
-        let next = producer.submit_batch("t", 0, vec![2]).unwrap();
+        let next = producer.submit_round("t", vec![(0, vec![2])]).unwrap();
         assert_eq!(next.due, Some(t + spike + ack * 2));
         // A spiked poll returns nothing and holds the consumer back for the
         // spike; the poll after it is the same read, arriving late.
@@ -2443,8 +2349,23 @@ mod tests {
         fence.join().unwrap();
     }
 
+    /// Groups keyed `entries` by the home partition of `set` each key hashes
+    /// to — the routing a sender applies ahead of a produce round — keeping
+    /// the entry order inside each group.
+    fn keyed_groups<T>(set: &PartitionSet, entries: Vec<(String, T)>) -> Vec<(usize, Vec<T>)> {
+        let mut groups: Vec<(usize, Vec<T>)> = Vec::new();
+        for (key, payload) in entries {
+            let partition = set.partition_for_key(&key).expect("a home set");
+            match groups.iter_mut().find(|(p, _)| *p == partition) {
+                Some((_, group)) => group.push(payload),
+                None => groups.push((partition, vec![payload])),
+            }
+        }
+        groups
+    }
+
     #[test]
-    fn send_keyed_routes_by_key_over_the_home_set() {
+    fn keyed_sends_route_by_key_over_the_home_set() {
         let broker: Broker<String> = Broker::new(BrokerConfig::default());
         broker.create_topic("t", 8).unwrap();
         let mut set = PartitionSet::contiguous(0, 4);
@@ -2453,15 +2374,11 @@ mod tests {
         let mut touched = std::collections::HashSet::new();
         for i in 0..64 {
             let key = format!("Ledger/a{i}");
-            let (partition, _) = producer
-                .send_keyed("t", &set, &key, format!("m{i}"))
-                .unwrap();
+            let partition = set.partition_for_key(&key).unwrap();
             assert!(set.home().contains(&partition), "routed off the home set");
+            producer.send("t", partition, format!("m{i}")).unwrap();
             // Same key, same partition, every time.
-            let (again, _) = producer
-                .send_keyed("t", &set, &key, format!("m{i}'"))
-                .unwrap();
-            assert_eq!(partition, again);
+            assert_eq!(set.partition_for_key(&key), Some(partition));
             touched.insert(partition);
         }
         assert_eq!(
@@ -2472,30 +2389,26 @@ mod tests {
         // Adopted partitions never receive hashed traffic.
         assert_eq!(broker.partition_len("t", 6), 0);
         assert_eq!(broker.partition_len("t", 7), 0);
-        assert!(producer
-            .send_keyed("t", &PartitionSet::default(), "k", "x".into())
-            .is_err());
+        assert_eq!(PartitionSet::default().partition_for_key("k"), None);
     }
 
     #[test]
-    fn send_keyed_batch_splits_across_partitions_with_contiguous_offsets() {
+    fn a_keyed_round_splits_across_partitions_with_contiguous_offsets() {
         let broker: Broker<String> = Broker::new(BrokerConfig::default());
         broker.create_topic("t", 4).unwrap();
         let set = PartitionSet::contiguous(0, 4);
         let producer = broker.producer(c(1));
         // Pre-existing records offset the logs so contiguity is non-trivial.
-        producer
-            .send_keyed("t", &set, "seed-a", "s".into())
-            .unwrap();
-        producer
-            .send_keyed("t", &set, "seed-b", "s".into())
-            .unwrap();
+        for seed in ["seed-a", "seed-b"] {
+            let partition = set.partition_for_key(seed).unwrap();
+            producer.send("t", partition, "s".into()).unwrap();
+        }
 
         let entries: Vec<(String, String)> = (0..32)
             .map(|i| (format!("k{}", i % 8), format!("v{i}")))
             .collect();
         let ranges = producer
-            .send_keyed_batch("t", &set, entries.clone())
+            .send_round("t", keyed_groups(&set, entries.clone()))
             .unwrap();
         assert!(ranges.len() > 1, "8 keys over 4 partitions must split");
         let mut total = 0;
@@ -2524,8 +2437,9 @@ mod tests {
             assert_eq!(got, expected, "partition {partition} order broken");
         }
         // Empty batch: no ranges, nothing appended.
+        let empty: Vec<(String, String)> = Vec::new();
         assert!(producer
-            .send_keyed_batch("t", &set, vec![])
+            .send_round("t", keyed_groups(&set, empty))
             .unwrap()
             .is_empty());
     }
@@ -2588,7 +2502,9 @@ mod tests {
         let before = clock.now();
         let set = PartitionSet::contiguous(0, 4);
         let entries: Vec<(String, u32)> = (0..16).map(|i| (format!("k{i}"), i)).collect();
-        let keyed = producer.send_keyed_batch("t", &set, entries).unwrap();
+        let keyed = producer
+            .send_round("t", keyed_groups(&set, entries))
+            .unwrap();
         assert!(keyed.len() > 1, "16 keys over 4 partitions must split");
         assert_eq!(clock.now() - before, ack);
         // A round of only empty groups appends nothing and pays no ack.

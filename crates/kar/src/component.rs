@@ -29,8 +29,9 @@
 //! actors on distinct lanes still *compute* in parallel up to the
 //! reactor-pool width at a time, while any number of them wait for their
 //! I/O. Whatever else a component waits on a clock for — a scheduled retry,
-//! a deferred activation, an orphaned response, a timed-out continuation —
-//! is a stage on the same heap: a component keeps no timer of its own.
+//! a deferred activation, an orphaned response, a timed-out continuation, a
+//! response run out of transient replays — is a stage on the same heap: a
+//! component keeps no timer of its own.
 //!
 //! Rebalance safety: admission verifies the *placement* of every request it
 //! is about to execute (one cache hit in steady state) and forwards requests
@@ -64,9 +65,7 @@ use crate::aging::{AgingMap, AgingSet};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{state_key, ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
-use crate::delivery::{
-    partitions_of, AckWait, FlushCtx, RequestRound, ResponseBatcher, Run, Settled,
-};
+use crate::delivery::{partitions_of, Flusher, RequestRound, ResponseBatcher, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
 use crate::placement::{LiveSet, PlacementService};
@@ -231,10 +230,12 @@ enum Placement {
     Unresolved { retry_at: Duration },
 }
 
-/// One produce round of the request leg on its way to its ack, with what
+/// One produce round on its way to its ack, with what
 /// [`ComponentCore::count_round`] counts once it is acknowledged.
 pub(crate) struct RoundInFlight {
     round: RequestRound,
+    /// Requests of the request leg it carries (`request_batch_stats`): none
+    /// for a response run or a retry copy, which are counted elsewhere.
     requests: u64,
     /// `(tells carried, partitions touched)` when the round carries tells.
     outbox: Option<(usize, usize)>,
@@ -242,12 +243,22 @@ pub(crate) struct RoundInFlight {
 
 impl RoundInFlight {
     /// Groups `run` — its first `tells` entries an invocation's outbox —
-    /// into one round, not yet submitted.
+    /// into one round of the request leg, not yet submitted.
     fn new(run: Run, tells: usize) -> Self {
         RoundInFlight {
             requests: run.len() as u64,
             outbox: (tells > 0).then(|| (tells, partitions_of(&run).len())),
             round: RequestRound::new(run),
+        }
+    }
+
+    /// `envelopes` bound for one partition — a response run, a retry copy —
+    /// as one round outside the request leg's counts.
+    fn batch(partition: usize, envelopes: Vec<Envelope>) -> Self {
+        RoundInFlight {
+            round: RequestRound::batch(partition, envelopes),
+            requests: 0,
+            outbox: None,
         }
     }
 }
@@ -289,6 +300,23 @@ pub(crate) enum RoundThen {
         settles: Option<RecordOrigin>,
         frame: Option<Frame>,
     },
+    /// A failed attempt's retry copy, appended to the actor's own home
+    /// partition (no placement lookup). Durable, it carries the schedule:
+    /// `settles` — the record the attempt was polled from — is closed, and
+    /// only then does the frame's mailbox move on (the actor lock is held
+    /// until the ack). Failed, the attempt's `error` completes the request.
+    Retry {
+        frame: Frame,
+        error: KarError,
+        settles: Option<RecordOrigin>,
+    },
+    /// One run of a destination partition's response queue, sent by the
+    /// flush `flusher` claims. Durable, the records in `settles` close and
+    /// the partition's next run leaves.
+    Flush {
+        flusher: Flusher,
+        settles: Vec<RecordOrigin>,
+    },
 }
 
 /// One step of an invocation's pipeline, owned by whoever will run it next:
@@ -326,9 +354,10 @@ pub(crate) enum Stage {
     /// The sidecar hop of the response: it is routed and enqueued next, and
     /// the request finished.
     Respond { frame: Frame, result: Payload },
-    /// The durable ack of one response-batcher flush: its records settle
-    /// next, and the partition's next run leaves.
-    ResponseAck(AckWait),
+    /// A response run whose round ran out of transient replays, back at the
+    /// head of its still-claimed queue for one heartbeat: the queue's run is
+    /// sent next.
+    Flush(Flusher),
     /// A request holding its admission claim, waiting to be admitted again
     /// past it: a scheduled retry until its next-fire deadline, or an
     /// activation deferred at the hard resident watermark until its shaped
@@ -503,7 +532,7 @@ pub struct ComponentCore {
     /// Which records of the home partitions have settled, so their logs can
     /// be trimmed instead of retained for the whole retention window (see
     /// [`crate::settle`]).
-    settle: SettleTracker,
+    pub(crate) settle: SettleTracker,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -585,7 +614,7 @@ impl ComponentCore {
             continuations: ContinuationTable::default(),
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
-            responses: ResponseBatcher::new(),
+            responses: ResponseBatcher::default(),
             round_stats: RoundStats::default(),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
@@ -1067,38 +1096,29 @@ impl ComponentCore {
             if let Some(due) = round.round.submit(&self.producer, &self.topic) {
                 kar_types::pace_until(due);
             }
-            match self.settle_round(round) {
-                Settled::Done(outcome) => return outcome,
-                Settled::Replay(replay) => round = replay,
+            if let Some(outcome) = self.settle_round(&mut round) {
+                return outcome;
             }
         }
     }
 
-    /// The ack of `round`'s latest submit is in: the round is over — and
-    /// counted, if durable — or to be submitted again.
-    fn settle_round(&self, round: RoundInFlight) -> Settled<RoundInFlight> {
-        let RoundInFlight {
-            round,
-            requests,
-            outbox,
-        } = round;
-        match round.settle() {
-            Settled::Done(outcome) => {
-                if outcome.is_ok() {
-                    self.count_round(requests, outbox);
-                }
-                Settled::Done(outcome)
-            }
-            Settled::Replay(round) => Settled::Replay(RoundInFlight {
-                round,
-                requests,
-                outbox,
-            }),
+    /// The ack of `round`'s latest submit is in: the round's outcome — and
+    /// the round counted, if durable — or `None` when it is to be submitted
+    /// again.
+    fn settle_round(&self, round: &mut RoundInFlight) -> Option<KarResult<()>> {
+        let outcome = round.round.settle()?;
+        if outcome.is_ok() {
+            self.count_round(round.requests, round.outbox);
         }
+        Some(outcome)
     }
 
-    /// Counts one acknowledged round of the request leg.
+    /// Counts one acknowledged round of the request leg (nothing for a
+    /// round that carries no request of it).
     fn count_round(&self, requests: u64, outbox: Option<(usize, usize)>) {
+        if requests == 0 {
+            return;
+        }
         let stats = &self.round_stats;
         stats.requests.fetch_add(requests, Ordering::Relaxed);
         stats.rounds.fetch_add(1, Ordering::Relaxed);
@@ -1113,44 +1133,34 @@ impl ComponentCore {
         }
     }
 
-    /// Runs `flush` against this component's response batcher. A flush whose
-    /// ack is still to come parks as a [`Stage::ResponseAck`] on the mesh's
-    /// due-time heap (and is handed straight back when the ack is due at
-    /// once — every zero-latency preset, the deterministic one included).
-    fn with_batcher<R>(
-        self: &Arc<Self>,
-        flush: impl FnOnce(&ResponseBatcher, &FlushCtx<'_>) -> R,
-    ) -> R {
-        let park = |due, wait| match self
-            .io
-            .park_unless_due(due, self, Stage::ResponseAck(wait))?
-        {
-            Stage::ResponseAck(wait) => Some(wait),
-            _ => unreachable!("the heap hands back the stage it was given"),
-        };
-        flush(
-            &self.responses,
-            &FlushCtx {
-                producer: &self.producer,
-                topic: &self.topic,
-                tracker: &self.settle,
-                park: &park,
-            },
-        )
-    }
-
     /// Appends `envelope` to `partition` of this component's topic, through
     /// the response batcher (one lock + one durable ack per burst towards
     /// the partition; nobody waits for the ack). `settles` is the request
     /// record this completion settles: it is closed once the append is
-    /// acknowledged.
-    fn send_completion(
+    /// acknowledged. The first completion towards an idle partition sends
+    /// the run, as a round that parks on its ack (at zero latency the whole
+    /// flush runs inline, here).
+    pub(crate) fn send_completion(
         self: &Arc<Self>,
         partition: usize,
         envelope: Envelope,
         settles: Option<RecordOrigin>,
     ) {
-        self.with_batcher(|batcher, ctx| batcher.enqueue(ctx, partition, envelope, settles));
+        if let Some(flusher) = self.responses.enqueue(partition, envelope, settles) {
+            if let Step::Next(due, stage) = self.flush(flusher) {
+                Arc::clone(self).invocation_loop(due, stage);
+            }
+        }
+    }
+
+    /// Sends the pending run of `flusher`'s partition as one produce round
+    /// ([`RoundThen::Flush`]), or releases the claim when nothing is pending.
+    fn flush(self: &Arc<Self>, flusher: Flusher) -> Step {
+        let Some((run, settles)) = flusher.next_run() else {
+            return Step::Done;
+        };
+        let round = RoundInFlight::batch(flusher.partition(), run);
+        self.submit_round(round, RoundThen::Flush { flusher, settles })
     }
 
     /// Routes the response for `request` — its sidecar hop is behind it — to
@@ -1742,9 +1752,6 @@ impl ComponentCore {
             return;
         }
         match stage {
-            Stage::ResponseAck(wait) => {
-                self.with_batcher(|batcher, ctx| batcher.acked(ctx, wait));
-            }
             // Recovery is cataloguing the queues: like the consumer lanes,
             // admit nothing new until it is over.
             Stage::Admit(request) if self.is_paused() => {
@@ -1956,12 +1963,12 @@ impl ComponentCore {
                 Ok(Placement::Unresolved { retry_at }) => {
                     Step::Next(Some(retry_at), Stage::Round { placing, then })
                 }
-                Err(error) => self.round_over(then, Err(error)),
+                Err(error) => self.round_over(then, Err(error), Vec::new()),
             },
-            Stage::RoundAck { round, then } => match self.settle_round(round) {
-                Settled::Done(outcome) => self.round_over(then, outcome),
+            Stage::RoundAck { mut round, then } => match self.settle_round(&mut round) {
+                Some(outcome) => self.round_over(then, outcome, round.round.into_kept()),
                 // The ack was lost: the whole round again.
-                Settled::Replay(round) => self.submit_round(round, then),
+                None => self.submit_round(round, then),
             },
             Stage::StateFlush {
                 frame,
@@ -1989,7 +1996,8 @@ impl ComponentCore {
                 self.route_response(&frame.request, result);
                 self.next_in_mailbox(frame)
             }
-            Stage::ResponseAck(_) | Stage::Admit(_) | Stage::Orphan { .. } => {
+            Stage::Flush(flusher) => self.flush(flusher),
+            Stage::Admit(_) | Stage::Orphan { .. } => {
                 unreachable!("resumed by resume_stage, not the loop")
             }
         }
@@ -2074,8 +2082,15 @@ impl ComponentCore {
     }
 
     /// A round sent from this reactor is over — durable, or failed with
-    /// nothing appended (placement included): on to what it was for.
-    fn round_over(self: &Arc<Self>, then: RoundThen, outcome: KarResult<()>) -> Step {
+    /// nothing appended (placement included): on to what it was for. `kept`
+    /// is what the round kept of its envelopes for replays (only while a
+    /// fault plan is armed).
+    fn round_over(
+        self: &Arc<Self>,
+        then: RoundThen,
+        outcome: KarResult<()>,
+        kept: Vec<Envelope>,
+    ) -> Step {
         match then {
             RoundThen::Outbox {
                 frame,
@@ -2111,6 +2126,54 @@ impl ComponentCore {
                 // the mailbox, the successor's ack behind it.
                 frame.map_or(Step::Done, |frame| self.next_in_mailbox(frame))
             }
+            RoundThen::Retry {
+                frame,
+                error,
+                settles,
+            } => match outcome {
+                Ok(()) => {
+                    self.settle.close_all(settles.as_slice());
+                    self.stats.retries_scheduled.fetch_add(1, Ordering::Relaxed);
+                    self.next_in_mailbox(frame)
+                }
+                // Killed or fenced mid-append: nothing completes, and the
+                // original queue copy drives recovery.
+                Err(KarError::Killed { .. } | KarError::Fenced { .. }) => Step::Done,
+                // Nothing was scheduled: the failure settles here, and its
+                // response settles the record the copy would have.
+                Err(_) => {
+                    self.settle.hand_back(frame.request.id, settles);
+                    self.respond(frame, Err(error))
+                }
+            },
+            RoundThen::Flush { flusher, settles } => match outcome {
+                Ok(()) => {
+                    // The completions are durable: the request records they
+                    // answer have settled.
+                    self.settle.close_all(&settles);
+                    self.responses.flushed();
+                    self.flush(flusher)
+                }
+                // Out of transient replays, its run kept: the requests it
+                // answers are recorded as completed, so nothing would
+                // regenerate a dropped response. Back to the head of the
+                // queue, still claimed; it leaves again a heartbeat from now.
+                Err(error) if error.is_transient() && !kept.is_empty() => {
+                    flusher.requeue(kept, settles);
+                    self.park_for(
+                        self.config.scaled_heartbeat_interval(),
+                        Stage::Flush(flusher),
+                    );
+                    Step::Done
+                }
+                // Fenced or killed mid-completion: nothing was appended, and
+                // the queue copies of the affected requests drive the retry.
+                // Whatever queued meanwhile goes too — the component is dead.
+                Err(_) => {
+                    flusher.abandon();
+                    Step::Done
+                }
+            },
         }
     }
 
@@ -2277,10 +2340,7 @@ impl ComponentCore {
                 // (in which case nothing completes here — the copy
                 // carries the schedule), or settle the failure as
                 // final (respond + finish), possibly via the DLQ.
-                match self.orchestrate_failure(request, error) {
-                    Some(error) => self.respond(frame, Err(error)),
-                    None => self.next_in_mailbox(frame),
-                }
+                self.orchestrate_failure(frame, error)
             }
         }
     }
@@ -2441,70 +2501,59 @@ impl ComponentCore {
     // Retry orchestration (the policy layer over the queue-copy mechanism)
     // ------------------------------------------------------------------
 
-    /// Handles a failed attempt of `request` under its governing policy (the
-    /// request-carried schedule, or the actor type's configured default
-    /// starting fresh at first failure). Returns the error when the failure
-    /// is final — the caller responds and finishes — or `None` when a retry
-    /// copy was durably re-appended, in which case the caller must **not**
-    /// call [`ComponentCore::finish`]: marking the id completed would make
-    /// admission dedupe the retry copy away.
-    fn orchestrate_failure(
-        self: &Arc<Self>,
-        request: &RequestMessage,
-        error: KarError,
-    ) -> Option<KarError> {
+    /// Handles a failed attempt of `frame`'s request under its governing
+    /// policy (the request-carried schedule, or the actor type's configured
+    /// default starting fresh at first failure): settles the failure as
+    /// final — respond and finish, possibly via the DLQ — or sends a retry
+    /// copy as a round of its own ([`RoundThen::Retry`]). Once the copy is
+    /// durable nothing completes here: the copy carries the schedule, and
+    /// marking the id completed would make admission dedupe it away.
+    fn orchestrate_failure(self: &Arc<Self>, frame: Frame, error: KarError) -> Step {
+        let request = &frame.request;
         let now = self.retry_epoch_now();
         let state = match request.retry.clone() {
             Some(state) => *state,
             None => match self.config.retry_policy_for(request.target.actor_type()) {
                 Some(policy) => RetryState::fresh(policy.clone(), now),
-                None => return Some(error),
+                None => return self.respond(frame, Err(error)),
             },
         };
-        match state.after_failure(request.id.as_u64(), &error, now) {
-            RetryVerdict::Retry(next) => {
-                let mut copy = request.clone();
-                copy.retry = Some(Box::new(next));
-                copy.pending_callee = None;
-                copy.single_copy = false;
-                // Release the in-flight claim BEFORE the durable re-append:
-                // admission dedupes against in-flight ids, so the opposite
-                // order would swallow the copy. A crash inside this window
-                // is safe — the original queue copy still drives recovery,
-                // schedule state included.
-                self.inflight.lock().remove(&request.id);
-                // The copy supersedes the record this attempt was polled
-                // from, which settles once the copy is durable (taken first:
-                // the copy may be routed before the append even returns).
-                let settles = self.settle.take(request.id);
-                // The re-append is replayed through transient gray failures:
-                // an ack-lost replay appends a second copy, which the
-                // admission claim collapses (the first copy keeps it while
-                // parked).
-                let appended = self
-                    .own_partition_for(&request.target)
-                    .is_some_and(|partition| {
-                        let envelope = Envelope::Request(copy);
-                        retry_transient(TRANSIENT_ATTEMPTS, || {
-                            self.producer.send(&self.topic, partition, envelope.clone())
-                        })
-                        .is_ok()
-                    });
-                if appended {
-                    self.settle.close_all(settles.as_slice());
-                    self.stats.retries_scheduled.fetch_add(1, Ordering::Relaxed);
-                    None
-                } else {
-                    // Fenced mid-append: nothing was scheduled; settle the
-                    // failure here (the original queue copy drives recovery).
-                    Some(error)
-                }
-            }
+        let next = match state.after_failure(request.id.as_u64(), &error, now) {
+            RetryVerdict::Retry(next) => next,
             RetryVerdict::Exhausted(final_state) => {
                 self.dead_letter(request, &final_state, &error);
-                Some(error)
+                return self.respond(frame, Err(error));
             }
-        }
+        };
+        let mut copy = request.clone();
+        copy.retry = Some(Box::new(next));
+        copy.pending_callee = None;
+        copy.single_copy = false;
+        // Release the in-flight claim BEFORE the durable re-append: admission
+        // dedupes against in-flight ids, so the opposite order would swallow
+        // the copy. A crash inside this window is safe — the original queue
+        // copy still drives recovery, schedule state included.
+        self.inflight.lock().remove(&request.id);
+        // The copy supersedes the record this attempt was polled from, which
+        // settles once the copy is durable (taken first: the copy may be
+        // routed before its ack is in).
+        let settles = self.settle.take(request.id);
+        let Some(partition) = self.own_partition_for(&request.target) else {
+            self.settle.hand_back(request.id, settles);
+            return self.respond(frame, Err(error));
+        };
+        // Replayed through transient gray failures like any round: an
+        // ack-lost replay appends a second copy, which the admission claim
+        // collapses (the first copy keeps it while parked).
+        let round = RoundInFlight::batch(partition, vec![Envelope::Request(copy)]);
+        self.submit_round(
+            round,
+            RoundThen::Retry {
+                frame,
+                error,
+                settles,
+            },
+        )
     }
 
     /// Admission gate for a scheduled retry copy: park it as a
@@ -2844,8 +2893,6 @@ impl ComponentCore {
             self.io
                 .park(self.hop_due().unwrap_or_else(mono_now), self, resume);
         }
-        // Response runs whose flush ran out of transient replays.
-        self.with_batcher(|batcher, ctx| batcher.retry_stalled(ctx));
         self.sweep_retirement();
         self.sweep_passivation(now);
         // Survivors stop trimming while the leader catalogues the logs.
@@ -3336,6 +3383,42 @@ impl ComponentCore {
     }
 }
 
+/// A component no mesh drives, on `broker`'s topic `topic` with home
+/// partition 0: a test sets up its tables by hand and runs its parked stages
+/// with [`run_parked`].
+#[cfg(test)]
+pub(crate) fn lone_core(config: MeshConfig, broker: Broker<Envelope>) -> Arc<ComponentCore> {
+    let io = Arc::new(DueHeap::new(Arc::new(WaitSignalGroup::new())));
+    Arc::new(ComponentCore::new(
+        ComponentId::from_raw(1),
+        NodeId::from_raw(1),
+        "lone".to_owned(),
+        config,
+        "topic".to_owned(),
+        "group".to_owned(),
+        PartitionSet::contiguous(0, 1),
+        broker,
+        Store::new(),
+        Arc::default(),
+        LiveSet::default(),
+        Arc::new(RequestIdGenerator::new()),
+        HashMap::new(),
+        io,
+        Arc::new(RetryBudget::new(1.0, 1.0)),
+        Arc::new(BreakerRegistry::new(None)),
+        None,
+    ))
+}
+
+/// Runs `core`'s parked stages as they fall due, until none is left.
+#[cfg(test)]
+pub(crate) fn run_parked(core: &ComponentCore) {
+    while let Some(due) = core.io.next_due() {
+        kar_types::pace_until(due);
+        core.io.run_due();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3350,33 +3433,12 @@ mod tests {
         assert_eq!(stats.forwarded.load(Ordering::Relaxed), 0);
     }
 
-    /// A component no mesh drives, whose actor table a test sets up by hand.
-    fn lone_core(config: MeshConfig) -> Arc<ComponentCore> {
-        let io = Arc::new(DueHeap::new(Arc::new(WaitSignalGroup::new())));
-        Arc::new(ComponentCore::new(
-            ComponentId::from_raw(1),
-            NodeId::from_raw(1),
-            "lone".to_owned(),
-            config,
-            "topic".to_owned(),
-            "group".to_owned(),
-            PartitionSet::contiguous(0, 1),
-            Broker::default(),
-            Store::new(),
-            Arc::default(),
-            LiveSet::default(),
-            Arc::new(RequestIdGenerator::new()),
-            HashMap::new(),
-            io,
-            Arc::new(RetryBudget::new(1.0, 1.0)),
-            Arc::new(BreakerRegistry::new(None)),
-            None,
-        ))
-    }
-
     #[test]
     fn an_admission_eviction_never_drops_a_busy_mailboxed_tail_awaiting_parked_or_dirty_actor() {
-        let core = lone_core(MeshConfig::for_tests().with_resident_watermarks(1, 0));
+        let core = lone_core(
+            MeshConfig::for_tests().with_resident_watermarks(1, 0),
+            Broker::default(),
+        );
         let actor = |name: &str| ActorRef::new("Ledger", name);
         let request = |name: &str, id: u64| {
             RequestMessage::root(RequestId::from_raw(id), actor(name), "m", Vec::new())
@@ -3444,5 +3506,61 @@ mod tests {
         drop(actors);
         assert_eq!(core.resident_actors(), 5);
         assert_eq!(core.passivation_stats(), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_failed_retry_copy_hands_its_record_to_the_error_response() {
+        use kar_queue::BrokerConfig;
+        use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
+
+        // Exactly the retry copy's appends fail: the error response behind
+        // them goes through.
+        let plan = FaultPlan::new(7).with_site(
+            FaultSite::BrokerAppend,
+            FaultSpec::transient(1.0).with_budget(u64::from(TRANSIENT_ATTEMPTS)),
+        );
+        let broker = Broker::new(BrokerConfig {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..BrokerConfig::default()
+        });
+        broker.create_topic("topic", 1).unwrap();
+        let core = lone_core(MeshConfig::for_tests(), broker);
+        // The caller is this component itself, so the response routes here.
+        core.live.write().insert(core.id);
+        core.topology
+            .write()
+            .insert(core.id, PartitionSet::contiguous(0, 1));
+        let mut request = RequestMessage::root(
+            RequestId::from_raw(1),
+            ActorRef::new("Ledger", "a"),
+            "m",
+            Vec::new(),
+        );
+        request.reply_to = Some(core.id);
+        let policy = RetryPolicy::fixed(3, Duration::from_millis(10)).retry_all_errors();
+        request.retry = Some(Box::new(RetryState::fresh(policy, epoch_ms())));
+        // Polled from its home partition, and running.
+        let polled = Record {
+            offset: 0,
+            appended_at: Duration::ZERO,
+            payload: Arc::new(Envelope::Request(request.clone())),
+        };
+        core.settle.routed(0, &[polled]);
+        core.inflight.lock().insert(request.id);
+        let frame = Frame {
+            request,
+            holds_lock: false,
+            reentrant: false,
+        };
+        if let Step::Next(due, stage) = core.complete(frame, Err(KarError::application("down"))) {
+            Arc::clone(&core).invocation_loop(due, stage);
+        }
+        // No copy landed: the failure settled with the attempt's error...
+        assert_eq!(core.retry_orchestration_stats(), (0, 0));
+        assert_eq!(core.response_batch_stats(), (1, 1));
+        assert_eq!(core.broker.partition_len("topic", 0), 1);
+        // ...whose acknowledged response closed the record the attempt was
+        // polled from: the partition's trim watermark is not pinned.
+        assert_eq!(core.settle_snapshot()[0].open, 0);
     }
 }

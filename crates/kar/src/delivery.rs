@@ -1,6 +1,6 @@
-//! The delivery plane's append paths: group-committed responses per
-//! destination partition ([`ResponseBatcher`]) and the request leg's one
-//! produce round per send ([`RequestRound`]).
+//! The delivery plane's append path: the produce round ([`RequestRound`])
+//! every append a reactor makes is, and the per-destination-partition queues
+//! that group-commit responses into runs ([`ResponseBatcher`]).
 //!
 //! Every response — and every tail-call continuation to the sending actor's
 //! own partition — is a durable queue append, and a partition acknowledges
@@ -11,12 +11,12 @@
 //!
 //! The [`ResponseBatcher`] applies the classic group-commit idiom to that
 //! leg. Completions are enqueued per destination partition; the first
-//! enqueuer of an idle partition becomes its *flusher* and submits the
-//! pending run through [`kar_queue::Producer::submit_batch`] — one
+//! enqueuer of an idle partition claims its flush (a [`Flusher`]) and the
+//! component sends the pending run as one [`RequestRound`] — one
 //! partition-lock acquisition and one durable ack per flush. Nobody waits
-//! for that ack: the flush parks until it is due ([`AckWait`], see
-//! [`crate::io`]) and the enqueuer returns at once. Completions that arrive
-//! while a flush's ack is in flight simply join the queue, and the
+//! for that ack: the round parks on the due-time heap like every other round
+//! (see [`crate::io`]) and the enqueuer returns at once. Completions that
+//! arrive while a flush's ack is in flight simply join the queue, and the
 //! partition's next run leaves when that ack fires — so a burst of K
 //! responses to one partition pays ~⌈K/batch⌉ acks instead of K.
 //!
@@ -27,14 +27,15 @@
 //! is no cross-envelope ordering contract between responses and requests of
 //! unrelated ids.
 //!
-//! Failure semantics match the unbatched path: a flush that fails because
-//! the component was fenced or killed mid-completion drops the buffered
+//! Failure semantics match the unbatched path: a run's round replays
+//! transient failures like any round, and a run that fails because the
+//! component was fenced or killed mid-completion drops the buffered
 //! responses — exactly like a kill between the response hop and the append —
-//! and the callers' queue copies drive the retry. A flush that only ran out
-//! of *transient* replays drops nothing: the requests it answers are already
-//! recorded as completed (their retries would be deduplicated away), so the
-//! run stays at the head of its queue until [`ResponseBatcher::retry_stalled`]
-//! — or the partition's next completion — flushes it.
+//! and the callers' queue copies drive the retry. A run that only ran out of
+//! *transient* replays drops nothing: the requests it answers are already
+//! recorded as completed (their retries would be deduplicated away), so it
+//! goes back to the head of its queue, still claimed, and leaves again one
+//! heartbeat later as a stage on the due-time heap.
 //!
 //! Settlement: a completion may name the request record it settles (see
 //! [`crate::settle`]). Those records ride the partition queue beside the
@@ -43,7 +44,7 @@
 //! durable completion.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,44 +54,64 @@ use kar_queue::Producer;
 use kar_types::{Completion, Envelope, KarResult, RecordOrigin};
 
 use crate::faults::TRANSIENT_ATTEMPTS;
-use crate::settle::SettleTracker;
 
 /// The pending queue of one destination partition.
 #[derive(Default)]
-pub(crate) struct PartitionQueue {
+struct PartitionQueue {
     pending: Vec<Envelope>,
     /// Request records settled by the pending envelopes' acknowledgement.
     settles: Vec<RecordOrigin>,
-    /// True while a flush of this partition is under way — being submitted,
-    /// or parked on its ack: later enqueuers leave their envelope for the
-    /// flusher's next round instead of paying their own ack.
+    /// True while a [`Flusher`] holds the partition's flush claim: later
+    /// enqueuers leave their envelope for its next run instead of paying
+    /// their own ack.
     flushing: bool,
 }
 
-/// What a flush works with: where it appends, whose records it settles, and
-/// how it waits for an ack without blocking — `park(due, wait)` keeps `wait`
-/// until `due` and then hands it to [`ResponseBatcher::acked`], or hands it
-/// straight back when `due` has come already.
-pub(crate) struct FlushCtx<'a> {
-    pub(crate) producer: &'a Producer<Envelope>,
-    pub(crate) topic: &'a str,
-    pub(crate) tracker: &'a SettleTracker,
-    pub(crate) park: &'a dyn Fn(Option<Duration>, AckWait) -> Option<AckWait>,
-}
-
-/// One submitted flush waiting for its durable ack.
-pub(crate) struct AckWait {
+/// The flush claim on one destination partition: held from the enqueue that
+/// found the partition idle until a run finds the queue empty, or the flush
+/// is abandoned. At most one exists per partition.
+pub(crate) struct Flusher {
     partition: usize,
     queue: Arc<Mutex<PartitionQueue>>,
-    /// The request records the flushed run settles.
-    settles: Vec<RecordOrigin>,
-    /// The run itself, kept only while a fault plan is armed (the ordinary
-    /// hot path moves the batch into the broker without copying).
-    replay: Option<Vec<Envelope>>,
-    /// What the ack says, learnt when it arrives.
-    acked: KarResult<()>,
-    /// Consecutive transiently-failed rounds replayed so far.
-    transient_rounds: u32,
+}
+
+impl Flusher {
+    /// The destination partition.
+    pub(crate) fn partition(&self) -> usize {
+        self.partition
+    }
+
+    /// Takes the queue's pending run and the records its ack settles — or,
+    /// with nothing pending, releases the claim.
+    pub(crate) fn next_run(&self) -> Option<(Vec<Envelope>, Vec<RecordOrigin>)> {
+        let mut queue = self.queue.lock();
+        if queue.pending.is_empty() {
+            queue.flushing = false;
+            return None;
+        }
+        Some((
+            std::mem::take(&mut queue.pending),
+            std::mem::take(&mut queue.settles),
+        ))
+    }
+
+    /// Puts `run` back at the head of the queue, ahead of whatever was
+    /// enqueued meanwhile. The claim stays held.
+    pub(crate) fn requeue(&self, mut run: Vec<Envelope>, settles: Vec<RecordOrigin>) {
+        let mut queue = self.queue.lock();
+        run.append(&mut queue.pending);
+        queue.pending = run;
+        queue.settles.extend(settles);
+    }
+
+    /// Drops whatever is queued and releases the claim (the component was
+    /// fenced or killed: unreleased completions die with it).
+    pub(crate) fn abandon(self) {
+        let mut queue = self.queue.lock();
+        queue.pending.clear();
+        queue.settles.clear();
+        queue.flushing = false;
+    }
 }
 
 /// Per-destination-partition response batching for one component.
@@ -99,191 +120,41 @@ pub(crate) struct ResponseBatcher {
     partitions: Mutex<HashMap<usize, Arc<Mutex<PartitionQueue>>>>,
     /// Envelopes enqueued since creation.
     enqueued: AtomicU64,
-    /// Batch appends acknowledged (each one lock acquisition + one durable
-    /// ack); `enqueued / flushes` is the achieved amortization.
+    /// Runs acknowledged (each one lock acquisition + one durable ack);
+    /// `enqueued / flushes` is the achieved amortization.
     flushes: AtomicU64,
-    /// Set when a flush ran out of transient replays and left its run
-    /// queued: lets the timer skip the partition scan while nothing stalled.
-    stalled: AtomicBool,
 }
 
 impl ResponseBatcher {
-    pub(crate) fn new() -> Self {
-        ResponseBatcher::default()
-    }
-
-    fn queue(&self, partition: usize) -> Arc<Mutex<PartitionQueue>> {
-        self.partitions.lock().entry(partition).or_default().clone()
-    }
-
-    /// Enqueues `envelope` for `topic[partition]` and starts flushing the
-    /// partition's pending run unless a flush is under way already. Never
-    /// waits for an ack: a flush whose ack is not due yet parks, and whatever
-    /// is enqueued meanwhile leaves when that ack fires. Every completion
-    /// comes here the moment its invocation responds; the grouping is the
-    /// flusher claim's alone.
+    /// Enqueues `envelope` for `partition` — `settles` is the request record
+    /// it settles — and hands back the partition's flush claim if nobody
+    /// held it: the caller sends the pending run. Otherwise the flush under
+    /// way takes the envelope with its next run, and the enqueuer's ack is
+    /// amortized away entirely. Every completion comes here the moment its
+    /// invocation responds; the grouping is the flusher claim's alone.
     pub(crate) fn enqueue(
         &self,
-        ctx: &FlushCtx<'_>,
         partition: usize,
         envelope: Envelope,
         settles: Option<RecordOrigin>,
-    ) {
+    ) -> Option<Flusher> {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let queue = self.queue(partition);
+        let queue = Arc::clone(self.partitions.lock().entry(partition).or_default());
         {
             let mut state = queue.lock();
             state.pending.push(envelope);
             state.settles.extend(settles);
             if state.flushing {
-                // The flush under way picks this envelope up on its next
-                // drain: the enqueuer's ack is amortized away entirely.
-                return;
+                return None;
             }
             state.flushing = true;
         }
-        self.flush_loop(ctx, partition, queue, 0);
+        Some(Flusher { partition, queue })
     }
 
-    /// Drains `queue` in rounds — each round one batch append — until it is
-    /// empty (the flusher claim is released) or a round's ack is still to
-    /// come (the flush parks; [`ResponseBatcher::acked`] re-enters here).
-    /// Entered holding the claim.
-    fn flush_loop(
-        &self,
-        ctx: &FlushCtx<'_>,
-        partition: usize,
-        queue: Arc<Mutex<PartitionQueue>>,
-        mut transient_rounds: u32,
-    ) {
-        loop {
-            let (batch, settles) = {
-                let mut state = queue.lock();
-                if state.pending.is_empty() {
-                    state.flushing = false;
-                    return;
-                }
-                (
-                    std::mem::take(&mut state.pending),
-                    std::mem::take(&mut state.settles),
-                )
-            };
-            // A replay copy is only kept while the fault plane is armed: the
-            // ordinary hot path moves the batch without copying.
-            let replay = ctx.producer.faults_armed().then(|| batch.clone());
-            let (due, acked) = match ctx.producer.submit_batch(ctx.topic, partition, batch) {
-                Ok(Completion { due, result }) => (due, result.map(drop)),
-                // Refused at submit: nothing was appended.
-                Err(error) => (None, Err(error)),
-            };
-            let wait = AckWait {
-                partition,
-                queue: Arc::clone(&queue),
-                settles,
-                replay,
-                acked,
-                transient_rounds,
-            };
-            let Some(wait) = (ctx.park)(due, wait) else {
-                return;
-            };
-            match self.settle(ctx, wait) {
-                Some(rounds) => transient_rounds = rounds,
-                None => return,
-            }
-        }
-    }
-
-    /// The ack of a parked flush has arrived: settles it and sends the
-    /// partition's next run, if one queued up meanwhile.
-    pub(crate) fn acked(&self, ctx: &FlushCtx<'_>, wait: AckWait) {
-        let (partition, queue) = (wait.partition, Arc::clone(&wait.queue));
-        if let Some(transient_rounds) = self.settle(ctx, wait) {
-            self.flush_loop(ctx, partition, queue, transient_rounds);
-        }
-    }
-
-    /// Acts on what a flush's ack said. Returns the transient-round count to
-    /// go on flushing with, or `None` when the flusher claim was released.
-    fn settle(&self, ctx: &FlushCtx<'_>, wait: AckWait) -> Option<u32> {
-        let AckWait {
-            queue,
-            settles,
-            replay,
-            acked,
-            transient_rounds,
-            ..
-        } = wait;
-        match (acked, replay) {
-            (Ok(()), _) => {
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-                // The completions are durable: the request records they
-                // answer have settled.
-                ctx.tracker.close_all(&settles);
-                Some(0)
-            }
-            (Err(error), Some(replay)) if error.is_transient() => {
-                // A gray failure on one response flush must not cost every
-                // buffered caller a redelivery round trip (duplicate
-                // responses from an ack-lost append are dropped by
-                // request-id matching at the receiver): back to the head of
-                // the queue, ahead of whatever was enqueued meanwhile. The
-                // requests these responses answer are already recorded as
-                // completed, so nothing would regenerate a dropped response:
-                // once the bounded replays are used up the run stays queued
-                // and the claim is released — the partition's next
-                // completion, or the timer (`retry_stalled`), flushes it.
-                let mut state = queue.lock();
-                state.pending.splice(0..0, replay);
-                state.settles.extend(settles);
-                if transient_rounds + 1 >= TRANSIENT_ATTEMPTS {
-                    state.flushing = false;
-                    self.stalled.store(true, Ordering::Release);
-                    return None;
-                }
-                Some(transient_rounds + 1)
-            }
-            (Err(_), _) => {
-                // Fenced or killed mid-completion: nothing was appended,
-                // the queue copies of the affected requests drive the
-                // retry. Drop whatever queued meanwhile too — the
-                // component is dead.
-                let mut state = queue.lock();
-                state.pending.clear();
-                state.settles.clear();
-                state.flushing = false;
-                None
-            }
-        }
-    }
-
-    /// Flushes every partition whose run is queued with no flusher: the
-    /// leftovers of flushes that ran out of transient replays. Called from
-    /// the component's timer tick; one atomic swap when nothing stalled.
-    /// Partitions are visited in ascending index — not in the map's hash
-    /// order — so a run under a fault plan replays its flushes in the same
-    /// order every time.
-    pub(crate) fn retry_stalled(&self, ctx: &FlushCtx<'_>) {
-        if !self.stalled.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let mut queues: Vec<(usize, Arc<Mutex<PartitionQueue>>)> = self
-            .partitions
-            .lock()
-            .iter()
-            .map(|(partition, queue)| (*partition, Arc::clone(queue)))
-            .collect();
-        queues.sort_unstable_by_key(|(partition, _)| *partition);
-        for (partition, queue) in queues {
-            {
-                let mut state = queue.lock();
-                if state.flushing || state.pending.is_empty() {
-                    continue;
-                }
-                state.flushing = true;
-            }
-            self.flush_loop(ctx, partition, queue, 0);
-        }
+    /// Counts one acknowledged run.
+    pub(crate) fn flushed(&self) {
+        self.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every pending envelope (the component was killed: unreleased
@@ -296,8 +167,8 @@ impl ResponseBatcher {
         }
     }
 
-    /// `(envelopes enqueued, batch appends acknowledged)` since creation; the
-    /// ratio is the response-batching amortization factor.
+    /// `(envelopes enqueued, runs acknowledged)` since creation; the ratio
+    /// is the response-batching amortization factor.
     pub(crate) fn stats(&self) -> (u64, u64) {
         (
             self.enqueued.load(Ordering::Relaxed),
@@ -310,18 +181,17 @@ impl ResponseBatcher {
 /// send order.
 pub(crate) type Run = Vec<(usize, Envelope)>;
 
-/// One **produce round** of the request leg
-/// ([`kar_queue::Producer::submit_round`]): a run of routed requests grouped
-/// per partition with the send order kept inside each group, one durable ack
-/// however many partitions or destination components the run spans,
-/// all-or-nothing. A transiently failed round — refused at submit, or its
-/// ack lost and learnt of when it was due — is replayed whole a bounded
+/// One **produce round** ([`kar_queue::Producer::submit_round`]): envelopes
+/// grouped per partition with the send order kept inside each group, one
+/// durable ack however many partitions or destination components the round
+/// spans, all-or-nothing. A transiently failed round — refused at submit, or
+/// its ack lost and learnt of when it was due — is replayed whole a bounded
 /// number of times; the duplicates an ack-lost round leaves behind are
-/// absorbed by request-id dedup at the consumers. The one append path of
-/// the request leg; rounds of different senders are not coalesced (a claim
-/// table that merged the rounds contending for a partition won on none of
-/// the five benchmark workloads against sending every round directly — see
-/// ROADMAP).
+/// absorbed by request-id dedup at the consumers. The one append path of a
+/// reactor: a request run, a response run and a retry copy are all rounds.
+/// Rounds of different senders are not coalesced (a claim table that merged
+/// the rounds contending for a partition won on none of the five benchmark
+/// workloads against sending every round directly — see ROADMAP).
 ///
 /// A reactor drives it as `submit` → park until the returned due time →
 /// `settle` (see [`crate::io`]); an edge thread runs the same sequence with
@@ -348,6 +218,16 @@ impl RequestRound {
                 None => groups.push((partition, vec![envelope])),
             }
         }
+        Self::of(groups)
+    }
+
+    /// A round of envelopes bound for one partition: a response run, a
+    /// retry copy.
+    pub(crate) fn batch(partition: usize, envelopes: Vec<Envelope>) -> Self {
+        Self::of(vec![(partition, envelopes)])
+    }
+
+    fn of(groups: Vec<(usize, Vec<Envelope>)>) -> Self {
         RequestRound {
             groups: Some(groups),
             submits_left: TRANSIENT_ATTEMPTS,
@@ -388,37 +268,23 @@ impl RequestRound {
         }
     }
 
-    /// The ack is in: the round is over — durable, or failed for good — or
-    /// its ack was lost and a replay is left.
-    pub(crate) fn settle(self) -> Settled<Self> {
+    /// The ack is in: the round's outcome — durable, or failed for good — or
+    /// `None` when the ack was lost and a replay is left (submit it again).
+    pub(crate) fn settle(&mut self) -> Option<KarResult<()>> {
         match &self.acked {
-            Err(error) if error.is_transient() && self.submits_left > 0 => Settled::Replay(self),
-            _ => Settled::Done(self.acked),
+            Err(error) if error.is_transient() && self.submits_left > 0 => None,
+            _ => Some(std::mem::replace(&mut self.acked, Ok(()))),
         }
     }
-}
 
-/// What the ack of a round's latest submit led to.
-pub(crate) enum Settled<R> {
-    /// The round is over, with this outcome.
-    Done(KarResult<()>),
-    /// The ack was lost and a replay is left: submit the round again.
-    Replay(R),
-}
-
-/// Appends one run of routed requests as one [`RequestRound`], waiting for
-/// its ack: durable when this returns `Ok`.
-#[cfg(test)]
-fn send_request_round(producer: &Producer<Envelope>, topic: &str, run: Run) -> KarResult<()> {
-    let mut round = RequestRound::new(run);
-    loop {
-        if let Some(due) = round.submit(producer, topic) {
-            kar_types::pace_until(due);
-        }
-        match round.settle() {
-            Settled::Done(outcome) => return outcome,
-            Settled::Replay(replay) => round = replay,
-        }
+    /// The envelopes the round kept for its replays, in group order: all of
+    /// them while a fault plan is armed, none otherwise.
+    pub(crate) fn into_kept(self) -> Vec<Envelope> {
+        self.groups
+            .into_iter()
+            .flatten()
+            .flat_map(|(_, envelopes)| envelopes)
+            .collect()
     }
 }
 
@@ -430,29 +296,35 @@ pub(crate) fn partitions_of(run: &[(usize, Envelope)]) -> Vec<usize> {
     partitions
 }
 
+/// Appends one run of routed requests as one [`RequestRound`], waiting for
+/// its ack: durable when this returns `Ok`.
+#[cfg(test)]
+fn send_request_round(producer: &Producer<Envelope>, topic: &str, run: Run) -> KarResult<()> {
+    let mut round = RequestRound::new(run);
+    loop {
+        if let Some(due) = round.submit(producer, topic) {
+            kar_types::pace_until(due);
+        }
+        if let Some(outcome) = round.settle() {
+            return outcome;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::{lone_core, run_parked, ComponentCore};
+    use crate::config::MeshConfig;
     use kar_queue::{Broker, BrokerConfig};
     use kar_types::{ComponentId, RequestId, ResponseMessage, Value};
     use std::time::Duration;
 
-    /// Waits for every ack on the spot, as an edge thread would: the batcher
-    /// then behaves like one blocking flusher.
-    fn wait_for_ack(due: Option<Duration>, wait: AckWait) -> Option<AckWait> {
-        if let Some(due) = due {
-            kar_types::pace_until(due);
-        }
-        Some(wait)
-    }
-
-    fn ctx<'a>(producer: &'a Producer<Envelope>, tracker: &'a SettleTracker) -> FlushCtx<'a> {
-        FlushCtx {
-            producer,
-            topic: "t",
-            tracker,
-            park: &wait_for_ack,
-        }
+    /// A broker holding the lone core's topic, with `partitions` partitions.
+    fn broker_with(config: BrokerConfig, partitions: usize) -> Broker<Envelope> {
+        let broker = Broker::new(config);
+        broker.create_topic("topic", partitions).unwrap();
+        broker
     }
 
     fn response(id: u64) -> Envelope {
@@ -463,27 +335,28 @@ mod tests {
         ))
     }
 
+    fn ids(core: &ComponentCore, partition: usize) -> Vec<u64> {
+        core.broker
+            .read_partition("topic", partition)
+            .into_iter()
+            .map(|record| record.payload.id().as_u64())
+            .collect()
+    }
+
     #[test]
     fn enqueue_appends_in_order_per_partition() {
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig::default());
-        broker.create_topic("t", 2).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        let batcher = ResponseBatcher::new();
-        let tracker = SettleTracker::new(&[]);
+        let core = lone_core(
+            MeshConfig::for_tests(),
+            broker_with(BrokerConfig::default(), 2),
+        );
         for id in 0..6 {
-            let partition = (id % 2) as usize;
-            batcher.enqueue(&ctx(&producer, &tracker), partition, response(id), None);
+            core.send_completion((id % 2) as usize, response(id), None);
         }
         for partition in 0..2 {
-            let ids: Vec<u64> = broker
-                .read_partition("t", partition)
-                .into_iter()
-                .map(|record| record.payload.id().as_u64())
-                .collect();
             let expected: Vec<u64> = (0..6).filter(|id| (id % 2) as usize == partition).collect();
-            assert_eq!(ids, expected, "partition {partition} order broken");
+            assert_eq!(ids(&core, partition), expected, "partition {partition}");
         }
-        let (enqueued, flushes) = batcher.stats();
+        let (enqueued, flushes) = core.response_batch_stats();
         assert_eq!(enqueued, 6);
         assert!((1..=6).contains(&flushes));
     }
@@ -493,35 +366,29 @@ mod tests {
         // 8 threads complete towards one destination partition at a 2 ms
         // ack: with group commit the burst shares flushes, and every
         // response must still land exactly once.
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig {
-            append_latency: Duration::from_millis(2),
-            ..BrokerConfig::default()
-        });
-        broker.create_topic("t", 1).unwrap();
-        let producer = Arc::new(broker.producer(ComponentId::from_raw(1)));
-        let batcher = Arc::new(ResponseBatcher::new());
-        let tracker = Arc::new(SettleTracker::new(&[]));
+        let broker = broker_with(
+            BrokerConfig {
+                append_latency: Duration::from_millis(2),
+                ..BrokerConfig::default()
+            },
+            1,
+        );
+        let core = lone_core(MeshConfig::for_tests(), broker);
         let threads: Vec<_> = (0..8)
             .map(|id| {
-                let producer = Arc::clone(&producer);
-                let batcher = Arc::clone(&batcher);
-                let tracker = Arc::clone(&tracker);
-                std::thread::spawn(move || {
-                    batcher.enqueue(&ctx(&producer, &tracker), 0, response(id), None)
-                })
+                let core = Arc::clone(&core);
+                std::thread::spawn(move || core.send_completion(0, response(id), None))
             })
             .collect();
         for thread in threads {
             thread.join().unwrap();
         }
-        let mut ids: Vec<u64> = broker
-            .read_partition("t", 0)
-            .into_iter()
-            .map(|record| record.payload.id().as_u64())
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..8).collect::<Vec<u64>>());
-        let (_, flushes) = batcher.stats();
+        // Nobody waited for an ack: the runs are parked on them.
+        run_parked(&core);
+        let mut landed = ids(&core, 0);
+        landed.sort_unstable();
+        assert_eq!(landed, (0..8).collect::<Vec<u64>>());
+        let (_, flushes) = core.response_batch_stats();
         assert!(
             flushes < 8,
             "8 concurrent completions never shared a flush ({flushes} flushes)"
@@ -530,30 +397,27 @@ mod tests {
 
     #[test]
     fn failed_flush_drops_the_batch_without_wedging() {
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig::default());
-        broker.create_topic("t", 1).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        broker.fence(ComponentId::from_raw(1));
-        let batcher = ResponseBatcher::new();
-        let tracker = SettleTracker::new(&[]);
-        batcher.enqueue(&ctx(&producer, &tracker), 0, response(1), None);
-        assert_eq!(broker.partition_len("t", 0), 0);
-        // The partition queue is not left in a "flushing" state that would
-        // park later envelopes forever.
-        batcher.enqueue(&ctx(&producer, &tracker), 0, response(2), None);
-        assert_eq!(broker.partition_len("t", 0), 0);
-        batcher.clear();
-        assert_eq!(batcher.stats().0, 2);
+        let core = lone_core(
+            MeshConfig::for_tests(),
+            broker_with(BrokerConfig::default(), 1),
+        );
+        core.broker.fence(core.id());
+        core.send_completion(0, response(1), None);
+        assert_eq!(core.broker.partition_len("topic", 0), 0);
+        // The partition queue is not left claimed, which would park later
+        // envelopes forever.
+        core.send_completion(0, response(2), None);
+        assert_eq!(core.broker.partition_len("topic", 0), 0);
+        assert_eq!(core.response_batch_stats(), (2, 0));
     }
 
     #[test]
     fn only_an_acknowledged_flush_settles_the_records_it_completes() {
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig::default());
-        broker.create_topic("t", 2).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        let batcher = ResponseBatcher::new();
+        let core = lone_core(
+            MeshConfig::for_tests(),
+            broker_with(BrokerConfig::default(), 2),
+        );
         // Two requests polled from home partition 0, both still open.
-        let tracker = SettleTracker::new(&[0]);
         let polled: Vec<_> = (0..2)
             .map(|offset| kar_queue::Record {
                 offset,
@@ -561,143 +425,92 @@ mod tests {
                 payload: Arc::new(request(offset, "a").1),
             })
             .collect();
-        tracker.routed(0, &polled);
-        assert_eq!(tracker.snapshot()[0].open, 2);
+        core.settle.routed(0, &polled);
+        let open = || core.settle_snapshot()[0].open;
+        assert_eq!(open(), 2);
         // The first one's response is acknowledged: its record settles.
-        let first = tracker.take(RequestId::from_raw(0));
+        let first = core.settle.take(RequestId::from_raw(0));
         assert!(first.is_some());
-        batcher.enqueue(&ctx(&producer, &tracker), 1, response(0), first);
-        assert_eq!(broker.partition_len("t", 1), 1);
-        assert_eq!(tracker.snapshot()[0].open, 1);
+        core.send_completion(1, response(0), first);
+        assert_eq!(core.broker.partition_len("topic", 1), 1);
+        assert_eq!(open(), 1);
         // The second one's flush fails (fenced mid-completion): the response
         // is dropped, and the request record must stay open — it is what
         // drives the retry.
-        broker.fence(ComponentId::from_raw(1));
-        let second = tracker.take(RequestId::from_raw(1));
-        batcher.enqueue(&ctx(&producer, &tracker), 1, response(1), second);
-        assert_eq!(broker.partition_len("t", 1), 1);
-        assert_eq!(tracker.snapshot()[0].open, 1);
+        core.broker.fence(core.id());
+        let second = core.settle.take(RequestId::from_raw(1));
+        core.send_completion(1, response(1), second);
+        assert_eq!(core.broker.partition_len("topic", 1), 1);
+        assert_eq!(open(), 1);
+    }
+
+    /// A broker whose first `failures` appends fail transiently.
+    fn failing_broker(failures: u32, partitions: usize) -> Broker<Envelope> {
+        use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
+
+        let plan = FaultPlan::new(7).with_site(
+            FaultSite::BrokerAppend,
+            FaultSpec::transient(1.0).with_budget(u64::from(failures)),
+        );
+        broker_with(
+            BrokerConfig {
+                faults: Some(Arc::new(FaultInjector::new(plan))),
+                ..BrokerConfig::default()
+            },
+            partitions,
+        )
     }
 
     #[test]
     fn a_flush_out_of_transient_replays_keeps_its_run_for_the_timer() {
-        use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
-
-        // One more consecutive append failure than a flush replays through.
-        let plan = FaultPlan::new(7).with_site(
-            FaultSite::BrokerAppend,
-            FaultSpec::transient(1.0).with_budget(u64::from(TRANSIENT_ATTEMPTS) + 1),
+        // One more consecutive append failure than a round replays through.
+        let core = lone_core(
+            MeshConfig::for_tests(),
+            failing_broker(TRANSIENT_ATTEMPTS + 1, 2),
         );
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig {
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            ..BrokerConfig::default()
-        });
-        broker.create_topic("t", 2).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        let batcher = ResponseBatcher::new();
-        let tracker = SettleTracker::new(&[0]);
         let polled = [kar_queue::Record {
             offset: 0,
             appended_at: Duration::ZERO,
             payload: Arc::new(request(0, "a").1),
         }];
-        tracker.routed(0, &polled);
-        let settles = tracker.take(RequestId::from_raw(0));
-        // The flush uses up its replays: nothing landed, nothing settled —
-        // and nothing was dropped: `finish()` has already recorded the
-        // request as completed, so no retry would regenerate the response.
-        batcher.enqueue(&ctx(&producer, &tracker), 1, response(0), settles);
-        assert_eq!(broker.partition_len("t", 1), 0);
-        assert_eq!(tracker.snapshot()[0].open, 1);
-        assert_eq!(batcher.stats(), (1, 0));
-        // The timer re-arms the stalled partition: one more failure, then
-        // the run goes out, in order, ahead of nothing else.
-        batcher.retry_stalled(&ctx(&producer, &tracker));
-        let ids: Vec<u64> = broker
-            .read_partition("t", 1)
-            .into_iter()
-            .map(|record| record.payload.id().as_u64())
-            .collect();
-        assert_eq!(ids, vec![0]);
-        assert_eq!(tracker.snapshot()[0].open, 0, "the ack settles the record");
-        assert_eq!(batcher.stats(), (1, 1));
-        // Nothing stalled: the sweep is a no-op.
-        batcher.retry_stalled(&ctx(&producer, &tracker));
-        assert_eq!(broker.partition_len("t", 1), 1);
-    }
-
-    #[test]
-    fn stalled_partitions_are_flushed_in_ascending_index() {
-        use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
-        use std::cell::RefCell;
-
-        // Enqueued in this order, so neither insertion order nor — with this
-        // many — the map's per-process hash order is ascending by chance.
-        const PARTITIONS: [usize; 6] = [5, 2, 7, 0, 6, 3];
-        // Every partition's flush runs out of replays: all of them stall.
-        let plan = FaultPlan::new(7).with_site(
-            FaultSite::BrokerAppend,
-            FaultSpec::transient(1.0)
-                .with_budget(u64::from(TRANSIENT_ATTEMPTS) * PARTITIONS.len() as u64),
+        core.settle.routed(0, &polled);
+        let settles = core.settle.take(RequestId::from_raw(0));
+        // The run uses up its replays: nothing landed, nothing settled — and
+        // nothing was dropped: `finish()` has already recorded the request
+        // as completed, so no retry would regenerate the response.
+        let stalled_at = kar_types::mono_now();
+        core.send_completion(1, response(0), settles);
+        assert_eq!(core.broker.partition_len("topic", 1), 0);
+        assert_eq!(core.settle_snapshot()[0].open, 1);
+        assert_eq!(core.response_batch_stats(), (1, 0));
+        // It waits out one heartbeat on the due-time heap: one more failure,
+        // then the run goes out, and its ack settles the record.
+        run_parked(&core);
+        assert!(kar_types::mono_now() - stalled_at >= core.config.scaled_heartbeat_interval());
+        assert_eq!(ids(&core, 1), vec![0]);
+        assert_eq!(
+            core.settle_snapshot()[0].open,
+            0,
+            "the ack settles the record"
         );
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig {
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            ..BrokerConfig::default()
-        });
-        broker.create_topic("t", 8).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        let batcher = ResponseBatcher::new();
-        let tracker = SettleTracker::new(&[]);
-        for (id, partition) in PARTITIONS.into_iter().enumerate() {
-            let completion = response(id as u64);
-            batcher.enqueue(&ctx(&producer, &tracker), partition, completion, None);
-            assert_eq!(broker.partition_len("t", partition), 0, "stalled");
-        }
-        // The timer's sweep, with every flush's submit recorded in order.
-        let flushed = RefCell::new(Vec::new());
-        let record_then_wait = |due, wait: AckWait| {
-            flushed.borrow_mut().push(wait.partition);
-            wait_for_ack(due, wait)
-        };
-        batcher.retry_stalled(&FlushCtx {
-            producer: &producer,
-            topic: "t",
-            tracker: &tracker,
-            park: &record_then_wait,
-        });
-        assert_eq!(*flushed.borrow(), vec![0, 2, 3, 5, 6, 7]);
-        for partition in PARTITIONS {
-            assert_eq!(broker.partition_len("t", partition), 1);
-        }
+        assert_eq!(core.response_batch_stats(), (1, 1));
     }
 
     #[test]
     fn a_stalled_run_goes_out_ahead_of_the_next_completion() {
-        use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
-
-        let plan = FaultPlan::new(7).with_site(
-            FaultSite::BrokerAppend,
-            FaultSpec::transient(1.0).with_budget(u64::from(TRANSIENT_ATTEMPTS)),
+        let core = lone_core(
+            MeshConfig::for_tests(),
+            failing_broker(TRANSIENT_ATTEMPTS, 1),
         );
-        let broker: Broker<Envelope> = Broker::new(BrokerConfig {
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            ..BrokerConfig::default()
-        });
-        broker.create_topic("t", 1).unwrap();
-        let producer = broker.producer(ComponentId::from_raw(1));
-        let batcher = ResponseBatcher::new();
-        let tracker = SettleTracker::new(&[]);
-        batcher.enqueue(&ctx(&producer, &tracker), 0, response(1), None);
-        assert_eq!(broker.partition_len("t", 0), 0);
-        // The partition's next completion claims the released flush and
-        // drains the stalled head first.
-        batcher.enqueue(&ctx(&producer, &tracker), 0, response(2), None);
-        let ids: Vec<u64> = broker
-            .read_partition("t", 0)
-            .into_iter()
-            .map(|record| record.payload.id().as_u64())
-            .collect();
-        assert_eq!(ids, vec![1, 2]);
+        core.send_completion(0, response(1), None);
+        assert_eq!(core.broker.partition_len("topic", 0), 0);
+        // The stalled run keeps its partition's claim: the next completion
+        // joins the queue behind it, and both leave together.
+        core.send_completion(0, response(2), None);
+        assert_eq!(core.broker.partition_len("topic", 0), 0);
+        run_parked(&core);
+        assert_eq!(ids(&core, 0), vec![1, 2]);
+        assert_eq!(core.response_batch_stats(), (2, 1));
     }
 
     use kar_types::{ActorRef, RequestMessage};

@@ -22,6 +22,12 @@
 //! back. Killing a component drops its parked stages ([`DueHeap::forget`]):
 //! a killed thread asleep inside an I/O never completed anything either.
 //!
+//! Every append a reactor makes is one produce round
+//! ([`crate::delivery::RequestRound`]) parked on its ack this way: a
+//! handler's outbox, the round of a nested call, a forward, a tail-call
+//! successor, a response run and a failed attempt's retry copy. A retry copy
+//! keeps its actor locked until its ack, and holds no reactor meanwhile.
+//!
 //! A wait with no due time is a stage too: a produce round one of whose
 //! targets has a stale placement — the recorded one points at a failed
 //! component, reconciliation has not rewritten it yet — parks for a few
@@ -38,6 +44,9 @@
 //! - a response whose caller's component failed waits as `Stage::Orphan`,
 //!   one routing attempt per heartbeat interval until the call timeout; once
 //!   it routes it goes to the response batcher like any completion;
+//! - a response run whose round ran out of transient replays waits one
+//!   heartbeat interval as `Stage::Flush`, back at the head of its queue and
+//!   still holding the partition's flush claim — no timer re-arms a batcher;
 //! - a continuation whose nested call timed out is found by the mesh timer
 //!   and parked as a `Stage::Resume` carrying the timeout, due one sidecar
 //!   hop later like any resume (at once at zero latency), so application

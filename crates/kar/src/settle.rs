@@ -15,10 +15,12 @@
 //!    enqueues the response, the tail-call successor, the forward or the
 //!    retry copy, and *closes* it only once that append is acknowledged (a
 //!    finished `tell` has no completion record and closes when it finishes).
-//!    Anything the tracker does not understand — a request still deferred,
-//!    waiting out a backoff, parked on a continuation or mailboxed; a
-//!    duplicate of an id already open here; a completion that could not be
-//!    routed or whose append failed; every record of an *adopted* partition —
+//!    A retry copy whose append failed hands the entry back, and the
+//!    failure's response settles the record. Anything the tracker does not
+//!    understand — a request still deferred, waiting out a backoff, parked
+//!    on a continuation or mailboxed; a duplicate of an id already open
+//!    here; a completion that could not be routed or whose append failed
+//!    for good; every record of an *adopted* partition —
 //!    simply stays open and falls back to time retention, exactly the
 //!    behaviour before trimming existed.
 //! 2. **A response record is trimmed only after it was consumed *and* no
@@ -178,6 +180,15 @@ impl SettleTracker {
     /// request was not polled from a home partition (or was taken already).
     pub(crate) fn take(&self, id: RequestId) -> Option<RecordOrigin> {
         self.inner.lock().requests.remove(&id)
+    }
+
+    /// Returns the entry [`Self::take`] gave out for request `id`: the append
+    /// it was taken for failed (a retry copy), and the request's next
+    /// completion settles the record instead.
+    pub(crate) fn hand_back(&self, id: RequestId, record: Option<RecordOrigin>) {
+        if let Some(record) = record {
+            self.inner.lock().requests.insert(id, record);
+        }
     }
 
     /// Settles request records: their completions rode one acknowledged

@@ -602,3 +602,70 @@ fn retry_clock_skew_is_counted_and_keeps_orchestration_exactly_once() {
     );
     mesh.shutdown();
 }
+
+/// A response run that uses up its transient replays is not dropped — the
+/// request it answers is already recorded as completed, so nothing would
+/// send the response again — and needs no later completion towards its
+/// partition to leave: back at the head of its queue, it goes out again one
+/// heartbeat later on its own. Deterministic: one call on the simulator,
+/// timed on its virtual clock.
+#[test]
+fn a_response_run_out_of_replays_reaches_its_caller_a_heartbeat_later() {
+    use kar::faults::{FaultDecision, FaultInjector, FaultPlane};
+
+    // Broker appends in order: the call's request, then every submit of the
+    // response's run. The plan lets the first through and fails the next
+    // three — all a round replays — and its budget lets everything after.
+    let spec = FaultSpec::transient(0.5).with_budget(3);
+    let plan = |seed| FaultPlan::new(seed).with_site(FaultSite::BrokerAppend, spec);
+    let wanted = [
+        None,
+        Some(FaultDecision::Transient),
+        Some(FaultDecision::Transient),
+        Some(FaultDecision::Transient),
+    ];
+    let seed = (0..)
+        .find(|&seed| {
+            let injector = FaultInjector::new(plan(seed));
+            wanted.iter().all(|want| {
+                injector.decide(FaultSite::BrokerAppend, FaultPlane::Broker, 0) == *want
+            })
+        })
+        .unwrap();
+    println!("fault-plan seed: {seed}");
+
+    let mesh = Mesh::new(MeshConfig::deterministic(seed).with_fault_plan(plan(seed)));
+    let node = mesh.add_node();
+    let healthy = Arc::new(AtomicBool::new(true));
+    let executions = Arc::new(AtomicU64::new(0));
+    let server = mesh.add_component(node, "server", |c| {
+        c.host("Doomed", doomed_host(&healthy, &executions))
+    });
+    let client = mesh.client();
+    let asked = kar_types::mono_now();
+    let answer = client.call(&ActorRef::new("Doomed", "d"), "work", vec![]);
+    let waited = kar_types::mono_now() - asked;
+    assert_eq!(answer.unwrap().as_str(), Some("ok"));
+    assert_eq!(executions.load(Ordering::SeqCst), 1);
+    let heartbeat = mesh.config().scaled_heartbeat_interval();
+    println!("answered after {waited:?} (heartbeat {heartbeat:?})");
+    assert!(
+        waited >= heartbeat && waited < heartbeat * 2,
+        "the answer took {waited:?}, a heartbeat is {heartbeat:?}"
+    );
+    let appends = mesh
+        .fault_stats()
+        .expect("the fault plan is armed")
+        .site(FaultSite::BrokerAppend);
+    assert_eq!(
+        (appends.draws, appends.transient),
+        (5, 3),
+        "the request, the run's three failed submits and its replay"
+    );
+    assert_eq!(
+        mesh.response_batch_stats(server),
+        Some((1, 1)),
+        "one completion towards the caller's partition, one acknowledged run"
+    );
+    mesh.shutdown();
+}

@@ -13,8 +13,9 @@
 //!   round trip is applied at submit and acknowledged one latency later;
 //! * the pipeline: with a single reactor, independent callers have more than
 //!   one I/O outstanding at a time, and all of them complete; independent
-//!   nested calls overlap their rounds' hops and acks too; at zero latency
-//!   nothing ever parks;
+//!   nested calls overlap their rounds' hops and acks too; a failed
+//!   attempt's retry copy waits for its ack without the reactor; at zero
+//!   latency nothing ever parks;
 //! * a stale placement: the round of a nested call whose callee's placement
 //!   points at a failed component parks — its reactor goes on serving other
 //!   actors — and completes exactly once when the placement is repaired, or
@@ -29,8 +30,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use kar::placement::{component_to_value, placement_key};
-use kar::{Actor, ActorContext, ComponentBuilder, Mesh, MeshConfig, Outcome};
-use kar_queue::{Broker, BrokerConfig};
+use kar::{
+    Actor, ActorContext, BrownoutSpec, ComponentBuilder, FaultPlan, Mesh, MeshConfig, Outcome,
+    RetryPolicy,
+};
+use kar_queue::{Broker, BrokerConfig, PartitionSet};
 use kar_semantics::{HistoryChecker, HistoryEvent};
 use kar_store::{Store, StoreConfig};
 use kar_types::{
@@ -71,8 +75,9 @@ fn acks_are_sequenced_per_partition_and_overlap_across_partitions() {
     // moves the clock, and the acks are due at t+L, t+2L, …, t+KL.
     let dues: Vec<Duration> = (0..K)
         .map(|i| {
-            let completion = producer.submit_batch("t", 0, vec![i]).unwrap();
-            assert_eq!(completion.result.unwrap(), u64::from(i)..u64::from(i) + 1);
+            let completion = producer.submit_round("t", vec![(0, vec![i])]).unwrap();
+            let offsets = u64::from(i)..u64::from(i) + 1;
+            assert_eq!(completion.result.unwrap(), vec![(0, offsets)]);
             completion.due.expect("a modelled ack is never immediate")
         })
         .collect();
@@ -83,7 +88,9 @@ fn acks_are_sequenced_per_partition_and_overlap_across_partitions() {
 
     // K rounds submitted together to K DISTINCT partitions: all due at t+L.
     for partition in 1..=K as usize {
-        let completion = producer.submit_batch("t", partition, vec![7]).unwrap();
+        let completion = producer
+            .submit_round("t", vec![(partition, vec![7])])
+            .unwrap();
         assert_eq!(completion.due, Some(t + ACK), "partition {partition}");
     }
 
@@ -94,10 +101,10 @@ fn acks_are_sequenced_per_partition_and_overlap_across_partitions() {
         .submit_round("t", vec![(1, vec![8]), (0, vec![9]), (2, vec![])])
         .unwrap();
     assert_eq!(round.due, Some(t + ACK * (K + 1)));
-    let behind = producer.submit_batch("t", 1, vec![10]).unwrap();
+    let behind = producer.submit_round("t", vec![(1, vec![10])]).unwrap();
     assert_eq!(behind.due, Some(t + ACK * (K + 2)), "partition 1 was held");
     // The empty group's partition was not.
-    let free = producer.submit_batch("t", 2, vec![11]).unwrap();
+    let free = producer.submit_round("t", vec![(2, vec![11])]).unwrap();
     assert_eq!(free.due, Some(t + ACK * 2));
 
     // The blocking form is the same submit plus the wait: one more append to
@@ -115,8 +122,8 @@ fn a_record_is_unreadable_before_its_ack_plus_the_delivery_latency() {
     let producer = broker.producer(c(1));
     let consumer = broker.consumer(c(2), "t", 0).unwrap();
     let t = clock.now();
-    let first = producer.submit_batch("t", 0, vec![1, 2]).unwrap();
-    let second = producer.submit_batch("t", 0, vec![3]).unwrap();
+    let first = producer.submit_round("t", vec![(0, vec![1, 2])]).unwrap();
+    let second = producer.submit_round("t", vec![(0, vec![3])]).unwrap();
     assert_eq!((first.due, second.due), (Some(t + ACK), Some(t + ACK * 2)));
 
     // Appended, not readable: neither at submit nor at the ack itself.
@@ -331,6 +338,103 @@ fn one_reactor_overlaps_the_io_of_independent_callers() {
     );
     assert!(io.resumed > 0, "{io:?}");
     // Every stage that parked ran: only the responses' acks may still be out.
+    eventually("every parked stage has run", || io_line(&mesh).parked == 0);
+    mesh.shutdown();
+}
+
+/// Fails its first run and answers `Null` from then on, counting every run.
+struct FailsOnce {
+    runs: Arc<AtomicU64>,
+}
+
+impl Actor for FailsOnce {
+    fn invoke(
+        &mut self,
+        _ctx: &mut ActorContext<'_>,
+        _method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        if self.runs.fetch_add(1, Ordering::SeqCst) == 0 {
+            return Err(KarError::application("the first attempt fails"));
+        }
+        Ok(Outcome::value(Value::Null))
+    }
+}
+
+#[test]
+fn a_retry_copy_parks_on_its_ack_and_holds_no_reactor() {
+    const CALLS: i64 = 5;
+    // Every append to the failing actor's home partition — its retry copy's
+    // above all — is acknowledged this much late: a broker brownout on that
+    // one partition.
+    const SLOW: Duration = Duration::from_millis(250);
+    let config = config_with_latency(1.0).with_reactor_threads(1);
+    // The first component's home partitions.
+    let home = PartitionSet::contiguous(0, config.effective_partitions_per_component());
+    let failing = ActorRef::new("FailsOnce", "f");
+    let slow = home.partition_for_key(&failing.qualified_name()).unwrap();
+    let plan = FaultPlan::new(1).with_broker_brownout(BrownoutSpec {
+        lane: Some(slow as u64),
+        after_ops: 0,
+        ops: u64::MAX,
+        extra_latency: SLOW,
+    });
+    let mesh = Mesh::new(config.with_fault_plan(plan));
+    let node = mesh.add_node();
+    let (commits, _committed) = channel();
+    let runs = Arc::new(AtomicU64::new(0));
+    let server = mesh.add_component(node, "server", {
+        let (runs, ledgers) = (Arc::clone(&runs), host_ledger(&commits));
+        move |builder| {
+            ledgers(builder).host("FailsOnce", move || {
+                Box::new(FailsOnce {
+                    runs: Arc::clone(&runs),
+                })
+            })
+        }
+    });
+    assert_eq!(mesh.partition_set(server), Some(home.clone()));
+    // An independent caller's ledger, on another partition: placed first.
+    let bystander = (0..)
+        .map(ledger)
+        .find(|actor| home.partition_for_key(&actor.qualified_name()) != Some(slow))
+        .unwrap();
+    let client = mesh.client();
+    client
+        .call(&bystander, "apply", vec![Value::Int(0)])
+        .unwrap();
+
+    let failed = {
+        let client = mesh.client();
+        let policy = RetryPolicy::fixed(3, Duration::from_millis(10)).retry_all_errors();
+        std::thread::spawn(move || client.call_with_policy(&failing, "work", vec![], policy))
+    };
+    eventually("the first attempt failed", || {
+        runs.load(Ordering::SeqCst) >= 1
+    });
+    // Its retry copy is on its way to the one reactor's only queue: while
+    // the copy waits for its ack, the bystander's calls keep completing. A
+    // reactor that slept through that ack would serve none of them before
+    // the copy was durable.
+    let mut before_the_ack = 0;
+    for call in 1..=CALLS {
+        let count = client
+            .call(&bystander, "apply", vec![Value::Int(call)])
+            .unwrap();
+        assert_eq!(count, Value::Int(call + 1));
+        if mesh.retry_metrics().scheduled == 0 {
+            before_the_ack += 1;
+        }
+    }
+    assert_eq!(
+        before_the_ack,
+        CALLS,
+        "the bystander waited for the retry copy's ack\n{}",
+        mesh.debug_report()
+    );
+    assert_eq!(failed.join().unwrap().unwrap(), Value::Null);
+    assert_eq!(mesh.retry_metrics().scheduled, 1);
+    assert_eq!(runs.load(Ordering::SeqCst), 2);
     eventually("every parked stage has run", || io_line(&mesh).parked == 0);
     mesh.shutdown();
 }

@@ -586,15 +586,21 @@ proptest! {
         let mut rng = SplitMix64::new(batch_seed);
         let mut expected_end: Vec<u64> = vec![0; partitions];
         for batch in 0..batches {
-            let entries: Vec<(String, String)> = (0..rng.below(1, 12))
-                .map(|i| {
-                    let key = format!("actor-{}", rng.below(0, 10));
-                    (key, format!("b{batch}-{i}"))
-                })
-                .collect();
-            let count = entries.len() as u64;
+            // A keyed batch: each entry hashed onto the set, grouped per
+            // partition in entry order, sent as one round.
+            let mut groups: Vec<(usize, Vec<String>)> = Vec::new();
+            let count = rng.below(1, 12);
+            for i in 0..count {
+                let key = format!("actor-{}", rng.below(0, 10));
+                let partition = set.partition_for_key(&key).unwrap();
+                let payload = format!("b{batch}-{i}");
+                match groups.iter_mut().find(|(p, _)| *p == partition) {
+                    Some((_, group)) => group.push(payload),
+                    None => groups.push((partition, vec![payload])),
+                }
+            }
             let mut appended = 0u64;
-            for (partition, range) in producer.send_keyed_batch("t", &set, entries).unwrap() {
+            for (partition, range) in producer.send_round("t", groups).unwrap() {
                 prop_assert_eq!(
                     range.start, expected_end[partition],
                     "partition {} batch did not start at the previous end", partition
