@@ -55,6 +55,7 @@ pub type ScenarioFn = fn(u64, u64, bool) -> SimOutcome;
 pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("kill-while-parked", kill_while_parked),
     ("kill-mid-passivation", kill_mid_passivation),
+    ("kill-mid-passivation-store", kill_mid_passivation_store),
     ("kill-during-backoff", kill_during_backoff),
     ("dlq-reinjection", dlq_reinjection),
     ("kill-after-trim", kill_after_trim),
@@ -479,10 +480,56 @@ fn kill_while_parked(seed: u64, kill_step: u64, rebreak: bool) -> SimOutcome {
 /// passivates what stayed resident) and lands among the rehydrating calls
 /// that follow it.
 fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
-    let mut config = MeshConfig::deterministic(seed).with_resident_watermarks(2, 0);
+    // Retention 800 ms, compressed to 4 ms: shorter than failure detection,
+    // so a request the kill strands in the victim's queue may expire before
+    // reconciliation catalogues it (its caller times out). Kept as it is so
+    // the scenario's runs stay comparable.
+    passivation_under_kill(
+        "kill-mid-passivation",
+        MeshConfig::deterministic(seed),
+        Duration::from_millis(800),
+        seed,
+        kill_step,
+    )
+}
+
+/// `kill-mid-passivation` with every store round trip acknowledged 200 µs
+/// after its submit: kills land while a state load, a completion's state
+/// flush or the idle sweep's passivation flush is in flight. A kill now
+/// lands after a handler's write was applied, so a request stranded in the
+/// victim's queue must survive until reconciliation: retention (60 s,
+/// compressed to 300 ms) outlasts detection and reconciliation (~100 ms)
+/// and still lets the idle spell passivate.
+fn kill_mid_passivation_store(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
+    let config = MeshConfig {
+        latency: LatencyProfile {
+            store_op: Duration::from_micros(200),
+            ..LatencyProfile::ZERO
+        },
+        ..MeshConfig::deterministic(seed)
+    };
+    passivation_under_kill(
+        "kill-mid-passivation-store",
+        config,
+        Duration::from_secs(60),
+        seed,
+        kill_step,
+    )
+}
+
+/// The body of the passivation scenarios, on `config` (made from `seed`)
+/// with queue retention `retention`.
+fn passivation_under_kill(
+    name: &'static str,
+    config: MeshConfig,
+    retention: Duration,
+    seed: u64,
+    kill_step: u64,
+) -> SimOutcome {
+    let mut config = config.with_resident_watermarks(2, 0);
     // Shrink the retention clock so passivation windows elapse within the
     // simulated workload (the sweep runs off the virtual clock).
-    config.retention = Duration::from_millis(800);
+    config.retention = retention;
     let log: CommitLog = CommitLog::default();
     let mesh = Mesh::new(config);
     let node = mesh.add_node();
@@ -521,7 +568,7 @@ fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome
         let target = ActorRef::new("Ledger", format!("p{}", req % 6));
         driver.call(&target, "apply", req, None);
     }
-    outcome("kill-mid-passivation", seed, kill_step, driver)
+    outcome(name, seed, kill_step, driver)
 }
 
 /// Kill the hosting component while an orchestrated retry is waiting out

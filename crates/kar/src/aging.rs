@@ -1,5 +1,5 @@
 //! Two-generation aging collections for the retry bookkeeping and the
-//! passivation clock.
+//! resident actor table.
 //!
 //! `ComponentCore` remembers completed request ids (to dedupe retries) and
 //! seen response ids (to release deferred happen-before retries). Both only
@@ -12,11 +12,12 @@
 //! enough to have aged out of the set has also aged out of every queue.
 //!
 //! [`AgingMap`] applies the same clock to key→value tables whose entries
-//! must not be dropped blindly — a component's idle-actor stamps name the
-//! actors idle long enough for the heartbeat sweep and order the coldest
-//! ones for admission to evict, and each candidate is passivated only once
-//! the owner has verified under its own lock that the actor is quiescent
-//! (see `ComponentCore::sweep_passivation` and
+//! must not be dropped blindly. A component's resident actors live in one:
+//! each slot (instance, mailbox, state image) carries its own idle stamps,
+//! which name the actors idle long enough for the heartbeat sweep and order
+//! the coldest ones for admission to evict. Each candidate is passivated
+//! only once the owner has verified, under the table's lock, that the actor
+//! is quiescent (see `ComponentCore::sweep_passivation` and
 //! `ComponentCore::evict_coldest`).
 
 use std::collections::{HashMap, HashSet};
@@ -108,8 +109,9 @@ impl<T: Eq + Hash> AgingSet<T> {
 }
 
 /// A key→value table on the two-generation clock, with a coldest-first
-/// eviction queue. Every refreshing read or write stamps its entry with the
-/// current generation and with the next tick of a touch clock.
+/// eviction queue. An insert or a refreshing read ([`AgingMap::get_refresh`])
+/// stamps its entry with the current generation and with the next tick of a
+/// touch clock; a plain [`AgingMap::get`] or [`AgingMap::get_mut`] does not.
 /// [`AgingMap::advance_due`] bumps the generation once per interval, so an
 /// entry two generations stale has been idle for one to two intervals
 /// ([`AgingMap::stale`]); the touch clock orders the entries by last use
@@ -121,7 +123,7 @@ impl<T: Eq + Hash> AgingSet<T> {
 pub(crate) struct AgingMap<K, V> {
     entries: HashMap<K, Stamp<V>>,
     generation: u64,
-    /// The touch clock: the tick of the latest refreshing read or write.
+    /// The touch clock: the tick of the latest insert or refreshing read.
     /// Every entry holds a tick of its own, so ordering by it is total and
     /// repeats exactly under a deterministic schedule.
     touches: u64,
@@ -142,7 +144,7 @@ struct Stamp<V> {
     touch: u64,
 }
 
-impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
+impl<K: Eq + Hash + Clone, V> AgingMap<K, V> {
     /// Creates an empty map rotating every `interval` (clamped to 1ms).
     pub(crate) fn new(interval: Duration) -> Self {
         AgingMap {
@@ -170,18 +172,38 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
 
     /// Looks `key` up, refreshing its stamps: an entry in active use never
     /// becomes a removal candidate.
-    pub(crate) fn get_refresh(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn get_refresh(&mut self, key: &K) -> Option<&mut V> {
         let entry = self.entries.get_mut(key)?;
         self.touches += 1;
         entry.generation = self.generation;
         entry.touch = self.touches;
-        Some(entry.value)
+        Some(&mut entry.value)
     }
 
-    /// Removes `key` unconditionally. Returns true if it was present. Used
-    /// when the owner has *independently* verified the entry is dead.
-    pub(crate) fn remove(&mut self, key: &K) -> bool {
-        self.entries.remove(key).is_some()
+    /// Looks `key` up without refreshing it (a peek).
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|stamp| &stamp.value)
+    }
+
+    /// Looks `key` up for a change that is not a use: no refresh.
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|stamp| &mut stamp.value)
+    }
+
+    /// Every value, in no particular order, refreshing none.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|stamp| &stamp.value)
+    }
+
+    /// Every entry, in no particular order, refreshing none.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(key, stamp)| (key, &stamp.value))
+    }
+
+    /// Removes `key` unconditionally, handing back its value. Used when the
+    /// owner has *independently* verified the entry may go.
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+        self.entries.remove(key).map(|stamp| stamp.value)
     }
 
     /// Drops every entry and eviction candidate (owner killed).
@@ -216,13 +238,13 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
     }
 
     /// Offers entries to `take`, least recently touched first, until it
-    /// takes one; removes and returns that one. Candidates come from a queue
+    /// takes one; removes that one and returns its key. Candidates come from a queue
     /// refilled from the stamps when it runs dry, at most once per call, so
     /// a call whose every candidate is refused ends with `None`. A candidate
     /// touched since the refill is passed over without being offered — its
     /// second chance: it is back in the next refill if it goes cold — so
     /// entries kept hot are not taken however often the queue cycles.
-    pub(crate) fn evict_coldest(&mut self, mut take: impl FnMut(&K) -> bool) -> Option<K> {
+    pub(crate) fn evict_coldest(&mut self, mut take: impl FnMut(&K, &V) -> bool) -> Option<K> {
         let mut refilled = false;
         loop {
             let Some(key) = self.cold.pop() else {
@@ -233,11 +255,11 @@ impl<K: Eq + Hash + Clone, V: Copy> AgingMap<K, V> {
                 refilled = true;
                 continue;
             };
-            let untouched = self
+            let taken = self
                 .entries
                 .get(&key)
-                .is_some_and(|stamp| stamp.touch <= self.refilled_at);
-            if untouched && take(&key) {
+                .is_some_and(|stamp| stamp.touch <= self.refilled_at && take(&key, &stamp.value));
+            if taken {
                 self.entries.remove(&key);
                 return Some(key);
             }
@@ -264,9 +286,9 @@ mod tests {
 
     /// Every key the map still holds, least recently touched first: what
     /// eviction would offer, taking nothing.
-    fn coldest_first<V: Copy>(map: &mut AgingMap<&'static str, V>) -> Vec<&'static str> {
+    fn coldest_first<V>(map: &mut AgingMap<&'static str, V>) -> Vec<&'static str> {
         let mut offered = Vec::new();
-        map.evict_coldest(|key| {
+        map.evict_coldest(|key, _| {
             offered.push(*key);
             false
         });
@@ -277,16 +299,16 @@ mod tests {
     fn aging_map_candidates_need_two_idle_generations() {
         let mut map = AgingMap::new(Duration::from_millis(1));
         map.insert("route", 3usize);
-        assert_eq!(map.get_refresh(&"route"), Some(3));
+        assert_eq!(map.get_refresh(&"route").copied(), Some(3));
         let t1 = mono_now() + Duration::from_millis(2);
         assert!(map.advance_due(t1));
         assert!(!map.advance_due(t1), "second advance within interval");
         assert!(map.stale().is_empty(), "one generation is not stale");
         assert!(map.advance_due(t1 + Duration::from_millis(2)));
         assert_eq!(map.stale(), vec!["route"]);
-        assert!(map.remove(&"route"));
+        assert_eq!(map.remove(&"route"), Some(3));
         assert!(map.stale().is_empty());
-        assert!(!map.remove(&"route"));
+        assert_eq!(map.remove(&"route"), None);
     }
 
     #[test]
@@ -298,7 +320,7 @@ mod tests {
         map.advance_due(t + Duration::from_millis(4));
         assert_eq!(map.stale(), vec!["route"]);
         // The entry is used between two sweeps: no longer a candidate.
-        assert_eq!(map.get_refresh(&"route"), Some(1));
+        assert_eq!(map.get_refresh(&"route").copied(), Some(1));
         assert!(map.stale().is_empty());
         map.clear();
         assert!(coldest_first(&mut map).is_empty());
@@ -354,8 +376,12 @@ mod tests {
         // The sweep peeks at the stamps without touching them.
         assert_eq!(map.stale(), vec!["route"]);
         assert_eq!(map.stale(), vec!["route"], "a peek is not a touch");
-        assert_eq!(map.get_refresh(&"route"), Some(9));
+        assert_eq!(map.get(&"route"), Some(&9));
+        *map.get_mut(&"route").unwrap() = 10;
+        assert_eq!(map.stale(), vec!["route"], "nor is a plain write");
+        *map.get_refresh(&"route").unwrap() += 1;
         assert!(map.stale().is_empty(), "a refreshing read is");
+        assert_eq!(map.values().copied().collect::<Vec<_>>(), vec![11]);
     }
 
     #[test]
@@ -375,9 +401,9 @@ mod tests {
         map.advance_due(t + Duration::from_millis(6));
         assert_eq!(map.stale(), vec!["cold", "hot", "warm"]);
         // "warm" is not the coldest, but eviction may still take it.
-        assert_eq!(map.evict_coldest(|key| *key == "warm"), Some("warm"));
-        assert!(map.remove(&"hot"));
-        assert!(!map.remove(&"hot"));
+        assert_eq!(map.evict_coldest(|key, _| *key == "warm"), Some("warm"));
+        assert_eq!(map.remove(&"hot"), Some(3));
+        assert_eq!(map.remove(&"hot"), None);
         assert_eq!(coldest_first(&mut map), vec!["cold"]);
     }
 
@@ -388,18 +414,18 @@ mod tests {
             map.insert(key, ());
         }
         // The first call refills the queue and takes the coldest entry.
-        assert_eq!(map.evict_coldest(|_| true), Some("a"));
+        assert_eq!(map.evict_coldest(|_, _| true), Some("a"));
         // "b" is touched after the refill: it gets its second chance, and
         // the next-coldest untouched entry goes instead.
         map.get_refresh(&"b");
-        assert_eq!(map.evict_coldest(|_| true), Some("c"));
+        assert_eq!(map.evict_coldest(|_, _| true), Some("c"));
         // An entry inserted after the refill is not in the queue either.
         map.insert("e", ());
-        assert_eq!(map.evict_coldest(|_| true), Some("d"));
+        assert_eq!(map.evict_coldest(|_, _| true), Some("d"));
         // The queue ran dry: the refill sees "b" and "e" in touch order.
-        assert_eq!(map.evict_coldest(|_| true), Some("b"));
+        assert_eq!(map.evict_coldest(|_, _| true), Some("b"));
         // Refusing every candidate ends the call after one refill.
-        assert_eq!(map.evict_coldest(|_| false), None);
+        assert_eq!(map.evict_coldest(|_, _| false), None);
         assert_eq!(coldest_first(&mut map), vec!["e"]);
     }
 

@@ -63,7 +63,7 @@ use kar_types::{
 use crate::actor::{ActorFactory, Outcome};
 use crate::aging::{AgingMap, AgingSet};
 use crate::config::{CancellationPolicy, MeshConfig};
-use crate::context::{state_key, ActorContext, Outbox};
+use crate::context::{ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
 use crate::delivery::{partitions_of, Flusher, RequestRound, ResponseBatcher, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
@@ -71,7 +71,7 @@ use crate::io::DueHeap;
 use crate::placement::{LiveSet, PlacementService};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
-use crate::state_cache::{PendingFlush, Savepoint, StateCache};
+use crate::state_cache::{PendingFlush, Savepoint, StateImage};
 
 /// The mesh-wide dead-letter queue topic: one partition per component, keyed
 /// by the dead-lettering component's raw id. Entries are full request
@@ -100,9 +100,12 @@ pub struct ComponentStats {
     /// retry policy.
     pub dead_lettered: AtomicU64,
     /// Actors passivated — idle ones by the heartbeat sweep, the coldest by
-    /// an admission past the soft watermark (slot and cached image dropped,
+    /// an admission past the soft watermark (slot and state image dropped,
     /// tombstone recorded).
     pub passivations: AtomicU64,
+    /// Of the idle sweep's passivations: those that dropped a loaded state
+    /// image (`Mesh::state_cache_evictions`).
+    pub state_evictions: AtomicU64,
     /// Passivated actors re-activated through the ordinary admission path.
     pub rehydrations: AtomicU64,
     /// New-actor activations deferred at the hard watermark, with nothing
@@ -111,11 +114,14 @@ pub struct ComponentStats {
     pub admission_deferrals: AtomicU64,
 }
 
-/// Per-actor dispatch state: the in-memory instance, the actor lock, and the
-/// in-memory mailbox of §4.1.
+/// A resident actor's whole in-memory footprint (§4.1): its instance, the
+/// actor lock, its mailbox and its state image.
 #[derive(Default)]
 struct ActorSlot {
     instance: Option<Box<dyn crate::actor::Actor>>,
+    /// The actor's state image. Every invocation admitted to the actor takes
+    /// a handle to it; the image leaves memory only with the slot.
+    state: StateImage,
     busy: bool,
     busy_chain: Vec<RequestId>,
     awaiting_tail: Option<RequestId>,
@@ -142,9 +148,8 @@ struct ActorSlot {
 /// that stays here keeps it until it finishes, so reconciliation finds
 /// every such request with one lookup.
 enum Admission {
-    /// Admitted: run this invocation inline — `(request, holds_lock,
-    /// reentrant)`.
-    Run(RequestMessage, bool, bool),
+    /// Admitted: run this invocation inline.
+    Run(Frame),
     /// Waiting here, claim kept: in a mailbox behind a busy actor, deferred
     /// on its pending callee, or parked on the due-time heap as a
     /// [`Stage::Admit`] (a scheduled retry, a deferred activation) — or
@@ -183,6 +188,26 @@ pub(crate) struct Frame {
     holds_lock: bool,
     /// Whether it was admitted reentrantly (runs on a fresh activation).
     reentrant: bool,
+    /// The actor's state image, taken from its slot at admission: the
+    /// handler's `ctx.state()` and the completion's state flush use it.
+    image: StateImage,
+}
+
+impl Frame {
+    /// An invocation of `request` admitted to `slot`.
+    fn admitted(
+        request: RequestMessage,
+        slot: &ActorSlot,
+        holds_lock: bool,
+        reentrant: bool,
+    ) -> Self {
+        Frame {
+            request,
+            holds_lock,
+            reentrant,
+            image: slot.state.clone(),
+        }
+    }
 }
 
 /// Base delay of the shaped backoff a new-actor activation deferred at the
@@ -476,7 +501,17 @@ pub struct ComponentCore {
     /// Adopted partitions this component has retired (fenced, dropped from
     /// the reactor wake group, removed from the partition set).
     retired: Mutex<Vec<usize>>,
-    actors: Mutex<HashMap<ActorRef, ActorSlot>>,
+    /// The resident set: every activated actor's slot, stamped on the
+    /// passivation clock. Every admission touches its actor, and so does the
+    /// end of its activity. An actor idle for two generations (one to two
+    /// compressed retention windows — the single window, not the doubled
+    /// bookkeeping one) is the heartbeat sweep's to passivate; past the soft
+    /// watermark the least recently touched is admission's to evict, from
+    /// the eviction queue this map keeps.
+    ///
+    /// Lock order of the resident set, everywhere: actors → a slot's state
+    /// image; actors → tombstones.
+    actors: Mutex<AgingMap<ActorRef, ActorSlot>>,
     pending_calls: Mutex<HashMap<RequestId, Sender<Arc<Payload>>>>,
     deferred: Mutex<HashMap<RequestId, Vec<RequestMessage>>>,
     /// Response ids seen by this component. Aged out alongside queue
@@ -487,10 +522,6 @@ pub struct ComponentCore {
     /// Completed request ids (retry dedupe). Aged out alongside queue
     /// retention: a retry can only arrive from an unexpired queue record.
     completed: Mutex<AgingSet<RequestId>>,
-    /// The per-activation actor-state cache: read-through on first touch,
-    /// buffered writes flushed as one pipelined round trip strictly before
-    /// each invocation's completion is sent.
-    pub(crate) state_cache: StateCache,
     /// The mesh-wide retry token bucket (shared by every component): each
     /// *scheduled* retry admission spends one token; an empty bucket sheds
     /// the retry back onto its backoff timer (never dropped).
@@ -498,17 +529,6 @@ pub struct ComponentCore {
     /// The mesh-wide per-actor-type circuit breakers (shared by every
     /// component): consulted before each invocation executes, fed after.
     breakers: Arc<BreakerRegistry>,
-    /// The passivation clock: every admission stamps its actor here, and so
-    /// does the end of its activity. An actor idle for two generations (one
-    /// to two compressed retention windows — the state cache's single-window
-    /// interval, not the doubled bookkeeping one) is the heartbeat sweep's to
-    /// passivate; past the soft watermark the least recently touched is
-    /// admission's to evict, from the eviction queue this map keeps.
-    ///
-    /// Lock order of the resident set, everywhere: actors → idle stamps
-    /// (eviction queue included) → state-cache entries; actors →
-    /// tombstones.
-    idle_actors: Mutex<AgingMap<ActorRef, ()>>,
     /// Passivation tombstones: consumed — and counted as a rehydration — by
     /// the actor's next admission, and rotated out on the bookkeeping clock
     /// so the set itself cannot leak. Each is the actor's [`tombstone`]
@@ -582,10 +602,11 @@ impl ComponentCore {
             .into_iter()
             .map(|partition| (partition, Arc::new(AtomicU64::new(0))))
             .collect();
-        // State-cache eviction rides the *single* retention window (not the
-        // doubled bookkeeping interval): a clean entry whose actor has been
-        // idle for one to two windows is dropped and reloaded on next touch.
-        let state_cache_interval = config.time_scale.compress(config.retention);
+        // The passivation clock rides the *single* retention window: an
+        // actor — and its state image with it — goes cold strictly inside the
+        // doubled dedup window, so a rehydrated actor can never outlive its
+        // retry-dedup entries.
+        let idle_interval = config.time_scale.compress(config.retention);
         let settle = SettleTracker::new(partitions.home());
         ComponentCore {
             id,
@@ -618,20 +639,14 @@ impl ComponentCore {
             round_stats: RoundStats::default(),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
-            actors: Mutex::new(HashMap::new()),
+            actors: Mutex::new(AgingMap::new(idle_interval)),
             pending_calls: Mutex::new(HashMap::new()),
             deferred: Mutex::new(HashMap::new()),
             seen_responses: Mutex::new(AgingSet::new(bookkeeping_interval)),
             inflight: Mutex::new(HashSet::new()),
             completed: Mutex::new(AgingSet::new(bookkeeping_interval)),
-            state_cache: StateCache::new(state_cache_interval),
             budget,
             breakers,
-            // The passivation clock shares the state cache's single-window
-            // interval: an actor and its cached state image go cold
-            // together, strictly inside the doubled dedup window — so a
-            // rehydrated actor can never outlive its retry-dedup entries.
-            idle_actors: Mutex::new(AgingMap::new(state_cache_interval)),
             passivated: Mutex::new(AgingSet::new(bookkeeping_interval)),
             resident_count: AtomicUsize::new(0),
             mailboxed: AtomicUsize::new(0),
@@ -679,12 +694,15 @@ impl ComponentCore {
 
     pub(crate) fn resume(&self) {
         self.placement.clear_cache();
-        // Conservative state-cache refresh after recovery: clean entries are
-        // dropped (cheap to reload); entries with buffered writes belong to
-        // invocations still executing here — placement never moves an actor
-        // off a live component, so their image stays authoritative and their
-        // upcoming flush must not be silently lost.
-        self.state_cache.invalidate_clean();
+        // Conservative state refresh after recovery: clean images are
+        // unloaded in place (cheap to reload; a handler holding one reloads
+        // it and its flush still finds its writes); images with buffered
+        // writes belong to invocations still executing here — placement never
+        // moves an actor off a live component, so they stay authoritative and
+        // their upcoming flush must not be silently lost.
+        for slot in self.actors.lock().values() {
+            slot.state.unload_if_clean();
+        }
         // Retirement-leak sweep: a later recovery may have fenced an adopted
         // partition *before* its retirement horizon (the range was re-homed
         // again). Its consumer was dropped on the failed poll, but its
@@ -710,6 +728,8 @@ impl ComponentCore {
     /// state survive.
     pub(crate) fn kill(&self) {
         self.alive.store(false, Ordering::SeqCst);
+        // The slots go with their state images; unflushed writes are lost
+        // (no completion was sent for them).
         self.actors.lock().clear();
         // Passivation bookkeeping is in-memory state: the resident set died
         // with the slots, and a re-homed actor activates fresh on its
@@ -717,7 +737,6 @@ impl ComponentCore {
         // recovery depends on).
         self.resident_count.store(0, Ordering::SeqCst);
         self.mailboxed.store(0, Ordering::SeqCst);
-        self.idle_actors.lock().clear();
         self.passivated.lock().clear();
         // Detach the consumers from the reactor wake group: partitions must
         // not keep notifying — or keep membership for — a dead component.
@@ -729,9 +748,6 @@ impl ComponentCore {
         // process. The queue copies of their original requests drive the
         // retries on the adopters (§4.3).
         self.continuations.clear();
-        // The in-memory state images die with the process; unflushed writes
-        // are lost (no completion was sent for them).
-        self.state_cache.invalidate_all();
         // Dropping the senders wakes every client thread blocked on a call.
         self.pending_calls.lock().clear();
         self.deferred.lock().clear();
@@ -1490,8 +1506,9 @@ impl ComponentCore {
     /// Runs an admitted invocation, or sends a forward as a round of its own.
     fn carry_out(self: &Arc<Self>, admission: Admission) {
         match admission {
-            Admission::Run(request, holds_lock, reentrant) => {
-                Arc::clone(self).run_invocation(request, holds_lock, reentrant);
+            Admission::Run(frame) => {
+                let hop = self.hop_due();
+                Arc::clone(self).invocation_loop(hop, Stage::Start(frame));
             }
             Admission::Forward(request) => {
                 if let Step::Next(due, stage) = self.resend(request, None) {
@@ -1636,77 +1653,86 @@ impl ComponentCore {
 
     /// The part of [`Self::admit_claimed`] under the actors lock, which it
     /// hands over: the hard watermark, a deferred activation's head, and the
-    /// actor lock of §2.2.
+    /// actor lock of §2.2. An admitted invocation takes a handle to its
+    /// actor's state image here.
     fn admit_to_slot(
         self: &Arc<Self>,
-        mut actors: MutexGuard<'_, HashMap<ActorRef, ActorSlot>>,
+        mut actors: MutexGuard<'_, AgingMap<ActorRef, ActorSlot>>,
         request: RequestMessage,
         stamp: Option<u64>,
     ) -> Admission {
-        // Hard watermark: a request that would *activate a new actor* while
-        // the resident set is at the hard watermark — admission found
-        // nothing it could evict — is deferred with shaped backoff as a
-        // `Stage::Admit`: shed, never dropped, and holding its claim so
-        // reconciliation never re-homes a duplicate. Requests for
-        // already-resident actors are never deferred (their memory is already
-        // paid for), so the hot head keeps executing at full speed while the
-        // cold tail waits.
-        if !actors.contains_key(&request.target) {
+        let Some(slot) = actors.get_mut(&request.target) else {
+            let mut slot = ActorSlot {
+                verified_epoch: stamp,
+                ..ActorSlot::default()
+            };
+            // Hard watermark: a request that would *activate a new actor*
+            // while the resident set is at the hard watermark — admission
+            // found nothing it could evict — is deferred with shaped backoff
+            // as a `Stage::Admit`: shed, never dropped, and holding its claim
+            // so reconciliation never re-homes a duplicate. Requests for
+            // already-resident actors are never deferred (their memory is
+            // already paid for), so the hot head keeps executing at full
+            // speed while the cold tail waits.
             if self.admission_overloaded() {
-                let slot = actors.entry(request.target.clone()).or_default();
-                slot.verified_epoch = stamp;
                 slot.activation_parked = Some(request.id);
+                actors.insert(request.target.clone(), slot);
                 drop(actors);
                 return self.defer_activation(request, 0);
             }
             // A new resident: the actor re-enters through this ordinary
             // activation path, whether it was passivated or never active.
+            // Its insert is its admission's touch.
             self.count_activation(&request.target);
-        }
-        let slot = actors.entry(request.target.clone()).or_default();
+            slot.busy = true;
+            slot.busy_chain = request.chain();
+            let frame = Frame::admitted(request, &slot, true, false);
+            actors.insert(frame.request.target.clone(), slot);
+            return Admission::Run(frame);
+        };
         slot.verified_epoch = stamp;
         if let Some(parked) = slot.activation_parked {
-            if parked == request.id {
-                // The head of a deferred activation is back from the
-                // due-time heap. If the pressure has drained, activate;
-                // otherwise re-shape (the backoff grows with each deferral)
-                // and re-park — never drop.
-                if self.admission_overloaded() {
-                    slot.activation_deferrals = slot.activation_deferrals.saturating_add(1);
-                    let deferrals = slot.activation_deferrals;
-                    drop(actors);
-                    return self.defer_activation(request, deferrals);
-                }
-                slot.activation_parked = None;
-                slot.activation_deferrals = 0;
-                slot.busy = true;
-                slot.busy_chain = request.chain();
-                self.count_activation(&request.target);
-                self.touch_idle(&request.target);
-                return Admission::Run(request, true, false);
+            if parked != request.id {
+                // A sibling of a deferred activation: mailbox behind the
+                // parked head, preserving per-actor FIFO across the deferral
+                // (the head is admitted again from the due-time heap; the
+                // mailbox drains behind it in arrival order).
+                slot.mailbox.push_back(request);
+                self.mailboxed.fetch_add(1, Ordering::Relaxed);
+                return Admission::Parked;
             }
-            // A sibling of a deferred activation: mailbox behind the parked
-            // head, preserving per-actor FIFO across the deferral (the head
-            // is admitted again from the due-time heap; the mailbox drains
-            // behind it in arrival order).
-            slot.mailbox.push_back(request);
-            self.mailboxed.fetch_add(1, Ordering::Relaxed);
-            return Admission::Parked;
+            // The head of a deferred activation is back from the due-time
+            // heap. If the pressure has drained, activate; otherwise
+            // re-shape (the backoff grows with each deferral) and re-park —
+            // never drop.
+            if self.admission_overloaded() {
+                slot.activation_deferrals = slot.activation_deferrals.saturating_add(1);
+                let deferrals = slot.activation_deferrals;
+                drop(actors);
+                return self.defer_activation(request, deferrals);
+            }
+            slot.activation_parked = None;
+            slot.activation_deferrals = 0;
+            self.count_activation(&request.target);
         }
-        self.touch_idle(&request.target);
+        // The admission's touch on the passivation clock.
+        let slot = actors
+            .get_refresh(&request.target)
+            .expect("the slot was found above, under the same lock");
         if slot.awaiting_tail == Some(request.id) {
             // Continuation of a tail call to self: it owns the lock already.
             slot.awaiting_tail = None;
             slot.busy_chain = request.chain();
-            Admission::Run(request, true, false)
+            Admission::Run(Frame::admitted(request, slot, true, false))
         } else if slot.busy {
             let reentrant = request
                 .lineage
                 .iter()
                 .any(|id| slot.busy_chain.contains(id));
             if reentrant {
-                // Reentrant nested call: bypass the mailbox (§2.2).
-                Admission::Run(request, false, true)
+                // Reentrant nested call: bypass the mailbox (§2.2), sharing
+                // the suspended ancestor's state image.
+                Admission::Run(Frame::admitted(request, slot, false, true))
             } else {
                 // Move the request into the mailbox — no payload clone.
                 slot.mailbox.push_back(request);
@@ -1716,18 +1742,8 @@ impl ComponentCore {
         } else {
             slot.busy = true;
             slot.busy_chain = request.chain();
-            Admission::Run(request, true, false)
+            Admission::Run(Frame::admitted(request, slot, true, false))
         }
-    }
-
-    fn run_invocation(self: Arc<Self>, request: RequestMessage, holds_lock: bool, reentrant: bool) {
-        let frame = Frame {
-            request,
-            holds_lock,
-            reentrant,
-        };
-        let hop = self.hop_due();
-        self.invocation_loop(hop, Stage::Start(frame));
     }
 
     /// Resumes a parked continuation with the nested call's result — one
@@ -1812,6 +1828,7 @@ impl ComponentCore {
             request: frame.request,
             holds_lock: frame.holds_lock,
             reentrant: frame.reentrant,
+            image: frame.image,
             // Set when the continuation is parked.
             deadline: Duration::ZERO,
             then,
@@ -1913,7 +1930,7 @@ impl ComponentCore {
                 let actor_type = frame.request.target.actor_type();
                 let attempt = match self.breakers.admit(actor_type) {
                     Ok(()) => {
-                        let attempt = self.execute(&frame.request, frame.reentrant);
+                        let attempt = self.execute(&frame);
                         if !matches!(
                             attempt.result,
                             Err(KarError::Killed { .. } | KarError::Fenced { .. })
@@ -1938,11 +1955,12 @@ impl ComponentCore {
                     request,
                     holds_lock,
                     reentrant,
+                    image,
                     then,
                     ..
                 } = parked;
                 let attempt = {
-                    let mut ctx = ActorContext::new(self, &request, request.target.clone(), outbox);
+                    let mut ctx = ActorContext::new(self, &request, &image, outbox);
                     let result = then.resume(&mut ctx, input);
                     Attempt::finished(ctx, result)
                 };
@@ -1950,6 +1968,7 @@ impl ComponentCore {
                     request,
                     holds_lock,
                     reentrant,
+                    image,
                 };
                 self.handler_returned(frame, attempt)
             }
@@ -1977,8 +1996,7 @@ impl ComponentCore {
                 acked,
                 submits_left,
             } => {
-                let key = state_key(&frame.request.target);
-                match self.state_cache.finish_flush(&key, pending, acked) {
+                match frame.image.finish_flush(pending, acked) {
                     Ok(()) => self.complete(frame, result),
                     // The ack was lost; the batch is idempotent: again.
                     Err(error) if error.is_transient() && submits_left > 0 => {
@@ -2198,8 +2216,7 @@ impl ComponentCore {
             Err(error @ (KarError::Killed { .. } | KarError::Fenced { .. })) => Err(error),
             Err(error) => {
                 if let Some(savepoint) = guarded {
-                    self.state_cache
-                        .rollback(&state_key(&frame.request.target), savepoint);
+                    frame.image.rollback(savepoint);
                 }
                 result.and(Err(error))
             }
@@ -2229,17 +2246,21 @@ impl ComponentCore {
     }
 
     /// Submits the state flush, replaying at once a submit refused with a
-    /// transient fault (nothing was applied) while `submits_left` allows.
+    /// transient fault (nothing was applied) while `submits_left` allows. A
+    /// dead component submits nothing, and completes nothing: the queue copy
+    /// drives the retry.
     fn submit_state_flush(
         self: &Arc<Self>,
         frame: Frame,
         result: KarResult<Outcome>,
         mut submits_left: u32,
     ) -> Step {
-        let key = state_key(&frame.request.target);
         loop {
+            if !self.is_alive() {
+                return Step::Done;
+            }
             submits_left -= 1;
-            match self.state_cache.submit_flush(&self.conn, &key) {
+            match frame.image.submit_flush(&self.conn, &frame.request.target) {
                 Ok(None) => return self.complete(frame, result),
                 Ok(Some((pending, Completion { due, result: acked }))) => {
                     return Step::Next(
@@ -2384,7 +2405,10 @@ impl ComponentCore {
                 // The mailbox ran dry: restart the actor's idle clock
                 // from the end of its activity, not from its last
                 // admission.
-                self.touch_idle(&frame.request.target);
+                actors.get_refresh(&frame.request.target);
+                // Let go of the image while the slot is still locked: a
+                // quiescent actor is passivatable at once.
+                drop(frame.image);
                 Step::Done
             }
         }
@@ -2424,12 +2448,13 @@ impl ComponentCore {
         Ok(instance)
     }
 
-    /// Runs `request`'s handler — activating the actor first if it has no
+    /// Runs `frame`'s handler — activating the actor first if it has no
     /// instance — under one context, so whatever `activate` and `invoke`
     /// told leaves in one outbox.
-    fn execute(self: &Arc<Self>, request: &RequestMessage, reentrant: bool) -> Attempt {
-        let mut ctx = ActorContext::new(self, request, request.target.clone(), Outbox::default());
-        let result = self.run_handler(&mut ctx, request, reentrant);
+    fn execute(self: &Arc<Self>, frame: &Frame) -> Attempt {
+        let request = &frame.request;
+        let mut ctx = ActorContext::new(self, request, &frame.image, Outbox::default());
+        let result = self.run_handler(&mut ctx, request, frame.reentrant);
         Attempt::finished(ctx, result)
     }
 
@@ -2444,7 +2469,7 @@ impl ComponentCore {
         }
         // Reentrant invocations run on a fresh activation of the actor (the
         // cached instance is checked out by the suspended ancestor frame);
-        // durable state is shared through the persistence API.
+        // state is shared through the slot's state image.
         let mut instance = if reentrant {
             self.make_instance(ctx, request)?
         } else {
@@ -2596,11 +2621,13 @@ impl ComponentCore {
                     RetryVerdict::Retry(next) => request.retry = Some(Box::new(next)),
                     RetryVerdict::Exhausted(final_state) => {
                         self.dead_letter(&request, &final_state, &error);
-                        // Never admitted to its actor: it holds no lock.
+                        // Never admitted to its actor: it holds no lock, and
+                        // a state image of its own that nothing writes.
                         let frame = Frame {
                             request,
                             holds_lock: false,
                             reentrant: false,
+                            image: StateImage::default(),
                         };
                         if let Step::Next(due, stage) = self.respond(frame, Err(error)) {
                             Arc::clone(self).invocation_loop(due, stage);
@@ -3056,9 +3083,8 @@ impl ComponentCore {
         }
     }
 
-    /// Rotates the aged retry-bookkeeping sets — and ages out idle clean
-    /// actor-state cache entries — if their retention interval elapsed
-    /// (piggybacked on the mesh timer's heartbeat tick).
+    /// Rotates the aged retry-bookkeeping sets if their retention interval
+    /// elapsed (piggybacked on the mesh timer's heartbeat tick).
     fn age_retry_bookkeeping(&self) {
         let now = mono_now();
         self.completed.lock().maybe_rotate(now);
@@ -3067,7 +3093,6 @@ impl ComponentCore {
         // dedup sets: a tombstone that was never consumed by a rehydration
         // ages out instead of leaking.
         self.passivated.lock().maybe_rotate(now);
-        self.state_cache.maybe_age(now);
     }
 
     /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
@@ -3170,16 +3195,6 @@ impl ComponentCore {
         backoff.delay_for(deferrals.saturating_add(1), id.as_u64())
     }
 
-    /// Stamps `actor` as recently used on the passivation clock. Called at
-    /// admission and when an actor's mailbox runs dry, always while the
-    /// actors lock is held.
-    fn touch_idle(&self, actor: &ActorRef) {
-        let mut idle = self.idle_actors.lock();
-        if idle.get_refresh(actor).is_none() {
-            idle.insert(actor.clone(), ());
-        }
-    }
-
     /// Heartbeat-driven passivation sweep (timer thread): advances the idle
     /// clock and passivates every actor idle for one to two retention
     /// windows. Holding the resident set at the soft watermark is
@@ -3192,11 +3207,11 @@ impl ComponentCore {
             return;
         }
         let stale = {
-            let mut idle = self.idle_actors.lock();
-            if !idle.advance_due(now) {
+            let mut actors = self.actors.lock();
+            if !actors.advance_due(now) {
                 return;
             }
-            idle.stale()
+            actors.stale()
         };
         for actor in &stale {
             if !self.is_alive() || self.is_paused() {
@@ -3206,47 +3221,41 @@ impl ComponentCore {
         }
     }
 
-    /// Passivates one actor if it is truly quiescent: flushes its state,
-    /// then — re-verifying under the actors lock — drops its slot
-    /// (instance, mailbox, slot stamp), its cached state image, its cached
-    /// placement and its idle stamp, and records a tombstone. The next
-    /// request re-activates the actor through the ordinary
-    /// placement/admission path, exactly like a first activation.
+    /// Passivates one actor if it is truly quiescent: flushes its state
+    /// image, then — re-verifying under the actors lock — drops its slot
+    /// (instance, mailbox, state image, idle stamps) and its cached
+    /// placement, and records a tombstone. The next request re-activates the
+    /// actor through the ordinary placement/admission path, exactly like a
+    /// first activation.
     fn try_passivate(self: &Arc<Self>, actor: &ActorRef) {
         // Cheap pre-check under the actors lock: anything non-quiescent is
         // skipped without touching the store.
-        {
-            let actors = self.actors.lock();
-            match actors.get(actor) {
-                None => {
-                    // Killed, or already passivated: drop the orphaned idle
-                    // stamp so it cannot stay a candidate forever.
-                    drop(actors);
-                    self.idle_actors.lock().remove(actor);
-                    return;
-                }
-                Some(slot) if !Self::quiescent(slot) => return,
-                Some(_) => {}
-            }
-        }
+        let image = match self.actors.lock().get(actor) {
+            Some(slot) if Self::quiescent(slot) => slot.state.clone(),
+            _ => return,
+        };
         // Flush outside every lock: the store round trip must not stall
-        // admissions. A flush failure means this component is being fenced
-        // or killed — leave the slot alone; kill drops it wholesale.
-        let key = state_key(actor);
-        if self.state_cache.flush(&self.conn, &key).is_err() {
+        // admissions. A dead component flushes nothing, and a flush failure
+        // means this component is being fenced or killed — leave the slot
+        // alone; kill drops it wholesale.
+        if !self.is_alive() || image.flush(&self.conn, actor).is_err() {
             return;
         }
+        drop(image);
         // Decide-and-drop under the actors lock. An admission between the
         // flush and here flips `busy` (or queues mail) under this same
         // lock, so the re-check cannot miss it; a state write since the
-        // flush leaves the cache entry dirty and the decide step refuses —
+        // flush leaves the image dirty and the decide step refuses —
         // either way the slot survives untouched.
         let mut actors = self.actors.lock();
-        if !self.may_passivate(&actors, actor) {
+        if !actors.get(actor).is_some_and(Self::may_passivate) {
             return;
         }
-        self.idle_actors.lock().remove(actor);
-        self.drop_passivated(&mut actors, actor);
+        let slot = actors.remove(actor).expect("checked under the same lock");
+        if slot.state.is_loaded() {
+            self.stats.state_evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.count_passivation(actor);
         drop(actors);
         // Outside the actors lock — the placement cache is not ordered after
         // it. Keeps the cache bounded by the *resident* set; the placement
@@ -3267,7 +3276,7 @@ impl ComponentCore {
     /// placement the caller forgets once it has released the actors lock.
     fn evict_coldest(
         &self,
-        actors: &mut HashMap<ActorRef, ActorSlot>,
+        actors: &mut AgingMap<ActorRef, ActorSlot>,
         request: &RequestMessage,
     ) -> Option<ActorRef> {
         let soft = self.config.resident_soft_limit()?;
@@ -3277,27 +3286,21 @@ impl ComponentCore {
         if !activates || self.resident_count.load(Ordering::Relaxed) < soft {
             return None;
         }
-        let evicted = self
-            .idle_actors
-            .lock()
-            .evict_coldest(|actor| self.may_passivate(actors, actor))?;
-        self.drop_passivated(actors, &evicted);
+        let evicted = actors.evict_coldest(|_, slot| Self::may_passivate(slot))?;
+        self.count_passivation(&evicted);
         Some(evicted)
     }
 
-    /// The decide step of a passivation, under the actors lock: `actor`'s
-    /// slot is quiescent and the state cache let go of its image — it
-    /// refuses one with buffered writes or a handle still out.
-    fn may_passivate(&self, actors: &HashMap<ActorRef, ActorSlot>, actor: &ActorRef) -> bool {
-        actors.get(actor).is_some_and(Self::quiescent)
-            && self.state_cache.passivate(&state_key(actor))
+    /// The decide step of a passivation, under the actors lock: the slot is
+    /// quiescent and its state image may go — it refuses one with buffered
+    /// writes or a handle still out.
+    fn may_passivate(slot: &ActorSlot) -> bool {
+        Self::quiescent(slot) && slot.state.may_drop()
     }
 
-    /// The drop step of a passivation, under the actors lock, once
-    /// [`Self::may_passivate`] said yes and the idle stamp is gone: the slot
-    /// goes and a tombstone stays.
-    fn drop_passivated(&self, actors: &mut HashMap<ActorRef, ActorSlot>, actor: &ActorRef) {
-        actors.remove(actor);
+    /// Counts a passivation, under the actors lock, once its slot is gone: a
+    /// tombstone stays.
+    fn count_passivation(&self, actor: &ActorRef) {
         self.resident_count.fetch_sub(1, Ordering::Relaxed);
         self.passivated.lock().insert(tombstone(actor));
         self.stats.passivations.fetch_add(1, Ordering::Relaxed);
@@ -3327,15 +3330,19 @@ impl ComponentCore {
     // Actor-state persistence (the `ctx.state()` backend)
     // ------------------------------------------------------------------
 
-    /// Number of actor states currently cached.
+    /// Number of resident actors whose state image is loaded.
     pub fn cached_state_count(&self) -> usize {
-        self.state_cache.len()
+        self.actors
+            .lock()
+            .values()
+            .filter(|slot| slot.state.is_loaded())
+            .count()
     }
 
-    /// Number of clean actor-state cache entries evicted after idling for a
-    /// retention window.
+    /// Number of loaded state images the idle sweep has dropped with their
+    /// actors.
     pub fn state_cache_evictions(&self) -> u64 {
-        self.state_cache.eviction_count()
+        self.stats.state_evictions.load(Ordering::Relaxed)
     }
 
     /// Number of live consumer lanes (units of consumer concurrency; no
@@ -3443,7 +3450,7 @@ mod tests {
         let request = |name: &str, id: u64| {
             RequestMessage::root(RequestId::from_raw(id), actor(name), "m", Vec::new())
         };
-        // Coldest first: five residents an eviction must pass over, then the
+        // Coldest first: six residents an eviction must pass over, then the
         // most recently touched one, which is the only one it may take.
         let residents = [
             (
@@ -3475,17 +3482,23 @@ mod tests {
                 },
             ),
             ("dirty", ActorSlot::default()),
+            ("held", ActorSlot::default()),
             ("idle", ActorSlot::default()),
         ];
         let mut actors = core.actors.lock();
         for (name, slot) in residents {
             actors.insert(actor(name), slot);
             core.count_activation(&actor(name));
-            core.touch_idle(&actor(name));
         }
-        core.state_cache
-            .set(&core.conn, &state_key(&actor("dirty")), "v", Value::from(1))
+        let image_of = |actors: &AgingMap<ActorRef, ActorSlot>, name: &str| {
+            actors.get(&actor(name)).unwrap().state.clone()
+        };
+        // A write no flush has made durable, and a handle still out (an
+        // invocation that let go of the actor but not yet of its image).
+        image_of(&actors, "dirty")
+            .set(&core.conn, &actor("dirty"), "v", Value::from(1))
             .unwrap();
+        let held = image_of(&actors, "held");
 
         let newcomer = request("newcomer", 4);
         assert_eq!(
@@ -3497,15 +3510,21 @@ mod tests {
             None,
             "an eviction took a resident that was not quiescent and clean"
         );
-        for name in ["busy", "mailboxed", "tail", "parked", "dirty"] {
-            assert!(actors.contains_key(&actor(name)), "{name} was evicted");
+        for name in ["busy", "mailboxed", "tail", "parked", "dirty", "held"] {
+            assert!(actors.get(&actor(name)).is_some(), "{name} was evicted");
         }
+        // Once the handle is dropped the image may go with its slot.
+        drop(held);
+        assert_eq!(
+            core.evict_coldest(&mut actors, &newcomer),
+            Some(actor("held"))
+        );
         // A resident's own next request activates nothing: no eviction.
         actors.get_mut(&actor("busy")).unwrap().busy = false;
         assert_eq!(core.evict_coldest(&mut actors, &request("busy", 5)), None);
         drop(actors);
         assert_eq!(core.resident_actors(), 5);
-        assert_eq!(core.passivation_stats(), (1, 0, 0));
+        assert_eq!(core.passivation_stats(), (2, 0, 0));
     }
 
     #[test]
@@ -3551,6 +3570,7 @@ mod tests {
             request,
             holds_lock: false,
             reentrant: false,
+            image: StateImage::default(),
         };
         if let Step::Next(due, stage) = core.complete(frame, Err(KarError::application("down"))) {
             Arc::clone(&core).invocation_loop(due, stage);

@@ -47,7 +47,7 @@ use kar_types::{
 
 use crate::actor::Outcome;
 use crate::component::ComponentCore;
-use crate::state_cache::{Savepoint, StateCache};
+use crate::state_cache::{Savepoint, StateImage};
 
 /// The outbox of one invocation (see the module docs).
 #[derive(Default)]
@@ -74,26 +74,27 @@ pub(crate) struct Outbox {
 pub struct ActorContext<'a> {
     core: &'a Arc<ComponentCore>,
     request: &'a RequestMessage,
-    self_ref: ActorRef,
+    /// The state image of the actor running `request`, shared with its slot.
+    image: &'a StateImage,
     outbox: RefCell<Outbox>,
 }
 
 impl<'a> ActorContext<'a> {
-    /// The context of `request`'s handler, or of a continuation of it,
-    /// starting from `outbox`: empty (it owns no allocation then — a handler
+    /// The context of `request`'s handler, or of a continuation of it, over
+    /// its actor's state `image`, starting from `outbox`: empty (it owns no allocation then — a handler
     /// that tells nobody pays nothing for it), or marked failed when the
     /// round of the nested call being resumed lost the handler's tells (see
     /// [`Outbox::failed`]).
     pub(crate) fn new(
         core: &'a Arc<ComponentCore>,
         request: &'a RequestMessage,
-        self_ref: ActorRef,
+        image: &'a StateImage,
         outbox: Outbox,
     ) -> Self {
         ActorContext {
             core,
             request,
-            self_ref,
+            image,
             outbox: RefCell::new(outbox),
         }
     }
@@ -106,7 +107,7 @@ impl<'a> ActorContext<'a> {
 
     /// A reference to the actor instance executing the current method.
     pub fn self_ref(&self) -> &ActorRef {
-        &self.self_ref
+        &self.request.target
     }
 
     /// The id of the request being executed. Retries of the same logical
@@ -220,15 +221,15 @@ impl<'a> ActorContext<'a> {
     /// Builds a tail-call outcome targeting this actor, which retains the
     /// actor lock across the transition (§2.3).
     pub fn tail_call_self(&self, method: &str, args: Vec<Value>) -> Outcome {
-        Outcome::tail_call(self.self_ref.clone(), method, args)
+        Outcome::tail_call(self.request.target.clone(), method, args)
     }
 
     /// The `actor.state` persistence API for this actor instance (§2.1).
     pub fn state(&self) -> ActorState<'_> {
         ActorState {
-            cache: &self.core.state_cache,
+            image: self.image,
             conn: &self.core.conn,
-            key: state_key(&self.self_ref),
+            actor: &self.request.target,
             outbox: &self.outbox,
         }
     }
@@ -248,9 +249,9 @@ pub(crate) fn state_key(actor: &ActorRef) -> String {
 ///
 /// # Caching and crash consistency
 ///
-/// Reads go through a per-activation in-memory image of the state hash
-/// (loaded with one `hgetall` on the actor's first touch) and writes are
-/// buffered. The runtime flushes buffered writes as **one** pipelined store
+/// Reads go through the resident actor's in-memory image of the state hash
+/// (loaded with one `hgetall` on the actor's first touch, kept until the
+/// actor is passivated) and writes are buffered. The runtime flushes buffered writes as **one** pipelined store
 /// round trip after the invocation's outbox round and strictly *before* its
 /// response or tail-call continuation is sent: by the time a caller observes
 /// a completion, the state it acknowledged is durable — a component killed
@@ -258,9 +259,9 @@ pub(crate) fn state_key(actor: &ActorRef) -> String {
 /// orchestration. No call below waits for the store once the image is
 /// loaded.
 pub struct ActorState<'a> {
-    cache: &'a StateCache,
+    image: &'a StateImage,
     conn: &'a Connection,
-    key: String,
+    actor: &'a ActorRef,
     /// The invocation's outbox: a write must not become durable ahead of
     /// the tells issued before it.
     outbox: &'a RefCell<Outbox>,
@@ -276,7 +277,7 @@ impl ActorState<'_> {
     fn order_write_after_outbox(&self) {
         let mut outbox = self.outbox.borrow_mut();
         if (!outbox.tells.is_empty() || outbox.failed.is_some()) && outbox.guarded.is_none() {
-            outbox.guarded = Some(self.cache.savepoint(&self.key));
+            outbox.guarded = Some(self.image.savepoint());
         }
     }
 
@@ -287,7 +288,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn get(&self, field: &str) -> KarResult<Option<Value>> {
-        self.cache.get(self.conn, &self.key, field)
+        self.image.get(self.conn, self.actor, field)
     }
 
     /// Writes one field of the actor's persistent state, returning the
@@ -299,7 +300,7 @@ impl ActorState<'_> {
     /// disconnected from the store.
     pub fn set(&self, field: &str, value: Value) -> KarResult<Option<Value>> {
         self.order_write_after_outbox();
-        self.cache.set(self.conn, &self.key, field, value)
+        self.image.set(self.conn, self.actor, field, value)
     }
 
     /// Writes several fields at once.
@@ -310,7 +311,7 @@ impl ActorState<'_> {
     /// disconnected from the store.
     pub fn set_multi(&self, entries: impl IntoIterator<Item = (String, Value)>) -> KarResult<()> {
         self.order_write_after_outbox();
-        self.cache.set_multi(self.conn, &self.key, entries)
+        self.image.set_multi(self.conn, self.actor, entries)
     }
 
     /// Deletes one field, returning its previous value.
@@ -321,7 +322,7 @@ impl ActorState<'_> {
     /// disconnected from the store.
     pub fn remove(&self, field: &str) -> KarResult<Option<Value>> {
         self.order_write_after_outbox();
-        self.cache.remove(self.conn, &self.key, field)
+        self.image.remove(self.conn, self.actor, field)
     }
 
     /// Reads the whole persistent state of the actor.
@@ -331,7 +332,7 @@ impl ActorState<'_> {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected from the store.
     pub fn get_all(&self) -> KarResult<BTreeMap<String, Value>> {
-        self.cache.get_all(self.conn, &self.key)
+        self.image.get_all(self.conn, self.actor)
     }
 
     /// Deletes the actor's entire persistent state (used when an actor
@@ -344,7 +345,7 @@ impl ActorState<'_> {
     /// disconnected from the store.
     pub fn clear(&self) -> KarResult<bool> {
         self.order_write_after_outbox();
-        self.cache.clear_hash(self.conn, &self.key)
+        self.image.clear_hash(self.conn, self.actor)
     }
 }
 

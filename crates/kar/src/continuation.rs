@@ -29,6 +29,7 @@ use kar_types::{KarResult, RequestId, Value};
 
 use crate::actor::Outcome;
 use crate::context::ActorContext;
+use crate::state_cache::StateImage;
 
 /// The boxed rest-of-the-handler resumed with the nested call's result.
 type ContinuationFn =
@@ -79,6 +80,9 @@ pub(crate) struct ParkedContinuation {
     pub holds_lock: bool,
     /// Whether the original invocation was admitted reentrantly.
     pub reentrant: bool,
+    /// The actor's state image, shared with its slot: the continuation
+    /// writes where the handler did.
+    pub image: StateImage,
     /// When the nested call times out; the sweep resumes the continuation
     /// with [`kar_types::KarError::Timeout`] past this instant.
     pub deadline: Duration,
@@ -168,6 +172,7 @@ mod tests {
             ),
             holds_lock: true,
             reentrant: false,
+            image: StateImage::default(),
             deadline,
             then: Continuation::new(|_, input| input.map(Outcome::Value)),
         }

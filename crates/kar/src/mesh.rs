@@ -693,8 +693,8 @@ impl Mesh {
         Some(0)
     }
 
-    /// Number of actor states one component currently caches in memory
-    /// (0 when the actor-state cache is disabled).
+    /// Number of one component's resident actors whose state image is
+    /// loaded in memory.
     pub fn cached_state_count(&self, component: ComponentId) -> Option<usize> {
         self.inner
             .components
@@ -785,8 +785,8 @@ impl Mesh {
             .map(|core| core.response_batch_stats())
     }
 
-    /// Number of idle clean actor-state cache entries one component has
-    /// evicted on the retention clock.
+    /// Number of loaded state images one component's idle sweep has dropped
+    /// with their passivated actors.
     pub fn state_cache_evictions(&self, component: ComponentId) -> Option<u64> {
         self.inner
             .components
