@@ -11,6 +11,16 @@
 //! bulk. Long-running components stop leaking memory, and a record old
 //! enough to have aged out of the set has also aged out of every queue.
 //!
+//! The clock is written once; how a generation stores its members is a
+//! [`Generation`]. Request ids come from one mesh-wide counter, so the ids a
+//! component remembers are dense: an [`IdBitmap`] keeps them as bits, word
+//! `id >> 6` holding bit `id & 63` — under a byte per id, keys and table
+//! slack included, where a hash set spends 9 to 18, and at worst (one id
+//! per word) about twice a hash set. Completed ids sit under the
+//! component's claims lock beside its in-flight ids, seen response ids under
+//! its deferred lock beside the retries they release. Passivation
+//! tombstones are hashes, not dense ids, and live in a `HashSet<u64>`.
+//!
 //! [`AgingMap`] applies the same clock to key→value tables whose entries
 //! must not be dropped blindly. A component's resident actors live in one:
 //! each slot (instance, mailbox, state image) carries its own idle stamps,
@@ -21,63 +31,207 @@
 //! `ComponentCore::evict_coldest`).
 
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Duration;
 
-use kar_types::mono_now;
+use kar_types::{mono_now, RequestId};
+
+/// How one generation of an [`AgingSet`] stores its members.
+pub(crate) trait Generation: Default {
+    type Member;
+
+    /// Adds `member`. Returns true if it was absent.
+    fn insert(&mut self, member: Self::Member) -> bool;
+
+    /// True if `member` is present.
+    fn contains(&self, member: &Self::Member) -> bool;
+
+    /// Removes `member`. Returns true if it was present.
+    fn remove(&mut self, member: &Self::Member) -> bool;
+
+    /// Number of members.
+    fn len(&self) -> usize;
+
+    /// Drops every member, keeping the table for reuse.
+    fn clear(&mut self);
+
+    /// Number of members `other` does not hold.
+    fn count_outside(&self, other: &Self) -> usize;
+}
+
+impl<T: Eq + Hash> Generation for HashSet<T> {
+    type Member = T;
+
+    fn insert(&mut self, member: T) -> bool {
+        HashSet::insert(self, member)
+    }
+
+    fn contains(&self, member: &T) -> bool {
+        HashSet::contains(self, member)
+    }
+
+    fn remove(&mut self, member: &T) -> bool {
+        HashSet::remove(self, member)
+    }
+
+    fn len(&self) -> usize {
+        HashSet::len(self)
+    }
+
+    fn clear(&mut self) {
+        HashSet::clear(self)
+    }
+
+    fn count_outside(&self, other: &Self) -> usize {
+        self.difference(other).count()
+    }
+}
+
+/// A generation of request ids as bits: word `id >> 6` holds bit `id & 63`.
+/// A word leaves the table when its last bit is removed, so the table holds
+/// exactly the words with members.
+#[derive(Debug, Default)]
+pub(crate) struct IdBitmap {
+    words: HashMap<u64, u64, BuildHasherDefault<WordHasher>>,
+}
+
+impl IdBitmap {
+    /// The word index and bit mask of `id`.
+    fn locate(id: RequestId) -> (u64, u64) {
+        let raw = id.as_u64();
+        (raw >> 6, 1 << (raw & 63))
+    }
+}
+
+impl Generation for IdBitmap {
+    type Member = RequestId;
+
+    fn insert(&mut self, id: RequestId) -> bool {
+        let (word, bit) = Self::locate(id);
+        let bits = self.words.entry(word).or_insert(0);
+        let fresh = *bits & bit == 0;
+        *bits |= bit;
+        fresh
+    }
+
+    fn contains(&self, id: &RequestId) -> bool {
+        let (word, bit) = Self::locate(*id);
+        self.words.get(&word).is_some_and(|bits| bits & bit != 0)
+    }
+
+    fn remove(&mut self, id: &RequestId) -> bool {
+        let (word, bit) = Self::locate(*id);
+        let Some(bits) = self.words.get_mut(&word) else {
+            return false;
+        };
+        if *bits & bit == 0 {
+            return false;
+        }
+        *bits &= !bit;
+        if *bits == 0 {
+            self.words.remove(&word);
+        }
+        true
+    }
+
+    fn len(&self) -> usize {
+        self.words
+            .values()
+            .map(|bits| bits.count_ones() as usize)
+            .sum()
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    fn count_outside(&self, other: &Self) -> usize {
+        self.words
+            .iter()
+            .map(|(word, bits)| {
+                let theirs = other.words.get(word).copied().unwrap_or(0);
+                (bits & !theirs).count_ones() as usize
+            })
+            .sum()
+    }
+}
+
+/// Hashes an [`IdBitmap`] word index with one multiply by an odd constant:
+/// the low bits (the bucket) of consecutive indices stay distinct, and the
+/// high bits (the table's tag) are well mixed. Word indices are dense and
+/// never attacker-chosen, so no keyed hash is needed.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// A set whose members are dropped in bulk once they have been idle for one
-/// to two rotation intervals. Rotation is driven by the owner (the
-/// component's heartbeat loop) via [`AgingSet::maybe_rotate`].
+/// to two rotation intervals, each generation stored as a `G`. Rotation is
+/// driven by the owner (the component's heartbeat loop) via
+/// [`AgingSet::maybe_rotate`].
 #[derive(Debug)]
-pub(crate) struct AgingSet<T> {
-    current: HashSet<T>,
-    previous: HashSet<T>,
+pub(crate) struct AgingSet<G> {
+    current: G,
+    previous: G,
     interval: Duration,
     last_rotation: Duration,
 }
 
-impl<T: Eq + Hash> AgingSet<T> {
+impl<G: Generation> AgingSet<G> {
     /// Creates an empty set rotating every `interval` (clamped to 1ms so a
     /// zero-compressed retention cannot spin-rotate).
     pub(crate) fn new(interval: Duration) -> Self {
+        Self::started_at(interval, mono_now())
+    }
+
+    /// [`Self::new`] with its clock started at `now`.
+    fn started_at(interval: Duration, now: Duration) -> Self {
         AgingSet {
-            current: HashSet::new(),
-            previous: HashSet::new(),
+            current: G::default(),
+            previous: G::default(),
             interval: interval.max(Duration::from_millis(1)),
-            last_rotation: mono_now(),
+            last_rotation: now,
         }
     }
 
-    /// Inserts `value` into the young generation. Returns true if the value
-    /// was not already a member of either generation.
-    pub(crate) fn insert(&mut self, value: T) -> bool {
-        let fresh = !self.previous.contains(&value);
-        self.current.insert(value) && fresh
+    /// Inserts `member` into the young generation. Returns true if it was
+    /// not already a member of either generation.
+    pub(crate) fn insert(&mut self, member: G::Member) -> bool {
+        let fresh = !self.previous.contains(&member);
+        self.current.insert(member) && fresh
     }
 
-    /// True if either generation holds `value`.
-    pub(crate) fn contains(&self, value: &T) -> bool {
-        self.current.contains(value) || self.previous.contains(value)
+    /// True if either generation holds `member`.
+    pub(crate) fn contains(&self, member: &G::Member) -> bool {
+        self.current.contains(member) || self.previous.contains(member)
     }
 
     /// Number of members across both generations.
     pub(crate) fn len(&self) -> usize {
-        self.current.len()
-            + self
-                .previous
-                .iter()
-                .filter(|v| !self.current.contains(v))
-                .count()
+        self.current.len() + self.previous.count_outside(&self.current)
     }
 
-    /// Removes `value` from both generations. Returns true if it was a
+    /// Removes `member` from both generations. Returns true if it was a
     /// member. Used by owners whose members have an explicit end of life
     /// (e.g. a passivation tombstone consumed by the rehydrating admission)
     /// rather than a purely clock-driven one.
-    pub(crate) fn remove(&mut self, value: &T) -> bool {
-        let in_current = self.current.remove(value);
-        let in_previous = self.previous.remove(value);
+    pub(crate) fn remove(&mut self, member: &G::Member) -> bool {
+        let in_current = self.current.remove(member);
+        let in_previous = self.previous.remove(member);
         in_current || in_previous
     }
 
@@ -97,14 +251,18 @@ impl<T: Eq + Hash> AgingSet<T> {
             return 0;
         }
         self.last_rotation = now;
-        let dropped = self
-            .previous
-            .iter()
-            .filter(|v| !self.current.contains(v))
-            .count();
+        let dropped = self.previous.count_outside(&self.current);
         std::mem::swap(&mut self.current, &mut self.previous);
         self.current.clear();
         dropped
+    }
+}
+
+#[cfg(test)]
+impl AgingSet<IdBitmap> {
+    /// Bitmap words held across both generations.
+    fn words(&self) -> usize {
+        self.current.words.len() + self.previous.words.len()
     }
 }
 
@@ -283,6 +441,25 @@ impl<K: Eq + Hash + Clone, V> AgingMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A generation storage the set tests run over: `member` names the
+    /// member a raw test id stands for.
+    trait Storage: Generation {
+        fn member(raw: u64) -> Self::Member;
+    }
+
+    impl Storage for HashSet<u64> {
+        fn member(raw: u64) -> u64 {
+            raw
+        }
+    }
+
+    impl Storage for IdBitmap {
+        fn member(raw: u64) -> RequestId {
+            RequestId::from_raw(raw)
+        }
+    }
 
     /// Every key the map still holds, least recently touched first: what
     /// eviction would offer, taking nothing.
@@ -324,46 +501,6 @@ mod tests {
         assert!(map.stale().is_empty());
         map.clear();
         assert!(coldest_first(&mut map).is_empty());
-    }
-
-    #[test]
-    fn members_survive_one_rotation_and_die_after_two() {
-        let mut set = AgingSet::new(Duration::from_millis(1));
-        set.insert(7u64);
-        assert!(set.contains(&7));
-        assert_eq!(set.len(), 1);
-        let later = mono_now() + Duration::from_millis(2);
-        assert_eq!(set.maybe_rotate(later), 0, "first rotation only demotes");
-        assert!(set.contains(&7), "still present in the old generation");
-        assert_eq!(
-            set.maybe_rotate(later + Duration::from_millis(2)),
-            1,
-            "second rotation drops the idle member"
-        );
-        assert!(!set.contains(&7));
-        assert_eq!(set.len(), 0);
-    }
-
-    #[test]
-    fn reinsertion_refreshes_the_generation() {
-        let mut set = AgingSet::new(Duration::from_millis(1));
-        set.insert(7u64);
-        let t1 = mono_now() + Duration::from_millis(2);
-        set.maybe_rotate(t1);
-        // Re-inserted after demotion: not fresh, but young again.
-        assert!(!set.insert(7));
-        set.maybe_rotate(t1 + Duration::from_millis(2));
-        assert!(set.contains(&7), "refresh must outlive the next rotation");
-        assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn rotation_respects_the_interval() {
-        let mut set = AgingSet::new(Duration::from_secs(3600));
-        set.insert(1u64);
-        assert_eq!(set.maybe_rotate(mono_now()), 0);
-        set.maybe_rotate(mono_now());
-        assert!(set.contains(&1), "no rotation before the interval elapses");
     }
 
     #[test]
@@ -430,27 +567,169 @@ mod tests {
     }
 
     #[test]
+    fn members_survive_one_rotation_and_die_after_two() {
+        fn run<G: Storage>() {
+            let mut set = AgingSet::<G>::new(Duration::from_millis(1));
+            set.insert(G::member(7));
+            assert!(set.contains(&G::member(7)));
+            assert_eq!(set.len(), 1);
+            let later = mono_now() + Duration::from_millis(2);
+            assert_eq!(set.maybe_rotate(later), 0, "first rotation only demotes");
+            assert!(
+                set.contains(&G::member(7)),
+                "still present in the old generation"
+            );
+            assert_eq!(
+                set.maybe_rotate(later + Duration::from_millis(2)),
+                1,
+                "second rotation drops the idle member"
+            );
+            assert!(!set.contains(&G::member(7)));
+            assert_eq!(set.len(), 0);
+        }
+        run::<HashSet<u64>>();
+        run::<IdBitmap>();
+    }
+
+    #[test]
+    fn reinsertion_refreshes_the_generation() {
+        fn run<G: Storage>() {
+            let mut set = AgingSet::<G>::new(Duration::from_millis(1));
+            set.insert(G::member(7));
+            let t1 = mono_now() + Duration::from_millis(2);
+            set.maybe_rotate(t1);
+            // Re-inserted after demotion: not fresh, but young again.
+            assert!(!set.insert(G::member(7)));
+            set.maybe_rotate(t1 + Duration::from_millis(2));
+            assert!(
+                set.contains(&G::member(7)),
+                "refresh must outlive the next rotation"
+            );
+            assert_eq!(set.len(), 1);
+        }
+        run::<HashSet<u64>>();
+        run::<IdBitmap>();
+    }
+
+    #[test]
+    fn rotation_respects_the_interval() {
+        fn run<G: Storage>() {
+            let mut set = AgingSet::<G>::new(Duration::from_secs(3600));
+            set.insert(G::member(1));
+            assert_eq!(set.maybe_rotate(mono_now()), 0);
+            set.maybe_rotate(mono_now());
+            assert!(
+                set.contains(&G::member(1)),
+                "no rotation before the interval elapses"
+            );
+        }
+        run::<HashSet<u64>>();
+        run::<IdBitmap>();
+    }
+
+    #[test]
     fn set_remove_clears_both_generations() {
-        let mut set = AgingSet::new(Duration::from_millis(1));
-        set.insert(1u64);
-        set.maybe_rotate(mono_now() + Duration::from_millis(2));
-        set.insert(1u64); // in both generations now
-        set.insert(2u64);
-        assert!(set.remove(&1));
-        assert!(!set.contains(&1));
-        assert!(!set.remove(&1), "second remove finds nothing");
-        set.clear();
-        assert_eq!(set.len(), 0);
-        assert!(!set.contains(&2));
+        fn run<G: Storage>() {
+            let mut set = AgingSet::<G>::new(Duration::from_millis(1));
+            set.insert(G::member(1));
+            set.maybe_rotate(mono_now() + Duration::from_millis(2));
+            set.insert(G::member(1)); // in both generations now
+            set.insert(G::member(2));
+            assert!(set.remove(&G::member(1)));
+            assert!(!set.contains(&G::member(1)));
+            assert!(!set.remove(&G::member(1)), "second remove finds nothing");
+            set.clear();
+            assert_eq!(set.len(), 0);
+            assert!(!set.contains(&G::member(2)));
+        }
+        run::<HashSet<u64>>();
+        run::<IdBitmap>();
     }
 
     #[test]
     fn len_does_not_double_count_members_in_both_generations() {
-        let mut set = AgingSet::new(Duration::from_millis(1));
-        set.insert(1u64);
-        set.maybe_rotate(mono_now() + Duration::from_millis(2));
-        set.insert(1u64);
-        set.insert(2u64);
-        assert_eq!(set.len(), 2);
+        fn run<G: Storage>() {
+            let mut set = AgingSet::<G>::new(Duration::from_millis(1));
+            set.insert(G::member(1));
+            set.maybe_rotate(mono_now() + Duration::from_millis(2));
+            set.insert(G::member(1));
+            set.insert(G::member(2));
+            assert_eq!(set.len(), 2);
+        }
+        run::<HashSet<u64>>();
+        run::<IdBitmap>();
+    }
+
+    #[test]
+    fn the_dedup_ledger_stays_compact() {
+        // Dense ids, as one mesh-wide counter hands them out: a bit each.
+        let ids = 1_000_000u64;
+        let mut dense = AgingSet::<IdBitmap>::new(Duration::from_secs(3600));
+        for raw in 1..=ids {
+            dense.insert(RequestId::from_raw(raw));
+        }
+        assert_eq!(dense.len(), ids as usize);
+        assert!(dense.words() as u64 <= ids / 64 + 1);
+        // The worst case, one id per word: a word each, no more.
+        let mut sparse = AgingSet::<IdBitmap>::new(Duration::from_secs(3600));
+        for raw in 0..1_000u64 {
+            sparse.insert(RequestId::from_raw(raw * 64 + 5));
+        }
+        assert_eq!(sparse.words(), 1_000);
+        // A word whose last bit goes leaves the table.
+        sparse.remove(&RequestId::from_raw(5));
+        assert_eq!(sparse.words(), 999);
+    }
+
+    /// One operation of the equivalence property: `(op, k, sparse)`, where
+    /// the id is `k` (dense) or `1 + 64 k` (one per word).
+    fn raw_id((_, k, sparse): (u8, u64, bool)) -> u64 {
+        if sparse {
+            1 + 64 * k
+        } else {
+            k
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of every set operation, on ids dense and
+        /// sparse, give the same answers from both storages, and leave the
+        /// same members behind.
+        #[test]
+        fn both_storages_agree_on_every_operation(
+            ops in prop::collection::vec((0u8..10, 0u64..160, any::<bool>()), 1..200),
+        ) {
+            let interval = Duration::from_millis(50);
+            let mut now = Duration::from_secs(1);
+            let mut hashed = AgingSet::<HashSet<u64>>::started_at(interval, now);
+            let mut bits = AgingSet::<IdBitmap>::started_at(interval, now);
+            for op in ops {
+                let raw = raw_id(op);
+                let id = RequestId::from_raw(raw);
+                match op.0 {
+                    0..=2 => prop_assert_eq!(hashed.insert(raw), bits.insert(id)),
+                    3 | 4 => prop_assert_eq!(hashed.contains(&raw), bits.contains(&id)),
+                    5 => prop_assert_eq!(hashed.remove(&raw), bits.remove(&id)),
+                    6 => prop_assert_eq!(hashed.len(), bits.len()),
+                    7 | 8 => {
+                        now += Duration::from_millis(op.1 / 2);
+                        prop_assert_eq!(hashed.maybe_rotate(now), bits.maybe_rotate(now));
+                    }
+                    _ if op.1 < 16 => {
+                        hashed.clear();
+                        bits.clear();
+                    }
+                    _ => prop_assert_eq!(hashed.len(), bits.len()),
+                }
+            }
+            prop_assert_eq!(hashed.len(), bits.len());
+            for k in 0..160 {
+                for raw in [k, 1 + 64 * k] {
+                    prop_assert_eq!(hashed.contains(&raw), bits.contains(&RequestId::from_raw(raw)));
+                }
+            }
+        }
     }
 }

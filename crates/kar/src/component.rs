@@ -61,7 +61,7 @@ use kar_types::{
 };
 
 use crate::actor::{ActorFactory, Outcome};
-use crate::aging::{AgingMap, AgingSet};
+use crate::aging::{AgingMap, AgingSet, IdBitmap};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
@@ -161,6 +161,54 @@ enum Admission {
     Forward(RequestMessage),
     /// Absorbed: a duplicate, or dropped (the queue copy drives the retry).
     Done,
+}
+
+/// A component's admission claims (retry dedupe): a request runs only if
+/// its id is neither in flight here nor completed. Claiming, completing and
+/// releasing each take this one lock, so two copies of one id admitted at
+/// once cannot both win, and a finishing request is completed and released
+/// in one step.
+struct Claims {
+    /// Requests admitted here and not yet finished, released or forwarded:
+    /// running, mailboxed, deferred on a callee or parked on the due-time
+    /// heap. Holds live work only, so a plain set.
+    inflight: HashSet<RequestId>,
+    /// Completed request ids, as bits. Aged out alongside queue retention:
+    /// a retry can only arrive from an unexpired queue record.
+    completed: AgingSet<IdBitmap>,
+}
+
+impl Claims {
+    /// Claims `id` for admission. False if it is in flight or completed: a
+    /// duplicate.
+    fn claim(&mut self, id: RequestId) -> bool {
+        !self.completed.contains(&id) && self.inflight.insert(id)
+    }
+
+    /// Gives up the claim on `id` without completing it.
+    fn release(&mut self, id: RequestId) {
+        self.inflight.remove(&id);
+    }
+
+    /// Completes `id`: every later copy is a duplicate.
+    fn complete(&mut self, id: RequestId) {
+        self.completed.insert(id);
+        self.inflight.remove(&id);
+    }
+}
+
+/// Happen-before retries waiting on their pending callee, and the response
+/// ids seen here that release them. A response is recorded and its waiters
+/// taken under the same lock admission checks and parks under, so no retry
+/// can park against a response already processed.
+struct Deferred {
+    /// Parked retries, by the callee whose response releases them.
+    parked: HashMap<RequestId, Vec<RequestMessage>>,
+    /// Response ids seen by this component, as bits. Aged out alongside
+    /// queue retention: a response old enough to leave the set has also
+    /// expired from every queue, so no deferred retry can still be waiting
+    /// on it.
+    seen_responses: AgingSet<IdBitmap>,
 }
 
 /// What one run of a handler (or of a resumed continuation) left behind:
@@ -513,15 +561,12 @@ pub struct ComponentCore {
     /// image; actors → tombstones.
     actors: Mutex<AgingMap<ActorRef, ActorSlot>>,
     pending_calls: Mutex<HashMap<RequestId, Sender<Arc<Payload>>>>,
-    deferred: Mutex<HashMap<RequestId, Vec<RequestMessage>>>,
-    /// Response ids seen by this component. Aged out alongside queue
-    /// retention: a response old enough to leave the set has also expired
-    /// from every queue, so no deferred retry can still be waiting on it.
-    seen_responses: Mutex<AgingSet<RequestId>>,
-    inflight: Mutex<HashSet<RequestId>>,
-    /// Completed request ids (retry dedupe). Aged out alongside queue
-    /// retention: a retry can only arrive from an unexpired queue record.
-    completed: Mutex<AgingSet<RequestId>>,
+    /// Happen-before retries parked on their callee, and the response ids
+    /// that release them, under one lock.
+    deferred: Mutex<Deferred>,
+    /// Admission claims: in-flight ids checked against completed ones,
+    /// under one lock.
+    claims: Mutex<Claims>,
     /// The mesh-wide retry token bucket (shared by every component): each
     /// *scheduled* retry admission spends one token; an empty bucket sheds
     /// the retry back onto its backoff timer (never dropped).
@@ -534,7 +579,7 @@ pub struct ComponentCore {
     /// so the set itself cannot leak. Each is the actor's [`tombstone`]
     /// hash: it only feeds a counter, and a churned actor's tombstone then
     /// costs 8 bytes and no allocation of its own.
-    passivated: Mutex<AgingSet<u64>>,
+    passivated: Mutex<AgingSet<HashSet<u64>>>,
     /// Number of resident (activated, non-deferred) actor slots: what the
     /// resident watermarks compare against. Mutated under the actors lock.
     resident_count: AtomicUsize,
@@ -641,10 +686,14 @@ impl ComponentCore {
             retired: Mutex::new(Vec::new()),
             actors: Mutex::new(AgingMap::new(idle_interval)),
             pending_calls: Mutex::new(HashMap::new()),
-            deferred: Mutex::new(HashMap::new()),
-            seen_responses: Mutex::new(AgingSet::new(bookkeeping_interval)),
-            inflight: Mutex::new(HashSet::new()),
-            completed: Mutex::new(AgingSet::new(bookkeeping_interval)),
+            deferred: Mutex::new(Deferred {
+                parked: HashMap::new(),
+                seen_responses: AgingSet::new(bookkeeping_interval),
+            }),
+            claims: Mutex::new(Claims {
+                inflight: HashSet::new(),
+                completed: AgingSet::new(bookkeeping_interval),
+            }),
             budget,
             breakers,
             passivated: Mutex::new(AgingSet::new(bookkeeping_interval)),
@@ -750,8 +799,8 @@ impl ComponentCore {
         self.continuations.clear();
         // Dropping the senders wakes every client thread blocked on a call.
         self.pending_calls.lock().clear();
-        self.deferred.lock().clear();
-        self.inflight.lock().clear();
+        self.deferred.lock().parked.clear();
+        self.claims.lock().inflight.clear();
         // Buffered (not yet appended) completions die with the process; the
         // affected requests' queue copies drive the retry.
         self.responses.clear();
@@ -891,7 +940,7 @@ impl ComponentCore {
         }
         match self.deferred.try_lock() {
             Some(deferred) => {
-                for (callee, requests) in deferred.iter() {
+                for (callee, requests) in deferred.parked.iter() {
                     let ids: Vec<u64> = requests.iter().map(|r| r.id.as_u64()).collect();
                     let _ = writeln!(out, "  deferred on callee {}: {ids:?}", callee.as_u64());
                 }
@@ -900,9 +949,9 @@ impl ComponentCore {
                 let _ = writeln!(out, "  deferred: <LOCK HELD>");
             }
         }
-        match self.inflight.try_lock() {
-            Some(inflight) => {
-                let mut ids: Vec<u64> = inflight.iter().map(|id| id.as_u64()).collect();
+        match self.claims.try_lock() {
+            Some(claims) => {
+                let mut ids: Vec<u64> = claims.inflight.iter().map(|id| id.as_u64()).collect();
                 ids.sort_unstable();
                 let _ = writeln!(out, "  inflight: {ids:?}");
             }
@@ -975,7 +1024,7 @@ impl ComponentCore {
     /// partition's consumed offset past it only once admission has claimed
     /// it, so until then it still counts as queued.
     pub(crate) fn locally_pending(&self, id: RequestId) -> bool {
-        if self.inflight.lock().contains(&id) {
+        if self.claims.lock().inflight.contains(&id) {
             return true;
         }
         // A tail call to the same actor gives up its claim when it
@@ -1435,14 +1484,14 @@ impl ComponentCore {
 
     fn handle_response(self: &Arc<Self>, response: ResponseMessage) {
         // Record the response and take its deferred retries under one
-        // deferred-map lock: admission's check-and-defer takes the same lock,
+        // `deferred` lock: admission's check-and-defer takes the same lock,
         // so a retry can never park itself against a response that has
         // already been processed (lost wakeup). A deferred retry holds its
         // admission claim, so it stays locally pending until it runs.
         let deferred = {
-            let mut deferred_map = self.deferred.lock();
-            self.seen_responses.lock().insert(response.id);
-            deferred_map.remove(&response.id)
+            let mut deferred = self.deferred.lock();
+            deferred.seen_responses.insert(response.id);
+            deferred.parked.remove(&response.id)
         };
         let mut consumed = deferred.is_some();
         // A continuation parked on this response resumes inline, on the
@@ -1536,11 +1585,8 @@ impl ComponentCore {
         if !self.is_alive() {
             return Admission::Done;
         }
-        {
-            let mut inflight = self.inflight.lock();
-            if self.completed.lock().contains(&request.id) || !inflight.insert(request.id) {
-                return Admission::Done;
-            }
+        if !self.claims.lock().claim(request.id) {
+            return Admission::Done;
         }
         self.admit_held(request)
     }
@@ -1552,7 +1598,7 @@ impl ComponentCore {
         let id = request.id;
         let admission = self.admit_claimed(request);
         if matches!(admission, Admission::Forward(_) | Admission::Done) {
-            self.inflight.lock().remove(&id);
+            self.claims.lock().release(id);
         }
         admission
     }
@@ -1631,10 +1677,10 @@ impl ComponentCore {
         // deferral on a mere partition adopter would never be woken.
         if let Some(callee) = request.pending_callee {
             {
-                let mut deferred_map = self.deferred.lock();
-                if !self.seen_responses.lock().contains(&callee) {
+                let mut deferred = self.deferred.lock();
+                if !deferred.seen_responses.contains(&callee) {
                     self.stats.deferred.fetch_add(1, Ordering::Relaxed);
-                    deferred_map.entry(callee).or_default().push(request);
+                    deferred.parked.entry(callee).or_default().push(request);
                     return Admission::Parked;
                 }
             }
@@ -2324,7 +2370,7 @@ impl ComponentCore {
                     // The successor is a second record of this id.
                     single_copy: false,
                 };
-                self.inflight.lock().remove(&request.id);
+                self.claims.lock().release(request.id);
                 if same_actor && frame.holds_lock {
                     // Retain the actor lock across the tail call: the
                     // continuation bypasses the mailbox when its queue
@@ -2495,8 +2541,7 @@ impl ComponentCore {
     }
 
     fn finish(&self, request: &RequestMessage) {
-        self.completed.lock().insert(request.id);
-        self.inflight.lock().remove(&request.id);
+        self.claims.lock().complete(request.id);
         if !Self::awaits_response(request) {
             // A finished tell (or tell-rooted tail-call chain) leaves no
             // completion record to wait for. Its outbox round has been
@@ -2558,7 +2603,7 @@ impl ComponentCore {
         // dedupes against in-flight ids, so the opposite order would swallow
         // the copy. A crash inside this window is safe — the original queue
         // copy still drives recovery, schedule state included.
-        self.inflight.lock().remove(&request.id);
+        self.claims.lock().release(request.id);
         // The copy supersedes the record this attempt was polled from, which
         // settles once the copy is durable (taken first: the copy may be
         // routed before its ack is in).
@@ -3087,8 +3132,8 @@ impl ComponentCore {
     /// elapsed (piggybacked on the mesh timer's heartbeat tick).
     fn age_retry_bookkeeping(&self) {
         let now = mono_now();
-        self.completed.lock().maybe_rotate(now);
-        self.seen_responses.lock().maybe_rotate(now);
+        self.claims.lock().completed.maybe_rotate(now);
+        self.deferred.lock().seen_responses.maybe_rotate(now);
         // Passivation tombstones rotate on the same doubled clock as the
         // dedup sets: a tombstone that was never consumed by a rehydration
         // ages out instead of leaking.
@@ -3096,12 +3141,14 @@ impl ComponentCore {
     }
 
     /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
-    /// ids). Both are aged out alongside queue retention; tests assert they
-    /// shrink once the retention window passes.
+    /// ids), each a request-id bitmap on the doubled retention clock, under
+    /// the claims and the deferred lock respectively. Both empty once two
+    /// bookkeeping intervals pass with no traffic
+    /// (`retry_orchestration::retry_bookkeeping_empties_after_two_intervals`).
     pub fn retry_bookkeeping_len(&self) -> (usize, usize) {
         (
-            self.completed.lock().len(),
-            self.seen_responses.lock().len(),
+            self.claims.lock().completed.len(),
+            self.deferred.lock().seen_responses.len(),
         )
     }
 
@@ -3565,7 +3612,7 @@ mod tests {
             payload: Arc::new(Envelope::Request(request.clone())),
         };
         core.settle.routed(0, &[polled]);
-        core.inflight.lock().insert(request.id);
+        assert!(core.claims.lock().claim(request.id));
         let frame = Frame {
             request,
             holds_lock: false,

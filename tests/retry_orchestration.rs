@@ -436,3 +436,66 @@ fn tail_call_to_self_keeps_other_requests_out_of_the_critical_section() {
     assert!(started.elapsed() >= Duration::from_millis(20 * 10));
     mesh.shutdown();
 }
+
+#[test]
+fn retry_bookkeeping_empties_after_two_intervals() {
+    // Guarantee (2) needs a completed id only while a queue copy of it can
+    // still arrive: the dedup sets rotate on the doubled retention clock and
+    // hold nothing two intervals after the last call. A compressed retention
+    // of 500 ms makes the bookkeeping interval one second.
+    let config = MeshConfig {
+        retention: Duration::from_secs(100),
+        ..MeshConfig::for_tests()
+    };
+    let interval = config.time_scale.compress(config.retention * 2);
+    let journal = Journal::default();
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let server = mesh.add_component(node, "server", move |c| {
+        c.host("A", move || {
+            Box::new(CallerA {
+                journal: journal.clone(),
+            })
+        })
+    });
+    let client = mesh.client();
+    let actor = ActorRef::new("A", "a");
+    const CALLS: usize = 20;
+    for i in 0..CALLS {
+        client
+            .call(&actor, "callback", vec![Value::Int(i as i64)])
+            .unwrap();
+    }
+    // Well inside one interval: nothing can have been dropped yet.
+    assert_eq!(
+        mesh.retry_bookkeeping_len(server),
+        Some((CALLS, 0)),
+        "the server remembers every completed call"
+    );
+    assert_eq!(
+        mesh.retry_bookkeeping_len(client.component_id()),
+        Some((0, CALLS)),
+        "the client remembers every response it saw"
+    );
+    std::thread::sleep(interval * 2);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for component in [server, client.component_id()] {
+        while mesh.retry_bookkeeping_len(component) != Some((0, 0)) {
+            assert!(
+                Instant::now() < deadline,
+                "bookkeeping of {component:?} never emptied: {:?}",
+                mesh.retry_bookkeeping_len(component)
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    // Emptied bookkeeping forgets nothing a live call needs.
+    assert_eq!(
+        client
+            .call(&actor, "callback", vec![Value::Int(7)])
+            .unwrap(),
+        Value::Int(7)
+    );
+    assert_eq!(mesh.retry_bookkeeping_len(server), Some((1, 0)));
+    mesh.shutdown();
+}
