@@ -358,8 +358,17 @@ impl Actor for Doomed {
     }
 }
 
+/// Ends a run: the oracle's verdict on the history, plus the placement
+/// invariant on the mesh as the run left it — every resident actor's record
+/// names its host, so no second component can place it.
 fn outcome(scenario: &'static str, seed: u64, kill_step: u64, driver: Driver) -> SimOutcome {
-    let (steps, events, violations) = driver.finish();
+    let misplaced = driver.mesh.misplaced_residents();
+    let (steps, events, mut violations) = driver.finish();
+    violations.extend(misplaced.into_iter().map(|detail| HistoryViolation {
+        rule: "misplaced_resident",
+        detail,
+        at: usize::MAX,
+    }));
     SimOutcome {
         scenario,
         seed,

@@ -7,7 +7,7 @@ use std::time::Duration;
 use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
 use crate::pipeline::Pipeline;
-use crate::store::{holds, materialize_hash, StoreInner, Stored};
+use crate::store::{delete_if_holds, holds, materialize_hash, StoreInner, Stored};
 
 /// A client session bound to a component and a fencing [`Epoch`].
 ///
@@ -188,6 +188,32 @@ impl Connection {
             gate,
             outcome.map_err(|actual| actual.map(Stored::into_value)),
         )
+    }
+
+    /// Atomically deletes `key` if its current value equals `expected`.
+    /// Returns `Ok(true)` if the delete happened; an absent key or another
+    /// value is left alone (`Ok(false)`). Counted as a CAS. This is how a
+    /// component releases a placement it holds without touching one a
+    /// racing component has written since.
+    ///
+    /// # Errors
+    ///
+    /// Fails with `KarError::Fenced` if the component has been forcefully
+    /// disconnected. An injected ack loss applies the delete and reports
+    /// failure anyway.
+    pub fn compare_and_delete(&self, key: &str, expected: &Value) -> KarResult<bool> {
+        let trip = self.inner.begin_round_trip();
+        let gate = self.fault_gate(key)?;
+        let deleted = {
+            let _fence = self.inner.fence_guard(self.component, self.epoch)?;
+            let mut data = self.inner.lock_shard_of(key);
+            self.inner
+                .stats
+                .cas
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            delete_if_holds(&mut data, key, expected)
+        };
+        self.finish(trip, gate, deleted)
     }
 
     /// Deletes a string key, returning the previous value.
@@ -456,6 +482,100 @@ mod tests {
     }
 
     #[test]
+    fn compare_and_delete_deletes_only_an_exact_match() {
+        let (store, conn) = store_and_conn();
+        // Absent: nothing to delete, and nothing is created.
+        assert!(!conn.compare_and_delete("k", &Value::from(7)).unwrap());
+        assert_eq!(store.admin_get("k"), None);
+        // Another value, or the same number as another kind, stays.
+        conn.set("k", Value::from(7)).unwrap();
+        assert!(!conn.compare_and_delete("k", &Value::from(8)).unwrap());
+        assert!(!conn.compare_and_delete("k", &Value::from("7")).unwrap());
+        assert_eq!(store.admin_get("k"), Some(Value::from(7)));
+        // A hash of the same name is not a string key.
+        conn.hset("h", "f", Value::from(7)).unwrap();
+        assert!(!conn.compare_and_delete("h", &Value::from(7)).unwrap());
+        assert_eq!(conn.hget("h", "f").unwrap(), Some(Value::from(7)));
+        // The exact value goes, once.
+        assert!(conn.compare_and_delete("k", &Value::from(7)).unwrap());
+        assert_eq!(store.admin_get("k"), None);
+        assert!(!conn.compare_and_delete("k", &Value::from(7)).unwrap());
+    }
+
+    #[test]
+    fn a_fenced_compare_and_delete_is_refused_and_deletes_nothing() {
+        let store = Store::new();
+        let c = ComponentId::from_raw(3);
+        let conn = store.connect(c);
+        conn.set("k", Value::from(3)).unwrap();
+        store.fence(c);
+        assert!(conn
+            .compare_and_delete("k", &Value::from(3))
+            .unwrap_err()
+            .is_fenced());
+        let mut pipe = conn.pipeline();
+        pipe.compare_and_delete("k", Value::from(3));
+        assert!(pipe.flush().unwrap_err().is_fenced());
+        assert_eq!(store.admin_get("k"), Some(Value::from(3)));
+    }
+
+    #[test]
+    fn an_injected_ack_loss_applies_the_compare_and_delete_and_reports_failure() {
+        use crate::store::StoreConfig;
+        use kar_types::{FaultInjector, FaultPlan, FaultSpec};
+        let plan = FaultPlan::new(9)
+            .with_site(
+                FaultSite::StoreCommand,
+                FaultSpec::ack_lost(1.0).with_budget(1),
+            )
+            .with_site(
+                FaultSite::StoreFlush,
+                FaultSpec::ack_lost(1.0).with_budget(1),
+            );
+        let store = Store::with_config(StoreConfig {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..StoreConfig::default()
+        });
+        store.admin_set("a", Value::from(1));
+        store.admin_set("b", Value::from(1));
+        let conn = store.connect(ComponentId::from_raw(1));
+        let err = conn.compare_and_delete("a", &Value::from(1)).unwrap_err();
+        assert!(err.is_transient(), "an ack loss classifies transient");
+        assert_eq!(store.admin_get("a"), None, "the delete applied");
+        let mut pipe = conn.pipeline();
+        pipe.compare_and_delete("b", Value::from(1));
+        assert!(pipe.flush().unwrap_err().is_transient());
+        assert_eq!(store.admin_get("b"), None, "the pipelined delete applied");
+        // Both budgets spent: a replay finds the key gone and says so.
+        assert!(!conn.compare_and_delete("a", &Value::from(1)).unwrap());
+    }
+
+    #[test]
+    fn compare_and_delete_counts_as_a_cas_direct_and_pipelined() {
+        let (store, conn) = store_and_conn();
+        conn.set("a", Value::from(1)).unwrap();
+        conn.compare_and_delete("a", &Value::from(2)).unwrap();
+        conn.compare_and_delete("a", &Value::from(1)).unwrap();
+        let mut pipe = conn.pipeline();
+        pipe.compare_and_delete("a", Value::from(1))
+            .set("b", Value::from(1))
+            .compare_and_delete("b", Value::from(1));
+        assert_eq!(
+            pipe.flush().unwrap(),
+            vec![
+                PipelineResult::Flag(false),
+                PipelineResult::Value(None),
+                PipelineResult::Flag(true),
+            ]
+        );
+        let stats = store.stats();
+        assert_eq!(stats.cas, 4);
+        assert_eq!(stats.writes, 2);
+        // Three single commands and one flush.
+        assert_eq!(stats.round_trips, 4);
+    }
+
+    #[test]
     fn concurrent_cas_single_winner() {
         let store = Store::new();
         let mut handles = Vec::new();
@@ -522,6 +642,7 @@ mod tests {
         assert!(conn.set("k", Value::Null).is_err());
         assert!(conn.set_nx("k", Value::Null).is_err());
         assert!(conn.compare_and_swap("k", None, Value::Null).is_err());
+        assert!(conn.compare_and_delete("k", &Value::Null).is_err());
         assert!(conn.del("k").is_err());
         assert!(conn.exists("k").is_err());
         assert!(conn.hget("k", "f").is_err());

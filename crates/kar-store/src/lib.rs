@@ -16,8 +16,9 @@
 //!   [`Epoch`](kar_types::Epoch); bumping the component's epoch via
 //!   [`Store::fence`] causes every outstanding connection of that component to
 //!   fail with `KarError::Fenced` on its next operation,
-//! * string keys, hashes (`hset`/`hget`/`hgetall`/`hdel`), `set_nx` and
-//!   [`Connection::compare_and_swap`] for placement,
+//! * string keys, hashes (`hset`/`hget`/`hgetall`/`hdel`), `set_nx`,
+//!   [`Connection::compare_and_swap`] for placement and
+//!   [`Connection::compare_and_delete`] to release one,
 //! * a configurable per-operation latency to emulate the deployments of
 //!   Table 2 of the paper,
 //! * a [`Pipeline`] command API ([`Connection::pipeline`],

@@ -28,7 +28,9 @@ use std::sync::Arc;
 
 use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
-use crate::store::{holds, materialize_hash, Fields, ShardData, StoreInner, Stored};
+use crate::store::{
+    delete_if_holds, holds, materialize_hash, Fields, ShardData, StoreInner, Stored,
+};
 
 /// One buffered command.
 #[derive(Debug)]
@@ -40,6 +42,10 @@ enum Op {
         key: String,
         expected: Option<Value>,
         new: Stored,
+    },
+    CasDel {
+        key: String,
+        expected: Value,
     },
     Del(String),
     HGet(String, String),
@@ -57,6 +63,7 @@ impl Op {
             | Op::Set(key, _)
             | Op::SetNx(key, _)
             | Op::Cas { key, .. }
+            | Op::CasDel { key, .. }
             | Op::Del(key)
             | Op::HGet(key, _)
             | Op::HSet(key, _, _)
@@ -86,7 +93,7 @@ pub enum PipelineResult {
     Unit,
     /// The (previous) value of a get/set/del/hget/hset/hdel.
     Value(Option<Value>),
-    /// The boolean outcome of a `set_nx` or `hclear`.
+    /// The boolean outcome of a `set_nx`, `compare_and_delete` or `hclear`.
     Flag(bool),
     /// The outcome of a `compare_and_swap`.
     Cas(Result<(), Option<Value>>),
@@ -203,6 +210,18 @@ impl Pipeline {
             key: key.to_owned(),
             expected,
             new: Stored::from(new),
+        });
+        self
+    }
+
+    /// Buffers a compare-and-delete: `key` goes only while it holds
+    /// exactly `expected` ([`Connection::compare_and_delete`]).
+    ///
+    /// [`Connection::compare_and_delete`]: crate::Connection::compare_and_delete
+    pub fn compare_and_delete(&mut self, key: &str, expected: Value) -> &mut Self {
+        self.ops.push(Op::CasDel {
+            key: key.to_owned(),
+            expected,
         });
         self
     }
@@ -442,6 +461,10 @@ fn apply(inner: &StoreInner, data: &mut ShardData, op: Op) -> RawResult {
             } else {
                 RawResult::Cas(Err(current.cloned()))
             }
+        }
+        Op::CasDel { key, expected } => {
+            stats.cas.fetch_add(1, Ordering::Relaxed);
+            RawResult::Flag(delete_if_holds(data, &key, &expected))
         }
         Op::Del(key) => {
             stats.writes.fetch_add(1, Ordering::Relaxed);

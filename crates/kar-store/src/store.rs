@@ -164,6 +164,19 @@ pub(crate) fn holds(current: Option<&Stored>, expected: Option<&Value>) -> bool 
     }
 }
 
+/// A compare-and-delete's data step, under the shard lock: removes `key`
+/// only while it holds exactly `expected`. True if it did.
+pub(crate) fn delete_if_holds(data: &mut ShardData, key: &str, expected: &Value) -> bool {
+    let held = data
+        .strings
+        .get(key)
+        .is_some_and(|current| current.matches(expected));
+    if held {
+        data.strings.remove(key);
+    }
+    held
+}
+
 /// The fields of one hash, sorted by field name. Most hashes are an actor's
 /// state with a single field, where a `BTreeMap` would allocate a whole
 /// 11-slot leaf (~380 B) per actor: that field is stored inline, so the
@@ -510,14 +523,7 @@ impl Store {
     /// deleting a stale claim unconditionally would also delete a *fresh*
     /// claim planted by a racing reclaimer between the read and the delete.
     pub fn admin_del_if_eq(&self, key: &str, expected: &Value) -> bool {
-        let mut shard = self.inner.lock_shard_of(key);
-        match shard.strings.get(key) {
-            Some(current) if current.matches(expected) => {
-                shard.strings.remove(key);
-                true
-            }
-            _ => false,
-        }
+        delete_if_holds(&mut self.inner.lock_shard_of(key), key, expected)
     }
 
     /// Administrative write of a string key only if it is absent, bypassing

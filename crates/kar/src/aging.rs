@@ -19,7 +19,9 @@
 //! per word) about twice a hash set. Completed ids sit under the
 //! component's claims lock beside its in-flight ids, seen response ids under
 //! its deferred lock beside the retries they release. Passivation
-//! tombstones are hashes, not dense ids, and live in a `HashSet<u64>`.
+//! tombstones are hashes, not dense ids, and live in [`Tombs`]: a
+//! `HashSet<u64>` plus the buried actors' names packed into one buffer, so
+//! a tombstone that ages out names the placement its owner releases.
 //!
 //! [`AgingMap`] applies the same clock to key→value tables whose entries
 //! must not be dropped blindly. A component's resident actors live in one:
@@ -34,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Duration;
 
-use kar_types::{mono_now, RequestId};
+use kar_types::{mono_now, ActorRef, RequestId};
 
 /// How one generation of an [`AgingSet`] stores its members.
 pub(crate) trait Generation: Default {
@@ -247,14 +249,156 @@ impl<G: Generation> AgingSet<G> {
     /// reused as the young one, so a steady stream of members does not
     /// allocate a fresh table every interval.
     pub(crate) fn maybe_rotate(&mut self, now: Duration) -> usize {
-        if now.saturating_sub(self.last_rotation) < self.interval {
+        if !self.rotation_due(now) {
             return 0;
         }
-        self.last_rotation = now;
         let dropped = self.previous.count_outside(&self.current);
         std::mem::swap(&mut self.current, &mut self.previous);
         self.current.clear();
         dropped
+    }
+
+    /// True, and the clock restarted at `now`, if a rotation is due.
+    fn rotation_due(&mut self, now: Duration) -> bool {
+        if now.saturating_sub(self.last_rotation) < self.interval {
+            return false;
+        }
+        self.last_rotation = now;
+        true
+    }
+}
+
+impl AgingSet<Tombs> {
+    /// Buries `actor`'s tombstone, its name included, in the young
+    /// generation.
+    pub(crate) fn bury(&mut self, actor: &ActorRef) {
+        let hash = tombstone(actor);
+        let young = &mut self.current;
+        young.names.push(actor.actor_type(), actor.actor_id());
+        young.burials.push(hash);
+        young.hashes.insert(hash);
+    }
+
+    /// [`AgingSet::maybe_rotate`], naming in `out` the actors whose
+    /// tombstones it drops: each once, and none whose tombstone a
+    /// rehydration consumed or a later passivation renewed.
+    pub(crate) fn maybe_rotate_into(&mut self, now: Duration, out: &mut Names) {
+        if !self.rotation_due(now) {
+            return;
+        }
+        // The young generation becomes the old one; the old one drains.
+        std::mem::swap(&mut self.current, &mut self.previous);
+        let young = &self.previous.hashes;
+        let old = &mut self.current;
+        for (index, hash) in old.burials.iter().enumerate() {
+            if old.hashes.remove(hash) && !young.contains(hash) {
+                let (actor_type, actor_id) = old.names.get(index);
+                out.push(actor_type, actor_id);
+            }
+        }
+        old.clear();
+    }
+}
+
+/// Actor names packed back to back into one buffer: a list that costs no
+/// allocation per name, and keeps its buffers when emptied.
+#[derive(Debug, Default)]
+pub(crate) struct Names {
+    text: String,
+    /// Where each name's type and its id end in `text`.
+    ends: Vec<(usize, usize)>,
+}
+
+impl Names {
+    /// Appends the name `actor_type`/`actor_id`.
+    pub(crate) fn push(&mut self, actor_type: &str, actor_id: &str) {
+        self.text.push_str(actor_type);
+        let type_end = self.text.len();
+        self.text.push_str(actor_id);
+        self.ends.push((type_end, self.text.len()));
+    }
+
+    /// The type and the id of the `index`-th name.
+    fn get(&self, index: usize) -> (&str, &str) {
+        let start = index.checked_sub(1).map_or(0, |before| self.ends[before].1);
+        let (type_end, end) = self.ends[index];
+        (&self.text[start..type_end], &self.text[type_end..end])
+    }
+
+    /// Takes the last name off the list.
+    pub(crate) fn pop(&mut self) -> Option<ActorRef> {
+        let last = self.ends.len().checked_sub(1)?;
+        let (actor_type, actor_id) = self.get(last);
+        let actor = ActorRef::new(actor_type, actor_id);
+        self.ends.pop();
+        let start = self.ends.last().map_or(0, |&(_, end)| end);
+        self.text.truncate(start);
+        Some(actor)
+    }
+
+    /// Number of names.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Empties the list, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+}
+
+/// The tombstone of `actor`: a 64-bit hash of its reference, stable across
+/// runs. Two actors sharing one would count a rehydration wrongly, or keep
+/// one placement a generation longer; that is all a collision can do.
+pub(crate) fn tombstone(actor: &ActorRef) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    actor.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// A generation of passivation tombstones: each one the [`tombstone`] hash
+/// a rehydration looks up and consumes, plus its actor's name, packed with
+/// the generation's other names. An aged-out tombstone can so name the
+/// placement to release while a tombstone costs no allocation of its own:
+/// the buffers are emptied, not freed, with the generation.
+#[derive(Debug, Default)]
+pub(crate) struct Tombs {
+    hashes: HashSet<u64>,
+    /// Every name buried in this generation, in burial order.
+    names: Names,
+    /// The hash of each burial, in the same order.
+    burials: Vec<u64>,
+}
+
+impl Generation for Tombs {
+    type Member = u64;
+
+    /// A nameless tombstone: it counts a rehydration, and releases nothing.
+    fn insert(&mut self, hash: u64) -> bool {
+        self.hashes.insert(hash)
+    }
+
+    fn contains(&self, hash: &u64) -> bool {
+        self.hashes.contains(hash)
+    }
+
+    fn remove(&mut self, hash: &u64) -> bool {
+        self.hashes.remove(hash)
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn clear(&mut self) {
+        self.hashes.clear();
+        self.names.clear();
+        self.burials.clear();
+    }
+
+    fn count_outside(&self, other: &Self) -> usize {
+        self.hashes.difference(&other.hashes).count()
     }
 }
 
@@ -455,6 +599,12 @@ mod tests {
         }
     }
 
+    impl Storage for Tombs {
+        fn member(raw: u64) -> u64 {
+            raw
+        }
+    }
+
     impl Storage for IdBitmap {
         fn member(raw: u64) -> RequestId {
             RequestId::from_raw(raw)
@@ -589,6 +739,7 @@ mod tests {
         }
         run::<HashSet<u64>>();
         run::<IdBitmap>();
+        run::<Tombs>();
     }
 
     #[test]
@@ -609,6 +760,7 @@ mod tests {
         }
         run::<HashSet<u64>>();
         run::<IdBitmap>();
+        run::<Tombs>();
     }
 
     #[test]
@@ -625,6 +777,7 @@ mod tests {
         }
         run::<HashSet<u64>>();
         run::<IdBitmap>();
+        run::<Tombs>();
     }
 
     #[test]
@@ -644,6 +797,7 @@ mod tests {
         }
         run::<HashSet<u64>>();
         run::<IdBitmap>();
+        run::<Tombs>();
     }
 
     #[test]
@@ -658,6 +812,36 @@ mod tests {
         }
         run::<HashSet<u64>>();
         run::<IdBitmap>();
+        run::<Tombs>();
+    }
+
+    #[test]
+    fn aged_out_tombstones_name_their_actors_once() {
+        let actor = |id: &str| ActorRef::new("Ledger/v2", id);
+        let mut set = AgingSet::<Tombs>::new(Duration::from_millis(1));
+        let mut dropped = Names::default();
+        for id in ["old", "twice", "consumed", "renewed", "a/b"] {
+            set.bury(&actor(id));
+        }
+        set.bury(&actor("twice"));
+        assert_eq!(set.len(), 5);
+        assert!(set.remove(&tombstone(&actor("consumed"))));
+        let t1 = mono_now() + Duration::from_millis(2);
+        set.maybe_rotate_into(t1, &mut dropped);
+        assert_eq!(dropped.len(), 0, "the first rotation only demotes");
+        set.bury(&actor("renewed"));
+        set.bury(&actor("young"));
+        set.maybe_rotate_into(t1, &mut dropped);
+        assert_eq!(dropped.len(), 0, "no rotation before the interval");
+        set.maybe_rotate_into(t1 + Duration::from_millis(2), &mut dropped);
+        // Names split where they were buried, slashes and all; the list
+        // pops its last name first.
+        let names: Vec<ActorRef> = std::iter::from_fn(|| dropped.pop()).collect();
+        assert_eq!(names, vec![actor("a/b"), actor("twice"), actor("old")]);
+        assert_eq!(dropped.len(), 0);
+        assert!(set.contains(&tombstone(&actor("renewed"))));
+        assert!(set.contains(&tombstone(&actor("young"))));
+        assert_eq!(set.len(), 2);
     }
 
     #[test]

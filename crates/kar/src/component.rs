@@ -51,7 +51,7 @@ use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use kar_queue::{Broker, Consumer, PartitionSet, Producer, Record};
-use kar_store::{Connection, Store};
+use kar_store::{Connection, PipelineResult, Store};
 use kar_types::ids::RequestIdGenerator;
 use kar_types::RequestId;
 use kar_types::{
@@ -61,14 +61,14 @@ use kar_types::{
 };
 
 use crate::actor::{ActorFactory, Outcome};
-use crate::aging::{AgingMap, AgingSet, IdBitmap};
+use crate::aging::{tombstone, AgingMap, AgingSet, IdBitmap, Names, Tombs};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
 use crate::delivery::{partitions_of, Flusher, RequestRound, ResponseBatcher, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
-use crate::placement::{LiveSet, PlacementService};
+use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
 use crate::state_cache::{PendingFlush, Savepoint, StateImage};
@@ -109,9 +109,12 @@ pub struct ComponentStats {
     /// Passivated actors re-activated through the ordinary admission path.
     pub rehydrations: AtomicU64,
     /// New-actor activations deferred at the hard watermark, with nothing
-    /// to evict (parked on the due-time heap with shaped backoff, never
-    /// dropped).
+    /// to evict, or during their placement's release (parked on the
+    /// due-time heap with shaped backoff, never dropped).
     pub admission_deferrals: AtomicU64,
+    /// Placement records of passivated actors released once their
+    /// tombstones aged out.
+    pub placements_released: AtomicU64,
 }
 
 /// A resident actor's whole in-memory footprint (§4.1): its instance, the
@@ -263,24 +266,64 @@ impl Frame {
 /// compressed by `MeshConfig::time_scale`).
 const ACTIVATION_BACKOFF: Duration = Duration::from_millis(25);
 
-/// The tombstone a passivated actor leaves: a 64-bit hash of its reference,
-/// stable across runs. Two actors sharing one would count a rehydration
-/// wrongly; that is all a collision can do.
-fn tombstone(actor: &ActorRef) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    actor.hash(&mut hasher);
-    hasher.finish()
+/// The tombstones of a component's passivated actors, and the placement
+/// releases they lead to (see [`ComponentCore::release_placements`]).
+struct Tombstones {
+    /// One per passivated actor, naming it: consumed — and counted as a
+    /// rehydration — by the actor's next activation, otherwise aged out on
+    /// the bookkeeping clock.
+    aging: AgingSet<Tombs>,
+    /// The actors of aged-out tombstones, their placements waiting for a
+    /// release round.
+    aged_out: Names,
+    /// The actors of the release round in flight: an activation of one
+    /// defers until the round settles.
+    releasing: HashSet<ActorRef>,
+    /// The actors of the round that settled last: an activation of one
+    /// that resolved its placement before the round settled defers too.
+    settled: HashSet<ActorRef>,
+    /// The acknowledgement of the release round in flight.
+    round: Option<Completion<Vec<PipelineResult>>>,
+}
+
+impl Tombstones {
+    fn new(interval: Duration) -> Self {
+        Tombstones {
+            aging: AgingSet::new(interval),
+            aged_out: Names::default(),
+            releasing: HashSet::new(),
+            settled: HashSet::new(),
+            round: None,
+        }
+    }
+
+    /// Forgets everything, the release round in flight included (owner
+    /// killed: its records are recovery's now).
+    fn clear(&mut self) {
+        self.aging.clear();
+        self.aged_out.clear();
+        self.releasing.clear();
+        self.settled.clear();
+        self.round = None;
+    }
 }
 
 /// How long a round that met an unresolved placement — the recorded one
 /// points at a failed component and reconciliation has not rewritten it yet —
-/// stays parked before its next attempt.
+/// stays parked before its next attempt; and how long an activation waits
+/// for its placement's release to settle.
 const PLACEMENT_RETRY: Duration = Duration::from_millis(5);
 
 /// Shards of a component's placement cache: concurrent lanes resolving
 /// placements contend only when they race on the same shard.
 const PLACEMENT_CACHE_SHARDS: usize = 4;
+
+/// Placements one release round releases at most, unless its backlog is
+/// four times larger: then a quarter of it, so the backlog drains whatever
+/// the passivation rate. A rotation ages a whole generation of tombstones
+/// out at once, and spreading it over heartbeats keeps each round's
+/// buffers small.
+const RELEASE_ROUND: usize = 1024;
 
 /// The requests of one produce round on their way to their partitions: those
 /// routed so far, and those whose target is still to be placed.
@@ -574,12 +617,13 @@ pub struct ComponentCore {
     /// The mesh-wide per-actor-type circuit breakers (shared by every
     /// component): consulted before each invocation executes, fed after.
     breakers: Arc<BreakerRegistry>,
-    /// Passivation tombstones: consumed — and counted as a rehydration — by
-    /// the actor's next admission, and rotated out on the bookkeeping clock
-    /// so the set itself cannot leak. Each is the actor's [`tombstone`]
-    /// hash: it only feeds a counter, and a churned actor's tombstone then
-    /// costs 8 bytes and no allocation of its own.
-    passivated: Mutex<AgingSet<HashSet<u64>>>,
+    /// Passivation tombstones, on the bookkeeping clock, and the placement
+    /// releases of those that age out.
+    passivated: Mutex<Tombstones>,
+    /// Release rounds settled so far. An admission reads it with its slot
+    /// lookup, before it resolves the placement; a round bumps it as it
+    /// settles. Both happen under the actors lock.
+    release_rounds: AtomicU64,
     /// Number of resident (activated, non-deferred) actor slots: what the
     /// resident watermarks compare against. Mutated under the actors lock.
     resident_count: AtomicUsize,
@@ -696,7 +740,8 @@ impl ComponentCore {
             }),
             budget,
             breakers,
-            passivated: Mutex::new(AgingSet::new(bookkeeping_interval)),
+            passivated: Mutex::new(Tombstones::new(bookkeeping_interval)),
+            release_rounds: AtomicU64::new(0),
             resident_count: AtomicUsize::new(0),
             mailboxed: AtomicUsize::new(0),
             poll_faults: AtomicU64::new(0),
@@ -782,8 +827,8 @@ impl ComponentCore {
         self.actors.lock().clear();
         // Passivation bookkeeping is in-memory state: the resident set died
         // with the slots, and a re-homed actor activates fresh on its
-        // adopter (tombstones are a live-component counting aid, nothing
-        // recovery depends on).
+        // adopter. Tombstones only lead to releases of this component's own
+        // placements, and recovery owns every record naming a dead one.
         self.resident_count.store(0, Ordering::SeqCst);
         self.mailboxed.store(0, Ordering::SeqCst);
         self.passivated.lock().clear();
@@ -914,9 +959,11 @@ impl ComponentCore {
         let _ = writeln!(
             out,
             "  memory: resident={} mailboxed={} passivations={passivations} \
-             rehydrations={rehydrations} admission_deferrals={deferrals}",
+             rehydrations={rehydrations} admission_deferrals={deferrals} \
+             placements_released={}",
             self.resident_actors(),
             self.mailboxed_requests(),
+            self.stats.placements_released.load(Ordering::Relaxed),
         );
         match self.actors.try_lock() {
             Some(actors) => {
@@ -1645,17 +1692,31 @@ impl ComponentCore {
         // invalidating every stamp at once. The stamp is read *before*
         // resolving (mirroring the cache's insert-with-pre-read-epoch rule),
         // so a clear racing the resolution leaves the slot already-stale.
+        //
+        // An activation — no resident slot — resolves from the store: the
+        // placement of a passivated actor is released once its tombstone
+        // ages out, so only the record can say it is still placed here. The
+        // release rounds settled so far are read under the same lock, before
+        // resolving: the activation defers if a round releasing its actor
+        // settles meanwhile ([`Self::count_activation`]).
         let stamp = self.placement.ownership_stamp();
-        let slot_verified = stamp.is_some()
-            && self
-                .actors
-                .lock()
+        let (resident, settled) = {
+            let actors = self.actors.lock();
+            let resident = actors
                 .get(&request.target)
-                .is_some_and(|slot| slot.verified_epoch == stamp);
-        if slot_verified {
+                .filter(|slot| slot.activation_parked.is_none())
+                .map(|slot| slot.verified_epoch);
+            (resident, self.release_rounds.load(Ordering::Relaxed))
+        };
+        if stamp.is_some() && resident == Some(stamp) {
             self.placement.note_slot_hit();
         } else {
-            match self.placement.resolve_nowait(&request.target) {
+            let resolved = if resident.is_some() {
+                self.placement.resolve_nowait(&request.target)
+            } else {
+                self.placement.resolve_stored(&request.target)
+            };
+            match resolved {
                 Ok(Some(owner)) if owner == self.id => {}
                 Ok(_) => {
                     // Owned elsewhere, or a stale placement awaiting repair:
@@ -1688,7 +1749,7 @@ impl ComponentCore {
         }
         let mut actors = self.actors.lock();
         let evicted = self.evict_coldest(&mut actors, &request);
-        let admission = self.admit_to_slot(actors, request, stamp);
+        let admission = self.admit_to_slot(actors, request, stamp, settled);
         // Outside the actors lock: the placement cache is not ordered after
         // it.
         if let Some(actor) = evicted {
@@ -1698,14 +1759,16 @@ impl ComponentCore {
     }
 
     /// The part of [`Self::admit_claimed`] under the actors lock, which it
-    /// hands over: the hard watermark, a deferred activation's head, and the
-    /// actor lock of §2.2. An admitted invocation takes a handle to its
-    /// actor's state image here.
+    /// hands over: the hard watermark, a placement release in flight, a
+    /// deferred activation's head, and the actor lock of §2.2. An admitted
+    /// invocation takes a handle to its actor's state image here. `settled`
+    /// is the release-round count read before the placement was resolved.
     fn admit_to_slot(
         self: &Arc<Self>,
         mut actors: MutexGuard<'_, AgingMap<ActorRef, ActorSlot>>,
         request: RequestMessage,
         stamp: Option<u64>,
+        settled: u64,
     ) -> Admission {
         let Some(slot) = actors.get_mut(&request.target) else {
             let mut slot = ActorSlot {
@@ -1719,17 +1782,19 @@ impl ComponentCore {
             // so reconciliation never re-homes a duplicate. Requests for
             // already-resident actors are never deferred (their memory is
             // already paid for), so the hot head keeps executing at full
-            // speed while the cold tail waits.
-            if self.admission_overloaded() {
+            // speed while the cold tail waits. An activation that meets its
+            // actor's placement release in flight defers the same way, and
+            // resolves afresh once the release has settled.
+            //
+            // Otherwise a new resident: the actor re-enters through this
+            // ordinary activation path, whether it was passivated, released
+            // or never active. Its insert is its admission's touch.
+            if let Some(wait) = self.activation_wait(&request, settled, 0) {
                 slot.activation_parked = Some(request.id);
                 actors.insert(request.target.clone(), slot);
                 drop(actors);
-                return self.defer_activation(request, 0);
+                return self.defer_activation(request, wait);
             }
-            // A new resident: the actor re-enters through this ordinary
-            // activation path, whether it was passivated or never active.
-            // Its insert is its admission's touch.
-            self.count_activation(&request.target);
             slot.busy = true;
             slot.busy_chain = request.chain();
             let frame = Frame::admitted(request, &slot, true, false);
@@ -1748,18 +1813,17 @@ impl ComponentCore {
                 return Admission::Parked;
             }
             // The head of a deferred activation is back from the due-time
-            // heap. If the pressure has drained, activate; otherwise
-            // re-shape (the backoff grows with each deferral) and re-park —
-            // never drop.
-            if self.admission_overloaded() {
-                slot.activation_deferrals = slot.activation_deferrals.saturating_add(1);
-                let deferrals = slot.activation_deferrals;
+            // heap. If the pressure has drained and no release is in flight,
+            // activate; otherwise re-shape (the backoff grows with each
+            // deferral) and re-park — never drop.
+            let deferrals = slot.activation_deferrals.saturating_add(1);
+            if let Some(wait) = self.activation_wait(&request, settled, deferrals) {
+                slot.activation_deferrals = deferrals;
                 drop(actors);
-                return self.defer_activation(request, deferrals);
+                return self.defer_activation(request, wait);
             }
             slot.activation_parked = None;
             slot.activation_deferrals = 0;
-            self.count_activation(&request.target);
         }
         // The admission's touch on the passivation clock.
         let slot = actors
@@ -2934,10 +2998,11 @@ impl ComponentCore {
     }
 
     /// One mesh-timer tick: heartbeat, bookkeeping aging, continuation
-    /// deadlines, partition retirement, passivation, trimming of settled log
-    /// prefixes. Called at the scaled heartbeat interval by the mesh's
-    /// single timer thread.
-    pub(crate) fn tick(self: &Arc<Self>, now: Duration) {
+    /// deadlines, partition retirement, passivation, placement release,
+    /// trimming of settled log prefixes. Called at the scaled heartbeat
+    /// interval by the mesh's single timer thread (`on_timer`), or by a
+    /// reactor rescuing an overdue tick: that one releases no placements.
+    pub(crate) fn tick(self: &Arc<Self>, now: Duration, on_timer: bool) {
         if !self.is_alive() {
             return;
         }
@@ -2967,6 +3032,9 @@ impl ComponentCore {
         }
         self.sweep_retirement();
         self.sweep_passivation(now);
+        if on_timer {
+            self.release_placements(now);
+        }
         // Survivors stop trimming while the leader catalogues the logs.
         if !self.is_paused() {
             self.trim_settled();
@@ -3136,8 +3204,12 @@ impl ComponentCore {
         self.deferred.lock().seen_responses.maybe_rotate(now);
         // Passivation tombstones rotate on the same doubled clock as the
         // dedup sets: a tombstone that was never consumed by a rehydration
-        // ages out instead of leaking.
-        self.passivated.lock().maybe_rotate(now);
+        // ages out, and its actor's placement is released.
+        let mut tombstones = self.passivated.lock();
+        let Tombstones {
+            aging, aged_out, ..
+        } = &mut *tombstones;
+        aging.maybe_rotate_into(now, aged_out);
     }
 
     /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
@@ -3159,6 +3231,17 @@ impl ComponentCore {
     /// Number of resident (activated, in-memory) actors.
     pub fn resident_actors(&self) -> usize {
         self.resident_count.load(Ordering::Relaxed)
+    }
+
+    /// The resident actors themselves: every slot but a deferred
+    /// activation's.
+    pub(crate) fn resident_refs(&self) -> Vec<ActorRef> {
+        self.actors
+            .lock()
+            .iter()
+            .filter(|(_, slot)| slot.activation_parked.is_none())
+            .map(|(actor, _)| actor.clone())
+            .collect()
     }
 
     /// Per home partition: records still open and records trimmed so far
@@ -3214,15 +3297,34 @@ impl ComponentCore {
             .is_some_and(|hard| self.resident_count.load(Ordering::Relaxed) >= hard)
     }
 
-    /// Defers the activation `request` would make: it waits out its shaped
-    /// backoff as a [`Stage::Admit`], holding its claim. `deferrals` counts
-    /// prior deferrals of the same activation.
-    fn defer_activation(self: &Arc<Self>, request: RequestMessage, deferrals: u32) -> Admission {
+    /// How long the activation `request` asks for must wait before it is
+    /// admitted again: at the hard watermark, its shaped backoff after
+    /// `deferrals` earlier deferrals; while its placement's release has not
+    /// settled for this admission ([`Self::count_activation`]), one
+    /// placement retry. `None` — the actor counted as a new resident — once
+    /// it may go ahead.
+    fn activation_wait(
+        &self,
+        request: &RequestMessage,
+        settled: u64,
+        deferrals: u32,
+    ) -> Option<Duration> {
+        if self.admission_overloaded() {
+            Some(Self::shape_activation_deferral(request.id, deferrals))
+        } else if !self.count_activation(&request.target, settled) {
+            Some(PLACEMENT_RETRY)
+        } else {
+            None
+        }
+    }
+
+    /// Defers the activation `request` would make: it waits `wait` as a
+    /// [`Stage::Admit`], holding its claim.
+    fn defer_activation(self: &Arc<Self>, request: RequestMessage, wait: Duration) -> Admission {
         self.stats
             .admission_deferrals
             .fetch_add(1, Ordering::Relaxed);
-        let delay = Self::shape_activation_deferral(request.id, deferrals);
-        self.park_for(delay, Stage::Admit(request));
+        self.park_for(wait, Stage::Admit(request));
         Admission::Parked
     }
 
@@ -3305,10 +3407,108 @@ impl ComponentCore {
         self.count_passivation(actor);
         drop(actors);
         // Outside the actors lock — the placement cache is not ordered after
-        // it. Keeps the cache bounded by the *resident* set; the placement
-        // record in the store is untouched (the actor is still placed here,
-        // just not in memory).
+        // it. Keeps the cache bounded by the *resident* set. The placement
+        // record in the store stays (the actor is still placed here, just
+        // not in memory) until the tombstone ages out and
+        // [`Self::release_placements`] releases it.
         self.placement.forget(actor);
+    }
+
+    /// Releases the placements of passivated actors whose tombstones aged
+    /// out (timer thread, outside every lock): one pipelined round of fenced
+    /// compare-and-deletes of this component's own id per heartbeat, only
+    /// one round in flight at a time. A tombstone ages out at least one
+    /// bookkeeping interval — two retention windows — after its actor
+    /// passivated, so every queue copy of anything the actor completed here
+    /// has expired, and the completed ids that deduped them may go with the
+    /// placement. Released are only actors with no local pending work — no
+    /// slot (which covers a parked activation), no deferred happen-before
+    /// retry, whose callee's response comes here — and no tombstone
+    /// standing again: a passivation since restarted the clock. An
+    /// activation of an actor in the round defers until it settles; the
+    /// next one takes the cold path (`get` → hosts → CAS) like a first
+    /// activation.
+    fn release_placements(&self, now: Duration) {
+        self.settle_release(now);
+        if self.is_paused() {
+            return;
+        }
+        let candidates: Vec<ActorRef> = {
+            let mut tombstones = self.passivated.lock();
+            if tombstones.round.is_some() {
+                return;
+            }
+            let backlog = &mut tombstones.aged_out;
+            let take = RELEASE_ROUND.max(backlog.len() / 4);
+            std::iter::from_fn(|| backlog.pop()).take(take).collect()
+        };
+        if candidates.is_empty() {
+            return;
+        }
+        let waiting: HashSet<ActorRef> = self
+            .deferred
+            .lock()
+            .parked
+            .values()
+            .flatten()
+            .map(|request| request.target.clone())
+            .collect();
+        let mut round = self.conn.pipeline();
+        {
+            let actors = self.actors.lock();
+            let mut tombstones = self.passivated.lock();
+            for actor in candidates {
+                if actors.get(&actor).is_some()
+                    || waiting.contains(&actor)
+                    || tombstones.aging.contains(&tombstone(&actor))
+                {
+                    continue;
+                }
+                round.compare_and_delete(&placement_key(&actor), component_to_value(self.id));
+                tombstones.releasing.insert(actor);
+            }
+        }
+        if round.is_empty() {
+            return;
+        }
+        // A round that fails at once applied nothing; it settles all the
+        // same, and its records stay (they still name this live component).
+        let completion = round
+            .submit()
+            .unwrap_or_else(|error| Completion::immediate(Err(error)));
+        self.passivated.lock().round = Some(completion);
+        self.settle_release(now);
+    }
+
+    /// Settles the release round in flight once its acknowledgement is due:
+    /// its actors may activate again, and an activation of one of them that
+    /// resolved its placement before now resolves afresh.
+    fn settle_release(&self, now: Duration) {
+        let Some(acknowledged) = self
+            .passivated
+            .lock()
+            .round
+            .take_if(|round| round.due.is_none_or(|due| due <= now))
+        else {
+            return;
+        };
+        if let Ok(results) = acknowledged.result {
+            let released = results
+                .iter()
+                .filter(|result| result.flag() == Some(true))
+                .count();
+            self.stats
+                .placements_released
+                .fetch_add(released as u64, Ordering::Relaxed);
+        }
+        let _actors = self.actors.lock();
+        let mut tombstones = self.passivated.lock();
+        let Tombstones {
+            releasing, settled, ..
+        } = &mut *tombstones;
+        std::mem::swap(releasing, settled);
+        releasing.clear();
+        self.release_rounds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Admission is about to make the activation `request` asks for — of a
@@ -3346,20 +3546,34 @@ impl ComponentCore {
     }
 
     /// Counts a passivation, under the actors lock, once its slot is gone: a
-    /// tombstone stays.
+    /// tombstone naming the actor stays.
     fn count_passivation(&self, actor: &ActorRef) {
         self.resident_count.fetch_sub(1, Ordering::Relaxed);
-        self.passivated.lock().insert(tombstone(actor));
+        self.passivated.lock().aging.bury(actor);
         self.stats.passivations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a new resident, under the actors lock: a standing tombstone
-    /// makes its activation a rehydration.
-    fn count_activation(&self, actor: &ActorRef) {
+    /// makes its activation a rehydration. Refuses — counting nothing — while
+    /// the actor's placement release is in flight, or once a round that
+    /// released it has settled since the admission read `settled` (two
+    /// rounds or more: any actor): the record the admission resolved may be
+    /// gone, and the activation must defer and resolve afresh.
+    fn count_activation(&self, actor: &ActorRef, settled: u64) -> bool {
+        let mut tombstones = self.passivated.lock();
+        let released_since = match self.release_rounds.load(Ordering::Relaxed) - settled {
+            0 => false,
+            1 => tombstones.settled.contains(actor),
+            _ => true,
+        };
+        if released_since || tombstones.releasing.contains(actor) {
+            return false;
+        }
         self.resident_count.fetch_add(1, Ordering::Relaxed);
-        if self.passivated.lock().remove(&tombstone(actor)) {
+        if tombstones.aging.remove(&tombstone(actor)) {
             self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
         }
+        true
     }
 
     /// True while an actor slot has no running invocation (`busy` also
@@ -3438,10 +3652,22 @@ impl ComponentCore {
 }
 
 /// A component no mesh drives, on `broker`'s topic `topic` with home
-/// partition 0: a test sets up its tables by hand and runs its parked stages
-/// with [`run_parked`].
+/// partition 0, hosting `Ledger` actors that answer `Null`: a test sets up
+/// its tables by hand and runs its parked stages with [`run_parked`].
 #[cfg(test)]
 pub(crate) fn lone_core(config: MeshConfig, broker: Broker<Envelope>) -> Arc<ComponentCore> {
+    struct Ledger;
+    impl crate::actor::Actor for Ledger {
+        fn invoke(
+            &mut self,
+            _ctx: &mut ActorContext<'_>,
+            _method: &str,
+            _args: &[Value],
+        ) -> KarResult<Outcome> {
+            Ok(Outcome::value(Value::Null))
+        }
+    }
+    let ledger: ActorFactory = Arc::new(|| Box::new(Ledger));
     let io = Arc::new(DueHeap::new(Arc::new(WaitSignalGroup::new())));
     Arc::new(ComponentCore::new(
         ComponentId::from_raw(1),
@@ -3456,7 +3682,7 @@ pub(crate) fn lone_core(config: MeshConfig, broker: Broker<Envelope>) -> Arc<Com
         Arc::default(),
         LiveSet::default(),
         Arc::new(RequestIdGenerator::new()),
-        HashMap::new(),
+        HashMap::from([("Ledger".to_owned(), ledger)]),
         io,
         Arc::new(RetryBudget::new(1.0, 1.0)),
         Arc::new(BreakerRegistry::new(None)),
@@ -3535,7 +3761,7 @@ mod tests {
         let mut actors = core.actors.lock();
         for (name, slot) in residents {
             actors.insert(actor(name), slot);
-            core.count_activation(&actor(name));
+            assert!(core.count_activation(&actor(name), 0));
         }
         let image_of = |actors: &AgingMap<ActorRef, ActorSlot>, name: &str| {
             actors.get(&actor(name)).unwrap().state.clone()
@@ -3572,6 +3798,91 @@ mod tests {
         drop(actors);
         assert_eq!(core.resident_actors(), 5);
         assert_eq!(core.passivation_stats(), (2, 0, 0));
+    }
+
+    #[test]
+    fn an_activation_never_outlives_its_placement_record() {
+        use crate::placement::{host_field, hosts_key};
+
+        let core = lone_core(MeshConfig::for_tests(), Broker::default());
+        core.live.write().insert(core.id);
+        core.store
+            .admin_hset(&hosts_key("Ledger"), &host_field(core.id), Value::Null);
+        let placed_here = component_to_value(core.id);
+        let ledger = |name: &str| ActorRef::new("Ledger", name);
+        let request = |name: &str, id: u64| {
+            RequestMessage::root(RequestId::from_raw(id), ledger(name), "m", Vec::new())
+        };
+        let settled = || core.release_rounds.load(Ordering::Relaxed);
+        let activate = |request: RequestMessage, settled: u64| {
+            let admission = core.admit_to_slot(core.actors.lock(), request, None, settled);
+            matches!(admission, Admission::Run(_))
+        };
+        let record = |name: &str| core.store.admin_get(&placement_key(&ledger(name)));
+        // Actors whose tombstones aged out, each still placed here; this
+        // component's cache has learnt one of the placements. Three of them
+        // have local work or a newer passivation, and keep their records.
+        for name in [
+            "early", "cached", "inflight", "resident", "waiting", "renewed",
+        ] {
+            core.store
+                .admin_set(&placement_key(&ledger(name)), placed_here.clone());
+            let mut tombstones = core.passivated.lock();
+            tombstones.aged_out.push("Ledger", name);
+        }
+        core.actors
+            .lock()
+            .insert(ledger("resident"), ActorSlot::default());
+        let mut retry = request("waiting", 9);
+        retry.pending_callee = Some(RequestId::from_raw(8));
+        core.deferred
+            .lock()
+            .parked
+            .insert(RequestId::from_raw(8), vec![retry]);
+        core.passivated.lock().aging.bury(&ledger("renewed"));
+        assert_eq!(
+            core.placement.resolve_nowait(&ledger("cached")).unwrap(),
+            Some(core.id)
+        );
+        // An admission of `early` read the release-round count — and the
+        // record — before the release round; it reaches the actors lock
+        // only once the round has settled (zero latency: in the same tick).
+        let before = settled();
+        core.release_placements(mono_now());
+        assert_eq!(core.stats.placements_released.load(Ordering::Relaxed), 3);
+        assert_eq!(record("early"), None);
+        for kept in ["resident", "waiting", "renewed"] {
+            assert_eq!(
+                record(kept),
+                Some(placed_here.clone()),
+                "{kept} was released"
+            );
+        }
+        core.actors.lock().remove(&ledger("resident"));
+        assert!(
+            !activate(request("early", 1), before),
+            "an activation resolved against a released record became resident"
+        );
+        assert!(core.resident_refs().is_empty());
+        assert_eq!(core.passivation_stats(), (0, 0, 1));
+        // An actor the round did not release activates on the same read.
+        assert!(activate(request("bystander", 4), before));
+        core.actors.lock().remove(&ledger("bystander"));
+        core.resident_count.fetch_sub(1, Ordering::Relaxed);
+        // Back from its backoff, the head resolves afresh and activates.
+        assert!(activate(request("early", 1), settled()));
+        assert_eq!(core.resident_refs(), vec![ledger("early")]);
+        // An activation resolves from the store, not from the cache that
+        // still says "placed here": the cold path places the actor again.
+        let admission = core.admit_request(request("cached", 2));
+        assert!(matches!(admission, Admission::Run(_)));
+        assert_eq!(record("cached"), Some(placed_here.clone()));
+        // An activation that meets the actor's release still in flight
+        // defers too, however fresh its resolution.
+        core.passivated.lock().releasing.insert(ledger("inflight"));
+        assert!(!activate(request("inflight", 3), settled()));
+        assert_eq!(core.passivation_stats(), (0, 0, 2));
+        core.io.forget(&core);
     }
 
     #[test]

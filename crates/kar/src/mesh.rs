@@ -22,7 +22,7 @@ use crate::component::{ComponentCore, DLQ_TOPIC};
 use crate::config::MeshConfig;
 use crate::faults::{format_fault_stats, retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
-use crate::placement::{host_field, hosts_key};
+use crate::placement::{component_from_value, host_field, hosts_key, placement_key};
 use crate::recovery::{run_recovery_manager, OutageRecord, RecoveryContext, RecoveryLog};
 use crate::retry::{
     BreakerPosition, BreakerRegistry, DlqEntry, DlqStats, RetryBudget, RetryMetrics,
@@ -74,7 +74,8 @@ impl ReactorShared {
     /// Runs one exclusive tick sweep over every registered component and
     /// stamps its completion time. The timer thread passes `blocking = true`
     /// (it always sweeps); rescuing reactors pass `false` and yield when a
-    /// sweep is already in progress.
+    /// sweep is already in progress, and leave placement releases to the
+    /// timer.
     fn run_tick(&self, blocking: bool) -> bool {
         let guard = if blocking {
             Some(self.tick_lock.lock())
@@ -85,7 +86,7 @@ impl ReactorShared {
         let components: Vec<Arc<ComponentCore>> = self.registry.read().clone();
         let now = kar_types::mono_now();
         for core in &components {
-            core.tick(now);
+            core.tick(now, blocking);
         }
         self.last_tick_ms.store(
             kar_types::mono_now()
@@ -824,6 +825,35 @@ impl Mesh {
             .read()
             .get(&component)
             .map(|core| core.resident_actors())
+    }
+
+    /// The placement invariant, checked: one line per resident actor of a
+    /// live component whose store record does not name that component.
+    /// Empty while every resident actor's record names its host, so no
+    /// second component can place it.
+    pub fn misplaced_residents(&self) -> Vec<String> {
+        let live: Vec<Arc<ComponentCore>> = self
+            .inner
+            .components
+            .read()
+            .values()
+            .filter(|core| core.is_alive())
+            .cloned()
+            .collect();
+        let mut misplaced = Vec::new();
+        for core in live {
+            for actor in core.resident_refs() {
+                let record = self.inner.store.admin_get(&placement_key(&actor));
+                if record.as_ref().and_then(component_from_value) != Some(core.id()) {
+                    misplaced.push(format!(
+                        "{actor} is resident on {} but its placement record is {record:?}",
+                        core.id()
+                    ));
+                }
+            }
+        }
+        misplaced.sort();
+        misplaced
     }
 
     /// One component's `(passivations, rehydrations, admission deferrals)`

@@ -224,9 +224,9 @@ impl PlacementService {
     /// Drops one actor's cached placement (passivation: the actor's whole
     /// in-memory footprint goes, so a host's cache follows its resident
     /// set; the placements of actors a component only *calls* are bounded by
-    /// the shards' two generations instead). The *store* record is
-    /// untouched: the actor is still placed here, just not resident; the
-    /// rehydrating admission re-resolves and re-caches it.
+    /// the shards' two generations instead). The *store* record stays until
+    /// the actor's tombstone ages out and the host releases it; the
+    /// rehydrating admission re-resolves from the store either way.
     pub(crate) fn forget(&self, actor: &ActorRef) {
         if let Some(cache) = &self.cache {
             if cache.shard(actor).lock().remove(actor).is_some() {
@@ -362,9 +362,32 @@ impl PlacementService {
         if let Some(component) = self.cache_lookup(actor) {
             return Ok(Some(component));
         }
+        self.resolve_and_cache(actor, true)
+    }
+
+    /// [`PlacementService::resolve_nowait`] past the cache (counted as a
+    /// miss): the store's record decides. How an *activation* resolves: a
+    /// host releases a passivated actor's placement once its tombstone ages
+    /// out, so a cached "placed here" may name a record that is gone. The
+    /// cache learns only a placement elsewhere, which the forward that
+    /// follows reads; this component's own would never be read back (an
+    /// activated actor's slot carries its ownership stamp) before its
+    /// passivation forgot it.
+    pub(crate) fn resolve_stored(&self, actor: &ActorRef) -> KarResult<Option<ComponentId>> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.resolve_and_cache(actor, false)
+    }
+
+    /// One store resolution, cached when it names a live component — this
+    /// one only if `cache_own`.
+    fn resolve_and_cache(
+        &self,
+        actor: &ActorRef,
+        cache_own: bool,
+    ) -> KarResult<Option<ComponentId>> {
         let epoch = self.cache_epoch();
         let resolved = self.resolve_uncached(actor)?;
-        if let Some(component) = resolved {
+        if let Some(component) = resolved.filter(|c| cache_own || *c != self.conn.component()) {
             self.cache_insert(actor, component, epoch);
         }
         Ok(resolved)

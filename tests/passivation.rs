@@ -18,6 +18,11 @@
 //!    never reaches the hard watermark; only when every resident is busy
 //!    are new-actor activations deferred with shaped backoff and re-queued
 //!    (never dropped), draining as residents come free.
+//! 5. **Placement release** — once a passivated actor's tombstone ages out,
+//!    its host releases the placement record, so the store keeps records
+//!    for live work only; a released counter re-activates through the cold
+//!    path and continues from its durable count, and an activation that
+//!    lands while the release is in flight defers until it settles.
 
 mod common;
 
@@ -26,8 +31,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{chaos_seed, SplitMix64};
+use kar::placement::{component_to_value, placement_key};
 use kar::{Actor, ActorContext, Mesh, MeshConfig, Outcome};
-use kar_types::{ActorRef, ComponentId, KarError, KarResult, Value};
+use kar_types::{ActorRef, ComponentId, KarError, KarResult, LatencyProfile, Value};
 
 /// A durable event log with ordering verification built into the actor (the
 /// same shape the dispatch and rebalance suites use): retries dedupe, and
@@ -77,6 +83,28 @@ impl Actor for Ledger {
             "violation" => Ok(Outcome::value(
                 ctx.state().get("violation")?.unwrap_or(Value::Null),
             )),
+            other => Err(KarError::application(format!("no method {other}"))),
+        }
+    }
+}
+
+/// A durable counter: `add` bumps it and answers the new count.
+struct Counter;
+
+impl Actor for Counter {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        match method {
+            "add" => {
+                let count = ctx.state().get("count")?.and_then(|v| v.as_i64());
+                let count = count.unwrap_or(0) + 1;
+                ctx.state().set("count", Value::Int(count))?;
+                Ok(Outcome::value(Value::Int(count)))
+            }
             other => Err(KarError::application(format!("no method {other}"))),
         }
     }
@@ -514,5 +542,120 @@ fn soft_watermark_keeps_resident_set_bounded_under_churn() {
         .call(&ActorRef::new("Ledger", "churn-0"), "read", vec![])
         .unwrap();
     assert_eq!(log.as_list().map(<[Value]>::len), Some(1));
+    mesh.shutdown();
+}
+
+#[test]
+fn placements_are_reclaimed_once_tombstones_age_out() {
+    const COUNTERS: usize = 5_000;
+    const SOFT: usize = 64;
+
+    // A 20 ms passivation window: the bookkeeping interval is 40 ms, so a
+    // tombstone ages out 40 to 80 ms after its actor passivated.
+    let window = Duration::from_millis(20);
+    let config = fast_passivation_config(20).with_resident_watermarks(SOFT, 2 * SOFT);
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let server = mesh.add_component(node, "server", |c| c.host("Counter", || Box::new(Counter)));
+    let client = mesh.client();
+    let store = mesh.store();
+    let counter = |i: usize| ActorRef::new("Counter", format!("c{i}"));
+    let mut counts = vec![0i64; COUNTERS];
+    let mut add = |i: usize| {
+        counts[i] += 1;
+        let answer = client.call(&counter(i), "add", vec![]).unwrap();
+        assert_eq!(answer, Value::Int(counts[i]), "counter c{i} lost its count");
+    };
+
+    // Churn through the watermarks: every new counter past the soft one
+    // evicts the coldest, and every seventh call goes back to an older
+    // counter whose placement may be released, or in flight, by then.
+    for i in 0..COUNTERS {
+        add(i);
+        if i % 7 == 0 {
+            add(i / 3);
+        }
+    }
+    let churned = mesh.passivation_stats(server).unwrap().0;
+    assert!(
+        churned >= (COUNTERS - 2 * SOFT) as u64,
+        "only {churned} passivations"
+    );
+
+    // Two bookkeeping intervals on, the records left are the residents' and
+    // those of the actors passivated since the churn (the idle sweep's).
+    std::thread::sleep(4 * window);
+    wait_until(
+        Duration::from_secs(10),
+        "the aged-out placements to be released",
+        || {
+            let placed = store.admin_keys_with_prefix("placement/").len();
+            let resident = mesh.resident_actors(server).unwrap();
+            let since = mesh.passivation_stats(server).unwrap().0 - churned;
+            placed <= resident + since as usize
+        },
+    );
+    assert!(
+        store.admin_keys_with_prefix("placement/").len() <= 2 * SOFT,
+        "placements still track every counter ever touched"
+    );
+
+    // Released counters come back through the cold path, from their
+    // durable counts, and every resident's record names its host.
+    for i in (0..COUNTERS).step_by(50) {
+        add(i);
+    }
+    assert_eq!(mesh.misplaced_residents(), Vec::<String>::new());
+    assert!(
+        mesh.debug_report().contains("placements_released="),
+        "debug_report missing the release counter"
+    );
+    mesh.shutdown();
+}
+
+#[test]
+fn an_activation_during_a_placement_release_defers_until_it_settles() {
+    // Every store round trip is acknowledged 2 ms after its submit, and the
+    // heartbeat is 5 ms: a release round's compare-and-delete applies at
+    // once and settles on a later heartbeat. A 2 s retention is a 10 ms
+    // passivation window and a 20 ms bookkeeping interval.
+    let mut config = MeshConfig {
+        latency: LatencyProfile {
+            store_op: Duration::from_millis(2),
+            ..LatencyProfile::ZERO
+        },
+        ..MeshConfig::deterministic(0x5EED)
+    };
+    config.retention = Duration::from_secs(2);
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let server = mesh.add_component(node, "server", |c| c.host("Counter", || Box::new(Counter)));
+    let client = mesh.client();
+    let store = mesh.store();
+    let target = ActorRef::new("Counter", "racer");
+    let key = placement_key(&target);
+    assert_eq!(client.call(&target, "add", vec![]).unwrap(), Value::Int(1));
+
+    // Idle: the sweep passivates the counter, its tombstone ages out, and
+    // the release round deletes the record. Its ack is still in flight.
+    assert!(
+        mesh.sim_run_until(|| store.admin_get(&key).is_none(), 1_000_000),
+        "the placement was never released"
+    );
+    let (passivations, _, deferrals) = mesh.passivation_stats(server).unwrap();
+    assert_eq!(passivations, 1);
+
+    // The call's activation lands in the window: it defers until the round
+    // settles, then re-places the counter and runs once.
+    assert_eq!(client.call(&target, "add", vec![]).unwrap(), Value::Int(2));
+    let (_, rehydrations, deferred) = mesh.passivation_stats(server).unwrap();
+    assert!(
+        deferred > deferrals,
+        "the activation did not wait for the release to settle"
+    );
+    assert_eq!(rehydrations, 0, "a released actor activates like a new one");
+    assert_eq!(store.admin_get(&key), Some(component_to_value(server)));
+    assert_eq!(mesh.misplaced_residents(), Vec::<String>::new());
+    assert_eq!(client.call(&target, "add", vec![]).unwrap(), Value::Int(3));
     mesh.shutdown();
 }
