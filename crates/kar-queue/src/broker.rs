@@ -588,7 +588,8 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
     }
 
     /// Appends one produce round (the body of [`Producer::submit_round`]):
-    /// the broker's one fenced append.
+    /// the broker's one fenced append. A round of one group is a batch
+    /// ([`Broker::append_batch`]).
     fn append_round(
         &self,
         component: ComponentId,
@@ -596,6 +597,12 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
         topic: &str,
         mut groups: Vec<(usize, Vec<M>)>,
     ) -> KarResult<Completion<RoundRanges>> {
+        if groups.len() == 1 {
+            let (partition, payloads) = groups.pop().expect("one group");
+            return Ok(self
+                .append_batch(component, epoch, topic, partition, payloads)?
+                .map(|range| vec![(partition, range)]));
+        }
         self.check_epoch(component, epoch)?;
         let parts = groups
             .iter()
@@ -624,7 +631,6 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
                 gate.delay += decided.delay;
             }
         }
-        let config = &self.inner.config;
         let now = self.now();
         let mut logs: Vec<_> = order.iter().map(|&group| parts[group].log.lock()).collect();
         // One durable acknowledgement for the whole round: it queues behind
@@ -639,23 +645,16 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
                 .filter(|(_, &group)| !groups[group].1.is_empty())
                 .map(|(log, _)| log.busy_until())
                 .fold(now + gate.delay, Duration::max);
-            acked = submitted + config.append_latency;
+            acked = submitted + self.inner.config.append_latency;
         }
         let mut ranges = vec![(0, 0..0); groups.len()];
         // Expired records are freed after the partition locks are released.
         let mut expired = Vec::new();
         for (log, &group) in logs.iter_mut().zip(&order) {
             let (partition, payloads) = (groups[group].0, std::mem::take(&mut groups[group].1));
-            let first = log.end_offset();
-            if !payloads.is_empty() {
-                log.acknowledge(acked, Duration::ZERO);
-                for payload in payloads {
-                    log.append(now, acked + config.deliver_latency, payload);
-                }
-                expired.push(self.expire(log, now));
-                parts[group].publish(log);
-            }
-            ranges[group] = (partition, first..log.end_offset());
+            let (range, dropped) = self.append_locked(&parts[group], log, now, acked, payloads);
+            expired.push(dropped);
+            ranges[group] = (partition, range);
         }
         drop(logs);
         drop(expired);
@@ -665,6 +664,67 @@ impl<M: Clone + Send + Sync + 'static> Broker<M> {
             }
         }
         Ok(self.completion(now, acked, gate, FaultSite::BrokerAppend, ranges))
+    }
+
+    /// Appends one partition's batch (the body of [`Producer::submit_batch`]
+    /// and of every one-group round): the round's checks, gate and single
+    /// acknowledgement, with no per-round scratch — the shape of every
+    /// response run, retry copy and one-partition request run.
+    fn append_batch(
+        &self,
+        component: ComponentId,
+        epoch: Epoch,
+        topic: &str,
+        partition: usize,
+        payloads: Vec<M>,
+    ) -> KarResult<Completion<Range<u64>>> {
+        self.check_epoch(component, epoch)?;
+        let part = self.lookup_partition(topic, partition)?;
+        let gate = if payloads.is_empty() {
+            FaultGate::default()
+        } else {
+            self.fault_gate(FaultSite::BrokerAppend, partition)?
+        };
+        let now = self.now();
+        let mut log = part.log.lock();
+        let acked = if payloads.is_empty() {
+            now
+        } else {
+            log.busy_until().max(now + gate.delay) + self.inner.config.append_latency
+        };
+        let (range, expired) = self.append_locked(&part, &mut log, now, acked, payloads);
+        drop(log);
+        drop(expired);
+        if !range.is_empty() {
+            part.notify();
+        }
+        Ok(self.completion(now, acked, gate, FaultSite::BrokerAppend, range))
+    }
+
+    /// Appends `payloads` to `part`, whose log lock the caller holds as
+    /// `log`, under a round's acknowledgement at `acked`, runs retention and
+    /// publishes the watermarks. Returns the offsets assigned and the
+    /// records retention dropped, for the caller to free once the lock is
+    /// released. An empty batch appends nothing and pays no ack.
+    fn append_locked(
+        &self,
+        part: &Partition<M>,
+        log: &mut PartitionLog<M>,
+        now: Duration,
+        acked: Duration,
+        payloads: Vec<M>,
+    ) -> (Range<u64>, Vec<Record<Arc<M>>>) {
+        let first = log.end_offset();
+        if payloads.is_empty() {
+            return (first..first, Vec::new());
+        }
+        log.acknowledge(acked, Duration::ZERO);
+        for payload in payloads {
+            log.append(now, acked + self.inner.config.deliver_latency, payload);
+        }
+        let expired = self.expire(log, now);
+        part.publish(log);
+        (first..log.end_offset(), expired)
     }
 
     /// Reads up to `max` *visible* records of `partition` from `from_offset`
@@ -1069,8 +1129,7 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
         partition: usize,
         payloads: Vec<M>,
     ) -> KarResult<Range<u64>> {
-        let mut ranges = self.send_round(topic, vec![(partition, payloads)])?;
-        Ok(ranges.pop().expect("one group in, one range out").1)
+        self.submit_batch(topic, partition, payloads)?.wait()
     }
 
     /// Appends one **produce round**: one batch per partition touched,
@@ -1126,6 +1185,25 @@ impl<M: Clone + Send + Sync + 'static> Producer<M> {
     ) -> KarResult<Completion<RoundRanges>> {
         self.broker
             .append_round(self.component, self.epoch, topic, groups)
+    }
+
+    /// [`Producer::submit_round`] of one group: `payloads` appended to
+    /// `topic[partition]` as one batch, with the round's checks, fault gate
+    /// and single acknowledgement — and none of the scratch a round over
+    /// several partitions needs to order its locks. Returns the completion
+    /// of the batch's offset range.
+    ///
+    /// # Errors
+    ///
+    /// As [`Producer::submit_round`].
+    pub fn submit_batch(
+        &self,
+        topic: &str,
+        partition: usize,
+        payloads: Vec<M>,
+    ) -> KarResult<Completion<Range<u64>>> {
+        self.broker
+            .append_batch(self.component, self.epoch, topic, partition, payloads)
     }
 
     /// Drops every record of `topic[partition]` below `offset` — the

@@ -60,5 +60,5 @@ mod record;
 pub use broker::{Broker, Consumer, Producer, RoundRanges};
 pub use config::BrokerConfig;
 pub use group::{GroupEvent, GroupView, MemberInfo, MemberState};
-pub use partition_set::PartitionSet;
+pub use partition_set::{key_hash, PartitionSet};
 pub use record::{Record, TopicPartition};

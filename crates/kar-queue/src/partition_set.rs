@@ -21,7 +21,7 @@
 //! actor's mailbox order.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// The set of queue partitions assigned to one component: a stable *home*
 /// range that producers hash onto, plus *adopted* ranges drained after being
@@ -121,13 +121,30 @@ impl PartitionSet {
     /// alone — never on adopted partitions — so re-homing partition ranges
     /// during recovery cannot re-route a live actor's traffic.
     pub fn partition_for_key(&self, key: &str) -> Option<usize> {
+        self.partition_for_hash(key_hash([key.as_bytes()]))
+    }
+
+    /// [`PartitionSet::partition_for_key`] of a key already hashed by
+    /// [`key_hash`].
+    pub fn partition_for_hash(&self, hash: u64) -> Option<usize> {
         if self.home.is_empty() {
             return None;
         }
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        Some(self.home[(hasher.finish() as usize) % self.home.len()])
+        Some(self.home[(hash as usize) % self.home.len()])
     }
+}
+
+/// The hash [`PartitionSet::partition_for_key`] routes a key by, for a key
+/// given in pieces: the hash of their concatenation — the bytes, then the
+/// `0xff` terminator `str` hashing appends — so a caller can route a
+/// composite key without building its string.
+pub fn key_hash<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    for piece in pieces {
+        hasher.write(piece);
+    }
+    hasher.write_u8(0xff);
+    hasher.finish()
 }
 
 impl fmt::Display for PartitionSet {
@@ -143,6 +160,21 @@ impl fmt::Display for PartitionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_key_hashed_in_pieces_routes_like_the_whole_key() {
+        use std::hash::Hash;
+        let set = PartitionSet::new((0..7).collect());
+        for id in 0..200 {
+            let key = format!("Type/actor-{id}");
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            key.hash(&mut hasher);
+            let id = format!("actor-{id}");
+            let pieces = key_hash([&b"Type"[..], b"/", id.as_bytes()]);
+            assert_eq!(pieces, hasher.finish(), "the hash `str` keys always had");
+            assert_eq!(set.partition_for_hash(pieces), set.partition_for_key(&key));
+        }
+    }
 
     #[test]
     fn construction_sorts_and_dedups() {

@@ -20,7 +20,8 @@
 //!   emulate the paper's three deployment configurations.
 //! * [`sync`] — the shared [`WaitSignal`] event-counter/condvar primitive
 //!   and the [`WaitSignalGroup`] multi-source variant consumers park on
-//!   (the "poll_wait idiom" used by the broker and the runtime).
+//!   (the "poll_wait idiom" used by the broker and the runtime), and the
+//!   [`SnapshotVec`] copy-on-write list the reactor sweep walks.
 //!
 //! # Example
 //!
@@ -52,10 +53,12 @@ pub use fault::{
     FaultPlane, FaultSite, FaultSpec, SiteCounters,
 };
 pub use ids::{ActorId, ActorRef, ActorType, ComponentId, Epoch, NodeId, RequestId};
-pub use message::{CallKind, Envelope, Payload, RecordOrigin, RequestMessage, ResponseMessage};
+pub use message::{
+    CallKind, Envelope, Payload, RecordOrigin, RequestMessage, ResponseMessage, SharedRequest,
+};
 pub use retry::{epoch_ms, Backoff, RetryOn, RetryPolicy, RetryState, RetryVerdict};
 pub use sim::SimScheduler;
-pub use sync::{WaitSignal, WaitSignalGroup};
+pub use sync::{SnapshotVec, WaitSignal, WaitSignalGroup};
 pub use time::{
     clear_virtual_clock, install_virtual_clock, mono_now, pace_sleep, pace_until, virtual_clock,
     virtual_time_active, Clock, Completion, DeploymentProfile, LatencyProfile, ScaledClock,

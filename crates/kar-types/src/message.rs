@@ -148,7 +148,7 @@ impl RequestMessage {
 /// A response message carrying the completion of a request back to its caller.
 ///
 /// The payload is `Arc`-shared: the partition log's copy, the delivered
-/// envelope, and the pending-call hand-off channel all reference one
+/// envelope, and the blocked caller's hand-off all reference one
 /// materialized [`Payload`], so the response leg of a call copies the result
 /// value at most once — when the blocked caller finally takes ownership at
 /// the API boundary.
@@ -271,6 +271,65 @@ impl Envelope {
     }
 }
 
+/// A request shared with the envelope it was delivered in — the one the
+/// partition log keeps until the record is trimmed. Reading it copies
+/// nothing; changing it ([`SharedRequest::make_mut`]) copies the envelope
+/// only while another holder still shares it. What a runtime keeps of a
+/// delivered request between admission and completion.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SharedRequest(Arc<Envelope>);
+
+impl SharedRequest {
+    /// The request `envelope` carries, shared with it; a response envelope
+    /// is handed back.
+    ///
+    /// # Errors
+    ///
+    /// `envelope` itself, when it carries a response.
+    pub fn try_from_envelope(envelope: Arc<Envelope>) -> Result<Self, Arc<Envelope>> {
+        if envelope.is_request() {
+            Ok(SharedRequest(envelope))
+        } else {
+            Err(envelope)
+        }
+    }
+
+    /// The request, for changing: copied first if another holder shares it.
+    pub fn make_mut(&mut self) -> &mut RequestMessage {
+        match Arc::make_mut(&mut self.0) {
+            Envelope::Request(request) => request,
+            Envelope::Response(_) => unreachable!("a shared request holds a request"),
+        }
+    }
+
+    /// The request, owned: moved out if no other holder shares it, copied
+    /// otherwise.
+    pub fn into_owned(self) -> RequestMessage {
+        match Arc::try_unwrap(self.0) {
+            Ok(Envelope::Request(request)) => request,
+            Ok(Envelope::Response(_)) => unreachable!("a shared request holds a request"),
+            Err(shared) => RequestMessage::clone(&SharedRequest(shared)),
+        }
+    }
+}
+
+impl std::ops::Deref for SharedRequest {
+    type Target = RequestMessage;
+
+    fn deref(&self) -> &RequestMessage {
+        match &*self.0 {
+            Envelope::Request(request) => request,
+            Envelope::Response(_) => unreachable!("a shared request holds a request"),
+        }
+    }
+}
+
+impl From<RequestMessage> for SharedRequest {
+    fn from(request: RequestMessage) -> Self {
+        SharedRequest(Arc::new(Envelope::Request(request)))
+    }
+}
+
 impl From<RequestMessage> for Envelope {
     fn from(r: RequestMessage) -> Self {
         Envelope::Request(r)
@@ -369,6 +428,31 @@ mod tests {
             "cloning a response must share its payload, not deep-copy it"
         );
         assert!(Arc::ptr_eq(&response.result, &handed_off));
+    }
+
+    #[test]
+    fn a_shared_request_copies_only_when_changed_while_shared() {
+        let log_copy = Arc::new(Envelope::from(sample_request()));
+        let mut shared = SharedRequest::try_from_envelope(Arc::clone(&log_copy)).unwrap();
+        assert!(
+            std::ptr::eq(&*shared, log_copy.as_request().unwrap()),
+            "no copy to read"
+        );
+        shared.make_mut().pending_callee = Some(RequestId::from_raw(9));
+        assert_eq!(
+            log_copy.as_request().unwrap().pending_callee,
+            None,
+            "the log keeps its copy"
+        );
+        assert_eq!(shared.pending_callee, Some(RequestId::from_raw(9)));
+        let unshared = SharedRequest::from(sample_request());
+        assert_eq!(unshared.into_owned(), sample_request());
+        let response = Arc::new(Envelope::from(ResponseMessage::ok(
+            RequestId::from_raw(2),
+            None,
+            Value::Null,
+        )));
+        assert!(SharedRequest::try_from_envelope(response).is_err());
     }
 
     #[test]

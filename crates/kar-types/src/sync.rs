@@ -1,5 +1,7 @@
 //! Small synchronization primitives shared across the workspace.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A monotonically increasing event counter paired with a condvar — the
@@ -11,12 +13,28 @@ use std::time::{Duration, Instant};
 /// check and the park wakes the waiter immediately — no lost wakeups, no
 /// busy polling.
 ///
+/// The sequence is an atomic, so a snapshot takes no lock, and a bump takes
+/// the mutex and wakes the condvar only while a waiter is parked: a signal
+/// nobody waits on costs one atomic add per event.
+///
+/// Why no wakeup is lost: a waiter registers itself (`waiters += 1`) and
+/// then re-reads `seq`, both under the mutex; a bumper adds to `seq` and
+/// then reads `waiters`. All four accesses are `SeqCst`, so they fall into
+/// one total order, and either the waiter's register comes first — then
+/// the bumper sees a parked waiter, takes the mutex (which the waiter holds
+/// until the condvar wait releases it) and notifies — or the bumper's read
+/// comes first, and then its add precedes the waiter's re-read, which sees
+/// the new sequence and does not park.
+///
 /// Used by the broker's per-partition append signals and the runtime's
 /// recovery-resume signal. (std primitives, not parking_lot: a `Condvar`
 /// must pair with a `std::sync::Mutex`; poisoning is absorbed.)
 #[derive(Debug, Default)]
 pub struct WaitSignal {
-    seq: std::sync::Mutex<u64>,
+    seq: AtomicU64,
+    /// Waiters between registering under `lock` and leaving `wait`.
+    waiters: AtomicUsize,
+    lock: std::sync::Mutex<()>,
     cond: std::sync::Condvar,
 }
 
@@ -27,46 +45,53 @@ impl WaitSignal {
     }
 
     /// The current event sequence; pass it to [`WaitSignal::wait`] to park
-    /// until the next event.
+    /// until the next event. One atomic load.
     pub fn current(&self) -> u64 {
-        *self
-            .seq
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.seq.load(Ordering::SeqCst)
     }
 
-    /// Records an event: bumps the sequence and wakes every parked waiter.
+    /// Records an event: bumps the sequence and wakes every parked waiter,
+    /// if there is one.
     pub fn bump(&self) {
-        let mut seq = self
-            .seq
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *seq += 1;
-        drop(seq);
-        self.cond.notify_all();
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // Taking the mutex orders the notify after a registered waiter
+            // has entered the condvar wait (or left `wait` altogether).
+            drop(
+                self.lock
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
+            self.cond.notify_all();
+        }
     }
 
     /// Blocks until the sequence moves past `seen` or `timeout` elapses.
     pub fn wait(&self, seen: u64, timeout: Duration) {
+        if self.current() != seen {
+            return;
+        }
         let deadline = Instant::now() + timeout;
-        let mut seq = self
-            .seq
+        let mut guard = self
+            .lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *seq == seen {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        while self.seq.load(Ordering::SeqCst) == seen {
             let now = Instant::now();
             if now >= deadline {
-                return;
+                break;
             }
             let (next, result) = self
                 .cond
-                .wait_timeout(seq, deadline - now)
+                .wait_timeout(guard, deadline - now)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            seq = next;
+            guard = next;
             if result.timed_out() {
-                return;
+                break;
             }
         }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -91,7 +116,7 @@ impl WaitSignal {
 #[derive(Debug, Default)]
 pub struct WaitSignalGroup {
     signal: WaitSignal,
-    members: std::sync::atomic::AtomicUsize,
+    members: AtomicUsize,
 }
 
 impl WaitSignalGroup {
@@ -120,28 +145,74 @@ impl WaitSignalGroup {
 
     /// Registers one member source.
     pub fn join(&self) {
-        self.members
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.members.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Deregisters one member source and wakes the waiter so it re-checks
     /// its (now smaller) member set.
     pub fn leave(&self) {
-        self.members
-            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        self.members.fetch_sub(1, Ordering::SeqCst);
         self.signal.bump();
     }
 
     /// Number of member sources currently joined.
     pub fn member_count(&self) -> usize {
-        self.members.load(std::sync::atomic::Ordering::SeqCst)
+        self.members.load(Ordering::SeqCst)
+    }
+}
+
+/// A list read on every pass of a hot loop and changed rarely: a reader
+/// takes an `Arc` snapshot of the whole list — one reference-count bump
+/// under a read lock, no allocation — and walks it with no lock held; a
+/// writer copies the list, changes the copy and publishes it. A reader
+/// holding an older snapshot keeps seeing the list as it was when it took
+/// it.
+#[derive(Debug)]
+pub struct SnapshotVec<T> {
+    current: std::sync::RwLock<Arc<Vec<T>>>,
+}
+
+impl<T> Default for SnapshotVec<T> {
+    fn default() -> Self {
+        SnapshotVec {
+            current: std::sync::RwLock::new(Arc::new(Vec::new())),
+        }
+    }
+}
+
+impl<T: Clone> SnapshotVec<T> {
+    /// Creates an empty list.
+    pub fn new() -> Self {
+        SnapshotVec::default()
+    }
+
+    /// The list as it is now.
+    pub fn load(&self) -> Arc<Vec<T>> {
+        Arc::clone(
+            &self
+                .current
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
+    }
+
+    /// Changes the list with `change` and publishes the result. Writers are
+    /// serialized; readers are never blocked for longer than the publish.
+    pub fn update<R>(&self, change: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        let mut current = self
+            .current
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut next = Vec::clone(&current);
+        let result = change(&mut next);
+        *current = Arc::new(next);
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn wait_returns_on_bump_and_on_timeout() {
@@ -178,6 +249,43 @@ mod tests {
     }
 
     #[test]
+    fn two_threads_ping_pong_without_a_lost_wakeup() {
+        // Each side parks on its own signal until the other bumps it; a lost
+        // wakeup would leave one side parked for the whole timeout.
+        const ROUNDS: u64 = 100_000;
+        const TIMEOUT: Duration = Duration::from_secs(10);
+        let ping = Arc::new(WaitSignal::new());
+        let pong = Arc::new(WaitSignal::new());
+        let answer = |inbox: Arc<WaitSignal>, outbox: Arc<WaitSignal>, serves: bool| {
+            std::thread::spawn(move || {
+                let mut slowest = Duration::ZERO;
+                for round in 0..ROUNDS {
+                    if serves {
+                        outbox.bump();
+                    }
+                    let t0 = Instant::now();
+                    inbox.wait(round, TIMEOUT);
+                    slowest = slowest.max(t0.elapsed());
+                    assert_eq!(inbox.current(), round + 1, "round {round}");
+                    if !serves {
+                        outbox.bump();
+                    }
+                }
+                slowest
+            })
+        };
+        let server = answer(Arc::clone(&pong), Arc::clone(&ping), true);
+        let client = answer(ping, pong, false);
+        for side in [server, client] {
+            let slowest = side.join().unwrap();
+            assert!(
+                slowest < TIMEOUT,
+                "a round waited out its timeout: {slowest:?}"
+            );
+        }
+    }
+
+    #[test]
     fn group_wakes_on_any_member_and_tracks_membership() {
         let group = Arc::new(WaitSignalGroup::new());
         group.join();
@@ -211,6 +319,21 @@ mod tests {
         group.wait(seen, Duration::from_secs(5));
         assert!(t0.elapsed() < Duration::from_millis(100));
         assert_eq!(group.member_count(), 1);
+    }
+
+    #[test]
+    fn a_snapshot_outlives_the_updates_after_it() {
+        let list = SnapshotVec::new();
+        list.update(|items| items.extend([1, 2]));
+        let before = list.load();
+        let removed = list.update(|items| items.remove(0));
+        assert_eq!(removed, 1);
+        assert_eq!(*before, vec![1, 2], "a taken snapshot never changes");
+        assert_eq!(*list.load(), vec![2]);
+        assert!(
+            Arc::ptr_eq(&list.load(), &list.load()),
+            "loads share one list"
+        );
     }
 
     #[test]

@@ -293,6 +293,14 @@ impl<T> Completion<T> {
         Completion { due: None, result }
     }
 
+    /// The same acknowledgement, its value mapped by `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Completion<U> {
+        Completion {
+            due: self.due,
+            result: self.result.map(f),
+        }
+    }
+
     /// Blocks until the acknowledgement arrives and returns it.
     ///
     /// # Errors

@@ -7,9 +7,11 @@
 //! target of fault injection in the experiments (mirroring the paper's
 //! never-killed simulator node).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-use kar_types::{ActorRef, KarResult, RetryPolicy, Value};
+use kar_types::{ActorRef, KarResult, Payload, RequestId, RetryPolicy, Value};
 
 use crate::component::ComponentCore;
 
@@ -76,5 +78,133 @@ impl std::fmt::Debug for Client {
         f.debug_struct("Client")
             .field("component", &self.core.id())
             .finish()
+    }
+}
+
+/// Where a client thread blocked in [`Client::call`] waits for its
+/// response. A thread keeps its slot from one call to the next, so a warm
+/// call allocates none. The slot knows which request it waits for: the late
+/// answer to an earlier call of the thread — one that gave up before its
+/// response arrived — is dropped, never handed to a later call.
+#[derive(Default)]
+pub(crate) struct CallSlot {
+    state: Mutex<SlotState>,
+    answered: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    /// The request the slot waits for; `None` between calls.
+    waiting_for: Option<RequestId>,
+    answer: Option<Answer>,
+}
+
+/// How a blocked call ends, short of its timeout.
+pub(crate) enum Answer {
+    /// The response's payload, shared with its queue record.
+    Response(Arc<Payload>),
+    /// The calling component was killed.
+    Killed,
+}
+
+thread_local! {
+    /// This thread's slot, while no call of the thread holds it.
+    static SPARE_SLOT: RefCell<Option<Arc<CallSlot>>> = const { RefCell::new(None) };
+}
+
+impl CallSlot {
+    /// A slot waiting for `id`: this thread's own, or a fresh one while a
+    /// call further up the thread's stack holds that (a simulated mesh runs
+    /// handlers on the thread that waits).
+    pub(crate) fn waiting_for(id: RequestId) -> Arc<CallSlot> {
+        let slot = SPARE_SLOT
+            .try_with(|spare| spare.borrow_mut().take())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        *slot.lock() = SlotState {
+            waiting_for: Some(id),
+            answer: None,
+        };
+        slot
+    }
+
+    /// Answers the call of `id`, if the slot still waits for it.
+    pub(crate) fn answer(&self, id: RequestId, answer: Answer) {
+        let mut state = self.lock();
+        if state.waiting_for == Some(id) && state.answer.is_none() {
+            state.answer = Some(answer);
+            drop(state);
+            self.answered.notify_one();
+        }
+    }
+
+    /// The answer, if it has arrived.
+    pub(crate) fn try_answer(&self) -> Option<Answer> {
+        self.lock().answer.take()
+    }
+
+    /// Blocks until the answer arrives, or `timeout` elapses (`None`).
+    pub(crate) fn wait(&self, timeout: Duration) -> Option<Answer> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.lock();
+        loop {
+            if let Some(answer) = state.answer.take() {
+                return Some(answer);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            state = self
+                .answered
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// The call is over: the slot stops waiting and goes back to its
+    /// thread.
+    pub(crate) fn release(self: Arc<Self>) {
+        *self.lock() = SlotState::default();
+        let _ = SPARE_SLOT.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.is_none() {
+                *spare = Some(self);
+            }
+        });
+    }
+
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_threads_call_slot_is_reused_and_drops_late_answers() {
+        let id = RequestId::from_raw;
+        let first = CallSlot::waiting_for(id(1));
+        let delivering = Arc::clone(&first);
+        assert!(first.wait(Duration::from_millis(1)).is_none(), "timed out");
+        first.release();
+        let second = CallSlot::waiting_for(id(2));
+        assert!(
+            Arc::ptr_eq(&second, &delivering),
+            "the thread reuses its slot"
+        );
+        let nested = CallSlot::waiting_for(id(3));
+        assert!(
+            !Arc::ptr_eq(&nested, &second),
+            "a held slot is not handed out"
+        );
+        delivering.answer(id(1), Answer::Killed);
+        assert!(second.try_answer().is_none(), "a late answer is dropped");
+        delivering.answer(id(2), Answer::Killed);
+        assert!(matches!(second.wait(Duration::ZERO), Some(Answer::Killed)));
     }
 }

@@ -47,7 +47,6 @@ use std::time::Duration;
 
 use kar_types::mono_now;
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use kar_queue::{Broker, Consumer, PartitionSet, Producer, Record};
@@ -57,18 +56,19 @@ use kar_types::RequestId;
 use kar_types::{
     epoch_ms, ActorRef, Backoff, CallKind, Completion, ComponentId, Envelope, KarError, KarResult,
     NodeId, Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState,
-    RetryVerdict, Value, WaitSignalGroup,
+    RetryVerdict, SharedRequest, SnapshotVec, Value, WaitSignalGroup,
 };
 
 use crate::actor::{ActorFactory, Outcome};
 use crate::aging::{tombstone, AgingMap, AgingSet, IdBitmap, Names, Tombs};
+use crate::client::{Answer, CallSlot};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
-use crate::delivery::{partitions_of, Flusher, RequestRound, ResponseBatcher, Run};
+use crate::delivery::{Flusher, RequestRound, ResponseBatcher, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
-use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService};
+use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService, RouteKey};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
 use crate::state_cache::{PendingFlush, Savepoint, StateImage};
@@ -128,7 +128,7 @@ struct ActorSlot {
     busy: bool,
     busy_chain: Vec<RequestId>,
     awaiting_tail: Option<RequestId>,
-    mailbox: VecDeque<RequestMessage>,
+    mailbox: VecDeque<SharedRequest>,
     /// Placement-check locality: the placement-cache epoch in which this
     /// actor's ownership by this component was last verified. While the
     /// stamp matches the current epoch, admission skips placement resolution
@@ -146,6 +146,17 @@ struct ActorSlot {
     activation_deferrals: u32,
 }
 
+impl ActorSlot {
+    /// The actor lock is `request`'s: the slot is busy, and its chain is the
+    /// request's call chain (its buffer reused, not reallocated).
+    fn hold_for(&mut self, request: &RequestMessage) {
+        self.busy = true;
+        self.busy_chain.clear();
+        self.busy_chain.extend_from_slice(&request.lineage);
+        self.busy_chain.push(request.id);
+    }
+}
+
 /// The admission decision for one polled request. Only `Forward` and `Done`
 /// give up the request's admission claim (its `inflight` entry); a request
 /// that stays here keeps it until it finishes, so reconciliation finds
@@ -161,7 +172,7 @@ enum Admission {
     /// Not ours: forward to the current placement. A forward is a round of
     /// its own ([`Stage::Round`]): one that meets a stale placement parks,
     /// it never holds the lane.
-    Forward(RequestMessage),
+    Forward(SharedRequest),
     /// Absorbed: a duplicate, or dropped (the queue copy drives the retry).
     Done,
 }
@@ -206,7 +217,7 @@ impl Claims {
 /// can park against a response already processed.
 struct Deferred {
     /// Parked retries, by the callee whose response releases them.
-    parked: HashMap<RequestId, Vec<RequestMessage>>,
+    parked: HashMap<RequestId, Vec<SharedRequest>>,
     /// Response ids seen by this component, as bits. Aged out alongside
     /// queue retention: a response old enough to leave the set has also
     /// expired from every queue, so no deferred retry can still be waiting
@@ -233,7 +244,7 @@ impl Attempt {
 
 /// What the invocation loop keeps across the steps of one invocation.
 pub(crate) struct Frame {
-    request: RequestMessage,
+    request: SharedRequest,
     /// Whether this invocation holds the actor lock (and so drains the
     /// actor's mailbox when it completes).
     holds_lock: bool,
@@ -247,7 +258,7 @@ pub(crate) struct Frame {
 impl Frame {
     /// An invocation of `request` admitted to `slot`.
     fn admitted(
-        request: RequestMessage,
+        request: SharedRequest,
         slot: &ActorSlot,
         holds_lock: bool,
         reentrant: bool,
@@ -363,7 +374,7 @@ impl RoundInFlight {
     fn new(run: Run, tells: usize) -> Self {
         RoundInFlight {
             requests: run.len() as u64,
-            outbox: (tells > 0).then(|| (tells, partitions_of(&run).len())),
+            outbox: (tells > 0).then(|| (tells, run.partitions())),
             round: RequestRound::new(run),
         }
     }
@@ -478,7 +489,7 @@ pub(crate) enum Stage {
     /// past it: a scheduled retry until its next-fire deadline, or an
     /// activation deferred at the hard resident watermark until its shaped
     /// backoff is over.
-    Admit(RequestMessage),
+    Admit(SharedRequest),
     /// A response whose caller's component failed: routed next, if
     /// reconciliation has re-placed the caller by now; dropped at
     /// `deadline`.
@@ -566,9 +577,9 @@ pub struct ComponentCore {
     io: Arc<DueHeap>,
     /// This component's consumer lanes. Starts at the pre-failure steady
     /// state (one lane per home partition), grows by one lane per adopted
-    /// partition range, and
-    /// shrinks back as adopted ranges are retired.
-    lanes: Mutex<Vec<Arc<ConsumerLane>>>,
+    /// partition range, and shrinks back as adopted ranges are retired;
+    /// every sweep walks a snapshot of it.
+    lanes: SnapshotVec<Arc<ConsumerLane>>,
     /// Continuations parked on nested calls, keyed by the nested request id
     /// (see [`crate::continuation`]).
     continuations: ContinuationTable,
@@ -603,7 +614,7 @@ pub struct ComponentCore {
     /// Lock order of the resident set, everywhere: actors → a slot's state
     /// image; actors → tombstones.
     actors: Mutex<AgingMap<ActorRef, ActorSlot>>,
-    pending_calls: Mutex<HashMap<RequestId, Sender<Arc<Payload>>>>,
+    pending_calls: Mutex<HashMap<RequestId, Arc<CallSlot>>>,
     /// Happen-before retries parked on their callee, and the response ids
     /// that release them, under one lock.
     deferred: Mutex<Deferred>,
@@ -720,7 +731,7 @@ impl ComponentCore {
             paused: AtomicBool::new(false),
             wakeup,
             io,
-            lanes: Mutex::new(Vec::new()),
+            lanes: SnapshotVec::new(),
             continuations: ContinuationTable::default(),
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
@@ -834,7 +845,7 @@ impl ComponentCore {
         self.passivated.lock().clear();
         // Detach the consumers from the reactor wake group: partitions must
         // not keep notifying — or keep membership for — a dead component.
-        let lanes: Vec<Arc<ConsumerLane>> = std::mem::take(&mut *self.lanes.lock());
+        let lanes = self.lanes.update(std::mem::take);
         for lane in &lanes {
             self.detach_lane(lane);
         }
@@ -842,8 +853,10 @@ impl ComponentCore {
         // process. The queue copies of their original requests drive the
         // retries on the adopters (§4.3).
         self.continuations.clear();
-        // Dropping the senders wakes every client thread blocked on a call.
-        self.pending_calls.lock().clear();
+        // Every client thread blocked on a call wakes to the kill.
+        for (id, slot) in self.pending_calls.lock().drain() {
+            slot.answer(id, Answer::Killed);
+        }
         self.deferred.lock().parked.clear();
         self.claims.lock().inflight.clear();
         // Buffered (not yet appended) completions die with the process; the
@@ -1019,33 +1032,19 @@ impl ComponentCore {
         out
     }
 
-    /// The home partition of `component` that `key` hashes to: how every
+    /// The home partition of `component` that `key` routes to: how every
     /// request and response is routed onto a target component's partition
-    /// set. Keys are actor qualified names (or the request id for responses
-    /// to external clients), so one actor's records always land in one
-    /// partition.
-    fn partition_for(&self, component: ComponentId, key: &str) -> Option<usize> {
+    /// set, so one actor's records always land in one partition.
+    fn partition_for(&self, component: ComponentId, key: RouteKey<'_>) -> Option<usize> {
         self.topology
             .read()
             .get(&component)
-            .and_then(|set| set.partition_for_key(key))
+            .and_then(|set| key.partition_in(set))
     }
 
     /// The home partition of this component that `actor`'s records hash to.
     fn own_partition_for(&self, actor: &ActorRef) -> Option<usize> {
-        self.partitions
-            .read()
-            .partition_for_key(&actor.qualified_name())
-    }
-
-    /// The routing key of the response to `request`: the caller actor when
-    /// there is one (so one actor's responses stay in one partition), the
-    /// request id for external clients.
-    fn response_key(request: &RequestMessage) -> String {
-        match &request.caller_actor {
-            Some(actor) => actor.qualified_name(),
-            None => format!("req-{}", request.id.as_u64()),
-        }
+        RouteKey::Actor(actor).partition_in(&self.partitions.read())
     }
 
     /// This component's current partition set (home + adopted).
@@ -1128,7 +1127,7 @@ impl ComponentCore {
             message.single_copy = single_copy;
         }
         Placing {
-            routed: Vec::with_capacity(messages.len()),
+            routed: Run::default(),
             unplaced: messages.into_iter(),
             tells,
             deadline: None,
@@ -1152,12 +1151,12 @@ impl ComponentCore {
             match self.placement.resolve_nowait(&message.target) {
                 Ok(Some(component)) => {
                     let partition = self
-                        .partition_for(component, &message.target.qualified_name())
+                        .partition_for(component, RouteKey::Actor(&message.target))
                         .ok_or_else(|| {
                             KarError::internal(format!("no partition set recorded for {component}"))
                         })?;
                     let message = placing.unplaced.next().expect("peeked above");
-                    placing.routed.push((partition, Envelope::Request(message)));
+                    placing.routed.push(partition, Envelope::Request(message));
                 }
                 Err(error) if !error.is_transient() => return Err(error),
                 Ok(None) | Err(_) => {
@@ -1282,7 +1281,7 @@ impl ComponentCore {
     /// re-placement of their caller).
     fn route_response(self: &Arc<Self>, request: &RequestMessage, result: Payload) {
         // One materialization for the whole delivery path: the queue copy,
-        // the delivered envelope, and the pending-call hand-off all share
+        // the delivered envelope, and the blocked caller's hand-off all share
         // this `Arc`ed payload.
         let mut response = ResponseMessage::new(request.id, request.caller, result)
             .with_routing(request.reply_to, request.caller_actor.clone());
@@ -1291,8 +1290,8 @@ impl ComponentCore {
         // broker's keyed producer API applies), batched per destination.
         if let Some(reply_to) = request.reply_to {
             if self.live.read().contains(&reply_to) {
-                if let Some(partition) = self.partition_for(reply_to, &Self::response_key(request))
-                {
+                let key = RouteKey::response(request.caller_actor.as_ref(), request.id);
+                if let Some(partition) = self.partition_for(reply_to, key) {
                     // The response is the request's completion record: its
                     // ack settles the record the request was polled from.
                     // Executed from its *only* record, the response names
@@ -1359,13 +1358,10 @@ impl ComponentCore {
     /// response's own routing fields, so adopters that *consumed* an
     /// orphaned record can re-park it here too.
     fn try_response_partition(&self, response: &ResponseMessage) -> Option<usize> {
-        let key = match &response.caller_actor {
-            Some(actor) => actor.qualified_name(),
-            None => format!("req-{}", response.id.as_u64()),
-        };
+        let key = RouteKey::response(response.caller_actor.as_ref(), response.id);
         if let Some(reply_to) = response.reply_to {
             if self.live.read().contains(&reply_to) {
-                return self.partition_for(reply_to, &key);
+                return self.partition_for(reply_to, key);
             }
         }
         if let Some(caller_actor) = &response.caller_actor {
@@ -1375,14 +1371,14 @@ impl ComponentCore {
             // an attempt observes a live owner.
             if let Ok(Some(component)) = self.placement.resolve_nowait(caller_actor) {
                 if self.live.read().contains(&component) {
-                    return self.partition_for(component, &key);
+                    return self.partition_for(component, key);
                 }
             }
             return None;
         }
         // reply_to points at a dead external client: deliver to its queue
         // anyway (harmless; the records expire with retention).
-        response.reply_to.and_then(|c| self.partition_for(c, &key))
+        response.reply_to.and_then(|c| self.partition_for(c, key))
     }
 
     // ------------------------------------------------------------------
@@ -1419,13 +1415,15 @@ impl ComponentCore {
             single_copy: false,
         };
         self.sidecar_hop();
-        let receiver = self.register_pending(id);
+        let slot = CallSlot::waiting_for(id);
+        self.pending_calls.lock().insert(id, Arc::clone(&slot));
         if let Err(error) = self.issue_outbox(message) {
             // The caller gets the error now, not a response later.
             self.pending_calls.lock().remove(&id);
+            slot.release();
             return Err(error);
         }
-        self.wait_for_response(id, receiver)
+        self.wait_for_response(id, slot)
     }
 
     /// An asynchronous root invocation issued by an external client: durably
@@ -1472,56 +1470,44 @@ impl ComponentCore {
         })
     }
 
-    fn register_pending(&self, id: RequestId) -> crossbeam::channel::Receiver<Arc<Payload>> {
-        let (tx, rx) = bounded(1);
-        self.pending_calls.lock().insert(id, tx);
-        rx
-    }
-
-    fn wait_for_response(
-        &self,
-        id: RequestId,
-        receiver: crossbeam::channel::Receiver<Arc<Payload>>,
-    ) -> KarResult<Value> {
+    /// Waits for the answer to the call `id` in `slot`, for at most the
+    /// call timeout.
+    fn wait_for_response(&self, id: RequestId, slot: Arc<CallSlot>) -> KarResult<Value> {
         // Only edge threads wait here (an invocation's nested call parks a
         // continuation instead), and any reactor can deliver the response.
         let deadline = mono_now() + self.config.call_timeout;
-        let outcome = if kar_types::sim::active() {
+        let answer = if kar_types::sim::active() {
             // Simulation: the driver thread owns every lane, so parking on
-            // the channel would deadlock the whole mesh. Drive the seeded
+            // the slot would deadlock the whole mesh. Drive the seeded
             // scheduler instead; time only advances when the scheduler says
             // so, making the timeout below a *virtual* deadline.
             loop {
-                match receiver.try_recv() {
-                    Ok(payload) => break Ok(payload),
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                        break Err(RecvTimeoutError::Disconnected)
-                    }
-                    Err(crossbeam::channel::TryRecvError::Empty) => {
-                        if mono_now() >= deadline {
-                            break Err(RecvTimeoutError::Timeout);
-                        }
-                        kar_types::sim::step();
-                    }
+                if let Some(answer) = slot.try_answer() {
+                    break Some(answer);
                 }
+                if mono_now() >= deadline {
+                    break None;
+                }
+                kar_types::sim::step();
             }
         } else {
-            receiver.recv_timeout(deadline.saturating_sub(mono_now()))
+            slot.wait(deadline.saturating_sub(mono_now()))
         };
         self.pending_calls.lock().remove(&id);
-        match outcome {
-            Ok(payload) => {
+        slot.release();
+        match answer {
+            Some(Answer::Response(payload)) => {
                 self.sidecar_hop();
-                // The only payload copy on the response path: the caller
-                // takes ownership here (the queue copy keeps its reference
-                // until retention expires it).
+                // The response's one payload copy: the caller takes
+                // ownership here (the queue copy keeps its reference until
+                // the record is trimmed or expires).
                 Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone())
             }
-            Err(RecvTimeoutError::Timeout) => Err(KarError::Timeout {
+            Some(Answer::Killed) => Err(KarError::Killed { component: self.id }),
+            None => Err(KarError::Timeout {
                 request: id,
                 after_ms: self.config.call_timeout.as_millis() as u64,
             }),
-            Err(RecvTimeoutError::Disconnected) => Err(KarError::Killed { component: self.id }),
         }
     }
 
@@ -1529,7 +1515,7 @@ impl ComponentCore {
     // Dispatch
     // ------------------------------------------------------------------
 
-    fn handle_response(self: &Arc<Self>, response: ResponseMessage) {
+    fn handle_response(self: &Arc<Self>, response: &ResponseMessage) {
         // Record the response and take its deferred retries under one
         // `deferred` lock: admission's check-and-defer takes the same lock,
         // so a retry can never park itself against a response that has
@@ -1549,17 +1535,17 @@ impl ComponentCore {
             consumed = true;
             self.resume_continuation(parked, input);
         }
-        if let Some(sender) = self.pending_calls.lock().remove(&response.id) {
+        if let Some(slot) = self.pending_calls.lock().remove(&response.id) {
             // Hand the blocked caller the shared payload — no deep copy; the
             // caller materializes an owned value once, at the API boundary.
             consumed = true;
-            let _ = sender.send(Arc::clone(&response.result));
+            slot.answer(response.id, Answer::Response(Arc::clone(&response.result)));
         }
         // Unblock any re-homed caller whose retry was waiting for this callee
         // to settle (happen-before), admitting each inline past its claim;
         // none can join them now that the response is seen.
         for mut request in deferred.into_iter().flatten() {
-            request.pending_callee = None;
+            request.make_mut().pending_callee = None;
             let admission = self.admit_held(request);
             self.carry_out(admission);
         }
@@ -1593,7 +1579,7 @@ impl ComponentCore {
                     Ok(Some(owner)) if owner == self.id
                 );
                 if !owned_here {
-                    self.park_orphan(response);
+                    self.park_orphan(response.clone());
                 }
             }
         }
@@ -1607,7 +1593,7 @@ impl ComponentCore {
                 Arc::clone(self).invocation_loop(hop, Stage::Start(frame));
             }
             Admission::Forward(request) => {
-                if let Step::Next(due, stage) = self.resend(request, None) {
+                if let Step::Next(due, stage) = self.resend(request.into_owned(), None) {
                     Arc::clone(self).invocation_loop(due, stage);
                 }
             }
@@ -1628,7 +1614,7 @@ impl ComponentCore {
     /// [`Admission::Parked`] keeps the claim until it finishes, so a second
     /// copy arriving meanwhile is a duplicate; a forward or a drop releases
     /// it.
-    fn admit_request(self: &Arc<Self>, request: RequestMessage) -> Admission {
+    fn admit_request(self: &Arc<Self>, request: SharedRequest) -> Admission {
         if !self.is_alive() {
             return Admission::Done;
         }
@@ -1641,7 +1627,7 @@ impl ComponentCore {
     /// Admission of a request that holds its claim already — freshly taken,
     /// or kept while it was deferred or parked: releases the claim unless
     /// the request stays here.
-    fn admit_held(self: &Arc<Self>, request: RequestMessage) -> Admission {
+    fn admit_held(self: &Arc<Self>, request: SharedRequest) -> Admission {
         let id = request.id;
         let admission = self.admit_claimed(request);
         if matches!(admission, Admission::Forward(_) | Admission::Done) {
@@ -1651,7 +1637,7 @@ impl ComponentCore {
     }
 
     /// [`Self::admit_request`] past the claim.
-    fn admit_claimed(self: &Arc<Self>, mut request: RequestMessage) -> Admission {
+    fn admit_claimed(self: &Arc<Self>, mut request: SharedRequest) -> Admission {
         // Retry-orchestration gate: a *scheduled* retry copy (attempt ≥ 1)
         // waits out its next-fire deadline on the due-time heap and spends a
         // mesh retry-budget token to start; a shed re-parks it on its own
@@ -1745,7 +1731,7 @@ impl ComponentCore {
                     return Admission::Parked;
                 }
             }
-            request.pending_callee = None;
+            request.make_mut().pending_callee = None;
         }
         let mut actors = self.actors.lock();
         let evicted = self.evict_coldest(&mut actors, &request);
@@ -1766,7 +1752,7 @@ impl ComponentCore {
     fn admit_to_slot(
         self: &Arc<Self>,
         mut actors: MutexGuard<'_, AgingMap<ActorRef, ActorSlot>>,
-        request: RequestMessage,
+        request: SharedRequest,
         stamp: Option<u64>,
         settled: u64,
     ) -> Admission {
@@ -1795,8 +1781,7 @@ impl ComponentCore {
                 drop(actors);
                 return self.defer_activation(request, wait);
             }
-            slot.busy = true;
-            slot.busy_chain = request.chain();
+            slot.hold_for(&request);
             let frame = Frame::admitted(request, &slot, true, false);
             actors.insert(frame.request.target.clone(), slot);
             return Admission::Run(frame);
@@ -1832,7 +1817,7 @@ impl ComponentCore {
         if slot.awaiting_tail == Some(request.id) {
             // Continuation of a tail call to self: it owns the lock already.
             slot.awaiting_tail = None;
-            slot.busy_chain = request.chain();
+            slot.hold_for(&request);
             Admission::Run(Frame::admitted(request, slot, true, false))
         } else if slot.busy {
             let reentrant = request
@@ -1850,8 +1835,7 @@ impl ComponentCore {
                 Admission::Parked
             }
         } else {
-            slot.busy = true;
-            slot.busy_chain = request.chain();
+            slot.hold_for(&request);
             Admission::Run(Frame::admitted(request, slot, true, false))
         }
     }
@@ -2503,7 +2487,7 @@ impl ComponentCore {
         match slot.mailbox.pop_front() {
             Some(next) => {
                 self.mailboxed.fetch_sub(1, Ordering::Relaxed);
-                slot.busy_chain = next.chain();
+                slot.hold_for(&next);
                 drop(actors);
                 frame.request = next;
                 frame.reentrant = false;
@@ -2659,7 +2643,7 @@ impl ComponentCore {
                 return self.respond(frame, Err(error));
             }
         };
-        let mut copy = request.clone();
+        let mut copy = RequestMessage::clone(request);
         copy.retry = Some(Box::new(next));
         copy.pending_callee = None;
         copy.single_copy = false;
@@ -2699,10 +2683,7 @@ impl ComponentCore {
     /// forever). Returns the request when it may proceed to ordinary
     /// admission *now*, `None` when it was parked or settled — holding its
     /// claim either way, which its completion releases once settled.
-    fn gate_scheduled_retry(
-        self: &Arc<Self>,
-        mut request: RequestMessage,
-    ) -> Option<RequestMessage> {
+    fn gate_scheduled_retry(self: &Arc<Self>, mut request: SharedRequest) -> Option<SharedRequest> {
         let now = self.retry_epoch_now();
         let seed = request.id.as_u64();
         let due = request.retry.as_ref().is_some_and(|retry| retry.due(now));
@@ -2711,6 +2692,7 @@ impl ComponentCore {
                 return Some(request);
             }
             let rescheduled = request
+                .make_mut()
                 .retry
                 .as_mut()
                 .is_some_and(|retry| retry.reschedule_shed(seed, now));
@@ -2727,7 +2709,7 @@ impl ComponentCore {
                     after_ms: grace_ms,
                 };
                 match state.after_failure(seed, &error, now) {
-                    RetryVerdict::Retry(next) => request.retry = Some(Box::new(next)),
+                    RetryVerdict::Retry(next) => request.make_mut().retry = Some(Box::new(next)),
                     RetryVerdict::Exhausted(final_state) => {
                         self.dead_letter(&request, &final_state, &error);
                         // Never admitted to its actor: it holds no lock, and
@@ -2854,7 +2836,7 @@ impl ComponentCore {
     pub(crate) fn start(&self) {
         let home = self.partitions.read().home().to_vec();
         let lanes = home.into_iter().map(|p| self.make_lane(vec![p]));
-        self.lanes.lock().extend(lanes);
+        self.lanes.update(|list| list.extend(lanes));
     }
 
     /// Builds one consumer lane over `partitions`, wiring every consumer
@@ -2875,7 +2857,8 @@ impl ComponentCore {
 
     /// Drops `lane` from the lane list (its consumers are all gone).
     fn remove_lane(&self, lane: &Arc<ConsumerLane>) {
-        self.lanes.lock().retain(|l| !Arc::ptr_eq(l, lane));
+        self.lanes
+            .update(|list| list.retain(|l| !Arc::ptr_eq(l, lane)));
     }
 
     /// Detaches `lane`'s consumers from the reactor wake group and drops
@@ -2924,14 +2907,16 @@ impl ComponentCore {
         }
     }
 
-    /// Polls every claimable consumer lane once. `Consumer::ready()` is a
-    /// lock-free check, so sweeping a large idle topology costs two atomic
-    /// loads per partition — this is what lets one fixed reactor pool drive
-    /// 100× the partitions.
+    /// Polls every claimable consumer lane once. The lane list is a shared
+    /// snapshot (taking it is a reference-count bump, not a copy) and
+    /// `Consumer::ready()` is a lock-free check, so sweeping a large idle
+    /// topology allocates nothing and costs two atomic loads per partition
+    /// — this is what lets one fixed reactor pool drive 100× the
+    /// partitions.
     fn pump_consumers(self: &Arc<Self>, wake_at: &mut Option<Duration>) -> bool {
-        let lanes: Vec<Arc<ConsumerLane>> = self.lanes.lock().clone();
+        let lanes = self.lanes.load();
         let mut did = false;
-        for lane in lanes {
+        for lane in lanes.iter() {
             let Some(mut consumers) = lane.consumers.try_lock() else {
                 // Another reactor is sweeping this lane; its partitions stay
                 // serialized, exactly like the old one-thread-per-lane model.
@@ -2984,11 +2969,11 @@ impl ComponentCore {
                 // handler it ran killed its own component. Checked after
                 // letting go: a kill that found the lane held happened
                 // before this check, so one of the two detaches it.
-                self.detach_lane(&lane);
+                self.detach_lane(lane);
                 return did;
             }
             if empty {
-                self.remove_lane(&lane);
+                self.remove_lane(lane);
             }
             if self.is_paused() {
                 return did;
@@ -3047,8 +3032,8 @@ impl ComponentCore {
     /// possibly running a long handler — is retired on a later tick: waiting
     /// for it would stall every component's heartbeat.
     fn sweep_retirement(&self) {
-        let lanes: Vec<Arc<ConsumerLane>> = self.lanes.lock().clone();
-        for lane in lanes {
+        let lanes = self.lanes.load();
+        for lane in lanes.iter() {
             let Some(mut consumers) = lane.consumers.try_lock() else {
                 continue;
             };
@@ -3056,7 +3041,7 @@ impl ComponentCore {
             let empty = consumers.is_empty();
             drop(consumers);
             if empty {
-                self.remove_lane(&lane);
+                self.remove_lane(lane);
             }
         }
     }
@@ -3089,7 +3074,8 @@ impl ComponentCore {
             }
         }
         self.partitions.write().adopt(adopted.iter().copied());
-        self.lanes.lock().push(self.make_lane(adopted));
+        let lane = self.make_lane(adopted);
+        self.lanes.update(|list| list.push(lane));
         // The new lane's partitions may already hold salvaged records.
         self.wakeup.notify();
     }
@@ -3175,19 +3161,22 @@ impl ComponentCore {
         let mut admitted = 0;
         for record in records {
             let offset = record.offset;
-            // The poll shared these payloads with the partition log
-            // (zero-copy); each delivered envelope is materialized exactly
-            // once here — the only payload copy on the delivery path.
-            match record.into_payload() {
-                Envelope::Request(request) => {
+            // The poll shared these envelopes with the partition log
+            // (zero-copy), and so does admission: a request keeps its
+            // envelope, copied only if something changes it while the log
+            // still holds it; a response is read where it lies.
+            match SharedRequest::try_from_envelope(record.payload) {
+                Ok(request) => {
                     let admission = self.admit_request(request);
                     publish(offset);
                     admitted += 1;
                     self.carry_out(admission);
                 }
-                Envelope::Response(response) => {
+                Err(envelope) => {
                     publish(offset);
-                    self.handle_response(response);
+                    if let Envelope::Response(response) = &*envelope {
+                        self.handle_response(response);
+                    }
                 }
             }
         }
@@ -3320,7 +3309,7 @@ impl ComponentCore {
 
     /// Defers the activation `request` would make: it waits `wait` as a
     /// [`Stage::Admit`], holding its claim.
-    fn defer_activation(self: &Arc<Self>, request: RequestMessage, wait: Duration) -> Admission {
+    fn defer_activation(self: &Arc<Self>, request: SharedRequest, wait: Duration) -> Admission {
         self.stats
             .admission_deferrals
             .fetch_add(1, Ordering::Relaxed);
@@ -3612,7 +3601,7 @@ impl ComponentCore {
     /// and returns to the pre-failure steady state once the adopted range is
     /// retired.
     pub fn consumer_thread_count(&self) -> usize {
-        self.lanes.lock().len()
+        self.lanes.load().len()
     }
 
     /// Number of continuations currently parked on nested calls.
@@ -3736,7 +3725,7 @@ mod tests {
             (
                 "mailboxed",
                 ActorSlot {
-                    mailbox: VecDeque::from([request("mailboxed", 1)]),
+                    mailbox: VecDeque::from([request("mailboxed", 1).into()]),
                     ..ActorSlot::default()
                 },
             ),
@@ -3815,7 +3804,7 @@ mod tests {
         };
         let settled = || core.release_rounds.load(Ordering::Relaxed);
         let activate = |request: RequestMessage, settled: u64| {
-            let admission = core.admit_to_slot(core.actors.lock(), request, None, settled);
+            let admission = core.admit_to_slot(core.actors.lock(), request.into(), None, settled);
             matches!(admission, Admission::Run(_))
         };
         let record = |name: &str| core.store.admin_get(&placement_key(&ledger(name)));
@@ -3838,7 +3827,7 @@ mod tests {
         core.deferred
             .lock()
             .parked
-            .insert(RequestId::from_raw(8), vec![retry]);
+            .insert(RequestId::from_raw(8), vec![retry.into()]);
         core.passivated.lock().aging.bury(&ledger("renewed"));
         assert_eq!(
             core.placement.resolve_nowait(&ledger("cached")).unwrap(),
@@ -3874,7 +3863,7 @@ mod tests {
         assert_eq!(core.resident_refs(), vec![ledger("early")]);
         // An activation resolves from the store, not from the cache that
         // still says "placed here": the cold path places the actor again.
-        let admission = core.admit_request(request("cached", 2));
+        let admission = core.admit_request(request("cached", 2).into());
         assert!(matches!(admission, Admission::Run(_)));
         assert_eq!(record("cached"), Some(placed_here.clone()));
         // An activation that meets the actor's release still in flight
@@ -3925,7 +3914,7 @@ mod tests {
         core.settle.routed(0, &[polled]);
         assert!(core.claims.lock().claim(request.id));
         let frame = Frame {
-            request,
+            request: request.into(),
             holds_lock: false,
             reentrant: false,
             image: StateImage::default(),

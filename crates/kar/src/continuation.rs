@@ -74,7 +74,7 @@ pub(crate) struct ParkedContinuation {
     /// The original request whose handler parked. Still in the in-flight
     /// set and still holding its actor busy, so recovery and per-actor FIFO
     /// see a parked invocation exactly like a running one.
-    pub request: kar_types::RequestMessage,
+    pub request: kar_types::SharedRequest,
     /// Whether the original invocation holds the actor lock (mirrors
     /// `run_invocation`'s `holds_lock`).
     pub holds_lock: bool,
@@ -169,7 +169,8 @@ mod tests {
                 ActorRef::new("A", "1"),
                 "m",
                 Vec::new(),
-            ),
+            )
+            .into(),
             holds_lock: true,
             reentrant: false,
             image: StateImage::default(),

@@ -177,9 +177,82 @@ impl ResponseBatcher {
     }
 }
 
-/// A run of routed requests: `(destination partition, envelope)` pairs in
-/// send order.
-pub(crate) type Run = Vec<(usize, Envelope)>;
+/// A run of routed envelopes, grouped by destination partition with the
+/// send order kept inside each group: one partition's batch — every response
+/// run and retry copy, and most request runs — or the groups of several
+/// partitions, in the order each partition was first named. A one-partition
+/// run is its envelope list and nothing else.
+#[derive(Clone)]
+pub(crate) enum Run {
+    /// Every envelope is bound for one partition.
+    Batch(usize, Vec<Envelope>),
+    /// Envelopes bound for several partitions (or none yet).
+    Groups(Vec<(usize, Vec<Envelope>)>),
+}
+
+impl Default for Run {
+    fn default() -> Self {
+        Run::Groups(Vec::new())
+    }
+}
+
+impl Run {
+    /// Adds `envelope`, bound for `partition`, behind everything the run
+    /// already sends there.
+    pub(crate) fn push(&mut self, partition: usize, envelope: Envelope) {
+        match self {
+            Run::Batch(only, envelopes) if *only == partition => envelopes.push(envelope),
+            Run::Batch(only, envelopes) => {
+                let first = (*only, std::mem::take(envelopes));
+                *self = Run::Groups(vec![first, (partition, vec![envelope])]);
+            }
+            Run::Groups(groups) if groups.is_empty() => {
+                *self = Run::Batch(partition, vec![envelope]);
+            }
+            // A run spans few distinct partitions, so a linear scan beats
+            // hashing.
+            Run::Groups(groups) => match groups.iter_mut().find(|(p, _)| *p == partition) {
+                Some((_, group)) => group.push(envelope),
+                None => groups.push((partition, vec![envelope])),
+            },
+        }
+    }
+
+    /// How many envelopes the run carries.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Run::Batch(_, envelopes) => envelopes.len(),
+            Run::Groups(groups) => groups.iter().map(|(_, group)| group.len()).sum(),
+        }
+    }
+
+    /// How many distinct partitions the run touches.
+    pub(crate) fn partitions(&self) -> usize {
+        match self {
+            Run::Batch(..) => 1,
+            Run::Groups(groups) => groups.len(),
+        }
+    }
+
+    /// Submits the run as one produce round — a batch when it touches one
+    /// partition — and returns the completion of its acknowledgement.
+    fn submit(self, producer: &Producer<Envelope>, topic: &str) -> KarResult<Completion<()>> {
+        Ok(match self {
+            Run::Batch(partition, envelopes) => producer
+                .submit_batch(topic, partition, envelopes)?
+                .map(drop),
+            Run::Groups(groups) => producer.submit_round(topic, groups)?.map(drop),
+        })
+    }
+
+    /// The envelopes, in group order.
+    fn into_envelopes(self) -> Vec<Envelope> {
+        match self {
+            Run::Batch(_, envelopes) => envelopes,
+            Run::Groups(groups) => groups.into_iter().flat_map(|(_, group)| group).collect(),
+        }
+    }
+}
 
 /// One **produce round** ([`kar_queue::Producer::submit_round`]): envelopes
 /// grouped per partition with the send order kept inside each group, one
@@ -200,7 +273,7 @@ pub(crate) struct RequestRound {
     /// Kept for a replay only while a fault plan is armed: an un-faulted
     /// in-process broker has no transient append errors, so the ordinary hot
     /// path moves the round into the broker without copying.
-    groups: Option<Vec<(usize, Vec<Envelope>)>>,
+    run: Option<Run>,
     /// Submits left, the first included.
     submits_left: u32,
     /// What the latest submit's ack says, learnt when it is due.
@@ -209,30 +282,17 @@ pub(crate) struct RequestRound {
 
 impl RequestRound {
     pub(crate) fn new(run: Run) -> Self {
-        // A run spans few distinct partitions, so a linear scan beats
-        // hashing.
-        let mut groups: Vec<(usize, Vec<Envelope>)> = Vec::new();
-        for (partition, envelope) in run {
-            match groups.iter_mut().find(|(p, _)| *p == partition) {
-                Some((_, group)) => group.push(envelope),
-                None => groups.push((partition, vec![envelope])),
-            }
+        RequestRound {
+            run: Some(run),
+            submits_left: TRANSIENT_ATTEMPTS,
+            acked: Ok(()),
         }
-        Self::of(groups)
     }
 
     /// A round of envelopes bound for one partition: a response run, a
     /// retry copy.
     pub(crate) fn batch(partition: usize, envelopes: Vec<Envelope>) -> Self {
-        Self::of(vec![(partition, envelopes)])
-    }
-
-    fn of(groups: Vec<(usize, Vec<Envelope>)>) -> Self {
-        RequestRound {
-            groups: Some(groups),
-            submits_left: TRANSIENT_ATTEMPTS,
-            acked: Ok(()),
-        }
+        Self::new(Run::Batch(partition, envelopes))
     }
 
     /// Submits the round — replaying at once a submit refused with a
@@ -246,16 +306,16 @@ impl RequestRound {
     ) -> Option<Duration> {
         loop {
             self.submits_left -= 1;
-            let groups = if producer.faults_armed() {
-                self.groups.clone()
+            let run = if producer.faults_armed() {
+                self.run.clone()
             } else {
                 self.submits_left = 0;
-                self.groups.take()
+                self.run.take()
             };
-            let groups = groups.expect("a round is submitted again only from its replay copy");
-            match producer.submit_round(topic, groups) {
+            let run = run.expect("a round is submitted again only from its replay copy");
+            match run.submit(producer, topic) {
                 Ok(Completion { due, result }) => {
-                    self.acked = result.map(drop);
+                    self.acked = result;
                     return due;
                 }
                 Err(error) if error.is_transient() && self.submits_left > 0 => {}
@@ -280,20 +340,8 @@ impl RequestRound {
     /// The envelopes the round kept for its replays, in group order: all of
     /// them while a fault plan is armed, none otherwise.
     pub(crate) fn into_kept(self) -> Vec<Envelope> {
-        self.groups
-            .into_iter()
-            .flatten()
-            .flat_map(|(_, envelopes)| envelopes)
-            .collect()
+        self.run.map(Run::into_envelopes).unwrap_or_default()
     }
-}
-
-/// The distinct partitions `run` touches.
-pub(crate) fn partitions_of(run: &[(usize, Envelope)]) -> Vec<usize> {
-    let mut partitions: Vec<usize> = run.iter().map(|(partition, _)| *partition).collect();
-    partitions.sort_unstable();
-    partitions.dedup();
-    partitions
 }
 
 /// Appends one run of routed requests as one [`RequestRound`], waiting for
@@ -524,9 +572,11 @@ mod tests {
 
     /// `count` requests routed round-robin over `partitions` partitions.
     fn run(first_id: u64, count: u64, partitions: usize) -> Run {
-        (first_id..first_id + count)
-            .map(|id| ((id as usize) % partitions, request(id, "a").1))
-            .collect()
+        let mut run = Run::default();
+        for id in first_id..first_id + count {
+            run.push((id as usize) % partitions, request(id, "a").1);
+        }
+        run
     }
 
     fn request_ids(broker: &Broker<Envelope>, partition: usize) -> Vec<u64> {
@@ -563,7 +613,8 @@ mod tests {
         // A single request is a run of one.
         send_request_round(&producer, "t", run(12, 1, 4)).unwrap();
         assert_eq!(request_ids(&broker, 0), vec![0, 4, 8, 12]);
-        assert_eq!(partitions_of(&run(0, 12, 4)), vec![0, 1, 2, 3]);
+        assert_eq!(run(0, 12, 4).partitions(), 4);
+        assert_eq!(run(0, 12, 4).len(), 12);
         kar_types::clear_virtual_clock();
     }
 

@@ -12,8 +12,8 @@ use kar_queue::{Broker, PartitionSet};
 use kar_store::Store;
 use kar_types::ids::RequestIdGenerator;
 use kar_types::{
-    ActorRef, ComponentId, Envelope, KarError, KarResult, NodeId, RequestId, Value, WaitSignal,
-    WaitSignalGroup,
+    ActorRef, ComponentId, Envelope, KarError, KarResult, NodeId, RequestId, SnapshotVec, Value,
+    WaitSignal, WaitSignalGroup,
 };
 
 use crate::actor::{Actor, ActorFactory};
@@ -37,14 +37,15 @@ const GROUP: &str = "kar";
 
 /// State shared by the mesh's fixed reactor pool: the registry of pump
 /// targets (every component ever added, clients included — their partitions
-/// deliver client responses) and the mesh-wide wakeup group that every
-/// consumer partition, due retry, and continuation timeout notifies.
+/// deliver client responses; a sweep walks a snapshot of it, so it allocates
+/// nothing) and the mesh-wide wakeup group that every consumer partition,
+/// due retry, and continuation timeout notifies.
 ///
 /// The pool is the invocation core's whole thread budget: components own no
 /// threads of their own, so adding components or partitions adds pump
 /// targets, never threads.
 struct ReactorShared {
-    registry: RwLock<Vec<Arc<ComponentCore>>>,
+    registry: SnapshotVec<Arc<ComponentCore>>,
     /// The single wakeup primitive: queue appends (via each consumer's
     /// broker-side group membership), due retries, and timeout flags all
     /// notify here; idle reactors park on it.
@@ -83,9 +84,9 @@ impl ReactorShared {
             self.tick_lock.try_lock()
         };
         let Some(_guard) = guard else { return false };
-        let components: Vec<Arc<ComponentCore>> = self.registry.read().clone();
+        let components = self.registry.load();
         let now = kar_types::mono_now();
-        for core in &components {
+        for core in components.iter() {
             core.tick(now, blocking);
         }
         self.last_tick_ms.store(
@@ -116,8 +117,8 @@ impl ReactorShared {
     /// instant a queued record becomes readable without a further append.
     fn sweep(&self, wake_at: &mut Option<Duration>) -> bool {
         let mut did = self.io.run_due();
-        let components: Vec<Arc<ComponentCore>> = self.registry.read().clone();
-        for core in &components {
+        let components = self.registry.load();
+        for core in components.iter() {
             did |= core.pump(wake_at);
         }
         did
@@ -283,7 +284,7 @@ impl Mesh {
             .max(Duration::from_millis(1));
         let group = Arc::new(WaitSignalGroup::new());
         let reactors = Arc::new(ReactorShared {
-            registry: RwLock::new(Vec::new()),
+            registry: SnapshotVec::new(),
             io: Arc::new(DueHeap::new(Arc::clone(&group))),
             group,
             timer_signal: WaitSignal::new(),
@@ -515,7 +516,7 @@ impl Mesh {
         // Hand the component to the fixed reactor pool (clients included —
         // their partitions deliver client responses) and wake the pool so it
         // picks up the new lanes immediately.
-        self.inner.reactors.registry.write().push(core);
+        self.inner.reactors.registry.update(|list| list.push(core));
         self.inner.reactors.group.notify();
         id
     }
@@ -1051,7 +1052,7 @@ impl Mesh {
             out,
             "reactor pool: threads={} registered_components={}",
             self.reactor_thread_count(),
-            self.inner.reactors.registry.read().len(),
+            self.inner.reactors.registry.load().len(),
         );
         // Modelled I/O in flight: invocations parked on a due time instead
         // of asleep on a reactor. `parked_max` above one means acks

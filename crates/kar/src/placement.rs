@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,7 +18,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use kar_store::Connection;
-use kar_types::{ActorRef, ComponentId, KarError, KarResult, Value, WaitSignal};
+use kar_types::{ActorRef, ComponentId, KarError, KarResult, RequestId, Value, WaitSignal};
 
 /// The set of components currently believed to be live, shared by every
 /// component of a mesh and refreshed on every completed rebalance.
@@ -26,6 +27,55 @@ pub type LiveSet = Arc<RwLock<HashSet<ComponentId>>>;
 /// Store key holding the placement of `actor`.
 pub fn placement_key(actor: &ActorRef) -> String {
     format!("placement/{}", actor.qualified_name())
+}
+
+/// The key a record is routed onto its destination component's home
+/// partitions by: its actor's `Type/id` — a request's target, a response's
+/// caller actor — so one actor's records share a partition, or `req-<id>`
+/// for a response to an external client. Hashed as
+/// [`PartitionSet::partition_for_key`](kar_queue::PartitionSet::partition_for_key)
+/// hashes the string, without building it.
+#[derive(Clone, Copy)]
+pub(crate) enum RouteKey<'a> {
+    /// The records of one actor.
+    Actor(&'a ActorRef),
+    /// The response to an external client's request.
+    Request(RequestId),
+}
+
+impl RouteKey<'_> {
+    /// The routing key of the response to a request from `caller_actor`
+    /// (`None`: an external client) with id `id`.
+    pub(crate) fn response(caller_actor: Option<&ActorRef>, id: RequestId) -> RouteKey<'_> {
+        caller_actor.map_or(RouteKey::Request(id), RouteKey::Actor)
+    }
+
+    /// The key's hash, for [`PartitionSet::partition_for_hash`](kar_queue::PartitionSet::partition_for_hash).
+    pub(crate) fn hash(self) -> u64 {
+        match self {
+            RouteKey::Actor(actor) => kar_queue::key_hash([
+                actor.actor_type().as_bytes(),
+                b"/",
+                actor.actor_id().as_bytes(),
+            ]),
+            RouteKey::Request(id) => {
+                // `req-<id>`, written on the stack.
+                const ROOM: usize = "req-".len() + 20;
+                let mut key = [0u8; ROOM];
+                let len = {
+                    let mut rest = &mut key[..];
+                    write!(rest, "req-{}", id.as_u64()).expect("room for any u64 key");
+                    ROOM - rest.len()
+                };
+                kar_queue::key_hash([&key[..len]])
+            }
+        }
+    }
+
+    /// The partition of `set` the key routes to.
+    pub(crate) fn partition_in(self, set: &kar_queue::PartitionSet) -> Option<usize> {
+        set.partition_for_hash(self.hash())
+    }
 }
 
 /// Store hash announcing the components that host actor type `actor_type`:
@@ -470,6 +520,23 @@ mod tests {
         Arc::new(RwLock::new(
             ids.iter().map(|i| ComponentId::from_raw(*i)).collect(),
         ))
+    }
+
+    #[test]
+    fn a_route_key_routes_like_its_string() {
+        let set = kar_queue::PartitionSet::new((3..11).collect());
+        for n in [0u64, 7, 10, 99, 12_345, u64::MAX] {
+            let actor = ActorRef::new("Echo", format!("e{n}"));
+            assert_eq!(
+                RouteKey::Actor(&actor).partition_in(&set),
+                set.partition_for_key(&actor.qualified_name())
+            );
+            let id = RequestId::from_raw(n);
+            assert_eq!(
+                RouteKey::response(None, id).partition_in(&set),
+                set.partition_for_key(&format!("req-{n}"))
+            );
+        }
     }
 
     fn announce(store: &Store, actor_type: &str, component: u64) {

@@ -50,6 +50,7 @@ use crate::config::MeshConfig;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::placement::{
     component_from_value, component_to_value, host_field, hosts_key, live_announced, placement_key,
+    RouteKey,
 };
 
 /// Timings and size of one recovery (one completed rebalance that removed at
@@ -910,7 +911,7 @@ fn rehome_decision(
         .topology
         .read()
         .get(&target_component)
-        .and_then(|set| set.partition_for_key(&request.target.qualified_name()));
+        .and_then(|set| RouteKey::Actor(&request.target).partition_in(set));
     let Some(partition) = partition else {
         ctx.orphans.lock().push(request);
         return None;
@@ -936,14 +937,10 @@ fn response_rehome_partition(
     if let Some(caller_actor) = &response.caller_actor {
         let key = placement_key(caller_actor);
         let owner = rewrites.placement(ctx, &key).filter(|c| live.contains(c))?;
-        return topology
-            .get(&owner)?
-            .partition_for_key(&caller_actor.qualified_name());
+        return RouteKey::Actor(caller_actor).partition_in(topology.get(&owner)?);
     }
     let reply_to = response.reply_to.filter(|c| live.contains(c))?;
-    topology
-        .get(&reply_to)?
-        .partition_for_key(&format!("req-{}", response.id.as_u64()))
+    RouteKey::Request(response.id).partition_in(topology.get(&reply_to)?)
 }
 
 /// The live components announcing support for `actor_type`, sorted.

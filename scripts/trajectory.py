@@ -21,8 +21,9 @@ on the host that ran the report, right after the report.
 warns — without failing — about rows whose calibration moved by more than
 CALIBRATION_BOUND from the rows of the previous PR that has one: their
 numbers and that PR's are not comparable. Rows without a calibration (older
-rows) are not compared. Standard library only; lives outside bench/ because
-bench/ is frozen.
+rows) are not compared. It also warns about every PR number between the
+first and the last row that has no row at all (a hole in the trajectory).
+Standard library only; lives outside bench/ because bench/ is frozen.
 """
 
 import argparse
@@ -153,6 +154,19 @@ def calibration_drift(rows):
     return warnings
 
 
+def missing_prs(rows):
+    """Warnings for PR numbers between the first and the last row that no
+    row carries."""
+    present = {row["pr"] for _, row in rows if isinstance(row.get("pr"), int)}
+    if not present:
+        return []
+    return [
+        f"PR {pr} has no rows (a hole between PR {min(present)} and PR {max(present)})"
+        for pr in range(min(present), max(present) + 1)
+        if pr not in present
+    ]
+
+
 def check():
     metrics = declared_metrics()
     problems = []
@@ -176,11 +190,12 @@ def check():
     for problem in problems:
         print(problem, file=sys.stderr)
     warnings = calibration_drift(rows)
-    for warning in warnings:
+    holes = missing_prs(rows)
+    for warning in warnings + holes:
         print(f"warning: {warning}", file=sys.stderr)
     print(
         f"{TRAJECTORY.name}: {len(lines)} rows, {len(problems)} problems, "
-        f"{len(warnings)} calibration warnings"
+        f"{len(warnings)} calibration warnings, {len(holes)} missing PRs"
     )
     sys.exit(1 if problems or not lines else 0)
 
