@@ -503,8 +503,9 @@ fn kill_mid_passivation(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome
 }
 
 /// `kill-mid-passivation` with every store round trip acknowledged 200 µs
-/// after its submit: kills land while a state load, a completion's state
-/// flush or the idle sweep's passivation flush is in flight. A kill now
+/// after its submit: kills land while an activation's state load or a
+/// completion's state flush is parked on its ack, or while the idle sweep's
+/// passivation flush is in flight. A kill now
 /// lands after a handler's write was applied, so a request stranded in the
 /// victim's queue must survive until reconciliation: retention (60 s,
 /// compressed to 300 ms) outlasts detection and reconciliation (~100 ms)

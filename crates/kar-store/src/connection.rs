@@ -15,8 +15,9 @@ use crate::store::{delete_if_holds, holds, materialize_hash, StoreInner, Stored}
 /// component has not been fenced (a fenced connection fails every operation
 /// with `KarError::Fenced`), is **applied at once**, and returns when its
 /// acknowledgement is due — the configured operation latency later. The
-/// command a reactor must not wait for, the state flush's
-/// [`Connection::submit_hset_multi`], hands that instant back as a
+/// commands a reactor must not wait for, a state image's load
+/// ([`Connection::submit_hgetall`]) and flush
+/// ([`Connection::submit_hset_multi`]), hand that instant back as a
 /// [`Completion`] instead; the blocking form is the same code plus the wait. The fence check's epoch-table read guard is held
 /// across the command's data section, so a fence never interleaves with a
 /// half-applied command. Use [`Connection::pipeline`] to batch several
@@ -385,6 +386,20 @@ impl Connection {
     /// Fails with `KarError::Fenced` if the component has been forcefully
     /// disconnected.
     pub fn hgetall(&self, key: &str) -> KarResult<BTreeMap<String, Value>> {
+        self.submit_hgetall(key)?.wait()
+    }
+
+    /// [`Connection::hgetall`] without the wait: the hash is read when this
+    /// returns, and the returned [`Completion`] says when the round trip's
+    /// acknowledgement is due and carries the fields.
+    ///
+    /// # Errors
+    ///
+    /// Fails at once — nothing read — with `KarError::Fenced` if the
+    /// component has been forcefully disconnected, or with an injected
+    /// transient fault. An injected ack loss reads the hash; the completion
+    /// carries the failure.
+    pub fn submit_hgetall(&self, key: &str) -> KarResult<Completion<BTreeMap<String, Value>>> {
         let trip = self.inner.begin_round_trip();
         let gate = self.fault_gate(key)?;
         let snapshot = {
@@ -396,11 +411,12 @@ impl Connection {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             data.hashes.get(key).cloned()
         };
-        self.finish(
+        Ok(StoreInner::complete(
             trip,
             gate,
+            FaultSite::StoreCommand,
             snapshot.map(materialize_hash).unwrap_or_default(),
-        )
+        ))
     }
 
     /// Deletes a whole hash, returning `true` if it existed.

@@ -23,15 +23,15 @@
 //! the mesh's single timer thread through [`ComponentCore::tick`]. Handlers
 //! that issue nested calls park a continuation instead of blocking a thread
 //! (see [`crate::continuation`]), and an invocation that meets a modelled
-//! latency — a sidecar hop, the ack of its outbox round, its state flush —
-//! parks the rest of itself as a [`Stage`] on the mesh's due-time heap
-//! instead of sleeping on its reactor (see [`crate::io`]); invocations for
-//! actors on distinct lanes still *compute* in parallel up to the
-//! reactor-pool width at a time, while any number of them wait for their
-//! I/O. Whatever else a component waits on a clock for — a scheduled retry,
-//! a deferred activation, an orphaned response, a timed-out continuation, a
-//! response run out of transient replays — is a stage on the same heap: a
-//! component keeps no timer of its own.
+//! latency — a sidecar hop, its state load, the ack of its outbox round, its
+//! state flush — parks the rest of itself as a [`Stage`] on the mesh's
+//! due-time heap instead of sleeping on its reactor (see [`crate::io`]);
+//! invocations for actors on distinct lanes still *compute* in parallel up
+//! to the reactor-pool width at a time, while any number of them wait for
+//! their I/O. Whatever else a component waits on a clock for — a scheduled
+//! retry, a deferred activation, an orphaned response, a timed-out
+//! continuation, a response run out of transient replays — is a stage on
+//! the same heap: a component keeps no timer of its own.
 //!
 //! Rebalance safety: admission verifies the *placement* of every request it
 //! is about to execute (one cache hit in steady state) and forwards requests
@@ -71,7 +71,7 @@ use crate::io::DueHeap;
 use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService, RouteKey};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
-use crate::state_cache::{PendingFlush, Savepoint, StateImage};
+use crate::state_cache::{Acked, Savepoint, StateImage};
 
 /// The mesh-wide dead-letter queue topic: one partition per component, keyed
 /// by the dead-lettering component's raw id. Entries are full request
@@ -250,8 +250,9 @@ pub(crate) struct Frame {
     holds_lock: bool,
     /// Whether it was admitted reentrantly (runs on a fresh activation).
     reentrant: bool,
-    /// The actor's state image, taken from its slot at admission: the
-    /// handler's `ctx.state()` and the completion's state flush use it.
+    /// The actor's state image, taken from its slot at admission: loaded
+    /// ahead of the handler, read by its `ctx.state()`, flushed ahead of
+    /// the completion.
     image: StateImage,
 }
 
@@ -452,7 +453,8 @@ pub(crate) enum RoundThen {
 /// it is waiting *for*; what runs once that has happened is
 /// [`ComponentCore::step`].
 pub(crate) enum Stage {
-    /// The invocation-start sidecar hop: the handler runs next.
+    /// The invocation-start sidecar hop: the actor's state image is loaded
+    /// next, if it is not, then the handler runs.
     Start(Frame),
     /// The sidecar hop of a nested call's response — or nothing, when the
     /// nested call's round failed: the continuation runs next, with `input`,
@@ -470,12 +472,13 @@ pub(crate) enum Stage {
         round: RoundInFlight,
         then: RoundThen,
     },
-    /// The state flush's store round trip: the completion is sent next.
-    StateFlush {
+    /// A store round trip of the frame's state image — its load ahead of
+    /// the handler, or its flush ahead of the completion: what `op` was for
+    /// runs next, or the round trip is replayed while `submits_left` allows.
+    StateIo {
         frame: Frame,
-        result: KarResult<Outcome>,
-        pending: PendingFlush,
-        acked: KarResult<()>,
+        op: ImageOp,
+        acked: KarResult<Acked>,
         submits_left: u32,
     },
     /// The sidecar hop of the response: it is routed and enqueued next, and
@@ -497,6 +500,14 @@ pub(crate) enum Stage {
         response: ResponseMessage,
         deadline: Duration,
     },
+}
+
+/// What a state image's store round trip is for, and so what runs next.
+pub(crate) enum ImageOp {
+    /// The load of the actor's durable hash: the handler.
+    Load,
+    /// The flush of the handler's buffered writes: its completion, `result`.
+    Flush(KarResult<Outcome>),
 }
 
 /// What one step of the invocation loop leads to. The stage travels by
@@ -799,14 +810,14 @@ impl ComponentCore {
 
     pub(crate) fn resume(&self) {
         self.placement.clear_cache();
-        // Conservative state refresh after recovery: clean images are
-        // unloaded in place (cheap to reload; a handler holding one reloads
-        // it and its flush still finds its writes); images with buffered
-        // writes belong to invocations still executing here — placement never
-        // moves an actor off a live component, so they stay authoritative and
-        // their upcoming flush must not be silently lost.
+        // Conservative state refresh after recovery: images no invocation
+        // holds and with no buffered writes are unloaded in place, and the
+        // next invocation reloads them ahead of its handler. The others
+        // belong to invocations still running or parked here — placement
+        // never moves an actor off a live component, so they stay
+        // authoritative — and a handler never sees its image unloaded.
         for slot in self.actors.lock().values() {
-            slot.state.unload_if_clean();
+            slot.state.unload_if_idle();
         }
         // Retirement-leak sweep: a later recovery may have fenced an adopted
         // partition *before* its retirement horizon (the range was re-homed
@@ -2014,31 +2025,7 @@ impl ComponentCore {
                     };
                     return self.respond(frame, Err(cancelled));
                 }
-                // The circuit breaker sits at the execute boundary: an open
-                // breaker fails the attempt fast (the retryable
-                // `CircuitOpen` flows into the ordinary failure
-                // orchestration); a closed one feeds its health window from
-                // the outcome. Self-failures (killed / fenced mid-run) say
-                // nothing about the actor type's health, and fast-fails are
-                // not recorded — an open breaker must not feed itself.
-                let actor_type = frame.request.target.actor_type();
-                let attempt = match self.breakers.admit(actor_type) {
-                    Ok(()) => {
-                        let attempt = self.execute(&frame);
-                        if !matches!(
-                            attempt.result,
-                            Err(KarError::Killed { .. } | KarError::Fenced { .. })
-                        ) {
-                            self.breakers.record(actor_type, attempt.result.is_ok());
-                        }
-                        attempt
-                    }
-                    Err(error) => Attempt {
-                        result: Err(error),
-                        outbox: Outbox::default(),
-                    },
-                };
-                self.handler_returned(frame, attempt)
+                self.submit_state_io(frame, ImageOp::Load, TRANSIENT_ATTEMPTS)
             }
             Stage::Resume {
                 parked,
@@ -2083,23 +2070,21 @@ impl ComponentCore {
                 // The ack was lost: the whole round again.
                 None => self.submit_round(round, then),
             },
-            Stage::StateFlush {
+            Stage::StateIo {
                 frame,
-                result,
-                pending,
+                op,
                 acked,
                 submits_left,
-            } => {
-                match frame.image.finish_flush(pending, acked) {
-                    Ok(()) => self.complete(frame, result),
-                    // The ack was lost; the batch is idempotent: again.
-                    Err(error) if error.is_transient() && submits_left > 0 => {
-                        self.submit_state_flush(frame, result, submits_left)
-                    }
-                    Err(error) if error.is_transient() => self.complete(frame, Err(error)),
-                    Err(_) => Step::Done,
+            } => match frame.image.finish(acked) {
+                Ok(()) => self.state_io_done(frame, op),
+                // The ack was lost; a load or a flush batch is idempotent:
+                // again.
+                Err(error) if error.is_transient() && submits_left > 0 => {
+                    self.submit_state_io(frame, op, submits_left)
                 }
-            }
+                Err(error) if error.is_transient() => self.complete(frame, Err(error)),
+                Err(_) => Step::Done,
+            },
             Stage::Respond { frame, result } => {
                 // Completed before the response can be seen: a copy of the
                 // request polled once the caller has its answer is a
@@ -2113,6 +2098,38 @@ impl ComponentCore {
                 unreachable!("resumed by resume_stage, not the loop")
             }
         }
+    }
+
+    /// `frame`'s state image is loaded: its handler runs — activating the
+    /// actor first if it has no instance — under one context, so whatever
+    /// `activate` and `invoke` told leaves in one outbox.
+    fn run(self: &Arc<Self>, frame: Frame) -> Step {
+        // The circuit breaker sits at the execute boundary: an open breaker
+        // fails the attempt fast (the retryable `CircuitOpen` flows into the
+        // ordinary failure orchestration); a closed one feeds its health
+        // window from the outcome. Self-failures (killed / fenced mid-run)
+        // say nothing about the actor type's health, and fast-fails are not
+        // recorded — an open breaker must not feed itself.
+        let actor_type = frame.request.target.actor_type();
+        let attempt = match self.breakers.admit(actor_type) {
+            Ok(()) => {
+                let request = &frame.request;
+                let mut ctx = ActorContext::new(self, request, &frame.image, Outbox::default());
+                let result = self.run_handler(&mut ctx, request, frame.reentrant);
+                if !matches!(
+                    result,
+                    Err(KarError::Killed { .. } | KarError::Fenced { .. })
+                ) {
+                    self.breakers.record(actor_type, result.is_ok());
+                }
+                Attempt::finished(ctx, result)
+            }
+            Err(error) => Attempt {
+                result: Err(error),
+                outbox: Outbox::default(),
+            },
+        };
+        self.handler_returned(frame, attempt)
     }
 
     /// A handler — or a resumed continuation — returned `attempt`.
@@ -2320,15 +2337,8 @@ impl ComponentCore {
 
     /// Flush-before-respond: the invocation's buffered state writes become
     /// durable (one pipelined round trip) before ANY completion — response,
-    /// error response, or tail-call continuation — is sent. The flush batch
-    /// is idempotent (pure sets/deletes), so a *transient* store failure —
-    /// including a gray failure whose ack was lost after the batch applied —
-    /// is replayed locally a bounded number of times; past that, the
-    /// transient error is escalated into the ordinary failure arm of
-    /// [`Self::complete`], where retry orchestration (queue copy + dedup)
-    /// takes over. A fenced or killed flush means this component died
-    /// mid-completion: nothing is sent, and the queue copy drives the retry
-    /// from the last durable state.
+    /// error response, or tail-call continuation — is sent. A killed or
+    /// fenced result has nothing to flush for.
     fn flush_state(self: &Arc<Self>, frame: Frame, result: KarResult<Outcome>) -> Step {
         if matches!(
             result,
@@ -2336,33 +2346,36 @@ impl ComponentCore {
         ) {
             return self.complete(frame, result);
         }
-        self.submit_state_flush(frame, result, TRANSIENT_ATTEMPTS)
+        self.submit_state_io(frame, ImageOp::Flush(result), TRANSIENT_ATTEMPTS)
     }
 
-    /// Submits the state flush, replaying at once a submit refused with a
-    /// transient fault (nothing was applied) while `submits_left` allows. A
-    /// dead component submits nothing, and completes nothing: the queue copy
-    /// drives the retry.
-    fn submit_state_flush(
-        self: &Arc<Self>,
-        frame: Frame,
-        result: KarResult<Outcome>,
-        mut submits_left: u32,
-    ) -> Step {
+    /// Submits `op`'s store round trip for the frame's state image. A load
+    /// and a flush batch (pure sets/deletes) are idempotent, so a transient
+    /// fault is replayed — a refused submit at once, a lost ack (a gray
+    /// failure, perhaps after the batch applied) once it is due — up to
+    /// `submits_left` submits; past that the transient error fails the
+    /// attempt into [`Self::complete`], where retry orchestration takes
+    /// over. A dead or fenced component completes nothing: the queue copy
+    /// drives the retry from the last durable state.
+    fn submit_state_io(self: &Arc<Self>, frame: Frame, op: ImageOp, mut submits_left: u32) -> Step {
         loop {
             if !self.is_alive() {
                 return Step::Done;
             }
             submits_left -= 1;
-            match frame.image.submit_flush(&self.conn, &frame.request.target) {
-                Ok(None) => return self.complete(frame, result),
-                Ok(Some((pending, Completion { due, result: acked }))) => {
+            let (conn, actor) = (&self.conn, &frame.request.target);
+            let submitted = match op {
+                ImageOp::Load => frame.image.submit_load(conn, actor),
+                ImageOp::Flush(_) => frame.image.submit_flush(conn, actor),
+            };
+            match submitted {
+                Ok(None) => return self.state_io_done(frame, op),
+                Ok(Some(Completion { due, result: acked })) => {
                     return Step::Next(
                         due,
-                        Stage::StateFlush {
+                        Stage::StateIo {
                             frame,
-                            result,
-                            pending,
+                            op,
                             acked,
                             submits_left,
                         },
@@ -2372,6 +2385,15 @@ impl ComponentCore {
                 Err(error) if error.is_transient() => return self.complete(frame, Err(error)),
                 Err(_) => return Step::Done,
             }
+        }
+    }
+
+    /// `op`'s round trip is acknowledged, or was not needed: the handler
+    /// runs after a load, the completion is sent after a flush.
+    fn state_io_done(self: &Arc<Self>, frame: Frame, op: ImageOp) -> Step {
+        match op {
+            ImageOp::Load => self.run(frame),
+            ImageOp::Flush(result) => self.complete(frame, result),
         }
     }
 
@@ -2540,16 +2562,6 @@ impl ComponentCore {
         let mut instance = factory();
         instance.activate(ctx)?;
         Ok(instance)
-    }
-
-    /// Runs `frame`'s handler — activating the actor first if it has no
-    /// instance — under one context, so whatever `activate` and `invoke`
-    /// told leaves in one outbox.
-    fn execute(self: &Arc<Self>, frame: &Frame) -> Attempt {
-        let request = &frame.request;
-        let mut ctx = ActorContext::new(self, request, &frame.image, Outbox::default());
-        let result = self.run_handler(&mut ctx, request, frame.reentrant);
-        Attempt::finished(ctx, result)
     }
 
     fn run_handler(
@@ -3757,9 +3769,12 @@ mod tests {
         };
         // A write no flush has made durable, and a handle still out (an
         // invocation that let go of the actor but not yet of its image).
-        image_of(&actors, "dirty")
-            .set(&core.conn, &actor("dirty"), "v", Value::from(1))
-            .unwrap();
+        {
+            let dirty = image_of(&actors, "dirty");
+            let load = dirty.submit_load(&core.conn, &actor("dirty")).unwrap();
+            dirty.finish(load.expect("unloaded").wait()).unwrap();
+            dirty.set("v", Value::from(1)).unwrap();
+        }
         let held = image_of(&actors, "held");
 
         let newcomer = request("newcomer", 4);

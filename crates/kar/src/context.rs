@@ -40,7 +40,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kar_store::Connection;
 use kar_types::{
     ActorRef, ComponentId, KarError, KarResult, RequestId, RequestMessage, RetryPolicy, Value,
 };
@@ -228,8 +227,6 @@ impl<'a> ActorContext<'a> {
     pub fn state(&self) -> ActorState<'_> {
         ActorState {
             image: self.image,
-            conn: &self.core.conn,
-            actor: &self.request.target,
             outbox: &self.outbox,
         }
     }
@@ -249,19 +246,17 @@ pub(crate) fn state_key(actor: &ActorRef) -> String {
 ///
 /// # Caching and crash consistency
 ///
-/// Reads go through the resident actor's in-memory image of the state hash
-/// (loaded with one `hgetall` on the actor's first touch, kept until the
-/// actor is passivated) and writes are buffered. The runtime flushes buffered writes as **one** pipelined store
-/// round trip after the invocation's outbox round and strictly *before* its
-/// response or tail-call continuation is sent: by the time a caller observes
-/// a completion, the state it acknowledged is durable — a component killed
-/// between the flush and the response simply triggers the retry
-/// orchestration. No call below waits for the store once the image is
-/// loaded.
+/// Reads go through the resident actor's in-memory image of the state hash,
+/// which the runtime loads before the handler runs and keeps until the actor
+/// is passivated, and writes are buffered. The runtime flushes buffered
+/// writes as **one** pipelined store round trip after the invocation's
+/// outbox round and strictly *before* its response or tail-call continuation
+/// is sent: by the time a caller observes a completion, the state it
+/// acknowledged is durable — a component killed between the flush and the
+/// response simply triggers the retry orchestration. No call below waits
+/// for the store.
 pub struct ActorState<'a> {
     image: &'a StateImage,
-    conn: &'a Connection,
-    actor: &'a ActorRef,
     /// The invocation's outbox: a write must not become durable ahead of
     /// the tells issued before it.
     outbox: &'a RefCell<Outbox>,
@@ -285,10 +280,9 @@ impl ActorState<'_> {
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected from the store.
+    /// Fails with `KarError::Fenced` once the actor's state met a store fence.
     pub fn get(&self, field: &str) -> KarResult<Option<Value>> {
-        self.image.get(self.conn, self.actor, field)
+        self.image.get(field)
     }
 
     /// Writes one field of the actor's persistent state, returning the
@@ -296,43 +290,39 @@ impl ActorState<'_> {
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected from the store.
+    /// Fails with `KarError::Fenced` once the actor's state met a store fence.
     pub fn set(&self, field: &str, value: Value) -> KarResult<Option<Value>> {
         self.order_write_after_outbox();
-        self.image.set(self.conn, self.actor, field, value)
+        self.image.set(field, value)
     }
 
     /// Writes several fields at once.
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected from the store.
+    /// Fails with `KarError::Fenced` once the actor's state met a store fence.
     pub fn set_multi(&self, entries: impl IntoIterator<Item = (String, Value)>) -> KarResult<()> {
         self.order_write_after_outbox();
-        self.image.set_multi(self.conn, self.actor, entries)
+        self.image.set_multi(entries)
     }
 
     /// Deletes one field, returning its previous value.
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected from the store.
+    /// Fails with `KarError::Fenced` once the actor's state met a store fence.
     pub fn remove(&self, field: &str) -> KarResult<Option<Value>> {
         self.order_write_after_outbox();
-        self.image.remove(self.conn, self.actor, field)
+        self.image.remove(field)
     }
 
     /// Reads the whole persistent state of the actor.
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected from the store.
+    /// Fails with `KarError::Fenced` once the actor's state met a store fence.
     pub fn get_all(&self) -> KarResult<BTreeMap<String, Value>> {
-        self.image.get_all(self.conn, self.actor)
+        self.image.get_all()
     }
 
     /// Deletes the actor's entire persistent state (used when an actor
@@ -341,11 +331,10 @@ impl ActorState<'_> {
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected from the store.
+    /// Fails with `KarError::Fenced` once the actor's state met a store fence.
     pub fn clear(&self) -> KarResult<bool> {
         self.order_write_after_outbox();
-        self.image.clear_hash(self.conn, self.actor)
+        self.image.clear_hash()
     }
 }
 

@@ -6,8 +6,12 @@
 //! (`ComponentCore::actors`), and the invocations running the actor hold a
 //! handle to it:
 //!
-//! * **Read-through**: an actor's first state access loads the whole durable
-//!   hash with one `hgetall`; subsequent reads are answered from memory.
+//! * **Loaded ahead of the handler**: an invocation whose actor's image is
+//!   not loaded submits one `hgetall` ([`StateImage::submit_load`]) and
+//!   parks until it is acknowledged; its handler runs once the fields are in
+//!   the image, and every read is answered from memory. No accessor talks to
+//!   the store, and a handler never sees an unloaded image — except one a
+//!   fenced load or flush emptied, which answers `KarError::Fenced`.
 //! * **Write-behind, flush-before-respond**: writes (`set`, `set_multi`,
 //!   `remove`, `clear`) are buffered in memory and made durable by
 //!   [`StateImage::flush`] as **one** pipelined store round trip. The
@@ -18,22 +22,25 @@
 //!   case retry orchestration already handles (the retry re-executes and
 //!   overwrites).
 //!
-//! The store key is formatted only when an image talks to the store — its
-//! load and its flush — never per access.
+//! A load and a flush are the same shape: submitted, acknowledged at a due
+//! time, then handed to [`StateImage::finish`]. The store key is formatted
+//! only at a submit, never per access.
 //!
 //! An image leaves memory with its slot: when its actor is passivated (the
 //! idle sweep, or an eviction at admission — both refuse an image with
 //! buffered writes or a handle still out) or its component is killed. When
-//! recovery completes, a clean image is conservatively unloaded in place
-//! ([`StateImage::unload_if_clean`]) and reloads on its next access; one with
-//! buffered writes belongs to an invocation still running locally (placement
-//! never moves an actor off a *live* component, so it stays authoritative)
-//! and is kept.
+//! recovery completes, an image that could leave with its slot — clean, and
+//! held by no invocation — is conservatively unloaded in place
+//! ([`StateImage::unload_if_idle`]), and the next invocation reloads it ahead
+//! of its handler. Any other image belongs to an invocation still running or
+//! parked locally (placement never moves an actor off a *live* component, so
+//! it stays authoritative) and is kept loaded.
 //!
 //! Concurrency: one actor's invocations are temporally serialized by the
 //! actor lock (reentrant frames interleave on the same call chain, never in
 //! parallel), so the image's own mutex suffices; it is never held across a
-//! flush's acknowledgement. Lock order: the actors lock, then an image.
+//! load's or flush's acknowledgement. Lock order: the actors lock, then an
+//! image.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,16 +48,19 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 
 use kar_store::Connection;
-use kar_types::{ActorRef, Completion, KarResult, Value};
+use kar_types::{ActorRef, Completion, KarError, KarResult, Value};
 
 use crate::context::state_key;
-use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 
 /// The in-memory image of one actor's persistent state hash.
 #[derive(Debug, Default)]
 struct CachedState {
-    /// True once the durable hash has been read through.
+    /// True once the durable hash has been loaded.
     loaded: bool,
+    /// The error of the fenced load or flush that emptied the image: every
+    /// accessor answers it from then on. Boxed, so a live image pays one
+    /// pointer for it.
+    fenced: Option<Box<KarError>>,
     /// The durable image as of the last load or flush.
     fields: BTreeMap<String, Value>,
     /// Buffered writes since the last flush: `Some` = set, `None` = delete.
@@ -115,12 +125,13 @@ impl CachedState {
     }
 }
 
-/// One state flush between its submit and its acknowledgement (see
-/// [`StateImage::submit_flush`]).
+/// What an acknowledged load or flush brings back ([`StateImage::finish`]).
 #[derive(Debug)]
-pub(crate) struct PendingFlush {
-    /// The image's write count when the flush was submitted.
-    writes: u64,
+pub(crate) enum Acked {
+    /// The durable hash, read by [`StateImage::submit_load`].
+    Loaded(BTreeMap<String, Value>),
+    /// The buffered writes as of the image's write count `writes` are durable.
+    Flushed { writes: u64 },
 }
 
 /// One actor's buffered writes at the instant [`StateImage::savepoint`] was
@@ -137,43 +148,26 @@ pub(crate) struct Savepoint {
 pub(crate) struct StateImage(Arc<Mutex<CachedState>>);
 
 impl StateImage {
-    /// The image, locked, with `actor`'s durable hash read through first if
-    /// it is not loaded yet.
-    fn loaded(
-        &self,
-        conn: &Connection,
-        actor: &ActorRef,
-    ) -> KarResult<MutexGuard<'_, CachedState>> {
-        let mut state = self.0.lock();
-        if !state.loaded {
-            // A read is idempotent: a transient store fault is replayed here
-            // instead of failing the whole invocation into the retry lane.
-            let key = state_key(actor);
-            state.fields = retry_transient(TRANSIENT_ATTEMPTS, || conn.hgetall(&key))?;
-            state.loaded = true;
+    /// The image, locked, for an accessor. A handler never sees an unloaded
+    /// image — its invocation loaded it ahead of the handler, and holds it —
+    /// but one a fenced load or flush emptied: that one answers the fence.
+    fn loaded(&self) -> KarResult<MutexGuard<'_, CachedState>> {
+        let state = self.0.lock();
+        if let Some(error) = &state.fenced {
+            return Err((**error).clone());
         }
+        debug_assert!(state.loaded, "a state image was read before its load");
         Ok(state)
     }
 
     /// Reads one field through the image.
-    pub(crate) fn get(
-        &self,
-        conn: &Connection,
-        actor: &ActorRef,
-        field: &str,
-    ) -> KarResult<Option<Value>> {
-        Ok(self.loaded(conn, actor)?.effective_get(field))
+    pub(crate) fn get(&self, field: &str) -> KarResult<Option<Value>> {
+        Ok(self.loaded()?.effective_get(field))
     }
 
     /// Buffers a field write, returning the previous (effective) value.
-    pub(crate) fn set(
-        &self,
-        conn: &Connection,
-        actor: &ActorRef,
-        field: &str,
-        value: Value,
-    ) -> KarResult<Option<Value>> {
-        let mut state = self.loaded(conn, actor)?;
+    pub(crate) fn set(&self, field: &str, value: Value) -> KarResult<Option<Value>> {
+        let mut state = self.loaded()?;
         let previous = state.effective_get(field);
         state.dirty.insert(field.to_owned(), Some(value));
         state.writes += 1;
@@ -183,11 +177,9 @@ impl StateImage {
     /// Buffers several field writes.
     pub(crate) fn set_multi(
         &self,
-        conn: &Connection,
-        actor: &ActorRef,
         entries: impl IntoIterator<Item = (String, Value)>,
     ) -> KarResult<()> {
-        let mut state = self.loaded(conn, actor)?;
+        let mut state = self.loaded()?;
         for (field, value) in entries {
             state.dirty.insert(field, Some(value));
         }
@@ -196,13 +188,8 @@ impl StateImage {
     }
 
     /// Buffers a field delete, returning the previous (effective) value.
-    pub(crate) fn remove(
-        &self,
-        conn: &Connection,
-        actor: &ActorRef,
-        field: &str,
-    ) -> KarResult<Option<Value>> {
-        let mut state = self.loaded(conn, actor)?;
+    pub(crate) fn remove(&self, field: &str) -> KarResult<Option<Value>> {
+        let mut state = self.loaded()?;
         let previous = state.effective_get(field);
         state.dirty.insert(field.to_owned(), None);
         state.writes += 1;
@@ -210,18 +197,14 @@ impl StateImage {
     }
 
     /// Reads the whole hash through the image.
-    pub(crate) fn get_all(
-        &self,
-        conn: &Connection,
-        actor: &ActorRef,
-    ) -> KarResult<BTreeMap<String, Value>> {
-        Ok(self.loaded(conn, actor)?.effective_all())
+    pub(crate) fn get_all(&self) -> KarResult<BTreeMap<String, Value>> {
+        Ok(self.loaded()?.effective_all())
     }
 
     /// Buffers a whole-hash clear, returning true if the hash (effectively)
     /// existed.
-    pub(crate) fn clear_hash(&self, conn: &Connection, actor: &ActorRef) -> KarResult<bool> {
-        let mut state = self.loaded(conn, actor)?;
+    pub(crate) fn clear_hash(&self) -> KarResult<bool> {
+        let mut state = self.loaded()?;
         let existed = !state.effective_is_empty();
         state.cleared = true;
         state.dirty.clear();
@@ -229,28 +212,46 @@ impl StateImage {
         Ok(existed)
     }
 
-    /// Makes the buffered writes durable as one store round trip (a pure
-    /// `set` batch is a single `hset_multi` command; mixes involving deletes
-    /// or a clear go through one pipeline flush) and waits for its
-    /// acknowledgement. On success the buffered writes are folded into the
-    /// durable image; a clean image flushes for free, with zero round trips.
-    /// [`StateImage::submit_flush`] followed by [`StateImage::finish_flush`]
-    /// with the wait in between — for the passivation sweep and whoever else
-    /// may block; an invocation on a reactor parks between the two instead.
+    /// Submits the read of `actor`'s durable hash (one `hgetall`), whose
+    /// completion — hand it, once due, to [`StateImage::finish`] — carries
+    /// the fields. `None` when the image is loaded already.
     ///
     /// # Errors
     ///
-    /// Fails with `KarError::Fenced` if the component has been forcefully
-    /// disconnected; the image is emptied (the component's copy is no
-    /// longer authoritative) and nothing was applied. A *transient* store
-    /// failure ([`kar_types::KarError::is_transient`]) keeps the image and
-    /// its buffered writes intact instead: the batch is pure sets/deletes —
-    /// idempotent — so the caller replays the flush, and a gray failure
-    /// whose ack was lost after the batch applied is absorbed by the replay.
+    /// As [`StateImage::submit_flush`]'s: nothing was read.
+    pub(crate) fn submit_load(
+        &self,
+        conn: &Connection,
+        actor: &ActorRef,
+    ) -> KarResult<Option<Completion<Acked>>> {
+        let mut state = self.0.lock();
+        if state.loaded {
+            return Ok(None);
+        }
+        match conn.submit_hgetall(&state_key(actor)) {
+            Ok(completion) => Ok(Some(completion.map(Acked::Loaded))),
+            Err(error) => Err(io_failed(&mut state, error)),
+        }
+    }
+
+    /// Makes the buffered writes durable as one store round trip (a pure
+    /// `set` batch is a single `hset_multi` command; mixes involving deletes
+    /// or a clear go through one pipeline flush) and waits for its
+    /// acknowledgement: [`StateImage::submit_flush`], the wait, then
+    /// [`StateImage::finish`] — for the passivation sweep, which may block;
+    /// an invocation on a reactor parks between the two instead. A clean
+    /// image flushes for free, with zero round trips.
+    ///
+    /// # Errors
+    ///
+    /// `KarError::Fenced` empties the image (the component's copy is no
+    /// longer authoritative), and nothing was applied. A *transient* failure
+    /// keeps the buffered writes for a replay: the batch is pure
+    /// sets/deletes, so a replay absorbs an ack lost after it applied.
     pub(crate) fn flush(&self, conn: &Connection, actor: &ActorRef) -> KarResult<()> {
         match self.submit_flush(conn, actor)? {
             None => Ok(()),
-            Some((pending, completion)) => self.finish_flush(pending, completion.wait()),
+            Some(completion) => self.finish(completion.wait()),
         }
     }
 
@@ -258,8 +259,8 @@ impl StateImage {
     /// hash: they are **applied when this returns**, and the returned
     /// completion says when the round trip is acknowledged. The image is not
     /// touched yet — hand the acknowledgement, once it is due, to
-    /// [`StateImage::finish_flush`]. `None` when nothing is buffered (no
-    /// round trip).
+    /// [`StateImage::finish`]. `None` when nothing is buffered (no round
+    /// trip).
     ///
     /// # Errors
     ///
@@ -269,7 +270,7 @@ impl StateImage {
         &self,
         conn: &Connection,
         actor: &ActorRef,
-    ) -> KarResult<Option<(PendingFlush, Completion<()>)>> {
+    ) -> KarResult<Option<Completion<Acked>>> {
         let mut state = self.0.lock();
         if !state.has_pending() {
             return Ok(None);
@@ -292,7 +293,7 @@ impl StateImage {
             if !sets.is_empty() {
                 pipe.hset_multi(&key, sets);
             }
-            pipe.submit().map(discard_results)
+            pipe.submit().map(|done| done.map(drop))
         } else if dels.is_empty() {
             conn.submit_hset_multi(&key, sets)
         } else {
@@ -303,48 +304,45 @@ impl StateImage {
             for field in dels {
                 pipe.hdel(&key, field);
             }
-            pipe.submit().map(discard_results)
+            pipe.submit().map(|done| done.map(drop))
         };
         let writes = state.writes;
         match submitted {
-            Ok(completion) => Ok(Some((PendingFlush { writes }, completion))),
-            Err(error) => Err(flush_failed(&mut state, error)),
+            Ok(completion) => Ok(Some(completion.map(|()| Acked::Flushed { writes }))),
+            Err(error) => Err(io_failed(&mut state, error)),
         }
     }
 
-    /// The acknowledgement of a submitted flush is in. `Ok` folds the
-    /// now-durable writes into the image (unless something was buffered
-    /// since the submit — then they stay buffered, and the next flush
-    /// rewrites them along with the newer ones: idempotent); an error is
-    /// handled as [`StateImage::flush`] documents and handed back.
-    pub(crate) fn finish_flush(
-        &self,
-        pending: PendingFlush,
-        acked: KarResult<()>,
-    ) -> KarResult<()> {
+    /// The acknowledgement of a submitted load or flush is in. A load fills
+    /// the image with the durable hash. A flush folds the now-durable writes
+    /// into it — unless something was buffered since the submit: then they
+    /// stay buffered, and the next flush rewrites them along with the newer
+    /// ones (idempotent). An error is handled as [`StateImage::flush`]
+    /// documents — a fenced load empties the image too — and handed back.
+    pub(crate) fn finish(&self, acked: KarResult<Acked>) -> KarResult<()> {
         let mut state = self.0.lock();
-        if let Err(error) = acked {
-            return Err(flush_failed(&mut state, error));
-        }
-        if state.writes != pending.writes {
-            return Ok(());
-        }
-        if state.cleared {
-            state.fields.clear();
-            state.cleared = false;
-        }
-        let dirty = std::mem::take(&mut state.dirty);
-        for (field, value) in dirty {
-            match value {
-                Some(v) => {
-                    state.fields.insert(field, v);
-                }
-                None => {
-                    state.fields.remove(&field);
-                }
+        match acked {
+            Err(error) => Err(io_failed(&mut state, error)),
+            Ok(Acked::Loaded(fields)) if !state.loaded => {
+                state.fields = fields;
+                state.loaded = true;
+                Ok(())
             }
+            Ok(Acked::Flushed { writes }) if writes == state.writes => {
+                if std::mem::take(&mut state.cleared) {
+                    state.fields.clear();
+                }
+                for (field, value) in std::mem::take(&mut state.dirty) {
+                    match value {
+                        Some(v) => state.fields.insert(field, v),
+                        None => state.fields.remove(&field),
+                    };
+                }
+                Ok(())
+            }
+            // Loaded meanwhile, or written to since the flush was submitted.
+            Ok(_) => Ok(()),
         }
-        Ok(())
     }
 
     /// Captures the buffered (not yet durable) writes as they stand now, for
@@ -367,8 +365,7 @@ impl StateImage {
         state.writes += 1;
     }
 
-    /// True once the durable hash has been read through (and not unloaded
-    /// since).
+    /// True once the durable hash has been loaded (and not unloaded since).
     pub(crate) fn is_loaded(&self) -> bool {
         self.0.lock().loaded
     }
@@ -382,43 +379,40 @@ impl StateImage {
         Arc::strong_count(&self.0) == 1 && !self.0.lock().has_pending()
     }
 
-    /// Unloads a clean image in place (recovery completed: conservative
-    /// refresh); its next access reloads the durable hash. An image with
-    /// buffered writes belongs to an invocation still executing locally and
-    /// is kept. A handle held meanwhile stays valid: its next access reloads,
-    /// and its flush finds its writes.
-    pub(crate) fn unload_if_clean(&self) {
-        let mut state = self.0.lock();
-        if !state.has_pending() {
+    /// Unloads the image in place if it [may drop](StateImage::may_drop)
+    /// (recovery completed: a conservative refresh); the next invocation
+    /// reloads it ahead of its handler. An image a handle holds — a running
+    /// handler, a parked continuation — stays loaded, so no handler ever
+    /// sees one unloaded under it; the caller holds the actors lock.
+    pub(crate) fn unload_if_idle(&self) {
+        if self.may_drop() {
+            let mut state = self.0.lock();
             state.loaded = false;
             state.fields.clear();
         }
     }
 }
 
-/// A flush failed with `error`: only a dead epoch empties the image (its
-/// buffered writes die with the component's authority); a transient infra
-/// error leaves them for the caller to replay.
-fn flush_failed(state: &mut CachedState, error: kar_types::KarError) -> kar_types::KarError {
+/// A load or flush failed with `error`: only a dead epoch empties the image
+/// (its buffered writes die with the component's authority, and every
+/// accessor answers the fence from then on); a transient infra error leaves
+/// it for the caller to replay.
+fn io_failed(state: &mut CachedState, error: KarError) -> KarError {
     if !error.is_transient() {
-        *state = CachedState::default();
+        *state = CachedState {
+            fenced: Some(Box::new(error.clone())),
+            ..CachedState::default()
+        };
     }
     error
-}
-
-/// A pipeline flush's completion, its per-command results dropped.
-fn discard_results<T>(completion: Completion<T>) -> Completion<()> {
-    Completion {
-        due: completion.due,
-        result: completion.result.map(drop),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kar_store::Store;
-    use kar_types::ComponentId;
+    use crate::faults::{FaultPlan, FaultSite, FaultSpec};
+    use kar_store::{Store, StoreConfig};
+    use kar_types::{ComponentId, FaultInjector};
 
     fn setup() -> (Store, Connection, StateImage) {
         let store = Store::new();
@@ -426,8 +420,35 @@ mod tests {
         (store, conn, StateImage::default())
     }
 
+    /// A store whose `site` fails one command as `spec` says.
+    fn faulty(site: FaultSite, spec: FaultSpec) -> (Store, Connection) {
+        let plan = FaultPlan::new(11).with_site(site, spec.with_budget(1));
+        let store = Store::with_config(StoreConfig {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..StoreConfig::default()
+        });
+        let conn = store.connect(ComponentId::from_raw(1));
+        (store, conn)
+    }
+
     fn actor(name: &str) -> ActorRef {
         ActorRef::new("A", name)
+    }
+
+    /// What an invocation's start does before its handler runs: submits the
+    /// load, waits for its ack and finishes it.
+    fn load(image: &StateImage, conn: &Connection, actor: &ActorRef) -> KarResult<()> {
+        match image.submit_load(conn, actor)? {
+            None => Ok(()),
+            Some(completion) => image.finish(completion.wait()),
+        }
+    }
+
+    /// A fresh image of `actor`, loaded.
+    fn loaded(conn: &Connection, actor: &ActorRef) -> StateImage {
+        let image = StateImage::default();
+        load(&image, conn, actor).unwrap();
+        image
     }
 
     #[test]
@@ -436,10 +457,13 @@ mod tests {
         let a = actor("a");
         conn.hset("state/A/a", "seed", Value::from(1)).unwrap();
         let before = store.stats();
-        assert_eq!(image.get(&conn, &a, "seed").unwrap(), Some(Value::from(1)));
-        assert_eq!(image.set(&conn, &a, "x", Value::from(2)).unwrap(), None);
+        load(&image, &conn, &a).unwrap();
+        assert!(image.is_loaded());
+        load(&image, &conn, &a).unwrap();
+        assert_eq!(image.get("seed").unwrap(), Some(Value::from(1)));
+        assert_eq!(image.set("x", Value::from(2)).unwrap(), None);
         assert_eq!(
-            image.get(&conn, &a, "x").unwrap(),
+            image.get("x").unwrap(),
             Some(Value::from(2)),
             "buffered write must be visible to the activation"
         );
@@ -461,7 +485,7 @@ mod tests {
 
     #[test]
     fn removes_and_clears_flush_through_one_pipeline() {
-        let (store, conn, image) = setup();
+        let (store, conn, _) = setup();
         let k = actor("k");
         conn.hset_multi(
             "state/A/k",
@@ -471,8 +495,9 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(image.remove(&conn, &k, "a").unwrap(), Some(Value::from(1)));
-        image.set(&conn, &k, "c", Value::from(3)).unwrap();
+        let image = loaded(&conn, &k);
+        assert_eq!(image.remove("a").unwrap(), Some(Value::from(1)));
+        image.set("c", Value::from(3)).unwrap();
         let before = store.stats();
         image.flush(&conn, &k).unwrap();
         let delta = store.stats().since(&before);
@@ -484,54 +509,92 @@ mod tests {
         assert_eq!(durable["c"], Value::from(3));
 
         // clear + set: the clear applies first.
-        assert!(image.clear_hash(&conn, &k).unwrap());
-        image.set(&conn, &k, "fresh", Value::from(9)).unwrap();
-        assert_eq!(image.get_all(&conn, &k).unwrap().len(), 1);
+        assert!(image.clear_hash().unwrap());
+        image.set("fresh", Value::from(9)).unwrap();
+        assert_eq!(image.get_all().unwrap().len(), 1);
         image.flush(&conn, &k).unwrap();
         let durable = store.admin_hgetall("state/A/k");
         assert_eq!(durable.len(), 1);
         assert_eq!(durable["fresh"], Value::from(9));
-        assert!(!StateImage::default()
-            .clear_hash(&conn, &actor("missing"))
-            .unwrap());
+        assert!(!loaded(&conn, &actor("missing")).clear_hash().unwrap());
+    }
+
+    /// Every accessor of `image` answers `Fenced`.
+    fn assert_fenced(image: &StateImage) {
+        assert!(image.get("x").unwrap_err().is_fenced());
+        assert!(image.set("x", Value::from(2)).unwrap_err().is_fenced());
+        assert!(image.set_multi([]).unwrap_err().is_fenced());
+        assert!(image.remove("x").unwrap_err().is_fenced());
+        assert!(image.get_all().unwrap_err().is_fenced());
+        assert!(image.clear_hash().unwrap_err().is_fenced());
     }
 
     #[test]
     fn fenced_flush_drops_the_entry_and_applies_nothing() {
-        let (store, conn, image) = setup();
+        let (store, conn, _) = setup();
         let k = actor("k");
-        image.set(&conn, &k, "x", Value::from(1)).unwrap();
+        let image = loaded(&conn, &k);
+        image.set("x", Value::from(1)).unwrap();
         store.fence(ComponentId::from_raw(1));
         assert!(image.flush(&conn, &k).unwrap_err().is_fenced());
         assert!(!image.is_loaded(), "a fenced image must be emptied");
         assert!(image.may_drop(), "and hold no buffered writes");
         assert!(store.admin_hgetall("state/A/k").is_empty());
+        assert_fenced(&image);
+    }
+
+    #[test]
+    fn a_fenced_load_leaves_the_image_unloaded_and_every_accessor_answers_fenced() {
+        let (store, conn, image) = setup();
+        let a = actor("a");
+        conn.hset("state/A/a", "x", Value::from(1)).unwrap();
+        store.fence(ComponentId::from_raw(1));
+        assert!(image.submit_load(&conn, &a).unwrap_err().is_fenced());
+        assert!(!image.is_loaded(), "a fenced load reads nothing in");
+        assert_fenced(&image);
+        assert!(image.may_drop());
+    }
+
+    #[test]
+    fn a_transient_load_refusal_loads_nothing_and_a_replay_loads() {
+        let (store, conn) = faulty(FaultSite::StoreCommand, FaultSpec::transient(1.0));
+        let a = actor("a");
+        store.admin_hset("state/A/a", "x", Value::from(1));
+        let image = StateImage::default();
+        let error = image.submit_load(&conn, &a).unwrap_err();
+        assert!(error.is_transient(), "injected refusal: {error:?}");
+        assert!(!image.is_loaded(), "a refused load reads nothing in");
+        // The replay — what the invocation's start does next.
+        load(&image, &conn, &a).unwrap();
+        assert_eq!(image.get("x").unwrap(), Some(Value::from(1)));
+    }
+
+    #[test]
+    fn a_lost_load_ack_is_replayed() {
+        let (store, conn) = faulty(FaultSite::StoreCommand, FaultSpec::ack_lost(1.0));
+        let a = actor("a");
+        store.admin_hset("state/A/a", "x", Value::from(1));
+        let image = StateImage::default();
+        let completion = image.submit_load(&conn, &a).unwrap().expect("unloaded");
+        let error = image.finish(completion.wait()).unwrap_err();
+        assert!(error.is_transient(), "injected ack loss: {error:?}");
+        assert!(!image.is_loaded(), "a lost ack brings no fields");
+        load(&image, &conn, &a).unwrap();
+        assert_eq!(image.get("x").unwrap(), Some(Value::from(1)));
     }
 
     #[test]
     fn transient_flush_failure_keeps_the_entry_for_replay() {
-        use crate::faults::{FaultPlan, FaultSite, FaultSpec};
-        use kar_store::StoreConfig;
-        use kar_types::FaultInjector;
-
         // Exactly one ack-lost fault on the pipeline-flush path: the batch
         // *applies* but the flush reports failure. The image must keep its
         // buffered writes so the replay (idempotent sets/deletes) converges
         // on the same durable image.
-        let plan = FaultPlan::new(11).with_site(
-            FaultSite::StoreFlush,
-            FaultSpec::ack_lost(1.0).with_budget(1),
-        );
-        let store = Store::with_config(StoreConfig {
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            ..StoreConfig::default()
-        });
-        let conn = store.connect(ComponentId::from_raw(1));
-        let image = StateImage::default();
+        let (store, conn) = faulty(FaultSite::StoreFlush, FaultSpec::ack_lost(1.0));
         let k = actor("k");
         conn.hset("state/A/k", "stale", Value::from(0)).unwrap();
-        image.set(&conn, &k, "v", Value::from(1)).unwrap();
-        image.remove(&conn, &k, "stale").unwrap();
+        let image = loaded(&conn, &k);
+        image.set("v", Value::from(1)).unwrap();
+        image.remove("stale").unwrap();
 
         let err = image.flush(&conn, &k).unwrap_err();
         assert!(err.is_transient(), "injected gray failure: {err:?}");
@@ -550,36 +613,43 @@ mod tests {
 
     #[test]
     fn invalidation_keeps_dirty_entries() {
-        let (store, conn, clean) = setup();
-        let dirty = StateImage::default();
+        // The refresh unloads only an image that could leave with its slot:
+        // clean, and held by nobody but the slot.
+        let (store, conn, _) = setup();
         conn.hset("state/A/dirty", "x", Value::from(0)).unwrap();
-        clean.get(&conn, &actor("clean"), "x").unwrap();
-        dirty
-            .set(&conn, &actor("dirty"), "x", Value::from(1))
-            .unwrap();
-        clean.unload_if_clean();
-        dirty.unload_if_clean();
+        let clean = loaded(&conn, &actor("clean"));
+        let dirty = loaded(&conn, &actor("dirty"));
+        dirty.set("x", Value::from(1)).unwrap();
+        clean.unload_if_idle();
+        dirty.unload_if_idle();
         assert!(!clean.is_loaded(), "the clean image is unloaded");
         assert!(dirty.is_loaded(), "the dirty image is kept");
         dirty.flush(&conn, &actor("dirty")).unwrap();
         assert_eq!(store.admin_hgetall("state/A/dirty")["x"], Value::from(1));
-        dirty.unload_if_clean();
+        dirty.unload_if_idle();
         assert!(!dirty.is_loaded(), "a flushed image is clean again");
+        // Unloaded, it reloads ahead of the next handler.
+        load(&dirty, &conn, &actor("dirty")).unwrap();
+        assert_eq!(dirty.get("x").unwrap(), Some(Value::from(1)));
     }
 
     #[test]
     fn a_write_through_a_handle_held_across_an_unload_is_flushed() {
-        // A handler holds the image while recovery unloads it: its write
-        // reloads the image and lands in it, and the completion's flush
-        // makes it durable.
-        let (store, conn, image) = setup();
+        // A handler holds the image while recovery refreshes the slots: the
+        // refresh leaves the held clean image loaded, the handler's reads
+        // and write go on in memory, and the completion's flush makes the
+        // write durable.
+        let (store, conn, _) = setup();
         let a = actor("a");
         conn.hset("state/A/a", "kept", Value::from(1)).unwrap();
-        image.get(&conn, &a, "kept").unwrap();
+        let image = loaded(&conn, &a);
         let handle = image.clone();
-        image.unload_if_clean();
-        handle.set(&conn, &a, "x", Value::from(2)).unwrap();
-        assert_eq!(handle.get(&conn, &a, "kept").unwrap(), Some(Value::from(1)));
+        image.unload_if_idle();
+        assert!(image.is_loaded(), "the refresh unloaded a held image");
+        let before = store.stats();
+        handle.set("x", Value::from(2)).unwrap();
+        assert_eq!(handle.get("kept").unwrap(), Some(Value::from(1)));
+        assert_eq!(store.stats().since(&before).round_trips, 0);
         image.flush(&conn, &a).unwrap();
         let durable = store.admin_hgetall("state/A/a");
         assert_eq!(
@@ -588,20 +658,25 @@ mod tests {
             "an acknowledged write was lost"
         );
         assert_eq!(durable["kept"], Value::from(1));
+        // Let go of, the clean image is refreshed.
+        drop(handle);
+        image.unload_if_idle();
+        assert!(!image.is_loaded());
     }
 
     #[test]
     fn rollback_unwrites_what_was_buffered_since_the_savepoint() {
-        let (store, conn, image) = setup();
+        let (store, conn, _) = setup();
         let a = actor("a");
-        image.set(&conn, &a, "kept", Value::from(1)).unwrap();
+        let image = loaded(&conn, &a);
+        image.set("kept", Value::from(1)).unwrap();
         let savepoint = image.savepoint();
-        image.set(&conn, &a, "kept", Value::from(2)).unwrap();
-        image.set(&conn, &a, "done", Value::from(true)).unwrap();
-        image.clear_hash(&conn, &a).unwrap();
+        image.set("kept", Value::from(2)).unwrap();
+        image.set("done", Value::from(true)).unwrap();
+        image.clear_hash().unwrap();
         image.rollback(savepoint);
-        assert_eq!(image.get(&conn, &a, "kept").unwrap(), Some(Value::from(1)));
-        assert_eq!(image.get(&conn, &a, "done").unwrap(), None);
+        assert_eq!(image.get("kept").unwrap(), Some(Value::from(1)));
+        assert_eq!(image.get("done").unwrap(), None);
         image.flush(&conn, &a).unwrap();
         let durable = store.admin_hgetall("state/A/a");
         assert_eq!(durable.len(), 1, "only the write before the savepoint");
@@ -614,7 +689,8 @@ mod tests {
         assert!(image.may_drop(), "an untouched image holds nothing");
 
         let d = actor("dirty");
-        image.set(&conn, &d, "v", Value::from(1)).unwrap();
+        load(&image, &conn, &d).unwrap();
+        image.set("v", Value::from(1)).unwrap();
         assert!(!image.may_drop(), "buffered writes pin the image");
 
         image.flush(&conn, &d).unwrap();

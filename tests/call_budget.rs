@@ -23,7 +23,11 @@
 //! settles (2), the handler's result (1), and the settle tracker's
 //! bookkeeping (under 1).
 //!
-//! A third test counts what an idle mesh allocates: its reactors sweep
+//! A third test prices a *cold* activation: the first call to a fresh
+//! `Counter`, which places the actor, activates it, loads its (empty) state
+//! hash and flushes its first write.
+//!
+//! A fourth test counts what an idle mesh allocates: its reactors sweep
 //! every component every idle slice, and a sweep must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,6 +81,8 @@ static SERIAL: Mutex<()> = Mutex::new(());
 const WARM_ACTORS: usize = 64;
 const WARMUP_CALLS: usize = 20_000;
 const MEASURED_CALLS: usize = 10_000;
+const COLD_WARMUP_CALLS: usize = 2_000;
+const COLD_MEASURED_CALLS: usize = 2_000;
 
 /// `echo(payload)` returns `payload`.
 struct Echo;
@@ -151,6 +157,29 @@ fn measure(name: &str, mut call: impl FnMut(usize)) -> PerCall {
     per_call
 }
 
+/// [`measure`] for first calls: fewer of them, as each leaves a resident
+/// actor and its store records behind.
+fn measure_cold(name: &str, mut call: impl FnMut(usize)) -> PerCall {
+    for i in 0..COLD_WARMUP_CALLS {
+        call(i);
+    }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
+    let bytes = BYTES.load(Ordering::SeqCst);
+    for i in COLD_WARMUP_CALLS..COLD_WARMUP_CALLS + COLD_MEASURED_CALLS {
+        call(i);
+    }
+    let calls = COLD_MEASURED_CALLS as f64;
+    let per_call = PerCall {
+        allocations: (ALLOCATIONS.load(Ordering::SeqCst) - allocations) as f64 / calls,
+        bytes: (BYTES.load(Ordering::SeqCst) - bytes) as f64 / calls,
+    };
+    println!(
+        "{name}: {:.2} allocations/call, {:.0} bytes/call over {COLD_MEASURED_CALLS} first calls",
+        per_call.allocations, per_call.bytes
+    );
+    per_call
+}
+
 /// A mesh with one server hosting `actor_type`, and a client.
 fn mesh_hosting(actor_type: &'static str, make: fn() -> Box<dyn Actor>) -> (Mesh, Client) {
     let mesh = Mesh::new(MeshConfig::default());
@@ -203,6 +232,25 @@ fn a_warm_counter_call_stays_within_its_allocation_budget() {
 }
 
 #[test]
+fn a_cold_counter_activation_stays_within_its_allocation_budget() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (mesh, client) = mesh_hosting("Counter", || Box::new(Counter));
+    // Every call goes to an actor never called before: the warm-up grows
+    // the store's and the resident set's tables past their first doublings.
+    let cost = measure_cold("cold counter", |i| {
+        let reply = client
+            .call(&ActorRef::new("Counter", format!("c{i}")), "bump", vec![])
+            .unwrap();
+        assert_eq!(reply, Value::Int(1));
+    });
+    mesh.shutdown();
+    assert!(cost.allocations <= COLD_ALLOCATIONS_CEILING, "{cost:?}");
+    assert!(cost.bytes <= COLD_BYTES_CEILING, "{cost:?}");
+}
+
+#[test]
 fn an_idle_mesh_allocates_nothing_per_sweep() {
     let _serial = SERIAL
         .lock()
@@ -251,3 +299,8 @@ const ECHO_ALLOCATIONS_CEILING: f64 = 22.2;
 const ECHO_BYTES_CEILING: f64 = 3_159.0;
 const COUNTER_ALLOCATIONS_CEILING: f64 = 28.5;
 const COUNTER_BYTES_CEILING: f64 = 4_403.0;
+// A cold activation, measured when the first state access still read the
+// hash through inside the handler: 50.8 allocations and 6 766 bytes per
+// first call. Loading it ahead of the handler must cost no more.
+const COLD_ALLOCATIONS_CEILING: f64 = 63.5;
+const COLD_BYTES_CEILING: f64 = 8_460.0;

@@ -13,9 +13,9 @@
 //!   round trip is applied at submit and acknowledged one latency later;
 //! * the pipeline: with a single reactor, independent callers have more than
 //!   one I/O outstanding at a time, and all of them complete; independent
-//!   nested calls overlap their rounds' hops and acks too; a failed
-//!   attempt's retry copy waits for its ack without the reactor; at zero
-//!   latency nothing ever parks;
+//!   nested calls overlap their rounds' hops and acks too, and cold
+//!   activations their state loads; a failed attempt's retry copy waits for
+//!   its ack without the reactor; at zero latency nothing ever parks;
 //! * a stale placement: the round of a nested call whose callee's placement
 //!   points at a failed component parks — its reactor goes on serving other
 //!   actors — and completes exactly once when the placement is repaired, or
@@ -168,7 +168,7 @@ fn a_store_round_trip_is_applied_at_submit_and_acknowledged_one_latency_later() 
     let conn = store.connect(c(1));
     clock.advance(Duration::from_millis(10));
     let t = clock.now();
-    // Two round trips submitted together overlap: both due at t + OP.
+    // Three round trips submitted together overlap: all due at t + OP.
     let first = conn
         .submit_hset_multi("h", [("a".to_owned(), Value::Int(1))])
         .unwrap();
@@ -176,13 +176,19 @@ fn a_store_round_trip_is_applied_at_submit_and_acknowledged_one_latency_later() 
     pipeline.hset("h", "b", Value::Int(2));
     pipeline.hdel("h", "a");
     let second = pipeline.submit().unwrap();
-    assert_eq!((first.due, second.due), (Some(t + OP), Some(t + OP)));
+    let read = conn.submit_hgetall("h").unwrap();
+    assert_eq!(
+        (first.due, second.due, read.due),
+        (Some(t + OP), Some(t + OP), Some(t + OP))
+    );
     assert_eq!(clock.now(), t, "a submit must not wait");
-    // Applied already: the store's ground truth shows both.
+    // Applied already: the store's ground truth shows both writes, and the
+    // read carries it as it stood at its submit.
     let stored = store.admin_hgetall("h");
     assert_eq!(stored.get("b"), Some(&Value::Int(2)));
     assert_eq!(stored.get("a"), None);
-    assert_eq!(store.stats().round_trips, 2);
+    assert_eq!(read.result.unwrap(), stored);
+    assert_eq!(store.stats().round_trips, 3);
     // The blocking command is the same round trip plus the wait.
     assert_eq!(conn.hget("h", "b").unwrap(), Some(Value::Int(2)));
     assert_eq!(clock.now(), t + OP);
@@ -442,7 +448,8 @@ fn a_retry_copy_parks_on_its_ack_and_holds_no_reactor() {
 /// Calls — and parks on — a ledger of its own: `relay(req)` applies `req` to
 /// `Ledger/l<own id>` and completes with what the ledger answered, or with
 /// the text of the error that kept the nested call from completing. Counts
-/// its resumptions; `fan(k)` tells relays `0..k` to relay request 1.
+/// its resumptions; `fan(k)` tells relays `0..k` to relay request 1, and
+/// `spread(k, req)` tells ledgers `0..k` to apply `req`.
 struct Relay {
     resumed: Arc<AtomicU64>,
 }
@@ -470,6 +477,12 @@ impl Actor for Relay {
             "fan" => {
                 for i in 0..args[0].as_i64().unwrap_or(0) {
                     ctx.tell(&relay(i), "relay", vec![Value::Int(1)])?;
+                }
+                Ok(Outcome::value(Value::Null))
+            }
+            "spread" => {
+                for i in 0..args[0].as_i64().unwrap_or(0) {
+                    ctx.tell(&ledger(i), "apply", vec![args[1].clone()])?;
                 }
                 Ok(Outcome::value(Value::Null))
             }
@@ -562,6 +575,117 @@ fn independent_nested_calls_overlap_their_rounds_on_one_reactor() {
         elapsed < one + held / 2,
         "{K} independent nested calls took {elapsed:?}: one takes {one:?}, \
          and a reactor held by every round adds {held:?}\n{}",
+        mesh.debug_report()
+    );
+    mesh.shutdown();
+}
+
+/// A [`Ledger`] that stamps the virtual clock each time a handler of it
+/// starts.
+struct Stamped {
+    ledger: Ledger,
+    starts: Arc<Mutex<Vec<Duration>>>,
+}
+
+impl Actor for Stamped {
+    fn invoke(
+        &mut self,
+        ctx: &mut ActorContext<'_>,
+        method: &str,
+        args: &[Value],
+    ) -> KarResult<Outcome> {
+        self.starts.lock().unwrap().push(kar_types::mono_now());
+        self.ledger.invoke(ctx, method, args)
+    }
+}
+
+#[test]
+fn cold_activations_overlap_their_state_loads_on_one_reactor() {
+    const K: i64 = 6;
+    const LOAD: Duration = Duration::from_millis(10);
+    // The simulator's one reactor and virtual clock, as above; only the
+    // store models a latency.
+    let latency = LatencyProfile {
+        store_op: LOAD,
+        ..LatencyProfile::ZERO
+    };
+    let mesh = Mesh::new(MeshConfig {
+        latency,
+        ..MeshConfig::deterministic(17)
+    });
+    let (commits, _committed) = channel();
+    let starts = Arc::new(Mutex::new(Vec::new()));
+    let resumed = Arc::new(AtomicU64::new(0));
+    let node = mesh.add_node();
+    let stamped = {
+        let commits = Mutex::new(commits);
+        let starts = Arc::clone(&starts);
+        move |builder: ComponentBuilder| {
+            builder.host("Ledger", move || {
+                Box::new(Stamped {
+                    ledger: Ledger {
+                        commits: commits.lock().unwrap().clone(),
+                    },
+                    starts: Arc::clone(&starts),
+                })
+            })
+        }
+    };
+    let server = mesh.add_component(node, "server", host_relay(&resumed, stamped));
+    let victim = mesh.add_component(node, "victim", |builder| {
+        builder.host("FailsOnce", || {
+            Box::new(FailsOnce {
+                runs: Arc::new(AtomicU64::new(0)),
+            })
+        })
+    });
+    let client = mesh.client();
+    // Warm up: place the ledgers and the fan on the server.
+    for i in 0..K {
+        let count = client.call(&ledger(i), "apply", vec![Value::Int(0)]);
+        assert_eq!(count.unwrap(), Value::Int(1));
+    }
+    client
+        .call(&relay("fan"), "spread", vec![Value::Int(0), Value::Int(0)])
+        .unwrap();
+    // A recovery's refresh unloads every idle image in place: the ledgers
+    // stay resident, their state cold.
+    mesh.kill_component(victim);
+    assert!(mesh.wait_for_recoveries(1, Duration::from_secs(120)));
+    assert_eq!(mesh.cached_state_count(server), Some(0));
+    starts.lock().unwrap().clear();
+
+    // One handler tells all K ledgers in one round — placing them on its
+    // way, so their admissions read no store — and K cold activations are
+    // runnable at the same instant on the one reactor.
+    client
+        .tell(&relay("fan"), "spread", vec![Value::Int(K), Value::Int(1)])
+        .unwrap();
+    let all_started = || starts.lock().unwrap().len() == K as usize;
+    assert!(
+        mesh.sim_run_until(all_started, 100_000),
+        "ledgers never started"
+    );
+    for i in 0..K {
+        assert!(
+            mesh.sim_run_until(|| stored_count(&mesh, &ledger(i)) == Some(2), 100_000),
+            "ledger {i} never committed"
+        );
+    }
+
+    // The first handler starts where one cold activation does: its state
+    // loaded, one store latency after its admission. The others load side
+    // by side with it. A reactor that waits out each load itself starts
+    // the last (K - 1) loads after the first.
+    let starts = starts.lock().unwrap().clone();
+    let one = starts[0];
+    let last = *starts.last().unwrap();
+    let held = LOAD * (K as u32 - 1);
+    assert!(
+        last < one + held / 2,
+        "{K} cold activations started over {:?}: a reactor held by every \
+         load spreads them over {held:?}\n{}",
+        last - one,
         mesh.debug_report()
     );
     mesh.shutdown();
