@@ -54,6 +54,85 @@ pub struct LatencyRow {
     pub kar_actor_no_cache: Duration,
 }
 
+/// The Table 2 columns, in the paper's order, as `table2_latency --json`
+/// names them.
+pub const COLUMNS: [&str; 4] = [
+    "direct_http",
+    "kafka_only",
+    "kar_actor",
+    "kar_actor_no_cache",
+];
+
+/// How far a measured cell may sit from the paper's before
+/// `table2_latency` fails: 25 % either way.
+pub const PAPER_BOUND: f64 = 0.25;
+
+impl LatencyRow {
+    /// The row's cells in [`COLUMNS`] order.
+    pub fn cells(&self) -> [Duration; 4] {
+        [
+            self.direct_http,
+            self.kafka_only,
+            self.kar_actor,
+            self.kar_actor_no_cache,
+        ]
+    }
+}
+
+/// One cell of Table 2 set against the paper's value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperCell {
+    /// The deployment profile of the cell's row.
+    pub profile: DeploymentProfile,
+    /// The cell's column, one of [`COLUMNS`].
+    pub column: &'static str,
+    /// The measured median, in milliseconds.
+    pub measured_ms: f64,
+    /// The paper's median, in milliseconds.
+    pub paper_ms: f64,
+}
+
+impl PaperCell {
+    /// Every cell of `row`, beside the paper's.
+    pub fn of_row(row: &LatencyRow) -> Vec<PaperCell> {
+        let reference = paper_reference(row.profile);
+        COLUMNS
+            .iter()
+            .zip(row.cells())
+            .zip(reference)
+            .map(|((&column, measured), paper_ms)| PaperCell {
+                profile: row.profile,
+                column,
+                measured_ms: measured.as_secs_f64() * 1e3,
+                paper_ms,
+            })
+            .collect()
+    }
+
+    /// Measured over paper.
+    pub fn ratio(&self) -> f64 {
+        self.measured_ms / self.paper_ms
+    }
+
+    /// Whether the cell sits within [`PAPER_BOUND`] of the paper.
+    pub fn within_bound(&self) -> bool {
+        (self.ratio() - 1.0).abs() <= PAPER_BOUND
+    }
+
+    /// The cell as one JSON object on one line.
+    pub fn to_json(&self, iterations: usize) -> String {
+        format!(
+            "{{\"profile\": \"{}\", \"column\": \"{}\", \"iterations\": {iterations}, \
+             \"measured_ms\": {:.3}, \"paper_ms\": {:.2}, \"ratio\": {:.4}}}",
+            self.profile.name(),
+            self.column,
+            self.measured_ms,
+            self.paper_ms,
+            self.ratio()
+        )
+    }
+}
+
 /// An echo actor returning its argument, used by the KAR Actor measurements.
 struct Echo;
 
@@ -250,6 +329,27 @@ mod tests {
             uncached > cached,
             "expected no-cache ({uncached:?}) to be slower than cached ({cached:?})"
         );
+    }
+
+    #[test]
+    fn a_paper_cell_reads_as_one_json_object() {
+        let row = LatencyRow {
+            profile: DeploymentProfile::ClusterDev,
+            direct_http: Duration::from_micros(2_750),
+            kafka_only: Duration::from_micros(4_350),
+            kar_actor: Duration::from_micros(8_300),
+            kar_actor_no_cache: Duration::from_micros(7_120),
+        };
+        let cells = PaperCell::of_row(&row);
+        assert_eq!(cells.len(), COLUMNS.len());
+        assert_eq!(
+            cells[0].to_json(200),
+            "{\"profile\": \"ClusterDev\", \"column\": \"direct_http\", \"iterations\": 200, \
+             \"measured_ms\": 2.750, \"paper_ms\": 2.60, \"ratio\": 1.0577}"
+        );
+        assert!(cells[1].within_bound() && (cells[1].ratio() - 1.0).abs() < 1e-9);
+        // 8.30 / 6.62 is 25.4 % over the paper.
+        assert!(!cells[2].within_bound());
     }
 
     #[test]

@@ -1408,9 +1408,10 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
 
     /// Like [`Consumer::poll`], but parks on the partition's append signal
     /// for up to `timeout` when no record is immediately readable — waking
-    /// for an append, or when a waiting record's delivery latency elapses —
-    /// instead of returning an empty batch at once. Returns an empty batch
-    /// only after the timeout elapses with nothing to read.
+    /// for an append, or on the instant a waiting record's delivery latency
+    /// elapses ([`WaitSignal::wait_until`]) — instead of returning an empty
+    /// batch at once. Returns an empty batch only after the timeout elapses
+    /// with nothing to read.
     ///
     /// # Errors
     ///
@@ -1443,7 +1444,7 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
             if now >= deadline {
                 return Ok(records);
             }
-            let mut park = deadline - now;
+            let park = deadline - now;
             if let Some(visible_at) = self.next_visible_at() {
                 if kar_types::virtual_time_active() {
                     // A bare virtual clock with no scheduler behind it: the
@@ -1451,7 +1452,11 @@ impl<M: Clone + Send + Sync + 'static> Consumer<M> {
                     kar_types::pace_until(visible_at);
                     continue;
                 }
-                park = park.min(visible_at.saturating_sub(kar_types::mono_now()));
+                // The record's visibility is a modelled instant: wake on it.
+                if visible_at < kar_types::mono_now() + park {
+                    self.partition_ref.signal.wait_until(seen, visible_at);
+                    continue;
+                }
             }
             self.partition_ref.signal.wait(seen, park);
         }

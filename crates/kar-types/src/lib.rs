@@ -62,6 +62,6 @@ pub use sync::{SnapshotVec, WaitSignal, WaitSignalGroup};
 pub use time::{
     clear_virtual_clock, install_virtual_clock, mono_now, pace_sleep, pace_until, virtual_clock,
     virtual_time_active, Clock, Completion, DeploymentProfile, LatencyProfile, ScaledClock,
-    SystemClock, TimeScale, VirtualClock,
+    SystemClock, TimeScale, VirtualClock, SPIN_MARGIN,
 };
 pub use value::Value;

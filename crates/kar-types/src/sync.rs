@@ -4,6 +4,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::time::{park_before, yield_until};
+
 /// A monotonically increasing event counter paired with a condvar — the
 /// workspace's "poll_wait idiom". Waiters snapshot the sequence with
 /// [`WaitSignal::current`], re-check their own condition, then park in
@@ -93,6 +95,22 @@ impl WaitSignal {
         }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
+
+    /// Blocks until the sequence moves past `seen` or the real-time
+    /// [`mono_now`](crate::mono_now) timeline reaches `due` — a modelled
+    /// instant, not a timeout. Parks until
+    /// [`SPIN_MARGIN`](crate::SPIN_MARGIN) before `due`, then yields the
+    /// thread until `due` passes, so the wait ends within a scheduling
+    /// quantum of `due` instead of a timer's slack after it. A bump in
+    /// either phase ends it at once. (A thread under a virtual clock paces
+    /// to its instants instead: [`pace_until`](crate::pace_until).)
+    pub fn wait_until(&self, seen: u64, due: Duration) {
+        let park = park_before(due);
+        if !park.is_zero() {
+            self.wait(seen, park);
+        }
+        yield_until(due, || self.current() != seen);
+    }
 }
 
 /// One wakeup signal shared by a *group* of event sources.
@@ -141,6 +159,13 @@ impl WaitSignalGroup {
     /// elapses.
     pub fn wait(&self, seen: u64, timeout: Duration) {
         self.signal.wait(seen, timeout);
+    }
+
+    /// Blocks until any member records an event past `seen`, or the
+    /// [`mono_now`](crate::mono_now) timeline reaches `due`; see
+    /// [`WaitSignal::wait_until`].
+    pub fn wait_until(&self, seen: u64, due: Duration) {
+        self.signal.wait_until(seen, due);
     }
 
     /// Registers one member source.
@@ -213,6 +238,7 @@ impl<T: Clone> SnapshotVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SPIN_MARGIN;
 
     #[test]
     fn wait_returns_on_bump_and_on_timeout() {
@@ -342,5 +368,116 @@ mod tests {
         let t0 = Instant::now();
         group.wait(group.current(), Duration::from_millis(10));
         assert!(t0.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn wait_until_never_returns_before_its_due() {
+        // Distances below, at and above the margin: all yield, or park and
+        // then yield.
+        let signal = WaitSignal::new();
+        for wait in 0..300u64 {
+            let due = crate::mono_now() + Duration::from_micros(50 + wait * 7 % 700);
+            signal.wait_until(signal.current(), due);
+            let now = crate::mono_now();
+            assert!(now >= due, "wait {wait} returned {:?} early", due - now);
+        }
+    }
+
+    #[test]
+    fn wait_until_a_past_due_returns_at_once() {
+        let signal = WaitSignal::new();
+        let t0 = Instant::now();
+        signal.wait_until(signal.current(), Duration::ZERO);
+        signal.wait_until(signal.current(), crate::mono_now());
+        assert!(t0.elapsed() < Duration::from_millis(100));
+    }
+
+    /// Two threads bump each other's signal and wait for their own with
+    /// `wait_until(round, now + due_in)`, as in
+    /// [`two_threads_ping_pong_without_a_lost_wakeup`]. Returns, per side,
+    /// how many of its waits a bump ended before their due. A wait that
+    /// runs to its due is followed by a plain wait for the bump, so the
+    /// sides stay in step; with `stop_when_late` a side stops there instead.
+    fn ping_pong_until(rounds: u64, due_in: Duration, stop_when_late: bool) -> [u64; 2] {
+        const TIMEOUT: Duration = Duration::from_secs(10);
+        let ping = Arc::new(WaitSignal::new());
+        let pong = Arc::new(WaitSignal::new());
+        let late = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let answer = |inbox: Arc<WaitSignal>, outbox: Arc<WaitSignal>, serves: bool| {
+            let late = Arc::clone(&late);
+            std::thread::spawn(move || {
+                let mut early = 0;
+                for round in 0..rounds {
+                    if serves {
+                        outbox.bump();
+                    }
+                    let due = crate::mono_now() + due_in;
+                    inbox.wait_until(round, due);
+                    if crate::mono_now() < due {
+                        early += 1;
+                    } else if stop_when_late {
+                        late.store(true, Ordering::SeqCst);
+                    } else {
+                        inbox.wait(round, TIMEOUT);
+                    }
+                    if !late.load(Ordering::SeqCst) {
+                        assert_eq!(inbox.current(), round + 1, "round {round}");
+                    }
+                    if !serves {
+                        outbox.bump();
+                    }
+                    if late.load(Ordering::SeqCst) {
+                        // Let the other side's wait end, and stop.
+                        outbox.bump();
+                        break;
+                    }
+                }
+                early
+            })
+        };
+        let server = answer(Arc::clone(&pong), Arc::clone(&ping), true);
+        let client = answer(ping, pong, false);
+        [server.join().unwrap(), client.join().unwrap()]
+    }
+
+    #[test]
+    fn wait_until_returns_on_a_bump_while_parked() {
+        // A due far away: every wait is in its parked phase when the bump
+        // lands, and must end then, not at its due.
+        const ROUNDS: u64 = 1_000;
+        let early = ping_pong_until(ROUNDS, Duration::from_secs(5), true);
+        assert_eq!(early, [ROUNDS, ROUNDS], "a wait ran to its due");
+    }
+
+    #[test]
+    fn wait_until_returns_on_a_bump_while_yielding() {
+        // A due no further than the margin: a wait never parks, and the
+        // other side's bump lands while it yields. A partner preempted for
+        // longer than the margin lets a wait run to its due — on an idle
+        // 2-core host none do, with two CPU hogs beside the test ~78 % do
+        // — but a yield that ignored the sequence would let every one.
+        const ROUNDS: u64 = 2_000;
+        let early = ping_pong_until(ROUNDS, SPIN_MARGIN, false);
+        for side in early {
+            assert!(
+                side >= ROUNDS / 20,
+                "only {side} of {ROUNDS} waits ended on a bump"
+            );
+        }
+    }
+
+    #[test]
+    fn group_wait_until_wakes_on_a_member_event() {
+        let group = Arc::new(WaitSignalGroup::new());
+        let seen = group.current();
+        let notifier = Arc::clone(&group);
+        let thread = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            notifier.notify();
+        });
+        let t0 = Instant::now();
+        group.wait_until(seen, crate::mono_now() + Duration::from_secs(5));
+        assert!(t0.elapsed() < Duration::from_secs(2));
+        thread.join().unwrap();
     }
 }

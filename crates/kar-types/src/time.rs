@@ -245,10 +245,48 @@ pub fn mono_now() -> Duration {
     }
 }
 
-/// Sleeps for `d` in real mode; advances the virtual clock by `d` under a
+/// How long before a modelled instant a wait for it stops sleeping and
+/// starts yielding the thread.
+///
+/// A `thread::sleep` or condvar timeout fires late: the kernel's default
+/// timer slack is 50 µs, and on a 2-core x86-64 Linux VM a 0.45–1.5 ms
+/// timed wait overshoots by 65–73 µs at the median and 85–106 µs at the
+/// 99th percentile. A modelled latency paid that way costs its value plus
+/// the overshoot, once per hop of a call. Waking `SPIN_MARGIN` early and
+/// yielding until the instant passes returns within a scheduling quantum
+/// of it instead; the margin covers the 99th-percentile overshoot.
+pub const SPIN_MARGIN: Duration = Duration::from_micros(120);
+
+/// How long a real-time wait for `due` may park or sleep before it yields:
+/// until [`SPIN_MARGIN`] before `due`.
+pub(crate) fn park_before(due: Duration) -> Duration {
+    due.saturating_sub(global_origin().elapsed())
+        .saturating_sub(SPIN_MARGIN)
+}
+
+/// The yielding tail of a real-time wait for `due`: gives the thread up
+/// until the [`mono_now`] timeline reaches `due` or `done` says the wait is
+/// over.
+pub(crate) fn yield_until(due: Duration, done: impl Fn() -> bool) {
+    while !done() && global_origin().elapsed() < due {
+        std::thread::yield_now();
+    }
+}
+
+/// Blocks the thread until the [`mono_now`] timeline reaches `due`.
+fn sleep_until(due: Duration) {
+    let sleep = park_before(due);
+    if !sleep.is_zero() {
+        std::thread::sleep(sleep);
+    }
+    yield_until(due, || false);
+}
+
+/// Blocks for `d` in real mode — sleeping, then yielding for the last
+/// [`SPIN_MARGIN`] — and advances the virtual clock by `d` under a
 /// [`VirtualClock`]. Modelled latency charges (store ops, broker acks,
-/// reconciliation pacing) go through here so simulated executions pay them
-/// in virtual time.
+/// sidecar hops, reconciliation pacing) go through here so simulated
+/// executions pay them in virtual time.
 pub fn pace_sleep(d: Duration) {
     if d.is_zero() {
         return;
@@ -256,14 +294,15 @@ pub fn pace_sleep(d: Duration) {
     if let Some(clock) = virtual_clock() {
         clock.advance(d);
     } else {
-        std::thread::sleep(d);
+        sleep_until(mono_now() + d);
     }
 }
 
-/// Sleeps until the shared [`mono_now`] timeline reaches `due` (a no-op once
-/// it has); under a [`VirtualClock`] advances the clock to `due` instead.
-/// The blocking half of every modelled I/O: edge threads *submit* an
-/// operation, get its [`Completion`], and pace themselves to its due time.
+/// Blocks until the shared [`mono_now`] timeline reaches `due` (a no-op once
+/// it has), as [`pace_sleep`] does; under a [`VirtualClock`] advances the
+/// clock to `due` instead. The blocking half of every modelled I/O: edge
+/// threads *submit* an operation, get its [`Completion`], and pace
+/// themselves to its due time.
 pub fn pace_until(due: Duration) {
     pace_sleep(due.saturating_sub(mono_now()));
 }
@@ -407,6 +446,12 @@ impl DeploymentProfile {
     /// The values are calibrated so the *Direct HTTP* and *Kafka Only*
     /// baselines land near the paper's Table 2 (2.60 ms; 4.35/10.62/14.56 ms)
     /// while keeping the relative ordering of all configurations intact.
+    /// Measured by `table2_latency` (200 round trips per cell, 2-core
+    /// x86-64 Linux VM): Direct HTTP 2.75–2.80 ms — two `thread::sleep`s
+    /// of `network_one_way`, each a timer's slack late — and Kafka Only
+    /// 4.31/10.61/14.58 ms, whose waits for an ack or a record's
+    /// visibility wake on the due instant ([`SPIN_MARGIN`]); they read
+    /// 4.50/10.80/14.74 ms while those waits paid the slack too.
     pub fn latency_profile(&self) -> LatencyProfile {
         match self {
             DeploymentProfile::ClusterDev => LatencyProfile {
@@ -493,6 +538,15 @@ mod tests {
         assert!(start.elapsed() < Duration::from_millis(500));
         assert_eq!(c.scale().factor(), 0.01);
         let _ = c.now();
+    }
+
+    #[test]
+    fn pace_until_never_returns_before_its_due() {
+        for pace in 0..200u64 {
+            let due = mono_now() + Duration::from_micros(50 + pace * 11 % 700);
+            pace_until(due);
+            assert!(mono_now() >= due, "pace {pace} returned early");
+        }
     }
 
     #[test]

@@ -142,15 +142,19 @@ fn reactor_loop(shared: Arc<ReactorShared>) {
             // Nothing to do now: park until somebody notifies the group, but
             // no longer than until the next modelled I/O completes — a
             // parked stage's due time, or a queued record's visibility,
-            // which nothing will announce.
+            // which nothing will announce. A wait for that instant wakes on
+            // it (`wait_until` yields its last `SPIN_MARGIN`); the idle
+            // slice is a plain timeout.
             let next_due = match (shared.io.next_due(), wake_at) {
                 (Some(stage), Some(record)) => Some(stage.min(record)),
                 (stage, record) => stage.or(record),
             };
-            let park = next_due.map_or(IDLE_SLICE, |due| {
-                IDLE_SLICE.min(due.saturating_sub(kar_types::mono_now()))
-            });
-            shared.group.wait(seen, park);
+            match next_due {
+                Some(due) if due < kar_types::mono_now() + IDLE_SLICE => {
+                    shared.group.wait_until(seen, due);
+                }
+                _ => shared.group.wait(seen, IDLE_SLICE),
+            }
         }
     }
 }

@@ -3,6 +3,7 @@
 rewritten — to BENCH_trajectory.jsonl at the repo root.
 
     scripts/trajectory.py append --pr 23 [--report bench/out/report.json] [--commit SHA]
+    scripts/trajectory.py paper --pr 40 --commit SHA [--rows FILE]
     scripts/trajectory.py --check
 
 `append` distils the report `bench all` wrote (run from the repo root:
@@ -23,6 +24,13 @@ CALIBRATION_BOUND from the rows of the previous PR that has one: their
 numbers and that PR's are not comparable. Rows without a calibration (older
 rows) are not compared. It also warns about every PR number between the
 first and the last row that has no row at all (a hole in the trajectory).
+
+`paper` appends the Table 2 cells `table2_latency --json` printed (read
+from --rows, or stdin) to BENCH_paper.jsonl, each with the PR, the commit
+it measured and the same host calibration; `--check` parses that file
+too. Each row is one (profile, column) cell: measured and paper medians
+in milliseconds and their ratio.
+
 Standard library only; lives outside bench/ because bench/ is frozen.
 """
 
@@ -36,6 +44,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_trajectory.jsonl"
 ROW_KEYS = ("pr", "commit", "source", "workload", "nproc", "seed", "seconds", "failed", "metrics")
+PAPER = ROOT / "BENCH_paper.jsonl"
+PAPER_KEYS = ("pr", "commit", "profile", "column", "iterations", "measured_ms", "paper_ms", "ratio", "calibration")
 # The end-to-end bound BENCHMARK.json gives every metric.
 CALIBRATION_BOUND = 0.25
 CPU_LOOP_ITERATIONS = 2_000_000
@@ -122,6 +132,38 @@ def append(args):
             print(f"PR {row['pr']} {row['workload']}: appended")
 
 
+def append_paper(args):
+    source = open(args.rows) if args.rows else sys.stdin
+    cells = [json.loads(line) for line in source if line.strip()]
+    if not cells:
+        sys.exit("no Table 2 cells to append")
+    calibration = calibrate()
+    print(f"host calibration: {calibration}")
+    with PAPER.open("a") as out:
+        for cell in cells:
+            row = {"pr": args.pr, "commit": args.commit, **cell, "calibration": calibration}
+            out.write(json.dumps(row) + "\n")
+            print(f"PR {args.pr} {cell['profile']} {cell['column']}: ratio {cell['ratio']}")
+
+
+def check_paper():
+    """Problems with BENCH_paper.jsonl: lines that do not parse or lack a key."""
+    if not PAPER.exists():
+        return [], 0
+    lines = PAPER.read_text().splitlines()
+    problems = []
+    for number, line in enumerate(lines, 1):
+        try:
+            row = json.loads(line)
+        except ValueError as error:
+            problems.append(f"{PAPER.name} line {number}: does not parse ({error})")
+            continue
+        missing = [key for key in PAPER_KEYS if key not in row]
+        if missing:
+            problems.append(f"{PAPER.name} line {number}: missing {', '.join(missing)}")
+    return problems, len(lines)
+
+
 def calibration_drift(rows):
     """Warnings for calibrated rows whose calibration moved by more than
     CALIBRATION_BOUND from the median of the previous calibrated PR's rows."""
@@ -187,6 +229,8 @@ def check():
         ]
         if missing:
             problems.append(f"line {number}: missing {', '.join(missing)}")
+    paper_problems, paper_rows = check_paper()
+    problems += paper_problems
     for problem in problems:
         print(problem, file=sys.stderr)
     warnings = calibration_drift(rows)
@@ -195,7 +239,8 @@ def check():
         print(f"warning: {warning}", file=sys.stderr)
     print(
         f"{TRAJECTORY.name}: {len(lines)} rows, {len(problems)} problems, "
-        f"{len(warnings)} calibration warnings, {len(holes)} missing PRs"
+        f"{len(warnings)} calibration warnings, {len(holes)} missing PRs; "
+        f"{PAPER.name}: {paper_rows} rows"
     )
     sys.exit(1 if problems or not lines else 0)
 
@@ -208,13 +253,19 @@ def main():
     appender.add_argument("--pr", type=int, required=True)
     appender.add_argument("--report", default=str(ROOT / "bench" / "out" / "report.json"))
     appender.add_argument("--commit", help="override the commit the report recorded")
+    paper = commands.add_parser("paper", help="append the cells of `table2_latency --json`")
+    paper.add_argument("--pr", type=int, required=True)
+    paper.add_argument("--commit", required=True, help="the commit the cells measured")
+    paper.add_argument("--rows", help="file of cells (default: stdin)")
     args = parser.parse_args()
     if args.check:
         check()
     elif args.command == "append":
         append(args)
+    elif args.command == "paper":
+        append_paper(args)
     else:
-        parser.error("give `append` or --check")
+        parser.error("give `append`, `paper` or --check")
 
 
 if __name__ == "__main__":
