@@ -65,7 +65,7 @@ use crate::client::{Answer, CallSlot};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
-use crate::delivery::{Flusher, RequestRound, ResponseBatcher, Run};
+use crate::delivery::{Flusher, PartitionBatcher, QueuedRun, RequestRound, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
 use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService, RouteKey};
@@ -380,15 +380,29 @@ impl RoundInFlight {
         }
     }
 
-    /// `envelopes` bound for one partition — a response run, a retry copy —
-    /// as one round outside the request leg's counts.
-    fn batch(partition: usize, envelopes: Vec<Envelope>) -> Self {
+    /// `envelopes` bound for one partition — a partition queue's run, a
+    /// retry copy — as one round. Its last `tells` envelopes are outbox
+    /// tells, counted on the request leg; the others are counted elsewhere.
+    fn batch(partition: usize, envelopes: Vec<Envelope>, tells: usize) -> Self {
         RoundInFlight {
             round: RequestRound::batch(partition, envelopes),
-            requests: 0,
-            outbox: None,
+            requests: tells as u64,
+            outbox: (tells > 0).then_some((tells, 1)),
         }
     }
+}
+
+/// A finished handler waiting for its outbox round: its state flush is
+/// submitted next, in the frame that observes the ack — the round's own
+/// ([`RoundThen::Outbox`]) or, for an outbox that touches one partition,
+/// that of the partition queue's run that carried its tells
+/// ([`RoundThen::Flush`]).
+pub(crate) struct OutboxWaiter {
+    frame: Frame,
+    result: KarResult<Outcome>,
+    /// [`Outbox::failed`] and [`Outbox::guarded`] of the flushed outbox.
+    failed: Option<KarError>,
+    guarded: Option<Savepoint>,
 }
 
 /// What a produce round sent from a reactor is *for*: what runs once it is
@@ -396,15 +410,8 @@ impl RoundInFlight {
 /// inside its [`Stage`], like everything else a step hands to the next.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum RoundThen {
-    /// A finished handler's outbox: its state flush is submitted next, in
-    /// the same frame that observes the ack.
-    Outbox {
-        frame: Frame,
-        result: KarResult<Outcome>,
-        /// [`Outbox::failed`] and [`Outbox::guarded`] of the flushed outbox.
-        failed: Option<KarError>,
-        guarded: Option<Savepoint>,
-    },
+    /// A finished handler's outbox that touches several partitions.
+    Outbox(OutboxWaiter),
     /// The round of an [`Outcome::CallThen`]: the handler's pending tells
     /// and, behind them, the nested request `nested`. Durable, the
     /// invocation stays parked on the response; failed, its continuation
@@ -438,12 +445,15 @@ pub(crate) enum RoundThen {
         error: KarError,
         settles: Option<RecordOrigin>,
     },
-    /// One run of a destination partition's response queue, sent by the
-    /// flush `flusher` claims. Durable, the records in `settles` close and
-    /// the partition's next run leaves.
+    /// One run of a destination partition's queue, sent by the flush
+    /// `flusher` claims: `completions` completions and the tells of the
+    /// outboxes in `waiters`. Durable, the records in `settles` close, the
+    /// partition's next run leaves, and then the waiters resume.
     Flush {
         flusher: Flusher,
+        completions: usize,
         settles: Vec<RecordOrigin>,
+        waiters: Vec<OutboxWaiter>,
     },
 }
 
@@ -484,9 +494,9 @@ pub(crate) enum Stage {
     /// The sidecar hop of the response: it is routed and enqueued next, and
     /// the request finished.
     Respond { frame: Frame, result: Payload },
-    /// A response run whose round ran out of transient replays, back at the
-    /// head of its still-claimed queue for one heartbeat: the queue's run is
-    /// sent next.
+    /// A partition queue whose run ran out of transient replays, its
+    /// completions back at the head of the still-claimed queue for one
+    /// heartbeat: the queue's run is sent next.
     Flush(Flusher),
     /// A request holding its admission claim, waiting to be admitted again
     /// past it: a scheduled retry until its next-fire deadline, or an
@@ -603,10 +613,10 @@ pub struct ComponentCore {
     /// a queue is still going to be processed. Grows when partitions are
     /// adopted.
     consumed_offsets: RwLock<HashMap<usize, Arc<AtomicU64>>>,
-    /// Per-destination-partition response batching (group commit): bursts of
-    /// completions towards one caller partition share a lock acquisition and
-    /// a durable ack.
-    responses: ResponseBatcher,
+    /// Per-destination-partition group commit: bursts of completions — and
+    /// of one-partition outboxes — towards one partition share a lock
+    /// acquisition and a durable ack.
+    pub(crate) batcher: PartitionBatcher,
     round_stats: RoundStats,
     /// Broker-clock instants at which each currently-adopted partition was
     /// adopted; drives the retirement horizon (see `maybe_retire_partitions`).
@@ -746,7 +756,7 @@ impl ComponentCore {
             continuations: ContinuationTable::default(),
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
-            responses: ResponseBatcher::default(),
+            batcher: PartitionBatcher::default(),
             round_stats: RoundStats::default(),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
@@ -870,9 +880,10 @@ impl ComponentCore {
         }
         self.deferred.lock().parked.clear();
         self.claims.lock().inflight.clear();
-        // Buffered (not yet appended) completions die with the process; the
+        // Buffered (not yet appended) completions and tells die with the
+        // process, and so do the handlers waiting on those tells; the
         // affected requests' queue copies drive the retry.
-        self.responses.clear();
+        self.batcher.clear();
         // So does everything parked on the due-time heap: a thread killed
         // asleep inside an ack or a hop completed nothing either. Scheduled
         // retries and deferred activations go with it: their durable queue
@@ -1256,7 +1267,7 @@ impl ComponentCore {
     }
 
     /// Appends `envelope` to `partition` of this component's topic, through
-    /// the response batcher (one lock + one durable ack per burst towards
+    /// the partition batcher (one lock + one durable ack per burst towards
     /// the partition; nobody waits for the ack). `settles` is the request
     /// record this completion settles: it is closed once the append is
     /// acknowledged. The first completion towards an idle partition sends
@@ -1268,7 +1279,7 @@ impl ComponentCore {
         envelope: Envelope,
         settles: Option<RecordOrigin>,
     ) {
-        if let Some(flusher) = self.responses.enqueue(partition, envelope, settles) {
+        if let Some(flusher) = self.batcher.enqueue(partition, envelope, settles) {
             if let Step::Next(due, stage) = self.flush(flusher) {
                 Arc::clone(self).invocation_loop(due, stage);
             }
@@ -1278,11 +1289,24 @@ impl ComponentCore {
     /// Sends the pending run of `flusher`'s partition as one produce round
     /// ([`RoundThen::Flush`]), or releases the claim when nothing is pending.
     fn flush(self: &Arc<Self>, flusher: Flusher) -> Step {
-        let Some((run, settles)) = flusher.next_run() else {
+        let Some(QueuedRun {
+            envelopes,
+            completions,
+            settles,
+            waiters,
+        }) = flusher.next_run()
+        else {
             return Step::Done;
         };
-        let round = RoundInFlight::batch(flusher.partition(), run);
-        self.submit_round(round, RoundThen::Flush { flusher, settles })
+        let tells = envelopes.len() - completions;
+        let round = RoundInFlight::batch(flusher.partition(), envelopes, tells);
+        let then = RoundThen::Flush {
+            flusher,
+            completions,
+            settles,
+            waiters,
+        };
+        self.submit_round(round, then)
     }
 
     /// Routes the response for `request` — its sidecar hop is behind it — to
@@ -1333,7 +1357,7 @@ impl ComponentCore {
     }
 
     /// One routing attempt for an orphaned response ([`Stage::Orphan`]):
-    /// handed to the response batcher once its caller is routable, parked
+    /// handed to the partition batcher once its caller is routable, parked
     /// again one heartbeat interval later until `deadline`, dropped past it.
     fn route_orphan(self: &Arc<Self>, response: ResponseMessage, deadline: Duration) {
         if let Some(partition) = self.try_response_partition(&response) {
@@ -2054,10 +2078,20 @@ impl ComponentCore {
                 self.handler_returned(frame, attempt)
             }
             Stage::Round { mut placing, then } => match self.place_once(&mut placing) {
-                Ok(Placement::Routed(run)) => {
-                    let round = RoundInFlight::new(run, placing.tells);
-                    self.submit_round(round, then)
-                }
+                Ok(Placement::Routed(run)) => match (run, then) {
+                    // A finished handler's tells for one partition join its
+                    // queue: they leave with whatever else is bound there.
+                    (Run::Batch(partition, tells), RoundThen::Outbox(waiter)) => {
+                        match self.batcher.enqueue_outbox(partition, tells, waiter) {
+                            Some(flusher) => self.flush(flusher),
+                            None => Step::Done,
+                        }
+                    }
+                    (run, then) => {
+                        let round = RoundInFlight::new(run, placing.tells);
+                        self.submit_round(round, then)
+                    }
+                },
                 // Parked again: a stale placement never holds a reactor, a
                 // lane or — for a forward — an actor.
                 Ok(Placement::Unresolved { retry_at }) => {
@@ -2156,8 +2190,10 @@ impl ComponentCore {
 
     /// Settles what a finished handler left in its outbox, strictly before
     /// its state is flushed and before any completion: the pending tells
-    /// leave as one round, one sidecar hop from now. Skipped for an attempt
-    /// that was killed or fenced (it publishes nothing).
+    /// leave one sidecar hop from now, as one round — or, when they are all
+    /// bound for one partition, in that partition's next queued run.
+    /// Skipped for an attempt that was killed or fenced (it publishes
+    /// nothing).
     fn flush_outbox(
         self: &Arc<Self>,
         frame: Frame,
@@ -2177,21 +2213,22 @@ impl ComponentCore {
         {
             return self.flush_state(frame, result);
         }
+        let waiter = OutboxWaiter {
+            frame,
+            result,
+            failed,
+            guarded,
+        };
         if tells.is_empty() {
             // Nothing left to send, but a round flushed mid-handler failed.
-            return self.outbox_settled(frame, result, Ok(()), failed, guarded);
+            return self.outbox_settled(waiter, Ok(()));
         }
         let records = tells.len();
         Step::Next(
             self.hop_due(),
             Stage::Round {
                 placing: self.placing(tells, records, true),
-                then: RoundThen::Outbox {
-                    frame,
-                    result,
-                    failed,
-                    guarded,
-                },
+                then: RoundThen::Outbox(waiter),
             },
         )
     }
@@ -2218,15 +2255,10 @@ impl ComponentCore {
         self: &Arc<Self>,
         then: RoundThen,
         outcome: KarResult<()>,
-        kept: Vec<Envelope>,
+        mut kept: Vec<Envelope>,
     ) -> Step {
         match then {
-            RoundThen::Outbox {
-                frame,
-                result,
-                failed,
-                guarded,
-            } => self.outbox_settled(frame, result, outcome, failed, guarded),
+            RoundThen::Outbox(waiter) => self.outbox_settled(waiter, outcome),
             RoundThen::Nested {
                 nested,
                 caller,
@@ -2275,34 +2307,77 @@ impl ComponentCore {
                     self.respond(frame, Err(error))
                 }
             },
-            RoundThen::Flush { flusher, settles } => match outcome {
-                Ok(()) => {
-                    // The completions are durable: the request records they
-                    // answer have settled.
-                    self.settle.close_all(&settles);
-                    self.responses.flushed();
-                    self.flush(flusher)
-                }
-                // Out of transient replays, its run kept: the requests it
-                // answers are recorded as completed, so nothing would
-                // regenerate a dropped response. Back to the head of the
-                // queue, still claimed; it leaves again a heartbeat from now.
-                Err(error) if error.is_transient() && !kept.is_empty() => {
-                    flusher.requeue(kept, settles);
-                    self.park_for(
-                        self.config.scaled_heartbeat_interval(),
-                        Stage::Flush(flusher),
-                    );
-                    Step::Done
-                }
-                // Fenced or killed mid-completion: nothing was appended, and
-                // the queue copies of the affected requests drive the retry.
-                // Whatever queued meanwhile goes too — the component is dead.
-                Err(_) => {
-                    flusher.abandon();
-                    Step::Done
-                }
-            },
+            RoundThen::Flush {
+                flusher,
+                completions,
+                settles,
+                mut waiters,
+            } => {
+                // The claim is handed on before any waiter resumes: an
+                // outbox enqueued while they run never waits them out.
+                let next = match &outcome {
+                    Ok(()) => {
+                        // The completions are durable: the request records
+                        // they answer have settled.
+                        self.settle.close_all(&settles);
+                        if completions > 0 {
+                            self.batcher.flushed();
+                        }
+                        self.flush(flusher)
+                    }
+                    // Out of transient replays, its run kept: the requests
+                    // its completions answer are recorded as completed, so
+                    // nothing would regenerate a dropped response. Back to
+                    // the head of the queue, still claimed; they leave again
+                    // a heartbeat from now. The tells are not requeued:
+                    // their outboxes resume with the error.
+                    Err(error) if error.is_transient() && !kept.is_empty() => {
+                        kept.truncate(completions);
+                        flusher.requeue(kept, settles);
+                        self.park_for(
+                            self.config.scaled_heartbeat_interval(),
+                            Stage::Flush(flusher),
+                        );
+                        Step::Done
+                    }
+                    // Fenced or killed mid-completion: nothing was appended,
+                    // and the queue copies of the affected requests drive the
+                    // retry. Whatever queued meanwhile goes too — its
+                    // outboxes resume with the same error.
+                    Err(_) => {
+                        waiters.append(&mut flusher.abandon());
+                        Step::Done
+                    }
+                };
+                self.resume_outboxes(waiters, outcome, next)
+            }
+        }
+    }
+
+    /// Resumes the outboxes a partition queue's run carried, `outcome` being
+    /// the run's, once `next` — the queue's next step — has been decided:
+    /// each but the last in a frame of its own, the last in this one unless
+    /// `next` continues here (so a chain of outboxes, each resumed into the
+    /// next one's flush, does not nest frames).
+    fn resume_outboxes(
+        self: &Arc<Self>,
+        waiters: Vec<OutboxWaiter>,
+        outcome: KarResult<()>,
+        next: Step,
+    ) -> Step {
+        let mut waiters = waiters.into_iter();
+        let last = match next {
+            Step::Done => waiters.next_back(),
+            Step::Next(..) => None,
+        };
+        for waiter in waiters {
+            if let Step::Next(due, stage) = self.outbox_settled(waiter, outcome.clone()) {
+                Arc::clone(self).invocation_loop(due, stage);
+            }
+        }
+        match last {
+            Some(waiter) => self.outbox_settled(waiter, outcome),
+            None => next,
         }
     }
 
@@ -2314,14 +2389,13 @@ impl ComponentCore {
     /// left; a killed or fenced round replaces any result, steering the
     /// invocation into the no-completion arm. The state flush is submitted
     /// right here, in the frame that observed the round's ack.
-    fn outbox_settled(
-        self: &Arc<Self>,
-        frame: Frame,
-        result: KarResult<Outcome>,
-        flushed: KarResult<()>,
-        failed: Option<KarError>,
-        guarded: Option<Savepoint>,
-    ) -> Step {
+    fn outbox_settled(self: &Arc<Self>, waiter: OutboxWaiter, flushed: KarResult<()>) -> Step {
+        let OutboxWaiter {
+            frame,
+            result,
+            failed,
+            guarded,
+        } = waiter;
         let result = match failed.map_or(flushed, Err) {
             Ok(()) => result,
             Err(error @ (KarError::Killed { .. } | KarError::Fenced { .. })) => Err(error),
@@ -2675,7 +2749,7 @@ impl ComponentCore {
         // Replayed through transient gray failures like any round: an
         // ack-lost replay appends a second copy, which the admission claim
         // collapses (the first copy keeps it while parked).
-        let round = RoundInFlight::batch(partition, vec![Envelope::Request(copy)]);
+        let round = RoundInFlight::batch(partition, vec![Envelope::Request(copy)], 0);
         self.submit_round(
             round,
             RoundThen::Retry {
@@ -3629,7 +3703,8 @@ impl ComponentCore {
 
     /// `(requests sent, rounds acknowledged)` on this component's request
     /// leg. The ratio is its amortization: an invocation's outbox sends all
-    /// its tells in one round.
+    /// its tells in one round, and one-partition outboxes share the runs of
+    /// their partition's queue.
     pub fn request_batch_stats(&self) -> (u64, u64) {
         let stats = &self.round_stats;
         (
@@ -3644,27 +3719,43 @@ impl ComponentCore {
         self.retired.lock().clone()
     }
 
-    /// `(completions enqueued, batch appends performed)` by the response
-    /// batcher. The ratio is the per-destination amortization the batching
-    /// achieves.
+    /// `(completions enqueued, runs carrying completions acknowledged)` by
+    /// the partition batcher. The ratio is the per-destination amortization
+    /// the batching achieves.
     pub fn response_batch_stats(&self) -> (u64, u64) {
-        self.responses.stats()
+        self.batcher.stats()
     }
 }
 
 /// A component no mesh drives, on `broker`'s topic `topic` with home
 /// partition 0, hosting `Ledger` actors that answer `Null`: a test sets up
-/// its tables by hand and runs its parked stages with [`run_parked`].
+/// its tables by hand, admits requests with [`deliver`] and runs its parked
+/// stages with [`run_parked`]. Besides doing nothing, a `Ledger` can
+/// `tell(id)` — write `before`, tell `Ledger/id` `m`, write `done` behind
+/// the tell — and run `slow(ms)`, computing for `ms` milliseconds.
 #[cfg(test)]
 pub(crate) fn lone_core(config: MeshConfig, broker: Broker<Envelope>) -> Arc<ComponentCore> {
     struct Ledger;
     impl crate::actor::Actor for Ledger {
         fn invoke(
             &mut self,
-            _ctx: &mut ActorContext<'_>,
-            _method: &str,
-            _args: &[Value],
+            ctx: &mut ActorContext<'_>,
+            method: &str,
+            args: &[Value],
         ) -> KarResult<Outcome> {
+            match method {
+                "tell" => {
+                    let target = ActorRef::new("Ledger", args[0].as_str().unwrap_or("?"));
+                    ctx.state().set("before", Value::Int(1))?;
+                    ctx.tell(&target, "m", Vec::new())?;
+                    ctx.state().set("done", Value::Int(1))?;
+                }
+                "slow" => {
+                    let ms = args[0].as_i64().unwrap_or(0) as u64;
+                    kar_types::pace_sleep(Duration::from_millis(ms));
+                }
+                _ => {}
+            }
             Ok(Outcome::value(Value::Null))
         }
     }
@@ -3689,6 +3780,23 @@ pub(crate) fn lone_core(config: MeshConfig, broker: Broker<Envelope>) -> Arc<Com
         Arc::new(BreakerRegistry::new(None)),
         None,
     ))
+}
+
+/// Admits `request` to `core` as if polled, and runs it as far as it goes
+/// without waiting for a due time.
+#[cfg(test)]
+pub(crate) fn deliver(core: &Arc<ComponentCore>, request: RequestMessage) {
+    let admission = core.admit_request(request.into());
+    core.carry_out(admission);
+}
+
+/// Runs the stages of `core` due next, and returns the clock.
+#[cfg(test)]
+pub(crate) fn run_next_due(core: &ComponentCore) -> Duration {
+    let due = core.io.next_due().expect("a stage is parked");
+    kar_types::pace_until(due);
+    core.io.run_due();
+    mono_now()
 }
 
 /// Runs `core`'s parked stages as they fall due, until none is left.

@@ -1,41 +1,53 @@
 //! The delivery plane's append path: the produce round ([`RequestRound`])
 //! every append a reactor makes is, and the per-destination-partition queues
-//! that group-commit responses into runs ([`ResponseBatcher`]).
+//! that group-commit completions and one-partition outboxes into runs
+//! ([`PartitionBatcher`]).
 //!
 //! Every response — and every tail-call continuation to the sending actor's
-//! own partition — is a durable queue append, and a partition acknowledges
-//! its appends strictly in sequence (a replicated log does). On the call
-//! path that makes the response leg the dominant serial resource: N
-//! invocations completing towards the same caller partition used to pay N
-//! serialized acks.
+//! own partition — is a durable queue append, and so is every tell; a
+//! partition acknowledges its appends strictly in sequence (a replicated log
+//! does). On the call path that makes the response leg the dominant serial
+//! resource: N invocations completing towards the same caller partition
+//! used to pay N serialized acks. A tell tree pays the same on its way in:
+//! N handlers telling one actor are N appends to one partition.
 //!
-//! The [`ResponseBatcher`] applies the classic group-commit idiom to that
-//! leg. Completions are enqueued per destination partition; the first
-//! enqueuer of an idle partition claims its flush (a [`Flusher`]) and the
-//! component sends the pending run as one [`RequestRound`] — one
-//! partition-lock acquisition and one durable ack per flush. Nobody waits
-//! for that ack: the round parks on the due-time heap like every other round
-//! (see [`crate::io`]) and the enqueuer returns at once. Completions that
-//! arrive while a flush's ack is in flight simply join the queue, and the
-//! partition's next run leaves when that ack fires — so a burst of K
-//! responses to one partition pays ~⌈K/batch⌉ acks instead of K.
+//! The [`PartitionBatcher`] applies the classic group-commit idiom to both.
+//! Completions, and the tells of every handler outbox that touches a single
+//! partition, are enqueued per destination partition; the first enqueuer of
+//! an idle partition claims its flush (a [`Flusher`]) and the component
+//! sends the pending run as one [`RequestRound`] — one partition-lock
+//! acquisition and one durable ack per flush. Nobody waits for that ack on
+//! a thread: the round parks on the due-time heap like every other round
+//! (see [`crate::io`]). A completion's enqueuer returns at once; an outbox's
+//! handler waits in the queue (an [`OutboxWaiter`]) and resumes — on to its
+//! state flush — only once the run carrying its tells is acknowledged.
+//! Whatever arrives while a flush's ack is in flight simply joins the queue,
+//! and the partition's next run leaves when that ack fires — so a burst of
+//! K appends to one partition pays ~⌈K/batch⌉ acks instead of K. The
+//! flusher hands its claim on (sends the next run, or releases the claim)
+//! *before* it resumes the outboxes of the run that was acknowledged: an
+//! outbox enqueued meanwhile never waits out their continuations.
 //!
-//! Ordering: enqueue order is preserved per destination partition (the
-//! flusher drains the queue FIFO and appends the drained run as one batch
-//! with contiguous offsets). One caller actor has at most one outstanding
-//! nested call, so per-caller response order is trivially preserved; there
-//! is no cross-envelope ordering contract between responses and requests of
-//! unrelated ids.
+//! Ordering: enqueue order is preserved per destination partition among the
+//! completions and among the tells (a run appends its completions, then its
+//! tells, as one batch with contiguous offsets). One caller actor has at
+//! most one outstanding nested call, so per-caller response order is
+//! trivially preserved; one actor's next outbox is enqueued only after its
+//! previous one was acknowledged, so per-sender tell order is too. There is
+//! no cross-envelope ordering contract between envelopes of unrelated ids.
 //!
 //! Failure semantics match the unbatched path: a run's round replays
 //! transient failures like any round, and a run that fails because the
 //! component was fenced or killed mid-completion drops the buffered
-//! responses — exactly like a kill between the response hop and the append —
-//! and the callers' queue copies drive the retry. A run that only ran out of
-//! *transient* replays drops nothing: the requests it answers are already
-//! recorded as completed (their retries would be deduplicated away), so it
-//! goes back to the head of its queue, still claimed, and leaves again one
-//! heartbeat later as a stage on the due-time heap.
+//! completions and tells — exactly like a kill between the response hop and
+//! the append — and the callers' queue copies drive the retry. A run that
+//! only ran out of *transient* replays drops no completion: the requests it
+//! answers are already recorded as completed (their retries would be
+//! deduplicated away), so its completions go back to the head of their
+//! queue, still claimed, and leave again one heartbeat later as a stage on
+//! the due-time heap. Its tells are not requeued: their outboxes resume
+//! with the error, exactly as if their own round had failed, and their
+//! invocations fail into retry orchestration.
 //!
 //! Settlement: a completion may name the request record it settles (see
 //! [`crate::settle`]). Those records ride the partition queue beside the
@@ -53,18 +65,38 @@ use parking_lot::Mutex;
 use kar_queue::Producer;
 use kar_types::{Completion, Envelope, KarResult, RecordOrigin};
 
+use crate::component::OutboxWaiter;
 use crate::faults::TRANSIENT_ATTEMPTS;
 
 /// The pending queue of one destination partition.
 #[derive(Default)]
 struct PartitionQueue {
-    pending: Vec<Envelope>,
-    /// Request records settled by the pending envelopes' acknowledgement.
+    /// Completions — responses and tail-call continuations — in enqueue
+    /// order.
+    completions: Vec<Envelope>,
+    /// Request records settled by the pending completions' acknowledgement.
     settles: Vec<RecordOrigin>,
+    /// The tells of one-partition outboxes, in enqueue order.
+    tells: Vec<Envelope>,
+    /// The handlers those tells are from, each waiting for the ack of the
+    /// run that carries them.
+    waiters: Vec<OutboxWaiter>,
     /// True while a [`Flusher`] holds the partition's flush claim: later
-    /// enqueuers leave their envelope for its next run instead of paying
+    /// enqueuers leave their envelopes for its next run instead of paying
     /// their own ack.
     flushing: bool,
+}
+
+/// One run taken off a partition queue.
+pub(crate) struct QueuedRun {
+    /// The completions, then the tells.
+    pub(crate) envelopes: Vec<Envelope>,
+    /// How many of `envelopes` — the leading ones — are completions.
+    pub(crate) completions: usize,
+    /// Request records the run's acknowledgement settles.
+    pub(crate) settles: Vec<RecordOrigin>,
+    /// The outboxes whose tells the run carries.
+    pub(crate) waiters: Vec<OutboxWaiter>,
 }
 
 /// The flush claim on one destination partition: held from the enqueue that
@@ -81,51 +113,65 @@ impl Flusher {
         self.partition
     }
 
-    /// Takes the queue's pending run and the records its ack settles — or,
-    /// with nothing pending, releases the claim.
-    pub(crate) fn next_run(&self) -> Option<(Vec<Envelope>, Vec<RecordOrigin>)> {
+    /// Takes the queue's pending run — or, with nothing pending, releases
+    /// the claim.
+    pub(crate) fn next_run(&self) -> Option<QueuedRun> {
         let mut queue = self.queue.lock();
-        if queue.pending.is_empty() {
+        if queue.completions.is_empty() && queue.tells.is_empty() {
             queue.flushing = false;
             return None;
         }
-        Some((
-            std::mem::take(&mut queue.pending),
-            std::mem::take(&mut queue.settles),
-        ))
+        let mut envelopes = std::mem::take(&mut queue.completions);
+        let completions = envelopes.len();
+        if envelopes.is_empty() {
+            envelopes = std::mem::take(&mut queue.tells);
+        } else {
+            envelopes.append(&mut queue.tells);
+        }
+        Some(QueuedRun {
+            envelopes,
+            completions,
+            settles: std::mem::take(&mut queue.settles),
+            waiters: std::mem::take(&mut queue.waiters),
+        })
     }
 
-    /// Puts `run` back at the head of the queue, ahead of whatever was
-    /// enqueued meanwhile. The claim stays held.
-    pub(crate) fn requeue(&self, mut run: Vec<Envelope>, settles: Vec<RecordOrigin>) {
+    /// Puts the completions of a failed run back at the head of the queue,
+    /// ahead of whatever was enqueued meanwhile. The claim stays held.
+    pub(crate) fn requeue(&self, mut completions: Vec<Envelope>, settles: Vec<RecordOrigin>) {
         let mut queue = self.queue.lock();
-        run.append(&mut queue.pending);
-        queue.pending = run;
+        completions.append(&mut queue.completions);
+        queue.completions = completions;
         queue.settles.extend(settles);
     }
 
     /// Drops whatever is queued and releases the claim (the component was
-    /// fenced or killed: unreleased completions die with it).
-    pub(crate) fn abandon(self) {
+    /// fenced or killed: unreleased completions and tells die with it).
+    /// Hands back the outboxes that were waiting: their tells never left.
+    pub(crate) fn abandon(self) -> Vec<OutboxWaiter> {
         let mut queue = self.queue.lock();
-        queue.pending.clear();
+        queue.completions.clear();
         queue.settles.clear();
+        queue.tells.clear();
         queue.flushing = false;
+        std::mem::take(&mut queue.waiters)
     }
 }
 
-/// Per-destination-partition response batching for one component.
+/// Per-destination-partition group commit for one component: completions
+/// and one-partition outboxes.
 #[derive(Default)]
-pub(crate) struct ResponseBatcher {
+pub(crate) struct PartitionBatcher {
     partitions: Mutex<HashMap<usize, Arc<Mutex<PartitionQueue>>>>,
-    /// Envelopes enqueued since creation.
+    /// Completions enqueued since creation.
     enqueued: AtomicU64,
-    /// Runs acknowledged (each one lock acquisition + one durable ack);
-    /// `enqueued / flushes` is the achieved amortization.
+    /// Runs acknowledged that carried completions (each one lock
+    /// acquisition + one durable ack); `enqueued / flushes` is the achieved
+    /// amortization.
     flushes: AtomicU64,
 }
 
-impl ResponseBatcher {
+impl PartitionBatcher {
     /// Enqueues `envelope` for `partition` — `settles` is the request record
     /// it settles — and hands back the partition's flush claim if nobody
     /// held it: the caller sends the pending run. Otherwise the flush under
@@ -139,11 +185,39 @@ impl ResponseBatcher {
         settles: Option<RecordOrigin>,
     ) -> Option<Flusher> {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.claim(partition, |queue| {
+            queue.completions.push(envelope);
+            queue.settles.extend(settles);
+        })
+    }
+
+    /// Enqueues a finished handler's outbox — `tells`, every one bound for
+    /// `partition` — and hands back the partition's flush claim if nobody
+    /// held it. `waiter` resumes once the run carrying the tells is
+    /// acknowledged (see [`Flusher::next_run`]).
+    pub(crate) fn enqueue_outbox(
+        &self,
+        partition: usize,
+        mut tells: Vec<Envelope>,
+        waiter: OutboxWaiter,
+    ) -> Option<Flusher> {
+        self.claim(partition, |queue| {
+            if queue.tells.is_empty() {
+                queue.tells = tells;
+            } else {
+                queue.tells.append(&mut tells);
+            }
+            queue.waiters.push(waiter);
+        })
+    }
+
+    /// Adds to `partition`'s queue with `push`, and claims its flush if it
+    /// is idle.
+    fn claim(&self, partition: usize, push: impl FnOnce(&mut PartitionQueue)) -> Option<Flusher> {
         let queue = Arc::clone(self.partitions.lock().entry(partition).or_default());
         {
             let mut state = queue.lock();
-            state.pending.push(envelope);
-            state.settles.extend(settles);
+            push(&mut state);
             if state.flushing {
                 return None;
             }
@@ -152,28 +226,48 @@ impl ResponseBatcher {
         Some(Flusher { partition, queue })
     }
 
-    /// Counts one acknowledged run.
+    /// Counts one acknowledged run that carried completions.
     pub(crate) fn flushed(&self) {
         self.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drops every pending envelope (the component was killed: unreleased
-    /// completions die with it, like any in-memory state).
+    /// Drops every pending envelope and waiting outbox (the component was
+    /// killed: unreleased completions and tells die with it, like any
+    /// in-memory state, and no waiting handler resumes).
     pub(crate) fn clear(&self) {
         for queue in self.partitions.lock().values() {
             let mut state = queue.lock();
-            state.pending.clear();
+            state.completions.clear();
             state.settles.clear();
+            state.tells.clear();
+            state.waiters.clear();
         }
     }
 
-    /// `(envelopes enqueued, runs acknowledged)` since creation; the ratio
-    /// is the response-batching amortization factor.
+    /// `(completions enqueued, runs acknowledged that carried completions)`
+    /// since creation; the ratio is the response-batching amortization
+    /// factor. Tells are counted on the request leg
+    /// (`ComponentCore::request_batch_stats`).
     pub(crate) fn stats(&self) -> (u64, u64) {
         (
             self.enqueued.load(Ordering::Relaxed),
             self.flushes.load(Ordering::Relaxed),
         )
+    }
+
+    /// `(envelopes, waiting outboxes)` queued over every partition.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> (usize, usize) {
+        self.partitions
+            .lock()
+            .values()
+            .fold((0, 0), |(envelopes, waiters), queue| {
+                let state = queue.lock();
+                (
+                    envelopes + state.completions.len() + state.tells.len(),
+                    waiters + state.waiters.len(),
+                )
+            })
     }
 }
 
@@ -262,9 +356,14 @@ impl Run {
 /// number of times; the duplicates an ack-lost round leaves behind are
 /// absorbed by request-id dedup at the consumers. The one append path of a
 /// reactor: a request run, a response run and a retry copy are all rounds.
-/// Rounds of different senders are not coalesced (a claim table that merged
-/// the rounds contending for a partition won on none of the five benchmark
-/// workloads against sending every round directly — see ROADMAP).
+/// One-partition outboxes of different senders share a round through the
+/// [`PartitionBatcher`]: on the benchmark's `fanout_ack` the eight leaves
+/// telling one `Sink` used to land as eight single-record rounds acked one
+/// `queue_append` apart (16 request rounds per op, 1.44 records each); in
+/// the partition's queue they take 14.1 rounds of 1.63, and the op's p50
+/// goes 26.9 → 24.5 ms. Every other run — a multi-partition outbox, a
+/// nested call's, a forward, a tail-call successor, a retry copy — is a
+/// round of its own.
 ///
 /// A reactor drives it as `submit` → park until the returned due time →
 /// `settle` (see [`crate::io`]); an edge thread runs the same sequence with
@@ -492,21 +591,24 @@ mod tests {
         assert_eq!(open(), 1);
     }
 
-    /// A broker whose first `failures` appends fail transiently.
-    fn failing_broker(failures: u32, partitions: usize) -> Broker<Envelope> {
+    /// A broker configuration whose first `failures` appends fail
+    /// transiently.
+    fn failing_broker_config(failures: u32) -> BrokerConfig {
         use kar_types::{FaultInjector, FaultPlan, FaultSite, FaultSpec};
 
         let plan = FaultPlan::new(7).with_site(
             FaultSite::BrokerAppend,
             FaultSpec::transient(1.0).with_budget(u64::from(failures)),
         );
-        broker_with(
-            BrokerConfig {
-                faults: Some(Arc::new(FaultInjector::new(plan))),
-                ..BrokerConfig::default()
-            },
-            partitions,
-        )
+        BrokerConfig {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..BrokerConfig::default()
+        }
+    }
+
+    /// A broker whose first `failures` appends fail transiently.
+    fn failing_broker(failures: u32, partitions: usize) -> Broker<Envelope> {
+        broker_with(failing_broker_config(failures), partitions)
     }
 
     #[test]
@@ -648,5 +750,189 @@ mod tests {
         let error = send_request_round(&producer, "t", run(6, 4, 2)).unwrap_err();
         assert!(error.is_fenced(), "got {error:?}");
         assert_eq!(landed(), 2);
+    }
+
+    // ------------------------------------------------------------------
+    // One-partition outboxes in the partition queue
+    // ------------------------------------------------------------------
+
+    use crate::component::{deliver, run_next_due};
+    use crate::placement::{host_field, hosts_key};
+    use kar_queue::PartitionSet;
+    use kar_types::VirtualClock;
+
+    /// The append latency of the outbox tests' broker.
+    const ACK: Duration = Duration::from_millis(2);
+
+    /// A lone core whose one partition acks appends `ACK` after submit, on a
+    /// virtual clock installed on this thread (the test's stages run here,
+    /// so each `ACK` is read off the clock exactly). It is live and
+    /// announces `Ledger`, so its handlers' tells place onto partition 0.
+    fn telling_core(config: BrokerConfig) -> (Arc<ComponentCore>, Arc<VirtualClock>) {
+        let clock = Arc::new(VirtualClock::new());
+        kar_types::install_virtual_clock(Arc::clone(&clock));
+        let config = BrokerConfig {
+            append_latency: ACK,
+            ..config
+        };
+        let core = lone_core(MeshConfig::for_tests(), broker_with(config, 1));
+        core.live.write().insert(core.id());
+        core.topology
+            .write()
+            .insert(core.id(), PartitionSet::contiguous(0, 1));
+        core.store
+            .admin_hset(&hosts_key("Ledger"), &host_field(core.id()), Value::Null);
+        (core, clock)
+    }
+
+    /// A root request to `Ledger/actor`.
+    fn ledger(id: u64, actor: &str, method: &str, arg: Value) -> RequestMessage {
+        let target = ActorRef::new("Ledger", actor);
+        RequestMessage::root(RequestId::from_raw(id), target, method, vec![arg])
+    }
+
+    /// `Ledger/actor`'s durable state.
+    fn state(core: &ComponentCore, actor: &str) -> HashMap<String, Value> {
+        core.store
+            .admin_hgetall(&format!("state/Ledger/{actor}"))
+            .into_iter()
+            .collect()
+    }
+
+    /// When the tell to `Ledger/target` was appended to partition 0.
+    fn told_at(core: &ComponentCore, target: &str) -> Option<Duration> {
+        let target = ActorRef::new("Ledger", target);
+        core.broker
+            .read_partition("topic", 0)
+            .into_iter()
+            .find(|record| {
+                matches!(&*record.payload, Envelope::Request(request) if request.target == target)
+            })
+            .map(|record| record.appended_at)
+    }
+
+    #[test]
+    fn outboxes_enqueued_under_an_ack_in_flight_leave_as_one_run() {
+        const K: u64 = 4;
+        let (core, _clock) = telling_core(BrokerConfig::default());
+        // A response holds partition 0's claim, its run's ack due at 2 ms.
+        core.send_completion(0, response(100), None);
+        for i in 0..K {
+            let teller = format!("w{i}");
+            deliver(
+                &core,
+                ledger(i, &teller, "tell", Value::from(format!("t{i}"))),
+            );
+        }
+        // Every handler has returned, and its outbox waits in the queue.
+        for i in 0..K {
+            assert!(
+                state(&core, &format!("w{i}")).is_empty(),
+                "w{i} flushed early"
+            );
+        }
+        assert_eq!(core.batcher.queued(), (K as usize, K as usize));
+        // The response's ack sends the K tells as one run...
+        assert_eq!(run_next_due(&core), ACK);
+        assert_eq!(core.batcher.queued(), (0, 0));
+        for i in 0..K {
+            assert_eq!(told_at(&core, &format!("t{i}")), Some(ACK));
+            // ...and none of their state flushes leaves before its ack.
+            assert!(
+                state(&core, &format!("w{i}")).is_empty(),
+                "w{i} flushed early"
+            );
+        }
+        assert_eq!(run_next_due(&core), 2 * ACK);
+        for i in 0..K {
+            assert_eq!(
+                state(&core, &format!("w{i}")).get("done"),
+                Some(&Value::Int(1))
+            );
+        }
+        run_parked(&core);
+        assert_eq!(core.request_batch_stats(), (K, 1), "K tells, one round");
+        assert_eq!(core.response_batch_stats(), (1, 1));
+        kar_types::clear_virtual_clock();
+    }
+
+    #[test]
+    fn an_outbox_enqueued_while_earlier_ones_resume_never_waits_them_out() {
+        let (core, _clock) = telling_core(BrokerConfig::default());
+        core.send_completion(0, response(100), None);
+        // Two outboxes wait for the next run. Behind the first one's
+        // handler its actor has another outbox to send; behind the
+        // second's, a handler computing for 5 ms.
+        deliver(&core, ledger(1, "x", "tell", Value::from("t1")));
+        deliver(&core, ledger(2, "y", "tell", Value::from("t2")));
+        deliver(&core, ledger(3, "x", "tell", Value::from("t3")));
+        deliver(&core, ledger(4, "y", "slow", Value::Int(5)));
+        assert_eq!(run_next_due(&core), ACK);
+        // The run carrying t1 and t2 is acknowledged and both outboxes
+        // resume, y's into its slow handler; x's next outbox leaves at once,
+        // not once that handler is done.
+        let slow = Duration::from_millis(5);
+        assert_eq!(run_next_due(&core), 2 * ACK + slow);
+        assert_eq!(told_at(&core, "t3"), Some(2 * ACK));
+        run_parked(&core);
+        assert_eq!(state(&core, "x").get("done"), Some(&Value::Int(1)));
+        assert_eq!(core.request_batch_stats(), (3, 2));
+        kar_types::clear_virtual_clock();
+    }
+
+    #[test]
+    fn a_run_out_of_transient_replays_fails_its_outboxes_and_requeues_its_completions() {
+        // Two runs' worth of consecutive append failures.
+        let (core, _clock) = telling_core(failing_broker_config(2 * TRANSIENT_ATTEMPTS));
+        // A response run stalls, keeping the claim for a heartbeat; an
+        // outbox and another response queue behind it.
+        core.send_completion(0, response(1), None);
+        let mut teller = ledger(5, "w", "tell", Value::from("t"));
+        teller.reply_to = Some(core.id());
+        deliver(&core, teller);
+        core.send_completion(0, response(2), None);
+        assert_eq!(core.batcher.queued(), (3, 1));
+        // The stalled run leaves with them and runs out of replays too.
+        run_next_due(&core);
+        assert_eq!(core.broker.partition_len("topic", 0), 0);
+        run_parked(&core);
+        // The outbox resumed with the error: the write behind its tell was
+        // rolled back, the one before it flushed, and the handler failed
+        // into an error response. The responses went out once the appends
+        // worked again; the failed tell was not requeued.
+        let state = state(&core, "w");
+        assert_eq!(state.get("before"), Some(&Value::Int(1)));
+        assert_eq!(state.get("done"), None, "a guarded write outlived its tell");
+        assert_eq!(ids(&core, 0), vec![1, 2, 5]);
+        let records = core.broker.read_partition("topic", 0);
+        assert!(
+            matches!(&*records[2].payload, Envelope::Response(r) if r.result.is_err()),
+            "the outbox's handler did not fail"
+        );
+        assert_eq!(told_at(&core, "t"), None);
+        assert_eq!(core.request_batch_stats(), (0, 0));
+        assert_eq!(core.response_batch_stats(), (3, 1));
+        kar_types::clear_virtual_clock();
+    }
+
+    #[test]
+    fn kill_drops_queued_tells_and_waiting_outboxes_with_the_queued_responses() {
+        let (core, _clock) = telling_core(BrokerConfig::default());
+        // w1's outbox claims the idle partition: its run is in flight.
+        // A response and w2's outbox queue behind it.
+        deliver(&core, ledger(1, "w1", "tell", Value::from("t1")));
+        core.send_completion(0, response(100), None);
+        deliver(&core, ledger(2, "w2", "tell", Value::from("t2")));
+        assert_eq!(core.batcher.queued(), (2, 1));
+        core.kill();
+        assert_eq!(core.batcher.queued(), (0, 0));
+        run_parked(&core);
+        // Only the run that left before the kill is in the log, and neither
+        // handler ever reached its state flush.
+        assert_eq!(core.broker.partition_len("topic", 0), 1);
+        assert_eq!(told_at(&core, "t1"), Some(Duration::ZERO));
+        assert!(state(&core, "w1").is_empty());
+        assert!(state(&core, "w2").is_empty());
+        kar_types::clear_virtual_clock();
     }
 }

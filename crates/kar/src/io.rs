@@ -43,10 +43,11 @@
 //!   here, and it is admitted again past the claim;
 //! - a response whose caller's component failed waits as `Stage::Orphan`,
 //!   one routing attempt per heartbeat interval until the call timeout; once
-//!   it routes it goes to the response batcher like any completion;
-//! - a response run whose round ran out of transient replays waits one
-//!   heartbeat interval as `Stage::Flush`, back at the head of its queue and
-//!   still holding the partition's flush claim — no timer re-arms a batcher;
+//!   it routes it goes to the partition batcher like any completion;
+//! - a partition queue whose run ran out of transient replays waits one
+//!   heartbeat interval as `Stage::Flush`, its completions back at the head
+//!   of the queue and the partition's flush claim still held — no timer
+//!   re-arms a batcher;
 //! - a continuation whose nested call timed out is found by the mesh timer
 //!   and parked as a `Stage::Resume` carrying the timeout, due one sidecar
 //!   hop later like any resume (at once at zero latency), so application
@@ -78,7 +79,7 @@
 //!    round's ack** — nothing else is scheduled in between — and the store
 //!    applies it at submit: whoever is told by a handler finds the state the
 //!    handler wrote.
-//! 6. **A completion is handed to the response batcher at its own respond
+//! 6. **A completion is handed to the partition batcher at its own respond
 //!    step** — never held for the rest of the frame that produced it, so a
 //!    mailbox drain running the actor's next invocation in the same frame
 //!    delays no caller.

@@ -760,7 +760,7 @@ impl Mesh {
     }
 
     /// `(requests sent, produce rounds acknowledged)` on one component's
-    /// request leg.
+    /// request leg: a partition queue's run that carries tells is one round.
     pub fn request_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
         self.inner
             .components
@@ -781,8 +781,8 @@ impl Mesh {
             .map(|core| core.retired_partitions())
     }
 
-    /// `(completions enqueued, batch appends performed)` by one component's
-    /// response batcher.
+    /// `(completions enqueued, runs carrying completions acknowledged)` by
+    /// one component's partition batcher.
     pub fn response_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
         self.inner
             .components

@@ -2,7 +2,7 @@
 """Benchmark trajectory: one row per workload per PR, appended — never
 rewritten — to BENCH_trajectory.jsonl at the repo root.
 
-    scripts/trajectory.py append --pr 23 [--report bench/out/report.json] [--commit SHA]
+    scripts/trajectory.py append --pr 23 [--report bench/out/report.json] [--commit SHA] [--cpu]
     scripts/trajectory.py paper --pr 40 --commit SHA [--rows FILE]
     scripts/trajectory.py --check
 
@@ -12,6 +12,15 @@ rewritten — to BENCH_trajectory.jsonl at the repo root.
 attempted/failed, and the median and quartiles of each end-to-end metric
 BENCHMARK.json declares. Rows back-filled by hand from CHANGES.md carry
 `"source": "CHANGES"` and null quartiles where CHANGES records none.
+
+With `--cpu`, `append` also builds the benchmark and runs each workload
+once more as a child process of its own (`bench --workload W --seed 1
+--seconds 20 --trace 0`), and stores what `getrusage(RUSAGE_CHILDREN)` says
+that child used in the workload's row as an optional `cpu` object: CPU
+(user + system) microseconds, voluntary and involuntary context switches,
+each per operation the run attempted. The binary is
+`$CARGO_TARGET_DIR/release/bench` when that variable is set, else
+`bench/target/release/bench`.
 
 Rows from different sessions ran on different hosts, so `append` also
 records a `calibration` of the host it runs on: a fixed CPU loop and a
@@ -23,7 +32,10 @@ warns — without failing — about rows whose calibration moved by more than
 CALIBRATION_BOUND from the rows of the previous PR that has one: their
 numbers and that PR's are not comparable. Rows without a calibration (older
 rows) are not compared. It also warns about every PR number between the
-first and the last row that has no row at all (a hole in the trajectory).
+first and the last row that has no row at all (a hole in the trajectory),
+and about every row whose CPU per operation moved by more than CPU_BOUND
+from the same workload's row of the previous PR that has one, when the two
+rows' calibrations agree.
 
 `paper` appends the Table 2 cells `table2_latency --json` printed (read
 from --rows, or stdin) to BENCH_paper.jsonl, each with the PR, the commit
@@ -36,7 +48,10 @@ Standard library only; lives outside bench/ because bench/ is frozen.
 
 import argparse
 import json
+import os
 import pathlib
+import resource
+import subprocess
 import sys
 import threading
 import time
@@ -51,6 +66,11 @@ CALIBRATION_BOUND = 0.25
 CPU_LOOP_ITERATIONS = 2_000_000
 PING_PONG_ROUNDS = 2_000
 CALIBRATION_REPEATS = 5
+# How far CPU per operation may move between PRs before --check warns.
+CPU_BOUND = 0.25
+CPU_SEED = 1
+CPU_SECONDS = 20
+CPU_KEYS = ("cpu_us_per_op", "vcsw_per_op", "ivcsw_per_op")
 
 
 def declared_metrics():
@@ -98,6 +118,43 @@ def calibrate():
     }
 
 
+def bench_binary():
+    """Where `cargo build --manifest-path bench/Cargo.toml` puts the bench."""
+    target = os.environ.get("CARGO_TARGET_DIR")
+    return (pathlib.Path(target) if target else ROOT / "bench" / "target") / "release" / "bench"
+
+
+def build_bench():
+    manifest = ROOT / "bench" / "Cargo.toml"
+    subprocess.run(
+        ["cargo", "build", "--release", "--quiet", "--manifest-path", str(manifest)], check=True
+    )
+
+
+def cpu_of(binary, workload):
+    """One untraced run of `workload` as a child process of its own: what it
+    used per attempted operation, from RUSAGE_CHILDREN deltas."""
+    command = [
+        str(binary), "--workload", workload, "--seed", str(CPU_SEED),
+        "--seconds", str(CPU_SECONDS), "--trace", "0",
+    ]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        command, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=True
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    ops = json.loads(done.stdout.strip().splitlines()[-1])["attempted"]
+    cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {
+        "seed": CPU_SEED,
+        "seconds": CPU_SECONDS,
+        "ops": ops,
+        "cpu_us_per_op": round(cpu_s * 1e6 / ops, 3),
+        "vcsw_per_op": round((after.ru_nvcsw - before.ru_nvcsw) / ops, 4),
+        "ivcsw_per_op": round((after.ru_nivcsw - before.ru_nivcsw) / ops, 4),
+    }
+
+
 def rows_of(report, pr, commit, calibration):
     metrics = declared_metrics()
     for workload in report["workloads"]:
@@ -124,10 +181,18 @@ def append(args):
     report = json.loads(pathlib.Path(args.report).read_text())
     if report.get("kind") != "end_to_end":
         sys.exit(f"{args.report} is a {report.get('kind')} report, not an end_to_end one")
+    cpu = {}
+    if args.cpu:
+        build_bench()
+        for workload in report["workloads"]:
+            cpu[workload["name"]] = cpu_of(bench_binary(), workload["name"])
+            print(f"{workload['name']}: {cpu[workload['name']]}")
     calibration = calibrate()
     print(f"host calibration: {calibration}")
     with TRAJECTORY.open("a") as out:
         for row in rows_of(report, args.pr, args.commit, calibration):
+            if row["workload"] in cpu:
+                row["cpu"] = cpu[row["workload"]]
             out.write(json.dumps(row) + "\n")
             print(f"PR {row['pr']} {row['workload']}: appended")
 
@@ -196,6 +261,43 @@ def calibration_drift(rows):
     return warnings
 
 
+def calibrations_agree(a, b):
+    """True when two rows' calibrations name the same measures, each within
+    CALIBRATION_BOUND of the other."""
+    if not isinstance(a, dict) or not isinstance(b, dict) or a.keys() != b.keys():
+        return False
+    for name, value in a.items():
+        other = b[name]
+        if not isinstance(value, (int, float)) or not isinstance(other, (int, float)) or other <= 0:
+            return False
+        if abs(value / other - 1) > CALIBRATION_BOUND:
+            return False
+    return True
+
+
+def cpu_drift(rows):
+    """Warnings for rows whose CPU per operation moved by more than CPU_BOUND
+    from the same workload's row of the previous PR that measured it, when
+    the two rows' calibrations agree (otherwise they are not comparable)."""
+    measured = {}
+    warnings = []
+    for number, row in rows:
+        if not isinstance(row.get("cpu"), dict):
+            continue
+        earlier = [r for r in measured.get(row["workload"], []) if r["pr"] < row["pr"]]
+        measured.setdefault(row["workload"], []).append(row)
+        if not earlier or not calibrations_agree(row.get("calibration"), earlier[-1].get("calibration")):
+            continue
+        before, now = earlier[-1]["cpu"]["cpu_us_per_op"], row["cpu"]["cpu_us_per_op"]
+        moved = now / before - 1 if before > 0 else 0
+        if abs(moved) > CPU_BOUND:
+            warnings.append(
+                f"line {number}: PR {row['pr']} {row['workload']}: CPU {now} us/op is "
+                f"{moved:+.0%} from PR {earlier[-1]['pr']}'s {before}"
+            )
+    return warnings
+
+
 def missing_prs(rows):
     """Warnings for PR numbers between the first and the last row that no
     row carries."""
@@ -227,6 +329,11 @@ def check():
             for name in metrics
             if not isinstance(row.get("metrics", {}).get(name, {}).get("median"), (int, float))
         ]
+        if "cpu" in row and not all(
+            isinstance(row["cpu"], dict) and isinstance(row["cpu"].get(key), (int, float))
+            for key in CPU_KEYS
+        ):
+            missing.append(f"cpu.{'/'.join(CPU_KEYS)}")
         if missing:
             problems.append(f"line {number}: missing {', '.join(missing)}")
     paper_problems, paper_rows = check_paper()
@@ -235,12 +342,13 @@ def check():
         print(problem, file=sys.stderr)
     warnings = calibration_drift(rows)
     holes = missing_prs(rows)
-    for warning in warnings + holes:
+    cpu_warnings = cpu_drift(rows)
+    for warning in warnings + holes + cpu_warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(
         f"{TRAJECTORY.name}: {len(lines)} rows, {len(problems)} problems, "
-        f"{len(warnings)} calibration warnings, {len(holes)} missing PRs; "
-        f"{PAPER.name}: {paper_rows} rows"
+        f"{len(warnings)} calibration warnings, {len(holes)} missing PRs, "
+        f"{len(cpu_warnings)} CPU warnings; {PAPER.name}: {paper_rows} rows"
     )
     sys.exit(1 if problems or not lines else 0)
 
@@ -253,6 +361,9 @@ def main():
     appender.add_argument("--pr", type=int, required=True)
     appender.add_argument("--report", default=str(ROOT / "bench" / "out" / "report.json"))
     appender.add_argument("--commit", help="override the commit the report recorded")
+    appender.add_argument(
+        "--cpu", action="store_true", help="also measure CPU per operation, one child per workload"
+    )
     paper = commands.add_parser("paper", help="append the cells of `table2_latency --json`")
     paper.add_argument("--pr", type=int, required=True)
     paper.add_argument("--commit", required=True, help="the commit the cells measured")

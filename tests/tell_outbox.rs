@@ -3,7 +3,8 @@
 //! produce round, strictly before its state flush and its completion.
 //!
 //! * one round: a handler telling N actors on M components makes exactly one
-//!   request flush on its component;
+//!   request flush on its component, and handlers on one component telling
+//!   one partition under ack latency share rounds (the partition's queue);
 //! * order: two tells to one target arrive in program order, and a tell
 //!   issued before a nested call is in the target's log ahead of the call;
 //! * failure: a handler that returns `Err` after a tell still delivers it; an
@@ -134,6 +135,21 @@ impl Actor for Teller {
                 Ok(ctx.call_then(&sink(0), "ask", told("called"), |_, asked| {
                     asked.map(Outcome::value)
                 }))
+            }
+            // Wakes `args[0]` relaying tellers in one round, wave `args[1]`.
+            "wake" => {
+                for i in 0..args[0].as_i64().unwrap_or(0) {
+                    let relay = ActorRef::new("Teller", format!("p{i}"));
+                    ctx.tell(&relay, "relay", vec![args[1].clone()])?;
+                }
+                Ok(Outcome::value(Value::Null))
+            }
+            // One tell to the relay sink, labelled with the teller and wave.
+            "relay" => {
+                let wave = args[0].as_i64().unwrap_or(0);
+                let label = format!("{}-{wave}", ctx.self_ref().actor_id());
+                ctx.tell(&sink("relay"), "got", told(&label))?;
+                Ok(Outcome::value(Value::Null))
             }
             "tell_then_fail" => {
                 ctx.tell(&sink(0), "got", told("survives"))?;
@@ -308,6 +324,59 @@ fn a_handler_telling_many_actors_on_several_components_makes_one_request_flush()
         )),
         "no outbox line for the round:\n{report}"
     );
+    mesh.shutdown();
+}
+
+#[test]
+fn tells_from_one_component_to_one_partition_share_a_round_under_ack_latency() {
+    // Tellers pinned on one component, woken together by one round of a
+    // starter pinned on the other, each tell the same sink: their one-tell
+    // outboxes reach the sink's partition within microseconds of each
+    // other, so all but the first meet the first one's ack in flight and
+    // ride the partition's next run instead of paying acks of their own.
+    const TELLERS: usize = 4;
+    const WAVES: usize = 3;
+    let latency = DeploymentProfile::ClusterDev.latency_profile();
+    let (mesh, shared, servers) = mesh_with(with_latency(MeshConfig::default(), latency), 2);
+    let pin = |actor: &ActorRef, on: ComponentId| {
+        mesh.store().admin_set(
+            &kar::placement::placement_key(actor),
+            kar::placement::component_to_value(on),
+        )
+    };
+    for i in 0..TELLERS {
+        pin(&ActorRef::new("Teller", format!("p{i}")), servers[0]);
+    }
+    let starter = ActorRef::new("Teller", "starter");
+    pin(&starter, servers[1]);
+    let client = mesh.client();
+    let before = mesh.request_batch_stats(servers[0]).unwrap();
+    for wave in 0..WAVES {
+        let args = vec![Value::Int(TELLERS as i64), Value::Int(wave as i64)];
+        client.call(&starter, "wake", args).unwrap();
+    }
+    let tells = (TELLERS * WAVES) as u64;
+    let sent = || mesh.request_batch_stats(servers[0]).unwrap().0 - before.0;
+    eventually("every relayed tell was acknowledged", || sent() == tells);
+    eventually("every relayed tell arrived", || {
+        shared.seen().len() == tells as usize
+    });
+    let rounds = mesh.request_batch_stats(servers[0]).unwrap().1 - before.1;
+    assert!(
+        rounds < tells,
+        "{tells} tells from {TELLERS} tellers per wave took {rounds} rounds: none shared one"
+    );
+    // Give a duplicate every chance to surface: each tell arrives exactly
+    // once, and each teller's in the order it sent them.
+    std::thread::sleep(Duration::from_millis(20));
+    let seen = shared.seen();
+    assert_eq!(seen.len(), tells as usize, "{seen:?}");
+    for i in 0..TELLERS {
+        let sender = format!("p{i}-");
+        let arrived: Vec<&String> = seen.iter().filter(|l| l.starts_with(&sender)).collect();
+        let sent: Vec<String> = (0..WAVES).map(|wave| format!("p{i}-{wave}")).collect();
+        assert_eq!(arrived, sent.iter().collect::<Vec<_>>(), "{seen:?}");
+    }
     mesh.shutdown();
 }
 
