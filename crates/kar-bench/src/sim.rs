@@ -44,6 +44,33 @@ pub struct SimOutcome {
     pub events: usize,
     /// Conformance violations the oracle found (empty = clean).
     pub violations: Vec<HistoryViolation>,
+    /// FNV-1a 64 digest of the observed history — every event, in order —
+    /// and of the final contents of every actor's `state/…` hash. Two
+    /// builds that behave alike on this triple print the same digest.
+    pub digest: u64,
+}
+
+/// FNV-1a, 64 bits: a hash whose value depends on its input alone, so a
+/// digest printed by one build compares with another build's.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0100_0000_01b3;
+
+    /// Hashes `text`, then a terminator, so adjacent strings cannot run
+    /// into each other.
+    fn write(&mut self, text: &str) {
+        for byte in text.bytes().chain([0xff]) {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(Self::OFFSET)
+    }
 }
 
 /// A scenario runner: `(seed, kill_step, rebreak) -> outcome`.
@@ -61,6 +88,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("kill-after-trim", kill_after_trim),
     ("kill-mid-outbox", kill_mid_outbox),
     ("kill-mid-retry-append", kill_mid_retry_append),
+    ("kill-mid-release", kill_mid_release),
 ];
 
 /// Runs one scenario by name. Returns `None` for an unknown name.
@@ -76,6 +104,8 @@ pub fn run_scenario(name: &str, seed: u64, kill_step: u64, rebreak: bool) -> Opt
 struct Driver {
     mesh: Mesh,
     checker: HistoryChecker,
+    /// The history's half of the run's digest, event by event.
+    digest: Fnv1a,
     log: CommitLog,
     drained: usize,
     targets: HashMap<u64, String>,
@@ -87,6 +117,7 @@ impl Driver {
         Driver {
             mesh,
             checker: HistoryChecker::new(),
+            digest: Fnv1a::default(),
             log,
             drained: 0,
             targets: HashMap::new(),
@@ -94,16 +125,23 @@ impl Driver {
         }
     }
 
+    /// Hands `event` to the oracle and folds it into the digest.
+    fn record(&mut self, event: HistoryEvent) {
+        self.digest.write(&format!("{event:?}"));
+        self.checker.record(event);
+    }
+
     /// Moves freshly logged actor commits into the oracle, in commit order.
     fn drain_commits(&mut self) {
-        let log = self.log.lock().expect("commit log");
+        let log = Arc::clone(&self.log);
+        let log = log.lock().expect("commit log");
         for &req in &log[self.drained..] {
             let actor = self
                 .targets
                 .get(&req)
                 .cloned()
                 .unwrap_or_else(|| "unknown".to_string());
-            self.checker.record(HistoryEvent::Commit { req, actor });
+            self.record(HistoryEvent::Commit { req, actor });
         }
         self.drained = log.len();
     }
@@ -127,11 +165,12 @@ impl Driver {
         let actor = target.qualified_name();
         let seq = self.seqs.entry(actor.clone()).or_insert(0);
         *seq += 1;
-        self.checker.record(HistoryEvent::Issue {
+        let seq = *seq;
+        self.record(HistoryEvent::Issue {
             req,
             caller: "client".to_string(),
             actor: actor.clone(),
-            seq: *seq,
+            seq,
         });
         self.targets.insert(req, actor);
         let args = vec![Value::Int(req as i64)];
@@ -140,7 +179,7 @@ impl Driver {
             None => client.call(target, method, args),
         };
         self.drain_commits();
-        self.checker.record(HistoryEvent::Complete {
+        self.record(HistoryEvent::Complete {
             req,
             ok: result.is_ok(),
         });
@@ -150,7 +189,7 @@ impl Driver {
     fn arm_kill(&mut self, kill_step: u64, component: kar_types::ComponentId, name: &str) {
         self.mesh
             .sim_schedule_kill(self.mesh.sim_step_count() + kill_step, component);
-        self.checker.record(HistoryEvent::Kill {
+        self.record(HistoryEvent::Kill {
             component: name.to_string(),
         });
     }
@@ -162,17 +201,26 @@ impl Driver {
         // the scheduler room, then wait out the recovery pipeline.
         self.mesh
             .wait_for_recoveries(count, Duration::from_secs(300));
-        self.checker.record(HistoryEvent::Recovered {
+        self.record(HistoryEvent::Recovered {
             component: component.to_string(),
         });
     }
 
-    fn finish(mut self) -> (u64, usize, Vec<HistoryViolation>) {
+    /// Ends the run: its step count, event count, digest and violations.
+    fn finish(mut self) -> (u64, usize, u64, Vec<HistoryViolation>) {
         self.drain_commits();
         let steps = self.mesh.sim_step_count();
         let events = self.checker.events();
+        let store = self.mesh.store();
+        for key in store.admin_hash_keys_with_prefix("state/") {
+            self.digest.write(&key);
+            for (field, value) in store.admin_hgetall(&key) {
+                self.digest.write(&field);
+                self.digest.write(&format!("{value:?}"));
+            }
+        }
         self.mesh.shutdown();
-        (steps, events, self.checker.finalize())
+        (steps, events, self.digest.0, self.checker.finalize())
     }
 }
 
@@ -363,7 +411,7 @@ impl Actor for Doomed {
 /// names its host, so no second component can place it.
 fn outcome(scenario: &'static str, seed: u64, kill_step: u64, driver: Driver) -> SimOutcome {
     let misplaced = driver.mesh.misplaced_residents();
-    let (steps, events, mut violations) = driver.finish();
+    let (steps, events, digest, mut violations) = driver.finish();
     violations.extend(misplaced.into_iter().map(|detail| HistoryViolation {
         rule: "misplaced_resident",
         detail,
@@ -376,6 +424,7 @@ fn outcome(scenario: &'static str, seed: u64, kill_step: u64, driver: Driver) ->
         steps,
         events,
         violations,
+        digest,
     }
 }
 
@@ -464,7 +513,7 @@ fn kill_while_parked(seed: u64, kill_step: u64, rebreak: bool) -> SimOutcome {
     // re-homing: whether it lands inside the re-execution window is part of
     // what the sweep explores.
     kill_after_recovery(&driver.mesh, ActorRef::new("Front", "f1"), 1, second_kill);
-    driver.checker.record(HistoryEvent::Kill {
+    driver.record(HistoryEvent::Kill {
         component: "f1-rehome".to_string(),
     });
     for req in 4..=6u64 {
@@ -581,6 +630,94 @@ fn passivation_under_kill(
     outcome(name, seed, kill_step, driver)
 }
 
+/// Kill a component across the release of its passivated actors'
+/// placements. Ledgers activate on two components under a soft watermark of
+/// two, so most are evicted at once; their tombstones age out one to two
+/// bookkeeping intervals later, and the host releases their placement
+/// records in fenced rounds, one per heartbeat. Every store round trip is
+/// acknowledged 200 µs after its submit, so a round's records are gone at
+/// once while the round settles only a heartbeat later. The kill of the
+/// component hosting most of the working set is armed `kill_step` steps
+/// after the first of its records is released — no run is clean unless a
+/// release happened before its kill — and the same actors are called again
+/// meanwhile: an activation racing a round in flight defers until it
+/// settles. Once the victim is recovered they are called once more, through
+/// the survivor. Retention (60 s, compressed to 300 ms) outlasts detection
+/// and reconciliation, so a request the kill strands is re-homed, not
+/// expired.
+fn kill_mid_release(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
+    let mut config = MeshConfig {
+        latency: LatencyProfile {
+            store_op: Duration::from_micros(200),
+            ..LatencyProfile::ZERO
+        },
+        ..MeshConfig::deterministic(seed)
+    }
+    .with_resident_watermarks(2, 0);
+    config.retention = Duration::from_secs(60);
+    let log: CommitLog = CommitLog::default();
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let components: Vec<ComponentId> = ["alpha", "beta"]
+        .into_iter()
+        .map(|name| {
+            let log = Arc::clone(&log);
+            mesh.add_component(node, name, move |b| b.host("Ledger", ledger_host(&log)))
+        })
+        .collect();
+    let mut driver = Driver::new(mesh, log);
+    let ledger = |req: u64| ActorRef::new("Ledger", format!("p{}", req % 6));
+    for req in 1..=12u64 {
+        driver.call(&ledger(req), "apply", req, None);
+    }
+    let placed: Vec<_> = (0..6)
+        .map(|i| (ledger(i), placement_of(&driver.mesh, &ledger(i))))
+        .collect();
+    let host = components
+        .iter()
+        .copied()
+        .max_by_key(|c| placed.iter().filter(|(_, p)| *p == Some(*c)).count())
+        .expect("two components");
+    let hosted: Vec<ActorRef> = placed
+        .into_iter()
+        .filter(|(_, p)| *p == Some(host))
+        .map(|(actor, _)| actor)
+        .collect();
+    let released = {
+        let mesh = driver.mesh.clone();
+        move || {
+            hosted
+                .iter()
+                .any(|actor| placement_of(&mesh, actor).is_none())
+        }
+    };
+    kill_when(&driver.mesh, host, released.clone(), kill_step);
+    driver.record(HistoryEvent::Kill {
+        component: "host".to_string(),
+    });
+    // Wait out the tombstones' aging: the first release arms the kill.
+    driver.mesh.sim_run_until(&released, 200_000);
+    let vacuous = !released();
+    for req in 13..=24u64 {
+        driver.call(&ledger(req), "apply", req, None);
+    }
+    driver.await_recoveries(1, "host");
+    for req in 25..=36u64 {
+        driver.call(&ledger(req), "apply", req, None);
+    }
+    let mut result = outcome("kill-mid-release", seed, kill_step, driver);
+    if vacuous {
+        result.violations.push(HistoryViolation {
+            rule: "nothing_released",
+            detail: "no placement of the victim's passivated actors was released before \
+                     its kill — the scenario exercised no release round"
+                .to_string(),
+            at: usize::MAX,
+        });
+    }
+    result
+}
+
 /// Kill the hosting component while an orchestrated retry is waiting out
 /// its backoff: the persisted schedule must survive re-homing and fire
 /// exactly once on the survivor.
@@ -628,7 +765,7 @@ fn kill_mid_retry_append(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcom
             move || remaining.load(Ordering::SeqCst) < 0,
             gap,
         );
-        driver.checker.record(HistoryEvent::Kill {
+        driver.record(HistoryEvent::Kill {
             component: "alpha".to_string(),
         });
     };
@@ -1146,7 +1283,7 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
         // complete once their sink committed them.
         let route = &routes[(req % 3) as usize];
         let actor = target.qualified_name();
-        driver.checker.record(HistoryEvent::Issue {
+        driver.record(HistoryEvent::Issue {
             req,
             caller: "client".to_string(),
             actor: actor.clone(),
@@ -1154,7 +1291,7 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
         });
         for (sink, sub) in route.iter().zip(sub_requests(req)) {
             let sink = format!("Sink/{}", sink.as_str().unwrap_or("?"));
-            driver.checker.record(HistoryEvent::Issue {
+            driver.record(HistoryEvent::Issue {
                 req: sub,
                 caller: format!("split-{req}"),
                 actor: sink.clone(),
@@ -1166,7 +1303,7 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
         args.extend(route.iter().cloned());
         let result = bulk.call(&target, "split", args);
         driver.drain_commits();
-        driver.checker.record(HistoryEvent::Complete {
+        driver.record(HistoryEvent::Complete {
             req,
             ok: result.is_ok(),
         });
@@ -1185,7 +1322,7 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
         (OutboxKill::AtStep, Some(host)) => driver.arm_kill(offset, host, victim_name),
         _ => {
             plan.victim.store(victim, Ordering::SeqCst);
-            driver.checker.record(HistoryEvent::Kill {
+            driver.record(HistoryEvent::Kill {
                 component: victim_name.to_string(),
             });
         }
@@ -1207,9 +1344,7 @@ fn kill_mid_outbox(seed: u64, kill_step: u64, _rebreak: bool) -> SimOutcome {
     for req in 1..=9u64 {
         for sub in sub_requests(req) {
             if commits.contains(&sub) {
-                driver
-                    .checker
-                    .record(HistoryEvent::Complete { req: sub, ok: true });
+                driver.record(HistoryEvent::Complete { req: sub, ok: true });
             }
         }
     }

@@ -495,6 +495,24 @@ impl Store {
         keys
     }
 
+    /// Administrative list of hash keys starting with `prefix`, sorted
+    /// (walks every shard; not a hot-path operation).
+    pub fn admin_hash_keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+        let mut keys = Vec::new();
+        for shard in &self.inner.shards {
+            keys.extend(
+                shard
+                    .lock()
+                    .hashes
+                    .keys()
+                    .filter(|k| k.starts_with(prefix))
+                    .map(|k| k.to_string()),
+            );
+        }
+        keys.sort();
+        keys
+    }
+
     /// Administrative removal of a string key, bypassing fencing. Returns the
     /// previous value if any. Used by the runtime's reconciliation leader,
     /// which operates on behalf of the surviving application as a whole
@@ -801,6 +819,7 @@ mod tests {
         conn.set("placement/Order/2", Value::from("component-7"))
             .unwrap();
         conn.set("other", Value::from(1)).unwrap();
+        conn.hset("placement/Order/3", "f", Value::from(1)).unwrap();
         store.fence(c);
         assert_eq!(
             store.admin_keys_with_prefix("placement/"),
@@ -808,6 +827,10 @@ mod tests {
                 "placement/Order/1".to_string(),
                 "placement/Order/2".to_string()
             ]
+        );
+        assert_eq!(
+            store.admin_hash_keys_with_prefix("placement/"),
+            vec!["placement/Order/3".to_string()]
         );
         assert_eq!(
             store.admin_del("placement/Order/1"),
