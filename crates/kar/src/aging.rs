@@ -29,8 +29,8 @@
 //! which name the actors idle long enough for the heartbeat sweep and order
 //! the coldest ones for admission to evict. Each candidate is passivated
 //! only once the owner has verified, under the table's lock, that the actor
-//! is quiescent (see `ComponentCore::sweep_passivation` and
-//! `ComponentCore::evict_coldest`).
+//! is quiescent (see `ResidentSet::passivate` and the eviction in
+//! `ResidentSet::admit`, in [`crate::resident`]).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};

@@ -40,27 +40,27 @@
 //! instead of double-executing, and stale consumers of a re-homed partition
 //! are cut off by the broker's per-partition ownership epochs.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use kar_types::mono_now;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use kar_queue::{Broker, Consumer, PartitionSet, Producer, Record};
-use kar_store::{Connection, PipelineResult, Store};
+use kar_store::{Connection, Store};
 use kar_types::ids::RequestIdGenerator;
 use kar_types::RequestId;
 use kar_types::{
-    epoch_ms, ActorRef, Backoff, CallKind, Completion, ComponentId, Envelope, KarError, KarResult,
-    NodeId, Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState,
-    RetryVerdict, SharedRequest, SnapshotVec, Value, WaitSignalGroup,
+    epoch_ms, ActorRef, CallKind, Completion, ComponentId, Envelope, KarError, KarResult, NodeId,
+    Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState, RetryVerdict,
+    SharedRequest, SnapshotVec, Value, WaitSignalGroup,
 };
 
 use crate::actor::{ActorFactory, Outcome};
-use crate::aging::{tombstone, AgingMap, AgingSet, IdBitmap, Names, Tombs};
+use crate::aging::{AgingSet, IdBitmap};
 use crate::client::{Answer, CallSlot};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{ActorContext, Outbox};
@@ -69,6 +69,7 @@ use crate::delivery::{Flusher, PartitionBatcher, QueuedRun, RequestRound, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
 use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService, RouteKey};
+use crate::resident::{ResidentSet, SlotAdmission};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
 use crate::state_cache::{Acked, Savepoint, StateImage};
@@ -117,51 +118,11 @@ pub struct ComponentStats {
     pub placements_released: AtomicU64,
 }
 
-/// A resident actor's whole in-memory footprint (§4.1): its instance, the
-/// actor lock, its mailbox and its state image.
-#[derive(Default)]
-struct ActorSlot {
-    instance: Option<Box<dyn crate::actor::Actor>>,
-    /// The actor's state image. Every invocation admitted to the actor takes
-    /// a handle to it; the image leaves memory only with the slot.
-    state: StateImage,
-    busy: bool,
-    busy_chain: Vec<RequestId>,
-    awaiting_tail: Option<RequestId>,
-    mailbox: VecDeque<SharedRequest>,
-    /// Placement-check locality: the placement-cache epoch in which this
-    /// actor's ownership by this component was last verified. While the
-    /// stamp matches the current epoch, admission skips placement resolution
-    /// entirely (not even a cache hit); a recovery-driven `clear_cache`
-    /// bumps the epoch and thereby invalidates every stamp in O(1).
-    verified_epoch: Option<u64>,
-    /// Set while admission has deferred this actor's activation at a
-    /// watermark: the id of the parked head request, waiting out its shaped
-    /// backoff as a [`Stage::Admit`]. Later requests mailbox behind it (so
-    /// per-actor FIFO holds across the deferral), and no passivation drops
-    /// a slot with a deferral pending.
-    activation_parked: Option<RequestId>,
-    /// Consecutive deferrals of the parked head: each one grows the shaped
-    /// backoff further.
-    activation_deferrals: u32,
-}
-
-impl ActorSlot {
-    /// The actor lock is `request`'s: the slot is busy, and its chain is the
-    /// request's call chain (its buffer reused, not reallocated).
-    fn hold_for(&mut self, request: &RequestMessage) {
-        self.busy = true;
-        self.busy_chain.clear();
-        self.busy_chain.extend_from_slice(&request.lineage);
-        self.busy_chain.push(request.id);
-    }
-}
-
 /// The admission decision for one polled request. Only `Forward` and `Done`
 /// give up the request's admission claim (its `inflight` entry); a request
 /// that stays here keeps it until it finishes, so reconciliation finds
 /// every such request with one lookup.
-enum Admission {
+pub(crate) enum Admission {
     /// Admitted: run this invocation inline.
     Run(Frame),
     /// Waiting here, claim kept: in a mailbox behind a busy actor, deferred
@@ -257,66 +218,15 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    /// An invocation of `request` admitted to `slot`.
-    fn admitted(
-        request: SharedRequest,
-        slot: &ActorSlot,
-        holds_lock: bool,
-        reentrant: bool,
-    ) -> Self {
+    /// An invocation of `request` on its actor's state `image`: holding the
+    /// actor lock, or `reentrant` beside the chain that holds it (§2.2).
+    pub(crate) fn admitted(request: SharedRequest, image: StateImage, reentrant: bool) -> Self {
         Frame {
             request,
-            holds_lock,
+            holds_lock: !reentrant,
             reentrant,
-            image: slot.state.clone(),
+            image,
         }
-    }
-}
-
-/// Base delay of the shaped backoff a new-actor activation deferred at the
-/// hard resident watermark waits out (wall clock, like retry policies — not
-/// compressed by `MeshConfig::time_scale`).
-const ACTIVATION_BACKOFF: Duration = Duration::from_millis(25);
-
-/// The tombstones of a component's passivated actors, and the placement
-/// releases they lead to (see [`ComponentCore::release_placements`]).
-struct Tombstones {
-    /// One per passivated actor, naming it: consumed — and counted as a
-    /// rehydration — by the actor's next activation, otherwise aged out on
-    /// the bookkeeping clock.
-    aging: AgingSet<Tombs>,
-    /// The actors of aged-out tombstones, their placements waiting for a
-    /// release round.
-    aged_out: Names,
-    /// The actors of the release round in flight: an activation of one
-    /// defers until the round settles.
-    releasing: HashSet<ActorRef>,
-    /// The actors of the round that settled last: an activation of one
-    /// that resolved its placement before the round settled defers too.
-    settled: HashSet<ActorRef>,
-    /// The acknowledgement of the release round in flight.
-    round: Option<Completion<Vec<PipelineResult>>>,
-}
-
-impl Tombstones {
-    fn new(interval: Duration) -> Self {
-        Tombstones {
-            aging: AgingSet::new(interval),
-            aged_out: Names::default(),
-            releasing: HashSet::new(),
-            settled: HashSet::new(),
-            round: None,
-        }
-    }
-
-    /// Forgets everything, the release round in flight included (owner
-    /// killed: its records are recovery's now).
-    fn clear(&mut self) {
-        self.aging.clear();
-        self.aged_out.clear();
-        self.releasing.clear();
-        self.settled.clear();
-        self.round = None;
     }
 }
 
@@ -324,18 +234,11 @@ impl Tombstones {
 /// points at a failed component and reconciliation has not rewritten it yet —
 /// stays parked before its next attempt; and how long an activation waits
 /// for its placement's release to settle.
-const PLACEMENT_RETRY: Duration = Duration::from_millis(5);
+pub(crate) const PLACEMENT_RETRY: Duration = Duration::from_millis(5);
 
 /// Shards of a component's placement cache: concurrent lanes resolving
 /// placements contend only when they race on the same shard.
 const PLACEMENT_CACHE_SHARDS: usize = 4;
-
-/// Placements one release round releases at most, unless its backlog is
-/// four times larger: then a quarter of it, so the backlog drains whatever
-/// the passivation rate. A rotation ages a whole generation of tombstones
-/// out at once, and spreading it over heartbeats keeps each round's
-/// buffers small.
-const RELEASE_ROUND: usize = 1024;
 
 /// The requests of one produce round on their way to their partitions: those
 /// routed so far, and those whose target is still to be placed.
@@ -624,17 +527,9 @@ pub struct ComponentCore {
     /// Adopted partitions this component has retired (fenced, dropped from
     /// the reactor wake group, removed from the partition set).
     retired: Mutex<Vec<usize>>,
-    /// The resident set: every activated actor's slot, stamped on the
-    /// passivation clock. Every admission touches its actor, and so does the
-    /// end of its activity. An actor idle for two generations (one to two
-    /// compressed retention windows — the single window, not the doubled
-    /// bookkeeping one) is the heartbeat sweep's to passivate; past the soft
-    /// watermark the least recently touched is admission's to evict, from
-    /// the eviction queue this map keeps.
-    ///
-    /// Lock order of the resident set, everywhere: actors → a slot's state
-    /// image; actors → tombstones.
-    actors: Mutex<AgingMap<ActorRef, ActorSlot>>,
+    /// The resident set: every activated actor's slot, and the passivation
+    /// bookkeeping of those that left it (see [`crate::resident`]).
+    pub(crate) resident: ResidentSet,
     pending_calls: Mutex<HashMap<RequestId, Arc<CallSlot>>>,
     /// Happen-before retries parked on their callee, and the response ids
     /// that release them, under one lock.
@@ -649,20 +544,6 @@ pub struct ComponentCore {
     /// The mesh-wide per-actor-type circuit breakers (shared by every
     /// component): consulted before each invocation executes, fed after.
     breakers: Arc<BreakerRegistry>,
-    /// Passivation tombstones, on the bookkeeping clock, and the placement
-    /// releases of those that age out.
-    passivated: Mutex<Tombstones>,
-    /// Release rounds settled so far. An admission reads it with its slot
-    /// lookup, before it resolves the placement; a round bumps it as it
-    /// settles. Both happen under the actors lock.
-    release_rounds: AtomicU64,
-    /// Number of resident (activated, non-deferred) actor slots: what the
-    /// resident watermarks compare against. Mutated under the actors lock.
-    resident_count: AtomicUsize,
-    /// Total mailboxed (admitted, waiting behind a busy actor) requests
-    /// across all resident actors (`Mesh::mailboxed_requests`). Mutated
-    /// under the actors lock.
-    mailboxed: AtomicUsize,
     /// Transient consumer-poll failures survived (injected or real). The
     /// consumer stays subscribed and is retried on the next sweep; only a
     /// fencing error detaches it.
@@ -729,6 +610,7 @@ impl ComponentCore {
         // retry-dedup entries.
         let idle_interval = config.time_scale.compress(config.retention);
         let settle = SettleTracker::new(partitions.home());
+        let resident = ResidentSet::new(idle_interval, bookkeeping_interval, &config);
         ComponentCore {
             id,
             node,
@@ -760,7 +642,7 @@ impl ComponentCore {
             round_stats: RoundStats::default(),
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
-            actors: Mutex::new(AgingMap::new(idle_interval)),
+            resident,
             pending_calls: Mutex::new(HashMap::new()),
             deferred: Mutex::new(Deferred {
                 parked: HashMap::new(),
@@ -772,10 +654,6 @@ impl ComponentCore {
             }),
             budget,
             breakers,
-            passivated: Mutex::new(Tombstones::new(bookkeeping_interval)),
-            release_rounds: AtomicU64::new(0),
-            resident_count: AtomicUsize::new(0),
-            mailboxed: AtomicUsize::new(0),
             poll_faults: AtomicU64::new(0),
             faults,
             settle,
@@ -826,9 +704,7 @@ impl ComponentCore {
         // belong to invocations still running or parked here — placement
         // never moves an actor off a live component, so they stay
         // authoritative — and a handler never sees its image unloaded.
-        for slot in self.actors.lock().values() {
-            slot.state.unload_if_idle();
-        }
+        self.resident.unload_idle_images();
         // Retirement-leak sweep: a later recovery may have fenced an adopted
         // partition *before* its retirement horizon (the range was re-homed
         // again). Its consumer was dropped on the failed poll, but its
@@ -854,16 +730,9 @@ impl ComponentCore {
     /// state survive.
     pub(crate) fn kill(&self) {
         self.alive.store(false, Ordering::SeqCst);
-        // The slots go with their state images; unflushed writes are lost
-        // (no completion was sent for them).
-        self.actors.lock().clear();
-        // Passivation bookkeeping is in-memory state: the resident set died
-        // with the slots, and a re-homed actor activates fresh on its
-        // adopter. Tombstones only lead to releases of this component's own
-        // placements, and recovery owns every record naming a dead one.
-        self.resident_count.store(0, Ordering::SeqCst);
-        self.mailboxed.store(0, Ordering::SeqCst);
-        self.passivated.lock().clear();
+        // The resident set is in-memory state: a re-homed actor activates
+        // fresh on its adopter.
+        self.resident.clear();
         // Detach the consumers from the reactor wake group: partitions must
         // not keep notifying — or keep membership for — a dead component.
         let lanes = self.lanes.update(std::mem::take);
@@ -996,30 +865,11 @@ impl ComponentCore {
             "  memory: resident={} mailboxed={} passivations={passivations} \
              rehydrations={rehydrations} admission_deferrals={deferrals} \
              placements_released={}",
-            self.resident_actors(),
-            self.mailboxed_requests(),
+            self.resident.count(),
+            self.resident.mailboxed(),
             self.stats.placements_released.load(Ordering::Relaxed),
         );
-        match self.actors.try_lock() {
-            Some(actors) => {
-                for (actor, slot) in actors.iter() {
-                    if !slot.busy && slot.awaiting_tail.is_none() && slot.mailbox.is_empty() {
-                        continue;
-                    }
-                    let mailbox: Vec<u64> = slot.mailbox.iter().map(|r| r.id.as_u64()).collect();
-                    let _ = writeln!(
-                        out,
-                        "  actor {}: busy={} awaiting_tail={:?} mailbox={mailbox:?}",
-                        actor.qualified_name(),
-                        slot.busy,
-                        slot.awaiting_tail.map(|id| id.as_u64()),
-                    );
-                }
-            }
-            None => {
-                let _ = writeln!(out, "  actors: <LOCK HELD>");
-            }
-        }
+        self.resident.debug_actors(&mut out);
         match self.deferred.try_lock() {
             Some(deferred) => {
                 for (callee, requests) in deferred.parked.iter() {
@@ -1099,10 +949,7 @@ impl ComponentCore {
         // completes, and its successor can still sit in the response
         // batcher — neither in the log nor claimed. The lock it retains
         // names it.
-        self.actors
-            .lock()
-            .values()
-            .any(|slot| slot.awaiting_tail == Some(id))
+        self.resident.awaits_tail(id)
     }
 
     /// Blocks for one sidecar hop. Only for client threads, which may block.
@@ -1649,7 +1496,7 @@ impl ComponentCore {
     /// [`Admission::Parked`] keeps the claim until it finishes, so a second
     /// copy arriving meanwhile is a duplicate; a forward or a drop releases
     /// it.
-    fn admit_request(self: &Arc<Self>, request: SharedRequest) -> Admission {
+    pub(crate) fn admit_request(self: &Arc<Self>, request: SharedRequest) -> Admission {
         if !self.is_alive() {
             return Admission::Done;
         }
@@ -1719,16 +1566,9 @@ impl ComponentCore {
         // ages out, so only the record can say it is still placed here. The
         // release rounds settled so far are read under the same lock, before
         // resolving: the activation defers if a round releasing its actor
-        // settles meanwhile ([`Self::count_activation`]).
+        // settles meanwhile.
         let stamp = self.placement.ownership_stamp();
-        let (resident, settled) = {
-            let actors = self.actors.lock();
-            let resident = actors
-                .get(&request.target)
-                .filter(|slot| slot.activation_parked.is_none())
-                .map(|slot| slot.verified_epoch);
-            (resident, self.release_rounds.load(Ordering::Relaxed))
-        };
+        let (resident, settled) = self.resident.lookup(&request.target);
         if stamp.is_some() && resident == Some(stamp) {
             self.placement.note_slot_hit();
         } else {
@@ -1768,110 +1608,19 @@ impl ComponentCore {
             }
             request.make_mut().pending_callee = None;
         }
-        let mut actors = self.actors.lock();
-        let evicted = self.evict_coldest(&mut actors, &request);
-        let admission = self.admit_to_slot(actors, request, stamp, settled);
-        // Outside the actors lock: the placement cache is not ordered after
-        // it.
+        let (admission, evicted) = self.resident.admit(request, stamp, settled, &self.stats);
+        // Outside the resident lock: the placement cache is not ordered
+        // after it.
         if let Some(actor) = evicted {
             self.placement.forget(&actor);
         }
-        admission
-    }
-
-    /// The part of [`Self::admit_claimed`] under the actors lock, which it
-    /// hands over: the hard watermark, a placement release in flight, a
-    /// deferred activation's head, and the actor lock of §2.2. An admitted
-    /// invocation takes a handle to its actor's state image here. `settled`
-    /// is the release-round count read before the placement was resolved.
-    fn admit_to_slot(
-        self: &Arc<Self>,
-        mut actors: MutexGuard<'_, AgingMap<ActorRef, ActorSlot>>,
-        request: SharedRequest,
-        stamp: Option<u64>,
-        settled: u64,
-    ) -> Admission {
-        let Some(slot) = actors.get_mut(&request.target) else {
-            let mut slot = ActorSlot {
-                verified_epoch: stamp,
-                ..ActorSlot::default()
-            };
-            // Hard watermark: a request that would *activate a new actor*
-            // while the resident set is at the hard watermark — admission
-            // found nothing it could evict — is deferred with shaped backoff
-            // as a `Stage::Admit`: shed, never dropped, and holding its claim
-            // so reconciliation never re-homes a duplicate. Requests for
-            // already-resident actors are never deferred (their memory is
-            // already paid for), so the hot head keeps executing at full
-            // speed while the cold tail waits. An activation that meets its
-            // actor's placement release in flight defers the same way, and
-            // resolves afresh once the release has settled.
-            //
-            // Otherwise a new resident: the actor re-enters through this
-            // ordinary activation path, whether it was passivated, released
-            // or never active. Its insert is its admission's touch.
-            if let Some(wait) = self.activation_wait(&request, settled, 0) {
-                slot.activation_parked = Some(request.id);
-                actors.insert(request.target.clone(), slot);
-                drop(actors);
-                return self.defer_activation(request, wait);
-            }
-            slot.hold_for(&request);
-            let frame = Frame::admitted(request, &slot, true, false);
-            actors.insert(frame.request.target.clone(), slot);
-            return Admission::Run(frame);
-        };
-        slot.verified_epoch = stamp;
-        if let Some(parked) = slot.activation_parked {
-            if parked != request.id {
-                // A sibling of a deferred activation: mailbox behind the
-                // parked head, preserving per-actor FIFO across the deferral
-                // (the head is admitted again from the due-time heap; the
-                // mailbox drains behind it in arrival order).
-                slot.mailbox.push_back(request);
-                self.mailboxed.fetch_add(1, Ordering::Relaxed);
-                return Admission::Parked;
-            }
-            // The head of a deferred activation is back from the due-time
-            // heap. If the pressure has drained and no release is in flight,
-            // activate; otherwise re-shape (the backoff grows with each
-            // deferral) and re-park — never drop.
-            let deferrals = slot.activation_deferrals.saturating_add(1);
-            if let Some(wait) = self.activation_wait(&request, settled, deferrals) {
-                slot.activation_deferrals = deferrals;
-                drop(actors);
-                return self.defer_activation(request, wait);
-            }
-            slot.activation_parked = None;
-            slot.activation_deferrals = 0;
-        }
-        // The admission's touch on the passivation clock.
-        let slot = actors
-            .get_refresh(&request.target)
-            .expect("the slot was found above, under the same lock");
-        if slot.awaiting_tail == Some(request.id) {
-            // Continuation of a tail call to self: it owns the lock already.
-            slot.awaiting_tail = None;
-            slot.hold_for(&request);
-            Admission::Run(Frame::admitted(request, slot, true, false))
-        } else if slot.busy {
-            let reentrant = request
-                .lineage
-                .iter()
-                .any(|id| slot.busy_chain.contains(id));
-            if reentrant {
-                // Reentrant nested call: bypass the mailbox (§2.2), sharing
-                // the suspended ancestor's state image.
-                Admission::Run(Frame::admitted(request, slot, false, true))
-            } else {
-                // Move the request into the mailbox — no payload clone.
-                slot.mailbox.push_back(request);
-                self.mailboxed.fetch_add(1, Ordering::Relaxed);
+        match admission {
+            SlotAdmission::Run(frame) => Admission::Run(frame),
+            SlotAdmission::Mailboxed => Admission::Parked,
+            SlotAdmission::Deferred(request, wait) => {
+                self.park_for(wait, Stage::Admit(request));
                 Admission::Parked
             }
-        } else {
-            slot.hold_for(&request);
-            Admission::Run(Frame::admitted(request, slot, true, false))
         }
     }
 
@@ -2524,12 +2273,7 @@ impl ComponentCore {
                     // the same per-destination batching as responses,
                     // so a continuation produced while another
                     // completion's ack is in flight rides its flush.
-                    {
-                        let mut actors = self.actors.lock();
-                        if let Some(slot) = actors.get_mut(&request.target) {
-                            slot.awaiting_tail = Some(request.id);
-                        }
-                    }
+                    self.resident.retain_for_tail(&request.target, request.id);
                     if let Some(partition) = self.own_partition_for(&request.target) {
                         // The successor is this record's completion.
                         let settles = self.settle.take(request.id);
@@ -2569,53 +2313,26 @@ impl ComponentCore {
 
     /// `frame`'s invocation is over: processes the next queued invocation
     /// for its actor, or releases the actor lock.
-    fn next_in_mailbox(self: &Arc<Self>, mut frame: Frame) -> Step {
+    fn next_in_mailbox(self: &Arc<Self>, frame: Frame) -> Step {
         if !frame.holds_lock {
             return Step::Done;
         }
-        let mut actors = self.actors.lock();
-        let Some(slot) = actors.get_mut(&frame.request.target) else {
-            return Step::Done;
-        };
-        if slot.awaiting_tail.is_some() {
-            return Step::Done;
-        }
-        match slot.mailbox.pop_front() {
-            Some(next) => {
-                self.mailboxed.fetch_sub(1, Ordering::Relaxed);
-                slot.hold_for(&next);
-                drop(actors);
-                frame.request = next;
-                frame.reentrant = false;
-                Step::Next(self.hop_due(), Stage::Start(frame))
-            }
-            None => {
-                slot.busy = false;
-                slot.busy_chain.clear();
-                // The mailbox ran dry: restart the actor's idle clock
-                // from the end of its activity, not from its last
-                // admission.
-                actors.get_refresh(&frame.request.target);
-                // Let go of the image while the slot is still locked: a
-                // quiescent actor is passivatable at once.
-                drop(frame.image);
-                Step::Done
-            }
-        }
+        let next = self
+            .resident
+            .next_in_mailbox(&frame.request.target, frame.image);
+        next.map_or(Step::Done, |next| {
+            Step::Next(self.hop_due(), Stage::Start(next))
+        })
     }
 
+    /// §4.4: a nested call whose caller's component — its `reply_to` — is
+    /// not in the list of live components is elided, answered with a
+    /// synthetic response.
     fn should_cancel(&self, request: &RequestMessage) -> bool {
-        if request.caller.is_none() {
-            return false;
-        }
-        // §4.4: check the list of live components; if the caller's component
-        // is not listed, elide execution and send a synthetic response. The
-        // caller's component is approximated by its reply_to component or by
-        // the current placement of the caller actor.
-        if let Some(reply_to) = request.reply_to {
-            return !self.live.read().contains(&reply_to);
-        }
-        false
+        request.caller.is_some()
+            && request
+                .reply_to
+                .is_some_and(|reply_to| !self.live.read().contains(&reply_to))
     }
 
     fn make_instance(
@@ -2653,23 +2370,14 @@ impl ComponentCore {
         let mut instance = if reentrant {
             self.make_instance(ctx, request)?
         } else {
-            let taken = {
-                let mut actors = self.actors.lock();
-                actors
-                    .get_mut(&request.target)
-                    .and_then(|slot| slot.instance.take())
-            };
-            match taken {
+            match self.resident.swap_instance(&request.target, None) {
                 Some(instance) => instance,
                 None => self.make_instance(ctx, request)?,
             }
         };
         let result = instance.invoke(ctx, &request.method, &request.args);
         if !reentrant && self.is_alive() {
-            let mut actors = self.actors.lock();
-            if let Some(slot) = actors.get_mut(&request.target) {
-                slot.instance = Some(instance);
-            }
+            self.resident.swap_instance(&request.target, Some(instance));
         }
         result
     }
@@ -3280,11 +2988,7 @@ impl ComponentCore {
         // Passivation tombstones rotate on the same doubled clock as the
         // dedup sets: a tombstone that was never consumed by a rehydration
         // ages out, and its actor's placement is released.
-        let mut tombstones = self.passivated.lock();
-        let Tombstones {
-            aging, aged_out, ..
-        } = &mut *tombstones;
-        aging.maybe_rotate_into(now, aged_out);
+        self.resident.rotate_tombstones(now);
     }
 
     /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
@@ -3302,22 +3006,6 @@ impl ComponentCore {
     // ------------------------------------------------------------------
     // Idle-actor passivation & admission watermarks
     // ------------------------------------------------------------------
-
-    /// Number of resident (activated, in-memory) actors.
-    pub fn resident_actors(&self) -> usize {
-        self.resident_count.load(Ordering::Relaxed)
-    }
-
-    /// The resident actors themselves: every slot but a deferred
-    /// activation's.
-    pub(crate) fn resident_refs(&self) -> Vec<ActorRef> {
-        self.actors
-            .lock()
-            .iter()
-            .filter(|(_, slot)| slot.activation_parked.is_none())
-            .map(|(actor, _)| actor.clone())
-            .collect()
-    }
 
     /// Per home partition: records still open and records trimmed so far
     /// (for `Mesh::debug_report`).
@@ -3359,165 +3047,45 @@ impl ComponentCore {
         )
     }
 
-    /// Total requests currently mailboxed behind busy resident actors.
-    pub fn mailboxed_requests(&self) -> usize {
-        self.mailboxed.load(Ordering::Relaxed)
-    }
-
-    /// True while admission must defer new-actor activations: the resident
-    /// set is at the hard watermark.
-    fn admission_overloaded(&self) -> bool {
-        self.config
-            .resident_hard_limit()
-            .is_some_and(|hard| self.resident_count.load(Ordering::Relaxed) >= hard)
-    }
-
-    /// How long the activation `request` asks for must wait before it is
-    /// admitted again: at the hard watermark, its shaped backoff after
-    /// `deferrals` earlier deferrals; while its placement's release has not
-    /// settled for this admission ([`Self::count_activation`]), one
-    /// placement retry. `None` — the actor counted as a new resident — once
-    /// it may go ahead.
-    fn activation_wait(
-        &self,
-        request: &RequestMessage,
-        settled: u64,
-        deferrals: u32,
-    ) -> Option<Duration> {
-        if self.admission_overloaded() {
-            Some(Self::shape_activation_deferral(request.id, deferrals))
-        } else if !self.count_activation(&request.target, settled) {
-            Some(PLACEMENT_RETRY)
-        } else {
-            None
-        }
-    }
-
-    /// Defers the activation `request` would make: it waits `wait` as a
-    /// [`Stage::Admit`], holding its claim.
-    fn defer_activation(self: &Arc<Self>, request: SharedRequest, wait: Duration) -> Admission {
-        self.stats
-            .admission_deferrals
-            .fetch_add(1, Ordering::Relaxed);
-        self.park_for(wait, Stage::Admit(request));
-        Admission::Parked
-    }
-
-    /// The shaped backoff of a deferred new-actor activation: the same
-    /// backoff shape as the retry orchestration — exponential growth with
-    /// deterministic jitter derived from the request id — on the
-    /// [`ACTIVATION_BACKOFF`] base, capped at 16× the base. `deferrals`
-    /// counts prior deferrals of the same activation, so a head that keeps
-    /// finding the watermark crossed backs off further each time.
-    fn shape_activation_deferral(id: RequestId, deferrals: u32) -> Duration {
-        let backoff = Backoff::Exponential {
-            base: ACTIVATION_BACKOFF,
-            multiplier: 2.0,
-            max: ACTIVATION_BACKOFF * 16,
-            jitter: 0.2,
-        };
-        backoff.delay_for(deferrals.saturating_add(1), id.as_u64())
-    }
-
-    /// Heartbeat-driven passivation sweep (timer thread): advances the idle
-    /// clock and passivates every actor idle for one to two retention
-    /// windows. Holding the resident set at the soft watermark is
-    /// admission's job ([`Self::evict_coldest`]); the sweep only hands back
-    /// the memory of actors nobody uses. Candidates are only suggestions —
-    /// [`Self::try_passivate`] re-verifies quiescence under the actors lock
-    /// before dropping anything.
+    /// Heartbeat-driven passivation sweep (timer thread): passivates every
+    /// quiescent actor idle for one to two retention windows — its state
+    /// image flushed, then its slot and cached placement dropped. Its record
+    /// stays until [`Self::release_placements`] releases it.
     fn sweep_passivation(self: &Arc<Self>, now: Duration) {
         if !self.is_alive() || self.is_paused() {
             return;
         }
-        let stale = {
-            let mut actors = self.actors.lock();
-            if !actors.advance_due(now) {
-                return;
-            }
-            actors.stale()
-        };
-        for actor in &stale {
+        for actor in &self.resident.stale_due(now) {
             if !self.is_alive() || self.is_paused() {
                 return;
             }
-            self.try_passivate(actor);
+            let Some(image) = self.resident.quiescent_image(actor) else {
+                continue;
+            };
+            // Flush outside every lock: the store round trip must not stall
+            // admissions. A flush failure means this component is being
+            // fenced or killed — leave the slot alone; kill drops it
+            // wholesale.
+            if image.flush(&self.conn, actor).is_err() {
+                continue;
+            }
+            drop(image);
+            if self.resident.passivate(actor, &self.stats) {
+                self.placement.forget(actor);
+            }
         }
-    }
-
-    /// Passivates one actor if it is truly quiescent: flushes its state
-    /// image, then — re-verifying under the actors lock — drops its slot
-    /// (instance, mailbox, state image, idle stamps) and its cached
-    /// placement, and records a tombstone. The next request re-activates the
-    /// actor through the ordinary placement/admission path, exactly like a
-    /// first activation.
-    fn try_passivate(self: &Arc<Self>, actor: &ActorRef) {
-        // Cheap pre-check under the actors lock: anything non-quiescent is
-        // skipped without touching the store.
-        let image = match self.actors.lock().get(actor) {
-            Some(slot) if Self::quiescent(slot) => slot.state.clone(),
-            _ => return,
-        };
-        // Flush outside every lock: the store round trip must not stall
-        // admissions. A dead component flushes nothing, and a flush failure
-        // means this component is being fenced or killed — leave the slot
-        // alone; kill drops it wholesale.
-        if !self.is_alive() || image.flush(&self.conn, actor).is_err() {
-            return;
-        }
-        drop(image);
-        // Decide-and-drop under the actors lock. An admission between the
-        // flush and here flips `busy` (or queues mail) under this same
-        // lock, so the re-check cannot miss it; a state write since the
-        // flush leaves the image dirty and the decide step refuses —
-        // either way the slot survives untouched.
-        let mut actors = self.actors.lock();
-        if !actors.get(actor).is_some_and(Self::may_passivate) {
-            return;
-        }
-        let slot = actors.remove(actor).expect("checked under the same lock");
-        if slot.state.is_loaded() {
-            self.stats.state_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.count_passivation(actor);
-        drop(actors);
-        // Outside the actors lock — the placement cache is not ordered after
-        // it. Keeps the cache bounded by the *resident* set. The placement
-        // record in the store stays (the actor is still placed here, just
-        // not in memory) until the tombstone ages out and
-        // [`Self::release_placements`] releases it.
-        self.placement.forget(actor);
     }
 
     /// Releases the placements of passivated actors whose tombstones aged
-    /// out (timer thread, outside every lock): one pipelined round of fenced
-    /// compare-and-deletes of this component's own id per heartbeat, only
-    /// one round in flight at a time. A tombstone ages out at least one
-    /// bookkeeping interval — two retention windows — after its actor
-    /// passivated, so every queue copy of anything the actor completed here
-    /// has expired, and the completed ids that deduped them may go with the
-    /// placement. Released are only actors with no local pending work — no
-    /// slot (which covers a parked activation), no deferred happen-before
-    /// retry, whose callee's response comes here — and no tombstone
-    /// standing again: a passivation since restarted the clock. An
-    /// activation of an actor in the round defers until it settles; the
-    /// next one takes the cold path (`get` → hosts → CAS) like a first
-    /// activation.
-    fn release_placements(&self, now: Duration) {
-        self.settle_release(now);
+    /// out (timer thread): one pipelined round of fenced compare-and-deletes
+    /// of this component's own id per heartbeat, one round in flight at a
+    /// time. A tombstone ages out two retention windows or more after its
+    /// actor passivated, so every queue copy of anything the actor completed
+    /// here has expired, and the completed ids that deduped them may go
+    /// with the placement.
+    pub(crate) fn release_placements(&self, now: Duration) {
+        self.resident.settle_release(now, &self.stats);
         if self.is_paused() {
-            return;
-        }
-        let candidates: Vec<ActorRef> = {
-            let mut tombstones = self.passivated.lock();
-            if tombstones.round.is_some() {
-                return;
-            }
-            let backlog = &mut tombstones.aged_out;
-            let take = RELEASE_ROUND.max(backlog.len() / 4);
-            std::iter::from_fn(|| backlog.pop()).take(take).collect()
-        };
-        if candidates.is_empty() {
             return;
         }
         let waiting: HashSet<ActorRef> = self
@@ -3528,152 +3096,26 @@ impl ComponentCore {
             .flatten()
             .map(|request| request.target.clone())
             .collect();
-        let mut round = self.conn.pipeline();
-        {
-            let actors = self.actors.lock();
-            let mut tombstones = self.passivated.lock();
-            for actor in candidates {
-                if actors.get(&actor).is_some()
-                    || waiting.contains(&actor)
-                    || tombstones.aging.contains(&tombstone(&actor))
-                {
-                    continue;
-                }
-                round.compare_and_delete(&placement_key(&actor), component_to_value(self.id));
-                tombstones.releasing.insert(actor);
-            }
-        }
-        if round.is_empty() {
+        let released = self.resident.begin_release(&waiting);
+        if released.is_empty() {
             return;
+        }
+        let mut round = self.conn.pipeline();
+        for actor in &released {
+            round.compare_and_delete(&placement_key(actor), component_to_value(self.id));
         }
         // A round that fails at once applied nothing; it settles all the
         // same, and its records stay (they still name this live component).
         let completion = round
             .submit()
             .unwrap_or_else(|error| Completion::immediate(Err(error)));
-        self.passivated.lock().round = Some(completion);
-        self.settle_release(now);
-    }
-
-    /// Settles the release round in flight once its acknowledgement is due:
-    /// its actors may activate again, and an activation of one of them that
-    /// resolved its placement before now resolves afresh.
-    fn settle_release(&self, now: Duration) {
-        let Some(acknowledged) = self
-            .passivated
-            .lock()
-            .round
-            .take_if(|round| round.due.is_none_or(|due| due <= now))
-        else {
-            return;
-        };
-        if let Ok(results) = acknowledged.result {
-            let released = results
-                .iter()
-                .filter(|result| result.flag() == Some(true))
-                .count();
-            self.stats
-                .placements_released
-                .fetch_add(released as u64, Ordering::Relaxed);
-        }
-        let _actors = self.actors.lock();
-        let mut tombstones = self.passivated.lock();
-        let Tombstones {
-            releasing, settled, ..
-        } = &mut *tombstones;
-        std::mem::swap(releasing, settled);
-        releasing.clear();
-        self.release_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admission is about to make the activation `request` asks for — of a
-    /// new actor, or of a deferred activation's head back from the due-time
-    /// heap — with the resident set at or above the soft watermark: first
-    /// passivates the coldest quiescent, clean resident, inline, under the
-    /// actors lock the caller holds. Candidates come least recently touched
-    /// first, and one touched since the eviction queue's last refill is
-    /// passed over ([`AgingMap::evict_coldest`]), so the hot head stays
-    /// resident. No store I/O: an actor whose state has buffered writes is
-    /// skipped, never flushed. Returns the evicted actor, whose cached
-    /// placement the caller forgets once it has released the actors lock.
-    fn evict_coldest(
-        &self,
-        actors: &mut AgingMap<ActorRef, ActorSlot>,
-        request: &RequestMessage,
-    ) -> Option<ActorRef> {
-        let soft = self.config.resident_soft_limit()?;
-        let activates = actors
-            .get(&request.target)
-            .is_none_or(|slot| slot.activation_parked == Some(request.id));
-        if !activates || self.resident_count.load(Ordering::Relaxed) < soft {
-            return None;
-        }
-        let evicted = actors.evict_coldest(|_, slot| Self::may_passivate(slot))?;
-        self.count_passivation(&evicted);
-        Some(evicted)
-    }
-
-    /// The decide step of a passivation, under the actors lock: the slot is
-    /// quiescent and its state image may go — it refuses one with buffered
-    /// writes or a handle still out.
-    fn may_passivate(slot: &ActorSlot) -> bool {
-        Self::quiescent(slot) && slot.state.may_drop()
-    }
-
-    /// Counts a passivation, under the actors lock, once its slot is gone: a
-    /// tombstone naming the actor stays.
-    fn count_passivation(&self, actor: &ActorRef) {
-        self.resident_count.fetch_sub(1, Ordering::Relaxed);
-        self.passivated.lock().aging.bury(actor);
-        self.stats.passivations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a new resident, under the actors lock: a standing tombstone
-    /// makes its activation a rehydration. Refuses — counting nothing — while
-    /// the actor's placement release is in flight, or once a round that
-    /// released it has settled since the admission read `settled` (two
-    /// rounds or more: any actor): the record the admission resolved may be
-    /// gone, and the activation must defer and resolve afresh.
-    fn count_activation(&self, actor: &ActorRef, settled: u64) -> bool {
-        let mut tombstones = self.passivated.lock();
-        let released_since = match self.release_rounds.load(Ordering::Relaxed) - settled {
-            0 => false,
-            1 => tombstones.settled.contains(actor),
-            _ => true,
-        };
-        if released_since || tombstones.releasing.contains(actor) {
-            return false;
-        }
-        self.resident_count.fetch_add(1, Ordering::Relaxed);
-        if tombstones.aging.remove(&tombstone(actor)) {
-            self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
-        }
-        true
-    }
-
-    /// True while an actor slot has no running invocation (`busy` also
-    /// covers parked continuations and reentrant frames), no retained
-    /// tail-call lock, nothing mailboxed, and no deferred activation
-    /// pending.
-    fn quiescent(slot: &ActorSlot) -> bool {
-        !slot.busy
-            && slot.awaiting_tail.is_none()
-            && slot.mailbox.is_empty()
-            && slot.activation_parked.is_none()
+        self.resident
+            .release_submitted(completion, now, &self.stats);
     }
 
     // ------------------------------------------------------------------
     // Actor-state persistence (the `ctx.state()` backend)
     // ------------------------------------------------------------------
-
-    /// Number of resident actors whose state image is loaded.
-    pub fn cached_state_count(&self) -> usize {
-        self.actors
-            .lock()
-            .values()
-            .filter(|slot| slot.state.is_loaded())
-            .count()
-    }
 
     /// Number of loaded state images the idle sweep has dropped with their
     /// actors.
@@ -3820,181 +3262,6 @@ mod tests {
         assert_eq!(stats.cancelled.load(Ordering::Relaxed), 0);
         assert_eq!(stats.tail_calls.load(Ordering::Relaxed), 0);
         assert_eq!(stats.forwarded.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn an_admission_eviction_never_drops_a_busy_mailboxed_tail_awaiting_parked_or_dirty_actor() {
-        let core = lone_core(
-            MeshConfig::for_tests().with_resident_watermarks(1, 0),
-            Broker::default(),
-        );
-        let actor = |name: &str| ActorRef::new("Ledger", name);
-        let request = |name: &str, id: u64| {
-            RequestMessage::root(RequestId::from_raw(id), actor(name), "m", Vec::new())
-        };
-        // Coldest first: six residents an eviction must pass over, then the
-        // most recently touched one, which is the only one it may take.
-        let residents = [
-            (
-                "busy",
-                ActorSlot {
-                    busy: true,
-                    ..ActorSlot::default()
-                },
-            ),
-            (
-                "mailboxed",
-                ActorSlot {
-                    mailbox: VecDeque::from([request("mailboxed", 1).into()]),
-                    ..ActorSlot::default()
-                },
-            ),
-            (
-                "tail",
-                ActorSlot {
-                    awaiting_tail: Some(RequestId::from_raw(2)),
-                    ..ActorSlot::default()
-                },
-            ),
-            (
-                "parked",
-                ActorSlot {
-                    activation_parked: Some(RequestId::from_raw(3)),
-                    ..ActorSlot::default()
-                },
-            ),
-            ("dirty", ActorSlot::default()),
-            ("held", ActorSlot::default()),
-            ("idle", ActorSlot::default()),
-        ];
-        let mut actors = core.actors.lock();
-        for (name, slot) in residents {
-            actors.insert(actor(name), slot);
-            assert!(core.count_activation(&actor(name), 0));
-        }
-        let image_of = |actors: &AgingMap<ActorRef, ActorSlot>, name: &str| {
-            actors.get(&actor(name)).unwrap().state.clone()
-        };
-        // A write no flush has made durable, and a handle still out (an
-        // invocation that let go of the actor but not yet of its image).
-        {
-            let dirty = image_of(&actors, "dirty");
-            let load = dirty.submit_load(&core.conn, &actor("dirty")).unwrap();
-            dirty.finish(load.expect("unloaded").wait()).unwrap();
-            dirty.set("v", Value::from(1)).unwrap();
-        }
-        let held = image_of(&actors, "held");
-
-        let newcomer = request("newcomer", 4);
-        assert_eq!(
-            core.evict_coldest(&mut actors, &newcomer),
-            Some(actor("idle"))
-        );
-        assert_eq!(
-            core.evict_coldest(&mut actors, &newcomer),
-            None,
-            "an eviction took a resident that was not quiescent and clean"
-        );
-        for name in ["busy", "mailboxed", "tail", "parked", "dirty", "held"] {
-            assert!(actors.get(&actor(name)).is_some(), "{name} was evicted");
-        }
-        // Once the handle is dropped the image may go with its slot.
-        drop(held);
-        assert_eq!(
-            core.evict_coldest(&mut actors, &newcomer),
-            Some(actor("held"))
-        );
-        // A resident's own next request activates nothing: no eviction.
-        actors.get_mut(&actor("busy")).unwrap().busy = false;
-        assert_eq!(core.evict_coldest(&mut actors, &request("busy", 5)), None);
-        drop(actors);
-        assert_eq!(core.resident_actors(), 5);
-        assert_eq!(core.passivation_stats(), (2, 0, 0));
-    }
-
-    #[test]
-    fn an_activation_never_outlives_its_placement_record() {
-        use crate::placement::{host_field, hosts_key};
-
-        let core = lone_core(MeshConfig::for_tests(), Broker::default());
-        core.live.write().insert(core.id);
-        core.store
-            .admin_hset(&hosts_key("Ledger"), &host_field(core.id), Value::Null);
-        let placed_here = component_to_value(core.id);
-        let ledger = |name: &str| ActorRef::new("Ledger", name);
-        let request = |name: &str, id: u64| {
-            RequestMessage::root(RequestId::from_raw(id), ledger(name), "m", Vec::new())
-        };
-        let settled = || core.release_rounds.load(Ordering::Relaxed);
-        let activate = |request: RequestMessage, settled: u64| {
-            let admission = core.admit_to_slot(core.actors.lock(), request.into(), None, settled);
-            matches!(admission, Admission::Run(_))
-        };
-        let record = |name: &str| core.store.admin_get(&placement_key(&ledger(name)));
-        // Actors whose tombstones aged out, each still placed here; this
-        // component's cache has learnt one of the placements. Three of them
-        // have local work or a newer passivation, and keep their records.
-        for name in [
-            "early", "cached", "inflight", "resident", "waiting", "renewed",
-        ] {
-            core.store
-                .admin_set(&placement_key(&ledger(name)), placed_here.clone());
-            let mut tombstones = core.passivated.lock();
-            tombstones.aged_out.push("Ledger", name);
-        }
-        core.actors
-            .lock()
-            .insert(ledger("resident"), ActorSlot::default());
-        let mut retry = request("waiting", 9);
-        retry.pending_callee = Some(RequestId::from_raw(8));
-        core.deferred
-            .lock()
-            .parked
-            .insert(RequestId::from_raw(8), vec![retry.into()]);
-        core.passivated.lock().aging.bury(&ledger("renewed"));
-        assert_eq!(
-            core.placement.resolve_nowait(&ledger("cached")).unwrap(),
-            Some(core.id)
-        );
-        // An admission of `early` read the release-round count — and the
-        // record — before the release round; it reaches the actors lock
-        // only once the round has settled (zero latency: in the same tick).
-        let before = settled();
-        core.release_placements(mono_now());
-        assert_eq!(core.stats.placements_released.load(Ordering::Relaxed), 3);
-        assert_eq!(record("early"), None);
-        for kept in ["resident", "waiting", "renewed"] {
-            assert_eq!(
-                record(kept),
-                Some(placed_here.clone()),
-                "{kept} was released"
-            );
-        }
-        core.actors.lock().remove(&ledger("resident"));
-        assert!(
-            !activate(request("early", 1), before),
-            "an activation resolved against a released record became resident"
-        );
-        assert!(core.resident_refs().is_empty());
-        assert_eq!(core.passivation_stats(), (0, 0, 1));
-        // An actor the round did not release activates on the same read.
-        assert!(activate(request("bystander", 4), before));
-        core.actors.lock().remove(&ledger("bystander"));
-        core.resident_count.fetch_sub(1, Ordering::Relaxed);
-        // Back from its backoff, the head resolves afresh and activates.
-        assert!(activate(request("early", 1), settled()));
-        assert_eq!(core.resident_refs(), vec![ledger("early")]);
-        // An activation resolves from the store, not from the cache that
-        // still says "placed here": the cold path places the actor again.
-        let admission = core.admit_request(request("cached", 2).into());
-        assert!(matches!(admission, Admission::Run(_)));
-        assert_eq!(record("cached"), Some(placed_here.clone()));
-        // An activation that meets the actor's release still in flight
-        // defers too, however fresh its resolution.
-        core.passivated.lock().releasing.insert(ledger("inflight"));
-        assert!(!activate(request("inflight", 3), settled()));
-        assert_eq!(core.passivation_stats(), (0, 0, 2));
-        core.io.forget(&core);
     }
 
     #[test]

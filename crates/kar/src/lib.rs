@@ -81,6 +81,7 @@ mod io;
 pub mod mesh;
 pub mod placement;
 pub mod recovery;
+mod resident;
 pub mod retry;
 mod settle;
 mod state_cache;

@@ -630,12 +630,21 @@ impl Mesh {
     /// True if `component` has not been killed and has not been removed from
     /// the group.
     pub fn is_live(&self, component: ComponentId) -> bool {
+        self.with_core(component, ComponentCore::is_alive) == Some(true)
+    }
+
+    /// `read` applied to one component's core, under the component table's
+    /// read lock (`None` for unknown components).
+    fn with_core<R>(
+        &self,
+        component: ComponentId,
+        read: impl FnOnce(&ComponentCore) -> R,
+    ) -> Option<R> {
         self.inner
             .components
             .read()
             .get(&component)
-            .map(|c| c.is_alive())
-            .unwrap_or(false)
+            .map(|core| read(core))
     }
 
     // ------------------------------------------------------------------
@@ -686,11 +695,7 @@ impl Mesh {
     /// consumer lane, so the max/mean spread of this vector is the lanes'
     /// load imbalance.
     pub fn shard_loads(&self, component: ComponentId) -> Option<Vec<u64>> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.shard_loads())
+        self.with_core(component, |core| core.shard_loads())
     }
 
     /// Always `Some(0)`: nothing steals work. Kept only because the frozen
@@ -702,22 +707,14 @@ impl Mesh {
     /// Number of one component's resident actors whose state image is
     /// loaded in memory.
     pub fn cached_state_count(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.cached_state_count())
+        self.with_core(component, |core| core.resident.loaded_images())
     }
 
     /// The partition set one component currently consumes: its stable home
     /// range plus any partition ranges adopted from failed components
     /// (`None` for unknown components).
     pub fn partition_set(&self, component: ComponentId) -> Option<PartitionSet> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.partition_set())
+        self.with_core(component, |core| core.partition_set())
     }
 
     /// Number of live consumer *lanes* of one component: its home-partition
@@ -726,11 +723,7 @@ impl Mesh {
     /// `consumer_threads` is kept for continuity with the pre-reactor
     /// introspection surface.
     pub fn consumer_threads(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.consumer_thread_count())
+        self.with_core(component, |core| core.consumer_thread_count())
     }
 
     /// Size of the fixed reactor pool driving every component (the timer
@@ -743,30 +736,18 @@ impl Mesh {
     /// Number of continuations one component currently holds parked for
     /// nested responses.
     pub fn parked_continuations(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.parked_continuations())
+        self.with_core(component, |core| core.parked_continuations())
     }
 
     /// Total number of continuation parks one component has performed.
     pub fn continuation_parks(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.continuation_parks())
+        self.with_core(component, |core| core.continuation_parks())
     }
 
     /// `(requests sent, produce rounds acknowledged)` on one component's
     /// request leg: a partition queue's run that carries tells is one round.
     pub fn request_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.request_batch_stats())
+        self.with_core(component, |core| core.request_batch_stats())
     }
 
     /// The adopted partitions one component has retired (fenced, dropped
@@ -774,31 +755,19 @@ impl Mesh {
     /// Answered for dead components too: chaos tests reconstruct where a
     /// re-homed partition ended up even when its adopter later died.
     pub fn retired_partitions(&self, component: ComponentId) -> Option<Vec<usize>> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.retired_partitions())
+        self.with_core(component, |core| core.retired_partitions())
     }
 
     /// `(completions enqueued, runs carrying completions acknowledged)` by
     /// one component's partition batcher.
     pub fn response_batch_stats(&self, component: ComponentId) -> Option<(u64, u64)> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.response_batch_stats())
+        self.with_core(component, |core| core.response_batch_stats())
     }
 
     /// Number of loaded state images one component's idle sweep has dropped
     /// with their passivated actors.
     pub fn state_cache_evictions(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.state_cache_evictions())
+        self.with_core(component, |core| core.state_cache_evictions())
     }
 
     /// Placement-cache hit/miss/invalidation counters of one component.
@@ -806,30 +775,18 @@ impl Mesh {
         &self,
         component: ComponentId,
     ) -> Option<crate::placement::PlacementCounters> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.placement_counters())
+        self.with_core(component, |core| core.placement_counters())
     }
 
     /// Sizes of one component's aged retry-bookkeeping sets (completed ids,
     /// seen response ids).
     pub fn retry_bookkeeping_len(&self, component: ComponentId) -> Option<(usize, usize)> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.retry_bookkeeping_len())
+        self.with_core(component, |core| core.retry_bookkeeping_len())
     }
 
     /// Number of resident (activated, in-memory) actors on one component.
     pub fn resident_actors(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.resident_actors())
+        self.with_core(component, |core| core.resident.count())
     }
 
     /// The placement invariant, checked: one line per resident actor of a
@@ -837,17 +794,10 @@ impl Mesh {
     /// Empty while every resident actor's record names its host, so no
     /// second component can place it.
     pub fn misplaced_residents(&self) -> Vec<String> {
-        let live: Vec<Arc<ComponentCore>> = self
-            .inner
-            .components
-            .read()
-            .values()
-            .filter(|core| core.is_alive())
-            .cloned()
-            .collect();
         let mut misplaced = Vec::new();
-        for core in live {
-            for actor in core.resident_refs() {
+        let components = self.inner.components.read();
+        for core in components.values().filter(|core| core.is_alive()) {
+            for actor in core.resident.actors() {
                 let record = self.inner.store.admin_get(&placement_key(&actor));
                 if record.as_ref().and_then(component_from_value) != Some(core.id()) {
                     misplaced.push(format!(
@@ -864,20 +814,12 @@ impl Mesh {
     /// One component's `(passivations, rehydrations, admission deferrals)`
     /// counters.
     pub fn passivation_stats(&self, component: ComponentId) -> Option<(u64, u64, u64)> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.passivation_stats())
+        self.with_core(component, |core| core.passivation_stats())
     }
 
     /// Requests currently mailboxed behind busy actors on one component.
     pub fn mailboxed_requests(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.mailboxed_requests())
+        self.with_core(component, |core| core.resident.mailboxed())
     }
 
     // ------------------------------------------------------------------
@@ -917,11 +859,7 @@ impl Mesh {
     /// Number of scheduled retries one component currently holds parked on
     /// their backoff deadlines (`None` for unknown components).
     pub fn delayed_retries(&self, component: ComponentId) -> Option<usize> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.delayed_retries())
+        self.with_core(component, |core| core.delayed_retries())
     }
 
     /// Every dead-lettered invocation, decoded from the durable DLQ store
@@ -1076,7 +1014,7 @@ impl Mesh {
             let _ = writeln!(
                 out,
                 "  cached actor states: {} (evicted: {})",
-                core.cached_state_count(),
+                core.resident.loaded_images(),
                 core.state_cache_evictions()
             );
             let (retries_scheduled, dead_lettered) = core.retry_orchestration_stats();
@@ -1166,11 +1104,7 @@ impl Mesh {
     /// dropping its subscriptions (injected `consumer_poll` faults or real
     /// broker brownouts). `None` for unknown components.
     pub fn poll_faults(&self, component: ComponentId) -> Option<u64> {
-        self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| core.poll_fault_count())
+        self.with_core(component, |core| core.poll_fault_count())
     }
 
     /// The log of completed recoveries.

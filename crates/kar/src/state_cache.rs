@@ -3,7 +3,7 @@
 //! The real KAR runtime keeps each active actor's state hash in memory and
 //! talks to Redis only at well-defined points; this module reproduces that
 //! for `ctx.state()`. Every resident actor's slot owns one [`StateImage`]
-//! (`ComponentCore::actors`), and the invocations running the actor hold a
+//! (`crate::resident::ResidentSet`), and the invocations running it hold a
 //! handle to it:
 //!
 //! * **Loaded ahead of the handler**: an invocation whose actor's image is
@@ -39,8 +39,8 @@
 //! Concurrency: one actor's invocations are temporally serialized by the
 //! actor lock (reentrant frames interleave on the same call chain, never in
 //! parallel), so the image's own mutex suffices; it is never held across a
-//! load's or flush's acknowledgement. Lock order: the actors lock, then an
-//! image.
+//! load's or flush's acknowledgement. Lock order: the resident lock, then
+//! an image.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -372,7 +372,7 @@ impl StateImage {
 
     /// True when the image may leave memory with its slot: nothing but the
     /// slot holds it, and it has no buffered writes. Handles are only handed
-    /// out under the actors lock, which the caller holds, so the count check
+    /// out under the resident lock, which the caller holds, so the count check
     /// cannot race a new borrower; a handle still out would otherwise take
     /// its writes to an image no later flush can find.
     pub(crate) fn may_drop(&self) -> bool {
@@ -383,7 +383,7 @@ impl StateImage {
     /// (recovery completed: a conservative refresh); the next invocation
     /// reloads it ahead of its handler. An image a handle holds — a running
     /// handler, a parked continuation — stays loaded, so no handler ever
-    /// sees one unloaded under it; the caller holds the actors lock.
+    /// sees one unloaded under it; the caller holds the resident lock.
     pub(crate) fn unload_if_idle(&self) {
         if self.may_drop() {
             let mut state = self.0.lock();
