@@ -205,11 +205,12 @@ impl Resident {
         request: &RequestMessage,
         stats: &ComponentStats,
     ) -> Option<ActorRef> {
+        let soft = soft?;
         let activates = self
             .slots
             .get(&request.target)
             .is_none_or(|slot| slot.activation_parked == Some(request.id));
-        if !activates || soft.is_none_or(|soft| self.count < soft) {
+        if !activates || self.count < soft {
             return None;
         }
         let evicted = self.slots.evict_coldest(|_, slot| slot.may_passivate())?;
