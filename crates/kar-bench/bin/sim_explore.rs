@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! sim_explore [--smoke | --efficacy | --replay] [--seeds N] [--kill-steps N] [--digest]
+//! sim_explore [--smoke | --efficacy | --replay] [--seeds N] [--kill-steps N]
 //! ```
 //!
 //! * `--smoke` — the CI gate: a bounded sweep over every scenario; exits
@@ -18,11 +18,12 @@
 //!   from the environment (`KAR_SIM_SCENARIO`, `KAR_SIM_SEED`,
 //!   `KAR_SIM_STEPS`), as printed in a failing sweep's replay line.
 //! * default — a wider sweep (tune with `--seeds` / `--kill-steps`).
-//! * `--digest` — with any of the above, also prints one
-//!   `digest <scenario> seed=<s> kill_step=<k> <16 hex>` line per run: an
-//!   FNV-1a 64 digest of the run's ordered history and of its actors' final
-//!   state. Two builds whose digests agree on every common run behaved alike
-//!   there; `scripts/digest_diff.py` compares two such outputs.
+//!
+//! Every run prints a `digest <scenario> seed=<s> kill_step=<k> <16 hex>`
+//! line ahead of its run line: an FNV-1a 64 digest of the run's ordered
+//! history and of its actors' final state. Two builds whose digests agree
+//! on every common run behaved alike there; `scripts/digest_diff.py`
+//! compares two such outputs.
 //!
 //! Determinism makes the replay line the whole bug report: the same triple
 //! is the same execution, bit for bit.
@@ -34,15 +35,12 @@ use kar_bench::sim::{run_scenario, SimOutcome, SCENARIOS};
 /// Base seed for sweeps; arbitrary, stable so CI runs are comparable.
 const BASE_SEED: u64 = 0x5EED;
 
-/// Prints `outcome`'s run line (and its digest line when `digest`); true
-/// if the run was clean.
-fn report(outcome: &SimOutcome, digest: bool) -> bool {
-    if digest {
-        println!(
-            "digest {} seed={} kill_step={} {:016x}",
-            outcome.scenario, outcome.seed, outcome.kill_step, outcome.digest
-        );
-    }
+/// Prints `outcome`'s digest line and run line; true if the run was clean.
+fn report(outcome: &SimOutcome) -> bool {
+    println!(
+        "digest {} seed={} kill_step={} {:016x}",
+        outcome.scenario, outcome.seed, outcome.kill_step, outcome.digest
+    );
     if outcome.violations.is_empty() {
         println!(
             "  ok   {:<22} seed={:<6} kill_step={:<4} steps={} events={}",
@@ -76,7 +74,6 @@ fn sweep(
     stride: u64,
     rebreak: bool,
     keep_going: bool,
-    digest: bool,
 ) -> (usize, Option<SimOutcome>) {
     let mut runs = 0;
     let mut first_failure: Option<SimOutcome> = None;
@@ -86,7 +83,7 @@ fn sweep(
                 let outcome = run_scenario(scenario, BASE_SEED + seed, kill * stride, rebreak)
                     .expect("scenario names come from the registry");
                 runs += 1;
-                if !report(&outcome, digest) && first_failure.is_none() {
+                if !report(&outcome) && first_failure.is_none() {
                     first_failure = Some(outcome);
                     if !keep_going {
                         return (runs, first_failure);
@@ -113,7 +110,6 @@ fn env_u64(name: &str) -> Option<u64> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all: Vec<&str> = SCENARIOS.iter().map(|(name, _)| *name).collect();
-    let digest = args.iter().any(|a| a == "--digest");
 
     if args.iter().any(|a| a == "--replay") {
         let scenario = std::env::var("KAR_SIM_SCENARIO").unwrap_or_default();
@@ -128,7 +124,7 @@ fn main() -> ExitCode {
             eprintln!("unknown scenario {scenario:?}; known: {all:?}");
             return ExitCode::FAILURE;
         };
-        return if report(&outcome, digest) {
+        return if report(&outcome) {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -140,7 +136,7 @@ fn main() -> ExitCode {
         // step 6½ (stranded-response re-homing) and sweep kill points in
         // the parked-continuation window until a lost response surfaces.
         println!("efficacy: sweeping kill-while-parked with stranded-response re-homing disabled");
-        let (runs, failure) = sweep(&["kill-while-parked"], 4, 80, 1, true, false, digest);
+        let (runs, failure) = sweep(&["kill-while-parked"], 4, 80, 1, true, false);
         println!("{runs} runs");
         return match failure {
             Some(_) => {
@@ -174,7 +170,7 @@ fn main() -> ExitCode {
         "sweeping {} scenarios × {seeds} seeds × {kill_steps} kill points (stride {stride})",
         all.len()
     );
-    let (runs, failure) = sweep(&all, seeds, kill_steps, stride, false, true, digest);
+    let (runs, failure) = sweep(&all, seeds, kill_steps, stride, false, true);
     println!("{runs} runs");
     match failure {
         Some(_) => {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compares the `digest` lines of two `sim_explore --digest` outputs.
+"""Compares the `digest` lines of two `sim_explore` outputs.
 
 Usage: scripts/digest_diff.py BASE.log CHANGE.log
 
