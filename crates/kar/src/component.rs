@@ -2329,10 +2329,17 @@ impl ComponentCore {
     /// not in the list of live components is elided, answered with a
     /// synthetic response.
     fn should_cancel(&self, request: &RequestMessage) -> bool {
-        request.caller.is_some()
-            && request
-                .reply_to
-                .is_some_and(|reply_to| !self.live.read().contains(&reply_to))
+        if request.caller.is_none() {
+            return false;
+        }
+        // §4.4: check the list of live components; if the caller's component
+        // is not listed, elide execution and send a synthetic response. The
+        // caller's component is approximated by its reply_to component or by
+        // the current placement of the caller actor.
+        if let Some(reply_to) = request.reply_to {
+            return !self.live.read().contains(&reply_to);
+        }
+        false
     }
 
     fn make_instance(
@@ -3084,8 +3091,7 @@ impl ComponentCore {
     /// here has expired, and the completed ids that deduped them may go
     /// with the placement.
     pub(crate) fn release_placements(&self, now: Duration) {
-        self.resident.settle_release(now, &self.stats);
-        if self.is_paused() {
+        if !self.resident.settle_release(now, &self.stats) || self.is_paused() {
             return;
         }
         let waiting: HashSet<ActorRef> = self

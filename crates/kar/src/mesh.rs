@@ -794,9 +794,16 @@ impl Mesh {
     /// Empty while every resident actor's record names its host, so no
     /// second component can place it.
     pub fn misplaced_residents(&self) -> Vec<String> {
+        let live: Vec<Arc<ComponentCore>> = self
+            .inner
+            .components
+            .read()
+            .values()
+            .filter(|core| core.is_alive())
+            .cloned()
+            .collect();
         let mut misplaced = Vec::new();
-        let components = self.inner.components.read();
-        for core in components.values().filter(|core| core.is_alive()) {
+        for core in live {
             for actor in core.resident.actors() {
                 let record = self.inner.store.admin_get(&placement_key(&actor));
                 if record.as_ref().and_then(component_from_value) != Some(core.id()) {

@@ -521,13 +521,14 @@ impl ResidentSet {
     /// Settles the release round in flight if its acknowledgement is due at
     /// `now`, counting the placements it released: its actors may activate
     /// again, and an activation of one that resolved its placement before
-    /// now defers to resolve afresh.
-    pub(crate) fn settle_release(&self, now: Duration, stats: &ComponentStats) {
+    /// now defers to resolve afresh. True if a new round has work then: none
+    /// is in flight and the backlog is not empty.
+    pub(crate) fn settle_release(&self, now: Duration, stats: &ComponentStats) -> bool {
         let mut resident = self.resident.lock();
         let tombstones = &mut resident.tombstones;
         let due = |round: &mut Completion<_>| round.due.is_none_or(|due| due <= now);
         let Some(acknowledged) = tombstones.round.take_if(due) else {
-            return;
+            return tombstones.round.is_none() && tombstones.aged_out.len() != 0;
         };
         std::mem::swap(&mut tombstones.releasing, &mut tombstones.settled);
         tombstones.releasing.clear();
@@ -538,6 +539,7 @@ impl ResidentSet {
                 .placements_released
                 .fetch_add(released as u64, Ordering::Relaxed);
         }
+        resident.tombstones.aged_out.len() != 0
     }
 
     /// Recovery is over: images no invocation holds and with no buffered
