@@ -28,6 +28,8 @@ use std::sync::Arc;
 
 use kar_types::{Completion, ComponentId, Epoch, FaultGate, FaultSite, KarResult, Value};
 
+use parking_lot::MutexGuard;
+
 use crate::store::{
     delete_if_holds, holds, materialize_hash, Fields, ShardData, StoreInner, Stored,
 };
@@ -178,6 +180,13 @@ impl Pipeline {
     /// True if no command has been buffered.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Makes room for `additional` more commands, exactly: a batch whose
+    /// size is known up front allocates once, and no more than it needs.
+    pub fn reserve(&mut self, additional: usize) -> &mut Self {
+        self.ops.reserve_exact(additional);
+        self
     }
 
     /// Buffers a string read.
@@ -342,8 +351,6 @@ impl Pipeline {
         // count batches that actually applied.
         let trip = auth.and_then(|_| inner.begin_round_trip());
 
-        let shards: Vec<usize> = ops.iter().map(|op| inner.shard_of(op.key())).collect();
-
         // Gray-failure gate, before any lock: fenced flushes inject at the
         // state plane's flush site, admin flushes at the admin site. A
         // transient decision applies *none* of the batch (like a fence); an
@@ -356,15 +363,36 @@ impl Pipeline {
             FaultSite::StoreAdmin
         };
         let gate = if inner.config.faults.is_some() {
-            inner.fault_gate(site, shards[0])?
+            inner.fault_gate(site, inner.shard_of(ops[0].key()))?
         } else {
             FaultGate::default()
         };
 
-        let plan = plan_application(&shards, &fences, ops.len());
+        // A small batch already in application order — the usual shape —
+        // is applied as submitted, with no plan to build.
+        let len = ops.len();
+        let mut small = [0; SMALL_BATCH];
+        let plan = if len <= SMALL_BATCH {
+            for (shard, op) in small.iter_mut().zip(&ops) {
+                *shard = inner.shard_of(op.key());
+            }
+            let shards = &small[..len];
+            (!grouped(shards, &fences)).then(|| plan_application(shards.iter().copied(), &fences))
+        } else {
+            Some(plan_application(
+                ops.iter().map(|op| inner.shard_of(op.key())),
+                &fences,
+            ))
+        };
+        let as_submitted = small[..len.min(SMALL_BATCH)]
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(index, shard)| (shard, index))
+            .take(if plan.is_none() { len } else { 0 });
+        let order = as_submitted.chain(plan.into_iter().flatten());
 
-        let mut ops: Vec<Option<Op>> = ops.into_iter().map(Some).collect();
-        let mut raw: Vec<Option<RawResult>> = (0..ops.len()).map(|_| None).collect();
+        let mut slots: Vec<Slot> = ops.into_iter().map(Slot::Op).collect();
         {
             // One fence check for the whole flush; the read guard spans the
             // application so a concurrent fence can never observe (or cause)
@@ -377,57 +405,103 @@ impl Pipeline {
             inner
                 .stats
                 .pipeline_ops
-                .fetch_add(ops.len() as u64, Ordering::Relaxed);
-            for (shard, indices) in plan {
-                let mut data = inner.lock_shard(shard);
-                for index in indices {
-                    let op = ops[index].take().expect("pipeline op applied twice");
-                    raw[index] = Some(apply(&inner, &mut data, op));
+                .fetch_add(slots.len() as u64, Ordering::Relaxed);
+            // One shard-lock acquisition per run of one shard in the plan.
+            let mut locked: Option<(usize, MutexGuard<'_, ShardData>)> = None;
+            for (shard, index) in order {
+                if locked.as_ref().is_none_or(|(held, _)| *held != shard) {
+                    // The previous shard's lock goes before the next is taken.
+                    drop(locked.take());
+                    locked = Some((shard, inner.lock_shard(shard)));
                 }
+                let data = &mut locked.as_mut().expect("locked above").1;
+                let Slot::Op(op) = std::mem::replace(&mut slots[index], Slot::Applied) else {
+                    unreachable!("pipeline op applied twice");
+                };
+                slots[index] = Slot::Raw(apply(&inner, data, op));
             }
         }
         // Materialize value trees strictly outside every lock. (Under an
         // ack-lost gate the batch is fully applied all the same; only the
         // acknowledgement is lost.)
-        let results = raw
+        let results = slots
             .into_iter()
-            .map(|result| finish(result.expect("pipeline op not applied")))
+            .map(|slot| match slot {
+                Slot::Raw(raw) => finish(raw),
+                Slot::Op(_) | Slot::Applied => unreachable!("pipeline op not applied"),
+            })
             .collect();
         Ok(StoreInner::complete(trip, gate, site, results))
     }
 }
 
-/// Plans the application order of a flush: splits the op indices into
-/// fence-ordered segments, then groups each segment's indices by target
-/// shard (first-touch order, submission order within a group). The flush
-/// applies the returned `(shard, indices)` groups strictly in order, one
-/// shard-lock acquisition each, so every op before a fence is applied
-/// before any op after it — on every shard — while unfenced ops still
-/// coalesce into minimal lock traffic.
-fn plan_application(shards: &[usize], fences: &[usize], len: usize) -> Vec<(usize, Vec<usize>)> {
-    let mut plan: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut boundaries: Vec<usize> = fences
-        .iter()
-        .copied()
-        .filter(|&fence| fence > 0 && fence < len)
-        .collect();
-    boundaries.push(len);
+/// One command of a flush on its way through it.
+enum Slot {
+    Op(Op),
+    /// Taken out for its application.
+    Applied,
+    Raw(RawResult),
+}
+
+/// Batches of up to this many commands are checked for being in
+/// application order already, on the stack.
+const SMALL_BATCH: usize = 8;
+
+/// True if the plan of a flush whose ops touch `shards` is the submission
+/// order: within each fence-ordered segment, no shard comes back after
+/// another one.
+fn grouped(shards: &[usize], fences: &[usize]) -> bool {
     let mut start = 0;
-    for end in boundaries {
-        if end <= start {
-            continue;
+    (1..shards.len()).all(|index| {
+        if fences.contains(&index) {
+            start = index;
         }
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (index, &shard) in shards.iter().enumerate().take(end).skip(start) {
-            match groups.iter_mut().find(|(s, _)| *s == shard) {
-                Some((_, indices)) => indices.push(index),
-                None => groups.push((shard, vec![index])),
+        let before = &shards[start..(index - 1).max(start)];
+        shards[index] == shards[index - 1] || !before.contains(&shards[index])
+    })
+}
+
+/// Plans the application order of a flush whose ops touch `shards`: splits
+/// the op indices into fence-ordered segments, then groups each segment's
+/// indices by target shard (first-touch order, submission order within a
+/// group). The flush applies the returned `(shard, index)` pairs strictly
+/// in order, taking a shard's lock once per run of it, so every op before a
+/// fence is applied before any op after it — on every shard — while
+/// unfenced ops still coalesce into minimal lock traffic.
+fn plan_application(
+    shards: impl ExactSizeIterator<Item = usize>,
+    fences: &[usize],
+) -> Vec<(usize, usize)> {
+    // Each op keyed by (segment, first touch of its shard in the segment,
+    // index): an unstable sort on unique keys is deterministic and does not
+    // allocate.
+    let mut keyed: Vec<((usize, usize, usize), usize)> = Vec::with_capacity(shards.len());
+    let mut first_touch: Vec<(usize, usize)> = Vec::new();
+    let mut segment = 0;
+    let mut fences = fences.iter().copied().peekable();
+    for (index, shard) in shards.enumerate() {
+        let mut crossed = false;
+        while fences.next_if(|&fence| fence <= index).is_some() {
+            crossed = true;
+        }
+        if crossed && index > 0 {
+            segment += 1;
+            first_touch.clear();
+        }
+        let first = match first_touch.iter().find(|(s, _)| *s == shard) {
+            Some(&(_, first)) => first,
+            None => {
+                first_touch.push((shard, index));
+                index
             }
-        }
-        plan.extend(groups);
-        start = end;
+        };
+        keyed.push(((segment, first, index), shard));
     }
-    plan
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    keyed
+        .into_iter()
+        .map(|((_, _, index), shard)| (shard, index))
+        .collect()
 }
 
 /// Applies one command to its shard, counting the logical operation.
@@ -641,9 +715,21 @@ mod tests {
         assert_eq!(store.admin_get("placement/A/x"), None);
     }
 
+    /// The plan of a flush whose ops touch `shards`.
+    fn plan(shards: &[usize], fences: &[usize]) -> Vec<(usize, usize)> {
+        plan_application(shards.iter().copied(), fences)
+    }
+
     /// Flattened application order (op indices) of a plan.
-    fn applied_order(plan: &[(usize, Vec<usize>)]) -> Vec<usize> {
-        plan.iter().flat_map(|(_, idx)| idx.clone()).collect()
+    fn applied_order(plan: &[(usize, usize)]) -> Vec<usize> {
+        plan.iter().map(|&(_, index)| index).collect()
+    }
+
+    /// The shard of each lock acquisition a plan makes, in order.
+    fn locked(plan: &[(usize, usize)]) -> Vec<usize> {
+        let mut shards: Vec<usize> = plan.iter().map(|&(shard, _)| shard).collect();
+        shards.dedup();
+        shards
     }
 
     #[test]
@@ -651,7 +737,7 @@ mod tests {
         // The documented hazard the fence exists for: with ops on shards
         // [0, 1, 0], the second shard-0 op is pulled ahead of the shard-1
         // op submitted before it.
-        let plan = plan_application(&[0, 1, 0], &[], 3);
+        let plan = plan(&[0, 1, 0], &[]);
         assert_eq!(applied_order(&plan), vec![0, 2, 1]);
     }
 
@@ -661,25 +747,24 @@ mod tests {
         // of different keys on different shards in one flush. Every op
         // before a fence must apply before any op after it.
         let shards = [0, 1, 0, 2, 1];
-        let plan = plan_application(&shards, &[1, 2, 3, 4], 5);
-        assert_eq!(applied_order(&plan), vec![0, 1, 2, 3, 4]);
+        let fenced = plan(&shards, &[1, 2, 3, 4]);
+        assert_eq!(applied_order(&fenced), vec![0, 1, 2, 3, 4]);
         // A single-lock acquisition per segment group, in segment order.
-        let locked: Vec<usize> = plan.iter().map(|(shard, _)| *shard).collect();
-        assert_eq!(locked, vec![0, 1, 0, 2, 1]);
+        assert_eq!(locked(&fenced), vec![0, 1, 0, 2, 1]);
 
         // Partial fencing still coalesces within a segment: the two
         // shard-0 ops in the first segment share one lock acquisition.
-        let plan = plan_application(&[0, 1, 0, 2], &[3], 4);
-        assert_eq!(applied_order(&plan), vec![0, 2, 1, 3]);
-        assert_eq!(plan.len(), 3);
+        let partial = plan(&[0, 1, 0, 2], &[3]);
+        assert_eq!(applied_order(&partial), vec![0, 2, 1, 3]);
+        assert_eq!(locked(&partial).len(), 3);
     }
 
     #[test]
     fn degenerate_fences_are_noops() {
         // Leading, trailing, and doubled fences change nothing.
-        let plan = plan_application(&[0, 1], &[0, 1, 1, 2, 2], 2);
+        let plan = plan(&[0, 1], &[0, 1, 1, 2, 2]);
         assert_eq!(applied_order(&plan), vec![0, 1]);
-        assert_eq!(plan.len(), 2);
+        assert_eq!(locked(&plan).len(), 2);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! instead of double-executing, and stale consumers of a re-homed partition
 //! are cut off by the broker's per-partition ownership epochs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,12 +63,15 @@ use crate::actor::{ActorFactory, Outcome};
 use crate::aging::{AgingSet, IdBitmap};
 use crate::client::{Answer, CallSlot};
 use crate::config::{CancellationPolicy, MeshConfig};
-use crate::context::{ActorContext, Outbox};
+use crate::context::{state_key, ActorContext, Outbox};
 use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
 use crate::delivery::{Flusher, PartitionBatcher, QueuedRun, RequestRound, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
-use crate::placement::{component_to_value, placement_key, LiveSet, PlacementService, RouteKey};
+use crate::placement::{
+    component_to_value, no_host, placement_key, LiveSet, Lookup, PlacementService, Resolution,
+    RouteKey,
+};
 use crate::resident::{ResidentSet, SlotAdmission};
 use crate::retry::{BreakerRegistry, RetryBudget};
 use crate::settle::SettleTracker;
@@ -125,6 +128,9 @@ pub struct ComponentStats {
 pub(crate) enum Admission {
     /// Admitted: run this invocation inline.
     Run(Frame),
+    /// An activation, claim kept and its actor's slot held: its ownership
+    /// is read next, in one round trip with its state ([`Stage::Own`]).
+    Activate(SharedRequest, Verify),
     /// Waiting here, claim kept: in a mailbox behind a busy actor, deferred
     /// on its pending callee, or parked on the due-time heap as a
     /// [`Stage::Admit`] (a scheduled retry, a deferred activation) — or
@@ -230,6 +236,15 @@ impl Frame {
     }
 }
 
+/// What an activation's admission read before its ownership read is
+/// submitted: the cache epoch its slot is stamped with, and the release
+/// rounds settled so far (see [`ResidentSet::lookup`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Verify {
+    stamp: Option<u64>,
+    settled: u64,
+}
+
 /// How long a round that met an unresolved placement — the recorded one
 /// points at a failed component and reconciliation has not rewritten it yet —
 /// stays parked before its next attempt; and how long an activation waits
@@ -251,12 +266,18 @@ pub(crate) struct Placing {
     /// When an unresolved placement stops being waited for: one call timeout
     /// after the first attempt that met one (no clock is read before that).
     deadline: Option<Duration>,
+    /// The placements of the targets not routed yet, once a cache miss sent
+    /// them to the store: in flight, or answered.
+    lookup: Option<Box<Lookup>>,
 }
 
 /// What one placement attempt ([`ComponentCore::place_once`]) came to.
 enum Placement {
     /// Every request has its partition.
     Routed(Run),
+    /// The lookup of the targets the cache missed is in flight: try again
+    /// once its round trip is acknowledged, at `due`.
+    Looking { due: Duration },
     /// A target's placement is stale: try again no later than `retry_at`.
     Unresolved { retry_at: Duration },
 }
@@ -328,14 +349,15 @@ pub(crate) enum RoundThen {
         lost_tells: bool,
         guarded: Option<Savepoint>,
     },
-    /// A request that already has a record, re-appended elsewhere: a forward
-    /// to the actor's current host (no frame) or a tail-call successor to
+    /// Requests that already have a record, re-appended elsewhere: a forward
+    /// to the actor's current host (no frame; several, in order, when a
+    /// held activation leaves with its mailbox) or a tail-call successor to
     /// another actor (the frame of the invocation it completes). Once the
-    /// copy is durable it is the record recovery works from, and `settles` —
-    /// the record the request was polled from — is closed; then, never
-    /// before the ack, the frame's mailbox moves on.
+    /// copies are durable they are the records recovery works from, and
+    /// `settles` — the records the requests were polled from — are closed;
+    /// then, never before the ack, the frame's mailbox moves on.
     Resend {
-        settles: Option<RecordOrigin>,
+        settles: Vec<RecordOrigin>,
         frame: Option<Frame>,
     },
     /// A failed attempt's retry copy, appended to the actor's own home
@@ -369,6 +391,18 @@ pub(crate) enum Stage {
     /// The invocation-start sidecar hop: the actor's state image is loaded
     /// next, if it is not, then the handler runs.
     Start(Frame),
+    /// An activation's sidecar hop, then its ownership read — the actor's
+    /// placement record and state hash in one round trip — in flight: once
+    /// it says the actor is ours, the activation is admitted to its held
+    /// slot and the handler runs on the state read; otherwise it and
+    /// everything mailboxed behind it are forwarded. A record found absent
+    /// is claimed first, by the same lookup, and the state is then loaded
+    /// ahead of the handler as any cold invocation's is.
+    Own {
+        request: SharedRequest,
+        verify: Verify,
+        lookup: Option<Lookup>,
+    },
     /// The sidecar hop of a nested call's response — or nothing, when the
     /// nested call's round failed: the continuation runs next, with `input`,
     /// under a context that starts from `outbox`.
@@ -1000,59 +1034,113 @@ impl ComponentCore {
             unplaced: messages.into_iter(),
             tells,
             deadline: None,
+            lookup: None,
         }
     }
 
-    /// One placement attempt: resolves, in order, the placement of every
-    /// request of `placing` not routed yet and hashes it onto the hosting
-    /// component's partitions — until one is unresolved: its recorded
-    /// placement points at a failed component and reconciliation has not
-    /// rewritten it yet. Never waits. A transient store failure during
+    /// One placement attempt: routes, in order, every request of `placing`
+    /// not routed yet onto the hosting component's partitions — until one
+    /// is unresolved: its recorded placement points at a failed component
+    /// and reconciliation has not rewritten it yet. Never waits. At the
+    /// first cache miss, every target still to be routed that the cache
+    /// cannot answer goes to the store in one [`Lookup`]: one round trip
+    /// reads their records and their types' hosts, and one more claims a
+    /// host for those never placed. The attempt is then
+    /// [`Placement::Looking`] until the lookup's acknowledgement is due, and
+    /// the next attempt settles it. A transient store failure during
     /// resolution is a gray failure on the submission path — the request
     /// record (and with it any retry policy) does not exist yet, so nothing
     /// downstream can absorb it — and is treated exactly like an unresolved
     /// placement, under the same call-timeout deadline.
     fn place_once(&self, placing: &mut Placing) -> KarResult<Placement> {
+        if let Some(lookup) = &mut placing.lookup {
+            match self.placement.settle_lookup(lookup) {
+                Ok(true) => {}
+                Ok(false) => return self.looking(placing),
+                Err(error) if !error.is_transient() => return Err(error),
+                Err(_) => return self.unresolved(placing),
+            }
+        }
         while let Some(message) = placing.unplaced.as_slice().first() {
             if !self.is_alive() {
                 return Err(KarError::Killed { component: self.id });
             }
-            match self.placement.resolve_nowait(&message.target) {
-                Ok(Some(component)) => {
+            let target = &message.target;
+            let answer = match &placing.lookup {
+                Some(lookup) => lookup.answer(target),
+                None => self.placement.cached(target).map(Resolution::Placed),
+            };
+            match answer {
+                Some(Resolution::Placed(component)) => {
                     let partition = self
-                        .partition_for(component, RouteKey::Actor(&message.target))
+                        .partition_for(component, RouteKey::Actor(target))
                         .ok_or_else(|| {
                             KarError::internal(format!("no partition set recorded for {component}"))
                         })?;
                     let message = placing.unplaced.next().expect("peeked above");
                     placing.routed.push(partition, Envelope::Request(message));
                 }
-                Err(error) if !error.is_transient() => return Err(error),
-                Ok(None) | Err(_) => {
-                    let now = mono_now();
-                    let deadline = *placing
-                        .deadline
-                        .get_or_insert(now + self.config.call_timeout);
-                    if now >= deadline {
-                        return Err(KarError::Timeout {
-                            request: message.id,
-                            after_ms: self.config.call_timeout.as_millis() as u64,
-                        });
-                    }
-                    return Ok(Placement::Unresolved {
-                        retry_at: deadline.min(now + PLACEMENT_RETRY),
-                    });
+                Some(Resolution::NoHost) => return Err(no_host(target)),
+                Some(Resolution::Stale) => return self.unresolved(placing),
+                None => {
+                    // The first miss: it and every later target the cache
+                    // cannot answer go to the store together.
+                    let targets = placing.unplaced.as_slice().iter().map(|m| &m.target);
+                    let known = |actor: &ActorRef| {
+                        (actor != target)
+                            .then(|| self.placement.cached(actor))
+                            .flatten()
+                    };
+                    let lookup = match self.placement.submit_lookup(targets, known, true, |_| {}) {
+                        Ok(lookup) => lookup,
+                        Err(error) if !error.is_transient() => return Err(error),
+                        Err(_) => return self.unresolved(placing),
+                    };
+                    placing.lookup = Some(Box::new(lookup));
+                    return self.looking(placing);
                 }
             }
         }
+        placing.lookup = None;
         Ok(Placement::Routed(std::mem::take(&mut placing.routed)))
     }
 
-    /// Sends `message` as one produce round and **waits** for it: for a stale
-    /// placement to be repaired (bounded by the call timeout), then for the
-    /// round's durable ack. Only for the edge threads of `external_call` /
-    /// `external_tell`, which may block; a reactor sends its rounds through
-    /// [`Stage::Round`], which parks instead.
+    /// `placing`'s lookup has a round trip in flight: wait for its ack — or,
+    /// when no latency is modelled, settle it now.
+    fn looking(&self, placing: &mut Placing) -> KarResult<Placement> {
+        match placing.lookup.as_ref().and_then(|lookup| lookup.due()) {
+            Some(due) => Ok(Placement::Looking { due }),
+            None => self.place_once(placing),
+        }
+    }
+
+    /// The next target of `placing` is unresolved: try again after a
+    /// placement retry — a new lookup — until one call timeout after the
+    /// first attempt that met an unresolved placement.
+    fn unresolved(&self, placing: &mut Placing) -> KarResult<Placement> {
+        placing.lookup = None;
+        let now = mono_now();
+        let deadline = *placing
+            .deadline
+            .get_or_insert(now + self.config.call_timeout);
+        if now >= deadline {
+            let request = placing.unplaced.as_slice().first().map(|m| m.id);
+            return Err(KarError::Timeout {
+                request: request.expect("an unresolved placement has a request"),
+                after_ms: self.config.call_timeout.as_millis() as u64,
+            });
+        }
+        Ok(Placement::Unresolved {
+            retry_at: deadline.min(now + PLACEMENT_RETRY),
+        })
+    }
+
+    /// Sends `message` as one produce round and **waits** for it: for the
+    /// lookup of its target's placement, for a stale placement to be
+    /// repaired (bounded by the call timeout), then for the round's durable
+    /// ack. Only for the edge threads of `external_call` / `external_tell`,
+    /// which may block; a reactor sends its rounds through [`Stage::Round`],
+    /// which parks instead.
     fn issue_outbox(&self, message: RequestMessage) -> KarResult<()> {
         let mut placing = self.placing(vec![message], 0, true);
         let run = loop {
@@ -1061,6 +1149,7 @@ impl ComponentCore {
             let seen = self.placement.repair_epoch();
             match self.place_once(&mut placing)? {
                 Placement::Routed(run) => break run,
+                Placement::Looking { due } => kar_types::pace_until(due),
                 Placement::Unresolved { retry_at } => {
                     if kar_types::sim::active() {
                         kar_types::sim::step();
@@ -1468,14 +1557,26 @@ impl ComponentCore {
     }
 
     /// Runs an admitted invocation, or sends a forward as a round of its own.
-    fn carry_out(self: &Arc<Self>, admission: Admission) {
+    pub(crate) fn carry_out(self: &Arc<Self>, admission: Admission) {
         match admission {
             Admission::Run(frame) => {
                 let hop = self.hop_due();
                 Arc::clone(self).invocation_loop(hop, Stage::Start(frame));
             }
+            Admission::Activate(request, verify) => {
+                let hop = self.hop_due();
+                let lookup = None;
+                Arc::clone(self).invocation_loop(
+                    hop,
+                    Stage::Own {
+                        request,
+                        verify,
+                        lookup,
+                    },
+                );
+            }
             Admission::Forward(request) => {
-                if let Step::Next(due, stage) = self.resend(request.into_owned(), None) {
+                if let Step::Next(due, stage) = self.resend(vec![request.into_owned()], None) {
                     Arc::clone(self).invocation_loop(due, stage);
                 }
             }
@@ -1561,23 +1662,25 @@ impl ComponentCore {
         // resolving (mirroring the cache's insert-with-pre-read-epoch rule),
         // so a clear racing the resolution leaves the slot already-stale.
         //
-        // An activation — no resident slot — resolves from the store: the
-        // placement of a passivated actor is released once its tombstone
-        // ages out, so only the record can say it is still placed here. The
-        // release rounds settled so far are read under the same lock, before
-        // resolving: the activation defers if a round releasing its actor
-        // settles meanwhile.
+        // An activation — no resident slot — reads its placement record
+        // from the store, as a stage: the placement of a passivated actor
+        // is released once its tombstone ages out, so only the record can
+        // say it is still placed here. Its slot is held meanwhile, siblings
+        // mailboxed behind it, and the release rounds settled so far are
+        // read under the same lock, before the read is submitted: the
+        // activation defers if a round releasing its actor settles
+        // meanwhile.
         let stamp = self.placement.ownership_stamp();
         let (resident, settled) = self.resident.lookup(&request.target);
         if stamp.is_some() && resident == Some(stamp) {
             self.placement.note_slot_hit();
-        } else {
-            let resolved = if resident.is_some() {
-                self.placement.resolve_nowait(&request.target)
-            } else {
-                self.placement.resolve_stored(&request.target)
+        } else if resident.is_none() {
+            return match self.resident.hold(request) {
+                Some(head) => Admission::Activate(head, Verify { stamp, settled }),
+                None => Admission::Parked,
             };
-            match resolved {
+        } else {
+            match self.placement.resolve_nowait(&request.target) {
                 Ok(Some(owner)) if owner == self.id => {}
                 Ok(_) => {
                     // Owned elsewhere, or a stale placement awaiting repair:
@@ -1590,24 +1693,52 @@ impl ComponentCore {
                 Err(_) => return Admission::Done,
             }
         }
-        // Happen-before: a retried caller waits for its pending callee. The
-        // deferred lock is held across the seen-response check and the park,
-        // mirroring handle_response, so the callee's response cannot slip in
-        // between them and leave this retry parked forever. Checked strictly
-        // AFTER ownership: only the placement owner may park the retry,
-        // because the callee's response chases the caller's *placement* — a
-        // deferral on a mere partition adopter would never be woken.
+        // Happen-before: a retried caller waits for its pending callee,
+        // checked strictly AFTER ownership: only the placement owner may park
+        // the retry, because the callee's response chases the caller's
+        // *placement* — a deferral on a mere partition adopter would never be
+        // woken.
         if let Some(callee) = request.pending_callee {
-            {
-                let mut deferred = self.deferred.lock();
-                if !deferred.seen_responses.contains(&callee) {
-                    self.stats.deferred.fetch_add(1, Ordering::Relaxed);
-                    deferred.parked.entry(callee).or_default().push(request);
-                    return Admission::Parked;
-                }
+            match self.defer_on_callee(callee, request) {
+                Some(due_now) => request = due_now,
+                None => return Admission::Parked,
             }
-            request.make_mut().pending_callee = None;
         }
+        self.admit_to_slot(request, stamp, settled)
+    }
+
+    /// Parks `request` — a retried caller — until its pending `callee`'s
+    /// response is seen, unless it is already: then hands it back, its
+    /// annotation cleared. The deferred lock is held across the
+    /// seen-response check and the park, mirroring handle_response, so the
+    /// callee's response cannot slip in between them and leave this retry
+    /// parked forever.
+    fn defer_on_callee(
+        &self,
+        callee: RequestId,
+        mut request: SharedRequest,
+    ) -> Option<SharedRequest> {
+        {
+            let mut deferred = self.deferred.lock();
+            if !deferred.seen_responses.contains(&callee) {
+                self.stats.deferred.fetch_add(1, Ordering::Relaxed);
+                deferred.parked.entry(callee).or_default().push(request);
+                return None;
+            }
+        }
+        request.make_mut().pending_callee = None;
+        Some(request)
+    }
+
+    /// Admits `request`, its ownership verified in epoch `stamp` after
+    /// `settled` release rounds, to its actor's slot: runs, mailboxes or
+    /// defers it.
+    fn admit_to_slot(
+        self: &Arc<Self>,
+        request: SharedRequest,
+        stamp: Option<u64>,
+        settled: u64,
+    ) -> Admission {
         let (admission, evicted) = self.resident.admit(request, stamp, settled, &self.stats);
         // Outside the resident lock: the placement cache is not ordered
         // after it.
@@ -1788,18 +1919,34 @@ impl ComponentCore {
     /// Runs what `stage` was waiting to run: the I/O it names has completed.
     fn step(self: &Arc<Self>, stage: Stage) -> Step {
         match stage {
-            Stage::Start(frame) => {
-                if self.config.cancellation == CancellationPolicy::Cancel
-                    && self.should_cancel(&frame.request)
-                {
-                    self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                    let cancelled = KarError::Cancelled {
-                        request: frame.request.id,
-                    };
-                    return self.respond(frame, Err(cancelled));
+            Stage::Start(frame) => self.start_invocation(frame),
+            Stage::Own {
+                request,
+                verify,
+                lookup: None,
+            } => self.submit_ownership_read(request, verify),
+            Stage::Own {
+                request,
+                verify,
+                lookup: Some(mut lookup),
+            } => match self.placement.settle_lookup(&mut lookup) {
+                Ok(false) => Step::Next(
+                    lookup.due(),
+                    Stage::Own {
+                        request,
+                        verify,
+                        lookup: Some(lookup),
+                    },
+                ),
+                Ok(true) if lookup.answer(&request.target) == Some(Resolution::Placed(self.id)) => {
+                    let loaded = lookup.take_riders().pop().and_then(|read| read.into_hash());
+                    self.activate(request, verify, loaded)
                 }
-                self.submit_state_io(frame, ImageOp::Load, TRANSIENT_ATTEMPTS)
-            }
+                // Owned elsewhere, a stale placement awaiting repair, or a
+                // transient store failure: the forward re-resolves (parking
+                // on a stale placement) and appends to the owner's queue.
+                Ok(true) | Err(_) => self.forward_activation(request),
+            },
             Stage::Resume {
                 parked,
                 input,
@@ -1841,10 +1988,11 @@ impl ComponentCore {
                         self.submit_round(round, then)
                     }
                 },
-                // Parked again: a stale placement never holds a reactor, a
-                // lane or — for a forward — an actor.
-                Ok(Placement::Unresolved { retry_at }) => {
-                    Step::Next(Some(retry_at), Stage::Round { placing, then })
+                // Parked on the lookup's ack, or until the next attempt: a
+                // miss or a stale placement never holds a reactor, a lane or
+                // — for a forward — an actor.
+                Ok(Placement::Looking { due: at } | Placement::Unresolved { retry_at: at }) => {
+                    Step::Next(Some(at), Stage::Round { placing, then })
                 }
                 Err(error) => self.round_over(then, Err(error), Vec::new()),
             },
@@ -1881,6 +2029,106 @@ impl ComponentCore {
                 unreachable!("resumed by resume_stage, not the loop")
             }
         }
+    }
+
+    /// An invocation's start, its sidecar hop behind it: a nested call whose
+    /// caller's component failed is cancelled (§4.4); otherwise the state
+    /// image is loaded, if it is not, and the handler runs.
+    fn start_invocation(self: &Arc<Self>, frame: Frame) -> Step {
+        if self.config.cancellation == CancellationPolicy::Cancel
+            && self.should_cancel(&frame.request)
+        {
+            self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+            let cancelled = KarError::Cancelled {
+                request: frame.request.id,
+            };
+            return self.respond(frame, Err(cancelled));
+        }
+        self.submit_state_io(frame, ImageOp::Load, TRANSIENT_ATTEMPTS)
+    }
+
+    /// Submits the ownership read of the activation `request`: its actor's
+    /// placement record — counted as a placement miss, since only the
+    /// record can say a passivated actor is still placed here — and, riding
+    /// in the same round trip, its state hash. A submit refused by a
+    /// transient fault forwards the activation, as a stale placement does.
+    fn submit_ownership_read(self: &Arc<Self>, request: SharedRequest, verify: Verify) -> Step {
+        let actor = &request.target;
+        self.placement.note_stored_read();
+        let read = self.placement.submit_lookup(
+            [actor],
+            |_| None,
+            false,
+            |pipe| {
+                pipe.hgetall(&state_key(actor));
+            },
+        );
+        match read {
+            Ok(lookup) => Step::Next(
+                lookup.due(),
+                Stage::Own {
+                    request,
+                    verify,
+                    lookup: Some(lookup),
+                },
+            ),
+            Err(error) if error.is_transient() => self.forward_activation(request),
+            Err(_) => Step::Done,
+        }
+    }
+
+    /// The ownership read of the activation `request` says its actor is
+    /// ours, and read its state hash as `loaded` (`None` when the lookup
+    /// claimed the placement): what admission does past an ownership check
+    /// — the happen-before deferral, then the held slot's admission — and
+    /// the handler runs on the state read.
+    fn activate(
+        self: &Arc<Self>,
+        mut request: SharedRequest,
+        verify: Verify,
+        loaded: Option<BTreeMap<String, Value>>,
+    ) -> Step {
+        if let Some(callee) = request.pending_callee {
+            let (target, head) = (request.target.clone(), request.id);
+            let Some(due_now) = self.defer_on_callee(callee, request) else {
+                // Parked on its callee, the retry holds no slot: what
+                // mailboxed behind it is admitted again, as if it had
+                // arrived after the deferral.
+                for sibling in self.resident.release_held(&target, head) {
+                    let admission = self.admit_held(sibling);
+                    self.carry_out(admission);
+                }
+                return Step::Done;
+            };
+            request = due_now;
+        }
+        match self.admit_to_slot(request, verify.stamp, verify.settled) {
+            Admission::Run(frame) => {
+                if let Some(fields) = loaded {
+                    // Read as the record said the actor is ours, and ignored
+                    // by an image loaded meanwhile.
+                    let _ = frame.image.finish(Ok(Acked::Loaded(fields)));
+                }
+                self.start_invocation(frame)
+            }
+            _ => Step::Done,
+        }
+    }
+
+    /// The activation `request` is not ours to run: it and everything
+    /// mailboxed behind its held slot leave it, in order, in one forward.
+    fn forward_activation(self: &Arc<Self>, request: SharedRequest) -> Step {
+        let target = request.target.clone();
+        let siblings = self.resident.release_held(&target, request.id);
+        let requests: Vec<RequestMessage> = std::iter::once(request)
+            .chain(siblings)
+            .map(|request| {
+                self.claims.lock().release(request.id);
+                self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                request.into_owned()
+            })
+            .collect();
+        self.resend(requests, None)
     }
 
     /// `frame`'s state image is loaded: its handler runs — activating the
@@ -2030,7 +2278,7 @@ impl ComponentCore {
             }
             RoundThen::Resend { settles, frame } => {
                 if outcome.is_ok() {
-                    self.settle.close_all(settles.as_slice());
+                    self.settle.close_all(&settles);
                 }
                 // A tail call to a different actor releases the lock: on to
                 // the mailbox, the successor's ack behind it.
@@ -2281,7 +2529,7 @@ impl ComponentCore {
                     }
                     return Step::Done;
                 }
-                self.resend(tail, Some(frame))
+                self.resend(vec![tail], Some(frame))
             }
             Err(KarError::Killed { .. } | KarError::Fenced { .. }) => {
                 // The invocation was interrupted by a failure: no
@@ -2400,17 +2648,21 @@ impl ComponentCore {
         }
     }
 
-    /// Re-appends `request` elsewhere — a forward to the actor's current
-    /// host, or a tail-call successor to another actor, whose invocation
+    /// Re-appends `requests` elsewhere — a forward to the actor's current
+    /// host (several, in order, when a held activation leaves with its
+    /// mailbox), or a tail-call successor to another actor, whose invocation
     /// `frame` it completes — as a round of its own ([`RoundThen::Resend`]).
-    /// The copy is never single-copy: the request already has a record, the
+    /// A copy is never single-copy: the request already has a record, the
     /// one it was polled from, which settles once the copy is durable.
-    fn resend(self: &Arc<Self>, request: RequestMessage, frame: Option<Frame>) -> Step {
-        let settles = self.settle.take(request.id);
+    fn resend(self: &Arc<Self>, requests: Vec<RequestMessage>, frame: Option<Frame>) -> Step {
+        let settles = requests
+            .iter()
+            .filter_map(|request| self.settle.take(request.id))
+            .collect();
         Step::Next(
             None,
             Stage::Round {
-                placing: self.placing(vec![request], 0, false),
+                placing: self.placing(requests, 0, false),
                 then: RoundThen::Resend { settles, frame },
             },
         )

@@ -234,7 +234,7 @@ impl<'a> ActorContext<'a> {
 
 /// Store key of the persistent state hash of `actor`.
 pub(crate) fn state_key(actor: &ActorRef) -> String {
-    format!("state/{}", actor.qualified_name())
+    format!("state/{}/{}", actor.actor_type(), actor.actor_id())
 }
 
 /// The persistence API of one actor instance: a durable map of named values

@@ -4,7 +4,9 @@
 //! the type's [`hosts_key`] hash. The first invocation
 //! of an actor instance places it on a compatible live component using a
 //! compare-and-swap on the store; subsequent invocations hit the placement
-//! cache. Placement decisions for actors hosted by failed components are
+//! cache. What the cache misses is a [`Lookup`]: the store round trips that
+//! resolve it are submitted and settled, never waited for on a reactor.
+//! Placement decisions for actors hosted by failed components are
 //! invalidated during reconciliation, and caches are flushed when recovery
 //! completes.
 
@@ -17,8 +19,10 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use kar_store::Connection;
-use kar_types::{ActorRef, ComponentId, KarError, KarResult, RequestId, Value, WaitSignal};
+use kar_store::{Connection, Pipeline, PipelineResult};
+use kar_types::{
+    ActorRef, Completion, ComponentId, KarError, KarResult, RequestId, Value, WaitSignal,
+};
 
 /// The set of components currently believed to be live, shared by every
 /// component of a mesh and refreshed on every completed rebalance.
@@ -26,7 +30,7 @@ pub type LiveSet = Arc<RwLock<HashSet<ComponentId>>>;
 
 /// Store key holding the placement of `actor`.
 pub fn placement_key(actor: &ActorRef) -> String {
-    format!("placement/{}", actor.qualified_name())
+    format!("placement/{}/{}", actor.actor_type(), actor.actor_id())
 }
 
 /// The key a record is routed onto its destination component's home
@@ -337,10 +341,10 @@ impl PlacementService {
         }
     }
 
-    /// Cache lookup: a hit requires the entry to be from the current epoch
-    /// and to point at a live component; anything else is a miss (and a
-    /// lazily evicted entry, counted as an invalidation).
-    fn cache_lookup(&self, actor: &ActorRef) -> Option<ComponentId> {
+    /// The cached placement of `actor`: a hit requires the entry to be from
+    /// the current epoch and to point at a live component; anything else is
+    /// a miss (and a lazily evicted entry, counted as an invalidation).
+    pub(crate) fn cached(&self, actor: &ActorRef) -> Option<ComponentId> {
         let Some(cache) = self.cache.as_ref() else {
             // No cache: every resolution is a (counted) miss, so the bench's
             // cache-on/cache-off comparison sees the full lookup volume.
@@ -392,16 +396,16 @@ impl PlacementService {
         self.cache.as_ref().map_or(0, ShardedCache::current_epoch)
     }
 
-    /// Resolves the component hosting `actor` — one attempt, never a wait —
-    /// placing the actor on a compatible live component if it has no
-    /// placement yet.
+    /// Resolves the component hosting `actor` — one attempt, waiting only
+    /// for the store round trips of a cache miss — placing the actor on a
+    /// compatible live component if it has no placement yet.
     ///
     /// Returns `Ok(None)` when the recorded placement points to a component
     /// that is not live: resolution has to wait for reconciliation to
     /// invalidate or rewrite it rather than double-place the actor. How to
-    /// wait is the caller's business (`ComponentCore::place_once`: a reactor
-    /// parks the round, an edge thread parks on the repair signal, both
-    /// bounded by the call timeout).
+    /// wait for that is the caller's business. Only for the lookups that may
+    /// block: a round sent from a reactor resolves its misses as a
+    /// [`Lookup`] it parks on (`ComponentCore::place_once`).
     ///
     /// # Errors
     ///
@@ -409,88 +413,368 @@ impl PlacementService {
     /// the actor's type, or with a store error if the component has been
     /// fenced.
     pub fn resolve_nowait(&self, actor: &ActorRef) -> KarResult<Option<ComponentId>> {
-        if let Some(component) = self.cache_lookup(actor) {
+        if let Some(component) = self.cached(actor) {
             return Ok(Some(component));
         }
-        self.resolve_and_cache(actor, true)
+        let mut lookup = self.submit_lookup([actor], |_| None, true, |_| {})?;
+        loop {
+            if let Some(due) = lookup.due() {
+                kar_types::pace_until(due);
+            }
+            if self.settle_lookup(&mut lookup)? {
+                break;
+            }
+        }
+        match lookup.answer(actor) {
+            Some(Resolution::Placed(component)) => Ok(Some(component)),
+            Some(Resolution::Stale) => Ok(None),
+            _ => Err(no_host(actor)),
+        }
     }
 
-    /// [`PlacementService::resolve_nowait`] past the cache (counted as a
-    /// miss): the store's record decides. How an *activation* resolves: a
-    /// host releases a passivated actor's placement once its tombstone ages
-    /// out, so a cached "placed here" may name a record that is gone. The
-    /// cache learns only a placement elsewhere, which the forward that
-    /// follows reads; this component's own would never be read back (an
-    /// activated actor's slot carries its ownership stamp) before its
-    /// passivation forgot it.
-    pub(crate) fn resolve_stored(&self, actor: &ActorRef) -> KarResult<Option<ComponentId>> {
+    /// Counts a lookup that goes past the cache to the store's record: an
+    /// activation's ownership read. A host releases a passivated actor's
+    /// placement once its tombstone ages out, so a cached "placed here" may
+    /// name a record that is gone.
+    pub(crate) fn note_stored_read(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.resolve_and_cache(actor, false)
     }
 
-    /// One store resolution, cached when it names a live component — this
-    /// one only if `cache_own`.
-    fn resolve_and_cache(
+    /// Submits the first round trip of a lookup of `actors` (a duplicate is
+    /// looked up once): one pipelined `get` of each record `known` cannot
+    /// place, plus whatever `rider` adds (its results come back through
+    /// [`Lookup::take_riders`]). A `sender`'s lookup — a record may be
+    /// absent — also reads the announcement hashes of their types, and
+    /// caches every placement it learns; an activation's ownership check
+    /// expects its record, and caches only a placement elsewhere (its own is
+    /// the slot's stamp). Hand the lookup to
+    /// [`PlacementService::settle_lookup`] once [`Lookup::due`].
+    ///
+    /// # Errors
+    ///
+    /// The pipeline's submit error: nothing was read.
+    pub(crate) fn submit_lookup<'a>(
         &self,
-        actor: &ActorRef,
-        cache_own: bool,
-    ) -> KarResult<Option<ComponentId>> {
+        actors: impl IntoIterator<Item = &'a ActorRef>,
+        mut known: impl FnMut(&ActorRef) -> Option<ComponentId>,
+        sender: bool,
+        rider: impl FnOnce(&mut Pipeline),
+    ) -> KarResult<Lookup> {
+        // Read before the store is: a clear racing the lookup leaves what
+        // it caches already stale (see `cache_insert`).
         let epoch = self.cache_epoch();
-        let resolved = self.resolve_uncached(actor)?;
-        if let Some(component) = resolved.filter(|c| cache_own || *c != self.conn.component()) {
-            self.cache_insert(actor, component, epoch);
-        }
-        Ok(resolved)
-    }
-
-    /// One placement attempt. Returns `Ok(None)` when the recorded placement
-    /// points at a dead component (the caller should retry after
-    /// reconciliation has repaired it).
-    fn resolve_uncached(&self, actor: &ActorRef) -> KarResult<Option<ComponentId>> {
-        let key = placement_key(actor);
-        let current = self.conn.get(&key)?;
-        if let Some(value) = &current {
-            if let Some(component) = component_from_value(value) {
-                if self.is_live(component) {
-                    return Ok(Some(component));
-                }
-                // Stale placement pointing at a failed component: wait for
-                // reconciliation to invalidate it instead of racing it.
-                return Ok(None);
+        let actors = actors.into_iter();
+        let mut targets: Vec<(ActorRef, Target)> = Vec::with_capacity(actors.size_hint().0);
+        for actor in actors {
+            if targets.iter().all(|(seen, _)| seen != actor) {
+                let target = match known(actor) {
+                    Some(component) => Target::Answered(Resolution::Placed(component)),
+                    None => Target::Reading,
+                };
+                targets.push((actor.clone(), target));
             }
         }
-        // No placement yet: pick a live host for the type and try to claim it.
-        let candidates = self.live_hosts(actor.actor_type())?;
-        if candidates.is_empty() {
-            return Err(KarError::NoHostForActorType {
-                actor_type: actor.actor_type().to_owned(),
-            });
-        }
-        let pick = candidates[spread_index(actor, candidates.len())];
-        match self
-            .conn
-            .compare_and_swap(&key, current.as_ref(), component_to_value(pick))?
-        {
-            Ok(()) => Ok(Some(pick)),
-            Err(actual) => {
-                // Lost the race: use whatever won if it is live.
-                match actual.as_ref().and_then(component_from_value) {
-                    Some(winner) if self.is_live(winner) => Ok(Some(winner)),
-                    _ => Ok(None),
-                }
+        // One announcement hash per type of the targets read, named by the
+        // first of them.
+        let mut hosts: Vec<(usize, Option<Vec<ComponentId>>)> = Vec::with_capacity(1);
+        for (index, (actor, target)) in targets.iter().enumerate() {
+            let typed = |(first, _): &(usize, _)| {
+                let (other, _): &(ActorRef, _) = &targets[*first];
+                other.actor_type() == actor.actor_type()
+            };
+            if matches!(target, Target::Reading) && !hosts.iter().any(typed) {
+                hosts.push((index, None));
             }
         }
+        let mut pipe = self.conn.pipeline();
+        let records = targets
+            .iter()
+            .filter(|(_, target)| matches!(target, Target::Reading))
+            .count();
+        // Room for the records, and for the hosts' reads or a rider's read.
+        pipe.reserve(records + hosts.len());
+        for (actor, target) in &targets {
+            if matches!(target, Target::Reading) {
+                pipe.get(&placement_key(actor));
+            }
+        }
+        if sender {
+            for (index, _) in &hosts {
+                pipe.hgetall(&hosts_key(targets[*index].0.actor_type()));
+            }
+        }
+        rider(&mut pipe);
+        Ok(Lookup {
+            epoch,
+            sender,
+            targets,
+            hosts,
+            trip: Trip::Read,
+            ack: Some(pipe.submit()?),
+            riders: Vec::new(),
+        })
     }
 
-    /// The live components announcing support for `actor_type`, sorted: one
-    /// `hgetall` of the type's announcement hash.
-    pub fn live_hosts(&self, actor_type: &str) -> KarResult<Vec<ComponentId>> {
-        let hosts = self.conn.hgetall(&hosts_key(actor_type))?;
-        Ok(live_announced(&hosts, |c| self.is_live(c)))
+    /// The acknowledgement of `lookup`'s round trip is due: learns what it
+    /// read — caching each placement found or claimed — and submits the
+    /// next round trip if one is needed: the announcement hashes not read
+    /// yet, then one pipelined compare-and-swap claiming a live host for
+    /// every target with no record. True once every target is answered;
+    /// false with the next round trip in flight ([`Lookup::due`]).
+    ///
+    /// # Errors
+    ///
+    /// What the acknowledgement carries (a lost ack), or the next submit's
+    /// error. Either way the lookup is over; a retry starts a new one.
+    pub(crate) fn settle_lookup(&self, lookup: &mut Lookup) -> KarResult<bool> {
+        let Some(ack) = lookup.ack.take() else {
+            return Ok(true);
+        };
+        let mut results = ack.result?;
+        let trip = lookup.trip;
+        // What this component asked for comes first; a rider's results stay.
+        let asked = match trip {
+            Trip::Read => lookup.reads(),
+            Trip::Hosts | Trip::Claim => results.len(),
+        };
+        let mut answers = results.drain(..asked);
+        for (actor, target) in &mut lookup.targets {
+            let resolution = match (trip, &*target) {
+                (Trip::Read, Target::Reading) => {
+                    let record = answers.next().and_then(PipelineResult::into_value);
+                    match record.as_ref().and_then(component_from_value) {
+                        Some(component) if self.is_live(component) => Resolution::Placed(component),
+                        // A stale placement pointing at a failed component:
+                        // wait for reconciliation instead of racing it.
+                        Some(_) => Resolution::Stale,
+                        None => {
+                            *target = Target::Unplaced(record);
+                            continue;
+                        }
+                    }
+                }
+                (Trip::Claim, Target::Claiming(pick)) => {
+                    match answers.next().and_then(PipelineResult::into_cas) {
+                        Some(Ok(())) => Resolution::Placed(*pick),
+                        // Lost the race: whatever won, if it is live.
+                        Some(Err(actual)) => match actual.as_ref().and_then(component_from_value) {
+                            Some(winner) if self.is_live(winner) => Resolution::Placed(winner),
+                            _ => Resolution::Stale,
+                        },
+                        None => Resolution::Stale,
+                    }
+                }
+                _ => continue,
+            };
+            if let Resolution::Placed(component) = resolution {
+                if lookup.sender || component != self.conn.component() {
+                    self.cache_insert(actor, component, lookup.epoch);
+                }
+            }
+            *target = Target::Answered(resolution);
+        }
+        match trip {
+            Trip::Read if lookup.sender => lookup.learn_hosts(&mut answers, |c| self.is_live(c)),
+            Trip::Hosts => lookup.learn_hosts(&mut answers, |c| self.is_live(c)),
+            Trip::Read => {}
+            Trip::Claim => return Ok(true),
+        }
+        drop(answers);
+        // A rider read what it read before any claim this lookup makes: an
+        // actor placed by the claim may have been written to since.
+        let claims = lookup
+            .targets
+            .iter()
+            .any(|(_, t)| matches!(t, Target::Unplaced(_)));
+        if trip == Trip::Read && !claims {
+            lookup.riders = results;
+        }
+        self.submit_next_trip(lookup)
+    }
+
+    /// Submits the round trip `lookup` needs next, if any: the announcement
+    /// hashes of the types of unplaced targets not read yet, or else the
+    /// claims of the unplaced targets. True when none is needed.
+    fn submit_next_trip(&self, lookup: &mut Lookup) -> KarResult<bool> {
+        let Lookup { targets, hosts, .. } = &mut *lookup;
+        let unplaced = |actor_type: &str| {
+            targets.iter().any(|(actor, target)| {
+                matches!(target, Target::Unplaced(_)) && actor.actor_type() == actor_type
+            })
+        };
+        let mut pipe = self.conn.pipeline();
+        // Either trip sends at most one command per unplaced target.
+        pipe.reserve(
+            targets
+                .iter()
+                .filter(|(_, target)| matches!(target, Target::Unplaced(_)))
+                .count(),
+        );
+        for (index, live) in hosts.iter_mut().filter(|(_, live)| live.is_none()) {
+            let actor_type = targets[*index].0.actor_type();
+            if unplaced(actor_type) {
+                pipe.hgetall(&hosts_key(actor_type));
+            } else {
+                // Nothing of this type to place: nothing to learn of it.
+                *live = Some(Vec::new());
+            }
+        }
+        if !pipe.is_empty() {
+            lookup.trip = Trip::Hosts;
+            lookup.ack = Some(pipe.submit()?);
+            return Ok(false);
+        }
+        for at in 0..targets.len() {
+            let (actor, target) = &targets[at];
+            if !matches!(target, Target::Unplaced(_)) {
+                continue;
+            }
+            let candidates = hosts
+                .iter()
+                .find(|(index, _)| targets[*index].0.actor_type() == actor.actor_type())
+                .and_then(|(_, live)| live.as_deref())
+                .unwrap_or_default();
+            let pick =
+                (!candidates.is_empty()).then(|| candidates[spread_index(actor, candidates.len())]);
+            let (actor, target) = &mut targets[at];
+            let Some(pick) = pick else {
+                *target = Target::Answered(Resolution::NoHost);
+                continue;
+            };
+            let Target::Unplaced(current) = std::mem::replace(target, Target::Claiming(pick))
+            else {
+                unreachable!("checked above");
+            };
+            pipe.compare_and_swap(&placement_key(actor), current, component_to_value(pick));
+        }
+        if pipe.is_empty() {
+            return Ok(true);
+        }
+        lookup.trip = Trip::Claim;
+        lookup.ack = Some(pipe.submit()?);
+        Ok(false)
     }
 
     fn is_live(&self, component: ComponentId) -> bool {
         self.live.read().contains(&component)
+    }
+}
+
+/// What a placement lookup learnt of one actor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resolution {
+    /// Placed on this live component.
+    Placed(ComponentId),
+    /// The record names a failed component: reconciliation has to repair it
+    /// before the actor resolves — waiting for that, bounded by the call
+    /// timeout, is the caller's business.
+    Stale,
+    /// No live component announces the actor's type.
+    NoHost,
+}
+
+/// Where one target of a [`Lookup`] stands.
+#[derive(Debug)]
+enum Target {
+    /// Its record is being read.
+    Reading,
+    /// It has no record (or one naming no component, the CAS's expected
+    /// value): a live host is claimed for it.
+    Unplaced(Option<Value>),
+    /// The claim for this host is in flight.
+    Claiming(ComponentId),
+    Answered(Resolution),
+}
+
+/// The round trip a [`Lookup`] has in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trip {
+    /// The records (and a sender's announcement hashes).
+    Read,
+    /// The announcement hashes an activation's absent record needs.
+    Hosts,
+    /// The claims of the targets with no record.
+    Claim,
+}
+
+/// The placements a cache could not answer, resolved together over the
+/// store's pipelines: one round trip reads every record, one more claims a
+/// live host for those that have none — an activation whose record is gone
+/// reads its type's hosts in between. Nothing here waits: each round trip
+/// is submitted, and [`PlacementService::settle_lookup`] takes it up once it
+/// is [due](Lookup::due). A reactor parks on that due time; an edge thread
+/// paces itself to it.
+#[derive(Debug)]
+pub(crate) struct Lookup {
+    /// The cache epoch read before the first round trip.
+    epoch: u64,
+    /// A sender's lookup (see [`PlacementService::submit_lookup`]).
+    sender: bool,
+    targets: Vec<(ActorRef, Target)>,
+    /// The live hosts announced for each type of the targets read — named
+    /// by the index of its first such target — once learnt.
+    hosts: Vec<(usize, Option<Vec<ComponentId>>)>,
+    trip: Trip,
+    /// The acknowledgement of the round trip in flight; `None` once settled.
+    ack: Option<Completion<Vec<PipelineResult>>>,
+    /// The results of the first round trip's rider.
+    riders: Vec<PipelineResult>,
+}
+
+impl Lookup {
+    /// When the round trip in flight is acknowledged (`None`: at once, or
+    /// nothing is in flight).
+    pub(crate) fn due(&self) -> Option<Duration> {
+        self.ack.as_ref().and_then(|ack| ack.due)
+    }
+
+    /// What the settled lookup answered for `actor` (`None`: not one of its
+    /// targets, or still in flight).
+    pub(crate) fn answer(&self, actor: &ActorRef) -> Option<Resolution> {
+        self.targets.iter().find_map(|(target, state)| match state {
+            Target::Answered(answer) if target == actor => Some(*answer),
+            _ => None,
+        })
+    }
+
+    /// The results of what the rider added to the first round trip, in
+    /// submission order — none when the lookup claimed a placement.
+    pub(crate) fn take_riders(&mut self) -> Vec<PipelineResult> {
+        std::mem::take(&mut self.riders)
+    }
+
+    /// How many results of the first round trip are this lookup's own: the
+    /// records read, and a sender's announcement hashes.
+    fn reads(&self) -> usize {
+        let records = self
+            .targets
+            .iter()
+            .filter(|(_, target)| matches!(target, Target::Reading))
+            .count();
+        records + if self.sender { self.hosts.len() } else { 0 }
+    }
+
+    /// Learns the next announcement hashes of `results`: one for each type
+    /// not learnt yet that the round trip read.
+    fn learn_hosts(
+        &mut self,
+        results: &mut impl Iterator<Item = PipelineResult>,
+        is_live: impl Fn(ComponentId) -> bool,
+    ) {
+        for (_, live) in self.hosts.iter_mut().filter(|(_, live)| live.is_none()) {
+            let hosts = results
+                .next()
+                .and_then(PipelineResult::into_hash)
+                .unwrap_or_default();
+            *live = Some(live_announced(&hosts, &is_live));
+        }
+    }
+}
+
+/// The error of a lookup that found no live host for `actor`'s type.
+pub(crate) fn no_host(actor: &ActorRef) -> KarError {
+    KarError::NoHostForActorType {
+        actor_type: actor.actor_type().to_owned(),
     }
 }
 

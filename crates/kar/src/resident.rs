@@ -62,12 +62,14 @@ struct ActorSlot {
     /// entirely (not even a cache hit); a recovery-driven `clear_cache`
     /// bumps the epoch and thereby invalidates every stamp in O(1).
     verified_epoch: Option<u64>,
-    /// Set while admission has deferred this actor's activation: the id of
-    /// the parked head request, waiting out its backoff as a `Stage::Admit`.
+    /// Set while this actor's activation is pending: the id of its head
+    /// request, whose ownership read is in flight (`Stage::Own`) or which
+    /// admission deferred, waiting out its backoff as a `Stage::Admit`.
     /// Later requests mailbox behind it (so per-actor FIFO holds across the
-    /// deferral), and no passivation drops a slot with a deferral pending.
+    /// read and the deferral), and no passivation drops a slot with an
+    /// activation pending.
     activation_parked: Option<RequestId>,
-    /// Consecutive deferrals of the parked head: each one grows the shaped
+    /// Deferrals of the pending head so far: each one grows the shaped
     /// backoff further.
     activation_deferrals: u32,
 }
@@ -320,6 +322,7 @@ impl ResidentSet {
             let admission = match resident.activation_wait(self.hard, &request, settled, 0, stats) {
                 Some(wait) => {
                     slot.activation_parked = Some(request.id);
+                    slot.activation_deferrals = 1;
                     SlotAdmission::Deferred(request, wait)
                 }
                 None => {
@@ -340,18 +343,18 @@ impl ResidentSet {
                 slot.mailbox.push_back(request);
                 return SlotAdmission::Mailboxed;
             }
-            // The head of a deferred activation is back from the due-time
-            // heap. If the pressure has drained and no release is in flight,
-            // activate; otherwise re-shape (the backoff grows with each
-            // deferral) and re-park — never drop.
-            let deferrals = slot.activation_deferrals.saturating_add(1);
+            // The head of a pending activation, its ownership verified. If
+            // there is no pressure and no release is in flight, activate;
+            // otherwise shape (the backoff grows with each deferral) and
+            // park — never drop.
+            let deferrals = slot.activation_deferrals;
             let wait = resident.activation_wait(self.hard, &request, settled, deferrals, stats);
             let slot = resident
                 .slots
                 .get_mut(&request.target)
                 .expect("found above");
             if let Some(wait) = wait {
-                slot.activation_deferrals = deferrals;
+                slot.activation_deferrals = deferrals.saturating_add(1);
                 return SlotAdmission::Deferred(request, wait);
             }
             slot.activation_parked = None;
@@ -381,6 +384,54 @@ impl ResidentSet {
         }
         slot.hold_for(&request);
         SlotAdmission::Run(Frame::admitted(request, slot.state.clone(), false))
+    }
+
+    /// Holds the slot of the activation `request` asks for while its
+    /// ownership read is in flight: a new slot, not resident yet, names it
+    /// as the pending head, and its actor's later requests mailbox behind
+    /// it. Hands the request back to be read for — also when it is the
+    /// head of a pending activation already, or its actor became resident
+    /// meanwhile (admitted to the slot once its read is in) — or `None`
+    /// when it was mailboxed behind another head.
+    pub(crate) fn hold(&self, request: SharedRequest) -> Option<SharedRequest> {
+        let mut resident = self.resident.lock();
+        match resident.slots.get_mut(&request.target) {
+            None => {
+                let slot = ActorSlot {
+                    activation_parked: Some(request.id),
+                    ..ActorSlot::default()
+                };
+                resident.slots.insert(request.target.clone(), slot);
+            }
+            Some(slot)
+                if slot
+                    .activation_parked
+                    .is_some_and(|head| head != request.id) =>
+            {
+                slot.mailbox.push_back(request);
+                return None;
+            }
+            Some(_) => {}
+        }
+        Some(request)
+    }
+
+    /// The pending activation headed by `head` leaves `actor`'s held slot —
+    /// forwarded, or parked on its callee: the slot goes, and what its
+    /// mailbox held is handed back, in order. Nothing, when the slot is not
+    /// held for `head`.
+    pub(crate) fn release_held(
+        &self,
+        actor: &ActorRef,
+        head: RequestId,
+    ) -> VecDeque<SharedRequest> {
+        let mut resident = self.resident.lock();
+        let held = resident.slots.get(actor);
+        if held.is_none_or(|slot| slot.activation_parked != Some(head)) {
+            return VecDeque::new();
+        }
+        let slot = resident.slots.remove(actor).expect("found above");
+        slot.mailbox
     }
 
     /// The invocation holding `actor`'s lock is over: the next mailboxed
@@ -801,11 +852,20 @@ mod tests {
         // Back from its backoff, the head resolves afresh and activates.
         assert!(activate(request("early", 1), settled()));
         assert_eq!(set.actors(), vec![ledger("early")]);
-        // An activation resolves from the store, not from the cache that
-        // still says "placed here": the cold path places the actor again.
+        // An activation reads its record from the store, not the cache that
+        // still says "placed here": the cold path places the actor again,
+        // and only then is it admitted to its held slot.
         let admission = core.admit_request(request("cached", 2).into());
-        assert!(matches!(admission, Admission::Run(_)));
+        assert!(matches!(admission, Admission::Activate(..)));
+        assert_eq!(record("cached"), None);
+        assert_eq!(set.lookup(&ledger("cached")).0, None, "held, not resident");
+        deliver(&core, request("cached", 5));
+        assert_eq!(set.mailboxed(), 1, "a sibling waits behind the held slot");
+        core.carry_out(admission);
         assert_eq!(record("cached"), Some(placed_here.clone()));
+        let actors = set.actors();
+        assert!(actors.len() == 2 && actors.contains(&ledger("cached")));
+        assert_eq!(set.mailboxed(), 0);
         // An activation that meets the actor's release still in flight
         // defers too, however fresh its resolution.
         set.resident
@@ -815,5 +875,52 @@ mod tests {
             .insert(ledger("inflight"));
         assert!(!activate(request("inflight", 3), settled()));
         assert_eq!(core.passivation_stats(), (0, 0, 2));
+    }
+
+    #[test]
+    fn a_held_activation_placed_elsewhere_leaves_with_its_mailbox_in_order() {
+        use kar_queue::PartitionSet;
+        use kar_types::{ComponentId, Envelope};
+
+        let broker = Broker::default();
+        broker.create_topic("topic", 2).unwrap();
+        let core = lone_core(MeshConfig::for_tests(), broker);
+        let owner = ComponentId::from_raw(2);
+        core.live.write().extend([core.id, owner]);
+        let mut topology = core.topology.write();
+        topology.insert(core.id, PartitionSet::contiguous(0, 1));
+        topology.insert(owner, PartitionSet::contiguous(1, 1));
+        drop(topology);
+        let actor = ActorRef::new("Ledger", "elsewhere");
+        core.store
+            .admin_set(&placement_key(&actor), component_to_value(owner));
+        let request =
+            |id: u64| RequestMessage::root(RequestId::from_raw(id), actor.clone(), "m", Vec::new());
+        // The head's ownership read is pending: its slot is held, and a
+        // sibling polled meanwhile waits behind it.
+        let head = core.admit_request(request(1).into());
+        assert!(matches!(head, Admission::Activate(..)));
+        deliver(&core, request(2));
+        assert_eq!(core.resident.mailboxed(), 1);
+        // The read names the owner: both leave, in order, in one forward.
+        core.carry_out(head);
+        let consumer = core.broker.consumer(owner, "topic", 1).unwrap();
+        let forwarded: Vec<u64> = consumer
+            .poll(10)
+            .unwrap()
+            .iter()
+            .map(|record| match &*record.payload {
+                Envelope::Request(request) => request.id.as_u64(),
+                Envelope::Response(_) => panic!("a response was forwarded"),
+            })
+            .collect();
+        assert_eq!(forwarded, vec![1, 2]);
+        assert_eq!(core.stats.forwarded.load(Ordering::Relaxed), 2);
+        // Nothing of the actor stays here: no slot, no claim.
+        assert!(core.resident.resident.lock().slots.get(&actor).is_none());
+        assert_eq!(core.resident.mailboxed(), 0);
+        for id in [1, 2] {
+            assert!(!core.locally_pending(RequestId::from_raw(id)));
+        }
     }
 }

@@ -33,7 +33,9 @@
 //! A fifth prices a call in time rather than memory: a warm counter call
 //! under the ClusterDev profile against the sum of the modelled latencies
 //! on its critical path. What is left over is the runtime's own work plus
-//! how late each wait for a modelled instant wakes.
+//! how late each wait for a modelled instant wakes. A sixth does the same
+//! for a first call, whose placement lookup and activation add three store
+//! round trips to that path and nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,6 +350,58 @@ fn a_warm_counter_call_costs_its_modelled_latencies_and_little_more() {
     assert!(
         excess <= FIDELITY_EXCESS_CEILING,
         "a warm call costs {excess:?} more than its modelled latencies"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "times the optimised call path: run with --release"
+)]
+fn a_cold_counter_call_costs_its_modelled_latencies_and_little_more() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let profile = DeploymentProfile::ClusterDev;
+    let latency = profile.latency_profile();
+    // A first call to a fresh actor pays the warm call's nine latencies and
+    // three store round trips more: the client's miss reads the record and
+    // the type's hosts in one and claims a host in another, and the
+    // activation reads its ownership and its state in one (the warm call
+    // loads nothing) — 8.30 ms.
+    let modelled = 4 * latency.sidecar_hop
+        + 2 * latency.queue_append
+        + 2 * latency.queue_deliver
+        + 4 * latency.store_op;
+    let (mesh, client) = mesh_of(MeshConfig::for_deployment(profile), "Counter", || {
+        Box::new(Counter)
+    });
+    // One warm-up call, so the mesh's own first-use costs are not timed.
+    client
+        .call(&ActorRef::new("Counter", "warm"), "bump", vec![])
+        .unwrap();
+    let mut samples: Vec<Duration> = (0..FIDELITY_CALLS)
+        .map(|i| {
+            let fresh = ActorRef::new("Counter", format!("cold{i}"));
+            let started = Instant::now();
+            client.call(&fresh, "bump", vec![]).unwrap();
+            started.elapsed()
+        })
+        .collect();
+    mesh.shutdown();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    let excess = median.saturating_sub(modelled);
+    println!(
+        "cold counter on {profile}: median {:.3} ms over {FIDELITY_CALLS} first calls, \
+         modelled critical path {:.3} ms, excess {:.3} ms",
+        median.as_secs_f64() * 1e3,
+        modelled.as_secs_f64() * 1e3,
+        excess.as_secs_f64() * 1e3
+    );
+    assert!(
+        excess <= FIDELITY_EXCESS_CEILING,
+        "a first call costs {excess:?} more than its modelled latencies"
     );
 }
 

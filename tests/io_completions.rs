@@ -599,14 +599,13 @@ impl Actor for Stamped {
     }
 }
 
-#[test]
-fn cold_activations_overlap_their_state_loads_on_one_reactor() {
-    const K: i64 = 6;
-    const LOAD: Duration = Duration::from_millis(10);
-    // The simulator's one reactor and virtual clock, as above; only the
-    // store models a latency.
+/// The simulator's one reactor and virtual clock, where only the store models
+/// a latency, `load`: a server hosting [`Relay`]s and [`Stamped`] ledgers,
+/// whose handler starts are stamped into the returned list, and a victim
+/// component hosting nothing else.
+fn stamped_mesh(load: Duration) -> (Mesh, ComponentId, ComponentId, Arc<Mutex<Vec<Duration>>>) {
     let latency = LatencyProfile {
-        store_op: LOAD,
+        store_op: load,
         ..LatencyProfile::ZERO
     };
     let mesh = Mesh::new(MeshConfig {
@@ -639,6 +638,14 @@ fn cold_activations_overlap_their_state_loads_on_one_reactor() {
             })
         })
     });
+    (mesh, server, victim, starts)
+}
+
+#[test]
+fn cold_activations_overlap_their_state_loads_on_one_reactor() {
+    const K: i64 = 6;
+    const LOAD: Duration = Duration::from_millis(10);
+    let (mesh, server, victim, starts) = stamped_mesh(LOAD);
     let client = mesh.client();
     // Warm up: place the ledgers and the fan on the server.
     for i in 0..K {
@@ -677,9 +684,9 @@ fn cold_activations_overlap_their_state_loads_on_one_reactor() {
     // loaded, one store latency after its admission. The others load side
     // by side with it. A reactor that waits out each load itself starts
     // the last (K - 1) loads after the first.
-    let starts = starts.lock().unwrap().clone();
-    let one = starts[0];
-    let last = *starts.last().unwrap();
+    let started = starts.lock().unwrap().clone();
+    let one = started[0];
+    let last = *started.last().unwrap();
     let held = LOAD * (K as u32 - 1);
     assert!(
         last < one + held / 2,
@@ -688,6 +695,44 @@ fn cold_activations_overlap_their_state_loads_on_one_reactor() {
         last - one,
         mesh.debug_report()
     );
+    mesh.shutdown();
+
+    // Never placed, and never warmed: only the fan is placed and resident.
+    // Its one round places all K ledgers on its way — one round trip reads
+    // their records and their type's hosts, one more claims a host for
+    // each — and each activation reads its ownership and its state in one
+    // more: the last ledger starts about three loads after the tell. A
+    // reactor that blocks on each lookup holds the round for three round
+    // trips per ledger, and every activation for one more: about 3K + K.
+    let (mesh, _, _, starts) = stamped_mesh(LOAD);
+    let client = mesh.client();
+    client
+        .call(&relay("fan"), "spread", vec![Value::Int(0), Value::Int(0)])
+        .unwrap();
+    assert!(starts.lock().unwrap().is_empty(), "a ledger was warmed");
+    let asked = kar_types::mono_now();
+    client
+        .tell(&relay("fan"), "spread", vec![Value::Int(K), Value::Int(1)])
+        .unwrap();
+    let all_started = || starts.lock().unwrap().len() == K as usize;
+    assert!(
+        mesh.sim_run_until(all_started, 100_000),
+        "never-placed ledgers never started"
+    );
+    let last = *starts.lock().unwrap().iter().max().unwrap();
+    assert!(
+        last - asked < LOAD * 4,
+        "{K} never-placed ledgers started {:?} after the tell: one round's \
+         lookup and their activations take three loads\n{}",
+        last - asked,
+        mesh.debug_report()
+    );
+    for i in 0..K {
+        assert!(
+            mesh.sim_run_until(|| stored_count(&mesh, &ledger(i)) == Some(1), 100_000),
+            "never-placed ledger {i} never committed"
+        );
+    }
     mesh.shutdown();
 }
 

@@ -506,6 +506,41 @@ fn hard_watermark_defers_activations_and_drains_without_drops() {
 }
 
 #[test]
+fn tells_to_a_cold_actor_keep_their_order_across_its_ownership_read() {
+    const TELLS: i64 = 8;
+    const STORE_OP: Duration = Duration::from_millis(5);
+    // The simulator's one reactor on a virtual clock, with a store latency:
+    // the first record of a never-activated actor parks on its ownership
+    // read — its slot held — and the records polled behind it meanwhile
+    // wait in its mailbox.
+    let mesh = Mesh::new(MeshConfig {
+        latency: LatencyProfile {
+            store_op: STORE_OP,
+            ..LatencyProfile::ZERO
+        },
+        ..MeshConfig::deterministic(5)
+    });
+    let node = mesh.add_node();
+    mesh.add_component(node, "server", |c| c.host("Ledger", || Box::new(Ledger)));
+    let client = mesh.client();
+    let target = ActorRef::new("Ledger", "cold");
+    for i in 0..TELLS {
+        client.tell(&target, "record", vec![Value::Int(i)]).unwrap();
+    }
+    let key = format!("state/{}", target.qualified_name());
+    let applied = || {
+        let log = mesh.store().admin_hgetall(&key).get("log").cloned();
+        log.and_then(|log| log.as_list().map(<[Value]>::len)) == Some(TELLS as usize)
+    };
+    assert!(mesh.sim_run_until(applied, 100_000), "the tells never ran");
+    let state = mesh.store().admin_hgetall(&key);
+    assert_eq!(state.get("violation"), None, "{state:?}");
+    let log: Vec<Value> = (0..TELLS).map(Value::Int).collect();
+    assert_eq!(state.get("log"), Some(&Value::List(log)));
+    mesh.shutdown();
+}
+
+#[test]
 fn soft_watermark_keeps_resident_set_bounded_under_churn() {
     const ACTORS: usize = 48;
 
