@@ -1923,30 +1923,8 @@ impl ComponentCore {
             Stage::Own {
                 request,
                 verify,
-                lookup: None,
-            } => self.submit_ownership_read(request, verify),
-            Stage::Own {
-                request,
-                verify,
-                lookup: Some(mut lookup),
-            } => match self.placement.settle_lookup(&mut lookup) {
-                Ok(false) => Step::Next(
-                    lookup.due(),
-                    Stage::Own {
-                        request,
-                        verify,
-                        lookup: Some(lookup),
-                    },
-                ),
-                Ok(true) if lookup.answer(&request.target) == Some(Resolution::Placed(self.id)) => {
-                    let loaded = lookup.take_riders().pop().and_then(|read| read.into_hash());
-                    self.activate(request, verify, loaded)
-                }
-                // Owned elsewhere, a stale placement awaiting repair, or a
-                // transient store failure: the forward re-resolves (parking
-                // on a stale placement) and appends to the owner's queue.
-                Ok(true) | Err(_) => self.forward_activation(request),
-            },
+                lookup,
+            } => self.own(request, verify, lookup),
             Stage::Resume {
                 parked,
                 input,
@@ -2045,6 +2023,42 @@ impl ComponentCore {
             return self.respond(frame, Err(cancelled));
         }
         self.submit_state_io(frame, ImageOp::Load, TRANSIENT_ATTEMPTS)
+    }
+
+    /// The activation `request`'s ownership read: submitted once its hop is
+    /// over, then settled once acknowledged — the activation runs if the
+    /// record says the actor is ours, and is forwarded otherwise.
+    fn own(
+        self: &Arc<Self>,
+        request: SharedRequest,
+        verify: Verify,
+        lookup: Option<Lookup>,
+    ) -> Step {
+        let Some(mut lookup) = lookup else {
+            return self.submit_ownership_read(request, verify);
+        };
+        match self.placement.settle_lookup(&mut lookup) {
+            Ok(false) => {
+                let due = lookup.due();
+                let lookup = Some(lookup);
+                Step::Next(
+                    due,
+                    Stage::Own {
+                        request,
+                        verify,
+                        lookup,
+                    },
+                )
+            }
+            Ok(true) if lookup.answer(&request.target) == Some(Resolution::Placed(self.id)) => {
+                let loaded = lookup.take_riders().pop().and_then(|read| read.into_hash());
+                self.activate(request, verify, loaded)
+            }
+            // Owned elsewhere, a stale placement awaiting repair, or a
+            // transient store failure: the forward re-resolves (parking on a
+            // stale placement) and appends to the owner's queue.
+            Ok(true) | Err(_) => self.forward_activation(request),
+        }
     }
 
     /// Submits the ownership read of the activation `request`: its actor's
