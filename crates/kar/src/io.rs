@@ -27,6 +27,10 @@
 //! handler's outbox, the round of a nested call, a forward, a tail-call
 //! successor, a response run and a failed attempt's retry copy. A retry copy
 //! keeps its actor locked until its ack, and holds no reactor meanwhile.
+//! So is every placement lookup a reactor makes: a round's cache misses
+//! park on their store round trips before the round is placed, and an
+//! activation parks on its ownership read (`Stage::Own`), its actor's slot
+//! held and its later requests mailboxed behind it.
 //!
 //! A wait with no due time is a stage too: a produce round one of whose
 //! targets has a stale placement — the recorded one points at a failed

@@ -474,34 +474,28 @@ impl PlacementService {
                 targets.push((actor.clone(), target));
             }
         }
-        // One announcement hash per type of the targets read, named by the
-        // first of them.
-        let mut hosts: Vec<(usize, Option<Vec<ComponentId>>)> = Vec::with_capacity(1);
-        for (index, (actor, target)) in targets.iter().enumerate() {
-            let typed = |(first, _): &(usize, _)| {
-                let (other, _): &(ActorRef, _) = &targets[*first];
-                other.actor_type() == actor.actor_type()
-            };
-            if matches!(target, Target::Reading) && !hosts.iter().any(typed) {
-                hosts.push((index, None));
-            }
+        // A sender reads one announcement hash per type of the targets it
+        // reads; an activation only once its record turns out absent.
+        let mut hosts = Vec::new();
+        if sender {
+            add_hosts(&targets, &mut hosts, |target| {
+                matches!(target, Target::Reading)
+            });
         }
         let mut pipe = self.conn.pipeline();
         let records = targets
             .iter()
             .filter(|(_, target)| matches!(target, Target::Reading))
             .count();
-        // Room for the records, and for the hosts' reads or a rider's read.
-        pipe.reserve(records + hosts.len());
+        // Room for the records, the hosts' reads and a rider's read.
+        pipe.reserve(records + hosts.len() + 1);
         for (actor, target) in &targets {
             if matches!(target, Target::Reading) {
                 pipe.get(&placement_key(actor));
             }
         }
-        if sender {
-            for (index, _) in &hosts {
-                pipe.hgetall(&hosts_key(targets[*index].0.actor_type()));
-            }
+        for (index, _) in &hosts {
+            pipe.hgetall(&hosts_key(targets[*index].0.actor_type()));
         }
         rider(&mut pipe);
         Ok(Lookup {
@@ -574,9 +568,7 @@ impl PlacementService {
             *target = Target::Answered(resolution);
         }
         match trip {
-            Trip::Read if lookup.sender => lookup.learn_hosts(&mut answers, |c| self.is_live(c)),
-            Trip::Hosts => lookup.learn_hosts(&mut answers, |c| self.is_live(c)),
-            Trip::Read => {}
+            Trip::Read | Trip::Hosts => lookup.learn_hosts(&mut answers, |c| self.is_live(c)),
             Trip::Claim => return Ok(true),
         }
         drop(answers);
@@ -597,6 +589,9 @@ impl PlacementService {
     /// claims of the unplaced targets. True when none is needed.
     fn submit_next_trip(&self, lookup: &mut Lookup) -> KarResult<bool> {
         let Lookup { targets, hosts, .. } = &mut *lookup;
+        add_hosts(targets, hosts, |target| {
+            matches!(target, Target::Unplaced(_))
+        });
         let unplaced = |actor_type: &str| {
             targets.iter().any(|(actor, target)| {
                 matches!(target, Target::Unplaced(_)) && actor.actor_type() == actor_type
@@ -744,14 +739,14 @@ impl Lookup {
     }
 
     /// How many results of the first round trip are this lookup's own: the
-    /// records read, and a sender's announcement hashes.
+    /// records and announcement hashes it read.
     fn reads(&self) -> usize {
         let records = self
             .targets
             .iter()
             .filter(|(_, target)| matches!(target, Target::Reading))
             .count();
-        records + if self.sender { self.hosts.len() } else { 0 }
+        records + self.hosts.len()
     }
 
     /// Learns the next announcement hashes of `results`: one for each type
@@ -767,6 +762,22 @@ impl Lookup {
                 .and_then(PipelineResult::into_hash)
                 .unwrap_or_default();
             *live = Some(live_announced(&hosts, &is_live));
+        }
+    }
+}
+
+/// Adds an announcement-hash entry to `hosts` — named by the index of its
+/// first target — for every type of the `targets` that `needs` one and has
+/// none yet.
+fn add_hosts(
+    targets: &[(ActorRef, Target)],
+    hosts: &mut Vec<(usize, Option<Vec<ComponentId>>)>,
+    needs: impl Fn(&Target) -> bool,
+) {
+    for (index, (actor, target)) in targets.iter().enumerate() {
+        let typed = |(first, _): &(usize, _)| targets[*first].0.actor_type() == actor.actor_type();
+        if needs(target) && !hosts.iter().any(typed) {
+            hosts.push((index, None));
         }
     }
 }
