@@ -602,7 +602,7 @@ impl Actor for Stamped {
 /// The simulator's one reactor and virtual clock, where only the store models
 /// a latency, `load`: a server hosting [`Relay`]s and [`Stamped`] ledgers,
 /// whose handler starts are stamped into the returned list, and a victim
-/// component hosting nothing else.
+/// component, hosting only `FailsOnce`, to kill.
 fn stamped_mesh(load: Duration) -> (Mesh, ComponentId, ComponentId, Arc<Mutex<Vec<Duration>>>) {
     let latency = LatencyProfile {
         store_op: load,
@@ -684,9 +684,9 @@ fn cold_activations_overlap_their_state_loads_on_one_reactor() {
     // loaded, one store latency after its admission. The others load side
     // by side with it. A reactor that waits out each load itself starts
     // the last (K - 1) loads after the first.
-    let started = starts.lock().unwrap().clone();
-    let one = started[0];
-    let last = *started.last().unwrap();
+    let starts = starts.lock().unwrap().clone();
+    let one = starts[0];
+    let last = *starts.last().unwrap();
     let held = LOAD * (K as u32 - 1);
     assert!(
         last < one + held / 2,
