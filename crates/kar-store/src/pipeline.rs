@@ -138,8 +138,8 @@ impl PipelineResult {
 }
 
 /// A batch of buffered store commands bound to one client session (or to the
-/// administrative runtime). See the [module docs](self) for the flush
-/// semantics.
+/// administrative runtime). [`Pipeline::flush`] applies it in one round
+/// trip; [`Pipeline::fence`] orders commands across shards.
 #[derive(Debug)]
 pub struct Pipeline {
     inner: Arc<StoreInner>,
@@ -306,8 +306,9 @@ impl Pipeline {
 
     /// Applies every buffered command and returns their results in
     /// submission order. One round-trip latency charge and one fence check
-    /// for the whole batch; per-shard grouped application (see the
-    /// [module docs](self)).
+    /// for the whole batch; each shard's commands applied under one lock
+    /// acquisition, in submission order per shard (shards in shard order,
+    /// unless a [`Pipeline::fence`] orders them).
     ///
     /// An empty pipeline flushes for free and returns no results.
     ///

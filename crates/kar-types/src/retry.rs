@@ -18,10 +18,11 @@
 //!   config.
 //! * [`RetryState`] — the live schedule of one orchestrated invocation:
 //!   failed-attempt count, the next-fire deadline, and the last error. The
-//!   state rides **inside the request record** ([`RequestMessage::retry`]
-//!   (crate::RequestMessage::retry)), so when a component dies mid-backoff
-//!   and reconciliation re-homes the record, the adopter resumes the
-//!   schedule at the persisted attempt instead of resetting to attempt 0.
+//!   state rides **inside the request record**
+//!   ([`RequestMessage::retry`](crate::RequestMessage::retry)), so when a
+//!   component dies mid-backoff and reconciliation re-homes the record, the
+//!   adopter resumes the schedule at the persisted attempt instead of
+//!   resetting to attempt 0.
 //!
 //! All deadlines are absolute wall-clock epoch milliseconds ([`epoch_ms`]):
 //! every component in a mesh reads the same clock, so a re-homed deadline

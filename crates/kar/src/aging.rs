@@ -16,9 +16,9 @@
 //! component remembers are dense: an [`IdBitmap`] keeps them as bits, word
 //! `id >> 6` holding bit `id & 63` — under a byte per id, keys and table
 //! slack included, where a hash set spends 9 to 18, and at worst (one id
-//! per word) about twice a hash set. Completed ids sit under the
-//! component's claims lock beside its in-flight ids, seen response ids under
-//! its deferred lock beside the retries they release. Passivation
+//! per word) about twice a hash set. Completed ids and seen response
+//! ids sit in the component's request ledger, under one lock beside the
+//! in-flight ids and the retries they release. Passivation
 //! tombstones are hashes, not dense ids, and live in [`Tombs`]: a
 //! `HashSet<u64>` plus the buried actors' names packed into one buffer, so
 //! a tombstone that ages out names the placement its owner releases.

@@ -18,14 +18,14 @@
 //! The component owns **no threads**. All of its partitions are pumped by
 //! the mesh's fixed reactor pool
 //! ([`crate::mesh`], `MeshConfig::reactor_threads`) through
-//! [`ComponentCore::pump`], and its periodic duties (heartbeat, bookkeeping
+//! `ComponentCore::pump`, and its periodic duties (heartbeat, bookkeeping
 //! aging, continuation deadlines, partition retirement, passivation) run on
-//! the mesh's single timer thread through [`ComponentCore::tick`]. Handlers
+//! the mesh's single timer thread through `ComponentCore::tick`. Handlers
 //! that issue nested calls park a continuation instead of blocking a thread
 //! (see [`crate::continuation`]), and an invocation that meets a modelled
 //! latency — a sidecar hop, its state load, the ack of its outbox round, its
-//! state flush — parks the rest of itself as a [`Stage`] on the mesh's
-//! due-time heap instead of sleeping on its reactor (see [`crate::io`]);
+//! state flush — parks the rest of itself as a `Stage` on the mesh's
+//! due-time heap instead of sleeping on its reactor (see `crate::io`);
 //! invocations for actors on distinct lanes still *compute* in parallel up
 //! to the reactor-pool width at a time, while any number of them wait for
 //! their I/O. Whatever else a component waits on a clock for — a scheduled
@@ -60,14 +60,14 @@ use kar_types::{
 };
 
 use crate::actor::{ActorFactory, Outcome};
-use crate::aging::{AgingSet, IdBitmap};
 use crate::client::{Answer, CallSlot};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{state_key, ActorContext, Outbox};
-use crate::continuation::{Continuation, ContinuationTable, ParkedContinuation};
+use crate::continuation::{Continuation, ParkedContinuation};
 use crate::delivery::{Flusher, PartitionBatcher, QueuedRun, RequestRound, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
+use crate::ledger::RequestLedger;
 use crate::placement::{
     component_to_value, no_host, placement_key, LiveSet, Lookup, PlacementService, Resolution,
     RouteKey,
@@ -87,14 +87,6 @@ pub(crate) const DLQ_TOPIC: &str = "kar-dlq";
 /// Execution counters of one component, useful in tests and benchmarks.
 #[derive(Debug, Default)]
 pub struct ComponentStats {
-    /// Invocations executed to completion (value, error, or tail call).
-    pub executed: AtomicU64,
-    /// Requests whose retry was postponed waiting for a pending callee.
-    pub deferred: AtomicU64,
-    /// Requests elided because their caller's component had failed (§4.4).
-    pub cancelled: AtomicU64,
-    /// Tail calls issued.
-    pub tail_calls: AtomicU64,
     /// Requests forwarded because this component does not host the type.
     pub forwarded: AtomicU64,
     /// Policy retries scheduled (failed attempts re-appended with a bumped
@@ -142,54 +134,6 @@ pub(crate) enum Admission {
     Forward(SharedRequest),
     /// Absorbed: a duplicate, or dropped (the queue copy drives the retry).
     Done,
-}
-
-/// A component's admission claims (retry dedupe): a request runs only if
-/// its id is neither in flight here nor completed. Claiming, completing and
-/// releasing each take this one lock, so two copies of one id admitted at
-/// once cannot both win, and a finishing request is completed and released
-/// in one step.
-struct Claims {
-    /// Requests admitted here and not yet finished, released or forwarded:
-    /// running, mailboxed, deferred on a callee or parked on the due-time
-    /// heap. Holds live work only, so a plain set.
-    inflight: HashSet<RequestId>,
-    /// Completed request ids, as bits. Aged out alongside queue retention:
-    /// a retry can only arrive from an unexpired queue record.
-    completed: AgingSet<IdBitmap>,
-}
-
-impl Claims {
-    /// Claims `id` for admission. False if it is in flight or completed: a
-    /// duplicate.
-    fn claim(&mut self, id: RequestId) -> bool {
-        !self.completed.contains(&id) && self.inflight.insert(id)
-    }
-
-    /// Gives up the claim on `id` without completing it.
-    fn release(&mut self, id: RequestId) {
-        self.inflight.remove(&id);
-    }
-
-    /// Completes `id`: every later copy is a duplicate.
-    fn complete(&mut self, id: RequestId) {
-        self.completed.insert(id);
-        self.inflight.remove(&id);
-    }
-}
-
-/// Happen-before retries waiting on their pending callee, and the response
-/// ids seen here that release them. A response is recorded and its waiters
-/// taken under the same lock admission checks and parks under, so no retry
-/// can park against a response already processed.
-struct Deferred {
-    /// Parked retries, by the callee whose response releases them.
-    parked: HashMap<RequestId, Vec<SharedRequest>>,
-    /// Response ids seen by this component, as bits. Aged out alongside
-    /// queue retention: a response old enough to leave the set has also
-    /// expired from every queue, so no deferred retry can still be waiting
-    /// on it.
-    seen_responses: AgingSet<IdBitmap>,
 }
 
 /// What one run of a handler (or of a resumed continuation) left behind:
@@ -343,7 +287,7 @@ pub(crate) enum RoundThen {
     Nested {
         nested: RequestId,
         /// The calling invocation and the rest of its handler, until the
-        /// round is placed; in the continuation table from then on.
+        /// round is placed; in the ledger from then on.
         caller: Option<ParkedContinuation>,
         /// Whether a failed round loses tells (see [`Outbox::failed`]).
         lost_tells: bool,
@@ -538,9 +482,6 @@ pub struct ComponentCore {
     /// partition range, and shrinks back as adopted ranges are retired;
     /// every sweep walks a snapshot of it.
     lanes: SnapshotVec<Arc<ConsumerLane>>,
-    /// Continuations parked on nested calls, keyed by the nested request id
-    /// (see [`crate::continuation`]).
-    continuations: ContinuationTable,
     /// Set after the first failed heartbeat (the component was fenced or its
     /// group is gone): parity with the old dedicated heartbeat thread, which
     /// exited at that point and took the bookkeeping aging with it.
@@ -564,13 +505,10 @@ pub struct ComponentCore {
     /// The resident set: every activated actor's slot, and the passivation
     /// bookkeeping of those that left it (see [`crate::resident`]).
     pub(crate) resident: ResidentSet,
-    pending_calls: Mutex<HashMap<RequestId, Arc<CallSlot>>>,
-    /// Happen-before retries parked on their callee, and the response ids
-    /// that release them, under one lock.
-    deferred: Mutex<Deferred>,
-    /// Admission claims: in-flight ids checked against completed ones,
-    /// under one lock.
-    claims: Mutex<Claims>,
+    /// Every id-keyed table of the retry orchestration — claims, seen
+    /// responses, deferred retries, parked continuations and blocked edge
+    /// callers — under one lock (see [`crate::ledger`]).
+    pub(crate) ledger: RequestLedger,
     /// The mesh-wide retry token bucket (shared by every component): each
     /// *scheduled* retry admission spends one token; an empty bucket sheds
     /// the retry back onto its backoff timer (never dropped).
@@ -669,7 +607,6 @@ impl ComponentCore {
             wakeup,
             io,
             lanes: SnapshotVec::new(),
-            continuations: ContinuationTable::default(),
             heartbeats_stopped: AtomicBool::new(false),
             consumed_offsets: RwLock::new(consumed_offsets),
             batcher: PartitionBatcher::default(),
@@ -677,15 +614,7 @@ impl ComponentCore {
             adopted_at: Mutex::new(HashMap::new()),
             retired: Mutex::new(Vec::new()),
             resident,
-            pending_calls: Mutex::new(HashMap::new()),
-            deferred: Mutex::new(Deferred {
-                parked: HashMap::new(),
-                seen_responses: AgingSet::new(bookkeeping_interval),
-            }),
-            claims: Mutex::new(Claims {
-                inflight: HashSet::new(),
-                completed: AgingSet::new(bookkeeping_interval),
-            }),
+            ledger: RequestLedger::new(bookkeeping_interval),
             budget,
             breakers,
             poll_faults: AtomicU64::new(0),
@@ -773,16 +702,13 @@ impl ComponentCore {
         for lane in &lanes {
             self.detach_lane(lane);
         }
-        // Parked continuations are in-memory state: dropped with the
-        // process. The queue copies of their original requests drive the
-        // retries on the adopters (§4.3).
-        self.continuations.clear();
-        // Every client thread blocked on a call wakes to the kill.
-        for (id, slot) in self.pending_calls.lock().drain() {
+        // Claims, deferred retries and parked continuations are in-memory
+        // state: dropped with the process. The queue copies of their
+        // requests drive the retries on the adopters (§4.3). Every client
+        // thread blocked on a call wakes to the kill.
+        for (id, slot) in self.ledger.clear() {
             slot.answer(id, Answer::Killed);
         }
-        self.deferred.lock().parked.clear();
-        self.claims.lock().inflight.clear();
         // Buffered (not yet appended) completions and tells die with the
         // process, and so do the handlers waiting on those tells; the
         // affected requests' queue copies drive the retry.
@@ -887,12 +813,8 @@ impl ComponentCore {
                     .load(Ordering::Relaxed),
             );
         }
-        let _ = writeln!(
-            out,
-            "  continuations: parked={} parks_total={}",
-            self.continuations.len(),
-            self.continuations.parked_total(),
-        );
+        let (parked, parks) = self.ledger.continuations();
+        let _ = writeln!(out, "  continuations: parked={parked} parks_total={parks}");
         let (passivations, rehydrations, deferrals) = self.passivation_stats();
         let _ = writeln!(
             out,
@@ -904,37 +826,7 @@ impl ComponentCore {
             self.stats.placements_released.load(Ordering::Relaxed),
         );
         self.resident.debug_actors(&mut out);
-        match self.deferred.try_lock() {
-            Some(deferred) => {
-                for (callee, requests) in deferred.parked.iter() {
-                    let ids: Vec<u64> = requests.iter().map(|r| r.id.as_u64()).collect();
-                    let _ = writeln!(out, "  deferred on callee {}: {ids:?}", callee.as_u64());
-                }
-            }
-            None => {
-                let _ = writeln!(out, "  deferred: <LOCK HELD>");
-            }
-        }
-        match self.claims.try_lock() {
-            Some(claims) => {
-                let mut ids: Vec<u64> = claims.inflight.iter().map(|id| id.as_u64()).collect();
-                ids.sort_unstable();
-                let _ = writeln!(out, "  inflight: {ids:?}");
-            }
-            None => {
-                let _ = writeln!(out, "  inflight: <LOCK HELD>");
-            }
-        }
-        match self.pending_calls.try_lock() {
-            Some(calls) => {
-                let mut waiting: Vec<u64> = calls.keys().map(|id| id.as_u64()).collect();
-                waiting.sort_unstable();
-                let _ = writeln!(out, "  blocked calls waiting: {waiting:?}");
-            }
-            None => {
-                let _ = writeln!(out, "  blocked calls waiting: <LOCK HELD>");
-            }
-        }
+        self.ledger.debug(&mut out);
         out
     }
 
@@ -971,12 +863,13 @@ impl ComponentCore {
     /// callee or parked on the due-time heap at this component (used by
     /// reconciliation to decide whether a copy found in a failed queue is
     /// superseded or must be re-homed). Each of those holds its admission
-    /// claim, so one `inflight` lookup finds them all. A record polled but
+    /// claim, so one lookup under the ledger lock finds them all — a parked
+    /// continuation's original request included. A record polled but
     /// not yet admitted needs no entry here: its lane publishes the
     /// partition's consumed offset past it only once admission has claimed
     /// it, so until then it still counts as queued.
     pub(crate) fn locally_pending(&self, id: RequestId) -> bool {
-        if self.claims.lock().inflight.contains(&id) {
+        if self.ledger.in_flight(id) {
             return true;
         }
         // A tail call to the same actor gives up its claim when it
@@ -1387,10 +1280,10 @@ impl ComponentCore {
         };
         self.sidecar_hop();
         let slot = CallSlot::waiting_for(id);
-        self.pending_calls.lock().insert(id, Arc::clone(&slot));
+        self.ledger.await_call(id, Arc::clone(&slot));
         if let Err(error) = self.issue_outbox(message) {
             // The caller gets the error now, not a response later.
-            self.pending_calls.lock().remove(&id);
+            self.ledger.forget_call(id);
             slot.release();
             return Err(error);
         }
@@ -1464,7 +1357,7 @@ impl ComponentCore {
         } else {
             slot.wait(deadline.saturating_sub(mono_now()))
         };
-        self.pending_calls.lock().remove(&id);
+        self.ledger.forget_call(id);
         slot.release();
         match answer {
             Some(Answer::Response(payload)) => {
@@ -1487,35 +1380,30 @@ impl ComponentCore {
     // ------------------------------------------------------------------
 
     fn handle_response(self: &Arc<Self>, response: &ResponseMessage) {
-        // Record the response and take its deferred retries under one
-        // `deferred` lock: admission's check-and-defer takes the same lock,
-        // so a retry can never park itself against a response that has
-        // already been processed (lost wakeup). A deferred retry holds its
+        // Record the response and take everything waiting on it under the
+        // ledger lock: admission's check-and-defer takes the same lock, so a
+        // retry can never park itself against a response that has already
+        // been processed (lost wakeup), and the continuation and the caller
+        // slot are taken exactly once, so a duplicate response (a retried
+        // callee) cannot resume or answer twice. A deferred retry holds its
         // admission claim, so it stays locally pending until it runs.
-        let deferred = {
-            let mut deferred = self.deferred.lock();
-            deferred.seen_responses.insert(response.id);
-            deferred.parked.remove(&response.id)
-        };
-        let mut consumed = deferred.is_some();
-        // A continuation parked on this response resumes inline, on the
-        // reactor that polled the response record. The claim is exclusive,
-        // so a duplicate response (a retried callee) cannot resume it twice.
-        if let Some(parked) = self.continuations.take(response.id) {
+        let (continuation, caller, deferred) = self.ledger.respond(response.id);
+        let consumed = continuation.is_some() || caller.is_some() || !deferred.is_empty();
+        // A parked continuation resumes inline, on the reactor that polled
+        // the response record.
+        if let Some(parked) = continuation {
             let input: KarResult<Value> = (*response.result).clone();
-            consumed = true;
             self.resume_continuation(parked, input);
         }
-        if let Some(slot) = self.pending_calls.lock().remove(&response.id) {
+        if let Some(slot) = caller {
             // Hand the blocked caller the shared payload — no deep copy; the
             // caller materializes an owned value once, at the API boundary.
-            consumed = true;
             slot.answer(response.id, Answer::Response(Arc::clone(&response.result)));
         }
         // Unblock any re-homed caller whose retry was waiting for this callee
         // to settle (happen-before), admitting each inline past its claim;
         // none can join them now that the response is seen.
-        for mut request in deferred.into_iter().flatten() {
+        for mut request in deferred {
             request.make_mut().pending_callee = None;
             let admission = self.admit_held(request);
             self.carry_out(admission);
@@ -1592,8 +1480,8 @@ impl ComponentCore {
     ///
     /// Deduplication is a *claim*, taken first: two copies of one id can be
     /// admitted at the same moment (from a home lane and an adopted lane),
-    /// and only the one whose insert into `inflight` — checked against
-    /// `completed` under the same lock — wins goes on. Whatever is run or
+    /// and only the one whose ledger claim — checked against the completed
+    /// ids under the same lock — wins goes on. Whatever is run or
     /// [`Admission::Parked`] keeps the claim until it finishes, so a second
     /// copy arriving meanwhile is a duplicate; a forward or a drop releases
     /// it.
@@ -1601,7 +1489,7 @@ impl ComponentCore {
         if !self.is_alive() {
             return Admission::Done;
         }
-        if !self.claims.lock().claim(request.id) {
+        if !self.ledger.claim(request.id) {
             return Admission::Done;
         }
         self.admit_held(request)
@@ -1614,7 +1502,7 @@ impl ComponentCore {
         let id = request.id;
         let admission = self.admit_claimed(request);
         if matches!(admission, Admission::Forward(_) | Admission::Done) {
-            self.claims.lock().release(id);
+            self.ledger.release(id);
         }
         admission
     }
@@ -1709,25 +1597,14 @@ impl ComponentCore {
 
     /// Parks `request` — a retried caller — until its pending `callee`'s
     /// response is seen, unless it is already: then hands it back, its
-    /// annotation cleared. The deferred lock is held across the
-    /// seen-response check and the park, mirroring handle_response, so the
-    /// callee's response cannot slip in between them and leave this retry
-    /// parked forever.
-    fn defer_on_callee(
-        &self,
-        callee: RequestId,
-        mut request: SharedRequest,
-    ) -> Option<SharedRequest> {
-        {
-            let mut deferred = self.deferred.lock();
-            if !deferred.seen_responses.contains(&callee) {
-                self.stats.deferred.fetch_add(1, Ordering::Relaxed);
-                deferred.parked.entry(callee).or_default().push(request);
-                return None;
-            }
-        }
-        request.make_mut().pending_callee = None;
-        Some(request)
+    /// annotation cleared. The ledger checks the seen mark and parks under
+    /// one lock, the lock `handle_response` records the response under, so
+    /// the callee's response cannot slip in between them and leave this
+    /// retry parked forever.
+    fn defer_on_callee(&self, callee: RequestId, request: SharedRequest) -> Option<SharedRequest> {
+        let mut due_now = self.ledger.defer(callee, request)?;
+        due_now.make_mut().pending_callee = None;
+        Some(due_now)
     }
 
     /// Admits `request`, its ownership verified in epoch `stamp` after
@@ -2016,7 +1893,6 @@ impl ComponentCore {
         if self.config.cancellation == CancellationPolicy::Cancel
             && self.should_cancel(&frame.request)
         {
-            self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             let cancelled = KarError::Cancelled {
                 request: frame.request.id,
             };
@@ -2137,7 +2013,7 @@ impl ComponentCore {
         let requests: Vec<RequestMessage> = std::iter::once(request)
             .chain(siblings)
             .map(|request| {
-                self.claims.lock().release(request.id);
+                self.ledger.release(request.id);
                 self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                 request.into_owned()
             })
@@ -2251,7 +2127,7 @@ impl ComponentCore {
         if let RoundThen::Nested { nested, caller, .. } = &mut then {
             if let Some(mut caller) = caller.take() {
                 caller.deadline = mono_now() + self.config.call_timeout;
-                self.continuations.park(*nested, caller);
+                self.ledger.park(*nested, caller);
             }
         }
         let due = round.round.submit(&self.producer, &self.topic);
@@ -2285,7 +2161,7 @@ impl ComponentCore {
                 // Never placed, or parked and to be taken back — unless a
                 // racing timer claimed it as timed out first: the timeout
                 // path owns the resume then.
-                match caller.or_else(|| self.continuations.take(nested)) {
+                match caller.or_else(|| self.ledger.take(nested)) {
                     Some(caller) => Self::nested_round_failed(caller, error, lost_tells, guarded),
                     None => Step::Done,
                 }
@@ -2487,18 +2363,13 @@ impl ComponentCore {
     fn complete(self: &Arc<Self>, frame: Frame, result: KarResult<Outcome>) -> Step {
         let request = &frame.request;
         match result {
-            Ok(Outcome::Value(value)) => {
-                self.stats.executed.fetch_add(1, Ordering::Relaxed);
-                self.respond(frame, Ok(value))
-            }
+            Ok(Outcome::Value(value)) => self.respond(frame, Ok(value)),
             Ok(Outcome::CallThen { .. }) => unreachable!("parked when the handler returned"),
             Ok(Outcome::TailCall {
                 target,
                 method,
                 args,
             }) => {
-                self.stats.executed.fetch_add(1, Ordering::Relaxed);
-                self.stats.tail_calls.fetch_add(1, Ordering::Relaxed);
                 let same_actor = target == request.target;
                 let tail = RequestMessage {
                     id: request.id,
@@ -2525,7 +2396,7 @@ impl ComponentCore {
                     // The successor is a second record of this id.
                     single_copy: false,
                 };
-                self.claims.lock().release(request.id);
+                self.ledger.release(request.id);
                 if same_actor && frame.holds_lock {
                     // Retain the actor lock across the tail call: the
                     // continuation bypasses the mailbox when its queue
@@ -2552,7 +2423,6 @@ impl ComponentCore {
                 Step::Done
             }
             Err(error) => {
-                self.stats.executed.fetch_add(1, Ordering::Relaxed);
                 // Policy-orchestrated failure: schedule a retry copy
                 // (in which case nothing completes here — the copy
                 // carries the schedule), or settle the failure as
@@ -2652,7 +2522,7 @@ impl ComponentCore {
     }
 
     fn finish(&self, request: &RequestMessage) {
-        self.claims.lock().complete(request.id);
+        self.ledger.complete(request.id);
         if !Self::awaits_response(request) {
             // A finished tell (or tell-rooted tail-call chain) leaves no
             // completion record to wait for. Its outbox round has been
@@ -2718,7 +2588,7 @@ impl ComponentCore {
         // dedupes against in-flight ids, so the opposite order would swallow
         // the copy. A crash inside this window is safe — the original queue
         // copy still drives recovery, schedule state included.
-        self.claims.lock().release(request.id);
+        self.ledger.release(request.id);
         // The copy supersedes the record this attempt was polled from, which
         // settles once the copy is durable (taken first: the copy may be
         // routed before its ack is in).
@@ -3062,14 +2932,19 @@ impl ComponentCore {
             if self.broker.heartbeat(&self.group, self.id).is_err() {
                 self.heartbeats_stopped.store(true, Ordering::Relaxed);
             } else {
-                self.age_retry_bookkeeping();
+                // The retry bookkeeping and the passivation tombstones age
+                // on one doubled retention clock: a tombstone never consumed
+                // by a rehydration ages out, and its placement is released.
+                let aged_at = mono_now();
+                self.ledger.age(aged_at);
+                self.resident.rotate_tombstones(aged_at);
             }
         }
         // Continuations past their deadline are handed to the due-time heap
         // here and resumed with a timeout error on a reactor, one sidecar
         // hop later like any resume: an application continuation that
         // misbehaves must not stall every component's heartbeat.
-        for (nested, parked) in self.continuations.take_expired(now) {
+        for (nested, parked) in self.ledger.take_expired(now) {
             let error = KarError::Timeout {
                 request: nested,
                 after_ms: self.config.call_timeout.as_millis() as u64,
@@ -3252,30 +3127,6 @@ impl ComponentCore {
         }
     }
 
-    /// Rotates the aged retry-bookkeeping sets if their retention interval
-    /// elapsed (piggybacked on the mesh timer's heartbeat tick).
-    fn age_retry_bookkeeping(&self) {
-        let now = mono_now();
-        self.claims.lock().completed.maybe_rotate(now);
-        self.deferred.lock().seen_responses.maybe_rotate(now);
-        // Passivation tombstones rotate on the same doubled clock as the
-        // dedup sets: a tombstone that was never consumed by a rehydration
-        // ages out, and its actor's placement is released.
-        self.resident.rotate_tombstones(now);
-    }
-
-    /// Sizes of the retry-bookkeeping sets: (completed ids, seen response
-    /// ids), each a request-id bitmap on the doubled retention clock, under
-    /// the claims and the deferred lock respectively. Both empty once two
-    /// bookkeeping intervals pass with no traffic
-    /// (`retry_orchestration::retry_bookkeeping_empties_after_two_intervals`).
-    pub fn retry_bookkeeping_len(&self) -> (usize, usize) {
-        (
-            self.claims.lock().completed.len(),
-            self.deferred.lock().seen_responses.len(),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Idle-actor passivation & admission watermarks
     // ------------------------------------------------------------------
@@ -3360,15 +3211,7 @@ impl ComponentCore {
         if !self.resident.settle_release(now, &self.stats) || self.is_paused() {
             return;
         }
-        let waiting: HashSet<ActorRef> = self
-            .deferred
-            .lock()
-            .parked
-            .values()
-            .flatten()
-            .map(|request| request.target.clone())
-            .collect();
-        let released = self.resident.begin_release(&waiting);
+        let released = self.resident.begin_release(&self.ledger.deferred_actors());
         if released.is_empty() {
             return;
         }
@@ -3402,17 +3245,6 @@ impl ComponentCore {
     /// retired.
     pub fn consumer_thread_count(&self) -> usize {
         self.lanes.load().len()
-    }
-
-    /// Number of continuations currently parked on nested calls.
-    pub fn parked_continuations(&self) -> usize {
-        self.continuations.len()
-    }
-
-    /// Total number of continuation parks since the component started: each
-    /// one is a nested call that did *not* block a thread.
-    pub fn continuation_parks(&self) -> u64 {
-        self.continuations.parked_total()
     }
 
     /// `(requests sent, rounds acknowledged)` on this component's request
@@ -3529,10 +3361,6 @@ mod tests {
     #[test]
     fn component_stats_default_to_zero() {
         let stats = ComponentStats::default();
-        assert_eq!(stats.executed.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.deferred.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.cancelled.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.tail_calls.load(Ordering::Relaxed), 0);
         assert_eq!(stats.forwarded.load(Ordering::Relaxed), 0);
     }
 
@@ -3574,7 +3402,7 @@ mod tests {
             payload: Arc::new(Envelope::Request(request.clone())),
         };
         core.settle.routed(0, &[polled]);
-        assert!(core.claims.lock().claim(request.id));
+        assert!(core.ledger.claim(request.id));
         let frame = Frame {
             request: request.into(),
             holds_lock: false,

@@ -11,7 +11,7 @@
 //! partition touched — when the handler returns: a value, an error, a tail
 //! call, or a nested call to park on ([`ActorContext::call_then`]), whose
 //! request rides the same round. Nothing waits for the round on a reactor:
-//! the invocation parks until the ack is due (see [`crate::io`]).
+//! the invocation parks until the ack is due (see `crate::io`).
 //! Invariants:
 //!
 //! 1. **Order is outbox → state flush → completion, never state first.**

@@ -78,6 +78,7 @@ pub mod continuation;
 mod delivery;
 pub mod faults;
 mod io;
+mod ledger;
 pub mod mesh;
 pub mod placement;
 pub mod recovery;

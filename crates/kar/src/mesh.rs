@@ -736,12 +736,13 @@ impl Mesh {
     /// Number of continuations one component currently holds parked for
     /// nested responses.
     pub fn parked_continuations(&self, component: ComponentId) -> Option<usize> {
-        self.with_core(component, |core| core.parked_continuations())
+        self.with_core(component, |core| core.ledger.continuations().0)
     }
 
-    /// Total number of continuation parks one component has performed.
+    /// Total number of continuation parks one component has performed: each
+    /// one is a nested call that did *not* block a thread.
     pub fn continuation_parks(&self, component: ComponentId) -> Option<u64> {
-        self.with_core(component, |core| core.continuation_parks())
+        self.with_core(component, |core| core.ledger.continuations().1)
     }
 
     /// `(requests sent, produce rounds acknowledged)` on one component's
@@ -778,10 +779,13 @@ impl Mesh {
         self.with_core(component, |core| core.placement_counters())
     }
 
-    /// Sizes of one component's aged retry-bookkeeping sets (completed ids,
-    /// seen response ids).
+    /// Sizes of one component's aged retry-bookkeeping sets: (completed
+    /// ids, seen response ids), each a request-id bitmap on the doubled
+    /// retention clock, both in its request ledger under the one ledger
+    /// lock. Both empty once two bookkeeping intervals pass with no traffic
+    /// (`retry_orchestration::retry_bookkeeping_empties_after_two_intervals`).
     pub fn retry_bookkeeping_len(&self, component: ComponentId) -> Option<(usize, usize)> {
-        self.with_core(component, |core| core.retry_bookkeeping_len())
+        self.with_core(component, |core| core.ledger.bookkeeping_len())
     }
 
     /// Number of resident (activated, in-memory) actors on one component.

@@ -4,7 +4,7 @@
 //! the type's [`hosts_key`] hash. The first invocation
 //! of an actor instance places it on a compatible live component using a
 //! compare-and-swap on the store; subsequent invocations hit the placement
-//! cache. What the cache misses is a [`Lookup`]: the store round trips that
+//! cache. What the cache misses is a `Lookup`: the store round trips that
 //! resolve it are submitted and settled, never waited for on a reactor.
 //! Placement decisions for actors hosted by failed components are
 //! invalidated during reconciliation, and caches are flushed when recovery
@@ -405,7 +405,7 @@ impl PlacementService {
     /// invalidate or rewrite it rather than double-place the actor. How to
     /// wait for that is the caller's business. Only for the lookups that may
     /// block: a round sent from a reactor resolves its misses as a
-    /// [`Lookup`] it parks on (`ComponentCore::place_once`).
+    /// `Lookup` it parks on (`ComponentCore::place_once`).
     ///
     /// # Errors
     ///

@@ -43,7 +43,7 @@ use parking_lot::{Mutex, RwLock};
 
 use kar_queue::{Broker, GroupEvent, PartitionSet};
 use kar_store::Store;
-use kar_types::{ComponentId, Envelope, RequestId, RequestMessage, ResponseMessage, Value};
+use kar_types::{ComponentId, Envelope, RequestId, RequestMessage, ResponseMessage};
 
 use crate::component::ComponentCore;
 use crate::config::MeshConfig;
@@ -988,12 +988,6 @@ fn spread(key: &str, len: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() as usize) % len
-}
-
-/// Placement value helpers re-exported for tests.
-#[allow(dead_code)]
-pub(crate) fn placement_value(component: ComponentId) -> Value {
-    component_to_value(component)
 }
 
 #[cfg(test)]

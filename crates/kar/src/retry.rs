@@ -6,13 +6,13 @@
 //! inside request records; this module holds the two mesh-level safety
 //! valves that sit between a scheduled retry and its execution:
 //!
-//! * [`RetryBudget`] — a RetryGuard-style token bucket shared by every
+//! * `RetryBudget` — a RetryGuard-style token bucket shared by every
 //!   component of a mesh. Each orchestrated retry spends one token when its
 //!   backoff deadline fires; when the bucket is empty the retry is *shed* —
 //!   re-queued on its own backoff delay, never dropped — so a partial
 //!   failure produces a bounded, deterministic retry load on the broker
 //!   instead of a melt.
-//! * [`BreakerRegistry`] — per-actor-type circuit breakers (closed → open
+//! * `BreakerRegistry` — per-actor-type circuit breakers (closed → open
 //!   on failure-rate threshold → half-open probe). While a type's breaker
 //!   is open, the dispatch layer fails invocations of the type fast with
 //!   [`KarError::CircuitOpen`] instead of executing them; after the

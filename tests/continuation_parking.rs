@@ -1,7 +1,7 @@
 //! Chaos test for the continuation-parking tentpole: a component is killed
 //! while at least one invocation is *parked* — its handler returned
-//! `Outcome::CallThen`, its worker was released, and only the continuation
-//! table remembers the nested call. Re-homing must replay the original
+//! `Outcome::CallThen`, its worker was released, and only the request
+//! ledger remembers the nested call. Re-homing must replay the original
 //! request from the queue copy exactly like a killed blocked-thread
 //! invocation: acknowledged effects apply exactly once and per-actor FIFO
 //! order survives, even though the parked continuation itself dies with the

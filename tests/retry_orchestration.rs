@@ -499,3 +499,71 @@ fn retry_bookkeeping_empties_after_two_intervals() {
     assert_eq!(mesh.retry_bookkeeping_len(server), Some((1, 0)));
     mesh.shutdown();
 }
+
+/// Holds its handler until the test opens the gate, after signalling that
+/// it has started (or for 20 s, so a failed test cannot wedge a reactor).
+struct Gate(Arc<(std::sync::Mutex<(bool, bool)>, std::sync::Condvar)>);
+
+impl Actor for Gate {
+    fn invoke(
+        &mut self,
+        _ctx: &mut ActorContext<'_>,
+        _method: &str,
+        _args: &[Value],
+    ) -> KarResult<Outcome> {
+        let (state, changed) = &*self.0;
+        let mut state = state.lock().unwrap();
+        state.0 = true;
+        changed.notify_all();
+        let _open = changed
+            .wait_timeout_while(state, Duration::from_secs(20), |state| !state.1)
+            .unwrap();
+        Ok(Outcome::value(Value::Null))
+    }
+}
+
+#[test]
+fn a_blocked_call_returns_killed_when_its_component_is_killed() {
+    // The kill answers every edge caller blocked on the killed component at
+    // once: the call fails with `Killed`, long before its timeout.
+    let config = MeshConfig {
+        call_timeout: Duration::from_secs(30),
+        ..MeshConfig::for_tests().with_reactor_threads(2)
+    };
+    let mesh = Mesh::new(config);
+    let node = mesh.add_node();
+    let gate: Arc<(std::sync::Mutex<(bool, bool)>, std::sync::Condvar)> = Arc::default();
+    mesh.add_component(node, "gate", {
+        let gate = Arc::clone(&gate);
+        move |c| c.host("Gate", move || Box::new(Gate(Arc::clone(&gate))))
+    });
+    let client = mesh.client();
+    let caller = client.component_id();
+    let started = Instant::now();
+    let call = std::thread::spawn({
+        let client = client.clone();
+        move || client.call(&ActorRef::new("Gate", "g"), "wait", Vec::new())
+    });
+    // The handler runs: the call is issued, and its caller blocked on it.
+    {
+        let (state, changed) = &*gate;
+        let state = state.lock().unwrap();
+        let state = changed
+            .wait_timeout_while(state, Duration::from_secs(10), |state| !state.0)
+            .unwrap()
+            .0;
+        assert!(state.0, "the gate's handler never ran");
+    }
+    mesh.kill_component(caller);
+    let result = call.join().unwrap();
+    assert_eq!(result, Err(KarError::Killed { component: caller }));
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the killed call took {:?}",
+        started.elapsed()
+    );
+    let (state, changed) = &*gate;
+    state.lock().unwrap().1 = true;
+    changed.notify_all();
+    mesh.shutdown();
+}
