@@ -1,4 +1,15 @@
-//! Small synchronization primitives shared across the workspace.
+//! Small synchronization primitives shared across the workspace, and the
+//! one hand-off idiom every wait in the runtime follows:
+//!
+//! - readiness is an atomic, read without a lock: a [`WaitSignal`]'s
+//!   sequence, a blocked call's answer flag;
+//! - a waker takes the mutex and wakes the condvar — a futex syscall — only
+//!   when a waiter has parked, so an event nobody sleeps on costs an atomic;
+//! - only a caller on its own critical path yields before it parks: a
+//!   client blocked on a call's answer, for a window about one round trip
+//!   long, and a wait for a modelled instant, for its last
+//!   [`SPIN_MARGIN`](crate::SPIN_MARGIN) ([`WaitSignal::wait_until`]). A
+//!   reactor with nothing due parks at once.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

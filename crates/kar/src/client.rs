@@ -8,6 +8,7 @@
 //! never-killed simulator node).
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -86,8 +87,29 @@ impl std::fmt::Debug for Client {
 /// call allocates none. The slot knows which request it waits for: the late
 /// answer to an earlier call of the thread — one that gave up before its
 /// response arrived — is dropped, never handed to a later call.
+///
+/// The hand-off is the workspace's one wake idiom (see [`kar_types::sync`]):
+///
+/// - readiness is an atomic: [`CallSlot::answer`] stores the answer and sets
+///   `ready` under the slot's mutex;
+/// - the waker skips the futex unless the waiter has parked: `answer`
+///   notifies the condvar only if it saw `parked` under that mutex;
+/// - the caller, on its own critical path, yields before it parks:
+///   [`CallSlot::wait`] gives the thread up until `ready` is set or
+///   [`SPIN_WINDOW`] passes, and only then takes the mutex, marks itself
+///   `parked`, re-checks the answer and sleeps on the condvar.
+///
+/// At zero latency the answer usually lands inside the window, and the
+/// hand-off costs neither side a syscall. Both of `parked`'s accesses are
+/// under the mutex and the condvar wait releases it atomically, so an
+/// answer either finds the waiter parked and wakes it or lands before the
+/// re-check: no wakeup is lost.
 #[derive(Default)]
 pub(crate) struct CallSlot {
+    /// Set (`Release`) once the answer is in `state`, and read (`Acquire`)
+    /// without the lock by the yielding waiter, which then takes the answer
+    /// under the mutex; cleared when the slot is armed for a call.
+    ready: AtomicBool,
     state: Mutex<SlotState>,
     answered: Condvar,
 }
@@ -97,7 +119,17 @@ struct SlotState {
     /// The request the slot waits for; `None` between calls.
     waiting_for: Option<RequestId>,
     answer: Option<Answer>,
+    /// The waiter sleeps on the condvar (or is about to): an answer must
+    /// notify it.
+    parked: bool,
 }
+
+/// How long [`CallSlot::wait`] yields before it parks: about the 95th
+/// percentile of one zero-latency round trip on a 2-core x86-64 VM. A
+/// longer window buys few more hand-offs and costs CPU wherever answers
+/// come late (120 µs raised `actor_churn`'s CPU and p95); a call whose
+/// answer needs longer than this parks as before, one window later.
+pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
 /// How a blocked call ends, short of its timeout.
 pub(crate) enum Answer {
@@ -122,20 +154,22 @@ impl CallSlot {
             .ok()
             .flatten()
             .unwrap_or_default();
-        *slot.lock() = SlotState {
-            waiting_for: Some(id),
-            answer: None,
-        };
+        slot.arm(Some(id));
         slot
     }
 
-    /// Answers the call of `id`, if the slot still waits for it.
+    /// Answers the call of `id`, if the slot still waits for it; wakes the
+    /// waiter only if it has parked.
     pub(crate) fn answer(&self, id: RequestId, answer: Answer) {
         let mut state = self.lock();
         if state.waiting_for == Some(id) && state.answer.is_none() {
             state.answer = Some(answer);
+            self.ready.store(true, Ordering::Release);
+            let parked = state.parked;
             drop(state);
-            self.answered.notify_one();
+            if parked {
+                self.answered.notify_one();
+            }
         }
     }
 
@@ -144,36 +178,55 @@ impl CallSlot {
         self.lock().answer.take()
     }
 
-    /// Blocks until the answer arrives, or `timeout` elapses (`None`).
+    /// Blocks until the answer arrives, or `timeout` elapses (`None`):
+    /// yields for up to [`SPIN_WINDOW`] of the timeout, then parks.
     pub(crate) fn wait(&self, timeout: Duration) -> Option<Answer> {
-        let deadline = Instant::now() + timeout;
+        let started = Instant::now();
+        let deadline = started + timeout;
+        let spin_end = started + SPIN_WINDOW.min(timeout);
+        while !self.ready.load(Ordering::Acquire) && Instant::now() < spin_end {
+            std::thread::yield_now();
+        }
         let mut state = self.lock();
-        loop {
+        let answer = loop {
             if let Some(answer) = state.answer.take() {
-                return Some(answer);
+                break Some(answer);
             }
             let now = Instant::now();
             if now >= deadline {
-                return None;
+                break None;
             }
+            state.parked = true;
             state = self
                 .answered
                 .wait_timeout(state, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
-        }
+        };
+        state.parked = false;
+        answer
     }
 
     /// The call is over: the slot stops waiting and goes back to its
     /// thread.
     pub(crate) fn release(self: Arc<Self>) {
-        *self.lock() = SlotState::default();
+        self.arm(None);
         let _ = SPARE_SLOT.try_with(|spare| {
             let mut spare = spare.borrow_mut();
             if spare.is_none() {
                 *spare = Some(self);
             }
         });
+    }
+
+    /// Empties the slot and has it wait for `id`.
+    fn arm(&self, id: Option<RequestId>) {
+        let mut state = self.lock();
+        *state = SlotState {
+            waiting_for: id,
+            ..SlotState::default()
+        };
+        self.ready.store(false, Ordering::Relaxed);
     }
 
     fn lock(&self) -> MutexGuard<'_, SlotState> {
@@ -206,5 +259,146 @@ mod tests {
         assert!(second.try_answer().is_none(), "a late answer is dropped");
         delivering.answer(id(2), Answer::Killed);
         assert!(matches!(second.wait(Duration::ZERO), Some(Answer::Killed)));
+    }
+
+    /// Far longer than any wait below may take: a wait that reaches it
+    /// missed its wakeup.
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    fn response(value: i64) -> Answer {
+        Answer::Response(Arc::new(Ok(Value::Int(value))))
+    }
+
+    fn value_of(answer: Option<Answer>) -> Option<i64> {
+        match answer {
+            Some(Answer::Response(payload)) => payload.as_ref().as_ref().ok()?.as_i64(),
+            _ => None,
+        }
+    }
+
+    /// Answers each `(id, answer)` on `slot`, from a thread of its own,
+    /// `offset` after that thread starts — and, with `once_parked`, not
+    /// before the waiter has parked; returns once the thread has started.
+    fn answer_later(
+        slot: &Arc<CallSlot>,
+        offset: Duration,
+        once_parked: bool,
+        answers: Vec<(RequestId, Answer)>,
+    ) -> std::thread::JoinHandle<()> {
+        let slot = Arc::clone(slot);
+        let running = Arc::new(AtomicBool::new(false));
+        let started = Arc::clone(&running);
+        let answering = std::thread::spawn(move || {
+            let from = Instant::now();
+            started.store(true, Ordering::Release);
+            while from.elapsed() < offset {
+                std::hint::spin_loop();
+            }
+            while once_parked && !slot.lock().parked {
+                std::thread::yield_now();
+            }
+            for (id, answer) in answers {
+                slot.answer(id, answer);
+            }
+        });
+        while !running.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        answering
+    }
+
+    #[test]
+    fn an_answer_on_either_side_of_the_spin_window_wakes_the_caller() {
+        // At once and just inside the window, while the caller yields; just
+        // past it and well past it, once the caller has parked (on a busy
+        // host a yield can outlast the window, and the answer would beat
+        // the park).
+        const EPSILON: Duration = Duration::from_micros(5);
+        let offsets = [
+            Duration::ZERO,
+            SPIN_WINDOW - EPSILON,
+            SPIN_WINDOW + EPSILON,
+            2 * SPIN_WINDOW,
+        ];
+        let mut call = 0;
+        for offset in offsets {
+            for _ in 0..200 {
+                call += 1;
+                let id = RequestId::from_raw(call);
+                let slot = CallSlot::waiting_for(id);
+                let answering = answer_later(
+                    &slot,
+                    offset,
+                    offset > SPIN_WINDOW,
+                    vec![(id, response(call as i64))],
+                );
+                let started = Instant::now();
+                let answer = slot.wait(TIMEOUT);
+                let waited = started.elapsed();
+                answering.join().unwrap();
+                slot.release();
+                assert_eq!(
+                    value_of(answer),
+                    Some(call as i64),
+                    "call {call} at {offset:?}"
+                );
+                assert!(
+                    waited < TIMEOUT,
+                    "call {call} at {offset:?} waited out its timeout"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_late_answer_landing_while_the_reused_slot_spins_is_dropped() {
+        let id = RequestId::from_raw;
+        let first = CallSlot::waiting_for(id(1));
+        assert!(first.wait(Duration::ZERO).is_none(), "timed out");
+        first.release();
+        let second = CallSlot::waiting_for(id(2));
+        // The first call's answer lands a moment into the second's spin;
+        // the second's own answer, two windows later.
+        let stale = answer_later(&second, SPIN_WINDOW / 5, false, vec![(id(1), response(1))]);
+        let own = answer_later(&second, 2 * SPIN_WINDOW, false, vec![(id(2), response(2))]);
+        let answer = second.wait(TIMEOUT);
+        stale.join().unwrap();
+        own.join().unwrap();
+        second.release();
+        assert_eq!(value_of(answer), Some(2), "the stale answer was dropped");
+    }
+
+    #[test]
+    fn a_timeout_shorter_than_the_spin_window_ends_the_wait_on_time() {
+        const SHORT: Duration = Duration::from_micros(5);
+        let mut waits: Vec<Duration> = (0..200u64)
+            .map(|call| {
+                let slot = CallSlot::waiting_for(RequestId::from_raw(call));
+                let started = Instant::now();
+                assert!(slot.wait(SHORT).is_none(), "nobody answers");
+                let waited = started.elapsed();
+                slot.release();
+                assert!(waited >= SHORT, "wait {call} ended early: {waited:?}");
+                waited
+            })
+            .collect();
+        waits.sort();
+        // A wait that yielded out the whole window before looking at its
+        // deadline would take at least the window, every time.
+        let median = waits[waits.len() / 2];
+        assert!(median < SPIN_WINDOW / 2, "median wait {median:?}");
+    }
+
+    #[test]
+    fn a_kill_reaches_a_caller_still_spinning() {
+        for call in 0..200u64 {
+            let id = RequestId::from_raw(call);
+            let slot = CallSlot::waiting_for(id);
+            let killing = answer_later(&slot, SPIN_WINDOW / 4, false, vec![(id, Answer::Killed)]);
+            let answer = slot.wait(TIMEOUT);
+            killing.join().unwrap();
+            slot.release();
+            assert!(matches!(answer, Some(Answer::Killed)), "call {call}");
+        }
     }
 }

@@ -35,7 +35,9 @@ rows) are not compared. It also warns about every PR number between the
 first and the last row that has no row at all (a hole in the trajectory),
 and about every row whose CPU per operation moved by more than CPU_BOUND
 from the same workload's row of the previous PR that has one, when the two
-rows' calibrations agree.
+rows' calibrations agree. Last, it warns when the newest PR CHANGES.md
+records has no row: a hole at the end of the trajectory, which the
+between-rows check cannot see.
 
 `paper` appends the Table 2 cells `table2_latency --json` printed (read
 from --rows, or stdin) to BENCH_paper.jsonl, each with the PR, the commit
@@ -50,6 +52,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -60,6 +63,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_trajectory.jsonl"
 ROW_KEYS = ("pr", "commit", "source", "workload", "nproc", "seed", "seconds", "failed", "metrics")
 PAPER = ROOT / "BENCH_paper.jsonl"
+CHANGES = ROOT / "CHANGES.md"
+# A CHANGES.md line that opens a PR's entry: "PR 45 [simplicity] ...",
+# "PR 24 (2026-10-05): ..." or "- **PR 30 — ...".
+PR_ENTRY = re.compile(r"^(?:- \*\*)?PR (\d+)\b")
 PAPER_KEYS = ("pr", "commit", "profile", "column", "iterations", "measured_ms", "paper_ms", "ratio", "calibration")
 # The end-to-end bound BENCHMARK.json gives every metric.
 CALIBRATION_BOUND = 0.25
@@ -311,6 +318,17 @@ def missing_prs(rows):
     ]
 
 
+def unrecorded_newest(rows):
+    """A warning when the newest PR CHANGES.md records has no row."""
+    if not CHANGES.exists():
+        return []
+    entries = (PR_ENTRY.match(line) for line in CHANGES.read_text().splitlines())
+    newest = max((int(entry.group(1)) for entry in entries if entry), default=None)
+    if newest is None or newest in {row.get("pr") for _, row in rows}:
+        return []
+    return [f"PR {newest}, the newest in {CHANGES.name}, has no rows (`append --pr {newest} --cpu`)"]
+
+
 def check():
     metrics = declared_metrics()
     problems = []
@@ -341,7 +359,7 @@ def check():
     for problem in problems:
         print(problem, file=sys.stderr)
     warnings = calibration_drift(rows)
-    holes = missing_prs(rows)
+    holes = missing_prs(rows) + unrecorded_newest(rows)
     cpu_warnings = cpu_drift(rows)
     for warning in warnings + holes + cpu_warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -36,6 +36,12 @@
 //! how late each wait for a modelled instant wakes. A sixth does the same
 //! for a first call, whose placement lookup and activation add three store
 //! round trips to that path and nothing else.
+//!
+//! A seventh prices the hand-off between threads: the calling thread's
+//! voluntary context switches per warm echo call (Linux only), printed
+//! beside the allocations. A caller that parks on its slot sleeps once per
+//! call; one that yields for its answer first almost never does. The two
+//! timing tests and this one run only in release builds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,26 +145,51 @@ impl Actor for Counter {
 struct PerCall {
     allocations: f64,
     bytes: f64,
+    /// The calling thread's voluntary context switches — where
+    /// `/proc/thread-self/status` says.
+    switches: Option<f64>,
+}
+
+/// The calling thread's voluntary context switches so far, or `None`
+/// where `/proc/thread-self/status` is absent (not Linux).
+fn voluntary_switches() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))?
+        .trim()
+        .parse()
+        .ok()
 }
 
 /// Runs `call(i)` for the warm-up, then counts what `MEASURED_CALLS` more
-/// allocate.
+/// allocate, and how often the calling thread blocked meanwhile (read
+/// outside the allocation window: reading it allocates).
 fn measure(name: &str, mut call: impl FnMut(usize)) -> PerCall {
     for i in 0..WARMUP_CALLS {
         call(i);
     }
+    let switches = voluntary_switches();
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
     let bytes = BYTES.load(Ordering::SeqCst);
     for i in WARMUP_CALLS..WARMUP_CALLS + MEASURED_CALLS {
         call(i);
     }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - allocations;
+    let bytes = BYTES.load(Ordering::SeqCst) - bytes;
     let calls = MEASURED_CALLS as f64;
     let per_call = PerCall {
-        allocations: (ALLOCATIONS.load(Ordering::SeqCst) - allocations) as f64 / calls,
-        bytes: (BYTES.load(Ordering::SeqCst) - bytes) as f64 / calls,
+        allocations: allocations as f64 / calls,
+        bytes: bytes as f64 / calls,
+        switches: switches
+            .zip(voluntary_switches())
+            .map(|(before, after)| (after - before) as f64 / calls),
     };
+    let switches = per_call.switches.map_or_else(String::new, |switches| {
+        format!(", {switches:.2} voluntary switches/call")
+    });
     println!(
-        "{name}: {:.2} allocations/call, {:.0} bytes/call over {MEASURED_CALLS} warm calls",
+        "{name}: {:.2} allocations/call, {:.0} bytes/call{switches} over {MEASURED_CALLS} warm calls",
         per_call.allocations, per_call.bytes
     );
     per_call
@@ -179,6 +210,7 @@ fn measure_cold(name: &str, mut call: impl FnMut(usize)) -> PerCall {
     let per_call = PerCall {
         allocations: (ALLOCATIONS.load(Ordering::SeqCst) - allocations) as f64 / calls,
         bytes: (BYTES.load(Ordering::SeqCst) - bytes) as f64 / calls,
+        switches: None,
     };
     println!(
         "{name}: {:.2} allocations/call, {:.0} bytes/call over {COLD_MEASURED_CALLS} first calls",
@@ -205,17 +237,14 @@ fn mesh_of(
     (mesh, client)
 }
 
-#[test]
-fn a_warm_echo_call_stays_within_its_allocation_budget() {
-    let _serial = SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+/// Warm echo calls on the `echo_inmem` shape, measured.
+fn measure_echo(name: &str) -> PerCall {
     let (mesh, client) = mesh_hosting("Echo", || Box::new(Echo));
     let targets: Vec<ActorRef> = (0..WARM_ACTORS)
         .map(|actor| ActorRef::new("Echo", format!("e{actor}")))
         .collect();
     let payload = "x".repeat(20);
-    let cost = measure("echo", |i| {
+    let cost = measure(name, |i| {
         let args = vec![Value::from(payload.as_str()), Value::Int(i as i64)];
         let reply = client
             .call(&targets[i % WARM_ACTORS], "echo", args)
@@ -223,6 +252,15 @@ fn a_warm_echo_call_stays_within_its_allocation_budget() {
         assert_eq!(reply, Value::from(payload.as_str()));
     });
     mesh.shutdown();
+    cost
+}
+
+#[test]
+fn a_warm_echo_call_stays_within_its_allocation_budget() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let cost = measure_echo("echo");
     assert!(cost.allocations <= ECHO_ALLOCATIONS_CEILING, "{cost:?}");
     assert!(cost.bytes <= ECHO_BYTES_CEILING, "{cost:?}");
 }
@@ -405,6 +443,27 @@ fn a_cold_counter_call_costs_its_modelled_latencies_and_little_more() {
     );
 }
 
+/// A blocked caller yields for its answer before it parks, so a warm
+/// zero-latency call rarely sleeps on its slot: each park, and each wait
+/// for a lock held elsewhere, is one voluntary context switch of the
+/// calling thread.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "times the optimised call path: run with --release"
+)]
+fn a_warm_echo_call_stays_within_its_hand_off_budget() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let cost = measure_echo("echo hand-off");
+    let Some(switches) = cost.switches else {
+        println!("no /proc/thread-self/status: the hand-off is not counted here");
+        return;
+    };
+    assert!(switches <= ECHO_SWITCHES_CEILING, "{cost:?}");
+}
+
 const FIDELITY_ACTORS: usize = 8;
 const FIDELITY_CALLS: usize = 200;
 /// About three times the measured excess (0.06–0.09 ms on a 2-core
@@ -435,3 +494,11 @@ const COUNTER_BYTES_CEILING: f64 = 4_403.0;
 // first call. Loading it ahead of the handler must cost no more.
 const COLD_ALLOCATIONS_CEILING: f64 = 63.5;
 const COLD_BYTES_CEILING: f64 = 8_460.0;
+// The calling thread's voluntary context switches per warm echo call:
+// 0.99 while a blocked caller parked on its slot at once (one futex sleep
+// per call), 0.00–0.01 since it yields for its answer first (the same with
+// two CPU hogs beside the test; x86-64 Linux, 2 cores). A quarter above
+// that is under one switch per thousand calls — noise, not a ceiling — so
+// the ceiling is ten times the highest measurement: a caller that parks on
+// one call in ten fails it.
+const ECHO_SWITCHES_CEILING: f64 = 0.1;
