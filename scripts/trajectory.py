@@ -64,8 +64,8 @@ TRAJECTORY = ROOT / "BENCH_trajectory.jsonl"
 ROW_KEYS = ("pr", "commit", "source", "workload", "nproc", "seed", "seconds", "failed", "metrics")
 PAPER = ROOT / "BENCH_paper.jsonl"
 CHANGES = ROOT / "CHANGES.md"
-# A CHANGES.md line that opens a PR's entry: "PR 45 [simplicity] ...",
-# "PR 24 (2026-10-05): ..." or "- **PR 30 — ...".
+# A CHANGES.md line that opens a PR's entry: "PR <n> [archetype] ...",
+# "PR <n> (date): ..." or "- **PR <n> — ...".
 PR_ENTRY = re.compile(r"^(?:- \*\*)?PR (\d+)\b")
 PAPER_KEYS = ("pr", "commit", "profile", "column", "iterations", "measured_ms", "paper_ms", "ratio", "calibration")
 # The end-to-end bound BENCHMARK.json gives every metric.
