@@ -34,7 +34,7 @@
 //! assert_eq!(v.as_i64(), Some(42));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -7,9 +7,14 @@
 //!   when a waiter has parked, so an event nobody sleeps on costs an atomic;
 //! - only a caller on its own critical path yields before it parks: a
 //!   client blocked on a call's answer, for a window about one round trip
-//!   long, and a wait for a modelled instant, for its last
+//!   long (unless its latency profile puts the answer past the window), and
+//!   a wait for a modelled instant, for its last
 //!   [`SPIN_MARGIN`](crate::SPIN_MARGIN) ([`WaitSignal::wait_until`]). A
-//!   reactor with nothing due parks at once.
+//!   reactor with nothing due parks at once;
+//! - a thread that waits for a modelled instant runs with a 1 ns timer
+//!   slack, set once per thread, so its timed park ends within the
+//!   scheduler's wakeup latency of the margin and the yielding tail stays
+//!   short.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,9 +115,10 @@ impl WaitSignal {
     /// Blocks until the sequence moves past `seen` or the real-time
     /// [`mono_now`](crate::mono_now) timeline reaches `due` — a modelled
     /// instant, not a timeout. Parks until
-    /// [`SPIN_MARGIN`](crate::SPIN_MARGIN) before `due`, then yields the
-    /// thread until `due` passes, so the wait ends within a scheduling
-    /// quantum of `due` instead of a timer's slack after it. A bump in
+    /// [`SPIN_MARGIN`](crate::SPIN_MARGIN) before `due` (under the 1 ns
+    /// timer slack the park sets for this thread), then yields the thread
+    /// until `due` passes, so the wait ends within a scheduling quantum of
+    /// `due` instead of a timer's slack after it. A bump in
     /// either phase ends it at once. (A thread under a virtual clock paces
     /// to its instants instead: [`pace_until`](crate::pace_until).)
     pub fn wait_until(&self, seen: u64, due: Duration) {

@@ -248,20 +248,49 @@ pub fn mono_now() -> Duration {
 /// How long before a modelled instant a wait for it stops sleeping and
 /// starts yielding the thread.
 ///
-/// A `thread::sleep` or condvar timeout fires late: the kernel's default
-/// timer slack is 50 µs, and on a 2-core x86-64 Linux VM a 0.45–1.5 ms
-/// timed wait overshoots by 65–73 µs at the median and 85–106 µs at the
-/// 99th percentile. A modelled latency paid that way costs its value plus
-/// the overshoot, once per hop of a call. Waking `SPIN_MARGIN` early and
-/// yielding until the instant passes returns within a scheduling quantum
-/// of it instead; the margin covers the 99th-percentile overshoot.
-pub const SPIN_MARGIN: Duration = Duration::from_micros(120);
+/// A `thread::sleep` or condvar timeout fires late. Under the kernel's
+/// default 50 µs timer slack, a 0.45–1.5 ms timed wait on a 2-core x86-64
+/// Linux VM overshot by 65–73 µs at the median and 85–106 µs at the 99th
+/// percentile, and a modelled latency paid that way costs its value plus
+/// the overshoot, once per hop of a call. So a thread that waits for a
+/// modelled instant first sets its own slack to 1 ns, once, which leaves
+/// the scheduler's wakeup latency; waking `SPIN_MARGIN` early and yielding
+/// until the instant passes covers that.
+pub const SPIN_MARGIN: Duration = Duration::from_micros(30);
 
 /// How long a real-time wait for `due` may park or sleep before it yields:
-/// until [`SPIN_MARGIN`] before `due`.
+/// until [`SPIN_MARGIN`] before `due`. Tightens the calling thread's timer
+/// slack first.
 pub(crate) fn park_before(due: Duration) -> Duration {
+    tighten_timer_slack();
     due.saturating_sub(global_origin().elapsed())
         .saturating_sub(SPIN_MARGIN)
+}
+
+/// Sets the calling thread's timer slack to 1 ns, once per thread, so its
+/// timed waits fire within the scheduler's wakeup latency of their
+/// deadline instead of up to 50 µs after it. A no-op off Linux.
+#[allow(unsafe_code)]
+fn tighten_timer_slack() {
+    #[cfg(target_os = "linux")]
+    {
+        thread_local! {
+            static TIGHTENED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        }
+        if TIGHTENED.with(|tightened| tightened.replace(true)) {
+            return;
+        }
+        const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
+        extern "C" {
+            fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
+        }
+        // SAFETY: `PR_SET_TIMERSLACK` reads one `unsigned long` argument
+        // and changes only the calling thread's timer slack; a failure
+        // leaves the default slack, which is merely less precise.
+        unsafe {
+            prctl(PR_SET_TIMERSLACK, 1 as std::ffi::c_ulong);
+        }
+    }
 }
 
 /// The yielding tail of a real-time wait for `due`: gives the thread up

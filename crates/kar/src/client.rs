@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use kar_types::{ActorRef, KarResult, Payload, RequestId, RetryPolicy, Value};
+use kar_types::{ActorRef, KarResult, LatencyProfile, Payload, RequestId, RetryPolicy, Value};
 
 use crate::component::ComponentCore;
 
@@ -97,7 +97,9 @@ impl std::fmt::Debug for Client {
 /// - the caller, on its own critical path, yields before it parks:
 ///   [`CallSlot::wait`] gives the thread up until `ready` is set or
 ///   [`SPIN_WINDOW`] passes, and only then takes the mutex, marks itself
-///   `parked`, re-checks the answer and sleeps on the condvar.
+///   `parked`, re-checks the answer and sleeps on the condvar. A caller
+///   whose latency profile puts the earliest answer past the window
+///   ([`answer_floor`]) parks at once.
 ///
 /// At zero latency the answer usually lands inside the window, and the
 /// hand-off costs neither side a syscall. Both of `parked`'s accesses are
@@ -130,6 +132,13 @@ struct SlotState {
 /// come late (120 µs raised `actor_churn`'s CPU and p95); a call whose
 /// answer needs longer than this parks as before, one window later.
 pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// The earliest a blocked call's answer can arrive once its request is
+/// appended, under `latency`: the response still has to be appended and
+/// delivered.
+pub(crate) fn answer_floor(latency: &LatencyProfile) -> Duration {
+    latency.queue_append + latency.queue_deliver
+}
 
 /// How a blocked call ends, short of its timeout.
 pub(crate) enum Answer {
@@ -179,11 +188,18 @@ impl CallSlot {
     }
 
     /// Blocks until the answer arrives, or `timeout` elapses (`None`):
-    /// yields for up to [`SPIN_WINDOW`] of the timeout, then parks.
-    pub(crate) fn wait(&self, timeout: Duration) -> Option<Answer> {
+    /// yields for up to [`SPIN_WINDOW`] of the timeout, then parks. An
+    /// answer that cannot arrive before `floor` has passed parks at once
+    /// when `floor` is past the window.
+    pub(crate) fn wait(&self, timeout: Duration, floor: Duration) -> Option<Answer> {
         let started = Instant::now();
         let deadline = started + timeout;
-        let spin_end = started + SPIN_WINDOW.min(timeout);
+        let window = if floor > SPIN_WINDOW {
+            Duration::ZERO
+        } else {
+            SPIN_WINDOW.min(timeout)
+        };
+        let spin_end = started + window;
         while !self.ready.load(Ordering::Acquire) && Instant::now() < spin_end {
             std::thread::yield_now();
         }
@@ -243,7 +259,12 @@ mod tests {
         let id = RequestId::from_raw;
         let first = CallSlot::waiting_for(id(1));
         let delivering = Arc::clone(&first);
-        assert!(first.wait(Duration::from_millis(1)).is_none(), "timed out");
+        assert!(
+            first
+                .wait(Duration::from_millis(1), Duration::ZERO)
+                .is_none(),
+            "timed out"
+        );
         first.release();
         let second = CallSlot::waiting_for(id(2));
         assert!(
@@ -258,7 +279,10 @@ mod tests {
         delivering.answer(id(1), Answer::Killed);
         assert!(second.try_answer().is_none(), "a late answer is dropped");
         delivering.answer(id(2), Answer::Killed);
-        assert!(matches!(second.wait(Duration::ZERO), Some(Answer::Killed)));
+        assert!(matches!(
+            second.wait(Duration::ZERO, Duration::ZERO),
+            Some(Answer::Killed)
+        ));
     }
 
     /// Far longer than any wait below may take: a wait that reaches it
@@ -333,7 +357,7 @@ mod tests {
                     vec![(id, response(call as i64))],
                 );
                 let started = Instant::now();
-                let answer = slot.wait(TIMEOUT);
+                let answer = slot.wait(TIMEOUT, Duration::ZERO);
                 let waited = started.elapsed();
                 answering.join().unwrap();
                 slot.release();
@@ -354,14 +378,17 @@ mod tests {
     fn a_late_answer_landing_while_the_reused_slot_spins_is_dropped() {
         let id = RequestId::from_raw;
         let first = CallSlot::waiting_for(id(1));
-        assert!(first.wait(Duration::ZERO).is_none(), "timed out");
+        assert!(
+            first.wait(Duration::ZERO, Duration::ZERO).is_none(),
+            "timed out"
+        );
         first.release();
         let second = CallSlot::waiting_for(id(2));
         // The first call's answer lands a moment into the second's spin;
         // the second's own answer, two windows later.
         let stale = answer_later(&second, SPIN_WINDOW / 5, false, vec![(id(1), response(1))]);
         let own = answer_later(&second, 2 * SPIN_WINDOW, false, vec![(id(2), response(2))]);
-        let answer = second.wait(TIMEOUT);
+        let answer = second.wait(TIMEOUT, Duration::ZERO);
         stale.join().unwrap();
         own.join().unwrap();
         second.release();
@@ -375,7 +402,7 @@ mod tests {
             .map(|call| {
                 let slot = CallSlot::waiting_for(RequestId::from_raw(call));
                 let started = Instant::now();
-                assert!(slot.wait(SHORT).is_none(), "nobody answers");
+                assert!(slot.wait(SHORT, Duration::ZERO).is_none(), "nobody answers");
                 let waited = started.elapsed();
                 slot.release();
                 assert!(waited >= SHORT, "wait {call} ended early: {waited:?}");
@@ -390,12 +417,53 @@ mod tests {
     }
 
     #[test]
+    fn a_caller_whose_answer_cannot_come_inside_the_window_parks_without_yielding() {
+        let floor = answer_floor(&kar_types::DeploymentProfile::ClusterDev.latency_profile());
+        assert!(floor > SPIN_WINDOW, "ClusterDev answers in {floor:?}");
+        assert_eq!(answer_floor(&LatencyProfile::ZERO), Duration::ZERO);
+        let mut parked_after: Vec<Duration> = (0..200u64)
+            .map(|call| {
+                let id = RequestId::from_raw(call);
+                let slot = CallSlot::waiting_for(id);
+                let watching = Arc::clone(&slot);
+                let running = Arc::new(AtomicBool::new(false));
+                let started = Arc::clone(&running);
+                // Watches from before the wait starts, and answers once the
+                // caller has parked.
+                let answering = std::thread::spawn(move || {
+                    started.store(true, Ordering::Release);
+                    while !watching.lock().parked {
+                        std::hint::spin_loop();
+                    }
+                    let seen = Instant::now();
+                    watching.answer(id, Answer::Killed);
+                    seen
+                });
+                while !running.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                let waiting = Instant::now();
+                let answer = slot.wait(TIMEOUT, floor);
+                let parked_after = answering.join().unwrap().saturating_duration_since(waiting);
+                slot.release();
+                assert!(matches!(answer, Some(Answer::Killed)), "call {call}");
+                parked_after
+            })
+            .collect();
+        parked_after.sort();
+        // A caller that yielded out the window first would park no sooner
+        // than the window, every time.
+        let median = parked_after[parked_after.len() / 2];
+        assert!(median < SPIN_WINDOW / 2, "median park after {median:?}");
+    }
+
+    #[test]
     fn a_kill_reaches_a_caller_still_spinning() {
         for call in 0..200u64 {
             let id = RequestId::from_raw(call);
             let slot = CallSlot::waiting_for(id);
             let killing = answer_later(&slot, SPIN_WINDOW / 4, false, vec![(id, Answer::Killed)]);
-            let answer = slot.wait(TIMEOUT);
+            let answer = slot.wait(TIMEOUT, Duration::ZERO);
             killing.join().unwrap();
             slot.release();
             assert!(matches!(answer, Some(Answer::Killed)), "call {call}");

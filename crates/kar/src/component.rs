@@ -60,7 +60,7 @@ use kar_types::{
 };
 
 use crate::actor::{ActorFactory, Outcome};
-use crate::client::{Answer, CallSlot};
+use crate::client::{answer_floor, Answer, CallSlot};
 use crate::config::{CancellationPolicy, MeshConfig};
 use crate::context::{state_key, ActorContext, Outbox};
 use crate::continuation::{Continuation, ParkedContinuation};
@@ -68,9 +68,9 @@ use crate::delivery::{Flusher, PartitionBatcher, QueuedRun, RequestRound, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
 use crate::ledger::RequestLedger;
+use crate::membership::MembershipView;
 use crate::placement::{
-    component_to_value, no_host, placement_key, LiveSet, Lookup, PlacementService, Resolution,
-    RouteKey,
+    component_to_value, no_host, placement_key, Lookup, PlacementService, Resolution, RouteKey,
 };
 use crate::resident::{ResidentSet, SlotAdmission};
 use crate::retry::{BreakerRegistry, RetryBudget};
@@ -457,10 +457,10 @@ pub struct ComponentCore {
     /// Store connection used by the persistence API of hosted actors.
     pub(crate) conn: Connection,
     pub(crate) placement: PlacementService,
-    /// The mesh-wide partition topology: every component's partition set,
-    /// consulted to route requests and responses to their target component.
-    pub(crate) topology: Arc<RwLock<HashMap<ComponentId, PartitionSet>>>,
-    pub(crate) live: LiveSet,
+    /// The mesh's membership: the live set and every component's partition
+    /// set, consulted to route requests and responses to their target
+    /// component.
+    pub(crate) membership: Arc<MembershipView>,
     pub(crate) ids: Arc<RequestIdGenerator>,
     pub(crate) hosted: HashMap<String, ActorFactory>,
     pub(crate) stats: ComponentStats,
@@ -541,8 +541,7 @@ impl ComponentCore {
         partitions: PartitionSet,
         broker: Broker<Envelope>,
         store: Store,
-        topology: Arc<RwLock<HashMap<ComponentId, PartitionSet>>>,
-        live: LiveSet,
+        membership: Arc<MembershipView>,
         ids: Arc<RequestIdGenerator>,
         hosted: HashMap<String, ActorFactory>,
         io: Arc<DueHeap>,
@@ -555,7 +554,7 @@ impl ComponentCore {
         let wakeup = Arc::clone(io.wakeup());
         let placement = PlacementService::new(
             store.connect(id),
-            live.clone(),
+            Arc::clone(&membership),
             config.placement_cache,
             PLACEMENT_CACHE_SHARDS,
         );
@@ -596,8 +595,7 @@ impl ComponentCore {
             producer,
             conn,
             placement,
-            topology,
-            live,
+            membership,
             ids,
             hosted,
             stats: ComponentStats::default(),
@@ -834,10 +832,14 @@ impl ComponentCore {
     /// request and response is routed onto a target component's partition
     /// set, so one actor's records always land in one partition.
     fn partition_for(&self, component: ComponentId, key: RouteKey<'_>) -> Option<usize> {
-        self.topology
-            .read()
-            .get(&component)
-            .and_then(|set| key.partition_in(set))
+        self.membership
+            .read(|members| members.partition_for(component, key))
+    }
+
+    /// [`ComponentCore::partition_for`], for a live `component` only.
+    fn live_partition_for(&self, component: ComponentId, key: RouteKey<'_>) -> Option<usize> {
+        self.membership
+            .read(|members| members.live_partition_for(component, key))
     }
 
     /// The home partition of this component that `actor`'s records hash to.
@@ -1153,21 +1155,19 @@ impl ComponentCore {
         // partition of its set the response key hashes to (the routing the
         // broker's keyed producer API applies), batched per destination.
         if let Some(reply_to) = request.reply_to {
-            if self.live.read().contains(&reply_to) {
-                let key = RouteKey::response(request.caller_actor.as_ref(), request.id);
-                if let Some(partition) = self.partition_for(reply_to, key) {
-                    // The response is the request's completion record: its
-                    // ack settles the record the request was polled from.
-                    // Executed from its *only* record, the response names
-                    // that record as its origin, so its consumer can trim
-                    // the response once the record itself is gone.
-                    let settles = self.settle.take(request.id);
-                    if request.single_copy {
-                        response.origin = settles;
-                    }
-                    self.send_completion(partition, Envelope::Response(response), settles);
-                    return;
+            let key = RouteKey::response(request.caller_actor.as_ref(), request.id);
+            if let Some(partition) = self.live_partition_for(reply_to, key) {
+                // The response is the request's completion record: its ack
+                // settles the record the request was polled from. Executed
+                // from its *only* record, the response names that record as
+                // its origin, so its consumer can trim the response once the
+                // record itself is gone.
+                let settles = self.settle.take(request.id);
+                if request.single_copy {
+                    response.origin = settles;
                 }
+                self.send_completion(partition, Envelope::Response(response), settles);
+                return;
             }
         }
         // Slow path: the caller's component failed. Park the response until
@@ -1224,7 +1224,7 @@ impl ComponentCore {
     fn try_response_partition(&self, response: &ResponseMessage) -> Option<usize> {
         let key = RouteKey::response(response.caller_actor.as_ref(), response.id);
         if let Some(reply_to) = response.reply_to {
-            if self.live.read().contains(&reply_to) {
+            if self.membership.read(|members| members.is_live(reply_to)) {
                 return self.partition_for(reply_to, key);
             }
         }
@@ -1234,9 +1234,7 @@ impl ComponentCore {
             // the response in a queue about to be flushed. Stay parked until
             // an attempt observes a live owner.
             if let Ok(Some(component)) = self.placement.resolve_nowait(caller_actor) {
-                if self.live.read().contains(&component) {
-                    return self.partition_for(component, key);
-                }
+                return self.live_partition_for(component, key);
             }
             return None;
         }
@@ -1355,7 +1353,10 @@ impl ComponentCore {
                 kar_types::sim::step();
             }
         } else {
-            slot.wait(deadline.saturating_sub(mono_now()))
+            slot.wait(
+                deadline.saturating_sub(mono_now()),
+                answer_floor(&self.config.latency),
+            )
         };
         self.ledger.forget_call(id);
         slot.release();
@@ -2469,7 +2470,7 @@ impl ComponentCore {
         // caller's component is approximated by its reply_to component or by
         // the current placement of the caller actor.
         if let Some(reply_to) = request.reply_to {
-            return !self.live.read().contains(&reply_to);
+            return !self.membership.read(|members| members.is_live(reply_to));
         }
         false
     }
@@ -3063,24 +3064,23 @@ impl ComponentCore {
         self.partitions.write().retire_adopted(partition);
         self.adopted_at.lock().remove(&partition);
         self.consumed_offsets.write().remove(&partition);
-        // Shrink the shared topology and propagate the SAME set to the
-        // broker's assignment table and group view while still holding the
-        // topology lock: recovery's adoption path does the same, so the two
-        // sides can never write each other's stale clone into the broker
-        // tables (a retirement racing a fresh adoption would otherwise
-        // resurrect the retired partition — or drop the adopted one — from
-        // the assignment table).
-        let mut topology = self.topology.write();
-        if let Some(set) = topology.get_mut(&self.id) {
-            set.retire_adopted(partition);
-            let merged = set.clone();
-            let _ = self
-                .broker
-                .assign_partitions(&self.topic, self.id, merged.clone());
-            self.broker
-                .update_member_partitions(&self.group, self.id, merged);
-        }
-        drop(topology);
+        // Publish the shrunk set and propagate the SAME set to the broker's
+        // assignment table and group view inside the publish: recovery's
+        // adoption does the same, so the two sides can never write each
+        // other's stale clone into the broker tables (a retirement racing a
+        // fresh adoption would otherwise resurrect the retired partition —
+        // or drop the adopted one — from the assignment table).
+        self.membership.publish(|members| {
+            if let Some(set) = members.topology.get_mut(&self.id) {
+                set.retire_adopted(partition);
+                let merged = set.clone();
+                let _ = self
+                    .broker
+                    .assign_partitions(&self.topic, self.id, merged.clone());
+                self.broker
+                    .update_member_partitions(&self.group, self.id, merged);
+            }
+        });
         self.retired.lock().push(partition);
     }
 
@@ -3318,7 +3318,6 @@ pub(crate) fn lone_core(config: MeshConfig, broker: Broker<Envelope>) -> Arc<Com
         broker,
         Store::new(),
         Arc::default(),
-        LiveSet::default(),
         Arc::new(RequestIdGenerator::new()),
         HashMap::from([("Ledger".to_owned(), ledger)]),
         io,
@@ -3382,10 +3381,12 @@ mod tests {
         broker.create_topic("topic", 1).unwrap();
         let core = lone_core(MeshConfig::for_tests(), broker);
         // The caller is this component itself, so the response routes here.
-        core.live.write().insert(core.id);
-        core.topology
-            .write()
-            .insert(core.id, PartitionSet::contiguous(0, 1));
+        core.membership.publish(|members| {
+            members.live.insert(core.id);
+            members
+                .topology
+                .insert(core.id, PartitionSet::contiguous(0, 1));
+        });
         let mut request = RequestMessage::root(
             RequestId::from_raw(1),
             ActorRef::new("Ledger", "a"),

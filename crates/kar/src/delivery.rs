@@ -776,10 +776,12 @@ mod tests {
             ..config
         };
         let core = lone_core(MeshConfig::for_tests(), broker_with(config, 1));
-        core.live.write().insert(core.id());
-        core.topology
-            .write()
-            .insert(core.id(), PartitionSet::contiguous(0, 1));
+        core.membership.publish(|members| {
+            members.live.insert(core.id());
+            members
+                .topology
+                .insert(core.id(), PartitionSet::contiguous(0, 1));
+        });
         core.store
             .admin_hset(&hosts_key("Ledger"), &host_field(core.id()), Value::Null);
         (core, clock)

@@ -79,6 +79,7 @@ mod delivery;
 pub mod faults;
 mod io;
 mod ledger;
+mod membership;
 pub mod mesh;
 pub mod placement;
 pub mod recovery;

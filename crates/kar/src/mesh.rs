@@ -1,19 +1,19 @@
 //! The application mesh: nodes, components, clients and fault injection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use kar_queue::{Broker, PartitionSet};
 use kar_store::Store;
 use kar_types::ids::RequestIdGenerator;
 use kar_types::{
-    ActorRef, ComponentId, Envelope, KarError, KarResult, NodeId, RequestId, SnapshotVec, Value,
-    WaitSignal, WaitSignalGroup,
+    ActorRef, ComponentId, Envelope, KarError, KarResult, NodeId, RequestId, Value, WaitSignal,
+    WaitSignalGroup,
 };
 
 use crate::actor::{Actor, ActorFactory};
@@ -22,8 +22,11 @@ use crate::component::{ComponentCore, DLQ_TOPIC};
 use crate::config::MeshConfig;
 use crate::faults::{format_fault_stats, retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
+use crate::membership::MembershipView;
 use crate::placement::{component_from_value, host_field, hosts_key, placement_key};
-use crate::recovery::{run_recovery_manager, OutageRecord, RecoveryContext, RecoveryLog};
+use crate::recovery::{
+    run_recovery_manager, OutageRecord, RecoveryContext, RecoveryLog, RecoveryManager,
+};
 use crate::retry::{
     BreakerPosition, BreakerRegistry, DlqEntry, DlqStats, RetryBudget, RetryMetrics,
 };
@@ -35,17 +38,17 @@ const GROUP: &str = "kar";
 // Reactor pool
 // ----------------------------------------------------------------------
 
-/// State shared by the mesh's fixed reactor pool: the registry of pump
-/// targets (every component ever added, clients included — their partitions
-/// deliver client responses; a sweep walks a snapshot of it, so it allocates
-/// nothing) and the mesh-wide wakeup group that every consumer partition,
-/// due retry, and continuation timeout notifies.
+/// State shared by the mesh's fixed reactor pool: the membership, whose
+/// components are the pump targets (every component ever added, clients
+/// included — their partitions deliver client responses; a sweep walks a
+/// snapshot, so it allocates nothing), and the mesh-wide wakeup group that
+/// every consumer partition, due retry, and continuation timeout notifies.
 ///
 /// The pool is the invocation core's whole thread budget: components own no
 /// threads of their own, so adding components or partitions adds pump
 /// targets, never threads.
 struct ReactorShared {
-    registry: SnapshotVec<Arc<ComponentCore>>,
+    membership: Arc<MembershipView>,
     /// The single wakeup primitive: queue appends (via each consumer's
     /// broker-side group membership), due retries, and timeout flags all
     /// notify here; idle reactors park on it.
@@ -84,11 +87,12 @@ impl ReactorShared {
             self.tick_lock.try_lock()
         };
         let Some(_guard) = guard else { return false };
-        let components = self.registry.load();
         let now = kar_types::mono_now();
-        for core in components.iter() {
-            core.tick(now, blocking);
-        }
+        self.membership.read(|members| {
+            for core in members.components.values() {
+                core.tick(now, blocking);
+            }
+        });
         self.last_tick_ms.store(
             kar_types::mono_now()
                 .saturating_sub(self.started)
@@ -117,10 +121,11 @@ impl ReactorShared {
     /// instant a queued record becomes readable without a further append.
     fn sweep(&self, wake_at: &mut Option<Duration>) -> bool {
         let mut did = self.io.run_due();
-        let components = self.registry.load();
-        for core in components.iter() {
-            did |= core.pump(wake_at);
-        }
+        self.membership.read(|members| {
+            for core in members.components.values() {
+                did |= core.pump(wake_at);
+            }
+        });
         did
     }
 }
@@ -206,13 +211,8 @@ struct MeshInner {
     /// Indices are never reused; a dead component's range is adopted by
     /// survivors during reconciliation.
     next_partition: AtomicUsize,
-    topology: Arc<RwLock<HashMap<ComponentId, PartitionSet>>>,
-    components: Arc<RwLock<HashMap<ComponentId, Arc<ComponentCore>>>>,
-    nodes: Arc<RwLock<HashMap<NodeId, Vec<ComponentId>>>>,
-    live: Arc<RwLock<HashSet<ComponentId>>>,
-    kill_times: Arc<Mutex<HashMap<ComponentId, Duration>>>,
+    membership: Arc<MembershipView>,
     recovery: Arc<RecoveryLog>,
-    orphans: Arc<Mutex<Vec<kar_types::RequestMessage>>>,
     /// The mesh-wide retry budget (token bucket), shared by every component.
     budget: Arc<RetryBudget>,
     /// The mesh-wide per-actor-type circuit breakers.
@@ -221,6 +221,15 @@ struct MeshInner {
     reactors: Arc<ReactorShared>,
     /// Reactor + timer thread handles, joined at shutdown.
     runtime_threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Drop for MeshInner {
+    /// Every core holds the membership view, and the view's membership holds
+    /// every core: dropping the cores from it lets both go.
+    fn drop(&mut self) {
+        self.membership
+            .publish(|members| members.components.clear());
+    }
 }
 
 /// A running KAR application mesh.
@@ -287,8 +296,9 @@ impl Mesh {
             .scaled_heartbeat_interval()
             .max(Duration::from_millis(1));
         let group = Arc::new(WaitSignalGroup::new());
+        let membership = Arc::new(MembershipView::default());
         let reactors = Arc::new(ReactorShared {
-            registry: SnapshotVec::new(),
+            membership: Arc::clone(&membership),
             io: Arc::new(DueHeap::new(Arc::clone(&group))),
             group,
             timer_signal: WaitSignal::new(),
@@ -332,13 +342,8 @@ impl Mesh {
             next_component: AtomicU64::new(1),
             next_node: AtomicU64::new(1),
             next_partition: AtomicUsize::new(0),
-            topology: Arc::new(RwLock::new(HashMap::new())),
-            components: Arc::new(RwLock::new(HashMap::new())),
-            nodes: Arc::new(RwLock::new(HashMap::new())),
-            live: Arc::new(RwLock::new(HashSet::new())),
-            kill_times: Arc::new(Mutex::new(HashMap::new())),
+            membership,
             recovery: Arc::new(RecoveryLog::new()),
-            orphans: Arc::new(Mutex::new(Vec::new())),
             budget,
             breakers,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -351,12 +356,8 @@ impl Mesh {
             group: GROUP.to_owned(),
             broker: inner.broker.clone(),
             store: inner.store.clone(),
-            topology: inner.topology.clone(),
-            components: inner.components.clone(),
-            live: inner.live.clone(),
-            kill_times: inner.kill_times.clone(),
+            membership: Arc::clone(&inner.membership),
             log: inner.recovery.clone(),
-            orphans: inner.orphans.clone(),
             shutdown: inner.shutdown.clone(),
         };
         let events = broker.subscribe(GROUP);
@@ -396,15 +397,11 @@ impl Mesh {
                     broker.tick();
                     true
                 });
-                let detections = std::cell::RefCell::new(HashMap::<ComponentId, Duration>::new());
+                let manager = std::cell::RefCell::new(RecoveryManager::new(ctx));
                 sim.add_lane("recovery", move || {
                     let mut did = false;
                     while let Ok(event) = events.try_recv() {
-                        crate::recovery::handle_group_event(
-                            &ctx,
-                            &mut detections.borrow_mut(),
-                            event,
-                        );
+                        manager.borrow_mut().handle(event);
                         did = true;
                     }
                     did
@@ -423,9 +420,7 @@ impl Mesh {
     /// Adds a virtual node to the mesh. Nodes group components that fail
     /// together under [`Mesh::kill_node`].
     pub fn add_node(&self) -> NodeId {
-        let id = NodeId::from_raw(self.inner.next_node.fetch_add(1, Ordering::SeqCst));
-        self.inner.nodes.write().insert(id, Vec::new());
-        id
+        NodeId::from_raw(self.inner.next_node.fetch_add(1, Ordering::SeqCst))
     }
 
     /// Adds an application component (paired application + sidecar) to
@@ -441,7 +436,7 @@ impl Mesh {
         build: impl FnOnce(ComponentBuilder) -> ComponentBuilder,
     ) -> ComponentId {
         let builder = build(ComponentBuilder::default());
-        self.add_component_inner(node, name, builder.hosted)
+        self.add_component_inner(node, name, builder.hosted).id()
     }
 
     /// Creates a client component hosting no actors, used by non-actor code
@@ -450,15 +445,7 @@ impl Mesh {
     /// injection helpers.
     pub fn client(&self) -> Client {
         let node = self.add_node();
-        let id = self.add_component_inner(node, "client", HashMap::new());
-        let core = self
-            .inner
-            .components
-            .read()
-            .get(&id)
-            .cloned()
-            .expect("client just added");
-        Client::new(core)
+        Client::new(self.add_component_inner(node, "client", HashMap::new()))
     }
 
     fn add_component_inner(
@@ -466,15 +453,15 @@ impl Mesh {
         node: NodeId,
         name: &str,
         hosted: HashMap<String, ActorFactory>,
-    ) -> ComponentId {
+    ) -> Arc<ComponentCore> {
         assert!(
-            self.inner.nodes.read().contains_key(&node),
+            (1..self.inner.next_node.load(Ordering::SeqCst)).contains(&node.as_u64()),
             "unknown node {node}; create it with Mesh::add_node first"
         );
         let raw = self.inner.next_component.fetch_add(1, Ordering::SeqCst);
         let id = ComponentId::from_raw(raw);
         // Allocate the next contiguous home partition range and register it
-        // in the broker's assignment table and the mesh topology.
+        // in the broker's assignment table (the membership follows below).
         let count = self.inner.config.effective_partitions_per_component();
         let start = self.inner.next_partition.fetch_add(count, Ordering::SeqCst);
         let partitions = PartitionSet::contiguous(start, count);
@@ -482,17 +469,6 @@ impl Mesh {
             .broker
             .assign_partitions(TOPIC, id, partitions.clone())
             .expect("growing the topic cannot fail");
-        self.inner.topology.write().insert(id, partitions.clone());
-        // Announce hosted actor types before joining, so placement can find
-        // this component as soon as it is live. Fault-free on purpose: an
-        // announcement is mesh bookkeeping, not a runtime store command.
-        for actor_type in hosted.keys() {
-            self.inner.store.admin_hset(
-                &hosts_key(actor_type),
-                &host_field(id),
-                kar_types::Value::Int(1),
-            );
-        }
         let core = Arc::new(ComponentCore::new(
             id,
             node,
@@ -503,8 +479,7 @@ impl Mesh {
             partitions.clone(),
             self.inner.broker.clone(),
             self.inner.store.clone(),
-            self.inner.topology.clone(),
-            self.inner.live.clone(),
+            Arc::clone(&self.inner.membership),
             self.inner.ids.clone(),
             hosted,
             Arc::clone(&self.inner.reactors.io),
@@ -512,17 +487,31 @@ impl Mesh {
             Arc::clone(&self.inner.breakers),
             self.inner.faults.clone(),
         ));
-        self.inner.components.write().insert(id, core.clone());
-        self.inner.nodes.write().entry(node).or_default().push(id);
-        self.inner.live.write().insert(id);
-        self.inner.broker.join_group(GROUP, id, partitions);
+        self.inner.broker.join_group(GROUP, id, partitions.clone());
         core.start();
-        // Hand the component to the fixed reactor pool (clients included —
-        // their partitions deliver client responses) and wake the pool so it
-        // picks up the new lanes immediately.
-        self.inner.reactors.registry.update(|list| list.push(core));
+        // Publish the component — live, routable and a pump target of the
+        // fixed reactor pool (clients included: their partitions deliver
+        // client responses) — in one generation.
+        self.inner.membership.publish(|members| {
+            members.topology.insert(id, partitions);
+            members.nodes.entry(node).or_default().push(id);
+            members.live.insert(id);
+            members.components.insert(id, Arc::clone(&core));
+        });
+        // Announce hosted actor types once the component is routable, so
+        // placement can pick it as soon as it is announced. Fault-free on
+        // purpose: an announcement is mesh bookkeeping, not a runtime store
+        // command.
+        for actor_type in core.hosted.keys() {
+            self.inner.store.admin_hset(
+                &hosts_key(actor_type),
+                &host_field(id),
+                kar_types::Value::Int(1),
+            );
+        }
+        // Wake the pool so it picks up the new lanes immediately.
         self.inner.reactors.group.notify();
-        id
+        core
     }
 
     // ------------------------------------------------------------------
@@ -599,28 +588,24 @@ impl Mesh {
             kar_types::sim::record(format!("kill:{id}"));
         }
         let now = self.inner.broker.now();
-        self.inner.kill_times.lock().insert(id, now);
-        if let Some(core) = self.inner.components.read().get(&id) {
+        if let Some(core) = self.with_core(id, Arc::clone) {
             core.kill();
         }
         // A killed OS process can no longer reach the substrates at all;
         // fencing here emulates that, independently of failure *detection*
-        // which still takes a full session timeout.
+        // which still takes a full session timeout: the group holds the
+        // component live until recovery's consensus step.
         self.inner.broker.fence(id);
         self.inner.store.fence(id);
+        self.inner.membership.publish(|members| {
+            members.fenced.insert(id, now);
+        });
     }
 
     /// Abruptly terminates every component on `node` (the paper's
     /// experiments hard-stop a randomly selected victim node, §6.1).
     pub fn kill_node(&self, node: NodeId) {
-        let victims: Vec<ComponentId> = self
-            .inner
-            .nodes
-            .read()
-            .get(&node)
-            .cloned()
-            .unwrap_or_default();
-        for component in victims {
+        for component in self.components_on(node) {
             if self.is_live(component) {
                 self.kill_component(component);
             }
@@ -630,21 +615,26 @@ impl Mesh {
     /// True if `component` has not been killed and has not been removed from
     /// the group.
     pub fn is_live(&self, component: ComponentId) -> bool {
-        self.with_core(component, ComponentCore::is_alive) == Some(true)
+        self.with_core(component, |core| core.is_alive()) == Some(true)
     }
 
-    /// `read` applied to one component's core, under the component table's
-    /// read lock (`None` for unknown components).
+    /// `read` applied to one component's core (`None` for unknown
+    /// components).
     fn with_core<R>(
         &self,
         component: ComponentId,
-        read: impl FnOnce(&ComponentCore) -> R,
+        read: impl FnOnce(&Arc<ComponentCore>) -> R,
     ) -> Option<R> {
         self.inner
-            .components
-            .read()
-            .get(&component)
-            .map(|core| read(core))
+            .membership
+            .read(|members| members.components.get(&component).map(read))
+    }
+
+    /// Every component ever added, alive or dead, in id order.
+    fn cores(&self) -> Vec<Arc<ComponentCore>> {
+        self.inner
+            .membership
+            .read(|members| members.components.values().cloned().collect())
     }
 
     // ------------------------------------------------------------------
@@ -656,38 +646,36 @@ impl Mesh {
     /// retirement logs reconstruct where re-homed partitions went even after
     /// the adopter itself died.
     pub fn all_components(&self) -> Vec<ComponentId> {
-        let mut ids: Vec<ComponentId> = self.inner.components.read().keys().copied().collect();
-        ids.sort();
-        ids
+        self.inner
+            .membership
+            .read(|members| members.components.keys().copied().collect())
     }
 
     /// The components currently alive, sorted by id.
     pub fn live_components(&self) -> Vec<ComponentId> {
-        let components = self.inner.components.read();
-        let mut live: Vec<ComponentId> = components
-            .iter()
-            .filter(|(_, c)| c.is_alive())
-            .map(|(id, _)| *id)
-            .collect();
-        live.sort();
-        live
+        self.inner.membership.read(|members| {
+            members
+                .components
+                .iter()
+                .filter(|(_, core)| core.is_alive())
+                .map(|(id, _)| *id)
+                .collect()
+        })
     }
 
     /// The components assigned to `node` (alive or not).
     pub fn components_on(&self, node: NodeId) -> Vec<ComponentId> {
         self.inner
-            .nodes
-            .read()
-            .get(&node)
-            .cloned()
+            .membership
+            .read(|members| members.nodes.get(&node).cloned())
             .unwrap_or_default()
     }
 
     /// The nodes of the mesh, sorted.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.inner.nodes.read().keys().copied().collect();
-        nodes.sort();
-        nodes
+        (1..self.inner.next_node.load(Ordering::SeqCst))
+            .map(NodeId::from_raw)
+            .collect()
     }
 
     /// Requests admitted from each home partition of one component, in home
@@ -798,16 +786,8 @@ impl Mesh {
     /// Empty while every resident actor's record names its host, so no
     /// second component can place it.
     pub fn misplaced_residents(&self) -> Vec<String> {
-        let live: Vec<Arc<ComponentCore>> = self
-            .inner
-            .components
-            .read()
-            .values()
-            .filter(|core| core.is_alive())
-            .cloned()
-            .collect();
         let mut misplaced = Vec::new();
-        for core in live {
+        for core in self.cores().into_iter().filter(|core| core.is_alive()) {
             for actor in core.resident.actors() {
                 let record = self.inner.store.admin_get(&placement_key(&actor));
                 if record.as_ref().and_then(component_from_value) != Some(core.id()) {
@@ -843,7 +823,7 @@ impl Mesh {
     /// and open-transition counts.
     pub fn retry_metrics(&self) -> RetryMetrics {
         let (mut scheduled, mut dead_lettered) = (0, 0);
-        for core in self.inner.components.read().values() {
+        for core in self.cores() {
             let (s, d) = core.retry_orchestration_stats();
             scheduled += s;
             dead_lettered += d;
@@ -969,14 +949,7 @@ impl Mesh {
                 id.as_u64()
             )));
         };
-        let core = self
-            .inner
-            .components
-            .read()
-            .values()
-            .find(|core| core.is_alive())
-            .cloned();
-        let Some(core) = core else {
+        let Some(core) = self.cores().into_iter().find(|core| core.is_alive()) else {
             restore(store);
             return Err(KarError::application(
                 "no live component to re-inject the dead-lettered request through",
@@ -1005,7 +978,9 @@ impl Mesh {
             out,
             "reactor pool: threads={} registered_components={}",
             self.reactor_thread_count(),
-            self.inner.reactors.registry.load().len(),
+            self.inner
+                .membership
+                .read(|members| members.components.len()),
         );
         // Modelled I/O in flight: invocations parked on a due time instead
         // of asleep on a reactor. `parked_max` above one means acks
@@ -1016,11 +991,8 @@ impl Mesh {
             "io: parked={} parked_max={} resumed={} inline={}",
             io.parked, io.parked_max, io.resumed, io.inline,
         );
-        let components = self.inner.components.read().clone();
-        let mut ids: Vec<ComponentId> = components.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let core = &components[&id];
+        let members = self.inner.membership.snapshot();
+        for (id, core) in &members.components {
             out.push_str(&core.debug_snapshot());
             let _ = writeln!(
                 out,
@@ -1038,7 +1010,7 @@ impl Mesh {
             let _ = writeln!(out, "  poll faults survived: {}", core.poll_fault_count());
             // Why is this log (not) shrinking: a home partition trims up to
             // its lowest open record; adopted partitions are never trimmed.
-            if let Some(set) = self.inner.topology.read().get(&id) {
+            if let Some(set) = members.topology.get(id) {
                 let settled = core.settle_snapshot();
                 for partition in set.all() {
                     let _ = write!(
@@ -1162,9 +1134,7 @@ impl Mesh {
         self.inner.reactors.shutdown.store(true, Ordering::SeqCst);
         self.inner.reactors.group.notify();
         self.inner.reactors.timer_signal.bump();
-        let components: Vec<Arc<ComponentCore>> =
-            self.inner.components.read().values().cloned().collect();
-        for component in components {
+        for component in self.cores() {
             self.inner.broker.leave_group(GROUP, component.id());
             component.kill();
         }
@@ -1207,7 +1177,7 @@ fn decode_dlq_entry(id: u64, value: &Value) -> Option<DlqEntry> {
 impl std::fmt::Debug for Mesh {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mesh")
-            .field("components", &self.inner.components.read().len())
+            .field("components", &self.all_components().len())
             .field("live", &self.live_components())
             .finish()
     }
@@ -1219,6 +1189,7 @@ mod tests {
     use crate::actor::Outcome;
     use crate::context::ActorContext;
     use kar_types::{ActorRef, KarError, KarResult, Value};
+    use std::collections::HashSet;
     use std::time::Instant;
 
     /// A counter actor exercising state persistence and tail calls, following
@@ -1529,6 +1500,77 @@ mod tests {
         );
         assert!(value <= 5, "increments duplicated: {value} > 5");
         let _ = c1;
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn a_kill_and_its_recovery_publish_whole_memberships() {
+        let mesh = Mesh::new(MeshConfig::for_tests());
+        let victim_node = mesh.add_node();
+        let victim = mesh.add_component(victim_node, "victim", |c| {
+            c.host("Accumulator", || Box::new(Accumulator))
+        });
+        let stable = mesh.add_node();
+        mesh.add_component(stable, "survivor", |c| {
+            c.host("Accumulator", || Box::new(Accumulator))
+        });
+        let client = mesh.client();
+        for i in 0..8 {
+            let acc = ActorRef::new("Accumulator", format!("a{i}"));
+            client.call(&acc, "set", vec![Value::Int(i)]).unwrap();
+        }
+        // A reader takes snapshots for as long as the kill and its recovery
+        // run: each must be one whole membership.
+        let view = Arc::clone(&mesh.inner.membership);
+        let done = Arc::new(AtomicBool::new(false));
+        let reading = Arc::clone(&done);
+        let reader = std::thread::spawn(move || {
+            let (mut last, mut snapshots, mut left_at) = (0, 0u64, None);
+            while !reading.load(Ordering::SeqCst) {
+                let members = view.snapshot();
+                assert!(members.generation >= last, "the generation went back");
+                last = members.generation;
+                for component in &members.live {
+                    assert!(
+                        members.topology.contains_key(component),
+                        "{component} unrouted"
+                    );
+                    assert!(
+                        members.components.contains_key(component),
+                        "{component} coreless"
+                    );
+                }
+                if members.fenced.contains_key(&victim) {
+                    // Fenced: its core is dead, and once consensus drops it
+                    // from the live set it never comes back.
+                    assert!(!members.components[&victim].is_alive());
+                    if !members.is_live(victim) {
+                        left_at.get_or_insert(members.generation);
+                    }
+                }
+                if left_at.is_some() {
+                    assert!(!members.is_live(victim), "{victim} live again");
+                }
+                snapshots += 1;
+                std::thread::yield_now();
+            }
+            (snapshots, left_at)
+        });
+        let fenced_from = mesh.inner.membership.generation();
+        mesh.kill_component(victim);
+        assert!(mesh.wait_for_recoveries(1, Duration::from_secs(10)));
+        done.store(true, Ordering::SeqCst);
+        let (snapshots, left_at) = reader.join().unwrap();
+        assert!(snapshots > 0);
+        assert!(left_at.is_some_and(|generation| generation > fenced_from));
+        let members = mesh.inner.membership.snapshot();
+        assert!(!members.is_live(victim));
+        assert!(
+            !members.topology.contains_key(&victim),
+            "the survivor adopted the victim's range"
+        );
+        let record = mesh.recovery_log().pop().unwrap();
+        assert_eq!(record.killed_at, members.fenced.get(&victim).copied());
         mesh.shutdown();
     }
 

@@ -10,23 +10,21 @@
 //! invalidated during reconciliation, and caches are flushed when recovery
 //! completes.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use kar_store::{Connection, Pipeline, PipelineResult};
 use kar_types::{
     ActorRef, Completion, ComponentId, KarError, KarResult, RequestId, Value, WaitSignal,
 };
 
-/// The set of components currently believed to be live, shared by every
-/// component of a mesh and refreshed on every completed rebalance.
-pub type LiveSet = Arc<RwLock<HashSet<ComponentId>>>;
+use crate::membership::MembershipView;
 
 /// Store key holding the placement of `actor`.
 pub fn placement_key(actor: &ActorRef) -> String {
@@ -214,7 +212,8 @@ impl ShardedCache {
 #[derive(Debug)]
 pub struct PlacementService {
     conn: Connection,
-    live: LiveSet,
+    /// The mesh's membership, read for its live set.
+    membership: Arc<MembershipView>,
     cache: Option<ShardedCache>,
     /// Bumped by [`PlacementService::clear_cache`] (recovery completed on
     /// this component, so stale placements have been repaired). Edge threads
@@ -231,10 +230,15 @@ pub struct PlacementService {
 impl PlacementService {
     /// Creates a placement service using the given (fenced) store connection.
     /// `cache_shards` is ignored when the cache is disabled.
-    pub fn new(conn: Connection, live: LiveSet, cache_enabled: bool, cache_shards: usize) -> Self {
+    pub(crate) fn new(
+        conn: Connection,
+        membership: Arc<MembershipView>,
+        cache_enabled: bool,
+        cache_shards: usize,
+    ) -> Self {
         PlacementService {
             conn,
-            live,
+            membership,
             cache: cache_enabled.then(|| ShardedCache::new(cache_shards)),
             repaired: WaitSignal::new(),
             hits: AtomicU64::new(0),
@@ -651,7 +655,7 @@ impl PlacementService {
     }
 
     fn is_live(&self, component: ComponentId) -> bool {
-        self.live.read().contains(&component)
+        self.membership.read(|members| members.is_live(component))
     }
 }
 
@@ -811,10 +815,14 @@ mod tests {
     use super::*;
     use kar_store::Store;
 
-    fn live(ids: &[u64]) -> LiveSet {
-        Arc::new(RwLock::new(
-            ids.iter().map(|i| ComponentId::from_raw(*i)).collect(),
-        ))
+    fn live(ids: &[u64]) -> Arc<MembershipView> {
+        let view = Arc::new(MembershipView::default());
+        view.publish(|members| {
+            members
+                .live
+                .extend(ids.iter().map(|i| ComponentId::from_raw(*i)))
+        });
+        view
     }
 
     #[test]
@@ -842,7 +850,12 @@ mod tests {
         );
     }
 
-    fn service(store: &Store, id: u64, live_set: &LiveSet, cache: bool) -> PlacementService {
+    fn service(
+        store: &Store,
+        id: u64,
+        live_set: &Arc<MembershipView>,
+        cache: bool,
+    ) -> PlacementService {
         PlacementService::new(
             store.connect(ComponentId::from_raw(id)),
             live_set.clone(),
@@ -956,7 +969,7 @@ mod tests {
         let actor = ActorRef::new("Order", "o");
         let first = resolve(&placement, &actor).unwrap();
         // The placed component dies; reconciliation rewrites the placement.
-        live_set.write().remove(&first);
+        live_set.publish(|members| members.live.remove(&first));
         let survivor = if first == ComponentId::from_raw(1) {
             2
         } else {
@@ -1218,7 +1231,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         // The recovery sequence: component 1 dies, placement is rewritten,
         // caches are cleared (epoch bump), THEN the flip is declared done.
-        live_set.write().remove(&ComponentId::from_raw(1));
+        live_set.publish(|members| members.live.remove(&ComponentId::from_raw(1)));
         store
             .connect(ComponentId::from_raw(2))
             .set(

@@ -32,14 +32,13 @@
 //! cataloguing never re-homes a copy that a live component is still going
 //! to process.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::{Mutex, RwLock};
 
 use kar_queue::{Broker, GroupEvent, PartitionSet};
 use kar_store::Store;
@@ -48,6 +47,7 @@ use kar_types::{ComponentId, Envelope, RequestId, RequestMessage, ResponseMessag
 use crate::component::ComponentCore;
 use crate::config::MeshConfig;
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
+use crate::membership::MembershipView;
 use crate::placement::{
     component_from_value, component_to_value, host_field, hosts_key, live_announced, placement_key,
     RouteKey,
@@ -201,12 +201,10 @@ pub(crate) struct RecoveryContext {
     pub(crate) group: String,
     pub(crate) broker: Broker<Envelope>,
     pub(crate) store: Store,
-    pub(crate) topology: Arc<RwLock<HashMap<ComponentId, PartitionSet>>>,
-    pub(crate) components: Arc<RwLock<HashMap<ComponentId, Arc<ComponentCore>>>>,
-    pub(crate) live: Arc<RwLock<HashSet<ComponentId>>>,
-    pub(crate) kill_times: Arc<Mutex<HashMap<ComponentId, Duration>>>,
+    /// The mesh's membership: recovery publishes the group's live set at
+    /// consensus and the re-homed partition ranges at step 8.
+    pub(crate) membership: Arc<MembershipView>,
     pub(crate) log: Arc<RecoveryLog>,
-    pub(crate) orphans: Arc<Mutex<Vec<RequestMessage>>>,
     pub(crate) shutdown: Arc<AtomicBool>,
 }
 
@@ -214,9 +212,9 @@ pub(crate) struct RecoveryContext {
 /// dedicated thread; it plays the role of the elected reconciliation leader
 /// among the surviving components (§4.3).
 pub(crate) fn run_recovery_manager(ctx: RecoveryContext, events: Receiver<GroupEvent>) {
-    let mut detections: HashMap<ComponentId, Duration> = HashMap::new();
+    let mut manager = RecoveryManager::new(ctx);
     loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
+        if manager.ctx.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let event = match events.recv_timeout(Duration::from_millis(20)) {
@@ -224,80 +222,105 @@ pub(crate) fn run_recovery_manager(ctx: RecoveryContext, events: Receiver<GroupE
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        handle_group_event(&ctx, &mut detections, event);
+        manager.handle(event);
     }
 }
 
-/// Handles one membership event from the broker's group coordinator. Shared
-/// by the threaded manager loop above and the deterministic-simulation lane,
-/// which drains the same channel via `try_recv` from the scheduler.
-pub(crate) fn handle_group_event(
-    ctx: &RecoveryContext,
-    detections: &mut HashMap<ComponentId, Duration>,
-    event: GroupEvent,
-) {
-    match event {
-        GroupEvent::MemberJoined { .. } | GroupEvent::MemberLeft { .. } => {}
-        GroupEvent::FailureDetected { component, at } => {
-            detections.entry(component).or_insert(at);
+/// The reconciliation leader: the context it acts through, plus its own
+/// bookkeeping across group events.
+pub(crate) struct RecoveryManager {
+    ctx: RecoveryContext,
+    /// Broker time of each failure detected and not yet reconciled.
+    detections: HashMap<ComponentId, Duration>,
+    /// Re-homed requests whose actor type had no live host, retried when a
+    /// component joins.
+    orphans: Vec<RequestMessage>,
+}
+
+impl RecoveryManager {
+    pub(crate) fn new(ctx: RecoveryContext) -> Self {
+        RecoveryManager {
+            ctx,
+            detections: HashMap::new(),
+            orphans: Vec::new(),
         }
-        GroupEvent::RebalanceCompleted {
-            generation,
-            live,
-            removed,
-            at,
-        } => {
-            {
-                let mut live_set = ctx.live.write();
-                for c in &removed {
-                    live_set.remove(c);
-                }
-                live_set.extend(live.iter().copied());
+    }
+
+    /// Handles one membership event from the broker's group coordinator.
+    /// Shared by the threaded manager loop above and the
+    /// deterministic-simulation lane, which drains the same channel via
+    /// `try_recv` from the scheduler.
+    pub(crate) fn handle(&mut self, event: GroupEvent) {
+        let ctx = &self.ctx;
+        match event {
+            GroupEvent::MemberJoined { .. } | GroupEvent::MemberLeft { .. } => {}
+            GroupEvent::FailureDetected { component, at } => {
+                self.detections.entry(component).or_insert(at);
             }
-            if removed.is_empty() {
-                retry_orphans(ctx);
-                return;
-            }
-            // Pause message processing on the survivors while the leader
-            // reconciles ("all components temporarily stop sending and
-            // receiving messages"). This halts their consumer lanes and
-            // retry pumps; in-flight invocations drain on their own.
-            let survivors: Vec<Arc<ComponentCore>> = {
-                let components = ctx.components.read();
-                live.iter()
-                    .filter_map(|c| components.get(c).cloned())
-                    .collect()
-            };
-            for component in &survivors {
-                component.pause();
-            }
-            let (rehomed, rehomed_partitions) = reconcile(ctx, &removed, &live);
-            for component in &survivors {
-                component.resume();
-            }
-            let reconciled_at = ctx.broker.now();
-            let killed_at = {
-                let kill_times = ctx.kill_times.lock();
-                removed
-                    .iter()
-                    .filter_map(|c| kill_times.get(c).copied())
-                    .min()
-            };
-            let detected_at = removed
-                .iter()
-                .filter_map(|c| detections.remove(c))
-                .min()
-                .unwrap_or(at);
-            ctx.log.push(OutageRecord {
+            GroupEvent::RebalanceCompleted {
                 generation,
-                failed_components: removed,
-                killed_at,
-                detected_at,
-                consensus_at: at,
-                reconciled_at,
-                rehomed_requests: rehomed,
-                rehomed_partitions,
-            });
+                live,
+                removed,
+                at,
+            } => {
+                // Consensus: the group's new live set, in one generation. A
+                // member the mesh has not published yet joins with its own
+                // publish.
+                ctx.membership.publish(|members| {
+                    for c in &removed {
+                        members.live.remove(c);
+                    }
+                    let joined: Vec<ComponentId> = live
+                        .iter()
+                        .filter(|c| members.components.contains_key(c))
+                        .copied()
+                        .collect();
+                    members.live.extend(joined);
+                });
+                if removed.is_empty() {
+                    retry_orphans(ctx, &mut self.orphans);
+                    return;
+                }
+                // Pause message processing on the survivors while the leader
+                // reconciles ("all components temporarily stop sending and
+                // receiving messages"). This halts their consumer lanes and
+                // retry pumps; in-flight invocations drain on their own.
+                let survivors: Vec<Arc<ComponentCore>> = ctx.membership.read(|members| {
+                    live.iter()
+                        .filter_map(|c| members.components.get(c).cloned())
+                        .collect()
+                });
+                for component in &survivors {
+                    component.pause();
+                }
+                let (rehomed, rehomed_partitions) =
+                    reconcile(ctx, &mut self.orphans, &removed, &live);
+                for component in &survivors {
+                    component.resume();
+                }
+                let reconciled_at = ctx.broker.now();
+                let killed_at = ctx.membership.read(|members| {
+                    removed
+                        .iter()
+                        .filter_map(|c| members.fenced.get(c).copied())
+                        .min()
+                });
+                let detected_at = removed
+                    .iter()
+                    .filter_map(|c| self.detections.remove(c))
+                    .min()
+                    .unwrap_or(at);
+                ctx.log.push(OutageRecord {
+                    generation,
+                    failed_components: removed,
+                    killed_at,
+                    detected_at,
+                    consensus_at: at,
+                    reconciled_at,
+                    rehomed_requests: rehomed,
+                    rehomed_partitions,
+                });
+            }
         }
     }
 }
@@ -305,16 +328,20 @@ pub(crate) fn handle_group_event(
 /// Re-homes orphaned requests (whose actor type had no live host) once new
 /// components join (§4.3: "KAR queues requests to unavailable types
 /// separately, revisiting this queue when new components are added").
-fn retry_orphans(ctx: &RecoveryContext) {
-    let pending: Vec<RequestMessage> = std::mem::take(&mut *ctx.orphans.lock());
+fn retry_orphans(ctx: &RecoveryContext, orphans: &mut Vec<RequestMessage>) {
+    let pending: Vec<RequestMessage> = std::mem::take(orphans);
     if pending.is_empty() {
         return;
     }
-    let live: Vec<ComponentId> = ctx.live.read().iter().copied().collect();
+    let live: Vec<ComponentId> = ctx
+        .membership
+        .read(|members| members.live.iter().copied().collect());
     let mut rewrites = PlacementRewriter::default();
     let mut batches = RehomeBatches::default();
     for request in pending {
-        if let Some((partition, request)) = rehome_decision(ctx, request, &live, &mut rewrites) {
+        if let Some((partition, request)) =
+            rehome_decision(ctx, orphans, request, &live, &mut rewrites)
+        {
             batches.push(partition, request);
         }
     }
@@ -496,6 +523,7 @@ impl RehomeBatches {
 /// requests and the partitions re-homed onto survivors.
 fn reconcile(
     ctx: &RecoveryContext,
+    orphans: &mut Vec<RequestMessage>,
     removed: &[ComponentId],
     live: &[ComponentId],
 ) -> (usize, Vec<usize>) {
@@ -516,8 +544,8 @@ fn reconcile(
     //    be re-homed. The catalog holds `Arc`-shared envelopes straight out
     //    of the partition logs (zero-copy): only the requests actually
     //    re-homed are ever materialized.
-    let topology = ctx.topology.read().clone();
-    let components = ctx.components.read().clone();
+    let members = ctx.membership.snapshot();
+    let (topology, components) = (&members.topology, &members.components);
     let mut responses: HashSet<RequestId> = HashSet::new();
     let mut live_requests: HashSet<RequestId> = HashSet::new();
     let mut all_requests: Vec<Arc<Envelope>> = Vec::new();
@@ -672,7 +700,9 @@ fn reconcile(
             .map(|r| r.id);
         request.pending_callee = pending_callee;
         rehomed_ids.insert(request.id);
-        if let Some((partition, request)) = rehome_decision(ctx, request, live, &mut rewrites) {
+        if let Some((partition, request)) =
+            rehome_decision(ctx, orphans, request, live, &mut rewrites)
+        {
             batches.push(partition, request);
         }
         sleep_scaled(ctx, ctx.config.reconciliation_per_message);
@@ -699,7 +729,7 @@ fn reconcile(
                     }
                     rehomed_ids.insert(request.id);
                     if let Some((partition, request)) =
-                        rehome_decision(ctx, request.clone(), live, &mut rewrites)
+                        rehome_decision(ctx, orphans, request.clone(), live, &mut rewrites)
                     {
                         batches.push(partition, request);
                     }
@@ -758,7 +788,7 @@ fn reconcile(
     //    after the flush are consumed by the adopter, whose admission-time
     //    placement check executes or forwards them. Routing stability for
     //    live actors is untouched because home sets never change.
-    let rehomed_partitions = rehome_partition_ranges(ctx, live, &components, &topology);
+    let rehomed_partitions = rehome_partition_ranges(ctx, live, components, topology);
 
     (rehomed, rehomed_partitions)
 }
@@ -774,7 +804,7 @@ fn reconcile(
 fn rehome_partition_ranges(
     ctx: &RecoveryContext,
     live: &[ComponentId],
-    components: &HashMap<ComponentId, Arc<ComponentCore>>,
+    components: &BTreeMap<ComponentId, Arc<ComponentCore>>,
     topology: &HashMap<ComponentId, PartitionSet>,
 ) -> Vec<usize> {
     let adopters: Vec<&Arc<ComponentCore>> = live
@@ -785,72 +815,67 @@ fn rehome_partition_ranges(
     if adopters.is_empty() {
         return Vec::new();
     }
-    // Every topology entry whose component is dead: the components removed
-    // by this rebalance, plus any entry left over from an earlier recovery
-    // that had no adopter. The *shared* live set is the authority here (not
-    // this rebalance's `live` list): it already includes components added
-    // after this rebalance window started, so a freshly joined component can
-    // never be mistaken for dead and have its partitions stolen.
-    let stale: Vec<ComponentId> = {
-        let live_now = ctx.live.read();
-        topology
+    // One publish for the whole re-homing: the dead entries leave the
+    // topology and the adopters' sets grow in the same generation. The
+    // broker's assignment table and group view are updated inside it (as
+    // retirement does), so a retirement racing this adoption can never
+    // overwrite the broker tables with a set missing the fresh range.
+    ctx.membership.publish(|members| {
+        // Every topology entry whose component is dead: the components
+        // removed by this rebalance, plus any entry left over from an
+        // earlier recovery that had no adopter. The *published* live set is
+        // the authority here (not this rebalance's `live` list): it already
+        // includes components added after this rebalance window started, so
+        // a freshly joined component can never be mistaken for dead and have
+        // its partitions stolen.
+        let mut stale: Vec<ComponentId> = topology
             .keys()
-            .filter(|component| !live_now.contains(component))
+            .filter(|component| !members.live.contains(component))
             .copied()
-            .collect()
-    };
-    let mut orphaned: Vec<usize> = Vec::new();
-    for component in stale {
-        if let Some(set) = topology.get(&component) {
-            orphaned.extend(set.all());
+            .collect();
+        stale.sort();
+        let mut orphaned: Vec<usize> = Vec::new();
+        for component in stale {
+            if let Some(set) = topology.get(&component) {
+                orphaned.extend(set.all());
+            }
+            members.topology.remove(&component);
+            ctx.broker.unassign_partitions(&ctx.topic, component);
         }
-        ctx.topology.write().remove(&component);
-        ctx.broker.unassign_partitions(&ctx.topic, component);
-    }
-    // Weighted adopter choice: pick the survivor currently carrying the
-    // fewest adopted partitions (current topology counts, plus what this
-    // round has assigned so far; ties break by component id, so the spread
-    // is deterministic). Chained failures therefore spread their ranges
-    // instead of piling onto whichever survivor a round-robin started at —
-    // an adopter that already drains two dead ranges stops being the first
-    // pick for a third.
-    let mut load: HashMap<ComponentId, usize> = {
-        let current = ctx.topology.read();
-        adopters
+        // Weighted adopter choice: pick the survivor currently carrying the
+        // fewest adopted partitions (current topology counts, plus what this
+        // round has assigned so far; ties break by component id, so the
+        // spread is deterministic). Chained failures therefore spread their
+        // ranges instead of piling onto whichever survivor a round-robin
+        // started at — an adopter that already drains two dead ranges stops
+        // being the first pick for a third.
+        let mut load: HashMap<ComponentId, usize> = adopters
             .iter()
             .map(|core| {
-                let adopted = current.get(&core.id()).map_or(0, |set| set.adopted().len());
+                let adopted = members
+                    .topology
+                    .get(&core.id())
+                    .map_or(0, |set| set.adopted().len());
                 (core.id(), adopted)
             })
-            .collect()
-    };
-    let mut adoption: HashMap<ComponentId, Vec<usize>> = HashMap::new();
-    for partition in &orphaned {
-        // Cut off the dead assignment's consumers first: the adopter's
-        // consumer (opened below) captures the post-fence epoch.
-        let _ = ctx.broker.fence_partition(&ctx.topic, *partition);
-        let adopter = adopters
-            .iter()
-            .min_by_key(|core| (load[&core.id()], core.id()))
-            .expect("adopters is non-empty");
-        *load.entry(adopter.id()).or_default() += 1;
-        adoption.entry(adopter.id()).or_default().push(*partition);
-    }
-    let mut adoption: Vec<(ComponentId, Vec<usize>)> = adoption.into_iter().collect();
-    adoption.sort_by_key(|(component, _)| *component);
-    for (component, partitions) in adoption {
-        // Record the adoption in the shared topology FIRST: it is the
-        // authoritative map recovery itself catalogs. If the adopter is
-        // killed concurrently (its core silently refuses to adopt), the
-        // partitions are still charged to it here, so the adopter's own
-        // recovery re-homes them instead of leaking them. The broker's
-        // assignment table and group view are updated under the SAME
-        // topology lock hold (mirroring `retire_partition`), so a
-        // retirement racing this adoption can never overwrite the broker
-        // tables with a clone missing the freshly adopted range.
-        {
-            let mut topology = ctx.topology.write();
-            let Some(set) = topology.get_mut(&component) else {
+            .collect();
+        let mut adoption: BTreeMap<ComponentId, Vec<usize>> = BTreeMap::new();
+        for partition in &orphaned {
+            // Cut off the dead assignment's consumers first: the adopter's
+            // consumer (opened below) captures the post-fence epoch.
+            let _ = ctx.broker.fence_partition(&ctx.topic, *partition);
+            let adopter = adopters
+                .iter()
+                .min_by_key(|core| (load[&core.id()], core.id()))
+                .expect("adopters is non-empty");
+            *load.entry(adopter.id()).or_default() += 1;
+            adoption.entry(adopter.id()).or_default().push(*partition);
+        }
+        for (component, partitions) in adoption {
+            // Charge the adoption to the adopter's set even if it is being
+            // killed concurrently (its core silently refuses to adopt): its
+            // own recovery then re-homes the range instead of leaking it.
+            let Some(set) = members.topology.get_mut(&component) else {
                 continue;
             };
             set.adopt(partitions.iter().copied());
@@ -862,13 +887,13 @@ fn rehome_partition_ranges(
             // with the assignment table.
             ctx.broker
                 .update_member_partitions(&ctx.group, component, merged);
+            if let Some(core) = components.get(&component) {
+                core.adopt_partitions(partitions);
+            }
         }
-        if let Some(core) = components.get(&component) {
-            core.adopt_partitions(partitions);
-        }
-    }
-    orphaned.sort_unstable();
-    orphaned
+        orphaned.sort_unstable();
+        orphaned
+    })
 }
 
 /// Chooses a replacement component for one pending request and records the
@@ -879,6 +904,7 @@ fn rehome_partition_ranges(
 /// live component hosts the actor type.
 fn rehome_decision(
     ctx: &RecoveryContext,
+    orphans: &mut Vec<RequestMessage>,
     mut request: RequestMessage,
     live: &[ComponentId],
     rewrites: &mut PlacementRewriter,
@@ -897,7 +923,7 @@ fn rehome_decision(
         None => {
             let hosts = rewrites.hosts(ctx, request.target.actor_type(), live);
             if hosts.is_empty() {
-                ctx.orphans.lock().push(request);
+                orphans.push(request);
                 return None;
             }
             let chosen = hosts[spread(&request.target.qualified_name(), hosts.len())];
@@ -908,12 +934,10 @@ fn rehome_decision(
     // Route onto the target's home set by actor key, exactly like a live
     // sender would.
     let partition = ctx
-        .topology
-        .read()
-        .get(&target_component)
-        .and_then(|set| RouteKey::Actor(&request.target).partition_in(set));
+        .membership
+        .read(|members| members.partition_for(target_component, RouteKey::Actor(&request.target)));
     let Some(partition) = partition else {
-        ctx.orphans.lock().push(request);
+        orphans.push(request);
         return None;
     };
     Some((partition, request))
@@ -933,14 +957,16 @@ fn response_rehome_partition(
     live: &[ComponentId],
     rewrites: &mut PlacementRewriter,
 ) -> Option<usize> {
-    let topology = ctx.topology.read();
     if let Some(caller_actor) = &response.caller_actor {
         let key = placement_key(caller_actor);
         let owner = rewrites.placement(ctx, &key).filter(|c| live.contains(c))?;
-        return RouteKey::Actor(caller_actor).partition_in(topology.get(&owner)?);
+        return ctx
+            .membership
+            .read(|members| members.partition_for(owner, RouteKey::Actor(caller_actor)));
     }
     let reply_to = response.reply_to.filter(|c| live.contains(c))?;
-    RouteKey::Request(response.id).partition_in(topology.get(&reply_to)?)
+    ctx.membership
+        .read(|members| members.partition_for(reply_to, RouteKey::Request(response.id)))
 }
 
 /// The live components announcing support for `actor_type`, sorted.
@@ -1005,12 +1031,8 @@ mod tests {
             group: "kar".to_owned(),
             broker,
             store: Store::new(),
-            topology: Arc::new(RwLock::new(HashMap::new())),
-            components: Arc::new(RwLock::new(HashMap::new())),
-            live: Arc::new(RwLock::new(HashSet::new())),
-            kill_times: Arc::new(Mutex::new(HashMap::new())),
+            membership: Arc::default(),
             log: Arc::new(RecoveryLog::new()),
-            orphans: Arc::new(Mutex::new(Vec::new())),
             shutdown: Arc::new(AtomicBool::new(false)),
         }
     }

@@ -781,7 +781,8 @@ mod tests {
 
         let core = lone_core(MeshConfig::for_tests(), Broker::default());
         let set = &core.resident;
-        core.live.write().insert(core.id);
+        core.membership
+            .publish(|members| members.live.insert(core.id));
         core.store
             .admin_hset(&hosts_key("Ledger"), &host_field(core.id), Value::Null);
         let placed_here = component_to_value(core.id);
@@ -886,11 +887,15 @@ mod tests {
         broker.create_topic("topic", 2).unwrap();
         let core = lone_core(MeshConfig::for_tests(), broker);
         let owner = ComponentId::from_raw(2);
-        core.live.write().extend([core.id, owner]);
-        let mut topology = core.topology.write();
-        topology.insert(core.id, PartitionSet::contiguous(0, 1));
-        topology.insert(owner, PartitionSet::contiguous(1, 1));
-        drop(topology);
+        core.membership.publish(|members| {
+            members.live.extend([core.id, owner]);
+            members
+                .topology
+                .insert(core.id, PartitionSet::contiguous(0, 1));
+            members
+                .topology
+                .insert(owner, PartitionSet::contiguous(1, 1));
+        });
         let actor = ActorRef::new("Ledger", "elsewhere");
         core.store
             .admin_set(&placement_key(&actor), component_to_value(owner));

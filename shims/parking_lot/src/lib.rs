@@ -8,10 +8,41 @@
 //!
 //! Swap this path dependency for the real crate once the build environment
 //! can reach a registry; no source changes are required.
+//!
+//! With the `count` feature, every acquisition can be counted per call site
+//! (the `count` module): the instrument behind the workspace's per-call
+//! lock budget.
 
 #![forbid(unsafe_code)]
 
 use std::sync::{self};
+
+#[cfg(feature = "count")]
+pub mod count;
+
+/// `result` of a non-blocking acquisition as an `Option`, poisoning
+/// absorbed.
+fn acquired<G>(result: sync::TryLockResult<G>) -> Option<G> {
+    match result {
+        Ok(guard) => Some(guard),
+        Err(sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(sync::TryLockError::WouldBlock) => None,
+    }
+}
+
+/// While counting, records a blocking acquisition at the caller's site:
+/// tries `attempt` first, and counts it contended if that failed. Returns
+/// the guard the attempt got.
+#[cfg(feature = "count")]
+#[track_caller]
+fn counted<G>(attempt: impl FnOnce() -> sync::TryLockResult<G>) -> Option<G> {
+    if !count::on() {
+        return None;
+    }
+    let guard = acquired(attempt());
+    count::record(std::panic::Location::caller(), guard.is_none(), false);
+    guard
+}
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -41,19 +72,26 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available. Unlike
     /// `std::sync::Mutex`, a panic in another thread never poisons the lock.
+    #[cfg_attr(feature = "count", track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(feature = "count")]
+        if let Some(guard) = counted(|| self.inner.try_lock()) {
+            return guard;
+        }
         self.inner
             .lock()
             .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     /// Attempts to acquire the lock without blocking.
+    #[cfg_attr(feature = "count", track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
+        let guard = acquired(self.inner.try_lock());
+        #[cfg(feature = "count")]
+        if count::on() {
+            count::record(std::panic::Location::caller(), guard.is_none(), true);
         }
+        guard
     }
 
     /// Returns a mutable reference to the protected value (no locking needed:
@@ -90,14 +128,24 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access, blocking until available.
+    #[cfg_attr(feature = "count", track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[cfg(feature = "count")]
+        if let Some(guard) = counted(|| self.inner.try_read()) {
+            return guard;
+        }
         self.inner
             .read()
             .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     /// Acquires exclusive write access, blocking until available.
+    #[cfg_attr(feature = "count", track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[cfg(feature = "count")]
+        if let Some(guard) = counted(|| self.inner.try_write()) {
+            return guard;
+        }
         self.inner
             .write()
             .unwrap_or_else(sync::PoisonError::into_inner)
@@ -144,5 +192,32 @@ mod tests {
         .join();
         // parking_lot semantics: the lock is usable after a panic.
         assert_eq!(*m.lock(), 0);
+    }
+
+    #[cfg(feature = "count")]
+    #[test]
+    fn counting_records_each_site_and_its_contention() {
+        let first = line!();
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        crate::count::start();
+        for _ in 0..3 {
+            *m.lock() += 1;
+        }
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        let _ = *l.read();
+        crate::count::stop();
+        drop(m.lock());
+        let last = line!();
+        // Only this test's sites: others may run beside it.
+        let here: Vec<_> = crate::count::sites()
+            .into_iter()
+            .filter(|(site, _)| site.file().ends_with("lib.rs"))
+            .filter(|(site, _)| (first..last).contains(&site.line()))
+            .map(|(_, tally)| (tally.acquisitions, tally.contended, tally.tries))
+            .collect();
+        assert_eq!(here, [(3, 0, 0), (1, 0, 0), (1, 1, 1), (1, 0, 0)]);
     }
 }
