@@ -40,23 +40,21 @@
 //! instead of double-executing, and stale consumers of a re-homed partition
 //! are cut off by the broker's per-partition ownership epochs.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use kar_types::mono_now;
 
-use parking_lot::{Mutex, RwLock};
-
-use kar_queue::{Broker, Consumer, PartitionSet, Producer, Record};
+use kar_queue::{Broker, PartitionSet, Producer, Record};
 use kar_store::{Connection, Store};
 use kar_types::ids::RequestIdGenerator;
 use kar_types::RequestId;
 use kar_types::{
     epoch_ms, ActorRef, CallKind, Completion, ComponentId, Envelope, KarError, KarResult, NodeId,
     Payload, RecordOrigin, RequestMessage, ResponseMessage, RetryPolicy, RetryState, RetryVerdict,
-    SharedRequest, SnapshotVec, Value, WaitSignalGroup,
+    SharedRequest, Value, WaitSignalGroup,
 };
 
 use crate::actor::{ActorFactory, Outcome};
@@ -67,6 +65,7 @@ use crate::continuation::{Continuation, ParkedContinuation};
 use crate::delivery::{Flusher, PartitionBatcher, QueuedRun, RequestRound, Run};
 use crate::faults::{retry_transient, TRANSIENT_ATTEMPTS};
 use crate::io::DueHeap;
+use crate::lanes::Lanes;
 use crate::ledger::RequestLedger;
 use crate::membership::MembershipView;
 use crate::placement::{
@@ -427,18 +426,6 @@ struct RoundStats {
     outbox_partitions_max: AtomicUsize,
 }
 
-/// One consumer lane: the unit of consumer — and dispatch — concurrency. A
-/// reactor claims a lane with `try_lock` (a lane being swept on another
-/// reactor is skipped, not waited for), admits every record it polls inline
-/// and runs what admission decided while it holds the lane. So one actor's
-/// records, which hash to one partition, are admitted in record order, and
-/// the lane count is the component's dispatch concurrency. A handler may run
-/// under a lane's lock: nothing else ever *waits* for one (`kill` and the
-/// retirement sweep `try_lock`).
-struct ConsumerLane {
-    consumers: Mutex<Vec<Consumer<Envelope>>>,
-}
-
 /// The runtime core of one application component.
 pub struct ComponentCore {
     pub(crate) id: ComponentId,
@@ -447,10 +434,10 @@ pub struct ComponentCore {
     pub(crate) config: MeshConfig,
     pub(crate) topic: String,
     pub(crate) group: String,
-    /// This component's partition set: the stable home range requests hash
-    /// onto, plus partition ranges adopted from failed components during
-    /// recovery (drained but never hash-routed to).
-    pub(crate) partitions: RwLock<PartitionSet>,
+    /// This component's home partitions: the stable range its requests hash
+    /// onto. Ranges it adopts from failed components are drained by its
+    /// lanes and published in its topology entry, never hash-routed to.
+    pub(crate) home: PartitionSet,
     pub(crate) broker: Broker<Envelope>,
     pub(crate) store: Store,
     pub(crate) producer: Producer<Envelope>,
@@ -473,35 +460,22 @@ pub struct ComponentCore {
     /// gains work (an append to one of its partitions, a resume after
     /// recovery, a stage parked sooner than any other), so an idle reactor
     /// resumes sweeping.
-    wakeup: Arc<WaitSignalGroup>,
+    pub(crate) wakeup: Arc<WaitSignalGroup>,
     /// The mesh-wide due-time heap this component's invocations park on
     /// while a modelled I/O is in flight (see [`crate::io`]).
     io: Arc<DueHeap>,
-    /// This component's consumer lanes. Starts at the pre-failure steady
-    /// state (one lane per home partition), grows by one lane per adopted
-    /// partition range, and shrinks back as adopted ranges are retired;
-    /// every sweep walks a snapshot of it.
-    lanes: SnapshotVec<Arc<ConsumerLane>>,
+    /// The consumer lanes draining this component's partitions, each with
+    /// its consumed offsets (see [`crate::lanes`]).
+    pub(crate) lanes: Lanes,
     /// Set after the first failed heartbeat (the component was fenced or its
     /// group is gone): parity with the old dedicated heartbeat thread, which
     /// exited at that point and took the bookkeeping aging with it.
     heartbeats_stopped: AtomicBool,
-    /// Per-partition offset of the next record this component's consumers
-    /// will read; used by reconciliation to decide whether a request copy in
-    /// a queue is still going to be processed. Grows when partitions are
-    /// adopted.
-    consumed_offsets: RwLock<HashMap<usize, Arc<AtomicU64>>>,
     /// Per-destination-partition group commit: bursts of completions — and
     /// of one-partition outboxes — towards one partition share a lock
     /// acquisition and a durable ack.
     pub(crate) batcher: PartitionBatcher,
     round_stats: RoundStats,
-    /// Broker-clock instants at which each currently-adopted partition was
-    /// adopted; drives the retirement horizon (see `maybe_retire_partitions`).
-    adopted_at: Mutex<HashMap<usize, Duration>>,
-    /// Adopted partitions this component has retired (fenced, dropped from
-    /// the reactor wake group, removed from the partition set).
-    retired: Mutex<Vec<usize>>,
     /// The resident set: every activated actor's slot, and the passivation
     /// bookkeeping of those that left it (see [`crate::resident`]).
     pub(crate) resident: ResidentSet,
@@ -516,10 +490,6 @@ pub struct ComponentCore {
     /// The mesh-wide per-actor-type circuit breakers (shared by every
     /// component): consulted before each invocation executes, fed after.
     breakers: Arc<BreakerRegistry>,
-    /// Transient consumer-poll failures survived (injected or real). The
-    /// consumer stays subscribed and is retried on the next sweep; only a
-    /// fencing error detaches it.
-    poll_faults: AtomicU64,
     /// The mesh's gray-failure injector, consulted by the retry scheduler
     /// for clock-skew injection on its `epoch_ms` reads (`None` = no plan).
     faults: Option<Arc<kar_types::FaultInjector>>,
@@ -538,7 +508,7 @@ impl ComponentCore {
         config: MeshConfig,
         topic: String,
         group: String,
-        partitions: PartitionSet,
+        home: PartitionSet,
         broker: Broker<Envelope>,
         store: Store,
         membership: Arc<MembershipView>,
@@ -565,22 +535,17 @@ impl ComponentCore {
         // retention (membership 2–4 windows) leaves a full retention window
         // of safety margin over the queue horizon.
         let bookkeeping_interval = config.time_scale.compress(config.retention * 2);
-        let home_loads = partitions
+        let home_loads = home
             .home()
             .iter()
             .map(|partition| (*partition, AtomicU64::new(0)))
-            .collect();
-        let consumed_offsets = partitions
-            .all()
-            .into_iter()
-            .map(|partition| (partition, Arc::new(AtomicU64::new(0))))
             .collect();
         // The passivation clock rides the *single* retention window: an
         // actor — and its state image with it — goes cold strictly inside the
         // doubled dedup window, so a rehydrated actor can never outlive its
         // retry-dedup entries.
         let idle_interval = config.time_scale.compress(config.retention);
-        let settle = SettleTracker::new(partitions.home());
+        let settle = SettleTracker::new(home.home());
         let resident = ResidentSet::new(idle_interval, bookkeeping_interval, &config);
         ComponentCore {
             id,
@@ -589,7 +554,7 @@ impl ComponentCore {
             config,
             topic,
             group,
-            partitions: RwLock::new(partitions),
+            home,
             broker,
             store,
             producer,
@@ -604,18 +569,14 @@ impl ComponentCore {
             paused: AtomicBool::new(false),
             wakeup,
             io,
-            lanes: SnapshotVec::new(),
+            lanes: Lanes::default(),
             heartbeats_stopped: AtomicBool::new(false),
-            consumed_offsets: RwLock::new(consumed_offsets),
             batcher: PartitionBatcher::default(),
             round_stats: RoundStats::default(),
-            adopted_at: Mutex::new(HashMap::new()),
-            retired: Mutex::new(Vec::new()),
             resident,
             ledger: RequestLedger::new(bookkeeping_interval),
             budget,
             breakers,
-            poll_faults: AtomicU64::new(0),
             faults,
             settle,
         }
@@ -666,19 +627,6 @@ impl ComponentCore {
         // never moves an actor off a live component, so they stay
         // authoritative — and a handler never sees its image unloaded.
         self.resident.unload_idle_images();
-        // Retirement-leak sweep: a later recovery may have fenced an adopted
-        // partition *before* its retirement horizon (the range was re-homed
-        // again). Its consumer was dropped on the failed poll, but its
-        // `adopted_at` entry — keyed by a partition this component no longer
-        // consumes — would otherwise linger forever. Drop every entry whose
-        // partition is no longer in the adopted set.
-        {
-            let adopted: HashSet<usize> =
-                self.partitions.read().adopted().iter().copied().collect();
-            self.adopted_at
-                .lock()
-                .retain(|partition, _| adopted.contains(partition));
-        }
         self.paused.store(false, Ordering::SeqCst);
         // Queued work accumulated during the pause (and repairs made by the
         // recovery) won't announce themselves: wake the reactors.
@@ -696,10 +644,7 @@ impl ComponentCore {
         self.resident.clear();
         // Detach the consumers from the reactor wake group: partitions must
         // not keep notifying — or keep membership for — a dead component.
-        let lanes = self.lanes.update(std::mem::take);
-        for lane in &lanes {
-            self.detach_lane(lane);
-        }
+        self.lanes.detach(&self.wakeup);
         // Claims, deferred retries and parked continuations are in-memory
         // state: dropped with the process. The queue copies of their
         // requests drive the retries on the adopters (§4.3). Every client
@@ -738,79 +683,39 @@ impl ComponentCore {
     }
 
     /// Human-readable snapshot of this component's dispatch and actor state
-    /// (consumed offsets, actor locks/mailboxes, deferred and inflight sets)
-    /// — for debugging stuck requests.
+    /// (lanes and their consumed offsets, actor locks/mailboxes, deferred
+    /// and inflight sets) — for debugging stuck requests.
     pub fn debug_snapshot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let offsets: Vec<String> = {
-            let consumed = self.consumed_offsets.read();
-            let mut entries: Vec<(usize, u64)> = consumed
-                .iter()
-                .map(|(partition, slot)| (*partition, slot.load(Ordering::SeqCst)))
-                .collect();
-            entries.sort_unstable();
-            entries
-                .into_iter()
-                .map(|(partition, offset)| format!("{partition}:{offset}"))
-                .collect()
-        };
         let _ = writeln!(
             out,
-            "component {} ({}) alive={} paused={} partitions={} consumed=[{}]",
+            "component {} ({}) alive={} paused={}",
             self.id,
             self.name,
             self.is_alive(),
             self.is_paused(),
-            self.partitions.read(),
-            offsets.join(", "),
         );
-        // The delivery plane: consumer threads, per-adoptee retirement
-        // horizon (on the retention clock), retirements performed, and the
-        // response-batching amortization achieved so far.
-        {
-            let delay = self.config.scaled_retirement_delay();
-            let now = mono_now();
-            let horizons: Vec<String> = {
-                let adopted_at = self.adopted_at.lock();
-                let mut entries: Vec<(usize, Duration)> = adopted_at
-                    .iter()
-                    .map(|(partition, adopted)| {
-                        (
-                            *partition,
-                            delay.saturating_sub(now.saturating_sub(*adopted)),
-                        )
-                    })
-                    .collect();
-                entries.sort_unstable();
-                entries
-                    .into_iter()
-                    .map(|(partition, left)| format!("{partition}:{left:.1?}"))
-                    .collect()
-            };
-            let (enqueued, flushes) = self.response_batch_stats();
-            let (req_enqueued, req_flushes) = self.request_batch_stats();
-            let _ = writeln!(
-                out,
-                "  delivery: consumers={} retire_in=[{}] retired={:?} \
-                 response_batches={flushes}/{enqueued} \
-                 request_batches={req_flushes}/{req_enqueued} orphan_responses={}",
-                self.consumer_thread_count(),
-                horizons.join(", "),
-                self.retired.lock(),
-                self.io
-                    .count(self, |stage| matches!(stage, Stage::Orphan { .. })),
-            );
-            let _ = writeln!(
-                out,
-                "  outbox: rounds={} records={} partitions_per_round_max={}",
-                self.round_stats.outbox_rounds.load(Ordering::Relaxed),
-                self.round_stats.outbox_records.load(Ordering::Relaxed),
-                self.round_stats
-                    .outbox_partitions_max
-                    .load(Ordering::Relaxed),
-            );
-        }
+        // The delivery plane: lanes, retirements and batching.
+        self.lanes.debug(self, &mut out);
+        let (enqueued, flushes) = self.response_batch_stats();
+        let (req_enqueued, req_flushes) = self.request_batch_stats();
+        let _ = writeln!(
+            out,
+            "  delivery: response_batches={flushes}/{enqueued} \
+             request_batches={req_flushes}/{req_enqueued} orphan_responses={}",
+            self.io
+                .count(self, |stage| matches!(stage, Stage::Orphan { .. })),
+        );
+        let _ = writeln!(
+            out,
+            "  outbox: rounds={} records={} partitions_per_round_max={}",
+            self.round_stats.outbox_rounds.load(Ordering::Relaxed),
+            self.round_stats.outbox_records.load(Ordering::Relaxed),
+            self.round_stats
+                .outbox_partitions_max
+                .load(Ordering::Relaxed),
+        );
         let (parked, parks) = self.ledger.continuations();
         let _ = writeln!(out, "  continuations: parked={parked} parks_total={parks}");
         let (passivations, rehydrations, deferrals) = self.passivation_stats();
@@ -844,21 +749,16 @@ impl ComponentCore {
 
     /// The home partition of this component that `actor`'s records hash to.
     fn own_partition_for(&self, actor: &ActorRef) -> Option<usize> {
-        RouteKey::Actor(actor).partition_in(&self.partitions.read())
+        RouteKey::Actor(actor).partition_in(&self.home)
     }
 
-    /// This component's current partition set (home + adopted).
+    /// This component's partition set as the membership publishes it (home
+    /// plus adopted ranges); its home range alone once it has no entry (it
+    /// died and its ranges were re-homed).
     pub(crate) fn partition_set(&self) -> PartitionSet {
-        self.partitions.read().clone()
-    }
-
-    /// Offset of the next record this component's consumers will read from
-    /// `partition` (zero for partitions it does not consume).
-    pub(crate) fn consumed_offset(&self, partition: usize) -> u64 {
-        self.consumed_offsets
-            .read()
-            .get(&partition)
-            .map_or(0, |slot| slot.load(Ordering::SeqCst))
+        self.membership
+            .read(|members| members.topology.get(&self.id).cloned())
+            .unwrap_or_else(|| self.home.clone())
     }
 
     /// True if request `id` is executing, mailboxed, deferred on its pending
@@ -2768,49 +2668,6 @@ impl ComponentCore {
     // Reactor surface (no threads of its own)
     // ------------------------------------------------------------------
 
-    /// Prepares the component for the reactor pool: builds one consumer
-    /// lane per home partition. Spawns nothing; the mesh registers the
-    /// component with its reactors afterwards.
-    pub(crate) fn start(&self) {
-        let home = self.partitions.read().home().to_vec();
-        let lanes = home.into_iter().map(|p| self.make_lane(vec![p]));
-        self.lanes.update(|list| list.extend(lanes));
-    }
-
-    /// Builds one consumer lane over `partitions`, wiring every consumer
-    /// into the mesh reactor wake group (an append to any of them wakes an
-    /// idle reactor).
-    fn make_lane(&self, partitions: Vec<usize>) -> Arc<ConsumerLane> {
-        let consumers: Vec<Consumer<Envelope>> = partitions
-            .iter()
-            .filter_map(|partition| self.broker.consumer(self.id, &self.topic, *partition).ok())
-            .collect();
-        for consumer in &consumers {
-            consumer.join_wait_group(&self.wakeup);
-        }
-        Arc::new(ConsumerLane {
-            consumers: Mutex::new(consumers),
-        })
-    }
-
-    /// Drops `lane` from the lane list (its consumers are all gone).
-    fn remove_lane(&self, lane: &Arc<ConsumerLane>) {
-        self.lanes
-            .update(|list| list.retain(|l| !Arc::ptr_eq(l, lane)));
-    }
-
-    /// Detaches `lane`'s consumers from the reactor wake group and drops
-    /// them (the component was killed) — unless a reactor holds the lane, in
-    /// which case that reactor does it once it lets go of the lane.
-    fn detach_lane(&self, lane: &ConsumerLane) {
-        if let Some(mut consumers) = lane.consumers.try_lock() {
-            for consumer in consumers.iter() {
-                consumer.leave_wait_group(&self.wakeup);
-            }
-            consumers.clear();
-        }
-    }
-
     /// One reactor sweep over this component: poll ready consumer lanes
     /// (admitting what they poll) and trim settled log prefixes. Returns
     /// true if any record was polled. Safe to call from any number of
@@ -2822,7 +2679,7 @@ impl ComponentCore {
         if !self.is_alive() || self.is_paused() {
             return false;
         }
-        let did = self.pump_consumers(wake_at);
+        let did = self.lanes.pump(self, wake_at);
         if self.settle.sweep_due() {
             self.trim_settled();
         }
@@ -2843,81 +2700,6 @@ impl ComponentCore {
                 self.settle.trimmed(partition, count);
             }
         }
-    }
-
-    /// Polls every claimable consumer lane once. The lane list is a shared
-    /// snapshot (taking it is a reference-count bump, not a copy) and
-    /// `Consumer::ready()` is a lock-free check, so sweeping a large idle
-    /// topology allocates nothing and costs two atomic loads per partition
-    /// — this is what lets one fixed reactor pool drive 100× the
-    /// partitions.
-    fn pump_consumers(self: &Arc<Self>, wake_at: &mut Option<Duration>) -> bool {
-        let lanes = self.lanes.load();
-        let mut did = false;
-        for lane in lanes.iter() {
-            let Some(mut consumers) = lane.consumers.try_lock() else {
-                // Another reactor is sweeping this lane; its partitions stay
-                // serialized, exactly like the old one-thread-per-lane model.
-                continue;
-            };
-            let mut index = 0;
-            while index < consumers.len() && self.is_alive() && !self.is_paused() {
-                if !consumers[index].ready() {
-                    if let Some(visible_at) = consumers[index].next_visible_at() {
-                        *wake_at = Some(wake_at.map_or(visible_at, |at| at.min(visible_at)));
-                    }
-                    index += 1;
-                    continue;
-                }
-                match consumers[index].poll(64) {
-                    Ok(records) => {
-                        if !records.is_empty() {
-                            did = true;
-                            self.route_records(consumers[index].partition(), records);
-                        }
-                        index += 1;
-                    }
-                    Err(error) if error.is_fenced() => {
-                        // Fenced: the partition was reassigned (or the
-                        // component is gone). Detach it from the wake group
-                        // and — if it was adopted — from the retirement
-                        // clock, so a re-homed-again range cannot leak an
-                        // `adopted_at` entry.
-                        consumers[index].leave_wait_group(&self.wakeup);
-                        let partition = consumers[index].partition();
-                        self.adopted_at.lock().remove(&partition);
-                        consumers.remove(index);
-                    }
-                    Err(_) => {
-                        // Transient poll failure (a gray fault at the
-                        // consumer_poll site, or a store brownout surfacing
-                        // through the broker): the subscription is still
-                        // valid, so keep the consumer and retry on the next
-                        // sweep. Dropping it here would silently orphan the
-                        // partition until reconciliation noticed.
-                        self.poll_faults.fetch_add(1, Ordering::Relaxed);
-                        index += 1;
-                    }
-                }
-            }
-            let empty = consumers.is_empty();
-            drop(consumers);
-            if !self.is_alive() {
-                // `kill` skips a lane some reactor holds — this one, when a
-                // handler it ran killed its own component. Checked after
-                // letting go: a kill that found the lane held happened
-                // before this check, so one of the two detaches it.
-                self.detach_lane(lane);
-                return did;
-            }
-            if empty {
-                self.remove_lane(lane);
-            }
-            if self.is_paused() {
-                return did;
-            }
-        }
-        did
     }
 
     /// One mesh-timer tick: heartbeat, bookkeeping aging, continuation
@@ -2958,7 +2740,7 @@ impl ComponentCore {
             self.io
                 .park(self.hop_due().unwrap_or_else(mono_now), self, resume);
         }
-        self.sweep_retirement();
+        self.lanes.sweep_retirement(self);
         self.sweep_passivation(now);
         if on_timer {
             self.release_placements(now);
@@ -2969,134 +2751,24 @@ impl ComponentCore {
         }
     }
 
-    /// Mesh-timer retirement sweep: retires adopted partitions past their
-    /// horizon and drops lanes whose consumers are all gone, returning the
-    /// lane count to its pre-failure steady state. A lane a reactor holds —
-    /// possibly running a long handler — is retired on a later tick: waiting
-    /// for it would stall every component's heartbeat.
-    fn sweep_retirement(&self) {
-        let lanes = self.lanes.load();
-        for lane in lanes.iter() {
-            let Some(mut consumers) = lane.consumers.try_lock() else {
-                continue;
-            };
-            self.maybe_retire_partitions(&mut consumers);
-            let empty = consumers.is_empty();
-            drop(consumers);
-            if empty {
-                self.remove_lane(lane);
-            }
-        }
-    }
-
-    /// Takes over consuming `adopted` partitions re-homed from a failed
-    /// component: records their consumed offsets and adoption times (the
-    /// retirement clock starts here), extends this component's partition set
-    /// (adopted partitions are drained but never hash-routed to, so request
-    /// routing is unaffected) and adds a consumer lane for the range — no
-    /// thread is spawned; the existing reactors pick the lane up on their
-    /// next sweep. Called by the reconciliation leader after it fenced the
-    /// partitions' previous owners.
-    pub(crate) fn adopt_partitions(self: &Arc<Self>, adopted: Vec<usize>) {
-        if adopted.is_empty() || !self.is_alive() {
-            return;
-        }
-        {
-            let mut offsets = self.consumed_offsets.write();
-            for partition in &adopted {
-                offsets
-                    .entry(*partition)
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-            }
-        }
-        {
-            let now = mono_now();
-            let mut adopted_at = self.adopted_at.lock();
-            for partition in &adopted {
-                adopted_at.insert(*partition, now);
-            }
-        }
-        self.partitions.write().adopt(adopted.iter().copied());
-        let lane = self.make_lane(adopted);
-        self.lanes.update(|list| list.push(lane));
-        // The new lane's partitions may already hold salvaged records.
-        self.wakeup.notify();
-    }
-
-    /// Retires adopted partitions whose retirement horizon has passed and
-    /// whose log is fully drained: fences the partition (any straggling
-    /// consumer of an older assignment fails its next poll), detaches it
-    /// from the reactor wake group, drops its consumer, and shrinks the
-    /// partition set — locally, in the shared topology, and in the broker's
-    /// assignment table and group view.
-    ///
-    /// Safety of the horizon: adopted partitions are never hash-routed to,
-    /// so after recovery rewrote placement the only records that could still
-    /// land there were appends already in flight at adoption time. Those
-    /// expire after one retention window; the horizon is two windows (the
-    /// same clock the aged retry bookkeeping uses), so an empty log at the
-    /// horizon is empty forever.
-    fn maybe_retire_partitions(&self, consumers: &mut Vec<Consumer<Envelope>>) {
-        let delay = self.config.scaled_retirement_delay();
-        let now = mono_now();
-        let mut index = 0;
-        while index < consumers.len() {
-            let partition = consumers[index].partition();
-            let due = self
-                .adopted_at
-                .lock()
-                .get(&partition)
-                .is_some_and(|adopted| now.saturating_sub(*adopted) >= delay);
-            if !due || self.broker.partition_len(&self.topic, partition) != 0 {
-                index += 1;
-                continue;
-            }
-            self.retire_partition(partition);
-            consumers[index].leave_wait_group(&self.wakeup);
-            consumers.remove(index);
-        }
-    }
-
-    /// The bookkeeping half of retirement: fence, shrink every map that
-    /// records the adoption, and log the retirement.
-    fn retire_partition(&self, partition: usize) {
-        let _ = self.broker.fence_partition(&self.topic, partition);
-        self.partitions.write().retire_adopted(partition);
-        self.adopted_at.lock().remove(&partition);
-        self.consumed_offsets.write().remove(&partition);
-        // Publish the shrunk set and propagate the SAME set to the broker's
-        // assignment table and group view inside the publish: recovery's
-        // adoption does the same, so the two sides can never write each
-        // other's stale clone into the broker tables (a retirement racing a
-        // fresh adoption would otherwise resurrect the retired partition —
-        // or drop the adopted one — from the assignment table).
-        self.membership.publish(|members| {
-            if let Some(set) = members.topology.get_mut(&self.id) {
-                set.retire_adopted(partition);
-                let merged = set.clone();
-                let _ = self
-                    .broker
-                    .assign_partitions(&self.topic, self.id, merged.clone());
-                self.broker
-                    .update_member_partitions(&self.group, self.id, merged);
-            }
-        });
-        self.retired.lock().push(partition);
-    }
-
     /// Admits one polled batch, in record order, on the lane that polled it:
     /// a response is handled, a request admitted and then run, forwarded or
-    /// left where admission put it. The partition's consumed offset passes a
-    /// request only once admission has claimed it — run, mailboxed, deferred
+    /// left where admission put it. The partition's consumed offset
+    /// (`consumed`, kept by the lane) passes a request only once admission
+    /// has claimed it — run, mailboxed, deferred
     /// or parked, it holds the claim — and before it runs, so reconciliation
     /// always sees a record as still queued or locally pending, never
     /// neither, and sees what its handler sent only once the record is
     /// consumed.
-    fn route_records(self: &Arc<Self>, partition: usize, records: Vec<Record<Arc<Envelope>>>) {
+    pub(crate) fn route_records(
+        self: &Arc<Self>,
+        partition: usize,
+        consumed: Option<&AtomicU64>,
+        records: Vec<Record<Arc<Envelope>>>,
+    ) {
         self.settle.routed(partition, &records);
-        let consumed = self.consumed_offsets.read().get(&partition).cloned();
         let publish = |offset: u64| {
-            if let Some(slot) = &consumed {
+            if let Some(slot) = consumed {
                 slot.fetch_max(offset + 1, Ordering::SeqCst);
             }
         };
@@ -3135,11 +2807,6 @@ impl ComponentCore {
     /// (for `Mesh::debug_report`).
     pub(crate) fn settle_snapshot(&self) -> Vec<crate::settle::SettleSnapshot> {
         self.settle.snapshot()
-    }
-
-    /// Transient consumer-poll failures this component has survived.
-    pub(crate) fn poll_fault_count(&self) -> u64 {
-        self.poll_faults.load(Ordering::Relaxed)
     }
 
     /// The retry scheduler's view of the epoch clock: `epoch_ms` plus any
@@ -3238,15 +2905,6 @@ impl ComponentCore {
         self.stats.state_evictions.load(Ordering::Relaxed)
     }
 
-    /// Number of live consumer lanes (units of consumer concurrency; no
-    /// thread is dedicated to a lane — the fixed reactor pool sweeps them).
-    /// Grows when recovery re-homes a partition range onto this component,
-    /// and returns to the pre-failure steady state once the adopted range is
-    /// retired.
-    pub fn consumer_thread_count(&self) -> usize {
-        self.lanes.load().len()
-    }
-
     /// `(requests sent, rounds acknowledged)` on this component's request
     /// leg. The ratio is its amortization: an invocation's outbox sends all
     /// its tells in one round, and one-partition outboxes share the runs of
@@ -3257,12 +2915,6 @@ impl ComponentCore {
             stats.requests.load(Ordering::Relaxed),
             stats.rounds.load(Ordering::Relaxed),
         )
-    }
-
-    /// The adopted partitions this component has retired so far, in
-    /// retirement order.
-    pub fn retired_partitions(&self) -> Vec<usize> {
-        self.retired.lock().clone()
     }
 
     /// `(completions enqueued, runs carrying completions acknowledged)` by
@@ -3361,6 +3013,102 @@ mod tests {
     fn component_stats_default_to_zero() {
         let stats = ComponentStats::default();
         assert_eq!(stats.forwarded.load(Ordering::Relaxed), 0);
+    }
+
+    /// A lone core on a three-partition topic, published live with home
+    /// partition 0, its home lane built.
+    fn published_core(config: MeshConfig) -> Arc<ComponentCore> {
+        let broker = Broker::new(kar_queue::BrokerConfig::default());
+        broker.create_topic("topic", 3).unwrap();
+        let core = lone_core(config, broker);
+        core.membership.publish(|members| {
+            members.live.insert(core.id);
+            members
+                .topology
+                .insert(core.id, PartitionSet::contiguous(0, 1));
+        });
+        core.lanes.start(&core);
+        core
+    }
+
+    /// Recovery's step 8 for one adopter: `partitions` charged to its
+    /// topology entry and handed to its lanes in one publish.
+    fn adopt(core: &Arc<ComponentCore>, partitions: Vec<usize>) {
+        core.membership.publish(|members| {
+            let set = members.topology.get_mut(&core.id).expect("published");
+            set.adopt(partitions.iter().copied());
+            core.lanes.adopt(core, partitions);
+        });
+    }
+
+    fn assert_published(core: &ComponentCore) {
+        let entry = core
+            .membership
+            .read(|members| members.topology.get(&core.id).cloned());
+        assert_eq!(Some(core.partition_set()), entry);
+    }
+
+    #[test]
+    fn the_partition_set_is_the_published_entry() {
+        // No retention: an adopted range's horizon is its adoption.
+        let core = published_core(MeshConfig {
+            retention: Duration::ZERO,
+            ..MeshConfig::for_tests()
+        });
+        adopt(&core, vec![1, 2]);
+        assert_eq!(core.partition_set().adopted(), [1, 2]);
+        assert_published(&core);
+        // Both adopted logs are empty: the sweep retires the range.
+        core.lanes.sweep_retirement(&core);
+        assert_eq!(core.lanes.retired(), [1, 2]);
+        assert_eq!(core.lanes.count(), 1);
+        assert_eq!(core.partition_set(), PartitionSet::contiguous(0, 1));
+        assert_published(&core);
+        // An adopter killed during step 8 opens no lane for the range its
+        // entry was charged, and reads that entry all the same...
+        core.kill();
+        adopt(&core, vec![1]);
+        assert_eq!(core.partition_set().adopted(), [1]);
+        assert_published(&core);
+        // ...until its own recovery re-homes its ranges.
+        core.membership
+            .publish(|members| members.topology.remove(&core.id));
+        assert_eq!(core.partition_set(), PartitionSet::contiguous(0, 1));
+    }
+
+    #[test]
+    fn a_range_fenced_before_its_horizon_leaves_nothing_behind() {
+        let core = published_core(MeshConfig::for_tests());
+        adopt(&core, vec![1, 2]);
+        assert_eq!(core.lanes.count(), 2);
+        assert!(core.debug_snapshot().contains("retire_in=[1:"));
+        // A later recovery fences the range before its horizon: the next
+        // sweep's polls fail, and the lane goes with its last consumer.
+        for partition in [1, 2] {
+            core.broker.fence_partition("topic", partition).unwrap();
+        }
+        assert!(!core.pump(&mut None));
+        assert_eq!(core.lanes.count(), 1, "back to the home lane");
+        let snapshot = core.debug_snapshot();
+        assert!(snapshot.contains("retire_in=[]"), "{snapshot}");
+        assert_eq!(core.lanes.consumed_offset(1), 0);
+        core.lanes.sweep_retirement(&core);
+        assert!(core.lanes.retired().is_empty());
+    }
+
+    #[test]
+    fn a_killed_component_still_answers_what_it_consumed() {
+        let core = published_core(MeshConfig::for_tests());
+        let response = ResponseMessage::new(RequestId::from_raw(9), None, Ok(Value::Null));
+        core.broker
+            .admin_append("topic", 0, Envelope::Response(response))
+            .unwrap();
+        assert!(core.pump(&mut None));
+        assert_eq!(core.lanes.consumed_offset(0), 1);
+        // A reconciliation that counted it live before the kill reads the
+        // offsets it consumed, not an empty table.
+        core.kill();
+        assert_eq!(core.lanes.consumed_offset(0), 1);
     }
 
     #[test]

@@ -78,6 +78,7 @@ pub mod continuation;
 mod delivery;
 pub mod faults;
 mod io;
+mod lanes;
 mod ledger;
 mod membership;
 pub mod mesh;

@@ -488,7 +488,7 @@ impl Mesh {
             self.inner.faults.clone(),
         ));
         self.inner.broker.join_group(GROUP, id, partitions.clone());
-        core.start();
+        core.lanes.start(&core);
         // Publish the component — live, routable and a pump target of the
         // fixed reactor pool (clients included: their partitions deliver
         // client responses) — in one generation.
@@ -711,7 +711,13 @@ impl Mesh {
     /// `consumer_threads` is kept for continuity with the pre-reactor
     /// introspection surface.
     pub fn consumer_threads(&self, component: ComponentId) -> Option<usize> {
-        self.with_core(component, |core| core.consumer_thread_count())
+        self.with_core(component, |core| {
+            if core.is_alive() {
+                core.lanes.count()
+            } else {
+                0
+            }
+        })
     }
 
     /// Size of the fixed reactor pool driving every component (the timer
@@ -744,7 +750,7 @@ impl Mesh {
     /// Answered for dead components too: chaos tests reconstruct where a
     /// re-homed partition ended up even when its adopter later died.
     pub fn retired_partitions(&self, component: ComponentId) -> Option<Vec<usize>> {
-        self.with_core(component, |core| core.retired_partitions())
+        self.with_core(component, |core| core.lanes.retired())
     }
 
     /// `(completions enqueued, runs carrying completions acknowledged)` by
@@ -1007,7 +1013,7 @@ impl Mesh {
                  dead_lettered={dead_lettered} delayed={}",
                 core.delayed_retries(),
             );
-            let _ = writeln!(out, "  poll faults survived: {}", core.poll_fault_count());
+            let _ = writeln!(out, "  poll faults survived: {}", core.lanes.poll_faults());
             // Why is this log (not) shrinking: a home partition trims up to
             // its lowest open record; adopted partitions are never trimmed.
             if let Some(set) = members.topology.get(id) {
@@ -1087,7 +1093,7 @@ impl Mesh {
     /// dropping its subscriptions (injected `consumer_poll` faults or real
     /// broker brownouts). `None` for unknown components.
     pub fn poll_faults(&self, component: ComponentId) -> Option<u64> {
-        self.with_core(component, |core| core.poll_fault_count())
+        self.with_core(component, |core| core.lanes.poll_faults())
     }
 
     /// The log of completed recoveries.

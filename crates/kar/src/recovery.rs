@@ -564,7 +564,10 @@ fn reconcile(
             None
         };
         for partition in set.all() {
-            for record in ctx.broker.read_partition(&ctx.topic, partition) {
+            let records = ctx.broker.read_partition(&ctx.topic, partition);
+            // Read after the records: one consumed since counts as queued.
+            let consumed = live_core.map(|core| core.lanes.consumed_offset(partition));
+            for record in records {
                 match record.payload.as_ref() {
                     Envelope::Response(response) => {
                         responses.insert(response.id);
@@ -573,8 +576,8 @@ fn reconcile(
                         }
                     }
                     Envelope::Request(request) => {
-                        if let Some(core) = live_core {
-                            let still_queued = record.offset >= core.consumed_offset(partition);
+                        if let (Some(core), Some(consumed)) = (live_core, consumed) {
+                            let still_queued = record.offset >= consumed;
                             if still_queued || core.locally_pending(request.id) {
                                 live_requests.insert(request.id);
                             }
@@ -888,7 +891,7 @@ fn rehome_partition_ranges(
             ctx.broker
                 .update_member_partitions(&ctx.group, component, merged);
             if let Some(core) = components.get(&component) {
-                core.adopt_partitions(partitions);
+                core.lanes.adopt(core, partitions);
             }
         }
         orphaned.sort_unstable();
