@@ -2763,15 +2763,11 @@ impl ComponentCore {
     pub(crate) fn route_records(
         self: &Arc<Self>,
         partition: usize,
-        consumed: Option<&AtomicU64>,
+        consumed: &AtomicU64,
         records: Vec<Record<Arc<Envelope>>>,
     ) {
         self.settle.routed(partition, &records);
-        let publish = |offset: u64| {
-            if let Some(slot) = consumed {
-                slot.fetch_max(offset + 1, Ordering::SeqCst);
-            }
-        };
+        let publish = |offset: u64| consumed.fetch_max(offset + 1, Ordering::SeqCst);
         let mut admitted = 0;
         for record in records {
             let offset = record.offset;

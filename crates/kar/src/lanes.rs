@@ -148,7 +148,8 @@ impl Lanes {
                         if !records.is_empty() {
                             did = true;
                             let partition = consumer.partition();
-                            core.route_records(partition, lane.offset(partition), records);
+                            let consumed = lane.offset(partition).expect("drained here");
+                            core.route_records(partition, consumed, records);
                         }
                         index += 1;
                     }

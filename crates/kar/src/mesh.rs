@@ -705,11 +705,10 @@ impl Mesh {
         self.with_core(component, |core| core.partition_set())
     }
 
-    /// Number of live consumer *lanes* of one component: its home-partition
-    /// lanes, plus one per adopted range until retirement drops it. Lanes
-    /// are pump targets of the shared reactor pool, not threads — the name
-    /// `consumer_threads` is kept for continuity with the pre-reactor
-    /// introspection surface.
+    /// Number of consumer *lanes* of one component: one per home partition,
+    /// plus one per adopted range until retirement drops it; 0 once killed
+    /// (its emptied lanes stay for reconciliation). Lanes are pump targets,
+    /// not threads — the name is kept from the pre-reactor surface.
     pub fn consumer_threads(&self, component: ComponentId) -> Option<usize> {
         self.with_core(component, |core| {
             if core.is_alive() {
